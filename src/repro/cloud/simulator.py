@@ -23,7 +23,7 @@ execution is billed as *wasted* busy time, and it plus every queued query land
 in the trace's ``interrupted`` tuple — the simulator reports what a fixed
 schedule loses, and the online scheduler is the component that re-enqueues
 those losses until every query completes.  Without a plan (or with an empty
-one) the simulation is bit-identical to the fault-free code path.
+one) no VM has a profile, so nothing is delayed, interrupted or wasted.
 """
 
 from __future__ import annotations
@@ -151,58 +151,22 @@ class ScheduleSimulator:
         fault_plan:
             Optional :class:`~repro.faults.FaultPlan`; VM indices within the
             schedule are the plan's provisioning sequence numbers.  ``None``
-            or an empty plan takes the fault-free path unchanged.
+            and an empty plan mean the same thing: no VM has a fault profile.
         """
-        if fault_plan is not None and not fault_plan.is_empty:
-            return self._run_with_faults(schedule, provision_time, fault_plan)
-        outcomes: list[QueryOutcome] = []
-        rentals: list[VMRental] = []
-        for vm_index, vm in enumerate(schedule):
-            clock = provision_time
-            busy = 0.0
-            for query in vm.queries:
-                execution_time = self._latency_model.latency(
-                    query.template_name, vm.vm_type
-                )
-                start = max(clock, query.arrival_time)
-                completion = start + execution_time
-                outcomes.append(
-                    QueryOutcome(
-                        query_id=query.query_id,
-                        template_name=query.template_name,
-                        vm_index=vm_index,
-                        vm_type_name=vm.vm_type.name,
-                        arrival_time=query.arrival_time,
-                        start_time=start,
-                        completion_time=completion,
-                        execution_time=execution_time,
-                    )
-                )
-                clock = completion
-                busy += execution_time
-            rentals.append(
-                VMRental(
-                    vm_index=vm_index,
-                    vm_type_name=vm.vm_type.name,
-                    startup_cost=vm.vm_type.startup_cost,
-                    provision_time=provision_time,
-                    release_time=clock,
-                    busy_time=busy,
-                )
-            )
-        return ExecutionTrace(outcomes=tuple(outcomes), rentals=tuple(rentals))
-
-    def _run_with_faults(
-        self, schedule: Schedule, provision_time: float, fault_plan: "FaultPlan"
-    ) -> ExecutionTrace:
-        """The fault-injecting twin of :meth:`run` (plan known non-empty)."""
+        plan = (
+            fault_plan if fault_plan is not None and not fault_plan.is_empty else None
+        )
         outcomes: list[QueryOutcome] = []
         rentals: list[VMRental] = []
         interrupted: list[InterruptedQuery] = []
         for vm_index, vm in enumerate(schedule):
-            profile = fault_plan.profile_for(vm_index, vm.vm_type, provision_time)
-            delay = fault_plan.provisioning_delay(profile)
-            fail_time = profile.fail_time
+            profile = None
+            delay = 0.0
+            fail_time = None
+            if plan is not None:
+                profile = plan.profile_for(vm_index, vm.vm_type, provision_time)
+                delay = plan.provisioning_delay(profile)
+                fail_time = profile.fail_time
             clock = provision_time + delay
             busy = 0.0
             wasted = 0.0
@@ -212,30 +176,18 @@ class ScheduleSimulator:
                     query.template_name, vm.vm_type
                 )
                 start = max(clock, query.arrival_time)
-                if fail_time is not None and start >= fail_time:
-                    # The VM died before this query could begin.
-                    lost += 1
-                    interrupted.append(
-                        InterruptedQuery(
-                            query_id=query.query_id,
-                            template_name=query.template_name,
-                            vm_index=vm_index,
-                            vm_type_name=vm.vm_type.name,
-                            arrival_time=query.arrival_time,
-                            start_time=None,
-                            interrupted_at=fail_time,
-                            wasted_time=0.0,
-                        )
-                    )
-                    continue
                 completion = start + execution_time
-                if fail_time is not None and completion > fail_time:
-                    # Interrupted mid-run: the partial execution is billed
-                    # (and wasted), the query never completes here.
-                    partial = fail_time - start
+                if fail_time is not None and (
+                    start >= fail_time or completion > fail_time
+                ):
+                    # The VM died before this query could finish here.  If it
+                    # had begun, the partial execution is billed (and wasted).
+                    began = start < fail_time
+                    partial = fail_time - start if began else 0.0
+                    if began:
+                        clock = fail_time
                     busy += partial
                     wasted += partial
-                    clock = fail_time
                     lost += 1
                     interrupted.append(
                         InterruptedQuery(
@@ -244,7 +196,7 @@ class ScheduleSimulator:
                             vm_index=vm_index,
                             vm_type_name=vm.vm_type.name,
                             arrival_time=query.arrival_time,
-                            start_time=start,
+                            start_time=start if began else None,
                             interrupted_at=fail_time,
                             wasted_time=partial,
                         )
@@ -268,17 +220,13 @@ class ScheduleSimulator:
             # idle when it hit); a fail time past the last completion is moot
             # because the VM would already have been released.
             failed = fail_time is not None and (lost > 0 or not vm.queries)
-            if failed:
-                release = max(fail_time, provision_time)
-            else:
-                release = clock
             rentals.append(
                 VMRental(
                     vm_index=vm_index,
                     vm_type_name=vm.vm_type.name,
                     startup_cost=vm.vm_type.startup_cost,
                     provision_time=provision_time,
-                    release_time=release,
+                    release_time=max(fail_time, provision_time) if failed else clock,
                     busy_time=busy,
                     failed=failed,
                     fail_kind=profile.fail_kind if failed else None,

@@ -39,33 +39,33 @@ inference fast path (preallocated feature rows + compiled tree evaluator).
 loop; for streams with distinct arrival times the two paths are bit-identical
 (asserted by the golden-scenario and equivalence suites).
 
-Serving sessions
+The arrival loop
 ----------------
 
-:meth:`OnlineScheduler.session` opens an :class:`OnlineSession` — the
-re-entrant, incremental form of the arrival loop that the serving front end
-(:mod:`repro.serving`) is built on.  A session accepts arrival epochs one
-call at a time, carries the scheduler's mutable state (rented VMs, the wait
-queue, model caches and counters) across calls, and reports each epoch's
-placements as an :class:`EpochDecision`.  The batch entry point ``run()`` is
-itself implemented over a session, so submitting a seeded stream epoch by
-epoch is *bit-identical* to running the whole workload at once — the
-equivalence contract the serving test suite locks.
+There is one loop, and :class:`OnlineSession` is it.  A session accepts
+arrival epochs one :meth:`~OnlineSession.submit` call at a time, carries the
+mutable state (rented VMs, the wait queue, model caches, counters) across
+calls, and reports each epoch's placements as an :class:`EpochDecision`;
+:meth:`OnlineScheduler.run` submits a workload's epochs to a session and
+finalizes it, so driving a seeded stream epoch by epoch — which is what the
+serving front end (:mod:`repro.serving`) does — is *bit-identical* to running
+the whole workload at once.
 
-Fault tolerance
----------------
-
-Constructed with a non-empty :class:`~repro.faults.FaultPlan`, the arrival
-loop becomes a discrete-event loop over arrivals *and* scheduled VM failures.
-When a VM dies (crash or spot revocation), every query it had not completed is
-re-enqueued as a fresh arrival at the failure instant and rescheduled;
-replacement VMs pay slow-start delays and capped exponential backoff for
-failed provisioning attempts, all drawn deterministically from the plan's
-seed.  The report gains failure accounting (``vm_failures``, ``requeues``,
-``retries``) and the cost breakdown separates wasted spend (dead VMs' fees,
-discarded partial executions) from the failure-free components.  With no plan
-(or an empty one) this module's behaviour is bit-identical to the fault-free
-scheduler.
+A :class:`~repro.faults.FaultPlan` is a second event source feeding the same
+loop.  Every VM the session provisions draws its fault profile from the plan
+under its provisioning sequence number: slow starts and capped exponential
+backoff for failed attempts delay it, and a scheduled crash or spot revocation
+goes on the session's failure heap.  A failure instant is one more moment at
+which unstarted work is re-bundled: ``submit`` first runs a scheduling pass at
+every failure instant that falls before the epoch (the queries a dead VM had
+not completed are rescheduled, measured from their original arrival), merges
+failures due exactly at the epoch time into the epoch's own pass, and
+``finalize`` drains the failures that fall after the last arrival — so every
+query completes exactly once.  The report carries the failure accounting
+(``vm_failures``, ``requeues``, ``retries``) and the cost breakdown separates
+wasted spend (dead VMs' fees, discarded partial executions) from the
+failure-free components.  Without a plan (or with an empty one) the heap stays
+empty and no pass does anything a fault-free scheduler would not.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -154,32 +153,23 @@ class _VMRecord:
     records: list[ScheduledQueryRecord] = field(default_factory=list)
     #: Scheduled failure instant from the fault plan (``None`` = never fails).
     fail_time: float | None = None
-    #: How the VM is scheduled to die (``"crash"``/``"revocation"``).
-    fail_kind: str | None = None
-    #: Set once the failure has been processed by the event loop: the VM is
-    #: gone and can no longer receive placements.
-    dead: bool = False
     #: True when the failure actually cost work (queries re-enqueued): the
     #: provisioning fee is then accounted as wasted spend.  A VM revoked
-    #: after draining its queue retires quietly — dead but not failed.
+    #: after draining its queue retires quietly — gone but not failed.
     failed: bool = False
     #: Billed execution time the failure threw away (in-flight queries).
     wasted_time: float = 0.0
-    #: Extra provisioning time (slow start plus start-failure backoff).
-    startup_delay: float = 0.0
 
-    def busy_until(self) -> float:
-        """Time at which the VM finishes everything currently committed to it."""
-        if not self.records:
-            return self.provision_time
-        return self.records[-1].completion_time
+    def busy_until(self, now: float = math.inf) -> float:
+        """When the VM finishes what has started by *now* (default: everything)."""
+        for record in reversed(self.records):
+            if record.start_time <= now:
+                return record.completion_time
+        return self.provision_time
 
-    def split_started(self, now: float) -> list[ScheduledQueryRecord]:
-        """Remove and return the records that have not started executing by *now*."""
-        keep = [record for record in self.records if record.start_time <= now]
-        removed = [record for record in self.records if record.start_time > now]
-        self.records = keep
-        return removed
+    def gone_by(self, now: float) -> bool:
+        """Whether the fault plan has taken this VM away by *now*."""
+        return self.fail_time is not None and self.fail_time <= now
 
 
 @dataclass
@@ -190,7 +180,8 @@ class OnlineSchedulingReport:
     cost: CostBreakdown
     #: Wall-clock scheduling time of each pass, one entry per arrival epoch
     #: (queries sharing an arrival time are scheduled together; with distinct
-    #: arrival times this is one entry per query, as in Figures 18-19).
+    #: arrival times this is one entry per query, as in Figures 18-19) plus
+    #: one per VM-failure instant that left queries to reschedule.
     scheduling_overheads: list[float]
     retrains: int
     cache_hits: int
@@ -244,11 +235,12 @@ class QueryPlacement:
 class EpochDecision:
     """What one :meth:`OnlineSession.submit` call decided.
 
-    ``placements`` covers every commitment the epoch made — the new arrivals
-    *and* any waiting queries the pull-back re-placed; ``arrivals`` names the
-    query ids that arrived this epoch.  The model-selection flags mirror the
-    run-level counters (exactly one of ``retrained``/``cache_hit``/
-    ``used_base_model`` is true per epoch).
+    ``placements`` covers every commitment the call made — the new arrivals,
+    any waiting queries the pull-back re-placed, *and* any queries orphaned by
+    VM failures since the previous epoch; ``arrivals`` names the query ids
+    that arrived this epoch.  The model-selection flags and the overhead
+    describe the epoch's own scheduling pass (exactly one of ``retrained``/
+    ``cache_hit``/``used_base_model`` is true).
     """
 
     epoch_time: float
@@ -289,8 +281,7 @@ class OnlineScheduler:
         self._generator = generator
         self._optimizations = optimizations or OnlineOptimizations.all()
         self._wait_resolution = wait_resolution
-        #: ``None`` (or an empty plan) keeps the fault-free arrival loop, which
-        #: is bit-identical to the pre-fault-injection scheduler.
+        #: ``None`` stands for an empty plan too: sessions then never consult it.
         self._fault_plan = (
             fault_plan if fault_plan is not None and not fault_plan.is_empty else None
         )
@@ -299,9 +290,9 @@ class OnlineScheduler:
         #: (template name, vm type name) -> true execution time, memoized for
         #: the commit path (the latency model is deterministic per pair).
         self._latency_cache: dict[tuple[str, str], float] = {}
-        #: (query id, perceived template) -> zero-arrival clone used in batch
-        #: workloads; a waiting query is re-expressed every epoch it stays
-        #: queued, so the clones are worth caching across epochs.
+        #: (query id, perceived template) -> zero-arrival clone used in the last
+        #: batch workload; a waiting query is re-expressed every pass it stays
+        #: queued, so its clone is worth keeping until it starts.
         self._batch_query_cache: dict[tuple[int, str], Query] = {}
         #: Memoized result of the last :meth:`_execute` pass, keyed by the
         #: workload object, so :meth:`run` and :meth:`run_report` on the same
@@ -363,11 +354,9 @@ class OnlineScheduler:
     ) -> tuple[OnlineSchedulingReport, list["_VMRecord"]]:
         """One :meth:`_execute` pass per workload, shared by run/run_report.
 
-        Historically :meth:`run` and :meth:`run_report` each ran their own
-        arrival loop, so calling both on the same workload doubled every
-        overhead counter (and every retrain).  The last pass is memoized by
-        workload object, so the pair consumes a single execution; a different
-        workload object starts a fresh pass.
+        The last pass is memoized by workload object, so calling both on the
+        same workload consumes a single execution (and counts every overhead
+        and retrain once); a different workload object starts a fresh pass.
         """
         cached = self._last_execution
         if cached is not None and cached[0] is workload:
@@ -405,173 +394,18 @@ class OnlineScheduler:
         :meth:`~OnlineSession.submit` call at a time and carries the arrival
         loop's mutable state across calls; submitting a stream epoch by epoch
         then finalizing is bit-identical to :meth:`run` on the equivalent
-        workload.  Fault-injected schedulers cannot open sessions — the
-        discrete-event failure loop needs the whole stream to interleave VM
-        failures with arrivals, so :meth:`run` handles those end to end.
+        workload — with or without a fault plan.
         """
-        if self._fault_plan is not None:
-            raise SpecificationError(
-                "incremental sessions do not support fault plans; "
-                "run() schedules fault-injected streams end to end"
-            )
         return OnlineSession(self)
 
     def _execute(
         self, workload: Workload
     ) -> tuple[OnlineSchedulingReport, list["_VMRecord"]]:
-        """The arrival loop shared by :meth:`run` and :meth:`run_report`.
-
-        Implemented over :class:`OnlineSession` — one ``submit`` per arrival
-        epoch — so the batch entry point and the serving front end share a
-        single code path (and therefore bit-identical behaviour).
-        """
-        if self._fault_plan is not None:
-            return self._execute_with_faults(workload)
+        """Submit each arrival epoch to one session, then finalize it."""
         session = OnlineSession(self)
         for epoch in self._arrival_epochs(workload):
             session.submit(epoch)
         return session.finalize(), session._vms
-
-    def _execute_with_faults(
-        self, workload: Workload
-    ) -> tuple[OnlineSchedulingReport, list["_VMRecord"]]:
-        """The fault-aware twin of :meth:`_execute` (plan known non-empty).
-
-        A discrete-event loop over two event sources: arrival epochs and
-        scheduled VM failures (a heap of ``(fail_time, vm_sequence)`` fed by
-        the fault plan as VMs are provisioned).  When a VM dies, the queries
-        it had not finished are re-enqueued as a fresh arrival at the failure
-        instant and rescheduled like any other epoch; partial in-flight
-        execution is billed as wasted time.  Replacement VMs draw their own
-        profiles under fresh sequence numbers, so explicit per-index events
-        are finite and rate draws stay horizon-bounded — the loop always
-        terminates with every query completed exactly once.
-        """
-        plan = self._fault_plan
-        assert plan is not None
-        base_goal = self._base.goal
-        latency_model = self._generator.latency_model
-
-        vms: list[_VMRecord] = []
-        originals: dict[int, Query] = {}
-        overheads: list[float] = []
-        retrains = 0
-        cache_hits = 0
-        base_model_uses = 0
-        retries = 0
-        vm_failures = 0
-        requeues = 0
-        touched: list[_VMRecord] = []
-        epochs = deque(self._arrival_epochs(workload))
-        #: Min-heap of (fail_time, vm sequence number) for provisioned VMs.
-        fault_heap: list[tuple[float, int]] = []
-
-        while epochs or fault_heap:
-            next_arrival = epochs[0][0].arrival_time if epochs else math.inf
-            next_fault = fault_heap[0][0] if fault_heap else math.inf
-            now = min(next_arrival, next_fault)
-
-            # Process every failure due by *now*; the queries the dead VMs
-            # had not completed become part of this pass's pending batch.
-            orphans: list[Query] = []
-            while fault_heap and fault_heap[0][0] <= now:
-                fail_time, seq = heapq.heappop(fault_heap)
-                vm = vms[seq]
-                if vm.dead:
-                    continue
-                vm.dead = True
-                keep: list[ScheduledQueryRecord] = []
-                for record in vm.records:
-                    if record.completion_time <= fail_time:
-                        keep.append(record)
-                        continue
-                    if record.start_time < fail_time:
-                        vm.wasted_time += fail_time - record.start_time
-                    orphans.append(record.query)
-                    requeues += 1
-                if len(keep) != len(vm.records):
-                    # The failure cost work: it counts, and the fee is sunk.
-                    vm.failed = True
-                    vm_failures += 1
-                vm.records = keep
-
-            # The new arrivals (if this event is one), the orphaned queries,
-            # plus everything committed but not yet started.
-            pending: list[tuple[Query, float]] = []
-            if epochs and epochs[0][0].arrival_time == now:
-                for query in epochs.popleft():
-                    originals[query.query_id] = query
-                    pending.append((query, 0.0))
-            for query in orphans:
-                pending.append((query, max(0.0, now - query.arrival_time)))
-            for vm in touched:
-                if vm.dead:
-                    continue
-                for record in vm.split_started(now):
-                    waited = max(0.0, now - record.query.arrival_time)
-                    pending.append((record.query, waited))
-
-            if not pending:
-                # An idle VM died with nothing to reschedule.
-                continue
-
-            started_at = time.perf_counter()
-            model, used_cache, used_base, trained = self._model_for_batch(pending)
-            retrains += trained
-            cache_hits += used_cache
-            base_model_uses += used_base
-
-            batch_workload = self._batch_workload(model, pending)
-            last_vm = next((vm for vm in reversed(vms) if not vm.dead), None)
-            existing_busy = max(0.0, last_vm.busy_until() - now) if last_vm else 0.0
-            result = BatchScheduler(model).schedule_detailed(
-                batch_workload,
-                existing_vm_type=last_vm.vm_type if last_vm else None,
-                existing_vm_busy_time=existing_busy,
-            )
-
-            touched = []
-            if last_vm is not None and result.placed_on_existing_vm:
-                for placed in result.placed_on_existing_vm:
-                    self._commit(last_vm, originals[placed.query_id], now, latency_model)
-                touched.append(last_vm)
-            for vm_assignment in result.schedule:
-                seq = len(vms)
-                profile = plan.profile_for(seq, vm_assignment.vm_type, now)
-                delay = plan.provisioning_delay(profile)
-                retries += profile.start_failures
-                new_vm = _VMRecord(
-                    vm_type=vm_assignment.vm_type,
-                    provision_time=now + delay,
-                    fail_time=profile.fail_time,
-                    fail_kind=profile.fail_kind,
-                    startup_delay=delay,
-                )
-                vms.append(new_vm)
-                if profile.fail_time is not None:
-                    heapq.heappush(fault_heap, (profile.fail_time, seq))
-                for placed in vm_assignment.queries:
-                    self._commit(new_vm, originals[placed.query_id], now, latency_model)
-                touched.append(new_vm)
-
-            overheads.append(time.perf_counter() - started_at)
-
-        outcomes = self._outcomes(vms)
-        cost = self._total_cost(vms, outcomes, base_goal)
-        report = OnlineSchedulingReport(
-            outcomes=outcomes,
-            cost=cost,
-            scheduling_overheads=overheads,
-            retrains=retrains,
-            cache_hits=cache_hits,
-            base_model_uses=base_model_uses,
-            num_vms=len(vms),
-            optimizations=self._optimizations,
-            retries=retries,
-            vm_failures=vm_failures,
-            requeues=requeues,
-        )
-        return report, vms
 
     # -- model selection ---------------------------------------------------------------
 
@@ -649,7 +483,9 @@ class OnlineScheduler:
     ) -> Workload:
         """Express the pending batch in the model's template vocabulary."""
         batch_queries: list[Query] = []
-        clones = self._batch_query_cache
+        # Rebuilt every pass, so the cache never outgrows the wait queue.
+        clones: dict[tuple[int, str], Query] = {}
+        previous = self._batch_query_cache
         for query, waited in pending:
             rounded = self._round_wait(waited)
             aged_name = self._aged_name(query.template_name, rounded)
@@ -658,11 +494,12 @@ class OnlineScheduler:
             else:
                 name = query.template_name
             key = (query.query_id, name)
-            clone = clones.get(key)
+            clone = previous.get(key)
             if clone is None:
                 clone = Query(template_name=name, query_id=query.query_id, arrival_time=0.0)
-                clones[key] = clone
+            clones[key] = clone
             batch_queries.append(clone)
+        self._batch_query_cache = clones
         return Workload(model.templates, batch_queries)
 
     def _commit(
@@ -755,15 +592,13 @@ class OnlineScheduler:
 
 
 class OnlineSession:
-    """An incremental, re-entrant handle on the online arrival loop.
+    """The online arrival loop, one :meth:`submit` call per arrival epoch.
 
-    Where :meth:`OnlineScheduler.run` consumes a whole workload at once, a
-    session accepts arrival *epochs* one :meth:`submit` call at a time —
-    exactly the shape a serving front end needs: queries arrive continuously,
-    each same-timestamp group is one scheduling event, and the scheduler's
-    state (rented VMs, the wait queue, model caches, counters) persists
-    between events.  ``run()`` is itself implemented over a session, so for
-    any arrival stream::
+    A session is exactly the shape a serving front end needs: queries arrive
+    continuously, each same-timestamp group is one scheduling event, and the
+    scheduler's state (rented VMs, the wait queue, pending VM failures, model
+    caches, counters) persists between events.  ``run()`` drives a session
+    too, so for any arrival stream::
 
         session = scheduler.session()
         for epoch in epochs:
@@ -784,12 +619,17 @@ class OnlineSession:
     def __init__(self, scheduler: OnlineScheduler) -> None:
         self._scheduler = scheduler
         self._vms: list[_VMRecord] = []
-        self._originals: dict[int, Query] = {}
         self._overheads: list[float] = []
         self._retrains = 0
         self._cache_hits = 0
         self._base_model_uses = 0
-        # Only the VMs committed to in the previous epoch can still hold
+        self._retries = 0
+        self._vm_failures = 0
+        self._requeues = 0
+        #: Min-heap of (fail_time, provisioning sequence number) for the VMs
+        #: the fault plan will take away; stays empty without a plan.
+        self._faults: list[tuple[float, int]] = []
+        # Only the VMs committed to in the previous pass can still hold
         # records that have not started executing (everything else was either
         # pulled back then or had already started), so the pull-back scan
         # walks this list instead of every VM ever rented — a long stream's
@@ -801,7 +641,7 @@ class OnlineSession:
 
     @property
     def epochs(self) -> int:
-        """Number of epochs decided so far."""
+        """Scheduling passes so far (arrival epochs plus rescheduling VM failures)."""
         return len(self._overheads)
 
     @property
@@ -830,7 +670,10 @@ class OnlineSession:
         *arrivals* must be non-empty and share a single arrival time that is
         not earlier than any previously submitted epoch's.  Queries are
         ordered by id within the epoch, matching ``run()``'s grouping of the
-        equivalent workload.
+        equivalent workload.  VM failures scheduled before the epoch are
+        handled first, each at its own instant; a call that raises (a model
+        derivation can fail) leaves the epoch unsubmitted and every placed
+        query where it was, so the same epoch can be submitted again.
         """
         if self._report is not None:
             raise SpecificationError(
@@ -851,60 +694,121 @@ class OnlineSession:
                 "epochs must be submitted in time order "
                 f"(epoch at t={now} after t={self._last_epoch_time})"
             )
+        placements: list[QueryPlacement] = []
+        faults = self._faults
+        while faults and faults[0][0] < now:
+            self._pass(faults[0][0], (), placements)
+        decision = self._pass(now, epoch, placements)
         self._last_epoch_time = now
+        return decision
 
+    def _pass(
+        self,
+        now: float,
+        epoch: Sequence[Query],
+        placements: list[QueryPlacement],
+    ) -> EpochDecision | None:
+        """One scheduling pass at *now*: re-bundle what has not started, re-schedule.
+
+        *epoch* holds the arrivals at *now* (none when the event is a VM
+        failure).  Returns ``None`` when idle VMs died and left nothing to
+        schedule.  Nothing is changed until the model is chosen and the batch
+        scheduled — both can raise — so a failed pass never happened.
+        """
         scheduler = self._scheduler
-        latency_model = scheduler._generator.latency_model
+        vms = self._vms
+        faults = self._faults
         started_at = time.perf_counter()
 
-        # The new arrivals plus everything that has not started executing.
-        pending: list[tuple[Query, float]] = []
-        for query in epoch:
-            self._originals[query.query_id] = query
-            pending.append((query, 0.0))
-        for vm in self._touched:
-            for record in vm.split_started(now):
+        # The new arrivals, what the VMs failing by *now* had not completed
+        # (in failure order), plus everything committed but not yet started.
+        pending: list[tuple[Query, float]] = [(query, 0.0) for query in epoch]
+        dying: list[tuple[_VMRecord, list[ScheduledQueryRecord], float]] = []
+        due = ()
+        if faults and faults[0][0] <= now:
+            due = sorted(entry for entry in faults if entry[0] <= now)
+        for fail_time, seq in due:
+            vm = vms[seq]
+            completed: list[ScheduledQueryRecord] = []
+            wasted = 0.0
+            for record in vm.records:
+                if record.completion_time <= fail_time:
+                    completed.append(record)
+                    continue
+                if record.start_time < fail_time:
+                    wasted += fail_time - record.start_time
                 waited = max(0.0, now - record.query.arrival_time)
                 pending.append((record.query, waited))
+            dying.append((vm, completed, wasted))
+        for vm in self._touched:
+            if vm.gone_by(now):
+                continue
+            for record in vm.records:
+                if record.start_time > now:
+                    waited = max(0.0, now - record.query.arrival_time)
+                    pending.append((record.query, waited))
 
-        # Choose (or derive) the model for this batch.
-        model, used_cache, used_base, trained = scheduler._model_for_batch(pending)
+        if pending:
+            # Choose (or derive) the model for this batch, then schedule it,
+            # allowing placements on the most recent VM still alive.
+            model, used_cache, used_base, trained = scheduler._model_for_batch(pending)
+            last_index = len(vms) - 1
+            while last_index >= 0 and vms[last_index].gone_by(now):
+                last_index -= 1
+            last_vm = vms[last_index] if last_index >= 0 else None
+            existing_busy = max(0.0, last_vm.busy_until(now) - now) if last_vm else 0.0
+            result = BatchScheduler(model).schedule_detailed(
+                scheduler._batch_workload(model, pending),
+                existing_vm_type=last_vm.vm_type if last_vm else None,
+                existing_vm_busy_time=existing_busy,
+            )
+
+        for vm, completed, wasted in dying:
+            heapq.heappop(faults)
+            requeued = len(vm.records) - len(completed)
+            if requeued:
+                # The failure cost work: it counts, and the fee is sunk.
+                vm.failed = True
+                self._vm_failures += 1
+                self._requeues += requeued
+            vm.records = completed
+            vm.wasted_time = wasted
+        if not pending:
+            return None
+        for vm in self._touched:
+            vm.records = [record for record in vm.records if record.start_time <= now]
         self._retrains += trained
         self._cache_hits += used_cache
         self._base_model_uses += used_base
 
-        # Schedule the batch, allowing placements on the most recent VM.
-        batch_workload = scheduler._batch_workload(model, pending)
-        vms = self._vms
-        last_vm = vms[-1] if vms else None
-        existing_busy = max(0.0, last_vm.busy_until() - now) if last_vm else 0.0
-        result = BatchScheduler(model).schedule_detailed(
-            batch_workload,
-            existing_vm_type=last_vm.vm_type if last_vm else None,
-            existing_vm_busy_time=existing_busy,
-        )
-
         # Commit the decisions with true (non-augmented) execution times.
-        placements: list[QueryPlacement] = []
+        originals = {query.query_id: query for query, _ in pending}
+        latency_model = scheduler._generator.latency_model
+        plan = scheduler._fault_plan
         new_vms = 0
         self._touched = touched = []
         if last_vm is not None and result.placed_on_existing_vm:
-            last_index = len(vms) - 1
             for placed in result.placed_on_existing_vm:
-                scheduler._commit(
-                    last_vm, self._originals[placed.query_id], now, latency_model
-                )
+                scheduler._commit(last_vm, originals[placed.query_id], now, latency_model)
                 placements.append(self._placement(last_vm, last_index))
             touched.append(last_vm)
         for vm_assignment in result.schedule:
             new_vm = _VMRecord(vm_type=vm_assignment.vm_type, provision_time=now)
             vm_index = len(vms)
+            if plan is not None:
+                # Replacement VMs draw their own profiles under fresh sequence
+                # numbers, so explicit per-index events are finite and rate
+                # draws stay horizon-bounded: the failures always run out.
+                profile = plan.profile_for(vm_index, new_vm.vm_type, now)
+                new_vm.provision_time += plan.provisioning_delay(profile)
+                self._retries += profile.start_failures
+                if profile.fail_time is not None:
+                    new_vm.fail_time = profile.fail_time
+                    heapq.heappush(faults, (profile.fail_time, vm_index))
             vms.append(new_vm)
             new_vms += 1
             for placed in vm_assignment.queries:
-                scheduler._commit(
-                    new_vm, self._originals[placed.query_id], now, latency_model
-                )
+                scheduler._commit(new_vm, originals[placed.query_id], now, latency_model)
                 placements.append(self._placement(new_vm, vm_index))
             touched.append(new_vm)
 
@@ -935,8 +839,15 @@ class OnlineSession:
         )
 
     def finalize(self) -> OnlineSchedulingReport:
-        """Close the stream and price it (idempotent; no further submits)."""
+        """Close the stream and price it (idempotent; no further submits).
+
+        VM failures scheduled after the last arrival are handled first, so
+        every submitted query has completed by the time the run is priced.
+        """
         if self._report is None:
+            faults = self._faults
+            while faults:
+                self._pass(faults[0][0], (), [])
             scheduler = self._scheduler
             outcomes = scheduler._outcomes(self._vms)
             cost = scheduler._total_cost(self._vms, outcomes, scheduler._base.goal)
@@ -949,6 +860,9 @@ class OnlineSession:
                 base_model_uses=self._base_model_uses,
                 num_vms=len(self._vms),
                 optimizations=scheduler._optimizations,
+                retries=self._retries,
+                vm_failures=self._vm_failures,
+                requeues=self._requeues,
             )
         return self._report
 

@@ -6,9 +6,11 @@ import pytest
 
 from repro import units
 from repro.cloud.latency import TemplateLatencyModel
-from repro.cloud.simulator import ScheduleSimulator, simulate
+from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator, VMRental, simulate
 from repro.cloud.vm import t2_medium
+from repro.core.outcome import QueryOutcome
 from repro.core.schedule import Schedule, VMAssignment
+from repro.faults import FaultPlan
 from repro.workloads.query import Query
 
 
@@ -98,3 +100,59 @@ def test_simulate_helper(small_templates):
     trace = simulate(schedule, TemplateLatencyModel(small_templates))
     assert len(trace.outcomes) == 1
     assert trace.latencies() == [units.minutes(1)]
+
+
+def test_no_plan_and_empty_plan_give_the_plain_trace(simulator):
+    # Spelled out field by field: without faults nothing is delayed,
+    # interrupted or wasted, whichever way "no faults" is said.
+    late = Query(template_name="T1", arrival_time=units.minutes(9))
+    first, second = Query(template_name="T2"), Query(template_name="T3")
+    vm_type = t2_medium()
+    schedule = Schedule(
+        [VMAssignment(vm_type, (first, second)), VMAssignment(vm_type, (late,))]
+    )
+    start = units.minutes(1)
+
+    def outcome(query, vm_index, began, ran):
+        return QueryOutcome(
+            query_id=query.query_id,
+            template_name=query.template_name,
+            vm_index=vm_index,
+            vm_type_name=vm_type.name,
+            arrival_time=query.arrival_time,
+            start_time=began,
+            completion_time=began + ran,
+            execution_time=ran,
+        )
+
+    def rental(vm_index, release, busy):
+        return VMRental(
+            vm_index=vm_index,
+            vm_type_name=vm_type.name,
+            startup_cost=vm_type.startup_cost,
+            provision_time=start,
+            release_time=release,
+            busy_time=busy,
+            failed=False,
+            fail_kind=None,
+            wasted_busy_time=0.0,
+            startup_delay=0.0,
+        )
+
+    expected = ExecutionTrace(
+        outcomes=(
+            outcome(first, 0, units.minutes(1), units.minutes(2)),
+            outcome(second, 0, units.minutes(3), units.minutes(4)),
+            outcome(late, 1, units.minutes(9), units.minutes(1)),
+        ),
+        rentals=(
+            rental(0, units.minutes(7), units.minutes(6)),
+            rental(1, units.minutes(10), units.minutes(1)),
+        ),
+        interrupted=(),
+    )
+    assert simulator.run(schedule, provision_time=start, fault_plan=None) == expected
+    assert (
+        simulator.run(schedule, provision_time=start, fault_plan=FaultPlan.empty())
+        == expected
+    )

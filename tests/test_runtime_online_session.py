@@ -1,20 +1,31 @@
 """The incremental :class:`~repro.runtime.online.OnlineSession`.
 
-``OnlineScheduler.run`` is implemented over a session, so the headline
-property — feeding epochs one ``submit`` at a time produces bit-identical
-reports and outcomes to ``run()`` on the equivalent workload — is checked
-directly here (the serving equivalence suite re-checks it through the whole
-async engine).  The rest pins the session contract: epoch validation,
-placement reporting, idempotent finalization, and the fault-plan exclusion.
+The session is the only arrival loop, so the headline property — feeding
+epochs one ``submit`` at a time produces bit-identical reports and outcomes to
+``run()`` on the equivalent workload, with or without a fault plan — is
+checked directly here (the serving equivalence suite re-checks the fault-free
+half through the whole async engine).  The rest pins the session contract:
+epoch validation, placement reporting, idempotent finalization, a failed epoch
+leaving the session intact, and per-stream state staying bounded.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.faults import FaultPlan, VMFailure
-from repro.exceptions import SpecificationError
+from repro.adaptive.retraining import AdaptiveModeler
+from repro.exceptions import SpecificationError, TrainingError
+from repro.faults import (
+    BackoffPolicy,
+    FaultPlan,
+    SlowStart,
+    SpotRevocation,
+    VMFailure,
+)
 from repro.runtime.online import OnlineScheduler, OnlineSession
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.query import Query
 
 
@@ -78,6 +89,133 @@ class TestRunEquivalence:
             sorted(query.query_id for query in queries)
         )
         assert len(decision.placements) == 2
+
+
+@pytest.fixture()
+def fault_workload(small_templates):
+    # Its own seeded generator (the shared one is stateful across tests): the
+    # plans below are timed against this exact stream, whose eight epochs
+    # fall at 0, 45, 90, ... 315 seconds.
+    generator = WorkloadGenerator(small_templates, seed=15)
+    return generator.with_fixed_arrivals(generator.uniform(8), 45.0)
+
+
+FAULT_PLANS = {
+    "between_epochs": FaultPlan(events=(VMFailure(at=100.0, vm_index=0),)),
+    "at_an_epoch": FaultPlan(events=(VMFailure(at=90.0, vm_index=0),)),
+    "after_the_last_arrival": FaultPlan(
+        events=(VMFailure(at=340.0, vm_index=0), VMFailure(at=400.0, vm_index=1))
+    ),
+    "spot_revocation": FaultPlan(
+        events=(
+            SpotRevocation(at=130.0, vm_index=0),
+            SpotRevocation(at=130.0, vm_index=1),
+        )
+    ),
+    "slow_start": FaultPlan(
+        events=(
+            SlowStart(vm_index=0, delay=10.0, start_failures=3),
+            VMFailure(at=0.0, vm_index=1),
+        ),
+        backoff=BackoffPolicy(base_delay=2.0, multiplier=2.0, max_delay=4.0),
+    ),
+    "seeded_storm": FaultPlan.from_rates(
+        seed=21, crash_rate=8.0, start_failure_chance=0.2
+    ),
+}
+
+
+class TestFaultPlanEquivalence:
+    @pytest.mark.parametrize("kind", ["max", "per_query", "average", "percentile"])
+    @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
+    def test_session_matches_run_under_faults(
+        self, kind, plan_name, all_trained, model_generator, fault_workload
+    ):
+        def faulty() -> OnlineScheduler:
+            return OnlineScheduler(
+                all_trained[kind],
+                model_generator,
+                wait_resolution=60.0,
+                fault_plan=FAULT_PLANS[plan_name],
+            )
+
+        direct = faulty().run(fault_workload)
+        # The plan bites, so the grid compares real failure handling.
+        assert direct.overhead.vm_failures + direct.overhead.retries > 0
+
+        scheduler = faulty()
+        session = scheduler.session()
+        decisions = [
+            session.submit(epoch) for epoch in _epochs(scheduler, fault_workload)
+        ]
+        streamed = session.outcome()
+        assert streamed.schedule == direct.schedule
+        assert streamed.cost == direct.cost
+        assert streamed.query_outcomes == direct.query_outcomes
+        assert dataclasses.replace(
+            streamed.overhead, wall_time_seconds=0.0
+        ) == dataclasses.replace(direct.overhead, wall_time_seconds=0.0)
+        assert streamed.cost.total == pytest.approx(
+            streamed.cost.failure_free_cost + streamed.cost.wasted_cost
+        )
+        assert sorted(o.query_id for o in streamed.query_outcomes) == sorted(
+            query.query_id for query in fault_workload
+        )
+        # Orphans re-placed by a failure pass are reported by the submit that
+        # ran it, next to that epoch's own arrivals.
+        for decision in decisions:
+            placed = {placement.query_id for placement in decision.placements}
+            assert placed >= set(decision.arrivals)
+
+
+def _failing_retrain(self, goal):
+    raise TrainingError("simulated: retrain failed")
+
+
+class TestFailedEpoch:
+    """A model derivation that raises must not cost already-placed queries."""
+
+    @pytest.fixture()
+    def placed(self, scheduler):
+        session = scheduler.session()
+        first = [Query("T3", arrival_time=0.0) for _ in range(12)]
+        session.submit(first)
+        return session, first
+
+    def test_outcome_still_prices_every_placed_query(self, placed, monkeypatch):
+        session, first = placed
+        monkeypatch.setattr(AdaptiveModeler, "retrain", _failing_retrain)
+        with pytest.raises(TrainingError):
+            session.submit([Query("T1", arrival_time=45.0)])
+        assert sorted(o.query_id for o in session.outcome().query_outcomes) == sorted(
+            query.query_id for query in first
+        )
+
+    def test_the_same_epoch_can_be_submitted_again(self, placed, monkeypatch):
+        session, first = placed
+        second = [Query("T1", arrival_time=45.0)]
+        with monkeypatch.context() as patch:
+            patch.setattr(AdaptiveModeler, "retrain", _failing_retrain)
+            with pytest.raises(TrainingError):
+                session.submit(second)
+        assert session.submit(second).retrained
+        assert sorted(o.query_id for o in session.outcome().query_outcomes) == sorted(
+            query.query_id for query in first + second
+        )
+
+
+class TestBoundedState:
+    def test_per_stream_state_is_bounded_by_the_wait_queue(self, scheduler):
+        session = scheduler.session()
+        largest_pending = 0
+        for index in range(2000):
+            # One arrival a second against one-minute queries: a standing
+            # wait queue, every epoch pulling it back.
+            decision = session.submit([Query("T1", arrival_time=float(index))])
+            largest_pending = max(largest_pending, len(decision.placements))
+            assert len(scheduler._batch_query_cache) <= largest_pending
+        assert 1 < largest_pending < 2000
+        assert len(session.finalize().outcomes) == 2000
 
 
 class TestEpochDecision:
@@ -145,15 +283,6 @@ class TestValidation:
         session = scheduler.session()
         session.submit([Query("T1", arrival_time=0.0)])
         assert session.finalize() is session.finalize()
-
-    def test_fault_plans_are_excluded(self, trained_max, model_generator):
-        faulty = OnlineScheduler(
-            base_training=trained_max,
-            generator=model_generator,
-            fault_plan=FaultPlan(events=(VMFailure(at=5.0, vm_index=0),)),
-        )
-        with pytest.raises(SpecificationError):
-            faulty.session()
 
     def test_empty_fault_plan_still_allows_sessions(
         self, trained_max, model_generator

@@ -11,6 +11,7 @@ import asyncio
 
 import pytest
 
+from repro.adaptive.retraining import AdaptiveModeler
 from repro.exceptions import (
     ConcurrencyError,
     SpecificationError,
@@ -230,6 +231,35 @@ class TestDegradedServing:
         snapshot.check_identities()
         with pytest.raises(SpecificationError):
             engine.outcome("acme")
+
+    def test_lane_degraded_mid_stream_keeps_its_learned_placements(
+        self, service, monkeypatch
+    ):
+        # The second epoch's retrain fails after the first epoch's queries are
+        # already placed and waiting: the lane goes degraded, and the learned
+        # outcome must still hold every query the learned path decided.
+        def failing_retrain(self, goal):
+            raise TrainingError("simulated: retrain failed")
+
+        monkeypatch.setattr(AdaptiveModeler, "retrain", failing_retrain)
+        learned = _queries(12, arrival_time=0.0, template="T3")
+        fallback = _queries(2, arrival_time=45.0)
+
+        async def main():
+            async with ServingEngine(service) as engine:
+                for query in learned + fallback:
+                    await engine.submit("acme", query)
+                await engine.drain()
+                return engine.metrics().tenant("acme"), engine
+
+        snapshot, engine = asyncio.run(main())
+        assert snapshot.decided == 14
+        assert snapshot.degraded == 2
+        outcome = engine.outcome("acme")
+        assert outcome.degraded
+        assert sorted(o.query_id for o in outcome.query_outcomes) == sorted(
+            query.query_id for query in learned
+        )
 
     def test_fallback_disabled_fails_the_lane_closed(
         self, small_templates, max_goal, tiny_config
