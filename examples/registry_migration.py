@@ -5,8 +5,8 @@ Before PR 8 the model registry was one JSON file per trained model.  This
 example walks the migration path end to end (CI runs it as the
 registry-migration smoke step):
 
-1. build a v1-layout registry — plain ``<fingerprint>.json`` artifacts — the
-   way an old deployment would have left it;
+1. build a v1-layout directory — plain ``<fingerprint>.json`` artifacts — the
+   way an old deployment left it and ``service.save()`` still writes it;
 2. import it into a durable SQLite registry with
    ``ModelRegistry.from_json_dir(..., db_path=...)``;
 3. query what only the new store can answer: the metadata projection
@@ -35,19 +35,21 @@ def main() -> None:
     config = TrainingConfig.tiny(seed=11)
 
     with tempfile.TemporaryDirectory() as tmp:
-        legacy_dir = Path(tmp) / "v1-models"
+        legacy_dir = Path(tmp) / "v1-deployment" / "models"
         db_path = Path(tmp) / "registry.db"
         export_dir = Path(tmp) / "exported"
 
-        # 1. A v1-era deployment: the JSON backend writes one file per model.
-        legacy_service = WiSeDBService(
-            registry=ModelRegistry(legacy_dir, backend="json")
-        )
+        # 1. A v1-era deployment: a saved service is one plain file per model.
+        legacy_service = WiSeDBService()
         legacy_service.register("acme", templates, goal, config=config)
         legacy_service.train("acme")
+        legacy_service.save(legacy_dir.parent)
         legacy_service.close()
         v1_files = sorted(legacy_dir.glob("*.json"))
-        print(f"v1 layout: {len(v1_files)} JSON artifact(s) under {legacy_dir.name}/")
+        print(
+            f"v1 layout: {len(v1_files)} JSON artifact(s) under "
+            f"{legacy_dir.parent.name}/models/"
+        )
 
         # 2. One-shot migration into a durable SQLite database.
         registry = ModelRegistry.from_json_dir(legacy_dir, db_path=db_path)

@@ -18,29 +18,27 @@ Two fingerprints matter:
   the *same specification under a different goal* exists, whose stored sample
   workloads and optimal costs let :class:`~repro.adaptive.retraining.AdaptiveModeler`
   derive the new model far more cheaply than a fresh training run (Section 5).
-  The SQLite backend answers this with an indexed point query; the historical
-  JSON layout needed a directory scan.
+  The store answers this with an indexed point query, in sorted fingerprint
+  order, so every process over one database picks the same base.
 
 ``n_jobs`` never enters a fingerprint: worker counts change wall-clock only,
 and training output is bit-identical for any value.
 
-Two backends share one API:
-
-* ``backend="sqlite"`` (the default) — a WAL-mode database
-  (``registry.db``) safe for concurrent writers across processes.  Legacy
-  ``<fingerprint>.json`` artifacts found next to the database are imported
-  transparently on first access, so pointing a new registry at an old
-  directory just works.
-* ``backend="json"`` — the historical one-file-per-artifact layout, kept as
-  an import/export format: :meth:`WiSeDBService.save` writes it (the saved
-  deployment stays plain files), and :meth:`ModelRegistry.from_json_dir` /
-  :meth:`ModelRegistry.export_json` convert in either direction.
+There is one store: a WAL-mode SQLite database (``registry.db``, or
+``:memory:``) safe for concurrent writers across processes; lookups read the
+process cache and that database and nothing else.  JSON is the interchange
+format, not a second store: :meth:`ModelRegistry.export_json` writes one
+``<fingerprint>.json`` per model (:meth:`WiSeDBService.save` goes through
+it), and :meth:`ModelRegistry.import_json_dir` reads such a directory —
+once for the registry's own directory, as it opens, so pointing a registry
+at a saved or exported directory just works, and on request for any other.
 
 Membership is **consistent with servability**: ``fingerprint in registry``,
 ``registry.fingerprints()``, and ``len(registry)`` only count artifacts
 :meth:`ModelRegistry.get` would actually return.  Corrupt artifacts are
-quarantined (a flagged row in SQLite, a moved file in the JSON layout) with a
-warning — never a raise — and drop out of the addressable set.
+quarantined (a flagged database row; an unusable JSON file is moved into
+``quarantine/`` at import) with a warning — never a raise — and drop out of
+the addressable set.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import json
 import os
 import sqlite3
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -62,9 +60,6 @@ from repro.service.storage import (
     RunRecord,
     SQLiteStore,
     TenantRunSummary,
-    filter_records,
-    summarize_records,
-    utc_timestamp,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,11 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ARTIFACT_FORMAT = "wisedb-model-artifact"
 
 #: Subdirectory corrupt JSON artifacts are moved into instead of being
-#: re-parsed (and re-failed) on every lookup.
+#: re-parsed (and re-failed) on every import.
 QUARANTINE_DIR = "quarantine"
-
-#: Registry backends: the SQLite database vs. the legacy JSON directory.
-BACKENDS = ("sqlite", "json")
 
 
 def canonical_json(data) -> str:
@@ -130,6 +122,20 @@ def _parse_timestamp(stamp: str | None) -> datetime:
     return datetime.fromtimestamp(0, timezone.utc)
 
 
+def _metadata_row(training: dict) -> dict | None:
+    """The ``model_metadata`` row of a serialized training result.
+
+    The store picks the columns it projects out of the model's metadata.
+    """
+    model = training.get("model")
+    meta = model.get("metadata") if isinstance(model, dict) else None
+    if not isinstance(meta, dict):
+        return None
+    # Only relaxed search strategies stamp a ratio; exact ones are 1.0.
+    ratio = (meta.get("extra") or {}).get("worst_optimality_ratio", 1.0)
+    return {**meta, "worst_optimality_ratio": ratio}
+
+
 class ModelRegistry:
     """Stores training results by content fingerprint, optionally on disk.
 
@@ -139,9 +145,9 @@ class ModelRegistry:
     lands in ``<directory>/registry.db`` and a fresh process can ``get`` or
     ``find_base`` everything a previous one trained — including under
     concurrent writers, which WAL mode and the busy timeout make safe.
+    ``<fingerprint>.json`` artifacts already in the directory (a saved
+    deployment, an export) are imported once, as the registry opens.
 
-    ``backend="json"`` selects the legacy one-file-per-artifact layout
-    instead (used by :meth:`WiSeDBService.save` as the export format);
     ``db_path`` overrides where the SQLite database lives (``":memory:"``
     included), which :meth:`from_json_dir` uses to import a JSON directory
     without writing next to it.
@@ -150,35 +156,18 @@ class ModelRegistry:
     def __init__(
         self,
         directory: str | Path | None = None,
-        backend: str = "sqlite",
         db_path: str | Path | None = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise SpecificationError(
-                f"unknown registry backend {backend!r}; choose from {BACKENDS}"
-            )
-        if backend == "json" and db_path is not None:
-            raise SpecificationError("db_path only applies to the sqlite backend")
-        self._backend = backend
-        self._directory = Path(directory) if directory is not None else None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
         self._cache: dict[str, TrainingResult] = {}
-        #: fingerprint -> base fingerprint, for every artifact seen so far.
-        self._bases: dict[str, str] = {}
-        #: fingerprint -> how the artifact was trained ("fresh" | "adaptive").
-        self._provenance: dict[str, str] = {}
-        #: run-history rows for the storeless JSON backend (process-local).
-        self._memory_history: list[RunRecord] = []
-        self._store: SQLiteStore | None = None
-        if backend == "sqlite":
-            if db_path is None:
-                db_path = (
-                    self._directory / DATABASE_NAME
-                    if self._directory is not None
-                    else ":memory:"
-                )
-            self._store = SQLiteStore(db_path)
+        self._directory: Path | None = None
+        default_db: str | Path = ":memory:"
+        if directory is not None:
+            self._directory = Path(directory)
+            self._directory.mkdir(parents=True, exist_ok=True)
+            default_db = self._directory / DATABASE_NAME
+        self._store = SQLiteStore(db_path if db_path is not None else default_db)
+        if self._directory is not None:
+            self.import_json_dir()
 
     # -- accessors ---------------------------------------------------------------
 
@@ -188,42 +177,27 @@ class ModelRegistry:
         return self._directory
 
     @property
-    def backend(self) -> str:
-        """Which backend this registry runs on (``"sqlite"`` or ``"json"``)."""
-        return self._backend
-
-    @property
     def database_path(self) -> Path | None:
-        """The SQLite file backing this registry (``None`` if in-memory/JSON)."""
-        return self._store.path if self._store is not None else None
+        """The SQLite file backing this registry (``None`` if in-memory)."""
+        return self._store.path
 
     @property
-    def schema_version(self) -> int | None:
-        """The store's migrated schema version (``None`` on the JSON backend)."""
-        return self._store.schema_version if self._store is not None else None
+    def schema_version(self) -> int:
+        """The store's migrated schema version."""
+        return self._store.schema_version
 
     def close(self) -> None:
         """Release the backing store's connection (idempotent)."""
-        if self._store is not None:
-            self._store.close()
+        self._store.close()
 
     def fingerprints(self) -> tuple[str, ...]:
         """Every fingerprint the registry can currently **serve**, sorted.
 
         Membership is consistent with servability: a listed fingerprint is
-        one :meth:`get` would return a result for.  Legacy JSON artifacts not
-        yet imported are probed (materialized once, then cached/imported), so
-        corrupt files are quarantined here rather than counted.
+        one :meth:`get` would return a result for — cached in this process,
+        or a row in the store that is not quarantined.
         """
-        known = set(self._cache)
-        if self._store is not None:
-            known.update(self._store.fingerprints())
-        if self._directory is not None:
-            for path in sorted(self._directory.glob("*.json")):
-                stem = path.stem
-                if stem not in known and self.get(stem) is not None:
-                    known.add(stem)
-        return tuple(sorted(known))
+        return tuple(sorted(set(self._cache).union(self._store.fingerprints())))
 
     def __len__(self) -> int:
         return len(self.fingerprints())
@@ -248,27 +222,34 @@ class ModelRegistry:
         """The stored training result for *fingerprint*, or ``None``.
 
         Results are cached per process, so repeated hits return the same
-        object without re-reading or re-parsing the artifact.  Corrupt,
-        truncated, or foreign artifacts are treated as misses (the caller
-        then retrains and overwrites them) rather than poisoning every
-        lookup: a database row with an unloadable blob is flagged
-        ``quarantined`` (kept for inspection, never re-served), and a legacy
-        JSON file is moved into ``quarantine/`` — both with a warning.
+        object without re-reading or re-parsing the artifact.  A row whose
+        blob no longer loads (corrupt, truncated, foreign) is treated as a
+        miss — the caller then retrains and overwrites it — rather than
+        poisoning every lookup: it is flagged ``quarantined`` (kept for
+        inspection, never re-served), with a warning.
         """
         cached = self._cache.get(fingerprint)
         if cached is not None:
             return cached
-        if self._store is not None:
-            payload = self._store.get_payload(fingerprint)
-            if payload is not None:
-                return self._materialize_row(fingerprint, payload, n_jobs)
-        path = self._legacy_path(fingerprint)
-        if path is None:
+        payload = self._store.get_payload(fingerprint)
+        if payload is None:
             return None
-        data = self._read_artifact(path)
-        if data is None:
+        try:
+            if not isinstance(payload["training"], dict):
+                raise ValueError("artifact blob is not a JSON object")
+            result = TrainingResult.from_dict(payload["training"], n_jobs=n_jobs)
+        except (KeyError, TypeError, ValueError, WiSeDBError):
+            reason = "holds an unloadable training payload"
+            self._store.quarantine(fingerprint, reason)
+            warnings.warn(
+                f"model artifact {fingerprint[:12]}… {reason}; its database row "
+                "was quarantined and it is treated as a registry miss",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             return None
-        return self._materialize(fingerprint, data, n_jobs, path=path)
+        self._cache[fingerprint] = result
+        return result
 
     def put(
         self,
@@ -287,41 +268,24 @@ class ModelRegistry:
         retraining) — adaptive results are cost-optimal-equivalent but not
         guaranteed bit-identical to a fresh run, and callers insisting on
         fresh semantics filter on it via :meth:`provenance`.  Re-putting a
-        fingerprint heals a quarantined row.
+        fingerprint heals a quarantined row.  The cache is filled only after
+        the store accepted the row: a failed write raises
+        :class:`~repro.exceptions.StorageError` and claims no membership.
         """
-        self._cache[fingerprint] = result
-        self._bases[fingerprint] = base_fingerprint
-        self._provenance[fingerprint] = provenance
-        if self._store is not None:
+        training = result.to_dict()
+        try:
             self._store.put_artifact(
                 fingerprint,
                 base_fingerprint,
                 provenance,
                 json.dumps(spec),
-                json.dumps(result.to_dict()),
-                metadata=self._metadata_projection(result),
+                json.dumps(training),
+                metadata=_metadata_row(training),
             )
-            return self._store.path
-        if self._directory is None:
-            return None
-        path = self._directory / f"{fingerprint}.json"
-        artifact = {
-            "format": ARTIFACT_FORMAT,
-            "version": 1,
-            "fingerprint": fingerprint,
-            "base_fingerprint": base_fingerprint,
-            "provenance": provenance,
-            "spec": spec,
-            "training": result.to_dict(),
-        }
-        # Write-then-rename so a crash mid-write never leaves a truncated
-        # artifact under the final name; the staging name is pid-unique so
-        # concurrent writers of the same fingerprint never clobber each
-        # other's half-written temp file (last rename wins, atomically).
-        staging = path.with_name(f".{fingerprint}.{os.getpid()}.tmp")
-        staging.write_text(json.dumps(artifact), encoding="utf-8")
-        os.replace(staging, path)
-        return path
+        except sqlite3.Error as error:
+            raise StorageError(f"artifact write failed: {error}") from error
+        self._cache[fingerprint] = result
+        return self._store.path
 
     # -- adaptive-base lookup ------------------------------------------------------
 
@@ -333,48 +297,16 @@ class ModelRegistry:
     ) -> TrainingResult | None:
         """A stored result sharing *base_fingerprint* (same spec, any goal).
 
-        Used to seed adaptive retraining when only the goal changed.  Lookup
-        order is deterministic: artifacts this process has already seen
-        (``get``/``put``/an earlier scan — sorted by fingerprint), then the
-        store's indexed ``base_fingerprint`` query (sorted by fingerprint),
-        then any legacy JSON artifacts not yet imported (sorted by
-        filename).  The indexed query is what replaces the JSON layout's
-        full-directory scan.
+        Used to seed adaptive retraining when only the goal changed.  The
+        candidates come from the store's indexed ``base_fingerprint`` query
+        and are tried in sorted fingerprint order — never in the order this
+        process happened to see them — so every process sharing one database
+        adapts from the same base.
         """
-        excluded = set(exclude)
-        for fingerprint in sorted(self._bases):
-            if fingerprint in excluded:
-                continue
-            if self._bases[fingerprint] == base_fingerprint:
-                result = self.get(fingerprint, n_jobs=n_jobs)
-                if result is not None:
-                    return result
-        if self._store is not None:
-            for fingerprint in self._store.find_by_base(base_fingerprint):
-                if fingerprint in excluded or fingerprint in self._bases:
-                    continue
-                result = self.get(fingerprint, n_jobs=n_jobs)
-                if result is not None:
-                    return result
-        if self._directory is not None:
-            for path in sorted(self._directory.glob("*.json")):
-                fingerprint = path.stem
-                if fingerprint in excluded or fingerprint in self._bases:
-                    continue
-                if self._store is not None and self._store.contains(fingerprint):
-                    continue
-                # The scan JSON-parses each artifact (once per process — the
-                # _bases memo skips it afterwards) but only reads its header:
-                # the heavyweight TrainingResult (tree, training set, sample
-                # workloads) is materialized and cached for a match alone.
-                data = self._read_artifact(path)
-                if data is None:
-                    continue
-                self._bases[fingerprint] = data["base_fingerprint"]
-                if data["base_fingerprint"] == base_fingerprint:
-                    result = self._materialize(fingerprint, data, n_jobs, path=path)
-                    if result is not None:
-                        return result
+        for fingerprint in self._store.find_by_base(base_fingerprint, tuple(exclude)):
+            result = self.get(fingerprint, n_jobs=n_jobs)
+            if result is not None:
+                return result
         return None
 
     # -- garbage collection ----------------------------------------------------------
@@ -403,14 +335,9 @@ class ModelRegistry:
         them out regardless of the criteria — and they never count against
         *keep_latest*.  ``dry_run=True`` reports the would-be evictions
         without deleting anything.  *now* pins the clock (tests); evicted
-        fingerprints are also purged from the in-process caches so a later
-        ``get`` honestly misses.  Requires the SQLite backend.
+        fingerprints are also purged from the process cache so a later
+        ``get`` honestly misses.
         """
-        if self._store is None:
-            raise SpecificationError(
-                "gc requires the sqlite backend (the JSON layout is an "
-                "import/export format, not a managed store)"
-            )
         if keep_latest is None and max_age is None:
             raise SpecificationError(
                 "gc needs at least one criterion: keep_latest or max_age"
@@ -450,8 +377,6 @@ class ModelRegistry:
                 raise StorageError(f"gc delete failed: {error}") from error
             for fingerprint in doomed:
                 self._cache.pop(fingerprint, None)
-                self._bases.pop(fingerprint, None)
-                self._provenance.pop(fingerprint, None)
         return GCReport(
             examined=len(rows),
             evicted=tuple(sorted(evicted)),
@@ -467,34 +392,25 @@ class ModelRegistry:
 
         Answered straight from the ``model_metadata`` table — strategy,
         bound, worst optimality ratio, tree shape — without materializing
-        the model blob.  Requires the SQLite backend.
+        the model blob.
         """
-        if self._store is None:
-            return None
         return self._store.model_metadata(fingerprint)
 
     def quarantined(self) -> tuple[tuple[str, str | None], ...]:
         """Quarantined database rows as ``(fingerprint, reason)`` pairs.
 
-        Legacy JSON quarantine (moved files under ``quarantine/``) is not
-        listed here — those artifacts are out of the store entirely.
+        JSON files moved under ``quarantine/`` at import are not listed
+        here — those never entered the store.
         """
-        if self._store is None:
-            return ()
         return self._store.quarantined()
 
     def provenance(self, fingerprint: str) -> str | None:
         """How a stored artifact was trained ("fresh"/"adaptive"), if known.
 
-        Answered from the process cache or, on the SQLite backend, straight
-        from the ``artifacts`` table without materializing the blob.
+        Answered straight from the ``artifacts`` table without materializing
+        the blob.
         """
-        known = self._provenance.get(fingerprint)
-        if known is not None:
-            return known
-        if self._store is not None:
-            return self._store.provenance(fingerprint)
-        return None
+        return self._store.provenance(fingerprint)
 
     # -- run history ----------------------------------------------------------------
 
@@ -504,9 +420,8 @@ class ModelRegistry:
         """Append one scheduling outcome to the run-history log.
 
         *source* names the code path that produced it (``"batch"``,
-        ``"online"``, ``"serving"``).  On the SQLite backend the row is
-        durable and queryable across processes; the JSON backend keeps a
-        process-local log so the API surface stays uniform.
+        ``"online"``, ``"serving"``); the row is durable and queryable across
+        processes.
         """
         overhead = outcome.overhead
         try:
@@ -535,18 +450,10 @@ class ModelRegistry:
             vm_failures=overhead.vm_failures,
             requeues=overhead.requeues,
         )
-        if self._store is not None:
-            try:
-                return self._store.record_run(record)
-            except sqlite3.Error as error:
-                raise StorageError(f"run-history write failed: {error}") from error
-        record = replace(
-            record,
-            recorded_at=utc_timestamp(),
-            row_id=len(self._memory_history) + 1,
-        )
-        self._memory_history.append(record)
-        return record
+        try:
+            return self._store.record_run(record)
+        except sqlite3.Error as error:
+            raise StorageError(f"run-history write failed: {error}") from error
 
     def history(
         self,
@@ -561,42 +468,30 @@ class ModelRegistry:
         *source* (``"batch"``/``"online"``/``"serving"``); ``limit`` keeps
         only the most recent N matching rows.
         """
-        if self._store is not None:
-            try:
-                return self._store.history(
-                    tenant=tenant, goal_kind=goal_kind, source=source, limit=limit
-                )
-            except sqlite3.Error as error:
-                raise StorageError(f"run-history query failed: {error}") from error
-        return filter_records(
-            tuple(self._memory_history),
-            tenant=tenant,
-            goal_kind=goal_kind,
-            source=source,
-            limit=limit,
-        )
+        try:
+            return self._store.history(
+                tenant=tenant, goal_kind=goal_kind, source=source, limit=limit
+            )
+        except sqlite3.Error as error:
+            raise StorageError(f"run-history query failed: {error}") from error
 
     def tenant_summaries(self) -> dict[str, TenantRunSummary]:
         """Per-tenant cost and SLA-compliance aggregates over all history."""
-        if self._store is not None:
-            return self._store.tenant_summaries()
-        return summarize_records(tuple(self._memory_history))
+        return self._store.tenant_summaries()
 
     # -- JSON import/export ----------------------------------------------------------
 
     def export_json(self, directory: str | Path) -> tuple[Path, ...]:
         """Write every servable artifact to *directory* in the JSON layout.
 
-        The output is byte-compatible with what the historical JSON backend
-        produced, so an exported directory round-trips through
+        This is the only writer of the layout (:meth:`WiSeDBService.save`
+        exports through it), so an exported directory round-trips through
         :meth:`from_json_dir` (or an old library version) unchanged.
         """
-        if self._store is None:
-            raise SpecificationError("export_json requires the sqlite backend")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         exported = []
-        for fingerprint in self.fingerprints():
+        for fingerprint in self._store.fingerprints():
             raw = self._store.raw_artifact(fingerprint)
             if raw is None:
                 continue
@@ -610,6 +505,9 @@ class ModelRegistry:
                 "training": json.loads(raw["training"]),
             }
             path = directory / f"{fingerprint}.json"
+            # Write-then-rename: a crash mid-write never leaves a truncated
+            # artifact under the final name, and the pid-unique staging name
+            # keeps concurrent exporters off each other's half-written file.
             staging = path.with_name(f".{fingerprint}.{os.getpid()}.tmp")
             staging.write_text(json.dumps(artifact), encoding="utf-8")
             os.replace(staging, path)
@@ -617,28 +515,37 @@ class ModelRegistry:
         return tuple(exported)
 
     def import_json_dir(self, directory: str | Path | None = None) -> int:
-        """Eagerly import legacy JSON artifacts into the SQLite store.
+        """Import the ``<fingerprint>.json`` artifacts of a directory.
 
         Headers are validated and rows inserted without materializing the
         training payloads (that stays lazy, at :meth:`get` time); unusable
-        files are quarantined with a warning.  Returns how many artifacts
+        files are moved into ``quarantine/`` with a warning, and fingerprints
+        the store already serves are skipped.  Returns how many artifacts
         were imported.  With no *directory*, the registry's own directory is
-        scanned — the same files :meth:`get` would import lazily.
+        scanned — what opening the registry did, repeated for files that
+        arrived since.
         """
-        if self._store is None:
-            raise SpecificationError("import_json_dir requires the sqlite backend")
         source = Path(directory) if directory is not None else self._directory
         if source is None:
             raise SpecificationError("no directory to import JSON artifacts from")
         imported = 0
         for path in sorted(source.glob("*.json")):
-            fingerprint = path.stem
-            if self._store.contains(fingerprint):
+            if self._store.contains(path.stem):
                 continue
             data = self._read_artifact(path)
             if data is None:
                 continue
-            self._import_artifact(fingerprint, data)
+            try:
+                self._store.put_artifact(
+                    path.stem,
+                    data["base_fingerprint"],
+                    data.get("provenance", "fresh"),
+                    json.dumps(data.get("spec", {})),
+                    json.dumps(data["training"]),
+                    metadata=_metadata_row(data["training"]),
+                )
+            except sqlite3.Error as error:
+                raise StorageError(f"artifact import failed: {error}") from error
             imported += 1
         return imported
 
@@ -646,81 +553,23 @@ class ModelRegistry:
     def from_json_dir(
         cls, directory: str | Path, db_path: str | Path | None = None
     ) -> "ModelRegistry":
-        """A SQLite-backed registry imported from a legacy JSON directory.
+        """A registry imported from a directory of JSON artifacts.
 
         By default the database lives in memory, so the source directory is
         only read (corrupt files are still quarantined, with a warning);
         pass ``db_path`` to materialize a durable database instead — the
         one-shot migration path from the v1 layout.
         """
-        registry = cls(directory, db_path=db_path if db_path is not None else ":memory:")
-        registry.import_json_dir()
-        return registry
+        return cls(directory, db_path=db_path if db_path is not None else ":memory:")
 
     # -- internals -----------------------------------------------------------------
-
-    def _legacy_path(self, fingerprint: str) -> Path | None:
-        """The would-be JSON artifact path, or ``None`` when inapplicable."""
-        if self._directory is None:
-            return None
-        path = self._directory / f"{fingerprint}.json"
-        return path if path.exists() else None
-
-    def _metadata_projection(self, result: TrainingResult) -> dict:
-        """The queryable ``model_metadata`` row for a training result."""
-        meta = result.model.metadata
-        return {
-            "goal_kind": meta.goal_kind,
-            "search_strategy": meta.search_strategy,
-            "future_bound": meta.future_bound,
-            "worst_optimality_ratio": result.worst_optimality_ratio,
-            "tree_depth": meta.tree_depth,
-            "tree_leaves": meta.tree_leaves,
-            "num_training_samples": meta.num_training_samples,
-            "num_training_examples": meta.num_training_examples,
-            "training_time_seconds": meta.training_time_seconds,
-        }
-
-    @staticmethod
-    def _metadata_from_artifact(data: dict) -> dict | None:
-        """The metadata row extractable from a raw artifact dict (no blobs)."""
-        model = data.get("training", {}).get("model", {})
-        meta = model.get("metadata")
-        if not isinstance(meta, dict):
-            return None
-        extra = meta.get("extra") or {}
-        return {
-            "goal_kind": meta.get("goal_kind"),
-            "search_strategy": meta.get("search_strategy"),
-            "future_bound": meta.get("future_bound"),
-            "worst_optimality_ratio": extra.get("worst_optimality_ratio"),
-            "tree_depth": meta.get("tree_depth"),
-            "tree_leaves": meta.get("tree_leaves"),
-            "num_training_samples": meta.get("num_training_samples"),
-            "num_training_examples": meta.get("num_training_examples"),
-            "training_time_seconds": meta.get("training_time_seconds"),
-        }
-
-    def _import_artifact(self, fingerprint: str, data: dict) -> None:
-        """Insert a parsed legacy artifact into the store (header only)."""
-        assert self._store is not None
-        self._store.put_artifact(
-            fingerprint,
-            data["base_fingerprint"],
-            data.get("provenance", "fresh"),
-            json.dumps(data.get("spec", {})),
-            json.dumps(data["training"]),
-            metadata=self._metadata_from_artifact(data),
-        )
-        self._bases[fingerprint] = data["base_fingerprint"]
-        self._provenance[fingerprint] = data.get("provenance", "fresh")
 
     def _read_artifact(self, path: Path) -> dict | None:
         """Parse a JSON artifact file, returning ``None`` for anything unusable.
 
-        Unusable files (truncated writes, hand-edited JSON, foreign formats)
-        are quarantined so later lookups do not re-parse — and re-fail on —
-        the same bytes.
+        Unusable files (truncated writes, hand-edited JSON, foreign formats,
+        or renamed copies) are quarantined so later imports do not re-parse
+        — and re-fail on — the same bytes.
         """
         try:
             text = path.read_text(encoding="utf-8")
@@ -734,53 +583,17 @@ class ModelRegistry:
         if not isinstance(data, dict) or data.get("format") != ARTIFACT_FORMAT:
             self._quarantine_file(path, "is not a WiSeDB model artifact")
             return None
-        if "training" not in data or "base_fingerprint" not in data:
+        if not isinstance(data.get("training"), dict) or "base_fingerprint" not in data:
             self._quarantine_file(path, "is missing required artifact fields")
             return None
-        return data
-
-    def _materialize_row(
-        self, fingerprint: str, payload: dict, n_jobs: int
-    ) -> TrainingResult | None:
-        """Turn a store row into a cached training result (None = quarantined)."""
-        try:
-            if not isinstance(payload["training"], dict):
-                raise ValueError("artifact blob is not a JSON object")
-            result = TrainingResult.from_dict(payload["training"], n_jobs=n_jobs)
-        except (KeyError, TypeError, ValueError, WiSeDBError):
-            reason = "holds an unloadable training payload"
-            assert self._store is not None
-            self._store.quarantine(fingerprint, reason)
-            warnings.warn(
-                f"model artifact {fingerprint[:12]}… {reason}; its database row "
-                "was quarantined and it is treated as a registry miss",
-                RuntimeWarning,
-                stacklevel=4,
+        if data.get("fingerprint", path.stem) != path.stem:
+            # A copied or renamed file would otherwise be served as an exact
+            # hit for a specification it was never trained for.
+            self._quarantine_file(
+                path, "is misfiled: its fingerprint does not match its file name"
             )
             return None
-        self._cache[fingerprint] = result
-        self._bases[fingerprint] = payload["base_fingerprint"]
-        self._provenance[fingerprint] = payload.get("provenance", "fresh")
-        return result
-
-    def _materialize(
-        self, fingerprint: str, data: dict, n_jobs: int, path: Path | None = None
-    ) -> TrainingResult | None:
-        """Turn a parsed JSON artifact into a cached training result."""
-        try:
-            result = TrainingResult.from_dict(data["training"], n_jobs=n_jobs)
-        except (KeyError, TypeError, ValueError, WiSeDBError):
-            if path is not None:
-                self._quarantine_file(path, "holds an unloadable training payload")
-            return None
-        self._cache[fingerprint] = result
-        self._bases[fingerprint] = data["base_fingerprint"]
-        self._provenance[fingerprint] = data.get("provenance", "fresh")
-        if self._store is not None and not self._store.contains(fingerprint):
-            # A legacy artifact just served for the first time: import it so
-            # the next process (or a concurrent one) finds it indexed.
-            self._import_artifact(fingerprint, data)
-        return result
+        return data
 
     def _quarantine_file(self, path: Path, reason: str) -> None:
         """Move a corrupt JSON artifact aside (best-effort) and warn about it."""

@@ -708,17 +708,16 @@ class WiSeDBService:
     def save(self, directory: str | Path) -> Path:
         """Persist the service — tenant specs and trained models — to *directory*.
 
-        Layout: ``tenants.json`` (the manifest) plus a model registry under
-        ``models/`` in the portable JSON artifact layout (one file per model
-        — no database, so the saved deployment stays plain, diffable files;
-        :meth:`load` imports them into its SQLite registry transparently).
-        Untrained tenants are saved spec-only.  The directory is
-        self-contained: :meth:`load` restores an equivalent service whose
-        tenants schedule bit-identically.
+        Layout: ``tenants.json`` (the manifest) plus ``models/``, one
+        ``<fingerprint>.json`` artifact per trained model, written by
+        :meth:`ModelRegistry.export_json` — no database, so the saved
+        deployment stays plain, diffable files.  Untrained tenants are saved
+        spec-only.  The directory is self-contained: :meth:`load` restores an
+        equivalent service whose tenants schedule bit-identically.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        disk = ModelRegistry(directory / "models", backend="json")
+        trained = ModelRegistry()  # scratch, in memory: only what gets exported
         manifest = []
         for tenant in self._tenants.values():
             spec = tenant.spec
@@ -734,7 +733,7 @@ class WiSeDBService:
                     trained_how = (
                         self._registry.provenance(spec.fingerprint()) or "fresh"
                     )
-                disk.put(
+                trained.put(
                     spec.fingerprint(),
                     spec.base_fingerprint(),
                     spec.to_dict(),
@@ -742,6 +741,8 @@ class WiSeDBService:
                     provenance=trained_how,
                 )
             manifest.append(entry)
+        trained.export_json(directory / "models")
+        trained.close()
         path = directory / "tenants.json"
         path.write_text(
             json.dumps(
@@ -755,8 +756,10 @@ class WiSeDBService:
     def load(cls, directory: str | Path, n_jobs: int | None = None) -> "WiSeDBService":
         """Restore a service previously written by :meth:`save`.
 
-        Trained tenants come back trained — their models load from the bundled
-        registry as exact fingerprint hits, so nothing retrains.
+        Trained tenants come back trained: the registry opened over
+        ``models/`` imports the saved artifacts once (into a ``registry.db``
+        it creates there), and each model is an exact fingerprint hit, so
+        nothing retrains.
         """
         directory = Path(directory)
         manifest_path = directory / "tenants.json"

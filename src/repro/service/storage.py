@@ -616,48 +616,6 @@ class SQLiteStore:
         }
 
 
-def filter_records(
-    records: tuple[RunRecord, ...],
-    tenant: str | None = None,
-    goal_kind: str | None = None,
-    source: str | None = None,
-    limit: int | None = None,
-) -> tuple[RunRecord, ...]:
-    """The in-memory analogue of :meth:`SQLiteStore.history` (JSON backend)."""
-    kept = tuple(
-        record
-        for record in records
-        if (tenant is None or record.tenant == tenant)
-        and (goal_kind is None or record.goal_kind == goal_kind)
-        and (source is None or record.source == source)
-    )
-    if limit is not None:
-        kept = kept[-limit:] if limit > 0 else ()
-    return kept
-
-
-def summarize_records(
-    records: tuple[RunRecord, ...],
-) -> dict[str, TenantRunSummary]:
-    """The in-memory analogue of :meth:`SQLiteStore.tenant_summaries`."""
-    grouped: dict[str, list[RunRecord]] = {}
-    for record in records:
-        grouped.setdefault(record.tenant, []).append(record)
-    return {
-        tenant: TenantRunSummary(
-            tenant=tenant,
-            runs=len(runs),
-            queries=sum(run.num_queries for run in runs),
-            total_cost=sum(run.total_cost for run in runs),
-            penalty_cost=sum(run.penalty_cost for run in runs),
-            wasted_cost=sum(run.wasted_cost for run in runs),
-            degraded_runs=sum(run.degraded for run in runs),
-            violation_runs=sum(run.violation_seconds > 0 for run in runs),
-        )
-        for tenant, runs in sorted(grouped.items())
-    }
-
-
 #: Public column list (used by tests asserting the queryable surface).
 HISTORY_COLUMNS = _HISTORY_COLUMNS
 
@@ -669,7 +627,5 @@ __all__ = [
     "SCHEMA_VERSION",
     "SQLiteStore",
     "TenantRunSummary",
-    "filter_records",
-    "summarize_records",
     "utc_timestamp",
 ]

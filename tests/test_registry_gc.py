@@ -4,7 +4,7 @@ A fingerprint-addressed registry only ever grows; ``ModelRegistry.gc`` is the
 explicit eviction pass.  These tests pin the schema-v3 access tracking
 (``last_accessed`` touched on read, backfilled from ``created_at`` on
 upgrade), the two eviction criteria and their union, the dry-run mode, the
-always-swept quarantined rows, and the backend restrictions.
+always-swept quarantined rows, and the guard rails.
 """
 
 from __future__ import annotations
@@ -168,12 +168,8 @@ class TestGCGuards:
         _seed(registry, {"aaa": 40, "bbb": 10})
         sentinel = object()
         registry._cache["aaa"] = sentinel
-        registry._bases["aaa"] = "base-aaa"
-        registry._provenance["aaa"] = "fresh"
         registry.gc(keep_latest=1, now=NOW)
         assert "aaa" not in registry._cache
-        assert "aaa" not in registry._bases
-        assert "aaa" not in registry._provenance
         assert registry.get("aaa") is None
 
     def test_gc_requires_a_criterion(self, registry):
@@ -185,11 +181,6 @@ class TestGCGuards:
             registry.gc(keep_latest=-1)
         with pytest.raises(SpecificationError, match="non-negative"):
             registry.gc(max_age=-5.0)
-
-    def test_gc_requires_the_sqlite_backend(self, tmp_path):
-        registry = ModelRegistry(tmp_path, backend="json")
-        with pytest.raises(SpecificationError, match="sqlite backend"):
-            registry.gc(keep_latest=1)
 
     def test_empty_store_gc_is_a_clean_no_op(self, registry):
         report = registry.gc(keep_latest=3, max_age=60.0, now=NOW)

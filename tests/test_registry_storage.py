@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import shutil
 import sqlite3
+import warnings
+from pathlib import Path
 
 import pytest
 
-from repro.exceptions import SpecificationError, StorageError
+from repro.exceptions import StorageError
 from repro.service.registry import ModelRegistry
 from repro.service.service import WiSeDBService
 from repro.service.storage import (
@@ -24,9 +27,13 @@ from repro.service.storage import (
     SCHEMA_VERSION,
     RunRecord,
     SQLiteStore,
-    filter_records,
-    summarize_records,
 )
+
+
+#: A deployment written by ``service.save()`` before the JSON backend was
+#: removed (``TrainingConfig.tiny(seed=7)``, one trained tenant).  Nothing else
+#: pins the interchange format, so these files are never regenerated.
+SAVED_V1 = Path(__file__).parent / "data" / "saved_service_v1"
 
 
 def _record(tenant="acme", source="batch", **overrides) -> RunRecord:
@@ -201,32 +208,24 @@ class TestRunHistory:
         assert service.run_summaries()["acme"].degraded_runs == 1
         service.close()
 
-    def test_memory_backend_history_mirrors_sqlite_filters(self):
-        records = (
-            _record(source="batch"),
-            _record(source="online", tenant="globex", total_cost=2.0),
-            _record(source="online", violation_seconds=30.0),
-        )
-        assert filter_records(records, tenant="acme") == (records[0], records[2])
-        assert filter_records(records, source="online", limit=1) == (records[2],)
-        summaries = summarize_records(records)
+    def test_store_history_filters_and_violation_summaries(self):
+        store = SQLiteStore(":memory:")
+        records = [
+            store.record_run(record)
+            for record in (
+                _record(source="batch"),
+                _record(source="online", tenant="globex", total_cost=2.0),
+                _record(source="online", violation_seconds=30.0),
+            )
+        ]
+        assert store.history(tenant="acme") == (records[0], records[2])
+        assert store.history(source="online", limit=1) == (records[2],)
+        summaries = store.tenant_summaries()
         assert summaries["acme"].runs == 2
         assert summaries["acme"].violation_runs == 1
+        assert summaries["acme"].sla_compliance == 0.5
         assert summaries["globex"].sla_compliance == 1.0
         assert not records[2].met_sla
-
-    def test_json_backend_keeps_a_process_local_history(
-        self, tmp_path, small_templates, max_goal, tiny_config, trained_max,
-        small_workload,
-    ):
-        registry = ModelRegistry(tmp_path / "models", backend="json")
-        service = WiSeDBService(registry=registry)
-        service.register("acme", small_templates, max_goal, config=tiny_config)
-        service.tenant("acme").training = trained_max
-        service.schedule_batch("acme", small_workload)
-        assert len(service.history(tenant="acme")) == 1
-        assert service.run_summaries()["acme"].runs == 1
-        service.close()
 
     def test_history_columns_match_the_record_fields(self):
         for column in HISTORY_COLUMNS:
@@ -239,30 +238,22 @@ class TestRunHistory:
 
 
 class TestJsonRoundTrip:
-    def test_export_matches_the_json_backend_byte_for_byte(
+    def test_export_matches_a_saved_service_byte_for_byte(
         self, tmp_path, small_templates, max_goal, tiny_config, trained_max
     ):
-        from repro.service.service import TenantSpec
-
-        spec = TenantSpec(
-            name="acme",
-            templates=small_templates,
-            goal=max_goal,
-            config=tiny_config,
-        )
+        service = WiSeDBService(registry=tmp_path / "sqlite")
+        service.register("acme", small_templates, max_goal, config=tiny_config)
+        spec = service.tenant("acme").spec
         fingerprint = spec.fingerprint()
-
-        json_registry = ModelRegistry(tmp_path / "json", backend="json")
-        json_registry.put(
+        service.registry.put(
             fingerprint, spec.base_fingerprint(), spec.to_dict(), trained_max
         )
-        sqlite_registry = ModelRegistry(tmp_path / "sqlite")
-        sqlite_registry.put(
-            fingerprint, spec.base_fingerprint(), spec.to_dict(), trained_max
-        )
-        (exported,) = sqlite_registry.export_json(tmp_path / "exported")
+        service.train("acme")  # an exact registry hit
+        service.save(tmp_path / "saved")
+        (exported,) = service.registry.export_json(tmp_path / "exported")
+        service.close()
 
-        original = (tmp_path / "json" / f"{fingerprint}.json").read_bytes()
+        original = (tmp_path / "saved" / "models" / f"{fingerprint}.json").read_bytes()
         assert exported.read_bytes() == original
 
     def test_from_json_dir_imports_without_writing_next_to_the_source(
@@ -277,9 +268,11 @@ class TestJsonRoundTrip:
             config=tiny_config,
         )
         source = tmp_path / "legacy"
-        ModelRegistry(source, backend="json").put(
+        exporter = ModelRegistry()
+        exporter.put(
             spec.fingerprint(), spec.base_fingerprint(), spec.to_dict(), trained_max
         )
+        exporter.export_json(source)
 
         imported = ModelRegistry.from_json_dir(source)
         assert imported.database_path is None  # in-memory
@@ -291,14 +284,50 @@ class TestJsonRoundTrip:
         meta = imported.model_metadata(spec.fingerprint())
         assert meta is not None and meta["goal_kind"] == "max"
 
-    def test_export_requires_the_sqlite_backend(self, tmp_path):
-        registry = ModelRegistry(tmp_path, backend="json")
-        with pytest.raises(SpecificationError, match="sqlite backend"):
-            registry.export_json(tmp_path / "out")
 
-    def test_unknown_backend_is_rejected(self, tmp_path):
-        with pytest.raises(SpecificationError, match="unknown registry backend"):
-            ModelRegistry(tmp_path, backend="csv")
+class TestFrozenV1Format:
+    """The checked-in v1 deployment keeps loading and re-exporting unchanged."""
+
+    def test_saved_v1_deployment_loads_trained_and_schedules(
+        self, tmp_path, small_workload
+    ):
+        deployment = tmp_path / "deployment"
+        shutil.copytree(SAVED_V1, deployment)
+        service = WiSeDBService.load(deployment)
+        tenant = service.tenant("acme")
+        assert tenant.is_trained
+        assert tenant.provenance == "registry"  # an exact hit, nothing retrained
+        outcome = service.schedule_batch("acme", small_workload)
+        assert not outcome.degraded
+        outcome.schedule.validate_complete(small_workload)
+        service.close()
+
+    def test_export_re_emits_the_v1_file_byte_for_byte(self, tmp_path):
+        (original,) = (SAVED_V1 / "models").glob("*.json")
+        registry = ModelRegistry()
+        assert registry.import_json_dir(SAVED_V1 / "models") == 1
+        (exported,) = registry.export_json(tmp_path / "exported")
+        assert exported.name == original.name
+        assert exported.read_bytes() == original.read_bytes()
+
+    def test_files_arriving_after_open_wait_for_an_explicit_import(self, tmp_path):
+        (original,) = (SAVED_V1 / "models").glob("*.json")
+        base = json.loads(original.read_text(encoding="utf-8"))["base_fingerprint"]
+        registry = ModelRegistry(tmp_path)
+        late = tmp_path / original.name
+        shutil.copy(original, late)
+        stray = tmp_path / "stray.json"
+        stray.write_text("{{{{")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert registry.get(original.stem) is None
+            assert registry.find_base(base) is None
+            assert original.stem not in registry
+            assert registry.fingerprints() == ()
+        assert late.exists() and stray.read_text() == "{{{{"
+        with pytest.warns(RuntimeWarning, match="not valid JSON"):
+            assert registry.import_json_dir() == 1
+        assert registry.get(original.stem) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +406,18 @@ class TestConcurrentWriters:
         for base in ("base0", "base1", "base2"):
             assert store.find_by_base(base)
         store.close()
+
+    def test_two_registries_over_one_file_pick_the_same_base(
+        self, tmp_path, trained_max, trained_average
+    ):
+        """``find_base`` answers in the store's order, not in 'seen' order."""
+        first = ModelRegistry(tmp_path)
+        second = ModelRegistry(tmp_path)
+        first.put("bbb", "shared-base", {}, trained_average)
+        second.put("aaa", "shared-base", {}, trained_max)
+        picks = [
+            registry.find_base("shared-base").goal.kind
+            for registry in (first, second)
+        ]
+        assert picks == ["max", "max"]
+        assert first.find_base("shared-base", exclude=("aaa",)).goal.kind == "average"
