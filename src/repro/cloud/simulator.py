@@ -12,6 +12,12 @@ Queries on the same VM run one at a time, back to back (the paper executes
 queries in isolation, Section 7.1); a query never starts before its arrival
 time, which is how the online-scheduling experiments model queueing delay.
 
+Per-VM views of a trace (``ExecutionTrace.outcomes_by_vm``, which
+``outcomes_for_vm`` looks into) come from one grouping pass, made on first use
+and kept on the trace, so pricing a trace and attributing its cost are linear
+in queries plus VMs.  Groups keep trace order: a sum over a group adds the
+same floats in the same order as a filter over all outcomes would.
+
 Fault injection
 ---------------
 
@@ -29,7 +35,8 @@ one) no VM has a profile, so nothing is delayed, interrupted or wasted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.cloud.latency import LatencyModel
 from repro.core.outcome import QueryOutcome
@@ -102,9 +109,21 @@ class ExecutionTrace:
         """Sum of per-VM busy times (the quantity billed by Equation 1)."""
         return sum(rental.busy_time for rental in self.rentals)
 
+    @cached_property
+    def outcomes_by_vm(self) -> Mapping[int, tuple[QueryOutcome, ...]]:
+        """Outcomes grouped by ``vm_index`` in outcome order, built on first use.
+
+        Derived, not a field: ``==``, ``hash`` and ``repr`` ignore it.  A VM
+        that completed nothing has no entry.
+        """
+        groups: dict[int, list[QueryOutcome]] = {}
+        for outcome in self.outcomes:
+            groups.setdefault(outcome.vm_index, []).append(outcome)
+        return {index: tuple(group) for index, group in groups.items()}
+
     def outcomes_for_vm(self, vm_index: int) -> tuple[QueryOutcome, ...]:
         """Outcomes of the queries executed on the VM at *vm_index*."""
-        return tuple(o for o in self.outcomes if o.vm_index == vm_index)
+        return self.outcomes_by_vm.get(vm_index, ())
 
     def latencies(self) -> list[float]:
         """Observed latencies of all queries, in schedule order."""

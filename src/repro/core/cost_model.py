@@ -8,6 +8,13 @@ goal ``R`` is::
 
 i.e. provisioning fees, plus rental fees for the time the VM spends executing
 its queue, plus the SLA penalty for whatever violations the schedule incurs.
+
+Pricing is one pass: :func:`breakdown_from_trace` takes each VM's completed
+outcomes from the trace's ``outcomes_by_vm`` grouping instead of filtering all
+outcomes once per VM, so it is linear in queries plus VMs.  A VM's busy time
+is still ``sum()`` over its outcomes in trace order — the additions a per-VM
+filter made, in the same order — because float addition is not associative
+and the golden digests pin every breakdown to the bit.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass
 from repro.cloud.latency import LatencyModel
 from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator
 from repro.core.schedule import Schedule
+from repro.exceptions import ScheduleError
 from repro.sla.base import PerformanceGoal
 
 
@@ -95,20 +103,26 @@ def breakdown_from_trace(
 
     The single pricing implementation shared by :class:`CostModel` and
     :func:`repro.core.scheduler.simulated_outcome`, so the two can never
-    drift apart.
+    drift apart.  *trace* must be the simulation of *schedule*: a trace with
+    a different number of VMs raises :class:`~repro.exceptions.ScheduleError`.
     """
     startup = 0.0
     execution = 0.0
     wasted_startup = 0.0
     wasted_execution = 0.0
     rentals = trace.rentals
-    for vm_index, vm in enumerate(schedule):
-        busy = sum(
-            outcome.execution_time for outcome in trace.outcomes_for_vm(vm_index)
+    by_vm = trace.outcomes_by_vm
+    last_vm = max(by_vm, default=-1)
+    if len(rentals) != len(schedule) or last_vm >= len(schedule):
+        raise ScheduleError(
+            f"trace does not belong to this schedule: it has {len(rentals)} "
+            f"rentals and outcomes up to VM index {last_vm}, "
+            f"the schedule has {len(schedule)} VMs"
         )
+    for vm_index, (vm, rental) in enumerate(zip(schedule, rentals)):
+        busy = sum(outcome.execution_time for outcome in by_vm.get(vm_index, ()))
         execution += vm.vm_type.running_cost * busy
-        rental = rentals[vm_index] if vm_index < len(rentals) else None
-        if rental is not None and rental.failed:
+        if rental.failed:
             wasted_startup += vm.vm_type.startup_cost
             wasted_execution += vm.vm_type.running_cost * rental.wasted_busy_time
         else:

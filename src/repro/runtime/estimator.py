@@ -24,23 +24,21 @@ from collections import defaultdict
 from typing import Mapping
 
 from repro.cloud.latency import LatencyModel
-from repro.cloud.simulator import ScheduleSimulator
+from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator
 from repro.core.schedule import Schedule
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
 
 
-def per_query_costs(
-    schedule: Schedule,
-    goal: PerformanceGoal,
-    latency_model: LatencyModel,
+def _attribute_costs(
+    schedule: Schedule, trace: ExecutionTrace, goal: PerformanceGoal
 ) -> dict[int, float]:
-    """Cost attributed to each query (by id) of an executed *schedule*."""
-    trace = ScheduleSimulator(latency_model).run(schedule)
+    """Split the cost of *schedule*, already simulated as *trace*, by query id."""
     costs: dict[int, float] = defaultdict(float)
 
+    by_vm = trace.outcomes_by_vm
     for vm_index, vm in enumerate(schedule):
-        outcomes = trace.outcomes_for_vm(vm_index)
+        outcomes = by_vm.get(vm_index)
         if not outcomes:
             continue
         busy = sum(outcome.execution_time for outcome in outcomes)
@@ -62,6 +60,16 @@ def per_query_costs(
     return dict(costs)
 
 
+def per_query_costs(
+    schedule: Schedule,
+    goal: PerformanceGoal,
+    latency_model: LatencyModel,
+) -> dict[int, float]:
+    """Cost attributed to each query (by id) of an executed *schedule*."""
+    trace = ScheduleSimulator(latency_model).run(schedule)
+    return _attribute_costs(schedule, trace, goal)
+
+
 def per_template_cost_profile(
     schedule: Schedule,
     goal: PerformanceGoal,
@@ -69,7 +77,7 @@ def per_template_cost_profile(
 ) -> dict[str, float]:
     """Average cost per query of each template in an executed *schedule*."""
     trace = ScheduleSimulator(latency_model).run(schedule)
-    query_costs = per_query_costs(schedule, goal, latency_model)
+    query_costs = _attribute_costs(schedule, trace, goal)
     totals: dict[str, float] = defaultdict(float)
     counts: dict[str, int] = defaultdict(int)
     for outcome in trace.outcomes:

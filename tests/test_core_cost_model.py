@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import units
 from repro.cloud.latency import TemplateLatencyModel
+from repro.cloud.simulator import ExecutionTrace, simulate
 from repro.cloud.vm import t2_medium
-from repro.core.cost_model import CostBreakdown, CostModel, schedule_cost
+from repro.core.cost_model import (
+    CostBreakdown,
+    CostModel,
+    breakdown_from_trace,
+    schedule_cost,
+)
 from repro.core.schedule import Schedule, VMAssignment
+from repro.exceptions import ScheduleError
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.query import Query
 
@@ -87,3 +96,21 @@ def test_schedule_cost_helper(small_templates):
     schedule = _schedule(("T1",))
     breakdown = schedule_cost(schedule, goal, TemplateLatencyModel(small_templates))
     assert breakdown.total > 0.0
+
+
+def test_trace_of_another_schedule_is_rejected_not_mispriced(small_templates):
+    latency = TemplateLatencyModel(small_templates)
+    goal = MaxLatencyGoal(deadline=units.minutes(30))
+    two_vms = _schedule(("T1", "T2"), ("T3",))
+    three_vms = _schedule(("T1",), ("T2",), ("T3",))
+    trace = simulate(two_vms, latency)
+    # The schedule has more VMs than the trace has rentals, and fewer.
+    with pytest.raises(ScheduleError, match="has 2 rentals .* schedule has 3 VMs"):
+        breakdown_from_trace(three_vms, trace, goal)
+    with pytest.raises(ScheduleError, match="has 3 rentals .* schedule has 2 VMs"):
+        breakdown_from_trace(two_vms, simulate(three_vms, latency), goal)
+    # Rental counts agree, but an outcome ran on a VM the schedule does not have.
+    stray = dataclasses.replace(trace.outcomes[-1], vm_index=2)
+    hand_built = ExecutionTrace(trace.outcomes[:-1] + (stray,), trace.rentals)
+    with pytest.raises(ScheduleError, match="2 rentals and outcomes up to VM index 2"):
+        breakdown_from_trace(two_vms, hand_built, goal)
