@@ -62,6 +62,7 @@ def _measure(templates, kind: str, n_jobs: int, scale) -> dict:
         "train_s": round(elapsed, 3),
         "solve_s": round(result.search_time, 3),
         "fit_s": round(result.fit_time, 3),
+        "fit_share": round(result.fit_time / elapsed, 3),
         "expansions_per_s": round(expansions / solve_time, 1),
         "samples_per_s": round(len(result.samples) / solve_time, 2),
     }
@@ -129,6 +130,7 @@ def test_training_throughput(benchmark, scale):
         "train_s",
         "solve_s",
         "fit_s",
+        "fit_share",
         "expansions_per_s",
         "samples_per_s",
     ]
@@ -154,6 +156,10 @@ def test_training_throughput(benchmark, scale):
     for row in rows:
         assert row["samples"] > 0
         assert row["expansions_per_s"] > 0
+        if row["n_jobs"] == 1:
+            # The tree must cost less than the searches that feed it (with a
+            # pool, solve_s also carries dispatch, so only n_jobs=1 is judged).
+            assert row["fit_s"] < row["solve_s"], row
     assert pool_reuse["warm_spawns"] <= 1
 
 

@@ -198,7 +198,9 @@ class AdaptiveModeler:
                 "infeasible for the stored sample workloads"
             )
 
+        fit_start = time.perf_counter()
         model = self._generator.fit_from_training_set(new_goal, training_set)
+        fit_time = time.perf_counter() - fit_start
         retraining_time = time.perf_counter() - start_time
         model.metadata.num_training_samples = len(samples)
         model.metadata.training_time_seconds = retraining_time
@@ -214,8 +216,8 @@ class AdaptiveModeler:
             goal=new_goal,
             config=self._generator.config,
             training_time=retraining_time,
-            search_time=retraining_time,
-            fit_time=0.0,
+            search_time=fit_start - start_time,
+            fit_time=fit_time,
             skipped_samples=skipped,
             workloads=list(self._base.workloads),
         )

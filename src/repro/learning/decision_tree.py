@@ -14,6 +14,19 @@ The learner handles exactly what the WiSeDB feature set needs:
 * simple regularisation (max depth, minimum leaf size, minimum gain) so the
   trees stay shallow — the paper reports heights below 30, which is what makes
   model-guided scheduling O(h·n).
+
+Fitting has one path.  Every feature is sorted once per fit and the sorted row
+orders are kept as one ``(features, rows)`` array that each split only
+filters.  A node is scored in a single pass over all its features: one gather
+of the sorted values and labels, one ``diff`` for the boundaries between
+distinct values, one segmented ``bincount`` plus an integer ``cumsum`` for the
+class counts left of every candidate of every feature, and one entropy call
+per side — a few dozen numpy calls per node instead of a few dozen per (node,
+feature), which is what a retrain inside the online loop used to spend most of
+its time on.  The counts are integers and each gain, gain ratio and threshold
+is the same elementwise expression on them that a one-feature-at-a-time scorer
+evaluates, so the fitted trees are bit-identical to that formulation's; it
+lives on as the oracle in ``tests/test_learning_decision_tree.py``.
 """
 
 from __future__ import annotations
@@ -67,15 +80,46 @@ def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Shannon entropy (bits) of each row of a (rows, classes) count matrix.
 
     Vectorised counterpart of :func:`_entropy` used by the split search: one
-    call scores every candidate boundary of a feature instead of one numpy
-    round-trip per boundary.  Zero-count entries contribute exactly 0 to the
-    row sums, matching the scalar version's filtered computation.
+    call scores one side of every candidate split of a node.  Each row is
+    summed on its own, so a row's entropy does not depend on which other rows
+    share the call; zero-count entries contribute exactly 0 to the row sums,
+    matching the scalar version's filtered computation.
     """
     probabilities = counts / totals[:, None]
     terms = np.zeros_like(probabilities)
     mask = counts > 0
     terms[mask] = probabilities[mask] * np.log2(probabilities[mask])
     return -terms.sum(axis=1)
+
+
+def _partition(
+    orders: np.ndarray,
+    features: np.ndarray,
+    varying: np.ndarray,
+    slot: int,
+    position: int,
+    in_left: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(left orders, right orders, features)`` of the children of one split.
+
+    ``orders[slot]`` is sorted by the split feature, so its first
+    ``position + 1`` rows are the left child; every other feature's order is
+    divided by one boolean gather, which keeps it sorted — no re-sorting.
+    Features that do not vary in this node cannot vary below it and are
+    dropped.  ``in_left`` is an all-false mask over the training rows, used
+    as scratch and handed back all-false.
+    """
+    left_rows = orders[slot, : position + 1]
+    if not varying.all():
+        orders, features = orders[varying], features[varying]
+    in_left[left_rows] = True
+    goes_left = in_left[orders]
+    in_left[left_rows] = False
+    return (
+        orders[goes_left].reshape(len(orders), -1),
+        orders[~goes_left].reshape(len(orders), -1),
+        features,
+    )
 
 
 class CompiledTreeEvaluator:
@@ -296,18 +340,18 @@ class DecisionTreeClassifier:
         matrix: np.ndarray,
         labels: Sequence[str],
         feature_names: Sequence[str],
-        presort: bool = True,
     ) -> "DecisionTreeClassifier":
         """Fit the tree on a (n_examples, n_features) matrix and string labels.
 
-        ``presort=True`` (the default) sorts every feature column once up
-        front and maintains the per-feature sorted row orders through the
-        splits (classic C4.5 presorting): each node partitions the parent's
-        orders with one boolean mask per feature instead of re-running a
-        stable ``argsort`` per (node, feature).  Both paths evaluate the
-        identical candidate thresholds in the identical sequence, so the
-        fitted trees are bit-identical (property-tested); ``presort=False``
-        keeps the legacy per-node sorting as the reference path.
+        Every feature column is sorted once (stable, so ties keep original
+        row order) and a node only ever *filters* its parent's orders, which
+        leaves each of them equal to a fresh stable ``argsort`` of the node's
+        rows.  Each node is then scored in one pass over all its features —
+        see :meth:`_score_node` — and the candidate it picks, and every float
+        stored in the tree, is the one the per-(node, feature) formulation
+        kept as the oracle in ``tests/test_learning_decision_tree.py``
+        produces.  Raises :class:`TrainingError` on mismatched shapes, an
+        empty training set, or a NaN / infinite feature value.
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -318,220 +362,158 @@ class DecisionTreeClassifier:
             raise TrainingError("feature matrix and labels disagree on example count")
         if matrix.shape[1] != len(feature_names):
             raise TrainingError("feature matrix and feature_names disagree on width")
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            # inf - inf = nan would hide a boundary from the diff below and
+            # ``nan <= threshold`` is false for every threshold: neither can
+            # be split on, and the extractor never emits them.
+            column = int(np.argmin(finite.all(axis=0)))
+            raise TrainingError(
+                f"feature {feature_names[column]!r} (column {column}) holds a NaN "
+                "or infinite value; decision-tree features must be finite"
+            )
 
         self._feature_names = tuple(feature_names)
         self._classes = tuple(sorted(set(labels)))
         class_index = {label: i for i, label in enumerate(self._classes)}
         encoded = np.asarray([class_index[label] for label in labels], dtype=int)
-        if presort:
-            # One stable sort per feature over the full training set; the
-            # recursion below only ever *filters* these orders, which keeps
-            # every node's per-feature order equal to what a fresh stable
-            # argsort of its row subset would produce (ties resolve by
-            # original row position either way).
-            sorted_all = np.argsort(matrix, axis=0, kind="stable")
-            orders = [np.ascontiguousarray(sorted_all[:, j]) for j in range(matrix.shape[1])]
-            scratch = np.zeros(matrix.shape[0], dtype=bool)
-            self._root = self._build_presorted(matrix, encoded, orders, scratch, depth=0)
-        else:
-            self._root = self._build(matrix, encoded, depth=0)
+        columns = np.ascontiguousarray(matrix.T)
+        orders = np.argsort(columns, axis=1, kind="stable")
+        self._root = self._grow(columns.ravel(), encoded, orders)
         self._compiled_cache.clear()
         return self
 
-    def _build(self, matrix: np.ndarray, encoded: np.ndarray, depth: int) -> TreeNode:
-        counts = np.bincount(encoded, minlength=len(self._classes))
-        node = TreeNode(
-            samples=int(encoded.size),
+    def _node(self, counts: np.ndarray) -> TreeNode:
+        """A node (a leaf until it is split) over examples with these class counts."""
+        return TreeNode(
+            samples=int(counts.sum()),
             class_counts={
                 self._classes[i]: int(count) for i, count in enumerate(counts) if count
             },
             label=self._classes[int(np.argmax(counts))],
         )
-        if (
-            depth >= self._max_depth
-            or encoded.size < self._min_samples_split
-            or np.count_nonzero(counts) <= 1
-        ):
-            return node
 
-        split = self._best_split(matrix, encoded, counts)
-        if split is None:
-            return node
-
-        feature_index, threshold = split
-        mask = matrix[:, feature_index] <= threshold
-        node.feature_index = feature_index
-        node.feature_name = self._feature_names[feature_index]
-        node.threshold = threshold
-        node.left = self._build(matrix[mask], encoded[mask], depth + 1)
-        node.right = self._build(matrix[~mask], encoded[~mask], depth + 1)
-        return node
-
-    def _build_presorted(
-        self,
-        matrix: np.ndarray,
-        encoded: np.ndarray,
-        orders: list[np.ndarray],
-        scratch: np.ndarray,
-        depth: int,
+    def _grow(
+        self, flat_values: np.ndarray, encoded: np.ndarray, orders: np.ndarray
     ) -> TreeNode:
-        """Recursive induction over presorted per-feature row orders.
+        """Induce the tree from the root's presorted orders; returns the root.
 
-        ``orders[f]`` lists this node's row ids sorted by feature ``f``
-        (stable, ties by original row position) — exactly the order the
-        legacy path's per-node ``argsort`` would produce, so both paths feed
-        :meth:`_score_feature` identical sequences and grow identical trees.
-        ``matrix``/``encoded`` stay global (never sliced); ``scratch`` is one
-        shared boolean row-mask reused (and reset) by every partition.
+        A work item is ``(node, class counts, orders, features, depth)``:
+        ``orders[s]`` lists the node's row ids sorted by feature
+        ``features[s]``.  Nodes wait on an explicit stack rather than in
+        recursive frames so that a split node's arrays are gone before its
+        children are scored — what waits is only the orders of pending
+        siblings, which partition the training rows between them.
         """
-        rows = orders[0]
-        counts = np.bincount(encoded[rows], minlength=len(self._classes))
-        node = TreeNode(
-            samples=int(rows.size),
-            class_counts={
-                self._classes[i]: int(count) for i, count in enumerate(counts) if count
-            },
-            label=self._classes[int(np.argmax(counts))],
-        )
-        if (
-            depth >= self._max_depth
-            or rows.size < self._min_samples_split
-            or np.count_nonzero(counts) <= 1
-        ):
-            return node
-
-        parent_entropy = _entropy(counts.astype(float))
-        if parent_entropy <= 0.0:
-            return node
-        total = int(rows.size)
-        row_indices = np.arange(total)
-        best: tuple[float, float, int, float] | None = None
-        for feature_index, order in enumerate(orders):
-            candidate = self._score_feature(
-                matrix[order, feature_index],
-                encoded[order],
-                counts,
-                total,
-                parent_entropy,
-                row_indices,
+        counts = np.bincount(encoded, minlength=len(self._classes))
+        root = self._node(counts)
+        in_left = np.zeros(encoded.size, dtype=bool)
+        pending = [(root, counts, orders, np.arange(orders.shape[0]), 0)]
+        while pending:
+            node, counts, orders, features, depth = pending.pop()
+            if (
+                depth >= self._max_depth
+                or node.samples < self._min_samples_split
+                or np.count_nonzero(counts) <= 1
+            ):
+                continue
+            best = self._score_node(flat_values, encoded, orders, features, counts)
+            if best is None:
+                continue
+            slot, position, threshold, left_counts, varying = best
+            right_counts = counts - left_counts
+            node.feature_index = int(features[slot])
+            node.feature_name = self._feature_names[node.feature_index]
+            node.threshold = threshold
+            node.left = self._node(left_counts)
+            node.right = self._node(right_counts)
+            left_orders, right_orders, features = _partition(
+                orders, features, varying, slot, position, in_left
             )
-            if candidate is not None:
-                scored = (candidate[0], candidate[1], feature_index, candidate[2])
-                if best is None or scored[:2] > best[:2]:
-                    best = scored
-        if best is None:
-            return node
-        feature_index, threshold = best[2], best[3]
+            pending.append((node.right, right_counts, right_orders, features, depth + 1))
+            pending.append((node.left, left_counts, left_orders, features, depth + 1))
+        return root
 
-        # Partition every feature's order by the chosen split with one boolean
-        # gather per feature — the presort's whole point: no re-sorting.  The
-        # split feature's order is already sorted by value, so its left side
-        # is a prefix.
-        split_order = orders[feature_index]
-        boundary = int(
-            np.searchsorted(matrix[split_order, feature_index], threshold, side="right")
-        )
-        left_rows = split_order[:boundary]
-        scratch[left_rows] = True
-        left_orders = []
-        right_orders = []
-        for order in orders:
-            goes_left = scratch[order]
-            left_orders.append(order[goes_left])
-            right_orders.append(order[~goes_left])
-        scratch[left_rows] = False
-
-        node.feature_index = feature_index
-        node.feature_name = self._feature_names[feature_index]
-        node.threshold = threshold
-        node.left = self._build_presorted(matrix, encoded, left_orders, scratch, depth + 1)
-        node.right = self._build_presorted(matrix, encoded, right_orders, scratch, depth + 1)
-        return node
-
-    def _best_split(
-        self, matrix: np.ndarray, encoded: np.ndarray, counts: np.ndarray
-    ) -> tuple[int, float] | None:
-        parent_entropy = _entropy(counts.astype(float))
-        if parent_entropy <= 0.0:
-            return None
-        total = encoded.size
-        row_indices = np.arange(total)
-        best: tuple[float, float, int, float] | None = None  # (gain_ratio, gain, feat, thr)
-
-        for feature_index in range(matrix.shape[1]):
-            column = matrix[:, feature_index]
-            order = np.argsort(column, kind="stable")
-            candidate = self._score_feature(
-                column[order], encoded[order], counts, total, parent_entropy, row_indices
-            )
-            if candidate is not None:
-                scored = (candidate[0], candidate[1], feature_index, candidate[2])
-                if best is None or scored[:2] > best[:2]:
-                    best = scored
-
-        if best is None:
-            return None
-        return best[2], best[3]
-
-    def _score_feature(
+    def _score_node(
         self,
-        sorted_values: np.ndarray,
-        sorted_labels: np.ndarray,
+        flat_values: np.ndarray,
+        encoded: np.ndarray,
+        orders: np.ndarray,
+        features: np.ndarray,
         counts: np.ndarray,
-        total: int,
-        parent_entropy: float,
-        row_indices: np.ndarray,
-    ) -> tuple[float, float, float] | None:
-        """Best ``(gain_ratio, gain, threshold)`` of one pre-sorted feature.
+    ) -> tuple[int, int, float, np.ndarray, np.ndarray] | None:
+        """The best split of one node, scored in one pass over all its features.
 
-        Shared by the legacy per-node-argsort path and the presorted path so
-        the two cannot drift: both hand over the identical (values, labels)
-        sequence and therefore score the identical candidate boundaries.
+        Returns ``(slot, position, threshold, left class counts, varying)``:
+        the split is on feature ``features[slot]`` and sends the first
+        ``position + 1`` rows of ``orders[slot]`` left; ``varying[s]`` is
+        false for a feature that is constant in this node (hence in its whole
+        subtree).  ``None`` when no admissible candidate gains more than
+        ``min_gain``.
+
+        Candidates are the boundaries between distinct adjacent values of
+        each feature, listed in (feature, position) order; a feature with
+        more than ``_MAX_THRESHOLDS`` of them keeps an even subsample.  The
+        class counts on either side of a candidate are integers, and every
+        float derived from them is the elementwise expression a scorer taking
+        one feature at a time evaluates on those integers, so scoring all
+        features at once changes no gain, ratio or threshold.  The winner is
+        the first candidate with the lexicographically largest (gain ratio,
+        gain) — the one a feature-by-feature loop that keeps strict
+        improvements arrives at.
         """
-        n_classes = len(self._classes)
+        n_slots, total = orders.shape
+        n_classes = counts.size
         min_leaf = self._min_samples_leaf
 
-        # Candidate split positions: boundaries between distinct values.
-        boundaries = np.nonzero(np.diff(sorted_values) > 0)[0]
-        if boundaries.size == 0:
-            return None
-        if boundaries.size > _MAX_THRESHOLDS:
-            step = boundaries.size / _MAX_THRESHOLDS
-            picks = (np.arange(_MAX_THRESHOLDS) * step).astype(int)
-            boundaries = boundaries[picks]
+        sorted_values = flat_values[(features * encoded.size)[:, None] + orders]
+        slot_of, position = np.nonzero(np.diff(sorted_values, axis=1) > 0)
+        per_slot = np.bincount(slot_of, minlength=n_slots)
+        if per_slot.max(initial=0) > _MAX_THRESHOLDS:
+            keep = np.ones(slot_of.size, dtype=bool)
+            starts = np.cumsum(per_slot) - per_slot
+            for crowded in np.nonzero(per_slot > _MAX_THRESHOLDS)[0]:
+                start, size = int(starts[crowded]), int(per_slot[crowded])
+                step = size / _MAX_THRESHOLDS
+                picks = (np.arange(_MAX_THRESHOLDS) * step).astype(int)
+                keep[start : start + size] = False
+                keep[start + picks] = True
+            slot_of, position = slot_of[keep], position[keep]
 
-        left_sizes = boundaries + 1
-        right_sizes = total - left_sizes
-        admissible = (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
+        left_sizes = position + 1
+        admissible = (left_sizes >= min_leaf) & (total - left_sizes >= min_leaf)
         if not admissible.any():
             return None
-        boundaries = boundaries[admissible]
+        slot_of = slot_of[admissible]
+        position = position[admissible]
         left_sizes = left_sizes[admissible]
-        right_sizes = right_sizes[admissible]
+        right_sizes = total - left_sizes
 
-        # Per-boundary class counts via a segmented bincount: bucket k holds
-        # the rows between boundaries k-1 and k, so a cumulative sum over
-        # the (num_boundaries, num_classes) bucket matrix yields every
-        # boundary's left-side counts without materialising an
-        # (examples, classes) one-hot prefix per feature.
-        num_boundaries = boundaries.size
-        segments = np.searchsorted(boundaries, row_indices, side="left")
+        # Left-side class counts of every candidate via one segmented
+        # bincount over the features laid end to end: bucket k holds the
+        # rows after candidate k-1 up to and including candidate k, so the
+        # running sum at k counts everything up to it — ``slot_of[k]`` whole
+        # features, each adding up to the node's ``counts``, plus the left
+        # side of its own.  No (features, rows, classes) one-hot is built.
+        num_candidates = slot_of.size
+        marks = np.zeros(n_slots * total, dtype=np.intp)
+        marks[slot_of * total + left_sizes] = 1
         buckets = np.bincount(
-            segments * n_classes + sorted_labels,
-            minlength=(num_boundaries + 1) * n_classes,
-        ).reshape(num_boundaries + 1, n_classes)
-        left_counts = np.cumsum(buckets[:num_boundaries], axis=0)
-        right_counts = counts - left_counts
-        gains = parent_entropy - (
-            left_sizes / total * _entropy_rows(left_counts, left_sizes.astype(float))
-            + right_sizes
-            / total
-            * _entropy_rows(right_counts, right_sizes.astype(float))
+            np.cumsum(marks) * n_classes + encoded[orders].ravel(),
+            minlength=(num_candidates + 1) * n_classes,
+        ).reshape(num_candidates + 1, n_classes)
+        left_counts = (
+            np.cumsum(buckets[:num_candidates], axis=0) - slot_of[:, None] * counts
         )
-        useful = gains > self._min_gain
-        if not useful.any():
+        right_counts = counts - left_counts
+
+        gains = _entropy(counts.astype(float)) - (
+            left_sizes / total * _entropy_rows(left_counts, left_sizes.astype(float))
+            + right_sizes / total * _entropy_rows(right_counts, right_sizes.astype(float))
+        )
+        useful = np.nonzero(gains > self._min_gain)[0]
+        if useful.size == 0:
             return None
-        boundaries = boundaries[useful]
         gains = gains[useful]
         left_fraction = left_sizes[useful] / total
         right_fraction = right_sizes[useful] / total
@@ -541,15 +523,12 @@ class DecisionTreeClassifier:
             + right_fraction * np.log2(right_fraction)
         )
         gain_ratios = gains / split_info
-
-        # First boundary with the lexicographically largest (ratio, gain),
-        # matching the sequential loop's strict-improvement order.
         top = np.nonzero(gain_ratios == gain_ratios.max())[0]
-        pick = top[int(np.argmax(gains[top]))]
-        boundary = int(boundaries[pick])
+        pick = useful[top[int(np.argmax(gains[top]))]]
+        slot, boundary = int(slot_of[pick]), int(position[pick])
 
-        left_value = float(sorted_values[boundary])
-        right_value = float(sorted_values[boundary + 1])
+        left_value = float(sorted_values[slot, boundary])
+        right_value = float(sorted_values[slot, boundary + 1])
         threshold = (left_value + right_value) / 2.0
         if not (left_value <= threshold < right_value):
             # The midpoint of adjacent distinct values can collapse onto the
@@ -559,7 +538,7 @@ class DecisionTreeClassifier:
             # left value on the left and the right value on the right, and
             # the left value itself always satisfies that.
             threshold = left_value
-        return (float(gain_ratios[pick]), float(gains[pick]), threshold)
+        return slot, boundary, threshold, left_counts[pick].copy(), per_slot > 0
 
     # -- prediction ----------------------------------------------------------------
 

@@ -569,10 +569,4 @@ class ModelGenerator:
             max_depth=self._config.max_depth,
             min_samples_leaf=self._config.min_samples_leaf,
         )
-        feature_names = training_set.feature_names
-        # Presorted fitting is bit-identical to the per-node-argsort path
-        # (shared split scoring); REPRO_SLOW_PATH=1 keeps the legacy path as
-        # the reference, mirroring the inference escape hatch.
-        return tree.fit(
-            matrix, labels, feature_names, presort=not slow_path_enabled()
-        )
+        return tree.fit(matrix, labels, training_set.feature_names)

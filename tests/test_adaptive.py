@@ -107,6 +107,19 @@ def test_adaptive_requires_stored_workloads(model_generator, trained_max):
         AdaptiveModeler(model_generator, stripped)
 
 
+def test_fresh_and_retrained_results_split_search_from_fit_time(
+    model_generator, trained_max, small_templates
+):
+    """A retrain fits a tree too: its cost must not be booked as search time."""
+    modeler = AdaptiveModeler(model_generator, trained_max)
+    retrained, report = modeler.retrain(trained_max.goal.tightened(0.3, small_templates))
+    for result in (trained_max, retrained):
+        assert result.fit_time > 0.0
+        assert result.search_time > 0.0
+        assert result.search_time + result.fit_time <= result.training_time
+    assert retrained.training_time == report.retraining_time
+
+
 def test_derive_model_shortcut(model_generator, trained_max, small_templates):
     modeler = AdaptiveModeler(model_generator, trained_max)
     model = modeler.derive_model(trained_max.goal.tightened(0.2, small_templates))
