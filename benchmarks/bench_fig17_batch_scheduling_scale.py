@@ -20,6 +20,15 @@ timed per batch:
 The shape to check on both is linear growth with the batch size — per-query
 time roughly constant — and independence from the number of VMs the schedule
 ends up renting.
+
+A second series checks the other axis the O(h) parse must not depend on: the
+length of the queue on the most recent VM.  A trained model under a goal
+rents a new VM every few queries, so the series above never builds a long
+queue; a hand-built tree that tests ``proportion-of-X`` and always assigns,
+with the penalty guard off, stacks a one-template batch of 1,000 / 4,000 /
+16,000 queries on a single VM.  Generation per query must stay flat there
+too — it grew 11x while every decision recounted (and every placement
+re-copied) the whole queue.
 """
 
 from __future__ import annotations
@@ -27,10 +36,16 @@ from __future__ import annotations
 import time
 
 from repro.evaluation.harness import format_table, uniform_workloads
+from repro.learning.decision_tree import DecisionTreeClassifier
+from repro.learning.features import FeatureExtractor, proportion_feature
+from repro.learning.model import DecisionModel
 from repro.runtime.batch import BatchScheduler
+from repro.workloads.workload import Workload
 
 #: Small batch the large ones are compared with (per-query whole-call time).
 REFERENCE_SIZE = 1_000
+#: One-template batch sizes of the long-queue series (all on one VM).
+LONG_QUEUE_SIZES = (1_000, 4_000, 16_000)
 #: Each batch is scheduled this many times and the fastest run reported:
 #: the box's cores change speed under a run, and the claim is about shape.
 REPEATS = 3
@@ -77,3 +92,64 @@ def test_fig17_batch_scheduling_scalability(benchmark, environments, scale):
     assert max(generation) <= 5.0 * min(generation)
     whole_call = [row["whole call per query (us)"] for row in rows]
     assert max(whole_call[1:]) <= 1.5 * whole_call[0], whole_call
+
+
+def _always_assign_model(environment) -> DecisionModel:
+    """``proportion_of[X] <= 2.0`` → ``assign:X`` either way, penalty guard off."""
+    name = environment.templates.names[0]
+    leaf = {"samples": 1, "class_counts": {f"assign:{name}": 1}, "label": f"assign:{name}"}
+    tree = DecisionTreeClassifier.from_dict(
+        {
+            "max_depth": 1,
+            "min_samples_leaf": 1,
+            "min_samples_split": 2,
+            "min_gain": 0.0,
+            "feature_names": [proportion_feature(name)],
+            "classes": [leaf["label"]],
+            "root": {**leaf, "feature_index": 0, "threshold": 2.0, "left": leaf, "right": leaf},
+        }
+    )
+    return DecisionModel(
+        tree=tree,
+        extractor=FeatureExtractor(environment.templates, environment.vm_types),
+        templates=environment.templates,
+        vm_types=environment.vm_types,
+        goal=environment.goal,
+        latency_model=environment.latency_model,
+        penalty_guard=False,
+    )
+
+
+def _run_long_queue(environments):
+    environment = environments["max"]
+    scheduler = BatchScheduler(_always_assign_model(environment))
+    name = environment.templates.names[0]
+    rows = []
+    for size in LONG_QUEUE_SIZES:
+        workload = Workload.from_counts(environment.templates, {name: size})
+        generation = float("inf")
+        for _ in range(REPEATS):
+            outcome = scheduler.run(workload)
+            generation = min(generation, outcome.overhead.wall_time_seconds)
+            vms_rented = outcome.num_vms()
+            del outcome
+        rows.append(
+            {
+                "queue length": size,
+                "generation (s)": round(generation, 3),
+                "generation per query (us)": round(generation / size * 1e6, 2),
+                "VMs rented": vms_rented,
+            }
+        )
+    return rows
+
+
+def test_fig17_long_queue_generation_is_linear(benchmark, environments):
+    rows = benchmark.pedantic(_run_long_queue, args=(environments,), rounds=1, iterations=1)
+    print(
+        "\nFigure 17, queue-length axis — schedule generation when the whole "
+        "batch lands on one VM\n" + format_table(rows, list(rows[0]))
+    )
+    assert [row["VMs rented"] for row in rows] == [1] * len(rows)
+    generation = [row["generation per query (us)"] for row in rows]
+    assert generation[-1] <= 2.0 * generation[0], generation

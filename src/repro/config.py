@@ -33,8 +33,8 @@ SLOW_PATH_ENV = "REPRO_SLOW_PATH"
 def slow_path_enabled() -> bool:
     """True when ``REPRO_SLOW_PATH`` requests the legacy inference path.
 
-    The vectorized fast path (preallocated numpy feature rows, the compiled
-    decision-tree evaluator, and epoch-batched online scheduling) is
+    The fast path (a walk of the compiled decision tree that computes only
+    the features it tests, and epoch-batched online scheduling) is
     bit-identical to the legacy path — the golden-scenario suite asserts the
     digests match both ways — so this escape hatch exists for debugging and
     for the equivalence tests, not for correctness.  Checked at call time so

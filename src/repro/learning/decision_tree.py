@@ -262,6 +262,22 @@ class CompiledTreeEvaluator:
         evaluator._leaf_list = leaf_label
         return evaluator
 
+    def scalar_arrays(self):
+        """``(feature, threshold, left, right, leaf label)`` as :meth:`predict_row` indexes them.
+
+        For a caller that walks the tree itself and computes a row entry only
+        when a node tests it (:meth:`~repro.learning.model.DecisionModel.decide`).
+        Plain lists when compiled here, the adopted arrays after
+        :meth:`from_arrays`.
+        """
+        return (
+            self._feature_list,
+            self._threshold_list,
+            self._left_list,
+            self._right_list,
+            self._leaf_list,
+        )
+
     def predict_row(self, row) -> str:
         """Label for one feature row in this evaluator's column order."""
         features = self._feature_list

@@ -14,9 +14,18 @@ workloads are huge) and cheap to compute:
   this vertex (Equation 2), i.e. execution cost plus any penalty incurred;
 * ``have-X`` — whether at least one query of template ``X`` is still unassigned.
 
-The same extractor is used during training (on A* vertices) and at runtime (on
-the scheduler's current state), which guarantees that the model sees an
-identical representation in both phases.
+The same definitions serve training (on A* vertices) and runtime (on the
+scheduler's current state), which guarantees that the model sees an identical
+representation in both phases — but not the same amount of work.  Training
+needs every column of every vertex: ``collect_examples`` fills its matrix
+through :meth:`FeatureExtractor.matrix`, which is the one caller of
+:meth:`FeatureExtractor.extract_into` left in the program.  A runtime decision
+reads only the columns on its tree path, so
+:meth:`~repro.learning.model.DecisionModel.decide` evaluates those — the same
+expressions, looked up through :attr:`FeatureExtractor.column_layout` — and
+``extract_into`` is the oracle its walk is tested against
+(``tests/test_vectorized_equivalence.py``); :meth:`FeatureExtractor.extract`
+remains the ``REPRO_SLOW_PATH=1`` reference.
 """
 
 from __future__ import annotations
@@ -141,10 +150,15 @@ class FeatureExtractor:
             else {}
         )
         self._template_names: tuple[str, ...] = self._templates.names
-        # Cost-row provider of the problem most recently extracted against,
-        # resolved once per problem object instead of via getattr per vertex.
-        self._last_problem: object | None = None
-        self._last_cost_row = None
+        # Per-column lookup for a decision, which computes a column only when
+        # a tree node tests it: the family's position in FEATURE_FAMILIES and
+        # the template's name and position.
+        codes = [FEATURE_FAMILIES.index(family) for family in per_template]
+        self._column_layout: tuple[list[int], list[str], list[int]] = (
+            [FEATURE_FAMILIES.index("wait_time")] * base + codes * num_templates,
+            [""] * base + [name for name in self._template_names for _ in codes],
+            [-1] * base + [j for j in range(num_templates) for _ in codes],
+        )
 
     def _build_feature_names(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -176,12 +190,27 @@ class FeatureExtractor:
         """The template universe the per-template features are defined over."""
         return self._templates
 
+    @property
+    def column_layout(self) -> tuple[list[int], list[str], list[int]]:
+        """Per column: family (index into ``FEATURE_FAMILIES``), template name, template index.
+
+        What :meth:`~repro.learning.model.DecisionModel.decide` needs to
+        compute one column on demand (``wait_time`` has no template: ``""``
+        and ``-1``).
+        """
+        return self._column_layout
+
+    @property
+    def supports_rows(self) -> dict[str, tuple[float, ...]]:
+        """VM type name -> the ``supports-X`` values of that type, by template index."""
+        return self._supports_rows
+
     def extract(self, node: SearchNode, problem: SchedulingProblem) -> dict[str, float]:
         """The feature vector of *node* within *problem* (name → value).
 
         This is the dict-returning compatibility path (and the reference
-        implementation the ``REPRO_SLOW_PATH=1`` escape hatch forces); the hot
-        paths write preallocated numpy rows via :meth:`extract_into` /
+        implementation the ``REPRO_SLOW_PATH=1`` escape hatch forces); training
+        writes preallocated numpy rows via :meth:`extract_into` /
         :meth:`matrix` instead, and the equivalence tests assert the two
         implementations agree feature-for-feature, bit-for-bit.
 
@@ -237,8 +266,7 @@ class FeatureExtractor:
 
         *out_row* is any preallocated mutable row of ``len(feature_names)``
         entries — a numpy float64 row (the :meth:`matrix` path) or a plain
-        list (the per-decision hot loop, where scalar list stores beat numpy
-        item assignment at WiSeDB's feature-vector sizes).  Every enabled
+        list.  Every enabled
         column is overwritten, so the buffer needs no zeroing between calls.
         The values are bit-identical to :meth:`extract`'s — same arithmetic,
         same order — but no per-vertex dict is built.  Returns *out_row*.
@@ -278,12 +306,7 @@ class FeatureExtractor:
 
         cost_columns = self._cost_columns
         if cost_columns is not None:
-            if problem is self._last_problem:
-                cost_row = self._last_cost_row
-            else:
-                cost_row = getattr(problem, "placement_cost_row", None)
-                self._last_problem = problem
-                self._last_cost_row = cost_row
+            cost_row = getattr(problem, "placement_cost_row", None)
             if cost_row is not None:
                 costs = cost_row(node, names)
             else:
@@ -306,8 +329,7 @@ class FeatureExtractor:
         """A ``(len(nodes), len(feature_names))`` feature matrix for *nodes*.
 
         Rows are written in place by :meth:`extract_into`; used by
-        ``collect_examples`` when assembling training sets and by the runtime
-        schedulers when batching decisions.
+        ``collect_examples`` when assembling training sets.
         """
         out = np.zeros((len(nodes), len(self._feature_names)), dtype=float)
         for index, node in enumerate(nodes):

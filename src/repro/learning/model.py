@@ -8,9 +8,16 @@ some template on the most recently provisioned VM, or to provision a new VM.
 
 The runtime scheduler re-uses the exact search machinery
 (:class:`~repro.search.problem.SchedulingProblem` /
-:class:`~repro.search.problem.SearchNode`) that training used, so the feature
-values the model sees at runtime are computed by the same code that produced
-its training set.
+:class:`~repro.search.problem.SearchNode`) that training used, and a feature
+the model tests at runtime is the expression that filled that column of its
+training set.  Training needs every column of every vertex
+(:meth:`FeatureExtractor.matrix <repro.learning.features.FeatureExtractor.matrix>`);
+one decision does not: :meth:`DecisionModel.decide` walks the compiled tree
+and computes a feature only when a node on the path tests it — a lookup for
+``wait-time`` / ``supports-X`` / ``have-X``, a count over a length for
+``proportion-of-X``, one Equation-2 evaluation for ``cost-of-X`` — so a parse
+costs O(tree height), as Section 6.2 prices it, instead of O(templates).  The
+full row stays as the oracle the walk is tested against.
 
 Because the decision tree is a statistical model, it can occasionally emit an
 action that is invalid in the current state (e.g. "place a query of T3" when
@@ -37,7 +44,7 @@ from repro.cloud.vm import VMType, VMTypeCatalog
 from repro.config import slow_path_enabled
 from repro.exceptions import ModelError
 from repro.learning.decision_tree import DecisionTreeClassifier
-from repro.learning.features import FeatureExtractor, cost_feature
+from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
 from repro.search.actions import Action, PlaceQuery, ProvisionVM, action_from_label
 from repro.search.problem import SchedulingProblem, SearchNode
 from repro.sla.base import PerformanceGoal
@@ -46,7 +53,14 @@ from repro.workloads.templates import TemplateSet
 
 @dataclass
 class DecisionStats:
-    """Counters describing how a model has been used since the last reset."""
+    """Counters describing how a model has been used since the last reset.
+
+    One object per model, and a registry hands identically specified tenants
+    the same model: the counters then count every such tenant's decisions,
+    and the per-run deltas a scheduler reports (fallbacks, guard activations)
+    mix when those tenants run at the same time.  No schedule or cost reads
+    them.
+    """
 
     decisions: int = 0
     fallbacks: int = 0
@@ -89,6 +103,14 @@ class ModelMetadata:
         return cls(**dict(data))
 
 
+_INF = float("inf")
+#: Family codes in the extractor's ``column_layout`` (``wait_time`` is the rest).
+_PROPORTION_OF, _SUPPORTS, _COST_OF, _HAVE = (
+    FEATURE_FAMILIES.index(family)
+    for family in ("proportion_of", "supports", "cost_of", "have")
+)
+
+
 class DecisionModel:
     """A trained workload-management strategy."""
 
@@ -112,42 +134,15 @@ class DecisionModel:
         self._metadata = metadata or ModelMetadata(goal_kind=goal.kind)
         self._penalty_guard = penalty_guard
         self.stats = DecisionStats()
-        #: Lazily built compiled evaluator + reusable feature-row buffer for
-        #: the vectorized inference fast path (see :meth:`decide`).  The row
-        #: buffer is a plain list: scalar list stores beat numpy item
-        #: assignment at WiSeDB's feature-vector sizes, and the compiled
-        #: evaluator indexes either representation.
+        #: Lazily built compiled evaluator :meth:`decide` walks.
         self._evaluator = None
-        self._row_buffer: list[float] | None = None
         #: raw tree label -> parsed Action (or None for unparseable labels).
         self._action_cache: dict[str, Action | None] = {}
         #: template name -> cheapest supporting VM type (catalogue and latency
         #: model are immutable, so the answer never changes per model).
         self._preferred_vm_cache: dict[str, VMType] = {}
-        #: (vm type name, template name) -> execution cost (running cost x
-        #: latency), memoized for the penalty guard's hot path.
-        self._execution_cost_cache: dict[tuple[str, str], float] = {}
         #: vm type name -> per-template runtime tables (see :meth:`vm_tables`).
-        self._vm_tables: dict[
-            str,
-            tuple[
-                tuple[str, ...],
-                list[bool],
-                list[float],
-                list[float],
-                bool,
-                dict[str, float],
-            ],
-        ] = {}
-        #: template name -> cost-of-X column in the extractor's row layout
-        #: (lets the guard reuse the Equation-2 cost already computed during
-        #: feature extraction instead of re-deriving it per guarded placement).
-        column_of = {name: index for index, name in enumerate(extractor.feature_names)}
-        self._cost_column_of: dict[str, int] = {
-            template: column_of[cost_feature(template)]
-            for template in templates.names
-            if cost_feature(template) in column_of
-        }
+        self._vm_tables: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
 
     # -- accessors -------------------------------------------------------------
 
@@ -339,14 +334,6 @@ class DecisionModel:
             )
         self._evaluator = evaluator
 
-    def _inference_row(self) -> list[float]:
-        """The model's reusable (single-threaded) feature-row buffer."""
-        row = self._row_buffer
-        if row is None:
-            row = [0.0] * len(self._extractor.feature_names)
-            self._row_buffer = row
-        return row
-
     def predict_row(self, row: np.ndarray) -> str:
         """The raw label for one feature row in the extractor's column order."""
         return self._compiled_evaluator().predict_row(row)
@@ -365,23 +352,26 @@ class DecisionModel:
     ) -> Action:
         """The model's (validated) action for the scheduling state *node*.
 
-        The decision itself runs on the vectorized fast path — the feature
-        vector is written into a preallocated row and classified by the
-        compiled tree evaluator — unless ``REPRO_SLOW_PATH=1`` forces the
-        legacy dict-extraction / node-walk path.  Both paths produce identical
-        labels (asserted by the golden-scenario and equivalence suites).
-        *slow_path* lets a scheduler resolve the environment check once per
-        run instead of once per decision; ``None`` consults the environment.
+        One parse costs O(tree height) (Section 6.2): :meth:`_walk` descends
+        the compiled tree and computes a feature only when a node tests it,
+        unless ``REPRO_SLOW_PATH=1`` forces the legacy dict-extraction /
+        node-walk path.  Both paths produce identical labels (asserted by the
+        golden-scenario and equivalence suites).  *slow_path* lets a scheduler
+        resolve the environment check once per run instead of once per
+        decision; ``None`` consults the environment.
+
+        A decision keeps its working values local to the call — tenants that
+        share this model object may decide at the same time — and shares only
+        the :attr:`stats` counters (see :class:`DecisionStats`).
         """
         if slow_path is None:
             slow_path = slow_path_enabled()
         if slow_path:
             features = self._extractor.extract(node, problem)
             raw_label = self._tree.predict(features)
-            row = None
+            costs = None
         else:
-            row = self._extractor.extract_into(node, problem, self._inference_row())
-            raw_label = self._compiled_evaluator().predict_row(row)
+            raw_label, costs = self._walk(node, problem)
         try:
             action = self._action_cache[raw_label]
         except KeyError:
@@ -390,15 +380,69 @@ class DecisionModel:
             except ValueError:
                 action = None
             self._action_cache[raw_label] = action
-        validated = self._validate(action, node, problem, row)
+        validated = self._validate(action, node, problem, costs)
         self.stats.decisions += 1
-        if action is None or validated != action:
+        if validated is not action and validated != action:
             self.stats.fallbacks += 1
         if isinstance(validated, ProvisionVM):
             self.stats.provision_decisions += 1
         else:
             self.stats.placement_decisions += 1
         return validated
+
+    def _walk(
+        self, node: SearchNode, problem: SchedulingProblem
+    ) -> tuple[str, dict[str, float]]:
+        """Raw label for *node*, computing a feature only when the path tests it.
+
+        Each value is the expression
+        :meth:`~repro.learning.features.FeatureExtractor.extract_into` writes
+        into that column, so the label equals
+        ``predict_row(extract_into(...))`` (the equivalence suite holds the
+        two against each other).  Also returns the Equation-2 edge costs the
+        path asked for, by template, for the penalty guard to reuse.
+        """
+        evaluator = self._evaluator
+        if evaluator is None:
+            evaluator = self._compiled_evaluator()
+        features, thresholds, lefts, rights, leaves = evaluator.scalar_arrays()
+        families, names, positions = self._extractor.column_layout
+        state = node.state
+        last = state.last_vm()
+        present = state.remaining_name_set()
+        costs: dict[str, float] = {}
+        index = 0
+        column = features[0]
+        while column >= 0:
+            family = families[column]
+            if family == _HAVE:
+                value = 1.0 if names[column] in present else 0.0
+            elif family == _SUPPORTS:
+                value = (
+                    self._extractor.supports_rows[last[0]][positions[column]]
+                    if last is not None
+                    else 0.0
+                )
+            elif family == _COST_OF:
+                name = names[column]
+                value = costs.get(name)
+                if value is None:
+                    value = costs[name] = problem.placement_edge_cost(node, name)
+                if value == _INF:
+                    value = INFEASIBLE_COST
+            elif family == _PROPORTION_OF:
+                if last is not None and last[1]:
+                    value = state.last_queue_counts().get(names[column], 0) / len(last[1])
+                else:
+                    value = 0.0
+            else:
+                value = node.last_vm_finish
+            if value <= thresholds[index]:
+                index = lefts[index]
+            else:
+                index = rights[index]
+            column = features[index]
+        return evaluator.labels[leaves[index]], costs
 
     # -- validation and fallbacks -----------------------------------------------------
 
@@ -407,7 +451,7 @@ class DecisionModel:
         action: Action | None,
         node: SearchNode,
         problem: SchedulingProblem,
-        row=None,
+        costs: dict[str, float] | None = None,
     ) -> Action:
         state = node.state
         if not state.remaining:
@@ -431,12 +475,12 @@ class DecisionModel:
             if state.has_remaining(action.template_name) and vm_type.supports(
                 action.template_name
             ):
-                return self._apply_penalty_guard(action, node, problem, row)
+                return self._apply_penalty_guard(action, node, problem, costs)
             fallback = self._fallback_placement(
                 node, problem, preferred=action.template_name
             )
             if isinstance(fallback, PlaceQuery):
-                return self._apply_penalty_guard(fallback, node, problem, row)
+                return self._apply_penalty_guard(fallback, node, problem, costs)
             return fallback
 
         # Unparseable label: place something sensible, or provision if we must.
@@ -444,72 +488,36 @@ class DecisionModel:
             return ProvisionVM(self._vm_types.default.name)
         return self._fallback_placement(node, problem)
 
-    def vm_tables(
-        self, vm_type_name: str, template_names: tuple[str, ...]
-    ) -> tuple[
-        tuple[str, ...],
-        list[bool],
-        list[float],
-        list[float],
-        bool,
-        dict[str, float],
-    ]:
+    def vm_tables(self, vm_type_name: str) -> tuple[dict[str, float], dict[str, float]]:
         """Per-template runtime tables of one VM type, resolved once per model.
 
-        ``(template names, supports flags, execution times, execution costs,
-        all-supported flag, execution time by name)``.  The catalogue and
-        latency model never change under a model, so the schedulers share
-        these across scheduling runs — the online scheduler in particular
-        stops re-deriving them for every arrival epoch's batch pass.
+        ``(execution time, execution cost)`` by template name, holding the
+        templates the type supports.  The catalogue and latency model never
+        change under a model, so the schedulers share these across scheduling
+        runs — the online scheduler in particular stops re-deriving them for
+        every arrival epoch's batch pass.
         """
         tables = self._vm_tables.get(vm_type_name)
-        if tables is None or (
-            tables[0] is not template_names and tables[0] != tuple(template_names)
-        ):
+        if tables is None:
             vm_type = self._vm_types[vm_type_name]
-            supports: list[bool] = []
-            execution_times: list[float] = []
-            execution_costs: list[float] = []
-            time_of: dict[str, float] = {}
-            for name in template_names:
-                if vm_type.supports(name):
-                    execution_time = self._latency_model.latency(name, vm_type)
-                    supports.append(True)
-                    execution_times.append(execution_time)
-                    execution_costs.append(vm_type.running_cost * execution_time)
-                    time_of[name] = execution_time
-                else:
-                    supports.append(False)
-                    execution_times.append(float("inf"))
-                    execution_costs.append(float("inf"))
-            tables = (
-                tuple(template_names),
-                supports,
-                execution_times,
-                execution_costs,
-                all(supports),
-                time_of,
-            )
-            self._vm_tables[vm_type_name] = tables
+            time_of = {
+                name: self._latency_model.latency(name, vm_type)
+                for name in self._templates.names
+                if vm_type.supports(name)
+            }
+            cost_of = {
+                name: vm_type.running_cost * execution_time
+                for name, execution_time in time_of.items()
+            }
+            tables = self._vm_tables[vm_type_name] = (time_of, cost_of)
         return tables
-
-    def _execution_cost(self, vm_type: VMType, template_name: str) -> float:
-        """Memoized ``running_cost x latency`` of one placement."""
-        key = (vm_type.name, template_name)
-        cached = self._execution_cost_cache.get(key)
-        if cached is None:
-            cached = vm_type.running_cost * self._latency_model.latency(
-                template_name, vm_type
-            )
-            self._execution_cost_cache[key] = cached
-        return cached
 
     def _apply_penalty_guard(
         self,
         action: PlaceQuery,
         node: SearchNode,
         problem: SchedulingProblem,
-        row=None,
+        costs: dict[str, float] | None = None,
     ) -> Action:
         """Swap a clearly loss-making placement for a provisioning action.
 
@@ -520,11 +528,9 @@ class DecisionModel:
         training corpus covers only sparsely; it can be disabled via
         :meth:`with_penalty_guard` and is ablated in the benchmark suite.
 
-        On the fast path *row* carries the feature vector just extracted, so
-        the placement's Equation-2 cost is read back from its ``cost-of-X``
-        column instead of being re-derived (the guard is only reached for
-        feasible placements, whose cost is finite and therefore identical in
-        the row and in :meth:`~repro.search.problem.SchedulingProblem.placement_edge_cost`).
+        *costs* carries the Equation-2 edge costs :meth:`_walk` computed for
+        this vertex; the placement's is read back from it when the tree path
+        tested that ``cost-of-X`` column and derived once otherwise.
         """
         if not self._penalty_guard:
             return action
@@ -532,17 +538,12 @@ class DecisionModel:
         if last is None or not last[1]:
             # Provisioning is not allowed on top of an empty VM; keep placing.
             return action
-        vm_type = self._vm_types[last[0]]
-        execution_cost = self._execution_cost(vm_type, action.template_name)
-        cost_column = (
-            self._cost_column_of.get(action.template_name) if row is not None else None
-        )
-        if cost_column is not None:
-            edge_cost = row[cost_column]
-        else:
-            edge_cost = problem.placement_edge_cost(node, action.template_name)
-        penalty_part = edge_cost - execution_cost
-        replacement_vm = self._preferred_vm_type(action.template_name)
+        name = action.template_name
+        edge_cost = costs.get(name) if costs else None
+        if edge_cost is None:
+            edge_cost = problem.placement_edge_cost(node, name)
+        penalty_part = edge_cost - self.vm_tables(last[0])[1][name]
+        replacement_vm = self._preferred_vm_type(name)
         if penalty_part > replacement_vm.startup_cost:
             self.stats.guard_activations += 1
             return ProvisionVM(replacement_vm.name)

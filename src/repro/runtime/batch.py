@@ -6,12 +6,20 @@ the most recent VM" or "provision a new VM of type Y".  The loop ends when all
 queries are assigned, so at most ``2n`` parses are needed and scheduling runs
 in ``O(h · n)`` for a tree of height ``h`` (Section 7.4 / Figure 17).
 
-Two details keep large batches fast and faithful:
+Three details keep large batches fast and faithful:
 
-* feature values are produced by the same :class:`~repro.learning.features.FeatureExtractor`
-  used at training time, but the marginal-penalty part of ``cost-of-X`` is
-  computed with the incremental accumulators of :mod:`repro.sla.accumulators`
-  instead of rescanning all previously placed queries;
+* a parse computes only the features its tree path tests
+  (:meth:`~repro.learning.model.DecisionModel.decide`), each by the expression
+  the training-time :class:`~repro.learning.features.FeatureExtractor` uses
+  for that column; the marginal-penalty part of ``cost-of-X`` comes from the
+  incremental accumulators of :mod:`repro.sla.accumulators` instead of a
+  rescan of all previously placed queries;
+* everything a parse can ask of the vertex is a running value updated per
+  action — unassigned queries per template, the most recent VM's queue and
+  its per-template counts — so nothing is rebuilt per decision and a parse
+  costs O(h) whatever the batch size, the number of VMs or the length of the
+  queue (``benchmarks/bench_fig17_batch_scheduling_scale.py`` asserts both
+  axes);
 * queries whose template is not part of the model's specification are treated
   as instances of the template with the closest expected latency, exactly as
   Section 6.2 prescribes.
@@ -20,7 +28,7 @@ Two details keep large batches fast and faithful:
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from repro.cloud.vm import VMType
@@ -29,105 +37,68 @@ from repro.core.schedule import Schedule, VMAssignment
 from repro.core.scheduler import SchedulerOverhead, SchedulingOutcome, simulated_outcome
 from repro.exceptions import ScheduleError
 from repro.learning.model import DecisionModel
-from repro.search.actions import PlaceQuery, ProvisionVM
+from repro.search.actions import ProvisionVM
 from repro.search.problem import SearchNode
-from repro.search.state import SearchState, freeze_counts
+from repro.search.state import SearchState
 from repro.workloads.query import Query
 from repro.workloads.workload import Workload
+
+
+_INF = float("inf")
 
 
 class RuntimeSchedulingContext:
     """Placement-cost provider compatible with :class:`SchedulingProblem`.
 
-    The decision model and the feature extractor only need one thing from the
-    "problem" object they are handed: the Equation-2 cost of placing a given
-    template on the most recent VM.  This context answers that question using
-    an incremental violation accumulator, so each call is O(1)/O(log n) instead
-    of O(#placed queries).
+    The decision model only needs one thing from the "problem" object it is
+    handed: the Equation-2 cost of placing a given template on the most recent
+    VM.  This context answers that question using an incremental violation
+    accumulator, so each call is O(1)/O(log n) instead of O(#placed queries).
     """
 
     def __init__(self, model: DecisionModel) -> None:
         self._model = model
-        self._vm_types = model.vm_types
-        self._goal = model.goal
-        self._latency_model = model.latency_model
         self._accumulator = model.goal.accumulator()
         self._rate = model.goal.penalty_rate
-        self._last_vm_name: str | None = None
-        self._last_tables = None
+        #: Violation of the placements recorded so far, refreshed per placement.
+        self._violation = self._accumulator.violation()
 
     def placement_cost_row(
         self, node: SearchNode, template_names: tuple[str, ...]
     ) -> list[float]:
-        """Equation-2 edge weights for every template at once (row fast path).
+        """:meth:`placement_edge_cost` for every template, ``inf`` where infeasible.
 
-        Mirrors per-template :meth:`placement_edge_cost` calls bit-for-bit,
-        but resolves the most recent VM, its latency/cost table (shared across
-        runs via :meth:`~repro.learning.model.DecisionModel.vm_tables`), and
-        the accumulator's current violation once per decision instead of once
-        per template.  ``inf`` marks infeasible placements.
+        What a full feature row asks for
+        (:meth:`~repro.learning.features.FeatureExtractor.extract_into`, the
+        oracle the equivalence suite holds decisions against); no runtime
+        decision calls it.
+        """
+        return [self.placement_edge_cost(node, name) for name in template_names]
+
+    def placement_edge_cost(self, node: SearchNode, template_name: str) -> float:
+        """Equation-2 edge weight for placing *template_name* at *node*.
+
+        ``inf`` when there is no VM yet or its type cannot run the template.
+        The hot call of a model parse — one per ``cost-of-X`` column the tree
+        path tests — so latency and execution cost come from the model's
+        per-type tables, not the catalogue and latency model.
         """
         last = node.state.last_vm()
         if last is None:
-            return [float("inf")] * len(template_names)
-        vm_name = last[0]
-        if vm_name == self._last_vm_name:
-            tables = self._last_tables
-        else:
-            tables = self._model.vm_tables(vm_name, template_names)
-            self._last_vm_name = vm_name
-            self._last_tables = tables
-        _, supports, execution_times, execution_costs, all_supported, _ = tables
-        accumulator = self._accumulator
-        rate = self._rate
-        finish = node.last_vm_finish
-        base_violation = accumulator.violation()
-        inf = float("inf")
-        if all_supported:
-            # Common case (every template runs on this VM type): one row call
-            # into the accumulator instead of one dispatch per template.
-            completions = [finish + execution for execution in execution_times]
-            violations = accumulator.violations_with_row(template_names, completions)
-            return [
-                cost + rate * (violation - base_violation)
-                for cost, violation in zip(execution_costs, violations)
-            ]
-        costs: list[float] = []
-        for index, template_name in enumerate(template_names):
-            if not supports[index]:
-                costs.append(inf)
-                continue
-            completion = finish + execution_times[index]
-            penalty_delta = rate * (
-                accumulator.violation_with(template_name, completion) - base_violation
-            )
-            costs.append(execution_costs[index] + penalty_delta)
-        return costs
-
-    def placement_edge_cost(self, node: SearchNode, template_name: str) -> float:
-        """Equation-2 edge weight for placing *template_name* at *node*."""
-        last = node.state.last_vm()
-        if last is None:
-            return float("inf")
-        vm_type = self._vm_types[last[0]]
-        if not vm_type.supports(template_name):
-            return float("inf")
-        execution_time = self._latency_model.latency(template_name, vm_type)
-        completion = node.last_vm_finish + execution_time
-        penalty_delta = self._goal.penalty_rate * (
-            self._accumulator.violation_with(template_name, completion)
-            - self._accumulator.violation()
+            return _INF
+        time_of, cost_of = self._model.vm_tables(last[0])
+        execution_time = time_of.get(template_name)
+        if execution_time is None:
+            return _INF
+        violation = self._accumulator.violation_with(
+            template_name, node.last_vm_finish + execution_time
         )
-        return vm_type.running_cost * execution_time + penalty_delta
+        return cost_of[template_name] + self._rate * (violation - self._violation)
 
     def record_placement(self, template_name: str, completion_time: float) -> None:
         """Tell the context that a query of *template_name* will finish at *completion_time*."""
         self._accumulator.add(template_name, completion_time)
-
-    @property
-    def current_violation(self) -> float:
-        """Violation period accumulated by the placements recorded so far."""
-        return self._accumulator.violation()
+        self._violation = self._accumulator.violation()
 
 
 @dataclass
@@ -222,41 +193,45 @@ class BatchScheduler:
             return BatchSchedulingResult(schedule=Schedule.empty())
 
         pools = self._build_pools(workload)
-        remaining: Counter[str] = Counter({name: len(pool) for name, pool in pools.items()})
-        # The frozen remaining-multiset is maintained incrementally (one
-        # decrement per placement) instead of being re-sorted per decision.
-        remaining_frozen = freeze_counts(remaining)
-        remaining_total = sum(remaining.values())
+        # Unassigned queries per template, in name order, an entry dropped
+        # when it reaches zero: the dict's live views are the vertex's
+        # remaining multiset and name set, kept current by one decrement per
+        # placement.
+        remaining = {name: len(pools[name]) for name in sorted(pools)}
         context = RuntimeSchedulingContext(self._model)
         slow_path = slow_path_enabled()
 
         vms: list[tuple[VMType, list[Query]]] = []
         placed_on_existing: list[Query] = []
-        queue_tuple: tuple[str, ...] = ()
-        if existing_vm_type is not None:
-            last_vm_type: VMType | None = existing_vm_type
-            last_finish = existing_vm_busy_time
-            on_existing = True
-            vms_state: tuple = ((existing_vm_type.name, ()),)
-        else:
-            last_vm_type = None
-            last_finish = 0.0
-            on_existing = False
-            vms_state = ()
+        # Queries of the most recent VM, and its queue as the model sees it:
+        # template names in order plus their running per-template counts.
+        placed = placed_on_existing
+        queue: list[str] = []
+        queue_counts: dict[str, int] = {}
+        last_vm_type = existing_vm_type
+        last_finish = existing_vm_busy_time if existing_vm_type is not None else 0.0
 
         decisions = 0
         decide = self._model.decide
+        vm_types = self._model.vm_types
+        vm_tables = self._model.vm_tables
         latency_model = self._model.latency_model
         time_of = self._execution_times_for(last_vm_type)
         max_decisions = 2 * len(workload) + len(workload) + 2
 
         # One reusable vertex: the model and the runtime context read the
-        # node's state and wait time but never retain them, so the per-decision
-        # vertex is a single mutated (state, node) pair instead of two fresh
-        # objects per model parse.  Only the most recent VM is represented —
-        # the model never looks further back.
+        # node's state and wait time but never retain them, so nothing is
+        # rebuilt per model parse — the state's fields and cached accessors
+        # are the running values above, updated in place per action.  Only the
+        # most recent VM is represented — the model never looks further back.
         state = SearchState.__new__(SearchState)
         state_dict = state.__dict__
+        state_dict.update(
+            vms=((last_vm_type.name, queue),) if last_vm_type is not None else (),
+            remaining=remaining.items(),
+            _remaining_names=remaining.keys(),
+            _last_queue_counts=queue_counts,
+        )
         node = SearchNode(
             state=state,
             parent=None,
@@ -268,49 +243,38 @@ class BatchScheduler:
             depth=0,
         )
 
-        while remaining_total > 0:
+        while remaining:
             decisions += 1
             if decisions > max_decisions:
                 raise ScheduleError(
                     "the decision model failed to converge on a complete schedule"
                 )
-            state_dict.clear()
-            state_dict["vms"] = vms_state
-            state_dict["remaining"] = remaining_frozen
             node.last_vm_finish = last_finish
             action = decide(node, context, slow_path=slow_path)
             if isinstance(action, ProvisionVM):
-                vm_type = self._model.vm_types[action.vm_type_name]
-                vms.append((vm_type, []))
-                last_vm_type = vm_type
-                queue_tuple = ()
-                vms_state = ((vm_type.name, ()),)
+                last_vm_type = vm_types[action.vm_type_name]
+                placed = []
+                vms.append((last_vm_type, placed))
+                queue.clear()
+                queue_counts.clear()
+                state_dict["vms"] = ((last_vm_type.name, queue),)
                 last_finish = 0.0
-                on_existing = False
-                time_of = self._execution_times_for(vm_type)
+                time_of = vm_tables(last_vm_type.name)[0]
                 continue
-            assert isinstance(action, PlaceQuery)
-            assert last_vm_type is not None  # model.decide provisions first otherwise
             template_name = action.template_name
-            query = pools[template_name].popleft()
-            remaining_frozen = tuple(
-                (name, count - 1) if name == template_name else (name, count)
-                for name, count in remaining_frozen
-                if name != template_name or count > 1
-            )
-            remaining_total -= 1
-            execution_time = time_of.get(template_name) if time_of is not None else None
+            placed.append(pools[template_name].popleft())
+            left = remaining[template_name] - 1
+            if left:
+                remaining[template_name] = left
+            else:
+                del remaining[template_name]
+            execution_time = time_of.get(template_name)
             if execution_time is None:
                 execution_time = latency_model.latency(template_name, last_vm_type)
-            completion = last_finish + execution_time
-            context.record_placement(template_name, completion)
-            last_finish = completion
-            queue_tuple += (template_name,)
-            vms_state = ((last_vm_type.name, queue_tuple),)
-            if on_existing:
-                placed_on_existing.append(query)
-            else:
-                vms[-1][1].append(query)
+            last_finish += execution_time
+            context.record_placement(template_name, last_finish)
+            queue.append(template_name)
+            queue_counts[template_name] = queue_counts.get(template_name, 0) + 1
 
         schedule = Schedule(
             VMAssignment(vm_type, tuple(queries)) for vm_type, queries in vms
@@ -323,23 +287,22 @@ class BatchScheduler:
 
     # -- internals ---------------------------------------------------------------
 
-    def _execution_times_for(self, vm_type: VMType | None) -> dict[str, float] | None:
+    def _execution_times_for(self, vm_type: VMType | None) -> dict[str, float]:
         """Execution times by template for *vm_type*, from the model's tables.
 
-        ``None`` when there is no VM yet, or when *vm_type* is not the
+        Empty when there is no VM yet, or when *vm_type* is not the
         catalogue's instance of that name (an online run continuing a VM rented
         under a different specification) — the caller then falls back to
         per-placement latency-model calls, the legacy behaviour.
         """
-        if vm_type is None:
-            return None
         vm_types = self._model.vm_types
-        if vm_type.name not in vm_types or vm_types[vm_type.name] != vm_type:
-            return None
-        tables = self._model.vm_tables(vm_type.name, self._model.templates.names)
-        # Every placement resolves through the model's template vocabulary, so
-        # a partial table (unsupported templates) is still keyed correctly.
-        return tables[5]
+        if (
+            vm_type is None
+            or vm_type.name not in vm_types
+            or vm_types[vm_type.name] != vm_type
+        ):
+            return {}
+        return self._model.vm_tables(vm_type.name)[0]
 
     def _build_pools(self, workload: Workload) -> dict[str, deque[Query]]:
         """Group queries by the template the model will treat them as."""

@@ -33,8 +33,12 @@ Arrivals sharing a timestamp form one *epoch* and are re-scheduled in a single
 pass (one model derivation, one batch parse) instead of one pass per query;
 the pull-back scan that assembles the wait queue walks only the VMs committed
 to in the previous epoch (the only place unstarted records can live) instead
-of every VM ever rented; and the model parses themselves run on the vectorized
-inference fast path (preallocated feature rows + compiled tree evaluator).
+of every VM ever rented; a pending query's wait is rounded to the scheduler's
+resolution once per pass and an aged-template name is built only for a wait
+that rounds above zero; and each model parse walks the compiled tree computing
+only the features its path tests (:meth:`~repro.learning.model.DecisionModel.decide`).
+An epoch's parses cannot be fused into one matrix fill: decision ``k+1``'s
+features depend on decision ``k``'s action.
 ``REPRO_SLOW_PATH=1`` forces the legacy one-pass-per-query dict/node-walk
 loop; for streams with distinct arrival times the two paths are bit-identical
 (asserted by the golden-scenario and equivalence suites).
@@ -412,16 +416,17 @@ class OnlineScheduler:
     def _model_for_batch(
         self, pending: list[tuple[Query, float]]
     ) -> tuple[DecisionModel, int, int, int]:
-        """Return (model, cache_hits, base_uses, retrains) for one arrival."""
+        """Return (model, cache_hits, base_uses, retrains) for one arrival.
+
+        *pending* pairs each query with its wait already rounded to the
+        scheduler's resolution (:meth:`_round_wait`, once per query per pass).
+        """
         base_goal = self._base.goal
-        waits = {
-            query.query_id: self._round_wait(waited) for query, waited in pending
-        }
-        if all(value == 0.0 for value in waits.values()):
+        if all(waited == 0.0 for _, waited in pending):
             return self._base.model, 0, 1, 0
 
         if self._optimizations.shift and base_goal.is_linearly_shiftable:
-            shift_amount = max(waits.values())
+            shift_amount = max(waited for _, waited in pending)
             key = ("shift", shift_amount)
             cached = self._model_cache.get(key)
             if cached is not None and self._optimizations.reuse:
@@ -435,9 +440,9 @@ class OnlineScheduler:
         signature = tuple(
             sorted(
                 {
-                    (query.template_name, waits[query.query_id])
-                    for query, _ in pending
-                    if waits[query.query_id] > 0.0
+                    (query.template_name, waited)
+                    for query, waited in pending
+                    if waited > 0.0
                 }
             )
         )
@@ -481,18 +486,18 @@ class OnlineScheduler:
         model: DecisionModel,
         pending: list[tuple[Query, float]],
     ) -> Workload:
-        """Express the pending batch in the model's template vocabulary."""
+        """Express the pending batch (rounded waits) in the model's template vocabulary."""
         batch_queries: list[Query] = []
         # Rebuilt every pass, so the cache never outgrows the wait queue.
         clones: dict[tuple[int, str], Query] = {}
         previous = self._batch_query_cache
         for query, waited in pending:
-            rounded = self._round_wait(waited)
-            aged_name = self._aged_name(query.template_name, rounded)
-            if rounded > 0.0 and aged_name in model.templates:
-                name = aged_name
-            else:
-                name = query.template_name
+            name = query.template_name
+            if waited > 0.0:
+                # Aged templates exist only for waits that round to a bucket or more.
+                aged_name = self._aged_name(name, waited)
+                if aged_name in model.templates:
+                    name = aged_name
             key = (query.query_id, name)
             clone = previous.get(key)
             if clone is None:
@@ -721,7 +726,9 @@ class OnlineSession:
         started_at = time.perf_counter()
 
         # The new arrivals, what the VMs failing by *now* had not completed
-        # (in failure order), plus everything committed but not yet started.
+        # (in failure order), plus everything committed but not yet started —
+        # each with its wait rounded to the scheduler's resolution.
+        round_wait = scheduler._round_wait
         pending: list[tuple[Query, float]] = [(query, 0.0) for query in epoch]
         dying: list[tuple[_VMRecord, list[ScheduledQueryRecord], float]] = []
         due = ()
@@ -737,16 +744,16 @@ class OnlineSession:
                     continue
                 if record.start_time < fail_time:
                     wasted += fail_time - record.start_time
-                waited = max(0.0, now - record.query.arrival_time)
-                pending.append((record.query, waited))
+                pending.append((record.query, round_wait(now - record.query.arrival_time)))
             dying.append((vm, completed, wasted))
         for vm in self._touched:
             if vm.gone_by(now):
                 continue
             for record in vm.records:
                 if record.start_time > now:
-                    waited = max(0.0, now - record.query.arrival_time)
-                    pending.append((record.query, waited))
+                    pending.append(
+                        (record.query, round_wait(now - record.query.arrival_time))
+                    )
 
         if pending:
             # Choose (or derive) the model for this batch, then schedule it,

@@ -101,6 +101,18 @@ class SearchState:
             object.__setattr__(self, "_remaining_names", cached)
         return cached
 
+    def last_queue_counts(self) -> dict[str, int]:
+        """Per-template counts of the most recent VM's queue (cached on first use).
+
+        The numerators of the ``proportion-of-X`` features; the batch
+        scheduler seeds this cache with a running count it updates per action.
+        """
+        cached = self.__dict__.get("_last_queue_counts")
+        if cached is None:
+            cached = Counter(self.vms[-1][1] if self.vms else ())
+            object.__setattr__(self, "_last_queue_counts", cached)
+        return cached
+
     def is_goal(self) -> bool:
         """True when every query has been assigned (a complete schedule)."""
         return not self.remaining

@@ -32,7 +32,6 @@ from __future__ import annotations
 import bisect
 import math
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 
 class ViolationAccumulator(ABC):
@@ -51,23 +50,6 @@ class ViolationAccumulator(ABC):
     @abstractmethod
     def violation_with(self, template_name: str, latency: float) -> float:
         """Violation period if one more query were recorded (non-mutating)."""
-
-    def violations_with_row(
-        self, template_names: Sequence[str], latencies: Sequence[float]
-    ) -> list[float]:
-        """:meth:`violation_with` for many hypothetical placements at once.
-
-        The runtime cost-of-X row asks this question once per template per
-        scheduling decision; the row form lets accumulators answer with one
-        tight loop instead of one method dispatch per template.  Results are
-        bit-identical to per-template :meth:`violation_with` calls (the base
-        implementation simply makes them).
-        """
-        violation_with = self.violation_with
-        return [
-            violation_with(name, latency)
-            for name, latency in zip(template_names, latencies)
-        ]
 
     def violation_for_deadline(self, deadline: float) -> float:
         """Violation period of the recorded queries against a *different* deadline.
@@ -122,18 +104,6 @@ class PerQueryViolationAccumulator(ViolationAccumulator):
     def violation_with(self, template_name: str, latency: float) -> float:
         return self._violation + self._overage(template_name, latency)
 
-    def violations_with_row(
-        self, template_names: Sequence[str], latencies: Sequence[float]
-    ) -> list[float]:
-        deadlines_get = self._deadlines.get
-        default_deadline = self._default_deadline
-        base = self._violation
-        out: list[float] = []
-        for name, latency in zip(template_names, latencies):
-            overage = latency - deadlines_get(name, default_deadline)
-            out.append(base + overage if overage > 0.0 else base)
-        return out
-
     def copy(self) -> "PerQueryViolationAccumulator":
         # The deadline table is never mutated, so clones share it; the A*
         # search branches an accumulator per placement edge and a per-clone
@@ -185,16 +155,6 @@ class AverageLatencyViolationAccumulator(ViolationAccumulator):
         if self._count == 0:
             return 0.0
         return max(0.0, self._total / self._count - deadline)
-
-    def violations_with_row(
-        self, template_names: Sequence[str], latencies: Sequence[float]
-    ) -> list[float]:
-        total = self._total
-        count = self._count + 1
-        deadline = self._deadline
-        return [
-            max(0.0, (total + latency) / count - deadline) for latency in latencies
-        ]
 
     def copy(self) -> "AverageLatencyViolationAccumulator":
         clone = object.__new__(AverageLatencyViolationAccumulator)
@@ -260,31 +220,6 @@ class PercentileViolationAccumulator(ViolationAccumulator):
         else:
             value = self._latencies[rank - 2]
         return max(0.0, value - self._deadline)
-
-    def violations_with_row(
-        self, template_names: Sequence[str], latencies: Sequence[float]
-    ) -> list[float]:
-        # Every hypothetical placement adds exactly one latency, so the size
-        # and rank are shared by the whole row; only the insertion point and
-        # the rank-statistic pick vary per candidate.
-        sorted_latencies = self._latencies
-        size = len(sorted_latencies) + 1
-        rank = max(1, math.ceil(self._percent / 100.0 * size))
-        deadline = self._deadline
-        before_rank = rank - 1
-        bisect_right = bisect.bisect_right
-        out: list[float] = []
-        for latency in latencies:
-            insert_at = bisect_right(sorted_latencies, latency)
-            if before_rank < insert_at:
-                value = sorted_latencies[before_rank]
-            elif before_rank == insert_at:
-                value = latency
-            else:
-                value = sorted_latencies[rank - 2]
-            violation = value - deadline
-            out.append(violation if violation > 0.0 else 0.0)
-        return out
 
     def copy(self) -> "PercentileViolationAccumulator":
         clone = PercentileViolationAccumulator(self._percent, self._deadline)

@@ -171,3 +171,40 @@ def test_online_rejects_bad_resolution(trained_max, model_generator):
             generator=model_generator,
             wait_resolution=0.0,
         )
+
+
+def test_zero_wait_stream_never_formats_an_aged_name(
+    trained_max, model_generator, small_templates, monkeypatch
+):
+    """Queries pulled back with a wait that rounds to zero stay fresh instances.
+
+    The aged name (an f-string and a ``round``) used to be built for every
+    pending query on every pass before the wait was looked at, and the wait
+    rounded twice per pass; now a wait is rounded once and only a positive
+    one names an aged template.
+    """
+    generator = WorkloadGenerator(small_templates, seed=23)
+    workload = generator.with_fixed_arrivals(generator.uniform(12), delay=1.0)
+    scheduler = OnlineScheduler(
+        base_training=trained_max, generator=model_generator, wait_resolution=1e9
+    )
+    rounded: list[float] = []
+    round_wait = scheduler._round_wait
+
+    def fail(template_name, waited):
+        raise AssertionError(f"aged name built for a {waited} s wait")
+
+    monkeypatch.setattr(OnlineScheduler, "_aged_name", staticmethod(fail))
+    monkeypatch.setattr(
+        scheduler, "_round_wait", lambda waited: rounded.append(waited) or round_wait(waited)
+    )
+    session = scheduler.session()
+    pulled_back = 0
+    for epoch in scheduler._arrival_epochs(workload):
+        before = len(rounded)
+        decision = session.submit(epoch)
+        # One rounding per pulled-back query per pass, none for the arrival.
+        assert len(rounded) - before == len(decision.placements) - len(epoch)
+        pulled_back += len(decision.placements) - len(epoch)
+    assert pulled_back > 0 and all(waited > 0.0 for waited in rounded)
+    assert session.finalize().base_model_uses == len(workload)

@@ -104,3 +104,54 @@ class TestExclusiveGuard:
         assert len(results) == 4
         assert results.count("ok") >= 1
         assert set(results) <= {"ok", "refused"}
+
+
+def test_tenants_sharing_one_model_schedule_concurrently(
+    small_templates, average_goal, tiny_config, trained_average
+):
+    """Two tenants, one model object: threaded outcomes equal the serial ones.
+
+    The registry hands identically specified tenants the *same*
+    ``DecisionModel``, and the per-tenant guard lets them run side by side —
+    so a decision may keep no scratch on the model (the shared feature row
+    the model used to own made these two schedules bleed into each other).
+    """
+    import sys
+
+    from repro.workloads.generator import WorkloadGenerator
+
+    service = WiSeDBService()
+    for name in ("a", "b"):
+        service.register(name, small_templates, average_goal, config=tiny_config)
+        tenant = service.tenant(name)
+        tenant.training = trained_average
+        tenant.provenance = "fresh"
+    workloads = {
+        name: WorkloadGenerator(small_templates, seed=seed).uniform(3_000)
+        for name, seed in (("a", 5), ("b", 6))
+    }
+
+    def key(name):
+        outcome = service.schedule_batch(name, workloads[name])
+        assert not outcome.degraded
+        return outcome.schedule.signature(), outcome.cost
+
+    serial = {name: key(name) for name in workloads}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(5):
+            threaded: dict[str, tuple] = {}
+            threads = [
+                threading.Thread(target=lambda name=name: threaded.update({name: key(name)}))
+                for name in workloads
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert threaded == serial
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()

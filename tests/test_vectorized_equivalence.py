@@ -11,13 +11,20 @@ Three independent implementations must agree bit-for-bit:
   with missing features constant-folded to 0.0;
 * online scheduling — the epoch-batched arrival loop and the legacy
   one-pass-per-query loop (``REPRO_SLOW_PATH=1``) on arrival streams with
-  distinct timestamps, where the two groupings must coincide exactly.
+  distinct timestamps, where the two groupings must coincide exactly;
+* one decision — :meth:`DecisionModel.decide`'s walk, which computes a feature
+  only when the tree path tests it, against the full-row oracle
+  ``predict_row(extract_into(...))`` → ``_validate`` on every decision of
+  seeded batch and online runs and on A* vertices, with ``seen`` counters that
+  fail the sweep if it stops reaching a case, and a work guard on how much a
+  decision may evaluate.
 """
 
 from __future__ import annotations
 
 import os
 import random as random_module
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,12 +33,23 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.cloud.latency import TemplateLatencyModel
-from repro.cloud.vm import single_vm_type_catalog, two_vm_type_catalog
-from repro.learning.decision_tree import DecisionTreeClassifier
-from repro.learning.features import FeatureExtractor
+from repro.cloud.vm import (
+    VMType,
+    VMTypeCatalog,
+    single_vm_type_catalog,
+    t2_medium,
+    two_vm_type_catalog,
+)
+from repro.config import TrainingConfig
+from repro.learning.decision_tree import CompiledTreeEvaluator, DecisionTreeClassifier
+from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
+from repro.learning.model import DecisionModel
+from repro.learning.trainer import ModelGenerator
 from repro.runtime.batch import BatchScheduler, RuntimeSchedulingContext
 from repro.runtime.online import OnlineOptimizations, OnlineScheduler
+from repro.search.actions import action_from_label
 from repro.search.problem import SchedulingProblem
+from repro.sla import accumulators
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate, TemplateSet
@@ -307,10 +325,244 @@ def test_context_row_tables_shared_across_schedulers(trained_max, small_template
     """The per-VM tables live on the model, so fresh contexts reuse them."""
     model = trained_max.model
     first = RuntimeSchedulingContext(model)
-    tables = model.vm_tables(model.vm_types.default.name, small_templates.names)
-    again = model.vm_tables(model.vm_types.default.name, small_templates.names)
+    tables = model.vm_tables(model.vm_types.default.name)
+    again = model.vm_tables(model.vm_types.default.name)
     assert tables is again
     del first
     second = RuntimeSchedulingContext(model)
-    assert model.vm_tables(model.vm_types.default.name, small_templates.names) is tables
+    assert model.vm_tables(model.vm_types.default.name) is tables
     del second
+
+
+# ---------------------------------------------------------------------------
+# One decision: the walk that computes only what its path tests vs the full row
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def walk_trainings(small_templates):
+    """(generator, training) per goal kind × catalogue; ``2vm``'s small type cannot run T3."""
+    small = VMType(
+        name="t2.small",
+        running_cost=t2_medium().running_cost / 2,
+        unsupported_templates=frozenset({"T3"}),
+    )
+    trainings = {}
+    for catalog_name, vm_types in (
+        ("1vm", single_vm_type_catalog()),
+        ("2vm", VMTypeCatalog([t2_medium(), small])),
+    ):
+        generator = ModelGenerator(
+            templates=small_templates,
+            vm_types=vm_types,
+            config=TrainingConfig(
+                num_samples=16, queries_per_sample=6, seed=3, max_expansions=50_000
+            ),
+        )
+        for kind in GOAL_KINDS:
+            goal = default_goal(kind, small_templates)
+            trainings[(kind, catalog_name)] = (generator, generator.generate(goal))
+    return trainings
+
+
+def _oracle(model, node, problem):
+    """``(row, label, columns the path tests, validated action)`` from the full row."""
+    extractor = model.extractor
+    row = extractor.extract_into(node, problem, [0.0] * len(extractor.feature_names))
+    evaluator = model.compiled_evaluator()
+    label = evaluator.predict_row(row)
+    features, thresholds, lefts, rights, _ = evaluator.scalar_arrays()
+    path, index = [], 0
+    while features[index] >= 0:
+        path.append(int(features[index]))
+        index = lefts[index] if row[features[index]] <= thresholds[index] else rights[index]
+    try:
+        action = action_from_label(label)
+    except ValueError:
+        action = None
+    return row, label, path, model._validate(action, node, problem)
+
+
+def _check_decisions(monkeypatch, seen: Counter) -> None:
+    """Hold every ``decide`` call against the oracle and count what it reached."""
+    real_decide = DecisionModel.decide
+    real_guard = DecisionModel._apply_penalty_guard
+    real_fallback = DecisionModel._fallback_placement
+
+    def decide(self, node, problem, slow_path=None):
+        row, label, path, expected = _oracle(self, node, problem)
+        families, names, _ = self.extractor.column_layout
+        walked_label, costs = self._walk(node, problem)
+        assert walked_label == label
+        assert set(costs) == {
+            names[column] for column in path if FEATURE_FAMILIES[families[column]] == "cost_of"
+        }
+        for name, cost in costs.items():
+            assert cost == problem.placement_edge_cost(node, name)
+        assert real_decide(self, node, problem, slow_path=False) == expected
+        for column in path:
+            family = FEATURE_FAMILIES[families[column]]
+            seen[family] += 1
+            if family == "cost_of" and row[column] == INFEASIBLE_COST:
+                seen["infeasible cost tested"] += 1
+            if family == "supports" and row[column] == 0.0 and node.state.vms:
+                seen["unsupported template tested"] += 1
+        return expected
+
+    def guard(self, action, node, problem, costs=None):
+        last = node.state.last_vm()
+        # `costs` is None on the oracle's own _validate call.
+        if costs is not None and self.penalty_guard_enabled and last and last[1]:
+            walked = action.template_name in costs
+            seen["guard reused a walked cost" if walked else "guard derived its cost"] += 1
+        return real_guard(self, action, node, problem, costs)
+
+    def fallback(self, node, problem, preferred=None):
+        seen["fallback placement"] += 1
+        return real_fallback(self, node, problem, preferred)
+
+    monkeypatch.setattr(DecisionModel, "decide", decide)
+    monkeypatch.setattr(DecisionModel, "_apply_penalty_guard", guard)
+    monkeypatch.setattr(DecisionModel, "_fallback_placement", fallback)
+
+
+def _without_family(model, family):
+    """*model*'s tree on an extractor lacking *family*: those splits constant-fold."""
+    families = tuple(name for name in FEATURE_FAMILIES if name != family)
+    return DecisionModel(
+        tree=model.tree,
+        extractor=FeatureExtractor(model.templates, model.vm_types, families),
+        templates=model.templates,
+        vm_types=model.vm_types,
+        goal=model.goal,
+        latency_model=model.latency_model,
+    )
+
+
+def test_walk_equals_full_row_oracle_on_every_decision(
+    walk_trainings, small_templates, monkeypatch
+):
+    from repro.workloads.generator import WorkloadGenerator
+
+    seen: Counter = Counter()
+    _check_decisions(monkeypatch, seen)
+    workloads = WorkloadGenerator(small_templates, seed=11)
+    batch = workloads.uniform(60)
+    # Arrivals a second apart against minutes-long queries: most of the stream
+    # is pulled back every epoch and continues the most recent VM.
+    stream = workloads.with_fixed_arrivals(workloads.uniform(14), delay=1.0)
+    aged = workloads.with_fixed_arrivals(workloads.uniform(5), delay=45.0)
+    for (kind, catalog_name), (generator, training) in walk_trainings.items():
+        model = training.model
+        BatchScheduler(model).run(batch)
+        BatchScheduler(model.with_penalty_guard(False)).run(batch)
+        OnlineScheduler(training, generator, wait_resolution=1e9).run(stream)
+        if catalog_name == "2vm":
+            # Full trees on extractors lacking one family (the ablation axis).
+            for family in FEATURE_FAMILIES:
+                BatchScheduler(_without_family(model, family)).run(batch)
+        # A* vertices, costed by the search problem itself.
+        problem = SchedulingProblem(
+            template_counts={"T1": 3, "T2": 2, "T3": 2},
+            templates=small_templates,
+            vm_types=model.vm_types,
+            goal=model.goal,
+            latency_model=model.latency_model,
+        )
+        rng = random_module.Random(17)
+        for _ in range(4):
+            for node in _random_walk(problem, rng, max_steps=12):
+                if node.state.remaining:
+                    model.decide(node, problem)
+    # Aged templates (an augmented model trained mid-stream) and an evaluator
+    # over adopted arrays, as a shard worker attaches it from shared memory.
+    generator, training = walk_trainings[("average", "1vm")]
+    outcome = OnlineScheduler(training, generator, wait_resolution=60.0).run(aged)
+    assert outcome.overhead.retrains > 0
+    compiled = training.model.compiled_evaluator()
+    attached = training.model.with_penalty_guard(True)
+    attached.use_evaluator(
+        CompiledTreeEvaluator.from_arrays(
+            compiled.feature,
+            compiled.threshold,
+            compiled.left,
+            compiled.right,
+            compiled.leaf_label,
+            compiled.labels,
+            compiled.feature_names,
+        )
+    )
+    BatchScheduler(attached).run(batch)
+
+    reached = FEATURE_FAMILIES + (
+        "infeasible cost tested",
+        "unsupported template tested",
+        "guard reused a walked cost",
+        "guard derived its cost",
+        "fallback placement",
+    )
+    assert not [case for case in reached if not seen[case]], dict(seen)
+
+
+def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_templates, monkeypatch):
+    """Work guard: Equation 2 runs once per ``cost-of-X`` column on the path, plus
+    once when the penalty guard needs a cost the path did not ask for — not once
+    per template — and nothing under ``schedule_detailed`` fills a full row."""
+    from repro.workloads.generator import WorkloadGenerator
+
+    calls = Counter()
+    for accumulator in (
+        accumulators.PerQueryViolationAccumulator,
+        accumulators.AverageLatencyViolationAccumulator,
+        accumulators.PercentileViolationAccumulator,
+    ):
+        def counted(self, template_name, latency, _real=accumulator.violation_with):
+            calls["violation_with"] += 1
+            return _real(self, template_name, latency)
+
+        monkeypatch.setattr(accumulator, "violation_with", counted)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a runtime decision filled a full feature or cost row")
+
+    monkeypatch.setattr(FeatureExtractor, "extract_into", forbidden)
+    monkeypatch.setattr(RuntimeSchedulingContext, "placement_cost_row", forbidden)
+
+    real_walk = DecisionModel._walk
+    real_guard = DecisionModel._apply_penalty_guard
+    real_fallback = DecisionModel._fallback_placement
+    real_decide = DecisionModel.decide
+    allowed = [0]
+    most = Counter()
+
+    def walk(self, node, problem):
+        label, costs = real_walk(self, node, problem)
+        allowed[0] = len(costs)
+        return label, costs
+
+    def guard(self, action, node, problem, costs=None):
+        allowed[0] += action.template_name not in costs  # one derivation, else none
+        return real_guard(self, action, node, problem, costs)
+
+    def fallback(self, node, problem, preferred=None):
+        if preferred is None:  # picks the cheapest candidate: costs each once
+            allowed[0] += len(self.templates)
+        return real_fallback(self, node, problem, preferred)
+
+    def decide(self, node, problem, slow_path=None):
+        before = calls["violation_with"]
+        action = real_decide(self, node, problem, slow_path=False)
+        evaluated = calls["violation_with"] - before
+        assert evaluated <= allowed[0]
+        most["evaluated"] = max(most["evaluated"], evaluated)
+        most["decisions"] += 1
+        return action
+
+    monkeypatch.setattr(DecisionModel, "_walk", walk)
+    monkeypatch.setattr(DecisionModel, "_apply_penalty_guard", guard)
+    monkeypatch.setattr(DecisionModel, "_fallback_placement", fallback)
+    monkeypatch.setattr(DecisionModel, "decide", decide)
+    workload = WorkloadGenerator(small_templates, seed=12).uniform(60)
+    for generator, training in walk_trainings.values():
+        BatchScheduler(training.model).run(workload)
+    assert most["decisions"] > 8 * len(workload) and 0 < most["evaluated"] <= 3
