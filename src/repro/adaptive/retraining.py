@@ -4,26 +4,63 @@ Retraining a model from scratch for every candidate performance goal would be
 expensive: the dominating cost is re-searching the scheduling graph of every
 sample workload.  WiSeDB instead *adapts* an existing model: the sample
 workloads are kept, their scheduling graphs get new edge weights (reflecting
-the stricter goal), and the search is re-run with the adaptive-A* heuristic
+the stricter goal), and only the samples whose optimum moved are searched
+again.
+
+**Keep test.**  Every solved sample carries the action labels of its optimal
+path (:attr:`~repro.learning.trainer.SampleSolution.path`).  Under a goal at
+least as strict (:meth:`PerformanceGoal.at_least_as_strict_as
+<repro.sla.base.PerformanceGoal.at_least_as_strict_as>`: every outcome set is
+penalised at least as much) no schedule gets cheaper — Lemma 5.1's own
+premise.  So the path is re-priced under the new goal in O(m)
+(:meth:`SchedulingProblem.follow <repro.search.problem.SchedulingProblem.follow>`);
+if it still costs exactly what the old optimum cost, every other schedule
+costs at least that much too, the path is still optimal, its vertices are
+re-labelled and nothing is searched.  This is the paper's own account of
+Figure 16: retraining grows with the shift "because more samples change their
+optimal schedules".
+
+**Otherwise: adaptive A*.**  A sample whose path got dearer is searched with
 
     h'(v) = max[ h(v), cost(R, g) - cost(R, v) ]
 
-where ``R`` is the original goal, ``g`` the original optimal goal vertex for
-that sample, and ``cost(R, v)`` the cost of ``v``'s partial schedule under the
-original goal.  The second term never overestimates when the new goal is
-stricter (Lemma 5.1), so the re-search stays exact while pruning far more
-aggressively than a fresh search.
+where ``R`` is the reference goal, ``g`` the reference's optimal goal vertex
+for that sample, and ``cost(R, v)`` the cost of ``v``'s partial schedule under
+the reference goal.  The second term never overestimates when the new goal is
+at least as strict (Lemma 5.1), so the re-search stays exact while pruning
+more than a fresh search.  Both steps need the reference's *true* optimum, so
+a sample solved by a relaxed strategy (``cost_lower_bound`` recorded) gets
+neither.
 
-Like fresh training, the per-sample re-searches are independent, so they run
+**Reference choice.**  An :class:`AdaptiveModeler` remembers, for every goal
+it has solved — the base, then each :meth:`~AdaptiveModeler.retrain` — each
+sample's cost and path (label tuples and floats, never a ``TrainingResult``).
+A retrain measures against the *strictest* remembered goal the new goal is at
+least as strict as: the online scheduler's 5-second shift steps and the
+recommender's ladder then compare each goal with its neighbour, where almost
+every sample keeps its path, instead of with the base.  The choice depends on
+the set of solved goals only, not on the order they were solved in.  A goal
+that no remembered goal qualifies for (a relaxed one, a lower penalty rate,
+another kind) is searched with the standard heuristic.
+
+**What is bit-identical and what is not.**  Fresh training is unchanged.  An
+adapted sample's optimal *cost* equals a fresh search's (to the last ulp or
+two: equal-cost schedules may sum in a different order), but a kept path can
+differ from the equal-cost path a re-search's tie-break would return, so an
+adapted *tree* may differ from one trained from scratch — and depends on
+which goals the modeler solved before.  ``tests/test_adaptive_keep.py``
+referees the costs against ``generate(goal, workloads=base.workloads)``.
+
+Like fresh training, the per-sample tasks are independent, so they run
 through the same :class:`~repro.parallel.backend.ExecutionBackend` as
-:meth:`repro.learning.trainer.ModelGenerator.generate` (the bound objects are
-picklable) with results merged in sample order for bit-identical output.  The
-backend defaults to the generator's — one warm process pool serves fresh
-training and every subsequent retraining — which is exactly the
-many-small-retrainings pattern of Figure 16.
+:meth:`repro.learning.trainer.ModelGenerator.generate` (bounds and kept
+solutions are picklable) with results merged in sample order: output is
+identical for any ``n_jobs``.  The backend defaults to the generator's — one
+warm process pool serves fresh training and every subsequent retraining —
+which is exactly the many-small-retrainings pattern of Figure 16.
 
-The old-goal penalty inside ``h'`` is computed *incrementally*: search nodes
-of a retraining problem carry a second, old-goal
+The reference-goal penalty inside ``h'`` is computed *incrementally*: search
+nodes of a retraining problem carry a second, old-goal
 :class:`~repro.sla.accumulators.ViolationAccumulator` (copy-on-write, exactly
 like the primary one), so :meth:`AdaptiveBound.__call__` reads an O(1) cached
 delta instead of re-evaluating the old goal over the node's full outcome
@@ -33,6 +70,7 @@ paths are bit-identical (asserted by the adaptive equivalence suite).
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 
@@ -94,13 +132,21 @@ class AdaptiveRetrainingReport:
 
     goal: PerformanceGoal
     retraining_time: float
+    #: Samples in the adapted training set, kept or searched.
     samples_retrained: int
+    #: Samples dropped because their search ran out of budget.
     samples_skipped: int
     total_expansions: int
+    #: Of ``samples_retrained``, those whose stored path was still optimal.
+    samples_kept: int = 0
 
 
 class AdaptiveModeler:
     """Derives models for stricter goals from an existing training run.
+
+    Hold one modeler for a sequence of goals: each :meth:`retrain` is measured
+    against the nearest goal already solved (see the module docstring), so a
+    walk of small steps searches only the samples whose optimum moved.
 
     ``backend`` optionally overrides the execution backend the re-searches fan
     out through; by default they share the generator's (warm) backend, so
@@ -121,6 +167,19 @@ class AdaptiveModeler:
         self._generator = generator
         self._base = base_result
         self._backend = backend
+        #: Every goal solved so far (the base, then each ``retrain``), by its
+        #: canonical JSON: the goal and, per sample workload, its solution — a
+        #: cost and a label tuple, never a ``TrainingResult``.
+        self._solved: dict[str, tuple[PerformanceGoal, list[SampleSolution | None]]] = {}
+        # The base's samples skip workloads that ran out of budget: match by counts.
+        by_counts = {self._freeze(sample.template_counts): sample for sample in base_result.samples}
+        self._remember(
+            base_result.goal,
+            [
+                by_counts.get(self._freeze(dict(workload.template_counts())))
+                for workload in base_result.workloads
+            ],
+        )
 
     @property
     def backend(self) -> ExecutionBackend:
@@ -135,16 +194,18 @@ class AdaptiveModeler:
     # -- model derivation -------------------------------------------------------------
 
     def retrain(self, new_goal: PerformanceGoal) -> tuple[TrainingResult, AdaptiveRetrainingReport]:
-        """Derive a model for *new_goal* by re-searching the stored samples.
+        """Derive a model for *new_goal* from the stored samples.
 
-        The improved heuristic is only sound when *new_goal* is at least as
-        strict as the base goal; for relaxed goals the method transparently
-        falls back to the standard heuristic (the samples are still re-used,
-        so workload generation is never repeated).
+        The reference is the strictest goal solved so far that *new_goal* is
+        at least as strict as (:meth:`_reference`).  A sample the reference
+        solved exactly keeps its path if it still costs the same and is
+        otherwise re-searched under ``h'``; both are only sound against such a
+        reference, so a goal no solved goal qualifies for (a relaxed one,
+        another kind) is searched with the standard heuristic — the samples
+        are still re-used, so workload generation is never repeated.
         """
         start_time = time.perf_counter()
-        old_goal = self._base.goal
-        use_adaptive_bound = self._is_stricter(new_goal, old_goal)
+        old_goal, solved = self._reference(new_goal)
 
         extractor = self._generator.extractor
         training_set = TrainingSet(extractor.feature_names)
@@ -152,7 +213,6 @@ class AdaptiveModeler:
         skipped = 0
         total_expansions = 0
 
-        solved = {self._freeze(s.template_counts): s for s in self._base.samples}
         config = self._generator.config
         solver = SampleSolver(
             vm_types=self._generator.vm_types,
@@ -167,19 +227,11 @@ class AdaptiveModeler:
             future_bound=config.future_bound,
         )
         tasks = []
-        for index, workload in enumerate(self._base.workloads):
-            extra_bound = None
-            if use_adaptive_bound:
-                old_solution = solved.get(self._freeze(dict(workload.template_counts())))
-                # Lemma 5.1 needs the *true* old optimum: a base sample solved
-                # by a relaxed strategy (cost_lower_bound recorded) may sit
-                # above it, which would make h' inadmissible — skip the bound
-                # for that sample rather than risk pruning the new optimum.
-                if old_solution is not None and old_solution.cost_lower_bound is None:
-                    extra_bound = self._adaptive_bound(
-                        old_goal, old_solution.optimal_cost
-                    )
-            tasks.append((index, workload, extra_bound))
+        for index, (workload, keep) in enumerate(zip(self._base.workloads, solved)):
+            extra_bound = (
+                None if keep is None else self._adaptive_bound(old_goal, keep.optimal_cost)
+            )
+            tasks.append((index, workload, extra_bound, keep))
         # The re-searches are as independent as fresh training solves, so they
         # fan out across the same (warm) backend (deterministic sample order).
         payloads = self.backend.map_tasks(solver, tasks)
@@ -227,7 +279,10 @@ class AdaptiveModeler:
             samples_retrained=len(samples),
             samples_skipped=skipped,
             total_expansions=total_expansions,
+            # Only a kept sample expands nothing: a search expands its start vertex.
+            samples_kept=sum(1 for sample in samples if sample.expansions == 0),
         )
+        self._remember(new_goal, [payload and payload[1] for payload in payloads])
         return result, report
 
     def derive_model(self, new_goal: PerformanceGoal) -> DecisionModel:
@@ -241,11 +296,47 @@ class AdaptiveModeler:
     def _freeze(counts: dict[str, int]) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(counts.items()))
 
-    @staticmethod
-    def _is_stricter(new_goal: PerformanceGoal, old_goal: PerformanceGoal) -> bool:
-        if new_goal.kind != old_goal.kind:
-            return False
-        return new_goal.deadline <= old_goal.deadline
+    def _remember(
+        self, goal: PerformanceGoal, solutions: list[SampleSolution | None]
+    ) -> None:
+        """Record *goal* as solved; an equal goal solved earlier is replaced.
+
+        *solutions* has one entry per sample workload (``None`` = ran out of
+        budget).  Only samples solved *exactly* are recorded.  Lemma 5.1 needs the true
+        old optimum: a sample solved by a relaxed strategy (``cost_lower_bound``
+        set) may sit above it, which would make ``h'`` inadmissible and the
+        keep test wrong — such a sample is searched afresh every time.
+        """
+        self._solved[json.dumps(goal.to_dict(), sort_keys=True)] = (
+            goal,
+            [
+                solution
+                if solution is not None and solution.cost_lower_bound is None
+                else None
+                for solution in solutions
+            ],
+        )
+
+    def _reference(
+        self, new_goal: PerformanceGoal
+    ) -> tuple[PerformanceGoal | None, list[SampleSolution | None]]:
+        """The strictest solved goal *new_goal* is at least as strict as, with its solutions.
+
+        Strictest = earliest deadline, then highest penalty rate, then the
+        canonical key: a pure function of the *set* of solved goals, not of
+        the order they were solved in or of call order among equals.  Any
+        qualifying goal is a sound reference; the nearest one keeps the most
+        samples and gives the tightest ``h'``.  No goal and no solutions when
+        none qualifies.
+        """
+        qualifying = [
+            (goal.deadline, -goal.penalty_rate, key)
+            for key, (goal, _) in self._solved.items()
+            if new_goal.at_least_as_strict_as(goal)
+        ]
+        if not qualifying:
+            return None, [None] * len(self._base.workloads)
+        return self._solved[min(qualifying)[2]]
 
     @staticmethod
     def _adaptive_bound(old_goal: PerformanceGoal, old_optimal_cost: float) -> AdaptiveBound:

@@ -13,7 +13,12 @@ goal, :class:`ModelGenerator` executes the paper's offline training loop:
 The returned :class:`TrainingResult` keeps the training set and the per-sample
 solutions so that the adaptive-modeling machinery (Section 5) can re-derive
 models for stricter goals without re-generating workloads or re-searching from
-scratch.
+scratch.  Each :class:`SampleSolution` records its optimal cost and
+:attr:`~SampleSolution.path`, the action labels of the schedule found; given
+one as ``keep``, :meth:`SampleSolver.solve` first re-prices that path under
+its own goal and searches only if the cost moved
+(:mod:`repro.adaptive.retraining` explains why equal cost means still
+optimal, and guards when it may be asked).
 
 Parallel training
 -----------------
@@ -36,7 +41,7 @@ path transparently.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.cloud.latency import LatencyModel, TemplateLatencyModel
@@ -65,12 +70,17 @@ class SampleSolution:
     strategy it is provably minimal.  Relaxed strategies additionally record
     ``cost_lower_bound`` — a sound lower bound on the true optimum — so the
     per-sample suboptimality is never silent (``None`` means exact).
+    ``path`` is the action labels of the schedule found, in order — what
+    :meth:`SchedulingProblem.follow <repro.search.problem.SchedulingProblem.follow>`
+    re-prices under a stricter goal instead of searching again; ``()`` in
+    artifacts written before paths were kept, which simply re-search.
     """
 
     template_counts: dict[str, int]
     optimal_cost: float
     expansions: int
     cost_lower_bound: float | None = None
+    path: tuple[str, ...] = ()
 
     @property
     def optimality_ratio(self) -> float:
@@ -86,6 +96,8 @@ class SampleSolution:
         }
         if self.cost_lower_bound is not None:
             data["cost_lower_bound"] = self.cost_lower_bound
+        if self.path:
+            data["path"] = list(self.path)
         return data
 
     @classmethod
@@ -96,6 +108,7 @@ class SampleSolution:
             optimal_cost=data["optimal_cost"],
             expansions=data["expansions"],
             cost_lower_bound=data.get("cost_lower_bound"),
+            path=tuple(data.get("path", ())),
         )
 
 
@@ -227,19 +240,33 @@ def collect_examples(
             problem, max_expansions=max_expansions, extra_lower_bound=extra_lower_bound
         )
     decisions = list(result.decisions())
-    if slow_path_enabled():
-        examples = [
-            TrainingExample(features=extractor.extract(node, problem), label=action.label)
-            for node, action in decisions
-        ]
-    else:
-        matrix = extractor.matrix([node for node, _ in decisions], problem)
-        examples = examples_from_matrix(
-            extractor.feature_names,
-            matrix,
-            [action.label for _, action in decisions],
-        )
+    examples = label_decisions(
+        problem,
+        extractor,
+        [node for node, _ in decisions],
+        [action.label for _, action in decisions],
+    )
     return examples, result
+
+
+def label_decisions(
+    problem: SchedulingProblem,
+    extractor: FeatureExtractor,
+    nodes: Sequence[SearchNode],
+    labels: Sequence[str],
+) -> list[TrainingExample]:
+    """One example per decision: the features of ``nodes[i]`` labelled ``labels[i]``.
+
+    Shared by a searched path (:func:`collect_examples`) and a kept one
+    (:meth:`SampleSolver.solve`), so both label their vertices identically.
+    """
+    if slow_path_enabled():
+        return [
+            TrainingExample(features=extractor.extract(node, problem), label=label)
+            for node, label in zip(nodes, labels)
+        ]
+    matrix = extractor.matrix(nodes, problem)
+    return examples_from_matrix(extractor.feature_names, matrix, labels)
 
 
 class SampleSolver:
@@ -289,8 +316,18 @@ class SampleSolver:
         self,
         workload: Workload,
         extra_bound: Callable[[SearchNode], float] | None = None,
+        keep: SampleSolution | None = None,
     ) -> tuple[list[TrainingExample], SampleSolution] | None:
-        """Examples and solution for one sample (None = budget exceeded)."""
+        """Examples and solution for one sample (None = budget exceeded).
+
+        *keep*, when given, must be this workload's exact optimum under a goal
+        the solver's goal is at least as strict as (the caller's guard).  Its
+        path is followed under the solver's goal; if it still reaches a goal
+        vertex at ``keep.optimal_cost`` it is still optimal — no schedule got
+        cheaper — so its vertices are labelled and nothing is searched
+        (``expansions=0``).  Otherwise, or without a path, the sample is
+        searched as before.
+        """
         aux_goal = None
         if extra_bound is not None and not slow_path_enabled():
             # Adaptive-A* bounds advertise the old goal so its penalty can be
@@ -305,6 +342,15 @@ class SampleSolver:
             aux_goal=aux_goal,
             future_bound=self.future_bound,
         )
+        if keep is not None and keep.path:
+            nodes = problem.follow(keep.path)
+            if (
+                nodes is not None
+                and nodes[-1].state.is_goal()
+                and nodes[-1].partial_cost == keep.optimal_cost
+            ):
+                examples = label_decisions(problem, self.extractor, nodes[:-1], keep.path)
+                return examples, replace(keep, expansions=0)
         try:
             examples, result = collect_examples(
                 problem,
@@ -320,6 +366,7 @@ class SampleSolver:
             optimal_cost=result.cost,
             expansions=result.expansions,
             cost_lower_bound=result.cost_lower_bound,
+            path=tuple(example.label for example in examples),
         )
         return examples, solution
 
@@ -333,7 +380,7 @@ def solve_samples(
     n_jobs: int,
     backend: ExecutionBackend | None = None,
 ) -> list:
-    """Solve ``(index, workload[, extra_bound])`` tasks, returning payloads in task order.
+    """Solve ``(index, workload[, extra_bound[, keep]])`` tasks, returning payloads in task order.
 
     Compatibility wrapper over :meth:`ExecutionBackend.map_tasks`.  When a
     *backend* is supplied it is used as-is (and stays warm for the caller to

@@ -692,6 +692,79 @@ class SchedulingProblem:
                 successors.append(child)
         return successors
 
+    def follow(self, labels: Sequence[str]) -> list[SearchNode] | None:
+        """The vertices along the action *labels* from the start vertex, inclusive.
+
+        Re-prices a known path under this problem's goal in O(len(labels)):
+        one child per label with the same arithmetic as :meth:`expand`
+        (completion = finish + latency, the accumulator branched then
+        extended, infrastructure summed in path order), so following a path
+        this problem's own search returned reproduces its cost to the bit —
+        and no f-value, bound or memo work.  ``None`` when a step is not
+        possible here: an unknown label, a placement with no VM or on one
+        that does not support the template, or nothing of that template left.
+
+        No dominance rule is applied.  Adaptive retraining follows a path that
+        was canonical in a *looser* goal's reduced graph and keeps it only if
+        it still costs the same; such a path can be pruned in the stricter
+        goal's graph only by an *equal-cost* swap (a strictly cheaper swap
+        would contradict the cost equality, and the order-free horizon only
+        shrinks), so it is still a minimum-cost schedule.
+        """
+        node = SearchNode(
+            SearchState.initial(self._counts), None, None, 0.0, 0.0, (), 0.0, 0,
+            accumulator=self._goal.search_accumulator(),
+        )
+        nodes = [node]
+        provisions = {action.label: i for i, action in enumerate(self._provision_actions)}
+        placements = {action.label: i for i, action in enumerate(self._place_actions)}
+        for label in labels:
+            state = node.state
+            if label in provisions:
+                vm_index = provisions[label]
+                node = SearchNode(
+                    state.with_new_vm(self._vm_names[vm_index]),
+                    node,
+                    self._provision_actions[vm_index],
+                    node.infra_cost + self._startup_costs[vm_index],
+                    node.penalty,
+                    node.outcomes,
+                    0.0,
+                    node.depth + 1,
+                    0.0,
+                    node.accumulator,
+                    vm_index,
+                )
+            elif label in placements and node.last_vm_index >= 0:
+                vm_index = node.last_vm_index
+                template_index = placements[label]
+                name = self._tpl_names[template_index]
+                if not (
+                    self._supports_table[vm_index][template_index]
+                    and state.has_remaining(name)
+                ):
+                    return None
+                completion = node.last_vm_finish + self._latency_table[vm_index][template_index]
+                accumulator = node.accumulator.branch()
+                accumulator.add(name, completion)
+                node = SearchNode(
+                    state.with_placement(name),
+                    node,
+                    self._place_actions[template_index],
+                    node.infra_cost + self._run_cost_table[vm_index][template_index],
+                    self._rate * accumulator.violation(),
+                    node.outcomes + (LatencyOutcome(name, completion),),
+                    completion,
+                    node.depth + 1,
+                    0.0,
+                    accumulator,
+                    vm_index,
+                )
+            else:
+                return None
+            nodes.append(node)
+        return nodes
+
     # -- edge costs (Equation 2), used by the cost-of-X feature ----------------------
 
     def placement_edge_cost(self, node: SearchNode, template_name: str) -> float:

@@ -243,13 +243,22 @@ class PerformanceGoal(ABC):
             raise GoalError(f"{self.kind} goals are not linearly shiftable")
         return self.with_deadline(max(1.0, self.deadline - delta))
 
-    def is_stricter_than(self, other: "PerformanceGoal") -> bool:
-        """True when this goal's deadline is tighter than *other*'s (same kind only)."""
-        if self.kind != other.kind:
-            raise GoalError(
-                f"cannot compare goals of different kinds: {self.kind} vs {other.kind}"
-            )
-        return self.deadline < other.deadline
+    def at_least_as_strict_as(self, other: "PerformanceGoal") -> bool:
+        """True when every outcome set is penalised at least as much as under *other*.
+
+        The one notion of "stricter" in the library, and the premise of
+        Lemma 5.1: adaptive retraining may only bound (or keep) a sample's
+        old optimum when no schedule got cheaper.  That holds when both goals
+        are of the same kind, the penalty rate is not lower and the deadline
+        is not later; subclasses add what else their penalty reads (every
+        per-template deadline, the percentile).  Goals of different kinds
+        are never comparable.
+        """
+        return (
+            self.kind == other.kind
+            and self.penalty_rate >= other.penalty_rate
+            and self.deadline <= other.deadline
+        )
 
     # -- serialization ----------------------------------------------------------
 

@@ -83,6 +83,23 @@ class PerQueryDeadlineGoal(PerformanceGoal):
         """The template's own deadline (mean deadline for unknown templates)."""
         return self._deadlines.get(template_name, self.deadline)
 
+    def at_least_as_strict_as(self, other: PerformanceGoal) -> bool:
+        """Every template's own deadline must be no later, over the same templates.
+
+        The mean deadline the base class compares says nothing pointwise: one
+        deadline tripled and the rest scaled down lowers the mean while making
+        that template's queries cheaper.
+        """
+        return (
+            self.kind == other.kind
+            and self.penalty_rate >= other.penalty_rate
+            and self._deadlines.keys() == other._deadlines.keys()
+            and all(
+                deadline <= other._deadlines[name]
+                for name, deadline in self._deadlines.items()
+            )
+        )
+
     @property
     def is_monotonic(self) -> bool:
         """Adding a query can only add violations, never remove them."""

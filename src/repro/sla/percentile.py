@@ -88,6 +88,10 @@ class PercentileGoal(PerformanceGoal):
             return aux_goal.deadline
         return None
 
+    def at_least_as_strict_as(self, other: PerformanceGoal) -> bool:
+        """Same percentile as well: a lower one reads a smaller rank latency."""
+        return super().at_least_as_strict_as(other) and self._percent == other._percent
+
     def ordering_horizon(
         self, queue_template_names: Sequence[str], candidate_template_name: str
     ) -> float:

@@ -167,12 +167,13 @@ def test_retrain_bit_identical_fast_vs_slow_path(kind, all_goals, monkeypatch):
         TEMPLATES, vm_types=VM_TYPES, config=TrainingConfig.tiny(seed=13)
     )
     base = generator.generate(old_goal)
-    modeler = AdaptiveModeler(generator, base)
 
+    # One modeler per variant: a second retrain of the same goal through one
+    # modeler keeps every path and searches nothing.
     monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    slow = _retrain_fingerprint(*modeler.retrain(new_goal))
+    slow = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
     monkeypatch.delenv("REPRO_SLOW_PATH")
-    fast = _retrain_fingerprint(*modeler.retrain(new_goal))
+    fast = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
     assert fast == slow
 
 
@@ -186,15 +187,15 @@ def test_retrain_bit_identical_incremental_vs_recomputed_bound(
         TEMPLATES, vm_types=VM_TYPES, config=TrainingConfig.tiny(seed=29)
     )
     base = generator.generate(old_goal)
-    modeler = AdaptiveModeler(generator, base)
 
-    incremental = _retrain_fingerprint(*modeler.retrain(new_goal))
+    # One modeler per variant (see above).
+    incremental = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
     monkeypatch.setattr(
         AdaptiveModeler,
         "_adaptive_bound",
         staticmethod(lambda goal, cost: RecomputedBound(goal, cost)),
     )
-    recomputed = _retrain_fingerprint(*modeler.retrain(new_goal))
+    recomputed = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
     assert incremental == recomputed
 
 

@@ -39,6 +39,7 @@ from repro.learning.trainer import ModelGenerator
 from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineScheduler
 from repro.sla.max_latency import MaxLatencyGoal
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import spot_revocation_scenario
 
 
@@ -303,17 +304,28 @@ class TestOnlineFaults:
         assert first_start == pytest.approx(clean_first + 18.0)
 
     def test_rescheduling_delay_lands_in_the_penalty(
-        self, trained_max, model_generator, arrival_workload
+        self, trained_max, model_generator, small_templates
     ):
+        """A VM failure never lowers the SLA penalty below the clean run's.
+
+        Per-query completion times are *not* monotone under a failure — the
+        requeue re-bundles the queue, so an untouched query can finish
+        earlier — which is why the claim is about the penalty, over the
+        test's own seeded streams (not the order-dependent session generator).
+        """
         plan = FaultPlan(events=(VMFailure(at=100.0, vm_index=0),))
-        faulty = _online(trained_max, model_generator, plan).run(arrival_workload)
-        clean = _online(trained_max, model_generator).run(arrival_workload)
-        # Completion of the requeued queries can only move later.
-        faulty_done = {o.query_id: o.completion_time for o in faulty.query_outcomes}
-        clean_done = {o.query_id: o.completion_time for o in clean.query_outcomes}
-        assert all(
-            faulty_done[qid] >= clean_done[qid] - 1e-9 for qid in clean_done
-        )
+        requeues = 0
+        for seed in range(8):
+            generator = WorkloadGenerator(small_templates, seed=seed)
+            workload = generator.with_fixed_arrivals(generator.uniform(9), delay=45.0)
+            faulty = _online(trained_max, model_generator, plan).run(workload)
+            clean = _online(trained_max, model_generator).run(workload)
+            assert faulty.cost.penalty_cost >= clean.cost.penalty_cost - 1e-9, seed
+            _assert_exactly_once(faulty, workload)
+            _assert_reconciles(faulty.cost)
+            assert faulty.overhead.vm_failures == 1
+            requeues += faulty.overhead.requeues
+        assert requeues > 0
 
     def test_spot_scenario_end_to_end(self, small_templates, tiny_config):
         scenario = spot_revocation_scenario(

@@ -215,12 +215,41 @@ def test_strictness_factor(small_templates, all_goals):
         goal.with_strictness_factor(1.5)
 
 
-def test_is_stricter_than(small_templates, max_goal):
+def test_at_least_as_strict_as(small_templates, all_goals, max_goal):
     tighter = max_goal.with_deadline(max_goal.deadline / 2)
-    assert tighter.is_stricter_than(max_goal)
-    assert not max_goal.is_stricter_than(tighter)
-    with pytest.raises(GoalError):
-        max_goal.is_stricter_than(AverageLatencyGoal())
+    assert tighter.at_least_as_strict_as(max_goal)
+    assert not max_goal.at_least_as_strict_as(tighter)
+    assert not max_goal.at_least_as_strict_as(AverageLatencyGoal())
+    for goal in all_goals.values():
+        assert goal.at_least_as_strict_as(goal)
+        assert goal.tightened(0.1, small_templates).at_least_as_strict_as(goal)
+        assert not goal.tightened(-0.1, small_templates).at_least_as_strict_as(goal)
+
+
+def test_at_least_as_strict_as_reads_everything_the_penalty_reads(per_query_goal):
+    """A tighter scalar deadline is not enough: rate, every deadline, the percentile."""
+    cheaper = MaxLatencyGoal(190.0, penalty_rate=0.001)
+    assert not cheaper.at_least_as_strict_as(MaxLatencyGoal(200.0, penalty_rate=1.0))
+    assert MaxLatencyGoal(190.0, penalty_rate=2.0).at_least_as_strict_as(
+        MaxLatencyGoal(200.0, penalty_rate=1.0)
+    )
+
+    deadlines = dict(per_query_goal.deadlines)
+    first = next(iter(deadlines))
+    lower_mean = PerQueryDeadlineGoal(
+        {name: value * (2.0 if name == first else 0.4) for name, value in deadlines.items()}
+    )
+    assert lower_mean.deadline < per_query_goal.deadline
+    assert not lower_mean.at_least_as_strict_as(per_query_goal)
+    assert per_query_goal.shifted(5.0).at_least_as_strict_as(per_query_goal)
+    fewer = PerQueryDeadlineGoal({first: deadlines[first]})
+    assert not fewer.at_least_as_strict_as(per_query_goal)
+    # Same deadlines listed in another order (a goal restored from JSON).
+    reordered = PerQueryDeadlineGoal(dict(sorted(deadlines.items(), reverse=True)))
+    assert reordered.at_least_as_strict_as(per_query_goal)
+
+    assert not PercentileGoal(80.0, 500.0).at_least_as_strict_as(PercentileGoal(90.0, 600.0))
+    assert PercentileGoal(90.0, 500.0).at_least_as_strict_as(PercentileGoal(90.0, 600.0))
 
 
 def test_penalty_rate_validation():
