@@ -150,7 +150,7 @@ def test_training_throughput(benchmark, scale):
         "pool_warm_reuse": pool_reuse,
     }
     # merge_bench_json preserves the series other benchmarks maintain in this
-    # file (online_decision_us, adaptive_bound_us, ...).
+    # file (adaptive_bound_s, bound_ablation, ...).
     path = merge_bench_json("training_throughput", payload)
     print(f"(written to {path})")
     for row in rows:

@@ -64,8 +64,9 @@ nodes of a retraining problem carry a second, old-goal
 :class:`~repro.sla.accumulators.ViolationAccumulator` (copy-on-write, exactly
 like the primary one), so :meth:`AdaptiveBound.__call__` reads an O(1) cached
 delta instead of re-evaluating the old goal over the node's full outcome
-tuple.  ``REPRO_SLOW_PATH=1`` forces the legacy full re-evaluation; both
-paths are bit-identical (asserted by the adaptive equivalence suite).
+tuple.  A bound that advertises no ``aux_goal`` gets nodes without the second
+accumulator and falls back to that re-evaluation; both are bit-identical
+(asserted by the adaptive equivalence suite).
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ class AdaptiveBound:
     :attr:`~repro.search.problem.SearchNode.aux_penalty` — an O(1) read instead
     of re-evaluating the old goal over the full outcome tuple per generated
     node), falling back to the full re-evaluation for nodes built without it
-    (externally constructed nodes, or ``REPRO_SLOW_PATH=1``).  Both paths are
-    bit-identical: the accumulators agree with the batch penalty definition
-    bit-for-bit.  A frozen dataclass rather than a closure so the bound can
-    cross process boundaries when retraining runs in parallel.
+    (externally constructed nodes, or a problem built for a wrapper that
+    hides :attr:`aux_goal`).  Both paths are bit-identical: the accumulators
+    agree with the batch penalty definition bit-for-bit.  A frozen dataclass
+    rather than a closure so the bound can cross process boundaries when
+    retraining runs in parallel.
     """
 
     old_goal: PerformanceGoal

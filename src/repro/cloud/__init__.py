@@ -11,7 +11,6 @@ from repro.cloud.simulator import (
     InterruptedQuery,
     ScheduleSimulator,
     VMRental,
-    outcomes_of,
     simulate,
 )
 from repro.cloud.vm import (
@@ -37,7 +36,6 @@ __all__ = [
     "VMRental",
     "VMType",
     "VMTypeCatalog",
-    "outcomes_of",
     "simulate",
     "single_vm_type_catalog",
     "spot_variant",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from repro.cloud.latency import LatencyModel
 from repro.core.outcome import QueryOutcome
@@ -270,12 +270,3 @@ def simulate(
     return ScheduleSimulator(latency_model).run(
         schedule, provision_time=provision_time, fault_plan=fault_plan
     )
-
-
-def outcomes_of(
-    schedule: Schedule,
-    latency_model: LatencyModel,
-    provision_time: float = 0.0,
-) -> Sequence[QueryOutcome]:
-    """The query outcomes of simulating *schedule* (helper for the cost model)."""
-    return simulate(schedule, latency_model, provision_time=provision_time).outcomes

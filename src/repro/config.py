@@ -16,32 +16,9 @@ scale it uses.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from repro import units
-
-# ---------------------------------------------------------------------------
-# Inference-path selection
-# ---------------------------------------------------------------------------
-
-#: Environment variable forcing the legacy (dict feature / tree node-walk)
-#: inference path everywhere the vectorized fast path would otherwise run.
-SLOW_PATH_ENV = "REPRO_SLOW_PATH"
-
-
-def slow_path_enabled() -> bool:
-    """True when ``REPRO_SLOW_PATH`` requests the legacy inference path.
-
-    The fast path (a walk of the compiled decision tree that computes only
-    the features it tests, and epoch-batched online scheduling) is
-    bit-identical to the legacy path — the golden-scenario suite asserts the
-    digests match both ways — so this escape hatch exists for debugging and
-    for the equivalence tests, not for correctness.  Checked at call time so
-    tests can toggle it per-case via ``monkeypatch.setenv``.
-    """
-    value = os.environ.get(SLOW_PATH_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
 
 # ---------------------------------------------------------------------------
 # Pricing defaults (Section 7.1)

@@ -33,13 +33,11 @@ def examples_from_matrix(
     matrix: np.ndarray,
     labels: Sequence[str],
 ) -> list[TrainingExample]:
-    """Labelled examples from a dense feature matrix (vectorized fast path).
+    """Labelled examples from a dense feature matrix.
 
     The inverse of :meth:`TrainingSet.to_matrix`: row *i* becomes the feature
     mapping of example *i* in the canonical *feature_names* order.  Values
-    round-trip through numpy bit-identically, so a training set assembled this
-    way is indistinguishable from one built with per-vertex
-    :meth:`~repro.learning.features.FeatureExtractor.extract` dicts.
+    round-trip through numpy bit-identically.
     """
     if matrix.shape[0] != len(labels):
         raise TrainingError("feature matrix and labels disagree on example count")

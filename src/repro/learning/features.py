@@ -24,14 +24,13 @@ reads only the columns on its tree path, so
 :meth:`~repro.learning.model.DecisionModel.decide` evaluates those — the same
 expressions, looked up through :attr:`FeatureExtractor.column_layout` — and
 ``extract_into`` is the oracle its walk is tested against
-(``tests/test_vectorized_equivalence.py``); :meth:`FeatureExtractor.extract`
-remains the ``REPRO_SLOW_PATH=1`` reference.
+(``tests/test_vectorized_equivalence.py``).  The row itself is held against a
+straight-line name → value extraction that lives only under ``tests/``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,7 +104,7 @@ class FeatureExtractor:
         self._build_columns()
 
     def _build_columns(self) -> None:
-        """Precompute the column layout used by the vectorized fast path.
+        """Precompute the column layout :meth:`extract_into` and the decision walk share.
 
         The canonical feature order is ``wait_time`` (when enabled) followed by
         one fixed-size block per template, so every per-template family lands
@@ -205,71 +204,13 @@ class FeatureExtractor:
         """VM type name -> the ``supports-X`` values of that type, by template index."""
         return self._supports_rows
 
-    def extract(self, node: SearchNode, problem: SchedulingProblem) -> dict[str, float]:
-        """The feature vector of *node* within *problem* (name → value).
-
-        This is the dict-returning compatibility path (and the reference
-        implementation the ``REPRO_SLOW_PATH=1`` escape hatch forces); training
-        writes preallocated numpy rows via :meth:`extract_into` /
-        :meth:`matrix` instead, and the equivalence tests assert the two
-        implementations agree feature-for-feature, bit-for-bit.
-
-        The per-template loop leans on precomputed state — the supports row of
-        the most recent VM's type, a single queue histogram for the
-        proportion-of-X family, and the problem's O(1)/O(log n) incremental
-        ``placement_edge_cost`` — so extraction cost no longer scales with the
-        number of queries already placed.
-        """
-        features: dict[str, float] = {}
-        families = self._families
-        last = node.state.last_vm()
-        last_queue: tuple[str, ...] = last[1] if last is not None else ()
-        queue_length = len(last_queue)
-
-        if "wait_time" in families:
-            features[wait_time_feature()] = node.last_vm_finish
-
-        proportions = "proportion_of" in families
-        queue_counts = Counter(last_queue) if proportions and queue_length else None
-        supports = "supports" in families
-        supports_row = (
-            self._supports_rows[last[0]] if supports and last is not None else None
-        )
-        cost_of = "cost_of" in families
-        have = "have" in families
-        inf = float("inf")
-
-        for index, template in enumerate(self._templates.names):
-            if proportions:
-                if queue_counts is not None:
-                    proportion = queue_counts.get(template, 0) / queue_length
-                else:
-                    proportion = 0.0
-                features[proportion_feature(template)] = proportion
-            if supports:
-                features[supports_feature(template)] = (
-                    supports_row[index] if supports_row is not None else 0.0
-                )
-            if cost_of:
-                cost = problem.placement_edge_cost(node, template)
-                if cost == inf:
-                    cost = INFEASIBLE_COST
-                features[cost_feature(template)] = cost
-            if have:
-                features[have_feature(template)] = (
-                    1.0 if node.state.has_remaining(template) else 0.0
-                )
-        return features
-
     def extract_into(self, node: SearchNode, problem: SchedulingProblem, out_row):
         """Write the feature vector of *node* directly into *out_row*.
 
         *out_row* is any preallocated mutable row of ``len(feature_names)``
         entries — a numpy float64 row (the :meth:`matrix` path) or a plain
-        list.  Every enabled
-        column is overwritten, so the buffer needs no zeroing between calls.
-        The values are bit-identical to :meth:`extract`'s — same arithmetic,
-        same order — but no per-vertex dict is built.  Returns *out_row*.
+        list.  Every enabled column is overwritten, so the buffer needs no
+        zeroing between calls.  Returns *out_row*.
         """
         state = node.state
         last = state.last_vm()
@@ -335,7 +276,3 @@ class FeatureExtractor:
         for index, node in enumerate(nodes):
             self.extract_into(node, problem, out[index])
         return out
-
-    def vector(self, features: Mapping[str, float]) -> list[float]:
-        """Order a feature mapping into the extractor's canonical vector form."""
-        return [features[name] for name in self._feature_names]

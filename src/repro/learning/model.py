@@ -41,7 +41,6 @@ from repro.cloud.latency import (
     latency_model_to_dict,
 )
 from repro.cloud.vm import VMType, VMTypeCatalog
-from repro.config import slow_path_enabled
 from repro.exceptions import ModelError
 from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
@@ -297,10 +296,6 @@ class DecisionModel:
 
     # -- raw prediction ----------------------------------------------------------
 
-    def predict_label(self, features: Mapping[str, float]) -> str:
-        """The raw decision-tree label for a feature mapping."""
-        return self._tree.predict(features)
-
     def _compiled_evaluator(self):
         """The fitted tree compiled onto the extractor's feature-row layout."""
         if self._evaluator is None:
@@ -308,7 +303,7 @@ class DecisionModel:
         return self._evaluator
 
     def compiled_evaluator(self):
-        """The compiled flat-array evaluator behind the inference fast path.
+        """The compiled flat-array evaluator :meth:`decide` walks.
 
         Public so the sharded serving layer can pack the evaluator's arrays
         into shared memory (:mod:`repro.learning.shm`) and ship them to
@@ -317,7 +312,7 @@ class DecisionModel:
         return self._compiled_evaluator()
 
     def use_evaluator(self, evaluator) -> None:
-        """Adopt a pre-built evaluator for the inference fast path.
+        """Adopt a pre-built evaluator for :meth:`decide` to walk.
 
         Sharded serving workers attach the parent's compiled evaluator from
         shared memory and install it here, so per-dispatch predictions read
@@ -344,34 +339,17 @@ class DecisionModel:
 
     # -- validated decisions --------------------------------------------------------
 
-    def decide(
-        self,
-        node: SearchNode,
-        problem: SchedulingProblem,
-        slow_path: bool | None = None,
-    ) -> Action:
+    def decide(self, node: SearchNode, problem: SchedulingProblem) -> Action:
         """The model's (validated) action for the scheduling state *node*.
 
         One parse costs O(tree height) (Section 6.2): :meth:`_walk` descends
-        the compiled tree and computes a feature only when a node tests it,
-        unless ``REPRO_SLOW_PATH=1`` forces the legacy dict-extraction /
-        node-walk path.  Both paths produce identical labels (asserted by the
-        golden-scenario and equivalence suites).  *slow_path* lets a scheduler
-        resolve the environment check once per run instead of once per
-        decision; ``None`` consults the environment.
+        the compiled tree and computes a feature only when a node tests it.
 
         A decision keeps its working values local to the call — tenants that
         share this model object may decide at the same time — and shares only
         the :attr:`stats` counters (see :class:`DecisionStats`).
         """
-        if slow_path is None:
-            slow_path = slow_path_enabled()
-        if slow_path:
-            features = self._extractor.extract(node, problem)
-            raw_label = self._tree.predict(features)
-            costs = None
-        else:
-            raw_label, costs = self._walk(node, problem)
+        raw_label, costs = self._walk(node, problem)
         try:
             action = self._action_cache[raw_label]
         except KeyError:

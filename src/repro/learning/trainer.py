@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 from repro.cloud.latency import LatencyModel, TemplateLatencyModel
 from repro.cloud.vm import VMTypeCatalog, single_vm_type_catalog
-from repro.config import TrainingConfig, slow_path_enabled
+from repro.config import TrainingConfig
 from repro.exceptions import SearchBudgetExceeded, TrainingError
 from repro.learning.dataset import TrainingExample, TrainingSet, examples_from_matrix
 from repro.learning.decision_tree import DecisionTreeClassifier
@@ -226,10 +226,8 @@ def collect_examples(
     ``strategy`` selects the search strategy (``None`` = the exact A*
     default, bit-identical to every prior release).  Feature rows are
     assembled through the extractor's batch
-    :meth:`~repro.learning.features.FeatureExtractor.matrix` fast path (one
-    preallocated matrix for the whole solution path instead of one dict per
-    vertex); ``REPRO_SLOW_PATH=1`` falls back to the legacy per-vertex dicts.
-    Both paths produce bit-identical training sets.
+    :meth:`~repro.learning.features.FeatureExtractor.matrix` (one
+    preallocated matrix for the whole solution path).
     """
     if strategy is None:
         result = astar_search(
@@ -260,11 +258,6 @@ def label_decisions(
     Shared by a searched path (:func:`collect_examples`) and a kept one
     (:meth:`SampleSolver.solve`), so both label their vertices identically.
     """
-    if slow_path_enabled():
-        return [
-            TrainingExample(features=extractor.extract(node, problem), label=label)
-            for node, label in zip(nodes, labels)
-        ]
     matrix = extractor.matrix(nodes, problem)
     return examples_from_matrix(extractor.feature_names, matrix, labels)
 
@@ -328,18 +321,14 @@ class SampleSolver:
         (``expansions=0``).  Otherwise, or without a path, the sample is
         searched as before.
         """
-        aux_goal = None
-        if extra_bound is not None and not slow_path_enabled():
-            # Adaptive-A* bounds advertise the old goal so its penalty can be
-            # carried incrementally on search nodes (REPRO_SLOW_PATH=1 keeps
-            # the legacy full re-evaluation as an escape hatch).
-            aux_goal = getattr(extra_bound, "aux_goal", None)
         problem = SchedulingProblem.for_workload(
             workload,
             self.vm_types,
             self.goal,
             self.latency_model,
-            aux_goal=aux_goal,
+            # Adaptive-A* bounds advertise the old goal so its penalty can be
+            # carried incrementally on search nodes.
+            aux_goal=getattr(extra_bound, "aux_goal", None),
             future_bound=self.future_bound,
         )
         if keep is not None and keep.path:

@@ -32,7 +32,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from repro.cloud.vm import VMType
-from repro.config import slow_path_enabled
 from repro.core.schedule import Schedule, VMAssignment
 from repro.core.scheduler import SchedulerOverhead, SchedulingOutcome, simulated_outcome
 from repro.exceptions import ScheduleError
@@ -199,7 +198,6 @@ class BatchScheduler:
         # placement.
         remaining = {name: len(pools[name]) for name in sorted(pools)}
         context = RuntimeSchedulingContext(self._model)
-        slow_path = slow_path_enabled()
 
         vms: list[tuple[VMType, list[Query]]] = []
         placed_on_existing: list[Query] = []
@@ -250,7 +248,7 @@ class BatchScheduler:
                     "the decision model failed to converge on a complete schedule"
                 )
             node.last_vm_finish = last_finish
-            action = decide(node, context, slow_path=slow_path)
+            action = decide(node, context)
             if isinstance(action, ProvisionVM):
                 last_vm_type = vm_types[action.vm_type_name]
                 placed = []

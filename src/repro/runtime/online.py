@@ -39,9 +39,10 @@ that rounds above zero; and each model parse walks the compiled tree computing
 only the features its path tests (:meth:`~repro.learning.model.DecisionModel.decide`).
 An epoch's parses cannot be fused into one matrix fill: decision ``k+1``'s
 features depend on decision ``k``'s action.
-``REPRO_SLOW_PATH=1`` forces the legacy one-pass-per-query dict/node-walk
-loop; for streams with distinct arrival times the two paths are bit-identical
-(asserted by the golden-scenario and equivalence suites).
+A session also accepts several epochs with one timestamp, so submitting every
+query as its own epoch is the one-pass-per-query loop of the paper; for
+streams with distinct arrival times the two groupings coincide (asserted by
+the equivalence suite).
 
 The arrival loop
 ----------------
@@ -82,7 +83,6 @@ from typing import Sequence
 
 from repro.adaptive.retraining import AdaptiveModeler
 from repro.cloud.vm import VMType
-from repro.config import slow_path_enabled
 from repro.core.cost_model import CostBreakdown
 from repro.core.outcome import QueryOutcome
 from repro.core.schedule import Schedule, VMAssignment
@@ -376,13 +376,8 @@ class OnlineScheduler:
         Queries sharing an arrival time are one scheduling event: they are
         bundled with the wait queue and re-scheduled in a single pass (one
         model derivation, one batch parse) instead of one pass per query.
-        Under ``REPRO_SLOW_PATH=1`` every query is its own epoch, reproducing
-        the legacy one-pass-per-arrival loop; for streams with distinct
-        arrival times the two groupings are identical.
         """
         arrivals = sorted(workload, key=lambda q: (q.arrival_time, q.query_id))
-        if slow_path_enabled():
-            return [[query] for query in arrivals]
         epochs: list[list[Query]] = []
         for query in arrivals:
             if epochs and epochs[-1][0].arrival_time == query.arrival_time:
@@ -616,7 +611,9 @@ class OnlineSession:
 
     Epochs must be submitted in non-decreasing time order, and every query in
     one ``submit`` call must share a single arrival time (the PR-3 epoch
-    semantics: simultaneous arrivals are one scheduling event).  Sessions are
+    semantics: simultaneous arrivals are one scheduling event).  Consecutive
+    calls may share a timestamp, so submitting each query as its own epoch
+    runs one pass per query — the paper's per-arrival loop.  Sessions are
     not thread-safe; the service's per-tenant single-writer guard exists to
     keep concurrent writers out.
     """

@@ -10,13 +10,14 @@ four goal kinds:
 * search-level: f-values, optimal costs, expansion counts, and generated
   counts are identical whether the bound reads the accumulator or recomputes;
 * training-level: :meth:`AdaptiveModeler.retrain` produces bit-identical
-  training sets, sample solutions, and fitted trees with the incremental path
-  and with the legacy recomputation (``REPRO_SLOW_PATH=1``).
+  training sets, sample solutions, and fitted trees when the bound reads the
+  accumulator and when :class:`AdaptiveBound` falls back to re-evaluating the
+  old goal (reached through a wrapper that advertises no ``aux_goal``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,24 @@ class RecomputedBound:
     def __call__(self, node) -> float:
         old_partial = node.infra_cost + self.old_goal.penalty(node.outcomes)
         return node.partial_cost + max(0.0, self.old_optimal_cost - old_partial)
+
+
+@dataclass(frozen=True)
+class HiddenAuxBound:
+    """An :class:`AdaptiveBound` behind a wrapper that advertises no ``aux_goal``.
+
+    Problems built for it carry no auxiliary accumulator, so every call runs
+    ``AdaptiveBound.__call__``'s re-evaluation of the old goal; *reached*
+    counts the calls.
+    """
+
+    bound: AdaptiveBound
+    reached: list
+
+    def __call__(self, node) -> float:
+        assert node.aux_penalty < 0.0
+        self.reached.append(1)
+        return self.bound(node)
 
 
 def _goals(kind: str, all_goals) -> tuple[PerformanceGoal, PerformanceGoal]:
@@ -160,21 +179,30 @@ def _retrain_fingerprint(result, report) -> tuple:
 
 
 @pytest.mark.parametrize("kind", GOAL_KINDS)
-def test_retrain_bit_identical_fast_vs_slow_path(kind, all_goals, monkeypatch):
-    """Full adaptive retraining matches the legacy path under REPRO_SLOW_PATH."""
+def test_retrain_bit_identical_accumulator_vs_old_goal_fallback(
+    kind, all_goals, monkeypatch
+):
+    """AdaptiveBound's accumulator read and its own fallback retrain alike."""
     old_goal, new_goal = _goals(kind, all_goals)
     generator = ModelGenerator(
         TEMPLATES, vm_types=VM_TYPES, config=TrainingConfig.tiny(seed=13)
     )
+    # Without kept paths every sample is searched under h', so the bound runs.
     base = generator.generate(old_goal)
+    base = replace(base, samples=[replace(s, path=()) for s in base.samples])
 
     # One modeler per variant: a second retrain of the same goal through one
     # modeler keeps every path and searches nothing.
-    monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    slow = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
-    monkeypatch.delenv("REPRO_SLOW_PATH")
-    fast = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
-    assert fast == slow
+    incremental = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
+    reached: list = []
+    monkeypatch.setattr(
+        AdaptiveModeler,
+        "_adaptive_bound",
+        staticmethod(lambda goal, cost: HiddenAuxBound(AdaptiveBound(goal, cost), reached)),
+    )
+    fallback = _retrain_fingerprint(*AdaptiveModeler(generator, base).retrain(new_goal))
+    assert reached
+    assert incremental == fallback
 
 
 @pytest.mark.parametrize("kind", GOAL_KINDS)

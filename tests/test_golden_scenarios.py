@@ -1,4 +1,4 @@
-"""Golden-scenario regression suite for the inference fast path.
+"""Golden-scenario regression suite for training and inference.
 
 Every scenario is a fully seeded end-to-end run — train a model, schedule a
 workload, record what ran where and what it cost — whose canonical result is
@@ -8,11 +8,10 @@ two-type), so any change to training, feature extraction, tree evaluation, or
 either scheduler that shifts a single placement, start time, or cent shows up
 as a digest mismatch.
 
-The same frozen digests are asserted twice per scenario: once on the
-vectorized fast path and once with ``REPRO_SLOW_PATH=1`` forcing the legacy
-dict-extraction / tree-node-walk / one-pass-per-query code.  That is the
-contract the fast path must keep: bit-identical schedules, costs, and
-per-query records both ways.
+Each scenario runs once and is compared with its frozen digest.  There is
+one inference path, so nothing here runs a second one; its oracles live in
+the equivalence suite (``tests/test_vectorized_equivalence.py`` — the
+full-row decision and a session fed one query per epoch).
 
 Regenerating
 ------------
@@ -185,28 +184,19 @@ def _golden_path(kind, mode, catalog_name) -> Path:
 
 @pytest.mark.parametrize("kind,mode,catalog_name", SCENARIOS)
 def test_golden_scenario(
-    kind, mode, catalog_name, golden_trainings, golden_templates, regen_golden, monkeypatch
+    kind, mode, catalog_name, golden_trainings, golden_templates, regen_golden
 ):
-    """The frozen digest must hold on the fast path AND the legacy slow path."""
-    monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
+    """The scenario reproduces its frozen digest."""
     workload = _scenario_workload(mode, golden_templates)
-    fast_payload = _run_scenario(kind, mode, catalog_name, workload, golden_trainings)
-    fast_digest = _digest(fast_payload)
-
-    monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    slow_payload = _run_scenario(kind, mode, catalog_name, workload, golden_trainings)
-    monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
-    assert slow_payload == fast_payload, (
-        "legacy slow path diverged from the vectorized fast path"
-    )
-    assert _digest(slow_payload) == fast_digest
+    payload = _run_scenario(kind, mode, catalog_name, workload, golden_trainings)
+    digest = _digest(payload)
 
     path = _golden_path(kind, mode, catalog_name)
     if regen_golden:
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         path.write_text(
             json.dumps(
-                {"digest": fast_digest, "payload": fast_payload},
+                {"digest": digest, "payload": payload},
                 indent=2,
                 sort_keys=True,
             )
@@ -218,10 +208,10 @@ def test_golden_scenario(
         "to create it, then commit the result"
     )
     frozen = json.loads(path.read_text())
-    assert fast_payload == frozen["payload"], (
+    assert payload == frozen["payload"], (
         f"scenario {kind}/{mode}/{catalog_name} diverged from its golden record"
     )
-    assert fast_digest == frozen["digest"]
+    assert digest == frozen["digest"]
 
 
 def test_golden_grid_covers_every_goal_mode_and_catalog():

@@ -1,4 +1,9 @@
-"""Feature extraction from scheduling-graph vertices."""
+"""Feature extraction from scheduling-graph vertices.
+
+:func:`features_of` is the name → value reference the extractor's rows are
+held to: each Section 4.4 family computed straight from its definition, in the
+canonical column order, sharing no code with :mod:`repro.learning.features`.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +23,33 @@ from repro.learning.features import (
     wait_time_feature,
 )
 from repro.search.problem import SchedulingProblem
+
+
+def features_of(node, problem) -> dict[str, float]:
+    """All five feature families of *node*, by name, in the extractor's order."""
+    last = node.state.last_vm()
+    queue = last[1] if last is not None else ()
+    unassigned = {name for name, count in node.state.remaining if count}
+    features = {"wait_time": node.last_vm_finish}
+    for name in problem.templates.names:
+        features[f"proportion_of[{name}]"] = (
+            queue.count(name) / len(queue) if queue else 0.0
+        )
+        features[f"supports[{name}]"] = (
+            1.0 if last is not None and problem.vm_types[last[0]].supports(name) else 0.0
+        )
+        cost = problem.placement_edge_cost(node, name)
+        features[f"cost_of[{name}]"] = INFEASIBLE_COST if cost == float("inf") else cost
+        features[f"have[{name}]"] = 1.0 if name in unassigned else 0.0
+    return features
+
+
+def _row_features(extractor, node, problem) -> dict[str, float]:
+    """The extractor's row of *node* by name, held to :func:`features_of`."""
+    row = extractor.extract_into(node, problem, [0.0] * len(extractor.feature_names))
+    features = dict(zip(extractor.feature_names, row))
+    assert features == features_of(node, problem)
+    return features
 
 
 @pytest.fixture()
@@ -50,7 +82,7 @@ def test_feature_names_cover_all_templates(extractor, small_templates):
 
 def test_initial_vertex_features(extractor, problem):
     node = problem.initial_node()
-    features = extractor.extract(node, problem)
+    features = _row_features(extractor, node, problem)
     assert features[wait_time_feature()] == 0.0
     assert features[have_feature("T1")] == 1.0
     assert features[have_feature("T3")] == 0.0
@@ -66,7 +98,7 @@ def test_features_after_placements(extractor, problem):
     placed = next(
         child for child in problem.expand(node) if getattr(child.action, "template_name", None) == "T1"
     )
-    features = extractor.extract(placed, problem)
+    features = _row_features(extractor, placed, problem)
     assert features[wait_time_feature()] == pytest.approx(units.minutes(1))
     assert features[proportion_feature("T1")] == 1.0
     assert features[proportion_feature("T2")] == 0.0
@@ -83,7 +115,7 @@ def test_proportions_sum_to_one_on_mixed_queue(extractor, problem):
     # Place T1 then T2 on the same VM.
     node = next(c for c in problem.expand(node) if getattr(c.action, "template_name", None) == "T1")
     node = next(c for c in problem.expand(node) if getattr(c.action, "template_name", None) == "T2")
-    features = extractor.extract(node, problem)
+    features = _row_features(extractor, node, problem)
     total = sum(features[proportion_feature(t)] for t in ("T1", "T2", "T3"))
     assert total == pytest.approx(1.0)
     assert features[proportion_feature("T1")] == pytest.approx(0.5)
@@ -105,7 +137,7 @@ def test_unsupported_template_features(small_templates, max_goal):
         for child in problem.expand(problem.initial_node())
         if getattr(child.action, "vm_type_name", None) == "limited"
     )
-    features = extractor.extract(on_limited, problem)
+    features = _row_features(extractor, on_limited, problem)
     assert features[supports_feature("T2")] == 0.0
     assert features[cost_feature("T2")] == INFEASIBLE_COST
     assert features[supports_feature("T1")] == 1.0
@@ -127,11 +159,11 @@ def test_unknown_family_rejected(small_templates):
 
 
 def test_vector_ordering(extractor, problem):
-    node = problem.initial_node()
-    features = extractor.extract(node, problem)
-    vector = extractor.vector(features)
-    assert len(vector) == len(extractor.feature_names)
-    assert vector[0] == features[extractor.feature_names[0]]
+    node = problem.expand(problem.initial_node())[0]
+    features = features_of(node, problem)
+    row = extractor.extract_into(node, problem, [0.0] * len(extractor.feature_names))
+    assert tuple(features) == extractor.feature_names
+    assert row == list(features.values())
 
 
 def test_all_families_constant():

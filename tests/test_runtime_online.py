@@ -60,7 +60,7 @@ def test_online_report_accounting(trained_max, model_generator, arrival_workload
 
 
 def test_online_batch_arrivals_match_batch_scheduler_cost_scale(
-    trained_max, model_generator, small_templates, monkeypatch
+    trained_max, model_generator, small_templates
 ):
     """With all arrivals at t=0 the online run degenerates to batch scheduling.
 
@@ -68,7 +68,6 @@ def test_online_batch_arrivals_match_batch_scheduler_cost_scale(
     scheduled in one pass with the base model — exactly what the batch
     scheduler does — and the costs agree to the cent.
     """
-    monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
     workload = WorkloadGenerator(small_templates, seed=22).uniform(12)
     scheduler = _scheduler(trained_max, model_generator, OnlineOptimizations.all())
     report = scheduler.run_report(workload)
@@ -83,11 +82,11 @@ def test_online_batch_arrivals_match_batch_scheduler_cost_scale(
 
 
 def test_online_simultaneous_arrivals_form_one_epoch(
-    trained_max, model_generator, small_templates, monkeypatch
+    trained_max, model_generator, small_templates
 ):
-    """Bursts sharing a timestamp are scheduled in one pass; the legacy
-    per-query loop (REPRO_SLOW_PATH=1) still schedules every query."""
-    monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
+    """Bursts sharing a timestamp are scheduled in one pass; a session fed one
+    query per epoch (the per-arrival loop) still schedules every query, one
+    pass each, through epochs that share a timestamp."""
     generator = WorkloadGenerator(small_templates, seed=25)
     workload = generator.uniform(6)
     burst = workload.with_queries(
@@ -99,12 +98,12 @@ def test_online_simultaneous_arrivals_form_one_epoch(
     assert len(report.outcomes) == len(burst)
     assert len(report.scheduling_overheads) == 3  # one per distinct arrival time
 
-    monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    legacy = _scheduler(
-        trained_max, model_generator, OnlineOptimizations.all()
-    ).run_report(burst)
-    assert len(legacy.outcomes) == len(burst)
-    assert len(legacy.scheduling_overheads) == len(burst)
+    session = _scheduler(trained_max, model_generator, OnlineOptimizations.all()).session()
+    for query in sorted(burst, key=lambda q: (q.arrival_time, q.query_id)):
+        session.submit([query])
+    per_query = session.finalize()
+    assert {o.query_id for o in per_query.outcomes} == {q.query_id for q in burst}
+    assert len(per_query.scheduling_overheads) == len(burst)
 
 
 def test_shift_optimization_triggers_for_shiftable_goal(

@@ -37,8 +37,9 @@ def scheduler(trained_max, model_generator) -> OnlineScheduler:
 
 
 @pytest.fixture()
-def arrival_workload(workload_generator):
-    return workload_generator.with_fixed_arrivals(workload_generator.uniform(8), 45.0)
+def arrival_workload(small_templates):
+    generator = WorkloadGenerator(small_templates, seed=44)
+    return generator.with_fixed_arrivals(generator.uniform(8), 45.0)
 
 
 def _epochs(scheduler: OnlineScheduler, workload):
@@ -296,10 +297,9 @@ class TestValidation:
 
 
 class TestCounters:
-    def test_counters_progress_with_waits(self, scheduler, workload_generator):
-        workload = workload_generator.with_fixed_arrivals(
-            workload_generator.uniform(6), 45.0
-        )
+    def test_counters_progress_with_waits(self, scheduler, small_templates):
+        generator = WorkloadGenerator(small_templates, seed=45)
+        workload = generator.with_fixed_arrivals(generator.uniform(6), 45.0)
         session = scheduler.session()
         for epoch in _epochs(scheduler, workload):
             session.submit(epoch)

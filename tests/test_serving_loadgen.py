@@ -10,10 +10,12 @@ so no scheduling work muddies the timing.
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exceptions import SpecificationError
+from repro.serving import loadgen
 from repro.serving.engine import Admission
 from repro.serving.loadgen import LoadReport, TenantStream, drive, merge_streams
 from repro.workloads.query import Query
@@ -35,6 +37,19 @@ class _FakeEngine:
 
     async def drain(self) -> None:
         return None
+
+
+class _FakeClock:
+    """Virtual time for the driver: only its own sleeps move the clock."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    async def sleep(self, delay: float) -> None:
+        self.now += delay
 
 
 def _stream(templates, arrivals: list[float], tenant: str = "acme") -> TenantStream:
@@ -110,11 +125,15 @@ class TestOfferedRateHonesty:
 
 class TestUtilization:
     def test_paced_drive_reports_utilization_against_the_offered_rate(
-        self, small_templates
+        self, small_templates, monkeypatch
     ):
         """A paced drive's raw throughput is capped by the offered rate, so
         the honest headline is the ratio — an engine that keeps up shows
-        ~1.0, not a 'slow' absolute number."""
+        ~1.0, not a 'slow' absolute number.  On a fake clock, so a host stall
+        cannot make the instant engine look behind."""
+        clock = _FakeClock()
+        monkeypatch.setattr(loadgen, "time", SimpleNamespace(perf_counter=clock.perf_counter))
+        monkeypatch.setattr(loadgen, "asyncio", SimpleNamespace(sleep=clock.sleep))
         stream = _stream(small_templates, [0.0, 0.005, 0.01, 0.015])
         report = _drive(_FakeEngine(), [stream], target_rate=400.0)
         assert report.offered_rate == 400.0
@@ -123,7 +142,9 @@ class TestUtilization:
             report.sustained_rate / 400.0
         )
         # The fake engine decides instantly: it kept up with the schedule.
-        assert 0.5 < report.utilization <= 1.1
+        assert report.late == 0
+        assert report.total_seconds == pytest.approx(0.01)
+        assert report.utilization == pytest.approx(1.0)
 
     def test_firehose_drive_has_no_utilization(self, small_templates):
         stream = _stream(small_templates, [0.0, 1.0, 2.0])

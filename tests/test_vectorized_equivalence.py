@@ -1,28 +1,29 @@
-"""Property tests: the vectorized inference fast path equals the legacy path.
+"""Property tests: the program's one inference path equals its test oracles.
 
-Three independent implementations must agree bit-for-bit:
+Each implementation is held bit-for-bit against a reference that lives only
+here or in the tree's own API:
 
-* feature extraction — the dict-returning :meth:`FeatureExtractor.extract`
-  (legacy), the preallocated-row :meth:`FeatureExtractor.extract_into`, and
-  the batch :meth:`FeatureExtractor.matrix`;
+* feature extraction — the preallocated-row :meth:`FeatureExtractor.extract_into`
+  and the batch :meth:`FeatureExtractor.matrix` against the name → value
+  reference ``features_of`` of ``tests/test_learning_features.py``;
 * tree evaluation — the :class:`TreeNode` walk (``predict_vector`` /
   ``predict``) and the compiled flat-array evaluator (``predict_row`` /
   ``predict_matrix``), including compilation onto an external feature order
   with missing features constant-folded to 0.0;
-* online scheduling — the epoch-batched arrival loop and the legacy
-  one-pass-per-query loop (``REPRO_SLOW_PATH=1``) on arrival streams with
+* online scheduling — the epoch-batched arrival loop against a session fed one
+  query per epoch (the paper's per-arrival loop) on arrival streams with
   distinct timestamps, where the two groupings must coincide exactly;
 * one decision — :meth:`DecisionModel.decide`'s walk, which computes a feature
   only when the tree path tests it, against the full-row oracle
   ``predict_row(extract_into(...))`` → ``_validate`` on every decision of
   seeded batch and online runs and on A* vertices, with ``seen`` counters that
   fail the sweep if it stops reaching a case, and a work guard on how much a
-  decision may evaluate.
+  decision may evaluate; a whole batch run decided by the oracle schedules
+  and prices identically.
 """
 
 from __future__ import annotations
 
-import os
 import random as random_module
 from collections import Counter
 
@@ -55,8 +56,10 @@ from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
 
+from test_learning_features import features_of
+
 # ---------------------------------------------------------------------------
-# Feature extraction: dict vs row vs matrix
+# Feature extraction: row and matrix vs the name -> value reference
 # ---------------------------------------------------------------------------
 
 
@@ -116,13 +119,13 @@ def test_extract_row_and_matrix_match_dict(kind, counts, two_types, seed):
     matrix = extractor.matrix(nodes, problem)
     assert matrix.shape == (len(nodes), len(extractor.feature_names))
     for index, node in enumerate(nodes):
-        legacy = extractor.extract(node, problem)
-        assert tuple(legacy) == extractor.feature_names  # same order, same names
+        reference = features_of(node, problem)
+        assert tuple(reference) == extractor.feature_names  # same order, same names
         row = extractor.extract_into(node, problem, np.zeros(len(extractor.feature_names)))
         list_row = extractor.extract_into(
             node, problem, [0.0] * len(extractor.feature_names)
         )
-        expected = [legacy[name] for name in extractor.feature_names]
+        expected = list(reference.values())
         assert row.tolist() == expected
         assert list_row == expected
         assert matrix[index].tolist() == expected
@@ -264,7 +267,7 @@ def _outcome_key(outcome):
 def test_batched_online_equals_per_query_reference(
     gaps, template_picks, trained_max, model_generator, small_templates
 ):
-    """Distinct arrival times: epoch batching must equal the legacy loop."""
+    """Distinct arrival times: epoch batching must equal one session pass per query."""
     names = small_templates.names
     arrival = 0.0
     queries = []
@@ -278,47 +281,23 @@ def test_batched_online_equals_per_query_reference(
         )
     workload = Workload(small_templates, queries)
 
-    def run():
+    def scheduler():
         return OnlineScheduler(
             base_training=trained_max,
             generator=model_generator,
             optimizations=OnlineOptimizations.all(),
             wait_resolution=60.0,
-        ).run(workload)
+        )
 
-    saved = os.environ.pop("REPRO_SLOW_PATH", None)
-    try:
-        batched = run()
-        os.environ["REPRO_SLOW_PATH"] = "1"
-        reference = run()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SLOW_PATH", None)
-        else:
-            os.environ["REPRO_SLOW_PATH"] = saved
+    batched = scheduler().run(workload)
+    session = scheduler().session()
+    for query in sorted(workload, key=lambda q: (q.arrival_time, q.query_id)):
+        session.submit([query])
+    reference = session.outcome()
 
     assert _outcome_key(batched) == _outcome_key(reference)
     assert batched.overhead.decisions == reference.overhead.decisions
     assert batched.overhead.retrains == reference.overhead.retrains
-
-
-def test_batch_scheduler_fast_and_slow_paths_identical(trained_max, small_templates):
-    """One non-property spot check through the public batch scheduler."""
-    from repro.workloads.generator import WorkloadGenerator
-
-    workload = WorkloadGenerator(small_templates, seed=31).uniform(40)
-    scheduler = BatchScheduler(trained_max.model)
-    saved = os.environ.pop("REPRO_SLOW_PATH", None)
-    try:
-        fast = scheduler.run(workload)
-        os.environ["REPRO_SLOW_PATH"] = "1"
-        slow = scheduler.run(workload)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SLOW_PATH", None)
-        else:
-            os.environ["REPRO_SLOW_PATH"] = saved
-    assert _outcome_key(fast) == _outcome_key(slow)
 
 
 def test_context_row_tables_shared_across_schedulers(trained_max, small_templates):
@@ -389,7 +368,7 @@ def _check_decisions(monkeypatch, seen: Counter) -> None:
     real_guard = DecisionModel._apply_penalty_guard
     real_fallback = DecisionModel._fallback_placement
 
-    def decide(self, node, problem, slow_path=None):
+    def decide(self, node, problem):
         row, label, path, expected = _oracle(self, node, problem)
         families, names, _ = self.extractor.column_layout
         walked_label, costs = self._walk(node, problem)
@@ -399,7 +378,7 @@ def _check_decisions(monkeypatch, seen: Counter) -> None:
         }
         for name, cost in costs.items():
             assert cost == problem.placement_edge_cost(node, name)
-        assert real_decide(self, node, problem, slow_path=False) == expected
+        assert real_decide(self, node, problem) == expected
         for column in path:
             family = FEATURE_FAMILIES[families[column]]
             seen[family] += 1
@@ -504,6 +483,20 @@ def test_walk_equals_full_row_oracle_on_every_decision(
     assert not [case for case in reached if not seen[case]], dict(seen)
 
 
+def test_batch_run_equals_full_row_decisions(trained_max, small_templates, monkeypatch):
+    """One spot check through the public batch scheduler: a run whose every
+    decision comes from the full-row oracle schedules and prices identically."""
+    from repro.workloads.generator import WorkloadGenerator
+
+    workload = WorkloadGenerator(small_templates, seed=31).uniform(40)
+    scheduler = BatchScheduler(trained_max.model)
+    walked = scheduler.run(workload)
+    monkeypatch.setattr(
+        DecisionModel, "decide", lambda self, node, problem: _oracle(self, node, problem)[3]
+    )
+    assert _outcome_key(scheduler.run(workload)) == _outcome_key(walked)
+
+
 def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_templates, monkeypatch):
     """Work guard: Equation 2 runs once per ``cost-of-X`` column on the path, plus
     once when the penalty guard needs a cost the path did not ask for — not once
@@ -549,9 +542,9 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
             allowed[0] += len(self.templates)
         return real_fallback(self, node, problem, preferred)
 
-    def decide(self, node, problem, slow_path=None):
+    def decide(self, node, problem):
         before = calls["violation_with"]
-        action = real_decide(self, node, problem, slow_path=False)
+        action = real_decide(self, node, problem)
         evaluated = calls["violation_with"] - before
         assert evaluated <= allowed[0]
         most["evaluated"] = max(most["evaluated"], evaluated)
