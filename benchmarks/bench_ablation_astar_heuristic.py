@@ -37,7 +37,10 @@ from conftest import merge_bench_json, print_figure
 
 from repro.exceptions import SearchBudgetExceeded
 
-_NULL_BUDGET = 300_000
+#: Expansion cap per workload for the null heuristic, which exhausts any
+#: practical budget on these 10-query workloads: a capped search counts as
+#: the cap, so its row is a lower bound on the uniform-cost search's work.
+_NULL_BUDGET = 10_000
 
 #: Relaxed strategies swept by the engine ablation (the exact default rides
 #: along as the reference row).
@@ -61,15 +64,16 @@ def _run(environments, scale):
     rows = []
 
     # Full priority vs null heuristic: emulate the null heuristic by flattening
-    # the priority to the node's own partial cost.
+    # every f-value to the node's own partial cost (``_price`` is the one
+    # place the search computes them).
     full = _expansions(workloads, environment, environment.goal)
     rows.append({"search": "A* with full bounds", "total expansions": full})
 
     class _NullProblem(SchedulingProblem):
-        def priority(self, node):  # noqa: D102 - ablation override
-            if node.state.is_goal():
-                return node.partial_cost
-            return node.partial_cost if self.goal.is_monotonic else node.infra_cost
+        def _price(self, parent, child, completion):  # noqa: D102 - ablation override
+            if not child.state.remaining:
+                return child.partial_cost
+            return child.partial_cost if self.goal.is_monotonic else child.infra_cost
 
     null_total = 0
     for workload in workloads:

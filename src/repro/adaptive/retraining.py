@@ -59,7 +59,10 @@ identical for any ``n_jobs``.  The backend defaults to the generator's — one
 warm process pool serves fresh training and every subsequent retraining —
 which is exactly the many-small-retrainings pattern of Figure 16.
 
-The reference-goal penalty inside ``h'`` is computed *incrementally*: search
+The retraining :class:`~repro.search.problem.SchedulingProblem` is built with
+the :class:`AdaptiveBound` itself, and raises every f-value it computes to
+``h'``, so each search strategy orders its frontier by ``max(h, h')``.  The
+reference-goal penalty inside ``h'`` is computed *incrementally*: search
 nodes of a retraining problem carry a second, old-goal
 :class:`~repro.sla.accumulators.ViolationAccumulator` (copy-on-write, exactly
 like the primary one), so :meth:`AdaptiveBound.__call__` reads an O(1) cached
@@ -114,9 +117,8 @@ class AdaptiveBound:
     def aux_goal(self) -> PerformanceGoal:
         """The goal whose penalty search nodes should carry incrementally.
 
-        :meth:`SampleSolver.solve` reads this to build the retraining
-        :class:`~repro.search.problem.SchedulingProblem` with the old goal as
-        its auxiliary goal.
+        The retraining :class:`~repro.search.problem.SchedulingProblem` reads
+        this so its nodes carry the old goal's penalty.
         """
         return self.old_goal
 

@@ -218,7 +218,6 @@ def collect_examples(
     problem: SchedulingProblem,
     extractor: FeatureExtractor,
     max_expansions: int | None = None,
-    extra_lower_bound: Callable[[SearchNode], float] | None = None,
     strategy: SearchStrategy | None = None,
 ) -> tuple[list[TrainingExample], SearchResult]:
     """Solve *problem* and label every decision on the solution path.
@@ -230,13 +229,9 @@ def collect_examples(
     preallocated matrix for the whole solution path).
     """
     if strategy is None:
-        result = astar_search(
-            problem, max_expansions=max_expansions, extra_lower_bound=extra_lower_bound
-        )
+        result = astar_search(problem, max_expansions=max_expansions)
     else:
-        result = strategy.search(
-            problem, max_expansions=max_expansions, extra_lower_bound=extra_lower_bound
-        )
+        result = strategy.search(problem, max_expansions=max_expansions)
     decisions = list(result.decisions())
     examples = label_decisions(
         problem,
@@ -270,10 +265,10 @@ class SampleSolver:
     the specification — VM catalogue, goal, latency model, feature extractor —
     is pickled once per ``map_tasks`` call rather than once per task.
     ``extra_bound`` optionally carries a picklable admissible-bound callable
-    (the adaptive-A* hook of Section 5); when the bound advertises an
-    ``aux_goal`` (the old goal whose penalty it re-evaluates), the solver
-    builds the problem with that auxiliary goal so search nodes carry a second
-    incremental accumulator and the bound becomes an O(1)-O(log n) delta.
+    (the adaptive-A* ``h'`` of Section 5); the solver builds the problem with
+    it, and when it advertises an ``aux_goal`` (the old goal whose penalty it
+    reads) search nodes carry a second incremental accumulator so the bound is
+    an O(1)-O(log n) delta.
     """
 
     def __init__(
@@ -326,10 +321,8 @@ class SampleSolver:
             self.vm_types,
             self.goal,
             self.latency_model,
-            # Adaptive-A* bounds advertise the old goal so its penalty can be
-            # carried incrementally on search nodes.
-            aux_goal=getattr(extra_bound, "aux_goal", None),
             future_bound=self.future_bound,
+            adaptive_bound=extra_bound,
         )
         if keep is not None and keep.path:
             nodes = problem.follow(keep.path)
@@ -345,7 +338,6 @@ class SampleSolver:
                 problem,
                 self.extractor,
                 max_expansions=self.max_expansions,
-                extra_lower_bound=extra_bound,
                 strategy=self._resolved_strategy(),
             )
         except SearchBudgetExceeded:

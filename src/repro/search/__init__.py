@@ -2,10 +2,11 @@
 
 The package splits into the graph (``state``/``actions``/``problem``), the
 exact A* core (``astar``), and the pluggable layers extracted from it: search
-*strategies* (``strategy`` — exact A*, weighted A*, beam) and admissible
-*future-cost bounds* for the non-monotonic goals (``bounds`` — the memoized
-default and the tighter busy-time-aware bound), both selectable per tenant
-through :class:`~repro.config.TrainingConfig`.
+*strategies* (``strategy`` — exact A*, weighted A*, beam) and the A*
+*cost-to-go bounds* (``bounds`` — the provisioning bound of the monotonic
+goals, and for the others the memoized default and the tighter
+busy-time-aware bound), both selectable per tenant through
+:class:`~repro.config.TrainingConfig`.
 """
 
 from repro.search.actions import Action, PlaceQuery, ProvisionVM, action_from_label

@@ -9,16 +9,12 @@ frontier is a minimum-cost complete schedule.
 The implementation supports:
 
 * an optional expansion budget (the training pipeline uses it as a safety
-  valve against pathological SLAs);
-* an optional *extra lower bound* callback, which is how adaptive A*
-  (Section 5) injects the improved heuristic ``h'`` derived from a previously
-  solved instance without changing the core search.  The callback is invoked
-  once per generated vertex, so it must be cheap: the adaptive bound reads the
-  node's auxiliary old-goal accumulator
-  (:attr:`~repro.search.problem.SearchNode.aux_penalty`, maintained
-  incrementally by :meth:`~repro.search.problem.SchedulingProblem.expand` when
-  the problem was built with an ``aux_goal``) instead of re-evaluating the old
-  goal over the node's full outcome tuple.
+  valve against pathological SLAs).
+
+Every vertex's f-value is :attr:`SearchNode.priority
+<repro.search.problem.SearchNode.priority>`, set by the problem; adaptive A*
+(Section 5) builds the problem with its ``h'`` bound, so the search itself
+never composes bounds.
 
 This loop is the **exact default** of the pluggable strategy engine
 (:mod:`repro.search.strategy`): :class:`~repro.search.strategy.AStarStrategy`
@@ -31,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.exceptions import SearchBudgetExceeded, SearchError
 from repro.search.actions import Action
@@ -115,7 +111,6 @@ class SearchResult:
 def astar_search(
     problem: SchedulingProblem,
     max_expansions: int | None = None,
-    extra_lower_bound: Callable[[SearchNode], float] | None = None,
 ) -> SearchResult:
     """Find a minimum-cost complete schedule for *problem*.
 
@@ -126,14 +121,6 @@ def astar_search(
     max_expansions:
         Abort with :class:`SearchBudgetExceeded` after expanding this many
         vertices.  ``None`` means unbounded.
-    extra_lower_bound:
-        Optional additional admissible bound; the node priority becomes the
-        maximum of the problem's own bound and this callback's value.  Used by
-        adaptive A* (Section 5).  Bounds that expose an ``aux_goal`` attribute
-        (e.g. :class:`~repro.adaptive.retraining.AdaptiveBound`) should be
-        paired with a problem constructed with that auxiliary goal so each
-        node carries the old-goal penalty incrementally; the callback then
-        runs in O(1) per generated vertex.
 
     Raises
     ------
@@ -150,12 +137,6 @@ def astar_search(
     generated = 1
     expansions = 0
 
-    def priority_of(node: SearchNode) -> float:
-        priority = node.priority
-        if extra_lower_bound is not None:
-            priority = max(priority, extra_lower_bound(node))
-        return priority
-
     # Frontier keys: the cost landscape contains large plateaus (many partial
     # schedules share the same lower bound), so ties are broken towards
     # vertices with fewer unassigned queries and, within those, towards the
@@ -163,14 +144,13 @@ def astar_search(
     # optimality — the first goal vertex popped still has the minimum f-value —
     # but it turns plateau exploration into a dive towards a goal.
     frontier: list[tuple] = [
-        ((priority_of(start), start.state.remaining_total(), 0, start.depth), start)
+        ((start.priority, start.state.remaining_total(), 0, start.depth), start)
     ]
     visited: set[SearchState] = set()
     heappush = heapq.heappush
     heappop = heapq.heappop
     expand = problem.expand
     budget = float("inf") if max_expansions is None else max_expansions
-    plain = extra_lower_bound is None
 
     while frontier:
         _, node = heappop(frontier)
@@ -192,11 +172,10 @@ def astar_search(
                 continue
             counter += 1
             generated += 1
-            priority = child.priority if plain else priority_of(child)
             heappush(
                 frontier,
                 (
-                    (priority, child_state.remaining_total(), -counter, child.depth),
+                    (child.priority, child_state.remaining_total(), -counter, child.depth),
                     child,
                 ),
             )

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.cloud.latency import LatencyModel
 from repro.cloud.vm import VMTypeCatalog
 from repro.core.cost_model import CostBreakdown, CostModel
 from repro.core.schedule import Schedule, VMAssignment
 from repro.search.astar import SearchResult, astar_search
-from repro.search.problem import SchedulingProblem, SearchNode
+from repro.search.problem import SchedulingProblem
 from repro.search.state import SearchState
 from repro.sla.base import PerformanceGoal
 from repro.workloads.workload import Workload
@@ -71,7 +70,6 @@ def find_optimal_schedule(
     goal: PerformanceGoal,
     latency_model: LatencyModel,
     max_expansions: int | None = None,
-    extra_lower_bound: Callable[[SearchNode], float] | None = None,
 ) -> OptimalScheduleResult:
     """Compute a minimum-cost schedule for *workload* under *goal*.
 
@@ -79,9 +77,7 @@ def find_optimal_schedule(
     is reached before the search completes.
     """
     problem = SchedulingProblem.for_workload(workload, vm_types, goal, latency_model)
-    result = astar_search(
-        problem, max_expansions=max_expansions, extra_lower_bound=extra_lower_bound
-    )
+    result = astar_search(problem, max_expansions=max_expansions)
     schedule = schedule_from_state(result.goal_state, workload, vm_types)
     cost = CostModel(latency_model).breakdown(schedule, goal)
     return OptimalScheduleResult(

@@ -8,11 +8,9 @@
 * incremental cost bookkeeping per search node: infrastructure cost (start-up
   fees plus rental for executed queries), the partial schedule's SLA penalty,
   and the wait time of the most recent VM;
-* the admissible heuristic of Equation 3 (cheapest possible execution cost of
-  the remaining queries), used when the performance goal is monotonically
-  increasing, and the corresponding lower-bound priority for non-monotonic
-  goals (infrastructure plus remaining execution, penalty ignored until a goal
-  vertex is reached — a valid lower bound because penalties are non-negative).
+* the A* f-value: infrastructure, plus the admissible heuristic of Equation 3
+  (cheapest possible execution cost of the remaining queries), plus the
+  goal's cost-to-go term from a :class:`~repro.search.bounds.FutureCostBound`.
 
 Nodes fully determine their partial schedule, so the best goal vertex found by
 the search is the minimum-cost complete schedule regardless of the path taken
@@ -25,6 +23,15 @@ The search core is built around *incremental state* and *precomputed tables*
 so that the per-vertex work is O(1)-ish rather than proportional to the number
 of queries already placed:
 
+* **One hook for the lower bound.**  :meth:`SchedulingProblem._price` is the
+  only place an f-value is computed: ``expand`` calls it once per child and
+  :meth:`~SchedulingProblem.priority` calls it on a node.  The goal-dependent
+  term comes from the problem's bound — :class:`~repro.search.bounds.ProvisioningBound`
+  for monotonic goals, the registered ``future_bound`` for the others — which
+  receives the memoised Equation-3 tuple and may keep incremental state on
+  the child.  A retraining search's adaptive bound ``h'`` (Section 5), passed
+  to the constructor, composes there too: the f-value is ``max(f, h'(v))``,
+  so every strategy orders its frontier by the same number.
 * **Incremental penalties.**  Every :class:`SearchNode` carries a copy-on-write
   :class:`~repro.sla.accumulators.ViolationAccumulator` (obtained from
   :meth:`~repro.sla.base.PerformanceGoal.search_accumulator`) describing its
@@ -32,9 +39,9 @@ of queries already placed:
   records one completion, so node penalties and Equation-2 edge weights are
   O(1)/O(log n) deltas instead of ``goal.penalty(outcomes)`` scans over the
   whole outcome tuple (which made each optimal path quadratic).  Retraining
-  searches (adaptive A*, Section 5) carry a *second* accumulator for the
-  problem's ``aux_goal`` — the old goal — maintained the same copy-on-write
-  way, so the adaptive bound's ``cost(R, v)`` term is an O(1) read too.
+  searches carry a *second* accumulator for the adaptive bound's ``aux_goal``
+  — the old goal — maintained the same copy-on-write way, so ``h'``'s
+  ``cost(R, v)`` term is an O(1) read too.
 * **Interned ids and dense tables.**  Template names and VM type names are
   interned to integer ids at problem construction, and per-``(vm, template)``
   latency, execution-cost, and supports tables are precomputed, so ``expand``,
@@ -42,7 +49,7 @@ of queries already placed:
   attribute lookups per node.  Each node caches the integer id of its most
   recent VM.
 * **Memoized remaining-work terms.**  The Equation-3 heuristic and the
-  provisioning-bound work terms depend only on the *remaining* multiset, which
+  cheapest remaining work time depend only on the *remaining* multiset, which
   the search revisits constantly, so they are memoized per multiset.  (A
   parent-minus-placed-contribution running value would also be O(1), but
   floating-point subtraction is inexact and would perturb tie-breaking;
@@ -55,42 +62,22 @@ optimal costs and chosen schedules are unchanged.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.cloud.latency import LatencyModel
 from repro.cloud.vm import VMTypeCatalog
 from repro.exceptions import SpecificationError
 from repro.search.actions import Action, PlaceQuery, ProvisionVM
-from repro.search.state import SearchState, freeze_counts
+from repro.search.bounds import ProvisioningBound, create_future_bound
+from repro.search.state import SearchState
 from repro.sla.accumulators import ViolationAccumulator
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
 from repro.workloads.workload import Workload
 
 _INF = float("inf")
-
-
-def _min_provisioning_cost(
-    overflow: float, capacity: float, min_startup: float, rate: float
-) -> float:
-    """min over k of ``k * min_startup + rate * max(0, overflow - k * capacity)``.
-
-    The inner loop of the deadline-goal provisioning bound, shared by
-    :meth:`SchedulingProblem.provisioning_bound` and the two f-value blocks
-    inlined in :meth:`SchedulingProblem.expand` so the three sites cannot
-    drift apart (the search's bit-identical f-values depend on them agreeing).
-    Callers guarantee ``overflow > 0`` and ``capacity > 0``.
-    """
-    best = _INF
-    for new_vms in range(int(overflow // capacity) + 2):
-        unplaced = overflow - new_vms * capacity
-        cost = new_vms * min_startup + rate * (unplaced if unplaced > 0.0 else 0.0)
-        if cost < best:
-            best = cost
-    return best
 
 
 class LatencyOutcome(NamedTuple):
@@ -129,29 +116,29 @@ class SearchNode:
     priority: float = field(default=0.0)
     accumulator: ViolationAccumulator | None = field(default=None)
     last_vm_index: int = field(default=-1)
-    #: Cached non-monotonic future-cost term of the f-value (-1.0 = not
-    #: computed).  Provision edges keep (outcomes, remaining) unchanged, so
-    #: their children reuse the parent's term without rebuilding the memo key.
+    #: The memoized bound's term of the f-value (-1.0 = not computed).
+    #: Provision edges keep (outcomes, remaining) unchanged, so their children
+    #: reuse the parent's term without rebuilding the memo key.
     future_bound: float = field(default=-1.0)
-    #: Assigned-latency key for the non-monotonic future-cost memo (``None`` =
-    #: not computed).  Maintained incrementally along placement edges — one
+    #: Assigned-latency key of the memoized and tight bounds (``None`` = not
+    #: computed).  Maintained incrementally along placement edges — one
     #: ``bisect`` insertion for order-invariant goals, one tuple append
     #: otherwise — so the memo key is never rebuilt (or re-sorted) from the
     #: outcome tuple per generated vertex.
     latency_key: "tuple[float, ...] | None" = field(default=None)
     #: Second, *auxiliary-goal* accumulator carried by retraining searches
     #: (adaptive A*, Section 5): tracks the partial schedule's violation under
-    #: the problem's ``aux_goal`` — the *old* goal — copy-on-write exactly like
+    #: the adaptive bound's ``aux_goal`` — the *old* goal — copy-on-write exactly like
     #: the primary accumulator.  ``None`` on ordinary searches.
     aux_accumulator: ViolationAccumulator | None = field(default=None)
     #: Partial penalty under the auxiliary goal (``-1.0`` = not carried), read
     #: by :class:`~repro.adaptive.retraining.AdaptiveBound` as an O(1) delta
     #: instead of re-evaluating the old goal over the full outcome tuple.
     aux_penalty: float = field(default=-1.0)
-    #: Incremental aggregate maintained by a registered
+    #: Incremental aggregate maintained by the problem's
     #: :class:`~repro.search.bounds.FutureCostBound` along placement edges
     #: (e.g. the tight average bound's running ``(count, sum)``).  ``None``
-    #: for the default memoized bound and for externally built nodes.
+    #: for bounds that keep none and for externally built nodes.
     bound_state: object = field(default=None)
 
     @property
@@ -219,8 +206,8 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        aux_goal: PerformanceGoal | None = None,
         future_bound: str = "memoized",
+        adaptive_bound: Callable[[SearchNode], float] | None = None,
     ) -> None:
         counts = {name: count for name, count in dict(template_counts).items() if count > 0}
         for name in counts:
@@ -231,9 +218,13 @@ class SchedulingProblem:
         self._vm_types = vm_types
         self._goal = goal
         self._latency_model = latency_model
-        #: Optional second goal whose partial penalty every node carries
-        #: incrementally (adaptive A*: the *old* goal of a retraining search,
-        #: consumed by :class:`~repro.adaptive.retraining.AdaptiveBound`).
+        #: Optional admissible bound the f-value is raised to (adaptive A*'s
+        #: ``h'``, :class:`~repro.adaptive.retraining.AdaptiveBound`).
+        self._adaptive_bound = adaptive_bound
+        #: The goal whose partial penalty every node carries incrementally
+        #: when the adaptive bound advertises one (the *old* goal of a
+        #: retraining search), so ``h'`` reads it in O(1).
+        aux_goal = getattr(adaptive_bound, "aux_goal", None)
         self._aux_goal = aux_goal
         self._aux_rate = aux_goal.penalty_rate if aux_goal is not None else 0.0
         #: When the old goal differs from the primary only by its deadline and
@@ -247,28 +238,19 @@ class SchedulingProblem:
         self._cheapest_execution = self._compute_cheapest_execution()
         #: remaining multiset -> (Equation-3 bound, cheapest remaining work time)
         self._bounds_cache: dict[tuple[tuple[str, int], ...], tuple[float, float]] = {}
-        #: remaining multiset -> per-query latency lower bounds (non-monotonic goals)
-        self._latency_bounds_cache: dict[tuple[tuple[str, int], ...], list[float]] = {}
-        #: (remaining multiset, assigned-latency key) -> future-cost lower bound
-        self._future_cost_cache: dict[tuple, float] = {}
-        #: Whether the goal's bound may be memoised per assigned-latency *multiset*
-        #: (bit-identical under permutation) rather than per exact sequence.
-        self._future_bound_order_invariant = bool(
-            getattr(goal, "future_bound_order_invariant", False)
+        #: The cost-to-go term of every f-value: the provisioning bound for
+        #: monotonic goals, a fresh registered bound (``future_bound``) for
+        #: the rest.
+        bound = self._bound = (
+            ProvisioningBound()
+            if goal.is_monotonic
+            else create_future_bound(future_bound or "memoized")
         )
-        #: Registered future-cost bound in effect for the non-monotonic term.
-        #: ``"memoized"`` keeps the inlined default path (no bound object at
-        #: all — bit-identical to every release before the registry existed);
-        #: any other name instantiates a fresh bound from
-        #: :data:`repro.search.bounds.FUTURE_COST_BOUNDS` per problem.
-        self._future_bound_name = future_bound or "memoized"
-        if self._future_bound_name == "memoized" or self._is_monotonic:
-            self._bound_obj = None
-        else:
-            from repro.search.bounds import create_future_bound
-
-            self._bound_obj = create_future_bound(self._future_bound_name)
-            self._bound_obj.attach(self)
+        bound.attach(self)
+        # Bound once: _price calls one of these per generated vertex.
+        self._placement_term = bound.placement_bound
+        self._provision_term = bound.provision_bound
+        self._node_term = bound.node_bound
 
     # -- precomputed tables --------------------------------------------------------
 
@@ -305,7 +287,6 @@ class SchedulingProblem:
             self._latency_table.append(latency_row)
             self._run_cost_table.append(run_cost_row)
         self._rate = self._goal.penalty_rate
-        self._is_monotonic = bool(self._goal.is_monotonic)
         #: Per-template deadline (or None), resolved once instead of per vertex.
         self._query_deadlines: list[float | None] = [
             self._goal.query_deadline(name) for name in self._tpl_names
@@ -328,8 +309,8 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        aux_goal: PerformanceGoal | None = None,
         future_bound: str = "memoized",
+        adaptive_bound: Callable[[SearchNode], float] | None = None,
     ) -> "SchedulingProblem":
         """Build the problem for a concrete workload (counts its templates)."""
         return cls(
@@ -338,24 +319,19 @@ class SchedulingProblem:
             vm_types=vm_types,
             goal=goal,
             latency_model=latency_model,
-            aux_goal=aux_goal,
             future_bound=future_bound,
+            adaptive_bound=adaptive_bound,
         )
-
-    @property
-    def aux_goal(self) -> PerformanceGoal | None:
-        """The auxiliary goal nodes carry a second accumulator for (or ``None``)."""
-        return self._aux_goal
-
-    @property
-    def future_bound_name(self) -> str:
-        """Name of the registered future-cost bound in effect."""
-        return self._future_bound_name
 
     @property
     def min_startup_cost(self) -> float:
         """Cheapest start-up fee in the VM catalogue (used by the bounds)."""
         return self._min_startup_cost
+
+    @property
+    def cheapest_time(self) -> dict[str, float]:
+        """Cheapest latency of each workload template over the catalogue (used by the bounds)."""
+        return self._cheapest_time
 
     # -- accessors ---------------------------------------------------------------
 
@@ -404,9 +380,8 @@ class SchedulingProblem:
             if self._aux_derived_deadline is None:
                 node.aux_accumulator = self._aux_goal.search_accumulator()
             node.aux_penalty = 0.0
-        if self._bound_obj is not None:
-            node.bound_state = self._bound_obj.initial_state(self, node)
-        node.priority = self.priority(node)
+        node.bound_state = self._bound.initial_state(node)
+        node.priority = self._price(None, node, None)
         return node
 
     # -- successor generation (with the Section 4.3 reductions) ---------------------
@@ -416,11 +391,10 @@ class SchedulingProblem:
 
         This is the innermost loop of the A* search: every lookup table is
         hoisted into locals and the per-child work — the dominance pruning of
-        queue orders, the incremental penalty update, and the child's f-value
-        — is inlined rather than dispatched through helper methods.  The
-        inlined f-value computation mirrors :meth:`priority` (kept in sync;
-        the property-based search tests compare the two) and the dominance
-        rules are documented there:
+        queue orders and the incremental penalty update — is inlined rather
+        than dispatched through helper methods.  Each child's f-value is one
+        :meth:`_price` call, the same hook :meth:`priority` uses.  The
+        dominance rules:
 
         * **Adjacent pairwise interchange** (deadline-style goals): swapping
           the candidate with the query most recently placed on the same VM
@@ -443,19 +417,11 @@ class SchedulingProblem:
         aux_rate = self._aux_rate
         aux_derived = self._aux_derived_deadline
         parent_remaining_total = state.remaining_total()
-        monotonic = self._is_monotonic
         rate = self._rate
-        capacity = self._capacity_deadline
-        min_startup = self._min_startup_cost
+        price = self._price
         new_state = SearchState.__new__
         state_cls = SearchState
         set_attr = object.__setattr__
-
-        # Assigned-latency memo key of the parent, maintained incrementally
-        # for the non-monotonic goals (see SearchNode.latency_key).
-        parent_key = None if monotonic else self._latency_key_of(node)
-        order_invariant = self._future_bound_order_invariant
-        bound_obj = self._bound_obj
 
         # Placement edges: only onto the most recently provisioned VM.
         if vms:
@@ -521,14 +487,9 @@ class SchedulingProblem:
                 # -- the placement child, with its incremental penalty ------------
                 completion = finish + execution_time
                 outcomes = node.outcomes + (LatencyOutcome(template_name, completion),)
-                if parent_accumulator is not None:
-                    accumulator = parent_accumulator.branch()
-                    accumulator.add(template_name, completion)
-                    penalty = rate * accumulator.violation()
-                else:
-                    # Externally built nodes fall back to the batch definition.
-                    accumulator = None
-                    penalty = self._goal.penalty(outcomes)
+                accumulator = parent_accumulator.branch()
+                accumulator.add(template_name, completion)
+                penalty = rate * accumulator.violation()
                 # Successor state, built inline (the validity checks of
                 # SearchState.with_placement are redundant here) with its
                 # remaining-total cache seeded from the parent's.
@@ -569,11 +530,9 @@ class SchedulingProblem:
                         # The old goal differs only by deadline: read its
                         # violation off the child's primary accumulator (the
                         # running mean / sorted list is deadline-independent).
-                        if accumulator is not None:
-                            child.aux_penalty = (
-                                aux_rate
-                                * accumulator.violation_for_deadline(aux_derived)
-                            )
+                        child.aux_penalty = (
+                            aux_rate * accumulator.violation_for_deadline(aux_derived)
+                        )
                     elif parent_aux is not None:
                         # Second accumulator of retraining searches: the old
                         # goal's penalty, maintained copy-on-write exactly like
@@ -582,48 +541,7 @@ class SchedulingProblem:
                         aux_accumulator.add(template_name, completion)
                         child.aux_accumulator = aux_accumulator
                         child.aux_penalty = aux_rate * aux_accumulator.violation()
-                # -- inlined f-value (kept in sync with priority()) ---------------
-                child_remaining = child_state.remaining
-                if not child_remaining:
-                    child.priority = infra + penalty
-                else:
-                    bounds = self._bounds_cache.get(child_remaining)
-                    if bounds is None:
-                        bounds = self._compute_remaining_bounds(child_remaining)
-                    bound = infra + bounds[0]
-                    if monotonic:
-                        provisioning = 0.0
-                        if capacity is not None:
-                            slack = capacity - completion
-                            overflow = bounds[1] - (slack if slack > 0.0 else 0.0)
-                            if overflow > 0:
-                                provisioning = _min_provisioning_cost(
-                                    overflow, capacity, min_startup, rate
-                                )
-                        bound += penalty + provisioning
-                    else:
-                        # One insertion extends the parent's memo key: a bisect
-                        # insert keeps order-invariant keys sorted, an append
-                        # preserves the exact sequence for the rest.
-                        if order_invariant:
-                            position = bisect_right(parent_key, completion)
-                            child_key = (
-                                parent_key[:position]
-                                + (completion,)
-                                + parent_key[position:]
-                            )
-                        else:
-                            child_key = parent_key + (completion,)
-                        child.latency_key = child_key
-                        if bound_obj is None:
-                            future = self._future_cost_bound(child_key, child_remaining)
-                        else:
-                            future = bound_obj.placement_bound(
-                                self, node, child, completion
-                            )
-                        child.future_bound = future
-                        bound += future
-                    child.priority = bound
+                child.priority = price(node, child, completion)
                 successors.append(child)
 
         # Start-up edges: only when the last VM is non-empty (or none exists),
@@ -631,9 +549,6 @@ class SchedulingProblem:
         if remaining and not (vms and not vms[-1][1]):
             outcomes = node.outcomes
             penalty = node.penalty
-            bounds = self._bounds_cache.get(remaining)
-            if bounds is None:
-                bounds = self._compute_remaining_bounds(remaining)
             startup_costs = self._startup_costs
             provision_actions = self._provision_actions
             for vm_index, vm_type_name in enumerate(self._vm_names):
@@ -662,33 +577,7 @@ class SchedulingProblem:
                     # any second accumulator) carries over unchanged.
                     child.aux_accumulator = parent_aux
                     child.aux_penalty = node.aux_penalty
-                # -- inlined f-value (kept in sync with priority()) ---------------
-                bound = infra + bounds[0]
-                if monotonic:
-                    provisioning = 0.0
-                    if capacity is not None:
-                        # The fresh VM is empty, so its slack is the full capacity.
-                        overflow = bounds[1] - (capacity if capacity > 0.0 else 0.0)
-                        if overflow > 0:
-                            provisioning = _min_provisioning_cost(
-                                overflow, capacity, min_startup, rate
-                            )
-                    bound += penalty + provisioning
-                else:
-                    # (outcomes, remaining) are unchanged by a start-up edge, so
-                    # under the default bound the parent's future-cost term and
-                    # memo key carry over bit-for-bit.  Registered bounds that
-                    # read the busy time must recompute (it resets to 0 here).
-                    child.latency_key = parent_key
-                    if bound_obj is None:
-                        future = node.future_bound
-                        if future < 0.0:
-                            future = self._future_cost_bound(parent_key, remaining)
-                    else:
-                        future = bound_obj.provision_bound(self, node, child)
-                    child.future_bound = future
-                    bound += future
-                child.priority = bound
+                child.priority = price(node, child, None)
                 successors.append(child)
         return successors
 
@@ -857,7 +746,7 @@ class SchedulingProblem:
         """Weight of a start-up edge for *vm_type_name* (its provisioning fee)."""
         return self._startup_costs[self._vm_id[vm_type_name]]
 
-    # -- heuristics and priorities ----------------------------------------------------
+    # -- the A* f-value ----------------------------------------------------------------
 
     def _compute_cheapest_execution(self) -> dict[str, float]:
         cheapest: dict[str, float] = {}
@@ -878,42 +767,9 @@ class SchedulingProblem:
             cheapest[name] = min(costs)
             self._cheapest_time[name] = min(times)
         self._min_startup_cost = min(self._startup_costs)
-        self._capacity_deadline = self._penalty_free_capacity()
         return cheapest
 
-    def _penalty_free_capacity(self) -> float | None:
-        """Largest busy time a VM can reach before the goal starts penalising.
-
-        Only defined for the deadline-style monotonic goals (max latency and
-        per-query deadlines), where any query completing after the relevant
-        deadline accrues violation time.  Used by the provisioning lower bound
-        below; ``None`` disables that bound.
-        """
-        if not self._goal.is_monotonic:
-            return None
-        deadline = getattr(self._goal, "deadline", None)
-        if deadline is None or deadline <= 0:
-            return None
-        deadlines = getattr(self._goal, "deadlines", None)
-        if deadlines:
-            relevant = [value for value in dict(deadlines).values()]
-            if relevant:
-                return max(relevant)
-        return float(deadline)
-
     def _compute_remaining_bounds(
-        self, remaining: tuple[tuple[str, int], ...]
-    ) -> tuple[float, float]:
-        """Compute and cache the remaining-multiset bounds (see :meth:`_remaining_bounds`)."""
-        execution = sum(
-            self._cheapest_execution[name] * count for name, count in remaining
-        )
-        work = sum(self._cheapest_time[name] * count for name, count in remaining)
-        cached = (execution, work)
-        self._bounds_cache[remaining] = cached
-        return cached
-
-    def _remaining_bounds(
         self, remaining: tuple[tuple[str, int], ...]
     ) -> tuple[float, float]:
         """(Equation-3 bound, cheapest remaining work time) for a remaining multiset.
@@ -923,156 +779,51 @@ class SchedulingProblem:
         evaluation (an incremental parent-minus-contribution running value
         would drift in the last float bits and perturb tie-breaking).
         """
-        cached = self._bounds_cache.get(remaining)
-        if cached is None:
-            cached = self._compute_remaining_bounds(remaining)
-        return cached
-
-    def remaining_execution_bound(self, state: SearchState) -> float:
-        """Equation 3: cheapest possible execution cost of the unassigned queries."""
-        return self._remaining_bounds(state.remaining)[0]
-
-    def heuristic(self, state: SearchState) -> float:
-        """Admissible cost-to-go estimate for *state*.
-
-        For monotonically increasing goals this is Equation 3; for other goals
-        the same quantity is still a valid lower bound on the *infrastructure*
-        part of the remaining cost, so it is used as the cost-to-go term while
-        the partial penalty is excluded from the node's g-value (see
-        :meth:`priority`).
-        """
-        return self.remaining_execution_bound(state)
-
-    def provisioning_bound(self, node: SearchNode) -> float:
-        """Lower bound on the future provisioning-or-penalty cost at *node*.
-
-        For deadline-style goals every VM can absorb at most ``D`` seconds of
-        work before its queue starts violating (``D`` being the deadline, or
-        the loosest per-template deadline).  If ``W`` seconds of work remain
-        and the most recent VM has ``slack`` seconds of headroom, then any
-        completion of the schedule with ``k`` additional VMs pays at least
-        ``k`` start-up fees plus penalties for the work that does not fit:
-
-            k * f_s  +  rate * max(0, W - slack - k * D)
-
-        Minimising over ``k`` gives an admissible bound on the cost still to be
-        paid *beyond* the pure execution cost of Equation 3.  For goals without
-        a per-query deadline semantics the bound is zero.
-        """
-        capacity = self._capacity_deadline
-        if capacity is None or not node.state.remaining:
-            return 0.0
-        remaining_work = self._remaining_bounds(node.state.remaining)[1]
-        slack = 0.0
-        if node.state.last_vm() is not None:
-            slack = max(0.0, capacity - node.last_vm_finish)
-        overflow = remaining_work - slack
-        if overflow <= 0:
-            return 0.0
-        return _min_provisioning_cost(
-            overflow, capacity, self._min_startup_cost, self._rate
+        execution = sum(
+            self._cheapest_execution[name] * count for name, count in remaining
         )
-
-    def _remaining_latency_bounds(
-        self, remaining: tuple[tuple[str, int], ...]
-    ) -> list[float]:
-        """Per-query latency lower bounds of a remaining multiset (memoized).
-
-        Callers must treat the returned list as immutable (the goal hooks only
-        read or ``sorted()`` it).
-        """
-        cached = self._latency_bounds_cache.get(remaining)
-        if cached is None:
-            cached = []
-            for name, count in remaining:
-                cached.extend([self._cheapest_time[name]] * count)
-            self._latency_bounds_cache[remaining] = cached
+        work = sum(self._cheapest_time[name] * count for name, count in remaining)
+        cached = (execution, work)
+        self._bounds_cache[remaining] = cached
         return cached
 
     def priority(self, node: SearchNode) -> float:
-        """A* f-value: a lower bound on the best complete-schedule cost via *node*.
+        """A* f-value of *node*, computed from scratch (see :meth:`_price`)."""
+        return self._price(None, node, None)
+
+    def _price(
+        self, parent: SearchNode | None, child: SearchNode, completion: float | None
+    ) -> float:
+        """A* f-value: a lower bound on the best complete-schedule cost via *child*.
 
         * Goal vertices use their true cost (infrastructure + penalty).
-        * For monotonic goals, internal vertices use
-          ``infrastructure + partial penalty + Equation-3 heuristic`` — the
-          partial penalty can only grow, so the bound is admissible.
-        * For non-monotonic goals the partial penalty is dropped (it may shrink
-          as more queries arrive), leaving ``infrastructure + heuristic``,
-          which is admissible because penalties are never negative.
-        """
-        state = node.state
-        if state.is_goal():
-            return node.partial_cost
-        bound = node.infra_cost + self._remaining_bounds(state.remaining)[0]
-        if self._is_monotonic:
-            bound += node.penalty + self.provisioning_bound(node)
-        elif self._bound_obj is None:
-            bound += self._future_cost_bound(
-                self._latency_key_of(node), state.remaining
-            )
-        else:
-            bound += self._bound_obj.node_bound(self, node)
-        return bound
+        * Other vertices use ``infrastructure + Equation 3 + term``, where the
+          problem's :class:`~repro.search.bounds.FutureCostBound` supplies the
+          term: from the edge that built *child* out of *parent* (a placement
+          completing at *completion*, or a provisioning when that is
+          ``None``), or from scratch when *parent* is ``None``.
+        * A retraining search raises the result to the adaptive bound ``h'``.
 
-    def _latency_key_of(self, node: SearchNode) -> tuple[float, ...]:
-        """The node's assigned-latency memo key, computed once and cached.
-
-        Children built by :meth:`expand` inherit the key incrementally (one
-        bisect insertion per placement); this fallback only runs for nodes
-        built elsewhere (the initial vertex, runtime contexts, tests).  Goals
-        whose bound is permutation-invariant key by the sorted latency
-        multiset, the rest by the exact sequence (float sums are
-        order-sensitive, and f-values must stay bit-identical).
+        The one place the f-value is computed, for :meth:`expand`'s children
+        and :meth:`priority` alike.
         """
-        key = node.latency_key
-        if key is None:
-            assigned = tuple(outcome.latency for outcome in node.outcomes)
-            if self._future_bound_order_invariant:
-                key = tuple(sorted(assigned))
+        remaining = child.state.remaining
+        if remaining:
+            bounds = self._bounds_cache.get(remaining)
+            if bounds is None:
+                bounds = self._compute_remaining_bounds(remaining)
+            if completion is not None:
+                term = self._placement_term(parent, child, completion, bounds)
+            elif parent is not None:
+                term = self._provision_term(parent, child, bounds)
             else:
-                key = assigned
-            node.latency_key = key
-        return key
-
-    def _future_cost_bound(
-        self,
-        latency_key: tuple[float, ...],
-        remaining: tuple[tuple[str, int], ...],
-    ) -> float:
-        """Memoised non-monotonic future-cost term of the f-value.
-
-        The term depends only on (assigned latencies, remaining multiset);
-        provision edges and converging paths revisit the same inputs
-        constantly.  ``latency_key`` doubles as the assigned-latency argument
-        of the goal hook: for order-invariant goals it is the sorted multiset
-        (the hook only reads order statistics, so the value is unchanged), for
-        the rest it is the exact placement sequence.
-        """
-        key = (remaining, latency_key)
-        future = self._future_cost_cache.get(key)
-        if future is None:
-            future = self._goal.future_cost_lower_bound(
-                latency_key,
-                self._remaining_latency_bounds(remaining),
-                self._min_startup_cost,
-            )
-            self._future_cost_cache[key] = future
-        return future
-
-    # -- miscellany ---------------------------------------------------------------------
-
-    def is_goal(self, state: SearchState) -> bool:
-        """True when *state* is a goal vertex (complete schedule)."""
-        return state.is_goal()
-
-    def total_queries(self) -> int:
-        """Number of queries in the workload being scheduled."""
-        return sum(self._counts.values())
-
-    def initial_counts(self) -> tuple[tuple[str, int], ...]:
-        """Frozen template counts of the workload (canonical order)."""
-        return freeze_counts(self._counts)
-
-    def partial_cost_of(self, outcomes: Sequence[LatencyOutcome], infra_cost: float) -> float:
-        """Cost of an arbitrary partial schedule description under this goal."""
-        return infra_cost + self._goal.penalty(outcomes)
+                term = self._node_term(child, bounds)
+            f = child.infra_cost + bounds[0] + term
+        else:
+            f = child.infra_cost + child.penalty
+        adaptive_bound = self._adaptive_bound
+        if adaptive_bound is not None:
+            extra = adaptive_bound(child)
+            if extra > f:
+                f = extra
+        return f

@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.exceptions import SearchBudgetExceeded, SearchError, SpecificationError
 from repro.search.astar import SearchResult, astar_search
@@ -84,7 +83,6 @@ class SearchStrategy(ABC):
         self,
         problem: SchedulingProblem,
         max_expansions: int | None = None,
-        extra_lower_bound: Callable[[SearchNode], float] | None = None,
     ) -> SearchResult:
         """Find a complete schedule for *problem* (see the module docstring)."""
 
@@ -100,13 +98,8 @@ class AStarStrategy(SearchStrategy):
         self,
         problem: SchedulingProblem,
         max_expansions: int | None = None,
-        extra_lower_bound: Callable[[SearchNode], float] | None = None,
     ) -> SearchResult:
-        return astar_search(
-            problem,
-            max_expansions=max_expansions,
-            extra_lower_bound=extra_lower_bound,
-        )
+        return astar_search(problem, max_expansions=max_expansions)
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,6 @@ class WeightedAStarStrategy(SearchStrategy):
         self,
         problem: SchedulingProblem,
         max_expansions: int | None = None,
-        extra_lower_bound: Callable[[SearchNode], float] | None = None,
     ) -> SearchResult:
         start = problem.initial_node()
         if start.state.is_goal():
@@ -144,14 +136,6 @@ class WeightedAStarStrategy(SearchStrategy):
             )
         monotonic = problem.goal.is_monotonic
         weight = self.weight
-
-        def admissible_f(node: SearchNode) -> float:
-            f = node.priority
-            if extra_lower_bound is not None:
-                extra = extra_lower_bound(node)
-                if extra > f:
-                    f = extra
-            return f
 
         def weighted_f(node: SearchNode, f: float) -> float:
             # g is the part of the f-value that is already paid: the full
@@ -163,7 +147,7 @@ class WeightedAStarStrategy(SearchStrategy):
         counter = 0
         generated = 1
         expansions = 0
-        start_f = admissible_f(start)
+        start_f = start.priority
         frontier: list[tuple] = [
             (
                 (weighted_f(start, start_f), start.state.remaining_total(), 0, start.depth),
@@ -206,7 +190,7 @@ class WeightedAStarStrategy(SearchStrategy):
                     continue
                 counter += 1
                 generated += 1
-                f = admissible_f(child)
+                f = child.priority
                 heapq.heappush(
                     frontier,
                     (
@@ -248,7 +232,6 @@ class BeamSearchStrategy(SearchStrategy):
         self,
         problem: SchedulingProblem,
         max_expansions: int | None = None,
-        extra_lower_bound: Callable[[SearchNode], float] | None = None,
     ) -> SearchResult:
         start = problem.initial_node()
         if start.state.is_goal():
@@ -256,21 +239,13 @@ class BeamSearchStrategy(SearchStrategy):
                 goal_node=start, expansions=0, generated=1, strategy=self.spec
             )
 
-        def admissible_f(node: SearchNode) -> float:
-            f = node.priority
-            if extra_lower_bound is not None:
-                extra = extra_lower_bound(node)
-                if extra > f:
-                    f = extra
-            return f
-
         counter = 0
         generated = 1
         expansions = 0
         budget = _INF if max_expansions is None else max_expansions
         visited: set = {start.state}
         layer: list[tuple[tuple, SearchNode]] = [
-            ((admissible_f(start), start.state.remaining_total(), 0, start.depth), start)
+            ((start.priority, start.state.remaining_total(), 0, start.depth), start)
         ]
         best_goal: SearchNode | None = None
         #: Vertices dropped by the width cap, kept as a heap: they back the
@@ -302,7 +277,7 @@ class BeamSearchStrategy(SearchStrategy):
                     children.append(
                         (
                             (
-                                admissible_f(child),
+                                child.priority,
                                 child_state.remaining_total(),
                                 -counter,
                                 child.depth,

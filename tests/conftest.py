@@ -96,9 +96,13 @@ def workload_generator(small_templates):
 
 
 @pytest.fixture(scope="session")
-def small_workload(workload_generator):
-    """A 9-query uniform workload over the small template set."""
-    return workload_generator.uniform(9)
+def small_workload(small_templates):
+    """A 9-query uniform workload over the small template set.
+
+    Drawn from its own seeded generator, so its value does not depend on
+    which test drew from the shared ``workload_generator`` first.
+    """
+    return WorkloadGenerator(small_templates, seed=42).uniform(9)
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,14 @@ def _goals(kind: str, all_goals) -> tuple[PerformanceGoal, PerformanceGoal]:
     return old_goal, old_goal.tightened(0.35, TEMPLATES)
 
 
-def _problem(counts, goal, aux_goal=None) -> SchedulingProblem:
+def _problem(counts, goal, bound=None) -> SchedulingProblem:
     return SchedulingProblem(
         template_counts=counts,
         templates=TEMPLATES,
         vm_types=VM_TYPES,
         goal=goal,
         latency_model=LATENCY_MODEL,
-        aux_goal=aux_goal,
+        adaptive_bound=bound,
     )
 
 
@@ -114,7 +114,7 @@ def test_property_aux_penalty_matches_batch_old_goal_penalty(
 ):
     """aux_penalty equals old_goal.penalty(outcomes) bit-for-bit along expansions."""
     old_goal, new_goal = _goals(kind, all_goals)
-    problem = _problem(counts, new_goal, aux_goal=old_goal)
+    problem = _problem(counts, new_goal, AdaptiveBound(old_goal, 0.0))
     node = problem.initial_node()
     assert node.aux_penalty == 0.0
     # Same-kind deadline-only shifts of the non-monotonic goals read the old
@@ -145,12 +145,10 @@ def test_property_search_identical_incremental_vs_recomputed(
     old_cost = old_result.cost
 
     incremental = astar_search(
-        _problem(counts, new_goal, aux_goal=old_goal),
-        extra_lower_bound=AdaptiveBound(old_goal, old_cost),
+        _problem(counts, new_goal, AdaptiveBound(old_goal, old_cost))
     )
     recomputed = astar_search(
-        _problem(counts, new_goal),
-        extra_lower_bound=RecomputedBound(old_goal, old_cost),
+        _problem(counts, new_goal, RecomputedBound(old_goal, old_cost))
     )
     assert incremental.cost == recomputed.cost
     assert incremental.expansions == recomputed.expansions
@@ -235,7 +233,7 @@ def test_percentile_aux_with_different_percent_carries_second_accumulator(
 
     old_goal = PercentileGoal(percent=75.0, deadline=all_goals["percentile"].deadline)
     new_goal = all_goals["percentile"]
-    problem = _problem({"T1": 2, "T2": 1}, new_goal, aux_goal=old_goal)
+    problem = _problem({"T1": 2, "T2": 1}, new_goal, AdaptiveBound(old_goal, 0.0))
     node = problem.initial_node()
     assert node.aux_accumulator is not None
     for child in problem.expand(node):

@@ -8,7 +8,7 @@ makes that safe:
 * for every goal kind and any placement sequence, the accumulator-backed
   penalty equals ``goal.penalty(outcomes)`` evaluated from scratch — bit for
   bit, not approximately;
-* the inlined f-value computed during ``expand`` equals ``problem.priority``;
+* the f-value ``expand`` prices from the parent equals ``problem.priority``;
 * branch copy-on-write isolation: mutating a branch never disturbs its parent;
 * training output (training set and fitted tree) is identical for ``n_jobs=1``
   and ``n_jobs=4``.
@@ -125,7 +125,7 @@ def test_property_search_nodes_match_batch_penalty_and_priority(
         node = children[choice % len(children)]
         # Batch penalty over the node's full outcome history.
         assert node.penalty == goal.penalty(node.outcomes)
-        # The f-value inlined in expand() equals the general computation.
+        # The f-value expand() priced from the parent equals priority()'s.
         assert node.priority == problem.priority(node)
         # Equation-2 edge weights agree with the batch delta definition.
         for template_name in node.state.remaining_templates():

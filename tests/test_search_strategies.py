@@ -12,7 +12,11 @@ Three contracts are locked here:
   with the memoized bound) produces the same f-values, expansion sequence,
   and generated counts as a plain reference implementation that knows nothing
   about the pluggable machinery: the refactor moved code, not behaviour
-  (the golden-scenario digests pin the end-to-end version of this).
+  (the golden-scenario digests pin the end-to-end version of this, and
+  ``test_search_oracle.py`` pins every strategy × bound × goal kind against a
+  frozen file).  Every f-value ``expand`` prices incrementally equals
+  ``priority()``'s from-scratch one, for every bound and goal kind, with and
+  without the adaptive ``h'``.
 * **No silent degradation** — relaxed strategies report a sound
   ``cost_lower_bound``: never above the true optimum, so the derived
   optimality ratio never understates the loss.
@@ -27,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.adaptive.retraining import AdaptiveBound
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import single_vm_type_catalog, two_vm_type_catalog
 from repro.config import TrainingConfig
@@ -80,7 +85,7 @@ catalog_strategy = st.sampled_from(sorted(CATALOGS))
 
 
 def reference_astar(problem, max_expansions=None):
-    """A deliberately plain A*: no inlined f-values, no strategy machinery.
+    """A deliberately plain A*: no incremental f-values, no strategy machinery.
 
     Computes every child's priority via :meth:`SchedulingProblem.priority`
     and uses the same frontier keys as the engine, so any divergence between
@@ -190,16 +195,40 @@ def test_every_registered_bound_finds_the_same_optimal_cost(workload, goal, cata
         assert result.is_exact and result.optimality_ratio == 1.0
 
 
-@given(workload=workload_strategy, goal=goal_strategy)
-@settings(max_examples=25, deadline=None)
-def test_tight_bound_incremental_state_matches_recompute(workload, goal):
-    """Expand-maintained f-values equal priority() recomputation (tight bound)."""
-    problem = SchedulingProblem.for_workload(
-        workload, CATALOGS["1vm"], goal, LATENCY, future_bound="tight"
-    )
-    result = astar_search(problem)
-    for node in result.path():
-        assert node.priority == problem.priority(node), node.debug_dict()
+@given(
+    workload=workload_strategy,
+    goal=goal_strategy,
+    catalog=catalog_strategy,
+    adaptive=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_hook_matches_recompute_for_every_bound_and_goal(workload, goal, catalog, adaptive):
+    """Expand-maintained f-values equal priority() recomputation, exactly.
+
+    Every registered bound × every goal kind (the monotonic goals get the
+    provisioning bound whatever the name), with and without ``h'`` raising
+    the f-value.
+    """
+    vm_types = CATALOGS[catalog]
+    adaptive_bound = None
+    if adaptive:
+        old_goal = goal.with_deadline(goal.deadline * 1.5)  # a looser reference
+        old_cost = astar_search(
+            SchedulingProblem.for_workload(workload, vm_types, old_goal, LATENCY)
+        ).cost
+        adaptive_bound = AdaptiveBound(old_goal, old_cost)
+    for bound_name in registered_future_cost_bounds():
+        problem = SchedulingProblem.for_workload(
+            workload,
+            vm_types,
+            goal,
+            LATENCY,
+            future_bound=bound_name,
+            adaptive_bound=adaptive_bound,
+        )
+        result = astar_search(problem)
+        for node in result.path():
+            assert node.priority == problem.priority(node), node.debug_dict()
 
 
 @given(workload=workload_strategy, goal=goal_strategy)
@@ -397,7 +426,7 @@ def test_search_node_repr_surfaces_incremental_state():
         CATALOGS["1vm"],
         goal,
         LATENCY,
-        aux_goal=goal.with_deadline(units.minutes(4)),
+        adaptive_bound=AdaptiveBound(goal.with_deadline(units.minutes(4)), 0.0),
     )
     node = problem.initial_node()
     for _ in range(2):  # provision, then one placement (goal nodes skip the key)
@@ -467,37 +496,6 @@ def test_adaptive_retraining_composes_with_tight_bound_and_relaxed_base():
     assert adapted_beam.model.training_optimality_ratio == pytest.approx(
         adapted_beam.worst_optimality_ratio
     )
-
-
-def test_memoized_bound_object_matches_the_inlined_default():
-    """Selecting "memoized" by name is bit-identical to the inlined path.
-
-    The problem short-circuits the default name (no bound object at all), so
-    this installs a :class:`MemoizedGoalBound` instance by hand and checks the
-    object-dispatched search reproduces the inlined one exactly.
-    """
-    from repro.search.bounds import create_future_bound
-
-    workload = Workload.from_template_names(
-        TEMPLATES, ["T1", "T2", "T3", "T3", "T1"]
-    )
-    for goal in (
-        PercentileGoal(percent=90.0, deadline=units.minutes(5)),
-        AverageLatencyGoal(deadline=units.minutes(3)),
-    ):
-        inlined = astar_search(
-            SchedulingProblem.for_workload(workload, CATALOGS["1vm"], goal, LATENCY)
-        )
-        rigged = SchedulingProblem.for_workload(
-            workload, CATALOGS["1vm"], goal, LATENCY
-        )
-        rigged._bound_obj = create_future_bound("memoized")
-        rigged._bound_obj.attach(rigged)
-        dispatched = astar_search(rigged)
-        assert dispatched.cost == inlined.cost
-        assert dispatched.expansions == inlined.expansions
-        assert dispatched.generated == inlined.generated
-        assert dispatched.goal_state == inlined.goal_state
 
 
 class _UnregisteredKindGoal(AverageLatencyGoal):
