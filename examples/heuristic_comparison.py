@@ -13,7 +13,7 @@ Run with ``python examples/heuristic_comparison.py``.
 
 from __future__ import annotations
 
-from repro import TrainingConfig, WiSeDBAdvisor, tpch_templates, units
+from repro import TrainingConfig, WiSeDBService, tpch_templates, units
 from repro.baselines import (
     FirstFitDecreasingScheduler,
     FirstFitIncreasingScheduler,
@@ -37,9 +37,13 @@ def main() -> None:
     }
 
     for goal_name, goal in goals.items():
-        advisor = WiSeDBAdvisor(templates, config=TrainingConfig.fast(seed=19))
-        advisor.train(goal)
-        vm_type = advisor.vm_types.default
+        # One service per goal, so each model trains from scratch rather than
+        # adapting from the other goal's samples.
+        service = WiSeDBService()
+        tenant = service.register(
+            "app", templates, goal, config=TrainingConfig.fast(seed=19)
+        )
+        vm_type = tenant.spec.vm_types.default
         schedulers = {
             "FFD": FirstFitDecreasingScheduler(vm_type, goal, latency_model),
             "FFI": FirstFitIncreasingScheduler(vm_type, goal, latency_model),
@@ -49,7 +53,7 @@ def main() -> None:
         for name, scheduler in schedulers.items():
             cost = cost_model.total_cost(scheduler.schedule(workload), goal)
             print(f"  {name:<8}: {units.format_dollars(cost)}")
-        wisedb_cost = cost_model.total_cost(advisor.schedule_batch(workload), goal)
+        wisedb_cost = service.schedule_batch("app", workload).total_cost
         print(f"  {'WiSeDB':<8}: {units.format_dollars(wisedb_cost)}")
 
     print(

@@ -12,7 +12,7 @@ Run with ``python examples/online_scheduling.py``.
 
 from __future__ import annotations
 
-from repro import TrainingConfig, WiSeDBAdvisor, tpch_templates, units
+from repro import TrainingConfig, WiSeDBService, tpch_templates, units
 from repro.runtime.online import OnlineOptimizations
 from repro.sla import MaxLatencyGoal
 from repro.workloads import WorkloadGenerator
@@ -21,15 +21,18 @@ from repro.workloads import WorkloadGenerator
 def main() -> None:
     templates = tpch_templates(5)
     goal = MaxLatencyGoal.from_factor(templates, factor=2.5)
-    advisor = WiSeDBAdvisor(templates, config=TrainingConfig.fast(seed=5))
-    advisor.train(goal)
+    service = WiSeDBService()
+    service.register("app", templates, goal, config=TrainingConfig.fast(seed=5))
+    service.train("app")
 
     # A stream of 15 queries arriving 45 seconds apart.
     generator = WorkloadGenerator(templates, seed=11)
     stream = generator.with_fixed_arrivals(generator.uniform(15), delay=45.0)
 
     for optimizations in (OnlineOptimizations.none(), OnlineOptimizations.all()):
-        scheduler = advisor.online_scheduler(optimizations, wait_resolution=30.0)
+        scheduler = service.online_scheduler(
+            "app", optimizations, wait_resolution=30.0
+        )
         # ``scheduler.run(stream)`` returns the unified SchedulingOutcome; the
         # detailed report keeps the per-arrival telemetry this example prints.
         report = scheduler.run_report(stream)

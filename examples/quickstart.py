@@ -10,8 +10,7 @@ This example walks the service-layer API end to end:
 3. schedule a batch for each tenant through the unified Scheduler protocol
    and inspect the SchedulingOutcome (schedule, Equation-1 cost, overheads);
 4. save the whole deployment to disk and reload it — nothing retrains, and
-   the reloaded tenants schedule bit-identically;
-5. show the legacy single-application ``WiSeDBAdvisor`` shim.
+   the reloaded tenants schedule bit-identically.
 
 Run with ``python examples/quickstart.py``.
 """
@@ -19,7 +18,6 @@ Run with ``python examples/quickstart.py``.
 from __future__ import annotations
 
 import tempfile
-import warnings
 from pathlib import Path
 
 from repro import TrainingConfig, WiSeDBService, tpch_templates, units
@@ -103,19 +101,6 @@ def main() -> None:
             f"{len(reloaded)} tenants, retrained nothing, "
             f"bit-identical schedules: {identical}"
         )
-
-    # 5. The legacy facade still works as a deprecation-shimmed wrapper.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro import WiSeDBAdvisor
-
-        advisor = WiSeDBAdvisor(templates, config=config)
-    advisor.train(acme_goal)
-    schedule = advisor.schedule_batch(workload)
-    print(
-        f"\nLegacy WiSeDBAdvisor (deprecated shim): "
-        f"{schedule.num_vms()} VMs, {units.format_cents(advisor.evaluate(schedule).total)}"
-    )
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ Run with ``python examples/strategy_tradeoffs.py``.
 
 from __future__ import annotations
 
-from repro import TrainingConfig, WiSeDBAdvisor, tpch_templates, units
+from repro import TrainingConfig, WiSeDBService, tpch_templates, units
 from repro.sla import PerQueryDeadlineGoal
 
 
@@ -21,12 +21,15 @@ def main() -> None:
     templates = tpch_templates(6)
     goal = PerQueryDeadlineGoal.from_factor(templates, factor=3.0)
 
-    advisor = WiSeDBAdvisor(templates, config=TrainingConfig.fast(seed=3))
-    advisor.train(goal)
+    service = WiSeDBService()
+    service.register("app", templates, goal, config=TrainingConfig.fast(seed=3))
+    service.train("app")
     print(f"Application goal: {goal.describe()}")
 
     # Derive alternative strategies around the application goal.
-    strategies = advisor.recommend_strategies(k=3, num_candidates=5, max_shift=0.5)
+    strategies = service.recommend_strategies(
+        "app", k=3, num_candidates=5, max_shift=0.5
+    )
 
     # The application expects a workload dominated by two templates next month.
     expected_counts = {"T1": 400, "T2": 150, "T3": 150, "T4": 100, "T5": 100, "T6": 100}

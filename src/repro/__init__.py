@@ -19,8 +19,6 @@ heuristic baselines — answers through one protocol:
 * :class:`repro.core.Scheduler` / :class:`repro.core.SchedulingOutcome` — the
   unified scheduling protocol and its common result (schedule, Equation-1
   cost breakdown, per-query records, overhead counters);
-* :class:`repro.WiSeDBAdvisor` — the legacy single-application facade, kept
-  as a deprecation-shimmed wrapper over a single-tenant service;
 * :mod:`repro.workloads` — query templates, workloads, and workload generators.
 * :mod:`repro.cloud` — the IaaS substrate (VM types, latency models, simulator).
 * :mod:`repro.sla` — the four supported performance goals and their penalties.
@@ -64,7 +62,6 @@ tracks the resulting expansions/sec and samples/sec.
 """
 
 from repro.config import TrainingConfig
-from repro.core.advisor import WiSeDBAdvisor
 from repro.parallel.backend import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -97,7 +94,6 @@ __all__ = [
     "TenantSpec",
     "TrainingConfig",
     "VMAssignment",
-    "WiSeDBAdvisor",
     "WiSeDBService",
     "Workload",
     "__version__",

@@ -80,7 +80,6 @@ from dataclasses import dataclass
 
 from repro.exceptions import TrainingError
 from repro.learning.dataset import TrainingSet
-from repro.learning.model import DecisionModel
 from repro.learning.trainer import (
     ModelGenerator,
     SampleSolution,
@@ -288,11 +287,6 @@ class AdaptiveModeler:
         )
         self._remember(new_goal, [payload and payload[1] for payload in payloads])
         return result, report
-
-    def derive_model(self, new_goal: PerformanceGoal) -> DecisionModel:
-        """Convenience wrapper returning only the adapted model."""
-        result, _ = self.retrain(new_goal)
-        return result.model
 
     # -- helpers --------------------------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 from repro.cloud.latency import (
     LatencyModel,
-    PerturbedLatencyModel,
     QueryLatencyPredictor,
     TemplateLatencyModel,
 )
@@ -11,7 +10,6 @@ from repro.cloud.simulator import (
     InterruptedQuery,
     ScheduleSimulator,
     VMRental,
-    simulate,
 )
 from repro.cloud.vm import (
     VMType,
@@ -29,14 +27,12 @@ __all__ = [
     "ExecutionTrace",
     "InterruptedQuery",
     "LatencyModel",
-    "PerturbedLatencyModel",
     "QueryLatencyPredictor",
     "ScheduleSimulator",
     "TemplateLatencyModel",
     "VMRental",
     "VMType",
     "VMTypeCatalog",
-    "simulate",
     "single_vm_type_catalog",
     "spot_variant",
     "spot_vm_type_catalog",

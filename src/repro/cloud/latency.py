@@ -7,12 +7,9 @@ these numbers by profiling TPC-H on EC2 and notes that any prediction model
 
 * :class:`TemplateLatencyModel` — the deterministic model used for training and
   scheduling: template base latency times the VM type's speed factor.
-* :class:`PerturbedLatencyModel` — a wrapper whose *predicted* template
-  latencies differ from the truth by multiplicative Gaussian noise.  This is
-  the substrate for the prediction-error sensitivity study (Figure 22).
 * :class:`QueryLatencyPredictor` — per-query noisy predictions plus the
   "map unknown queries to the template with the closest predicted latency"
-  behaviour of Section 6.2, also used by Figure 22.
+  behaviour of Section 6.2, used by the prediction-error study (Figure 22).
 """
 
 from __future__ import annotations
@@ -51,21 +48,6 @@ class TemplateLatencyModel:
             raise UnsupportedQueryError(template_name, vm_type.name)
         template = self._templates[template_name]
         return template.base_latency * vm_type.speed_factor(template_name)
-
-    def cheapest_execution_cost(self, template_name: str, vm_types) -> float:
-        """Cheapest possible pure execution cost of one query of *template_name*.
-
-        This is the inner ``min_i [f_r^i * l(q, i)]`` term of the admissible
-        A* heuristic (Equation 3).
-        """
-        costs = [
-            vm_type.running_cost * self.latency(template_name, vm_type)
-            for vm_type in vm_types
-            if vm_type.supports(template_name)
-        ]
-        if not costs:
-            raise UnsupportedQueryError(template_name, "<any>")
-        return min(costs)
 
 
 class TabularLatencyModel:
@@ -126,47 +108,6 @@ def latency_model_from_dict(data: Mapping, templates: TemplateSet) -> LatencyMod
     if kind == "tabular":
         return TabularLatencyModel(data["latencies"])
     raise SpecificationError(f"unknown latency model type: {kind!r}")
-
-
-class PerturbedLatencyModel:
-    """A latency model whose template estimates are systematically wrong.
-
-    Each template's latency is scaled by a multiplicative factor drawn once
-    (per template) from ``N(1, error_std)``; the factor is clamped to stay
-    positive.  Scheduling decisions made with this model are then evaluated
-    against the true :class:`TemplateLatencyModel`, which reproduces the
-    "trained with an inaccurate cost model" condition of Figure 22.
-    """
-
-    def __init__(
-        self,
-        base: TemplateLatencyModel,
-        error_std: float,
-        seed: int | None = 0,
-    ) -> None:
-        if error_std < 0:
-            raise SpecificationError("error_std must be non-negative")
-        self._base = base
-        self._error_std = error_std
-        rng = random.Random(seed)
-        self._factors: dict[str, float] = {
-            name: max(0.05, rng.gauss(1.0, error_std))
-            for name in base.templates.names
-        }
-
-    @property
-    def error_std(self) -> float:
-        """Relative standard deviation of the injected latency error."""
-        return self._error_std
-
-    @property
-    def factors(self) -> Mapping[str, float]:
-        """The per-template multiplicative error factors actually drawn."""
-        return dict(self._factors)
-
-    def latency(self, template_name: str, vm_type: VMType) -> float:
-        """Perturbed latency estimate for *template_name* on *vm_type*."""
-        return self._base.latency(template_name, vm_type) * self._factors[template_name]
 
 
 class QueryLatencyPredictor:

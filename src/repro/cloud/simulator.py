@@ -12,11 +12,11 @@ Queries on the same VM run one at a time, back to back (the paper executes
 queries in isolation, Section 7.1); a query never starts before its arrival
 time, which is how the online-scheduling experiments model queueing delay.
 
-Per-VM views of a trace (``ExecutionTrace.outcomes_by_vm``, which
-``outcomes_for_vm`` looks into) come from one grouping pass, made on first use
-and kept on the trace, so pricing a trace and attributing its cost are linear
-in queries plus VMs.  Groups keep trace order: a sum over a group adds the
-same floats in the same order as a filter over all outcomes would.
+Per-VM views of a trace (``ExecutionTrace.outcomes_by_vm``) come from one
+grouping pass, made on first use and kept on the trace, so pricing a trace
+and attributing its cost are linear in queries plus VMs.  Groups keep trace
+order: a sum over a group adds the same floats in the same order as a filter
+over all outcomes would.
 
 Fault injection
 ---------------
@@ -97,18 +97,6 @@ class ExecutionTrace:
     #: Queries lost to VM failures (empty without a fault plan).
     interrupted: tuple[InterruptedQuery, ...] = ()
 
-    @property
-    def makespan(self) -> float:
-        """Completion time of the last query (0 for an empty schedule)."""
-        if not self.outcomes:
-            return 0.0
-        return max(outcome.completion_time for outcome in self.outcomes)
-
-    @property
-    def total_busy_time(self) -> float:
-        """Sum of per-VM busy times (the quantity billed by Equation 1)."""
-        return sum(rental.busy_time for rental in self.rentals)
-
     @cached_property
     def outcomes_by_vm(self) -> Mapping[int, tuple[QueryOutcome, ...]]:
         """Outcomes grouped by ``vm_index`` in outcome order, built on first use.
@@ -121,23 +109,9 @@ class ExecutionTrace:
             groups.setdefault(outcome.vm_index, []).append(outcome)
         return {index: tuple(group) for index, group in groups.items()}
 
-    def outcomes_for_vm(self, vm_index: int) -> tuple[QueryOutcome, ...]:
-        """Outcomes of the queries executed on the VM at *vm_index*."""
-        return self.outcomes_by_vm.get(vm_index, ())
-
     def latencies(self) -> list[float]:
         """Observed latencies of all queries, in schedule order."""
         return [outcome.latency for outcome in self.outcomes]
-
-    @property
-    def total_wasted_time(self) -> float:
-        """Busy time billed for executions a failure threw away."""
-        return sum(rental.wasted_busy_time for rental in self.rentals)
-
-    @property
-    def failed_vm_indices(self) -> tuple[int, ...]:
-        """Indices of the VMs a fault plan killed, in schedule order."""
-        return tuple(r.vm_index for r in self.rentals if r.failed)
 
 
 class ScheduleSimulator:
@@ -258,15 +232,3 @@ class ScheduleSimulator:
             rentals=tuple(rentals),
             interrupted=tuple(interrupted),
         )
-
-
-def simulate(
-    schedule: Schedule,
-    latency_model: LatencyModel,
-    provision_time: float = 0.0,
-    fault_plan: "FaultPlan | None" = None,
-) -> ExecutionTrace:
-    """One-shot convenience wrapper around :class:`ScheduleSimulator`."""
-    return ScheduleSimulator(latency_model).run(
-        schedule, provision_time=provision_time, fault_plan=fault_plan
-    )

@@ -135,14 +135,6 @@ class TrainingConfig:
         """Return a copy with a different number of sample workloads."""
         return replace(self, num_samples=num_samples)
 
-    def with_queries_per_sample(self, queries_per_sample: int) -> "TrainingConfig":
-        """Return a copy with a different sample-workload size."""
-        return replace(self, queries_per_sample=queries_per_sample)
-
-    def with_seed(self, seed: int) -> "TrainingConfig":
-        """Return a copy with a different sampling seed."""
-        return replace(self, seed=seed)
-
     def with_n_jobs(self, n_jobs: int) -> "TrainingConfig":
         """Return a copy with a different worker-process count."""
         return replace(self, n_jobs=n_jobs)

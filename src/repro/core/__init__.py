@@ -1,7 +1,6 @@
 """Core abstractions: schedules, outcomes, the cost model, the scheduler protocol."""
 
-from repro.core.advisor import WiSeDBAdvisor
-from repro.core.cost_model import CostBreakdown, CostModel, schedule_cost
+from repro.core.cost_model import CostBreakdown, CostModel
 from repro.core.outcome import QueryOutcome
 from repro.core.schedule import Schedule, VMAssignment
 from repro.core.scheduler import (
@@ -20,7 +19,5 @@ __all__ = [
     "SchedulerOverhead",
     "SchedulingOutcome",
     "VMAssignment",
-    "WiSeDBAdvisor",
-    "schedule_cost",
     "simulated_outcome",
 ]

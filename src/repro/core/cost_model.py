@@ -61,11 +61,6 @@ class CostBreakdown:
         )
 
     @property
-    def infrastructure_cost(self) -> float:
-        """Provisioning plus rental cost, excluding penalties and waste."""
-        return self.startup_cost + self.execution_cost
-
-    @property
     def wasted_cost(self) -> float:
         """Total spend lost to VM failures (zero in fault-free runs)."""
         return self.wasted_startup_cost + self.wasted_execution_cost
@@ -89,11 +84,6 @@ class CostBreakdown:
                 self.wasted_execution_cost + other.wasted_execution_cost
             ),
         )
-
-    @classmethod
-    def zero(cls) -> "CostBreakdown":
-        """A breakdown with every component equal to zero."""
-        return cls(0.0, 0.0, 0.0)
 
 
 def breakdown_from_trace(
@@ -167,15 +157,3 @@ class CostModel:
     ) -> float:
         """Total cost ``cost(R, S)`` of *schedule* under *goal*, in cents."""
         return self.breakdown(schedule, goal, provision_time=provision_time).total
-
-
-def schedule_cost(
-    schedule: Schedule,
-    goal: PerformanceGoal,
-    latency_model: LatencyModel,
-    provision_time: float = 0.0,
-) -> CostBreakdown:
-    """One-shot convenience wrapper around :class:`CostModel`."""
-    return CostModel(latency_model).breakdown(
-        schedule, goal, provision_time=provision_time
-    )

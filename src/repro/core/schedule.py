@@ -42,10 +42,6 @@ class VMAssignment:
         """Template names of the queued queries, in execution order."""
         return tuple(q.template_name for q in self.queries)
 
-    def with_query(self, query: Query) -> "VMAssignment":
-        """A copy of this VM with *query* appended to its queue."""
-        return VMAssignment(self.vm_type, self.queries + (query,))
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         queue = ", ".join(str(q) for q in self.queries)
         return f"{self.vm_type.name}[{queue}]"
@@ -110,10 +106,6 @@ class Schedule:
         """All assigned queries, grouped by VM in provisioning order."""
         return tuple(q for vm in self._vms for q in vm.queries)
 
-    def vm_type_counts(self) -> Counter[str]:
-        """Number of VMs provisioned per VM type name."""
-        return Counter(vm.vm_type.name for vm in self._vms)
-
     def last_vm(self) -> VMAssignment | None:
         """The most recently provisioned VM, or ``None`` for an empty schedule."""
         return self._vms[-1] if self._vms else None
@@ -132,13 +124,6 @@ class Schedule:
     def with_new_vm(self, vm_type: VMType) -> "Schedule":
         """A copy of this schedule with an additional, empty VM of *vm_type*."""
         return Schedule(self._vms + (VMAssignment(vm_type),))
-
-    def with_query_on_last_vm(self, query: Query) -> "Schedule":
-        """A copy with *query* appended to the most recently provisioned VM."""
-        if not self._vms:
-            raise ScheduleError("cannot place a query: the schedule has no VMs")
-        updated = self._vms[-1].with_query(query)
-        return Schedule(self._vms[:-1] + (updated,))
 
     def without_empty_vms(self) -> "Schedule":
         """A copy with any empty VMs removed."""
@@ -165,11 +150,3 @@ class Schedule:
         extra = set(scheduled) - set(expected)
         if extra:
             raise ScheduleError(f"queries not part of the workload: {sorted(extra)}")
-
-    def is_complete_for(self, workload: Workload) -> bool:
-        """True when the schedule assigns every query of *workload* exactly once."""
-        try:
-            self.validate_complete(workload)
-        except ScheduleError:
-            return False
-        return True

@@ -5,7 +5,6 @@ from repro.evaluation.harness import (
     ExperimentEnvironment,
     average_percent_above_optimal,
     build_environment,
-    build_environments,
     compare_to_heuristics,
     compare_to_optimal,
     format_table,
@@ -16,11 +15,9 @@ from repro.evaluation.harness import (
     uniform_workloads,
 )
 from repro.evaluation.metrics import (
-    geometric_mean,
     mean,
     percent_above,
     spread,
-    standard_deviation,
 )
 
 __all__ = [
@@ -28,11 +25,9 @@ __all__ = [
     "ExperimentEnvironment",
     "average_percent_above_optimal",
     "build_environment",
-    "build_environments",
     "compare_to_heuristics",
     "compare_to_optimal",
     "format_table",
-    "geometric_mean",
     "heuristic_schedulers",
     "mean",
     "measure_training_time",
@@ -40,6 +35,5 @@ __all__ = [
     "run_schedulers",
     "skewed_workloads",
     "spread",
-    "standard_deviation",
     "uniform_workloads",
 ]

@@ -36,7 +36,7 @@ from repro.learning.trainer import ModelGenerator, TrainingResult
 from repro.runtime.batch import BatchScheduler
 from repro.search.optimal import find_optimal_schedule
 from repro.sla.base import PerformanceGoal
-from repro.sla.factory import GOAL_KINDS, default_goal
+from repro.sla.factory import default_goal
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import TemplateSet
 from repro.workloads.workload import Workload
@@ -130,14 +130,6 @@ def build_environment(
         goal=goal,
         training=training,
     )
-
-
-def build_environments(
-    goal_kinds: Sequence[str] = GOAL_KINDS,
-    **kwargs,
-) -> dict[str, ExperimentEnvironment]:
-    """One trained environment per goal kind (the usual four-bar figure setup)."""
-    return {kind: build_environment(kind, **kwargs) for kind in goal_kinds}
 
 
 # ---------------------------------------------------------------------------

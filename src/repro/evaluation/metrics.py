@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def percent_above(value: float, reference: float) -> float:
@@ -25,19 +25,3 @@ def spread(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     return max(values) - min(values)
-
-
-def standard_deviation(values: Sequence[float]) -> float:
-    """Population standard deviation (0 for fewer than two values)."""
-    if len(values) < 2:
-        return 0.0
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (NaN if any value is non-positive)."""
-    values = list(values)
-    if not values or any(v <= 0 for v in values):
-        return math.nan
-    return math.exp(sum(math.log(v) for v in values) / len(values))

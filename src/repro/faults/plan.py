@@ -194,11 +194,6 @@ class VMFaultProfile:
     startup_delay: float = 0.0
     start_failures: int = 0
 
-    @property
-    def fails(self) -> bool:
-        """Whether this VM dies at some point during the run."""
-        return self.fail_time is not None
-
 
 class FaultPlan:
     """A deterministic schedule of infrastructure faults for one run.

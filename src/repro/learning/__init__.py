@@ -8,7 +8,7 @@ from repro.learning.decision_tree import (
 )
 from repro.learning.features import FEATURE_FAMILIES, FeatureExtractor, INFEASIBLE_COST
 from repro.learning.model import DecisionModel, DecisionStats, ModelMetadata
-from repro.learning.sampling import training_workloads, workload_counts
+from repro.learning.sampling import training_workloads
 from repro.learning.shm import (
     SharedArrayBundle,
     SharedArrayView,
@@ -49,5 +49,4 @@ __all__ = [
     "pack_evaluator",
     "shared_memory_available",
     "training_workloads",
-    "workload_counts",
 ]

@@ -7,7 +7,6 @@ with the action taken (place template X / provision a VM of type Y).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -98,14 +97,6 @@ class TrainingSet:
         """Label of every example, in insertion order."""
         return [example.label for example in self._examples]
 
-    def label_counts(self) -> Counter[str]:
-        """How many examples carry each label."""
-        return Counter(example.label for example in self._examples)
-
-    def distinct_labels(self) -> tuple[str, ...]:
-        """The distinct labels present, sorted."""
-        return tuple(sorted(self.label_counts()))
-
     def to_matrix(self) -> tuple[np.ndarray, list[str]]:
         """(feature matrix, label list) in the canonical feature order."""
         if not self._examples:
@@ -165,9 +156,3 @@ class TrainingSet:
             for entry in data["examples"]
         ]
         return cls(names, examples)
-
-    def merged_with(self, other: "TrainingSet") -> "TrainingSet":
-        """A new training set containing this set's and *other*'s examples."""
-        if self._feature_names != other.feature_names:
-            raise TrainingError("cannot merge training sets with different feature orders")
-        return TrainingSet(self._feature_names, list(self._examples) + list(other.examples))

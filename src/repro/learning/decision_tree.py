@@ -31,7 +31,6 @@ lives on as the oracle in ``tests/test_learning_decision_tree.py``.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -559,11 +558,6 @@ class DecisionTreeClassifier:
     # -- prediction ----------------------------------------------------------------
 
     @property
-    def is_fitted(self) -> bool:
-        """True once :meth:`fit` has been called."""
-        return self._root is not None
-
-    @property
     def feature_names(self) -> tuple[str, ...]:
         """Feature names, in the column order the tree was fitted on."""
         return self._feature_names
@@ -763,15 +757,3 @@ class DecisionTreeClassifier:
 
         tree._root = _node(data["root"])
         return tree
-
-    def accuracy(self, matrix: np.ndarray, labels: Sequence[str]) -> float:
-        """Training/holdout accuracy of the fitted tree on (matrix, labels)."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape[0] == 0:
-            return math.nan
-        correct = sum(
-            1
-            for row, label in zip(matrix, labels)
-            if self.predict_vector(row) == label
-        )
-        return correct / matrix.shape[0]

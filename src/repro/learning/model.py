@@ -67,14 +67,6 @@ class DecisionStats:
     placement_decisions: int = 0
     guard_activations: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.decisions = 0
-        self.fallbacks = 0
-        self.provision_decisions = 0
-        self.placement_decisions = 0
-        self.guard_activations = 0
-
 
 @dataclass
 class ModelMetadata:
@@ -195,11 +187,6 @@ class DecisionModel:
         above the optimum instead of the degradation being silent.
         """
         return float(self._metadata.extra.get("worst_optimality_ratio", 1.0))
-
-    @property
-    def penalty_guard_enabled(self) -> bool:
-        """Whether the runtime penalty guard is active (see :meth:`with_penalty_guard`)."""
-        return self._penalty_guard
 
     def with_penalty_guard(self, enabled: bool) -> "DecisionModel":
         """A copy of this model with the runtime penalty guard toggled.

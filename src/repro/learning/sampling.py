@@ -10,8 +10,6 @@ lets the learned model cope with both "usual" and skewed runtime workloads
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.config import TrainingConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import TemplateSet
@@ -26,8 +24,3 @@ def training_workloads(
     return list(
         generator.sample_workloads(config.num_samples, config.queries_per_sample)
     )
-
-
-def workload_counts(workloads: Iterable[Workload]) -> list[dict[str, int]]:
-    """Per-sample template counts (the compact form stored for adaptive reuse)."""
-    return [dict(workload.template_counts()) for workload in workloads]

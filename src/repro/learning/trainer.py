@@ -53,7 +53,7 @@ from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FEATURE_FAMILIES, FeatureExtractor
 from repro.learning.model import DecisionModel, ModelMetadata
 from repro.learning.sampling import training_workloads
-from repro.parallel.backend import ExecutionBackend, backend_for
+from repro.parallel.backend import ExecutionBackend
 from repro.search.astar import SearchResult, astar_search, optimality_ratio
 from repro.search.problem import SchedulingProblem, SearchNode
 from repro.search.strategy import SearchStrategy, strategy_from_spec
@@ -353,28 +353,6 @@ class SampleSolver:
 
     #: Worker-callable protocol of :meth:`ExecutionBackend.map_tasks`.
     __call__ = solve
-
-
-def solve_samples(
-    solver: SampleSolver,
-    tasks: Sequence[tuple],
-    n_jobs: int,
-    backend: ExecutionBackend | None = None,
-) -> list:
-    """Solve ``(index, workload[, extra_bound[, keep]])`` tasks, returning payloads in task order.
-
-    Compatibility wrapper over :meth:`ExecutionBackend.map_tasks`.  When a
-    *backend* is supplied it is used as-is (and stays warm for the caller to
-    reuse); otherwise a transient backend sized by ``n_jobs`` is created and
-    closed around the call, which preserves the historical per-call pool
-    behaviour.  Either way the returned list is ordered by task index
-    regardless of completion order, so callers observe bit-identical results
-    for every ``n_jobs`` and every backend.
-    """
-    if backend is not None:
-        return backend.map_tasks(solver, tasks)
-    with backend_for(n_jobs) as transient:
-        return transient.map_tasks(solver, tasks)
 
 
 class ModelGenerator:

@@ -7,7 +7,6 @@ from repro.runtime.batch import (
 )
 from repro.runtime.estimator import (
     CostEstimator,
-    per_query_costs,
     per_template_cost_profile,
 )
 from repro.runtime.online import (
@@ -26,6 +25,5 @@ __all__ = [
     "OnlineSchedulingReport",
     "RuntimeSchedulingContext",
     "ScheduledQueryRecord",
-    "per_query_costs",
     "per_template_cost_profile",
 ]

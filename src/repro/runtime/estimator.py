@@ -60,16 +60,6 @@ def _attribute_costs(
     return dict(costs)
 
 
-def per_query_costs(
-    schedule: Schedule,
-    goal: PerformanceGoal,
-    latency_model: LatencyModel,
-) -> dict[int, float]:
-    """Cost attributed to each query (by id) of an executed *schedule*."""
-    trace = ScheduleSimulator(latency_model).run(schedule)
-    return _attribute_costs(schedule, trace, goal)
-
-
 def per_template_cost_profile(
     schedule: Schedule,
     goal: PerformanceGoal,
@@ -119,11 +109,3 @@ class CostEstimator:
         return sum(
             count * self.per_query_cost(name) for name, count in counts.items() if count > 0
         )
-
-    def estimate_workload(self, counts: Mapping[str, int]) -> dict[str, float]:
-        """Per-template cost contributions (cents) for the given counts."""
-        return {
-            name: count * self.per_query_cost(name)
-            for name, count in counts.items()
-            if count > 0
-        }

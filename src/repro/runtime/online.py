@@ -661,11 +661,6 @@ class OnlineSession:
         """Wait-bucket model-cache hits so far."""
         return self._cache_hits
 
-    @property
-    def finalized(self) -> bool:
-        """True once :meth:`finalize` (or :meth:`outcome`) has been called."""
-        return self._report is not None
-
     def submit(self, arrivals: Sequence[Query]) -> EpochDecision:
         """Schedule one arrival epoch and report its placements.
 

@@ -26,7 +26,7 @@ from repro.search.optimal import (
     schedule_from_state,
 )
 from repro.search.problem import LatencyOutcome, SchedulingProblem, SearchNode
-from repro.search.state import SearchState, counts_from_templates, freeze_counts
+from repro.search.state import SearchState, freeze_counts
 from repro.search.strategy import (
     SEARCH_STRATEGIES,
     AStarStrategy,
@@ -34,7 +34,6 @@ from repro.search.strategy import (
     SearchStrategy,
     WeightedAStarStrategy,
     register_search_strategy,
-    registered_search_strategies,
     strategy_from_spec,
 )
 
@@ -59,14 +58,12 @@ __all__ = [
     "WeightedAStarStrategy",
     "action_from_label",
     "astar_search",
-    "counts_from_templates",
     "create_future_bound",
     "find_optimal_schedule",
     "freeze_counts",
     "register_future_cost_bound",
     "register_search_strategy",
     "registered_future_cost_bounds",
-    "registered_search_strategies",
     "schedule_from_state",
     "strategy_from_spec",
 ]

@@ -73,11 +73,6 @@ class SearchResult:
         return self.goal_node.partial_cost
 
     @property
-    def is_exact(self) -> bool:
-        """Whether the result is provably a minimum-cost schedule."""
-        return self.cost_lower_bound is None
-
-    @property
     def optimality_ratio(self) -> float:
         """``cost / optimal-lower-bound`` — 1.0 for exact results.
 

@@ -164,27 +164,6 @@ class SearchNode:
             f"aux_penalty={aux}, bound_state={self.bound_state!r})"
         )
 
-    def debug_dict(self) -> dict:
-        """Every field a failed search assertion needs, as plain data.
-
-        Unlike :meth:`__repr__` this keeps the full latency key, so property
-        tests can print actionable vertices (``pytest`` truncates nothing).
-        """
-        return {
-            "depth": self.depth,
-            "state": self.state.describe(),
-            "action": repr(self.action),
-            "infra_cost": self.infra_cost,
-            "penalty": self.penalty,
-            "priority": self.priority,
-            "last_vm_finish": self.last_vm_finish,
-            "future_bound": self.future_bound,
-            "latency_key": self.latency_key,
-            "aux_penalty": self.aux_penalty,
-            "bound_state": self.bound_state,
-            "outcomes": tuple(self.outcomes),
-        }
-
     def path(self) -> list["SearchNode"]:
         """Nodes from the start vertex to this node, inclusive."""
         nodes: list[SearchNode] = []
@@ -741,10 +720,6 @@ class SchedulingProblem:
                 penalty_delta = self._goal.penalty(outcomes) - node_penalty
             costs.append(run_cost_row[template_index] + penalty_delta)
         return costs
-
-    def startup_edge_cost(self, vm_type_name: str) -> float:
-        """Weight of a start-up edge for *vm_type_name* (its provisioning fee)."""
-        return self._startup_costs[self._vm_id[vm_type_name]]
 
     # -- the A* f-value ----------------------------------------------------------------
 

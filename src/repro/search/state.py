@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 #: A provisioned VM inside a search state: (vm type name, template queue).
@@ -67,10 +67,6 @@ class SearchState:
         return cls(vms=(), remaining=freeze_counts(counts))
 
     # -- accessors -------------------------------------------------------------
-
-    def remaining_counts(self) -> Counter[str]:
-        """The unassigned-template multiset as a mutable counter."""
-        return Counter(dict(self.remaining))
 
     def remaining_total(self) -> int:
         """Number of queries still unassigned (cached on first use)."""
@@ -125,11 +121,6 @@ class SearchState:
         """The most recently provisioned VM, or ``None`` if there is none."""
         return self.vms[-1] if self.vms else None
 
-    def last_vm_is_empty(self) -> bool:
-        """True when the most recent VM exists and has no queries yet."""
-        last = self.last_vm()
-        return last is not None and not last[1]
-
     def assigned_total(self) -> int:
         """Number of queries assigned so far."""
         return sum(len(queue) for _, queue in self.vms)
@@ -164,8 +155,3 @@ class SearchState:
         vms = "; ".join(f"{vm_type}[{','.join(queue)}]" for vm_type, queue in self.vms)
         remaining = ", ".join(f"{name}x{count}" for name, count in self.remaining)
         return f"vms=({vms}) remaining=({remaining})"
-
-
-def counts_from_templates(names: Iterable[str]) -> Counter[str]:
-    """Counter over template names (convenience for building initial states)."""
-    return Counter(names)

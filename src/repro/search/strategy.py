@@ -330,11 +330,6 @@ register_search_strategy(WeightedAStarStrategy)
 register_search_strategy(BeamSearchStrategy)
 
 
-def registered_search_strategies() -> tuple[str, ...]:
-    """Names of every registered strategy (registration order)."""
-    return tuple(SEARCH_STRATEGIES)
-
-
 def strategy_from_spec(spec: "str | SearchStrategy") -> SearchStrategy:
     """Resolve a ``name[:param]`` spec (or pass an instance through).
 

@@ -12,9 +12,6 @@ Figure-1 components behind one long-lived process):
   adaptive retraining (Section 5);
 * :class:`TenantSpec` / :class:`Tenant` — the specification and runtime state
   of one application.
-
-The legacy single-application :class:`repro.WiSeDBAdvisor` facade is a thin
-deprecation shim over a single-tenant service.
 """
 
 from repro.service.registry import (

@@ -103,11 +103,6 @@ class GCReport:
     quarantined_evicted: tuple[str, ...]
     dry_run: bool
 
-    @property
-    def evicted_count(self) -> int:
-        """Total rows removed, quarantined sweep included."""
-        return len(self.evicted) + len(self.quarantined_evicted)
-
 
 def _parse_timestamp(stamp: str | None) -> datetime:
     """An artifact timestamp as an aware datetime (epoch when unparseable)."""
@@ -477,7 +472,10 @@ class ModelRegistry:
 
     def tenant_summaries(self) -> dict[str, TenantRunSummary]:
         """Per-tenant cost and SLA-compliance aggregates over all history."""
-        return self._store.tenant_summaries()
+        try:
+            return self._store.tenant_summaries()
+        except sqlite3.Error as error:
+            raise StorageError(f"run-history summary failed: {error}") from error
 
     # -- JSON import/export ----------------------------------------------------------
 

@@ -209,13 +209,6 @@ class Tenant:
             )
         return self.training.model
 
-    def replace_spec(self, **changes) -> None:
-        """Swap spec fields (e.g. the goal), dropping the trained model."""
-        self.spec = replace(self.spec, **changes)
-        self.training = None
-        self.provenance = None
-        self._generator = None
-
     @contextmanager
     def exclusive(self, operation: str) -> Iterator[None]:
         """Hold the tenant's single-writer guard for the duration of *operation*.
@@ -422,17 +415,6 @@ class WiSeDBService:
         self._tenants[name] = tenant
         return tenant
 
-    def update_goal(self, name: str, goal: PerformanceGoal) -> Tenant:
-        """Change a tenant's performance goal.
-
-        The trained model is dropped; the next :meth:`train` reuses the old
-        goal's registered artifact to retrain adaptively (Section 5) instead
-        of starting from scratch.
-        """
-        tenant = self.tenant(name)
-        tenant.replace_spec(goal=goal)
-        return tenant
-
     def remove(self, name: str) -> None:
         """Deregister a tenant (its registry artifacts remain addressable)."""
         self.tenant(name)
@@ -525,9 +507,9 @@ class WiSeDBService:
     ) -> tuple[TrainingResult, AdaptiveRetrainingReport]:
         """Derive (and register) a model for *new_goal* without switching to it.
 
-        The tenant keeps its current goal and model; use :meth:`update_goal`
-        followed by :meth:`train` to actually move the tenant — the artifact
-        registered here then turns that into a cache hit.
+        The tenant keeps its current goal and model.  Registering a tenant
+        with the same spec under *new_goal* and training it is then a
+        registry hit on the artifact registered here.
         """
         tenant = self.tenant(name)
         base = self.train(name)

@@ -101,11 +101,6 @@ class RunRecord:
     recorded_at: str = ""
     row_id: int | None = None
 
-    @property
-    def met_sla(self) -> bool:
-        """Whether the run finished without any SLA violation time."""
-        return self.violation_seconds == 0.0
-
 
 @dataclass(frozen=True)
 class TenantRunSummary:
@@ -421,11 +416,15 @@ class SQLiteStore:
             return None
         if self._version >= 3:
             # Touch-on-read: GC evicts by recency of *use*, not of training.
-            with self._lock:
-                self._connection.execute(
-                    "UPDATE artifacts SET last_accessed = ? WHERE fingerprint = ?",
-                    (utc_timestamp(), fingerprint),
-                )
+            # Best effort: a read-only or busy database still serves the row.
+            try:
+                with self._lock:
+                    self._connection.execute(
+                        "UPDATE artifacts SET last_accessed = ? WHERE fingerprint = ?",
+                        (utc_timestamp(), fingerprint),
+                    )
+            except sqlite3.Error:
+                pass
         try:
             training = json.loads(row["training"])
         except json.JSONDecodeError:

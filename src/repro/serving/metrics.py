@@ -140,10 +140,6 @@ class ServingMetrics:
     def retrains(self) -> int:
         return sum(entry.retrains for entry in self.tenants)
 
-    def merged_with(self, *others: "ServingMetrics") -> "ServingMetrics":
-        """Convenience chaining form of :func:`merge_metrics`."""
-        return merge_metrics([self, *others])
-
     def describe(self) -> str:
         """A compact multi-line human-readable rendering."""
         lines = [

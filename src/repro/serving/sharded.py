@@ -31,10 +31,8 @@ frames, not round trips.  Backpressure flows through batch-level *credits*:
 the router spends one credit per in-flight query against the worker's
 ``queue_limit`` and gets them back with each ack, so ``shed`` refusals and
 ``block`` suspensions behave exactly like the single-process engine's
-full-queue admission.  ``max_batch`` caps the frame size and
-``max_batch_delay`` adds an optional coalescing window; the defaults
-(unbounded, zero) mean batching only ever captures queueing that already
-happened.
+full-queue admission.  A frame carries everything that queued while the
+previous one was on the pipe, so batching adds no latency.
 
 **Bit-identical for any shard count.**  Tenant lanes are fully independent
 in the single-process engine — no cross-tenant state — so partitioning them
@@ -83,6 +81,7 @@ import warnings
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from multiprocessing import resource_tracker
 
 from repro.core.scheduler import SchedulingOutcome
 from repro.exceptions import SpecificationError, TrainingError, WiSeDBError
@@ -522,15 +521,11 @@ class _ProcessShard:
         config: _ShardConfig,
         connection,
         process=None,
-        max_batch: int | None = None,
-        max_batch_delay: float = 0.0,
     ) -> None:
         self.index = index
         self._config = config
         self._connection = connection
         self._process = process
-        self._max_batch = max_batch
-        self._max_batch_delay = max_batch_delay
         self._pending: dict[int, asyncio.Future] = {}
         self._tickets: dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
@@ -568,14 +563,7 @@ class _ProcessShard:
         )
 
     @classmethod
-    def spawn(
-        cls,
-        index: int,
-        context,
-        config: _ShardConfig,
-        max_batch: int | None = None,
-        max_batch_delay: float = 0.0,
-    ) -> "_ProcessShard":
+    def spawn(cls, index: int, context, config: _ShardConfig) -> "_ProcessShard":
         parent_end, child_end = context.Pipe()
         try:
             process = context.Process(
@@ -590,14 +578,7 @@ class _ProcessShard:
             child_end.close()
             raise
         child_end.close()
-        return cls(
-            index,
-            config,
-            parent_end,
-            process=process,
-            max_batch=max_batch,
-            max_batch_delay=max_batch_delay,
-        )
+        return cls(index, config, parent_end, process=process)
 
     # -- framing -------------------------------------------------------------------
 
@@ -706,14 +687,8 @@ class _ProcessShard:
                 self._outbox_event.clear()
                 await self._outbox_event.wait()
                 continue
-            if self._max_batch_delay > 0.0:
-                # Optional coalescing window; with the default (zero) a batch
-                # only ever captures queueing that already happened while the
-                # previous frame was on the pipe.
-                await asyncio.sleep(self._max_batch_delay)
+            # Everything that queued while the previous frame was on the pipe.
             count = len(outbox)
-            if self._max_batch is not None:
-                count = min(count, self._max_batch)
             groups: list[tuple[str, list]] = []
             for _ in range(count):
                 tenant, query, ticket_id = outbox.popleft()
@@ -928,10 +903,7 @@ class ShardedServingEngine:
         outcome = engine.outcome("acme")   # after close: priced, unified
 
     Admission to process shards is pipelined and batched (see the module
-    docstring); ``max_batch`` caps the queries per frame and
-    ``max_batch_delay`` adds an optional coalescing window.  The defaults —
-    unbounded batch, zero delay — add no latency and batch only what
-    queued while the pipe was busy.
+    docstring): a frame carries only what queued while the pipe was busy.
 
     Outcomes are bit-identical to :class:`~repro.serving.engine.ServingEngine`
     (and therefore to ``OnlineScheduler.run``) for any shard count.
@@ -946,8 +918,6 @@ class ShardedServingEngine:
         wait_resolution: float = 30.0,
         optimizations: OnlineOptimizations | None = None,
         isolation: str = "auto",
-        max_batch: int | None = None,
-        max_batch_delay: float = 0.0,
     ) -> None:
         if backpressure not in BACKPRESSURE_POLICIES:
             raise SpecificationError(
@@ -961,10 +931,6 @@ class ShardedServingEngine:
                 f"unknown isolation mode {isolation!r}; "
                 f"choose from {ISOLATION_MODES}"
             )
-        if max_batch is not None and max_batch < 1:
-            raise SpecificationError("max_batch must be at least 1 (or None)")
-        if max_batch_delay < 0:
-            raise SpecificationError("max_batch_delay must be non-negative")
         if shards is None:
             shards = max(1, os.cpu_count() or 1)
         if shards < 1:
@@ -976,8 +942,6 @@ class ShardedServingEngine:
         self._wait_resolution = wait_resolution
         self._optimizations = optimizations
         self._isolation = isolation
-        self._max_batch = max_batch
-        self._max_batch_delay = max_batch_delay
         #: Why the router degraded from process isolation (``None`` if it
         #: did not) — same contract as ``ProcessPoolBackend.fallback_reason``.
         self.fallback_reason: str | None = None
@@ -1006,10 +970,6 @@ class ShardedServingEngine:
     def closed(self) -> bool:
         """Whether :meth:`close` has completed admission shutdown."""
         return self._closed
-
-    @property
-    def shard_count(self) -> int:
-        return self._num_shards
 
     @property
     def effective_isolation(self) -> str | None:
@@ -1067,16 +1027,17 @@ class ShardedServingEngine:
                     context = multiprocessing.get_context("fork")
                 except ValueError:  # pragma: no cover - platform without fork
                     context = multiprocessing.get_context()
+                # Start the tracker before forking so the workers inherit it:
+                # a worker that starts its own keeps its attachments
+                # registered there and reports them at exit, after the router
+                # has already unlinked the segments.
+                resource_tracker.ensure_running()
                 shards = []
                 try:
                     for index in range(self._num_shards):
                         shards.append(
                             _ProcessShard.spawn(
-                                index,
-                                context,
-                                self._engine_config(index),
-                                max_batch=self._max_batch,
-                                max_batch_delay=self._max_batch_delay,
+                                index, context, self._engine_config(index)
                             )
                         )
                 except BaseException:

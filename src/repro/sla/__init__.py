@@ -9,7 +9,7 @@ from repro.sla.accumulators import (
 )
 from repro.sla.average_latency import AverageLatencyGoal
 from repro.sla.base import PerformanceGoal
-from repro.sla.factory import GOAL_KINDS, default_goal, default_goals, goal_from_dict
+from repro.sla.factory import GOAL_KINDS, default_goal, goal_from_dict
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.sla.percentile import PercentileGoal
@@ -27,6 +27,5 @@ __all__ = [
     "PerformanceGoal",
     "ViolationAccumulator",
     "default_goal",
-    "default_goals",
     "goal_from_dict",
 ]

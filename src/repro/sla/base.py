@@ -57,10 +57,6 @@ class PerformanceGoal(ABC):
         """Monetary penalty ``p(R, S)`` in cents for the given outcomes."""
         return self._penalty_rate * self.violation_period(outcomes)
 
-    def is_satisfied(self, outcomes: Sequence[QueryOutcome]) -> bool:
-        """True when the outcomes incur no violation at all."""
-        return self.violation_period(outcomes) <= 1e-9
-
     @abstractmethod
     def accumulator(self) -> ViolationAccumulator:
         """A fresh incremental violation accumulator for this goal.

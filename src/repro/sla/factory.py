@@ -53,14 +53,6 @@ def default_goal(
     raise ValueError(f"unknown goal kind: {kind!r}")
 
 
-def default_goals(
-    templates: TemplateSet,
-    penalty_rate: float = config.DEFAULT_PENALTY_RATE,
-) -> Mapping[str, PerformanceGoal]:
-    """All four default goals, keyed by kind, in the paper's display order."""
-    return {kind: default_goal(kind, templates, penalty_rate) for kind in GOAL_KINDS}
-
-
 def goal_from_dict(data: Mapping) -> PerformanceGoal:
     """Rebuild a performance goal from :meth:`PerformanceGoal.to_dict` output.
 

@@ -31,11 +31,6 @@ def seconds_to_minutes(value: float) -> float:
     return float(value) / SECONDS_PER_MINUTE
 
 
-def hours(value: float) -> float:
-    """Convert *value* hours to seconds."""
-    return float(value) * SECONDS_PER_HOUR
-
-
 def dollars(value: float) -> float:
     """Convert *value* dollars to cents."""
     return float(value) * CENTS_PER_DOLLAR

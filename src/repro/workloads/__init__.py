@@ -8,10 +8,9 @@ query templates, and concrete workloads are batches of template instances.
 from repro.workloads.arrivals import (
     arrival_stream_rng,
     bursty_arrivals,
-    diurnal_arrivals,
     poisson_arrivals,
 )
-from repro.workloads.generator import WorkloadGenerator, workload_of
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.query import Query
 from repro.workloads.scenarios import SpotScenario, spot_revocation_scenario
 from repro.workloads.skew import (
@@ -25,7 +24,6 @@ from repro.workloads.templates import (
     TemplateSet,
     tpch_template,
     tpch_templates,
-    uniform_templates,
 )
 from repro.workloads.workload import Workload
 
@@ -40,13 +38,10 @@ __all__ = [
     "bursty_arrivals",
     "chi_squared_confidence",
     "chi_squared_statistic",
-    "diurnal_arrivals",
     "poisson_arrivals",
     "proportions_to_counts",
     "skewed_proportions",
     "spot_revocation_scenario",
     "tpch_template",
     "tpch_templates",
-    "uniform_templates",
-    "workload_of",
 ]

@@ -4,13 +4,11 @@ The serving harness (:mod:`repro.serving`) drives engines *open loop*: queries
 are submitted on a pre-drawn arrival schedule at a target offered rate,
 regardless of how fast the system answers — the standard methodology for
 measuring serving tail latency honestly.  This module draws those schedules.
-Three processes cover the classic shapes:
+Two processes cover the classic shapes:
 
 * :func:`poisson_arrivals` — memoryless traffic at a constant rate;
 * :func:`bursty_arrivals` — a two-state Markov-modulated Poisson process
-  (quiet periods punctuated by bursts at a higher rate);
-* :func:`diurnal_arrivals` — a sinusoidally rate-modulated Poisson process
-  (the day/night cycle), drawn by Lewis–Shedler thinning.
+  (quiet periods punctuated by bursts at a higher rate).
 
 Every draw is deterministic per ``(seed, tenant)`` in the style of
 :mod:`repro.faults` stream derivation: each stream owns a private
@@ -27,7 +25,6 @@ quantized streams exercise the admission-batching path.
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.exceptions import SpecificationError
@@ -136,41 +133,4 @@ def bursty_arrivals(
             bursting = rng.random() >= exit_burst
         else:
             bursting = rng.random() < enter_burst
-    return _workload(templates, rng, arrival_times, quantum)
-
-
-def diurnal_arrivals(
-    templates: TemplateSet,
-    num_queries: int,
-    base_rate: float,
-    peak_rate: float,
-    period: float,
-    seed: int = 0,
-    tenant: str = "default",
-    quantum: float | None = None,
-) -> Workload:
-    """A sinusoidally rate-modulated Poisson stream (the day/night cycle).
-
-    The instantaneous rate is ``base + (peak - base) * (1 + sin(2πt/period))/2``
-    — it oscillates between ``base_rate`` (trough) and ``peak_rate`` (peak)
-    once per *period* seconds.  Drawn by Lewis–Shedler thinning: candidates
-    arrive at ``peak_rate`` and are accepted with probability
-    ``rate(t)/peak_rate``, which samples the exact inhomogeneous process.
-    """
-    _validate(templates, num_queries)
-    if base_rate <= 0 or peak_rate < base_rate:
-        raise SpecificationError(
-            "need 0 < base_rate <= peak_rate for a diurnal process"
-        )
-    if period <= 0:
-        raise SpecificationError("period must be positive")
-    rng = arrival_stream_rng("diurnal", seed, tenant)
-    current = 0.0
-    arrival_times: list[float] = []
-    while len(arrival_times) < num_queries:
-        current += rng.expovariate(peak_rate)
-        phase = (1.0 + math.sin(2.0 * math.pi * current / period)) / 2.0
-        rate = base_rate + (peak_rate - base_rate) * phase
-        if rng.random() < rate / peak_rate:
-            arrival_times.append(current)
     return _workload(templates, rng, arrival_times, quantum)

@@ -17,7 +17,7 @@ experiment in the repository is reproducible.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from repro.exceptions import SpecificationError
 from repro.workloads.skew import proportions_to_counts, skewed_proportions
@@ -116,14 +116,3 @@ class WorkloadGenerator:
                 current += gap
             queries.append(query.with_arrival_time(current))
         return workload.with_queries(queries)
-
-    def shuffled(self, workload: Workload) -> Workload:
-        """A copy of *workload* with its queries in random order."""
-        queries = list(workload.queries)
-        self._rng.shuffle(queries)
-        return workload.with_queries(queries)
-
-
-def workload_of(templates: TemplateSet, names: Sequence[str]) -> Workload:
-    """Convenience constructor: a workload with one query per template name."""
-    return Workload.from_template_names(templates, names)

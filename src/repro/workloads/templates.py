@@ -143,10 +143,6 @@ class TemplateSet:
         """Largest base latency across templates, in seconds."""
         return max(t.base_latency for t in self._templates)
 
-    def min_latency(self) -> float:
-        """Smallest base latency across templates, in seconds."""
-        return min(t.base_latency for t in self._templates)
-
     def closest_by_latency(self, latency: float) -> QueryTemplate:
         """Template whose base latency is closest to *latency*.
 
@@ -158,14 +154,6 @@ class TemplateSet:
     def extended(self, extra: Iterable[QueryTemplate]) -> "TemplateSet":
         """A new set containing these templates plus *extra* (order preserved)."""
         return TemplateSet(list(self._templates) + list(extra))
-
-    def subset(self, names: Iterable[str]) -> "TemplateSet":
-        """A new set restricted to the given template *names* (order preserved)."""
-        wanted = set(names)
-        missing = wanted - set(self.names)
-        if missing:
-            raise UnknownTemplateError(sorted(missing)[0])
-        return TemplateSet(t for t in self._templates if t.name in wanted)
 
     # -- serialization -------------------------------------------------------
 
@@ -247,10 +235,3 @@ def tpch_templates(count: int = 10) -> TemplateSet:
             )
         )
     return TemplateSet(templates)
-
-
-def uniform_templates(count: int, latency: float) -> TemplateSet:
-    """*count* templates that all share the same latency (useful in tests)."""
-    return TemplateSet(
-        QueryTemplate(name=f"T{i}", base_latency=latency) for i in range(1, count + 1)
-    )

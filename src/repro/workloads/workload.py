@@ -120,19 +120,6 @@ class Workload:
         """Number of queries per template name (templates with zero omitted)."""
         return Counter(q.template_name for q in self._queries)
 
-    def template_frequencies(self) -> dict[str, float]:
-        """Fraction of the workload made up by each template (all templates included)."""
-        counts = self.template_counts()
-        total = len(self._queries)
-        if total == 0:
-            return {name: 0.0 for name in self._templates.names}
-        return {name: counts.get(name, 0) / total for name in self._templates.names}
-
-    def total_base_latency(self) -> float:
-        """Sum of base latencies over all queries, in seconds."""
-        latencies = self._templates.base_latencies()
-        return sum(latencies[q.template_name] for q in self._queries)
-
     # -- derivation ----------------------------------------------------------
 
     def with_queries(self, queries: Iterable[Query]) -> "Workload":

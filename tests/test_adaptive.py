@@ -120,12 +120,6 @@ def test_fresh_and_retrained_results_split_search_from_fit_time(
     assert retrained.training_time == report.retraining_time
 
 
-def test_derive_model_shortcut(model_generator, trained_max, small_templates):
-    modeler = AdaptiveModeler(model_generator, trained_max)
-    model = modeler.derive_model(trained_max.goal.tightened(0.2, small_templates))
-    assert model.goal.deadline < trained_max.goal.deadline
-
-
 # ---------------------------------------------------------------------------
 # Strategy recommendation (Section 6.1)
 # ---------------------------------------------------------------------------

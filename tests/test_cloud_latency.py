@@ -1,17 +1,13 @@
-"""Latency models: exact, perturbed, and per-query noisy predictions."""
+"""Latency models: exact template latencies and per-query noisy predictions."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import units
-from repro.cloud.latency import (
-    PerturbedLatencyModel,
-    QueryLatencyPredictor,
-    TemplateLatencyModel,
-)
+from repro.cloud.latency import QueryLatencyPredictor, TemplateLatencyModel
 from repro.cloud.vm import VMType, t2_medium
-from repro.exceptions import SpecificationError, UnsupportedQueryError
+from repro.exceptions import UnsupportedQueryError
 from repro.workloads.query import Query
 
 
@@ -38,44 +34,6 @@ def test_unsupported_template_raises(small_templates):
     model = TemplateLatencyModel(small_templates)
     with pytest.raises(UnsupportedQueryError):
         model.latency("T1", limited)
-
-
-def test_cheapest_execution_cost(small_templates):
-    cheap = VMType(name="cheap", running_cost=0.001, default_speed_factor=2.0)
-    fast = VMType(name="fast", running_cost=0.01, default_speed_factor=1.0)
-    model = TemplateLatencyModel(small_templates)
-    # T1: cheap = 0.001 * 120 = 0.12, fast = 0.01 * 60 = 0.6 -> cheap wins.
-    assert model.cheapest_execution_cost("T1", [cheap, fast]) == pytest.approx(0.12)
-
-
-def test_cheapest_execution_cost_no_support(small_templates):
-    limited = VMType(name="limited", unsupported_templates={"T1"})
-    model = TemplateLatencyModel(small_templates)
-    with pytest.raises(UnsupportedQueryError):
-        model.cheapest_execution_cost("T1", [limited])
-
-
-def test_perturbed_model_zero_error_matches_base(small_templates):
-    base = TemplateLatencyModel(small_templates)
-    perturbed = PerturbedLatencyModel(base, error_std=0.0, seed=1)
-    for name in small_templates.names:
-        assert perturbed.latency(name, t2_medium()) == pytest.approx(
-            base.latency(name, t2_medium())
-        )
-
-
-def test_perturbed_model_changes_latencies(small_templates):
-    base = TemplateLatencyModel(small_templates)
-    perturbed = PerturbedLatencyModel(base, error_std=0.4, seed=2)
-    factors = perturbed.factors
-    assert any(abs(factor - 1.0) > 0.01 for factor in factors.values())
-    assert all(factor > 0 for factor in factors.values())
-
-
-def test_perturbed_model_rejects_negative_error(small_templates):
-    base = TemplateLatencyModel(small_templates)
-    with pytest.raises(SpecificationError):
-        PerturbedLatencyModel(base, error_std=-0.1)
 
 
 def test_query_predictor_zero_error_identity(small_templates):

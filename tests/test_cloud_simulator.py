@@ -6,7 +6,7 @@ import pytest
 
 from repro import units
 from repro.cloud.latency import TemplateLatencyModel
-from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator, VMRental, simulate
+from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator, VMRental
 from repro.cloud.vm import t2_medium
 from repro.core.outcome import QueryOutcome
 from repro.core.schedule import Schedule, VMAssignment
@@ -36,7 +36,6 @@ def test_single_vm_serial_execution(simulator):
         units.minutes(3),
         units.minutes(7),
     ]
-    assert trace.makespan == units.minutes(7)
 
 
 def test_parallel_vms_independent_clocks(simulator):
@@ -45,7 +44,6 @@ def test_parallel_vms_independent_clocks(simulator):
     by_vm = {o.vm_index: o.completion_time for o in trace.outcomes}
     assert by_vm[0] == units.minutes(4)
     assert by_vm[1] == units.minutes(1)
-    assert trace.makespan == units.minutes(4)
 
 
 def test_latency_equals_completion_for_batch(simulator):
@@ -74,32 +72,23 @@ def test_provision_time_offsets_execution(simulator):
 def test_busy_time_accounting(simulator):
     schedule = _schedule(("T1", "T2"), ("T3",))
     trace = simulator.run(schedule)
-    assert trace.total_busy_time == pytest.approx(units.minutes(7))
     assert trace.rentals[0].busy_time == pytest.approx(units.minutes(3))
     assert trace.rentals[1].busy_time == pytest.approx(units.minutes(4))
     assert trace.rentals[0].span == pytest.approx(units.minutes(3))
 
 
-def test_outcomes_for_vm(simulator):
+def test_outcomes_by_vm(simulator):
     schedule = _schedule(("T1",), ("T2", "T3"))
     trace = simulator.run(schedule)
-    assert len(trace.outcomes_for_vm(0)) == 1
-    assert len(trace.outcomes_for_vm(1)) == 2
-    assert trace.outcomes_for_vm(2) == ()
+    assert len(trace.outcomes_by_vm[0]) == 1
+    assert len(trace.outcomes_by_vm[1]) == 2
+    assert 2 not in trace.outcomes_by_vm
 
 
 def test_empty_schedule(simulator):
     trace = simulator.run(Schedule.empty())
     assert trace.outcomes == ()
-    assert trace.makespan == 0.0
-    assert trace.total_busy_time == 0.0
-
-
-def test_simulate_helper(small_templates):
-    schedule = _schedule(("T1",))
-    trace = simulate(schedule, TemplateLatencyModel(small_templates))
-    assert len(trace.outcomes) == 1
-    assert trace.latencies() == [units.minutes(1)]
+    assert trace.rentals == ()
 
 
 def test_no_plan_and_empty_plan_give_the_plain_trace(simulator):

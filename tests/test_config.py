@@ -48,15 +48,6 @@ def test_config_with_samples_returns_copy():
     assert modified.queries_per_sample == base.queries_per_sample
 
 
-def test_config_with_queries_per_sample():
-    base = config.TrainingConfig.tiny()
-    assert base.with_queries_per_sample(4).queries_per_sample == 4
-
-
-def test_config_with_seed():
-    assert config.TrainingConfig.fast().with_seed(99).seed == 99
-
-
 def test_config_is_frozen():
     base = config.TrainingConfig.fast()
     with pytest.raises(AttributeError):

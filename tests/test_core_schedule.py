@@ -28,13 +28,6 @@ def test_vm_assignment_rejects_unsupported_template():
         VMAssignment(limited, queries("T1"))
 
 
-def test_vm_assignment_with_query_is_immutable():
-    vm = VMAssignment(t2_medium(), queries("T1"))
-    extended = vm.with_query(Query(template_name="T2"))
-    assert len(vm) == 1
-    assert len(extended) == 2
-
-
 def test_schedule_counts():
     schedule = Schedule(
         [
@@ -44,7 +37,6 @@ def test_schedule_counts():
     )
     assert schedule.num_vms() == 2
     assert schedule.num_queries() == 3
-    assert schedule.vm_type_counts() == {"t2.medium": 2}
     assert len(schedule.queries()) == 3
 
 
@@ -56,17 +48,11 @@ def test_schedule_signature_ignores_query_identity():
     assert hash(first) == hash(second)
 
 
-def test_schedule_with_new_vm_and_placement():
+def test_schedule_with_new_vm():
     schedule = Schedule.empty().with_new_vm(t2_medium())
-    schedule = schedule.with_query_on_last_vm(Query(template_name="T1"))
     assert schedule.num_vms() == 1
-    assert schedule.num_queries() == 1
+    assert schedule.num_queries() == 0
     assert schedule.last_vm() is not None
-
-
-def test_schedule_placement_without_vm_raises():
-    with pytest.raises(ScheduleError):
-        Schedule.empty().with_query_on_last_vm(Query(template_name="T1"))
 
 
 def test_schedule_without_empty_vms():
@@ -84,7 +70,6 @@ def test_validate_complete_accepts_exact_cover(small_templates):
         [VMAssignment(t2_medium(), (workload[0],)), VMAssignment(t2_medium(), (workload[1],))]
     )
     schedule.validate_complete(workload)
-    assert schedule.is_complete_for(workload)
 
 
 def test_validate_complete_detects_missing(small_templates):
@@ -92,7 +77,6 @@ def test_validate_complete_detects_missing(small_templates):
     schedule = Schedule([VMAssignment(t2_medium(), (workload[0],))])
     with pytest.raises(ScheduleError, match="missing"):
         schedule.validate_complete(workload)
-    assert not schedule.is_complete_for(workload)
 
 
 def test_validate_complete_detects_duplicates(small_templates):
@@ -114,4 +98,4 @@ def test_single_vm_constructor(small_templates):
     workload = Workload.from_template_names(small_templates, ["T1", "T2", "T3"])
     schedule = Schedule.single_vm(t2_medium(), list(workload))
     assert schedule.num_vms() == 1
-    assert schedule.is_complete_for(workload)
+    schedule.validate_complete(workload)

@@ -19,13 +19,7 @@ from repro.evaluation.harness import (
     skewed_workloads,
     uniform_workloads,
 )
-from repro.evaluation.metrics import (
-    geometric_mean,
-    mean,
-    percent_above,
-    spread,
-    standard_deviation,
-)
+from repro.evaluation.metrics import mean, percent_above, spread
 
 
 # ---------------------------------------------------------------------------
@@ -44,18 +38,6 @@ def test_mean_and_spread():
     assert math.isnan(mean([]))
     assert spread([5.0, 1.0, 3.0]) == 4.0
     assert spread([2.0]) == 0.0
-
-
-def test_standard_deviation():
-    assert standard_deviation([2.0, 2.0, 2.0]) == 0.0
-    assert standard_deviation([1.0]) == 0.0
-    assert standard_deviation([0.0, 2.0]) == pytest.approx(1.0)
-
-
-def test_geometric_mean():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    assert math.isnan(geometric_mean([]))
-    assert math.isnan(geometric_mean([1.0, -1.0]))
 
 
 def test_cost_comparison_property():

@@ -27,12 +27,6 @@ def test_training_set_add_and_len():
     assert ts.labels() == ["x", "y"]
 
 
-def test_label_counts_and_distinct():
-    ts = TrainingSet(["a"], [example("x", a=1.0), example("x", a=2.0), example("y", a=3.0)])
-    assert ts.label_counts() == {"x": 2, "y": 1}
-    assert ts.distinct_labels() == ("x", "y")
-
-
 def test_to_matrix_orders_features():
     ts = TrainingSet(["a", "b"], [example("x", a=1.0, b=2.0), example("y", b=5.0)])
     matrix, labels = ts.to_matrix()
@@ -54,16 +48,6 @@ def test_without_features_drops_columns():
     assert "b" not in reduced.examples[0].features
     # Original unchanged.
     assert ts.feature_names == ("a", "b")
-
-
-def test_merged_with_requires_same_features():
-    first = TrainingSet(["a"], [example("x", a=1.0)])
-    second = TrainingSet(["a"], [example("y", a=2.0)])
-    merged = first.merged_with(second)
-    assert len(merged) == 2
-    mismatched = TrainingSet(["b"], [example("y", b=2.0)])
-    with pytest.raises(TrainingError):
-        first.merged_with(mismatched)
 
 
 def test_indexing_and_iteration():

@@ -29,7 +29,7 @@ def test_training_result_contents(trained_max, tiny_config):
 def test_training_labels_are_valid_actions(trained_max, small_templates):
     valid_labels = {f"assign:{name}" for name in small_templates.names}
     valid_labels |= {"provision:t2.medium"}
-    assert set(trained_max.training_set.label_counts()) <= valid_labels
+    assert set(trained_max.training_set.labels()) <= valid_labels
 
 
 def test_training_examples_per_sample_match_decisions(model_generator, max_goal):
@@ -83,10 +83,10 @@ def test_model_decides_valid_actions(trained_max, small_templates, vm_catalog):
     )
     node = problem.initial_node()
     # First decision must be provisioning (no VM exists yet).
-    model.stats.reset()
+    before = model.stats.decisions
     action = model.decide(node, problem)
     assert isinstance(action, ProvisionVM)
-    assert model.stats.decisions == 1
+    assert model.stats.decisions == before + 1
 
 
 def test_model_never_stacks_empty_vms(trained_max, small_templates, vm_catalog):
@@ -100,7 +100,7 @@ def test_model_never_stacks_empty_vms(trained_max, small_templates, vm_catalog):
     )
     node = problem.initial_node()
     provisioned = problem.expand(node)[0]
-    assert provisioned.state.last_vm_is_empty()
+    assert provisioned.state.last_vm()[1] == ()
     action = model.decide(provisioned, problem)
     assert isinstance(action, PlaceQuery)
 

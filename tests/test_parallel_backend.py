@@ -11,7 +11,7 @@ import pytest
 
 from repro.adaptive.retraining import AdaptiveModeler
 from repro.config import TrainingConfig
-from repro.learning.trainer import ModelGenerator, SampleSolver, solve_samples
+from repro.learning.trainer import ModelGenerator, SampleSolver
 from repro.parallel.backend import (
     ProcessPoolBackend,
     SerialBackend,
@@ -292,7 +292,7 @@ def test_injected_backend_is_not_closed_by_the_generator(small_templates, max_go
     backend.close()
 
 
-def test_solve_samples_wrapper_matches_backend_path(small_templates, max_goal):
+def test_pooled_sample_solves_match_serial(small_templates, max_goal):
     generator = ModelGenerator(small_templates, config=TrainingConfig.tiny(seed=3))
     solver = SampleSolver(
         vm_types=generator.vm_types,
@@ -305,14 +305,12 @@ def test_solve_samples_wrapper_matches_backend_path(small_templates, max_goal):
         WorkloadGenerator(small_templates, seed=5).uniform(4) for _ in range(3)
     ]
     tasks = [(index, workload) for index, workload in enumerate(workloads)]
-    via_wrapper = solve_samples(solver, tasks, n_jobs=2)
     with ProcessPoolBackend(n_jobs=2) as backend:
-        via_backend = solve_samples(solver, tasks, n_jobs=2, backend=backend)
-    serial = solve_samples(solver, tasks, n_jobs=1)
-    for left, right in zip(via_wrapper, serial):
+        pooled = backend.map_tasks(solver, tasks)
+    serial = SerialBackend().map_tasks(solver, tasks)
+    assert len(pooled) == len(serial) == len(tasks)
+    for left, right in zip(pooled, serial):
         assert left[1] == right[1]  # SampleSolution dataclasses compare by value
-    for left, right in zip(via_backend, serial):
-        assert left[1] == right[1]
 
 
 # ---------------------------------------------------------------------------

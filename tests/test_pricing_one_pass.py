@@ -1,8 +1,7 @@
 """One-pass outcome pricing: bit-identical to the straight-line version, linear work.
 
 ``ExecutionTrace.outcomes_by_vm`` groups a trace's outcomes by VM once;
-``outcomes_for_vm``, ``breakdown_from_trace`` and the cost estimator all read
-that grouping.  The version they replaced — filter every outcome per VM, then
+``breakdown_from_trace`` and the cost estimator both read that grouping.  The version they replaced — filter every outcome per VM, then
 sum — lives on below as the reference: the sweep requires *exact* equality
 with it (no tolerance: per-VM sums must add the same floats in the same
 order), and the work guard counts attribute reads so a per-VM rescan cannot
@@ -20,7 +19,7 @@ from repro.core.cost_model import CostBreakdown, breakdown_from_trace
 from repro.core.outcome import QueryOutcome
 from repro.core.schedule import Schedule, VMAssignment
 from repro.faults import FaultPlan, SlowStart, VMFailure
-from repro.runtime.estimator import per_query_costs, per_template_cost_profile
+from repro.runtime.estimator import _attribute_costs, per_template_cost_profile
 from repro.workloads.query import Query
 
 # ---------------------------------------------------------------------------
@@ -141,19 +140,21 @@ def test_one_pass_pricing_is_bit_identical_to_the_reference(
     for schedule, provision_time, plan in _cases(list(two_type_catalog)):
         trace = simulator.run(schedule, provision_time=provision_time, fault_plan=plan)
         for vm_index in range(len(schedule) + 1):  # one past the end: ()
-            assert trace.outcomes_for_vm(vm_index) == reference_outcomes_for_vm(
-                trace, vm_index
+            assert trace.outcomes_by_vm.get(vm_index, ()) == (
+                reference_outcomes_for_vm(trace, vm_index)
             )
         for goal in all_goals.values():
             assert breakdown_from_trace(schedule, trace, goal) == reference_breakdown(
                 schedule, trace, goal
             )
         # The sweep must reach the cases it was written for.
-        seen["wasted partial execution"] += trace.total_wasted_time > 0
-        seen["VM completing nothing"] += any(
-            not trace.outcomes_for_vm(i) for i in range(len(schedule))
+        seen["wasted partial execution"] += any(
+            rental.wasted_busy_time > 0 for rental in trace.rentals
         )
-        seen["failed VM"] += bool(trace.failed_vm_indices)
+        seen["VM completing nothing"] += any(
+            i not in trace.outcomes_by_vm for i in range(len(schedule))
+        )
+        seen["failed VM"] += any(rental.failed for rental in trace.rentals)
         seen["several VM types"] += len({vm.vm_type.name for vm in schedule}) > 1
         seen["non-zero arrivals"] += any(o.arrival_time > 0 for o in trace.outcomes)
         seen["empty schedule"] += len(schedule) == 0
@@ -174,7 +175,7 @@ def test_estimator_is_bit_identical_to_the_reference_and_simulates_once(
     for schedule, _, _ in _cases(list(two_type_catalog), count=20):
         trace = ScheduleSimulator(latency_model).run(schedule)
         for goal in all_goals.values():
-            assert per_query_costs(schedule, goal, latency_model) == (
+            assert _attribute_costs(schedule, trace, goal) == (
                 reference_per_query_costs(schedule, trace, goal)
             )
             before = len(runs)
@@ -232,18 +233,18 @@ def test_pricing_reads_each_outcome_a_constant_number_of_times(
     )
     assert constant_reads_per_outcome(), reads
     for vm_index in range(len(schedule) + 1):
-        trace.outcomes_for_vm(vm_index)
+        trace.outcomes_by_vm.get(vm_index)
     assert constant_reads_per_outcome(), reads  # the grouping is not rebuilt
 
     trace = counting_trace()
     for vm_index in range(len(schedule) + 1):
-        trace.outcomes_for_vm(vm_index)
+        trace.outcomes_by_vm.get(vm_index)
     assert constant_reads_per_outcome(), reads
 
     trace = counting_trace()
     monkeypatch.setattr(ScheduleSimulator, "run", lambda self, schedule: trace)
-    assert per_query_costs(schedule, max_goal, latency_model) == (
-        reference_per_query_costs(schedule, real, max_goal)
+    assert per_template_cost_profile(schedule, max_goal, latency_model) == (
+        reference_profile(schedule, real, max_goal)
     )
     assert constant_reads_per_outcome(), reads
 
@@ -252,6 +253,6 @@ def test_grouping_is_derived_state_not_a_field(latency_model, vm_catalog):
     schedule = Schedule.single_vm(vm_catalog.default, [Query(template_name="T2")])
     simulator = ScheduleSimulator(latency_model)
     priced, untouched = simulator.run(schedule), simulator.run(schedule)
-    assert priced.outcomes_for_vm(0) == priced.outcomes
+    assert priced.outcomes_by_vm[0] == priced.outcomes
     assert priced == untouched and hash(priced) == hash(untouched)
     assert "outcomes_by_vm" not in repr(priced)

@@ -140,6 +140,31 @@ class TestMetadataProjection:
         assert store.quarantined() == (("f" * 64, "testing"),)
 
 
+class TestLookupsNeverRaiseRawSQLite:
+    def test_lookup_serves_the_row_when_the_touch_cannot_write(
+        self, tmp_path, trained_max
+    ):
+        path = tmp_path / "registry.db"
+        writer = ModelRegistry(db_path=path)
+        writer.put("f" * 64, "b" * 64, {}, trained_max, provenance="fresh")
+        writer.close()
+        reader = ModelRegistry(db_path=path)
+        reader._store._connection.execute("PRAGMA query_only=ON")
+        # The touch-on-read UPDATE fails; the row already read is served.
+        result = reader.get("f" * 64)
+        assert result is not None
+        assert result.num_examples == trained_max.num_examples
+        reader.close()
+
+    def test_summaries_wrap_sqlite_errors_like_history(self, tmp_path):
+        registry = ModelRegistry(db_path=tmp_path / "registry.db")
+        registry._store._connection.close()
+        with pytest.raises(StorageError, match="run-history query failed"):
+            registry.history()
+        with pytest.raises(StorageError, match="run-history summary failed"):
+            registry.tenant_summaries()
+
+
 class TestRunHistory:
     def test_service_records_batch_and_online_runs(
         self, tmp_path, small_templates, max_goal, tiny_config, trained_max,
@@ -225,7 +250,7 @@ class TestRunHistory:
         assert summaries["acme"].violation_runs == 1
         assert summaries["acme"].sla_compliance == 0.5
         assert summaries["globex"].sla_compliance == 1.0
-        assert not records[2].met_sla
+        assert records[2].violation_seconds > 0.0
 
     def test_history_columns_match_the_record_fields(self):
         for column in HISTORY_COLUMNS:

@@ -7,12 +7,9 @@ import pytest
 from repro import units
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import t2_medium
+from repro.core.cost_model import CostModel
 from repro.core.schedule import Schedule, VMAssignment
-from repro.runtime.estimator import (
-    CostEstimator,
-    per_query_costs,
-    per_template_cost_profile,
-)
+from repro.runtime.estimator import CostEstimator, per_template_cost_profile
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.query import Query
 
@@ -29,25 +26,13 @@ def _schedule(*queues):
     )
 
 
-def test_per_query_costs_cover_total_cost(latency):
+def test_profile_covers_total_cost(latency):
     goal = MaxLatencyGoal(deadline=units.minutes(3))
-    schedule = _schedule(("T1", "T2"), ("T3",))
-    costs = per_query_costs(schedule, goal, latency)
-    from repro.core.cost_model import CostModel
-
+    schedule = _schedule(("T1", "T2"), ("T3",))  # one query per template
+    profile = per_template_cost_profile(schedule, goal, latency)
     total = CostModel(latency).total_cost(schedule, goal)
-    assert sum(costs.values()) == pytest.approx(total)
-    assert len(costs) == 3
-
-
-def test_per_query_costs_longer_queries_cost_more(latency, max_goal):
-    schedule = _schedule(("T1", "T3"))
-    costs = per_query_costs(schedule, max_goal, latency)
-    by_template = {}
-    for vm in schedule:
-        for query in vm.queries:
-            by_template[query.template_name] = costs[query.query_id]
-    assert by_template["T3"] > by_template["T1"]
+    assert sum(profile.values()) == pytest.approx(total)
+    assert len(profile) == 3
 
 
 def test_profile_averages_by_template(latency, max_goal):
@@ -72,9 +57,3 @@ def test_estimator_unknown_template_uses_fallback(small_templates):
 def test_estimator_empty_profile(small_templates):
     estimator = CostEstimator(small_templates, {})
     assert estimator.estimate({"T1": 5}) == 0.0
-
-
-def test_estimate_workload_breakdown(small_templates):
-    estimator = CostEstimator(small_templates, {"T1": 1.5, "T2": 2.5})
-    breakdown = estimator.estimate_workload({"T1": 2, "T2": 1, "T3": 0})
-    assert breakdown == {"T1": 3.0, "T2": 2.5}

@@ -78,7 +78,7 @@ def test_every_family_produces_complete_outcomes(
             + outcome.cost.penalty_cost
         )
         assert outcome.overhead.wall_time_seconds >= 0.0
-        assert outcome.schedule.is_complete_for(small_workload)
+        outcome.schedule.validate_complete(small_workload)
     assert len(names) == 7  # every family keeps a distinct display name
 
 

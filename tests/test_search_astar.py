@@ -166,7 +166,7 @@ def test_schedule_from_state_materialises_queries(small_templates, max_goal):
     rebuilt = schedule_from_state(
         result.search.goal_state, workload, single_vm_type_catalog()
     )
-    assert rebuilt.is_complete_for(workload)
+    rebuilt.validate_complete(workload)
 
 
 def test_empty_workload_search(small_templates, max_goal):

@@ -142,12 +142,6 @@ def test_placement_edge_cost_infinite_without_vm(max_problem):
     assert max_problem.placement_edge_cost(node, "T1") == float("inf")
 
 
-def test_startup_edge_cost(max_problem):
-    assert max_problem.startup_edge_cost("t2.medium") == pytest.approx(
-        t2_medium().startup_cost
-    )
-
-
 def test_heuristic_is_cheapest_remaining_execution(max_problem):
     # On a fresh VM all 6 minutes of work fit the 10-minute deadline, so the
     # f-value is the start-up fee plus Equation 3 and nothing else.

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
-from repro.search.state import SearchState, counts_from_templates, freeze_counts
+from repro.search.state import SearchState, freeze_counts
 
 
 def test_initial_state():
@@ -15,7 +13,6 @@ def test_initial_state():
     assert state.remaining_total() == 3
     assert not state.is_goal()
     assert state.last_vm() is None
-    assert not state.last_vm_is_empty()
 
 
 def test_freeze_counts_drops_zeros_and_sorts():
@@ -23,15 +20,10 @@ def test_freeze_counts_drops_zeros_and_sorts():
     assert frozen == (("A", 2), ("C", 1))
 
 
-def test_counts_from_templates():
-    assert counts_from_templates(["T1", "T1", "T2"]) == Counter({"T1": 2, "T2": 1})
-
-
 def test_with_new_vm():
     state = SearchState.initial({"T1": 1}).with_new_vm("t2.medium")
     assert state.num_vms() == 1
     assert state.last_vm() == ("t2.medium", ())
-    assert state.last_vm_is_empty()
     assert state.remaining_total() == 1
 
 
@@ -40,7 +32,6 @@ def test_with_placement_decrements_remaining():
     assert state.remaining_total() == 1
     assert state.last_vm() == ("vm", ("T1",))
     assert state.assigned_total() == 1
-    assert not state.last_vm_is_empty()
 
 
 def test_goal_state_after_all_placements():

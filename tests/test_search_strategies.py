@@ -40,10 +40,10 @@ from repro.search.astar import astar_search
 from repro.search.bounds import registered_future_cost_bounds
 from repro.search.problem import SchedulingProblem
 from repro.search.strategy import (
+    SEARCH_STRATEGIES,
     AStarStrategy,
     BeamSearchStrategy,
     WeightedAStarStrategy,
-    registered_search_strategies,
     strategy_from_spec,
 )
 from repro.sla.average_latency import AverageLatencyGoal
@@ -192,7 +192,7 @@ def test_every_registered_bound_finds_the_same_optimal_cost(workload, goal, cata
             reference = result.cost
         else:
             assert result.cost == pytest.approx(reference, rel=1e-9, abs=1e-9)
-        assert result.is_exact and result.optimality_ratio == 1.0
+        assert result.cost_lower_bound is None and result.optimality_ratio == 1.0
 
 
 @given(
@@ -228,7 +228,7 @@ def test_hook_matches_recompute_for_every_bound_and_goal(workload, goal, catalog
         )
         result = astar_search(problem)
         for node in result.path():
-            assert node.priority == problem.priority(node), node.debug_dict()
+            assert node.priority == problem.priority(node), node
 
 
 @given(workload=workload_strategy, goal=goal_strategy)
@@ -251,8 +251,8 @@ def test_tight_bound_dominates_the_memoized_bound_pointwise(workload, goal):
         next_frontier = []
         for memo_node, tight_node in frontier:
             assert tight_node.priority >= memo_node.priority - 1e-9, (
-                memo_node.debug_dict(),
-                tight_node.debug_dict(),
+                memo_node,
+                tight_node,
             )
             memo_children = memoized_problem.expand(memo_node)
             tight_children = tight_problem.expand(tight_node)
@@ -284,7 +284,7 @@ def test_default_strategy_matches_reference_astar_bit_for_bit(workload, goal, ca
     assert engine.expansions == expansions
     assert engine.generated == generated
     assert engine.strategy == "astar"
-    assert engine.is_exact
+    assert engine.cost_lower_bound is None
 
 
 def test_default_strategy_expanded_f_values_match_reference():
@@ -362,7 +362,7 @@ def test_wide_beam_is_exact_on_small_problems():
     )
     assert result.cost == pytest.approx(optimal, rel=1e-9)
     # Nothing was pruned, so the beam proves its own optimality.
-    assert result.is_exact
+    assert result.cost_lower_bound is None
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def test_wide_beam_is_exact_on_small_problems():
 
 
 def test_registries_expose_the_shipped_engines():
-    assert set(registered_search_strategies()) >= {"astar", "weighted_astar", "beam"}
+    assert set(SEARCH_STRATEGIES) >= {"astar", "weighted_astar", "beam"}
     assert set(registered_future_cost_bounds()) >= {"memoized", "tight"}
 
 
@@ -440,10 +440,8 @@ def test_search_node_repr_surfaces_incremental_state():
     assert text.count("SearchNode(") == 1
     assert "aux_penalty=" in text and "latency_key=" in text
     assert "bound_state=" in text
-    debug = node.debug_dict()
-    assert debug["aux_penalty"] >= 0.0  # carried, not the -1.0 sentinel
-    assert debug["latency_key"] is not None
-    assert "outcomes" in debug
+    assert node.aux_penalty >= 0.0  # carried, not the -1.0 sentinel
+    assert node.latency_key is not None
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +555,7 @@ def test_weighted_astar_with_weight_one_proves_optimality():
         SchedulingProblem.for_workload(workload, CATALOGS["1vm"], goal, LATENCY)
     )
     assert result.cost == pytest.approx(optimal, rel=1e-12)
-    assert result.is_exact and result.cost_lower_bound is None
+    assert result.cost_lower_bound is None
 
 
 def test_registered_custom_strategies_can_take_parameters():

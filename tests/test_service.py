@@ -110,23 +110,6 @@ def test_registry_cache_hit_returns_same_model_as_fresh_train(
     assert mirrored.cost == original.cost
 
 
-def test_update_goal_retrains_adaptively_and_registers(trained_service, small_templates):
-    stricter = trained_service.tenant("acme").spec.goal.tightened(0.2, small_templates)
-    trained_service.register(
-        "acme-tight",
-        small_templates,
-        trained_service.tenant("acme").spec.goal,
-        config=trained_service.tenant("acme").spec.config,
-    )
-    trained_service.train("acme-tight")
-    trained_service.update_goal("acme-tight", stricter)
-    tenant = trained_service.tenant("acme-tight")
-    assert not tenant.is_trained
-    trained_service.train("acme-tight")
-    assert tenant.provenance == "adaptive"
-    assert tenant.model.goal.deadline < trained_service.tenant("acme").model.goal.deadline
-
-
 def test_adapt_registers_artifact_for_later_switch(trained_service, small_templates):
     goal = trained_service.tenant("acme").spec.goal.tightened(0.35, small_templates)
     result, report = trained_service.adapt("acme", goal)

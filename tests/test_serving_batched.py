@@ -8,7 +8,7 @@ the equivalence grid cannot see:
 * control frames (``metrics``) bypass the data outbox, so snapshots stay
   available while a worker is wedged mid-batch — driven with a gated
   ``ServingEngine.submit`` so the pump is provably stuck;
-* ``max_batch`` / ``max_batch_delay`` shape the frames deterministically;
+* submissions that queue while the sender waits ship as one frame;
 * batch-level credits enforce ``queue_limit`` with the ``shed`` policy
   router-side, return with acks, and lane failures come back sticky (and
   resolve in-flight tickets);
@@ -72,11 +72,11 @@ def _config(**overrides) -> _ShardConfig:
     return _ShardConfig(**base)
 
 
-def _local_shard(config, **shard_kwargs):
+def _local_shard(config):
     """A router-side shard handle wired to an in-process worker loop."""
     parent, child = multiprocessing.Pipe()
     worker = asyncio.ensure_future(_shard_worker_loop(child, config))
-    shard = _ProcessShard(0, config, parent, process=None, **shard_kwargs)
+    shard = _ProcessShard(0, config, parent, process=None)
     return shard, worker, child
 
 
@@ -156,43 +156,20 @@ class TestControlFrameBypass:
 
 
 # ---------------------------------------------------------------------------
-# Batch shaping knobs
+# Frame coalescing
 # ---------------------------------------------------------------------------
 
 
-class TestBatchKnobs:
-    def test_max_batch_caps_the_frame_and_delay_coalesces(self, pair_service):
-        name = _two_tenants_on_distinct_shards()[0]
-
-        async def main():
-            # The 50ms window lets all five submissions land in the outbox
-            # before the sender ships anything; the cap then splits them
-            # 2 + 2 + 1 deterministically.
-            shard, worker, child = _local_shard(
-                _config(), max_batch=2, max_batch_delay=0.05
-            )
-            await shard.register(_registration(name, pair_service))
-            for index in range(5):
-                await shard.submit(
-                    name, Query("T1", arrival_time=float(index)), False
-                )
-            await asyncio.wait_for(shard.flush(), timeout=10.0)
-            assert shard.batches_sent == 3
-            assert shard.batched_queries == 5
-            await shard.drain()
-            await _shutdown(shard, worker, child)
-
-        asyncio.run(main())
-
+class TestFrameCoalescing:
     def test_unbounded_batch_ships_the_whole_backlog_in_one_frame(
         self, pair_service
     ):
+        """Submits that never suspend all land in the outbox before the
+        sender runs, so the whole backlog ships as one frame."""
         name = _two_tenants_on_distinct_shards()[0]
 
         async def main():
-            shard, worker, child = _local_shard(
-                _config(), max_batch_delay=0.05
-            )
+            shard, worker, child = _local_shard(_config())
             await shard.register(_registration(name, pair_service))
             for index in range(5):
                 await shard.submit(
@@ -205,33 +182,6 @@ class TestBatchKnobs:
             snapshot = await shard.metrics()
             assert snapshot.tenant(name).decided == 5
             await _shutdown(shard, worker, child)
-
-        asyncio.run(main())
-
-    def test_knob_validation(self, pair_service):
-        with pytest.raises(SpecificationError, match="max_batch "):
-            ShardedServingEngine(pair_service, max_batch=0)
-        with pytest.raises(SpecificationError, match="max_batch_delay"):
-            ShardedServingEngine(pair_service, max_batch_delay=-0.1)
-
-    def test_knobs_reach_the_process_shards(self, pair_service):
-        async def main():
-            engine = ShardedServingEngine(
-                pair_service,
-                shards=2,
-                isolation="process",
-                max_batch=7,
-                max_batch_delay=0.001,
-            )
-            async with engine:
-                await engine.warm(*_two_tenants_on_distinct_shards())
-                if engine.effective_isolation != "process":
-                    pytest.skip(
-                        f"process shards unavailable: {engine.fallback_reason}"
-                    )
-                for shard in engine._shards:
-                    assert shard._max_batch == 7
-                    assert shard._max_batch_delay == 0.001
 
         asyncio.run(main())
 

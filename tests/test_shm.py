@@ -10,6 +10,7 @@ crashing reader leaks segments or provokes ``resource_tracker`` noise.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -275,3 +276,56 @@ service.close()
         assert completed.returncode == 0, completed.stderr
         assert "resource_tracker" not in completed.stderr
         assert "leaked" not in completed.stderr
+
+    def test_first_engine_of_a_process_leaves_no_tracker_noise(self):
+        """Regression: a worker forked before the router had a resource
+        tracker kept its attachments registered in a tracker of its own, which
+        then complained at exit about segments the router had unlinked."""
+
+        def segments() -> set[str]:
+            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+        before = segments()
+        completed = _run_snippet(
+            """
+import asyncio
+from repro import units
+from repro.config import TrainingConfig
+from repro.service import WiSeDBService
+from repro.serving import ShardedServingEngine
+from repro.sla.max_latency import MaxLatencyGoal
+from repro.workloads import poisson_arrivals
+from repro.workloads.templates import QueryTemplate, TemplateSet
+
+templates = TemplateSet(
+    [
+        QueryTemplate(name="G1", base_latency=units.minutes(1)),
+        QueryTemplate(name="G2", base_latency=units.minutes(3)),
+    ]
+)
+service = WiSeDBService()
+tenants = [f"t{index}" for index in range(4)]
+for index, name in enumerate(tenants):
+    goal = MaxLatencyGoal.from_factor(templates, factor=2.0 + index / 2)
+    service.register(name, templates, goal, config=TrainingConfig.tiny(seed=13))
+service.train_all()
+
+async def main():
+    engine = ShardedServingEngine(service, shards=1, isolation="process")
+    try:
+        for name in tenants:
+            for query in poisson_arrivals(templates, 3, rate=0.05, seed=5, tenant=name):
+                await engine.submit(name, query)
+        await engine.drain()
+    finally:
+        await engine.close()
+    return engine
+
+engine = asyncio.run(main())
+assert engine.effective_isolation == "process", engine.fallback_reason
+service.close()
+"""
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "resource_tracker" not in completed.stderr
+        assert segments() <= before

@@ -15,10 +15,6 @@ def test_seconds_to_minutes_roundtrip():
     assert units.seconds_to_minutes(units.minutes(7.5)) == pytest.approx(7.5)
 
 
-def test_hours_to_seconds():
-    assert units.hours(1.5) == 5400.0
-
-
 def test_dollars_to_cents():
     assert units.dollars(0.052) == pytest.approx(5.2)
 

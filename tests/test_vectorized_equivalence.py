@@ -391,7 +391,7 @@ def _check_decisions(monkeypatch, seen: Counter) -> None:
     def guard(self, action, node, problem, costs=None):
         last = node.state.last_vm()
         # `costs` is None on the oracle's own _validate call.
-        if costs is not None and self.penalty_guard_enabled and last and last[1]:
+        if costs is not None and self._penalty_guard and last and last[1]:
             walked = action.template_name in costs
             seen["guard reused a walked cost" if walked else "guard derived its cost"] += 1
         return real_guard(self, action, node, problem, costs)

@@ -1,4 +1,4 @@
-"""Seeded arrival-process generators (Poisson / bursty / diurnal).
+"""Seeded arrival-process generators (Poisson / bursty).
 
 The streams are the substrate of the serving load harness, so two properties
 are pinned hard: determinism per ``(seed, tenant)`` — the same pair always
@@ -16,20 +16,12 @@ import json
 import pytest
 
 from repro.exceptions import SpecificationError
-from repro.workloads import (
-    Workload,
-    bursty_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
+from repro.workloads import Workload, bursty_arrivals, poisson_arrivals
 
 PROCESSES = {
     "poisson": lambda t, n, **kw: poisson_arrivals(t, n, rate=40.0, **kw),
     "bursty": lambda t, n, **kw: bursty_arrivals(
         t, n, base_rate=10.0, burst_rate=200.0, **kw
-    ),
-    "diurnal": lambda t, n, **kw: diurnal_arrivals(
-        t, n, base_rate=5.0, peak_rate=80.0, period=20.0, **kw
     ),
 }
 
@@ -39,7 +31,6 @@ PROCESSES = {
 GOLDEN_DIGESTS = {
     "poisson": "12c47b8ed506c07ef9f36ae9f3afb97af1c4d396d2f081dbce2ca20a6251c0c2",
     "bursty": "2aa575f8e6defdb4b020817a0fcc16a1bc1f49dde7b71ab549ff062e79954ece",
-    "diurnal": "208c9c2da0894658eb0368f1064fc1e260002ebb8c0e95a237129d26a0fea8e9",
 }
 
 
@@ -126,12 +117,6 @@ class TestValidation:
             bursty_arrivals(
                 small_templates, 5, base_rate=1.0, burst_rate=2.0, enter_burst=1.5
             )
-
-    def test_diurnal_rejects_bad_rates_and_period(self, small_templates):
-        with pytest.raises(SpecificationError):
-            diurnal_arrivals(small_templates, 5, base_rate=2.0, peak_rate=1.0, period=5.0)
-        with pytest.raises(SpecificationError):
-            diurnal_arrivals(small_templates, 5, base_rate=1.0, peak_rate=2.0, period=0.0)
 
 
 def test_bursty_bursts_actually_compress_gaps(small_templates):

@@ -51,25 +51,6 @@ def test_workload_rejects_negative_count(small_templates):
         Workload.from_counts(small_templates, {"T1": -1})
 
 
-def test_workload_frequencies(small_templates):
-    workload = Workload.from_counts(small_templates, {"T1": 3, "T2": 1})
-    frequencies = workload.template_frequencies()
-    assert frequencies["T1"] == pytest.approx(0.75)
-    assert frequencies["T2"] == pytest.approx(0.25)
-    assert frequencies["T3"] == 0.0
-
-
-def test_empty_workload_frequencies(small_templates):
-    workload = Workload(small_templates, [])
-    assert workload.is_empty()
-    assert all(value == 0.0 for value in workload.template_frequencies().values())
-
-
-def test_workload_total_base_latency(small_templates):
-    workload = Workload.from_counts(small_templates, {"T1": 1, "T2": 1})
-    assert workload.total_base_latency() == pytest.approx(60.0 + 120.0)
-
-
 def test_workload_sorted_by_latency(small_templates):
     workload = Workload.from_template_names(small_templates, ["T3", "T1", "T2"])
     ascending = workload.sorted_by_latency()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SpecificationError
-from repro.workloads.generator import WorkloadGenerator, workload_of
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.skew import chi_squared_confidence
 
 
@@ -107,15 +107,3 @@ def test_normal_arrivals_monotone(small_templates, small_workload):
     times = [q.arrival_time for q in arrivals]
     assert times[0] == 0.0
     assert all(later >= earlier for earlier, later in zip(times, times[1:]))
-
-
-def test_shuffled_preserves_multiset(small_templates, small_workload):
-    generator = WorkloadGenerator(small_templates, seed=9)
-    shuffled = generator.shuffled(small_workload)
-    assert shuffled.template_counts() == small_workload.template_counts()
-    assert len(shuffled) == len(small_workload)
-
-
-def test_workload_of_helper(small_templates):
-    workload = workload_of(small_templates, ["T1", "T1", "T2"])
-    assert workload.template_counts() == {"T1": 2, "T2": 1}

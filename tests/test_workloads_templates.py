@@ -11,7 +11,6 @@ from repro.workloads.templates import (
     TemplateSet,
     tpch_template,
     tpch_templates,
-    uniform_templates,
 )
 
 
@@ -48,7 +47,6 @@ def test_template_set_unknown_lookup(small_templates):
 
 
 def test_template_set_statistics(small_templates):
-    assert small_templates.min_latency() == units.minutes(1)
     assert small_templates.max_latency() == units.minutes(4)
     assert small_templates.average_latency() == pytest.approx(units.minutes(7) / 3)
 
@@ -71,17 +69,10 @@ def test_extended_adds_templates(small_templates):
     assert len(small_templates) == 3
 
 
-def test_subset(small_templates):
-    subset = small_templates.subset(["T1", "T3"])
-    assert subset.names == ("T1", "T3")
-    with pytest.raises(UnknownTemplateError):
-        small_templates.subset(["T9"])
-
-
 def test_tpch_catalogue_latency_range():
     templates = tpch_templates(10)
     assert len(templates) == 10
-    assert templates.min_latency() >= units.minutes(2)
+    assert min(t.base_latency for t in templates) >= units.minutes(2)
     assert templates.max_latency() <= units.minutes(6)
     # Section 7.1: average latency around 4 minutes.
     assert units.minutes(3.5) <= templates.average_latency() <= units.minutes(4.5)
@@ -99,12 +90,6 @@ def test_tpch_template_out_of_range():
         tpch_template(11)
     with pytest.raises(SpecificationError):
         tpch_templates(0)
-
-
-def test_uniform_templates():
-    templates = uniform_templates(4, latency=60.0)
-    assert len(templates) == 4
-    assert all(t.base_latency == 60.0 for t in templates)
 
 
 def test_template_set_equality_and_hash(small_templates):
