@@ -114,6 +114,53 @@ def test_online_run(service, small_templates):
     assert outcome.scheduler == "WiSeDB-online"
 
 
+GOAL_KINDS = ("max", "per_query", "average", "percentile")
+
+
+@pytest.fixture(scope="module")
+def goal_service(small_templates, all_goals):
+    """One trained tenant per goal kind, each named after its kind."""
+    service = WiSeDBService()
+    for kind in GOAL_KINDS:
+        service.register(
+            kind, small_templates, all_goals[kind], config=TrainingConfig.tiny(seed=13)
+        )
+        service.train(kind)
+    return service
+
+
+@pytest.mark.parametrize("kind", GOAL_KINDS)
+def test_every_goal_kind_schedules_close_to_optimal(goal_service, small_templates, kind):
+    workload = WorkloadGenerator(small_templates, seed=40).uniform(12)
+    outcome = goal_service.schedule_batch(kind, workload)
+    assert not outcome.degraded
+    outcome.schedule.validate_complete(workload)
+    assert goal_service.evaluate(kind, outcome.schedule) == outcome.cost
+    spec = goal_service.tenant(kind).spec
+    optimal = find_optimal_schedule(
+        workload,
+        spec.vm_types,
+        spec.goal,
+        spec.resolved_latency_model(),
+        max_expansions=200_000,
+    )
+    assert optimal.total_cost <= outcome.total_cost <= optimal.total_cost * 1.35
+
+
+@pytest.mark.parametrize("kind", GOAL_KINDS)
+def test_every_goal_kind_runs_online(goal_service, small_templates, kind):
+    generator = WorkloadGenerator(small_templates, seed=34)
+    workload = generator.with_fixed_arrivals(generator.uniform(8), delay=45.0)
+    outcome = goal_service.run_online(
+        kind, workload, OnlineOptimizations.all(), wait_resolution=60.0
+    )
+    assert not outcome.degraded
+    assert outcome.goal.kind == kind
+    assert len(outcome.query_outcomes) == len(workload)
+    outcome.schedule.validate_complete(workload)
+    assert outcome.total_cost > 0.0
+
+
 def test_two_vm_type_catalogue(small_templates, two_type_catalog):
     service = WiSeDBService()
     service.register(

@@ -112,6 +112,17 @@ def scan(root: Path) -> tuple[dict[str, str], set[str]]:
     return definitions, unused
 
 
+def stale_entries(
+    allowlist: dict[str, str], definitions: dict[str, str], unused: set[str]
+) -> tuple[list[str], list[str]]:
+    """Allowlist entries whose name is gone, and those whose name is now used."""
+    gone = sorted(name for name in allowlist if name not in definitions)
+    now_used = sorted(
+        name for name in allowlist if name in definitions and name not in unused
+    )
+    return gone, now_used
+
+
 @pytest.fixture(scope="module")
 def surface():
     return scan(ROOT)
@@ -128,13 +139,15 @@ def test_every_public_name_has_a_user_or_a_reason(surface):
 
 
 def test_allowlist_has_no_stale_entries(surface):
-    definitions, unused = surface
-    gone = sorted(name for name in ALLOWED_UNUSED if name not in definitions)
-    now_used = sorted(
-        name for name in ALLOWED_UNUSED if name in definitions and name not in unused
-    )
+    gone, now_used = stale_entries(ALLOWED_UNUSED, *surface)
     assert not gone, f"ALLOWED_UNUSED names that no longer exist: {gone}"
     assert not now_used, f"ALLOWED_UNUSED names that now have a user: {now_used}"
+
+
+def test_every_allowlist_reason_is_one_line():
+    for name, reason in ALLOWED_UNUSED.items():
+        assert reason.strip(), f"{name} has an empty reason"
+        assert "\n" not in reason, f"{name} has a multi-line reason"
 
 
 def _write(path: Path, text: str) -> None:
@@ -180,3 +193,115 @@ def test_scanner_counts_string_constants_and_attributes(tmp_path):
         "repro.targets.Box.by_attribute",
     }
     assert unused == set()
+
+
+_TARGET = "def target():\n    pass\n"
+
+
+@pytest.mark.parametrize(
+    "user, text",
+    [
+        ("src/repro/caller.py", "from repro.lib import *\n\nRUN = target\n"),
+        ("examples/demo.py", "import repro.lib as lib\nlib.target()\n"),
+        ("benchmarks/bench.py", "from repro.lib import target\n"),
+        ("examples/demo.py", "from repro.lib import target as run\nrun()\n"),
+        ("benchmarks/perf/trace.py", 'TARGETS = ("repro.lib", "target")\n'),
+    ],
+    ids=["name", "attribute", "import", "aliased-import", "string-constant"],
+)
+def test_scanner_counts_each_kind_of_use(tmp_path, user, text):
+    _write(tmp_path / "src/repro/lib.py", _TARGET)
+    _write(tmp_path / user, text)
+    assert scan(tmp_path)[1] == set()
+
+
+@pytest.mark.parametrize(
+    "user, text",
+    [
+        ("tests/test_lib.py", "from repro.lib import target\ntarget()\n"),
+        ("src/repro/__init__.py", "from repro.lib import target\n"),
+        ("examples/__init__.py", "from repro.lib import target\n"),
+        ("docs/conf.py", "from repro.lib import target\ntarget()\n"),
+        ("examples/demo.py", '"""Call target() to run the demo."""\n'),
+        ("examples/demo.py", "# target()\nVALUE = 1\n"),
+        ("examples/demo.py", "def go(target=None):\n    return go\n"),
+    ],
+    ids=[
+        "tests",
+        "package-re-export",
+        "examples-init",
+        "other-directory",
+        "non-identifier-string",
+        "comment",
+        "parameter-name",
+    ],
+)
+def test_scanner_ignores_what_is_not_a_use(tmp_path, user, text):
+    _write(tmp_path / "src/repro/lib.py", _TARGET)
+    _write(tmp_path / user, text)
+    assert scan(tmp_path)[1] == {"repro.lib.target"}
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("def _private():\n    pass\n\nVALUE = 3\n", set()),
+        ("class _Hidden:\n    def shown(self):\n        pass\n", set()),
+        ("class Box:\n    size = 3\n\n    def __len__(self):\n        return 0\n", {"Box"}),
+        ("def outer():\n    def inner():\n        pass\n\n    return inner\n", {"outer"}),
+        (
+            "class Box:\n    class Lid:\n        def open(self):\n            pass\n",
+            {"Box"},
+        ),
+        (
+            "async def fetch():\n    pass\n\n\n"
+            "class Box:\n    async def fill(self):\n        pass\n",
+            {"fetch", "Box", "Box.fill"},
+        ),
+    ],
+    ids=[
+        "private-def",
+        "private-class",
+        "dunder-method",
+        "nested-function",
+        "nested-class",
+        "async",
+    ],
+)
+def test_scanner_covers_public_top_level_defs_and_their_methods(
+    tmp_path, text, expected
+):
+    _write(tmp_path / "src/repro/lib.py", text)
+    definitions, unused = scan(tmp_path)
+    qualified = {f"repro.lib.{name}" for name in expected}
+    assert set(definitions) == qualified
+    assert unused == qualified
+
+
+@pytest.mark.parametrize(
+    "module, expected",
+    [
+        ("src/repro/__init__.py", set()),
+        ("src/repro/pkg/__init__.py", set()),
+        ("src/repro/pkg/mod.py", {"repro.pkg.mod.orphan"}),
+    ],
+    ids=["package-init", "subpackage-init", "subpackage-module"],
+)
+def test_scanner_skips_init_modules_and_names_by_module_path(
+    tmp_path, module, expected
+):
+    _write(tmp_path / module, "def orphan():\n    pass\n")
+    assert set(public_definitions(tmp_path)) == expected
+
+
+def test_stale_check_reports_an_allowlisted_name_that_is_gone(tmp_path):
+    _write(tmp_path / "src/repro/lib.py", _TARGET)
+    allowlist = {"repro.lib.target": "kept", "repro.lib.deleted": "was kept"}
+    assert stale_entries(allowlist, *scan(tmp_path)) == (["repro.lib.deleted"], [])
+
+
+def test_stale_check_reports_an_allowlisted_name_that_gained_a_user(tmp_path):
+    _write(tmp_path / "src/repro/lib.py", _TARGET + "\n\ndef spare():\n    pass\n")
+    _write(tmp_path / "examples/demo.py", "from repro.lib import target\n")
+    allowlist = {"repro.lib.target": "kept", "repro.lib.spare": "kept"}
+    assert stale_entries(allowlist, *scan(tmp_path)) == ([], ["repro.lib.target"])

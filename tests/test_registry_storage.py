@@ -156,6 +156,42 @@ class TestLookupsNeverRaiseRawSQLite:
         assert result.num_examples == trained_max.num_examples
         reader.close()
 
+    @pytest.mark.parametrize(
+        "lookup, expected",
+        [
+            (lambda registry: registry.get("f" * 64) is not None, True),
+            (lambda registry: "f" * 64 in registry, True),
+            (lambda registry: registry.fingerprints(), ("f" * 64,)),
+            (lambda registry: registry.find_base("b" * 64) is not None, True),
+            (lambda registry: registry.provenance("f" * 64), "adaptive"),
+            (lambda registry: registry.model_metadata("f" * 64)["goal_kind"], "max"),
+            (lambda registry: len(registry.history()), 1),
+            (lambda registry: registry.tenant_summaries()["acme"].runs, 1),
+        ],
+        ids=[
+            "get",
+            "contains",
+            "fingerprints",
+            "find_base",
+            "provenance",
+            "model_metadata",
+            "history",
+            "tenant_summaries",
+        ],
+    )
+    def test_every_lookup_answers_on_a_read_only_connection(
+        self, tmp_path, trained_max, lookup, expected
+    ):
+        path = tmp_path / "registry.db"
+        writer = ModelRegistry(db_path=path)
+        writer.put("f" * 64, "b" * 64, {}, trained_max, provenance="adaptive")
+        writer._store.record_run(_record())
+        writer.close()
+        reader = ModelRegistry(db_path=path)
+        reader._store._connection.execute("PRAGMA query_only=ON")
+        assert lookup(reader) == expected
+        reader.close()
+
     def test_summaries_wrap_sqlite_errors_like_history(self, tmp_path):
         registry = ModelRegistry(db_path=tmp_path / "registry.db")
         registry._store._connection.close()

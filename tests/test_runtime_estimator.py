@@ -49,6 +49,13 @@ def test_estimator_linear_in_counts(small_templates):
     assert estimator.estimate({}) == 0.0
 
 
+def test_estimator_skips_zero_and_negative_counts(small_templates):
+    estimator = CostEstimator(small_templates, {"T1": 1.5, "T2": 2.5})
+    # A zero count adds nothing, not even the fallback cost of T3.
+    assert estimator.estimate({"T1": 2, "T2": 1, "T3": 0}) == pytest.approx(5.5)
+    assert estimator.estimate({"T1": 2, "T2": -1}) == pytest.approx(3.0)
+
+
 def test_estimator_unknown_template_uses_fallback(small_templates):
     estimator = CostEstimator(small_templates, {"T1": 1.0, "T2": 3.0})
     assert estimator.per_query_cost("T99") == pytest.approx(2.0)

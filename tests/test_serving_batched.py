@@ -8,7 +8,8 @@ the equivalence grid cannot see:
 * control frames (``metrics``) bypass the data outbox, so snapshots stay
   available while a worker is wedged mid-batch — driven with a gated
   ``ServingEngine.submit`` so the pump is provably stuck;
-* submissions that queue while the sender waits ship as one frame;
+* submissions that queue while the sender waits ship as one frame, and a
+  flush closes that frame;
 * batch-level credits enforce ``queue_limit`` with the ``shed`` policy
   router-side, return with acks, and lane failures come back sticky (and
   resolve in-flight tickets);
@@ -180,6 +181,32 @@ class TestFrameCoalescing:
             assert shard.batched_queries == 5
             await shard.drain()
             snapshot = await shard.metrics()
+            assert snapshot.tenant(name).decided == 5
+            await _shutdown(shard, worker, child)
+
+        asyncio.run(main())
+
+    def test_a_flush_ends_the_frame_and_later_submits_start_a_new_one(
+        self, pair_service
+    ):
+        name = _two_tenants_on_distinct_shards()[0]
+
+        async def main():
+            shard, worker, child = _local_shard(_config())
+            await shard.register(_registration(name, pair_service))
+            for burst, size in enumerate((3, 2)):
+                for index in range(size):
+                    await shard.submit(
+                        name,
+                        Query("T1", arrival_time=float(10 * burst + index)),
+                        False,
+                    )
+                await asyncio.wait_for(shard.flush(), timeout=10.0)
+            assert shard.batches_sent == 2
+            assert shard.batched_queries == 5
+            await shard.drain()
+            snapshot = await shard.metrics()
+            snapshot.tenant(name).check_identities()
             assert snapshot.tenant(name).decided == 5
             await _shutdown(shard, worker, child)
 
