@@ -4,8 +4,11 @@ Starting from the application's goal ``R``, the recommender
 
 1. builds a sequence of candidate goals of increasing strictness with ``R`` as
    the median,
-2. derives a decision model for every candidate by adapting the original
-   model's training artefacts (Section 5) instead of training from scratch,
+2. derives a decision model for every candidate through an
+   :class:`~repro.adaptive.retraining.AdaptiveModeler` (Section 5) instead of
+   training from scratch — each candidate measured against the nearest goal
+   the modeler has solved, so a second ladder over the same modeler searches
+   nothing,
 3. calibrates a cost-estimation function and a per-template cost profile for
    every candidate by scheduling one large random workload with it, and
 4. repeatedly drops the candidate whose cost profile is closest (by Earth
@@ -24,7 +27,7 @@ from repro.adaptive.emd import cost_profile_distance
 from repro.adaptive.retraining import AdaptiveModeler
 from repro.exceptions import SpecificationError
 from repro.learning.model import DecisionModel
-from repro.learning.trainer import ModelGenerator, TrainingResult
+from repro.learning.trainer import TrainingResult
 from repro.runtime.batch import BatchScheduler
 from repro.runtime.estimator import CostEstimator, per_template_cost_profile
 from repro.sla.base import PerformanceGoal
@@ -52,11 +55,16 @@ class Strategy:
 
 
 class StrategyRecommender:
-    """Generates and prunes alternative strategies around an application goal."""
+    """Generates and prunes alternative strategies around an application goal.
+
+    Candidates are retrained through *modeler*; *base_result* — a run over
+    the modeler's sample workloads — is the ladder's centre and is served as
+    the unshifted candidate as it is.
+    """
 
     def __init__(
         self,
-        generator: ModelGenerator,
+        modeler: AdaptiveModeler,
         base_result: TrainingResult,
         num_candidates: int = 7,
         max_shift: float = 0.5,
@@ -70,7 +78,7 @@ class StrategyRecommender:
             num_candidates += 1
         if not 0 < max_shift < 1:
             raise SpecificationError("max_shift must lie strictly between 0 and 1")
-        self._generator = generator
+        self._modeler = modeler
         self._base_result = base_result
         self._num_candidates = num_candidates
         self._max_shift = max_shift
@@ -86,7 +94,7 @@ class StrategyRecommender:
         return [step * (i - half) for i in range(self._num_candidates)]
 
     def _candidate_goal(self, fraction: float) -> PerformanceGoal:
-        templates = self._generator.templates
+        templates = self._modeler.generator.templates
         if abs(fraction) < 1e-12:
             return self._base_result.goal
         return self._base_result.goal.tightened(fraction, templates)
@@ -95,7 +103,7 @@ class StrategyRecommender:
 
     def build_strategies(self) -> list[Strategy]:
         """Derive a strategy (model + estimator + profile) for every candidate goal."""
-        modeler = AdaptiveModeler(self._generator, self._base_result)
+        generator = self._modeler.generator
         calibration = self._calibration_workload()
         strategies: list[Strategy] = []
         for fraction in self.candidate_fractions():
@@ -103,12 +111,10 @@ class StrategyRecommender:
             if abs(fraction) < 1e-12:
                 training = self._base_result
             else:
-                training, _ = modeler.retrain(goal)
+                training, _ = self._modeler.retrain(goal)
             schedule = BatchScheduler(training.model).schedule(calibration)
-            profile = per_template_cost_profile(
-                schedule, goal, self._generator.latency_model
-            )
-            estimator = CostEstimator(self._generator.templates, profile)
+            profile = per_template_cost_profile(schedule, goal, generator.latency_model)
+            estimator = CostEstimator(generator.templates, profile)
             strategies.append(
                 Strategy(
                     goal=goal,
@@ -142,9 +148,9 @@ class StrategyRecommender:
     # -- helpers -----------------------------------------------------------------------
 
     def _template_order(self) -> list[str]:
-        templates = self._generator.templates
+        templates = self._modeler.generator.templates
         return sorted(templates.names, key=lambda name: templates[name].base_latency)
 
     def _calibration_workload(self):
-        generator = WorkloadGenerator(self._generator.templates, seed=self._seed)
+        generator = WorkloadGenerator(self._modeler.generator.templates, seed=self._seed)
         return generator.uniform(self._calibration_queries)

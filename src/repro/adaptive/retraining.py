@@ -33,15 +33,31 @@ a sample solved by a relaxed strategy (``cost_lower_bound`` recorded) gets
 neither.
 
 **Reference choice.**  An :class:`AdaptiveModeler` remembers, for every goal
-it has solved — the base, then each :meth:`~AdaptiveModeler.retrain` — each
-sample's cost and path (label tuples and floats, never a ``TrainingResult``).
-A retrain measures against the *strictest* remembered goal the new goal is at
-least as strict as: the online scheduler's 5-second shift steps and the
-recommender's ladder then compare each goal with its neighbour, where almost
-every sample keeps its path, instead of with the base.  The choice depends on
-the set of solved goals only, not on the order they were solved in.  A goal
-that no remembered goal qualifies for (a relaxed one, a lower penalty rate,
-another kind) is searched with the standard heuristic.
+it has solved — the base, each :meth:`~AdaptiveModeler.retrain`, and every
+result handed to :meth:`~AdaptiveModeler.remember` — each sample's cost and
+path (label tuples and floats, never a ``TrainingResult``).  A retrain
+measures against the *strictest* remembered goal the new goal is at least as
+strict as: the online scheduler's 5-second shift steps, the recommender's
+ladder and a service's successive adapts then compare each goal with its
+neighbour, where almost every sample keeps its path, instead of with the
+base.  The choice depends on the set of solved goals only, not on the order
+they were solved in.  A goal that no remembered goal qualifies for (a relaxed
+one, a lower penalty rate, another kind) is searched with the standard
+heuristic.
+
+Who holds a modeler decides what it can measure against.  The online
+scheduler keeps its own, for one session's shifts.
+:class:`~repro.service.service.WiSeDBService` keeps one per *base
+fingerprint* (the tenant spec minus its goal), shared by every tenant of that
+base and seeded with every registry artifact stored under it.  The sample
+workloads are drawn from the templates and training configuration alone,
+never from the goal, so every artifact under one base holds facts about the
+same workloads: this sample, under this goal, has this optimal path and
+cost.  Those facts stay true for as long as the templates, VM catalogue and
+latency model hold, and the base fingerprint covers all three, so a
+remembered fact never goes stale; deleting an artifact only removes a source
+of facts.  A modeler serialises its retrains and ``remember`` calls behind
+one lock, so tenants on several threads may share it.
 
 **What is bit-identical and what is not.**  Fresh training is unchanged.  An
 adapted sample's optimal *cost* equals a fresh search's (to the last ulp or
@@ -75,8 +91,10 @@ accumulator and falls back to that re-evaluation; both are bit-identical
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.exceptions import TrainingError
 from repro.learning.dataset import TrainingSet
@@ -170,19 +188,17 @@ class AdaptiveModeler:
         self._generator = generator
         self._base = base_result
         self._backend = backend
-        #: Every goal solved so far (the base, then each ``retrain``), by its
-        #: canonical JSON: the goal and, per sample workload, its solution — a
-        #: cost and a label tuple, never a ``TrainingResult``.
+        self._lock = threading.Lock()
+        #: The key :meth:`remember` matches a result's samples to workloads by.
+        self._workload_counts = [
+            self._freeze(workload.template_counts()) for workload in base_result.workloads
+        ]
+        #: Every goal solved so far (the base, each ``retrain``, each
+        #: ``remember``), by its canonical JSON: the goal and, per sample
+        #: workload, its solution — a cost and a label tuple, never a
+        #: ``TrainingResult``.
         self._solved: dict[str, tuple[PerformanceGoal, list[SampleSolution | None]]] = {}
-        # The base's samples skip workloads that ran out of budget: match by counts.
-        by_counts = {self._freeze(sample.template_counts): sample for sample in base_result.samples}
-        self._remember(
-            base_result.goal,
-            [
-                by_counts.get(self._freeze(dict(workload.template_counts())))
-                for workload in base_result.workloads
-            ],
-        )
+        self.remember(base_result)
 
     @property
     def backend(self) -> ExecutionBackend:
@@ -190,9 +206,27 @@ class AdaptiveModeler:
         return self._backend if self._backend is not None else self._generator.backend
 
     @property
+    def generator(self) -> ModelGenerator:
+        """The generator whose specification and extractor every retrain uses."""
+        return self._generator
+
+    @property
     def base_result(self) -> TrainingResult:
         """The original training run whose artefacts are being re-used."""
         return self._base
+
+    def remember(self, result: TrainingResult) -> None:
+        """Record *result*'s exact sample solutions as solved for its goal.
+
+        *result* must be a run over the same sample workloads — any goal, the
+        same templates, catalogue, latency model and configuration.  A run
+        drops samples that ran out of budget, so its samples are matched to
+        the workloads by template counts.  A goal remembered earlier is
+        replaced.
+        """
+        by_counts = {self._freeze(sample.template_counts): sample for sample in result.samples}
+        with self._lock:
+            self._remember(result.goal, [by_counts.get(key) for key in self._workload_counts])
 
     # -- model derivation -------------------------------------------------------------
 
@@ -207,6 +241,12 @@ class AdaptiveModeler:
         another kind) is searched with the standard heuristic — the samples
         are still re-used, so workload generation is never repeated.
         """
+        with self._lock:
+            return self._retrain(new_goal)
+
+    def _retrain(
+        self, new_goal: PerformanceGoal
+    ) -> tuple[TrainingResult, AdaptiveRetrainingReport]:
         start_time = time.perf_counter()
         old_goal, solved = self._reference(new_goal)
 
@@ -291,7 +331,7 @@ class AdaptiveModeler:
     # -- helpers --------------------------------------------------------------------
 
     @staticmethod
-    def _freeze(counts: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    def _freeze(counts: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(counts.items()))
 
     def _remember(

@@ -14,12 +14,14 @@ Two fingerprints matter:
 
 * the **full fingerprint** includes the goal — an exact hit means the exact
   model already exists, so retraining is skipped outright;
-* the **base fingerprint** excludes the goal — a hit there means a model for
-  the *same specification under a different goal* exists, whose stored sample
-  workloads and optimal costs let :class:`~repro.adaptive.retraining.AdaptiveModeler`
-  derive the new model far more cheaply than a fresh training run (Section 5).
-  The store answers this with an indexed point query, in sorted fingerprint
-  order, so every process over one database picks the same base.
+* the **base fingerprint** excludes the goal — every artifact under one base
+  holds the *same sample workloads* solved under some goal, so together they
+  are a store of exact (sample, goal) → (optimal path, cost) facts.  A
+  service seeds its :class:`~repro.adaptive.retraining.AdaptiveModeler` with
+  all of them (:meth:`ModelRegistry.base_results`), which derives a model for
+  a new goal far more cheaply than a fresh training run (Section 5).  The
+  store answers this with an indexed point query, in sorted fingerprint
+  order, so every process over one database seeds alike.
 
 ``n_jobs`` never enters a fingerprint: worker counts change wall-clock only,
 and training output is bit-identical for any value.
@@ -284,25 +286,35 @@ class ModelRegistry:
 
     # -- adaptive-base lookup ------------------------------------------------------
 
+    def base_results(
+        self,
+        base_fingerprint: str,
+        exclude: Iterable[str] = (),
+        n_jobs: int = 1,
+    ) -> Iterator[TrainingResult]:
+        """Every loadable stored result sharing *base_fingerprint* (any goal).
+
+        These are what a service's adaptive modeler is seeded with: runs over
+        the same sample workloads under different goals.  The candidates come
+        from the store's indexed ``base_fingerprint`` query in sorted
+        fingerprint order — never in the order this process happened to see
+        them — so every process sharing one database seeds alike.  Each is
+        loaded through :meth:`get`, so an unloadable row is quarantined with
+        a warning and skipped.
+        """
+        for fingerprint in self._store.find_by_base(base_fingerprint, tuple(exclude)):
+            result = self.get(fingerprint, n_jobs=n_jobs)
+            if result is not None:
+                yield result
+
     def find_base(
         self,
         base_fingerprint: str,
         exclude: Iterable[str] = (),
         n_jobs: int = 1,
     ) -> TrainingResult | None:
-        """A stored result sharing *base_fingerprint* (same spec, any goal).
-
-        Used to seed adaptive retraining when only the goal changed.  The
-        candidates come from the store's indexed ``base_fingerprint`` query
-        and are tried in sorted fingerprint order — never in the order this
-        process happened to see them — so every process sharing one database
-        adapts from the same base.
-        """
-        for fingerprint in self._store.find_by_base(base_fingerprint, tuple(exclude)):
-            result = self.get(fingerprint, n_jobs=n_jobs)
-            if result is not None:
-                return result
-        return None
+        """The first of :meth:`base_results`, or ``None``."""
+        return next(self.base_results(base_fingerprint, exclude, n_jobs), None)
 
     # -- garbage collection ----------------------------------------------------------
 

@@ -12,11 +12,26 @@ Training goes through the registry:
 * an exact fingerprint hit skips training entirely (the stored model is
   bit-identical to what a fresh run would produce — fingerprints cover every
   input that affects output);
-* when only the goal changed (same base fingerprint), the stored sample
-  workloads and optimal costs seed :class:`~repro.adaptive.retraining.AdaptiveModeler`,
-  the paper's Section-5 machinery, instead of a from-scratch run;
+* when only the goal changed (same base fingerprint), the model is derived
+  by :class:`~repro.adaptive.retraining.AdaptiveModeler`, the paper's
+  Section-5 machinery, instead of a from-scratch run;
 * otherwise the tenant trains fresh, and the result is registered for every
   later service (or process) to reuse.
+
+The registry doubles as a **solution store**.  Every artifact under one base
+fingerprint (the spec minus its goal) solved the same sample workloads, so
+the service keeps one modeler per base, shared by every tenant of that base.
+It is created the first time a tenant of the base needs an adaptive retrain
+and seeded with every loadable artifact stored under the base; from then on
+it also remembers every result the service trains, adapts, or serves from
+the registry under that base.  :meth:`WiSeDBService.train`,
+:meth:`~WiSeDBService.adapt` and :meth:`~WiSeDBService.recommend_strategies`
+all retrain through it, so each new goal is measured against the nearest
+goal solved so far — by any tenant, any earlier call, or any earlier process
+over the same registry — and only the samples whose optimum moved are
+searched.  Those facts never go stale while the base fingerprint holds (see
+:mod:`repro.adaptive.retraining`).  ``close()`` drops the modelers; the next
+use seeds them from the registry again.
 
 Whatever the path, the per-sample A* solves fan out through **one shared
 execution backend** (:mod:`repro.parallel`): the service lazily spawns a warm
@@ -270,6 +285,9 @@ class WiSeDBService:
         self._backend = backend
         self._owns_backend = False
         self._degraded_fallback = degraded_fallback
+        #: One adaptive modeler per base fingerprint (see the module docstring).
+        self._modelers: dict[str, AdaptiveModeler] = {}
+        self._modelers_lock = threading.Lock()
 
     # -- registry and tenant access --------------------------------------------------
 
@@ -315,8 +333,7 @@ class WiSeDBService:
         ):
             self._backend.close()
             self._backend = None
-            for tenant in self._tenants.values():
-                tenant._generator = None
+            self._drop_generators()
         if self._backend is None:
             self._backend = backend_for(required)
             self._owns_backend = True
@@ -327,14 +344,21 @@ class WiSeDBService:
 
         Injected backends belong to the caller and stay open.  Tenant
         generators holding the released backend are dropped so later training
-        transparently builds a fresh shared backend.
+        transparently builds a fresh shared backend, and so are the adaptive
+        modelers built on them: the next use seeds them from the registry.
         """
         if self._owns_backend and self._backend is not None:
             self._backend.close()
         self._backend = None
         self._owns_backend = False
+        self._drop_generators()
+
+    def _drop_generators(self) -> None:
+        """Forget every tenant generator and the modelers that retrain through them."""
         for tenant in self._tenants.values():
             tenant._generator = None
+        with self._modelers_lock:
+            self._modelers.clear()
 
     def __enter__(self) -> "WiSeDBService":
         return self
@@ -427,13 +451,16 @@ class WiSeDBService:
 
         ``mode="auto"`` (the default) consults the registry: an exact
         fingerprint hit skips training, a base-fingerprint hit (same spec,
-        different goal) retrains adaptively from the stored samples, and only
-        a complete miss trains fresh.  ``mode="fresh"`` skips the adaptive
-        path and only accepts exact hits whose artifact was itself trained
-        from scratch (those are bit-identical to retraining by construction;
-        adaptively-derived artifacts are cost-equivalent but may differ in
-        tie-breaking, so fresh mode retrains over them).  Every result is
-        registered for later reuse, tagged with its provenance.
+        different goal) retrains adaptively through the base's shared modeler
+        — measured against the nearest goal any artifact or earlier call under
+        that base has solved — and only a complete miss trains fresh.
+        ``mode="fresh"`` skips the adaptive path and only accepts exact hits
+        whose artifact was itself trained from scratch (those are
+        bit-identical to retraining by construction; adaptively-derived
+        artifacts are cost-equivalent but may differ in tie-breaking, so fresh
+        mode retrains over them).  Every result is registered for later
+        reuse, tagged with its provenance, and remembered by the base's
+        modeler if one exists.
         """
         if mode not in ("auto", "fresh"):
             raise SpecificationError(f"unknown training mode: {mode!r}")
@@ -449,21 +476,17 @@ class WiSeDBService:
         if cached is not None and (
             mode == "auto" or self._registry.provenance(fingerprint) == "fresh"
         ):
+            self._remember(base_fingerprint, cached)
             tenant.training = cached
             tenant.provenance = "registry"
             return cached
 
         result = None
-        trained_how = "fresh"
         if mode == "auto":
-            base = self._registry.find_base(
-                base_fingerprint, exclude=(fingerprint,), n_jobs=n_jobs
-            )
-            if base is not None and base.workloads:
+            modeler = self._modeler(tenant)
+            if modeler is not None:
                 try:
-                    result, _ = AdaptiveModeler(tenant.generator, base).retrain(
-                        spec.goal
-                    )
+                    result, _ = modeler.retrain(spec.goal)
                     trained_how = "adaptive"
                 except TrainingError:
                     # The shifted goal proved infeasible on the stored samples;
@@ -472,6 +495,7 @@ class WiSeDBService:
         if result is None:
             result = tenant.generator.generate(spec.goal)
             trained_how = "fresh"
+            self._remember(base_fingerprint, result)
 
         self._registry.put(
             fingerprint,
@@ -483,6 +507,44 @@ class WiSeDBService:
         tenant.training = result
         tenant.provenance = trained_how
         return result
+
+    def _modeler(self, tenant: Tenant) -> AdaptiveModeler | None:
+        """The adaptive modeler shared by every tenant of *tenant*'s base.
+
+        Created on first use and seeded, in sorted fingerprint order, with
+        every loadable registry artifact under the base: the first is the
+        modeler's base run, the rest are remembered.  Only when the registry
+        holds none is the tenant's own model the seed; ``None`` when there is
+        nothing to seed from.
+        """
+        spec = tenant.spec
+        # Built outside the lock: a tenant generator may grow the shared
+        # backend, which drops every modeler under that same lock.
+        generator = tenant.generator
+        key = spec.base_fingerprint()
+        with self._modelers_lock:
+            modeler = self._modelers.get(key)
+            if modeler is None:
+                seeds = [
+                    result
+                    for result in self._registry.base_results(key, n_jobs=spec.config.n_jobs)
+                    if result.workloads
+                ]
+                if not seeds and tenant.training is not None and tenant.training.workloads:
+                    seeds = [tenant.training]
+                if not seeds:
+                    return None
+                modeler = self._modelers[key] = AdaptiveModeler(generator, seeds[0])
+                for result in seeds[1:]:
+                    modeler.remember(result)
+            return modeler
+
+    def _remember(self, base_fingerprint: str, result: TrainingResult) -> None:
+        """Hand *result* to the modeler of *base_fingerprint*, if there is one."""
+        with self._modelers_lock:
+            modeler = self._modelers.get(base_fingerprint)
+        if modeler is not None:
+            modeler.remember(result)
 
     def train_all(self, mode: str = "auto") -> dict[str, TrainingResult]:
         """Train every registered tenant; returns results keyed by name.
@@ -507,21 +569,28 @@ class WiSeDBService:
     ) -> tuple[TrainingResult, AdaptiveRetrainingReport]:
         """Derive (and register) a model for *new_goal* without switching to it.
 
-        The tenant keeps its current goal and model.  Registering a tenant
-        with the same spec under *new_goal* and training it is then a
-        registry hit on the artifact registered here.
+        The tenant keeps its current goal and model.  The model is retrained
+        through the base's shared modeler, so it is measured against the
+        nearest goal solved so far under the tenant's base — by this tenant,
+        another one, or an artifact in the registry — and a ladder of adapts
+        searches only the samples whose optimum moved at each step.
+        Registering a tenant with the same spec under *new_goal* and training
+        it is then a registry hit on the artifact registered here.  An
+        artifact trained from scratch for *new_goal* is never replaced.
         """
         tenant = self.tenant(name)
-        base = self.train(name)
-        result, report = AdaptiveModeler(tenant.generator, base).retrain(new_goal)
+        self.train(name)
+        result, report = self._modeler(tenant).retrain(new_goal)
         adapted_spec = replace(tenant.spec, goal=new_goal)
-        self._registry.put(
-            adapted_spec.fingerprint(),
-            adapted_spec.base_fingerprint(),
-            adapted_spec.to_dict(),
-            result,
-            provenance="adaptive",
-        )
+        fingerprint = adapted_spec.fingerprint()
+        if self._registry.provenance(fingerprint) != "fresh":
+            self._registry.put(
+                fingerprint,
+                adapted_spec.base_fingerprint(),
+                adapted_spec.to_dict(),
+                result,
+                provenance="adaptive",
+            )
         return result, report
 
     def recommend_strategies(
@@ -531,11 +600,15 @@ class WiSeDBService:
         num_candidates: int = 7,
         max_shift: float = 0.5,
     ) -> list[Strategy]:
-        """Recommend ``k`` alternative strategies for the tenant (Section 5.2)."""
-        tenant = self.tenant(name)
+        """Recommend ``k`` alternative strategies for the tenant (Section 5.2).
+
+        The candidate ladder retrains through the base's shared modeler, so a
+        second call on the same tenant searches no sample.
+        """
+        base = self.train(name)
         recommender = StrategyRecommender(
-            tenant.generator,
-            self.train(name),
+            self._modeler(self.tenant(name)),
+            base,
             num_candidates=num_candidates,
             max_shift=max_shift,
         )

@@ -128,7 +128,7 @@ def test_fresh_and_retrained_results_split_search_from_fit_time(
 @pytest.fixture(scope="module")
 def recommender(model_generator, trained_max):
     return StrategyRecommender(
-        model_generator,
+        AdaptiveModeler(model_generator, trained_max),
         trained_max,
         num_candidates=5,
         max_shift=0.4,
@@ -165,10 +165,11 @@ def test_stricter_strategies_cost_more(recommender):
 
 
 def test_recommender_validation(model_generator, trained_max):
+    modeler = AdaptiveModeler(model_generator, trained_max)
     with pytest.raises(SpecificationError):
-        StrategyRecommender(model_generator, trained_max, num_candidates=1)
+        StrategyRecommender(modeler, trained_max, num_candidates=1)
     with pytest.raises(SpecificationError):
-        StrategyRecommender(model_generator, trained_max, max_shift=1.5)
-    recommender = StrategyRecommender(model_generator, trained_max, num_candidates=3)
+        StrategyRecommender(modeler, trained_max, max_shift=1.5)
+    recommender = StrategyRecommender(modeler, trained_max, num_candidates=3)
     with pytest.raises(SpecificationError):
         recommender.recommend(k=0)

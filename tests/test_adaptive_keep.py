@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import math
 import shutil
+import sqlite3
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -381,12 +383,12 @@ def test_small_shifts_search_only_the_samples_whose_optimum_moved(monkeypatch):
 _WALL_CLOCK_KEYS = {"training_time", "search_time", "fit_time", "training_time_seconds"}
 
 
-def _timeless(data):
-    """``to_dict()`` output without its wall-clock fields."""
+def _timeless(data, drop=_WALL_CLOCK_KEYS):
+    """``to_dict()`` output without its wall-clock fields (or any key in *drop*)."""
     if isinstance(data, dict):
-        return {k: _timeless(v) for k, v in data.items() if k not in _WALL_CLOCK_KEYS}
+        return {k: _timeless(v, drop) for k, v in data.items() if k not in drop}
     if isinstance(data, list):
-        return [_timeless(entry) for entry in data]
+        return [_timeless(entry, drop) for entry in data]
     return data
 
 
@@ -454,11 +456,143 @@ def test_v1_artifact_without_paths_loads_adapts_and_re_exports(tmp_path):
     assert exported[original.name].read_bytes() == original.read_bytes()
 
 
+# ---------------------------------------------------------------------------
+# (f) the service keeps one modeler per base fingerprint, seeded from the registry
+# ---------------------------------------------------------------------------
+
+SWEEP_PERCENTS = tuple(range(2, 26, 2))
+
+
+def _service(registry=None, goals=None) -> WiSeDBService:
+    """Tenants of one base, one per goal (default: one per goal kind), trained in order."""
+    goals = goals or {kind: default_goal(kind, TEMPLATES) for kind in GOAL_KINDS}
+    service = WiSeDBService(registry=registry, n_jobs=1)
+    for name, goal in goals.items():
+        service.register(name, TEMPLATES, goal, config=_config(SEEDS[0]))
+        service.train(name)
+    return service
+
+
+def _close(service: WiSeDBService) -> None:
+    service.close()
+    service.registry.close()
+
+
+def test_service_adapts_measure_against_the_nearest_goal_solved():
+    """``train_adapt``'s sweep, small: every cost exact, less work than from the base."""
+    service = _service()
+    totals: Counter[str] = Counter()
+    try:
+        for percent in SWEEP_PERCENTS:
+            for kind in GOAL_KINDS:
+                tenant = service.tenant(kind)
+                base = service.training(kind)
+                goal = base.goal.tightened(percent / 100.0, TEMPLATES)
+                reference, _ = service._modeler(tenant)._reference(goal)
+                result, report = service.adapt(kind, goal)
+                _assert_costs_match_fresh(
+                    result, tenant.generator.generate(goal, workloads=base.workloads)
+                )
+                _, from_base = AdaptiveModeler(tenant.generator, base).retrain(goal)
+                totals["expansions"] += report.total_expansions
+                totals["kept"] += report.samples_kept
+                totals["from_base_expansions"] += from_base.total_expansions
+                totals["from_base_kept"] += from_base.samples_kept
+                if reference is not None and reference.to_dict() != base.goal.to_dict():
+                    REACHED["reference_from_service_history"] += 1
+    finally:
+        _close(service)
+    assert totals["expansions"] < totals["from_base_expansions"], totals
+    assert totals["kept"] > totals["from_base_kept"], totals
+
+
+def test_a_second_service_seeds_from_every_artifact_under_the_base(tmp_path):
+    goal = default_goal("max", TEMPLATES)
+    looser, between, tighter = (goal.tightened(p, TEMPLATES) for p in (0.1, 0.2, 0.3))
+    first = _service(tmp_path, {"max": goal})
+    try:
+        for solved in (looser, tighter):
+            first.adapt("max", solved)
+    finally:
+        _close(first)
+
+    second = _service(tmp_path, {"max": goal})
+    try:
+        tenant = second.tenant("max")
+        assert tenant.provenance == "registry"
+        reference, _ = second._modeler(tenant)._reference(between)
+        assert reference.to_dict() == looser.to_dict()
+        looser_fingerprint = replace(tenant.spec, goal=looser).fingerprint()
+        assert second.registry.provenance(looser_fingerprint) == "adaptive"
+        result, report = second.adapt("max", between)
+        assert report.samples_kept > 0
+        _assert_costs_match_fresh(
+            result, tenant.generator.generate(between, workloads=tenant.training.workloads)
+        )
+    finally:
+        _close(second)
+
+
+def test_registration_order_does_not_change_an_adapt():
+    goal = default_goal("max", TEMPLATES)
+    goals = {"loose": goal.tightened(0.1, TEMPLATES), "tight": goal.tightened(0.3, TEMPLATES)}
+    outputs = []
+    for order in (("loose", "tight"), ("tight", "loose")):
+        service = _service(goals={name: goals[name] for name in order})
+        try:
+            result, report = service.adapt("tight", goal.tightened(0.2, TEMPLATES))
+        finally:
+            _close(service)
+        # Query ids come from a process-wide counter: the second service draws
+        # the same sample workloads under other ids.
+        outputs.append(
+            (
+                _timeless(result.to_dict(), _WALL_CLOCK_KEYS | {"query_id"}),
+                report.samples_kept,
+                report.total_expansions,
+            )
+        )
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] > 0
+
+
+def test_a_quarantined_artifact_under_the_base_is_skipped(tmp_path):
+    goal = default_goal("max", TEMPLATES)
+    looser, between = goal.tightened(0.1, TEMPLATES), goal.tightened(0.2, TEMPLATES)
+    first = _service(tmp_path, {"max": goal})
+    try:
+        first.adapt("max", looser)
+        looser_fingerprint = replace(first.tenant("max").spec, goal=looser).fingerprint()
+    finally:
+        _close(first)
+    with sqlite3.connect(tmp_path / "registry.db") as connection:
+        connection.execute(
+            "UPDATE artifacts SET training = '{\"not\": \"a result\"}' WHERE fingerprint = ?",
+            (looser_fingerprint,),
+        )
+
+    second = _service(tmp_path, {"max": goal})
+    try:
+        tenant = second.tenant("max")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            modeler = second._modeler(tenant)
+        reference, _ = modeler._reference(between)
+        assert reference.to_dict() == goal.to_dict()
+        assert looser_fingerprint in dict(second.registry.quarantined())
+        result, _ = second.adapt("max", between)
+        _assert_costs_match_fresh(
+            result, tenant.generator.generate(between, workloads=tenant.training.workloads)
+        )
+    finally:
+        _close(second)
+
+
 def test_the_sweeps_reached_every_situation():
     for situation in (
         "kept",
         "searched",
         "reference_other_than_base",
+        "reference_from_service_history",
         "relaxed_goal_nothing_kept",
         "base_sample_with_cost_lower_bound",
         "v1_artifact_without_paths",

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
+
 import pytest
 
+from repro.adaptive.retraining import AdaptiveModeler
 from repro.config import TrainingConfig
 from repro.exceptions import SpecificationError, TrainingError
 from repro.runtime.online import OnlineOptimizations
@@ -144,6 +149,109 @@ def test_fresh_mode_rejects_adaptively_derived_artifacts(
     # The adaptive artifact exists under this exact fingerprint, but fresh mode
     # retrains from scratch instead of serving it.
     assert trained_service.tenant("acme-fresh").provenance == "fresh"
+
+
+def test_adapt_never_demotes_a_fresh_artifact(small_templates, goals, config):
+    """Adapting to a tenant's own goal leaves its fresh artifact in place."""
+    service = WiSeDBService()
+    tenant = service.register("a", small_templates, goals["max"], config=config)
+    fresh = service.train("a")
+    fingerprint = tenant.spec.fingerprint()
+    service.adapt("a", tenant.spec.goal)
+    assert service.registry.provenance(fingerprint) == "fresh"
+    assert service.registry.get(fingerprint) is fresh
+    # So fresh mode still serves it instead of training from scratch.
+    service.register("b", small_templates, goals["max"], config=config)
+    assert service.train("b", mode="fresh") is fresh
+    assert service.tenant("b").provenance == "registry"
+
+
+def _ladders(small_templates, goals):
+    """Four interleaved tightening ladders over two tenants of one base."""
+    return [
+        [
+            (name, goals[kind].tightened(percent / 100.0, small_templates))
+            for percent in range(2 + 2 * (thread // 2), 32, 4)
+        ]
+        for thread, (name, kind) in enumerate(
+            [("acme", "max"), ("globex", "per_query")] * 2
+        )
+    ]
+
+
+def _two_tenant_service(small_templates, goals, config):
+    service = WiSeDBService(n_jobs=1)
+    service.register("acme", small_templates, goals["max"], config=config)
+    service.register("globex", small_templates, goals["per_query"], config=config)
+    service.train_all()
+    return service
+
+
+def test_the_shared_modeler_is_safe_across_threads(small_templates, goals, config):
+    """Four threads adapt two tenants of one base through one shared modeler."""
+    ladders = _ladders(small_templates, goals)
+    serial = _two_tenant_service(small_templates, goals, config)
+    expected = {
+        (name, goal.deadline): [s.optimal_cost for s in serial.adapt(name, goal)[0].samples]
+        for ladder in ladders
+        for name, goal in ladder
+    }
+
+    service = _two_tenant_service(small_templates, goals, config)
+    barrier = threading.Barrier(len(ladders))
+    errors: list[BaseException] = []
+    costs: dict[tuple[str, float], list[float]] = {}
+
+    def walk(ladder):
+        try:
+            barrier.wait(timeout=60)
+            for name, goal in ladder:
+                result, _ = service.adapt(name, goal)
+                costs[name, goal.deadline] = [s.optimal_cost for s in result.samples]
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=walk, args=(ladder,)) for ladder in ladders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to interleave the adapts
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert costs.keys() == expected.keys()
+    for key, oracle in expected.items():
+        assert len(costs[key]) == len(oracle)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(costs[key], oracle))
+
+
+def test_a_second_recommendation_searches_nothing(
+    small_templates, goals, config, monkeypatch
+):
+    service = WiSeDBService()
+    service.register("acme", small_templates, goals["max"], config=config)
+    first = service.recommend_strategies("acme", k=2, num_candidates=5, max_shift=0.4)
+
+    reports = []
+    original = AdaptiveModeler.retrain
+
+    def recording(self, goal):
+        result, report = original(self, goal)
+        reports.append(report)
+        return result, report
+
+    monkeypatch.setattr(AdaptiveModeler, "retrain", recording)
+    second = service.recommend_strategies("acme", k=2, num_candidates=5, max_shift=0.4)
+    assert len(reports) == 4  # every candidate but the application goal itself
+    for report in reports:
+        assert report.samples_kept == report.samples_retrained > 0
+        assert report.total_expansions == 0
+    assert [s.goal.to_dict() for s in second] == [s.goal.to_dict() for s in first]
+    assert [s.profile for s in second] == [s.profile for s in first]
 
 
 # ---------------------------------------------------------------------------
