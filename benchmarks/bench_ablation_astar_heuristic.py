@@ -18,7 +18,7 @@ future-cost bound (``memoized``, ``tight``) and the optimality-relaxing
 strategies (weighted A*, beam) solve the same non-monotonic workloads, and
 the ``bound_ablation`` series — generated nodes, wall time, and
 cost-vs-optimal ratio per configuration — is merged into
-``BENCH_training_throughput.json`` next to the throughput history.
+``BENCH_training_throughput.json`` next to the adaptive-bound series.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Serving-engine throughput and tail latency under open-loop load.
 
 The ROADMAP's serving milestone: the ~110–155µs no-retrain decision path
-(``BENCH_training_throughput.json``) implies O(10k) decisions/sec/core —
+implies O(10k) decisions/sec/core —
 prove it through the full async front end.  The scenarios drive a
 four-tenant engine (one tenant per goal kind, models pre-trained by the
 shared ``environments`` fixture) with seeded arrival processes from

@@ -133,8 +133,8 @@ def merge_bench_json(name: str, payload: dict) -> Path:
     """Like :func:`write_bench_json`, but preserve series written by others.
 
     Several benchmarks share ``BENCH_training_throughput.json`` (the
-    throughput rows, the warm-pool, bound-ablation and adaptive-bound
-    series); each writer replaces only its own keys and keeps
+    bound-ablation and adaptive-bound series); each writer replaces only
+    its own keys and keeps
     whatever else the file already holds, so one run never erases another's
     history.
     """

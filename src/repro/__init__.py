@@ -25,7 +25,7 @@ heuristic baselines — answers through one protocol:
 * :mod:`repro.search` — the scheduling graph and A* optimal-schedule search.
 * :mod:`repro.learning` — feature extraction, decision-tree learning, training.
 * :mod:`repro.adaptive` — adaptive modeling and strategy recommendation.
-* :mod:`repro.parallel` — shared execution backends (warm process pool /
+* :mod:`repro.parallel` — the execution backends (one warm process pool, or
   serial) the embarrassingly parallel training solves fan out through.
 * :mod:`repro.runtime` — batch and online schedulers, cost estimation.
 * :mod:`repro.baselines` — FFD, FFI, Pack9 and trivial reference schedulers.
@@ -57,8 +57,7 @@ A* vertex carries a copy-on-write violation accumulator, interned
 latency/cost tables, and an incrementally maintained assigned-latency memo
 key, so penalties, Equation-2 edge weights, and the non-monotonic future-cost
 bounds are O(1)-ish deltas rather than rescans of the partial schedule (see
-:mod:`repro.search.problem`); ``benchmarks/bench_training_throughput.py``
-tracks the resulting expansions/sec and samples/sec.
+:mod:`repro.search.problem`).
 """
 
 from repro.config import TrainingConfig

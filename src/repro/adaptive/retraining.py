@@ -71,9 +71,9 @@ Like fresh training, the per-sample tasks are independent, so they run
 through the same :class:`~repro.parallel.backend.ExecutionBackend` as
 :meth:`repro.learning.trainer.ModelGenerator.generate` (bounds and kept
 solutions are picklable) with results merged in sample order: output is
-identical for any ``n_jobs``.  The backend defaults to the generator's — one
-warm process pool serves fresh training and every subsequent retraining —
-which is exactly the many-small-retrainings pattern of Figure 16.
+identical for any ``n_jobs``.  The backend is the generator's — one warm
+process pool serves fresh training and every subsequent retraining — which
+is exactly the many-small-retrainings pattern of Figure 16.
 
 The retraining :class:`~repro.search.problem.SchedulingProblem` is built with
 the :class:`AdaptiveBound` itself, and raises every f-value it computes to
@@ -105,7 +105,6 @@ from repro.learning.trainer import (
     TrainingResult,
     stamp_optimality_ratio,
 )
-from repro.parallel.backend import ExecutionBackend
 from repro.search.problem import SearchNode
 from repro.sla.base import PerformanceGoal
 
@@ -167,19 +166,12 @@ class AdaptiveModeler:
 
     Hold one modeler for a sequence of goals: each :meth:`retrain` is measured
     against the nearest goal already solved (see the module docstring), so a
-    walk of small steps searches only the samples whose optimum moved.
-
-    ``backend`` optionally overrides the execution backend the re-searches fan
-    out through; by default they share the generator's (warm) backend, so
-    consecutive retrainings never pay pool start-up.
+    walk of small steps searches only the samples whose optimum moved.  The
+    re-searches share the generator's (warm) backend, so consecutive
+    retrainings never pay pool start-up.
     """
 
-    def __init__(
-        self,
-        generator: ModelGenerator,
-        base_result: TrainingResult,
-        backend: ExecutionBackend | None = None,
-    ) -> None:
+    def __init__(self, generator: ModelGenerator, base_result: TrainingResult) -> None:
         if not base_result.workloads:
             raise TrainingError(
                 "adaptive modeling requires the base TrainingResult to retain its "
@@ -187,7 +179,6 @@ class AdaptiveModeler:
             )
         self._generator = generator
         self._base = base_result
-        self._backend = backend
         self._lock = threading.Lock()
         #: The key :meth:`remember` matches a result's samples to workloads by.
         self._workload_counts = [
@@ -199,11 +190,6 @@ class AdaptiveModeler:
         #: ``TrainingResult``.
         self._solved: dict[str, tuple[PerformanceGoal, list[SampleSolution | None]]] = {}
         self.remember(base_result)
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        """The backend retraining solves run through (the generator's by default)."""
-        return self._backend if self._backend is not None else self._generator.backend
 
     @property
     def generator(self) -> ModelGenerator:
@@ -277,7 +263,7 @@ class AdaptiveModeler:
             tasks.append((index, workload, extra_bound, keep))
         # The re-searches are as independent as fresh training solves, so they
         # fan out across the same (warm) backend (deterministic sample order).
-        payloads = self.backend.map_tasks(solver, tasks)
+        payloads = self._generator.backend.map_tasks(solver, tasks)
         for payload in payloads:
             if payload is None:
                 skipped += 1

@@ -85,20 +85,16 @@ def build_environment(
     latency_model: LatencyModel | None = None,
     seed: int = 0,
     n_jobs: int | None = None,
-    backend=None,
     search_strategy: str | None = None,
     future_bound: str | None = None,
 ) -> ExperimentEnvironment:
     """Train a model for one of the paper's default goals and wrap it up.
 
     ``n_jobs`` overrides the configuration's worker count for the training
-    solves (bit-identical output, parallel wall clock).  ``backend``
-    optionally injects a shared
-    :class:`~repro.parallel.backend.ExecutionBackend` so several environment
-    builds reuse one warm pool; without it any generator-owned pool is
-    released before returning.  ``search_strategy`` / ``future_bound``
-    override the configuration's search engine (the bench ablations sweep
-    them; defaults keep the exact, bit-identical engine).
+    solves (bit-identical output, parallel wall clock); any pool is released
+    before returning.  ``search_strategy`` / ``future_bound`` override the
+    configuration's search engine (the bench ablations sweep them; defaults
+    keep the exact, bit-identical engine).
     """
     from repro.workloads.templates import tpch_templates
 
@@ -118,10 +114,7 @@ def build_environment(
         vm_types=vm_types,
         latency_model=latency_model,
         config=config,
-        backend=backend,
     ) as generator:
-        # close() releases only a generator-owned pool; injected backends
-        # stay warm for the caller.
         training = generator.generate(goal)
     return ExperimentEnvironment(
         templates=templates,
@@ -241,16 +234,12 @@ def measure_training_time(
     config: TrainingConfig | None = None,
     seed: int = 0,
     n_jobs: int | None = None,
-    backend=None,
 ) -> tuple[float, TrainingResult]:
     """Wall-clock training time for a given specification size.
 
     ``n_jobs`` fans the per-sample solves across worker processes (Figures
-    14-15 measure exactly this wall clock; the schedule output is unchanged).
-    ``backend`` optionally reuses a shared warm pool across measurements —
-    note that excludes pool start-up from the measured time, which is the
-    right call for Figures 14-15 (they sweep specification size, not
-    process-management overhead).
+    14-15 measure exactly this wall clock, pool start-up included; the
+    schedule output is unchanged).
     """
     from repro.workloads.templates import tpch_templates
 
@@ -260,9 +249,7 @@ def measure_training_time(
     if n_jobs is not None:
         config = config.with_n_jobs(n_jobs)
     goal = default_goal(goal_kind, templates)
-    with ModelGenerator(
-        templates=templates, vm_types=vm_types, config=config, backend=backend
-    ) as generator:
+    with ModelGenerator(templates=templates, vm_types=vm_types, config=config) as generator:
         started = time.perf_counter()
         result = generator.generate(goal)
         elapsed = time.perf_counter() - started

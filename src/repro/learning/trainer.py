@@ -263,7 +263,7 @@ class SampleSolver:
     Instances are the worker callable an
     :class:`~repro.parallel.backend.ExecutionBackend` ships to its processes;
     the specification — VM catalogue, goal, latency model, feature extractor —
-    is pickled once per ``map_tasks`` call rather than once per task.
+    is pickled once per chunk of tasks rather than once per task.
     ``extra_bound`` optionally carries a picklable admissible-bound callable
     (the adaptive-A* ``h'`` of Section 5); the solver builds the problem with
     it, and when it advertises an ``aux_goal`` (the old goal whose penalty it
@@ -416,20 +416,12 @@ class ModelGenerator:
         """The execution backend sample solves fan out through.
 
         Created lazily from the configuration's ``n_jobs`` when none was
-        injected, and then kept warm for every later call.  If an injected
-        backend has been closed by its owner (a service that shut down while
-        this generator is still referenced by a scheduler or modeler), the
-        generator heals by replacing it with an owned one instead of failing
-        every later training call.
+        injected, and then kept warm for every later call.
         """
-        backend = self._backend
-        if backend is not None and getattr(backend, "closed", False):
-            backend = None
-        if backend is None:
-            backend = self._config.create_backend()
-            self._backend = backend
+        if self._backend is None:
+            self._backend = self._config.create_backend()
             self._owns_backend = True
-        return backend
+        return self._backend
 
     def close(self) -> None:
         """Release the generator's owned backend (idempotent).

@@ -1,7 +1,7 @@
 """Shared execution backends for the embarrassingly parallel training solves.
 
-See :mod:`repro.parallel.backend` for the protocol and the warm-reusable
-process pool that :class:`~repro.learning.trainer.ModelGenerator`,
+See :mod:`repro.parallel.backend` for the protocol and the warm process pool
+that :class:`~repro.learning.trainer.ModelGenerator`,
 :class:`~repro.adaptive.retraining.AdaptiveModeler`, and
 :class:`~repro.service.service.WiSeDBService` fan work out through.
 """
@@ -10,6 +10,7 @@ from repro.parallel.backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
+    available_cpus,
     backend_for,
     resolve_n_jobs,
 )
@@ -18,6 +19,7 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
+    "available_cpus",
     "backend_for",
     "resolve_n_jobs",
 ]

@@ -1,55 +1,52 @@
-"""Persistent execution backends for the embarrassingly parallel sample solves.
+"""Execution backends for the embarrassingly parallel sample solves.
 
 The paper's training loop (Section 5, Figures 14-16) is dominated by
 independent per-sample A* searches, and the same fan-out pattern recurs in
 adaptive retraining, strategy recommendation, and the online scheduler's
-retraining path.  Historically every :meth:`ModelGenerator.generate` call
-spun up — and tore down — a fresh ``ProcessPoolExecutor``, so the
-many-small-retrainings pattern paid process start-up over and over.
-
-This module factors that execution concern into one small protocol:
+retraining path.  One small protocol covers all of them:
 
 * :class:`ExecutionBackend` — ``map_tasks(worker, tasks)`` runs indexed tasks
   through a worker callable and returns payloads **in task-index order**, so
   every backend produces bit-identical results for the same inputs.
 * :class:`SerialBackend` — runs tasks in-process.  The reference semantics.
-* :class:`ProcessPoolBackend` — a *warm-reusable* process pool: the pool is
-  spawned lazily on the first parallel call and reused across calls (and
-  across owners — one shared backend can train and retrain every tenant of a
-  :class:`~repro.service.service.WiSeDBService`).  Lifecycle is explicit:
-  ``close()`` or a ``with`` block shuts the workers down; any failure to set
-  up or keep the pool (no ``fork``, unpicklable workers, killed children)
-  degrades that call to the serial path, preserving the repo-wide guarantee
-  that output is bit-identical for any ``n_jobs``.
+* :class:`ProcessPoolBackend` — one warm ``ProcessPoolExecutor``, spawned on
+  the first call with two or more tasks and reused across calls (and across
+  owners — one shared backend trains and retrains every tenant of a
+  :class:`~repro.service.service.WiSeDBService`).  ``close()`` releases the
+  workers; a later call spawns them again.  A call whose work cannot cross
+  the process boundary, or whose pool breaks, is rerun serially, preserving
+  the repo-wide guarantee that output is bit-identical for any ``n_jobs``.
 
-Worker shipping
----------------
-
-A warm pool outlives any single worker callable (each ``generate``/``retrain``
-call builds its own :class:`~repro.learning.trainer.SampleSolver`), so the
-initializer trick used by the old per-call pool — pickle the solver once at
-pool start-up — no longer applies.  Instead the driver pickles the worker once
-into a blob and wraps it in a :class:`_PooledWorker` carrying a unique token;
-each pool process caches the unpickled worker by token, so the blob is
-deserialised once per process per ``map_tasks`` call (transport is once per
-chunk, which for the solver specifications involved is a few kilobytes).
+A worker exception surfaces as itself: the first failing task in task order
+raises, with the worker-side traceback chained as its ``__cause__`` (the
+standard library's ``pool.map`` contract).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
-import traceback
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import Callable, Sequence
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one.
+
+    ``os.cpu_count()`` counts the host's CPUs, so under ``taskset`` or a
+    container CPU set it over-counts and the pool oversubscribes its cores.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
 
 
 def resolve_n_jobs(n_jobs: int) -> int:
     """The resolved worker count (every value below 1 means "all CPUs")."""
     if n_jobs > 0:
         return n_jobs
-    return max(1, os.cpu_count() or 1)
+    return available_cpus()
 
 
 class ExecutionBackend(ABC):
@@ -61,9 +58,6 @@ class ExecutionBackend(ABC):
     results whichever backend (or worker count) ran them.
     """
 
-    #: Short machine-readable backend identifier.
-    kind: str = "abstract"
-
     @abstractmethod
     def map_tasks(self, worker: Callable, tasks: Sequence[tuple]) -> list:
         """Run every task through *worker*, returning payloads by task index."""
@@ -71,28 +65,15 @@ class ExecutionBackend(ABC):
     def close(self) -> None:
         """Release any resources held by the backend (idempotent)."""
 
-    # -- context-manager lifecycle -------------------------------------------------
-
     def __enter__(self) -> "ExecutionBackend":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- cosmetics -----------------------------------------------------------------
-
-    def describe(self) -> str:
-        """One-line human-readable description of the backend."""
-        return self.kind
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.describe()}>"
-
 
 class SerialBackend(ExecutionBackend):
     """Runs every task sequentially in the calling process."""
-
-    kind = "serial"
 
     def map_tasks(self, worker: Callable, tasks: Sequence[tuple]) -> list:
         results: list = [None] * len(tasks)
@@ -101,257 +82,71 @@ class SerialBackend(ExecutionBackend):
         return results
 
 
-#: Per-process cache installed by :class:`_PooledWorker` (one slot: a map call
-#: uses exactly one worker, so older entries can never be needed again).
-_WORKER_CACHE: dict[int, Callable] = {}
-
-#: Process-wide token source for :class:`_PooledWorker` instances.
-_TOKEN_COUNTER = itertools.count(1)
-
-
-class _RemoteTraceback(Exception):
-    """Carries a worker's formatted traceback as the ``__cause__`` of the
-    exception re-raised in the driver, so the original failure site shows up
-    in the driver's traceback (the pattern ``concurrent.futures`` uses)."""
-
-    def __init__(self, tb: str) -> None:
-        super().__init__(tb)
-        self.tb = tb
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.tb}"""'
-
-
-class _WorkerFailure:
-    """A task exception captured in the pool process, shipped as a payload.
-
-    Letting worker exceptions propagate through ``pool.map`` loses the tasks
-    that completed after the failing one and — worse — lets a worker's
-    ``TypeError``/``OSError`` masquerade as a pool or pickling failure in the
-    driver's fallback logic.  Capturing them as ordinary payloads keeps the
-    map total; the driver then re-raises the *first* failure in task-index
-    order, with the worker-side traceback chained via ``__cause__``.
-    """
-
-    __slots__ = ("blob", "traceback", "description")
-
-    def __init__(self, error: BaseException, tb: str) -> None:
-        try:
-            blob = pickle.dumps(error)
-        except Exception:
-            blob = None
-        self.blob = blob
-        self.traceback = tb
-        self.description = repr(error)
-
-    def reraise(self) -> None:
-        """Re-raise the captured exception, chained to its remote traceback."""
-        error: BaseException | None = None
-        if self.blob is not None:
-            try:
-                error = pickle.loads(self.blob)
-            except Exception:
-                error = None
-        if not isinstance(error, BaseException):
-            error = RuntimeError(f"worker task failed: {self.description}")
-        raise error from _RemoteTraceback(self.traceback)
-
-
-class _PooledWorker:
-    """The picklable task function shipped to pool processes.
-
-    Carries the serialized worker blob plus a token identifying it; pool
-    processes unpickle the blob once per token and serve subsequent tasks of
-    the same ``map_tasks`` call from the cache.  Exceptions raised by the
-    worker (or while unpickling it) come back as :class:`_WorkerFailure`
-    payloads instead of aborting the whole map.
-    """
-
-    __slots__ = ("token", "blob")
-
-    def __init__(self, token: int, blob: bytes) -> None:
-        self.token = token
-        self.blob = blob
-
-    def __call__(self, task: tuple) -> tuple[int, object]:
-        try:
-            worker = _WORKER_CACHE.get(self.token)
-            if worker is None:
-                worker = pickle.loads(self.blob)
-                _WORKER_CACHE.clear()
-                _WORKER_CACHE[self.token] = worker
-            return task[0], worker(*task[1:])
-        except Exception as error:
-            return task[0], _WorkerFailure(error, traceback.format_exc())
+def _run_task(worker: Callable, task: tuple):
+    """One ``(index, *args)`` task, run in a pool process."""
+    return worker(*task[1:])
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """A lazily spawned, warm-reusable process pool.
-
-    The pool is created on the first call that can actually use it (more than
-    one task and more than one resolved worker) and *kept alive* across calls,
-    so repeated ``generate``/``retrain`` runs pay process start-up once.  Any
-    failure to set up or operate the pool degrades the affected call to the
-    serial path — results are bit-identical either way, the caller only loses
-    wall-clock.  After two consecutive pool failures the backend stops trying
-    to respawn and stays serial (``fallback_reason`` says why).
-    """
-
-    kind = "process_pool"
-
-    #: Consecutive pool failures tolerated before the backend pins itself serial.
-    _MAX_POOL_FAILURES = 2
+    """A warm pool of ``n_jobs`` worker processes (see the module docstring)."""
 
     def __init__(self, n_jobs: int = -1) -> None:
         self._n_jobs = resolve_n_jobs(n_jobs)
         self._pool = None
-        self._pool_size = 0
-        self._closed = False
-        self._pool_failures = 0
-        self._fallback_reason: str | None = None
         #: Number of times a pool has been spawned (tests assert warm reuse).
         self.spawn_count = 0
-        self._serial = SerialBackend()
-
-    # -- introspection -------------------------------------------------------------
 
     @property
     def n_jobs(self) -> int:
         """The resolved worker count the pool is sized for."""
         return self._n_jobs
 
-    @property
-    def is_warm(self) -> bool:
-        """True while a live pool is being held for reuse."""
-        return self._pool is not None
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has been called."""
-        return self._closed
-
-    @property
-    def fallback_reason(self) -> str | None:
-        """Why the backend last degraded to serial (``None`` if it never did)."""
-        return self._fallback_reason
-
-    def describe(self) -> str:
-        state = "warm" if self.is_warm else ("closed" if self._closed else "cold")
-        return f"{self.kind}(n_jobs={self._n_jobs}, {state})"
-
-    # -- execution -----------------------------------------------------------------
-
     def map_tasks(self, worker: Callable, tasks: Sequence[tuple]) -> list:
-        if self._closed:
-            raise RuntimeError("cannot map tasks on a closed ProcessPoolBackend")
         workers = min(self._n_jobs, len(tasks))
-        if workers < 2 or self._pool_failures >= self._MAX_POOL_FAILURES:
-            return self._serial.map_tasks(worker, tasks)
-        try:
-            blob = pickle.dumps(worker)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # CPython raises TypeError (locks, sockets, most C objects) or
-            # AttributeError (failed lookups) for many unpicklable values
-            # rather than PicklingError.  The pool itself is fine — only this
-            # worker cannot cross the process boundary.
-            self._fallback_reason = "worker is not picklable"
-            return self._serial.map_tasks(worker, tasks)
-        pool = self._ensure_pool(workers)
-        if pool is None:
-            return self._serial.map_tasks(worker, tasks)
-        from concurrent.futures.process import BrokenProcessPool
-
-        pooled = _PooledWorker(next(_TOKEN_COUNTER), blob)
-        results: list = [None] * len(tasks)
-        chunksize = max(1, len(tasks) // (workers * 4))
-        try:
-            for index, payload in pool.map(pooled, tasks, chunksize=chunksize):
-                results[index] = payload
-            self._pool_failures = 0
-        except (BrokenProcessPool, OSError) as error:
-            # Workers killed (OOM, signals) or transport failed mid-run: the
-            # pool itself is unhealthy — drop it, count the failure towards
-            # the pin-serial threshold, and redo this call serially.  Worker
-            # *exceptions* never land here: they come back as _WorkerFailure
-            # payloads, so these clauses only see genuine pool failures.
-            self._discard_pool()
-            self._pool_failures += 1
-            self._fallback_reason = f"pool failed mid-run: {type(error).__name__}"
-            return self._serial.map_tasks(worker, tasks)
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
-            # Task *arguments* (workloads, adaptive extra_bounds) are pickled
-            # lazily inside pool.map, and CPython surfaces unpicklable values
-            # as TypeError (locks, sockets, most C objects) or AttributeError
-            # (failed lookups) rather than PicklingError — the dumps()
-            # pre-check above only covers the worker itself.  The pool stays
-            # warm (it is healthy; this *call* is unparallelizable) and does
-            # not count towards the pin-serial threshold — a shared backend
-            # must not lose parallelism for every owner because one caller's
-            # tasks would not pickle.
-            self._fallback_reason = f"call not parallelizable: {type(error).__name__}"
-            return self._serial.map_tasks(worker, tasks)
-        # Re-raise the first worker exception in task-index order (not
-        # completion order), with the worker-side traceback chained via
-        # __cause__ — deterministic, and outside the try so it can never be
-        # misclassified as a pool or pickling failure above.
-        for payload in results:
-            if isinstance(payload, _WorkerFailure):
-                payload.reraise()
-        return results
-
-    def _ensure_pool(self, workers: int):
-        """The live pool, spawned lazily (``None`` when spawning fails).
-
-        The pool is sized to the *observed* demand — ``min(n_jobs, len(tasks))``
-        of the current call — rather than eagerly to ``n_jobs``, so a wide
-        backend (``n_jobs=-1`` on a many-core host) serving small calls does
-        not keep a fleet of idle resident workers.  A later call needing more
-        workers than the current pool holds respawns it larger (sizes only
-        grow, so steady workloads respawn at most a handful of times).
-        """
-        if self._pool is not None and self._pool_size >= workers:
-            return self._pool
+        if workers < 2:
+            return SerialBackend().map_tasks(worker, tasks)
+        # Imported here so that `import repro` does not load multiprocessing.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        self._discard_pool()
-        try:
+        if self._pool is None:
             try:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            self._pool_size = workers
+                context = None
+            self._pool = ProcessPoolExecutor(max_workers=self._n_jobs, mp_context=context)
             self.spawn_count += 1
-        except OSError as error:  # pragma: no cover - depends on host limits
-            self._pool = None
-            self._pool_failures += 1
-            self._fallback_reason = f"pool spawn failed: {type(error).__name__}"
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        pool = self._pool
-        self._pool = None
-        self._pool_size = 0
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    # -- lifecycle -----------------------------------------------------------------
+        chunksize = max(1, len(tasks) // (workers * 4))
+        try:
+            payloads = list(
+                self._pool.map(_run_task, repeat(worker), tasks, chunksize=chunksize)
+            )
+        except (pickle.PicklingError, TypeError, AttributeError):
+            # The worker, an argument, or a worker's exception cannot cross
+            # the process boundary (CPython reports most unpicklable values as
+            # TypeError or AttributeError).  The pool is healthy, so it stays
+            # warm; only this call runs in-process, where a worker that raised
+            # one of these itself raises it again.
+            return SerialBackend().map_tasks(worker, tasks)
+        except (BrokenProcessPool, OSError):
+            # Workers killed (OOM, signals), spawn refused, or transport
+            # failed: drop the pool (the next call respawns it) and redo
+            # this call serially.
+            self.close()
+            return SerialBackend().map_tasks(worker, tasks)
+        results: list = [None] * len(tasks)
+        for task, payload in zip(tasks, payloads):
+            results[task[0]] = payload
+        return results
 
     def close(self) -> None:
-        """Shut the worker processes down (idempotent)."""
-        self._closed = True
-        pool = self._pool
-        self._pool = None
-        self._pool_size = 0
+        """Shut the worker processes down (idempotent; a later call respawns)."""
+        pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self._discard_pool()
-        except Exception:
-            pass
+            # Not cancel_futures=True: that swaps the executor's pending-work
+            # dict while the queue feeder may still pop a task that failed to
+            # pickle from the old one, and the shutdown then waits forever.
+            pool.shutdown(wait=True)
 
 
 def backend_for(n_jobs: int) -> ExecutionBackend:

@@ -75,7 +75,6 @@ import io
 import itertools
 import math
 import multiprocessing
-import os
 import pickle
 import warnings
 from collections import deque
@@ -87,6 +86,7 @@ from repro.core.scheduler import SchedulingOutcome
 from repro.exceptions import SpecificationError, TrainingError, WiSeDBError
 from repro.learning import shm
 from repro.learning.trainer import TrainingResult
+from repro.parallel.backend import available_cpus
 from repro.runtime.online import OnlineOptimizations
 from repro.service.service import Tenant, TenantSpec, WiSeDBService
 from repro.serving.engine import (
@@ -932,7 +932,7 @@ class ShardedServingEngine:
                 f"choose from {ISOLATION_MODES}"
             )
         if shards is None:
-            shards = max(1, os.cpu_count() or 1)
+            shards = available_cpus()
         if shards < 1:
             raise SpecificationError("shards must be at least 1")
         self._service = service
@@ -943,7 +943,7 @@ class ShardedServingEngine:
         self._optimizations = optimizations
         self._isolation = isolation
         #: Why the router degraded from process isolation (``None`` if it
-        #: did not) — same contract as ``ProcessPoolBackend.fallback_reason``.
+        #: did not).
         self.fallback_reason: str | None = None
         self._shards: list = []
         self._started = False

@@ -13,6 +13,7 @@ from repro.learning.trainer import ModelGenerator, collect_examples
 from repro.runtime.batch import BatchScheduler
 from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.problem import SchedulingProblem
+from repro.sla.factory import default_goal
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.workload import Workload
 
@@ -70,6 +71,15 @@ def test_generate_with_external_workloads(small_templates, max_goal, vm_catalog)
     result = generator.generate(max_goal, workloads=workloads)
     assert len(result.workloads) == 10
     assert result.model.goal is max_goal
+
+
+def test_fit_costs_less_than_the_searches_that_feed_it(tpch10):
+    """With one worker, search time is pure search; the C4.5 fit must cost less."""
+    config = TrainingConfig(
+        num_samples=40, queries_per_sample=8, seed=0, min_samples_leaf=5, max_depth=30
+    )
+    result = ModelGenerator(tpch10, config=config).generate(default_goal("max", tpch10))
+    assert result.fit_time < result.search_time, (result.fit_time, result.search_time)
 
 
 def test_model_decides_valid_actions(trained_max, small_templates, vm_catalog):

@@ -7,6 +7,11 @@ serial mid-run — never changes a single output bit.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.adaptive.retraining import AdaptiveModeler
@@ -15,6 +20,7 @@ from repro.learning.trainer import ModelGenerator, SampleSolver
 from repro.parallel.backend import (
     ProcessPoolBackend,
     SerialBackend,
+    available_cpus,
     backend_for,
     resolve_n_jobs,
 )
@@ -36,6 +42,18 @@ def _fail_on_odd(value: int) -> int:
     if value % 2:
         raise ValueError(f"odd input {value}")
     return value
+
+
+def _reject_type(value):
+    """Picklable worker whose own failure looks like a pickling failure."""
+    raise TypeError(f"worker rejects {value!r}")
+
+
+def _die_in_pool(value: int) -> int:
+    """Kills the pool process running it; in the calling process, squares."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return value * value
 
 
 class _UnpicklableError(Exception):
@@ -75,65 +93,70 @@ def test_pool_backend_orders_results_by_task_index():
         tasks = [(index, value) for index, value in enumerate(range(20))]
         tasks.reverse()
         assert backend.map_tasks(_square, tasks) == [v * v for v in range(20)]
-        assert backend.is_warm
         assert backend.spawn_count == 1
 
 
 def test_pool_backend_spawns_lazily_and_stays_warm():
     backend = ProcessPoolBackend(n_jobs=2)
-    assert not backend.is_warm
     assert backend.spawn_count == 0
     # A single task can't use the pool: stays cold, runs serial.
     assert backend.map_tasks(_square, [(0, 7)]) == [49]
-    assert not backend.is_warm
+    assert backend.spawn_count == 0
     backend.map_tasks(_square, [(0, 1), (1, 2)])
-    assert backend.is_warm
     backend.map_tasks(_square, [(0, 1), (1, 2)])
     assert backend.spawn_count == 1  # reused, not respawned
     backend.close()
-    assert not backend.is_warm
-    assert backend.closed
+    assert backend._pool is None
 
 
-def test_pool_sized_to_demand_and_grown_on_larger_calls():
-    """The pool spawns min(n_jobs, len(tasks)) workers, growing only on demand."""
-    with ProcessPoolBackend(n_jobs=8) as backend:
-        backend.map_tasks(_square, [(0, 1), (1, 2)])
-        assert backend._pool_size == 2  # not 8 idle residents
-        assert backend.spawn_count == 1
-        backend.map_tasks(_square, [(index, index) for index in range(3)])
-        assert backend._pool_size == 3  # respawned larger
-        assert backend.spawn_count == 2
-        backend.map_tasks(_square, [(0, 1), (1, 2)])
-        assert backend._pool_size == 3  # never shrinks: stays warm
-        assert backend.spawn_count == 2
-
-
-def test_pool_backend_close_is_idempotent_and_final():
+def test_pool_backend_close_is_idempotent_and_not_final():
     backend = ProcessPoolBackend(n_jobs=2)
     backend.close()
     backend.close()
-    with pytest.raises(RuntimeError):
-        backend.map_tasks(_square, [(0, 1), (1, 2)])
+    # A closed backend serves the next call from a fresh pool.
+    assert backend.map_tasks(_square, [(0, 1), (1, 2)]) == [1, 4]
+    assert backend.spawn_count == 1
+    backend.close()
+    assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
+    assert backend.spawn_count == 2
+    backend.close()
+
+
+def test_dropped_backend_releases_its_workers():
+    """No finalizer is needed: the executor's own collection stops the workers."""
+
+    def children() -> set[int]:
+        return {process.pid for process in multiprocessing.active_children()}
+
+    before = children()
+    backend = ProcessPoolBackend(n_jobs=2)
+    backend.map_tasks(_square, [(0, 1), (1, 2)])
+    workers = children() - before
+    assert len(workers) == 2
+    del backend
+    gc.collect()
+    deadline = time.monotonic() + 10.0
+    while workers & children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not workers & children()
 
 
 def test_unpicklable_worker_degrades_to_serial():
     with ProcessPoolBackend(n_jobs=2) as backend:
         unpicklable = lambda value: value * value  # noqa: E731 - the point
         assert backend.map_tasks(unpicklable, [(0, 3), (1, 4)]) == [9, 16]
-        assert backend.fallback_reason == "worker is not picklable"
         # The pool itself is unaffected: picklable workers still fan out.
         assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
+        assert backend.spawn_count == 1
 
 
 def test_unpicklable_task_arguments_degrade_to_serial():
     """Task args are pickled lazily inside pool.map; failures must not crash.
 
     CPython surfaces unpicklable values (locks, sockets) as TypeError rather
-    than PicklingError, so the mid-run handler has to catch those too — the
-    call degrades to the serial path with identical results.  The pool itself
-    is healthy, so it stays warm and the failure does not count towards the
-    pin-serial threshold (a shared backend must not lose parallelism for
+    than PicklingError, so the handler has to catch those too — the call
+    degrades to the serial path with identical results.  The pool itself is
+    healthy, so it stays warm (a shared backend must not lose parallelism for
     every owner because one caller's tasks would not pickle).
     """
     import threading
@@ -141,45 +164,36 @@ def test_unpicklable_task_arguments_degrade_to_serial():
     with ProcessPoolBackend(n_jobs=2) as backend:
         tasks = [(0, threading.Lock()), (1, threading.Lock())]
         assert backend.map_tasks(_type_name, tasks) == ["lock", "lock"]
-        assert "call not parallelizable" in backend.fallback_reason
-        # Picklable calls still fan out afterwards.
+        # Picklable calls still fan out afterwards, through the same pool.
         assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
-        assert backend.is_warm
         assert backend.spawn_count == 1
 
 
-def test_broken_pool_degrades_to_serial_without_changing_results(monkeypatch):
-    backend = ProcessPoolBackend(n_jobs=2)
-    monkeypatch.setattr(backend, "_ensure_pool", lambda workers: None)
-    assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
-    monkeypatch.undo()
+def test_broken_pool_degrades_to_serial_without_changing_results():
+    """Killed workers: the call is redone serially and the pool dropped."""
+    with ProcessPoolBackend(n_jobs=2) as backend:
+        assert backend.map_tasks(_die_in_pool, [(0, 3), (1, 4)]) == [9, 16]
+        assert backend._pool is None
+        assert backend.spawn_count == 1
+        # The next call respawns the pool.
+        assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
+        assert backend.spawn_count == 2
 
-    # A pool whose map explodes mid-run: the call is redone serially and the
-    # broken pool is discarded.
-    from concurrent.futures.process import BrokenProcessPool
 
-    class _ExplodingPool:
+def test_pool_os_error_reruns_serially():
+    """Spawn or transport failures (OSError) also drop the pool."""
+
+    class _RefusingPool:
         def map(self, *args, **kwargs):
-            raise BrokenProcessPool("workers died")
+            raise OSError("fork refused")
 
         def shutdown(self, *args, **kwargs):
             pass
 
-    backend._pool = _ExplodingPool()
-    backend._pool_size = 2
-    backend.spawn_count = 1
-    assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
-    assert not backend.is_warm
-    assert "pool failed mid-run" in backend.fallback_reason
-    backend.close()
-
-
-def test_repeatedly_failing_pool_pins_itself_serial():
     backend = ProcessPoolBackend(n_jobs=2)
-    backend._pool_failures = ProcessPoolBackend._MAX_POOL_FAILURES
+    backend._pool = _RefusingPool()
     assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
-    assert backend.spawn_count == 0  # never tried to respawn
-    backend.close()
+    assert backend._pool is None
 
 
 def test_worker_exception_surfaces_first_in_index_order():
@@ -194,10 +208,8 @@ def test_worker_exception_surfaces_first_in_index_order():
         assert cause is not None
         assert "_fail_on_odd" in str(cause)
         assert "ValueError: odd input 3" in str(cause)
-        # A worker exception is not a pool failure: no serial fallback, the
-        # pool stays warm, and later calls still fan out through it.
-        assert backend.fallback_reason is None
-        assert backend.is_warm
+        # A worker exception is not a pool failure: the pool stays warm and
+        # later calls still fan out through it.
         assert backend.map_tasks(_square, [(0, 3), (1, 4)]) == [9, 16]
         assert backend.spawn_count == 1
 
@@ -208,14 +220,21 @@ def test_worker_exception_matches_serial_semantics():
         SerialBackend().map_tasks(_fail_on_odd, list(enumerate([0, 3, 2, 5])))
 
 
-def test_unpicklable_worker_exception_still_surfaces():
-    """Exceptions that cannot be pickled degrade to a described RuntimeError."""
+def test_worker_type_error_surfaces_through_the_serial_rerun():
+    """A worker's own TypeError reads as unpicklable work, so the call reruns
+    in-process — where the worker raises it again, as itself."""
     with ProcessPoolBackend(n_jobs=2) as backend:
-        with pytest.raises(RuntimeError, match="worker task failed") as excinfo:
+        with pytest.raises(TypeError, match="worker rejects 1"):
+            backend.map_tasks(_reject_type, [(0, 1), (1, 2)])
+        assert backend.spawn_count == 1
+
+
+def test_unpicklable_worker_exception_still_surfaces():
+    """An exception that cannot be pickled surfaces through the serial rerun."""
+    with ProcessPoolBackend(n_jobs=2) as backend:
+        with pytest.raises(_UnpicklableError, match="boom 1"):
             backend.map_tasks(_raise_unpicklable, [(0, 1), (1, 2)])
-        assert "_UnpicklableError" in str(excinfo.value)
-        assert excinfo.value.__cause__ is not None  # traceback text survives
-        assert backend.is_warm
+        assert backend._pool is not None
 
 
 def test_backend_for_and_resolve_n_jobs():
@@ -229,26 +248,40 @@ def test_backend_for_and_resolve_n_jobs():
     assert resolve_n_jobs(0) >= 1
 
 
+def test_all_cpus_means_the_cpus_this_process_may_use(monkeypatch):
+    """``n_jobs=-1`` and ``shards=None`` follow the affinity mask, not the host."""
+    from repro.service.service import WiSeDBService
+    from repro.serving.sharded import ShardedServingEngine
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert available_cpus() == 1
+    assert resolve_n_jobs(-1) == 1
+    assert isinstance(backend_for(-1), SerialBackend)
+    assert ShardedServingEngine(WiSeDBService(), shards=None)._num_shards == 1
+
+    # Without an affinity call the host's count is all there is to go on.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert available_cpus() == 8
+
+
 # ---------------------------------------------------------------------------
 # Warm reuse across generate/retrain is deterministic and bit-identical
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-def test_generate_bit_identical_for_any_n_jobs(small_templates, max_goal, n_jobs):
-    generator = ModelGenerator(
+@pytest.mark.parametrize("kind", ["max", "per_query", "average", "percentile"])
+def test_generate_bit_identical_for_any_n_jobs(small_templates, all_goals, kind, n_jobs):
+    goal = all_goals[kind]
+    with ModelGenerator(
         small_templates, config=TrainingConfig.tiny(seed=23).with_n_jobs(n_jobs)
-    )
-    try:
-        fingerprint = _training_fingerprint(generator.generate(max_goal))
-    finally:
-        generator.close()
+    ) as generator:
+        fingerprint = _training_fingerprint(generator.generate(goal))
     reference_generator = ModelGenerator(
         small_templates, config=TrainingConfig.tiny(seed=23)
     )
-    assert fingerprint == _training_fingerprint(
-        reference_generator.generate(max_goal)
-    )
+    assert fingerprint == _training_fingerprint(reference_generator.generate(goal))
 
 
 def test_warm_pool_reused_across_generate_and_retrain(small_templates, max_goal):
@@ -271,8 +304,7 @@ def test_warm_pool_reused_across_generate_and_retrain(small_templates, max_goal)
         second = generator.generate(max_goal)
         retrain, _ = AdaptiveModeler(generator, first).retrain(tightened)
         assert backend.spawn_count == 1  # one pool served all three calls
-        assert backend.is_warm
-    assert not backend.is_warm  # the context manager released the workers
+    assert backend._pool is None  # the context manager released the workers
 
     assert _training_fingerprint(first) == _training_fingerprint(serial_base)
     assert _training_fingerprint(second) == _training_fingerprint(serial_base)
@@ -288,7 +320,7 @@ def test_injected_backend_is_not_closed_by_the_generator(small_templates, max_go
     )
     generator.generate(max_goal)
     generator.close()
-    assert not backend.closed  # injected: lifecycle belongs to the caller
+    assert backend._pool is not None  # injected: lifecycle belongs to the caller
     backend.close()
 
 
@@ -333,7 +365,7 @@ def test_service_shares_one_backend_across_tenants(small_templates, all_goals):
         assert backend.spawn_count <= 1  # at most one pool for the whole sweep
         assert service.tenant("acme").generator.backend is backend
         assert service.tenant("globex").generator.backend is backend
-    assert backend.closed
+    assert backend._pool is None
 
     # Training after close transparently builds a fresh shared backend.
     replacement = service.backend
@@ -368,7 +400,7 @@ def test_service_backend_grows_for_wider_tenants(small_templates, all_goals):
 
 
 def test_modeler_survives_service_close(small_templates, all_goals):
-    """Outstanding modelers heal when the service's shared backend closes."""
+    """A retained generator trains on after the service closes its backend."""
     from repro.service.service import WiSeDBService
 
     config = TrainingConfig.tiny(seed=37)
@@ -376,16 +408,17 @@ def test_modeler_survives_service_close(small_templates, all_goals):
         service.register("t", small_templates, all_goals["max"], config=config)
         base = service.train("t")
         generator = service.tenant("t").generator
-    # The with-block closed the shared backend; the retained generator must
-    # replace it rather than raising on its next training call.
+    # The with-block closed the shared backend; closing is not final, so the
+    # retained generator's next training call respawns its workers.
     tightened = all_goals["max"].tightened(0.3, small_templates)
-    healed, _ = AdaptiveModeler(generator, base).retrain(tightened)
+    retrained, _ = AdaptiveModeler(generator, base).retrain(tightened)
+    generator.backend.close()
 
     reference_generator = ModelGenerator(small_templates, config=config)
     reference, _ = AdaptiveModeler(
         reference_generator, reference_generator.generate(all_goals["max"])
     ).retrain(tightened)
-    assert _training_fingerprint(healed) == _training_fingerprint(reference)
+    assert _training_fingerprint(retrained) == _training_fingerprint(reference)
 
 
 def test_service_shared_backend_output_matches_serial(small_templates, all_goals):
