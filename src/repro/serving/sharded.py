@@ -34,6 +34,18 @@ the router spends one credit per in-flight query against the worker's
 full-queue admission.  A frame carries everything that queued while the
 previous one was on the pipe, so batching adds no latency.
 
+**No thread touches the pipe.**  ``context.Pipe()`` is a socketpair, and
+router and worker each wrap their end in a :class:`_Channel` on their own
+event loop: reads wake on ``add_reader`` and parse every whole frame the
+socket holds; writes are buffered and go out once per loop turn with a
+non-blocking write, falling back to ``add_writer`` only while the kernel
+refuses bytes.  So no frame costs a thread wake-up or a GIL hand-off on
+either side, and the ticket frames one worker loop turn resolves leave in
+one write.  The wire format is ``Connection``'s own (a 4-byte big-endian
+signed length, then a pickle), so a plain blocking ``Connection`` still
+talks to either end.  Never call ``Connection.send``/``recv`` on a
+channel's end from async code: the end is non-blocking.
+
 **Bit-identical for any shard count.**  Tenant lanes are fully independent
 in the single-process engine — no cross-tenant state — so partitioning them
 across processes cannot change any tenant's decision stream.  Shipping is
@@ -70,12 +82,14 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import gc
 import hashlib
-import io
 import itertools
 import math
 import multiprocessing
+import os
 import pickle
+import struct
 import warnings
 from collections import deque
 from contextlib import ExitStack
@@ -158,6 +172,159 @@ def _lane_states(engine: ServingEngine) -> dict[str, tuple[str, object]]:
     return states
 
 
+# -- the transport -----------------------------------------------------------------
+
+#: ``multiprocessing.Connection``'s frame header: the pickle's length as a
+#: 4-byte big-endian signed int.
+_HEADER = struct.Struct("!i")
+
+#: Bytes asked of the socket per read.
+_READ_SIZE = 1 << 16
+
+
+class _Channel:
+    """Pickled frames over one end of a ``context.Pipe()``, on the running loop.
+
+    The pipe is a socketpair, so its end goes non-blocking and the event loop
+    watches it; no thread ever touches it.  A read wakes on ``add_reader``
+    and queues every whole frame the socket holds for :meth:`recv`.
+    :meth:`send` appends to a buffer that is written once per loop turn, so
+    everything sent in one turn leaves in one write; bytes the kernel refuses
+    go out through ``add_writer``, and :meth:`drain` waits only while it
+    does.  The framing is ``Connection.send_bytes``'s, so a plain blocking
+    ``Connection`` may sit at the other end.
+
+    A dead peer is reported in one place: :meth:`recv` raises ``EOFError``
+    once the frames that arrived before it are consumed.  A failed write is
+    dropped, since the read side reports the same death.  The caller keeps
+    owning the connection; :meth:`close` only stops watching it.
+    """
+
+    def __init__(self, connection) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._fd = connection.fileno()
+        os.set_blocking(self._fd, False)
+        self._incoming = bytearray()
+        self._frames: deque = deque()
+        self._eof = False
+        self._readable: asyncio.Future | None = None
+        self._outgoing = bytearray()
+        self._flush_scheduled = False
+        self._writing = False
+        self._writable: asyncio.Future | None = None
+        #: Set once the peer refused a write or the channel closed.
+        self._discard = False
+        self._loop.add_reader(self._fd, self._on_readable)
+
+    # -- reading -------------------------------------------------------------------
+
+    def _on_readable(self) -> None:
+        try:
+            chunk = os.read(self._fd, _READ_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:  # reset by a peer that died
+            chunk = b""
+        if chunk:
+            self._take(chunk)
+        else:
+            self._eof = True
+            self._loop.remove_reader(self._fd)
+        waiter = self._readable
+        if (self._frames or self._eof) and waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _take(self, chunk: bytes) -> None:
+        """Append *chunk* and queue every frame it completes."""
+        data = self._incoming
+        data += chunk
+        start, size = 0, len(data)
+        while size - start >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(data, start)
+            end = start + _HEADER.size + length
+            if end > size:
+                break
+            self._frames.append(data[start + _HEADER.size : end])
+            start = end
+        del data[:start]
+
+    async def recv(self):
+        """The next frame, unpickled; ``EOFError`` once the peer is gone."""
+        while not self._frames:
+            if self._eof:
+                raise EOFError
+            self._readable = self._loop.create_future()
+            try:
+                await self._readable
+            finally:
+                self._readable = None
+        return pickle.loads(self._frames.popleft())
+
+    # -- writing -------------------------------------------------------------------
+
+    def send(self, message) -> None:
+        """Queue one frame; it leaves with everything else sent this loop turn."""
+        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        if self._discard:
+            return
+        self._outgoing += _HEADER.pack(len(payload))
+        self._outgoing += payload
+        if not (self._flush_scheduled or self._writing):
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        self._flush_scheduled = False
+        if self._discard or not self._outgoing:
+            return
+        try:
+            sent = os.write(self._fd, self._outgoing)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:  # the peer is gone; recv() reports it
+            self._discard = True
+            sent = len(self._outgoing)
+        del self._outgoing[:sent]
+        if self._outgoing:
+            if not self._writing:
+                self._writing = True
+                self._loop.add_writer(self._fd, self._flush)
+        elif self._writing:
+            self._stop_writing()
+
+    def _stop_writing(self) -> None:
+        self._writing = False
+        self._loop.remove_writer(self._fd)
+        waiter = self._writable
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    async def drain(self) -> None:
+        """Wait while the kernel is refusing this end's bytes."""
+        while self._writing:
+            if self._writable is None or self._writable.done():
+                self._writable = self._loop.create_future()
+            await self._writable
+
+    async def aclose(self) -> None:
+        """Write out everything sent so far, then :meth:`close`."""
+        self._flush()
+        await self.drain()
+        self.close()
+
+    def close(self) -> None:
+        """Stop watching the descriptor and drop unsent bytes (idempotent)."""
+        self._discard = True
+        self._outgoing.clear()
+        self._loop.remove_reader(self._fd)
+        if self._writing:
+            self._stop_writing()
+        self._eof = True
+        waiter = self._readable
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+
 # -- the worker side ---------------------------------------------------------------
 
 
@@ -225,7 +392,7 @@ def _register_shipment(
     service.adopt(spec, result)
 
 
-def _ship_ticket(connection, ticket_id: int, future) -> None:
+def _ship_ticket(channel: _Channel, ticket_id: int, future) -> None:
     """Stream one resolved decision back over the pipe (future callback)."""
     if future.cancelled():
         frame = ("ticket", (ticket_id, "error", "ticket cancelled"))
@@ -235,18 +402,12 @@ def _ship_ticket(connection, ticket_id: int, future) -> None:
             frame = ("ticket", (ticket_id, "error", _pickle_error(error)))
         else:
             frame = ("ticket", (ticket_id, "ok", future.result()))
-    try:
-        connection.send(frame)
-    except (OSError, ValueError):  # pragma: no cover - router gone
-        pass
+    channel.send(frame)
 
 
-def _ship_ticket_error(connection, ticket_id: int, error: BaseException) -> None:
+def _ship_ticket_error(channel: _Channel, ticket_id: int, error: BaseException) -> None:
     """Resolve a router-side ticket whose query never got a lane future."""
-    try:
-        connection.send(("ticket", (ticket_id, "error", _pickle_error(error))))
-    except (OSError, ValueError):  # pragma: no cover - router gone
-        pass
+    channel.send(("ticket", (ticket_id, "error", _pickle_error(error))))
 
 
 def _pending_snapshot(
@@ -311,9 +472,11 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
     ``batch_ack`` frame (per-tenant admitted counts plus any pickled lane
     failures) that returns the router's credits; ticket resolutions stream
     back as their decisions land, via future callbacks — never a blocking
-    wait in the pump.
+    wait in the pump.  Every frame goes through one :class:`_Channel`, so the
+    tickets one epoch resolves leave in one write.
     """
     loop = asyncio.get_running_loop()
+    channel = _Channel(connection)
     service = _ShardService(degraded_fallback=config.degraded_fallback)
     engine = ServingEngine(
         service,
@@ -338,7 +501,7 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
     pending_admission: dict[str, int] = {}
 
     def reply(request_id: int, kind: str, body) -> None:
-        connection.send(("reply", (request_id, kind, body)))
+        channel.send(("reply", (request_id, kind, body)))
 
     def release_holds() -> None:
         for lane in holds.values():
@@ -369,7 +532,7 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                 failures.append((tenant, _pickle_error(error)))
                 for _query, ticket_id in entries:
                     if ticket_id is not None:
-                        _ship_ticket_error(connection, ticket_id, error)
+                        _ship_ticket_error(channel, ticket_id, error)
                 if not isinstance(error, Exception):
                     raise
                 continue
@@ -381,7 +544,7 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                 except BaseException as error:
                     failures.append((tenant, _pickle_error(error)))
                     if ticket_id is not None:
-                        _ship_ticket_error(connection, ticket_id, error)
+                        _ship_ticket_error(channel, ticket_id, error)
                     if not isinstance(error, Exception):
                         raise
                     continue
@@ -389,9 +552,9 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                     pending_admission[tenant] -= 1
                 if ticket_id is not None and admission.ticket is not None:
                     admission.ticket.add_done_callback(
-                        functools.partial(_ship_ticket, connection, ticket_id)
+                        functools.partial(_ship_ticket, channel, ticket_id)
                     )
-        connection.send(("batch_ack", (seq, acks, failures)))
+        channel.send(("batch_ack", (seq, acks, failures)))
 
     async def pump() -> None:
         while True:
@@ -439,10 +602,9 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
     try:
         while True:
             try:
-                message = await loop.run_in_executor(None, connection.recv)
-            except (EOFError, OSError):
+                request_id, command, payload = await channel.recv()
+            except EOFError:
                 break
-            request_id, command, payload = message
             if command == "shutdown":
                 # Explicit, because EOF cannot be relied on: shards forked
                 # later inherit duplicates of this pipe's parent end, so the
@@ -472,15 +634,22 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                         )
                 requests.put_nowait((request_id, command, payload))
     finally:
-        requests.put_nowait(None)
-        await pump_task
-        if not engine.closed:
-            await engine.close()
-        for view in attachments:
-            view.close()
+        try:
+            requests.put_nowait(None)
+            await pump_task
+            if not engine.closed:
+                await engine.close()
+            for view in attachments:
+                view.close()
+        finally:
+            await channel.aclose()
 
 
 def _shard_worker_main(connection, config: _ShardConfig) -> None:
+    # The fork handed this process the router's whole heap.  Freezing it
+    # keeps every full collection from walking it again: one such walk
+    # stalled a decision for ~60 ms.
+    gc.freeze()
     try:
         asyncio.run(_shard_worker_loop(connection, config))
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - parent gone
@@ -500,7 +669,7 @@ class _ProcessShard:
 
     The data path is pipelined: :meth:`submit` spends a credit, appends to
     the outbox, and returns — no pipe round trip.  A sender task coalesces
-    everything that accumulated while the pipe was busy into one framed
+    everything that accumulated since it last ran into one framed
     ``submit_batch`` (same-tenant order preserved) under monotonically
     increasing sequence numbers; the read loop matches the worker's
     aggregated ``batch_ack`` frames (returning credits, surfacing pickled
@@ -508,6 +677,12 @@ class _ProcessShard:
     frames against their futures.  Control requests — ``register``,
     ``metrics``, ``drain``, ``close`` — keep the request/reply path and
     bypass the outbox, so snapshots stay available mid-burst.
+
+    Both directions go through one :class:`_Channel` on the router's own
+    event loop: no frame costs a thread hop, and the sender suspends only
+    while the kernel refuses bytes — so a frame carries whatever queued
+    while the previous one was stuck on the pipe.  Only ``process.join`` at
+    close runs in an executor.
 
     Pass ``process=None`` (with a pre-wired connection) to drive an
     in-process :func:`_shard_worker_loop` — the protocol tests do.
@@ -525,15 +700,11 @@ class _ProcessShard:
         self.index = index
         self._config = config
         self._connection = connection
+        self._channel = _Channel(connection)
         self._process = process
         self._pending: dict[int, asyncio.Future] = {}
         self._tickets: dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
-        self._send_lock = asyncio.Lock()
-        #: Reused frame buffer: every outgoing frame pickles into the same
-        #: preallocated ``BytesIO`` (guarded by the send lock), so the hot
-        #: path never reallocates the header + payload staging area.
-        self._send_buffer = io.BytesIO()
         self._closing = False
         self._dead: WiSeDBError | None = None
         #: tenant -> admission credits left (starts at ``queue_limit``; one
@@ -580,36 +751,14 @@ class _ProcessShard:
         child_end.close()
         return cls(index, config, parent_end, process=process)
 
-    # -- framing -------------------------------------------------------------------
-
-    def _encode(self, message) -> memoryview:
-        buffer = self._send_buffer
-        buffer.seek(0)
-        buffer.truncate()
-        pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(message)
-        return buffer.getbuffer()
-
-    async def _post(self, message) -> None:
-        loop = asyncio.get_running_loop()
-        async with self._send_lock:
-            data = self._encode(message)
-            try:
-                await loop.run_in_executor(
-                    None, self._connection.send_bytes, data
-                )
-            finally:
-                data.release()
-
     # -- the read loop: replies, batch acks, ticket streams ------------------------
 
     async def _read_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             try:
-                message = await loop.run_in_executor(None, self._connection.recv)
-            except (EOFError, OSError):
+                kind, body = await self._channel.recv()
+            except EOFError:
                 break
-            kind, body = message
             if kind == "reply":
                 request_id, reply_kind, payload = body
                 future = self._pending.pop(request_id, None)
@@ -668,6 +817,7 @@ class _ProcessShard:
         self._closing = True
         self._sender_stopping = True
         self._outbox_event.set()
+        self._channel.close()
         try:
             self._connection.close()
         except OSError:  # pragma: no cover
@@ -687,7 +837,7 @@ class _ProcessShard:
                 self._outbox_event.clear()
                 await self._outbox_event.wait()
                 continue
-            # Everything that queued while the previous frame was on the pipe.
+            # Everything that queued since the sender last ran.
             count = len(outbox)
             groups: list[tuple[str, list]] = []
             for _ in range(count):
@@ -700,15 +850,11 @@ class _ProcessShard:
             self._unacked[seq] = count
             self.batches_sent += 1
             self.batched_queries += count
-            try:
-                await self._post((seq, "submit_batch", groups))
-            except (OSError, ValueError):
-                # The read loop notices the dead pipe and fails the waiters.
-                self._flushed.set()
-                return
+            self._channel.send((seq, "submit_batch", groups))
+            await self._channel.drain()
 
     async def flush(self) -> None:
-        """Wait until everything outboxed has been handed to the pipe.
+        """Wait until everything outboxed has been handed to the channel.
 
         Outbox entries are already credit-approved, so this waits only on
         pipe writes — never on the worker's pump — and therefore cannot
@@ -726,13 +872,11 @@ class _ProcessShard:
         if self._dead is not None:
             raise self._dead
         request_id = next(self._ids)
+        # No reply can arrive before this coroutine yields, so the future is
+        # registered only once the frame was accepted (it may not pickle).
+        self._channel.send((request_id, command, payload))
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
-        try:
-            await self._post((request_id, command, payload))
-        except BaseException:
-            self._pending.pop(request_id, None)
-            raise
         kind, body = await future
         if kind == "error":
             raise _unpickle_error(body)
@@ -823,14 +967,12 @@ class _ProcessShard:
                 RuntimeWarning,
             )
         self._closing = True
-        loop = asyncio.get_running_loop()
-        try:
-            await self._post((0, "shutdown", None))
-        except (OSError, ValueError):  # worker already gone
-            pass
+        self._channel.send((0, "shutdown", None))
         await self._reader
         if self._process is not None:
-            await loop.run_in_executor(None, self._process.join, _JOIN_TIMEOUT)
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._process.join, _JOIN_TIMEOUT
+            )
             if self._process.is_alive():  # pragma: no cover - join-timeout safety
                 self._process.terminate()
                 self._process.join(1.0)
@@ -841,6 +983,7 @@ class _ProcessShard:
             if not future.done():
                 future.set_exception(leftover)
         self._tickets.clear()
+        self._channel.close()
         try:
             self._connection.close()
         except OSError:  # pragma: no cover

@@ -16,21 +16,27 @@ the equivalence grid cannot see:
 * a seeded interleaving of submit groups, drains, and snapshots across two
   tenants on two shards stays bit-identical to the unbatched single-process
   engine: per-tenant FIFO outcomes, counter identities at every snapshot,
-  and epoch-count parity.
+  and epoch-count parity;
+* the transport under all of it: ``Connection``-framed bytes split at every
+  boundary or packed several to a read, EOF inside a frame, a frame larger
+  than the socket buffers, and a serving cycle that makes no executor hop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import random
+import threading
 
 import pytest
 
-from repro.exceptions import SpecificationError, TrainingError
+from repro.exceptions import SpecificationError, TrainingError, WiSeDBError
 from repro.service import WiSeDBService
 from repro.serving import ServingEngine, ShardedServingEngine, shard_of
 from repro.serving.sharded import (
+    _Channel,
     _pickle_error,
     _ProcessShard,
     _ShardConfig,
@@ -481,3 +487,175 @@ class TestInterleavedEquivalence:
             assert batched_entry.shed == plain_entry.shed == 0
             # Epoch parity: batching frames must not merge or split epochs.
             assert batched_entry.epochs == plain_entry.epochs
+
+
+# ---------------------------------------------------------------------------
+# The transport: one thread-free channel per pipe end
+# ---------------------------------------------------------------------------
+
+MESSAGES = (
+    ("reply", (1, "ok", None)),
+    ("ticket", (7, "ok", "x" * 300)),
+    ("batch_ack", (2, [("acme", 2)], [])),
+)
+
+
+def _wire(*messages) -> bytes:
+    """*messages* exactly as a blocking ``Connection`` frames them."""
+    writer, reader = multiprocessing.Pipe()
+    try:
+        for message in messages:
+            writer.send(message)
+        return os.read(reader.fileno(), 1 << 20)
+    finally:
+        writer.close()
+        reader.close()
+
+
+class TestChannel:
+    def test_frames_split_at_every_byte_boundary(self):
+        wire = _wire(*MESSAGES)
+
+        async def main():
+            near, far = multiprocessing.Pipe()
+            channel = _Channel(near)
+            try:
+                for cut in range(1, len(wire)):
+                    os.write(far.fileno(), wire[:cut])
+                    channel._on_readable()  # reads exactly the first part
+                    os.write(far.fileno(), wire[cut:])
+                    got = [
+                        await asyncio.wait_for(channel.recv(), timeout=10.0)
+                        for _ in MESSAGES
+                    ]
+                    assert got == list(MESSAGES), f"split at byte {cut}"
+            finally:
+                channel.close()
+                near.close()
+                far.close()
+
+        asyncio.run(main())
+
+    def test_several_frames_in_one_read_and_back_to_a_blocking_end(self):
+        async def main():
+            near, far = multiprocessing.Pipe()
+            channel = _Channel(near)
+            try:
+                for message in MESSAGES:
+                    far.send(message)
+                channel._on_readable()  # one read holds all three
+                assert len(channel._frames) == len(MESSAGES)
+                assert [await channel.recv() for _ in MESSAGES] == list(MESSAGES)
+                # Frames sent in one loop turn reach a plain Connection intact.
+                for message in MESSAGES:
+                    channel.send(message)
+                await asyncio.wait_for(channel.aclose(), timeout=10.0)
+                assert [far.recv() for _ in MESSAGES] == list(MESSAGES)
+            finally:
+                channel.close()
+                near.close()
+                far.close()
+
+        asyncio.run(main())
+
+    def test_eof_mid_frame_fails_pending_futures_and_tickets(self):
+        """A worker that dies halfway through a frame is a dead shard: the
+        pending request and the in-flight ticket both fail with the router's
+        "exited unexpectedly" error, and the partial frame is never parsed."""
+        name = "acme"
+
+        async def main():
+            parent, child = multiprocessing.Pipe()
+            shard = _ProcessShard(0, _config(), parent, process=None)
+            registering = asyncio.ensure_future(shard.register({"name": name}))
+            request_id, command, _ = await asyncio.wait_for(
+                asyncio.to_thread(child.recv), timeout=10.0
+            )
+            assert command == "register"
+            child.send(("reply", (request_id, "ok", None)))
+            await asyncio.wait_for(registering, timeout=10.0)
+            admission = await shard.submit(name, Query("T1", arrival_time=0.0), True)
+            pending = asyncio.ensure_future(shard.request("metrics"))
+            frame = _wire(("reply", (99, "ok", None)))
+            os.write(child.fileno(), frame[: len(frame) // 2])
+            child.close()
+            with pytest.raises(WiSeDBError, match="exited unexpectedly"):
+                await asyncio.wait_for(pending, timeout=10.0)
+            with pytest.raises(WiSeDBError, match="exited unexpectedly"):
+                await asyncio.wait_for(admission.ticket.decision(), timeout=10.0)
+            with pytest.warns(RuntimeWarning, match="lost before close"):
+                await asyncio.wait_for(shard.close(), timeout=10.0)
+
+        asyncio.run(main())
+
+    def test_a_frame_larger_than_the_socket_buffers_round_trips(
+        self, pair_service, small_templates, max_goal, tiny_config, trained_max
+    ):
+        """Router and worker share one loop, so a write that blocked on a
+        full socket would deadlock.  A 4 MiB tenant name rides in every frame
+        that names the tenant — registration, ``submit_batch``, ``batch_ack``,
+        the ticket, the close reply — so both directions move frames many
+        times larger than the socketpair's buffers."""
+        name = "t" * (4 << 20)
+        pair_service.register(name, small_templates, max_goal, config=tiny_config)
+        tenant = pair_service.tenant(name)
+        tenant.training = trained_max
+        tenant.provenance = "fresh"
+
+        async def main():
+            shard, worker, child = _local_shard(_config())
+            await shard.register(_registration(name, pair_service))
+            admission = await shard.submit(name, Query("T1", arrival_time=0.0), True)
+            await shard.drain()
+            decision = await admission.ticket.decision()
+            assert decision.tenant == name
+            assert shard.batches_sent == 1 and shard.batched_queries == 1
+            outcomes, states = await _shutdown(shard, worker, child)
+            assert states[name][0] == "ok"
+            assert len(outcomes[name].query_outcomes) == 1
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30.0))
+
+    def test_a_serving_cycle_makes_no_executor_hop_and_starts_no_thread(
+        self, pair_service, monkeypatch
+    ):
+        """Count the hops, don't time them: submit with tickets, drain and
+        read the decisions through a forked process shard, and the router's
+        loop never hands work to a thread."""
+        name = _two_tenants_on_distinct_shards()[0]
+        hops = []
+        real = asyncio.BaseEventLoop.run_in_executor
+
+        def counting(self, executor, func, *args):
+            hops.append(getattr(func, "__qualname__", repr(func)))
+            return real(self, executor, func, *args)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", counting)
+
+        async def main():
+            threads = threading.active_count()
+            engine = ShardedServingEngine(pair_service, shards=1, isolation="process")
+            try:
+                await engine.warm(name)
+                if engine.effective_isolation != "process":
+                    pytest.skip(f"process shards unavailable: {engine.fallback_reason}")
+                for epoch in range(4):
+                    tickets = [
+                        (
+                            await engine.submit(
+                                name, Query(template, arrival_time=30.0 * epoch), ticket=True
+                            )
+                        ).ticket
+                        for template in ("T1", "T2", "T3")
+                    ]
+                    await engine.drain()
+                    for ticket in tickets:
+                        await asyncio.wait_for(ticket.decision(), timeout=30.0)
+                await engine.metrics()
+                served = list(hops)
+                assert threading.active_count() <= threads
+            finally:
+                await engine.close()
+            return served
+
+        assert asyncio.run(main()) == []
