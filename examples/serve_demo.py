@@ -11,9 +11,9 @@ This example runs the serving layer end to end:
    deterministic per ``(seed, tenant)``) at a target offered rate;
 4. print the metrics snapshot — per-tenant decision p50/p99, queue depths,
    admitted/shed/degraded counters, epochs, retrains — and the health status;
-5. close the engine and price each tenant's served stream with the same
-   unified outcome a direct ``OnlineScheduler.run`` would produce
-   (bit-identically — that equivalence is CI-enforced).
+5. close the engine, price each tenant's served stream, and compare it with
+   a direct ``OnlineScheduler.run`` of the same stream: the script exits
+   non-zero unless every total cost is identical.
 
 Run with ``python examples/serve_demo.py``.  Pass ``--shards N`` to serve
 the same streams through the multi-process
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import sys
 
 from repro import TrainingConfig, WiSeDBService, tpch_templates
 from repro.serving import ServingEngine, ShardedServingEngine, TenantStream, drive
@@ -138,11 +139,19 @@ def main() -> None:
     else:
         engine = asyncio.run(serve(service, streams))
 
-    print("\nPriced outcomes (identical to direct OnlineScheduler runs):")
-    for name in goals:
-        outcome = engine.outcome(name)
-        print(f"  {name:<8} {outcome.describe()}")
+    print("\nPriced outcomes, each checked against a direct OnlineScheduler run:")
+    mismatched = []
+    for stream in streams:
+        outcome = engine.outcome(stream.tenant)
+        direct = service.online_scheduler(stream.tenant).run(stream.workload)
+        verdict = "identical"
+        if outcome.total_cost != direct.total_cost:
+            verdict = "MISMATCH"
+            mismatched.append(stream.tenant)
+        print(f"  {stream.tenant:<8} {outcome.describe()}  [{verdict}]")
     service.close()
+    if mismatched:
+        sys.exit(f"served outcomes differ from direct runs for: {', '.join(mismatched)}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,13 @@ Three details keep large batches fast and faithful:
 * queries whose template is not part of the model's specification are treated
   as instances of the template with the closest expected latency, exactly as
   Section 6.2 prescribes.
+
+Batch and online scheduling decide through one kernel,
+:meth:`BatchScheduler.place_pools`.  It takes the queries as per-template FIFO
+pools (each query filed under the template the model treats it as) plus an
+optional rented VM to continue, and hands back the original query objects
+placed.  :meth:`BatchScheduler.schedule_detailed` is its batch adapter; an
+online pass (:mod:`repro.runtime.online`) pools its wait queue directly.
 """
 
 from __future__ import annotations
@@ -102,10 +109,10 @@ class RuntimeSchedulingContext:
 
 @dataclass
 class BatchSchedulingResult:
-    """A batch schedule plus bookkeeping used by the online scheduler."""
+    """A batch schedule plus the kernel's bookkeeping."""
 
     schedule: Schedule
-    #: Queries the model chose to append to the pre-existing VM (online only).
+    #: Queries the model chose to append to the pre-existing VM, if one was given.
     placed_on_existing_vm: list[Query] = field(default_factory=list)
     #: Number of model parses performed.
     decisions: int = 0
@@ -183,21 +190,45 @@ class BatchScheduler:
     ) -> BatchSchedulingResult:
         """Schedule *workload*, optionally continuing an already-rented VM.
 
-        The online scheduler (Section 6.3) passes the most recently provisioned
-        VM and its outstanding busy time so that new queries may be appended to
-        it — mirroring the behaviour in the paper's Figure 8 — while batch
-        callers simply omit the two arguments.
+        The batch adapter over :meth:`place_pools`: workload in as pools,
+        placements out as a :class:`~repro.core.schedule.Schedule`.
         """
-        if workload.is_empty():
-            return BatchSchedulingResult(schedule=Schedule.empty())
+        on_existing, vms, decisions = self.place_pools(
+            self._model,
+            self._build_pools(workload),
+            existing_vm_type,
+            existing_vm_busy_time,
+        )
+        return BatchSchedulingResult(
+            schedule=Schedule(
+                VMAssignment(vm_type, tuple(queries)) for vm_type, queries in vms
+            ),
+            placed_on_existing_vm=on_existing,
+            decisions=decisions,
+        )
 
-        pools = self._build_pools(workload)
+    @staticmethod
+    def place_pools(
+        model: DecisionModel,
+        pools: dict[str, deque[Query]],
+        existing_vm_type: VMType | None = None,
+        existing_vm_busy_time: float = 0.0,
+    ) -> tuple[list[Query], list[tuple[VMType, list[Query]]], int]:
+        """The decision kernel: parse *model* until it has placed every pool.
+
+        *pools* maps template names the model knows to non-empty FIFOs of the
+        queries it should treat as that template (consumed).  Queries may go
+        on an existing VM, busy for *existing_vm_busy_time* more seconds,
+        until the model provisions.  Returns ``(queries placed on the
+        existing VM, [(new VM type, its queries)], model parses)``; VMs that
+        got no query are left out.
+        """
         # Unassigned queries per template, in name order, an entry dropped
         # when it reaches zero: the dict's live views are the vertex's
         # remaining multiset and name set, kept current by one decrement per
         # placement.
         remaining = {name: len(pools[name]) for name in sorted(pools)}
-        context = RuntimeSchedulingContext(self._model)
+        context = RuntimeSchedulingContext(model)
 
         vms: list[tuple[VMType, list[Query]]] = []
         placed_on_existing: list[Query] = []
@@ -210,12 +241,13 @@ class BatchScheduler:
         last_finish = existing_vm_busy_time if existing_vm_type is not None else 0.0
 
         decisions = 0
-        decide = self._model.decide
-        vm_types = self._model.vm_types
-        vm_tables = self._model.vm_tables
-        latency_model = self._model.latency_model
-        time_of = self._execution_times_for(last_vm_type)
-        max_decisions = 2 * len(workload) + len(workload) + 2
+        decide = model.decide
+        vm_types = model.vm_types
+        vm_tables = model.vm_tables
+        # A placement's template is always one its VM type supports, so the
+        # VM's execution-time table has it.
+        time_of = vm_tables(last_vm_type.name)[0] if last_vm_type is not None else {}
+        max_decisions = 3 * sum(remaining.values()) + 2
 
         # One reusable vertex: the model and the runtime context read the
         # node's state and wait time but never retain them, so nothing is
@@ -266,41 +298,14 @@ class BatchScheduler:
                 remaining[template_name] = left
             else:
                 del remaining[template_name]
-            execution_time = time_of.get(template_name)
-            if execution_time is None:
-                execution_time = latency_model.latency(template_name, last_vm_type)
-            last_finish += execution_time
+            last_finish += time_of[template_name]
             context.record_placement(template_name, last_finish)
             queue.append(template_name)
             queue_counts[template_name] = queue_counts.get(template_name, 0) + 1
 
-        schedule = Schedule(
-            VMAssignment(vm_type, tuple(queries)) for vm_type, queries in vms
-        ).without_empty_vms()
-        return BatchSchedulingResult(
-            schedule=schedule,
-            placed_on_existing_vm=placed_on_existing,
-            decisions=decisions,
-        )
+        return placed_on_existing, [vm for vm in vms if vm[1]], decisions
 
     # -- internals ---------------------------------------------------------------
-
-    def _execution_times_for(self, vm_type: VMType | None) -> dict[str, float]:
-        """Execution times by template for *vm_type*, from the model's tables.
-
-        Empty when there is no VM yet, or when *vm_type* is not the
-        catalogue's instance of that name (an online run continuing a VM rented
-        under a different specification) — the caller then falls back to
-        per-placement latency-model calls, the legacy behaviour.
-        """
-        vm_types = self._model.vm_types
-        if (
-            vm_type is None
-            or vm_type.name not in vm_types
-            or vm_types[vm_type.name] != vm_type
-        ):
-            return {}
-        return self._model.vm_tables(vm_type.name)[0]
 
     def _build_pools(self, workload: Workload) -> dict[str, deque[Query]]:
         """Group queries by the template the model will treat them as."""

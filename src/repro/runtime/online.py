@@ -30,13 +30,18 @@ Hot-path notes
 --------------
 
 Arrivals sharing a timestamp form one *epoch* and are re-scheduled in a single
-pass (one model derivation, one batch parse) instead of one pass per query;
-the pull-back scan that assembles the wait queue walks only the VMs committed
-to in the previous epoch (the only place unstarted records can live) instead
-of every VM ever rented; a pending query's wait is rounded to the scheduler's
-resolution once per pass and an aged-template name is built only for a wait
-that rounds above zero; and each model parse walks the compiled tree computing
-only the features its path tests (:meth:`~repro.learning.model.DecisionModel.decide`).
+pass (one model derivation, one kernel run) instead of one pass per query.  A
+pass builds no batch problem: it files each pending query, the original
+object, in a FIFO pool under the template the model knows it as (its aged
+template if the model has one, else its own), hands the pools and the last
+live VM to the decision kernel batch scheduling uses
+(:meth:`~repro.runtime.batch.BatchScheduler.place_pools`), and commits what
+comes back with one execution-time table per VM and a running finish time.
+The pull-back scan walks only the VMs committed to in the previous epoch (the
+only place unstarted records can live); a pending query's wait is rounded
+once per pass and an aged name is built only for a wait that rounds above
+zero; and each model parse computes only the features its tree path tests
+(:meth:`~repro.learning.model.DecisionModel.decide`).
 An epoch's parses cannot be fused into one matrix fill: decision ``k+1``'s
 features depend on decision ``k``'s action.
 A session also accepts several epochs with one timestamp, so submitting every
@@ -78,7 +83,9 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from repro.adaptive.retraining import AdaptiveModeler
@@ -87,7 +94,7 @@ from repro.core.cost_model import CostBreakdown
 from repro.core.outcome import QueryOutcome
 from repro.core.schedule import Schedule, VMAssignment
 from repro.core.scheduler import SchedulerOverhead, SchedulingOutcome
-from repro.exceptions import SpecificationError
+from repro.exceptions import SpecificationError, UnknownTemplateError
 from repro.faults.plan import FaultPlan
 from repro.learning.model import DecisionModel
 from repro.learning.trainer import ModelGenerator, TrainingResult
@@ -164,8 +171,8 @@ class _VMRecord:
     #: Billed execution time the failure threw away (in-flight queries).
     wasted_time: float = 0.0
 
-    def busy_until(self, now: float = math.inf) -> float:
-        """When the VM finishes what has started by *now* (default: everything)."""
+    def busy_until(self, now: float) -> float:
+        """When the VM finishes what has started by *now*."""
         for record in reversed(self.records):
             if record.start_time <= now:
                 return record.completion_time
@@ -256,12 +263,21 @@ class EpochDecision:
     new_vms: int
     overhead_seconds: float
 
+    @cached_property
+    def _placements_by_query(self) -> dict[int, QueryPlacement]:
+        """Query id -> its last placement; derived, so ``==`` and ``repr`` ignore it."""
+        return {placement.query_id: placement for placement in self.placements}
+
     def placement_for(self, query_id: int) -> QueryPlacement:
-        """The placement of *query_id* in this epoch (raises if not placed)."""
-        for placement in self.placements:
-            if placement.query_id == query_id:
-                return placement
-        raise SpecificationError(f"query {query_id} was not placed in this epoch")
+        """The placement of *query_id* in this epoch (raises if not placed).
+
+        A query a failure pass placed and the epoch's own pass then pulled
+        back and placed again resolves to that last, definitive placement.
+        """
+        placement = self._placements_by_query.get(query_id)
+        if placement is None:
+            raise SpecificationError(f"query {query_id} was not placed in this epoch")
+        return placement
 
 
 class OnlineScheduler:
@@ -291,13 +307,9 @@ class OnlineScheduler:
         )
         self._modeler = AdaptiveModeler(generator, base_training)
         self._model_cache: dict[object, DecisionModel] = {}
-        #: (template name, vm type name) -> true execution time, memoized for
+        #: vm type name -> template name -> true execution time, filled in by
         #: the commit path (the latency model is deterministic per pair).
-        self._latency_cache: dict[tuple[str, str], float] = {}
-        #: (query id, perceived template) -> zero-arrival clone used in the last
-        #: batch workload; a waiting query is re-expressed every pass it stays
-        #: queued, so its clone is worth keeping until it starts.
-        self._batch_query_cache: dict[tuple[int, str], Query] = {}
+        self._latency_cache: dict[str, dict[str, float]] = {}
         #: Memoized result of the last :meth:`_execute` pass, keyed by the
         #: workload object, so :meth:`run` and :meth:`run_report` on the same
         #: workload share one pass (see :meth:`_executed`).
@@ -474,58 +486,29 @@ class OnlineScheduler:
         )
         return generator.generate(goal).model
 
-    # -- batch construction and commitment ----------------------------------------------
+    # -- pools and commitment ----------------------------------------------------------
 
-    def _batch_workload(
-        self,
-        model: DecisionModel,
-        pending: list[tuple[Query, float]],
-    ) -> Workload:
-        """Express the pending batch (rounded waits) in the model's template vocabulary."""
-        batch_queries: list[Query] = []
-        # Rebuilt every pass, so the cache never outgrows the wait queue.
-        clones: dict[tuple[int, str], Query] = {}
-        previous = self._batch_query_cache
+    def _pools(
+        self, model: DecisionModel, pending: list[tuple[Query, float]]
+    ) -> dict[str, deque[Query]]:
+        """The original pending queries, pooled FIFO by the template *model*
+        knows each as: its aged template if the model has one for the
+        query's rounded wait, else its own."""
+        templates = model.templates
+        pools: dict[str, deque[Query]] = {}
         for query, waited in pending:
             name = query.template_name
             if waited > 0.0:
-                # Aged templates exist only for waits that round to a bucket or more.
                 aged_name = self._aged_name(name, waited)
-                if aged_name in model.templates:
+                if aged_name in templates:
                     name = aged_name
-            key = (query.query_id, name)
-            clone = previous.get(key)
-            if clone is None:
-                clone = Query(template_name=name, query_id=query.query_id, arrival_time=0.0)
-            clones[key] = clone
-            batch_queries.append(clone)
-        self._batch_query_cache = clones
-        return Workload(model.templates, batch_queries)
-
-    def _commit(
-        self,
-        vm: _VMRecord,
-        query: Query,
-        now: float,
-        latency_model,
-    ) -> None:
-        """Append *query* to *vm* with its true execution time."""
-        key = (query.template_name, vm.vm_type.name)
-        execution_time = self._latency_cache.get(key)
-        if execution_time is None:
-            execution_time = latency_model.latency(query.template_name, vm.vm_type)
-            self._latency_cache[key] = execution_time
-        start = max(vm.busy_until(), now)
-        vm.records.append(
-            ScheduledQueryRecord(
-                query=query,
-                template_name=query.template_name,
-                vm_index=0,  # rewritten when outcomes are assembled
-                start_time=start,
-                completion_time=start + execution_time,
-                execution_time=execution_time,
-            )
-        )
+            pool = pools.get(name)
+            if pool is None:
+                if name not in templates:
+                    raise UnknownTemplateError(name)
+                pool = pools[name] = deque()
+            pool.append(query)
+        return pools
 
     # -- reporting -------------------------------------------------------------------------
 
@@ -587,8 +570,14 @@ class OnlineScheduler:
 
     @staticmethod
     def _aged_name(template_name: str, waited: float) -> str:
-        """Name of the synthetic template representing an aged query."""
-        return f"{template_name}+{int(round(waited))}s"
+        """Name of the synthetic template representing an aged query.
+
+        Whole seconds print as ``T1+60s``; other waits print exactly
+        (``T1+1.5s``), so distinct waits never share a name.
+        """
+        if waited == int(waited):
+            return f"{template_name}+{int(waited)}s"
+        return f"{template_name}+{float(waited)!r}s"
 
 
 class OnlineSession:
@@ -709,8 +698,8 @@ class OnlineSession:
 
         *epoch* holds the arrivals at *now* (none when the event is a VM
         failure).  Returns ``None`` when idle VMs died and left nothing to
-        schedule.  Nothing is changed until the model is chosen and the batch
-        scheduled — both can raise — so a failed pass never happened.
+        schedule.  Nothing is changed until the model is chosen and the
+        queries placed — both can raise — so a failed pass never happened.
         """
         scheduler = self._scheduler
         vms = self._vms
@@ -748,7 +737,7 @@ class OnlineSession:
                     )
 
         if pending:
-            # Choose (or derive) the model for this batch, then schedule it,
+            # Choose (or derive) the model for this batch, then place it,
             # allowing placements on the most recent VM still alive.
             model, used_cache, used_base, trained = scheduler._model_for_batch(pending)
             last_index = len(vms) - 1
@@ -756,10 +745,11 @@ class OnlineSession:
                 last_index -= 1
             last_vm = vms[last_index] if last_index >= 0 else None
             existing_busy = max(0.0, last_vm.busy_until(now) - now) if last_vm else 0.0
-            result = BatchScheduler(model).schedule_detailed(
-                scheduler._batch_workload(model, pending),
-                existing_vm_type=last_vm.vm_type if last_vm else None,
-                existing_vm_busy_time=existing_busy,
+            on_existing, new_vm_queries, _ = BatchScheduler.place_pools(
+                model,
+                scheduler._pools(model, pending),
+                last_vm.vm_type if last_vm else None,
+                existing_busy,
             )
 
         for vm, completed, wasted in dying:
@@ -780,36 +770,46 @@ class OnlineSession:
         self._cache_hits += used_cache
         self._base_model_uses += used_base
 
-        # Commit the decisions with true (non-augmented) execution times.
-        originals = {query.query_id: query for query, _ in pending}
-        latency_model = scheduler._generator.latency_model
+        # Commit the decisions with true (non-augmented) execution times,
+        # looked up once per VM, keeping each VM's finish time running.
         plan = scheduler._fault_plan
-        new_vms = 0
-        self._touched = touched = []
-        if last_vm is not None and result.placed_on_existing_vm:
-            for placed in result.placed_on_existing_vm:
-                scheduler._commit(last_vm, originals[placed.query_id], now, latency_model)
-                placements.append(self._placement(last_vm, last_index))
-            touched.append(last_vm)
-        for vm_assignment in result.schedule:
-            new_vm = _VMRecord(vm_type=vm_assignment.vm_type, provision_time=now)
+        targets = [(last_vm, last_index, on_existing)] if on_existing else []
+        for vm_type, queries in new_vm_queries:
+            new_vm = _VMRecord(vm_type=vm_type, provision_time=now)
             vm_index = len(vms)
             if plan is not None:
                 # Replacement VMs draw their own profiles under fresh sequence
                 # numbers, so explicit per-index events are finite and rate
                 # draws stay horizon-bounded: the failures always run out.
-                profile = plan.profile_for(vm_index, new_vm.vm_type, now)
+                profile = plan.profile_for(vm_index, vm_type, now)
                 new_vm.provision_time += plan.provisioning_delay(profile)
                 self._retries += profile.start_failures
                 if profile.fail_time is not None:
                     new_vm.fail_time = profile.fail_time
                     heapq.heappush(faults, (profile.fail_time, vm_index))
             vms.append(new_vm)
-            new_vms += 1
-            for placed in vm_assignment.queries:
-                scheduler._commit(new_vm, originals[placed.query_id], now, latency_model)
-                placements.append(self._placement(new_vm, vm_index))
-            touched.append(new_vm)
+            targets.append((new_vm, vm_index, queries))
+        latency_model = scheduler._generator.latency_model
+        for vm, vm_index, queries in targets:
+            times = scheduler._latency_cache.setdefault(vm.vm_type.name, {})
+            records = vm.records
+            finish = records[-1].completion_time if records else vm.provision_time
+            for query in queries:
+                name = query.template_name
+                execution_time = times.get(name)
+                if execution_time is None:
+                    execution_time = times[name] = latency_model.latency(name, vm.vm_type)
+                start = max(finish, now)
+                finish = start + execution_time
+                records.append(
+                    ScheduledQueryRecord(query, name, vm_index, start, finish, execution_time)
+                )
+                placements.append(
+                    QueryPlacement(
+                        query.query_id, name, vm_index, vm.vm_type.name, start, finish
+                    )
+                )
+        self._touched = [vm for vm, _, _ in targets]
 
         overhead = time.perf_counter() - started_at
         self._overheads.append(overhead)
@@ -820,21 +820,8 @@ class OnlineSession:
             retrained=bool(trained),
             cache_hit=bool(used_cache),
             used_base_model=bool(used_base),
-            new_vms=new_vms,
+            new_vms=len(new_vm_queries),
             overhead_seconds=overhead,
-        )
-
-    @staticmethod
-    def _placement(vm: _VMRecord, vm_index: int) -> QueryPlacement:
-        """The placement record for the commit that just landed on *vm*."""
-        record = vm.records[-1]
-        return QueryPlacement(
-            query_id=record.query.query_id,
-            template_name=record.template_name,
-            vm_index=vm_index,
-            vm_type_name=vm.vm_type.name,
-            start_time=record.start_time,
-            completion_time=record.completion_time,
         )
 
     def finalize(self) -> OnlineSchedulingReport:

@@ -45,7 +45,7 @@ protocol: batch and online runs both return a
 :class:`~repro.core.scheduler.SchedulingOutcome`, so callers handle every
 scheduler family with the same code.  ``save``/``load`` round-trip an entire
 service — tenant specs plus trained models — through a directory, and the
-restored tenants schedule bit-identically to the originals.
+restored tenants schedule bit-identically to the saved ones.
 """
 
 from __future__ import annotations

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import TrainingConfig, WiSeDBService, tpch_templates
 from repro.core.cost_model import CostModel
 from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineOptimizations, OnlineScheduler
+from repro.sla.factory import default_goal
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.query import Query
+from repro.workloads.workload import Workload
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +211,43 @@ def test_zero_wait_stream_never_formats_an_aged_name(
         pulled_back += len(decision.placements) - len(epoch)
     assert pulled_back > 0 and all(waited > 0.0 for waited in rounded)
     assert session.finalize().base_model_uses == len(workload)
+
+
+def test_aged_names_keep_whole_seconds_and_tell_fractions_apart():
+    aged = OnlineScheduler._aged_name
+    # Integral waits keep the names goldens and model caches were built with.
+    assert aged("T1", 60.0) == "T1+60s"
+    assert aged("T1", 2.0) == "T1+2s"
+    assert aged("T1", 30) == "T1+30s"
+    assert aged("T1", 1.5) == "T1+1.5s"
+    for resolution in (0.1, 0.25, 0.5):
+        waits = {k * resolution for k in range(1, 400)}
+        assert len({aged("T1", waited) for waited in waits}) == len(waits)
+
+
+@pytest.mark.parametrize("kind", ["average", "percentile"])
+def test_sub_second_waits_age_into_distinct_templates(kind):
+    """At a 0.5 s resolution, waits of 1.5 s and 2.0 s are two aged templates.
+
+    Both used to be named ``T1+2s``, so the augmented template set was
+    refused as holding duplicate names.
+    """
+    templates = tpch_templates(4)
+    service = WiSeDBService(n_jobs=1)
+    service.register(
+        kind, templates, default_goal(kind, templates), config=TrainingConfig.tiny(seed=1)
+    )
+    workload = Workload(
+        templates,
+        [
+            Query(name, arrival_time=when)
+            for when in (0.0, 0.5, 2.0)
+            for name in ("T1", "T2") * 6
+        ],
+    )
+    outcome = service.online_scheduler(kind, wait_resolution=0.5).run(workload)
+    assert sorted(o.query_id for o in outcome.query_outcomes) == sorted(
+        query.query_id for query in workload
+    )
+    assert outcome.overhead.retrains >= 1
+    service.close()

@@ -12,10 +12,12 @@ leaving the session intact, and per-stream state staying bounded.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.adaptive.retraining import AdaptiveModeler
+from repro.core.schedule import Schedule
 from repro.exceptions import SpecificationError, TrainingError
 from repro.faults import (
     BackoffPolicy,
@@ -24,9 +26,11 @@ from repro.faults import (
     SpotRevocation,
     VMFailure,
 )
+from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineScheduler, OnlineSession
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.query import Query
+from repro.workloads.workload import Workload
 
 
 @pytest.fixture()
@@ -205,18 +209,72 @@ class TestFailedEpoch:
         )
 
 
+def _container_sizes(scheduler: OnlineScheduler) -> dict[str, int]:
+    """Entries held by each container attribute of *scheduler*, one level deep."""
+    sizes = {}
+    for name, value in vars(scheduler).items():
+        if isinstance(value, (dict, list, set, tuple)):
+            sizes[name] = len(value)
+            if isinstance(value, dict):
+                sizes[name] += sum(
+                    len(inner) for inner in value.values() if isinstance(inner, dict)
+                )
+    return sizes
+
+
 class TestBoundedState:
-    def test_per_stream_state_is_bounded_by_the_wait_queue(self, scheduler):
+    def test_no_per_scheduler_state_grows_with_the_stream(self, scheduler):
         session = scheduler.session()
         largest_pending = 0
+        warm = None
         for index in range(2000):
             # One arrival a second against one-minute queries: a standing
             # wait queue, every epoch pulling it back.
             decision = session.submit([Query("T1", arrival_time=float(index))])
             largest_pending = max(largest_pending, len(decision.placements))
-            assert len(scheduler._batch_query_cache) <= largest_pending
+            if index == 199:
+                warm = _container_sizes(scheduler)
         assert 1 < largest_pending < 2000
+        assert _container_sizes(scheduler) == warm
         assert len(session.finalize().outcomes) == 2000
+
+
+def _counting_constructors(monkeypatch, classes) -> Counter:
+    """Count every construction of *classes* from here on, by class name."""
+    counts: Counter = Counter()
+    for cls in classes:
+
+        def counting(self, *args, _original=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+class TestWorkGuard:
+    def test_a_fault_free_no_retrain_submit_builds_no_batch_problem(
+        self, trained_max, model_generator, small_templates, monkeypatch
+    ):
+        """The pass hands the wait queue to the kernel as pools of the
+        original queries: no clone, no workload, no schedule, no scheduler."""
+        scheduler = OnlineScheduler(
+            base_training=trained_max, generator=model_generator, wait_resolution=1e9
+        )
+        generator = WorkloadGenerator(small_templates, seed=46)
+        workload = generator.with_fixed_arrivals(generator.uniform(30), 1.0)
+        epochs = _epochs(scheduler, workload)
+        session = scheduler.session()
+        counts = _counting_constructors(
+            monkeypatch, (Query, Workload, Schedule, BatchScheduler)
+        )
+        pulled_back = 0
+        for epoch in epochs:
+            decision = session.submit(epoch)
+            pulled_back += len(decision.placements) - len(epoch)
+        assert not counts
+        assert pulled_back > 0
+        assert session.retrains == 0
 
 
 class TestEpochDecision:
@@ -235,6 +293,38 @@ class TestEpochDecision:
         decision = session.submit([Query("T1", arrival_time=0.0)])
         with pytest.raises(SpecificationError):
             decision.placement_for(-1)
+
+    def test_a_query_placed_twice_in_one_submit_resolves_to_its_last_placement(
+        self, trained_max, model_generator
+    ):
+        # VM 0 dies at t=10; the submit at t=20 first re-places its orphans
+        # at t=10, then its own pass pulls back the orphans that have not
+        # started by t=20 and places them again.
+        scheduler = OnlineScheduler(
+            base_training=trained_max,
+            generator=model_generator,
+            wait_resolution=60.0,
+            fault_plan=FaultPlan(events=(VMFailure(at=10.0, vm_index=0),)),
+        )
+        session = scheduler.session()
+        session.submit([Query("T3", arrival_time=0.0) for _ in range(12)])
+        decision = session.submit([Query("T1", arrival_time=20.0)])
+        last: dict[int, object] = {}
+        twice = set()
+        for placement in decision.placements:
+            if placement.query_id in last:
+                twice.add(placement.query_id)
+            last[placement.query_id] = placement
+        assert twice
+        final = {o.query_id: o for o in session.outcome().query_outcomes}
+        for query_id in twice:
+            placement = decision.placement_for(query_id)
+            assert placement is last[query_id]
+            assert placement.start_time == final[query_id].start_time
+            assert placement.vm_index == final[query_id].vm_index
+        # The index is derived, not a field: equality and repr ignore it.
+        assert decision == dataclasses.replace(decision)
+        assert "_placements_by_query" not in repr(decision)
 
     def test_overhead_is_recorded_per_epoch(self, scheduler):
         session = scheduler.session()
