@@ -21,7 +21,8 @@ the same streams through the multi-process
 N forked shard workers by a deterministic hash of the tenant id, models
 ship zero-copy through shared memory, and the priced outcomes are
 bit-identical to the single-process run (when fork or shared memory is
-unavailable the router falls back to inline shards and says why).
+unavailable the router runs the same shard workers on its own event loop
+and says why).
 """
 
 from __future__ import annotations

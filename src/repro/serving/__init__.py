@@ -15,14 +15,15 @@ exposes health and metrics.
   (per-tenant decision p50/p99, queue depth, admitted/shed/degraded counters,
   epochs, retrains) plus :meth:`ServingEngine.health`;
 * :func:`drive` / :class:`TenantStream` / :class:`LoadReport` — the open-loop
-  workload driver behind ``benchmarks/bench_serving.py``, replaying seeded
+  workload driver behind ``examples/serve_demo.py``, replaying seeded
   arrival processes (:mod:`repro.workloads.arrivals`) at a target offered
   rate regardless of response times;
-* :class:`ShardedServingEngine` — the multi-process router: tenants
-  partitioned across forked per-shard engines by :func:`shard_of`, models
-  shipped zero-copy through :mod:`repro.learning.shm`, per-shard snapshots
-  merged by :func:`merge_metrics`, bit-identical outcomes for any shard
-  count.
+* :class:`ShardedServingEngine` — the router: tenants partitioned by
+  :func:`shard_of` across shard workers (:mod:`repro.serving.worker`) that
+  run in forked processes or on the router's loop, one frame protocol
+  (:mod:`repro.serving.channel`) for both, models shipped zero-copy through
+  :mod:`repro.learning.shm`, per-shard snapshots merged by
+  :func:`merge_metrics`, bit-identical outcomes for any shard count.
 """
 
 from repro.serving.engine import (

@@ -10,7 +10,10 @@ scheduler state.  The design commitments:
 arrivals back into one scheduling epoch (PR 3 semantics) before calling
 ``session.submit``: a pending epoch is decided when a later-timestamped query
 arrives (the watermark), when the queue empties with no producer blocked on
-admission (the eager path that keeps interactive latency low), or at close.
+admission (the eager path that keeps interactive latency low), at drain, or
+at close.  A shard worker, whose queries arrive in pipe frames, turns the
+eager path off (``hold_epochs=True``) so a frame boundary never splits an
+epoch; its epochs then close only at the watermark, drain, or close.
 Because ``OnlineScheduler.run`` is itself implemented over the same session
 type, a lane's decisions and final costs are **bit-identical** to feeding the
 equivalent workload straight into the scheduler — the serving equivalence
@@ -136,6 +139,7 @@ class _TenantLane:
         "pending",
         "pending_time",
         "blocked_putters",
+        "held",
         "last_submitted_time",
         "submitted",
         "admitted",
@@ -167,6 +171,9 @@ class _TenantLane:
         self.pending: list[tuple] = []
         self.pending_time = -math.inf
         self.blocked_putters = 0
+        #: Whether the idle flush is off for this lane (``hold_epochs``);
+        #: unlike a blocked producer, a hold is not overload.
+        self.held = False
         self.last_submitted_time = -math.inf
         self.submitted = 0
         self.admitted = 0
@@ -218,6 +225,7 @@ class ServingEngine:
         wait_resolution: float = 30.0,
         optimizations: OnlineOptimizations | None = None,
         log_outcomes: bool = True,
+        hold_epochs: bool = False,
     ) -> None:
         if backpressure not in BACKPRESSURE_POLICIES:
             raise SpecificationError(
@@ -236,6 +244,10 @@ class ServingEngine:
         #: per-shard engines so history is written once, in a deterministic
         #: order, by the router.
         self._log_outcomes = log_outcomes
+        #: When True, an idle queue does not close the pending epoch: only a
+        #: later timestamp, :meth:`drain` or :meth:`close` does.  The shard
+        #: worker sets this, since its queries arrive frame by frame.
+        self._hold_epochs = hold_epochs
         self._lanes: dict[str, _TenantLane] = {}
         self._closed = False
 
@@ -279,6 +291,7 @@ class ServingEngine:
             raise
         lane = _TenantLane(name, tenant, session, self._queue_limit, guard)
         lane.degraded_reason = reason
+        lane.held = self._hold_epochs
         lane.worker = asyncio.get_running_loop().create_task(
             self._worker(lane), name=f"wisedb-serving-{name}"
         )
@@ -360,7 +373,8 @@ class ServingEngine:
                     continue
                 self._absorb(lane, extra)
             if lane.pending and (
-                closing or (queue.empty() and lane.blocked_putters == 0)
+                closing
+                or (queue.empty() and lane.blocked_putters == 0 and not lane.held)
             ):
                 self._decide(lane)
             if closing:
@@ -469,8 +483,21 @@ class ServingEngine:
     # -- lifecycle ----------------------------------------------------------------------
 
     async def drain(self) -> None:
-        """Wait until every admitted query has been decided (or failed)."""
-        await asyncio.gather(*(lane.queue.join() for lane in self._lanes.values()))
+        """Wait until every admitted query has been decided (or failed).
+
+        Held epochs close here: every lane's idle flush runs now (a parked
+        worker would not run it), and holds stay off until the drain ends.
+        """
+        lanes = list(self._lanes.values())
+        for lane in lanes:
+            lane.held = False
+            if lane.pending and lane.queue.empty() and lane.blocked_putters == 0:
+                self._decide(lane)
+        try:
+            await asyncio.gather(*(lane.queue.join() for lane in lanes))
+        finally:
+            for lane in lanes:
+                lane.held = self._hold_epochs
 
     async def close(self) -> None:
         """Flush pending epochs, stop the workers, release tenant guards."""
@@ -516,6 +543,19 @@ class ServingEngine:
                 lane.outcome = outcome
             outcomes[lane.name] = lane.outcome
         return outcomes
+
+    def lane_states(self) -> dict[str, tuple[str, object]]:
+        """Each lane's state: ``("failed", error)``, ``("degraded", reason)``
+        for a lane that never had a learned session, else ``("ok", None)``."""
+        states: dict[str, tuple[str, object]] = {}
+        for name, lane in self._lanes.items():
+            if lane.failure is not None:
+                states[name] = ("failed", lane.failure)
+            elif lane.session is None:
+                states[name] = ("degraded", lane.degraded_reason)
+            else:
+                states[name] = ("ok", None)
+        return states
 
     @property
     def closed(self) -> bool:

@@ -1,124 +1,90 @@
-"""Shared-memory sharded serving: one :class:`ServingEngine` per core.
+"""Sharded serving: a router in front of N shard workers.
 
-:class:`ShardedServingEngine` is a router in front of N *shards*.  Tenants
-are partitioned across shards by a deterministic hash of the tenant id
-(:func:`shard_of` — stable across processes and runs, unlike salted
-``hash()``), and each shard runs a full single-process
-:class:`~repro.serving.engine.ServingEngine` — its own event loop, lanes,
-epoch batching, backpressure, and degraded fallback — in a forked worker
-process speaking a small request/reply protocol over a ``multiprocessing``
-pipe.
+:class:`ShardedServingEngine` partitions tenants across N *shards* by a
+deterministic hash of the tenant id (:func:`shard_of` — stable across
+processes and runs, unlike salted ``hash()``).  Every shard is the same
+thing: a router-side :class:`_Shard` handle talking over a pipe to one
+:func:`~repro.serving.worker._shard_worker_loop`, which runs a full
+:class:`~repro.serving.engine.ServingEngine`.  Isolation only picks the
+transport: the worker loop runs in a forked process, or (``inline``) as a
+task on the router's own event loop at the far end of an in-process
+socketpair.  Both speak the same frames (:mod:`repro.serving.channel`), so
+they train, ship, shed and close epochs identically.
 
-**Models ship zero-copy.**  A tenant's trained model is serialized once at
-registration (the registry's pinned ``to_dict``/``from_dict`` round trip,
-which restores bit-identical schedulers), but the inference hot path does not
-run on the round-tripped tree: the parent packs its
-:class:`~repro.learning.decision_tree.CompiledTreeEvaluator` — five flat
-parallel arrays — into a ``multiprocessing.shared_memory`` segment
-(:mod:`repro.learning.shm`) and every worker attaches read-only views, so N
-shards cost one copy of the arrays plus O(1) heap per attachment instead of
-N unpickled trees.
+**Models ship zero-copy.**  The router trains each tenant once and ships the
+registry's pinned ``to_dict`` round trip; the compiled evaluator's five flat
+arrays go into one ``multiprocessing.shared_memory`` segment
+(:mod:`repro.learning.shm`) that every worker attaches read-only, so N
+shards cost one copy of the arrays plus O(1) heap per attachment.
 
 **Admission is pipelined and batched.**  The router never pays a pipe round
-trip per query: each process shard has an *outbox* that accumulates
-submissions while the pipe is busy and ships them as one framed
-``submit_batch`` message (same-tenant order preserved), fire-and-forget
-under monotonically increasing sequence numbers.  The worker unpacks a batch
-into its per-lane queues in one pass, answers with a single aggregated
-``batch_ack`` frame, and streams per-query ticket resolutions as its lanes
-decide them — so a sequential submitter's throughput is bounded by batch
-frames, not round trips.  Backpressure flows through batch-level *credits*:
-the router spends one credit per in-flight query against the worker's
+trip per query: a shard's *outbox* accumulates submissions while the pipe is
+busy and ships them as one ``submit_batch`` frame (same-tenant order
+preserved).  The worker answers with one ``batch_ack`` and streams ticket
+resolutions as its lanes decide them.  Backpressure flows through *credits*:
+the router spends one per in-flight query against the worker's
 ``queue_limit`` and gets them back with each ack, so ``shed`` refusals and
-``block`` suspensions behave exactly like the single-process engine's
-full-queue admission.  A frame carries everything that queued while the
-previous one was on the pipe, so batching adds no latency.
+``block`` suspensions behave like the single-process engine's full queue.
 
-**No thread touches the pipe.**  ``context.Pipe()`` is a socketpair, and
-router and worker each wrap their end in a :class:`_Channel` on their own
-event loop: reads wake on ``add_reader`` and parse every whole frame the
-socket holds; writes are buffered and go out once per loop turn with a
-non-blocking write, falling back to ``add_writer`` only while the kernel
-refuses bytes.  So no frame costs a thread wake-up or a GIL hand-off on
-either side, and the ticket frames one worker loop turn resolves leave in
-one write.  The wire format is ``Connection``'s own (a 4-byte big-endian
-signed length, then a pickle), so a plain blocking ``Connection`` still
-talks to either end.  Never call ``Connection.send``/``recv`` on a
-channel's end from async code: the end is non-blocking.
-
-**Bit-identical for any shard count.**  Tenant lanes are fully independent
-in the single-process engine — no cross-tenant state — so partitioning them
-across processes cannot change any tenant's decision stream.  Shipping is
-bit-identity-preserving (round-trip tests pin it; the shared evaluator *is*
-the parent's arrays), and per-tenant arrival order is preserved because each
-outbox is FIFO and the worker pump admits batches in sequence order.  The
-equivalence suite locks ``shards ∈ {1, 2, 4}`` against
-``OnlineScheduler.run`` for every goal kind and catalog.
+**Bit-identical for any shard count.**  Tenant lanes share no state, shipping
+restores bit-identical schedulers, and each outbox is FIFO, so partitioning
+cannot change any tenant's decision stream.  The equivalence suite locks
+``shards ∈ {1, 2, 4}`` against ``OnlineScheduler.run`` for every goal kind
+and catalogue, over both transports.
 
 **Fallback discipline.**  Mirroring
 :class:`~repro.parallel.backend.ProcessPoolBackend`, the router prefers a
-``fork`` multiprocessing context, falls back to the platform default, and —
-when process spawn or shared memory is unavailable (``isolation="auto"``) —
-degrades to *inline* shards: the same routing over in-process
-``ServingEngine`` partitions, with the reason recorded in
-:attr:`ShardedServingEngine.fallback_reason`.  ``shards=1`` in auto mode is
-exactly the existing single-process engine.  This is also what makes the
-whole surface testable on a 1-core CI container.
+``fork`` context, falls back to the platform default, and — when process
+spawn or shared memory is unavailable (``isolation="auto"``) — serves over
+the in-process transport instead, with the reason in
+:attr:`ShardedServingEngine.fallback_reason`.  ``shards=1`` in auto mode
+uses the in-process transport too.
 
 **Observability and history.**  Control frames (``metrics``, ``register``,
-``drain``, ``close``) bypass the data outbox entirely, so snapshots stay
-available mid-burst even when a worker is wedged deciding; the worker
-answers ``metrics`` from its receive loop, folding received-but-not-yet-
-admitted batch queries into the counters so the identities hold at any
-point of the pipeline.  ``metrics()`` merges per-shard snapshots with
+``drain``, ``close``) bypass the outbox, so snapshots stay available
+mid-burst.  ``metrics()`` merges per-shard snapshots with
 :func:`~repro.serving.metrics.merge_metrics` and stamps the router's batch
-counters (frames sent, queries carried, round trips saved).  At ``close()``
-every shard prices its lanes locally (with per-shard history logging
-disabled) and the router writes all run-history rows itself, ordered
-deterministically by tenant name.
+counters; after ``close()`` it answers from each worker's final snapshot.
+At ``close()`` every shard prices its lanes, and the router writes all
+run-history rows itself, ordered by tenant name.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
-import gc
 import hashlib
 import itertools
 import math
 import multiprocessing
-import os
-import pickle
-import struct
 import warnings
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from multiprocessing import resource_tracker
 
 from repro.core.scheduler import SchedulingOutcome
-from repro.exceptions import SpecificationError, TrainingError, WiSeDBError
+from repro.exceptions import SpecificationError, WiSeDBError
 from repro.learning import shm
-from repro.learning.trainer import TrainingResult
 from repro.parallel.backend import available_cpus
 from repro.runtime.online import OnlineOptimizations
-from repro.service.service import Tenant, TenantSpec, WiSeDBService
+from repro.service.service import WiSeDBService
+from repro.serving.channel import _Channel, _pickle_error, _unpickle_error
 from repro.serving.engine import (
     _ADMITTED,
     Admission,
     BACKPRESSURE_POLICIES,
-    ServingEngine,
     ServingTicket,
 )
 from repro.serving.metrics import ServingMetrics, TenantMetrics, merge_metrics
+from repro.serving.worker import _shard_worker_loop, _shard_worker_main, _ShardConfig
 from repro.workloads.query import Query
 
-#: How shards are hosted: ``process`` (forked workers), ``inline``
-#: (in-process engine partitions), or ``auto`` (process when the platform
+#: How shards are hosted: ``process`` (forked workers), ``inline`` (worker
+#: loops on the router's event loop), or ``auto`` (process when the platform
 #: supports it and more than one shard was asked for).
 ISOLATION_MODES = ("auto", "process", "inline")
 
-#: Seconds to wait for a worker process to exit after its pipe closes.
+#: Seconds to wait for a worker to exit after ``shutdown``.
 _JOIN_TIMEOUT = 10.0
 
 
@@ -136,577 +102,38 @@ def shard_of(tenant: str, shards: int) -> int:
     return int.from_bytes(digest[:8], "big") % shards
 
 
-def _pickle_error(error: BaseException):
-    """An exception as pipe-safe bytes (falls back to its rendering)."""
-    try:
-        blob = pickle.dumps(error)
-        pickle.loads(blob)  # some exceptions pickle but refuse to unpickle
-    except Exception:
-        return f"{type(error).__name__}: {error}"
-    return blob
-
-
-def _unpickle_error(blob) -> BaseException:
-    if isinstance(blob, bytes):
-        try:
-            error = pickle.loads(blob)
-        except Exception:
-            return WiSeDBError("shard worker failed with an unpicklable error")
-        if isinstance(error, BaseException):
-            return error
-    if isinstance(blob, str):
-        return WiSeDBError(blob)
-    return WiSeDBError(f"shard worker failed: {blob!r}")
-
-
-def _lane_states(engine: ServingEngine) -> dict[str, tuple[str, object]]:
-    """Each lane's terminal state, for the router's ``outcome()`` semantics."""
-    states: dict[str, tuple[str, object]] = {}
-    for name, lane in engine._lanes.items():
-        if lane.failure is not None:
-            states[name] = ("failed", lane.failure)
-        elif lane.session is None:
-            states[name] = ("degraded", lane.degraded_reason)
-        else:
-            states[name] = ("ok", None)
-    return states
-
-
-# -- the transport -----------------------------------------------------------------
-
-#: ``multiprocessing.Connection``'s frame header: the pickle's length as a
-#: 4-byte big-endian signed int.
-_HEADER = struct.Struct("!i")
-
-#: Bytes asked of the socket per read.
-_READ_SIZE = 1 << 16
-
-
-class _Channel:
-    """Pickled frames over one end of a ``context.Pipe()``, on the running loop.
-
-    The pipe is a socketpair, so its end goes non-blocking and the event loop
-    watches it; no thread ever touches it.  A read wakes on ``add_reader``
-    and queues every whole frame the socket holds for :meth:`recv`.
-    :meth:`send` appends to a buffer that is written once per loop turn, so
-    everything sent in one turn leaves in one write; bytes the kernel refuses
-    go out through ``add_writer``, and :meth:`drain` waits only while it
-    does.  The framing is ``Connection.send_bytes``'s, so a plain blocking
-    ``Connection`` may sit at the other end.
-
-    A dead peer is reported in one place: :meth:`recv` raises ``EOFError``
-    once the frames that arrived before it are consumed.  A failed write is
-    dropped, since the read side reports the same death.  The caller keeps
-    owning the connection; :meth:`close` only stops watching it.
-    """
-
-    def __init__(self, connection) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._fd = connection.fileno()
-        os.set_blocking(self._fd, False)
-        self._incoming = bytearray()
-        self._frames: deque = deque()
-        self._eof = False
-        self._readable: asyncio.Future | None = None
-        self._outgoing = bytearray()
-        self._flush_scheduled = False
-        self._writing = False
-        self._writable: asyncio.Future | None = None
-        #: Set once the peer refused a write or the channel closed.
-        self._discard = False
-        self._loop.add_reader(self._fd, self._on_readable)
-
-    # -- reading -------------------------------------------------------------------
-
-    def _on_readable(self) -> None:
-        try:
-            chunk = os.read(self._fd, _READ_SIZE)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:  # reset by a peer that died
-            chunk = b""
-        if chunk:
-            self._take(chunk)
-        else:
-            self._eof = True
-            self._loop.remove_reader(self._fd)
-        waiter = self._readable
-        if (self._frames or self._eof) and waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    def _take(self, chunk: bytes) -> None:
-        """Append *chunk* and queue every frame it completes."""
-        data = self._incoming
-        data += chunk
-        start, size = 0, len(data)
-        while size - start >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(data, start)
-            end = start + _HEADER.size + length
-            if end > size:
-                break
-            self._frames.append(data[start + _HEADER.size : end])
-            start = end
-        del data[:start]
-
-    async def recv(self):
-        """The next frame, unpickled; ``EOFError`` once the peer is gone."""
-        while not self._frames:
-            if self._eof:
-                raise EOFError
-            self._readable = self._loop.create_future()
-            try:
-                await self._readable
-            finally:
-                self._readable = None
-        return pickle.loads(self._frames.popleft())
-
-    # -- writing -------------------------------------------------------------------
-
-    def send(self, message) -> None:
-        """Queue one frame; it leaves with everything else sent this loop turn."""
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        if self._discard:
-            return
-        self._outgoing += _HEADER.pack(len(payload))
-        self._outgoing += payload
-        if not (self._flush_scheduled or self._writing):
-            self._flush_scheduled = True
-            self._loop.call_soon(self._flush)
-
-    def _flush(self) -> None:
-        self._flush_scheduled = False
-        if self._discard or not self._outgoing:
-            return
-        try:
-            sent = os.write(self._fd, self._outgoing)
-        except (BlockingIOError, InterruptedError):
-            sent = 0
-        except OSError:  # the peer is gone; recv() reports it
-            self._discard = True
-            sent = len(self._outgoing)
-        del self._outgoing[:sent]
-        if self._outgoing:
-            if not self._writing:
-                self._writing = True
-                self._loop.add_writer(self._fd, self._flush)
-        elif self._writing:
-            self._stop_writing()
-
-    def _stop_writing(self) -> None:
-        self._writing = False
-        self._loop.remove_writer(self._fd)
-        waiter = self._writable
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    async def drain(self) -> None:
-        """Wait while the kernel is refusing this end's bytes."""
-        while self._writing:
-            if self._writable is None or self._writable.done():
-                self._writable = self._loop.create_future()
-            await self._writable
-
-    async def aclose(self) -> None:
-        """Write out everything sent so far, then :meth:`close`."""
-        self._flush()
-        await self.drain()
-        self.close()
-
-    def close(self) -> None:
-        """Stop watching the descriptor and drop unsent bytes (idempotent)."""
-        self._discard = True
-        self._outgoing.clear()
-        self._loop.remove_reader(self._fd)
-        if self._writing:
-            self._stop_writing()
-        self._eof = True
-        waiter = self._readable
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-
-# -- the worker side ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ShardConfig:
-    """Engine parameters a worker needs to mirror the router's settings."""
-
-    index: int
-    queue_limit: int
-    backpressure: str
-    wait_resolution: float
-    optimizations: OnlineOptimizations | None
-    degraded_fallback: bool
-
-
-class _ShardService(WiSeDBService):
-    """Worker-side service: models are shipped in, never trained locally.
-
-    The parent trains (or fails to train) each tenant once and ships the
-    result — or the pickled training error, so a degraded lane's sticky
-    reason string is bit-identical to the single-process engine's.  Wait-
-    triggered *retraining* inside a lane still runs locally through the
-    tenant's generator, exactly as it does in-process.
-    """
-
-    def __init__(self, degraded_fallback: bool) -> None:
-        super().__init__(degraded_fallback=degraded_fallback)
-        self._shipped: dict[str, object] = {}
-
-    def adopt(self, spec: TenantSpec, shipped: object) -> None:
-        self._tenants[spec.name] = Tenant(spec, backend_factory=lambda: self.backend)
-        self._shipped[spec.name] = shipped
-
-    def train(self, name: str, mode: str = "auto") -> TrainingResult:
-        tenant = self.tenant(name)
-        if tenant.training is not None:
-            return tenant.training
-        shipped = self._shipped.get(name)
-        if isinstance(shipped, BaseException):
-            raise shipped
-        if not isinstance(shipped, TrainingResult):
-            raise TrainingError(
-                f"no training result was shipped for tenant {name!r}"
-            )
-        tenant.training = shipped
-        tenant.provenance = "shipped"
-        return shipped
-
-
-def _register_shipment(
-    service: _ShardService, payload: dict, attachments: list
-) -> None:
-    """Adopt one tenant from the router's registration payload."""
-    spec = TenantSpec.from_dict(payload["spec"], n_jobs=1)
-    kind, blob = payload["training"]
-    if kind == "error":
-        service.adopt(spec, _unpickle_error(blob))
-        return
-    result = TrainingResult.from_dict(blob, n_jobs=1)
-    segment = payload["evaluator"]
-    if segment is not None:
-        evaluator, view = shm.attach_evaluator(segment)
-        attachments.append(view)
-        result.model.use_evaluator(evaluator)
-    service.adopt(spec, result)
-
-
-def _ship_ticket(channel: _Channel, ticket_id: int, future) -> None:
-    """Stream one resolved decision back over the pipe (future callback)."""
-    if future.cancelled():
-        frame = ("ticket", (ticket_id, "error", "ticket cancelled"))
-    else:
-        error = future.exception()
-        if error is not None:
-            frame = ("ticket", (ticket_id, "error", _pickle_error(error)))
-        else:
-            frame = ("ticket", (ticket_id, "ok", future.result()))
-    channel.send(frame)
-
-
-def _ship_ticket_error(channel: _Channel, ticket_id: int, error: BaseException) -> None:
-    """Resolve a router-side ticket whose query never got a lane future."""
-    channel.send(("ticket", (ticket_id, "error", _pickle_error(error))))
-
-
-def _pending_snapshot(
-    engine: ServingEngine, pending_admission: dict[str, int]
-) -> ServingMetrics:
-    """The engine's snapshot with received-but-unadmitted batches folded in.
-
-    ``metrics`` is answered from the receive loop so it can never starve
-    behind the pump, but that means a burst the pump has not yet admitted
-    would be invisible.  Queries counted here were already accepted by the
-    router (credits spent, frame received), so they are *submitted*,
-    *admitted*, and *in flight* — which keeps both counter identities true
-    at every stage of the pipeline.
-    """
-    snapshot = engine.metrics()
-    extra = {name: n for name, n in pending_admission.items() if n > 0}
-    if not extra:
-        return snapshot
-    entries = []
-    for entry in snapshot.tenants:
-        count = extra.pop(entry.tenant, 0)
-        if count:
-            entry = replace(
-                entry,
-                submitted=entry.submitted + count,
-                admitted=entry.admitted + count,
-                in_flight=entry.in_flight + count,
-            )
-        entries.append(entry)
-    for tenant, count in extra.items():
-        entries.append(
-            TenantMetrics(
-                tenant=tenant,
-                submitted=count,
-                admitted=count,
-                shed=0,
-                decided=0,
-                degraded=0,
-                failed=0,
-                queue_depth=0,
-                in_flight=count,
-                epochs=0,
-                retrains=0,
-                cache_hits=0,
-                decision_p50=math.nan,
-                decision_p99=math.nan,
-            )
-        )
-    return ServingMetrics(status=snapshot.status, tenants=tuple(entries))
-
-
-async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
-    """One worker: a full ServingEngine driven by pipelined pipe frames.
-
-    Frame ordering matters: ``submit_batch``/``drain``/``close`` are funneled
-    through a single pump task so same-tenant arrivals keep their order even
-    when a full queue blocks admission.  ``register`` and ``metrics`` are
-    answered directly from the receive loop — which is what keeps snapshots
-    (and their counter identities) available while the pump is busy, with
-    received-but-unadmitted batch queries folded in by
-    :func:`_pending_snapshot`.  A batch is answered with ONE aggregated
-    ``batch_ack`` frame (per-tenant admitted counts plus any pickled lane
-    failures) that returns the router's credits; ticket resolutions stream
-    back as their decisions land, via future callbacks — never a blocking
-    wait in the pump.  Every frame goes through one :class:`_Channel`, so the
-    tickets one epoch resolves leave in one write.
-    """
-    loop = asyncio.get_running_loop()
-    channel = _Channel(connection)
-    service = _ShardService(degraded_fallback=config.degraded_fallback)
-    engine = ServingEngine(
-        service,
-        queue_limit=config.queue_limit,
-        # Always block: the router's credit gate enforces the configured
-        # policy (shed refusals happen router-side before a frame is built),
-        # and credits never exceed queue_limit, so this cannot actually
-        # suspend for long — but a silent worker-side shed would desync the
-        # router's accounting, and block turns that impossibility into a
-        # stall instead of corruption.
-        backpressure="block",
-        wait_resolution=config.wait_resolution,
-        optimizations=config.optimizations,
-        log_outcomes=False,
-    )
-    attachments: list = []
-    requests: asyncio.Queue = asyncio.Queue()
-    #: Lanes whose epoch is held open between batch frames (see pump()).
-    holds: dict[str, object] = {}
-    #: Per-tenant queries received in batch frames but not yet admitted by
-    #: the pump (maintained by the receive loop / pump pair; single thread).
-    pending_admission: dict[str, int] = {}
-
-    def reply(request_id: int, kind: str, body) -> None:
-        channel.send(("reply", (request_id, kind, body)))
-
-    def release_holds() -> None:
-        for lane in holds.values():
-            lane.blocked_putters -= 1
-        holds.clear()
-
-    async def admit_batch(seq: int, groups) -> None:
-        acks: list[tuple[str, int]] = []
-        failures: list[tuple[str, object]] = []
-        for tenant, entries in groups:
-            acks.append((tenant, len(entries)))
-            try:
-                # Hold the lane's epoch open across batch frames.  Without a
-                # blocked producer the lane worker would treat an idle queue
-                # as end-of-burst and close the epoch early — splitting what
-                # an in-process burst (and ``OnlineScheduler.run``) parses as
-                # ONE epoch.  Pinning ``blocked_putters`` (the same signal an
-                # in-process submitter blocked on a full queue emits) disables
-                # only that idle flush: epochs are decided purely by the
-                # timestamp watermark until drain or close, which is exactly
-                # the direct run's grouping.
-                lane = engine._lane(tenant)
-                if tenant not in holds:
-                    holds[tenant] = lane
-                    lane.blocked_putters += 1
-            except BaseException as error:
-                pending_admission[tenant] -= len(entries)
-                failures.append((tenant, _pickle_error(error)))
-                for _query, ticket_id in entries:
-                    if ticket_id is not None:
-                        _ship_ticket_error(channel, ticket_id, error)
-                if not isinstance(error, Exception):
-                    raise
-                continue
-            for query, ticket_id in entries:
-                try:
-                    admission = await engine.submit(
-                        tenant, query, ticket=ticket_id is not None
-                    )
-                except BaseException as error:
-                    failures.append((tenant, _pickle_error(error)))
-                    if ticket_id is not None:
-                        _ship_ticket_error(channel, ticket_id, error)
-                    if not isinstance(error, Exception):
-                        raise
-                    continue
-                finally:
-                    pending_admission[tenant] -= 1
-                if ticket_id is not None and admission.ticket is not None:
-                    admission.ticket.add_done_callback(
-                        functools.partial(_ship_ticket, channel, ticket_id)
-                    )
-        channel.send(("batch_ack", (seq, acks, failures)))
-
-    async def pump() -> None:
-        while True:
-            item = await requests.get()
-            if item is None:
-                return
-            request_id, command, payload = item
-            try:
-                if command == "submit_batch":
-                    await admit_batch(request_id, payload)
-                elif command == "drain":
-                    # Flush the epochs the holds kept open (the lane worker's
-                    # own idle flush, run from here because the workers are
-                    # parked on empty queues); queued leftovers are decided by
-                    # the workers themselves once the join below runs them.
-                    release_holds()
-                    for lane in engine._lanes.values():
-                        if (
-                            lane.pending
-                            and lane.queue.empty()
-                            and lane.blocked_putters == 0
-                        ):
-                            engine._decide(lane)
-                    await engine.drain()
-                    reply(request_id, "ok", None)
-                elif command == "close":
-                    release_holds()
-                    await engine.close()
-                    outcomes = engine.collect_outcomes()
-                    states = _lane_states(engine)
-                    try:
-                        reply(request_id, "closed", (outcomes, states))
-                    except Exception as error:
-                        reply(
-                            request_id,
-                            "closed",
-                            ({}, {}, f"unshippable close payload: {error}"),
-                        )
-            except BaseException as error:
-                reply(request_id, "error", _pickle_error(error))
-                if not isinstance(error, Exception):
-                    raise
-
-    pump_task = loop.create_task(pump(), name=f"wisedb-shard-{config.index}-pump")
-    try:
-        while True:
-            try:
-                request_id, command, payload = await channel.recv()
-            except EOFError:
-                break
-            if command == "shutdown":
-                # Explicit, because EOF cannot be relied on: shards forked
-                # later inherit duplicates of this pipe's parent end, so the
-                # router closing its copy does not close the channel.
-                break
-            if command == "register":
-                try:
-                    _register_shipment(service, payload, attachments)
-                except BaseException as error:
-                    reply(request_id, "error", _pickle_error(error))
-                else:
-                    reply(request_id, "ok", None)
-            elif command == "metrics":
-                reply(
-                    request_id,
-                    "metrics",
-                    _pending_snapshot(engine, pending_admission),
-                )
-            else:
-                if command == "submit_batch":
-                    # Count arrivals at receipt, before the pump runs, so a
-                    # metrics answer mid-burst reflects every query the
-                    # router has already spent a credit on.
-                    for tenant, entries in payload:
-                        pending_admission[tenant] = (
-                            pending_admission.get(tenant, 0) + len(entries)
-                        )
-                requests.put_nowait((request_id, command, payload))
-    finally:
-        try:
-            requests.put_nowait(None)
-            await pump_task
-            if not engine.closed:
-                await engine.close()
-            for view in attachments:
-                view.close()
-        finally:
-            await channel.aclose()
-
-
-def _shard_worker_main(connection, config: _ShardConfig) -> None:
-    # The fork handed this process the router's whole heap.  Freezing it
-    # keeps every full collection from walking it again: one such walk
-    # stalled a decision for ~60 ms.
-    gc.freeze()
-    try:
-        asyncio.run(_shard_worker_loop(connection, config))
-    except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - parent gone
-        pass
-    finally:
-        try:
-            connection.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-# -- the router's shard handles ----------------------------------------------------
-
-
-class _ProcessShard:
+class _Shard:
     """Router-side handle on one worker: pipe, reader, outbox, and credits.
 
     The data path is pipelined: :meth:`submit` spends a credit, appends to
     the outbox, and returns — no pipe round trip.  A sender task coalesces
     everything that accumulated since it last ran into one framed
-    ``submit_batch`` (same-tenant order preserved) under monotonically
-    increasing sequence numbers; the read loop matches the worker's
-    aggregated ``batch_ack`` frames (returning credits, surfacing pickled
-    lane failures as sticky per-tenant errors) and streamed ``ticket``
-    frames against their futures.  Control requests — ``register``,
-    ``metrics``, ``drain``, ``close`` — keep the request/reply path and
-    bypass the outbox, so snapshots stay available mid-burst.
+    ``submit_batch`` under monotonically increasing sequence numbers; the
+    read loop matches the worker's ``batch_ack`` frames (returning credits,
+    surfacing pickled lane failures as sticky per-tenant errors) and
+    streamed ``ticket`` frames against their futures.  Control requests —
+    ``register``, ``metrics``, ``drain``, ``close`` — bypass the outbox.
 
-    Both directions go through one :class:`_Channel` on the router's own
-    event loop: no frame costs a thread hop, and the sender suspends only
-    while the kernel refuses bytes — so a frame carries whatever queued
-    while the previous one was stuck on the pipe.  Only ``process.join`` at
-    close runs in an executor.
-
-    Pass ``process=None`` (with a pre-wired connection) to drive an
-    in-process :func:`_shard_worker_loop` — the protocol tests do.
+    Both directions go through one :class:`_Channel` on the router's event
+    loop, so no frame costs a thread hop.  *worker* is the far end's
+    runner: a process, a task on this loop (:meth:`start` makes either),
+    or ``None`` when the caller drives the far end itself.
     """
 
-    kind = "process"
-
-    def __init__(
-        self,
-        index: int,
-        config: _ShardConfig,
-        connection,
-        process=None,
-    ) -> None:
+    def __init__(self, index: int, config: _ShardConfig, connection, worker=None) -> None:
         self.index = index
+        self.kind = "inline" if isinstance(worker, asyncio.Task) else "process"
         self._config = config
         self._connection = connection
         self._channel = _Channel(connection)
-        self._process = process
+        self._worker = worker
         self._pending: dict[int, asyncio.Future] = {}
         self._tickets: dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
         self._closing = False
         self._dead: WiSeDBError | None = None
+        #: The worker's last snapshot, answered by :meth:`metrics` after close.
+        self._final = ServingMetrics(status="closed")
         #: tenant -> admission credits left (starts at ``queue_limit``; one
         #: spent per outboxed query, returned by the worker's batch acks).
         self._credits: dict[str, int] = {}
@@ -715,7 +142,6 @@ class _ProcessShard:
         self._failures: dict[str, BaseException] = {}
         self._last_times: dict[str, float] = {}
         self._outbox: deque = deque()
-        self._unacked: dict[int, int] = {}
         #: tenant -> queries refused by the credit gate (the worker never
         #: saw them; the router folds these into merged snapshots).
         self.shed_counts: dict[str, int] = {}
@@ -734,22 +160,30 @@ class _ProcessShard:
         )
 
     @classmethod
-    def spawn(cls, index: int, context, config: _ShardConfig) -> "_ProcessShard":
+    def start(cls, index: int, config: _ShardConfig, context=None) -> "_Shard":
+        """A shard whose worker is forked from *context*, or with
+        ``context=None`` runs as a task on the running loop."""
+        if context is None:
+            parent_end, child_end = multiprocessing.Pipe()
+            worker = asyncio.get_running_loop().create_task(
+                _shard_worker_loop(child_end, config), name=f"wisedb-shard-{index}"
+            )
+            return cls(index, config, parent_end, worker)
         parent_end, child_end = context.Pipe()
         try:
-            process = context.Process(
+            worker = context.Process(
                 target=_shard_worker_main,
                 args=(child_end, config),
                 daemon=True,
                 name=f"wisedb-shard-{index}",
             )
-            process.start()
+            worker.start()
         except BaseException:
             parent_end.close()
             child_end.close()
             raise
         child_end.close()
-        return cls(index, config, parent_end, process=process)
+        return cls(index, config, parent_end, worker)
 
     # -- the read loop: replies, batch acks, ticket streams ------------------------
 
@@ -780,7 +214,6 @@ class _ProcessShard:
             )
 
     def _handle_ack(self, seq: int, acks, failures) -> None:
-        self._unacked.pop(seq, None)
         for tenant, blob in failures:
             self._failures.setdefault(tenant, _unpickle_error(blob))
         for tenant, count in acks:
@@ -818,12 +251,9 @@ class _ProcessShard:
         self._sender_stopping = True
         self._outbox_event.set()
         self._channel.close()
-        try:
-            self._connection.close()
-        except OSError:  # pragma: no cover
-            pass
-        if self._process is not None:
-            self._process.terminate()
+        self._connection.close()
+        if self.kind == "process" and self._worker is not None:
+            self._worker.terminate()  # an in-process worker exits on the EOF
 
     # -- the sender: outbox -> coalesced submit_batch frames -----------------------
 
@@ -846,11 +276,9 @@ class _ProcessShard:
                     groups[-1][1].append((query, ticket_id))
                 else:
                     groups.append((tenant, [(query, ticket_id)]))
-            seq = next(self._ids)
-            self._unacked[seq] = count
             self.batches_sent += 1
             self.batched_queries += count
-            self._channel.send((seq, "submit_batch", groups))
+            self._channel.send((next(self._ids), "submit_batch", groups))
             await self._channel.drain()
 
     async def flush(self) -> None:
@@ -871,6 +299,8 @@ class _ProcessShard:
     async def request(self, command: str, payload=None):
         if self._dead is not None:
             raise self._dead
+        if self._closing:
+            raise WiSeDBError(f"serving shard {self.index} is closed")
         request_id = next(self._ids)
         # No reply can arrive before this coroutine yields, so the future is
         # registered only once the frame was accepted (it may not pickle).
@@ -937,6 +367,8 @@ class _ProcessShard:
         await self.request("drain")
 
     async def metrics(self) -> ServingMetrics:
+        if self._closing:
+            return self._final
         # Flush first so a quiesced engine's snapshot includes everything
         # already submitted (entries are credit-approved, so this cannot
         # block on a busy worker); the metrics frame itself bypasses the
@@ -955,12 +387,7 @@ class _ProcessShard:
         self._outbox_event.set()
         await self._sender
         try:
-            body = await self.request("close")
-            outcomes, states = body[0], body[1]
-            if len(body) > 2:  # close payload could not be pickled
-                warnings.warn(
-                    f"serving shard {self.index}: {body[2]}", RuntimeWarning
-                )
+            outcomes, states, self._final = await self.request("close")
         except WiSeDBError as error:
             warnings.warn(
                 f"serving shard {self.index} lost before close: {error}",
@@ -968,14 +395,12 @@ class _ProcessShard:
             )
         self._closing = True
         self._channel.send((0, "shutdown", None))
+        await self._join()
+        # Nothing the worker sends after its close reply matters, so the
+        # reader stops here rather than waiting for an EOF that a process
+        # forked meanwhile (holding a copy of the far end) could delay.
+        self._channel.close()
         await self._reader
-        if self._process is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._process.join, _JOIN_TIMEOUT
-            )
-            if self._process.is_alive():  # pragma: no cover - join-timeout safety
-                self._process.terminate()
-                self._process.join(1.0)
         leftover = WiSeDBError(
             f"serving shard {self.index} closed before the ticket resolved"
         )
@@ -983,58 +408,36 @@ class _ProcessShard:
             if not future.done():
                 future.set_exception(leftover)
         self._tickets.clear()
-        self._channel.close()
-        try:
-            self._connection.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._connection.close()
         return outcomes, states
 
-
-class _InlineShard:
-    """One in-process engine partition (the fork/shm-free fallback)."""
-
-    kind = "inline"
-
-    def __init__(self, index: int, engine: ServingEngine) -> None:
-        self.index = index
-        self.engine = engine
-        # Uniform shard surface: inline shards have no pipe, so no batching
-        # counters and no router-side sheds (the engine counts its own).
-        self.shed_counts: dict[str, int] = {}
-        self.batches_sent = 0
-        self.batched_queries = 0
-
-    async def register(self, payload: dict) -> None:
-        # Inline shards share the router's service: lanes train lazily on
-        # first submit through the normal single-process path.
-        pass
-
-    async def submit(
-        self, tenant: str, query: Query, want_ticket: bool
-    ) -> Admission:
-        return await self.engine.submit(tenant, query, ticket=want_ticket)
-
-    async def drain(self) -> None:
-        await self.engine.drain()
-
-    async def metrics(self) -> ServingMetrics:
-        return self.engine.metrics()
-
-    async def close(self):
-        await self.engine.close()
-        return self.engine.collect_outcomes(), _lane_states(self.engine)
-
-
-# -- the router --------------------------------------------------------------------
+    async def _join(self) -> None:
+        """Wait for the worker to exit after ``shutdown``."""
+        worker = self._worker
+        if isinstance(worker, asyncio.Task):
+            done, _ = await asyncio.wait((worker,), timeout=_JOIN_TIMEOUT)
+            if not done:  # pragma: no cover - join-timeout safety
+                worker.cancel()
+            elif worker.exception() is not None:
+                warnings.warn(
+                    f"serving shard {self.index} failed: {worker.exception()!r}",
+                    RuntimeWarning,
+                )
+        elif worker is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, worker.join, _JOIN_TIMEOUT
+            )
+            if worker.is_alive():  # pragma: no cover - join-timeout safety
+                worker.terminate()
+                worker.join(1.0)
 
 
 class ShardedServingEngine:
-    """A multi-process serving front end with deterministic tenant routing.
+    """A sharded serving front end with deterministic tenant routing.
 
     Use like the single-process engine, with one difference: ``metrics()``
     and ``health()`` are coroutines (they round-trip worker pipes).
-    Per-query tickets work across processes — the worker streams decision
+    Per-query tickets work across shards — the worker streams decision
     frames back and the router resolves the awaited future::
 
         async with ShardedServingEngine(service, shards=4) as engine:
@@ -1045,8 +448,8 @@ class ShardedServingEngine:
             print((await engine.metrics()).describe())
         outcome = engine.outcome("acme")   # after close: priced, unified
 
-    Admission to process shards is pipelined and batched (see the module
-    docstring): a frame carries only what queued while the pipe was busy.
+    Admission is pipelined and batched (see the module docstring): a frame
+    carries only what queued while the pipe was busy.
 
     Outcomes are bit-identical to :class:`~repro.serving.engine.ServingEngine`
     (and therefore to ``OnlineScheduler.run``) for any shard count.
@@ -1088,7 +491,7 @@ class ShardedServingEngine:
         #: Why the router degraded from process isolation (``None`` if it
         #: did not).
         self.fallback_reason: str | None = None
-        self._shards: list = []
+        self._shards: list[_Shard] = []
         self._started = False
         self._closed = False
         #: tenant -> shard index, in first-submit order (snapshot ordering).
@@ -1096,7 +499,7 @@ class ShardedServingEngine:
         #: :func:`shard_of` runs exactly once per tenant lifetime.
         self._tenants: dict[str, int] = {}
         #: tenant -> shard object: the submit fast path (no list indexing).
-        self._routes: dict[str, object] = {}
+        self._routes: dict[str, _Shard] = {}
         self._registrations: dict[str, asyncio.Task] = {}
         self._guards: dict[str, ExitStack] = {}
         self._bundles: dict[int, shm.SharedArrayBundle] = {}
@@ -1123,31 +526,24 @@ class ShardedServingEngine:
 
     # -- startup and fallback ------------------------------------------------------
 
-    def _engine_config(self, index: int) -> _ShardConfig:
-        return _ShardConfig(
-            index=index,
-            queue_limit=self._queue_limit,
-            backpressure=self._backpressure,
-            wait_resolution=self._wait_resolution,
-            optimizations=self._optimizations,
-            degraded_fallback=self._service.degraded_fallback,
-        )
-
-    def _inline_shards(self) -> list:
-        return [
-            _InlineShard(
-                index,
-                ServingEngine(
-                    self._service,
+    def _start_shards(self, context) -> list[_Shard]:
+        shards: list[_Shard] = []
+        try:
+            for index in range(self._num_shards):
+                config = _ShardConfig(
+                    index=index,
                     queue_limit=self._queue_limit,
                     backpressure=self._backpressure,
                     wait_resolution=self._wait_resolution,
                     optimizations=self._optimizations,
-                    log_outcomes=False,
-                ),
-            )
-            for index in range(self._num_shards)
-        ]
+                    degraded_fallback=self._service.degraded_fallback,
+                )
+                shards.append(_Shard.start(index, config, context))
+        except BaseException:
+            for shard in shards:
+                shard._abort()
+            raise
+        return shards
 
     def _ensure_started(self) -> None:
         if self._started:
@@ -1156,8 +552,6 @@ class ShardedServingEngine:
         mode = self._isolation
         if mode == "auto":
             if self._num_shards == 1:
-                # One shard needs no processes: this *is* the single-process
-                # engine, and auto mode keeps it that way.
                 mode = "inline"
             elif not shm.shared_memory_available():
                 mode = "inline"
@@ -1175,31 +569,17 @@ class ShardedServingEngine:
                 # registered there and reports them at exit, after the router
                 # has already unlinked the segments.
                 resource_tracker.ensure_running()
-                shards = []
-                try:
-                    for index in range(self._num_shards):
-                        shards.append(
-                            _ProcessShard.spawn(
-                                index, context, self._engine_config(index)
-                            )
-                        )
-                except BaseException:
-                    for shard in shards:
-                        shard._abort()
-                    raise
+                self._shards = self._start_shards(context)
             except (OSError, ValueError) as error:
                 # Same discipline as ProcessPoolBackend: degrade loudly to
-                # the in-process path instead of refusing to serve.
+                # the in-process transport instead of refusing to serve.
                 self.fallback_reason = (
                     f"process shards unavailable ({type(error).__name__}: {error})"
                 )
-                self._shards = self._inline_shards()
-            else:
-                self._shards = shards
-        else:
-            self._shards = self._inline_shards()
+        if not self._shards:
+            self._shards = self._start_shards(None)
 
-    # -- registration (process shards only) ---------------------------------------
+    # -- registration --------------------------------------------------------------
 
     def _shipment(self, name: str) -> dict:
         """Train (or fail) the tenant in the router and package the shipment."""
@@ -1231,10 +611,6 @@ class ShardedServingEngine:
         # afterwards submits hit the _routes dict directly.
         index = shard_of(name, self._num_shards)
         shard = self._shards[index]
-        if shard.kind == "inline":
-            self._tenants[name] = index
-            self._routes[name] = shard
-            return index
         tenant = self._service.tenant(name)
         guard = ExitStack()
         guard.enter_context(tenant.exclusive("serving"))
@@ -1249,7 +625,7 @@ class ShardedServingEngine:
         self._routes[name] = shard
         return index
 
-    async def _shard_for(self, name: str):
+    async def _shard_for(self, name: str) -> _Shard:
         shard = self._routes.get(name)
         if shard is not None:
             return shard
@@ -1279,9 +655,9 @@ class ShardedServingEngine:
     async def submit(self, tenant: str, query: Query, ticket: bool = False) -> Admission:
         """Offer one query to *tenant*'s shard (see :meth:`ServingEngine.submit`).
 
-        On process shards this is pipelined: the query is credit-checked,
-        appended to the shard's outbox, and the call returns without waiting
-        for a pipe round trip.  With ``ticket=True`` the admission carries a
+        This is pipelined: the query is credit-checked, appended to the
+        shard's outbox, and the call returns without waiting for a pipe
+        round trip.  With ``ticket=True`` the admission carries a
         :class:`ServingTicket` resolved by the worker's streamed decision
         frame.
         """
@@ -1295,7 +671,7 @@ class ShardedServingEngine:
 
     async def drain(self) -> None:
         """Wait until every admitted query on every shard has been decided."""
-        if not self._started:
+        if not self._started or self._closed:
             return
         await asyncio.gather(*(shard.drain() for shard in self._shards))
 
@@ -1336,6 +712,7 @@ class ShardedServingEngine:
         Entries are ordered by first submission, like the single-process
         engine's lane order; every per-tenant entry is a shard lane's counters
         verbatim, so ``check_identities`` holds on each even mid-drain.
+        After :meth:`close` this is each worker's final snapshot.
         """
         if not self._started:
             return ServingMetrics(status="closed" if self._closed else "ok")
@@ -1400,8 +777,7 @@ class ShardedServingEngine:
             raise SpecificationError(f"tenant {tenant!r} was never served")
         state, detail = self._lane_states.get(tenant, ("ok", None))
         if state == "failed":
-            error = detail if isinstance(detail, BaseException) else _unpickle_error(detail)
-            raise error
+            raise _unpickle_error(detail)
         if state == "degraded":
             raise SpecificationError(
                 f"tenant {tenant!r} was served entirely degraded "

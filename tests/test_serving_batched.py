@@ -35,13 +35,9 @@ import pytest
 from repro.exceptions import SpecificationError, TrainingError, WiSeDBError
 from repro.service import WiSeDBService
 from repro.serving import ServingEngine, ShardedServingEngine, shard_of
-from repro.serving.sharded import (
-    _Channel,
-    _pickle_error,
-    _ProcessShard,
-    _ShardConfig,
-    _shard_worker_loop,
-)
+from repro.serving.channel import _Channel, _pickle_error
+from repro.serving.sharded import _Shard
+from repro.serving.worker import _ShardConfig
 from repro.workloads.query import Query
 
 
@@ -79,22 +75,9 @@ def _config(**overrides) -> _ShardConfig:
     return _ShardConfig(**base)
 
 
-def _local_shard(config):
-    """A router-side shard handle wired to an in-process worker loop."""
-    parent, child = multiprocessing.Pipe()
-    worker = asyncio.ensure_future(_shard_worker_loop(child, config))
-    shard = _ProcessShard(0, config, parent, process=None)
-    return shard, worker, child
-
-
-async def _shutdown(shard, worker, child):
-    """Run the close protocol; the worker loop owns no pipe end here, so the
-    test closes the child end once the loop exits (as ``_shard_worker_main``
-    would) to EOF the router's reader."""
-    close_task = asyncio.get_running_loop().create_task(shard.close())
-    await asyncio.wait_for(worker, timeout=30.0)
-    child.close()
-    return await asyncio.wait_for(close_task, timeout=30.0)
+async def _shutdown(shard):
+    """Run the close protocol against the shard's in-process worker."""
+    return await asyncio.wait_for(shard.close(), timeout=30.0)
 
 
 def _registration(name, pair_service) -> dict:
@@ -132,7 +115,7 @@ class TestControlFrameBypass:
         monkeypatch.setattr(ServingEngine, "submit", gated_submit)
 
         async def main():
-            shard, worker, child = _local_shard(_config())
+            shard = _Shard.start(0, _config())
             await shard.register(_registration(name, pair_service))
             # Fire-and-forget: all three return while the pump cannot admit.
             for _ in range(3):
@@ -155,7 +138,7 @@ class TestControlFrameBypass:
             assert drained.tenant(name).decided == 3
             assert shard.batches_sent >= 1
             assert shard.batched_queries == 3
-            outcomes, states = await _shutdown(shard, worker, child)
+            outcomes, states = await _shutdown(shard)
             assert states[name][0] == "ok"
             assert len(outcomes[name].query_outcomes) == 3
 
@@ -176,7 +159,7 @@ class TestFrameCoalescing:
         name = _two_tenants_on_distinct_shards()[0]
 
         async def main():
-            shard, worker, child = _local_shard(_config())
+            shard = _Shard.start(0, _config())
             await shard.register(_registration(name, pair_service))
             for index in range(5):
                 await shard.submit(
@@ -188,7 +171,7 @@ class TestFrameCoalescing:
             await shard.drain()
             snapshot = await shard.metrics()
             assert snapshot.tenant(name).decided == 5
-            await _shutdown(shard, worker, child)
+            await _shutdown(shard)
 
         asyncio.run(main())
 
@@ -198,7 +181,7 @@ class TestFrameCoalescing:
         name = _two_tenants_on_distinct_shards()[0]
 
         async def main():
-            shard, worker, child = _local_shard(_config())
+            shard = _Shard.start(0, _config())
             await shard.register(_registration(name, pair_service))
             for burst, size in enumerate((3, 2)):
                 for index in range(size):
@@ -214,7 +197,7 @@ class TestFrameCoalescing:
             snapshot = await shard.metrics()
             snapshot.tenant(name).check_identities()
             assert snapshot.tenant(name).decided == 5
-            await _shutdown(shard, worker, child)
+            await _shutdown(shard)
 
         asyncio.run(main())
 
@@ -239,9 +222,7 @@ class TestBatchCredits:
         monkeypatch.setattr(ServingEngine, "submit", gated_submit)
 
         async def main():
-            shard, worker, child = _local_shard(
-                _config(queue_limit=2, backpressure="shed")
-            )
+            shard = _Shard.start(0, _config(queue_limit=2, backpressure="shed"))
             await shard.register(_registration(name, pair_service))
             for _ in range(2):
                 admission = await shard.submit(
@@ -264,7 +245,7 @@ class TestBatchCredits:
             )
             assert admission.admitted
             await shard.drain()
-            await _shutdown(shard, worker, child)
+            await _shutdown(shard)
 
         asyncio.run(main())
 
@@ -274,7 +255,7 @@ class TestBatchCredits:
         name = _two_tenants_on_distinct_shards()[0]
 
         async def main():
-            shard, worker, child = _local_shard(_config(queue_limit=1))
+            shard = _Shard.start(0, _config(queue_limit=1))
             await shard.register(_registration(name, pair_service))
             await shard.submit(name, Query("T1", arrival_time=0.0), False)
             # One credit exists, so the second submit must wait for the
@@ -289,7 +270,7 @@ class TestBatchCredits:
             entry = snapshot.tenant(name)
             entry.check_identities()
             assert entry.decided == 2 and entry.shed == 0
-            await _shutdown(shard, worker, child)
+            await _shutdown(shard)
 
         asyncio.run(main())
 
@@ -300,9 +281,7 @@ class TestBatchCredits:
         spec = pair_service.tenant(name).spec
 
         async def main():
-            shard, worker, child = _local_shard(
-                _config(degraded_fallback=False)
-            )
+            shard = _Shard.start(0, _config(degraded_fallback=False))
             await shard.register(
                 {
                     "name": name,
@@ -329,7 +308,7 @@ class TestBatchCredits:
                 await asyncio.sleep(0.01)
             with pytest.raises(TrainingError, match="artifact corrupt"):
                 await shard.submit(name, Query("T1", arrival_time=1.0), False)
-            await _shutdown(shard, worker, child)
+            await _shutdown(shard)
 
         asyncio.run(main())
 
@@ -340,13 +319,13 @@ class TestBatchCredits:
         name = _two_tenants_on_distinct_shards()[0]
 
         async def main():
-            shard, worker, child = _local_shard(_config())
+            shard = _Shard.start(0, _config())
             await shard.register(_registration(name, pair_service))
             await shard.submit(name, Query("T1", arrival_time=10.0), False)
             with pytest.raises(SpecificationError, match="non-decreasing"):
                 await shard.submit(name, Query("T1", arrival_time=5.0), False)
             await shard.drain()
-            await _shutdown(shard, worker, child)
+            await _shutdown(shard)
 
         asyncio.run(main())
 
@@ -566,7 +545,7 @@ class TestChannel:
 
         async def main():
             parent, child = multiprocessing.Pipe()
-            shard = _ProcessShard(0, _config(), parent, process=None)
+            shard = _Shard(0, _config(), parent)
             registering = asyncio.ensure_future(shard.register({"name": name}))
             request_id, command, _ = await asyncio.wait_for(
                 asyncio.to_thread(child.recv), timeout=10.0
@@ -603,14 +582,14 @@ class TestChannel:
         tenant.provenance = "fresh"
 
         async def main():
-            shard, worker, child = _local_shard(_config())
+            shard = _Shard.start(0, _config())
             await shard.register(_registration(name, pair_service))
             admission = await shard.submit(name, Query("T1", arrival_time=0.0), True)
             await shard.drain()
             decision = await admission.ticket.decision()
             assert decision.tenant == name
             assert shard.batches_sent == 1 and shard.batched_queries == 1
-            outcomes, states = await _shutdown(shard, worker, child)
+            outcomes, states = await _shutdown(shard)
             assert states[name][0] == "ok"
             assert len(outcomes[name].query_outcomes) == 1
 

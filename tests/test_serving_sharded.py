@@ -1,8 +1,8 @@
 """The sharded serving engine is behavior-preserving for any shard count.
 
 The router partitions tenants across per-shard ``ServingEngine`` workers
-(forked processes with models shipped zero-copy through shared memory, or
-in-process partitions in the fallback modes).  Whatever the shard count and
+(forked processes, or the same worker loop on the router's event loop, with
+models shipped zero-copy through shared memory).  Whatever the shard count and
 isolation mode, every tenant's priced outcome must be **bit-identical** to
 the single-process engine — and therefore to ``OnlineScheduler.run`` — which
 is what these tests lock for ``shards ∈ {1, 2, 4}`` across all four goal
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import inspect
 import multiprocessing
 
 import pytest
@@ -36,7 +37,7 @@ from repro.serving import (
     shard_of,
 )
 from repro.serving.metrics import ServingMetrics, TenantMetrics
-from repro.serving.sharded import _ShardConfig, _shard_worker_loop
+from repro.serving.worker import _ShardConfig, _shard_worker_loop
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads import poisson_arrivals
 from repro.workloads.query import Query
@@ -203,6 +204,38 @@ def test_sharded_outcomes_are_bit_identical_to_direct_runs(
     assert snapshot.status == "ok"
 
 
+@pytest.fixture(scope="module")
+def direct_runs(services, sharded_templates):
+    """Per catalogue: the streams and each tenant's direct-run outcome."""
+    runs = {}
+    for catalog_name, service in services.items():
+        streams = _streams(sharded_templates, catalog_name)
+        runs[catalog_name] = streams, {
+            stream.tenant: _canonical(
+                service.online_scheduler(stream.tenant).run(stream.workload)
+            )
+            for stream in streams
+        }
+    return runs
+
+
+@pytest.mark.parametrize("catalog_name", sorted(CATALOGS))
+@pytest.mark.parametrize("shards", [2, 4])
+def test_in_process_shards_are_bit_identical_to_direct_runs(
+    services, direct_runs, catalog_name, shards
+):
+    streams, direct = direct_runs[catalog_name]
+    engine, snapshot = _serve_sharded(
+        services[catalog_name], streams, shards=shards, isolation="inline"
+    )
+    assert engine.effective_isolation == "inline"
+    assert engine.fallback_reason is None
+    for stream in streams:
+        assert _canonical(engine.outcome(stream.tenant)) == direct[stream.tenant]
+        assert snapshot.tenant(stream.tenant).decided == len(stream.workload)
+    assert snapshot.status == "ok"
+
+
 def test_auto_isolation_picks_inline_for_one_shard_and_process_beyond(
     services, sharded_templates
 ):
@@ -226,17 +259,6 @@ def test_inline_fallback_without_shared_memory_is_still_identical(
     engine, _ = _serve_sharded(service, streams, shards=2)
     assert engine.effective_isolation == "inline"
     assert engine.fallback_reason == "shared memory unavailable"
-    for stream in streams:
-        direct = service.online_scheduler(stream.tenant).run(stream.workload)
-        assert _canonical(engine.outcome(stream.tenant)) == _canonical(direct)
-
-
-def test_forced_inline_isolation_needs_no_fallback(services, sharded_templates):
-    service = services["2vm"]
-    streams = _streams(sharded_templates, "2vm")[:2]
-    engine, _ = _serve_sharded(service, streams, shards=3, isolation="inline")
-    assert engine.effective_isolation == "inline"
-    assert engine.fallback_reason is None
     for stream in streams:
         direct = service.online_scheduler(stream.tenant).run(stream.workload)
         assert _canonical(engine.outcome(stream.tenant)) == _canonical(direct)
@@ -422,11 +444,25 @@ def pair_service(small_templates, max_goal, tiny_config, trained_max):
 
 
 class TestMergedMetricsMidDrain:
-    def test_snapshot_while_one_shard_is_blocked_admitting(self, pair_service):
+    def test_snapshot_while_one_shard_is_blocked_admitting(
+        self, pair_service, monkeypatch
+    ):
         """Regression: merged snapshots must keep every per-tenant counter
-        identity valid while one shard's admission queue is full and a
-        submitter is suspended on it — the other shard keeps serving."""
+        identity valid while one shard's credits are spent and a submitter
+        is suspended on the router's credit gate — the other shard keeps
+        serving."""
         blocked_tenant, healthy_tenant = _two_tenants_on_distinct_shards()
+        gate = asyncio.Event()
+        real_submit = ServingEngine.submit
+
+        async def gated_submit(self, tenant, query, ticket=False):
+            if tenant == blocked_tenant:
+                await gate.wait()
+            return await real_submit(self, tenant, query, ticket=ticket)
+
+        # The blocked tenant's worker cannot admit, so no ack returns its
+        # one credit and the overflow submit waits at the router.
+        monkeypatch.setattr(ServingEngine, "submit", gated_submit)
 
         async def main():
             engine = ShardedServingEngine(
@@ -434,23 +470,13 @@ class TestMergedMetricsMidDrain:
             )
             async with engine:
                 await engine.warm(blocked_tenant, healthy_tenant)
-                shard = engine._shards[shard_of(blocked_tenant, 2)].engine
-                gate = asyncio.Event()
-                original_worker = shard._worker
-
-                async def gated_worker(lane):
-                    await gate.wait()
-                    await original_worker(lane)
-
-                shard._worker = gated_worker
                 await engine.submit(blocked_tenant, Query("T1", arrival_time=0.0))
                 overflow = asyncio.ensure_future(
                     engine.submit(blocked_tenant, Query("T1", arrival_time=0.0))
                 )
                 for _ in range(10):  # let the overflow submit suspend
                     await asyncio.sleep(0)
-                lane = shard._lanes[blocked_tenant]
-                assert lane.blocked_putters == 1
+                assert not overflow.done()
 
                 await engine.submit(healthy_tenant, Query("T1", arrival_time=0.0))
                 snapshot = await engine.metrics()
@@ -501,6 +527,57 @@ class TestMergedMetricsMidDrain:
                 drained.tenant(tenant_a).check_identities()
 
         asyncio.run(main())
+
+
+class TestStatusParity:
+    """Both transports answer status calls as the single engine does."""
+
+    @pytest.mark.parametrize("isolation", ["inline", "process"])
+    def test_calls_after_close_answer_at_once(self, pair_service, isolation):
+        tenant = _two_tenants_on_distinct_shards()[0]
+
+        async def main():
+            engine = ShardedServingEngine(pair_service, shards=1, isolation=isolation)
+            await engine.submit(tenant, Query("T1", arrival_time=0.0))
+            await engine.close()
+            snapshot = await asyncio.wait_for(engine.metrics(), timeout=5.0)
+            health = await asyncio.wait_for(engine.health(), timeout=5.0)
+            await asyncio.wait_for(engine.drain(), timeout=5.0)
+            return snapshot, health
+
+        snapshot, health = asyncio.run(main())
+        assert snapshot.status == health == "closed"
+        snapshot.tenant(tenant).check_identities()
+        assert snapshot.tenant(tenant).decided == 1
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_mid_stream_health_matches_the_single_engine(self, pair_service, shards):
+        """A held epoch is not overload: after arrivals at t=0 and t=5 and a
+        pause, every engine reads the same status."""
+        tenants = _two_tenants_on_distinct_shards()
+
+        async def probe(engine):
+            for arrival in (0.0, 5.0):
+                for tenant in tenants:
+                    await engine.submit(tenant, Query("T1", arrival_time=arrival))
+            await asyncio.sleep(0.2)
+            health = engine.health()
+            return await health if inspect.isawaitable(health) else health
+
+        async def single():
+            async with ServingEngine(pair_service) as engine:
+                return await probe(engine)
+
+        async def sharded(isolation):
+            async with ShardedServingEngine(
+                pair_service, shards=shards, isolation=isolation
+            ) as engine:
+                return await probe(engine)
+
+        reference = asyncio.run(single())
+        assert reference == "ok"
+        for isolation in ("auto", "process", "inline"):
+            assert asyncio.run(sharded(isolation)) == reference, isolation
 
 
 class TestMergeMetricsFunction:
@@ -648,7 +725,7 @@ class TestWorkerProtocol:
                 assert ticket_id == 7 and status == "ok"
                 assert decision.tenant == name
                 assert decision.template_name == "T2"
-                kind, (outcomes, states) = await request(5, "close")
+                kind, (outcomes, states, final) = await request(5, "close")
                 assert kind == "closed"
                 assert states[name][0] == "ok"
                 await loop.run_in_executor(None, parent.send, (0, "shutdown", None))
