@@ -13,11 +13,11 @@ Reported numbers are node expansions (the quantity that dominates training
 time), so this ablation explains where the training-time behaviour of
 Figures 14-16 comes from.
 
-A second ablation sweeps the pluggable search engine: every registered
-future-cost bound (``memoized``, ``tight``) and the optimality-relaxing
-strategies (weighted A*, beam) solve the same non-monotonic workloads, and
-the ``bound_ablation`` series — generated nodes, wall time, and
-cost-vs-optimal ratio per configuration — is merged into
+A second ablation sweeps the pluggable search strategies: exact A* and the
+optimality-relaxing strategies (weighted A*, beam) solve the same
+non-monotonic workloads under the goal's own cost-to-go bound, and the
+``strategy_ablation`` series — generated nodes, wall time, and
+cost-vs-optimal ratio per strategy — is merged into
 ``BENCH_training_throughput.json`` next to the adaptive-bound series.
 """
 
@@ -29,7 +29,6 @@ from repro.adaptive.retraining import AdaptiveModeler
 from repro.evaluation.harness import format_table, uniform_workloads
 from repro.learning.trainer import ModelGenerator
 from repro.search.astar import astar_search
-from repro.search.bounds import registered_future_cost_bounds
 from repro.search.problem import SchedulingProblem
 from repro.search.strategy import strategy_from_spec
 
@@ -42,8 +41,8 @@ from repro.exceptions import SearchBudgetExceeded
 #: the cap, so its row is a lower bound on the uniform-cost search's work.
 _NULL_BUDGET = 10_000
 
-#: Relaxed strategies swept by the engine ablation (the exact default rides
-#: along as the reference row).
+#: Strategies swept by the strategy ablation (the exact default comes first:
+#: it supplies the optimum the relaxed rows are measured against).
 _STRATEGY_SPECS = ("astar", "weighted_astar:1.5", "beam:32")
 
 
@@ -112,15 +111,15 @@ def _run(environments, scale):
     return rows
 
 
-def _run_engine_sweep(environments):
-    """Sweep registered bounds and strategies over the non-monotonic goals."""
+def _run_strategy_sweep(environments):
+    """Sweep the search strategies over the non-monotonic goals."""
     rows = []
     series: dict[str, dict] = {}
     for kind in ("percentile", "average"):
         environment = environments[kind]
         workloads = uniform_workloads(environment.templates, 4, 10, seed=311)
 
-        def solve_all(spec: str, bound: str):
+        def solve_all(spec: str):
             generated = expansions = 0
             achieved = lower = 0.0
             strategy = strategy_from_spec(spec)
@@ -131,7 +130,6 @@ def _run_engine_sweep(environments):
                     environment.vm_types,
                     environment.goal,
                     environment.latency_model,
-                    future_bound=bound,
                 )
                 result = strategy.search(problem, max_expansions=400_000)
                 generated += result.generated
@@ -146,31 +144,17 @@ def _run_engine_sweep(environments):
             return generated, expansions, achieved, lower, elapsed
 
         optimal_cost = None
-        for bound in registered_future_cost_bounds():
-            generated, expansions, achieved, _, elapsed = solve_all("astar", bound)
+        for spec in _STRATEGY_SPECS:
+            generated, expansions, achieved, lower, elapsed = solve_all(spec)
             if optimal_cost is None:
                 optimal_cost = achieved
-            entry = {
-                "goal": kind,
-                "engine": f"astar+{bound}",
-                "generated": generated,
-                "expansions": expansions,
-                "wall_s": round(elapsed, 4),
-                "cost_ratio": round(achieved / optimal_cost, 6),
-            }
-            rows.append(entry)
-            series[f"{kind}:astar+{bound}"] = entry
-        for spec in _STRATEGY_SPECS[1:]:
-            generated, expansions, achieved, lower, elapsed = solve_all(
-                spec, "memoized"
-            )
             entry = {
                 "goal": kind,
                 "engine": spec,
                 "generated": generated,
                 "expansions": expansions,
                 "wall_s": round(elapsed, 4),
-                # True achieved-over-optimal (the exact run above supplies the
+                # True achieved-over-optimal (the exact first row supplies the
                 # optimum); the sound self-reported bound rides along.
                 "cost_ratio": round(achieved / optimal_cost, 6),
                 "reported_ratio_bound": round(achieved / lower, 6),
@@ -180,13 +164,13 @@ def _run_engine_sweep(environments):
     return rows, series
 
 
-def test_bound_and_strategy_ablation(benchmark, environments):
-    """Sweep the pluggable engine and persist the ``bound_ablation`` series."""
+def test_strategy_ablation(benchmark, environments):
+    """Sweep the search strategies and persist the ``strategy_ablation`` series."""
     rows, series = benchmark.pedantic(
-        _run_engine_sweep, args=(environments,), rounds=1, iterations=1
+        _run_strategy_sweep, args=(environments,), rounds=1, iterations=1
     )
     print_figure(
-        "Ablation — pluggable search engine (4 workloads x 10 queries per goal)",
+        "Ablation — search strategies (4 workloads x 10 queries per goal)",
         format_table(
             rows,
             [
@@ -199,15 +183,10 @@ def test_bound_and_strategy_ablation(benchmark, environments):
             ],
         ),
     )
-    path = merge_bench_json("training_throughput", {"bound_ablation": series})
-    print(f"bound_ablation series merged into {path}")
+    path = merge_bench_json("training_throughput", {"strategy_ablation": series})
+    print(f"strategy_ablation series merged into {path}")
     by_engine = {(row["goal"], row["engine"]): row for row in rows}
     for kind in ("percentile", "average"):
-        exact = by_engine[(kind, "astar+memoized")]
-        tight = by_engine[(kind, "astar+tight")]
-        # Both A* runs are exact; the tighter bound must prune, not re-cost.
-        assert tight["cost_ratio"] == 1.0
-        assert tight["generated"] <= exact["generated"]
         for spec in _STRATEGY_SPECS[1:]:
             relaxed = by_engine[(kind, spec)]
             # Relaxed strategies must report a sound ratio bound: at least as

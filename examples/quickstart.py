@@ -49,13 +49,12 @@ def main() -> None:
             f"({result.num_examples} decisions)"
         )
 
-    # 2b. Per-tenant search-engine selection: tenants whose workloads make
+    # 2b. Per-tenant search-strategy selection: tenants whose workloads make
     #     exact training search too slow can opt into a relaxed strategy
-    #     (weighted A* / beam) and/or the tighter "tight" future-cost bound.
-    #     Relaxed training is never silent — the model records its worst
-    #     cost-vs-optimal ratio — and the engine choice is part of the
-    #     registry fingerprint, so differently-engined tenants never share
-    #     artifacts.
+    #     (weighted A* / beam).  Relaxed training is never silent — the model
+    #     records its worst cost-vs-optimal ratio — and the strategy is part of
+    #     the registry fingerprint, so tenants trained under different
+    #     strategies never share artifacts.
     initech_goal = PercentileGoal.from_factor(templates)
     service.register(
         "initech",
@@ -63,12 +62,11 @@ def main() -> None:
         initech_goal,
         config=TrainingConfig.tiny(seed=2),
         search_strategy="beam:16",
-        future_bound="tight",
     )
     initech = service.train("initech")
     print(
         f"  initech {initech_goal.describe():<32} "
-        f"trained [beam:16 + tight bound], worst cost-vs-optimal ratio "
+        f"trained [beam:16], worst cost-vs-optimal ratio "
         f"{initech.worst_optimality_ratio:.3f}"
     )
 

@@ -63,7 +63,7 @@ def main() -> None:
         meta = registry.model_metadata(fingerprint)
         print(
             f"metadata[{fingerprint[:12]}…]: goal={meta['goal_kind']} "
-            f"strategy={meta['search_strategy']} bound={meta['future_bound']} "
+            f"strategy={meta['search_strategy']} "
             f"depth={meta['tree_depth']}"
         )
 

@@ -249,11 +249,10 @@ class AdaptiveModeler:
             latency_model=self._generator.latency_model,
             extractor=extractor,
             max_expansions=config.max_expansions,
-            # The tenant's strategy and future-cost bound apply to re-searches
-            # too: the aux-goal machinery (the second accumulator feeding
-            # AdaptiveBound) is orthogonal to both, so they compose freely.
+            # The tenant's strategy applies to re-searches too: the aux-goal
+            # machinery (the second accumulator feeding AdaptiveBound) is
+            # orthogonal to it, so they compose freely.
             search_strategy=config.search_strategy,
-            future_bound=config.future_bound,
         )
         tasks = []
         for index, (workload, keep) in enumerate(zip(self._base.workloads, solved)):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro import units
+from repro.exceptions import SpecificationError
 
 # ---------------------------------------------------------------------------
 # Pricing defaults (Section 7.1)
@@ -88,12 +89,12 @@ class TrainingConfig:
         :mod:`repro.search.strategy`): ``"astar"`` (exact, the default),
         ``"weighted_astar[:W]"``, or ``"beam[:K]"``.  Relaxed strategies trade
         schedule optimality for training speed and report their worst
-        cost-vs-optimal ratio in the model metadata.
-    future_bound:
-        Registered admissible future-cost bound used by the non-monotonic
-        goals' f-values (see :mod:`repro.search.bounds`): ``"memoized"`` (the
-        bit-identical default) or ``"tight"`` (busy-time-aware, generates
-        fewer vertices for percentile/average goals).
+        cost-vs-optimal ratio in the model metadata.  The spec is resolved
+        when the configuration is built, so an unknown one fails there and
+        not inside a (possibly worker-process) training call.
+
+    The A* cost-to-go bound is not a knob: the goal alone picks it (see
+    :mod:`repro.search.bounds`).
     """
 
     num_samples: int = 3000
@@ -104,7 +105,9 @@ class TrainingConfig:
     max_depth: int = 30
     n_jobs: int = 1
     search_strategy: str = "astar"
-    future_bound: str = "memoized"
+
+    def __post_init__(self) -> None:
+        self.create_search_strategy()
 
     @classmethod
     def paper(cls, seed: int = 0) -> "TrainingConfig":
@@ -143,19 +146,15 @@ class TrainingConfig:
         """Return a copy with a different search-strategy spec."""
         return replace(self, search_strategy=search_strategy)
 
-    def with_future_bound(self, future_bound: str) -> "TrainingConfig":
-        """Return a copy with a different registered future-cost bound."""
-        return replace(self, future_bound=future_bound)
-
     def to_dict(self) -> dict:
         """JSON-serializable representation of every training knob.
 
         ``n_jobs`` is deliberately excluded: it is a wall-clock knob with
         bit-identical output for any value, so it must not perturb the model
-        registry's content fingerprints.  ``search_strategy`` and
-        ``future_bound`` *are* output-affecting, but the defaults are omitted
-        so fingerprints of pre-existing (default-engine) configurations stay
-        byte-identical across releases.
+        registry's content fingerprints.  ``search_strategy`` *is*
+        output-affecting, but the default is omitted so fingerprints of
+        pre-existing (default-engine) configurations stay byte-identical
+        across releases.
         """
         data = {
             "num_samples": self.num_samples,
@@ -167,13 +166,23 @@ class TrainingConfig:
         }
         if self.search_strategy != "astar":
             data["search_strategy"] = self.search_strategy
-        if self.future_bound != "memoized":
-            data["future_bound"] = self.future_bound
         return data
 
     @classmethod
     def from_dict(cls, data: dict, n_jobs: int = 1) -> "TrainingConfig":
-        """Rebuild a configuration from :meth:`to_dict` output."""
+        """Rebuild a configuration from :meth:`to_dict` output.
+
+        A spec written while the non-monotonic bound was selectable names it
+        under ``future_bound`` only when it was not the default; the trees
+        such a spec describes cannot be reproduced any more, so it is refused
+        rather than silently retrained under another bound.
+        """
+        if "future_bound" in data:
+            raise SpecificationError(
+                f"training configuration names the removed future-cost bound "
+                f"{data['future_bound']!r}; the goal now picks the A* bound, so "
+                "re-register the tenant without it and retrain"
+            )
         return cls(
             num_samples=data["num_samples"],
             queries_per_sample=data["queries_per_sample"],
@@ -183,7 +192,6 @@ class TrainingConfig:
             max_depth=data["max_depth"],
             n_jobs=n_jobs,
             search_strategy=data.get("search_strategy", "astar"),
-            future_bound=data.get("future_bound", "memoized"),
         )
 
     def create_search_strategy(self):

@@ -86,15 +86,14 @@ def build_environment(
     seed: int = 0,
     n_jobs: int | None = None,
     search_strategy: str | None = None,
-    future_bound: str | None = None,
 ) -> ExperimentEnvironment:
     """Train a model for one of the paper's default goals and wrap it up.
 
     ``n_jobs`` overrides the configuration's worker count for the training
     solves (bit-identical output, parallel wall clock); any pool is released
-    before returning.  ``search_strategy`` / ``future_bound`` override the
-    configuration's search engine (the bench ablations sweep them; defaults
-    keep the exact, bit-identical engine).
+    before returning.  ``search_strategy`` overrides the configuration's
+    search strategy (the bench ablations sweep it; the default keeps the
+    exact, bit-identical engine).
     """
     from repro.workloads.templates import tpch_templates
 
@@ -106,8 +105,6 @@ def build_environment(
         config = config.with_n_jobs(n_jobs)
     if search_strategy is not None:
         config = config.with_search_strategy(search_strategy)
-    if future_bound is not None:
-        config = config.with_future_bound(future_bound)
     goal = default_goal(goal_kind, templates)
     with ModelGenerator(
         templates=templates,

@@ -78,20 +78,35 @@ class ModelMetadata:
     training_time_seconds: float = 0.0
     tree_depth: int = 0
     tree_leaves: int = 0
-    #: Search-strategy / future-cost-bound specs the training solves ran
-    #: under (see :mod:`repro.search.strategy` / :mod:`repro.search.bounds`).
+    #: Search-strategy spec the training solves ran under (see
+    #: :mod:`repro.search.strategy`).
     search_strategy: str = "astar"
-    future_bound: str = "memoized"
     extra: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-serializable representation."""
-        return asdict(self)
+        """JSON-serializable representation.
+
+        Still names the non-monotonic bound every model is now trained under
+        (``"future_bound": "memoized"``, in its old place), so the metadata
+        of stored artifacts round-trips byte for byte.
+        """
+        data = asdict(self)
+        extra = data.pop("extra")
+        data["future_bound"] = "memoized"
+        data["extra"] = extra
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelMetadata":
-        """Rebuild metadata from :meth:`to_dict` output."""
-        return cls(**dict(data))
+        """Rebuild metadata from :meth:`to_dict` output.
+
+        Artifacts written while the non-monotonic bound was selectable carry
+        a ``future_bound`` entry.  It is dropped: the goal alone now picks the
+        bound, and a fitted tree decides without consulting it.
+        """
+        data = dict(data)
+        data.pop("future_bound", None)
+        return cls(**data)
 
 
 _INF = float("inf")

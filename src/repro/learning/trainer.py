@@ -279,17 +279,15 @@ class SampleSolver:
         extractor: FeatureExtractor,
         max_expansions: int | None,
         search_strategy: str = "astar",
-        future_bound: str = "memoized",
     ) -> None:
         self.vm_types = vm_types
         self.goal = goal
         self.latency_model = latency_model
         self.extractor = extractor
         self.max_expansions = max_expansions
-        #: Strategy / future-cost-bound specs (plain strings so the solver
-        #: pickles cheaply; resolved lazily per process).
+        #: Strategy spec (a plain string so the solver pickles cheaply;
+        #: resolved lazily per process).
         self.search_strategy = search_strategy
-        self.future_bound = future_bound
         self._strategy: SearchStrategy | None = None
 
     def _resolved_strategy(self) -> SearchStrategy | None:
@@ -321,7 +319,6 @@ class SampleSolver:
             self.vm_types,
             self.goal,
             self.latency_model,
-            future_bound=self.future_bound,
             adaptive_bound=extra_bound,
         )
         if keep is not None and keep.path:
@@ -477,7 +474,6 @@ class ModelGenerator:
             extractor=self._extractor,
             max_expansions=self._config.max_expansions,
             search_strategy=self._config.search_strategy,
-            future_bound=self._config.future_bound,
         )
         payloads = self.backend.map_tasks(
             solver,
@@ -512,7 +508,6 @@ class ModelGenerator:
             tree_depth=tree.depth(),
             tree_leaves=tree.leaf_count(),
             search_strategy=self._config.search_strategy,
-            future_bound=self._config.future_bound,
         )
         # Relaxed strategies report their quality loss with the model.
         stamp_optimality_ratio(metadata, samples)
@@ -549,7 +544,6 @@ class ModelGenerator:
             tree_depth=tree.depth(),
             tree_leaves=tree.leaf_count(),
             search_strategy=self._config.search_strategy,
-            future_bound=self._config.future_bound,
         )
         return DecisionModel(
             tree=tree,

@@ -27,11 +27,12 @@ of queries already placed:
   only place an f-value is computed: ``expand`` calls it once per child and
   :meth:`~SchedulingProblem.priority` calls it on a node.  The goal-dependent
   term comes from the problem's bound — :class:`~repro.search.bounds.ProvisioningBound`
-  for monotonic goals, the registered ``future_bound`` for the others — which
-  receives the memoised Equation-3 tuple and may keep incremental state on
-  the child.  A retraining search's adaptive bound ``h'`` (Section 5), passed
-  to the constructor, composes there too: the f-value is ``max(f, h'(v))``,
-  so every strategy orders its frontier by the same number.
+  for monotonic goals, :class:`~repro.search.bounds.MemoizedGoalBound` for
+  the others — which receives the memoised Equation-3 tuple and may carry its
+  memo key and term over to the child.  A retraining search's adaptive bound
+  ``h'`` (Section 5), passed to the constructor, composes there too: the
+  f-value is ``max(f, h'(v))``, so every strategy orders its frontier by the
+  same number.
 * **Incremental penalties.**  Every :class:`SearchNode` carries a copy-on-write
   :class:`~repro.sla.accumulators.ViolationAccumulator` (obtained from
   :meth:`~repro.sla.base.PerformanceGoal.search_accumulator`) describing its
@@ -70,7 +71,7 @@ from repro.cloud.latency import LatencyModel
 from repro.cloud.vm import VMTypeCatalog
 from repro.exceptions import SpecificationError
 from repro.search.actions import Action, PlaceQuery, ProvisionVM
-from repro.search.bounds import ProvisioningBound, create_future_bound
+from repro.search.bounds import MemoizedGoalBound, ProvisioningBound
 from repro.search.state import SearchState
 from repro.sla.accumulators import ViolationAccumulator
 from repro.sla.base import PerformanceGoal
@@ -119,8 +120,8 @@ class SearchNode:
     #: The memoized bound's term of the f-value (-1.0 = not computed).
     #: Provision edges keep (outcomes, remaining) unchanged, so their children
     #: reuse the parent's term without rebuilding the memo key.
-    future_bound: float = field(default=-1.0)
-    #: Assigned-latency key of the memoized and tight bounds (``None`` = not
+    future_term: float = field(default=-1.0)
+    #: Assigned-latency key of the memoized bound (``None`` = not
     #: computed).  Maintained incrementally along placement edges — one
     #: ``bisect`` insertion for order-invariant goals, one tuple append
     #: otherwise — so the memo key is never rebuilt (or re-sorted) from the
@@ -135,11 +136,6 @@ class SearchNode:
     #: by :class:`~repro.adaptive.retraining.AdaptiveBound` as an O(1) delta
     #: instead of re-evaluating the old goal over the full outcome tuple.
     aux_penalty: float = field(default=-1.0)
-    #: Incremental aggregate maintained by the problem's
-    #: :class:`~repro.search.bounds.FutureCostBound` along placement edges
-    #: (e.g. the tight average bound's running ``(count, sum)``).  ``None``
-    #: for bounds that keep none and for externally built nodes.
-    bound_state: object = field(default=None)
 
     @property
     def partial_cost(self) -> float:
@@ -150,8 +146,8 @@ class SearchNode:
         """Compact, non-recursive rendering (the generated dataclass repr
         would chase the whole ``parent`` chain — useless in a failed property
         test).  Surfaces the incremental bookkeeping a debugging session needs:
-        the PR-4 auxiliary penalty and the latency-key / bound-state memo
-        inputs alongside the classic cost fields."""
+        the auxiliary penalty and the latency-key memo input alongside the
+        classic cost fields."""
         key = self.latency_key
         key_text = "None" if key is None else f"<{len(key)} latencies>"
         aux = "absent" if self.aux_penalty < 0.0 else f"{self.aux_penalty:.6g}"
@@ -160,8 +156,8 @@ class SearchNode:
             f"action={self.action!r}, infra={self.infra_cost:.6g}, "
             f"penalty={self.penalty:.6g}, priority={self.priority:.6g}, "
             f"last_vm_finish={self.last_vm_finish:.6g}, "
-            f"future_bound={self.future_bound:.6g}, latency_key={key_text}, "
-            f"aux_penalty={aux}, bound_state={self.bound_state!r})"
+            f"future_term={self.future_term:.6g}, latency_key={key_text}, "
+            f"aux_penalty={aux})"
         )
 
     def path(self) -> list["SearchNode"]:
@@ -185,7 +181,6 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        future_bound: str = "memoized",
         adaptive_bound: Callable[[SearchNode], float] | None = None,
     ) -> None:
         counts = {name: count for name, count in dict(template_counts).items() if count > 0}
@@ -217,14 +212,10 @@ class SchedulingProblem:
         self._cheapest_execution = self._compute_cheapest_execution()
         #: remaining multiset -> (Equation-3 bound, cheapest remaining work time)
         self._bounds_cache: dict[tuple[tuple[str, int], ...], tuple[float, float]] = {}
-        #: The cost-to-go term of every f-value: the provisioning bound for
-        #: monotonic goals, a fresh registered bound (``future_bound``) for
-        #: the rest.
-        bound = self._bound = (
-            ProvisioningBound()
-            if goal.is_monotonic
-            else create_future_bound(future_bound or "memoized")
-        )
+        #: The cost-to-go term of every f-value, picked by the goal alone: the
+        #: provisioning bound for monotonic goals, the goal's memoised hook for
+        #: the rest (a fresh instance: bounds hold per-problem memo tables).
+        bound = ProvisioningBound() if goal.is_monotonic else MemoizedGoalBound()
         bound.attach(self)
         # Bound once: _price calls one of these per generated vertex.
         self._placement_term = bound.placement_bound
@@ -288,7 +279,6 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        future_bound: str = "memoized",
         adaptive_bound: Callable[[SearchNode], float] | None = None,
     ) -> "SchedulingProblem":
         """Build the problem for a concrete workload (counts its templates)."""
@@ -298,7 +288,6 @@ class SchedulingProblem:
             vm_types=vm_types,
             goal=goal,
             latency_model=latency_model,
-            future_bound=future_bound,
             adaptive_bound=adaptive_bound,
         )
 
@@ -359,7 +348,6 @@ class SchedulingProblem:
             if self._aux_derived_deadline is None:
                 node.aux_accumulator = self._aux_goal.search_accumulator()
             node.aux_penalty = 0.0
-        node.bound_state = self._bound.initial_state(node)
         node.priority = self._price(None, node, None)
         return node
 

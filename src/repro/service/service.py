@@ -85,7 +85,6 @@ from repro.learning.trainer import ModelGenerator, TrainingResult
 from repro.parallel.backend import ExecutionBackend, backend_for, resolve_n_jobs
 from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineOptimizations, OnlineScheduler
-from repro.search.bounds import create_future_bound
 from repro.service.registry import ModelRegistry, fingerprint_payload
 from repro.service.storage import RunRecord, TenantRunSummary
 from repro.sla.base import PerformanceGoal
@@ -398,18 +397,14 @@ class WiSeDBService:
         config: TrainingConfig | None = None,
         replace_existing: bool = False,
         search_strategy: str | None = None,
-        future_bound: str | None = None,
     ) -> Tenant:
         """Register a tenant; its model is trained on the first :meth:`train`.
 
-        ``search_strategy`` / ``future_bound`` override the configuration's
-        search engine for this tenant (see :mod:`repro.search.strategy` and
-        :mod:`repro.search.bounds`) — e.g. ``search_strategy="beam:32"`` for
-        a tenant whose workloads are too large for exact training searches,
-        or ``future_bound="tight"`` to cut node counts under percentile or
-        average goals.  Both knobs are part of the spec fingerprint, so
-        tenants trained under different engines never share registry
-        artifacts.
+        ``search_strategy`` overrides the configuration's search strategy for
+        this tenant (see :mod:`repro.search.strategy`) — e.g. ``"beam:32"``
+        for a tenant whose workloads are too large for exact training
+        searches.  It is part of the spec fingerprint, so tenants trained
+        under different strategies never share registry artifacts.
         """
         if name in self._tenants and not replace_existing:
             raise SpecificationError(
@@ -421,12 +416,6 @@ class WiSeDBService:
             config = config.with_n_jobs(self._n_jobs)
         if search_strategy is not None:
             config = config.with_search_strategy(search_strategy)
-        if future_bound is not None:
-            config = config.with_future_bound(future_bound)
-        # Fail at registration, not deep inside a (possibly worker-process)
-        # training call: resolve both engine specs through their registries.
-        config.create_search_strategy()
-        create_future_bound(config.future_bound)
         spec = TenantSpec(
             name=name,
             templates=templates,
@@ -814,16 +803,29 @@ class WiSeDBService:
         Trained tenants come back trained: the registry opened over
         ``models/`` imports the saved artifacts once (into a ``registry.db``
         it creates there), and each model is an exact fingerprint hit, so
-        nothing retrains.
+        nothing retrains.  A manifest that does not parse — a missing or
+        mistyped field, an unknown search strategy, a removed knob — raises
+        :class:`~repro.exceptions.SpecificationError` naming it, before any
+        tenant is registered.
         """
         directory = Path(directory)
         manifest_path = directory / "tenants.json"
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
         if data.get("format") != SERVICE_FORMAT:
             raise SpecificationError(f"{manifest_path} is not a saved WiSeDB service")
+        try:
+            entries = [
+                (entry, TenantSpec.from_dict(entry["spec"]))
+                for entry in data["tenants"]
+            ]
+        except (KeyError, TypeError) as error:
+            raise SpecificationError(
+                f"{manifest_path} is malformed ({type(error).__name__}: {error})"
+            ) from None
+        except SpecificationError as error:
+            raise SpecificationError(f"{manifest_path}: {error}") from None
         service = cls(registry=directory / "models", n_jobs=n_jobs)
-        for entry in data["tenants"]:
-            spec = TenantSpec.from_dict(entry["spec"])
+        for entry, spec in entries:
             fingerprint = spec.fingerprint()
             stored_fingerprint = entry.get("fingerprint", fingerprint)
             if stored_fingerprint != fingerprint:

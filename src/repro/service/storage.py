@@ -373,18 +373,19 @@ class SQLiteStore:
                     + stamps,
                 )
                 if metadata is not None:
+                    # The v1 ``future_bound`` column stays (migrations are
+                    # append-only) but is left NULL: the goal picks the bound.
                     self._connection.execute(
                         "INSERT OR REPLACE INTO model_metadata "
-                        "(fingerprint, goal_kind, search_strategy, future_bound,"
+                        "(fingerprint, goal_kind, search_strategy,"
                         " worst_optimality_ratio, tree_depth, tree_leaves,"
                         " num_training_samples, num_training_examples,"
                         " training_time_seconds) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                         (
                             fingerprint,
                             metadata.get("goal_kind"),
                             metadata.get("search_strategy"),
-                            metadata.get("future_bound"),
                             metadata.get("worst_optimality_ratio"),
                             metadata.get("tree_depth"),
                             metadata.get("tree_leaves"),

@@ -611,7 +611,9 @@ class ServingEngine:
         Bit-identical to ``OnlineScheduler.run`` on the equivalent workload
         for a healthy lane; a lane that served degraded epochs has its
         learned-path outcome stamped ``degraded`` with the sticky reason, and
-        a failed lane re-raises its error.
+        a failed lane re-raises its error.  The answer is what
+        :meth:`collect_outcomes` priced at close, so a lane it skipped (no
+        query admitted) has none — exactly as the sharded engine answers.
         """
         if not self._closed:
             raise SpecificationError(
@@ -627,12 +629,9 @@ class ServingEngine:
                 f"tenant {tenant!r} was served entirely degraded "
                 f"({lane.degraded_reason}); no learned outcome exists"
             )
-        if lane.outcome is not None:
-            return lane.outcome
-        outcome = lane.session.outcome()
-        if lane.degraded_reason is not None:
-            outcome = replace(
-                outcome, degraded=True, degraded_reason=lane.degraded_reason
+        if lane.outcome is None:
+            raise SpecificationError(
+                f"tenant {tenant!r} has no priceable outcome "
+                "(no queries were admitted)"
             )
-        lane.outcome = outcome
-        return outcome
+        return lane.outcome

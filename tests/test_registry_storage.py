@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import StorageError
+from repro.exceptions import SpecificationError, StorageError
 from repro.service.registry import ModelRegistry
 from repro.service.service import WiSeDBService
 from repro.service.storage import (
@@ -123,7 +123,7 @@ class TestMetadataProjection:
         assert meta is not None
         assert meta["goal_kind"] == "max"
         assert meta["search_strategy"] == "astar"
-        assert meta["future_bound"] == "memoized"
+        assert meta["future_bound"] is None  # v1 column, no longer written
         assert meta["worst_optimality_ratio"] >= 1.0
         assert meta["tree_depth"] >= 1
         assert fingerprint not in fresh._cache  # nothing was materialized
@@ -389,6 +389,69 @@ class TestFrozenV1Format:
         with pytest.warns(RuntimeWarning, match="not valid JSON"):
             assert registry.import_json_dir() == 1
         assert registry.get(original.stem) is not None
+
+
+def _saved_copy(tmp_path, mutate) -> Path:
+    """A copy of the v1 deployment whose manifest *mutate* edited in place."""
+    deployment = tmp_path / "deployment"
+    shutil.copytree(SAVED_V1, deployment)
+    manifest_path = deployment / "tenants.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    mutate(manifest)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return deployment
+
+
+def _untrained_with_strategy(manifest) -> None:
+    # A hand-edited entry with no recorded fingerprint and no model, so only
+    # the spec itself can be at fault.
+    (entry,) = manifest["tenants"]
+    entry["spec"]["config"]["search_strategy"] = "imaginary"
+    entry["trained"] = False
+    del entry["fingerprint"]
+
+
+class TestManifestValidation:
+    """``load`` refuses a manifest it cannot parse, naming the file; a stored
+    artifact that no longer parses is quarantined instead, never raised."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda manifest: manifest["tenants"][0]["spec"]["config"].pop("seed"),
+            lambda manifest: manifest.pop("tenants"),
+            _untrained_with_strategy,
+        ],
+        ids=["missing-config-field", "missing-tenants", "unknown-search-strategy"],
+    )
+    def test_a_malformed_manifest_raises_a_specification_error(self, tmp_path, mutate):
+        deployment = _saved_copy(tmp_path, mutate)
+        with pytest.raises(SpecificationError, match="tenants.json"):
+            WiSeDBService.load(deployment)
+
+    def test_a_manifest_naming_the_removed_bound_is_refused(self, tmp_path):
+        def name_tight(manifest):
+            manifest["tenants"][0]["spec"]["config"]["future_bound"] = "tight"
+
+        deployment = _saved_copy(tmp_path, name_tight)
+        with pytest.raises(SpecificationError, match="removed future-cost bound"):
+            WiSeDBService.load(deployment)
+
+    def test_a_stored_artifact_naming_the_removed_bound_is_quarantined(self, tmp_path):
+        (original,) = (SAVED_V1 / "models").glob("*.json")
+        artifact = json.loads(original.read_text(encoding="utf-8"))
+        artifact["training"]["config"]["future_bound"] = "tight"
+        source = tmp_path / "models"
+        source.mkdir()
+        (source / original.name).write_text(json.dumps(artifact), encoding="utf-8")
+        registry = ModelRegistry()
+        assert registry.import_json_dir(source) == 1
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert registry.get(original.stem) is None  # a miss, not a raise
+        assert [fingerprint for fingerprint, _ in registry.quarantined()] == [
+            original.stem
+        ]
+        registry.close()
 
 
 # ---------------------------------------------------------------------------

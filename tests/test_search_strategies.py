@@ -1,22 +1,20 @@
-"""The pluggable search engine: strategies, future-cost bounds, admissibility.
+"""The pluggable search engine: strategies, the cost-to-go bound, admissibility.
 
 Three contracts are locked here:
 
-* **Admissibility** — every registered future-cost bound is a true lower
+* **Admissibility** — the cost-to-go bound the goal picks is a true lower
   bound: the f-value it induces at any vertex never exceeds the cost of the
   best complete schedule reachable through that vertex (checked directly by
   exhaustive completion on small random problems, for all four goal kinds),
-  and exact A* under any registered bound returns the same optimal cost as
-  the default engine.
-* **Bit-identity of the default** — the engine's default strategy (exact A*
-  with the memoized bound) produces the same f-values, expansion sequence,
-  and generated counts as a plain reference implementation that knows nothing
-  about the pluggable machinery: the refactor moved code, not behaviour
-  (the golden-scenario digests pin the end-to-end version of this, and
-  ``test_search_oracle.py`` pins every strategy × bound × goal kind against a
-  frozen file).  Every f-value ``expand`` prices incrementally equals
-  ``priority()``'s from-scratch one, for every bound and goal kind, with and
-  without the adaptive ``h'``.
+  and exact A* returns the exhaustive optimum.
+* **Bit-identity of the default** — the engine's default strategy (exact A*)
+  produces the same f-values, expansion sequence, and generated counts as a
+  plain reference implementation that knows nothing about the pluggable
+  machinery: the refactor moved code, not behaviour (the golden-scenario
+  digests pin the end-to-end version of this, and ``test_search_oracle.py``
+  pins every strategy × goal kind against a frozen file).  Every f-value
+  ``expand`` prices incrementally equals ``priority()``'s from-scratch one,
+  for every goal kind, with and without the adaptive ``h'``.
 * **No silent degradation** — relaxed strategies report a sound
   ``cost_lower_bound``: never above the true optimum, so the derived
   optimality ratio never understates the loss.
@@ -37,7 +35,6 @@ from repro.cloud.vm import single_vm_type_catalog, two_vm_type_catalog
 from repro.config import TrainingConfig
 from repro.exceptions import SpecificationError
 from repro.search.astar import astar_search
-from repro.search.bounds import registered_future_cost_bounds
 from repro.search.problem import SchedulingProblem
 from repro.search.strategy import (
     SEARCH_STRATEGIES,
@@ -148,51 +145,43 @@ def exhaustive_best_completion(problem, node, cache):
 
 
 # ---------------------------------------------------------------------------
-# Admissibility of every registered bound
+# Admissibility of the cost-to-go bound
 # ---------------------------------------------------------------------------
 
 
 @given(workload=workload_strategy, goal=goal_strategy, catalog=catalog_strategy)
 @settings(max_examples=40, deadline=None)
-def test_registered_bounds_never_exceed_true_completion_cost(workload, goal, catalog):
+def test_bound_never_exceeds_true_completion_cost(workload, goal, catalog):
     """Direct admissibility: f(v) <= best complete-schedule cost through v."""
-    vm_types = CATALOGS[catalog]
-    for bound_name in registered_future_cost_bounds():
-        problem = SchedulingProblem.for_workload(
-            workload, vm_types, goal, LATENCY, future_bound=bound_name
+    problem = SchedulingProblem.for_workload(workload, CATALOGS[catalog], goal, LATENCY)
+    start = problem.initial_node()
+    # The start vertex plus its first two expansion levels cover empty,
+    # provisioned-but-empty, and partially loaded VMs.
+    nodes = [start]
+    for node in problem.expand(start):
+        nodes.append(node)
+        nodes.extend(problem.expand(node))
+    cache: dict = {}
+    for node in nodes:
+        truth = exhaustive_best_completion(problem, node, cache)
+        assert node.priority <= truth + 1e-7, (
+            f"{goal.kind} bound overestimates at\n{node!r}\n"
+            f"f={node.priority} > best completion {truth}"
         )
-        start = problem.initial_node()
-        # The start vertex plus its first two expansion levels cover empty,
-        # provisioned-but-empty, and partially loaded VMs.
-        nodes = [start]
-        for node in problem.expand(start):
-            nodes.append(node)
-            nodes.extend(problem.expand(node))
-        cache: dict = {}
-        for node in nodes:
-            truth = exhaustive_best_completion(problem, node, cache)
-            assert node.priority <= truth + 1e-7, (
-                f"{bound_name} bound overestimates at\n{node!r}\n"
-                f"f={node.priority} > best completion {truth}"
-            )
 
 
 @given(workload=workload_strategy, goal=goal_strategy, catalog=catalog_strategy)
 @settings(max_examples=40, deadline=None)
-def test_every_registered_bound_finds_the_same_optimal_cost(workload, goal, catalog):
-    """Exact A* under any registered bound returns the default optimal cost."""
+def test_exact_astar_finds_the_exhaustive_optimum(workload, goal, catalog):
+    """Exact A* returns the cheapest complete schedule, and says it is exact."""
     vm_types = CATALOGS[catalog]
-    reference = None
-    for bound_name in registered_future_cost_bounds():
-        problem = SchedulingProblem.for_workload(
-            workload, vm_types, goal, LATENCY, future_bound=bound_name
-        )
-        result = astar_search(problem)
-        if reference is None:
-            reference = result.cost
-        else:
-            assert result.cost == pytest.approx(reference, rel=1e-9, abs=1e-9)
-        assert result.cost_lower_bound is None and result.optimality_ratio == 1.0
+    problem = SchedulingProblem.for_workload(workload, vm_types, goal, LATENCY)
+    truth = exhaustive_best_completion(problem, problem.initial_node(), {})
+    result = astar_search(
+        SchedulingProblem.for_workload(workload, vm_types, goal, LATENCY)
+    )
+    assert result.cost == pytest.approx(truth, rel=1e-9, abs=1e-9)
+    assert result.cost_lower_bound is None and result.optimality_ratio == 1.0
 
 
 @given(
@@ -202,12 +191,11 @@ def test_every_registered_bound_finds_the_same_optimal_cost(workload, goal, cata
     adaptive=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_hook_matches_recompute_for_every_bound_and_goal(workload, goal, catalog, adaptive):
+def test_hook_matches_recompute_for_every_goal(workload, goal, catalog, adaptive):
     """Expand-maintained f-values equal priority() recomputation, exactly.
 
-    Every registered bound × every goal kind (the monotonic goals get the
-    provisioning bound whatever the name), with and without ``h'`` raising
-    the f-value.
+    Every goal kind (so both bounds: provisioning for the monotonic goals,
+    memoized for the rest), with and without ``h'`` raising the f-value.
     """
     vm_types = CATALOGS[catalog]
     adaptive_bound = None
@@ -217,52 +205,12 @@ def test_hook_matches_recompute_for_every_bound_and_goal(workload, goal, catalog
             SchedulingProblem.for_workload(workload, vm_types, old_goal, LATENCY)
         ).cost
         adaptive_bound = AdaptiveBound(old_goal, old_cost)
-    for bound_name in registered_future_cost_bounds():
-        problem = SchedulingProblem.for_workload(
-            workload,
-            vm_types,
-            goal,
-            LATENCY,
-            future_bound=bound_name,
-            adaptive_bound=adaptive_bound,
-        )
-        result = astar_search(problem)
-        for node in result.path():
-            assert node.priority == problem.priority(node), node
-
-
-@given(workload=workload_strategy, goal=goal_strategy)
-@settings(max_examples=25, deadline=None)
-def test_tight_bound_dominates_the_memoized_bound_pointwise(workload, goal):
-    """tight f(v) >= memoized f(v) at every vertex ("tighter", not just different).
-
-    Pointwise dominance is the principled guarantee — per-instance node
-    counts can wobble either way on f-value ties (expansion order differs),
-    which is why the bench asserts the aggregate reduction instead.
-    """
-    memoized_problem = SchedulingProblem.for_workload(
-        workload, CATALOGS["1vm"], goal, LATENCY
+    problem = SchedulingProblem.for_workload(
+        workload, vm_types, goal, LATENCY, adaptive_bound=adaptive_bound
     )
-    tight_problem = SchedulingProblem.for_workload(
-        workload, CATALOGS["1vm"], goal, LATENCY, future_bound="tight"
-    )
-    frontier = [(memoized_problem.initial_node(), tight_problem.initial_node())]
-    for _ in range(2):
-        next_frontier = []
-        for memo_node, tight_node in frontier:
-            assert tight_node.priority >= memo_node.priority - 1e-9, (
-                memo_node,
-                tight_node,
-            )
-            memo_children = memoized_problem.expand(memo_node)
-            tight_children = tight_problem.expand(tight_node)
-            # Both problems apply identical reductions, so the successor
-            # lists align one-to-one.
-            assert [c.action for c in memo_children] == [
-                c.action for c in tight_children
-            ]
-            next_frontier.extend(zip(memo_children, tight_children))
-        frontier = next_frontier
+    result = astar_search(problem)
+    for node in result.path():
+        assert node.priority == problem.priority(node), node
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +320,6 @@ def test_wide_beam_is_exact_on_small_problems():
 
 def test_registries_expose_the_shipped_engines():
     assert set(SEARCH_STRATEGIES) >= {"astar", "weighted_astar", "beam"}
-    assert set(registered_future_cost_bounds()) >= {"memoized", "tight"}
 
 
 def test_strategy_spec_parsing_round_trips():
@@ -392,31 +339,26 @@ def test_strategy_spec_parsing_round_trips():
     with pytest.raises(SpecificationError):
         BeamSearchStrategy(width=0)
     with pytest.raises(SpecificationError):
-        SchedulingProblem.for_workload(
-            Workload.from_template_names(TEMPLATES, ["T1"]),
-            CATALOGS["1vm"],
-            AverageLatencyGoal(deadline=units.minutes(3)),
-            LATENCY,
-            future_bound="imaginary",
-        )
+        TrainingConfig(search_strategy="imaginary")  # resolved at construction
 
 
 def test_training_config_strategy_fields_round_trip_and_keep_fingerprints():
     default = TrainingConfig.fast()
     assert "search_strategy" not in default.to_dict()
-    assert "future_bound" not in default.to_dict()
     restored = TrainingConfig.from_dict(default.to_dict())
     assert restored.search_strategy == "astar"
-    assert restored.future_bound == "memoized"
 
-    tuned = default.with_search_strategy("beam:16").with_future_bound("tight")
+    tuned = default.with_search_strategy("beam:16")
     data = tuned.to_dict()
     assert data["search_strategy"] == "beam:16"
-    assert data["future_bound"] == "tight"
     rebuilt = TrainingConfig.from_dict(data)
     assert rebuilt.search_strategy == "beam:16"
-    assert rebuilt.future_bound == "tight"
     assert rebuilt.create_search_strategy() == BeamSearchStrategy(width=16)
+
+    # A spec that names the removed bound is refused, whichever it named.
+    for bound in ("tight", "memoized"):
+        with pytest.raises(SpecificationError, match="future-cost bound"):
+            TrainingConfig.from_dict({**data, "future_bound": bound})
 
 
 def test_search_node_repr_surfaces_incremental_state():
@@ -439,7 +381,7 @@ def test_search_node_repr_surfaces_incremental_state():
     # the PR-4 auxiliary penalty and latency-key state are visible.
     assert text.count("SearchNode(") == 1
     assert "aux_penalty=" in text and "latency_key=" in text
-    assert "bound_state=" in text
+    assert "future_term=" in text
     assert node.aux_penalty >= 0.0  # carried, not the -1.0 sentinel
     assert node.latency_key is not None
 
@@ -449,15 +391,13 @@ def test_search_node_repr_surfaces_incremental_state():
 # ---------------------------------------------------------------------------
 
 
-def test_adaptive_retraining_composes_with_tight_bound_and_relaxed_base():
-    """The aux-goal adaptive bound composes with bounds/strategies safely.
+def test_adaptive_retraining_composes_with_a_relaxed_base():
+    """The aux-goal adaptive bound composes with relaxed strategies safely.
 
-    * Retraining under the ``tight`` bound re-finds the same per-sample
-      optimal costs as the default engine (both exact, h' composes via max).
-    * A base trained by a *relaxed* strategy records per-sample lower bounds,
-      so retraining skips the Lemma-5.1 bound (whose soundness needs the true
-      old optimum) instead of silently pruning the new optimum: every
-      adapted sample still costs at least the exact retraining's optimum.
+    A base trained by a *relaxed* strategy records per-sample lower bounds,
+    so retraining skips the Lemma-5.1 bound (whose soundness needs the true
+    old optimum) instead of silently pruning the new optimum: every adapted
+    sample still costs at least the exact retraining's optimum.
     """
     from repro.adaptive.retraining import AdaptiveModeler
     from repro.learning.trainer import ModelGenerator
@@ -469,16 +409,6 @@ def test_adaptive_retraining_composes_with_tight_bound_and_relaxed_base():
     with ModelGenerator(TEMPLATES, config=config) as generator:
         base = generator.generate(goal)
         exact, _ = AdaptiveModeler(generator, base).retrain(tightened)
-
-    with ModelGenerator(
-        TEMPLATES, config=config.with_future_bound("tight")
-    ) as generator:
-        base_tight = generator.generate(goal)
-        adapted_tight, _ = AdaptiveModeler(generator, base_tight).retrain(tightened)
-    assert [s.optimal_cost for s in adapted_tight.samples] == pytest.approx(
-        [s.optimal_cost for s in exact.samples], rel=1e-9
-    )
-    assert adapted_tight.model.metadata.future_bound == "tight"
 
     with ModelGenerator(
         TEMPLATES, config=config.with_search_strategy("beam:2")
@@ -494,29 +424,6 @@ def test_adaptive_retraining_composes_with_tight_bound_and_relaxed_base():
     assert adapted_beam.model.training_optimality_ratio == pytest.approx(
         adapted_beam.worst_optimality_ratio
     )
-
-
-class _UnregisteredKindGoal(AverageLatencyGoal):
-    """A non-monotonic goal kind the tight bound has no specialisation for."""
-
-    kind = "average_variant"
-
-
-def test_tight_bound_falls_back_for_unknown_non_monotonic_goals():
-    """"tight" on an unsupported goal kind degrades to the memoized bound."""
-    workload = Workload.from_template_names(TEMPLATES, ["T1", "T2", "T3", "T2"])
-    goal = _UnregisteredKindGoal(deadline=units.minutes(3))
-    default = astar_search(
-        SchedulingProblem.for_workload(workload, CATALOGS["1vm"], goal, LATENCY)
-    )
-    fallback = astar_search(
-        SchedulingProblem.for_workload(
-            workload, CATALOGS["1vm"], goal, LATENCY, future_bound="tight"
-        )
-    )
-    assert fallback.cost == default.cost
-    assert fallback.expansions == default.expansions
-    assert fallback.generated == default.generated
 
 
 def test_malformed_engine_specs_fail_fast_with_specification_errors():
@@ -535,8 +442,6 @@ def test_malformed_engine_specs_fail_fast_with_specification_errors():
     goal = AverageLatencyGoal(deadline=units.minutes(3))
     with pytest.raises(SpecificationError):
         service.register("bad-strategy", TEMPLATES, goal, search_strategy="beam:1e3")
-    with pytest.raises(SpecificationError):
-        service.register("bad-bound", TEMPLATES, goal, future_bound="imaginary")
     assert len(service) == 0  # nothing half-registered
 
 

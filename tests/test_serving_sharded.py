@@ -550,6 +550,30 @@ class TestStatusParity:
         snapshot.tenant(tenant).check_identities()
         assert snapshot.tenant(tenant).decided == 1
 
+    @pytest.mark.parametrize("engine_kind", ["single", "inline", "process"])
+    def test_a_warmed_tenant_that_admitted_nothing_has_no_outcome(
+        self, pair_service, engine_kind
+    ):
+        """Regression: the single engine re-priced an empty lane into a
+        0-cent outcome while both shard transports refused it."""
+        tenant = _two_tenants_on_distinct_shards()[0]
+
+        async def main():
+            if engine_kind == "single":
+                engine = ServingEngine(pair_service)
+                engine.warm(tenant)
+            else:
+                engine = ShardedServingEngine(
+                    pair_service, shards=1, isolation=engine_kind
+                )
+                await engine.warm(tenant)
+            await engine.close()
+            return engine
+
+        engine = asyncio.run(main())
+        with pytest.raises(SpecificationError, match="has no priceable outcome"):
+            engine.outcome(tenant)
+
     @pytest.mark.parametrize("shards", [1, 2])
     def test_mid_stream_health_matches_the_single_engine(self, pair_service, shards):
         """A held epoch is not overload: after arrivals at t=0 and t=5 and a
