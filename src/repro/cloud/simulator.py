@@ -12,11 +12,22 @@ Queries on the same VM run one at a time, back to back (the paper executes
 queries in isolation, Section 7.1); a query never starts before its arrival
 time, which is how the online-scheduling experiments model queueing delay.
 
+A run asks the latency model once per (VM type, template): each VM type
+gets one latency row, filled the first time a template runs on that type
+and read for every later query, so a 4,000-query batch on a handful of
+templates costs a few dozen model calls rather than 4,000.  Outcomes and
+rentals are built positionally as named tuples.  A rental's ``busy_time``
+is ``sum()`` over its completed queries' execution times in queue order —
+the same call over the same floats as a sum over the VM's outcomes, so the
+two agree to the bit on every interpreter (Python 3.12's ``sum()`` is
+compensated, so a ``+=`` loop would not) — plus any partial run a failure
+wasted.
+
 Per-VM views of a trace (``ExecutionTrace.outcomes_by_vm``) come from one
-grouping pass, made on first use and kept on the trace, so pricing a trace
-and attributing its cost are linear in queries plus VMs.  Groups keep trace
-order: a sum over a group adds the same floats in the same order as a filter
-over all outcomes would.
+grouping pass, made on first use and kept on the trace, so attributing a
+trace's cost is linear in queries plus VMs.  Groups keep trace order: a sum
+over a group adds the same floats in the same order as a filter over all
+outcomes would.
 
 Fault injection
 ---------------
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.cloud.latency import LatencyModel
 from repro.core.outcome import QueryOutcome
@@ -46,8 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
 
 
-@dataclass(frozen=True)
-class VMRental:
+class VMRental(NamedTuple):
     """Rental accounting for one VM in an executed schedule."""
 
     vm_index: int
@@ -55,6 +65,8 @@ class VMRental:
     startup_cost: float
     provision_time: float
     release_time: float
+    #: Execution time billed on the VM: ``sum()`` of its completed queries'
+    #: execution times in queue order, plus any partial run a failure wasted.
     busy_time: float
     #: True when a fault plan killed this VM before it drained its queue.
     failed: bool = False
@@ -98,20 +110,22 @@ class ExecutionTrace:
     interrupted: tuple[InterruptedQuery, ...] = ()
 
     @cached_property
+    def vm_indices(self) -> tuple[int, ...]:
+        """Each outcome's ``vm_index``, in outcome order, read once on first use."""
+        return tuple([outcome.vm_index for outcome in self.outcomes])
+
+    @cached_property
     def outcomes_by_vm(self) -> Mapping[int, tuple[QueryOutcome, ...]]:
         """Outcomes grouped by ``vm_index`` in outcome order, built on first use.
 
-        Derived, not a field: ``==``, ``hash`` and ``repr`` ignore it.  A VM
-        that completed nothing has no entry.
+        Derived, not a field: ``==``, ``hash`` and ``repr`` ignore it (as
+        they ignore :attr:`vm_indices`).  A VM that completed nothing has no
+        entry.
         """
         groups: dict[int, list[QueryOutcome]] = {}
-        for outcome in self.outcomes:
-            groups.setdefault(outcome.vm_index, []).append(outcome)
+        for vm_index, outcome in zip(self.vm_indices, self.outcomes):
+            groups.setdefault(vm_index, []).append(outcome)
         return {index: tuple(group) for index, group in groups.items()}
-
-    def latencies(self) -> list[float]:
-        """Observed latencies of all queries, in schedule order."""
-        return [outcome.latency for outcome in self.outcomes]
 
 
 class ScheduleSimulator:
@@ -149,26 +163,33 @@ class ScheduleSimulator:
         plan = (
             fault_plan if fault_plan is not None and not fault_plan.is_empty else None
         )
+        latency = self._latency_model.latency
+        rows: dict[int, dict[str, float]] = {}  # id(VM type) -> latency row
         outcomes: list[QueryOutcome] = []
         rentals: list[VMRental] = []
         interrupted: list[InterruptedQuery] = []
         for vm_index, vm in enumerate(schedule):
+            vm_type = vm.vm_type
+            type_name = vm_type.name
+            row = rows.setdefault(id(vm_type), {})
             profile = None
             delay = 0.0
             fail_time = None
             if plan is not None:
-                profile = plan.profile_for(vm_index, vm.vm_type, provision_time)
+                profile = plan.profile_for(vm_index, vm_type, provision_time)
                 delay = plan.provisioning_delay(profile)
                 fail_time = profile.fail_time
             clock = provision_time + delay
-            busy = 0.0
+            executed: list[float] = []
             wasted = 0.0
             lost = 0
             for query in vm.queries:
-                execution_time = self._latency_model.latency(
-                    query.template_name, vm.vm_type
-                )
-                start = max(clock, query.arrival_time)
+                name = query.template_name
+                execution_time = row.get(name)
+                if execution_time is None:
+                    execution_time = row[name] = latency(name, vm_type)
+                arrival = query.arrival_time
+                start = arrival if arrival > clock else clock
                 completion = start + execution_time
                 if fail_time is not None and (
                     start >= fail_time or completion > fail_time
@@ -179,16 +200,15 @@ class ScheduleSimulator:
                     partial = fail_time - start if began else 0.0
                     if began:
                         clock = fail_time
-                    busy += partial
                     wasted += partial
                     lost += 1
                     interrupted.append(
                         InterruptedQuery(
                             query_id=query.query_id,
-                            template_name=query.template_name,
+                            template_name=name,
                             vm_index=vm_index,
-                            vm_type_name=vm.vm_type.name,
-                            arrival_time=query.arrival_time,
+                            vm_type_name=type_name,
+                            arrival_time=arrival,
                             start_time=start if began else None,
                             interrupted_at=fail_time,
                             wasted_time=partial,
@@ -197,34 +217,34 @@ class ScheduleSimulator:
                     continue
                 outcomes.append(
                     QueryOutcome(
-                        query_id=query.query_id,
-                        template_name=query.template_name,
-                        vm_index=vm_index,
-                        vm_type_name=vm.vm_type.name,
-                        arrival_time=query.arrival_time,
-                        start_time=start,
-                        completion_time=completion,
-                        execution_time=execution_time,
+                        query.query_id,
+                        name,
+                        vm_index,
+                        type_name,
+                        arrival,
+                        start,
+                        completion,
+                        execution_time,
                     )
                 )
                 clock = completion
-                busy += execution_time
+                executed.append(execution_time)
             # The failure only "bites" if it cost the VM work (or the VM sat
             # idle when it hit); a fail time past the last completion is moot
             # because the VM would already have been released.
             failed = fail_time is not None and (lost > 0 or not vm.queries)
             rentals.append(
                 VMRental(
-                    vm_index=vm_index,
-                    vm_type_name=vm.vm_type.name,
-                    startup_cost=vm.vm_type.startup_cost,
-                    provision_time=provision_time,
-                    release_time=max(fail_time, provision_time) if failed else clock,
-                    busy_time=busy,
-                    failed=failed,
-                    fail_kind=profile.fail_kind if failed else None,
-                    wasted_busy_time=wasted,
-                    startup_delay=delay,
+                    vm_index,
+                    type_name,
+                    vm_type.startup_cost,
+                    provision_time,
+                    max(fail_time, provision_time) if failed else clock,
+                    sum(executed) + wasted,
+                    failed,
+                    profile.fail_kind if failed else None,
+                    wasted,
+                    delay,
                 )
             )
         return ExecutionTrace(

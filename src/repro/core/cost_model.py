@@ -9,12 +9,17 @@ goal ``R`` is::
 i.e. provisioning fees, plus rental fees for the time the VM spends executing
 its queue, plus the SLA penalty for whatever violations the schedule incurs.
 
-Pricing is one pass: :func:`breakdown_from_trace` takes each VM's completed
-outcomes from the trace's ``outcomes_by_vm`` grouping instead of filtering all
-outcomes once per VM, so it is linear in queries plus VMs.  A VM's busy time
-is still ``sum()`` over its outcomes in trace order — the additions a per-VM
-filter made, in the same order — because float addition is not associative
-and the golden digests pin every breakdown to the bit.
+Pricing is one light pass over what the simulator already summed.  A VM
+that survived its run takes its busy time from ``VMRental.busy_time``: the
+simulator made the same ``sum()`` call over the same floats in the same
+order as a sum over the VM's outcomes would, and float addition is not
+associative, so that is what keeps the golden digests pinned to the bit.
+Only a VM a fault plan killed has a busy time that includes wasted partial
+work; for those :func:`breakdown_from_trace` sums the VM's completed
+outcomes from the trace's ``outcomes_by_vm`` grouping, which is therefore
+built only for traces with a failed rental.  The goal's violation period is
+computed once, and the penalty is ``penalty_rate × violation`` — the product
+``PerformanceGoal.penalty`` forms.
 """
 
 from __future__ import annotations
@@ -87,7 +92,10 @@ class CostBreakdown:
 
 
 def breakdown_from_trace(
-    schedule: Schedule, trace: ExecutionTrace, goal: PerformanceGoal
+    schedule: Schedule,
+    trace: ExecutionTrace,
+    goal: PerformanceGoal,
+    violation: float | None = None,
 ) -> CostBreakdown:
     """Equation-1 breakdown of an already-simulated schedule.
 
@@ -95,14 +103,15 @@ def breakdown_from_trace(
     :func:`repro.core.scheduler.simulated_outcome`, so the two can never
     drift apart.  *trace* must be the simulation of *schedule*: a trace with
     a different number of VMs raises :class:`~repro.exceptions.ScheduleError`.
+    *violation* is ``goal.violation_period(trace.outcomes)`` if the caller
+    already has it (computed here otherwise).
     """
     startup = 0.0
     execution = 0.0
     wasted_startup = 0.0
     wasted_execution = 0.0
     rentals = trace.rentals
-    by_vm = trace.outcomes_by_vm
-    last_vm = max(by_vm, default=-1)
+    last_vm = max(trace.vm_indices, default=-1)
     if len(rentals) != len(schedule) or last_vm >= len(schedule):
         raise ScheduleError(
             f"trace does not belong to this schedule: it has {len(rentals)} "
@@ -110,18 +119,22 @@ def breakdown_from_trace(
             f"the schedule has {len(schedule)} VMs"
         )
     for vm_index, (vm, rental) in enumerate(zip(schedule, rentals)):
-        busy = sum(outcome.execution_time for outcome in by_vm.get(vm_index, ()))
-        execution += vm.vm_type.running_cost * busy
+        vm_type = vm.vm_type
         if rental.failed:
-            wasted_startup += vm.vm_type.startup_cost
-            wasted_execution += vm.vm_type.running_cost * rental.wasted_busy_time
+            completed = trace.outcomes_by_vm.get(vm_index, ())
+            busy = sum(outcome.execution_time for outcome in completed)
+            wasted_startup += vm_type.startup_cost
+            wasted_execution += vm_type.running_cost * rental.wasted_busy_time
         else:
-            startup += vm.vm_type.startup_cost
-    penalty = goal.penalty(trace.outcomes)
+            busy = rental.busy_time
+            startup += vm_type.startup_cost
+        execution += vm_type.running_cost * busy
+    if violation is None:
+        violation = goal.violation_period(trace.outcomes)
     return CostBreakdown(
         startup_cost=startup,
         execution_cost=execution,
-        penalty_cost=penalty,
+        penalty_cost=goal.penalty_rate * violation,
         wasted_startup_cost=wasted_startup,
         wasted_execution_cost=wasted_execution,
     )

@@ -17,8 +17,9 @@ now speak one protocol instead:
 
 :func:`simulated_outcome` builds an outcome for any scheduler that produces a
 batch schedule executed from time zero — it simulates the schedule once and
-derives both the cost breakdown and the per-query records from the same trace,
-so the numbers always agree with :class:`~repro.core.cost_model.CostModel`.
+derives the cost breakdown, the per-query records and the violation period
+from the same trace, so the numbers always agree with
+:class:`~repro.core.cost_model.CostModel`.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ class SchedulingOutcome:
     degraded: bool = False
     #: Why degraded mode engaged (``None`` when ``degraded`` is False).
     degraded_reason: str | None = None
+    #: ``goal``'s violation period if pricing computed it (``None``: compute
+    #: on demand).  Derived, so ``==`` and ``repr`` ignore it.
+    violation: float | None = field(default=None, compare=False, repr=False)
 
     @property
     def total_cost(self) -> float:
@@ -101,6 +105,8 @@ class SchedulingOutcome:
 
     def violation_period(self) -> float:
         """Violation period (seconds) of the outcome under its goal."""
+        if self.violation is not None:
+            return self.violation
         return self.goal.violation_period(self.query_outcomes)
 
     def describe(self) -> str:
@@ -148,14 +154,15 @@ def simulated_outcome(
     construction.
     """
     trace = ScheduleSimulator(latency_model).run(schedule)
-    cost = breakdown_from_trace(schedule, trace, goal)
+    violation = goal.violation_period(trace.outcomes)
     return SchedulingOutcome(
         scheduler=name,
         goal=goal,
         schedule=schedule,
-        cost=cost,
+        cost=breakdown_from_trace(schedule, trace, goal, violation),
         query_outcomes=trace.outcomes,
         overhead=overhead or SchedulerOverhead(wall_time_seconds=wall_time_seconds),
+        violation=violation,
     )
 
 

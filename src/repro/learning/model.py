@@ -140,8 +140,10 @@ class DecisionModel:
         self._metadata = metadata or ModelMetadata(goal_kind=goal.kind)
         self._penalty_guard = penalty_guard
         self.stats = DecisionStats()
-        #: Lazily built compiled evaluator :meth:`decide` walks.
+        #: Lazily built compiled evaluator :meth:`decide` walks, and the walk
+        #: table read off it and the extractor once, not per decision.
         self._evaluator = None
+        self._walk_table: tuple | None = None
         #: raw tree label -> parsed Action (or None for unparseable labels).
         self._action_cache: dict[str, Action | None] = {}
         #: template name -> cheapest supporting VM type (catalogue and latency
@@ -301,8 +303,13 @@ class DecisionModel:
     def _compiled_evaluator(self):
         """The fitted tree compiled onto the extractor's feature-row layout."""
         if self._evaluator is None:
-            self._evaluator = self._tree.compiled(self._extractor.feature_names)
+            self._adopt(self._tree.compiled(self._extractor.feature_names))
         return self._evaluator
+
+    def _adopt(self, evaluator) -> None:
+        self._evaluator = evaluator
+        arrays = (*evaluator.scalar_arrays(), evaluator.labels)
+        self._walk_table = (arrays, self._extractor.column_layout)
 
     def compiled_evaluator(self):
         """The compiled flat-array evaluator :meth:`decide` walks.
@@ -329,7 +336,7 @@ class DecisionModel:
                 f"({len(evaluator.feature_names)} vs "
                 f"{len(self._extractor.feature_names)} features)"
             )
-        self._evaluator = evaluator
+        self._adopt(evaluator)
 
     def predict_row(self, row: np.ndarray) -> str:
         """The raw label for one feature row in the extractor's column order."""
@@ -382,11 +389,10 @@ class DecisionModel:
         two against each other).  Also returns the Equation-2 edge costs the
         path asked for, by template, for the penalty guard to reuse.
         """
-        evaluator = self._evaluator
-        if evaluator is None:
-            evaluator = self._compiled_evaluator()
-        features, thresholds, lefts, rights, leaves = evaluator.scalar_arrays()
-        families, names, positions = self._extractor.column_layout
+        if self._walk_table is None:
+            self._compiled_evaluator()
+        arrays, (families, names, positions) = self._walk_table
+        features, thresholds, lefts, rights, leaves, labels = arrays
         state = node.state
         last = state.last_vm()
         present = state.remaining_name_set()
@@ -422,7 +428,7 @@ class DecisionModel:
             else:
                 index = rights[index]
             column = features[index]
-        return evaluator.labels[leaves[index]], costs
+        return labels[leaves[index]], costs
 
     # -- validation and fallbacks -----------------------------------------------------
 

@@ -519,14 +519,14 @@ class OnlineScheduler:
             for record in vm.records:
                 outcomes.append(
                     QueryOutcome(
-                        query_id=record.query.query_id,
-                        template_name=record.template_name,
-                        vm_index=vm_index,
-                        vm_type_name=vm.vm_type.name,
-                        arrival_time=record.query.arrival_time,
-                        start_time=record.start_time,
-                        completion_time=record.completion_time,
-                        execution_time=record.execution_time,
+                        record.query.query_id,
+                        record.template_name,
+                        vm_index,
+                        vm.vm_type.name,
+                        record.query.arrival_time,
+                        record.start_time,
+                        record.completion_time,
+                        record.execution_time,
                     )
                 )
         return tuple(outcomes)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro import units
@@ -97,7 +95,7 @@ def test_trace_of_another_schedule_is_rejected_not_mispriced(small_templates):
     with pytest.raises(ScheduleError, match="has 3 rentals .* schedule has 2 VMs"):
         breakdown_from_trace(two_vms, simulator.run(three_vms), goal)
     # Rental counts agree, but an outcome ran on a VM the schedule does not have.
-    stray = dataclasses.replace(trace.outcomes[-1], vm_index=2)
+    stray = trace.outcomes[-1]._replace(vm_index=2)
     hand_built = ExecutionTrace(trace.outcomes[:-1] + (stray,), trace.rentals)
     with pytest.raises(ScheduleError, match="2 rentals and outcomes up to VM index 2"):
         breakdown_from_trace(two_vms, hand_built, goal)

@@ -1,11 +1,14 @@
 """One-pass outcome pricing: bit-identical to the straight-line version, linear work.
 
-``ExecutionTrace.outcomes_by_vm`` groups a trace's outcomes by VM once;
-``breakdown_from_trace`` and the cost estimator both read that grouping.  The version they replaced — filter every outcome per VM, then
-sum — lives on below as the reference: the sweep requires *exact* equality
+``ExecutionTrace.outcomes_by_vm`` groups a trace's outcomes by VM once; the
+cost estimator reads that grouping, and ``breakdown_from_trace`` reads it
+only for a VM a failure killed (a surviving VM's busy time is its rental's).
+The version they replaced — filter every outcome per VM, then sum — lives on
+below as the reference: the sweep and the property require *exact* equality
 with it (no tolerance: per-VM sums must add the same floats in the same
-order), and the work guard counts attribute reads so a per-VM rescan cannot
-come back unnoticed behind a passing wall-clock.
+order), and the work guards count attribute reads, latency-model calls and
+groupings so neither a per-VM rescan nor a per-query lookup can come back
+unnoticed behind a passing wall-clock.
 """
 
 from __future__ import annotations
@@ -13,10 +16,14 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import units
 from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator
-from repro.core.cost_model import CostBreakdown, breakdown_from_trace
+from repro.core.cost_model import CostBreakdown, CostModel, breakdown_from_trace
 from repro.core.outcome import QueryOutcome
+from repro.core.scheduler import simulated_outcome
 from repro.core.schedule import Schedule, VMAssignment
 from repro.faults import FaultPlan, SlowStart, VMFailure
 from repro.runtime.estimator import _attribute_costs, per_template_cost_profile
@@ -194,7 +201,7 @@ def test_pricing_reads_each_outcome_a_constant_number_of_times(
 ):
     """400 queries on 200 VMs: no caller may scan every outcome once per VM."""
     reads = Counter()
-    fields = set(QueryOutcome.__dataclass_fields__)
+    fields = set(QueryOutcome._fields)
 
     class CountingOutcome(QueryOutcome):
         def __getattribute__(self, name):
@@ -256,3 +263,121 @@ def test_grouping_is_derived_state_not_a_field(latency_model, vm_catalog):
     assert priced.outcomes_by_vm[0] == priced.outcomes
     assert priced == untouched and hash(priced) == hash(untouched)
     assert "outcomes_by_vm" not in repr(priced)
+
+
+# ---------------------------------------------------------------------------
+# Light pass: one latency row per VM type, busy time from the rental
+# ---------------------------------------------------------------------------
+
+
+def _two_queries_on_each_of_200_vms(vm_type):
+    return Schedule(
+        VMAssignment(vm_type, (Query(template_name="T1"), Query(template_name="T3")))
+        for _ in range(200)
+    )
+
+
+class _CountingLatency:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def latency(self, template_name, vm_type):
+        self.calls[vm_type.name, template_name] += 1
+        return self.inner.latency(template_name, vm_type)
+
+
+def test_run_asks_the_latency_model_once_per_vm_type_and_template(
+    latency_model, vm_catalog
+):
+    schedule = _two_queries_on_each_of_200_vms(vm_catalog.default)
+    counting = _CountingLatency(latency_model)
+    trace = ScheduleSimulator(counting).run(schedule)
+    assert len(trace.outcomes) == 400
+    assert set(counting.calls.values()) == {1}, counting.calls
+    assert len(counting.calls) == 2
+    # Under faults too: a lost query still needed its latency, once.
+    counting.calls.clear()
+    plan = FaultPlan(events=(VMFailure(at=90.0, vm_index=7),))
+    faulted = ScheduleSimulator(counting).run(schedule, fault_plan=plan)
+    assert faulted.interrupted and set(counting.calls.values()) == {1}
+
+
+def test_pricing_a_fault_free_trace_never_groups_outcomes(
+    latency_model, max_goal, vm_catalog, monkeypatch
+):
+    schedule = _two_queries_on_each_of_200_vms(vm_catalog.default)
+    trace = ScheduleSimulator(latency_model).run(schedule)
+    assert breakdown_from_trace(schedule, trace, max_goal) == reference_breakdown(
+        schedule, trace, max_goal
+    )
+    assert "outcomes_by_vm" not in vars(trace)
+
+    grouped = []
+    build = ExecutionTrace.outcomes_by_vm.func
+
+    def spy(self):
+        grouped.append(self)
+        return build(self)
+
+    monkeypatch.setattr(ExecutionTrace, "outcomes_by_vm", property(spy))
+    priced = CostModel(latency_model).breakdown(schedule, max_goal)
+    outcome = simulated_outcome("spy", schedule, max_goal, latency_model)
+    assert grouped == [] and outcome.cost == priced
+    # A killed VM's busy time holds wasted work, so it alone is grouped.
+    plan = FaultPlan(events=(VMFailure(at=90.0, vm_index=7),))
+    crashed = ScheduleSimulator(latency_model).run(schedule, fault_plan=plan)
+    assert [rental.vm_index for rental in crashed.rentals if rental.failed] == [7]
+    assert breakdown_from_trace(schedule, crashed, max_goal) == reference_breakdown(
+        schedule, crashed, max_goal
+    )
+    assert grouped and all(seen is crashed for seen in grouped)
+
+
+_random_vms = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("T1", "T2", "T3")),
+                st.just(0.0) | st.floats(0.0, units.minutes(6)),
+            ),
+            max_size=5,
+        ),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    vms=_random_vms,
+    provision_time=st.sampled_from((0.0, units.minutes(2))),
+    fault_seed=st.none() | st.integers(0, 2**16),
+    crash_rate=st.floats(1.0, 40.0),
+)
+def test_pricing_equals_the_reference_on_random_schedules(
+    two_type_catalog, latency_model, all_goals, vms, provision_time, fault_seed, crash_rate
+):
+    vm_types = list(two_type_catalog)
+    schedule = Schedule(
+        VMAssignment(
+            vm_types[type_index],
+            tuple(Query(template_name=name, arrival_time=at) for name, at in queries),
+        )
+        for type_index, queries in vms
+    )
+    plan = (
+        None
+        if fault_seed is None
+        else FaultPlan.from_rates(
+            seed=fault_seed, crash_rate=crash_rate, start_failure_chance=0.3
+        )
+    )
+    trace = ScheduleSimulator(latency_model).run(
+        schedule, provision_time=provision_time, fault_plan=plan
+    )
+    for goal in all_goals.values():
+        assert breakdown_from_trace(schedule, trace, goal) == reference_breakdown(
+            schedule, trace, goal
+        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.first_fit import (
@@ -21,6 +23,7 @@ from repro.evaluation.harness import (
 from repro.exceptions import SpecificationError
 from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineScheduler
+from repro.service.registry import ModelRegistry
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -89,6 +92,31 @@ def test_batch_outcome_cost_matches_cost_model(trained_max, small_workload):
         outcome.schedule, trained_max.goal
     )
     assert outcome.cost == expected
+
+
+def test_a_priced_outcome_computes_its_violation_once(
+    trained_max, small_workload, monkeypatch
+):
+    goal = trained_max.goal
+    scans = []
+    scan = type(goal).violation_period
+
+    def counting_scan(self, outcomes):
+        scans.append(outcomes)
+        return scan(self, outcomes)
+
+    monkeypatch.setattr(type(goal), "violation_period", counting_scan)
+    outcome = BatchScheduler(trained_max.model).run(small_workload)
+    record = ModelRegistry().record_outcome("t", outcome, "batch")
+    expected = scan(goal, outcome.query_outcomes)
+    assert [s for s in scans if s is outcome.query_outcomes] == [outcome.query_outcomes]
+    assert record.violation_seconds == outcome.violation == expected
+    assert outcome.cost.penalty_cost == goal.penalty_rate * expected
+    # Derived state: equality and repr ignore it, and without it the
+    # outcome still computes the violation.
+    bare = dataclasses.replace(outcome, violation=None)
+    assert bare == outcome and repr(bare) == repr(outcome)
+    assert bare.violation_period() == expected
 
 
 def test_online_outcome_matches_report(trained_max, model_generator, small_templates):

@@ -497,6 +497,39 @@ def test_batch_run_equals_full_row_decisions(trained_max, small_templates, monke
     assert _outcome_key(scheduler.run(workload)) == _outcome_key(walked)
 
 
+def test_a_model_reads_its_walk_table_once_per_evaluator(
+    trained_max, small_templates, monkeypatch
+):
+    """Work guard: the evaluator's arrays and the column layout are read when
+    an evaluator is adopted, not per decision, and an adopted (shm-attached)
+    evaluator replaces the compiled one's table."""
+    from repro.workloads.generator import WorkloadGenerator
+
+    reads = []
+    real = CompiledTreeEvaluator.scalar_arrays
+    monkeypatch.setattr(
+        CompiledTreeEvaluator, "scalar_arrays", lambda self: reads.append(self) or real(self)
+    )
+    model = trained_max.model.with_penalty_guard(True)  # a copy with no evaluator yet
+    workload = WorkloadGenerator(small_templates, seed=31).uniform(40)
+    compiled_run = BatchScheduler(model).run(workload)
+    compiled = model.compiled_evaluator()
+    assert compiled_run.overhead.decisions > 1 and reads == [compiled]
+    attached = CompiledTreeEvaluator.from_arrays(
+        compiled.feature,
+        compiled.threshold,
+        compiled.left,
+        compiled.right,
+        compiled.leaf_label,
+        compiled.labels,
+        compiled.feature_names,
+    )
+    model.use_evaluator(attached)
+    attached_run = BatchScheduler(model).run(workload)
+    assert reads == [compiled, attached]
+    assert _outcome_key(attached_run) == _outcome_key(compiled_run)
+
+
 def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_templates, monkeypatch):
     """Work guard: Equation 2 runs once per ``cost-of-X`` column on the path, plus
     once when the penalty guard needs a cost the path did not ask for — not once
