@@ -15,10 +15,8 @@ Figures 14-16 comes from.
 
 A second ablation sweeps the pluggable search strategies: exact A* and the
 optimality-relaxing strategies (weighted A*, beam) solve the same
-non-monotonic workloads under the goal's own cost-to-go bound, and the
-``strategy_ablation`` series — generated nodes, wall time, and
-cost-vs-optimal ratio per strategy — is merged into
-``BENCH_training_throughput.json`` next to the adaptive-bound series.
+non-monotonic workloads under the goal's own cost-to-go bound, and prints
+generated nodes, wall time, and cost-vs-optimal ratio per strategy.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from repro.search.astar import astar_search
 from repro.search.problem import SchedulingProblem
 from repro.search.strategy import strategy_from_spec
 
-from conftest import merge_bench_json, print_figure
+from conftest import print_figure
 
 from repro.exceptions import SearchBudgetExceeded
 
@@ -114,7 +112,6 @@ def _run(environments, scale):
 def _run_strategy_sweep(environments):
     """Sweep the search strategies over the non-monotonic goals."""
     rows = []
-    series: dict[str, dict] = {}
     for kind in ("percentile", "average"):
         environment = environments[kind]
         workloads = uniform_workloads(environment.templates, 4, 10, seed=311)
@@ -148,25 +145,25 @@ def _run_strategy_sweep(environments):
             generated, expansions, achieved, lower, elapsed = solve_all(spec)
             if optimal_cost is None:
                 optimal_cost = achieved
-            entry = {
-                "goal": kind,
-                "engine": spec,
-                "generated": generated,
-                "expansions": expansions,
-                "wall_s": round(elapsed, 4),
-                # True achieved-over-optimal (the exact first row supplies the
-                # optimum); the sound self-reported bound rides along.
-                "cost_ratio": round(achieved / optimal_cost, 6),
-                "reported_ratio_bound": round(achieved / lower, 6),
-            }
-            rows.append(entry)
-            series[f"{kind}:{spec}"] = entry
-    return rows, series
+            rows.append(
+                {
+                    "goal": kind,
+                    "engine": spec,
+                    "generated": generated,
+                    "expansions": expansions,
+                    "wall_s": round(elapsed, 4),
+                    # True achieved-over-optimal (the exact first row supplies
+                    # the optimum); the sound self-reported bound rides along.
+                    "cost_ratio": round(achieved / optimal_cost, 6),
+                    "reported_ratio_bound": round(achieved / lower, 6),
+                }
+            )
+    return rows
 
 
 def test_strategy_ablation(benchmark, environments):
-    """Sweep the search strategies and persist the ``strategy_ablation`` series."""
-    rows, series = benchmark.pedantic(
+    """Sweep the search strategies: relaxed ones report sound ratio bounds."""
+    rows = benchmark.pedantic(
         _run_strategy_sweep, args=(environments,), rounds=1, iterations=1
     )
     print_figure(
@@ -183,8 +180,6 @@ def test_strategy_ablation(benchmark, environments):
             ],
         ),
     )
-    path = merge_bench_json("training_throughput", {"strategy_ablation": series})
-    print(f"strategy_ablation series merged into {path}")
     by_engine = {(row["goal"], row["engine"]): row for row in rows}
     for kind in ("percentile", "average"):
         for spec in _STRATEGY_SPECS[1:]:

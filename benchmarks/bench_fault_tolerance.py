@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from conftest import merge_bench_json, print_figure
+from conftest import print_figure
 
 from repro.evaluation.harness import format_table
 from repro.faults import FaultPlan
@@ -132,16 +132,6 @@ def test_fault_tolerance_cost_overhead(benchmark, environments, scale):
     print_figure(
         "Fault tolerance — online scheduling cost under seeded crash storms",
         format_table(rows, columns),
-    )
-    merge_bench_json(
-        "fault_tolerance",
-        {
-            "scale": scale.name,
-            "seed": FAULT_SEED,
-            "arrival_delay_s": ARRIVAL_DELAY,
-            "crash_rates_per_hour": list(CRASH_RATES),
-            "rows": rows,
-        },
     )
     assert len(rows) == len(GOAL_KINDS) * len(CRASH_RATES)
     # At least one stormy cell must actually have seen a failure, otherwise

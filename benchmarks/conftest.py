@@ -14,10 +14,8 @@ The benchmark functions print the rows/series of the figure they reproduce, so
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
@@ -115,32 +113,3 @@ def print_figure(title: str, table: str) -> None:
     """Uniform reporting helper used by every benchmark."""
     banner = "=" * len(title)
     print(f"\n{title}\n{banner}\n{table}\n")
-
-
-def write_bench_json(name: str, payload: dict) -> Path:
-    """Persist a benchmark's machine-readable results next to the repo root.
-
-    Results land in ``BENCH_<name>.json`` (overwritten per run) so CI and
-    humans can diff throughput numbers across commits without scraping pytest
-    output.  Returns the path written.
-    """
-    path = Path(__file__).resolve().parent.parent / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def merge_bench_json(name: str, payload: dict) -> Path:
-    """Like :func:`write_bench_json`, but preserve series written by others.
-
-    Several benchmarks share ``BENCH_training_throughput.json`` (the
-    bound-ablation and adaptive-bound series); each writer replaces only
-    its own keys and keeps
-    whatever else the file already holds, so one run never erases another's
-    history.
-    """
-    path = Path(__file__).resolve().parent.parent / f"BENCH_{name}.json"
-    if path.exists():
-        previous = json.loads(path.read_text())
-        for key, value in previous.items():
-            payload.setdefault(key, value)
-    return write_bench_json(name, payload)

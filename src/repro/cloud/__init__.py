@@ -7,7 +7,6 @@ from repro.cloud.latency import (
 )
 from repro.cloud.simulator import (
     ExecutionTrace,
-    InterruptedQuery,
     ScheduleSimulator,
     VMRental,
 )
@@ -25,7 +24,6 @@ from repro.cloud.vm import (
 
 __all__ = [
     "ExecutionTrace",
-    "InterruptedQuery",
     "LatencyModel",
     "QueryLatencyPredictor",
     "ScheduleSimulator",

@@ -9,17 +9,16 @@ goal ``R`` is::
 i.e. provisioning fees, plus rental fees for the time the VM spends executing
 its queue, plus the SLA penalty for whatever violations the schedule incurs.
 
-Pricing is one light pass over what the simulator already summed.  A VM
-that survived its run takes its busy time from ``VMRental.busy_time``: the
-simulator made the same ``sum()`` call over the same floats in the same
-order as a sum over the VM's outcomes would, and float addition is not
-associative, so that is what keeps the golden digests pinned to the bit.
-Only a VM a fault plan killed has a busy time that includes wasted partial
-work; for those :func:`breakdown_from_trace` sums the VM's completed
-outcomes from the trace's ``outcomes_by_vm`` grouping, which is therefore
-built only for traces with a failed rental.  The goal's violation period is
-computed once, and the penalty is ``penalty_rate × violation`` — the product
-``PerformanceGoal.penalty`` forms.
+Pricing is one light pass over what the simulator already summed.  Each
+VM's busy time is ``VMRental.busy_time``: the simulator made the same
+``sum()`` call over the same floats in the same order as a sum over the
+VM's outcomes would, and float addition is not associative, so that is what
+keeps the golden digests pinned to the bit.  The simulator is fault-free, so
+no rental here ever failed; wasted spend in a :class:`CostBreakdown` comes
+only from online runs under a fault plan (:mod:`repro.runtime.online`).
+The goal's violation period is computed once, and the penalty is
+``penalty_rate × violation`` — the product ``PerformanceGoal.penalty``
+forms.
 """
 
 from __future__ import annotations
@@ -42,8 +41,9 @@ class CostBreakdown:
     already folds in rescheduling delay — completion times simply move).  The
     two wasted components record spend lost to infrastructure failure: the
     provisioning fees of VMs that died and the partial execution time billed
-    for queries a failure interrupted.  Fault-free runs keep both at 0.0, so
-    every pre-existing breakdown (and golden digest) is unchanged.
+    for queries a failure interrupted.  Only an online run under a fault plan
+    fills them; :func:`breakdown_from_trace` prices a fault-free simulation
+    and keeps both at 0.0.
     """
 
     startup_cost: float
@@ -108,8 +108,6 @@ def breakdown_from_trace(
     """
     startup = 0.0
     execution = 0.0
-    wasted_startup = 0.0
-    wasted_execution = 0.0
     rentals = trace.rentals
     last_vm = max(trace.vm_indices, default=-1)
     if len(rentals) != len(schedule) or last_vm >= len(schedule):
@@ -118,25 +116,16 @@ def breakdown_from_trace(
             f"rentals and outcomes up to VM index {last_vm}, "
             f"the schedule has {len(schedule)} VMs"
         )
-    for vm_index, (vm, rental) in enumerate(zip(schedule, rentals)):
+    for vm, rental in zip(schedule, rentals):
         vm_type = vm.vm_type
-        if rental.failed:
-            completed = trace.outcomes_by_vm.get(vm_index, ())
-            busy = sum(outcome.execution_time for outcome in completed)
-            wasted_startup += vm_type.startup_cost
-            wasted_execution += vm_type.running_cost * rental.wasted_busy_time
-        else:
-            busy = rental.busy_time
-            startup += vm_type.startup_cost
-        execution += vm_type.running_cost * busy
+        startup += vm_type.startup_cost
+        execution += vm_type.running_cost * rental.busy_time
     if violation is None:
         violation = goal.violation_period(trace.outcomes)
     return CostBreakdown(
         startup_cost=startup,
         execution_cost=execution,
         penalty_cost=goal.penalty_rate * violation,
-        wasted_startup_cost=wasted_startup,
-        wasted_execution_cost=wasted_execution,
     )
 
 
@@ -152,21 +141,10 @@ class CostModel:
         """The latency model used for both rental billing and SLA evaluation."""
         return self._latency_model
 
-    def breakdown(
-        self,
-        schedule: Schedule,
-        goal: PerformanceGoal,
-        provision_time: float = 0.0,
-    ) -> CostBreakdown:
+    def breakdown(self, schedule: Schedule, goal: PerformanceGoal) -> CostBreakdown:
         """Full cost breakdown of *schedule* under *goal*."""
-        trace = self._simulator.run(schedule, provision_time=provision_time)
-        return breakdown_from_trace(schedule, trace, goal)
+        return breakdown_from_trace(schedule, self._simulator.run(schedule), goal)
 
-    def total_cost(
-        self,
-        schedule: Schedule,
-        goal: PerformanceGoal,
-        provision_time: float = 0.0,
-    ) -> float:
+    def total_cost(self, schedule: Schedule, goal: PerformanceGoal) -> float:
         """Total cost ``cost(R, S)`` of *schedule* under *goal*, in cents."""
-        return self.breakdown(schedule, goal, provision_time=provision_time).total
+        return self.breakdown(schedule, goal).total

@@ -6,11 +6,11 @@ clouds crash VMs, revoke spot instances, and stall provisioning.  A
 things happen in a run: a set of explicitly timed events
 (:class:`VMFailure`, :class:`SpotRevocation`, :class:`SlowStart`) plus
 optional rate-based generators (:class:`FaultRates`) keyed by an explicit RNG
-seed.  Both the :class:`~repro.cloud.simulator.ScheduleSimulator` and the
-:class:`~repro.runtime.online.OnlineScheduler` consume the same plan through
-one query — :meth:`FaultPlan.profile_for` — which answers, for the *n*-th VM
-provisioned in a run, whether (and when) it dies and how its start-up was
-delayed.
+seed.  The plan has one consumer, the online scheduler
+(:class:`~repro.runtime.online.OnlineScheduler` and its sessions), which asks
+one question — :meth:`FaultPlan.profile_for` — for the *n*-th VM provisioned
+in a run: whether (and when) it dies and how its start-up was delayed.  The
+batch :class:`~repro.cloud.simulator.ScheduleSimulator` is fault-free.
 
 Determinism is the design constraint that makes fault injection testable:
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import SpecificationError
 
-#: Event-kind markers shared with the rental/outcome accounting.
+#: Event-kind markers carried by fault profiles.
 CRASH = "crash"
 REVOCATION = "revocation"
 SLOW_START = "slow_start"

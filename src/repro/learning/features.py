@@ -247,12 +247,7 @@ class FeatureExtractor:
 
         cost_columns = self._cost_columns
         if cost_columns is not None:
-            cost_row = getattr(problem, "placement_cost_row", None)
-            if cost_row is not None:
-                costs = cost_row(node, names)
-            else:
-                edge_cost = problem.placement_edge_cost
-                costs = [edge_cost(node, name) for name in names]
+            costs = problem.placement_cost_row(node, names)
             inf = float("inf")
             for column, cost in zip(cost_columns, costs):
                 out_row[column] = INFEASIBLE_COST if cost == inf else cost

@@ -170,7 +170,7 @@ class MemoizedGoalBound(FutureCostBound):
         #: Whether the goal's bound may be memoised per assigned-latency
         #: *multiset* (bit-identical under permutation) rather than per
         #: exact sequence.
-        self._order_invariant = bool(getattr(goal, "future_bound_order_invariant", False))
+        self._order_invariant = goal.future_bound_order_invariant
         #: remaining multiset -> per-query latency lower bounds
         self._latency_bounds_cache: dict[tuple, list[float]] = {}
         #: (remaining multiset, assigned-latency key) -> future-cost lower bound

@@ -35,7 +35,7 @@ of queries already placed:
   same number.
 * **Incremental penalties.**  Every :class:`SearchNode` carries a copy-on-write
   :class:`~repro.sla.accumulators.ViolationAccumulator` (obtained from
-  :meth:`~repro.sla.base.PerformanceGoal.search_accumulator`) describing its
+  :meth:`~repro.sla.base.PerformanceGoal.accumulator`) describing its
   partial schedule.  A placement edge branches the parent's accumulator and
   records one completion, so node penalties and Equation-2 edge weights are
   O(1)/O(log n) deltas instead of ``goal.penalty(outcomes)`` scans over the
@@ -342,11 +342,11 @@ class SchedulingProblem:
             outcomes=(),
             last_vm_finish=0.0,
             depth=0,
-            accumulator=self._goal.search_accumulator(),
+            accumulator=self._goal.accumulator(),
         )
         if self._aux_goal is not None:
             if self._aux_derived_deadline is None:
-                node.aux_accumulator = self._aux_goal.search_accumulator()
+                node.aux_accumulator = self._aux_goal.accumulator()
             node.aux_penalty = 0.0
         node.priority = self._price(None, node, None)
         return node
@@ -569,7 +569,7 @@ class SchedulingProblem:
         """
         node = SearchNode(
             SearchState.initial(self._counts), None, None, 0.0, 0.0, (), 0.0, 0,
-            accumulator=self._goal.search_accumulator(),
+            accumulator=self._goal.accumulator(),
         )
         nodes = [node]
         provisions = {action.label: i for i, action in enumerate(self._provision_actions)}

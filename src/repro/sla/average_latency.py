@@ -70,18 +70,6 @@ class AverageLatencyGoal(PerformanceGoal):
         """
         return float("inf")
 
-    def violation_lower_bound(
-        self,
-        assigned_latencies: Sequence[float],
-        remaining_latency_bounds: Sequence[float],
-    ) -> float:
-        """Final average latency is at least the mean of fixed and lower-bound latencies."""
-        total = sum(assigned_latencies) + sum(remaining_latency_bounds)
-        count = len(assigned_latencies) + len(remaining_latency_bounds)
-        if count == 0:
-            return 0.0
-        return max(0.0, total / count - self._deadline)
-
     def future_cost_lower_bound(
         self,
         assigned_latencies: Sequence[float],

@@ -66,19 +66,6 @@ class PerformanceGoal(ABC):
         (see :mod:`repro.sla.accumulators`).
         """
 
-    def search_accumulator(self) -> ViolationAccumulator:
-        """A fresh copy-on-write accumulator for the optimal-schedule search.
-
-        The A* search carries one accumulator per vertex: a placement edge
-        :meth:`~repro.sla.accumulators.ViolationAccumulator.branch`-es the
-        parent's accumulator and records the new completion, so penalties and
-        Equation-2 edge weights are computed as O(1)/O(log n) deltas instead
-        of re-evaluating :meth:`penalty` over the whole partial schedule.
-        The default simply reuses :meth:`accumulator`, whose ``branch`` is
-        copy-on-write where it matters.
-        """
-        return self.accumulator()
-
     # -- search guidance hooks --------------------------------------------------
 
     def derived_aux_deadline(self, aux_goal: "PerformanceGoal") -> "float | None":
@@ -107,22 +94,6 @@ class PerformanceGoal(ABC):
         optimal-schedule search only explores one canonical ordering of such
         queues (a graph reduction on top of the two in Section 4.3).  The
         default of 0 disables the reduction for goals that do not declare one.
-        """
-        return 0.0
-
-    def violation_lower_bound(
-        self,
-        assigned_latencies: Sequence[float],
-        remaining_latency_bounds: Sequence[float],
-    ) -> float:
-        """Lower bound (seconds) on the final violation period of any completion.
-
-        ``assigned_latencies`` are the latencies already fixed by the partial
-        schedule; ``remaining_latency_bounds`` are per-query lower bounds on
-        the latencies of the queries still to be placed.  Used as an admissible
-        penalty estimate for goals whose partial-schedule penalty cannot be
-        carried in the search node's g-value (the non-monotonic goals).  The
-        default of 0 is always admissible.
         """
         return 0.0
 
@@ -155,14 +126,10 @@ class PerformanceGoal(ABC):
 
         Non-monotonic goals cannot carry their partial penalty in the search
         node's g-value, so this hook provides the admissible estimate used in
-        its place.  The default multiplies :meth:`violation_lower_bound` (which
-        assumes unlimited free VMs) by the penalty rate; goals that can reason
-        about the provisioning/penalty trade-off override it with something
-        sharper.
+        its place.  The default of 0 is always admissible; the non-monotonic
+        goals override it with a provisioning/penalty trade-off bound.
         """
-        return self._penalty_rate * self.violation_lower_bound(
-            assigned_latencies, remaining_latency_bounds
-        )
+        return 0.0
 
     # -- structural properties -----------------------------------------------
 

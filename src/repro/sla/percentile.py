@@ -106,23 +106,6 @@ class PercentileGoal(PerformanceGoal):
         """
         return float("inf")
 
-    def violation_lower_bound(
-        self,
-        assigned_latencies: Sequence[float],
-        remaining_latency_bounds: Sequence[float],
-    ) -> float:
-        """Percentile of fixed latencies merged with per-query lower bounds.
-
-        The goal's percentile latency is monotone in every individual latency,
-        so substituting each unplaced query's latency with its lower bound
-        yields a lower bound on the final percentile, hence on the violation.
-        """
-        merged = sorted(list(assigned_latencies) + list(remaining_latency_bounds))
-        if not merged:
-            return 0.0
-        rank = max(1, math.ceil(self._percent / 100.0 * len(merged)))
-        return max(0.0, merged[rank - 1] - self._deadline)
-
     def future_cost_lower_bound(
         self,
         assigned_latencies: Sequence[float],

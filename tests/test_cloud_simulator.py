@@ -10,7 +10,6 @@ from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator, VMRental
 from repro.cloud.vm import t2_medium
 from repro.core.outcome import QueryOutcome
 from repro.core.schedule import Schedule, VMAssignment
-from repro.faults import FaultPlan
 from repro.workloads.query import Query
 
 
@@ -62,19 +61,16 @@ def test_arrival_time_delays_start(simulator, small_templates):
     assert outcome.wait_time == 0.0
 
 
-def test_provision_time_offsets_execution(simulator):
-    schedule = _schedule(("T1",))
-    trace = simulator.run(schedule, provision_time=units.minutes(2))
-    assert trace.outcomes[0].start_time == units.minutes(2)
-    assert trace.outcomes[0].completion_time == units.minutes(3)
-
-
 def test_busy_time_accounting(simulator):
     schedule = _schedule(("T1", "T2"), ("T3",))
     trace = simulator.run(schedule)
     assert trace.rentals[0].busy_time == pytest.approx(units.minutes(3))
     assert trace.rentals[1].busy_time == pytest.approx(units.minutes(4))
-    assert trace.rentals[0].span == pytest.approx(units.minutes(3))
+    assert trace.rentals[0].release_time == pytest.approx(units.minutes(3))
+    # An idle VM bills a float zero, not sum([])'s int 0.
+    (idle,) = simulator.run(_schedule(())).rentals
+    assert (idle.release_time, idle.busy_time) == (0.0, 0.0)
+    assert type(idle.busy_time) is float
 
 
 def test_outcomes_by_vm(simulator):
@@ -91,16 +87,15 @@ def test_empty_schedule(simulator):
     assert trace.rentals == ()
 
 
-def test_no_plan_and_empty_plan_give_the_plain_trace(simulator):
-    # Spelled out field by field: without faults nothing is delayed,
-    # interrupted or wasted, whichever way "no faults" is said.
+def test_run_gives_the_plain_trace(simulator):
+    # Spelled out field by field: every VM is provisioned at 0, a query
+    # starts at the later of its arrival and its predecessor's completion.
     late = Query(template_name="T1", arrival_time=units.minutes(9))
     first, second = Query(template_name="T2"), Query(template_name="T3")
     vm_type = t2_medium()
     schedule = Schedule(
         [VMAssignment(vm_type, (first, second)), VMAssignment(vm_type, (late,))]
     )
-    start = units.minutes(1)
 
     def outcome(query, vm_index, began, ran):
         return QueryOutcome(
@@ -119,29 +114,19 @@ def test_no_plan_and_empty_plan_give_the_plain_trace(simulator):
             vm_index=vm_index,
             vm_type_name=vm_type.name,
             startup_cost=vm_type.startup_cost,
-            provision_time=start,
             release_time=release,
             busy_time=busy,
-            failed=False,
-            fail_kind=None,
-            wasted_busy_time=0.0,
-            startup_delay=0.0,
         )
 
     expected = ExecutionTrace(
         outcomes=(
-            outcome(first, 0, units.minutes(1), units.minutes(2)),
-            outcome(second, 0, units.minutes(3), units.minutes(4)),
+            outcome(first, 0, 0.0, units.minutes(2)),
+            outcome(second, 0, units.minutes(2), units.minutes(4)),
             outcome(late, 1, units.minutes(9), units.minutes(1)),
         ),
         rentals=(
-            rental(0, units.minutes(7), units.minutes(6)),
+            rental(0, units.minutes(6), units.minutes(6)),
             rental(1, units.minutes(10), units.minutes(1)),
         ),
-        interrupted=(),
     )
-    assert simulator.run(schedule, provision_time=start, fault_plan=None) == expected
-    assert (
-        simulator.run(schedule, provision_time=start, fault_plan=FaultPlan.empty())
-        == expected
-    )
+    assert simulator.run(schedule) == expected

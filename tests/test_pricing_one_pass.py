@@ -1,8 +1,8 @@
 """One-pass outcome pricing: bit-identical to the straight-line version, linear work.
 
 ``ExecutionTrace.outcomes_by_vm`` groups a trace's outcomes by VM once; the
-cost estimator reads that grouping, and ``breakdown_from_trace`` reads it
-only for a VM a failure killed (a surviving VM's busy time is its rental's).
+cost estimator reads that grouping, and ``breakdown_from_trace`` never does
+(each VM's busy time is its rental's).
 The version they replaced — filter every outcome per VM, then sum — lives on
 below as the reference: the sweep and the property require *exact* equality
 with it (no tolerance: per-VM sums must add the same floats in the same
@@ -25,7 +25,6 @@ from repro.core.cost_model import CostBreakdown, CostModel, breakdown_from_trace
 from repro.core.outcome import QueryOutcome
 from repro.core.scheduler import simulated_outcome
 from repro.core.schedule import Schedule, VMAssignment
-from repro.faults import FaultPlan, SlowStart, VMFailure
 from repro.runtime.estimator import _attribute_costs, per_template_cost_profile
 from repro.workloads.query import Query
 
@@ -39,22 +38,15 @@ def reference_outcomes_for_vm(trace, vm_index):
 
 
 def reference_breakdown(schedule, trace, goal):
-    startup = execution = wasted_startup = wasted_execution = 0.0
+    startup = execution = 0.0
     for vm_index, vm in enumerate(schedule):
         busy = sum(o.execution_time for o in reference_outcomes_for_vm(trace, vm_index))
         execution += vm.vm_type.running_cost * busy
-        rental = trace.rentals[vm_index]
-        if rental.failed:
-            wasted_startup += vm.vm_type.startup_cost
-            wasted_execution += vm.vm_type.running_cost * rental.wasted_busy_time
-        else:
-            startup += vm.vm_type.startup_cost
+        startup += vm.vm_type.startup_cost
     return CostBreakdown(
         startup_cost=startup,
         execution_cost=execution,
         penalty_cost=goal.penalty(trace.outcomes),
-        wasted_startup_cost=wasted_startup,
-        wasted_execution_cost=wasted_execution,
     )
 
 
@@ -111,32 +103,11 @@ def _random_schedule(rng, vm_types, arrivals):
     return Schedule(vms)
 
 
-def _random_fault_plan(rng, num_vms):
-    """No plan, or crashes (mid-query, at birth) and a slow start on random VMs."""
-    if num_vms == 0 or rng.random() < 0.25:
-        return None
-    # Mid-run: some query is usually in flight, so its partial run is wasted.
-    mid_run = rng.uniform(10.0, units.minutes(8))
-    events = [VMFailure(at=mid_run, vm_index=rng.randrange(num_vms))]
-    if rng.random() < 0.5:
-        # Dies the instant it is provisioned: a VM that completes nothing.
-        events.append(VMFailure(at=0.0, vm_index=rng.randrange(num_vms)))
-    if rng.random() < 0.5:
-        delay = rng.uniform(1.0, 90.0)
-        events.append(SlowStart(vm_index=rng.randrange(num_vms), delay=delay))
-    return FaultPlan(events=tuple(events))
-
-
 def _cases(vm_types, count=60):
     rng = random.Random(1706)
     for _ in range(count):
-        schedule = _random_schedule(rng, vm_types, arrivals=rng.random() < 0.5)
-        yield (
-            schedule,
-            rng.choice((0.0, units.minutes(2))),
-            _random_fault_plan(rng, len(schedule)),
-        )
-    yield Schedule.empty(), 0.0, None
+        yield _random_schedule(rng, vm_types, arrivals=rng.random() < 0.5)
+    yield Schedule.empty()
 
 
 def test_one_pass_pricing_is_bit_identical_to_the_reference(
@@ -144,8 +115,8 @@ def test_one_pass_pricing_is_bit_identical_to_the_reference(
 ):
     simulator = ScheduleSimulator(latency_model)
     seen = Counter()
-    for schedule, provision_time, plan in _cases(list(two_type_catalog)):
-        trace = simulator.run(schedule, provision_time=provision_time, fault_plan=plan)
+    for schedule in _cases(list(two_type_catalog)):
+        trace = simulator.run(schedule)
         for vm_index in range(len(schedule) + 1):  # one past the end: ()
             assert trace.outcomes_by_vm.get(vm_index, ()) == (
                 reference_outcomes_for_vm(trace, vm_index)
@@ -155,17 +126,13 @@ def test_one_pass_pricing_is_bit_identical_to_the_reference(
                 schedule, trace, goal
             )
         # The sweep must reach the cases it was written for.
-        seen["wasted partial execution"] += any(
-            rental.wasted_busy_time > 0 for rental in trace.rentals
-        )
         seen["VM completing nothing"] += any(
             i not in trace.outcomes_by_vm for i in range(len(schedule))
         )
-        seen["failed VM"] += any(rental.failed for rental in trace.rentals)
         seen["several VM types"] += len({vm.vm_type.name for vm in schedule}) > 1
         seen["non-zero arrivals"] += any(o.arrival_time > 0 for o in trace.outcomes)
         seen["empty schedule"] += len(schedule) == 0
-    assert all(seen.values()) and len(seen) == 6, seen
+    assert all(seen.values()) and len(seen) == 4, seen
 
 
 def test_estimator_is_bit_identical_to_the_reference_and_simulates_once(
@@ -174,12 +141,12 @@ def test_estimator_is_bit_identical_to_the_reference_and_simulates_once(
     runs = []
     real_run = ScheduleSimulator.run
 
-    def counting_run(self, schedule, **kwargs):
+    def counting_run(self, schedule):
         runs.append(schedule)
-        return real_run(self, schedule, **kwargs)
+        return real_run(self, schedule)
 
     monkeypatch.setattr(ScheduleSimulator, "run", counting_run)
-    for schedule, _, _ in _cases(list(two_type_catalog), count=20):
+    for schedule in _cases(list(two_type_catalog), count=20):
         trace = ScheduleSimulator(latency_model).run(schedule)
         for goal in all_goals.values():
             assert _attribute_costs(schedule, trace, goal) == (
@@ -296,11 +263,6 @@ def test_run_asks_the_latency_model_once_per_vm_type_and_template(
     assert len(trace.outcomes) == 400
     assert set(counting.calls.values()) == {1}, counting.calls
     assert len(counting.calls) == 2
-    # Under faults too: a lost query still needed its latency, once.
-    counting.calls.clear()
-    plan = FaultPlan(events=(VMFailure(at=90.0, vm_index=7),))
-    faulted = ScheduleSimulator(counting).run(schedule, fault_plan=plan)
-    assert faulted.interrupted and set(counting.calls.values()) == {1}
 
 
 def test_pricing_a_fault_free_trace_never_groups_outcomes(
@@ -324,14 +286,6 @@ def test_pricing_a_fault_free_trace_never_groups_outcomes(
     priced = CostModel(latency_model).breakdown(schedule, max_goal)
     outcome = simulated_outcome("spy", schedule, max_goal, latency_model)
     assert grouped == [] and outcome.cost == priced
-    # A killed VM's busy time holds wasted work, so it alone is grouped.
-    plan = FaultPlan(events=(VMFailure(at=90.0, vm_index=7),))
-    crashed = ScheduleSimulator(latency_model).run(schedule, fault_plan=plan)
-    assert [rental.vm_index for rental in crashed.rentals if rental.failed] == [7]
-    assert breakdown_from_trace(schedule, crashed, max_goal) == reference_breakdown(
-        schedule, crashed, max_goal
-    )
-    assert grouped and all(seen is crashed for seen in grouped)
 
 
 _random_vms = st.lists(
@@ -350,14 +304,9 @@ _random_vms = st.lists(
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    vms=_random_vms,
-    provision_time=st.sampled_from((0.0, units.minutes(2))),
-    fault_seed=st.none() | st.integers(0, 2**16),
-    crash_rate=st.floats(1.0, 40.0),
-)
+@given(vms=_random_vms)
 def test_pricing_equals_the_reference_on_random_schedules(
-    two_type_catalog, latency_model, all_goals, vms, provision_time, fault_seed, crash_rate
+    two_type_catalog, latency_model, all_goals, vms
 ):
     vm_types = list(two_type_catalog)
     schedule = Schedule(
@@ -367,16 +316,7 @@ def test_pricing_equals_the_reference_on_random_schedules(
         )
         for type_index, queries in vms
     )
-    plan = (
-        None
-        if fault_seed is None
-        else FaultPlan.from_rates(
-            seed=fault_seed, crash_rate=crash_rate, start_failure_chance=0.3
-        )
-    )
-    trace = ScheduleSimulator(latency_model).run(
-        schedule, provision_time=provision_time, fault_plan=plan
-    )
+    trace = ScheduleSimulator(latency_model).run(schedule)
     for goal in all_goals.values():
         assert breakdown_from_trace(schedule, trace, goal) == reference_breakdown(
             schedule, trace, goal

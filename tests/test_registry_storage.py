@@ -92,6 +92,30 @@ class TestSchema:
         with pytest.raises(StorageError, match="newer than this library"):
             SQLiteStore(path)
 
+    def test_find_by_base_is_an_indexed_point_query(self, tmp_path):
+        # The adaptive-retraining lookup runs per goal change: it must search
+        # the base-fingerprint index, never scan the artifacts table.
+        store = SQLiteStore(tmp_path / "registry.db")
+        for index in range(60):
+            store.put_artifact(
+                f"{index:064d}", f"base-{index % 12:059d}", "fresh", "{}", "{}"
+            )
+        statements = []
+        store._connection.set_trace_callback(statements.append)
+        try:
+            found = store.find_by_base(f"base-{5:059d}")
+        finally:
+            store._connection.set_trace_callback(None)
+        assert found == tuple(f"{index:064d}" for index in range(5, 60, 12))
+        (statement,) = statements
+        plan = [
+            row[-1]
+            for row in store._connection.execute(f"EXPLAIN QUERY PLAN {statement}")
+        ]
+        assert any("idx_artifacts_base" in step for step in plan), plan
+        assert not any(step.startswith("SCAN") for step in plan), plan
+        store.close()
+
     def test_non_database_file_is_rejected_loudly(self, tmp_path):
         path = tmp_path / "registry.db"
         path.write_text("this is not a database" * 100)

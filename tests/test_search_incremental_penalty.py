@@ -78,7 +78,7 @@ def test_property_accumulator_matches_batch_penalty(kind, deadline, latencies):
     from repro.search.problem import LatencyOutcome
 
     goal = goal_of(kind, deadline)
-    accumulator = goal.search_accumulator()
+    accumulator = goal.accumulator()
     outcomes = []
     for template_name, latency in latencies:
         # The hypothetical (non-mutating) delta must agree with the batch
@@ -149,7 +149,7 @@ def test_branch_copy_on_write_isolation():
     """Mutating a branch leaves the parent accumulator untouched (all kinds)."""
     for kind in GOAL_KINDS:
         goal = goal_of(kind, deadline=100.0)
-        parent = goal.search_accumulator()
+        parent = goal.accumulator()
         parent.add("T1", 150.0)
         before = parent.violation()
         child = parent.branch()

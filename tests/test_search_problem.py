@@ -193,7 +193,7 @@ def test_ordering_reduction_prunes_permutations(small_templates, max_goal):
     assert "T2" in follow_up_short
 
 
-def test_average_goal_priority_uses_violation_lower_bound(small_templates):
+def test_average_goal_priority_uses_the_future_cost_lower_bound(small_templates):
     goal = AverageLatencyGoal(deadline=units.minutes(1))
     problem = SchedulingProblem(
         template_counts={"T3": 3},

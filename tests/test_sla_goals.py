@@ -8,6 +8,7 @@ from repro import units
 from repro.core.outcome import QueryOutcome
 from repro.exceptions import GoalError
 from repro.sla.average_latency import AverageLatencyGoal
+from repro.sla.base import PerformanceGoal
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.sla.per_query import PerQueryDeadlineGoal
@@ -269,3 +270,32 @@ def test_default_goal_unknown_kind(small_templates):
 def test_describe_mentions_kind(all_goals):
     for kind, goal in all_goals.items():
         assert kind in goal.describe()
+
+
+# ---------------------------------------------------------------------------
+# Search guidance hooks
+# ---------------------------------------------------------------------------
+
+
+def test_only_non_monotonic_goals_override_the_future_cost_bound(all_goals):
+    # The monotonic goals carry their penalty in the search's g-value, so
+    # they keep the base default: an admissible float zero, however late the
+    # assigned queries already are.
+    assigned = [units.minutes(60), units.minutes(90)]
+    remaining = [units.minutes(30)] * 3
+    for kind, goal in all_goals.items():
+        overrides = (
+            type(goal).future_cost_lower_bound
+            is not PerformanceGoal.future_cost_lower_bound
+        )
+        assert overrides == (not goal.is_monotonic), kind
+        if goal.is_monotonic:
+            bound = goal.future_cost_lower_bound(assigned, remaining, 1.0)
+            assert bound == 0.0 and type(bound) is float, kind
+
+
+def test_future_bound_order_invariant_is_declared_on_every_goal(all_goals):
+    # The search reads the flag as a plain attribute: only the percentile
+    # goal, which consumes latencies by rank, may memoise by multiset.
+    for kind, goal in all_goals.items():
+        assert goal.future_bound_order_invariant is (kind == "percentile"), kind
