@@ -9,8 +9,13 @@ Scaled-down reproduction: training uses the benchmark-scale configuration and
 the reference optimal schedules are produced by the same A* search used for
 training (exact, but with an expansion budget).  Workload sizes are reduced
 for the goals whose optimal search is the most expensive in pure Python
-(percentile in particular); the shape to check is that WiSeDB stays within a
-few percent of optimal for *all four* metrics.
+(percentile in particular); the shape to check is that WiSeDB stays within
+the paper's 8 % of optimal for *all four* metrics.
+
+Percent above optimal per goal (per_query / average / max / percentile) on
+three training seeds, the workloads drawn with seeds offset by 100 per
+training seed: seed 0 (the shipped one) 0.0 / 0.41 / 0.45 / 1.77, seed 1
+0.75 / 0.42 / 2.61 / 0.56, seed 2 1.21 / 1.84 / 1.23 / 1.27.
 """
 
 from __future__ import annotations
@@ -69,8 +74,7 @@ def test_fig09_optimality_by_metric(benchmark, environments, scale):
             ],
         )
     )
-    # Paper shape: WiSeDB within ~8% of optimal for every metric; allow slack
-    # for the scaled-down training corpus.
+    # Paper shape: WiSeDB within ~8% of optimal for every metric.
     for row in rows:
         if row["workloads"]:
-            assert row["% above optimal"] <= 25.0
+            assert row["% above optimal"] <= 8.0, row

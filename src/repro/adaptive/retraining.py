@@ -12,11 +12,14 @@ path (:attr:`~repro.learning.trainer.SampleSolution.path`).  Under a goal at
 least as strict (:meth:`PerformanceGoal.at_least_as_strict_as
 <repro.sla.base.PerformanceGoal.at_least_as_strict_as>`: every outcome set is
 penalised at least as much) no schedule gets cheaper — Lemma 5.1's own
-premise.  So the path is re-priced under the new goal in O(m)
-(:meth:`SchedulingProblem.follow <repro.search.problem.SchedulingProblem.follow>`);
-if it still costs exactly what the old optimum cost, every other schedule
-costs at least that much too, the path is still optimal, its vertices are
-re-labelled and nothing is searched.  This is the paper's own account of
+premise.  So the path is walked under the new goal in O(m)
+(:meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`,
+through :meth:`FeatureExtractor.matrix
+<repro.learning.features.FeatureExtractor.matrix>`, which writes the rows of
+its vertices on the way); if it still costs exactly what the old optimum
+cost, every other schedule costs at least that much too, the path is still
+optimal, the rows the walk wrote are its training rows and nothing is
+searched.  This is the paper's own account of
 Figure 16: retraining grows with the shift "because more samples change their
 optimal schedules".
 
@@ -67,13 +70,13 @@ adapted *tree* may differ from one trained from scratch — and depends on
 which goals the modeler solved before.  ``tests/test_adaptive_keep.py``
 referees the costs against ``generate(goal, workloads=base.workloads)``.
 
-Like fresh training, the per-sample tasks are independent, so they run
-through the same :class:`~repro.parallel.backend.ExecutionBackend` as
-:meth:`repro.learning.trainer.ModelGenerator.generate` (bounds and kept
-solutions are picklable) with results merged in sample order: output is
-identical for any ``n_jobs``.  The backend is the generator's — one warm
-process pool serves fresh training and every subsequent retraining — which
-is exactly the many-small-retrainings pattern of Figure 16.
+A retrain is fresh training's own loop (``ModelGenerator._solve_and_fit``)
+with different tasks: each sample carries its kept solution and ``h'``
+(both picklable), the solves run through the generator's
+:class:`~repro.parallel.backend.ExecutionBackend` and merge in sample order,
+so output is identical for any ``n_jobs``.  One warm process pool serves
+fresh training and every subsequent retraining — exactly the
+many-small-retrainings pattern of Figure 16.
 
 The retraining :class:`~repro.search.problem.SchedulingProblem` is built with
 the :class:`AdaptiveBound` itself, and raises every f-value it computes to
@@ -97,14 +100,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.exceptions import TrainingError
-from repro.learning.dataset import TrainingSet
-from repro.learning.trainer import (
-    ModelGenerator,
-    SampleSolution,
-    SampleSolver,
-    TrainingResult,
-    stamp_optimality_ratio,
-)
+from repro.learning.trainer import ModelGenerator, SampleSolution, TrainingResult
 from repro.search.problem import SearchNode
 from repro.sla.base import PerformanceGoal
 
@@ -233,84 +229,32 @@ class AdaptiveModeler:
     def _retrain(
         self, new_goal: PerformanceGoal
     ) -> tuple[TrainingResult, AdaptiveRetrainingReport]:
-        start_time = time.perf_counter()
+        started = time.perf_counter()
         old_goal, solved = self._reference(new_goal)
-
-        extractor = self._generator.extractor
-        training_set = TrainingSet(extractor.feature_names)
-        samples: list[SampleSolution] = []
-        skipped = 0
-        total_expansions = 0
-
-        config = self._generator.config
-        solver = SampleSolver(
-            vm_types=self._generator.vm_types,
-            goal=new_goal,
-            latency_model=self._generator.latency_model,
-            extractor=extractor,
-            max_expansions=config.max_expansions,
-            # The tenant's strategy applies to re-searches too: the aux-goal
-            # machinery (the second accumulator feeding AdaptiveBound) is
-            # orthogonal to it, so they compose freely.
-            search_strategy=config.search_strategy,
-        )
-        tasks = []
-        for index, (workload, keep) in enumerate(zip(self._base.workloads, solved)):
-            extra_bound = (
-                None if keep is None else self._adaptive_bound(old_goal, keep.optimal_cost)
+        # The generator's own training loop, with a kept path and h' per
+        # sample the reference solved exactly (one warm backend serves both).
+        tasks = [
+            (
+                index,
+                workload,
+                None if keep is None else self._adaptive_bound(old_goal, keep.optimal_cost),
+                keep,
             )
-            tasks.append((index, workload, extra_bound, keep))
-        # The re-searches are as independent as fresh training solves, so they
-        # fan out across the same (warm) backend (deterministic sample order).
-        payloads = self._generator.backend.map_tasks(solver, tasks)
-        for payload in payloads:
-            if payload is None:
-                skipped += 1
-                continue
-            examples, solution = payload
-            training_set.extend(examples)
-            total_expansions += solution.expansions
-            samples.append(solution)
-
-        if not len(training_set):
-            raise TrainingError(
-                "adaptive retraining collected no examples; the shifted goal may be "
-                "infeasible for the stored sample workloads"
-            )
-
-        fit_start = time.perf_counter()
-        model = self._generator.fit_from_training_set(new_goal, training_set)
-        fit_time = time.perf_counter() - fit_start
-        retraining_time = time.perf_counter() - start_time
-        model.metadata.num_training_samples = len(samples)
-        model.metadata.training_time_seconds = retraining_time
-        # An adapted model of a relaxed-strategy tenant is itself built from
-        # relaxed re-solves: stamp its worst ratio so the degradation stays
-        # visible on the persisted artifact, exactly as fresh training does.
-        stamp_optimality_ratio(model.metadata, samples)
-
-        result = TrainingResult(
-            model=model,
-            training_set=training_set,
-            samples=samples,
-            goal=new_goal,
-            config=self._generator.config,
-            training_time=retraining_time,
-            search_time=fit_start - start_time,
-            fit_time=fit_time,
-            skipped_samples=skipped,
-            workloads=list(self._base.workloads),
+            for index, (workload, keep) in enumerate(zip(self._base.workloads, solved))
+        ]
+        result, solutions = self._generator._solve_and_fit(
+            new_goal, self._base.workloads, tasks, started
         )
         report = AdaptiveRetrainingReport(
             goal=new_goal,
-            retraining_time=retraining_time,
-            samples_retrained=len(samples),
-            samples_skipped=skipped,
-            total_expansions=total_expansions,
+            retraining_time=result.training_time,
+            samples_retrained=len(result.samples),
+            samples_skipped=result.skipped_samples,
+            total_expansions=sum(sample.expansions for sample in result.samples),
             # Only a kept sample expands nothing: a search expands its start vertex.
-            samples_kept=sum(1 for sample in samples if sample.expansions == 0),
+            samples_kept=sum(1 for sample in result.samples if sample.expansions == 0),
         )
-        self._remember(new_goal, [payload and payload[1] for payload in payloads])
+        self._remember(new_goal, solutions)
         return result, report
 
     # -- helpers --------------------------------------------------------------------

@@ -121,10 +121,6 @@ class Schedule:
 
     # -- derivation ----------------------------------------------------------
 
-    def with_new_vm(self, vm_type: VMType) -> "Schedule":
-        """A copy of this schedule with an additional, empty VM of *vm_type*."""
-        return Schedule(self._vms + (VMAssignment(vm_type),))
-
     def without_empty_vms(self) -> "Schedule":
         """A copy with any empty VMs removed."""
         return Schedule(vm for vm in self._vms if not vm.is_empty())

@@ -1,6 +1,6 @@
 """Supervised learning of workload-management strategies (Section 4)."""
 
-from repro.learning.dataset import TrainingExample, TrainingSet
+from repro.learning.dataset import TrainingSet
 from repro.learning.decision_tree import (
     CompiledTreeEvaluator,
     DecisionTreeClassifier,
@@ -18,12 +18,7 @@ from repro.learning.shm import (
     pack_evaluator,
     shared_memory_available,
 )
-from repro.learning.trainer import (
-    ModelGenerator,
-    SampleSolution,
-    TrainingResult,
-    collect_examples,
-)
+from repro.learning.trainer import ModelGenerator, SampleSolution, TrainingResult
 
 __all__ = [
     "FEATURE_FAMILIES",
@@ -38,13 +33,11 @@ __all__ = [
     "SampleSolution",
     "SharedArrayBundle",
     "SharedArrayView",
-    "TrainingExample",
     "TrainingResult",
     "TrainingSet",
     "TreeNode",
     "attach_arrays",
     "attach_evaluator",
-    "collect_examples",
     "pack_arrays",
     "pack_evaluator",
     "shared_memory_available",

@@ -1,158 +1,98 @@
-"""Training datasets: (features, decision) pairs harvested from optimal schedules.
+"""Training datasets: labelled feature rows harvested from optimal schedules.
 
 The training set (Section 4.4) contains one example per edge of each sample
 workload's optimal path: the features of the edge's origin vertex, labelled
 with the action taken (place template X / provision a VM of type Y).
+
+A set is held the way the tree fit reads it: float64 row blocks in the
+canonical feature order — one per solved sample, as
+:meth:`FeatureExtractor.matrix <repro.learning.features.FeatureExtractor.matrix>`
+wrote it — plus one label per row.  Nothing else is kept per row, and
+:meth:`TrainingSet.to_matrix` is one stack of the blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.exceptions import TrainingError
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    """One labelled decision from an optimal schedule."""
-
-    features: dict[str, float]
-    label: str
-
-    def value(self, feature_name: str) -> float:
-        """Value of *feature_name* (0.0 when the feature is absent)."""
-        return self.features.get(feature_name, 0.0)
-
-
-def examples_from_matrix(
-    feature_names: Sequence[str],
-    matrix: np.ndarray,
-    labels: Sequence[str],
-) -> list[TrainingExample]:
-    """Labelled examples from a dense feature matrix.
-
-    The inverse of :meth:`TrainingSet.to_matrix`: row *i* becomes the feature
-    mapping of example *i* in the canonical *feature_names* order.  Values
-    round-trip through numpy bit-identically.
-    """
-    if matrix.shape[0] != len(labels):
-        raise TrainingError("feature matrix and labels disagree on example count")
-    if matrix.shape[1] != len(feature_names):
-        raise TrainingError("feature matrix and feature_names disagree on width")
-    names = tuple(feature_names)
-    return [
-        TrainingExample(features=dict(zip(names, row)), label=label)
-        for row, label in zip(matrix.tolist(), labels)
-    ]
-
-
 class TrainingSet:
-    """An ordered collection of training examples with a fixed feature order."""
+    """Labelled feature rows with a fixed feature order."""
 
-    def __init__(
-        self,
-        feature_names: Sequence[str],
-        examples: Iterable[TrainingExample] = (),
-    ) -> None:
+    def __init__(self, feature_names: Sequence[str]) -> None:
         self._feature_names = tuple(feature_names)
-        self._examples: list[TrainingExample] = list(examples)
+        self._blocks: list[np.ndarray] = []
+        self._labels: list[str] = []
 
-    # -- mutation ------------------------------------------------------------
+    def extend(self, rows: np.ndarray, labels: Sequence[str]) -> None:
+        """Append a block of rows (one per label, in the canonical feature order).
 
-    def add(self, example: TrainingExample) -> None:
-        """Append one example."""
-        self._examples.append(example)
-
-    def extend(self, examples: Iterable[TrainingExample]) -> None:
-        """Append many examples."""
-        self._examples.extend(examples)
-
-    # -- container protocol ----------------------------------------------------
+        The set keeps *rows* as given when it is already a float64 array, so
+        the caller must not write to it afterwards.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != len(self._feature_names):
+            raise TrainingError("feature rows and feature_names disagree on width")
+        if rows.shape[0] != len(labels):
+            raise TrainingError("feature rows and labels disagree on example count")
+        if len(labels):
+            self._blocks.append(rows)
+            self._labels.extend(labels)
 
     def __len__(self) -> int:
-        return len(self._examples)
-
-    def __iter__(self) -> Iterator[TrainingExample]:
-        return iter(self._examples)
-
-    def __getitem__(self, index: int) -> TrainingExample:
-        return self._examples[index]
-
-    # -- accessors ----------------------------------------------------------------
+        return len(self._labels)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
-        """Feature order used when converting to matrices."""
+        """Feature order of every row."""
         return self._feature_names
 
-    @property
-    def examples(self) -> tuple[TrainingExample, ...]:
-        """All examples, in insertion order."""
-        return tuple(self._examples)
-
     def labels(self) -> list[str]:
-        """Label of every example, in insertion order."""
-        return [example.label for example in self._examples]
+        """Label of every row, in insertion order."""
+        return list(self._labels)
 
     def to_matrix(self) -> tuple[np.ndarray, list[str]]:
         """(feature matrix, label list) in the canonical feature order."""
-        if not self._examples:
+        if not self._labels:
             raise TrainingError("cannot convert an empty training set to a matrix")
-        matrix = np.asarray(
-            [
-                [example.features.get(name, 0.0) for name in self._feature_names]
-                for example in self._examples
-            ],
-            dtype=float,
-        )
-        return matrix, self.labels()
+        return np.vstack(self._blocks), self.labels()
 
     def without_features(self, names: Iterable[str]) -> "TrainingSet":
         """A copy with the given feature columns removed (used by ablations)."""
         dropped = set(names)
-        kept = tuple(n for n in self._feature_names if n not in dropped)
-        examples = [
-            TrainingExample(
-                features={k: v for k, v in example.features.items() if k not in dropped},
-                label=example.label,
-            )
-            for example in self._examples
+        kept = [
+            column for column, name in enumerate(self._feature_names) if name not in dropped
         ]
-        return TrainingSet(kept, examples)
+        reduced = TrainingSet([self._feature_names[column] for column in kept])
+        if self._labels:
+            reduced.extend(np.vstack(self._blocks)[:, kept], self._labels)
+        return reduced
 
     # -- serialization -------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-serializable representation.
-
-        Example features are stored as dense value rows in the canonical
-        feature order; features absent from an example's mapping read as 0.0
-        exactly as :meth:`to_matrix` treats them, so a restored set produces a
-        bit-identical training matrix.
-        """
-        names = self._feature_names
+        """JSON-serializable representation: one dense ``values`` row per label."""
+        rows = np.vstack(self._blocks).tolist() if self._blocks else []
         return {
-            "feature_names": list(names),
+            "feature_names": list(self._feature_names),
             "examples": [
-                {
-                    "label": example.label,
-                    "values": [example.features.get(name, 0.0) for name in names],
-                }
-                for example in self._examples
+                {"label": label, "values": values}
+                for label, values in zip(self._labels, rows)
             ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainingSet":
         """Rebuild a training set from :meth:`to_dict` output."""
-        names = tuple(data["feature_names"])
-        examples = [
-            TrainingExample(
-                features=dict(zip(names, entry["values"])), label=entry["label"]
-            )
-            for entry in data["examples"]
-        ]
-        return cls(names, examples)
+        training_set = cls(data["feature_names"])
+        entries = data["examples"]
+        rows = np.array([entry["values"] for entry in entries], dtype=np.float64)
+        training_set.extend(
+            rows.reshape(len(entries), len(training_set.feature_names)),
+            [entry["label"] for entry in entries],
+        )
+        return training_set

@@ -17,8 +17,10 @@ workloads are huge) and cheap to compute:
 The same definitions serve training (on A* vertices) and runtime (on the
 scheduler's current state), which guarantees that the model sees an identical
 representation in both phases — but not the same amount of work.  Training
-needs every column of every vertex: ``collect_examples`` fills its matrix
-through :meth:`FeatureExtractor.matrix`, which is the one caller of
+needs every column of every vertex on a path: :meth:`FeatureExtractor.matrix`
+walks the path's action labels with one reusable vertex
+(:meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`)
+and writes each vertex's row in place, and it is the one caller of
 :meth:`FeatureExtractor.extract_into` left in the program.  A runtime decision
 reads only the columns on its tree path, so
 :meth:`~repro.learning.model.DecisionModel.decide` evaluates those — the same
@@ -260,14 +262,21 @@ class FeatureExtractor:
         return out_row
 
     def matrix(
-        self, nodes: Sequence[SearchNode], problem: SchedulingProblem
-    ) -> np.ndarray:
-        """A ``(len(nodes), len(feature_names))`` feature matrix for *nodes*.
+        self, problem: SchedulingProblem, labels: Sequence[str]
+    ) -> tuple[np.ndarray, float | None]:
+        """The feature rows of the vertices along the action *labels*, and the path's cost.
 
-        Rows are written in place by :meth:`extract_into`; used by
-        ``collect_examples`` when assembling training sets.
+        Row ``i`` is :meth:`extract_into` of the vertex at which ``labels[i]``
+        is taken, written in place while :meth:`SchedulingProblem.walk
+        <repro.search.problem.SchedulingProblem.walk>` steps its one reusable
+        vertex along the path.  The cost is the walk's: the complete
+        schedule's, or ``None`` when *problem* refuses the path (the rows are
+        then meaningless).  How training labels a searched path and re-prices
+        a kept one alike.
         """
-        out = np.zeros((len(nodes), len(self._feature_names)), dtype=float)
-        for index, node in enumerate(nodes):
-            self.extract_into(node, problem, out[index])
-        return out
+        out = np.empty((len(labels), len(self._feature_names)))
+        extract_into = self.extract_into
+        cost = problem.walk(
+            labels, lambda index, node: extract_into(node, problem, out[index])
+        )
+        return out, cost

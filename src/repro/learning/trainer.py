@@ -10,15 +10,25 @@ goal, :class:`ModelGenerator` executes the paper's offline training loop:
    example (Section 4.4);
 4. fit a C4.5-style decision tree on the combined training set (Section 4.5).
 
+Step 3 is one walk per sample: :meth:`FeatureExtractor.matrix
+<repro.learning.features.FeatureExtractor.matrix>` steps a single reusable
+vertex along the path's action labels and writes one float row per decision,
+so a sample comes back from its solve as a float64 block whose labels are
+its path, and the :class:`~repro.learning.dataset.TrainingSet` keeps the
+blocks as they are — no per-row object exists anywhere between the search
+and the fit.
+
 The returned :class:`TrainingResult` keeps the training set and the per-sample
 solutions so that the adaptive-modeling machinery (Section 5) can re-derive
 models for stricter goals without re-generating workloads or re-searching from
 scratch.  Each :class:`SampleSolution` records its optimal cost and
 :attr:`~SampleSolution.path`, the action labels of the schedule found; given
-one as ``keep``, :meth:`SampleSolver.solve` first re-prices that path under
-its own goal and searches only if the cost moved
-(:mod:`repro.adaptive.retraining` explains why equal cost means still
-optimal, and guards when it may be asked).
+one as ``keep``, :meth:`SampleSolver.solve` first walks that path under its
+own goal — the same walk that labels it — and searches only if the path is
+refused or its cost moved (:mod:`repro.adaptive.retraining` explains why
+equal cost means still optimal, and guards when it may be asked).  Fresh
+training and adaptive retraining run one loop,
+``ModelGenerator._solve_and_fit``; they differ only in the tasks they hand it.
 
 Parallel training
 -----------------
@@ -44,17 +54,19 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.cloud.latency import LatencyModel, TemplateLatencyModel
 from repro.cloud.vm import VMTypeCatalog, single_vm_type_catalog
 from repro.config import TrainingConfig
 from repro.exceptions import SearchBudgetExceeded, TrainingError
-from repro.learning.dataset import TrainingExample, TrainingSet, examples_from_matrix
+from repro.learning.dataset import TrainingSet
 from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FEATURE_FAMILIES, FeatureExtractor
 from repro.learning.model import DecisionModel, ModelMetadata
 from repro.learning.sampling import training_workloads
 from repro.parallel.backend import ExecutionBackend
-from repro.search.astar import SearchResult, astar_search, optimality_ratio
+from repro.search.astar import astar_search, optimality_ratio
 from repro.search.problem import SchedulingProblem, SearchNode
 from repro.search.strategy import SearchStrategy, strategy_from_spec
 from repro.sla.base import PerformanceGoal
@@ -70,8 +82,9 @@ class SampleSolution:
     strategy it is provably minimal.  Relaxed strategies additionally record
     ``cost_lower_bound`` — a sound lower bound on the true optimum — so the
     per-sample suboptimality is never silent (``None`` means exact).
-    ``path`` is the action labels of the schedule found, in order — what
-    :meth:`SchedulingProblem.follow <repro.search.problem.SchedulingProblem.follow>`
+    ``path`` is the action labels of the schedule found, in order: the
+    labels of the sample's training rows, and what
+    :meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`
     re-prices under a stricter goal instead of searching again; ``()`` in
     artifacts written before paths were kept, which simply re-search.
     """
@@ -214,49 +227,6 @@ class TrainingResult:
         )
 
 
-def collect_examples(
-    problem: SchedulingProblem,
-    extractor: FeatureExtractor,
-    max_expansions: int | None = None,
-    strategy: SearchStrategy | None = None,
-) -> tuple[list[TrainingExample], SearchResult]:
-    """Solve *problem* and label every decision on the solution path.
-
-    ``strategy`` selects the search strategy (``None`` = the exact A*
-    default, bit-identical to every prior release).  Feature rows are
-    assembled through the extractor's batch
-    :meth:`~repro.learning.features.FeatureExtractor.matrix` (one
-    preallocated matrix for the whole solution path).
-    """
-    if strategy is None:
-        result = astar_search(problem, max_expansions=max_expansions)
-    else:
-        result = strategy.search(problem, max_expansions=max_expansions)
-    decisions = list(result.decisions())
-    examples = label_decisions(
-        problem,
-        extractor,
-        [node for node, _ in decisions],
-        [action.label for _, action in decisions],
-    )
-    return examples, result
-
-
-def label_decisions(
-    problem: SchedulingProblem,
-    extractor: FeatureExtractor,
-    nodes: Sequence[SearchNode],
-    labels: Sequence[str],
-) -> list[TrainingExample]:
-    """One example per decision: the features of ``nodes[i]`` labelled ``labels[i]``.
-
-    Shared by a searched path (:func:`collect_examples`) and a kept one
-    (:meth:`SampleSolver.solve`), so both label their vertices identically.
-    """
-    matrix = extractor.matrix(nodes, problem)
-    return examples_from_matrix(extractor.feature_names, matrix, labels)
-
-
 class SampleSolver:
     """Solves one training sample: everything a worker process needs, pickled once.
 
@@ -303,16 +273,19 @@ class SampleSolver:
         workload: Workload,
         extra_bound: Callable[[SearchNode], float] | None = None,
         keep: SampleSolution | None = None,
-    ) -> tuple[list[TrainingExample], SampleSolution] | None:
-        """Examples and solution for one sample (None = budget exceeded).
+    ) -> tuple[np.ndarray, SampleSolution] | None:
+        """Feature rows and solution for one sample (None = budget exceeded).
 
-        *keep*, when given, must be this workload's exact optimum under a goal
-        the solver's goal is at least as strict as (the caller's guard).  Its
-        path is followed under the solver's goal; if it still reaches a goal
-        vertex at ``keep.optimal_cost`` it is still optimal — no schedule got
-        cheaper — so its vertices are labelled and nothing is searched
-        (``expansions=0``).  Otherwise, or without a path, the sample is
-        searched as before.
+        Row ``i`` describes the vertex where ``solution.path[i]`` is taken
+        (:meth:`FeatureExtractor.matrix
+        <repro.learning.features.FeatureExtractor.matrix>`), so the path is
+        the rows' labels.  *keep*, when given, must be this workload's exact
+        optimum under a goal the solver's goal is at least as strict as (the
+        caller's guard).  Its path is walked under the solver's goal; if it
+        is complete and still costs ``keep.optimal_cost`` it is still
+        optimal — no schedule got cheaper — so its rows are kept and nothing
+        is searched (``expansions=0``).  Otherwise, or without a path, the
+        sample is searched and the path found is walked for its rows.
         """
         problem = SchedulingProblem.for_workload(
             workload,
@@ -322,31 +295,27 @@ class SampleSolver:
             adaptive_bound=extra_bound,
         )
         if keep is not None and keep.path:
-            nodes = problem.follow(keep.path)
-            if (
-                nodes is not None
-                and nodes[-1].state.is_goal()
-                and nodes[-1].partial_cost == keep.optimal_cost
-            ):
-                examples = label_decisions(problem, self.extractor, nodes[:-1], keep.path)
-                return examples, replace(keep, expansions=0)
+            rows, cost = self.extractor.matrix(problem, keep.path)
+            if cost == keep.optimal_cost:
+                return rows, replace(keep, expansions=0)
+        strategy = self._resolved_strategy()
         try:
-            examples, result = collect_examples(
-                problem,
-                self.extractor,
-                max_expansions=self.max_expansions,
-                strategy=self._resolved_strategy(),
-            )
+            if strategy is None:
+                result = astar_search(problem, max_expansions=self.max_expansions)
+            else:
+                result = strategy.search(problem, max_expansions=self.max_expansions)
         except SearchBudgetExceeded:
             return None
+        path = tuple(action.label for _, action in result.decisions())
+        rows, _ = self.extractor.matrix(problem, path)
         solution = SampleSolution(
             template_counts=dict(workload.template_counts()),
             optimal_cost=result.cost,
             expansions=result.expansions,
             cost_lower_bound=result.cost_lower_bound,
-            path=tuple(example.label for example in examples),
+            path=path,
         )
-        return examples, solution
+        return rows, solution
 
     #: Worker-callable protocol of :meth:`ExecutionBackend.map_tasks`.
     __call__ = solve
@@ -455,18 +424,33 @@ class ModelGenerator:
             Passing the same workloads to several ``generate`` calls is how the
             adaptive/alternative-strategy machinery re-uses one training corpus.
         """
-        start_time = time.perf_counter()
+        started = time.perf_counter()
         if workloads is None:
             workloads = training_workloads(self._templates, self._config)
         else:
             workloads = list(workloads)
         if not workloads:
             raise TrainingError("training requires at least one sample workload")
+        tasks = [(index, workload) for index, workload in enumerate(workloads)]
+        return self._solve_and_fit(goal, workloads, tasks, started)[0]
 
-        training_set = TrainingSet(self._extractor.feature_names)
-        samples: list[SampleSolution] = []
-        skipped = 0
-        search_start = time.perf_counter()
+    def _solve_and_fit(
+        self,
+        goal: PerformanceGoal,
+        workloads: list[Workload],
+        tasks: list[tuple],
+        started: float,
+    ) -> tuple[TrainingResult, list[SampleSolution | None]]:
+        """The one training loop: solve *tasks*, fit a tree on their rows, package the run.
+
+        A task is ``(index, workload)`` for :meth:`generate` and ``(index,
+        workload, h' or None, kept solution or None)`` for adaptive
+        retraining (:class:`~repro.adaptive.retraining.AdaptiveModeler`).
+        The solves fan out through the backend and merge in sample order, so
+        the output is identical for any ``n_jobs``.  Returns the result
+        (timed from *started*) and each task's solution in task order
+        (``None`` = out of budget).
+        """
         solver = SampleSolver(
             vm_types=self._vm_types,
             goal=goal,
@@ -475,20 +459,19 @@ class ModelGenerator:
             max_expansions=self._config.max_expansions,
             search_strategy=self._config.search_strategy,
         )
-        payloads = self.backend.map_tasks(
-            solver,
-            [(index, workload) for index, workload in enumerate(workloads)],
-        )
-        # Merge in sample order: training output is identical for any n_jobs.
+        search_start = time.perf_counter()
+        payloads = self.backend.map_tasks(solver, tasks)
+        training_set = TrainingSet(self._extractor.feature_names)
+        solutions: list[SampleSolution | None] = []
         for payload in payloads:
             if payload is None:
-                skipped += 1
+                solutions.append(None)
                 continue
-            examples, solution = payload
-            training_set.extend(examples)
-            samples.append(solution)
+            rows, solution = payload
+            training_set.extend(rows, solution.path)
+            solutions.append(solution)
+        samples = [solution for solution in solutions if solution is not None]
         search_time = time.perf_counter() - search_start
-
         if not len(training_set):
             raise TrainingError(
                 "no training examples were collected; every sample exceeded the "
@@ -496,31 +479,14 @@ class ModelGenerator:
             )
 
         fit_start = time.perf_counter()
-        tree = self._fit_tree(training_set)
+        model = self.fit_from_training_set(goal, training_set)
         fit_time = time.perf_counter() - fit_start
-        training_time = time.perf_counter() - start_time
-
-        metadata = ModelMetadata(
-            goal_kind=goal.kind,
-            num_training_samples=len(samples),
-            num_training_examples=len(training_set),
-            training_time_seconds=training_time,
-            tree_depth=tree.depth(),
-            tree_leaves=tree.leaf_count(),
-            search_strategy=self._config.search_strategy,
-        )
+        training_time = time.perf_counter() - started
+        model.metadata.num_training_samples = len(samples)
+        model.metadata.training_time_seconds = training_time
         # Relaxed strategies report their quality loss with the model.
-        stamp_optimality_ratio(metadata, samples)
-        model = DecisionModel(
-            tree=tree,
-            extractor=self._extractor,
-            templates=self._templates,
-            vm_types=self._vm_types,
-            goal=goal,
-            latency_model=self._latency_model,
-            metadata=metadata,
-        )
-        return TrainingResult(
+        stamp_optimality_ratio(model.metadata, samples)
+        result = TrainingResult(
             model=model,
             training_set=training_set,
             samples=samples,
@@ -529,9 +495,10 @@ class ModelGenerator:
             training_time=training_time,
             search_time=search_time,
             fit_time=fit_time,
-            skipped_samples=skipped,
+            skipped_samples=len(solutions) - len(samples),
             workloads=list(workloads),
         )
+        return result, solutions
 
     def fit_from_training_set(
         self, goal: PerformanceGoal, training_set: TrainingSet

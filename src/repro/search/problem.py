@@ -16,6 +16,12 @@ Nodes fully determine their partial schedule, so the best goal vertex found by
 the search is the minimum-cost complete schedule regardless of the path taken
 to reach it.
 
+A known path needs none of that machinery: :meth:`SchedulingProblem.walk`
+steps one reusable vertex along its action labels with :meth:`expand`'s
+arithmetic and returns its cost.  Training labels every path that way, a
+searched one and a kept one alike (:meth:`FeatureExtractor.matrix
+<repro.learning.features.FeatureExtractor.matrix>`).
+
 Hot-path architecture
 ---------------------
 
@@ -269,6 +275,13 @@ class SchedulingProblem:
         self._provision_actions: list[ProvisionVM] = [
             ProvisionVM(name) for name in self._vm_names
         ]
+        #: Action label -> VM type id / template id, for :meth:`walk`.
+        self._provision_of = {
+            action.label: index for index, action in enumerate(self._provision_actions)
+        }
+        self._place_of = {
+            action.label: index for index, action in enumerate(self._place_actions)
+        }
 
     # -- constructors -----------------------------------------------------------
 
@@ -548,78 +561,88 @@ class SchedulingProblem:
                 successors.append(child)
         return successors
 
-    def follow(self, labels: Sequence[str]) -> list[SearchNode] | None:
-        """The vertices along the action *labels* from the start vertex, inclusive.
+    def walk(
+        self, labels: Sequence[str], visit: Callable[[int, SearchNode], object]
+    ) -> float | None:
+        """Step one reusable vertex along the action *labels*; the path's cost.
 
-        Re-prices a known path under this problem's goal in O(len(labels)):
-        one child per label with the same arithmetic as :meth:`expand`
-        (completion = finish + latency, the accumulator branched then
-        extended, infrastructure summed in path order), so following a path
-        this problem's own search returned reproduces its cost to the bit —
-        and no f-value, bound or memo work.  ``None`` when a step is not
-        possible here: an unknown label, a placement with no VM or on one
-        that does not support the template, or nothing of that template left.
+        ``visit(index, vertex)`` is called at the vertex where ``labels[index]``
+        is taken, before the step.  Nothing is rebuilt per step: like the
+        runtime kernel (:meth:`BatchScheduler.place_pools
+        <repro.runtime.batch.BatchScheduler.place_pools>`), its state holds
+        running values — the unassigned count per template and the most
+        recent VM's type and queue — and each step updates them, the
+        infrastructure cost and the wait time in place, with the goal's
+        accumulator added to rather than branched (a walk never branches).
+        So *visit* may read the vertex only while it runs, through what a
+        feature row reads (the most recent VM, the remaining multiset and
+        name set, ``last_vm_finish``, ``accumulator``, ``penalty``).  The
+        arithmetic is :meth:`expand`'s, so walking a path this problem's own
+        search returned reproduces its cost to the bit, with no f-value,
+        bound or memo work.
 
-        No dominance rule is applied.  Adaptive retraining follows a path that
+        Returns infrastructure plus penalty of the complete schedule, or
+        ``None`` when a step is not possible here — an unknown label, a
+        placement with no VM, on a type that does not support the template,
+        or with nothing of that template left — or the path leaves queries
+        unassigned.
+
+        No dominance rule is applied.  Adaptive retraining walks a path that
         was canonical in a *looser* goal's reduced graph and keeps it only if
         it still costs the same; such a path can be pruned in the stricter
         goal's graph only by an *equal-cost* swap (a strictly cheaper swap
         would contradict the cost equality, and the order-free horizon only
         shrinks), so it is still a minimum-cost schedule.
         """
-        node = SearchNode(
-            SearchState.initial(self._counts), None, None, 0.0, 0.0, (), 0.0, 0,
-            accumulator=self._goal.accumulator(),
+        # Unassigned queries per template in name order, an entry dropped at
+        # zero: the live views are the vertex's remaining multiset and names.
+        remaining = {name: self._counts[name] for name in sorted(self._counts)}
+        queue: list[str] = []
+        state = SearchState.__new__(SearchState)
+        state_dict = state.__dict__
+        state_dict.update(
+            vms=(), remaining=remaining.items(), _remaining_names=remaining.keys()
         )
-        nodes = [node]
-        provisions = {action.label: i for i, action in enumerate(self._provision_actions)}
-        placements = {action.label: i for i, action in enumerate(self._place_actions)}
-        for label in labels:
-            state = node.state
-            if label in provisions:
-                vm_index = provisions[label]
-                node = SearchNode(
-                    state.with_new_vm(self._vm_names[vm_index]),
-                    node,
-                    self._provision_actions[vm_index],
-                    node.infra_cost + self._startup_costs[vm_index],
-                    node.penalty,
-                    node.outcomes,
-                    0.0,
-                    node.depth + 1,
-                    0.0,
-                    node.accumulator,
-                    vm_index,
-                )
-            elif label in placements and node.last_vm_index >= 0:
-                vm_index = node.last_vm_index
-                template_index = placements[label]
-                name = self._tpl_names[template_index]
-                if not (
-                    self._supports_table[vm_index][template_index]
-                    and state.has_remaining(name)
-                ):
-                    return None
-                completion = node.last_vm_finish + self._latency_table[vm_index][template_index]
-                accumulator = node.accumulator.branch()
-                accumulator.add(name, completion)
-                node = SearchNode(
-                    state.with_placement(name),
-                    node,
-                    self._place_actions[template_index],
-                    node.infra_cost + self._run_cost_table[vm_index][template_index],
-                    self._rate * accumulator.violation(),
-                    node.outcomes + (LatencyOutcome(name, completion),),
-                    completion,
-                    node.depth + 1,
-                    0.0,
-                    accumulator,
-                    vm_index,
-                )
-            else:
+        accumulator = self._goal.accumulator()
+        node = SearchNode(state, None, None, 0.0, 0.0, (), 0.0, 0, accumulator=accumulator)
+        provision_of = self._provision_of
+        place_of = self._place_of
+        rate = self._rate
+        vm_index = -1
+        for index, label in enumerate(labels):
+            visit(index, node)
+            provisioned = provision_of.get(label)
+            if provisioned is not None:
+                vm_index = provisioned
+                queue = []
+                state_dict["vms"] = ((self._vm_names[vm_index], queue),)
+                node.infra_cost += self._startup_costs[vm_index]
+                node.last_vm_finish = 0.0
+                continue
+            template_index = place_of.get(label)
+            if (
+                template_index is None
+                or vm_index < 0
+                or not self._supports_table[vm_index][template_index]
+            ):
                 return None
-            nodes.append(node)
-        return nodes
+            name = self._tpl_names[template_index]
+            left = remaining.get(name)
+            if left is None:
+                return None
+            if left > 1:
+                remaining[name] = left - 1
+            else:
+                del remaining[name]
+            completion = node.last_vm_finish + self._latency_table[vm_index][template_index]
+            accumulator.add(name, completion)
+            node.infra_cost += self._run_cost_table[vm_index][template_index]
+            node.penalty = rate * accumulator.violation()
+            node.last_vm_finish = completion
+            queue.append(name)
+        if remaining:
+            return None
+        return node.infra_cost + node.penalty
 
     # -- edge costs (Equation 2), used by the cost-of-X feature ----------------------
 

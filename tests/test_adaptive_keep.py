@@ -15,9 +15,11 @@ refactor makes them stop reaching one.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import shutil
+import tracemalloc
 import sqlite3
 from collections import Counter
 from dataclasses import replace
@@ -32,14 +34,16 @@ from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import VMType, VMTypeCatalog, single_vm_type_catalog, two_vm_type_catalog
 from repro.config import TrainingConfig
 from repro.learning import trainer
+from repro.learning.features import FeatureExtractor
 from repro.learning.sampling import training_workloads
-from repro.learning.trainer import ModelGenerator, SampleSolution, TrainingResult
-from repro.search.problem import SchedulingProblem
+from repro.learning.trainer import ModelGenerator, SampleSolution, SampleSolver, TrainingResult
+from repro.search.problem import SchedulingProblem, SearchNode
 from repro.service import WiSeDBService
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet, tpch_templates
+from repro.workloads.workload import Workload
 
 SAVED_V1 = Path(__file__).parent / "data" / "saved_service_v1"
 
@@ -264,79 +268,167 @@ def test_a_lower_mean_deadline_is_not_stricter():
 
 
 # ---------------------------------------------------------------------------
-# (b) SchedulingProblem.follow against expand
+# (b) the walk against the search's own vertices
 # ---------------------------------------------------------------------------
+
+
+def _labels(result) -> tuple[str, ...]:
+    return tuple(action.label for _, action in result.decisions())
+
+
+def _rows_over(extractor, nodes, problem) -> np.ndarray:
+    """``extract_into`` over *nodes*: the oracle of ``FeatureExtractor.matrix``."""
+    rows = np.empty((len(nodes), len(extractor.feature_names)))
+    for index, node in enumerate(nodes):
+        extractor.extract_into(node, problem, rows[index])
+    return rows
+
+
+def _expanded(problem, labels):
+    """The vertices ``expand`` builds along *labels* (``None`` where it prunes a step)."""
+    node = problem.initial_node()
+    nodes = [node]
+    for label in labels:
+        children = [child for child in problem.expand(node) if child.action.label == label]
+        if not children:
+            return None
+        (node,) = children
+        nodes.append(node)
+    return nodes
 
 
 @pytest.mark.parametrize("catalogue", sorted(CATALOGUES))
 @pytest.mark.parametrize("kind", GOAL_KINDS)
-def test_follow_agrees_with_expand_vertex_by_vertex(kind, catalogue):
+def test_the_walk_retraces_the_astar_solution_vertex_by_vertex(kind, catalogue):
     vm_types = CATALOGUES[catalogue]
-    generator = ModelGenerator(TEMPLATES, vm_types=vm_types, config=_config(SEEDS[1]))
+    goal = default_goal(kind, TEMPLATES)
+    latency_model = TemplateLatencyModel(TEMPLATES)
+    for workload in training_workloads(TEMPLATES, _config(SEEDS[1])):
+        problem = SchedulingProblem.for_workload(workload, vm_types, goal, latency_model)
+        result = trainer.astar_search(problem)
+        seen = []
+
+        def visit(index, vertex):
+            state = vertex.state
+            last = state.last_vm()
+            seen.append(
+                (
+                    None if last is None else (last[0], tuple(last[1])),
+                    tuple(state.remaining),
+                    vertex.last_vm_finish,
+                    vertex.infra_cost,
+                    vertex.penalty,
+                )
+            )
+
+        cost = problem.walk(_labels(result), visit)
+        nodes = result.path()
+        assert seen == [
+            (
+                node.state.last_vm(),
+                node.state.remaining,
+                node.last_vm_finish,
+                node.infra_cost,
+                node.penalty,
+            )
+            for node in nodes[:-1]
+        ]
+        assert cost == result.cost  # bit for bit, not approximately
+
+
+@pytest.mark.parametrize("kind", GOAL_KINDS)
+def test_matrix_rows_are_extract_into_over_the_search_vertices(kind):
+    """Searched, ``h'``-searched and kept paths all label as their vertices read."""
+    vm_types = CATALOGUES["2vm"]
+    generator = ModelGenerator(TEMPLATES, vm_types=vm_types, config=_config(SEEDS[0]))
+    extractor, latency_model = generator.extractor, generator.latency_model
     goal = default_goal(kind, TEMPLATES)
     base = generator.generate(goal)
-    assert base.skipped_samples == 0
-    extractor = generator.extractor
-    for workload, solution in zip(base.workloads, base.samples):
-        problem = SchedulingProblem.for_workload(
-            workload, vm_types, goal, generator.latency_model
+    # Tight enough that some samples are searched and some kept, per kind.
+    stricter = goal.tightened(0.5 if kind == "percentile" else 0.2, TEMPLATES)
+    adapted, _ = AdaptiveModeler(generator, base).retrain(stricter)
+    assert base.skipped_samples == adapted.skipped_samples == 0
+    adapted_rows, _ = adapted.training_set.to_matrix()
+    offset = 0
+    cases: Counter[str] = Counter()
+    for workload, old, new in zip(base.workloads, base.samples, adapted.samples):
+        block = adapted_rows[offset : offset + len(new.path)]
+        offset += len(new.path)
+        plain = SchedulingProblem.for_workload(workload, vm_types, stricter, latency_model)
+        bounded = SchedulingProblem.for_workload(
+            workload,
+            vm_types,
+            stricter,
+            latency_model,
+            adaptive_bound=AdaptiveModeler._adaptive_bound(goal, old.optimal_cost),
         )
-        followed = problem.follow(solution.path)
-        assert followed is not None and len(followed) == len(solution.path) + 1
-
-        node = problem.initial_node()
-        expanded = [node]
-        for label in solution.path:
-            (node,) = [child for child in problem.expand(node) if child.action.label == label]
-            expanded.append(node)
-
-        for mine, theirs in zip(followed, expanded):
-            assert mine.state == theirs.state
-            assert mine.infra_cost == theirs.infra_cost
-            assert mine.penalty == theirs.penalty
-            assert mine.last_vm_finish == theirs.last_vm_finish
-            assert mine.outcomes == theirs.outcomes
-            assert mine.depth == theirs.depth
-        assert followed[-1].state.is_goal()
-        assert followed[-1].partial_cost == solution.optimal_cost
-        assert np.array_equal(
-            extractor.matrix(followed[:-1], problem), extractor.matrix(expanded[:-1], problem)
-        )
+        for problem in (plain, bounded):
+            result = trainer.astar_search(problem)
+            rows, cost = extractor.matrix(problem, _labels(result))
+            assert cost == result.cost
+            assert rows.tobytes() == _rows_over(extractor, result.path()[:-1], problem).tobytes()
+        if new.expansions:
+            # Searched under h': the bounded search above, row for row.
+            assert new.path == _labels(result)
+            assert block.tobytes() == rows.tobytes()
+            cases["searched"] += 1
+            continue
+        nodes = _expanded(plain, new.path)
+        if nodes is not None:
+            assert block.tobytes() == _rows_over(extractor, nodes[:-1], plain).tobytes()
+            cases["kept"] += 1
+    assert offset == len(adapted_rows)
+    assert cases["kept"] and cases["searched"], cases
 
 
-def test_follow_returns_none_when_a_step_is_not_possible():
+def test_the_walk_refuses_a_path_the_problem_cannot_take():
     picky = VMType(
         name="picky", startup_cost=0.05, running_cost=0.001, unsupported_templates=("T3",)
     )
     vm_types = VMTypeCatalog([single_vm_type_catalog()["t2.medium"], picky])
-    problem = SchedulingProblem(
-        {"T1": 1, "T3": 1},
-        TEMPLATES,
-        vm_types,
-        default_goal("max", TEMPLATES),
-        TemplateLatencyModel(TEMPLATES),
-    )
-    assert problem.follow(()) is not None
-    complete = problem.follow(
-        ("provision:picky", "assign:T1", "provision:t2.medium", "assign:T3")
-    )
-    assert complete is not None and complete[-1].state.is_goal()
-    assert problem.follow(("assign:T1",)) is None  # no VM yet
-    assert problem.follow(("provision:picky", "assign:T3")) is None  # unsupported
-    assert problem.follow(("provision:picky", "assign:T1", "assign:T1")) is None  # none left
-    assert problem.follow(("provision:picky", "assign:T2")) is None  # not in the workload
-    assert problem.follow(("provision:t9.huge",)) is None  # unknown VM type
-    assert problem.follow(("provision:picky", "assign:T9")) is None  # unknown template
-    assert problem.follow(("launch:picky",)) is None  # unknown label
+    goal = default_goal("max", TEMPLATES)
+    latency_model = TemplateLatencyModel(TEMPLATES)
+    problem = SchedulingProblem({"T1": 1, "T3": 1}, TEMPLATES, vm_types, goal, latency_model)
+
+    def cost(*labels):
+        return problem.walk(labels, lambda index, vertex: None)
+
+    complete = ("provision:picky", "assign:T1", "provision:t2.medium", "assign:T3")
+    assert cost(*complete) == _expanded(problem, complete)[-1].partial_cost
+    assert cost() is None  # nothing placed
+    assert cost(*complete[:-1]) is None  # a query left unassigned
+    assert cost("assign:T1") is None  # no VM yet
+    assert cost("provision:picky", "assign:T3") is None  # unsupported
+    assert cost("provision:picky", "assign:T1", "assign:T1") is None  # none left
+    assert cost("provision:picky", "assign:T2") is None  # not in the workload
+    assert cost("provision:t9.huge") is None  # unknown VM type
+    assert cost("provision:picky", "assign:T9") is None  # unknown template
+    assert cost("launch:picky") is None  # unknown label
+    extractor = FeatureExtractor(TEMPLATES, vm_types)
+    assert extractor.matrix(problem, ("assign:T1",))[1] is None
+
+    # A kept sample whose path is refused is searched again.
+    solver = SampleSolver(vm_types, goal, latency_model, extractor, max_expansions=None)
+    workload = Workload.from_counts(TEMPLATES, {"T1": 1, "T3": 1})
+    rows, searched = solver.solve(workload)
+    assert searched.expansions > 0
+    kept_rows, kept = solver.solve(workload, keep=searched)
+    assert kept == replace(searched, expansions=0)
+    assert kept_rows.tobytes() == rows.tobytes()
+    for refused in (complete[:-1], ("launch:picky",), ("provision:picky", "assign:T3")):
+        again_rows, again = solver.solve(workload, keep=replace(searched, path=refused))
+        assert again == searched
+        assert again_rows.tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# (c) work guard on the benchmark-shaped set
+# (c) work and memory guards on the benchmark-shaped set
 # ---------------------------------------------------------------------------
 
 
-def test_small_shifts_search_only_the_samples_whose_optimum_moved(monkeypatch):
-    """``online_retrain``'s regime: 480 searches at the parent, 26 when written."""
+@pytest.fixture(scope="module")
+def max_tenant():
+    """``online_retrain``'s tenant: ``max`` over ten TPC-H templates, 40 samples x 8."""
     templates = tpch_templates(10)
     generator = ModelGenerator(
         templates,
@@ -350,8 +442,12 @@ def test_small_shifts_search_only_the_samples_whose_optimum_moved(monkeypatch):
         ),
     )
     goal = default_goal("max", templates)
-    base = generator.generate(goal)
+    return generator, goal, generator.generate(goal)
 
+
+def test_small_shifts_search_only_the_samples_whose_optimum_moved(max_tenant, monkeypatch):
+    """``online_retrain``'s regime: 480 searches at the parent, 26 when written."""
+    generator, goal, base = max_tenant
     searches = []
     original = trainer.astar_search
     monkeypatch.setattr(
@@ -374,6 +470,56 @@ def test_small_shifts_search_only_the_samples_whose_optimum_moved(monkeypatch):
     searches.clear()
     _, report = modeler.retrain(goal.shifted(35.0))
     assert (len(searches), report.samples_kept, report.total_expansions) == (0, 40, 0)
+
+
+def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monkeypatch):
+    """One vertex per labelled path (not one per step), and float rows, not dicts."""
+    generator, goal, base = max_tenant
+    modeler = AdaptiveModeler(generator, base)
+    payloads = []
+    solve = SampleSolver.solve
+    monkeypatch.setattr(
+        SampleSolver,
+        "__call__",
+        lambda self, *args: payloads.append(solve(self, *args)) or payloads[-1],
+    )
+    counts: Counter[str] = Counter()
+    node_init = SearchNode.__init__
+
+    def counting(self, *args, **kwargs):
+        counts["SearchNode"] += 1
+        node_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SearchNode, "__init__", counting)
+    result, report = modeler.retrain(goal)
+    assert report.samples_kept == len(payloads) == 40
+    assert counts["SearchNode"] == 40
+    for (rows, solution), sample in zip(payloads, result.samples):
+        assert type(rows) is np.ndarray and rows.dtype == np.float64
+        assert rows.shape == (len(solution.path), len(generator.extractor.feature_names))
+        assert solution is sample
+    assert len(result.training_set) == sum(len(s.path) for s in base.samples)
+
+
+def test_a_training_set_holds_little_beyond_its_float_rows(max_tenant):
+    """Under tracemalloc: at most 1.25 x the float64 bytes (a dict per row held 2.8x)."""
+    generator, goal, base = max_tenant
+    modeler = AdaptiveModeler(generator, base)
+    modeler.retrain(goal)  # lazily built state is allocated before tracing
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result, _ = modeler.retrain(goal)
+        training_set = result.training_set
+        del result, modeler
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(training_set) == 430
+    nbytes = len(training_set) * len(training_set.feature_names) * 8
+    assert retained <= 1.25 * nbytes, (retained, nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,6 @@ def test_schedule_signature_ignores_query_identity():
     assert hash(first) == hash(second)
 
 
-def test_schedule_with_new_vm():
-    schedule = Schedule.empty().with_new_vm(t2_medium())
-    assert schedule.num_vms() == 1
-    assert schedule.num_queries() == 0
-    assert schedule.last_vm() is not None
-
-
 def test_schedule_without_empty_vms():
     schedule = Schedule(
         [VMAssignment(t2_medium(), queries("T1")), VMAssignment(t2_medium(), ())]

@@ -9,9 +9,10 @@ from repro.cloud.vm import single_vm_type_catalog
 from repro.config import TrainingConfig
 from repro.exceptions import ModelError, TrainingError
 from repro.learning.features import FeatureExtractor
-from repro.learning.trainer import ModelGenerator, collect_examples
+from repro.learning.trainer import ModelGenerator, SampleSolver
 from repro.runtime.batch import BatchScheduler
 from repro.search.actions import PlaceQuery, ProvisionVM
+from repro.search.astar import astar_search
 from repro.search.problem import SchedulingProblem
 from repro.sla.factory import default_goal
 from repro.workloads.generator import WorkloadGenerator
@@ -42,16 +43,20 @@ def test_training_examples_per_sample_match_decisions(model_generator, max_goal)
     )
 
 
-def test_collect_examples_labels_follow_optimal_path(small_templates, max_goal):
+def test_solver_labels_every_decision_on_the_optimal_path(small_templates, max_goal):
     workload = Workload.from_counts(small_templates, {"T1": 2, "T2": 1})
     vm_types = single_vm_type_catalog()
-    problem = SchedulingProblem.for_workload(
-        workload, vm_types, max_goal, TemplateLatencyModel(small_templates)
-    )
+    latency_model = TemplateLatencyModel(small_templates)
     extractor = FeatureExtractor(small_templates, vm_types)
-    examples, result = collect_examples(problem, extractor)
-    assert len(examples) == len(list(result.decisions()))
-    assert examples[0].label.startswith("provision:")
+    solver = SampleSolver(vm_types, max_goal, latency_model, extractor, max_expansions=None)
+    rows, solution = solver.solve(workload)
+    result = astar_search(
+        SchedulingProblem.for_workload(workload, vm_types, max_goal, latency_model)
+    )
+    assert solution.path == tuple(action.label for _, action in result.decisions())
+    assert (solution.optimal_cost, solution.expansions) == (result.cost, result.expansions)
+    assert rows.shape == (len(solution.path), len(extractor.feature_names))
+    assert solution.path[0].startswith("provision:")
 
 
 def test_generate_requires_workloads(model_generator, max_goal):

@@ -47,6 +47,12 @@ ALLOWED_UNUSED: dict[str, str] = {
     "repro.learning.decision_tree.DecisionTreeClassifier.feature_importances": (
         "the split-gain summary a per-decision provenance record will carry"
     ),
+    "repro.search.state.SearchState.with_new_vm": (
+        "checked transition the state and A* tests replay an optimal path with"
+    ),
+    "repro.search.state.SearchState.with_placement": (
+        "checked transition the state and A* tests replay an optimal path with"
+    ),
     "repro.workloads.arrivals.bursty_arrivals": (
         "the bursty input shape of the serving-equivalence grid"
     ),

@@ -168,10 +168,11 @@ def test_branch_copy_on_write_isolation():
 
 def _training_fingerprint(result: TrainingResult) -> str:
     digest = hashlib.sha256()
-    for example in result.training_set:
-        digest.update(example.label.encode())
-        for name in result.training_set.feature_names:
-            digest.update(repr(example.features.get(name, 0.0)).encode())
+    matrix, labels = result.training_set.to_matrix()
+    for label, row in zip(labels, matrix.tolist()):
+        digest.update(label.encode())
+        for value in row:
+            digest.update(repr(value).encode())
     digest.update(result.model.tree.to_text().encode())
     for sample in result.samples:
         digest.update(repr(sample.optimal_cost).encode())

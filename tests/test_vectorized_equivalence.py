@@ -4,8 +4,9 @@ Each implementation is held bit-for-bit against a reference that lives only
 here or in the tree's own API:
 
 * feature extraction — the preallocated-row :meth:`FeatureExtractor.extract_into`
-  and the batch :meth:`FeatureExtractor.matrix` against the name → value
-  reference ``features_of`` of ``tests/test_learning_features.py``;
+  and the path walk :meth:`FeatureExtractor.matrix` (rows and cost along
+  random successor walks) against the name → value reference ``features_of``
+  of ``tests/test_learning_features.py``;
 * tree evaluation — the :class:`TreeNode` walk (``predict_vector`` /
   ``predict``) and the compiled flat-array evaluator (``predict_row`` /
   ``predict_matrix``), including compilation onto an external feature order
@@ -116,8 +117,10 @@ def test_extract_row_and_matrix_match_dict(kind, counts, two_types, seed):
     rng = random_module.Random(seed)
     nodes = _random_walk(problem, rng, max_steps=sum(counts) + 3)
 
-    matrix = extractor.matrix(nodes, problem)
-    assert matrix.shape == (len(nodes), len(extractor.feature_names))
+    # The matrix walks the same edges: a row per vertex an action leaves.
+    matrix, cost = extractor.matrix(problem, [node.action.label for node in nodes[1:]])
+    assert matrix.shape == (len(nodes) - 1, len(extractor.feature_names))
+    assert cost == (nodes[-1].partial_cost if nodes[-1].state.is_goal() else None)
     for index, node in enumerate(nodes):
         reference = features_of(node, problem)
         assert tuple(reference) == extractor.feature_names  # same order, same names
@@ -128,7 +131,8 @@ def test_extract_row_and_matrix_match_dict(kind, counts, two_types, seed):
         expected = list(reference.values())
         assert row.tolist() == expected
         assert list_row == expected
-        assert matrix[index].tolist() == expected
+        if index < len(matrix):
+            assert matrix[index].tolist() == expected
 
 
 @pytest.mark.slow
