@@ -265,7 +265,8 @@ class CompiledTreeEvaluator:
         """``(feature, threshold, left, right, leaf label)`` as :meth:`predict_row` indexes them.
 
         For a caller that walks the tree itself and computes a row entry only
-        when a node tests it (:meth:`~repro.learning.model.DecisionModel.decide`).
+        when a node tests it (the function
+        :class:`~repro.learning.model.DecisionModel` generates from them).
         Plain lists when compiled here, the adopted arrays after
         :meth:`from_arrays`.
         """

@@ -195,9 +195,9 @@ class FeatureExtractor:
     def column_layout(self) -> tuple[list[int], list[str], list[int]]:
         """Per column: family (index into ``FEATURE_FAMILIES``), template name, template index.
 
-        What :meth:`~repro.learning.model.DecisionModel.decide` needs to
-        compute one column on demand (``wait_time`` has no template: ``""``
-        and ``-1``).
+        What :class:`~repro.learning.model.DecisionModel` needs to generate
+        its walk, which computes one column on demand (``wait_time`` has no
+        template: ``""`` and ``-1``).
         """
         return self._column_layout
 

@@ -12,12 +12,27 @@ The runtime scheduler re-uses the exact search machinery
 the model tests at runtime is the expression that filled that column of its
 training set.  Training needs every column of every vertex
 (:meth:`FeatureExtractor.matrix <repro.learning.features.FeatureExtractor.matrix>`);
-one decision does not: :meth:`DecisionModel.decide` walks the compiled tree
-and computes a feature only when a node on the path tests it — a lookup for
+one decision does not: :meth:`DecisionModel.decide` walks the tree and
+computes a feature only when a node on the path tests it — a lookup for
 ``wait-time`` / ``supports-X`` / ``have-X``, a count over a length for
 ``proportion-of-X``, one Equation-2 evaluation for ``cost-of-X`` — so a parse
 costs O(tree height), as Section 6.2 prices it, instead of O(templates).  The
 full row stays as the oracle the walk is tested against.
+
+The walk is generated code, built the way :mod:`dataclasses` builds its
+methods.  When a model adopts an evaluator — the tree compiled in-process on
+its first decision, or an evaluator a shard worker attached from shared
+memory (:meth:`DecisionModel.use_evaluator`) — :func:`_walk_source` writes one
+function, ``walk(node, problem) -> (label, costs)``: the tree as nested
+``if`` statements with thresholds and labels as literals and each feature's
+expression inline, and ``compile()`` runs once.  No decision reads the
+evaluator's arrays.  The source is safe by construction: only ints and floats
+enter it as literals, a threshold ``repr`` cannot round-trip (±inf, nan) is a
+global bound by name, strings enter only through ``repr()``, comparisons
+whose outcome is fixed at generation time (``have-X``, ``supports-X``) are
+decided then by Python float comparison, and a path nested deeper than
+:data:`_MAX_NESTING` levels continues in a helper function (CPython's
+tokenizer stops at 100 levels, and ``max_depth`` has no upper bound).
 
 Because the decision tree is a statistical model, it can occasionally emit an
 action that is invalid in the current state (e.g. "place a query of T3" when
@@ -29,6 +44,7 @@ latency, never stack two empty VMs — and records how often it had to do so.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -116,6 +132,162 @@ _PROPORTION_OF, _SUPPORTS, _COST_OF, _HAVE = (
     for family in ("proportion_of", "supports", "cost_of", "have")
 )
 
+#: ``if`` levels one generated function nests before the rest of a path moves
+#: into a helper function: CPython's tokenizer stops at 100 indentation
+#: levels, and a tree's ``max_depth`` has no upper bound.
+_MAX_NESTING = 48
+
+#: The locals a generated walk binds on first use along a path: the
+#: expression each holds and the locals that expression reads.
+_LOCALS = {
+    "state": ("node.state", ()),
+    "last": ("state.last_vm()", ("state",)),
+    "present": ("state.remaining_name_set()", ("state",)),
+    "kind": ("last[0] if last is not None else None", ("last",)),
+    "queue": ("last[1] if last is not None else ()", ("last",)),
+    "counts": ("state.last_queue_counts() if queue else {}", ("state", "queue")),
+    # ``count / inf`` is the 0.0 of an empty queue, as count is 0 there.
+    "size": ("len(queue) or inf", ("queue",)),
+    "edge": ("problem.placement_edge_cost", ()),
+}
+
+
+def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
+    """Source of ``walk(node, problem) -> (label, costs)`` for *evaluator*, and its globals.
+
+    The tree becomes nested ``if`` statements, one per split whose outcome
+    the state decides.  Every branch ends in a ``return``, so a split's right
+    branch follows its ``if`` without an ``else``.  Each split tests the
+    expression :meth:`FeatureExtractor.extract_into` writes into its column:
+
+    * ``have-X`` (0.0 or 1.0) and ``supports-X`` (one value per VM type, 0.0
+      with no VM) are folded: the threshold comparison runs here, in Python
+      floats, and the source keeps only a set-membership test — or nothing,
+      when every outcome is the same;
+    * ``wait-time``, ``proportion-of-X`` and ``cost-of-X`` are computed once
+      per path into a local, ``cost-of-X`` through
+      ``problem.placement_edge_cost`` and memoized in ``costs`` for the
+      penalty guard, with ``inf`` reading as ``INFEASIBLE_COST``;
+    * a split whose two children are leaves with one label is that leaf,
+      unless it is the first on its path to derive a ``cost-of-X``.
+
+    Only ints and floats enter the source as literals, a threshold ``repr``
+    cannot round-trip (±inf, nan) is a global bound by name, and every string
+    enters through ``repr``.  A path nested deeper than :data:`_MAX_NESTING`
+    levels continues in a helper function, which reads the costs computed
+    above it back from ``costs``.
+    """
+    features, thresholds, lefts, rights, leaves = (
+        array.tolist() if isinstance(array, np.ndarray) else array
+        for array in evaluator.scalar_arrays()
+    )
+    labels = evaluator.labels
+    families, names, positions = extractor.column_layout
+    supports_rows = extractor.supports_rows
+    namespace: dict = {"inf": _INF}
+    lines: list[str] = []
+
+    def bind(local: str, bound: set[str], pad: str) -> None:
+        if local not in bound:
+            expression, reads = _LOCALS[local]
+            for read in reads:
+                bind(read, bound, pad)
+            lines.append(f"{pad}{local} = {expression}")
+            bound.add(local)
+
+    functions = [("walk", 0, frozenset())]
+    while functions:
+        function, root, computed = functions.pop()
+        if function == "walk":
+            lines += ["def walk(node, problem):", "    costs = {}"]
+        else:
+            lines.append(f"def {function}(node, problem, costs):")
+        stack = [(root, 1, set(), computed)]
+        while stack:
+            index, level, bound, computed = stack.pop()
+            pad = "    " * level
+            while True:
+                column = features[index]
+                if column < 0:
+                    break
+                threshold = float(thresholds[index])
+                family = families[column]
+                if family == _HAVE:
+                    outcomes = {True: 1.0 <= threshold, False: 0.0 <= threshold}
+                elif family == _SUPPORTS:
+                    outcomes = {None: 0.0 <= threshold}
+                    for vm_name, row in supports_rows.items():
+                        outcomes[vm_name] = row[positions[column]] <= threshold
+                else:
+                    break
+                goes_left = set(outcomes.values())
+                if len(goes_left) > 1:
+                    break
+                index = lefts[index] if goes_left.pop() else rights[index]
+            if (
+                column >= 0
+                and features[lefts[index]] < 0
+                and features[rights[index]] < 0
+                and leaves[lefts[index]] == leaves[rights[index]]
+                and (family != _COST_OF or column in computed)
+            ):
+                index, column = lefts[index], -1
+            if column < 0:
+                lines.append(f"{pad}return {str(labels[leaves[index]])!r}, costs")
+                continue
+            if level > _MAX_NESTING:
+                helper = f"walk_{len(lines)}"
+                functions.append((helper, index, computed))
+                lines.append(f"{pad}return {helper}(node, problem, costs)")
+                continue
+            name = repr(str(names[column]))
+            if family == _HAVE:
+                bind("present", bound, pad)
+                condition = f"{name} in present" if outcomes[True] else f"{name} not in present"
+            elif family == _SUPPORTS:
+                bind("kind", bound, pad)
+                kinds = (repr(key if key is None else str(key)) for key in outcomes)
+                left = ", ".join(kind for kind, goes in zip(kinds, outcomes.values()) if goes)
+                condition = f"kind in {{{left}}}"
+            else:
+                value = f"x{column}"
+                if value not in bound:
+                    if family == _COST_OF and column in computed:
+                        lines.append(f"{pad}{value} = costs[{name}]")
+                    elif family == _COST_OF:
+                        bind("edge", bound, pad)
+                        lines.append(f"{pad}{value} = costs[{name}] = edge(node, {name})")
+                        computed = computed | {column}
+                    elif family == _PROPORTION_OF:
+                        bind("counts", bound, pad)
+                        bind("size", bound, pad)
+                        lines.append(f"{pad}{value} = counts.get({name}, 0) / size")
+                    else:
+                        lines.append(f"{pad}{value} = node.last_vm_finish")
+                    bound.add(value)
+                if math.isfinite(threshold):
+                    limit = repr(threshold)
+                else:
+                    limit = f"t{index}"
+                    namespace[limit] = threshold
+                condition = f"{value} <= {limit}"
+                # An infeasible cost reads as INFEASIBLE_COST.  ``inf <= t``
+                # holds only for t = inf, where INFEASIBLE_COST <= t holds too,
+                # so the two disagree only when INFEASIBLE_COST <= t < inf.
+                if family == _COST_OF and INFEASIBLE_COST <= threshold < _INF:
+                    condition += f" or {value} == inf"
+            lines.append(f"{pad}if {condition}:")
+            stack.append((rights[index], level, set(bound), computed))
+            stack.append((lefts[index], level + 1, bound, computed))
+    return "\n".join(lines) + "\n", namespace
+
+
+def _generate_walk(evaluator, extractor: FeatureExtractor):
+    """``walk(node, problem) -> (label, costs)`` compiled from :func:`_walk_source`."""
+    source, namespace = _walk_source(evaluator, extractor)
+    exec(compile(source, "<generated decision walk>", "exec"), namespace)
+    return namespace["walk"]
+
 
 class DecisionModel:
     """A trained workload-management strategy."""
@@ -140,10 +312,10 @@ class DecisionModel:
         self._metadata = metadata or ModelMetadata(goal_kind=goal.kind)
         self._penalty_guard = penalty_guard
         self.stats = DecisionStats()
-        #: Lazily built compiled evaluator :meth:`decide` walks, and the walk
-        #: table read off it and the extractor once, not per decision.
+        #: Lazily built compiled evaluator, and the function generated from it
+        #: (:func:`_generate_walk`) that :meth:`decide` calls.
         self._evaluator = None
-        self._walk_table: tuple | None = None
+        self._walker = None
         #: raw tree label -> parsed Action (or None for unparseable labels).
         self._action_cache: dict[str, Action | None] = {}
         #: template name -> cheapest supporting VM type (catalogue and latency
@@ -307,12 +479,11 @@ class DecisionModel:
         return self._evaluator
 
     def _adopt(self, evaluator) -> None:
+        self._walker = _generate_walk(evaluator, self._extractor)
         self._evaluator = evaluator
-        arrays = (*evaluator.scalar_arrays(), evaluator.labels)
-        self._walk_table = (arrays, self._extractor.column_layout)
 
     def compiled_evaluator(self):
-        """The compiled flat-array evaluator :meth:`decide` walks.
+        """The compiled flat-array evaluator :meth:`decide`'s walk is generated from.
 
         Public so the sharded serving layer can pack the evaluator's arrays
         into shared memory (:mod:`repro.learning.shm`) and ship them to
@@ -324,8 +495,8 @@ class DecisionModel:
         """Adopt a pre-built evaluator for :meth:`decide` to walk.
 
         Sharded serving workers attach the parent's compiled evaluator from
-        shared memory and install it here, so per-dispatch predictions read
-        the shared arrays instead of a per-worker copy of the tree.  The
+        shared memory and install it here, so the worker generates its walk
+        from the shared arrays instead of a per-worker copy of the tree.  The
         evaluator must have been compiled onto this model's extractor row
         layout; a mismatched feature order would silently misread rows, so it
         is refused up front.
@@ -351,8 +522,9 @@ class DecisionModel:
     def decide(self, node: SearchNode, problem: SchedulingProblem) -> Action:
         """The model's (validated) action for the scheduling state *node*.
 
-        One parse costs O(tree height) (Section 6.2): :meth:`_walk` descends
-        the compiled tree and computes a feature only when a node tests it.
+        One parse costs O(tree height) (Section 6.2): :meth:`_walk` runs the
+        tree's generated function, which computes a feature only when a node
+        on the path tests it.
 
         A decision keeps its working values local to the call — tenants that
         share this model object may decide at the same time — and shares only
@@ -382,53 +554,17 @@ class DecisionModel:
     ) -> tuple[str, dict[str, float]]:
         """Raw label for *node*, computing a feature only when the path tests it.
 
-        Each value is the expression
+        Calls the function generated from the evaluator when it was adopted
+        (:func:`_walk_source`).  Each value it tests is the expression
         :meth:`~repro.learning.features.FeatureExtractor.extract_into` writes
         into that column, so the label equals
         ``predict_row(extract_into(...))`` (the equivalence suite holds the
         two against each other).  Also returns the Equation-2 edge costs the
         path asked for, by template, for the penalty guard to reuse.
         """
-        if self._walk_table is None:
+        if self._walker is None:
             self._compiled_evaluator()
-        arrays, (families, names, positions) = self._walk_table
-        features, thresholds, lefts, rights, leaves, labels = arrays
-        state = node.state
-        last = state.last_vm()
-        present = state.remaining_name_set()
-        costs: dict[str, float] = {}
-        index = 0
-        column = features[0]
-        while column >= 0:
-            family = families[column]
-            if family == _HAVE:
-                value = 1.0 if names[column] in present else 0.0
-            elif family == _SUPPORTS:
-                value = (
-                    self._extractor.supports_rows[last[0]][positions[column]]
-                    if last is not None
-                    else 0.0
-                )
-            elif family == _COST_OF:
-                name = names[column]
-                value = costs.get(name)
-                if value is None:
-                    value = costs[name] = problem.placement_edge_cost(node, name)
-                if value == _INF:
-                    value = INFEASIBLE_COST
-            elif family == _PROPORTION_OF:
-                if last is not None and last[1]:
-                    value = state.last_queue_counts().get(names[column], 0) / len(last[1])
-                else:
-                    value = 0.0
-            else:
-                value = node.last_vm_finish
-            if value <= thresholds[index]:
-                index = lefts[index]
-            else:
-                index = rights[index]
-            column = features[index]
-        return labels[leaves[index]], costs
+        return self._walker(node, problem)
 
     # -- validation and fallbacks -----------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Zero-copy shipping of flat numpy arrays through shared memory.
 
 The sharded serving engine (:mod:`repro.serving.sharded`) partitions tenants
-across worker processes.  Each worker needs the tenant's compiled decision
-tree on its hot path, and a
+across worker processes.  Each worker generates the tenant's decision walk
+from the compiled tree (:class:`~repro.learning.model.DecisionModel`), and a
 :class:`~repro.learning.decision_tree.CompiledTreeEvaluator` is already five
 flat parallel arrays — exactly the representation POSIX shared memory wants.
 So instead of pickling trees into every worker (O(model size x shards) RSS),

@@ -65,9 +65,14 @@ class RuntimeSchedulingContext:
     def __init__(self, model: DecisionModel) -> None:
         self._model = model
         self._accumulator = model.goal.accumulator()
+        self._violation_with = self._accumulator.violation_with
         self._rate = model.goal.penalty_rate
         #: Violation of the placements recorded so far, refreshed per placement.
         self._violation = self._accumulator.violation()
+        #: The last VM type a cost was asked for, and its ``vm_tables``.
+        self._vm_type_name: str | None = None
+        self._time_of: dict[str, float] = {}
+        self._cost_of: dict[str, float] = {}
 
     def placement_cost_row(
         self, node: SearchNode, template_names: tuple[str, ...]
@@ -87,19 +92,20 @@ class RuntimeSchedulingContext:
         ``inf`` when there is no VM yet or its type cannot run the template.
         The hot call of a model parse — one per ``cost-of-X`` column the tree
         path tests — so latency and execution cost come from the model's
-        per-type tables, not the catalogue and latency model.
+        per-type tables, not the catalogue and latency model, and the tables
+        are looked up again only when the VM type changes.
         """
         last = node.state.last_vm()
         if last is None:
             return _INF
-        time_of, cost_of = self._model.vm_tables(last[0])
-        execution_time = time_of.get(template_name)
+        if last[0] != self._vm_type_name:
+            self._time_of, self._cost_of = self._model.vm_tables(last[0])
+            self._vm_type_name = last[0]
+        execution_time = self._time_of.get(template_name)
         if execution_time is None:
             return _INF
-        violation = self._accumulator.violation_with(
-            template_name, node.last_vm_finish + execution_time
-        )
-        return cost_of[template_name] + self._rate * (violation - self._violation)
+        violation = self._violation_with(template_name, node.last_vm_finish + execution_time)
+        return self._cost_of[template_name] + self._rate * (violation - self._violation)
 
     def record_placement(self, template_name: str, completion_time: float) -> None:
         """Tell the context that a query of *template_name* will finish at *completion_time*."""

@@ -102,7 +102,9 @@ class PerQueryViolationAccumulator(ViolationAccumulator):
         return self._violation
 
     def violation_with(self, template_name: str, latency: float) -> float:
-        return self._violation + self._overage(template_name, latency)
+        # The overage inlined: one call per cost-of-X a decision tests.
+        overage = latency - self._deadlines.get(template_name, self._default_deadline)
+        return self._violation + (overage if overage > 0.0 else 0.0)
 
     def copy(self) -> "PerQueryViolationAccumulator":
         # The deadline table is never mutated, so clones share it; the A*

@@ -47,6 +47,9 @@ ALLOWED_UNUSED: dict[str, str] = {
     "repro.learning.decision_tree.DecisionTreeClassifier.feature_importances": (
         "the split-gain summary a per-decision provenance record will carry"
     ),
+    "repro.search.state.SearchState.last_queue_counts": (
+        "called from the source a decision model generates, which is a string"
+    ),
     "repro.search.state.SearchState.with_new_vm": (
         "checked transition the state and A* tests replay an optimal path with"
     ),

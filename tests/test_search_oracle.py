@@ -26,7 +26,9 @@ ordered VM queues, each queue on each VM type that supports it) is priced by
 the Equation-1 :class:`~repro.core.cost_model.CostModel`.  The schedule a
 strategy returns must price to the cost it reports, exact A* must find the
 cheapest schedule, weighted A* must stay within its weight of it, and no
-strategy may report a lower bound above it.
+strategy may report a lower bound above it.  Exact A* must also find the
+cheapest schedule under two goals whose deadlines sit below a template's
+latency, which the frozen grid does not hold.
 """
 
 from __future__ import annotations
@@ -79,6 +81,15 @@ GOALS = {
 STRATEGIES = ("astar", "weighted_astar:1.5", "beam:8")
 BOUNDS = ("memoized",)
 SEEDS = (0, 1)
+#: Goals with a deadline below a template's latency (T3 runs 4 min): a query
+#: of T3, and under the per-query goal of T2 too, misses its deadline wherever
+#: it is placed.  Not in the frozen grid; checked against brute force only.
+UNMEETABLE_GOALS = {
+    "max_3min": MaxLatencyGoal(deadline=units.minutes(3)),
+    "per_query_T2_T3": PerQueryDeadlineGoal(
+        {"T1": units.minutes(2), "T2": units.minutes(1.5), "T3": units.minutes(3)}
+    ),
+}
 
 
 def _workload(seed: int) -> Workload:
@@ -171,9 +182,12 @@ def _queue_splits(queries):
 
 @lru_cache(maxsize=None)
 def _brute_force_optimum(kind, catalog, seed) -> float:
+    return _enumerated_optimum(GOALS[kind].tightened(0.35, TEMPLATES), catalog, seed)
+
+
+def _enumerated_optimum(goal, catalog, seed) -> float:
     workload = _workload(seed)
     vm_types = CATALOGS[catalog]
-    goal = GOALS[kind].tightened(0.35, TEMPLATES)
     cost_model = CostModel(LATENCY)
     priced: dict = {}
     for queues in _queue_splits(list(workload)):
@@ -227,3 +241,23 @@ def test_search_keeps_its_guarantee_against_brute_force(case):
         assert result.cost == pytest.approx(optimum, rel=1e-9, abs=1e-9)
     elif strategy.startswith("weighted_astar:"):
         assert result.cost <= float(strategy.partition(":")[2]) * optimum + 1e-7
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("catalog", CATALOGS)
+@pytest.mark.parametrize("kind", UNMEETABLE_GOALS)
+def test_exact_astar_finds_the_optimum_when_a_deadline_is_below_a_latency(kind, catalog, seed):
+    workload = _workload(seed)
+    vm_types = CATALOGS[catalog]
+    goal = UNMEETABLE_GOALS[kind]
+    result = strategy_from_spec("astar").search(
+        SchedulingProblem.for_workload(workload, vm_types, goal, LATENCY)
+    )
+    schedule = schedule_from_state(result.goal_state, workload, vm_types)
+    schedule.validate_complete(workload)
+    assert CostModel(LATENCY).total_cost(schedule, goal) == pytest.approx(
+        result.cost, rel=1e-9, abs=1e-9
+    )
+    assert result.cost == pytest.approx(
+        _enumerated_optimum(goal, catalog, seed), rel=1e-9, abs=1e-9
+    )

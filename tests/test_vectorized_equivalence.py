@@ -20,7 +20,11 @@ here or in the tree's own API:
   seeded batch and online runs and on A* vertices, with ``seen`` counters that
   fail the sweep if it stops reaching a case, and a work guard on how much a
   decision may evaluate; a whole batch run decided by the oracle schedules
-  and prices identically.
+  and prices identically;
+* the walk function a model generates — from a tree nested deeper than
+  CPython's tokenizer allows, from an artifact with ±inf / nan thresholds and
+  names that need escaping, and from a shared-memory evaluator — against the
+  same oracle, and generated once per adopted evaluator.
 """
 
 from __future__ import annotations
@@ -502,23 +506,33 @@ def test_batch_run_equals_full_row_decisions(trained_max, small_templates, monke
 
 
 def test_a_model_reads_its_walk_table_once_per_evaluator(
-    trained_max, small_templates, monkeypatch
+    trained_max, small_templates, monkeypatch, tmp_path
 ):
-    """Work guard: the evaluator's arrays and the column layout are read when
-    an evaluator is adopted, not per decision, and an adopted (shm-attached)
-    evaluator replaces the compiled one's table."""
+    """Work guard: a model generates its walk function once per evaluator it
+    adopts — compiled in-process, attached as from shared memory, in a
+    ``with_penalty_guard`` copy, or reloaded from a registry — and never per
+    decision, reading the evaluator's arrays once for it."""
+    from repro.learning import model as model_module
+    from repro.service.registry import ModelRegistry
     from repro.workloads.generator import WorkloadGenerator
 
-    reads = []
+    reads, generated = [], []
     real = CompiledTreeEvaluator.scalar_arrays
     monkeypatch.setattr(
         CompiledTreeEvaluator, "scalar_arrays", lambda self: reads.append(self) or real(self)
+    )
+    real_generate = model_module._generate_walk
+    monkeypatch.setattr(
+        model_module,
+        "_generate_walk",
+        lambda evaluator, extractor: generated.append(evaluator)
+        or real_generate(evaluator, extractor),
     )
     model = trained_max.model.with_penalty_guard(True)  # a copy with no evaluator yet
     workload = WorkloadGenerator(small_templates, seed=31).uniform(40)
     compiled_run = BatchScheduler(model).run(workload)
     compiled = model.compiled_evaluator()
-    assert compiled_run.overhead.decisions > 1 and reads == [compiled]
+    assert compiled_run.overhead.decisions > 1 and reads == generated == [compiled]
     attached = CompiledTreeEvaluator.from_arrays(
         compiled.feature,
         compiled.threshold,
@@ -530,8 +544,20 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
     )
     model.use_evaluator(attached)
     attached_run = BatchScheduler(model).run(workload)
-    assert reads == [compiled, attached]
+    assert reads == generated == [compiled, attached]
     assert _outcome_key(attached_run) == _outcome_key(compiled_run)
+
+    copy_run = BatchScheduler(model.with_penalty_guard(True)).run(workload)
+    assert generated == [compiled, attached, compiled]  # the tree caches its evaluator
+    registry = ModelRegistry(directory=tmp_path)
+    registry.put("model", "base", {}, trained_max)
+    registry.close()
+    reloaded = ModelRegistry(directory=tmp_path)
+    reloaded_model = reloaded.get("model").model
+    reloaded_run = BatchScheduler(reloaded_model).run(workload)
+    reloaded.close()
+    assert generated[3:] == [reloaded_model.compiled_evaluator()] and len(reads) == 4
+    assert _outcome_key(copy_run) == _outcome_key(reloaded_run) == _outcome_key(compiled_run)
 
 
 def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_templates, monkeypatch):
@@ -596,3 +622,222 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
     for generator, training in walk_trainings.values():
         BatchScheduler(training.model).run(workload)
     assert most["decisions"] > 8 * len(workload) and 0 < most["evaluated"] <= 3
+
+
+# ---------------------------------------------------------------------------
+# The generated walk function: deep trees, odd artifacts, shared memory
+# ---------------------------------------------------------------------------
+
+
+class _CountingProblem:
+    """*problem*'s Equation-2 edge costs, counted."""
+
+    def __init__(self, problem) -> None:
+        self.problem = problem
+        self.calls = 0
+
+    def placement_edge_cost(self, node, template_name):
+        self.calls += 1
+        return self.problem.placement_edge_cost(node, template_name)
+
+
+def _hold_walk_against_oracle(model, problem, nodes) -> int:
+    """The walk's label and costs on *nodes* equal the full-row oracle's, each
+    cost derived once; the longest path."""
+    families, names, _ = model.extractor.column_layout
+    longest = 0
+    for node in nodes:
+        if not node.state.remaining:
+            continue
+        _, label, path, _ = _oracle(model, node, problem)
+        counting = _CountingProblem(problem)
+        walked, costs = model._walk(node, counting)
+        assert walked == label and counting.calls == len(costs)
+        assert costs == {
+            names[column]: problem.placement_edge_cost(node, names[column])
+            for column in path
+            if FEATURE_FAMILIES[families[column]] == "cost_of"
+        }
+        longest = max(longest, len(path))
+    return longest
+
+
+def _search_vertices(model, counts, seed):
+    """A problem over *model*'s specification and the vertices of random walks in it."""
+    problem = SchedulingProblem(
+        template_counts=dict(zip(model.templates.names, counts)),
+        templates=model.templates,
+        vm_types=model.vm_types,
+        goal=model.goal,
+        latency_model=model.latency_model,
+    )
+    rng = random_module.Random(seed)
+    nodes = [node for _ in range(8) for node in _random_walk(problem, rng, max_steps=14)]
+    return problem, nodes
+
+
+def _spine(feature_names, splits, labels, bottom=None, side="right") -> dict:
+    """A ``DecisionTreeClassifier.to_dict`` payload: one split per level.
+
+    Split ``k`` is ``(column, threshold)``; its child on *side* is the next
+    split and the other a leaf.  The last split's child on *side* is *bottom*
+    (a ``to_dict`` node), or a leaf.
+    """
+
+    def leaf(index):
+        label = labels[index % len(labels)]
+        return {"samples": 1, "class_counts": {label: 1}, "label": label}
+
+    node = bottom if bottom is not None else leaf(len(splits))
+    for index in reversed(range(len(splits))):
+        column, threshold = splits[index]
+        node = {
+            **leaf(index),
+            "feature_index": column,
+            "threshold": threshold,
+            "left": leaf(index),
+            "right": leaf(index),
+            side: node,
+        }
+    return {
+        "max_depth": len(splits) + 1,
+        "min_samples_leaf": 1,
+        "min_samples_split": 2,
+        "min_gain": 0.0,
+        "feature_names": list(feature_names),
+        "classes": sorted(set(labels)),
+        "root": node,
+    }
+
+
+def test_a_walk_deeper_than_the_tokenizer_allows_continues_in_helpers(
+    walk_trainings, small_templates, monkeypatch
+):
+    """A 260-split tree whose splits nest on their left: CPython's tokenizer
+    stops at 100 indentation levels, so the generated walk splits into helper
+    functions, and a helper reads the costs its caller computed back from
+    ``costs``."""
+    from repro.learning.model import _walk_source
+    from repro.workloads.generator import WorkloadGenerator
+
+    base = walk_trainings[("per_query", "2vm")][1].model
+    names = base.extractor.feature_names
+    problem, nodes = _search_vertices(base, (3, 2, 2), seed=5)
+    rows = [base.extractor.extract_into(node, problem, [0.0] * len(names)) for node in nodes]
+    splits = []
+    for index in range(260):
+        column = index % len(names)
+        values = sorted(row[column] for row in rows)
+        # Every 40th split sends an eighth of the vertices to a leaf; the
+        # rest send every vertex on down the spine.
+        splits.append((column, values[-len(values) // 8] if index % 40 == 39 else values[-1] + 1.0))
+    tree = DecisionTreeClassifier.from_dict(_spine(names, splits, base.tree.classes, side="left"))
+    model = DecisionModel(
+        tree=tree,
+        extractor=base.extractor,
+        templates=base.templates,
+        vm_types=base.vm_types,
+        goal=base.goal,
+        latency_model=base.latency_model,
+    )
+    source, _ = _walk_source(model.compiled_evaluator(), model.extractor)
+    assert tree.depth() == 260 and "def walk_" in source
+    assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) < 4 * 100
+    assert _hold_walk_against_oracle(model, problem, nodes) > 100
+    _check_decisions(monkeypatch, Counter())
+    BatchScheduler(model).run(WorkloadGenerator(small_templates, seed=8).uniform(30))
+
+
+def test_a_walk_generated_from_an_artifact_with_odd_thresholds_and_names(monkeypatch):
+    """Thresholds ±inf and nan are bound by name, and template and VM type
+    names with quotes, backslashes and a newline enter the source through
+    ``repr``: the walk still equals the oracle, and the source holds only
+    int, float and string literals.  The trained tree, its thresholds made
+    odd, sits under a spine that tests every column against nan and -inf
+    (folded, for have-X and supports-X) and every cost-of-X against a
+    threshold above INFEASIBLE_COST, where an infeasible cost goes left."""
+    import ast
+    import json
+    import math
+
+    from repro.learning.model import _walk_source
+    from repro.workloads.generator import WorkloadGenerator
+
+    templates = TemplateSet(
+        [
+            QueryTemplate(name='T"1', base_latency=units.minutes(1)),
+            QueryTemplate(name="T'2\\", base_latency=units.minutes(2)),
+            QueryTemplate(name="T\n3", base_latency=units.minutes(4)),
+        ]
+    )
+    small = VMType(
+        name='sm"all\\\n',
+        running_cost=t2_medium().running_cost / 2,
+        unsupported_templates=frozenset({"T\n3"}),
+    )
+    generator = ModelGenerator(
+        templates=templates,
+        vm_types=VMTypeCatalog([t2_medium(), small]),
+        config=TrainingConfig(num_samples=16, queries_per_sample=6, seed=3, max_expansions=50_000),
+    )
+    data = generator.generate(default_goal("per_query", templates)).model.to_dict()
+    odd = (math.inf, -math.inf, math.nan, 5.0e12, None)
+    tested = Counter()
+    stack = [data["tree"]["root"]]
+    while stack:
+        node = stack.pop()
+        if "feature_index" in node:
+            family = data["tree"]["feature_names"][node["feature_index"]].split("[")[0]
+            threshold = odd[tested[family] % len(odd)]
+            tested[family] += 1
+            if threshold is not None:
+                node["threshold"] = threshold
+            stack += [node["left"], node["right"]]
+    tree = data["tree"]
+    columns = range(len(tree["feature_names"]))
+    splits = [(column, threshold) for threshold in (math.nan, -math.inf) for column in columns]
+    splits += [
+        (column, 5.0e12) for column in columns if tree["feature_names"][column].startswith("cost_of")
+    ]
+    data["tree"] = _spine(tree["feature_names"], splits, tree["classes"], bottom=tree["root"])
+    model = DecisionModel.from_dict(json.loads(json.dumps(data)))
+    assert {"cost_of", "have"} <= set(tested)
+
+    source, namespace = _walk_source(model.compiled_evaluator(), model.extractor)
+    bound = {name: value for name, value in namespace.items() if name.startswith("t")}
+    assert bound and not [value for value in bound.values() if math.isfinite(value)]
+    strings = set(templates.names) | {"t2.medium", small.name} | set(model.tree.classes)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant):
+            assert node.value is None or type(node.value) in (int, float) or node.value in strings
+    problem, nodes = _search_vertices(model, (3, 2, 2), seed=9)
+    _hold_walk_against_oracle(model, problem, nodes)
+    seen: Counter = Counter()
+    _check_decisions(monkeypatch, seen)
+    BatchScheduler(model).run(WorkloadGenerator(templates, seed=4).uniform(40))
+    assert seen["cost_of"] and seen["have"]
+
+
+def test_a_walk_generated_from_a_shared_memory_evaluator(walk_trainings, small_templates, monkeypatch):
+    """A shard worker's model: rebuilt from its artifact, deciding through an
+    evaluator attached to a shared-memory segment (numpy arrays, not lists)."""
+    from repro.learning import shm
+    from repro.workloads.generator import WorkloadGenerator
+
+    if not shm.shared_memory_available():
+        pytest.skip("POSIX shared memory is unavailable on this platform")
+    trained = walk_trainings[("average", "2vm")][1].model
+    workload = WorkloadGenerator(small_templates, seed=21).uniform(40)
+    expected = _outcome_key(BatchScheduler(trained).run(workload))
+    with shm.pack_evaluator(trained.compiled_evaluator()) as bundle:
+        evaluator, view = shm.attach_evaluator(bundle.name)
+        try:
+            model = DecisionModel.from_dict(trained.to_dict())
+            model.use_evaluator(evaluator)
+            assert isinstance(model.compiled_evaluator().threshold, np.ndarray)
+            problem, nodes = _search_vertices(model, (3, 2, 2), seed=13)
+            _hold_walk_against_oracle(model, problem, nodes)
+            _check_decisions(monkeypatch, Counter())
+            assert _outcome_key(BatchScheduler(model).run(workload)) == expected
+        finally:
+            view.close()
