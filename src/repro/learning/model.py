@@ -23,22 +23,34 @@ The walk is generated code, built the way :mod:`dataclasses` builds its
 methods.  When a model adopts an evaluator — the tree compiled in-process on
 its first decision, or an evaluator a shard worker attached from shared
 memory (:meth:`DecisionModel.use_evaluator`) — :func:`_walk_source` writes one
-function, ``walk(node, problem) -> (label, costs)``: the tree as nested
-``if`` statements with thresholds and labels as literals and each feature's
-expression inline, and ``compile()`` runs once.  No decision reads the
-evaluator's arrays.  The source is safe by construction: only ints and floats
-enter it as literals, a threshold ``repr`` cannot round-trip (±inf, nan) is a
-global bound by name, strings enter only through ``repr()``, comparisons
-whose outcome is fixed at generation time (``have-X``, ``supports-X``) are
-decided then by Python float comparison, and a path nested deeper than
-:data:`_MAX_NESTING` levels continues in a helper function (CPython's
-tokenizer stops at 100 levels, and ``max_depth`` has no upper bound).
+function, ``walk(node, problem) -> Action``: the tree as nested ``if``
+statements with thresholds as literals and each feature's expression inline,
+and ``compile()`` runs once.  No decision reads the evaluator's arrays.  The
+source is safe by construction: only ints and floats enter it as literals, a
+threshold ``repr`` cannot round-trip (±inf, nan) is a global bound by name,
+strings enter only through ``repr()``, comparisons whose outcome is fixed at
+generation time (``have-X``, ``supports-X``) are decided then by Python float
+comparison, and a path nested deeper than :data:`_MAX_NESTING` levels
+continues in a helper function (CPython's tokenizer stops at 100 levels, and
+``max_depth`` has no upper bound).
 
 Because the decision tree is a statistical model, it can occasionally emit an
 action that is invalid in the current state (e.g. "place a query of T3" when
 no T3 instance remains).  The model applies the paper's common-sense fallbacks
 — treat an unavailable template as the remaining template with the closest
 latency, never stack two empty VMs — and records how often it had to do so.
+Validation is not generated code: each leaf of the walk calls its label's
+*settler*, an ordinary closure the model builds once per distinct label at
+adoption (:meth:`DecisionModel._settlers`).  A settler checks its label
+against sets and tables fixed then — a valid placement passes the penalty
+guard, an unavailable one takes the nearest-latency template first, a
+provisioning is taken where it is legal — and counts the decision, so the
+walk returns the validated action.  The cases no settler settles — a label
+naming no action of the specification, a placement with no VM, provisioning
+on top of an empty VM, a last VM that can run no remaining template, a
+complete schedule — share one general path, :meth:`DecisionModel._validate`.
+Inlining the checks into the source instead grows it about fivefold and its
+``compile()`` with it, which a model adopted mid-stream would pay.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -153,12 +165,14 @@ _LOCALS = {
 
 
 def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
-    """Source of ``walk(node, problem) -> (label, costs)`` for *evaluator*, and its globals.
+    """Source of ``walk(node, problem) -> Action`` for *evaluator*, and its globals.
 
     The tree becomes nested ``if`` statements, one per split whose outcome
-    the state decides.  Every branch ends in a ``return``, so a split's right
-    branch follows its ``if`` without an ``else``.  Each split tests the
-    expression :meth:`FeatureExtractor.extract_into` writes into its column:
+    the state decides.  Every branch ends in a ``return``: a leaf returns
+    ``s<k>(node, problem, costs)``, the settler of the evaluator's label
+    ``k`` (bound by :func:`_generate_walk`), so a split's right branch
+    follows its ``if`` without an ``else``.  Each split tests the expression
+    :meth:`FeatureExtractor.extract_into` writes into its column:
 
     * ``have-X`` (0.0 or 1.0) and ``supports-X`` (one value per VM type, 0.0
       with no VM) are folded: the threshold comparison runs here, in Python
@@ -181,7 +195,6 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
         array.tolist() if isinstance(array, np.ndarray) else array
         for array in evaluator.scalar_arrays()
     )
-    labels = evaluator.labels
     families, names, positions = extractor.column_layout
     supports_rows = extractor.supports_rows
     namespace: dict = {"inf": _INF}
@@ -233,7 +246,7 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
             ):
                 index, column = lefts[index], -1
             if column < 0:
-                lines.append(f"{pad}return {str(labels[leaves[index]])!r}, costs")
+                lines.append(f"{pad}return s{int(leaves[index])}(node, problem, costs)")
                 continue
             if level > _MAX_NESTING:
                 helper = f"walk_{len(lines)}"
@@ -282,9 +295,17 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", namespace
 
 
-def _generate_walk(evaluator, extractor: FeatureExtractor):
-    """``walk(node, problem) -> (label, costs)`` compiled from :func:`_walk_source`."""
+def _generate_walk(
+    evaluator, extractor: FeatureExtractor, settlers: Mapping[str, Callable]
+) -> Callable[[SearchNode, SchedulingProblem], Action]:
+    """``walk(node, problem) -> Action`` compiled from :func:`_walk_source`.
+
+    *settlers* maps each of the evaluator's labels to the settler its leaves
+    call (:meth:`DecisionModel._settlers`).
+    """
     source, namespace = _walk_source(evaluator, extractor)
+    for index, label in enumerate(evaluator.labels):
+        namespace[f"s{index}"] = settlers[str(label)]
     exec(compile(source, "<generated decision walk>", "exec"), namespace)
     return namespace["walk"]
 
@@ -316,8 +337,6 @@ class DecisionModel:
         #: (:func:`_generate_walk`) that :meth:`decide` calls.
         self._evaluator = None
         self._walker = None
-        #: raw tree label -> parsed Action (or None for unparseable labels).
-        self._action_cache: dict[str, Action | None] = {}
         #: template name -> cheapest supporting VM type (catalogue and latency
         #: model are immutable, so the answer never changes per model).
         self._preferred_vm_cache: dict[str, VMType] = {}
@@ -479,8 +498,9 @@ class DecisionModel:
         return self._evaluator
 
     def _adopt(self, evaluator) -> None:
-        self._walker = _generate_walk(evaluator, self._extractor)
-        self._evaluator = evaluator
+        # Both are built before either is kept: a failed adoption changes nothing.
+        walker = _generate_walk(evaluator, self._extractor, self._settlers(evaluator.labels))
+        self._walker, self._evaluator = walker, evaluator
 
     def compiled_evaluator(self):
         """The compiled flat-array evaluator :meth:`decide`'s walk is generated from.
@@ -522,93 +542,191 @@ class DecisionModel:
     def decide(self, node: SearchNode, problem: SchedulingProblem) -> Action:
         """The model's (validated) action for the scheduling state *node*.
 
-        One parse costs O(tree height) (Section 6.2): :meth:`_walk` runs the
-        tree's generated function, which computes a feature only when a node
-        on the path tests it.
+        One call of the function generated from the tree when the model
+        adopted its evaluator (:func:`_walk_source`): it computes a feature
+        only when a node on the path tests it, so a parse costs O(tree
+        height) (Section 6.2), and its leaf's settler (:meth:`_settlers`)
+        validates the label and counts the decision.
 
         A decision keeps its working values local to the call — tenants that
         share this model object may decide at the same time — and shares only
         the :attr:`stats` counters (see :class:`DecisionStats`).
         """
-        raw_label, costs = self._walk(node, problem)
-        try:
-            action = self._action_cache[raw_label]
-        except KeyError:
-            try:
-                action = action_from_label(raw_label)
-            except ValueError:
-                action = None
-            self._action_cache[raw_label] = action
-        validated = self._validate(action, node, problem, costs)
-        self.stats.decisions += 1
-        if validated is not action and validated != action:
-            self.stats.fallbacks += 1
-        if isinstance(validated, ProvisionVM):
-            self.stats.provision_decisions += 1
-        else:
-            self.stats.placement_decisions += 1
-        return validated
-
-    def _walk(
-        self, node: SearchNode, problem: SchedulingProblem
-    ) -> tuple[str, dict[str, float]]:
-        """Raw label for *node*, computing a feature only when the path tests it.
-
-        Calls the function generated from the evaluator when it was adopted
-        (:func:`_walk_source`).  Each value it tests is the expression
-        :meth:`~repro.learning.features.FeatureExtractor.extract_into` writes
-        into that column, so the label equals
-        ``predict_row(extract_into(...))`` (the equivalence suite holds the
-        two against each other).  Also returns the Equation-2 edge costs the
-        path asked for, by template, for the penalty guard to reuse.
-        """
-        if self._walker is None:
+        walker = self._walker
+        if walker is None:
             self._compiled_evaluator()
-        return self._walker(node, problem)
+            walker = self._walker
+        return walker(node, problem)
 
     # -- validation and fallbacks -----------------------------------------------------
 
+    def _settlers(self, labels) -> dict[str, Callable]:
+        """One settler per distinct label: ``settle(node, problem, costs) -> Action``.
+
+        A leaf of the generated walk returns its label's settler's answer,
+        *costs* being the Equation-2 edge costs the path computed, by
+        template.  Each settler validates its label at the vertex against
+        sets and tables fixed here, applies the fallbacks, and updates
+        :attr:`stats`:
+
+        * ``assign:X`` for a template of the specification places X when X is
+          unassigned and the last VM's type runs it, and otherwise the
+          remaining template the VM runs whose base latency is nearest X's
+          (a fallback; ties go to the first in the vertex's order).  Either
+          placement then passes the penalty guard, which reads the path's
+          cost of that template or makes one Equation-2 call;
+        * ``provision:Y`` for a type of the catalogue is taken when queries
+          remain and the last VM is absent or holds a query;
+        * everything else goes to :meth:`_validate`: a label naming no action
+          of the specification, a placement with no VM, provisioning on top
+          of an empty VM, a last VM that can run no remaining template, and a
+          complete schedule.
+
+        The per-template tables are built once and shared by every label, so
+        a label costs one closure (and, for a placement, its latency-distance
+        table).
+        """
+        stats = self.stats
+        validate = self._validate
+        guard_on = self._penalty_guard
+        names = self._templates.names
+        unsupported = {vm.name: vm.unsupported_templates for vm in self._vm_types}
+        execution_cost = {vm.name: self.vm_tables(vm.name)[1] for vm in self._vm_types}
+        place = {name: PlaceQuery(name) for name in names}
+        provisions = {vm.name: ProvisionVM(vm.name) for vm in self._vm_types}
+        # The guard's swap for a template: a fresh VM of the cheapest type
+        # that runs it.  A template no type runs is never placed.
+        swap = {}
+        for name in names:
+            if self._vm_types.supporting(name):
+                vm_type = self._preferred_vm_type(name)
+                swap[name] = (provisions[vm_type.name], vm_type.startup_cost)
+        base_latency = {name: self._templates[name].base_latency for name in names}
+
+        def general(action, node, problem):
+            validated = validate(action, node, problem)
+            stats.decisions += 1
+            if validated != action:
+                stats.fallbacks += 1
+            if isinstance(validated, ProvisionVM):
+                stats.provision_decisions += 1
+            else:
+                stats.placement_decisions += 1
+            return validated
+
+        def placement(template):
+            action = place[template]
+            target = base_latency[template]
+            distance = {name: abs(latency - target) for name, latency in base_latency.items()}
+
+            def settle(node, problem, costs):
+                state = node.state
+                last = state.last_vm()
+                if last is None:
+                    return general(action, node, problem)
+                kind, queue = last
+                banned = unsupported[kind]
+                if template in state.remaining_name_set() and template not in banned:
+                    name = template
+                else:
+                    candidates = [
+                        name for name in state.remaining_templates() if name not in banned
+                    ]
+                    if not candidates:
+                        return general(action, node, problem)
+                    name = min(candidates, key=distance.__getitem__)
+                stats.decisions += 1
+                if guard_on and queue:
+                    # The placement's marginal penalty alone exceeds a fresh
+                    # VM's fee, and provisioning is legal: renting is cheaper.
+                    edge = costs.get(name)
+                    if edge is None:
+                        edge = problem.placement_edge_cost(node, name)
+                    fresh, startup_cost = swap[name]
+                    if edge - execution_cost[kind][name] > startup_cost:
+                        stats.guard_activations += 1
+                        stats.fallbacks += 1
+                        stats.provision_decisions += 1
+                        return fresh
+                if name != template:
+                    stats.fallbacks += 1
+                stats.placement_decisions += 1
+                return place[name]
+
+            return settle
+
+        def provisioning(action):
+            def settle(node, problem, costs):
+                state = node.state
+                if state.remaining:
+                    last = state.last_vm()
+                    if last is None or last[1]:
+                        stats.decisions += 1
+                        stats.provision_decisions += 1
+                        return action
+                return general(action, node, problem)
+
+            return settle
+
+        def fallback(action):
+            def settle(node, problem, costs):
+                return general(action, node, problem)
+
+            return settle
+
+        settlers = {}
+        for label in dict.fromkeys(str(label) for label in labels):
+            try:
+                action = action_from_label(label)
+            except ValueError:
+                action = None
+            if isinstance(action, PlaceQuery) and action.template_name not in place:
+                action = None  # a template outside the specification: no action
+            if isinstance(action, PlaceQuery):
+                settlers[label] = placement(action.template_name)
+            elif isinstance(action, ProvisionVM) and action.vm_type_name in self._vm_types:
+                settlers[label] = provisioning(provisions[action.vm_type_name])
+            else:
+                settlers[label] = fallback(action)
+        return settlers
+
     def _validate(
-        self,
-        action: Action | None,
-        node: SearchNode,
-        problem: SchedulingProblem,
-        costs: dict[str, float] | None = None,
+        self, action: Action | None, node: SearchNode, problem: SchedulingProblem
     ) -> Action:
+        """The general path: what the model does when no settler rule applies.
+
+        *action* is the leaf's action, ``None`` for a label that names no
+        action of the specification (unparseable, or an unknown template).
+        Reached for such a label, a provisioning of an unknown VM type, a
+        placement with no VM, provisioning on top of an empty VM, a last VM
+        that can run no remaining template, and a complete schedule (which
+        raises).  Anything that is not a legal provisioning becomes a
+        placement on the last VM — the remaining template it runs at the
+        cheapest Equation-2 edge — or, with no VM or nothing it can run, a
+        fresh VM.
+        """
         state = node.state
         if not state.remaining:
             raise ModelError("the model was asked to act on a complete schedule")
         last = state.last_vm()
-
-        if isinstance(action, ProvisionVM):
-            if last is None or last[1]:
-                # Valid spot for a new VM; fix up unknown VM types.
-                if action.vm_type_name in self._vm_types:
-                    return action
-                return ProvisionVM(self._vm_types.default.name)
-            # The last VM is still empty: provisioning again would violate the
-            # graph reduction and could loop forever, so place a query instead.
-            return self._fallback_placement(node, problem)
-
-        if isinstance(action, PlaceQuery):
-            if last is None:
-                return ProvisionVM(self._preferred_vm_type(action.template_name).name)
-            vm_type = self._vm_types[last[0]]
-            if state.has_remaining(action.template_name) and vm_type.supports(
-                action.template_name
-            ):
-                return self._apply_penalty_guard(action, node, problem, costs)
-            fallback = self._fallback_placement(
-                node, problem, preferred=action.template_name
-            )
-            if isinstance(fallback, PlaceQuery):
-                return self._apply_penalty_guard(fallback, node, problem, costs)
-            return fallback
-
-        # Unparseable label: place something sensible, or provision if we must.
-        if last is None:
+        if isinstance(action, ProvisionVM) and (last is None or last[1]):
+            # Valid spot for a new VM; fix up unknown VM types.
+            if action.vm_type_name in self._vm_types:
+                return action
             return ProvisionVM(self._vm_types.default.name)
-        return self._fallback_placement(node, problem)
+        if last is None:
+            if isinstance(action, PlaceQuery):
+                return ProvisionVM(self._preferred_vm_type(action.template_name).name)
+            return ProvisionVM(self._vm_types.default.name)
+        # The last VM takes a query: provisioning again on an empty VM would
+        # violate the graph reduction and could loop forever.
+        vm_type = self._vm_types[last[0]]
+        remaining = state.remaining_templates()
+        candidates = [name for name in remaining if vm_type.supports(name)]
+        if not candidates:
+            # Nothing placeable on the current VM: provision one that can help.
+            return ProvisionVM(self._preferred_vm_type(remaining[0]).name)
+        return PlaceQuery(min(candidates, key=lambda name: problem.placement_edge_cost(node, name)))
 
     def vm_tables(self, vm_type_name: str) -> tuple[dict[str, float], dict[str, float]]:
         """Per-template runtime tables of one VM type, resolved once per model.
@@ -633,72 +751,6 @@ class DecisionModel:
             }
             tables = self._vm_tables[vm_type_name] = (time_of, cost_of)
         return tables
-
-    def _apply_penalty_guard(
-        self,
-        action: PlaceQuery,
-        node: SearchNode,
-        problem: SchedulingProblem,
-        costs: dict[str, float] | None = None,
-    ) -> Action:
-        """Swap a clearly loss-making placement for a provisioning action.
-
-        When the marginal penalty of the requested placement already exceeds
-        the start-up fee of a fresh VM able to run the query — and provisioning
-        is legal at this vertex — renting the VM is always the cheaper move.
-        The guard compensates for feature-space regions that the (scaled-down)
-        training corpus covers only sparsely; it can be disabled via
-        :meth:`with_penalty_guard` and is ablated in the benchmark suite.
-
-        *costs* carries the Equation-2 edge costs :meth:`_walk` computed for
-        this vertex; the placement's is read back from it when the tree path
-        tested that ``cost-of-X`` column and derived once otherwise.
-        """
-        if not self._penalty_guard:
-            return action
-        last = node.state.last_vm()
-        if last is None or not last[1]:
-            # Provisioning is not allowed on top of an empty VM; keep placing.
-            return action
-        name = action.template_name
-        edge_cost = costs.get(name) if costs else None
-        if edge_cost is None:
-            edge_cost = problem.placement_edge_cost(node, name)
-        penalty_part = edge_cost - self.vm_tables(last[0])[1][name]
-        replacement_vm = self._preferred_vm_type(name)
-        if penalty_part > replacement_vm.startup_cost:
-            self.stats.guard_activations += 1
-            return ProvisionVM(replacement_vm.name)
-        return action
-
-    def _fallback_placement(
-        self,
-        node: SearchNode,
-        problem: SchedulingProblem,
-        preferred: str | None = None,
-    ) -> Action:
-        """Best substitute placement when the predicted action is unavailable."""
-        state = node.state
-        last = state.last_vm()
-        assert last is not None
-        vm_type = self._vm_types[last[0]]
-        candidates = [
-            name for name in state.remaining_templates() if vm_type.supports(name)
-        ]
-        if not candidates:
-            # Nothing placeable on the current VM: provision one that can help.
-            remaining = state.remaining_templates()
-            return ProvisionVM(self._preferred_vm_type(remaining[0]).name)
-        if preferred is not None and preferred in self._templates:
-            target_latency = self._templates[preferred].base_latency
-            chosen = min(
-                candidates,
-                key=lambda name: abs(self._templates[name].base_latency - target_latency),
-            )
-            return PlaceQuery(chosen)
-        # Otherwise pick the candidate whose placement-edge cost is lowest.
-        chosen = min(candidates, key=lambda name: problem.placement_edge_cost(node, name))
-        return PlaceQuery(chosen)
 
     def _preferred_vm_type(self, template_name: str) -> VMType:
         """Cheapest VM type (by execution cost) able to process *template_name*.

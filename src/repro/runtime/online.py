@@ -86,7 +86,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.adaptive.retraining import AdaptiveModeler
 from repro.cloud.vm import VMType
@@ -143,9 +143,13 @@ class OnlineOptimizations:
         return "None"
 
 
-@dataclass
-class ScheduledQueryRecord:
-    """Where and when one query actually executed."""
+class ScheduledQueryRecord(NamedTuple):
+    """Where and when one query actually executed.
+
+    A positional named tuple, as the online pass commits one per placed
+    query: build one with all six fields in order, copy one with
+    ``record._replace(...)``.
+    """
 
     query: Query
     template_name: str
@@ -224,14 +228,15 @@ class OnlineSchedulingReport:
         return sum(self.scheduling_overheads)
 
 
-@dataclass(frozen=True)
-class QueryPlacement:
+class QueryPlacement(NamedTuple):
     """Where one query landed during one epoch's scheduling pass.
 
     ``vm_index`` is the VM's provisioning sequence number within the run
     (stable across epochs); start/completion times are in simulation seconds.
     A waiting query can be re-placed by a later epoch's pull-back, so a
-    placement is definitive only once the stream is finalized.
+    placement is definitive only once the stream is finalized.  A positional
+    named tuple, like :class:`ScheduledQueryRecord`: the online pass reports
+    one per placed query.
     """
 
     query_id: int

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import single_vm_type_catalog
 from repro.config import TrainingConfig
 from repro.exceptions import ModelError, TrainingError
+from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FeatureExtractor
+from repro.learning.model import DecisionModel
 from repro.learning.trainer import ModelGenerator, SampleSolver
 from repro.runtime.batch import BatchScheduler
+from repro.runtime.online import OnlineScheduler
 from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.astar import astar_search
 from repro.search.problem import SchedulingProblem
 from repro.sla.factory import default_goal
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.templates import tpch_templates
 from repro.workloads.workload import Workload
 
 
@@ -135,6 +141,61 @@ def test_model_rejects_complete_states(trained_max, small_templates, vm_catalog)
     assert node.state.is_goal()
     with pytest.raises(ModelError):
         model.decide(node, problem)
+
+
+def _one_leaf_model(label, templates, vm_types, goal):
+    """A model whose tree is one leaf labelled *label*: every decision is *label*."""
+    extractor = FeatureExtractor(templates, vm_types)
+    tree = DecisionTreeClassifier.from_dict(
+        {
+            "max_depth": 1,
+            "min_samples_leaf": 1,
+            "min_samples_split": 2,
+            "min_gain": 0.0,
+            "feature_names": list(extractor.feature_names),
+            "classes": [label],
+            "root": {"samples": 1, "class_counts": {label: 1}, "label": label},
+        }
+    )
+    return DecisionModel(
+        tree, extractor, templates, vm_types, goal, TemplateLatencyModel(templates)
+    )
+
+
+@pytest.mark.parametrize(
+    "label, twin",
+    [("assign:NOPE", "garbage"), ("provision:NOPE", "provision:t2.medium")],
+)
+def test_a_leaf_naming_no_action_of_the_specification_falls_back(
+    label, twin, trained_max, model_generator, small_templates
+):
+    """A leaf naming a template or VM type outside the model's specification
+    neither raises at adoption nor at a decision: ``assign:NOPE`` reads like an
+    unparseable label, ``provision:NOPE`` like the default VM type, in batch
+    and online scheduling, and every decision counts as a fallback."""
+    templates = tpch_templates(3)
+    vm_types = single_vm_type_catalog()
+    goal = default_goal("max", templates)
+    workload = WorkloadGenerator(templates, seed=5).uniform(5)
+    model = _one_leaf_model(label, templates, vm_types, goal)
+    model.compiled_evaluator()  # adoption builds every settler
+    outcome = BatchScheduler(model).run(workload)
+    outcome.schedule.validate_complete(workload)
+    expected = BatchScheduler(_one_leaf_model(twin, templates, vm_types, goal)).run(workload)
+    assert outcome.schedule.signature() == expected.schedule.signature()
+    assert outcome.cost == expected.cost
+    assert outcome.overhead.fallbacks == outcome.overhead.decisions > 0
+
+    base = trained_max.model
+    stream = WorkloadGenerator(small_templates, seed=6).uniform(6)
+    online = {}
+    for name in (label, twin):
+        crafted = _one_leaf_model(name, small_templates, base.vm_types, base.goal)
+        training = dataclasses.replace(trained_max, model=crafted)
+        online[name] = OnlineScheduler(training, model_generator, wait_resolution=1e9).run(stream)
+        online[name].schedule.validate_complete(stream)
+    assert online[label].schedule.signature() == online[twin].schedule.signature()
+    assert online[label].cost == online[twin].cost
 
 
 def test_model_describe_and_metadata(trained_max):

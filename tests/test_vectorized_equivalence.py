@@ -14,21 +14,26 @@ here or in the tree's own API:
 * online scheduling — the epoch-batched arrival loop against a session fed one
   query per epoch (the paper's per-arrival loop) on arrival streams with
   distinct timestamps, where the two groupings must coincide exactly;
-* one decision — :meth:`DecisionModel.decide`'s walk, which computes a feature
-  only when the tree path tests it, against the full-row oracle
-  ``predict_row(extract_into(...))`` → ``_validate`` on every decision of
-  seeded batch and online runs and on A* vertices, with ``seen`` counters that
-  fail the sweep if it stops reaching a case, and a work guard on how much a
-  decision may evaluate; a whole batch run decided by the oracle schedules
-  and prices identically;
+* one decision — :meth:`DecisionModel.decide`, whose generated walk computes
+  a feature only when the tree path tests it and whose leaf settles the label,
+  against the full-row label ``predict_row(extract_into(...))`` settled by a
+  straight-line validator written here from the rules (graph reduction,
+  nearest-latency and cheapest-edge fallbacks, penalty guard): the action,
+  the :class:`DecisionStats` delta and the Equation-2 calls, counted through a
+  proxy problem, on every decision of seeded batch and online runs and on A*
+  vertices, with ``seen`` counters that fail the sweep if it stops reaching a
+  case; a whole batch run decided by the oracle schedules and prices
+  identically;
 * the walk function a model generates — from a tree nested deeper than
   CPython's tokenizer allows, from an artifact with ±inf / nan thresholds and
   names that need escaping, and from a shared-memory evaluator — against the
-  same oracle, and generated once per adopted evaluator.
+  same oracle, generated once per adopted evaluator with one settler per
+  distinct label.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random as random_module
 from collections import Counter
 
@@ -53,9 +58,8 @@ from repro.learning.model import DecisionModel
 from repro.learning.trainer import ModelGenerator
 from repro.runtime.batch import BatchScheduler, RuntimeSchedulingContext
 from repro.runtime.online import OnlineOptimizations, OnlineScheduler
-from repro.search.actions import action_from_label
+from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.problem import SchedulingProblem
-from repro.sla import accumulators
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate, TemplateSet
@@ -352,10 +356,41 @@ def walk_trainings(small_templates):
     return trainings
 
 
-def _oracle(model, node, problem):
-    """``(row, label, columns the path tests, validated action)`` from the full row."""
+#: The full-row oracle's feature extraction, kept even where a test forbids
+#: the program from filling a full row.
+_EXTRACT_INTO = FeatureExtractor.extract_into
+#: The real ``decide``, kept while a test wraps it.
+_DECIDE = DecisionModel.decide
+
+
+class _CountingProblem:
+    """*problem*'s Equation-2 edge costs, counted: all a decision may ask of it."""
+
+    def __init__(self, problem) -> None:
+        self.problem = problem
+        self.calls = 0
+
+    def placement_edge_cost(self, node, template_name):
+        self.calls += 1
+        return self.problem.placement_edge_cost(node, template_name)
+
+
+class _RowProblem:
+    """A full cost row from *problem*'s scalar edge costs, for the oracle's row."""
+
+    def __init__(self, problem) -> None:
+        self.problem = problem
+
+    def placement_cost_row(self, node, template_names):
+        return [self.problem.placement_edge_cost(node, name) for name in template_names]
+
+
+def _full_row_label(model, node, problem):
+    """``(row, label, columns the path tests)`` from ``predict_row(extract_into(...))``."""
     extractor = model.extractor
-    row = extractor.extract_into(node, problem, [0.0] * len(extractor.feature_names))
+    row = _EXTRACT_INTO(
+        extractor, node, _RowProblem(problem), [0.0] * len(extractor.feature_names)
+    )
     evaluator = model.compiled_evaluator()
     label = evaluator.predict_row(row)
     features, thresholds, lefts, rights, _ = evaluator.scalar_arrays()
@@ -363,67 +398,177 @@ def _oracle(model, node, problem):
     while features[index] >= 0:
         path.append(int(features[index]))
         index = lefts[index] if row[features[index]] <= thresholds[index] else rights[index]
-    try:
-        action = action_from_label(label)
-    except ValueError:
-        action = None
-    return row, label, path, model._validate(action, node, problem)
+    return row, label, path
+
+
+def _settle(model, label, node, problem, walked):
+    """What a decision must return at *node* for the tree's *label*, by the rules.
+
+    Returns ``(action, DecisionStats delta, Equation-2 calls, cases reached)``.
+    The rules, written out: a placement needs a VM (else the cheapest VM type
+    for the template is provisioned) and an unassigned template the VM's type
+    runs (else the remaining template it runs with the nearest base latency);
+    a placement on a non-empty VM whose marginal penalty exceeds the start-up
+    fee of the template's cheapest VM type becomes that provisioning when the
+    penalty guard is on; a provisioning is refused on an empty VM (graph
+    reduction) and an unknown VM type becomes the default one; a label naming
+    no action of the specification provisions the default type with no VM.
+    Where the VM must take a query the label cannot give, it takes the
+    remaining template it runs at the cheapest edge, or, running none, a
+    fresh VM of the first remaining template's cheapest type is provisioned.
+    *walked* names the templates whose ``cost-of`` column the path tested:
+    each cost the guard needs beyond them is one more Equation-2 call.
+    """
+    state = node.state
+    remaining = [name for name, _ in state.remaining]
+    last = state.vms[-1] if state.vms else None
+    templates, vm_types = model.templates, model.vm_types
+    latency = model.latency_model.latency
+    kind, _, payload = label.partition(":")
+    labelled = {"assign": PlaceQuery, "provision": ProvisionVM}.get(kind) if payload else None
+    labelled = labelled(payload) if labelled else None
+    cases = []
+    calls = len(walked)
+
+    def cheapest_vm_type(name):
+        return min(vm_types.supporting(name), key=lambda vm: vm.running_cost * latency(name, vm))
+
+    def take_a_query():
+        nonlocal calls
+        vm_type = vm_types[last[0]]
+        candidates = [name for name in remaining if vm_type.supports(name)]
+        if not candidates:
+            cases.append("nothing placeable")
+            return ProvisionVM(cheapest_vm_type(remaining[0]).name)
+        cases.append("cheapest-edge fallback")
+        calls += len(candidates)
+        return PlaceQuery(min(candidates, key=lambda name: problem.placement_edge_cost(node, name)))
+
+    def guard(name):
+        nonlocal calls
+        if not model._penalty_guard or not last[1]:
+            return PlaceQuery(name), False
+        calls += name not in walked
+        vm_type = vm_types[last[0]]
+        fresh = cheapest_vm_type(name)
+        edge = problem.placement_edge_cost(node, name)
+        if edge - vm_type.running_cost * latency(name, vm_type) > fresh.startup_cost:
+            walk = "walked" if name in walked else "derived"
+            cases.append(f"guard fired on a {walk} cost")
+            return ProvisionVM(fresh.name), True
+        cases.append("guard did not fire")
+        return PlaceQuery(name), True
+
+    if kind == "assign" and payload in templates:
+        runs = vm_types[last[0]].supports if last is not None else None
+        candidates = [name for name in remaining if runs and runs(name)]
+        if last is None:
+            cases.append("placement with no VM")
+            action = ProvisionVM(cheapest_vm_type(payload).name)
+        elif payload in candidates:
+            cases.append("valid placement")
+            action, _ = guard(payload)
+        elif candidates:
+            target = templates[payload].base_latency
+            nearest = min(
+                candidates, key=lambda name: abs(templates[name].base_latency - target)
+            )
+            action, guarded = guard(nearest)
+            cases.append("nearest-latency fallback" + (", then guarded" if guarded else ""))
+        else:
+            action = take_a_query()
+    elif kind == "provision" and payload:
+        if last is not None and not last[1]:
+            cases.append("provisioning refused on an empty VM")
+            action = take_a_query()
+        elif payload in vm_types:
+            cases.append("provisioning accepted")
+            action = labelled
+        else:
+            cases.append("unknown VM type")
+            action = ProvisionVM(vm_types.default.name)
+    else:
+        cases.append("unknown template" if labelled else "unparseable label")
+        action = ProvisionVM(vm_types.default.name) if last is None else take_a_query()
+    provisions = isinstance(action, ProvisionVM)
+    delta = {
+        "decisions": 1,
+        "fallbacks": int(action != labelled),
+        "provision_decisions": int(provisions),
+        "placement_decisions": int(not provisions),
+        "guard_activations": sum(case.startswith("guard fired") for case in cases),
+    }
+    return action, delta, calls, cases
+
+
+def _hold_decision(model, node, problem, seen: Counter) -> tuple:
+    """One ``decide`` against the full-row label settled by the rules: the
+    action, the :class:`DecisionStats` delta and the Equation-2 calls (the
+    path's ``cost-of`` columns once each, one more for a guard cost the path
+    did not test, one per candidate on a cheapest-edge fallback) must all
+    agree.  Counts the cases reached in *seen*; returns ``(action, path
+    length, Equation-2 calls)``."""
+    row, label, path = _full_row_label(model, node, problem)
+    families, names, _ = model.extractor.column_layout
+    walked = {
+        names[column] for column in path if FEATURE_FAMILIES[families[column]] == "cost_of"
+    }
+    expected, delta, calls, cases = _settle(model, label, node, problem, walked)
+    before = dataclasses.asdict(model.stats)
+    counting = _CountingProblem(problem)
+    action = _DECIDE(model, node, counting)
+    after = dataclasses.asdict(model.stats)
+    assert action == expected, (label, cases)
+    assert {key: after[key] - before[key] for key in after} == delta, (label, cases)
+    assert counting.calls == calls, (label, cases)
+    seen.update(cases)
+    for column in path:
+        family = FEATURE_FAMILIES[families[column]]
+        seen[family] += 1
+        if family == "cost_of" and row[column] == INFEASIBLE_COST:
+            seen["infeasible cost tested"] += 1
+        if family == "supports" and row[column] == 0.0 and node.state.vms:
+            seen["unsupported template tested"] += 1
+    return action, len(path), counting.calls
 
 
 def _check_decisions(monkeypatch, seen: Counter) -> None:
     """Hold every ``decide`` call against the oracle and count what it reached."""
-    real_decide = DecisionModel.decide
-    real_guard = DecisionModel._apply_penalty_guard
-    real_fallback = DecisionModel._fallback_placement
-
-    def decide(self, node, problem):
-        row, label, path, expected = _oracle(self, node, problem)
-        families, names, _ = self.extractor.column_layout
-        walked_label, costs = self._walk(node, problem)
-        assert walked_label == label
-        assert set(costs) == {
-            names[column] for column in path if FEATURE_FAMILIES[families[column]] == "cost_of"
-        }
-        for name, cost in costs.items():
-            assert cost == problem.placement_edge_cost(node, name)
-        assert real_decide(self, node, problem) == expected
-        for column in path:
-            family = FEATURE_FAMILIES[families[column]]
-            seen[family] += 1
-            if family == "cost_of" and row[column] == INFEASIBLE_COST:
-                seen["infeasible cost tested"] += 1
-            if family == "supports" and row[column] == 0.0 and node.state.vms:
-                seen["unsupported template tested"] += 1
-        return expected
-
-    def guard(self, action, node, problem, costs=None):
-        last = node.state.last_vm()
-        # `costs` is None on the oracle's own _validate call.
-        if costs is not None and self._penalty_guard and last and last[1]:
-            walked = action.template_name in costs
-            seen["guard reused a walked cost" if walked else "guard derived its cost"] += 1
-        return real_guard(self, action, node, problem, costs)
-
-    def fallback(self, node, problem, preferred=None):
-        seen["fallback placement"] += 1
-        return real_fallback(self, node, problem, preferred)
-
-    monkeypatch.setattr(DecisionModel, "decide", decide)
-    monkeypatch.setattr(DecisionModel, "_apply_penalty_guard", guard)
-    monkeypatch.setattr(DecisionModel, "_fallback_placement", fallback)
+    monkeypatch.setattr(
+        DecisionModel,
+        "decide",
+        lambda self, node, problem: _hold_decision(self, node, problem, seen)[0],
+    )
 
 
-def _without_family(model, family):
-    """*model*'s tree on an extractor lacking *family*: those splits constant-fold."""
-    families = tuple(name for name in FEATURE_FAMILIES if name != family)
+def _model_on(model, tree=None, families=FEATURE_FAMILIES):
+    """*model*'s specification deciding by *tree* (default: its own) on an
+    extractor of *families*: splits on a missing family constant-fold."""
     return DecisionModel(
-        tree=model.tree,
+        tree=tree if tree is not None else model.tree,
         extractor=FeatureExtractor(model.templates, model.vm_types, families),
         templates=model.templates,
         vm_types=model.vm_types,
         goal=model.goal,
         latency_model=model.latency_model,
     )
+
+
+def _one_leaf(model, label):
+    """*model*'s specification deciding *label* at every vertex."""
+    names = model.extractor.feature_names
+    return _model_on(model, DecisionTreeClassifier.from_dict(_spine(names, [], [label])))
+
+
+#: Labels a fitted tree rarely or never emits, each decided at every vertex.
+_ONE_LEAF_LABELS = (
+    "assign:T1",
+    "assign:T3",
+    "provision:t2.small",
+    "provision:NOPE",
+    "assign:NOPE",
+    "garbage",
+)
 
 
 def test_walk_equals_full_row_oracle_on_every_decision(
@@ -447,7 +592,11 @@ def test_walk_equals_full_row_oracle_on_every_decision(
         if catalog_name == "2vm":
             # Full trees on extractors lacking one family (the ablation axis).
             for family in FEATURE_FAMILIES:
-                BatchScheduler(_without_family(model, family)).run(batch)
+                families = tuple(name for name in FEATURE_FAMILIES if name != family)
+                BatchScheduler(_model_on(model, families=families)).run(batch)
+            if kind == "per_query":
+                for label in _ONE_LEAF_LABELS:
+                    BatchScheduler(_one_leaf(model, label)).run(batch)
         # A* vertices, costed by the search problem itself.
         problem = SchedulingProblem(
             template_counts={"T1": 3, "T2": 2, "T3": 2},
@@ -484,9 +633,19 @@ def test_walk_equals_full_row_oracle_on_every_decision(
     reached = FEATURE_FAMILIES + (
         "infeasible cost tested",
         "unsupported template tested",
-        "guard reused a walked cost",
-        "guard derived its cost",
-        "fallback placement",
+        "valid placement",
+        "guard fired on a walked cost",
+        "guard fired on a derived cost",
+        "guard did not fire",
+        "nearest-latency fallback, then guarded",
+        "provisioning accepted",
+        "provisioning refused on an empty VM",
+        "unknown VM type",
+        "unknown template",
+        "unparseable label",
+        "placement with no VM",
+        "cheapest-edge fallback",
+        "nothing placeable",
     )
     assert not [case for case in reached if not seen[case]], dict(seen)
 
@@ -499,9 +658,12 @@ def test_batch_run_equals_full_row_decisions(trained_max, small_templates, monke
     workload = WorkloadGenerator(small_templates, seed=31).uniform(40)
     scheduler = BatchScheduler(trained_max.model)
     walked = scheduler.run(workload)
-    monkeypatch.setattr(
-        DecisionModel, "decide", lambda self, node, problem: _oracle(self, node, problem)[3]
-    )
+
+    def oracle(self, node, problem):
+        label = _full_row_label(self, node, problem)[1]
+        return _settle(self, label, node, problem, walked=set())[0]
+
+    monkeypatch.setattr(DecisionModel, "decide", oracle)
     assert _outcome_key(scheduler.run(workload)) == _outcome_key(walked)
 
 
@@ -511,28 +673,37 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
     """Work guard: a model generates its walk function once per evaluator it
     adopts — compiled in-process, attached as from shared memory, in a
     ``with_penalty_guard`` copy, or reloaded from a registry — and never per
-    decision, reading the evaluator's arrays once for it."""
+    decision, reading the evaluator's arrays once for it and building one
+    settler per distinct label (one label parse each) before generating."""
     from repro.learning import model as model_module
     from repro.service.registry import ModelRegistry
     from repro.workloads.generator import WorkloadGenerator
 
-    reads, generated = [], []
+    reads, generated, parsed = [], [], []
     real = CompiledTreeEvaluator.scalar_arrays
     monkeypatch.setattr(
         CompiledTreeEvaluator, "scalar_arrays", lambda self: reads.append(self) or real(self)
     )
-    real_generate = model_module._generate_walk
+    real_parse = model_module.action_from_label
     monkeypatch.setattr(
-        model_module,
-        "_generate_walk",
-        lambda evaluator, extractor: generated.append(evaluator)
-        or real_generate(evaluator, extractor),
+        model_module, "action_from_label", lambda label: parsed.append(label) or real_parse(label)
     )
+    real_generate = model_module._generate_walk
+
+    def generate(evaluator, extractor, settlers):
+        labels = {str(label) for label in evaluator.labels}
+        assert set(settlers) == labels and sorted(parsed[-len(labels):]) == sorted(labels)
+        generated.append(evaluator)
+        return real_generate(evaluator, extractor, settlers)
+
+    monkeypatch.setattr(model_module, "_generate_walk", generate)
     model = trained_max.model.with_penalty_guard(True)  # a copy with no evaluator yet
     workload = WorkloadGenerator(small_templates, seed=31).uniform(40)
     compiled_run = BatchScheduler(model).run(workload)
     compiled = model.compiled_evaluator()
+    labels = len(set(compiled.labels))
     assert compiled_run.overhead.decisions > 1 and reads == generated == [compiled]
+    assert len(parsed) == labels
     attached = CompiledTreeEvaluator.from_arrays(
         compiled.feature,
         compiled.threshold,
@@ -544,7 +715,7 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
     )
     model.use_evaluator(attached)
     attached_run = BatchScheduler(model).run(workload)
-    assert reads == generated == [compiled, attached]
+    assert reads == generated == [compiled, attached] and len(parsed) == 2 * labels
     assert _outcome_key(attached_run) == _outcome_key(compiled_run)
 
     copy_run = BatchScheduler(model.with_penalty_guard(True)).run(workload)
@@ -557,71 +728,37 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
     reloaded_run = BatchScheduler(reloaded_model).run(workload)
     reloaded.close()
     assert generated[3:] == [reloaded_model.compiled_evaluator()] and len(reads) == 4
+    assert len(parsed) == 4 * labels
     assert _outcome_key(copy_run) == _outcome_key(reloaded_run) == _outcome_key(compiled_run)
 
 
 def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_templates, monkeypatch):
-    """Work guard: Equation 2 runs once per ``cost-of-X`` column on the path, plus
-    once when the penalty guard needs a cost the path did not ask for — not once
-    per template — and nothing under ``schedule_detailed`` fills a full row."""
+    """Work guard, counted at the one seam a decision reaches the problem
+    through: Equation 2 runs once per ``cost-of-X`` column on the path, once
+    more when the penalty guard needs a cost the path did not test, and once
+    per candidate on a cheapest-edge fallback — not once per template on every
+    decision — and nothing under ``schedule_detailed`` fills a full row."""
     from repro.workloads.generator import WorkloadGenerator
-
-    calls = Counter()
-    for accumulator in (
-        accumulators.PerQueryViolationAccumulator,
-        accumulators.AverageLatencyViolationAccumulator,
-        accumulators.PercentileViolationAccumulator,
-    ):
-        def counted(self, template_name, latency, _real=accumulator.violation_with):
-            calls["violation_with"] += 1
-            return _real(self, template_name, latency)
-
-        monkeypatch.setattr(accumulator, "violation_with", counted)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a runtime decision filled a full feature or cost row")
 
     monkeypatch.setattr(FeatureExtractor, "extract_into", forbidden)
     monkeypatch.setattr(RuntimeSchedulingContext, "placement_cost_row", forbidden)
-
-    real_walk = DecisionModel._walk
-    real_guard = DecisionModel._apply_penalty_guard
-    real_fallback = DecisionModel._fallback_placement
-    real_decide = DecisionModel.decide
-    allowed = [0]
-    most = Counter()
-
-    def walk(self, node, problem):
-        label, costs = real_walk(self, node, problem)
-        allowed[0] = len(costs)
-        return label, costs
-
-    def guard(self, action, node, problem, costs=None):
-        allowed[0] += action.template_name not in costs  # one derivation, else none
-        return real_guard(self, action, node, problem, costs)
-
-    def fallback(self, node, problem, preferred=None):
-        if preferred is None:  # picks the cheapest candidate: costs each once
-            allowed[0] += len(self.templates)
-        return real_fallback(self, node, problem, preferred)
+    seen, most = Counter(), Counter()
 
     def decide(self, node, problem):
-        before = calls["violation_with"]
-        action = real_decide(self, node, problem)
-        evaluated = calls["violation_with"] - before
-        assert evaluated <= allowed[0]
-        most["evaluated"] = max(most["evaluated"], evaluated)
+        action, _, calls = _hold_decision(self, node, problem, seen)
+        most["evaluated"] = max(most["evaluated"], calls)
         most["decisions"] += 1
         return action
 
-    monkeypatch.setattr(DecisionModel, "_walk", walk)
-    monkeypatch.setattr(DecisionModel, "_apply_penalty_guard", guard)
-    monkeypatch.setattr(DecisionModel, "_fallback_placement", fallback)
     monkeypatch.setattr(DecisionModel, "decide", decide)
     workload = WorkloadGenerator(small_templates, seed=12).uniform(60)
     for generator, training in walk_trainings.values():
         BatchScheduler(training.model).run(workload)
     assert most["decisions"] > 8 * len(workload) and 0 < most["evaluated"] <= 3
+    assert seen["valid placement"] and seen["guard did not fire"]
 
 
 # ---------------------------------------------------------------------------
@@ -629,37 +766,13 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
 # ---------------------------------------------------------------------------
 
 
-class _CountingProblem:
-    """*problem*'s Equation-2 edge costs, counted."""
-
-    def __init__(self, problem) -> None:
-        self.problem = problem
-        self.calls = 0
-
-    def placement_edge_cost(self, node, template_name):
-        self.calls += 1
-        return self.problem.placement_edge_cost(node, template_name)
-
-
 def _hold_walk_against_oracle(model, problem, nodes) -> int:
-    """The walk's label and costs on *nodes* equal the full-row oracle's, each
-    cost derived once; the longest path."""
-    families, names, _ = model.extractor.column_layout
-    longest = 0
-    for node in nodes:
-        if not node.state.remaining:
-            continue
-        _, label, path, _ = _oracle(model, node, problem)
-        counting = _CountingProblem(problem)
-        walked, costs = model._walk(node, counting)
-        assert walked == label and counting.calls == len(costs)
-        assert costs == {
-            names[column]: problem.placement_edge_cost(node, names[column])
-            for column in path
-            if FEATURE_FAMILIES[families[column]] == "cost_of"
-        }
-        longest = max(longest, len(path))
-    return longest
+    """Every decision on *nodes* agrees with the full-row oracle and the
+    rules (:func:`_hold_decision`); the longest path."""
+    seen: Counter = Counter()
+    return max(
+        _hold_decision(model, node, problem, seen)[1] for node in nodes if node.state.remaining
+    )
 
 
 def _search_vertices(model, counts, seed):
