@@ -61,16 +61,21 @@ def _run(environments, scale):
     rows = []
 
     # Full priority vs null heuristic: emulate the null heuristic by flattening
-    # every f-value to the node's own partial cost (``_price`` is the one
-    # place the search computes them).
+    # every priced child's f-value to its own partial cost (``expand`` prices
+    # every child the search pushes; a priced child is
+    # ``(f, queries left, ..., infra_cost, penalty, ...)``).
     full = _expansions(workloads, environment, environment.goal)
     rows.append({"search": "A* with full bounds", "total expansions": full})
 
     class _NullProblem(SchedulingProblem):
-        def _price(self, parent, child, completion):  # noqa: D102 - ablation override
-            if not child.state.remaining:
-                return child.partial_cost
-            return child.partial_cost if self.goal.is_monotonic else child.infra_cost
+        def expand(self, node):  # noqa: D102 - ablation override
+            monotonic = self.goal.is_monotonic
+            flattened = []
+            for priced in super().expand(node):
+                left, infra, penalty = priced[1], priced[6], priced[7]
+                f = infra + penalty if monotonic or not left else infra
+                flattened.append((f, *priced[1:]))
+            return flattened
 
     null_total = 0
     for workload in workloads:

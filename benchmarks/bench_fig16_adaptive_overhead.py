@@ -61,9 +61,9 @@ class RecomputedBound:
     old_goal: PerformanceGoal
     old_optimal_cost: float
 
-    def __call__(self, node) -> float:
-        old_partial = node.infra_cost + self.old_goal.penalty(node.outcomes)
-        return node.partial_cost + max(0.0, self.old_optimal_cost - old_partial)
+    def __call__(self, infra_cost, penalty, aux_penalty, outcomes) -> float:
+        old_partial = infra_cost + self.old_goal.penalty(outcomes)
+        return infra_cost + penalty + max(0.0, self.old_optimal_cost - old_partial)
 
 
 def _generator(base, scale) -> ModelGenerator:

@@ -81,13 +81,15 @@ many-small-retrainings pattern of Figure 16.
 The retraining :class:`~repro.search.problem.SchedulingProblem` is built with
 the :class:`AdaptiveBound` itself, and raises every f-value it computes to
 ``h'``, so each search strategy orders its frontier by ``max(h, h')``.  The
-reference-goal penalty inside ``h'`` is computed *incrementally*: search
-nodes of a retraining problem carry a second, old-goal
-:class:`~repro.sla.accumulators.ViolationAccumulator` (copy-on-write, exactly
-like the primary one), so :meth:`AdaptiveBound.__call__` reads an O(1) cached
-delta instead of re-evaluating the old goal over the node's full outcome
-tuple.  A bound that advertises no ``aux_goal`` gets nodes without the second
-accumulator and falls back to that re-evaluation; both are bit-identical
+reference-goal penalty inside ``h'`` is computed *incrementally*: the problem
+prices each child's old-goal penalty off the parent's accumulators
+(``violation_with`` on a second, old-goal
+:class:`~repro.sla.accumulators.ViolationAccumulator`, or
+``violation_for_deadline_with`` on the primary one when the goals differ only
+by deadline), so :meth:`AdaptiveBound.__call__` receives an O(1) number
+instead of re-evaluating the old goal over the vertex's outcomes.  A bound
+that advertises no ``aux_goal`` is handed the outcomes, read off the parent
+chain, and falls back to that re-evaluation; both are bit-identical
 (asserted by the adaptive equivalence suite).
 """
 
@@ -97,11 +99,11 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.exceptions import TrainingError
 from repro.learning.trainer import ModelGenerator, SampleSolution, TrainingResult
-from repro.search.problem import SearchNode
+from repro.search.problem import LatencyOutcome
 from repro.sla.base import PerformanceGoal
 
 
@@ -109,17 +111,16 @@ from repro.sla.base import PerformanceGoal
 class AdaptiveBound:
     """The Section-5 lower bound ``cost(R', v) + [cost(R, g) - cost(R, v)]``.
 
-    ``cost(R', v)`` is the node's partial cost under the new goal (already part
-    of the node); ``cost(R, v)`` is answered by the node's *auxiliary* old-goal
-    accumulator when the retraining problem carries one (see
-    :attr:`~repro.search.problem.SearchNode.aux_penalty` — an O(1) read instead
-    of re-evaluating the old goal over the full outcome tuple per generated
-    node), falling back to the full re-evaluation for nodes built without it
-    (externally constructed nodes, or a problem built for a wrapper that
-    hides :attr:`aux_goal`).  Both paths are bit-identical: the accumulators
-    agree with the batch penalty definition bit-for-bit.  A frozen dataclass
-    rather than a closure so the bound can cross process boundaries when
-    retraining runs in parallel.
+    ``cost(R', v)`` is the vertex's partial cost under the new goal;
+    ``cost(R, v)`` is its infrastructure cost plus its penalty under the old
+    goal, which a retraining problem prices incrementally because the bound
+    advertises :attr:`aux_goal` (an O(1) number per vertex).  Without it —
+    a problem built for a wrapper that hides :attr:`aux_goal` — the vertex's
+    outcomes arrive instead and the old goal is re-evaluated over them.
+    Both paths are bit-identical: the accumulators agree with the batch
+    penalty definition bit-for-bit.  A frozen dataclass rather than a closure
+    so the bound can cross process boundaries when retraining runs in
+    parallel.
     """
 
     old_goal: PerformanceGoal
@@ -134,12 +135,18 @@ class AdaptiveBound:
         """
         return self.old_goal
 
-    def __call__(self, node: SearchNode) -> float:
-        old_penalty = node.aux_penalty
-        if old_penalty < 0.0:  # no auxiliary accumulator on this node
-            old_penalty = self.old_goal.penalty(node.outcomes)
-        old_partial = node.infra_cost + old_penalty
-        return node.partial_cost + max(0.0, self.old_optimal_cost - old_partial)
+    def __call__(
+        self,
+        infra_cost: float,
+        penalty: float,
+        aux_penalty: float,
+        outcomes: Sequence[LatencyOutcome] | None = None,
+    ) -> float:
+        """``h'`` of a vertex (the :data:`~repro.search.problem.AdaptiveBoundFn` protocol)."""
+        if aux_penalty < 0.0:  # the problem carries no old-goal penalty
+            aux_penalty = self.old_goal.penalty(outcomes)
+        old_partial = infra_cost + aux_penalty
+        return infra_cost + penalty + max(0.0, self.old_optimal_cost - old_partial)
 
 
 @dataclass

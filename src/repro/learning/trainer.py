@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from repro.learning.model import DecisionModel, ModelMetadata
 from repro.learning.sampling import training_workloads
 from repro.parallel.backend import ExecutionBackend
 from repro.search.astar import astar_search, optimality_ratio
-from repro.search.problem import SchedulingProblem, SearchNode
+from repro.search.problem import AdaptiveBoundFn, SchedulingProblem
 from repro.search.strategy import SearchStrategy, strategy_from_spec
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
@@ -271,7 +271,7 @@ class SampleSolver:
     def solve(
         self,
         workload: Workload,
-        extra_bound: Callable[[SearchNode], float] | None = None,
+        extra_bound: AdaptiveBoundFn | None = None,
         keep: SampleSolution | None = None,
     ) -> tuple[np.ndarray, SampleSolution] | None:
         """Feature rows and solution for one sample (None = budget exceeded).

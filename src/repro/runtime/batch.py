@@ -274,7 +274,6 @@ class BatchScheduler:
             action=None,
             infra_cost=0.0,
             penalty=0.0,
-            outcomes=(),
             last_vm_finish=0.0,
             depth=0,
         )

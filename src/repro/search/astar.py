@@ -6,15 +6,19 @@ reachable through them.  Because a vertex fully determines its partial
 schedule (and therefore its cost), the first *goal* vertex popped from the
 frontier is a minimum-cost complete schedule.
 
-The implementation supports:
+The reduced graph is a tree (every vertex has one parent; see
+:mod:`repro.search.problem`), so no vertex is reached twice and the search
+keeps no closed set.  The frontier holds *priced* children —
+:meth:`SchedulingProblem.expand
+<repro.search.problem.SchedulingProblem.expand>` computes each child's
+f-value from its parent — and a child's node is built
+(:meth:`~repro.search.problem.SchedulingProblem.child`) only when it is
+popped.  An optional expansion budget serves the training pipeline as a
+safety valve against pathological SLAs.
 
-* an optional expansion budget (the training pipeline uses it as a safety
-  valve against pathological SLAs).
-
-Every vertex's f-value is :attr:`SearchNode.priority
-<repro.search.problem.SearchNode.priority>`, set by the problem; adaptive A*
-(Section 5) builds the problem with its ``h'`` bound, so the search itself
-never composes bounds.
+Every vertex's f-value is set by the problem; adaptive A* (Section 5) builds
+the problem with its ``h'`` bound, so the search itself never composes
+bounds.
 
 This loop is the **exact default** of the pluggable strategy engine
 (:mod:`repro.search.strategy`): :class:`~repro.search.strategy.AStarStrategy`
@@ -128,51 +132,35 @@ def astar_search(
     if start.state.is_goal():
         return SearchResult(goal_node=start, expansions=0, generated=1)
 
-    counter = 0
     generated = 1
     expansions = 0
 
-    # Frontier keys: the cost landscape contains large plateaus (many partial
-    # schedules share the same lower bound), so ties are broken towards
-    # vertices with fewer unassigned queries and, within those, towards the
-    # most recently generated vertex (LIFO).  Tie-breaking never affects
-    # optimality — the first goal vertex popped still has the minimum f-value —
-    # but it turns plateau exploration into a dive towards a goal.
-    frontier: list[tuple] = [
-        ((start.priority, start.state.remaining_total(), 0, start.depth), start)
-    ]
-    visited: set[SearchState] = set()
+    # Each priced child is its own frontier entry: it orders by f-value,
+    # then fewer unassigned queries, then the most recently generated
+    # (LIFO).  The cost landscape contains large plateaus (many partial
+    # schedules share the same lower bound); tie-breaking never affects
+    # optimality — the first goal vertex popped still has the minimum
+    # f-value — but it turns plateau exploration into a dive towards a goal.
+    frontier: list[tuple] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
     expand = problem.expand
+    child = problem.child
     budget = float("inf") if max_expansions is None else max_expansions
 
-    while frontier:
-        _, node = heappop(frontier)
-        state = node.state
-        if state in visited:
-            continue
-        visited.add(state)
-
-        if not state.remaining:
-            return SearchResult(goal_node=node, expansions=expansions, generated=generated)
-
+    node = start
+    while True:
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(expansions)
-
-        for child in expand(node):
-            child_state = child.state
-            if child_state in visited:
-                continue
-            counter += 1
+        for priced in expand(node):
             generated += 1
-            heappush(
-                frontier,
-                (
-                    (child.priority, child_state.remaining_total(), -counter, child.depth),
-                    child,
-                ),
-            )
+            heappush(frontier, priced)
+        if not frontier:
+            break
+        priced = heappop(frontier)
+        node = child(priced)
+        if not priced[1]:
+            return SearchResult(goal_node=node, expansions=expansions, generated=generated)
 
     raise SearchError("the scheduling graph contains no reachable goal vertex")

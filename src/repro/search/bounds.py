@@ -21,15 +21,16 @@ depends on the goal, and every goal kind gets it from a bound object:
 The goal alone picks the bound: there is no per-problem choice, so a trained
 model's trees depend on the goal and the search strategy only.
 
-:meth:`SchedulingProblem._price <repro.search.problem.SchedulingProblem._price>`
-is the one place the f-value is assembled, for ``expand``'s children and for
-``priority()`` alike.  It calls :meth:`FutureCostBound.placement_bound` or
-:meth:`~FutureCostBound.provision_bound` for a child built by an edge, so a
-bound may reuse the parent's memo key or term for the child, and
-:meth:`~FutureCostBound.node_bound` to evaluate a vertex from scratch.  A
-retraining search's adaptive bound ``h'`` (Section 5) composes on top of the
-f-value, in ``_price`` as well: ``max(f, h'(v))``.  Bounds carry per-problem
-memo tables, so every problem builds its own instance.
+:meth:`SchedulingProblem.expand <repro.search.problem.SchedulingProblem.expand>`
+prices each child from its parent before the child exists: it calls
+:meth:`FutureCostBound.placement_bound` per placement child and
+:meth:`~FutureCostBound.provision_bound` once for all provisioning children,
+so a bound may carry its memo key or term along the edge, and
+:meth:`~FutureCostBound.node_bound` evaluates a built vertex from scratch
+(:meth:`~repro.search.problem.SchedulingProblem.priority`).  A retraining
+search's adaptive bound ``h'`` (Section 5) composes on top of the f-value, in
+the problem as well: ``max(f, h'(v))``.  Bounds carry per-problem memo
+tables, so every problem builds its own instance.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.search.problem import SchedulingProblem, SearchNode
+    from repro.search.problem import RemainingRow, SchedulingProblem, SearchNode
 
 _INF = float("inf")
 
@@ -49,12 +50,14 @@ class FutureCostBound(ABC):
 
     One instance serves one :class:`SchedulingProblem`: :meth:`attach` is
     called from the problem's constructor and may precompute tables.  The
-    hooks are only called for vertices with queries left; *bounds* is the
-    problem's memoised ``(Equation-3 bound, cheapest remaining work time)``
-    for the vertex's remaining multiset.  The per-edge hooks receive both the
-    parent and the freshly built child so a bound can carry its memo key and
-    term along the edge (the child's ``latency_key`` and ``future_term``);
-    every value must equal :meth:`node_bound` on the same child, bit for bit,
+    hooks are only called for vertices with queries left; *row* is the
+    problem's :class:`~repro.search.problem.RemainingRow` of the vertex's
+    remaining multiset (its Equation-3 bound, cheapest remaining work and
+    canonical tuple).  The per-edge hooks price a child that is not built
+    yet, from its *parent* and the edge alone, and return the term together
+    with the memo key the child will carry as its ``latency_key`` (``None``
+    for a bound that keeps none); the child's ``future_term`` is the term.
+    Every term must equal :meth:`node_bound` on the built child, bit for bit,
     and be an admissible lower bound on the cost still to come beyond
     Equation 3.
     """
@@ -66,21 +69,24 @@ class FutureCostBound(ABC):
     def placement_bound(
         self,
         parent: "SearchNode",
-        child: "SearchNode",
+        row: "RemainingRow",
         completion: float,
-        bounds: tuple[float, float],
-    ) -> float:
-        """Term of a placement child completing a query at *completion*."""
+        penalty: float,
+    ) -> tuple[float, "tuple[float, ...] | None"]:
+        """(term, key) of *parent*'s placement child that completes a query at
+        *completion*, leaves *row* and has partial penalty *penalty*."""
 
     @abstractmethod
     def provision_bound(
-        self, parent: "SearchNode", child: "SearchNode", bounds: tuple[float, float]
-    ) -> float:
-        """Term of a provisioning child (busy time resets to 0)."""
+        self, parent: "SearchNode", row: "RemainingRow"
+    ) -> tuple[float, "tuple[float, ...] | None"]:
+        """(term, key) shared by every provisioning child of *parent*: busy
+        time resets to 0 and nothing is placed, whatever the VM type."""
 
     @abstractmethod
-    def node_bound(self, node: "SearchNode", bounds: tuple[float, float]) -> float:
-        """Term computed from scratch (the start vertex, ``priority()``)."""
+    def node_bound(self, node: "SearchNode", row: "RemainingRow") -> float:
+        """Term of a built vertex computed from scratch (the start vertex,
+        ``priority()``)."""
 
 
 class ProvisioningBound(FutureCostBound):
@@ -99,7 +105,7 @@ class ProvisioningBound(FutureCostBound):
     Minimising over ``k`` gives an admissible bound on the cost still to be
     paid *beyond* the pure execution cost of Equation 3.  Goals without a
     per-query deadline get no provisioning term.  The term is a function of
-    the vertex alone, so the three hooks share one body.
+    the vertex alone, so the three hooks share one body and carry no key.
     """
 
     def attach(self, problem) -> None:
@@ -108,12 +114,14 @@ class ProvisioningBound(FutureCostBound):
         self._min_startup = problem.min_startup_cost
         self._rate = goal.penalty_rate
 
-    def placement_bound(self, parent, child, completion, bounds) -> float:
+    def _term(self, penalty: float, finish: float | None, work: float) -> float:
+        """The term of a vertex whose most recent VM is busy until *finish*
+        (``None``: no VM yet) with *work* seconds of cheapest work left."""
         provisioning = 0.0
         capacity = self._capacity
         if capacity is not None:
-            slack = capacity - child.last_vm_finish if child.state.vms else 0.0
-            overflow = bounds[1] - (slack if slack > 0.0 else 0.0)
+            slack = capacity - finish if finish is not None else 0.0
+            overflow = work - (slack if slack > 0.0 else 0.0)
             if overflow > 0:
                 best = _INF
                 min_startup = self._min_startup
@@ -126,13 +134,17 @@ class ProvisioningBound(FutureCostBound):
                     if cost < best:
                         best = cost
                 provisioning = best
-        return child.penalty + provisioning
+        return penalty + provisioning
 
-    def provision_bound(self, parent, child, bounds) -> float:
-        return self.placement_bound(parent, child, 0.0, bounds)
+    def placement_bound(self, parent, row, completion, penalty):
+        return self._term(penalty, completion, row.work), None
 
-    def node_bound(self, node, bounds) -> float:
-        return self.placement_bound(None, node, 0.0, bounds)
+    def provision_bound(self, parent, row):
+        return self._term(parent.penalty, 0.0, row.work), None
+
+    def node_bound(self, node, row) -> float:
+        finish = node.last_vm_finish if node.state.vms else None
+        return self._term(node.penalty, finish, row.work)
 
 
 def _penalty_free_capacity(goal) -> float | None:
@@ -171,27 +183,25 @@ class MemoizedGoalBound(FutureCostBound):
         #: *multiset* (bit-identical under permutation) rather than per
         #: exact sequence.
         self._order_invariant = goal.future_bound_order_invariant
-        #: remaining multiset -> per-query latency lower bounds
-        self._latency_bounds_cache: dict[tuple, list[float]] = {}
-        #: (remaining multiset, assigned-latency key) -> future-cost lower bound
+        #: remaining code -> per-query latency lower bounds
+        self._latency_bounds_cache: dict[int, list[float]] = {}
+        #: (remaining code, assigned-latency key) -> future-cost lower bound
         self._memo: dict[tuple, float] = {}
 
-    def placement_bound(self, parent, child, completion, bounds) -> float:
-        key = child.latency_key = self._child_key(parent, completion)
-        future = child.future_term = self._future(key, child.state.remaining)
-        return future
+    def placement_bound(self, parent, row, completion, penalty):
+        key = self._child_key(parent, completion)
+        return self._future(key, row), key
 
-    def provision_bound(self, parent, child, bounds) -> float:
+    def provision_bound(self, parent, row):
         # (outcomes, remaining) are unchanged by a start-up edge.
-        key = child.latency_key = self._key_of(parent)
+        key = self._key_of(parent)
         future = parent.future_term
         if future < 0.0:
-            future = self._future(key, child.state.remaining)
-        child.future_term = future
-        return future
+            future = self._future(key, row)
+        return future, key
 
-    def node_bound(self, node, bounds) -> float:
-        return self._future(self._key_of(node), node.state.remaining)
+    def node_bound(self, node, row) -> float:
+        return self._future(self._key_of(node), row)
 
     # -- the assigned-latency key ------------------------------------------------
 
@@ -223,35 +233,33 @@ class MemoizedGoalBound(FutureCostBound):
 
     # -- the memoised goal hook ----------------------------------------------------
 
-    def _latency_bounds(self, remaining: tuple[tuple[str, int], ...]) -> list[float]:
+    def _latency_bounds(self, row) -> list[float]:
         """Per-query latency lower bounds of a remaining multiset (memoised).
 
         Callers must treat the returned list as immutable (the goal hooks only
         read or ``sorted()`` it).
         """
-        cached = self._latency_bounds_cache.get(remaining)
+        cached = self._latency_bounds_cache.get(row.code)
         if cached is None:
             cached = []
-            for name, count in remaining:
+            for name, count in row.remaining:
                 cached.extend([self._cheapest_time[name]] * count)
-            self._latency_bounds_cache[remaining] = cached
+            self._latency_bounds_cache[row.code] = cached
         return cached
 
-    def _future(
-        self, latency_key: tuple[float, ...], remaining: tuple[tuple[str, int], ...]
-    ) -> float:
-        """The goal hook at (assigned latencies, remaining), memoised.
+    def _future(self, latency_key: tuple[float, ...], row) -> float:
+        """The goal hook at (assigned latencies, remaining multiset), memoised.
 
         ``latency_key`` doubles as the assigned-latency argument of the goal
         hook: for order-invariant goals it is the sorted multiset (the hook
         only reads order statistics, so the value is unchanged), for the rest
         it is the exact placement sequence.
         """
-        key = (remaining, latency_key)
+        key = (row.code, latency_key)
         future = self._memo.get(key)
         if future is None:
             future = self._goal.future_cost_lower_bound(
-                latency_key, self._latency_bounds(remaining), self._min_startup
+                latency_key, self._latency_bounds(row), self._min_startup
             )
             self._memo[key] = future
         return future

@@ -25,42 +25,49 @@ searched one and a kept one alike (:meth:`FeatureExtractor.matrix
 Hot-path architecture
 ---------------------
 
-The search core is built around *incremental state* and *precomputed tables*
-so that the per-vertex work is O(1)-ish rather than proportional to the number
-of queries already placed:
+The reduced graph is a *tree*: a vertex whose most recent VM is empty was
+reached by provisioning that VM, any other by placing the last query of its
+queue, so every vertex has exactly one parent and no two paths meet
+(``tests/test_search_tree.py`` enumerates the oracle grid to check it).  The
+search therefore keeps no closed set and hashes no state, and the per-vertex
+work is built around that:
 
-* **One hook for the lower bound.**  :meth:`SchedulingProblem._price` is the
-  only place an f-value is computed: ``expand`` calls it once per child and
-  :meth:`~SchedulingProblem.priority` calls it on a node.  The goal-dependent
-  term comes from the problem's bound — :class:`~repro.search.bounds.ProvisioningBound`
-  for monotonic goals, :class:`~repro.search.bounds.MemoizedGoalBound` for
-  the others — which receives the memoised Equation-3 tuple and may carry its
-  memo key and term over to the child.  A retraining search's adaptive bound
-  ``h'`` (Section 5), passed to the constructor, composes there too: the
-  f-value is ``max(f, h'(v))``, so every strategy orders its frontier by the
-  same number.
-* **Incremental penalties.**  Every :class:`SearchNode` carries a copy-on-write
-  :class:`~repro.sla.accumulators.ViolationAccumulator` (obtained from
-  :meth:`~repro.sla.base.PerformanceGoal.accumulator`) describing its
-  partial schedule.  A placement edge branches the parent's accumulator and
-  records one completion, so node penalties and Equation-2 edge weights are
-  O(1)/O(log n) deltas instead of ``goal.penalty(outcomes)`` scans over the
-  whole outcome tuple (which made each optimal path quadratic).  Retraining
-  searches carry a *second* accumulator for the adaptive bound's ``aux_goal``
-  — the old goal — maintained the same copy-on-write way, so ``h'``'s
-  ``cost(R, v)`` term is an O(1) read too.
+* **Price first, build on pop.**  :meth:`SchedulingProblem.expand` returns
+  each child *priced* — its f-value and the few numbers needed to build it —
+  computed from the parent alone: the placement's penalty comes from the
+  parent accumulator's non-mutating ``violation_with`` (bit-identical to
+  branch + add + violation), a retraining search's old-goal penalty from
+  ``violation_with`` / ``violation_for_deadline_with`` in the same way.  A
+  strategy builds the child's :class:`SearchNode` — its accumulator branch,
+  VM tuple and :class:`~repro.search.state.SearchState` — with
+  :meth:`SchedulingProblem.child` only when it pops the child, which most
+  children never are.  No node carries its outcome tuple; the rare reader
+  (a fallback adaptive bound, a test) walks the parent chain
+  (:attr:`SearchNode.outcomes`).
+* **One row per remaining multiset.**  The problem numbers each remaining
+  multiset by a mixed-radix integer over the workload's templates in name
+  order; a placement subtracts the placed template's weight.  The first
+  visit to a code builds its :class:`RemainingRow`: the templates present
+  (name order, with id and weight), their count, the Equation-3 bound and
+  the cheapest remaining work, and the canonical ``remaining`` tuple.  Rows
+  are built lazily: an eager table of every code would cost more than a
+  whole search, and a 30-query workload has about a million codes.  The
+  sums are fresh evaluations per multiset, never a parent-minus-placement
+  running value, whose last float bits would drift and perturb tie-breaking.
+* **One hook for the lower bound.**  The goal-dependent term of every
+  f-value comes from the problem's bound —
+  :class:`~repro.search.bounds.ProvisioningBound` for monotonic goals,
+  :class:`~repro.search.bounds.MemoizedGoalBound` for the others — through
+  its placement, provisioning and from-scratch hooks.  A retraining search's
+  adaptive bound ``h'`` (Section 5), passed to the constructor, composes on
+  top: the f-value is ``max(f, h'(v))``, so every strategy orders its
+  frontier by the same number, and :meth:`SchedulingProblem.priority`
+  recomputes it from scratch to the bit.
 * **Interned ids and dense tables.**  Template names and VM type names are
   interned to integer ids at problem construction, and per-``(vm, template)``
-  latency, execution-cost, and supports tables are precomputed, so ``expand``,
-  ``_place``, and the dominance checks stop doing string-keyed dict walks and
-  attribute lookups per node.  Each node caches the integer id of its most
-  recent VM.
-* **Memoized remaining-work terms.**  The Equation-3 heuristic and the
-  cheapest remaining work time depend only on the *remaining* multiset, which
-  the search revisits constantly, so they are memoized per multiset.  (A
-  parent-minus-placed-contribution running value would also be O(1), but
-  floating-point subtraction is inexact and would perturb tie-breaking;
-  memoization keeps every f-value bit-identical to a fresh evaluation.)
+  latency, execution-cost, and supports tables are precomputed, so ``expand``
+  and the dominance checks stop doing string-keyed dict walks and attribute
+  lookups per child.  Each node caches the integer id of its most recent VM.
 
 The accumulators agree with the batch :meth:`PerformanceGoal.penalty`
 definition bit-for-bit (property-tested across all four goal kinds), so
@@ -92,13 +99,54 @@ class LatencyOutcome(NamedTuple):
 
     Only the two attributes the SLA classes read (``template_name`` and
     ``latency``) are carried; building full :class:`~repro.core.outcome.QueryOutcome`
-    objects for every explored vertex would dominate the search time.  A named
-    tuple rather than a dataclass: one is built per placement edge, and tuple
-    construction is several times cheaper than a frozen-dataclass ``__init__``.
+    objects for explored vertices would dominate the search time.
     """
 
     template_name: str
     latency: float
+
+
+#: An adaptive bound ``h'`` (Section 5): called as
+#: ``bound(infra_cost, penalty, aux_penalty, outcomes)`` with a vertex's
+#: infrastructure cost, its penalty under the problem's goal, and its penalty
+#: under the bound's ``aux_goal`` — or ``-1.0`` when the bound advertises
+#: none, in which case *outcomes* holds the vertex's outcomes (``None``
+#: otherwise).  Returns a lower bound on the best complete-schedule cost
+#: through the vertex.
+AdaptiveBoundFn = Callable[[float, float, float, "Sequence[LatencyOutcome] | None"], float]
+
+
+class RemainingRow:
+    """One remaining multiset of a problem, built on the first visit to its code.
+
+    The problem numbers each multiset by a mixed-radix integer over its
+    workload's templates in name order (:meth:`SchedulingProblem.row`).
+    """
+
+    __slots__ = ("code", "present", "count", "execution", "work", "remaining")
+
+    def __init__(
+        self,
+        code: int,
+        present: tuple[tuple[int, int, str], ...],
+        count: int,
+        execution: float,
+        work: float,
+        remaining: tuple[tuple[str, int], ...],
+    ) -> None:
+        #: The multiset's mixed-radix code.
+        self.code = code
+        #: ``(template id, code weight, name)`` of each template with a query
+        #: left, in name order: placing one subtracts its weight from the code.
+        self.present = present
+        #: Number of unassigned queries.
+        self.count = count
+        #: Equation 3: cheapest possible execution cost of the multiset.
+        self.execution = execution
+        #: Cheapest possible total work time of the multiset.
+        self.work = work
+        #: The canonical ``SearchState.remaining`` tuple.
+        self.remaining = remaining
 
 
 @dataclass(slots=True)
@@ -107,9 +155,10 @@ class SearchNode:
 
     ``accumulator`` tracks the partial schedule's violation period
     incrementally (see the module docstring); ``last_vm_index`` caches the
-    interned id of the most recent VM's type so successor generation does not
-    re-resolve it.  Both default to their "absent" values so lightweight
-    runtime contexts (e.g. the batch scheduler) can build nodes without them.
+    interned id of the most recent VM's type and ``row`` the remaining
+    multiset's row, so successor generation resolves neither.  They default
+    to their "absent" values so lightweight runtime contexts (e.g. the batch
+    scheduler) can build nodes without them.
     """
 
     state: SearchState
@@ -117,21 +166,20 @@ class SearchNode:
     action: Action | None
     infra_cost: float
     penalty: float
-    outcomes: tuple[LatencyOutcome, ...]
     last_vm_finish: float
     depth: int
     priority: float = field(default=0.0)
     accumulator: ViolationAccumulator | None = field(default=None)
     last_vm_index: int = field(default=-1)
-    #: The memoized bound's term of the f-value (-1.0 = not computed).
-    #: Provision edges keep (outcomes, remaining) unchanged, so their children
-    #: reuse the parent's term without rebuilding the memo key.
+    #: The bound's term of the f-value (-1.0 = not computed).  Provision
+    #: edges keep (outcomes, remaining) unchanged, so the memoized bound
+    #: reuses it for them without rebuilding the memo key.
     future_term: float = field(default=-1.0)
     #: Assigned-latency key of the memoized bound (``None`` = not
     #: computed).  Maintained incrementally along placement edges — one
     #: ``bisect`` insertion for order-invariant goals, one tuple append
     #: otherwise — so the memo key is never rebuilt (or re-sorted) from the
-    #: outcome tuple per generated vertex.
+    #: outcomes per generated vertex.
     latency_key: "tuple[float, ...] | None" = field(default=None)
     #: Second, *auxiliary-goal* accumulator carried by retraining searches
     #: (adaptive A*, Section 5): tracks the partial schedule's violation under
@@ -140,13 +188,29 @@ class SearchNode:
     aux_accumulator: ViolationAccumulator | None = field(default=None)
     #: Partial penalty under the auxiliary goal (``-1.0`` = not carried), read
     #: by :class:`~repro.adaptive.retraining.AdaptiveBound` as an O(1) delta
-    #: instead of re-evaluating the old goal over the full outcome tuple.
+    #: instead of re-evaluating the old goal over the outcomes.
     aux_penalty: float = field(default=-1.0)
+    #: The remaining multiset's row (``None`` outside a problem's search).
+    row: RemainingRow | None = field(default=None)
 
     @property
     def partial_cost(self) -> float:
         """Cost of the node's partial schedule: infrastructure plus penalty."""
         return self.infra_cost + self.penalty
+
+    @property
+    def outcomes(self) -> tuple[LatencyOutcome, ...]:
+        """The partial schedule's query completions, in placement order.
+
+        Read off the parent chain (a placement's completion is its node's
+        ``last_vm_finish``), so it costs O(depth): nodes do not carry it.
+        """
+        outcomes = [
+            LatencyOutcome(node.action.template_name, node.last_vm_finish)
+            for node in self.path()
+            if isinstance(node.action, PlaceQuery)
+        ]
+        return tuple(outcomes)
 
     def __repr__(self) -> str:
         """Compact, non-recursive rendering (the generated dataclass repr
@@ -177,6 +241,17 @@ class SearchNode:
         return nodes
 
 
+#: A child priced by :meth:`SchedulingProblem.expand` and not built yet:
+#: ``(f, count, -serial, parent, action, completion, infra_cost, penalty,
+#: row, latency_key, future_term, aux_penalty)``.  It is its own A* frontier
+#: entry: ``f``, the queries left (``count``) and the negated generation
+#: serial lead, so entries order by f-value, then fewer queries left, then
+#: the most recently generated, and never compare past the unique serial.
+#: ``action`` is a template id for a placement and ``-1 - vm type id`` for a
+#: provisioning.
+PricedChild = tuple
+
+
 class SchedulingProblem:
     """Scheduling-graph construction, reduction, and cost bookkeeping."""
 
@@ -187,7 +262,7 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        adaptive_bound: Callable[[SearchNode], float] | None = None,
+        adaptive_bound: AdaptiveBoundFn | None = None,
     ) -> None:
         counts = {name: count for name, count in dict(template_counts).items() if count > 0}
         for name in counts:
@@ -216,14 +291,27 @@ class SchedulingProblem:
         )
         self._build_tables()
         self._cheapest_execution = self._compute_cheapest_execution()
-        #: remaining multiset -> (Equation-3 bound, cheapest remaining work time)
-        self._bounds_cache: dict[tuple[tuple[str, int], ...], tuple[float, float]] = {}
+        #: Mixed-radix code of the remaining multisets: the workload's
+        #: templates in name order as ``(name, id, count + 1, weight)``, the
+        #: weight being the product of ``count + 1`` over the templates before.
+        self._radix: list[tuple[str, int, int, int]] = []
+        self._weight: dict[str, int] = {}
+        weight = 1
+        for name in sorted(counts):
+            self._radix.append((name, self._tpl_id[name], counts[name] + 1, weight))
+            self._weight[name] = weight
+            weight *= counts[name] + 1
+        self._start_code = weight - 1  # every digit at its maximum
+        #: code -> row, for every code visited so far.
+        self._rows: dict[int, RemainingRow] = {}
+        #: Children priced so far: numbers each in generation order.
+        self._serial = 0
         #: The cost-to-go term of every f-value, picked by the goal alone: the
         #: provisioning bound for monotonic goals, the goal's memoised hook for
         #: the rest (a fresh instance: bounds hold per-problem memo tables).
         bound = ProvisioningBound() if goal.is_monotonic else MemoizedGoalBound()
         bound.attach(self)
-        # Bound once: _price calls one of these per generated vertex.
+        # Bound once: expand calls one of these per child.
         self._placement_term = bound.placement_bound
         self._provision_term = bound.provision_bound
         self._node_term = bound.node_bound
@@ -292,7 +380,7 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        adaptive_bound: Callable[[SearchNode], float] | None = None,
+        adaptive_bound: AdaptiveBoundFn | None = None,
     ) -> "SchedulingProblem":
         """Build the problem for a concrete workload (counts its templates)."""
         return cls(
@@ -345,36 +433,37 @@ class SchedulingProblem:
 
     def initial_node(self) -> SearchNode:
         """The start vertex: nothing provisioned, everything unassigned."""
-        state = SearchState.initial(self._counts)
         node = SearchNode(
-            state=state,
+            state=SearchState.initial(self._counts),
             parent=None,
             action=None,
             infra_cost=0.0,
             penalty=0.0,
-            outcomes=(),
             last_vm_finish=0.0,
             depth=0,
             accumulator=self._goal.accumulator(),
+            row=self.row(self._start_code),
         )
         if self._aux_goal is not None:
             if self._aux_derived_deadline is None:
                 node.aux_accumulator = self._aux_goal.accumulator()
             node.aux_penalty = 0.0
-        node.priority = self._price(None, node, None)
+        node.priority = self.priority(node)
         return node
 
     # -- successor generation (with the Section 4.3 reductions) ---------------------
 
-    def expand(self, node: SearchNode) -> list[SearchNode]:
-        """All successor nodes of *node* in the reduced scheduling graph.
+    def expand(self, node: SearchNode) -> list[PricedChild]:
+        """Every successor of *node* in the reduced scheduling graph, priced.
 
-        This is the innermost loop of the A* search: every lookup table is
-        hoisted into locals and the per-child work — the dominance pruning of
-        queue orders and the incremental penalty update — is inlined rather
-        than dispatched through helper methods.  Each child's f-value is one
-        :meth:`_price` call, the same hook :meth:`priority` uses.  The
-        dominance rules:
+        Each entry is a :data:`PricedChild`: the child's f-value, queries
+        left and generation serial, then what :meth:`child` needs to build
+        it.  Nothing is built here: the f-value comes from *node* and the
+        child's row alone (see the module docstring), so a child the search
+        never pops costs one tuple.  This is the innermost loop of the A*
+        search: every lookup table is hoisted into locals and the per-child
+        work — the dominance pruning of queue orders and the penalty prices —
+        is inlined.  The dominance rules:
 
         * **Adjacent pairwise interchange** (deadline-style goals): swapping
           the candidate with the query most recently placed on the same VM
@@ -385,23 +474,28 @@ class SchedulingProblem:
           within :meth:`PerformanceGoal.ordering_horizon`, query order cannot
           affect the penalty at all, so only the canonical order is explored.
         """
-        successors: list[SearchNode] = []
-        state = node.state
-        vms = state.vms
-        remaining = state.remaining
-        depth = node.depth + 1
+        successors: list[PricedChild] = []
+        append = successors.append
+        vms = node.state.vms
+        row = node.row
+        if row is None:
+            row = node.row = self._row_of(node.state.remaining)
+        code = row.code
+        rows = self._rows
         parent_infra = node.infra_cost
         parent_accumulator = node.accumulator
         aux_active = self._aux_goal is not None
         parent_aux = node.aux_accumulator
         aux_rate = self._aux_rate
         aux_derived = self._aux_derived_deadline
-        parent_remaining_total = state.remaining_total()
+        adaptive_bound = self._adaptive_bound
+        # A bound that advertises no aux_goal re-evaluates the old goal over
+        # the child's outcomes, read once per expansion off the parent chain.
+        parent_outcomes = (
+            node.outcomes if adaptive_bound is not None and not aux_active else None
+        )
         rate = self._rate
-        price = self._price
-        new_state = SearchState.__new__
-        state_cls = SearchState
-        set_attr = object.__setattr__
+        serial = self._serial
 
         # Placement edges: only onto the most recently provisioned VM.
         if vms:
@@ -414,7 +508,8 @@ class SchedulingProblem:
             latency_row = self._latency_table[vm_index]
             run_cost_row = self._run_cost_table[vm_index]
             query_deadlines = self._query_deadlines
-            place_actions = self._place_actions
+            placement_term = self._placement_term
+            violation_with = parent_accumulator.violation_with
             finish = node.last_vm_finish
             if queue:
                 previous = queue[-1]
@@ -425,8 +520,7 @@ class SchedulingProblem:
                 previous = None
                 previous_execution = previous_deadline = 0.0
 
-            for template_name, _ in remaining:
-                template_index = tpl_id[template_name]
+            for template_index, weight, template_name in row.present:
                 if not supports_row[template_index]:
                     continue
                 execution_time = latency_row[template_index]
@@ -437,12 +531,17 @@ class SchedulingProblem:
                     if previous_deadline is not None and candidate_deadline is not None:
                         start = finish - previous_execution
                         pair_total = previous_execution + execution_time
-                        current_violation = max(0.0, finish - previous_deadline) + max(
-                            0.0, start + pair_total - candidate_deadline
+                        # max(0.0, x), spelled out: four per candidate.
+                        late = finish - previous_deadline
+                        later = start + pair_total - candidate_deadline
+                        current_violation = (late if late > 0.0 else 0.0) + (
+                            later if later > 0.0 else 0.0
                         )
-                        swapped_violation = max(
-                            0.0, start + execution_time - candidate_deadline
-                        ) + max(0.0, start + pair_total - previous_deadline)
+                        late = start + execution_time - candidate_deadline
+                        later = start + pair_total - previous_deadline
+                        swapped_violation = (late if late > 0.0 else 0.0) + (
+                            later if later > 0.0 else 0.0
+                        )
                         if swapped_violation < current_violation - 1e-9:
                             continue
                         if abs(swapped_violation - current_violation) <= 1e-9 and (
@@ -464,102 +563,162 @@ class SchedulingProblem:
                         ):
                             continue
 
-                # -- the placement child, with its incremental penalty ------------
+                # -- the placement child, priced from the parent ------------------
                 completion = finish + execution_time
-                outcomes = node.outcomes + (LatencyOutcome(template_name, completion),)
-                accumulator = parent_accumulator.branch()
-                accumulator.add(template_name, completion)
-                penalty = rate * accumulator.violation()
-                # Successor state, built inline (the validity checks of
-                # SearchState.with_placement are redundant here) with its
-                # remaining-total cache seeded from the parent's.
-                child_state = new_state(state_cls)
-                set_attr(
-                    child_state,
-                    "vms",
-                    vms[:-1] + ((last_vm_type_name, queue + (template_name,)),),
-                )
-                set_attr(
-                    child_state,
-                    "remaining",
-                    tuple(
-                        [
-                            (name, count - 1) if name == template_name else (name, count)
-                            for name, count in remaining
-                            if name != template_name or count > 1
-                        ]
-                    ),
-                )
-                set_attr(child_state, "_remaining_total", parent_remaining_total - 1)
+                penalty = rate * violation_with(template_name, completion)
                 infra = parent_infra + run_cost_row[template_index]
-                child = SearchNode(
-                    child_state,
-                    node,
-                    place_actions[template_index],
-                    infra,
-                    penalty,
-                    outcomes,
-                    completion,
-                    depth,
-                    0.0,
-                    accumulator,
-                    vm_index,
-                )
+                child_row = rows.get(code - weight)
+                if child_row is None:
+                    child_row = self.row(code - weight)
+                count = child_row.count
+                if count:
+                    term, key = placement_term(node, child_row, completion, penalty)
+                    f = infra + child_row.execution + term
+                else:
+                    term, key = -1.0, None
+                    f = infra + penalty
+                aux_penalty = -1.0
                 if aux_active:
                     if aux_derived is not None:
-                        # The old goal differs only by deadline: read its
-                        # violation off the child's primary accumulator (the
-                        # running mean / sorted list is deadline-independent).
-                        child.aux_penalty = (
-                            aux_rate * accumulator.violation_for_deadline(aux_derived)
+                        # The old goal differs only by deadline: its violation
+                        # reads off the primary accumulator (the running mean /
+                        # sorted list is deadline-independent).
+                        aux_penalty = aux_rate * parent_accumulator.violation_for_deadline_with(
+                            template_name, completion, aux_derived
                         )
                     elif parent_aux is not None:
-                        # Second accumulator of retraining searches: the old
-                        # goal's penalty, maintained copy-on-write exactly like
-                        # the primary one (read by AdaptiveBound in O(1)).
-                        aux_accumulator = parent_aux.branch()
-                        aux_accumulator.add(template_name, completion)
-                        child.aux_accumulator = aux_accumulator
-                        child.aux_penalty = aux_rate * aux_accumulator.violation()
-                child.priority = price(node, child, completion)
-                successors.append(child)
+                        aux_penalty = aux_rate * parent_aux.violation_with(
+                            template_name, completion
+                        )
+                if adaptive_bound is not None:
+                    extra = adaptive_bound(
+                        infra,
+                        penalty,
+                        aux_penalty,
+                        None
+                        if parent_outcomes is None
+                        else parent_outcomes + (LatencyOutcome(template_name, completion),),
+                    )
+                    if extra > f:
+                        f = extra
+                serial += 1
+                append(
+                    (
+                        f,
+                        count,
+                        -serial,
+                        node,
+                        template_index,
+                        completion,
+                        infra,
+                        penalty,
+                        child_row,
+                        key,
+                        term,
+                        aux_penalty,
+                    )
+                )
 
         # Start-up edges: only when the last VM is non-empty (or none exists),
-        # and only if there is still work to assign.
-        if remaining and not (vms and not vms[-1][1]):
-            outcomes = node.outcomes
+        # and only if there is still work to assign.  Provisioning places no
+        # query, so every such child shares the parent's row, penalty,
+        # old-goal penalty and bound term.
+        count = row.count
+        if count and not (vms and not vms[-1][1]):
             penalty = node.penalty
+            aux_penalty = node.aux_penalty
+            term, key = self._provision_term(node, row)
+            execution = row.execution
             startup_costs = self._startup_costs
-            provision_actions = self._provision_actions
-            for vm_index, vm_type_name in enumerate(self._vm_names):
+            for vm_index in range(len(startup_costs)):
                 infra = parent_infra + startup_costs[vm_index]
-                child_state = new_state(state_cls)
-                set_attr(child_state, "vms", vms + ((vm_type_name, ()),))
-                set_attr(child_state, "remaining", remaining)
-                set_attr(child_state, "_remaining_total", parent_remaining_total)
-                child = SearchNode(
-                    child_state,
-                    node,
-                    provision_actions[vm_index],
-                    infra,
-                    penalty,
-                    outcomes,
-                    0.0,
-                    depth,
-                    0.0,
-                    # Shared with the parent: nodes never mutate their
-                    # accumulator after construction (placements branch first).
-                    parent_accumulator,
-                    vm_index,
+                f = infra + execution + term
+                if adaptive_bound is not None:
+                    extra = adaptive_bound(infra, penalty, aux_penalty, parent_outcomes)
+                    if extra > f:
+                        f = extra
+                serial += 1
+                append(
+                    (
+                        f,
+                        count,
+                        -serial,
+                        node,
+                        -1 - vm_index,
+                        0.0,
+                        infra,
+                        penalty,
+                        row,
+                        key,
+                        term,
+                        aux_penalty,
+                    )
                 )
-                if aux_active:
-                    # Provisioning places no query: the old-goal penalty (and
-                    # any second accumulator) carries over unchanged.
-                    child.aux_accumulator = parent_aux
-                    child.aux_penalty = node.aux_penalty
-                child.priority = price(node, child, None)
-                successors.append(child)
+        self._serial = serial
         return successors
+
+    def child(self, priced: PricedChild) -> SearchNode:
+        """Build the node of *priced*, a child :meth:`expand` returned.
+
+        A placement branches the parent's accumulators and records the
+        placement (the state the price was read from, so the node's penalty
+        is the priced one to the bit); a provisioning shares them.
+        """
+        (
+            priority,
+            _,
+            _,
+            parent,
+            action,
+            completion,
+            infra,
+            penalty,
+            row,
+            key,
+            term,
+            aux_penalty,
+        ) = priced
+        vms = parent.state.vms
+        state = SearchState.__new__(SearchState)
+        state_dict = state.__dict__
+        if action >= 0:
+            name = self._tpl_names[action]
+            vm_type_name, queue = vms[-1]
+            state_dict["vms"] = vms[:-1] + ((vm_type_name, queue + (name,)),)
+            accumulator = parent.accumulator.branch()
+            accumulator.add(name, completion)
+            aux_accumulator = parent.aux_accumulator
+            if aux_accumulator is not None:
+                aux_accumulator = aux_accumulator.branch()
+                aux_accumulator.add(name, completion)
+            vm_index = parent.last_vm_index
+            if vm_index < 0:
+                vm_index = self._vm_id[vm_type_name]
+            action_taken: Action = self._place_actions[action]
+        else:
+            vm_index = -1 - action
+            state_dict["vms"] = vms + ((self._vm_names[vm_index], ()),)
+            accumulator = parent.accumulator
+            aux_accumulator = parent.aux_accumulator
+            action_taken = self._provision_actions[vm_index]
+        state_dict["remaining"] = row.remaining
+        return SearchNode(
+            state,
+            parent,
+            action_taken,
+            infra,
+            penalty,
+            completion,
+            parent.depth + 1,
+            priority,
+            accumulator,
+            vm_index,
+            term,
+            key,
+            aux_accumulator,
+            aux_penalty,
+            row,
+        )
 
     def walk(
         self, labels: Sequence[str], visit: Callable[[int, SearchNode], object]
@@ -604,7 +763,7 @@ class SchedulingProblem:
             vms=(), remaining=remaining.items(), _remaining_names=remaining.keys()
         )
         accumulator = self._goal.accumulator()
-        node = SearchNode(state, None, None, 0.0, 0.0, (), 0.0, 0, accumulator=accumulator)
+        node = SearchNode(state, None, None, 0.0, 0.0, 0.0, 0, accumulator=accumulator)
         provision_of = self._provision_of
         place_of = self._place_of
         rate = self._rate
@@ -755,61 +914,68 @@ class SchedulingProblem:
         self._min_startup_cost = min(self._startup_costs)
         return cheapest
 
-    def _compute_remaining_bounds(
-        self, remaining: tuple[tuple[str, int], ...]
-    ) -> tuple[float, float]:
-        """(Equation-3 bound, cheapest remaining work time) for a remaining multiset.
+    def row(self, code: int) -> RemainingRow:
+        """The row of the remaining multiset numbered *code*, built on first use.
 
-        Memoized per multiset: the search revisits the same multisets via many
-        paths, and the memo keeps each value bit-identical to a fresh
-        evaluation (an incremental parent-minus-contribution running value
-        would drift in the last float bits and perturb tie-breaking).
+        Digit ``i`` of the code, in the mixed radix of ``count + 1`` per
+        template (name order), is how many queries of template ``i`` are
+        left.  The sums iterate the canonical ``remaining`` tuple, so every
+        row holds a fresh, bit-reproducible evaluation.
         """
-        execution = sum(
-            self._cheapest_execution[name] * count for name, count in remaining
+        row = self._rows.get(code)
+        if row is not None:
+            return row
+        remaining = []
+        present = []
+        for name, template_index, radix, weight in self._radix:
+            left = code // weight % radix
+            if left:
+                remaining.append((name, left))
+                present.append((template_index, weight, name))
+        execution = self._cheapest_execution
+        time = self._cheapest_time
+        row = self._rows[code] = RemainingRow(
+            code,
+            tuple(present),
+            sum([left for _, left in remaining]),
+            sum([execution[name] * left for name, left in remaining]),
+            sum([time[name] * left for name, left in remaining]),
+            tuple(remaining),
         )
-        work = sum(self._cheapest_time[name] * count for name, count in remaining)
-        cached = (execution, work)
-        self._bounds_cache[remaining] = cached
-        return cached
+        return row
+
+    def _row_of(self, remaining: tuple[tuple[str, int], ...]) -> RemainingRow:
+        """The row of a canonical ``remaining`` tuple (a node built elsewhere)."""
+        weight = self._weight
+        return self.row(sum(count * weight[name] for name, count in remaining))
 
     def priority(self, node: SearchNode) -> float:
-        """A* f-value of *node*, computed from scratch (see :meth:`_price`)."""
-        return self._price(None, node, None)
-
-    def _price(
-        self, parent: SearchNode | None, child: SearchNode, completion: float | None
-    ) -> float:
-        """A* f-value: a lower bound on the best complete-schedule cost via *child*.
+        """A* f-value of *node*, computed from scratch.
 
         * Goal vertices use their true cost (infrastructure + penalty).
         * Other vertices use ``infrastructure + Equation 3 + term``, where the
           problem's :class:`~repro.search.bounds.FutureCostBound` supplies the
-          term: from the edge that built *child* out of *parent* (a placement
-          completing at *completion*, or a provisioning when that is
-          ``None``), or from scratch when *parent* is ``None``.
+          term.
         * A retraining search raises the result to the adaptive bound ``h'``.
 
-        The one place the f-value is computed, for :meth:`expand`'s children
-        and :meth:`priority` alike.
+        Equal, bit for bit, to the f-value :meth:`expand` priced the node
+        with from its parent.
         """
-        remaining = child.state.remaining
-        if remaining:
-            bounds = self._bounds_cache.get(remaining)
-            if bounds is None:
-                bounds = self._compute_remaining_bounds(remaining)
-            if completion is not None:
-                term = self._placement_term(parent, child, completion, bounds)
-            elif parent is not None:
-                term = self._provision_term(parent, child, bounds)
-            else:
-                term = self._node_term(child, bounds)
-            f = child.infra_cost + bounds[0] + term
+        row = node.row
+        if row is None:
+            row = self._row_of(node.state.remaining)
+        if row.count:
+            f = node.infra_cost + row.execution + self._node_term(node, row)
         else:
-            f = child.infra_cost + child.penalty
+            f = node.infra_cost + node.penalty
         adaptive_bound = self._adaptive_bound
         if adaptive_bound is not None:
-            extra = adaptive_bound(child)
+            extra = adaptive_bound(
+                node.infra_cost,
+                node.penalty,
+                node.aux_penalty,
+                node.outcomes if self._aux_goal is None else None,
+            )
             if extra > f:
                 f = extra
         return f

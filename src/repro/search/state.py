@@ -6,15 +6,16 @@ be assigned.  Because queries of the same template are interchangeable, the
 state only tracks template names; the driver maps templates back to concrete
 query instances once the optimal goal vertex is known.
 
-The representation is fully immutable and hashable so that the A* search can
-deduplicate states reached via different action orders (one of the redundancy
-eliminations that makes the graph search tractable).
+The representation is immutable and compares (and hashes) by value.  The
+search never relies on that: the reduced graph is a tree — a vertex whose most
+recent VM is empty was reached by provisioning it, any other by placing the
+last query of that VM's queue — so no two action orders reach one state and
+the search keeps no closed set (:mod:`repro.search.problem`).
 
 States deliberately carry *no* cost bookkeeping: everything incremental — the
 goal's violation accumulator, the retraining search's auxiliary old-goal
-accumulator, memo keys — lives on :class:`~repro.search.problem.SearchNode`,
-so two paths reaching the same vertex still compare (and hash) equal here
-while each node keeps its own O(1) copy-on-write penalty state.
+accumulator, memo keys, the remaining multiset's row — lives on
+:class:`~repro.search.problem.SearchNode`.
 """
 
 from __future__ import annotations
@@ -37,27 +38,16 @@ def freeze_counts(counts: Mapping[str, int] | Counter[str]) -> tuple[tuple[str, 
 class SearchState:
     """One vertex of the scheduling graph.
 
-    :meth:`remaining_total` and :meth:`has_remaining` are called once per A*
-    frontier push / expansion, so both are backed by lazily materialised
-    caches (a total and a frozenset of names) instead of re-scanning the
-    multiset; the caches live in the instance ``__dict__`` and are excluded
-    from equality and hashing.
+    :meth:`remaining_name_set` and :meth:`last_queue_counts` are read once per
+    decision by the feature extractor and the decision models, so both are
+    backed by lazily materialised caches in the instance ``__dict__``, which
+    equality and hashing ignore.
     """
 
     #: Partial schedule: VMs in provisioning order with their template queues.
     vms: tuple[VMState, ...]
     #: Unassigned queries, as a frozen multiset of template names.
     remaining: tuple[tuple[str, int], ...]
-
-    def __hash__(self) -> int:
-        # Same basis as the dataclass-generated hash (the compare fields), but
-        # cached: the A* search hashes each state several times (duplicate
-        # checks and the visited set), and the nested tuples are not free.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.vms, self.remaining))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
     # -- constructors ----------------------------------------------------------
 
@@ -67,14 +57,6 @@ class SearchState:
         return cls(vms=(), remaining=freeze_counts(counts))
 
     # -- accessors -------------------------------------------------------------
-
-    def remaining_total(self) -> int:
-        """Number of queries still unassigned (cached on first use)."""
-        cached = self.__dict__.get("_remaining_total")
-        if cached is None:
-            cached = sum(count for _, count in self.remaining)
-            object.__setattr__(self, "_remaining_total", cached)
-        return cached
 
     def remaining_templates(self) -> tuple[str, ...]:
         """Distinct template names with at least one unassigned query."""

@@ -13,15 +13,20 @@ per tenant instead of hard-coded:
 
 ``weighted_astar:W``
     Weighted A* (``W >= 1``): orders the frontier by ``g + W * h`` instead of
-    ``g + h``, diving towards goals at the price of optimality.  Because a
-    vertex of this graph fully determines its partial schedule (and hence its
-    g-value), duplicate detection never discards a cheaper path, and the
-    classic guarantee ``cost <= W * optimal`` holds.
+    ``g + h``, diving towards goals at the price of optimality.  The reduced
+    graph is a tree, so no vertex is reached twice and the classic guarantee
+    ``cost <= W * optimal`` holds without a closed set.
 
 ``beam:K``
     Depth-synchronous beam search: every layer keeps the ``K`` best vertices
     by (admissible) f-value and expands them together.  Linear-time in the
     workload size; no optimality guarantee.
+
+Every strategy works the way exact A* does: :meth:`SchedulingProblem.expand
+<repro.search.problem.SchedulingProblem.expand>` prices a vertex's children
+from the vertex alone, and a child's node is built
+(:meth:`~repro.search.problem.SchedulingProblem.child`) only once the
+strategy takes it up.  None keeps a closed set: the reduced graph is a tree.
 
 Relaxed strategies never degrade silently: each
 :class:`~repro.search.astar.SearchResult` carries a *sound* lower bound on
@@ -137,40 +142,42 @@ class WeightedAStarStrategy(SearchStrategy):
         monotonic = problem.goal.is_monotonic
         weight = self.weight
 
-        def weighted_f(node: SearchNode, f: float) -> float:
+        def weighted_f(f: float, infra: float, penalty: float) -> float:
             # g is the part of the f-value that is already paid: the full
             # partial cost for monotonic goals, infrastructure only otherwise
             # (the non-monotonic f-value excludes the partial penalty).
-            g = node.partial_cost if monotonic else node.infra_cost
+            g = infra + penalty if monotonic else infra
             return g + weight * (f - g)
 
-        counter = 0
         generated = 1
         expansions = 0
-        start_f = start.priority
-        frontier: list[tuple] = [
-            (
-                (weighted_f(start, start_f), start.state.remaining_total(), 0, start.depth),
-                start_f,
-                start,
-            )
-        ]
-        visited: set = set()
+        # Entries: (weighted f, queries left, -serial, priced child).
+        frontier: list[tuple] = []
         budget = _INF if max_expansions is None else max_expansions
 
-        while frontier:
-            _, goal_f, node = heapq.heappop(frontier)
-            state = node.state
-            if state in visited:
-                continue
-            visited.add(state)
-            if not state.remaining:
+        node = start
+        while True:
+            expansions += 1
+            if expansions > budget:
+                raise SearchBudgetExceeded(expansions)
+            for priced in problem.expand(node):
+                generated += 1
+                heapq.heappush(
+                    frontier,
+                    (weighted_f(priced[0], priced[6], priced[7]), priced[1], priced[2], priced),
+                )
+            if not frontier:
+                break
+            _, left, _, priced = heapq.heappop(frontier)
+            node = problem.child(priced)
+            if not left:
                 # Sound optimal lower bound: some vertex of an optimal path is
                 # still in the frontier (or is this goal); admissible f-values
                 # never overestimate, so their minimum bounds optimal from below.
                 lower = node.partial_cost
-                for _, pending_f, pending in frontier:
-                    if pending.state not in visited and pending_f < lower:
+                for pending in frontier:
+                    pending_f = pending[3][0]
+                    if pending_f < lower:
                         lower = pending_f
                 return SearchResult(
                     goal_node=node,
@@ -181,28 +188,6 @@ class WeightedAStarStrategy(SearchStrategy):
                     # this result optimal — report it as exact (None), so
                     # e.g. adaptive retraining keeps its Lemma-5.1 bound.
                     cost_lower_bound=lower if lower < node.partial_cost else None,
-                )
-            expansions += 1
-            if expansions > budget:
-                raise SearchBudgetExceeded(expansions)
-            for child in problem.expand(node):
-                if child.state in visited:
-                    continue
-                counter += 1
-                generated += 1
-                f = child.priority
-                heapq.heappush(
-                    frontier,
-                    (
-                        (
-                            weighted_f(child, f),
-                            child.state.remaining_total(),
-                            -counter,
-                            child.depth,
-                        ),
-                        f,
-                        child,
-                    ),
                 )
         raise SearchError("the scheduling graph contains no reachable goal vertex")
 
@@ -239,79 +224,66 @@ class BeamSearchStrategy(SearchStrategy):
                 goal_node=start, expansions=0, generated=1, strategy=self.spec
             )
 
-        counter = 0
         generated = 1
         expansions = 0
         budget = _INF if max_expansions is None else max_expansions
-        visited: set = {start.state}
-        layer: list[tuple[tuple, SearchNode]] = [
-            ((start.priority, start.state.remaining_total(), 0, start.depth), start)
-        ]
-        best_goal: SearchNode | None = None
-        #: Vertices dropped by the width cap, kept as a heap: they back the
-        #: optimal lower bound at termination, and they revive the search if
-        #: a layer dead-ends before any goal is found (a provisioned VM type
-        #: that supports nothing remaining has no successors, and a narrow
-        #: beam can fill up with such vertices — the problem is still
-        #: feasible, so beam search must backtrack rather than fail).
-        reserve: list[tuple[tuple, SearchNode]] = []
+        layer: list[SearchNode] = [start]
+        #: The cheapest goal child so far, and its partial cost.
+        best_goal: tuple | None = None
+        best_cost = _INF
+        #: Priced children dropped by the width cap, kept as a heap: they
+        #: back the optimal lower bound at termination, and they revive the
+        #: search if a layer dead-ends before any goal is found (a
+        #: provisioned VM type that supports nothing remaining has no
+        #: successors, and a narrow beam can fill up with such vertices — the
+        #: problem is still feasible, so beam search must backtrack rather
+        #: than fail).
+        reserve: list[tuple] = []
 
         while layer:
-            children: list[tuple[tuple, SearchNode]] = []
-            for _, node in layer:
+            children: list[tuple] = []
+            for node in layer:
                 expansions += 1
                 if expansions > budget:
                     raise SearchBudgetExceeded(expansions)
-                for child in problem.expand(node):
-                    child_state = child.state
-                    if not child_state.remaining:
-                        generated += 1
-                        if best_goal is None or child.partial_cost < best_goal.partial_cost:
-                            best_goal = child
-                        continue
-                    if child_state in visited:
-                        continue
-                    visited.add(child_state)
-                    counter += 1
+                for priced in problem.expand(node):
                     generated += 1
-                    children.append(
-                        (
-                            (
-                                child.priority,
-                                child_state.remaining_total(),
-                                -counter,
-                                child.depth,
-                            ),
-                            child,
-                        )
-                    )
+                    if priced[1]:
+                        children.append(priced)
+                        continue
+                    cost = priced[6] + priced[7]  # a goal: infrastructure + penalty
+                    if best_goal is None or cost < best_cost:
+                        best_goal, best_cost = priced, cost
             if len(children) > self.width:
-                children.sort(key=lambda entry: entry[0])
-                for entry in children[self.width :]:
-                    heapq.heappush(reserve, entry)
+                # Priced children order by (f, queries left, -serial) like
+                # frontier entries, and never compare past the serial.
+                children.sort()
+                for priced in children[self.width :]:
+                    heapq.heappush(reserve, priced)
                 children = children[: self.width]
-            layer = children
-            if not layer and best_goal is None and reserve:
+            if not children and best_goal is None and reserve:
                 # Every beam vertex dead-ended: backtrack to the best pruned
                 # vertices (completeness on feasible problems; the budget
                 # still bounds total work).
-                layer = [
+                children = [
                     heapq.heappop(reserve)
                     for _ in range(min(self.width, len(reserve)))
                 ]
+            layer = [problem.child(priced) for priced in children]
 
         if best_goal is None:
             raise SearchError("beam search reached no goal vertex")
+        goal_node = problem.child(best_goal)
         # Sound optimal lower bound: some optimal-path vertex was expanded all
         # the way to the (then best) goal, or still sits in the reserve.
-        pruned_min = reserve[0][0][0] if reserve else _INF
-        lower = min(best_goal.partial_cost, pruned_min)
+        pruned_min = reserve[0][0] if reserve else _INF
+        lower = min(goal_node.partial_cost, pruned_min)
         return SearchResult(
-            goal_node=best_goal,
+            goal_node=goal_node,
             expansions=expansions,
             generated=generated,
             strategy=self.spec,
-            cost_lower_bound=lower if lower < best_goal.partial_cost else None,
+            cost_lower_bound=lower if lower < goal_node.partial_cost else None,
         )
 
 

@@ -17,13 +17,15 @@ or O(log n):
 The accumulators mirror the violation-period definitions of Section 3 exactly,
 and the property-based tests assert they agree with the batch definitions.
 
-The *offline* A* search uses them too: every :class:`~repro.search.problem.SearchNode`
-carries an accumulator describing its partial schedule, obtained by
+The *offline* A* search uses them too: it prices every child with the
+parent's non-mutating :meth:`~ViolationAccumulator.violation_with`, and every
+:class:`~repro.search.problem.SearchNode` it builds — only the children it
+pops — carries an accumulator describing its partial schedule, obtained by
 :meth:`ViolationAccumulator.branch`-ing the parent's and recording the one new
 placement.  ``branch`` is copy-on-write — branching is O(1) and the underlying
 state is only cloned when a branch actually mutates — so carrying an
-accumulator per search vertex costs O(1) extra per edge for every goal except
-the percentile goal (whose sorted-latency state is cloned lazily on the first
+accumulator per built vertex costs O(1) extra for every goal except the
+percentile goal (whose sorted-latency state is cloned lazily on the first
 ``add`` after a branch).
 """
 
@@ -56,12 +58,27 @@ class ViolationAccumulator(ABC):
 
         Only meaningful for accumulators whose state is deadline-independent
         (the running mean, the sorted latency list): the adaptive-A*
-        retraining search uses it to read the *old* goal's violation off the
-        node's primary accumulator in O(1), without carrying a second copy of
-        the state.  Goals opt in via
+        retraining search reads the *old* goal's violation off the primary
+        accumulator this way (through :meth:`violation_for_deadline_with`,
+        one placement ahead), without carrying a second copy of the state.
+        Goals opt in via
         :meth:`~repro.sla.base.PerformanceGoal.derived_aux_deadline`; the
         default refuses, because most accumulators fold the deadline into
         their running state.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot re-evaluate against another deadline"
+        )
+
+    def violation_for_deadline_with(
+        self, template_name: str, latency: float, deadline: float
+    ) -> float:
+        """:meth:`violation_for_deadline` if one more query were recorded (non-mutating).
+
+        Bit-identical to ``branch(); add(template_name, latency);
+        violation_for_deadline(deadline)``: the retraining search prices a
+        child's old-goal penalty with it before (and without) building the
+        child's accumulator.  Same opt-in as :meth:`violation_for_deadline`.
         """
         raise NotImplementedError(
             f"{type(self).__name__} cannot re-evaluate against another deadline"
@@ -158,6 +175,13 @@ class AverageLatencyViolationAccumulator(ViolationAccumulator):
             return 0.0
         return max(0.0, self._total / self._count - deadline)
 
+    def violation_for_deadline_with(
+        self, template_name: str, latency: float, deadline: float
+    ) -> float:
+        total = self._total + latency
+        count = self._count + 1
+        return max(0.0, total / count - deadline)
+
     def copy(self) -> "AverageLatencyViolationAccumulator":
         clone = object.__new__(AverageLatencyViolationAccumulator)
         clone._deadline = self._deadline
@@ -222,6 +246,21 @@ class PercentileViolationAccumulator(ViolationAccumulator):
         else:
             value = self._latencies[rank - 2]
         return max(0.0, value - self._deadline)
+
+    def violation_for_deadline_with(
+        self, template_name: str, latency: float, deadline: float
+    ) -> float:
+        # violation_with's hypothetical insertion, against *deadline*.
+        size = len(self._latencies) + 1
+        rank = max(1, math.ceil(self._percent / 100.0 * size))
+        insert_at = bisect.bisect_right(self._latencies, latency)
+        if rank - 1 < insert_at:
+            value = self._latencies[rank - 1]
+        elif rank - 1 == insert_at:
+            value = latency
+        else:
+            value = self._latencies[rank - 2]
+        return max(0.0, value - deadline)
 
     def copy(self) -> "PercentileViolationAccumulator":
         clone = PercentileViolationAccumulator(self._percent, self._deadline)

@@ -34,6 +34,8 @@ from repro.search.problem import SchedulingProblem
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 
+from search_helpers import children
+
 TEMPLATES = TemplateSet(
     [
         QueryTemplate(name="T1", base_latency=units.minutes(1)),
@@ -58,9 +60,9 @@ class RecomputedBound:
     old_goal: PerformanceGoal
     old_optimal_cost: float
 
-    def __call__(self, node) -> float:
-        old_partial = node.infra_cost + self.old_goal.penalty(node.outcomes)
-        return node.partial_cost + max(0.0, self.old_optimal_cost - old_partial)
+    def __call__(self, infra_cost, penalty, aux_penalty, outcomes) -> float:
+        old_partial = infra_cost + self.old_goal.penalty(outcomes)
+        return infra_cost + penalty + max(0.0, self.old_optimal_cost - old_partial)
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,10 @@ class HiddenAuxBound:
     bound: AdaptiveBound
     reached: list
 
-    def __call__(self, node) -> float:
-        assert node.aux_penalty < 0.0
+    def __call__(self, infra_cost, penalty, aux_penalty, outcomes) -> float:
+        assert aux_penalty < 0.0
         self.reached.append(1)
-        return self.bound(node)
+        return self.bound(infra_cost, penalty, aux_penalty, outcomes)
 
 
 def _goals(kind: str, all_goals) -> tuple[PerformanceGoal, PerformanceGoal]:
@@ -126,7 +128,7 @@ def test_property_aux_penalty_matches_batch_old_goal_penalty(
     for _ in range(3):
         layer = []
         for parent in frontier:
-            for child in problem.expand(parent):
+            for child in children(problem, parent):
                 assert child.aux_penalty == old_goal.penalty(child.outcomes)
                 layer.append(child)
         frontier = layer[:8]
@@ -236,8 +238,8 @@ def test_percentile_aux_with_different_percent_carries_second_accumulator(
     problem = _problem({"T1": 2, "T2": 1}, new_goal, AdaptiveBound(old_goal, 0.0))
     node = problem.initial_node()
     assert node.aux_accumulator is not None
-    for child in problem.expand(node):
-        for grandchild in problem.expand(child):
+    for child in children(problem, node):
+        for grandchild in children(problem, child):
             assert grandchild.aux_penalty == old_goal.penalty(grandchild.outcomes)
 
 
@@ -248,6 +250,6 @@ def test_relaxed_goal_skips_aux_accumulator(all_goals):
     node = problem.initial_node()
     assert node.aux_accumulator is None
     assert node.aux_penalty == -1.0
-    for child in problem.expand(node):
+    for child in children(problem, node):
         assert child.aux_accumulator is None
         assert child.aux_penalty == -1.0

@@ -45,6 +45,8 @@ from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet, tpch_templates
 from repro.workloads.workload import Workload
 
+from search_helpers import children
+
 SAVED_V1 = Path(__file__).parent / "data" / "saved_service_v1"
 
 TEMPLATES = TemplateSet(
@@ -289,10 +291,10 @@ def _expanded(problem, labels):
     node = problem.initial_node()
     nodes = [node]
     for label in labels:
-        children = [child for child in problem.expand(node) if child.action.label == label]
-        if not children:
+        matching = [child for child in children(problem, node) if child.action.label == label]
+        if not matching:
             return None
-        (node,) = children
+        (node,) = matching
         nodes.append(node)
     return nodes
 

@@ -24,6 +24,8 @@ from repro.learning.features import (
 )
 from repro.search.problem import SchedulingProblem
 
+from search_helpers import children
+
 
 def features_of(node, problem) -> dict[str, float]:
     """All five feature families of *node*, by name, in the extractor's order."""
@@ -94,9 +96,9 @@ def test_initial_vertex_features(extractor, problem):
 
 def test_features_after_placements(extractor, problem):
     node = problem.initial_node()
-    node = problem.expand(node)[0]  # provision
+    node = children(problem, node)[0]  # provision
     placed = next(
-        child for child in problem.expand(node) if getattr(child.action, "template_name", None) == "T1"
+        child for child in children(problem, node) if getattr(child.action, "template_name", None) == "T1"
     )
     features = _row_features(extractor, placed, problem)
     assert features[wait_time_feature()] == pytest.approx(units.minutes(1))
@@ -111,10 +113,10 @@ def test_features_after_placements(extractor, problem):
 
 def test_proportions_sum_to_one_on_mixed_queue(extractor, problem):
     node = problem.initial_node()
-    node = problem.expand(node)[0]
+    node = children(problem, node)[0]
     # Place T1 then T2 on the same VM.
-    node = next(c for c in problem.expand(node) if getattr(c.action, "template_name", None) == "T1")
-    node = next(c for c in problem.expand(node) if getattr(c.action, "template_name", None) == "T2")
+    node = next(c for c in children(problem, node) if getattr(c.action, "template_name", None) == "T1")
+    node = next(c for c in children(problem, node) if getattr(c.action, "template_name", None) == "T2")
     features = _row_features(extractor, node, problem)
     total = sum(features[proportion_feature(t)] for t in ("T1", "T2", "T3"))
     assert total == pytest.approx(1.0)
@@ -134,7 +136,7 @@ def test_unsupported_template_features(small_templates, max_goal):
     extractor = FeatureExtractor(small_templates, catalog)
     on_limited = next(
         child
-        for child in problem.expand(problem.initial_node())
+        for child in children(problem, problem.initial_node())
         if getattr(child.action, "vm_type_name", None) == "limited"
     )
     features = _row_features(extractor, on_limited, problem)
@@ -159,7 +161,7 @@ def test_unknown_family_rejected(small_templates):
 
 
 def test_vector_ordering(extractor, problem):
-    node = problem.expand(problem.initial_node())[0]
+    node = children(problem, problem.initial_node())[0]
     features = features_of(node, problem)
     row = extractor.extract_into(node, problem, [0.0] * len(extractor.feature_names))
     assert tuple(features) == extractor.feature_names

@@ -24,6 +24,8 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import tpch_templates
 from repro.workloads.workload import Workload
 
+from search_helpers import children
+
 
 def test_training_result_contents(trained_max, tiny_config):
     assert trained_max.num_examples > 0
@@ -120,7 +122,7 @@ def test_model_never_stacks_empty_vms(trained_max, small_templates, vm_catalog):
         latency_model=model.latency_model,
     )
     node = problem.initial_node()
-    provisioned = problem.expand(node)[0]
+    provisioned = children(problem, node)[0]
     assert provisioned.state.last_vm()[1] == ()
     action = model.decide(provisioned, problem)
     assert isinstance(action, PlaceQuery)
@@ -136,8 +138,8 @@ def test_model_rejects_complete_states(trained_max, small_templates, vm_catalog)
         latency_model=model.latency_model,
     )
     node = problem.initial_node()
-    node = problem.expand(node)[0]
-    node = problem.expand(node)[0]
+    node = children(problem, node)[0]
+    node = children(problem, node)[0]
     assert node.state.is_goal()
     with pytest.raises(ModelError):
         model.decide(node, problem)

@@ -56,6 +56,15 @@ ALLOWED_UNUSED: dict[str, str] = {
     "repro.search.state.SearchState.with_placement": (
         "checked transition the state and A* tests replay an optimal path with"
     ),
+    "repro.sla.accumulators.ViolationAccumulator.violation_for_deadline": (
+        "the reference violation_for_deadline_with, the search's, is property-tested against"
+    ),
+    "repro.sla.accumulators.AverageLatencyViolationAccumulator.violation_for_deadline": (
+        "the reference violation_for_deadline_with, the search's, is property-tested against"
+    ),
+    "repro.sla.accumulators.PercentileViolationAccumulator.violation_for_deadline": (
+        "the reference violation_for_deadline_with, the search's, is property-tested against"
+    ),
     "repro.workloads.arrivals.bursty_arrivals": (
         "the bursty input shape of the serving-equivalence grid"
     ),

@@ -14,6 +14,8 @@ from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate
 from repro.workloads.workload import Workload
 
+from search_helpers import children
+
 
 def _node_for(vm_type, queue, finish, remaining):
     state = SearchState(
@@ -26,7 +28,6 @@ def _node_for(vm_type, queue, finish, remaining):
         action=None,
         infra_cost=0.0,
         penalty=0.0,
-        outcomes=(),
         last_vm_finish=finish,
         depth=0,
     )
@@ -113,7 +114,7 @@ def test_runtime_context_matches_problem_edge_costs(trained_max, small_templates
     context = RuntimeSchedulingContext(model)
     # Walk a few placements in lockstep and compare marginal costs.
     node = problem.initial_node()
-    node = problem.expand(node)[0]  # provision
+    node = children(problem, node)[0]  # provision
     for template in ("T1", "T2"):
         search_cost = problem.placement_edge_cost(node, template)
         runtime_node = _node_for(
@@ -126,7 +127,7 @@ def test_runtime_context_matches_problem_edge_costs(trained_max, small_templates
         assert runtime_cost == pytest.approx(search_cost)
         node = next(
             child
-            for child in problem.expand(node)
+            for child in children(problem, node)
             if getattr(child.action, "template_name", None) == template
         )
         context.record_placement(template, node.last_vm_finish)

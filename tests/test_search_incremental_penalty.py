@@ -34,6 +34,8 @@ from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.sla.percentile import PercentileGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 
+from search_helpers import children
+
 
 TEMPLATES = TemplateSet(
     [
@@ -119,10 +121,10 @@ def test_property_search_nodes_match_batch_penalty_and_priority(
     )
     node = problem.initial_node()
     for choice in choices:
-        children = problem.expand(node)
-        if not children:
+        successors = children(problem, node)
+        if not successors:
             break
-        node = children[choice % len(children)]
+        node = successors[choice % len(successors)]
         # Batch penalty over the node's full outcome history.
         assert node.penalty == goal.penalty(node.outcomes)
         # The f-value expand() priced from the parent equals priority()'s.

@@ -13,6 +13,8 @@ from repro.sla.average_latency import AverageLatencyGoal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.workload import Workload
 
+from search_helpers import children
+
 
 @pytest.fixture()
 def max_problem(small_templates, max_goal):
@@ -26,7 +28,7 @@ def max_problem(small_templates, max_goal):
 
 
 def actions_of(problem, node):
-    return [child.action for child in problem.expand(node)]
+    return [child.action for child in children(problem, node)]
 
 
 def test_initial_node_only_provisions(max_problem):
@@ -38,7 +40,7 @@ def test_initial_node_only_provisions(max_problem):
 
 def test_no_second_empty_vm(max_problem):
     node = max_problem.initial_node()
-    provisioned = max_problem.expand(node)[0]
+    provisioned = children(max_problem, node)[0]
     actions = actions_of(max_problem, provisioned)
     # The most recent VM is empty, so only placements are offered.
     assert all(isinstance(action, PlaceQuery) for action in actions)
@@ -46,20 +48,21 @@ def test_no_second_empty_vm(max_problem):
 
 def test_placements_only_for_remaining_templates(max_problem):
     node = max_problem.initial_node()
-    provisioned = max_problem.expand(node)[0]
+    provisioned = children(max_problem, node)[0]
     placements = {a.template_name for a in actions_of(max_problem, provisioned)}
     assert placements == {"T1", "T3"}
 
 
 def test_placement_decrements_and_tracks_outcomes(max_problem):
     node = max_problem.initial_node()
-    provisioned = max_problem.expand(node)[0]
+    provisioned = children(max_problem, node)[0]
     placed = next(
         child
-        for child in max_problem.expand(provisioned)
+        for child in children(max_problem, provisioned)
         if isinstance(child.action, PlaceQuery) and child.action.template_name == "T1"
     )
-    assert placed.state.remaining_total() == 2
+    assert placed.row.count == 2
+    assert placed.state.remaining == placed.row.remaining == (("T1", 1), ("T3", 1))
     assert placed.last_vm_finish == pytest.approx(units.minutes(1))
     assert len(placed.outcomes) == 1
     assert placed.infra_cost > provisioned.infra_cost
@@ -76,7 +79,7 @@ def test_unsupported_templates_are_not_offered(small_templates, max_goal):
     )
     on_limited = next(
         child
-        for child in problem.expand(problem.initial_node())
+        for child in children(problem, problem.initial_node())
         if isinstance(child.action, ProvisionVM) and child.action.vm_type_name == "limited"
     )
     placements = {
@@ -105,14 +108,14 @@ def test_goal_node_has_no_expansion_requirement(max_problem):
     # Walk a full greedy path; the goal node should report is_goal.
     node = max_problem.initial_node()
     while not node.state.is_goal():
-        node = max_problem.expand(node)[0]
+        node = children(max_problem, node)[0]
     assert node.state.is_goal()
     assert node.partial_cost > 0.0
 
 
 def test_placement_edge_cost_matches_equation_2(max_problem):
     node = max_problem.initial_node()
-    provisioned = max_problem.expand(node)[0]
+    provisioned = children(max_problem, node)[0]
     vm = t2_medium()
     cost = max_problem.placement_edge_cost(provisioned, "T1")
     # No penalty within the deadline: cost is execution time times rental rate.
@@ -128,7 +131,7 @@ def test_placement_edge_cost_includes_penalty(small_templates):
         goal=tight_goal,
         latency_model=TemplateLatencyModel(small_templates),
     )
-    provisioned = problem.expand(problem.initial_node())[0]
+    provisioned = children(problem, problem.initial_node())[0]
     cost = problem.placement_edge_cost(provisioned, "T3")
     # T3 runs for 4 minutes against a 1-minute deadline: 3 minutes of penalty.
     expected_penalty = units.minutes(3) * tight_goal.penalty_rate
@@ -145,7 +148,7 @@ def test_placement_edge_cost_infinite_without_vm(max_problem):
 def test_heuristic_is_cheapest_remaining_execution(max_problem):
     # On a fresh VM all 6 minutes of work fit the 10-minute deadline, so the
     # f-value is the start-up fee plus Equation 3 and nothing else.
-    provisioned = max_problem.expand(max_problem.initial_node())[0]
+    provisioned = children(max_problem, max_problem.initial_node())[0]
     vm = t2_medium()
     expected = vm.startup_cost + vm.running_cost * units.minutes(1 + 1 + 4)
     assert provisioned.priority == pytest.approx(expected)
@@ -159,7 +162,7 @@ def test_priority_includes_penalty_for_monotonic(max_problem):
 def test_priority_for_goal_node_is_partial_cost(max_problem):
     node = max_problem.initial_node()
     while not node.state.is_goal():
-        node = max_problem.expand(node)[0]
+        node = children(max_problem, node)[0]
     assert max_problem.priority(node) == pytest.approx(node.partial_cost)
 
 
@@ -171,12 +174,12 @@ def test_ordering_reduction_prunes_permutations(small_templates, max_goal):
         goal=max_goal,
         latency_model=TemplateLatencyModel(small_templates),
     )
-    provisioned = problem.expand(problem.initial_node())[0]
+    provisioned = children(problem, problem.initial_node())[0]
     # Place the longer template first; within the order-free horizon the
     # shorter template may then not be appended behind it.
     placed_long = next(
         child
-        for child in problem.expand(provisioned)
+        for child in children(problem, provisioned)
         if isinstance(child.action, PlaceQuery) and child.action.template_name == "T2"
     )
     follow_up = {a.template_name for a in actions_of(problem, placed_long) if isinstance(a, PlaceQuery)}
@@ -184,7 +187,7 @@ def test_ordering_reduction_prunes_permutations(small_templates, max_goal):
     # The reverse order (short first, long second) is allowed.
     placed_short = next(
         child
-        for child in problem.expand(provisioned)
+        for child in children(problem, provisioned)
         if isinstance(child.action, PlaceQuery) and child.action.template_name == "T1"
     )
     follow_up_short = {

@@ -10,7 +10,7 @@ from repro.search.state import SearchState, freeze_counts
 def test_initial_state():
     state = SearchState.initial({"T1": 2, "T2": 1})
     assert state.num_vms() == 0
-    assert state.remaining_total() == 3
+    assert state.remaining == (("T1", 2), ("T2", 1))
     assert not state.is_goal()
     assert state.last_vm() is None
 
@@ -24,12 +24,12 @@ def test_with_new_vm():
     state = SearchState.initial({"T1": 1}).with_new_vm("t2.medium")
     assert state.num_vms() == 1
     assert state.last_vm() == ("t2.medium", ())
-    assert state.remaining_total() == 1
+    assert state.remaining == (("T1", 1),)
 
 
 def test_with_placement_decrements_remaining():
     state = SearchState.initial({"T1": 2}).with_new_vm("vm").with_placement("T1")
-    assert state.remaining_total() == 1
+    assert state.remaining == (("T1", 1),)
     assert state.last_vm() == ("vm", ("T1",))
     assert state.assigned_total() == 1
 

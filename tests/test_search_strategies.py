@@ -50,6 +50,8 @@ from repro.sla.percentile import PercentileGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
 
+from search_helpers import children
+
 TEMPLATES = TemplateSet(
     [
         QueryTemplate(name="T1", base_latency=units.minutes(1)),
@@ -81,6 +83,11 @@ goal_strategy = st.sampled_from(
 catalog_strategy = st.sampled_from(sorted(CATALOGS))
 
 
+def _left(state) -> int:
+    """Queries a state leaves unassigned."""
+    return sum(count for _, count in state.remaining)
+
+
 def reference_astar(problem, max_expansions=None):
     """A deliberately plain A*: no incremental f-values, no strategy machinery.
 
@@ -95,7 +102,7 @@ def reference_astar(problem, max_expansions=None):
     counter = 0
     generated = 1
     expansions = 0
-    frontier = [((start.priority, start.state.remaining_total(), 0, start.depth), start)]
+    frontier = [((start.priority, _left(start.state), 0, start.depth), start)]
     visited = set()
     f_trace = []
     while frontier:
@@ -107,7 +114,7 @@ def reference_astar(problem, max_expansions=None):
             return node.partial_cost, expansions, generated, f_trace
         f_trace.append(key[0])
         expansions += 1
-        for child in problem.expand(node):
+        for child in children(problem, node):
             if child.state in visited:
                 continue
             counter += 1
@@ -115,7 +122,7 @@ def reference_astar(problem, max_expansions=None):
             priority = problem.priority(child)
             heapq.heappush(
                 frontier,
-                ((priority, child.state.remaining_total(), -counter, child.depth), child),
+                ((priority, _left(child.state), -counter, child.depth), child),
             )
     raise AssertionError("no goal vertex reached")
 
@@ -136,7 +143,7 @@ def exhaustive_best_completion(problem, node, cache):
         value = node.partial_cost
     else:
         value = float("inf")
-        for child in problem.expand(node):
+        for child in children(problem, node):
             completion = exhaustive_best_completion(problem, child, cache)
             if completion < value:
                 value = completion
@@ -158,9 +165,9 @@ def test_bound_never_exceeds_true_completion_cost(workload, goal, catalog):
     # The start vertex plus its first two expansion levels cover empty,
     # provisioned-but-empty, and partially loaded VMs.
     nodes = [start]
-    for node in problem.expand(start):
+    for node in children(problem, start):
         nodes.append(node)
-        nodes.extend(problem.expand(node))
+        nodes.extend(children(problem, node))
     cache: dict = {}
     for node in nodes:
         truth = exhaustive_best_completion(problem, node, cache)
@@ -372,10 +379,10 @@ def test_search_node_repr_surfaces_incremental_state():
     )
     node = problem.initial_node()
     for _ in range(2):  # provision, then one placement (goal nodes skip the key)
-        children = problem.expand(node)
-        if not children:
+        successors = children(problem, node)
+        if not successors:
             break
-        node = children[0]
+        node = successors[0]
     text = repr(node)
     # Non-recursive (one vertex, not the whole parent chain) and complete:
     # the PR-4 auxiliary penalty and latency-key state are visible.

@@ -65,6 +65,8 @@ from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
 
+from search_helpers import children
+
 from test_learning_features import features_of
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def _random_walk(problem, rng: random_module.Random, max_steps: int):
     node = problem.initial_node()
     nodes = [node]
     for _ in range(max_steps):
-        successors = problem.expand(node)
+        successors = children(problem, node)
         if not successors:
             break
         node = rng.choice(successors)
