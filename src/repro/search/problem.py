@@ -190,7 +190,9 @@ class SearchNode:
     #: by :class:`~repro.adaptive.retraining.AdaptiveBound` as an O(1) delta
     #: instead of re-evaluating the old goal over the outcomes.
     aux_penalty: float = field(default=-1.0)
-    #: The remaining multiset's row (``None`` outside a problem's search).
+    #: The remaining multiset's row: set on every node a problem builds
+    #: (``None`` on the reusable vertices of :meth:`SchedulingProblem.walk`
+    #: and the batch scheduler, which are never expanded or priced).
     row: RemainingRow | None = field(default=None)
 
     @property
@@ -292,14 +294,22 @@ class SchedulingProblem:
         self._build_tables()
         self._cheapest_execution = self._compute_cheapest_execution()
         #: Mixed-radix code of the remaining multisets: the workload's
-        #: templates in name order as ``(name, id, count + 1, weight)``, the
-        #: weight being the product of ``count + 1`` over the templates before.
-        self._radix: list[tuple[str, int, int, int]] = []
-        self._weight: dict[str, int] = {}
+        #: templates in name order as ``(name, id, count + 1, weight, cheapest
+        #: execution cost, cheapest time)``, the weight being the product of
+        #: ``count + 1`` over the templates before.
+        self._radix: list[tuple[str, int, int, int, float, float]] = []
         weight = 1
         for name in sorted(counts):
-            self._radix.append((name, self._tpl_id[name], counts[name] + 1, weight))
-            self._weight[name] = weight
+            self._radix.append(
+                (
+                    name,
+                    self._tpl_id[name],
+                    counts[name] + 1,
+                    weight,
+                    self._cheapest_execution[name],
+                    self._cheapest_time[name],
+                )
+            )
             weight *= counts[name] + 1
         self._start_code = weight - 1  # every digit at its maximum
         #: code -> row, for every code visited so far.
@@ -478,8 +488,6 @@ class SchedulingProblem:
         append = successors.append
         vms = node.state.vms
         row = node.row
-        if row is None:
-            row = node.row = self._row_of(node.state.remaining)
         code = row.code
         rows = self._rows
         parent_infra = node.infra_cost
@@ -919,35 +927,30 @@ class SchedulingProblem:
 
         Digit ``i`` of the code, in the mixed radix of ``count + 1`` per
         template (name order), is how many queries of template ``i`` are
-        left.  The sums iterate the canonical ``remaining`` tuple, so every
-        row holds a fresh, bit-reproducible evaluation.
+        left.  The sums add one term per template in the canonical
+        ``remaining`` order, so every row holds a fresh, bit-reproducible
+        evaluation.
         """
         row = self._rows.get(code)
         if row is not None:
             return row
         remaining = []
         present = []
-        for name, template_index, radix, weight in self._radix:
+        executions = []
+        works = []
+        count = 0
+        for name, template_index, radix, weight, execution, time in self._radix:
             left = code // weight % radix
             if left:
                 remaining.append((name, left))
                 present.append((template_index, weight, name))
-        execution = self._cheapest_execution
-        time = self._cheapest_time
+                executions.append(execution * left)
+                works.append(time * left)
+                count += left
         row = self._rows[code] = RemainingRow(
-            code,
-            tuple(present),
-            sum([left for _, left in remaining]),
-            sum([execution[name] * left for name, left in remaining]),
-            sum([time[name] * left for name, left in remaining]),
-            tuple(remaining),
+            code, tuple(present), count, sum(executions), sum(works), tuple(remaining)
         )
         return row
-
-    def _row_of(self, remaining: tuple[tuple[str, int], ...]) -> RemainingRow:
-        """The row of a canonical ``remaining`` tuple (a node built elsewhere)."""
-        weight = self._weight
-        return self.row(sum(count * weight[name] for name, count in remaining))
 
     def priority(self, node: SearchNode) -> float:
         """A* f-value of *node*, computed from scratch.
@@ -962,8 +965,6 @@ class SchedulingProblem:
         with from its parent.
         """
         row = node.row
-        if row is None:
-            row = self._row_of(node.state.remaining)
         if row.count:
             f = node.infra_cost + row.execution + self._node_term(node, row)
         else:
