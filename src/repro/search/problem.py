@@ -507,10 +507,8 @@ class SchedulingProblem:
 
         # Placement edges: only onto the most recently provisioned VM.
         if vms:
-            last_vm_type_name, queue = vms[-1]
+            queue = vms[-1][1]
             vm_index = node.last_vm_index
-            if vm_index < 0:
-                vm_index = self._vm_id[last_vm_type_name]
             tpl_id = self._tpl_id
             supports_row = self._supports_table[vm_index]
             latency_row = self._latency_table[vm_index]
@@ -700,8 +698,6 @@ class SchedulingProblem:
                 aux_accumulator = aux_accumulator.branch()
                 aux_accumulator.add(name, completion)
             vm_index = parent.last_vm_index
-            if vm_index < 0:
-                vm_index = self._vm_id[vm_type_name]
             action_taken: Action = self._place_actions[action]
         else:
             vm_index = -1 - action

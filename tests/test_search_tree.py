@@ -22,8 +22,8 @@ from repro.adaptive.retraining import AdaptiveBound
 from repro.search.problem import SchedulingProblem
 from repro.search.strategy import strategy_from_spec
 
-from test_search_oracle import CATALOGS, GOALS, LATENCY, TEMPLATES, _workload
 from search_helpers import children
+from test_search_oracle import CATALOGS, GOALS, LATENCY, TEMPLATES, _workload
 
 SEEDS = tuple(range(6))
 
