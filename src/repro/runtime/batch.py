@@ -25,11 +25,15 @@ Three details keep large batches fast and faithful:
   Section 6.2 prescribes.
 
 Batch and online scheduling decide through one kernel,
-:meth:`BatchScheduler.place_pools`.  It takes the queries as per-template FIFO
-pools (each query filed under the template the model treats it as) plus an
-optional rented VM to continue, and hands back the original query objects
-placed.  :meth:`BatchScheduler.schedule_detailed` is its batch adapter; an
-online pass (:mod:`repro.runtime.online`) pools its wait queue directly.
+:class:`PlacementKernel`.  Its :meth:`~PlacementKernel.place` takes the
+queries as per-template FIFO pools (each query filed under the template the
+model treats it as) plus an optional rented VM to continue, and hands back the
+original query objects placed.  A kernel resets its running values (the
+remaining multiset, the reusable vertex and the runtime context, which it
+rebuilds only for another model) at the start of every pass, so an online
+session (:mod:`repro.runtime.online`), which pools its wait queue directly,
+keeps one for its whole life; :meth:`BatchScheduler.schedule_detailed` is
+the batch adapter over a one-shot kernel.
 """
 
 from __future__ import annotations
@@ -64,15 +68,23 @@ class RuntimeSchedulingContext:
 
     def __init__(self, model: DecisionModel) -> None:
         self._model = model
-        self._accumulator = model.goal.accumulator()
-        self._violation_with = self._accumulator.violation_with
         self._rate = model.goal.penalty_rate
-        #: Violation of the placements recorded so far, refreshed per placement.
-        self._violation = self._accumulator.violation()
         #: The last VM type a cost was asked for, and its ``vm_tables``.
         self._vm_type_name: str | None = None
         self._time_of: dict[str, float] = {}
         self._cost_of: dict[str, float] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every recorded placement: a fresh accumulator, no violation.
+
+        The VM tables are the model's and stay, so a context serves any number
+        of scheduling passes of one model.
+        """
+        self._accumulator = self._model.goal.accumulator()
+        self._violation_with = self._accumulator.violation_with
+        #: Violation of the placements recorded so far, refreshed per placement.
+        self._violation = self._accumulator.violation()
 
     def placement_cost_row(
         self, node: SearchNode, template_names: tuple[str, ...]
@@ -95,12 +107,13 @@ class RuntimeSchedulingContext:
         per-type tables, not the catalogue and latency model, and the tables
         are looked up again only when the VM type changes.
         """
-        last = node.state.last_vm()
-        if last is None:
+        vms = node.state.vms
+        if not vms:
             return _INF
-        if last[0] != self._vm_type_name:
-            self._time_of, self._cost_of = self._model.vm_tables(last[0])
-            self._vm_type_name = last[0]
+        vm_type_name = vms[-1][0]
+        if vm_type_name != self._vm_type_name:
+            self._time_of, self._cost_of = self._model.vm_tables(vm_type_name)
+            self._vm_type_name = vm_type_name
         execution_time = self._time_of.get(template_name)
         if execution_time is None:
             return _INF
@@ -111,6 +124,138 @@ class RuntimeSchedulingContext:
         """Tell the context that a query of *template_name* will finish at *completion_time*."""
         self._accumulator.add(template_name, completion_time)
         self._violation = self._accumulator.violation()
+
+
+class PlacementKernel:
+    """The decision kernel: parse a model until it has placed every pool.
+
+    Reused across scheduling passes: the per-template running values and the
+    one reusable vertex the model reads are made here once, and the runtime
+    context once per model — kept while passes bring the same model, replaced
+    when one brings another.  All of it is reset at the start of every
+    :meth:`place`, so a pass pays no set-up beyond its pools and a pass that
+    raised leaves nothing the next one reads.  Not thread-safe: one pass at a
+    time.
+    """
+
+    def __init__(self) -> None:
+        self._context: RuntimeSchedulingContext | None = None
+        # Unassigned queries per template, in name order, an entry dropped
+        # when it reaches zero: the dict's live views are the vertex's
+        # remaining multiset and name set, kept current by one decrement per
+        # placement.
+        self._remaining: dict[str, int] = {}
+        # The most recent VM's queue as the model sees it: template names in
+        # order plus their running per-template counts.
+        self._queue: list[str] = []
+        self._queue_counts: dict[str, int] = {}
+        # One reusable vertex: the model and the runtime context read the
+        # node's state and wait time but never retain them, so nothing is
+        # rebuilt per model parse — the state's fields and cached accessors
+        # are the running values above, updated in place per action.  Only the
+        # most recent VM is represented — the model never looks further back.
+        state = SearchState.__new__(SearchState)
+        self._state_dict = state.__dict__
+        self._state_dict.update(
+            vms=(),
+            remaining=self._remaining.items(),
+            _remaining_names=self._remaining.keys(),
+            _last_queue_counts=self._queue_counts,
+        )
+        self._node = SearchNode(
+            state=state,
+            parent=None,
+            action=None,
+            infra_cost=0.0,
+            penalty=0.0,
+            last_vm_finish=0.0,
+            depth=0,
+        )
+
+    def place(
+        self,
+        model: DecisionModel,
+        pools: dict[str, deque[Query]],
+        existing_vm_type: VMType | None = None,
+        existing_vm_busy_time: float = 0.0,
+    ) -> tuple[list[Query], list[tuple[VMType, list[Query]]], int]:
+        """Parse *model* until it has placed every pool.
+
+        *pools* maps template names the model knows to non-empty FIFOs of the
+        queries it should treat as that template (consumed).  Queries may go
+        on an existing VM, busy for *existing_vm_busy_time* more seconds,
+        until the model provisions.  Returns ``(queries placed on the
+        existing VM, [(new VM type, its queries)], model parses)``; VMs that
+        got no query are left out.
+        """
+        context = self._context
+        if context is not None and context._model is model:
+            context.reset()
+        else:
+            context = self._context = RuntimeSchedulingContext(model)
+        remaining = self._remaining
+        remaining.clear()
+        for name in sorted(pools):
+            remaining[name] = len(pools[name])
+        queue = self._queue
+        queue.clear()
+        queue_counts = self._queue_counts
+        queue_counts.clear()
+        state_dict = self._state_dict
+        node = self._node
+
+        vms: list[tuple[VMType, list[Query]]] = []
+        placed_on_existing: list[Query] = []
+        placed = placed_on_existing
+        last_vm_type = existing_vm_type
+        decisions = 0
+        decide = model.decide
+        vm_types = model.vm_types
+        vm_tables = model.vm_tables
+        record_placement = context.record_placement
+        if last_vm_type is not None:
+            state_dict["vms"] = ((last_vm_type.name, queue),)
+            last_finish = existing_vm_busy_time
+            # A placement's template is always one its VM type supports, so
+            # the VM's execution-time table has it.
+            time_of = vm_tables(last_vm_type.name)[0]
+        else:
+            state_dict["vms"] = ()
+            last_finish = 0.0
+            time_of = {}
+        max_decisions = 3 * sum(remaining.values()) + 2
+
+        while remaining:
+            decisions += 1
+            if decisions > max_decisions:
+                raise ScheduleError(
+                    "the decision model failed to converge on a complete schedule"
+                )
+            node.last_vm_finish = last_finish
+            action = decide(node, context)
+            if isinstance(action, ProvisionVM):
+                last_vm_type = vm_types[action.vm_type_name]
+                placed = []
+                vms.append((last_vm_type, placed))
+                queue.clear()
+                queue_counts.clear()
+                state_dict["vms"] = ((last_vm_type.name, queue),)
+                last_finish = 0.0
+                time_of = vm_tables(last_vm_type.name)[0]
+                continue
+            template_name = action.template_name
+            placed.append(pools[template_name].popleft())
+            left = remaining[template_name] - 1
+            if left:
+                remaining[template_name] = left
+            else:
+                del remaining[template_name]
+            last_finish += time_of[template_name]
+            record_placement(template_name, last_finish)
+            queue.append(template_name)
+            queue_counts[template_name] = queue_counts.get(template_name, 0) + 1
+
+        return placed_on_existing, [vm for vm in vms if vm[1]], decisions
 
 
 @dataclass
@@ -196,10 +341,10 @@ class BatchScheduler:
     ) -> BatchSchedulingResult:
         """Schedule *workload*, optionally continuing an already-rented VM.
 
-        The batch adapter over :meth:`place_pools`: workload in as pools,
-        placements out as a :class:`~repro.core.schedule.Schedule`.
+        The batch adapter over a one-shot :class:`PlacementKernel`: workload
+        in as pools, placements out as a :class:`~repro.core.schedule.Schedule`.
         """
-        on_existing, vms, decisions = self.place_pools(
+        on_existing, vms, decisions = PlacementKernel().place(
             self._model,
             self._build_pools(workload),
             existing_vm_type,
@@ -212,103 +357,6 @@ class BatchScheduler:
             placed_on_existing_vm=on_existing,
             decisions=decisions,
         )
-
-    @staticmethod
-    def place_pools(
-        model: DecisionModel,
-        pools: dict[str, deque[Query]],
-        existing_vm_type: VMType | None = None,
-        existing_vm_busy_time: float = 0.0,
-    ) -> tuple[list[Query], list[tuple[VMType, list[Query]]], int]:
-        """The decision kernel: parse *model* until it has placed every pool.
-
-        *pools* maps template names the model knows to non-empty FIFOs of the
-        queries it should treat as that template (consumed).  Queries may go
-        on an existing VM, busy for *existing_vm_busy_time* more seconds,
-        until the model provisions.  Returns ``(queries placed on the
-        existing VM, [(new VM type, its queries)], model parses)``; VMs that
-        got no query are left out.
-        """
-        # Unassigned queries per template, in name order, an entry dropped
-        # when it reaches zero: the dict's live views are the vertex's
-        # remaining multiset and name set, kept current by one decrement per
-        # placement.
-        remaining = {name: len(pools[name]) for name in sorted(pools)}
-        context = RuntimeSchedulingContext(model)
-
-        vms: list[tuple[VMType, list[Query]]] = []
-        placed_on_existing: list[Query] = []
-        # Queries of the most recent VM, and its queue as the model sees it:
-        # template names in order plus their running per-template counts.
-        placed = placed_on_existing
-        queue: list[str] = []
-        queue_counts: dict[str, int] = {}
-        last_vm_type = existing_vm_type
-        last_finish = existing_vm_busy_time if existing_vm_type is not None else 0.0
-
-        decisions = 0
-        decide = model.decide
-        vm_types = model.vm_types
-        vm_tables = model.vm_tables
-        # A placement's template is always one its VM type supports, so the
-        # VM's execution-time table has it.
-        time_of = vm_tables(last_vm_type.name)[0] if last_vm_type is not None else {}
-        max_decisions = 3 * sum(remaining.values()) + 2
-
-        # One reusable vertex: the model and the runtime context read the
-        # node's state and wait time but never retain them, so nothing is
-        # rebuilt per model parse — the state's fields and cached accessors
-        # are the running values above, updated in place per action.  Only the
-        # most recent VM is represented — the model never looks further back.
-        state = SearchState.__new__(SearchState)
-        state_dict = state.__dict__
-        state_dict.update(
-            vms=((last_vm_type.name, queue),) if last_vm_type is not None else (),
-            remaining=remaining.items(),
-            _remaining_names=remaining.keys(),
-            _last_queue_counts=queue_counts,
-        )
-        node = SearchNode(
-            state=state,
-            parent=None,
-            action=None,
-            infra_cost=0.0,
-            penalty=0.0,
-            last_vm_finish=0.0,
-            depth=0,
-        )
-
-        while remaining:
-            decisions += 1
-            if decisions > max_decisions:
-                raise ScheduleError(
-                    "the decision model failed to converge on a complete schedule"
-                )
-            node.last_vm_finish = last_finish
-            action = decide(node, context)
-            if isinstance(action, ProvisionVM):
-                last_vm_type = vm_types[action.vm_type_name]
-                placed = []
-                vms.append((last_vm_type, placed))
-                queue.clear()
-                queue_counts.clear()
-                state_dict["vms"] = ((last_vm_type.name, queue),)
-                last_finish = 0.0
-                time_of = vm_tables(last_vm_type.name)[0]
-                continue
-            template_name = action.template_name
-            placed.append(pools[template_name].popleft())
-            left = remaining[template_name] - 1
-            if left:
-                remaining[template_name] = left
-            else:
-                del remaining[template_name]
-            last_finish += time_of[template_name]
-            context.record_placement(template_name, last_finish)
-            queue.append(template_name)
-            queue_counts[template_name] = queue_counts.get(template_name, 0) + 1
-
-        return placed_on_existing, [vm for vm in vms if vm[1]], decisions
 
     # -- internals ---------------------------------------------------------------
 

@@ -35,12 +35,16 @@ pass builds no batch problem: it files each pending query, the original
 object, in a FIFO pool under the template the model knows it as (its aged
 template if the model has one, else its own), hands the pools and the last
 live VM to the decision kernel batch scheduling uses
-(:meth:`~repro.runtime.batch.BatchScheduler.place_pools`), and commits what
-comes back with one execution-time table per VM and a running finish time.
-The pull-back scan walks only the VMs committed to in the previous epoch (the
-only place unstarted records can live); a pending query's wait is rounded
-once per pass and an aged name is built only for a wait that rounds above
-zero; and each model parse computes only the features its tree path tests
+(:class:`~repro.runtime.batch.PlacementKernel`), and commits what comes back
+with one execution-time table per VM and a running finish time.  The session
+keeps one kernel, which rebuilds its runtime context only when a pass picks
+another model, so a pass pays no kernel set-up beyond resetting its running
+values.  The pull-back scan walks only the VMs committed to in the previous
+epoch (the only place unstarted records can live) and, since a VM's records
+start in order, reads each one's unstarted suffix from its end and later cuts
+it in place; a pending query's wait is rounded once per pass and an aged name
+is built only for a wait that rounds above zero; and each model parse
+computes only the features its tree path tests
 (:meth:`~repro.learning.model.DecisionModel.decide`).
 An epoch's parses cannot be fused into one matrix fill: decision ``k+1``'s
 features depend on decision ``k``'s action.
@@ -98,7 +102,7 @@ from repro.exceptions import SpecificationError, UnknownTemplateError
 from repro.faults.plan import FaultPlan
 from repro.learning.model import DecisionModel
 from repro.learning.trainer import ModelGenerator, TrainingResult
-from repro.runtime.batch import BatchScheduler
+from repro.runtime.batch import PlacementKernel
 from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate
@@ -632,6 +636,8 @@ class OnlineSession:
         # per-arrival cost stays proportional to the wait queue, not to the
         # total VM count.
         self._touched: list[_VMRecord] = []
+        #: The decision kernel every pass of this session runs.
+        self._kernel = PlacementKernel()
         self._last_epoch_time = -math.inf
         self._report: OnlineSchedulingReport | None = None
 
@@ -732,11 +738,20 @@ class OnlineSession:
                     wasted += fail_time - record.start_time
                 pending.append((record.query, round_wait(now - record.query.arrival_time)))
             dying.append((vm, completed, wasted))
+        # A VM's records start in non-decreasing order, so what has not
+        # started by *now* is a suffix of each touched VM's list, found from
+        # its end; it is cut only once the queries are placed.
+        cuts: list[tuple[_VMRecord, int]] = []
         for vm in self._touched:
             if vm.gone_by(now):
                 continue
-            for record in vm.records:
-                if record.start_time > now:
+            records = vm.records
+            cut = len(records)
+            while cut and records[cut - 1].start_time > now:
+                cut -= 1
+            if cut < len(records):
+                cuts.append((vm, cut))
+                for record in records[cut:]:
                     pending.append(
                         (record.query, round_wait(now - record.query.arrival_time))
                     )
@@ -750,7 +765,7 @@ class OnlineSession:
                 last_index -= 1
             last_vm = vms[last_index] if last_index >= 0 else None
             existing_busy = max(0.0, last_vm.busy_until(now) - now) if last_vm else 0.0
-            on_existing, new_vm_queries, _ = BatchScheduler.place_pools(
+            on_existing, new_vm_queries, _ = self._kernel.place(
                 model,
                 scheduler._pools(model, pending),
                 last_vm.vm_type if last_vm else None,
@@ -769,8 +784,8 @@ class OnlineSession:
             vm.wasted_time = wasted
         if not pending:
             return None
-        for vm in self._touched:
-            vm.records = [record for record in vm.records if record.start_time <= now]
+        for vm, cut in cuts:
+            del vm.records[cut:]
         self._retrains += trained
         self._cache_hits += used_cache
         self._base_model_uses += used_base

@@ -731,10 +731,9 @@ class SchedulingProblem:
 
         ``visit(index, vertex)`` is called at the vertex where ``labels[index]``
         is taken, before the step.  Nothing is rebuilt per step: like the
-        runtime kernel (:meth:`BatchScheduler.place_pools
-        <repro.runtime.batch.BatchScheduler.place_pools>`), its state holds
-        running values — the unassigned count per template and the most
-        recent VM's type and queue — and each step updates them, the
+        runtime kernel (:class:`~repro.runtime.batch.PlacementKernel`), its
+        state holds running values — the unassigned count per template and
+        the most recent VM's type and queue — and each step updates them, the
         infrastructure cost and the wait time in place, with the goal's
         accumulator added to rather than branched (a walk never branches).
         So *visit* may read the vertex only while it runs, through what a

@@ -8,8 +8,8 @@ event loop (an in-process worker).  Each end is wrapped in one
 ``add_reader`` and parse every whole frame the socket holds; writes are
 buffered and go out once per loop turn with a non-blocking write, falling
 back to ``add_writer`` only while the kernel refuses bytes.  So no frame
-costs a thread wake-up or a GIL hand-off on either side, and the ticket
-frames one worker loop turn resolves leave in one write.
+costs a thread wake-up or a GIL hand-off on either side, and the frames one
+loop turn sends leave in one write.
 
 The wire format is ``Connection``'s own (a 4-byte big-endian signed length,
 then a pickle), so a plain blocking ``Connection`` still talks to either

@@ -20,8 +20,10 @@ shards cost one copy of the arrays plus O(1) heap per attachment.
 **Admission is pipelined and batched.**  The router never pays a pipe round
 trip per query: a shard's *outbox* accumulates submissions while the pipe is
 busy and ships them as one ``submit_batch`` frame (same-tenant order
-preserved).  The worker answers with one ``batch_ack`` and streams ticket
-resolutions as its lanes decide them.  Backpressure flows through *credits*:
+preserved).  The worker answers with one ``batch_ack`` and ships ticket
+resolutions as its lanes decide them, everything one of its loop turns
+resolved in one ``tickets`` frame, so a closed-loop epoch comes back in three
+frames whatever its size.  Backpressure flows through *credits*:
 the router spends one per in-flight query against the worker's
 ``queue_limit`` and gets them back with each ack, so ``shed`` refusals and
 ``block`` suspensions behave like the single-process engine's full queue.
@@ -110,8 +112,8 @@ class _Shard:
     everything that accumulated since it last ran into one framed
     ``submit_batch`` under monotonically increasing sequence numbers; the
     read loop matches the worker's ``batch_ack`` frames (returning credits,
-    surfacing pickled lane failures as sticky per-tenant errors) and
-    streamed ``ticket`` frames against their futures.  Control requests —
+    surfacing pickled lane failures as sticky per-tenant errors) and each
+    ``tickets`` frame's resolutions against their futures.  Control requests —
     ``register``, ``metrics``, ``drain``, ``close`` — bypass the outbox.
 
     Both directions go through one :class:`_Channel` on the router's event
@@ -185,7 +187,7 @@ class _Shard:
         child_end.close()
         return cls(index, config, parent_end, worker)
 
-    # -- the read loop: replies, batch acks, ticket streams ------------------------
+    # -- the read loop: replies, batch acks, tickets -------------------------------
 
     async def _read_loop(self) -> None:
         while True:
@@ -200,14 +202,15 @@ class _Shard:
                     future.set_result((reply_kind, payload))
             elif kind == "batch_ack":
                 self._handle_ack(*body)
-            elif kind == "ticket":
-                ticket_id, status, payload = body
-                future = self._tickets.pop(ticket_id, None)
-                if future is not None and not future.done():
-                    if status == "ok":
-                        future.set_result(payload)
-                    else:
-                        future.set_exception(_unpickle_error(payload))
+            elif kind == "tickets":
+                tickets = self._tickets
+                for ticket_id, status, payload in body:
+                    future = tickets.pop(ticket_id, None)
+                    if future is not None and not future.done():
+                        if status == "ok":
+                            future.set_result(payload)
+                        else:
+                            future.set_exception(_unpickle_error(payload))
         if not self._closing:
             self._abandon(
                 WiSeDBError(f"serving shard {self.index} exited unexpectedly")

@@ -21,11 +21,14 @@ order even while a full queue blocks admission.  The engine holds its epochs
 (``hold_epochs=True``): a frame boundary is not the end of a burst, so an
 epoch closes only at the timestamp watermark, a drain or the close, exactly
 as ``OnlineScheduler.run`` groups it.  A batch is answered with one
-``batch_ack`` frame that returns the router's credits; tickets stream back
-as their decisions land, through future callbacks.  ``register`` and
-``metrics`` are answered straight from the receive loop, so snapshots stay
-available while the pump is busy, with received-but-unadmitted queries
-folded in by :func:`_pending_snapshot`.
+``batch_ack`` frame that returns the router's credits.  Tickets go back as
+their decisions land, through future callbacks, in one ``tickets`` frame per
+loop turn (:class:`_TicketShipper`): a closed-loop epoch of any size costs
+the worker three frames — the ack, its tickets and the drain reply — and a
+lane that cannot open fails a batch's tickets in one frame too.
+``register`` and ``metrics`` are answered straight from the receive loop, so
+snapshots stay available while the pump is busy, with
+received-but-unadmitted queries folded in by :func:`_pending_snapshot`.
 """
 
 from __future__ import annotations
@@ -107,22 +110,46 @@ def _register_shipment(
     service.adopt(spec, result)
 
 
-def _ship_ticket(channel: _Channel, ticket_id: int, future) -> None:
-    """Stream one resolved decision back over the pipe (future callback)."""
-    if future.cancelled():
-        frame = ("ticket", (ticket_id, "error", "ticket cancelled"))
-    else:
+class _TicketShipper:
+    """Ticket resolutions, shipped as one ``tickets`` frame per loop turn.
+
+    The first resolution of a loop turn schedules :meth:`flush` for the end
+    of that turn; every other resolution the turn makes joins its frame, so
+    an epoch's tickets travel together whatever its size.  Every frame the
+    worker sends after a resolution flushes first, so no frame overtakes a
+    ticket resolved before it.
+    """
+
+    def __init__(self, channel: _Channel) -> None:
+        self._channel = channel
+        self._loop = asyncio.get_running_loop()
+        self._entries: list[tuple[int, str, object]] = []
+
+    def resolved(self, ticket_id: int, future) -> None:
+        """Ship one lane decision or its failure (a future callback)."""
+        if future.cancelled():
+            self._add((ticket_id, "error", "ticket cancelled"))
+            return
         error = future.exception()
         if error is not None:
-            frame = ("ticket", (ticket_id, "error", _pickle_error(error)))
+            self._add((ticket_id, "error", _pickle_error(error)))
         else:
-            frame = ("ticket", (ticket_id, "ok", future.result()))
-    channel.send(frame)
+            self._add((ticket_id, "ok", future.result()))
 
+    def failed(self, ticket_id: int, error: BaseException) -> None:
+        """Fail a router-side ticket whose query never got a lane future."""
+        self._add((ticket_id, "error", _pickle_error(error)))
 
-def _ship_ticket_error(channel: _Channel, ticket_id: int, error: BaseException) -> None:
-    """Resolve a router-side ticket whose query never got a lane future."""
-    channel.send(("ticket", (ticket_id, "error", _pickle_error(error))))
+    def _add(self, entry: tuple[int, str, object]) -> None:
+        if not self._entries:
+            self._loop.call_soon(self.flush)
+        self._entries.append(entry)
+
+    def flush(self) -> None:
+        """Send what was resolved since the last flush as one frame."""
+        if self._entries:
+            entries, self._entries = self._entries, []
+            self._channel.send(("tickets", entries))
 
 
 def _pending_snapshot(
@@ -203,7 +230,10 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
     #: the pump (maintained by the receive loop / pump pair; single thread).
     pending_admission: dict[str, int] = {}
 
+    tickets = _TicketShipper(channel)
+
     def reply(request_id: int, kind: str, body) -> None:
+        tickets.flush()
         channel.send(("reply", (request_id, kind, body)))
 
     async def admit_batch(seq: int, groups) -> None:
@@ -218,7 +248,7 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                 failures.append((tenant, _pickle_error(error)))
                 for _query, ticket_id in entries:
                     if ticket_id is not None:
-                        _ship_ticket_error(channel, ticket_id, error)
+                        tickets.failed(ticket_id, error)
                 if not isinstance(error, Exception):
                     raise
                 continue
@@ -230,7 +260,7 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                 except BaseException as error:
                     failures.append((tenant, _pickle_error(error)))
                     if ticket_id is not None:
-                        _ship_ticket_error(channel, ticket_id, error)
+                        tickets.failed(ticket_id, error)
                     if not isinstance(error, Exception):
                         raise
                     continue
@@ -238,8 +268,9 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                     pending_admission[tenant] -= 1
                 if ticket_id is not None and admission.ticket is not None:
                     admission.ticket.add_done_callback(
-                        functools.partial(_ship_ticket, channel, ticket_id)
+                        functools.partial(tickets.resolved, ticket_id)
                     )
+        tickets.flush()
         channel.send(("batch_ack", (seq, acks, failures)))
 
     async def pump() -> None:
@@ -315,6 +346,7 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                 view.close()
             service.close()
         finally:
+            tickets.flush()
             await channel.aclose()
             connection.close()
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.adaptive.retraining import AdaptiveModeler
 from repro.core.schedule import Schedule
-from repro.exceptions import SpecificationError, TrainingError
+from repro.exceptions import ScheduleError, SpecificationError, TrainingError
 from repro.faults import (
     BackoffPolicy,
     FaultPlan,
@@ -26,7 +26,8 @@ from repro.faults import (
     SpotRevocation,
     VMFailure,
 )
-from repro.runtime.batch import BatchScheduler
+from repro.learning.model import DecisionModel
+from repro.runtime.batch import BatchScheduler, PlacementKernel, RuntimeSchedulingContext
 from repro.runtime.online import OnlineScheduler, OnlineSession
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.query import Query
@@ -150,9 +151,14 @@ class TestFaultPlanEquivalence:
 
         scheduler = faulty()
         session = scheduler.session()
-        decisions = [
-            session.submit(epoch) for epoch in _epochs(scheduler, fault_workload)
-        ]
+        decisions = []
+        for epoch in _epochs(scheduler, fault_workload):
+            decisions.append(session.submit(epoch))
+            # What a pass pulls back is each VM's unstarted suffix, which
+            # holds only while every VM's records start in order.
+            for vm in session._vms:
+                starts = [record.start_time for record in vm.records]
+                assert starts == sorted(starts)
         streamed = session.outcome()
         assert streamed.schedule == direct.schedule
         assert streamed.cost == direct.cost
@@ -209,10 +215,72 @@ class TestFailedEpoch:
         )
 
 
-def _container_sizes(scheduler: OnlineScheduler) -> dict[str, int]:
-    """Entries held by each container attribute of *scheduler*, one level deep."""
+def _bursts(count: int, names=("T3", "T1", "T3", "T1")) -> list[list[Query]]:
+    """*count* epochs a minute apart, one query per name: a standing wait queue."""
+    return [
+        [Query(name, arrival_time=60.0 * index) for name in names]
+        for index in range(count)
+    ]
+
+
+class TestFailedKernelPass:
+    """A kernel that raises part-way through a pass must leave nothing behind."""
+
+    @pytest.mark.parametrize("kind", ["max", "average"])
+    @pytest.mark.parametrize("then", ["resubmit", "move_on"])
+    def test_the_session_ends_as_if_the_pass_never_ran(
+        self, then, kind, all_trained, model_generator, monkeypatch
+    ):
+        epochs = _bursts(8)
+        # The failing epoch is all T2, which no other epoch holds, so a stale
+        # remaining count would outlive it.  Submitted again, it counts;
+        # skipped, it never existed.
+        epochs[4] = [Query("T2", arrival_time=240.0) for _ in range(4)]
+        kept = epochs if then == "resubmit" else epochs[:4] + epochs[5:]
+
+        def online() -> OnlineScheduler:
+            return OnlineScheduler(
+                base_training=all_trained[kind],
+                generator=model_generator,
+                wait_resolution=60.0,
+            )
+
+        reference = online().session()
+        for epoch in kept:
+            reference.submit(epoch)
+
+        session = online().session()
+        for epoch in epochs[:4]:
+            session.submit(epoch)
+        decide = DecisionModel.decide
+        calls = []
+
+        def third_call_raises(self, node, problem):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ScheduleError("simulated: the kernel failed part-way")
+            return decide(self, node, problem)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DecisionModel, "decide", third_call_raises)
+            with pytest.raises(ScheduleError):
+                session.submit(epochs[4])
+        assert len(calls) == 3  # two decisions landed before the failure
+        assert session.epochs == 4
+        for epoch in kept[4:]:
+            session.submit(epoch)
+
+        streamed, direct = session.outcome(), reference.outcome()
+        assert streamed.schedule == direct.schedule
+        assert streamed.cost == direct.cost
+        assert streamed.query_outcomes == direct.query_outcomes
+        assert streamed.overhead.decisions == direct.overhead.decisions
+
+
+def _container_sizes(owner: object) -> dict[str, int]:
+    """Entries held by each container attribute of *owner*, one level deep."""
     sizes = {}
-    for name, value in vars(scheduler).items():
+    for name, value in vars(owner).items():
         if isinstance(value, (dict, list, set, tuple)):
             sizes[name] = len(value)
             if isinstance(value, dict):
@@ -237,6 +305,39 @@ class TestBoundedState:
         assert 1 < largest_pending < 2000
         assert _container_sizes(scheduler) == warm
         assert len(session.finalize().outcomes) == 2000
+
+    def test_no_per_session_state_grows_while_models_alternate(self, scheduler):
+        """The session keeps one kernel, and the kernel one runtime context,
+        whatever model each pass picks.
+
+        Everything the session holds is bounded by the wait queue, except its
+        two records of the run: one entry per VM and one per pass.
+        """
+        session = scheduler.session()
+        kernel = session._kernel
+        contexts = []
+        largest = {}
+        for index, epoch in enumerate(_bursts(600, ("T3", "T1", "T2", "T3"))):
+            session.submit(epoch)
+            assert session._kernel is kernel
+            if kernel._context is not (contexts[-1] if contexts else None):
+                contexts.append(kernel._context)
+            sizes = _container_sizes(session)
+            sizes.update(
+                (f"_kernel.{name}", size)
+                for name, size in _container_sizes(kernel).items()
+            )
+            del sizes["_vms"], sizes["_overheads"]
+            if index == 199:
+                warm = dict(largest)
+                warm_scheduler = _container_sizes(scheduler)
+            for name, size in sizes.items():
+                largest[name] = max(largest.get(name, 0), size)
+        assert session.retrains > 1
+        assert len({id(context._model) for context in contexts}) > 2
+        assert len(contexts) > 100  # the pass's model changes nearly every epoch
+        assert largest == warm
+        assert _container_sizes(scheduler) == warm_scheduler
 
 
 def _counting_constructors(monkeypatch, classes) -> Counter:
@@ -275,6 +376,27 @@ class TestWorkGuard:
         assert not counts
         assert pulled_back > 0
         assert session.retrains == 0
+
+    def test_a_no_retrain_session_builds_one_kernel(
+        self, trained_max, model_generator, small_templates, monkeypatch
+    ):
+        """A session builds one kernel, and the kernel one runtime context
+        for the model: passes reset them instead of rebuilding."""
+        scheduler = OnlineScheduler(
+            base_training=trained_max, generator=model_generator, wait_resolution=1e9
+        )
+        generator = WorkloadGenerator(small_templates, seed=46)
+        workload = generator.with_fixed_arrivals(generator.uniform(30), 1.0)
+        epochs = _epochs(scheduler, workload)
+        counts = _counting_constructors(
+            monkeypatch, (PlacementKernel, RuntimeSchedulingContext)
+        )
+        session = scheduler.session()
+        for epoch in epochs:
+            session.submit(epoch)
+        assert session.epochs == 30
+        assert session.retrains == 0
+        assert counts == {"PlacementKernel": 1, "RuntimeSchedulingContext": 1}
 
 
 class TestEpochDecision:

@@ -474,7 +474,7 @@ class TestInterleavedEquivalence:
 
 MESSAGES = (
     ("reply", (1, "ok", None)),
-    ("ticket", (7, "ok", "x" * 300)),
+    ("tickets", [(7, "ok", "x" * 300)]),
     ("batch_ack", (2, [("acme", 2)], [])),
 )
 

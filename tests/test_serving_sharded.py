@@ -36,6 +36,7 @@ from repro.serving import (
     merge_metrics,
     shard_of,
 )
+from repro.serving.channel import _Channel, _pickle_error
 from repro.serving.metrics import ServingMetrics, TenantMetrics
 from repro.serving.worker import _ShardConfig, _shard_worker_loop
 from repro.sla.factory import GOAL_KINDS, default_goal
@@ -738,14 +739,15 @@ class TestWorkerProtocol:
                 entry.check_identities()
                 assert entry.submitted == 2 and entry.decided == 0
                 # Draining closes the held epoch, so the ticketed decision
-                # streams back around the drain reply (relative order between
-                # the two frames is not part of the protocol).
+                # streams back in one tickets frame around the drain reply
+                # (relative order between the two frames is not part of the
+                # protocol).
                 await loop.run_in_executor(None, parent.send, (4, "drain", None))
                 frames = dict([await recv(), await recv()])
-                assert set(frames) == {"reply", "ticket"}
+                assert set(frames) == {"reply", "tickets"}
                 got_id, kind, _body = frames["reply"]
                 assert got_id == 4 and kind == "ok"
-                ticket_id, status, decision = frames["ticket"]
+                [(ticket_id, status, decision)] = frames["tickets"]
                 assert ticket_id == 7 and status == "ok"
                 assert decision.tenant == name
                 assert decision.template_name == "T2"
@@ -767,3 +769,128 @@ class TestWorkerProtocol:
             Workload(small_templates, queries)
         )
         assert _canonical(served) == _canonical(direct)
+
+
+# ---------------------------------------------------------------------------
+# Frames per ticketed epoch: what the worker sends back, counted
+# ---------------------------------------------------------------------------
+
+
+class TestFramesPerEpoch:
+    """A closed-loop epoch costs the worker three frames, whatever its size:
+    the batch ack, one ``tickets`` frame and the drain reply."""
+
+    @pytest.mark.parametrize("size", [1, 8, 32])
+    def test_a_ticketed_epoch_comes_back_in_three_frames(
+        self, pair_service, size, monkeypatch
+    ):
+        name = _two_tenants_on_distinct_shards()[0]
+        received = []
+        recv = _Channel.recv
+
+        async def counting_recv(channel):
+            frame = await recv(channel)
+            received.append((channel, frame))
+            return frame
+
+        monkeypatch.setattr(_Channel, "recv", counting_recv)
+
+        async def main():
+            async with ShardedServingEngine(
+                pair_service, shards=1, isolation="inline"
+            ) as engine:
+                await engine.warm(name)
+                router_end = engine._shards[0]._channel
+                per_epoch = []
+                for epoch in range(3):
+                    received.clear()
+                    queries = [
+                        Query(("T1", "T2", "T3")[index % 3], arrival_time=float(epoch))
+                        for index in range(size)
+                    ]
+                    tickets = [
+                        (await engine.submit(name, query, ticket=True)).ticket
+                        for query in queries
+                    ]
+                    await engine.drain()
+                    decisions = [await ticket.decision() for ticket in tickets]
+                    assert [decision.query_id for decision in decisions] == [
+                        query.query_id for query in queries
+                    ]
+                    per_epoch.append(
+                        [frame for channel, frame in received if channel is router_end]
+                    )
+                return per_epoch
+
+        for frames in asyncio.run(main()):
+            assert sorted(kind for kind, _ in frames) == ["batch_ack", "reply", "tickets"]
+            [entries] = [body for kind, body in frames if kind == "tickets"]
+            assert len(entries) == size
+
+    def test_a_failed_lane_fails_every_ticket_in_one_frame(self, small_templates):
+        """A lane that cannot open fails the batch's tickets together, and the
+        frame leaves ahead of the batch ack."""
+        service = WiSeDBService()
+        try:
+            service.register(
+                "acme",
+                small_templates,
+                default_goal("max", small_templates),
+                config=TrainingConfig.tiny(seed=1),
+            )
+            spec_dict = service.tenant("acme").spec.to_dict()
+        finally:
+            service.close()
+        queries = [Query("T1", arrival_time=0.0) for _ in range(5)]
+
+        async def main():
+            parent, child = multiprocessing.Pipe()
+            config = _ShardConfig(
+                index=0,
+                queue_limit=8,
+                backpressure="block",
+                wait_resolution=30.0,
+                optimizations=None,
+                degraded_fallback=False,
+            )
+            worker = asyncio.ensure_future(_shard_worker_loop(child, config))
+            channel = _Channel(parent)
+
+            async def recv():
+                return await asyncio.wait_for(channel.recv(), timeout=30.0)
+
+            try:
+                error = _pickle_error(TrainingError("corrupt artifact"))
+                channel.send(
+                    (
+                        1,
+                        "register",
+                        {
+                            "name": "acme",
+                            "spec": spec_dict,
+                            "training": ("error", error),
+                            "evaluator": None,
+                        },
+                    )
+                )
+                assert await recv() == ("reply", (1, "ok", None))
+                entries = [(queries[0], None)] + [
+                    (query, 10 + index) for index, query in enumerate(queries[1:])
+                ]
+                channel.send((2, "submit_batch", [("acme", entries)]))
+                first, second = await recv(), await recv()
+                channel.send((0, "shutdown", None))
+                await asyncio.wait_for(worker, timeout=30.0)
+            finally:
+                channel.close()
+                parent.close()
+                child.close()
+            return first, second
+
+        (kind, tickets), (ack_kind, (seq, acks, failures)) = asyncio.run(main())
+        assert kind == "tickets"
+        assert [ticket_id for ticket_id, _, _ in tickets] == [10, 11, 12, 13]
+        assert {status for _, status, _ in tickets} == {"error"}
+        assert ack_kind == "batch_ack" and seq == 2
+        assert acks == [("acme", 5)]
+        assert [tenant for tenant, _ in failures] == ["acme"]
