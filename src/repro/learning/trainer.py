@@ -183,11 +183,14 @@ class TrainingResult:
         (:class:`~repro.adaptive.retraining.AdaptiveModeler`) and the online
         scheduler's linear-shifting path, both of which re-search the stored
         samples.  Floats survive JSON exactly, so restored runs retrain and
-        schedule bit-identically.
+        schedule bit-identically.  Version 2 stores the training matrix as one
+        compressed float64 block (:meth:`TrainingSet.to_dict
+        <repro.learning.dataset.TrainingSet.to_dict>`); everything else is
+        plain JSON.  :meth:`from_dict` reads version 1's per-row form too.
         """
         return {
             "format": "wisedb-training-result",
-            "version": 1,
+            "version": 2,
             "model": self.model.to_dict(),
             "training_set": self.training_set.to_dict(),
             "samples": [sample.to_dict() for sample in self.samples],

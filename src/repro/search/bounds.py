@@ -98,14 +98,20 @@ class ProvisioningBound(FutureCostBound):
     loosest per-template deadline).  If ``W`` seconds of work remain and the
     most recent VM has ``slack`` seconds of headroom, then any completion of
     the schedule with ``k`` additional VMs pays at least ``k`` start-up fees
-    plus penalties for the work that does not fit:
+    plus penalties for the work that does not fit.  Independently, a
+    remaining query of template ``t`` completes no earlier than its cheapest
+    latency ``L_t``, so it violates by at least ``max(0, L_t - d_t)`` however
+    it is placed; ``U`` sums that unavoidable overage over the remaining
+    queries.  Either amount is a lower bound on the violation still to come,
+    so the term charges the larger:
 
-        k * f_s  +  rate * max(0, W - slack - k * D)
+        k * f_s  +  rate * max(U, W - slack - k * D)
 
     Minimising over ``k`` gives an admissible bound on the cost still to be
-    paid *beyond* the pure execution cost of Equation 3.  Goals without a
-    per-query deadline get no provisioning term.  The term is a function of
-    the vertex alone, so the three hooks share one body and carry no key.
+    paid *beyond* the pure execution cost of Equation 3 (with no overflow it
+    is ``rate * U``).  Goals without a per-query deadline get no
+    provisioning term.  The term is a function of the vertex alone, so the
+    three hooks share one body and carry no key.
     """
 
     def attach(self, problem) -> None:
@@ -113,15 +119,33 @@ class ProvisioningBound(FutureCostBound):
         self._capacity = _penalty_free_capacity(goal)
         self._min_startup = problem.min_startup_cost
         self._rate = goal.penalty_rate
+        if self._capacity is not None:
+            self._overage = {
+                name: max(0.0, time - goal.query_deadline(name))
+                for name, time in problem.cheapest_time.items()
+            }
+            #: remaining code -> unavoidable overage ``U`` of the multiset
+            self._floors: dict[int, float] = {}
 
-    def _term(self, penalty: float, finish: float | None, work: float) -> float:
+    def _floor(self, row) -> float:
+        """``U``: the overage the remaining queries pay wherever they run."""
+        floor = self._floors.get(row.code)
+        if floor is None:
+            overage = self._overage
+            floor = self._floors[row.code] = sum(
+                [count * overage[name] for name, count in row.remaining]
+            )
+        return floor
+
+    def _term(self, penalty: float, finish: float | None, row) -> float:
         """The term of a vertex whose most recent VM is busy until *finish*
-        (``None``: no VM yet) with *work* seconds of cheapest work left."""
+        (``None``: no VM yet) with *row* left to place."""
         provisioning = 0.0
         capacity = self._capacity
         if capacity is not None:
+            floor = self._floor(row)
             slack = capacity - finish if finish is not None else 0.0
-            overflow = work - (slack if slack > 0.0 else 0.0)
+            overflow = row.work - (slack if slack > 0.0 else 0.0)
             if overflow > 0:
                 best = _INF
                 min_startup = self._min_startup
@@ -129,22 +153,24 @@ class ProvisioningBound(FutureCostBound):
                 for new_vms in range(int(overflow // capacity) + 2):
                     unplaced = overflow - new_vms * capacity
                     cost = new_vms * min_startup + rate * (
-                        unplaced if unplaced > 0.0 else 0.0
+                        unplaced if unplaced > floor else floor
                     )
                     if cost < best:
                         best = cost
                 provisioning = best
+            elif floor > 0.0:
+                provisioning = self._rate * floor
         return penalty + provisioning
 
     def placement_bound(self, parent, row, completion, penalty):
-        return self._term(penalty, completion, row.work), None
+        return self._term(penalty, completion, row), None
 
     def provision_bound(self, parent, row):
-        return self._term(parent.penalty, 0.0, row.work), None
+        return self._term(parent.penalty, 0.0, row), None
 
     def node_bound(self, node, row) -> float:
         finish = node.last_vm_finish if node.state.vms else None
-        return self._term(node.penalty, finish, row.work)
+        return self._term(node.penalty, finish, row)
 
 
 def _penalty_free_capacity(goal) -> float | None:

@@ -574,14 +574,26 @@ def test_path_round_trips_and_is_omitted_when_empty():
     result = generator.generate(default_goal("max", TEMPLATES))
     restored = TrainingResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert [s.path for s in restored.samples] == [s.path for s in result.samples]
-    assert restored.to_dict()["version"] == 1
+    assert restored.to_dict()["version"] == 2
 
 
 def test_v1_artifact_without_paths_loads_adapts_and_re_exports(tmp_path):
     (original,) = (SAVED_V1 / "models").glob("*.json")
     training = json.loads(original.read_text(encoding="utf-8"))["training"]
     assert all("path" not in sample for sample in training["samples"])
-    assert json.dumps(TrainingResult.from_dict(training).to_dict()) == json.dumps(training)
+    assert training["version"] == 1
+    restored = TrainingResult.from_dict(training)
+    re_exported = restored.to_dict()
+    assert re_exported["version"] == 2
+    for key in training.keys() - {"version", "training_set"}:
+        assert json.dumps(re_exported[key]) == json.dumps(training[key]), key
+    assert re_exported.keys() == training.keys()
+    # The training set by content: the v1 rows, bit for bit, in the v2 block.
+    v1_rows = training["training_set"]["examples"]
+    matrix, labels = restored.training_set.to_matrix()
+    assert labels == [row["label"] for row in v1_rows]
+    assert matrix.tobytes() == np.array([row["values"] for row in v1_rows]).tobytes()
+    assert list(restored.training_set.feature_names) == training["training_set"]["feature_names"]
 
     deployment = tmp_path / "deployment"
     shutil.copytree(SAVED_V1, deployment)

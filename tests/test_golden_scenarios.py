@@ -171,11 +171,24 @@ def _run_scenario(kind, mode, catalog_name, workload, golden_trainings):
         "examples": training.num_examples,
         "tree_depth": training.model.metadata.tree_depth,
         "tree_leaves": training.model.metadata.tree_leaves,
-        "training_set_sha256": hashlib.sha256(
-            json.dumps(training.training_set.to_dict(), sort_keys=True).encode()
-        ).hexdigest(),
+        "training_set_sha256": _training_set_digest(training.training_set),
     }
     return payload
+
+
+def _training_set_digest(training_set) -> str:
+    """SHA-256 of the set's matrix and labels as dense ``{"label", "values"}``
+    rows (the version-1 artifact layout), independent of how artifacts store
+    the matrix today."""
+    matrix, labels = training_set.to_matrix()
+    dense = {
+        "feature_names": list(training_set.feature_names),
+        "examples": [
+            {"label": label, "values": values}
+            for label, values in zip(labels, matrix.tolist())
+        ],
+    }
+    return hashlib.sha256(json.dumps(dense, sort_keys=True).encode()).hexdigest()
 
 
 def _golden_path(kind, mode, catalog_name) -> Path:

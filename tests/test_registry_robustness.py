@@ -11,6 +11,7 @@ to the FFD heuristic and the outcome says so (``degraded`` + reason).
 
 from __future__ import annotations
 
+import base64
 import json
 import shutil
 import sqlite3
@@ -253,6 +254,43 @@ class TestQuarantine:
         # The re-put healed the quarantined row in place.
         assert fingerprint in fresh.registry
         assert fresh.registry.quarantined() == ()
+
+
+    @pytest.mark.parametrize("damage", ("truncated", "bit_flipped"))
+    def test_corrupt_training_matrix_block_is_quarantined_and_healed(
+        self, tmp_path, small_templates, goal, config, damage
+    ):
+        """A damaged ``values`` block is a registry miss, never a raise."""
+        directory = tmp_path / "registry"
+        service = _train_once(directory, small_templates, goal, config)
+        fingerprint = service.tenant("acme").spec.fingerprint()
+        with sqlite3.connect(directory / "registry.db") as connection:
+            (text,) = connection.execute(
+                "SELECT training FROM artifacts WHERE fingerprint = ?", (fingerprint,)
+            ).fetchone()
+            training = json.loads(text)
+            block = bytearray(base64.b64decode(training["training_set"]["values"]))
+            if damage == "truncated":
+                block = block[: len(block) // 2]
+            else:
+                block[len(block) // 2] ^= 0x10
+            training["training_set"]["values"] = base64.b64encode(block).decode("ascii")
+            connection.execute(
+                "UPDATE artifacts SET training = ? WHERE fingerprint = ?",
+                (json.dumps(training), fingerprint),
+            )
+
+        with pytest.warns(RuntimeWarning, match="unloadable training payload"):
+            assert ModelRegistry(directory).get(fingerprint) is None
+        fresh = WiSeDBService(registry=directory)
+        fresh.register("acme", small_templates, goal, config=config)
+        assert fresh.registry.quarantined() == (
+            (fingerprint, "holds an unloadable training payload"),
+        )
+        fresh.train("acme")
+        assert fresh.tenant("acme").provenance == "fresh"
+        assert fresh.registry.quarantined() == ()
+        assert fresh.registry.get(fingerprint) is not None
 
 
 # ---------------------------------------------------------------------------
