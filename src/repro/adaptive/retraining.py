@@ -29,11 +29,14 @@ optimal schedules".
 
 where ``R`` is the reference goal, ``g`` the reference's optimal goal vertex
 for that sample, and ``cost(R, v)`` the cost of ``v``'s partial schedule under
-the reference goal.  The second term never overestimates when the new goal is
-at least as strict (Lemma 5.1), so the re-search stays exact while pruning
-more than a fresh search.  Both steps need the reference's *true* optimum, so
-a sample solved by a relaxed strategy (``cost_lower_bound`` recorded) gets
-neither.
+the reference goal.  For max-latency and per-query goals the second term
+never overestimates when the new goal is at least as strict (Lemma 5.1), so
+the re-search stays exact while pruning more than a fresh search.  For
+average and percentile goals that is not proven: ``h'`` overestimates at
+some vertices (``tests/test_search_bounds.py`` holds the counts), so their
+re-search is not guaranteed optimal, although no wrong optimum has been
+observed.  Both steps need the reference's *true* optimum, so a sample
+solved by a relaxed strategy (``cost_lower_bound`` recorded) gets neither.
 
 **Reference choice.**  An :class:`AdaptiveModeler` remembers, for every goal
 it has solved — the base, each :meth:`~AdaptiveModeler.retrain`, and every
@@ -64,7 +67,8 @@ one lock, so tenants on several threads may share it.
 
 **What is bit-identical and what is not.**  Fresh training is unchanged.  An
 adapted sample's optimal *cost* equals a fresh search's (to the last ulp or
-two: equal-cost schedules may sum in a different order), but a kept path can
+two: equal-cost schedules may sum in a different order; for average and
+percentile goals as observed, not proven — see above), but a kept path can
 differ from the equal-cost path a re-search's tie-break would return, so an
 adapted *tree* may differ from one trained from scratch — and depends on
 which goals the modeler solved before.  ``tests/test_adaptive_keep.py``
@@ -81,16 +85,14 @@ many-small-retrainings pattern of Figure 16.
 The retraining :class:`~repro.search.problem.SchedulingProblem` is built with
 the :class:`AdaptiveBound` itself, and raises every f-value it computes to
 ``h'``, so each search strategy orders its frontier by ``max(h, h')``.  The
-reference-goal penalty inside ``h'`` is computed *incrementally*: the problem
-prices each child's old-goal penalty off the parent's accumulators
-(``violation_with`` on a second, old-goal
-:class:`~repro.sla.accumulators.ViolationAccumulator`, or
-``violation_for_deadline_with`` on the primary one when the goals differ only
-by deadline), so :meth:`AdaptiveBound.__call__` receives an O(1) number
-instead of re-evaluating the old goal over the vertex's outcomes.  A bound
-that advertises no ``aux_goal`` is handed the outcomes, read off the parent
-chain, and falls back to that re-evaluation; both are bit-identical
-(asserted by the adaptive equivalence suite).
+reference-goal penalty inside ``h'`` is computed *incrementally*: every node
+of the search carries a second
+:class:`~repro.sla.accumulators.ViolationAccumulator` for the bound's
+:attr:`~AdaptiveBound.old_goal`, whatever its kind, and the problem prices
+each child's old-goal penalty with the parent's ``violation_with``, so
+:meth:`AdaptiveBound.__call__` receives an O(1) number.  It equals
+``old_goal.penalty`` of the vertex's outcomes bit for bit
+(``tests/test_search_tree.py`` checks every vertex of the oracle grid).
 """
 
 from __future__ import annotations
@@ -99,52 +101,34 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.exceptions import TrainingError
 from repro.learning.trainer import ModelGenerator, SampleSolution, TrainingResult
-from repro.search.problem import LatencyOutcome
 from repro.sla.base import PerformanceGoal
 
 
 @dataclass(frozen=True)
 class AdaptiveBound:
-    """The Section-5 lower bound ``cost(R', v) + [cost(R, g) - cost(R, v)]``.
+    """The Section-5 bound ``h'(v) = cost(R', v) + [cost(R, g) - cost(R, v)]``.
+
+    A lower bound for max-latency and per-query goals (Lemma 5.1); for
+    average and percentile goals it overestimates at some vertices (see the
+    module docstring).
 
     ``cost(R', v)`` is the vertex's partial cost under the new goal;
-    ``cost(R, v)`` is its infrastructure cost plus its penalty under the old
-    goal, which a retraining problem prices incrementally because the bound
-    advertises :attr:`aux_goal` (an O(1) number per vertex).  Without it —
-    a problem built for a wrapper that hides :attr:`aux_goal` — the vertex's
-    outcomes arrive instead and the old goal is re-evaluated over them.
-    Both paths are bit-identical: the accumulators agree with the batch
-    penalty definition bit-for-bit.  A frozen dataclass rather than a closure
-    so the bound can cross process boundaries when retraining runs in
-    parallel.
+    ``cost(R, v)`` is its infrastructure cost plus its penalty under
+    :attr:`old_goal`, which the retraining problem carries incrementally on
+    every node (an O(1) number per vertex).  A frozen dataclass rather than a
+    closure so the bound can cross process boundaries when retraining runs
+    in parallel.
     """
 
     old_goal: PerformanceGoal
     old_optimal_cost: float
 
-    @property
-    def aux_goal(self) -> PerformanceGoal:
-        """The goal whose penalty search nodes should carry incrementally.
-
-        The retraining :class:`~repro.search.problem.SchedulingProblem` reads
-        this so its nodes carry the old goal's penalty.
-        """
-        return self.old_goal
-
-    def __call__(
-        self,
-        infra_cost: float,
-        penalty: float,
-        aux_penalty: float,
-        outcomes: Sequence[LatencyOutcome] | None = None,
-    ) -> float:
-        """``h'`` of a vertex (the :data:`~repro.search.problem.AdaptiveBoundFn` protocol)."""
-        if aux_penalty < 0.0:  # the problem carries no old-goal penalty
-            aux_penalty = self.old_goal.penalty(outcomes)
+    def __call__(self, infra_cost: float, penalty: float, aux_penalty: float) -> float:
+        """``h'`` of a vertex from its infrastructure cost and new- and old-goal penalties."""
         old_partial = infra_cost + aux_penalty
         return infra_cost + penalty + max(0.0, self.old_optimal_cost - old_partial)
 

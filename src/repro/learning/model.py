@@ -392,7 +392,9 @@ class DecisionModel:
         Models trained under a relaxed strategy (weighted A*, beam) carry the
         ratio in their metadata so downstream schedulers — and anyone reading
         a persisted artifact — can see how far the training schedules may sit
-        above the optimum instead of the degradation being silent.
+        above the optimum instead of the degradation being silent.  For a
+        model adapted to an average or percentile goal 1.0 is observed, not
+        proven: the Section-5 ``h'`` is not admissible for those kinds.
         """
         return float(self._metadata.extra.get("worst_optimality_ratio", 1.0))
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -67,11 +67,14 @@ from repro.learning.model import DecisionModel, ModelMetadata
 from repro.learning.sampling import training_workloads
 from repro.parallel.backend import ExecutionBackend
 from repro.search.astar import astar_search, optimality_ratio
-from repro.search.problem import AdaptiveBoundFn, SchedulingProblem
+from repro.search.problem import SchedulingProblem
 from repro.search.strategy import SearchStrategy, strategy_from_spec
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
 from repro.workloads.workload import Workload
+
+if TYPE_CHECKING:  # the adaptive layer imports this module
+    from repro.adaptive.retraining import AdaptiveBound
 
 
 @dataclass(frozen=True)
@@ -237,11 +240,11 @@ class SampleSolver:
     :class:`~repro.parallel.backend.ExecutionBackend` ships to its processes;
     the specification — VM catalogue, goal, latency model, feature extractor —
     is pickled once per chunk of tasks rather than once per task.
-    ``extra_bound`` optionally carries a picklable admissible-bound callable
-    (the adaptive-A* ``h'`` of Section 5); the solver builds the problem with
-    it, and when it advertises an ``aux_goal`` (the old goal whose penalty it
-    reads) search nodes carry a second incremental accumulator so the bound is
-    an O(1)-O(log n) delta.
+    ``extra_bound`` optionally carries the adaptive-A* ``h'`` of Section 5
+    (a picklable :class:`~repro.adaptive.retraining.AdaptiveBound`); the
+    solver builds the problem with it, so search nodes carry a second
+    incremental accumulator for its ``old_goal`` and the bound reads the old
+    goal's penalty in O(1)-O(log n).
     """
 
     def __init__(
@@ -274,7 +277,7 @@ class SampleSolver:
     def solve(
         self,
         workload: Workload,
-        extra_bound: AdaptiveBoundFn | None = None,
+        extra_bound: AdaptiveBound | None = None,
         keep: SampleSolution | None = None,
     ) -> tuple[np.ndarray, SampleSolution] | None:
         """Feature rows and solution for one sample (None = budget exceeded).

@@ -37,12 +37,13 @@ work is built around that:
   computed from the parent alone: the placement's penalty comes from the
   parent accumulator's non-mutating ``violation_with`` (bit-identical to
   branch + add + violation), a retraining search's old-goal penalty from
-  ``violation_with`` / ``violation_for_deadline_with`` in the same way.  A
-  strategy builds the child's :class:`SearchNode` — its accumulator branch,
-  VM tuple and :class:`~repro.search.state.SearchState` — with
+  the ``violation_with`` of the parent's second, old-goal accumulator in the
+  same way.  A strategy builds the child's :class:`SearchNode` — its
+  accumulator branches, VM tuple and
+  :class:`~repro.search.state.SearchState` — with
   :meth:`SchedulingProblem.child` only when it pops the child, which most
-  children never are.  No node carries its outcome tuple; the rare reader
-  (a fallback adaptive bound, a test) walks the parent chain
+  children never are.  No node carries its outcome tuple; the rare reader (a
+  test, an edge cost for an unknown template) walks the parent chain
   (:attr:`SearchNode.outcomes`).
 * **One row per remaining multiset.**  The problem numbers each remaining
   multiset by a mixed-radix integer over the workload's templates in name
@@ -59,10 +60,12 @@ work is built around that:
   :class:`~repro.search.bounds.ProvisioningBound` for monotonic goals,
   :class:`~repro.search.bounds.MemoizedGoalBound` for the others — through
   its placement, provisioning and from-scratch hooks.  A retraining search's
-  adaptive bound ``h'`` (Section 5), passed to the constructor, composes on
-  top: the f-value is ``max(f, h'(v))``, so every strategy orders its
-  frontier by the same number, and :meth:`SchedulingProblem.priority`
-  recomputes it from scratch to the bit.
+  adaptive bound ``h'`` (Section 5, an
+  :class:`~repro.adaptive.retraining.AdaptiveBound`), passed to the
+  constructor, composes on top: every node then carries the bound's old
+  goal's accumulator and penalty, the f-value is ``max(f, h'(v))``, so every
+  strategy orders its frontier by the same number, and
+  :meth:`SchedulingProblem.priority` recomputes it from scratch to the bit.
 * **Interned ids and dense tables.**  Template names and VM type names are
   interned to integer ids at problem construction, and per-``(vm, template)``
   latency, execution-cost, and supports tables are precomputed, so ``expand``
@@ -78,7 +81,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from repro.cloud.latency import LatencyModel
 from repro.cloud.vm import VMTypeCatalog
@@ -90,6 +93,9 @@ from repro.sla.accumulators import ViolationAccumulator
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
 from repro.workloads.workload import Workload
+
+if TYPE_CHECKING:  # the adaptive layer imports the trainer, which imports this
+    from repro.adaptive.retraining import AdaptiveBound
 
 _INF = float("inf")
 
@@ -104,16 +110,6 @@ class LatencyOutcome(NamedTuple):
 
     template_name: str
     latency: float
-
-
-#: An adaptive bound ``h'`` (Section 5): called as
-#: ``bound(infra_cost, penalty, aux_penalty, outcomes)`` with a vertex's
-#: infrastructure cost, its penalty under the problem's goal, and its penalty
-#: under the bound's ``aux_goal`` — or ``-1.0`` when the bound advertises
-#: none, in which case *outcomes* holds the vertex's outcomes (``None``
-#: otherwise).  Returns a lower bound on the best complete-schedule cost
-#: through the vertex.
-AdaptiveBoundFn = Callable[[float, float, float, "Sequence[LatencyOutcome] | None"], float]
 
 
 class RemainingRow:
@@ -181,14 +177,15 @@ class SearchNode:
     #: otherwise — so the memo key is never rebuilt (or re-sorted) from the
     #: outcomes per generated vertex.
     latency_key: "tuple[float, ...] | None" = field(default=None)
-    #: Second, *auxiliary-goal* accumulator carried by retraining searches
-    #: (adaptive A*, Section 5): tracks the partial schedule's violation under
-    #: the adaptive bound's ``aux_goal`` — the *old* goal — copy-on-write exactly like
-    #: the primary accumulator.  ``None`` on ordinary searches.
+    #: Second, *auxiliary-goal* accumulator carried by every node of a
+    #: retraining search (adaptive A*, Section 5), whatever the goal kind:
+    #: tracks the partial schedule's violation under the adaptive bound's
+    #: ``old_goal``, copy-on-write exactly like the primary accumulator.
+    #: ``None`` on ordinary searches.
     aux_accumulator: ViolationAccumulator | None = field(default=None)
-    #: Partial penalty under the auxiliary goal (``-1.0`` = not carried), read
-    #: by :class:`~repro.adaptive.retraining.AdaptiveBound` as an O(1) delta
-    #: instead of re-evaluating the old goal over the outcomes.
+    #: Partial penalty under the old goal, ``cost(R, v)`` minus the
+    #: infrastructure (``-1.0`` = not a retraining search), which
+    #: :class:`~repro.adaptive.retraining.AdaptiveBound` reads in O(1).
     aux_penalty: float = field(default=-1.0)
     #: The remaining multiset's row: set on every node a problem builds
     #: (``None`` on the reusable vertices of :meth:`SchedulingProblem.walk`
@@ -264,7 +261,7 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        adaptive_bound: AdaptiveBoundFn | None = None,
+        adaptive_bound: AdaptiveBound | None = None,
     ) -> None:
         counts = {name: count for name, count in dict(template_counts).items() if count > 0}
         for name in counts:
@@ -275,21 +272,12 @@ class SchedulingProblem:
         self._vm_types = vm_types
         self._goal = goal
         self._latency_model = latency_model
-        #: Optional admissible bound the f-value is raised to (adaptive A*'s
-        #: ``h'``, :class:`~repro.adaptive.retraining.AdaptiveBound`).
+        #: Optional bound the f-value is raised to (adaptive A*'s ``h'``).
+        #: Every node then carries its old goal's partial penalty
+        #: incrementally, at this rate, so ``h'`` reads it in O(1).
         self._adaptive_bound = adaptive_bound
-        #: The goal whose partial penalty every node carries incrementally
-        #: when the adaptive bound advertises one (the *old* goal of a
-        #: retraining search), so ``h'`` reads it in O(1).
-        aux_goal = getattr(adaptive_bound, "aux_goal", None)
-        self._aux_goal = aux_goal
-        self._aux_rate = aux_goal.penalty_rate if aux_goal is not None else 0.0
-        #: When the old goal differs from the primary only by its deadline and
-        #: the primary accumulator's state is deadline-independent (average,
-        #: percentile), the old violation is read off the *primary*
-        #: accumulator at this deadline — no second accumulator at all.
-        self._aux_derived_deadline = (
-            goal.derived_aux_deadline(aux_goal) if aux_goal is not None else None
+        self._aux_rate = (
+            adaptive_bound.old_goal.penalty_rate if adaptive_bound is not None else 0.0
         )
         self._build_tables()
         self._cheapest_execution = self._compute_cheapest_execution()
@@ -390,7 +378,7 @@ class SchedulingProblem:
         vm_types: VMTypeCatalog,
         goal: PerformanceGoal,
         latency_model: LatencyModel,
-        adaptive_bound: AdaptiveBoundFn | None = None,
+        adaptive_bound: AdaptiveBound | None = None,
     ) -> "SchedulingProblem":
         """Build the problem for a concrete workload (counts its templates)."""
         return cls(
@@ -454,9 +442,8 @@ class SchedulingProblem:
             accumulator=self._goal.accumulator(),
             row=self.row(self._start_code),
         )
-        if self._aux_goal is not None:
-            if self._aux_derived_deadline is None:
-                node.aux_accumulator = self._aux_goal.accumulator()
+        if self._adaptive_bound is not None:
+            node.aux_accumulator = self._adaptive_bound.old_goal.accumulator()
             node.aux_penalty = 0.0
         node.priority = self.priority(node)
         return node
@@ -491,17 +478,9 @@ class SchedulingProblem:
         code = row.code
         rows = self._rows
         parent_infra = node.infra_cost
-        parent_accumulator = node.accumulator
-        aux_active = self._aux_goal is not None
         parent_aux = node.aux_accumulator
         aux_rate = self._aux_rate
-        aux_derived = self._aux_derived_deadline
         adaptive_bound = self._adaptive_bound
-        # A bound that advertises no aux_goal re-evaluates the old goal over
-        # the child's outcomes, read once per expansion off the parent chain.
-        parent_outcomes = (
-            node.outcomes if adaptive_bound is not None and not aux_active else None
-        )
         rate = self._rate
         serial = self._serial
 
@@ -515,7 +494,7 @@ class SchedulingProblem:
             run_cost_row = self._run_cost_table[vm_index]
             query_deadlines = self._query_deadlines
             placement_term = self._placement_term
-            violation_with = parent_accumulator.violation_with
+            violation_with = node.accumulator.violation_with
             finish = node.last_vm_finish
             if queue:
                 previous = queue[-1]
@@ -583,30 +562,15 @@ class SchedulingProblem:
                 else:
                     term, key = -1.0, None
                     f = infra + penalty
-                aux_penalty = -1.0
-                if aux_active:
-                    if aux_derived is not None:
-                        # The old goal differs only by deadline: its violation
-                        # reads off the primary accumulator (the running mean /
-                        # sorted list is deadline-independent).
-                        aux_penalty = aux_rate * parent_accumulator.violation_for_deadline_with(
-                            template_name, completion, aux_derived
-                        )
-                    elif parent_aux is not None:
-                        aux_penalty = aux_rate * parent_aux.violation_with(
-                            template_name, completion
-                        )
                 if adaptive_bound is not None:
-                    extra = adaptive_bound(
-                        infra,
-                        penalty,
-                        aux_penalty,
-                        None
-                        if parent_outcomes is None
-                        else parent_outcomes + (LatencyOutcome(template_name, completion),),
+                    aux_penalty = aux_rate * parent_aux.violation_with(
+                        template_name, completion
                     )
+                    extra = adaptive_bound(infra, penalty, aux_penalty)
                     if extra > f:
                         f = extra
+                else:
+                    aux_penalty = -1.0
                 serial += 1
                 append(
                     (
@@ -640,7 +604,7 @@ class SchedulingProblem:
                 infra = parent_infra + startup_costs[vm_index]
                 f = infra + execution + term
                 if adaptive_bound is not None:
-                    extra = adaptive_bound(infra, penalty, aux_penalty, parent_outcomes)
+                    extra = adaptive_bound(infra, penalty, aux_penalty)
                     if extra > f:
                         f = extra
                 serial += 1
@@ -966,12 +930,7 @@ class SchedulingProblem:
             f = node.infra_cost + node.penalty
         adaptive_bound = self._adaptive_bound
         if adaptive_bound is not None:
-            extra = adaptive_bound(
-                node.infra_cost,
-                node.penalty,
-                node.aux_penalty,
-                node.outcomes if self._aux_goal is None else None,
-            )
+            extra = adaptive_bound(node.infra_cost, node.penalty, node.aux_penalty)
             if extra > f:
                 f = extra
         return f

@@ -53,37 +53,6 @@ class ViolationAccumulator(ABC):
     def violation_with(self, template_name: str, latency: float) -> float:
         """Violation period if one more query were recorded (non-mutating)."""
 
-    def violation_for_deadline(self, deadline: float) -> float:
-        """Violation period of the recorded queries against a *different* deadline.
-
-        Only meaningful for accumulators whose state is deadline-independent
-        (the running mean, the sorted latency list): the adaptive-A*
-        retraining search reads the *old* goal's violation off the primary
-        accumulator this way (through :meth:`violation_for_deadline_with`,
-        one placement ahead), without carrying a second copy of the state.
-        Goals opt in via
-        :meth:`~repro.sla.base.PerformanceGoal.derived_aux_deadline`; the
-        default refuses, because most accumulators fold the deadline into
-        their running state.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot re-evaluate against another deadline"
-        )
-
-    def violation_for_deadline_with(
-        self, template_name: str, latency: float, deadline: float
-    ) -> float:
-        """:meth:`violation_for_deadline` if one more query were recorded (non-mutating).
-
-        Bit-identical to ``branch(); add(template_name, latency);
-        violation_for_deadline(deadline)``: the retraining search prices a
-        child's old-goal penalty with it before (and without) building the
-        child's accumulator.  Same opt-in as :meth:`violation_for_deadline`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot re-evaluate against another deadline"
-        )
-
     @abstractmethod
     def copy(self) -> "ViolationAccumulator":
         """An independent copy of the accumulator's state."""
@@ -167,21 +136,6 @@ class AverageLatencyViolationAccumulator(ViolationAccumulator):
         count = self._count + 1
         return max(0.0, total / count - self._deadline)
 
-    def violation_for_deadline(self, deadline: float) -> float:
-        # The running (total, count) state is deadline-independent, so any
-        # deadline's violation is one division away — bit-identical to the
-        # batch definition, whose left-to-right sum matches the add order.
-        if self._count == 0:
-            return 0.0
-        return max(0.0, self._total / self._count - deadline)
-
-    def violation_for_deadline_with(
-        self, template_name: str, latency: float, deadline: float
-    ) -> float:
-        total = self._total + latency
-        count = self._count + 1
-        return max(0.0, total / count - deadline)
-
     def copy(self) -> "AverageLatencyViolationAccumulator":
         clone = object.__new__(AverageLatencyViolationAccumulator)
         clone._deadline = self._deadline
@@ -196,8 +150,8 @@ class PercentileViolationAccumulator(ViolationAccumulator):
     The sorted list is shared copy-on-write between an accumulator and its
     :meth:`branch`-es: branching only sets a flag, and the list is cloned on
     the first subsequent :meth:`add`.  The A* search branches once per
-    placement edge and adds exactly one latency to each branch, so the clone
-    is O(n) per *placement* rather than per penalty evaluation.
+    placement child it builds and adds exactly one latency to each branch, so
+    the clone is O(n) per built placement rather than per penalty evaluation.
     """
 
     __slots__ = ("_percent", "_deadline", "_latencies", "_shared")
@@ -225,14 +179,6 @@ class PercentileViolationAccumulator(ViolationAccumulator):
             return 0.0
         return max(0.0, self._percentile(self._latencies) - self._deadline)
 
-    def violation_for_deadline(self, deadline: float) -> float:
-        # The sorted list is deadline-independent; the same rank statistic
-        # answers any deadline (used by adaptive A* for the old goal, valid
-        # only when the two goals share `percent` — the goal hook checks).
-        if not self._latencies:
-            return 0.0
-        return max(0.0, self._percentile(self._latencies) - deadline)
-
     def violation_with(self, template_name: str, latency: float) -> float:
         # Hypothetical insertion: find the percentile of the list as if the new
         # latency were present, without actually mutating the sorted list.
@@ -246,21 +192,6 @@ class PercentileViolationAccumulator(ViolationAccumulator):
         else:
             value = self._latencies[rank - 2]
         return max(0.0, value - self._deadline)
-
-    def violation_for_deadline_with(
-        self, template_name: str, latency: float, deadline: float
-    ) -> float:
-        # violation_with's hypothetical insertion, against *deadline*.
-        size = len(self._latencies) + 1
-        rank = max(1, math.ceil(self._percent / 100.0 * size))
-        insert_at = bisect.bisect_right(self._latencies, latency)
-        if rank - 1 < insert_at:
-            value = self._latencies[rank - 1]
-        elif rank - 1 == insert_at:
-            value = latency
-        else:
-            value = self._latencies[rank - 2]
-        return max(0.0, value - deadline)
 
     def copy(self) -> "PercentileViolationAccumulator":
         clone = PercentileViolationAccumulator(self._percent, self._deadline)

@@ -52,12 +52,6 @@ class AverageLatencyGoal(PerformanceGoal):
         """Incremental violation tracker over the running mean latency."""
         return AverageLatencyViolationAccumulator(self._deadline)
 
-    def derived_aux_deadline(self, aux_goal) -> float | None:
-        """Same-kind old goals share the running mean — only the bound differs."""
-        if aux_goal.kind == self.kind:
-            return aux_goal.deadline
-        return None
-
     def ordering_horizon(
         self, queue_template_names: Sequence[str], candidate_template_name: str
     ) -> float:

@@ -68,22 +68,6 @@ class PerformanceGoal(ABC):
 
     # -- search guidance hooks --------------------------------------------------
 
-    def derived_aux_deadline(self, aux_goal: "PerformanceGoal") -> "float | None":
-        """Deadline letting *aux_goal*'s violation be read off this goal's accumulator.
-
-        The adaptive-A* retraining search (Section 5) needs the *old* goal's
-        partial penalty at every vertex.  When the old goal differs from this
-        one only by its deadline — and this goal's accumulator state is
-        deadline-independent (the running mean, the sorted latency list) —
-        the old violation is
-        :meth:`~repro.sla.accumulators.ViolationAccumulator.violation_for_deadline`
-        of the node's *primary* accumulator at the returned deadline: O(1),
-        no second accumulator.  ``None`` (the default) means the search must
-        carry a separate old-goal accumulator instead; both paths are
-        bit-identical to the batch definition.
-        """
-        return None
-
     def ordering_horizon(
         self, queue_template_names: Sequence[str], candidate_template_name: str
     ) -> float:

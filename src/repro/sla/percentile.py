@@ -75,19 +75,6 @@ class PercentileGoal(PerformanceGoal):
         """Incremental violation tracker over the sorted observed latencies."""
         return PercentileViolationAccumulator(self._percent, self._deadline)
 
-    def derived_aux_deadline(self, aux_goal) -> float | None:
-        """Old goals sharing ``percent`` read the same rank statistic.
-
-        The sorted-latency state (and the nearest-rank selection) depends only
-        on ``percent``, so an old goal that differs by deadline alone needs no
-        second sorted list — which matters: cloning the percentile state per
-        placement edge is exactly as expensive as the recomputation the
-        auxiliary accumulator is meant to avoid.
-        """
-        if aux_goal.kind == self.kind and aux_goal.percent == self._percent:
-            return aux_goal.deadline
-        return None
-
     def at_least_as_strict_as(self, other: PerformanceGoal) -> bool:
         """Same percentile as well: a lower one reads a smaller rank latency."""
         return super().at_least_as_strict_as(other) and self._percent == other._percent

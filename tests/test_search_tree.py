@@ -10,8 +10,10 @@ vertex ``expand`` reaches, with no search order at all, and asserts that no
 
 The grid is the frozen oracle's (``test_search_oracle.py``): its seeded
 workloads under the four goal kinds, both catalogues, with and without the
-adaptive bound, which adds the auxiliary accumulators but must not change
-which vertices exist.
+adaptive bound, which adds the old goal's accumulator but must not change
+which vertices exist.  The same enumeration is the reference for that
+accumulator: at every adaptive vertex the carried ``aux_penalty`` must equal
+the old goal's penalty of the vertex's outcomes, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,8 +49,12 @@ def _problem(kind: str, catalog: str, adaptive: bool, seed: int) -> SchedulingPr
     )
 
 
-def _enumerate(problem: SchedulingProblem) -> tuple[int, int]:
-    """(vertices reached, vertices whose state was reached before)."""
+def _enumerate(problem: SchedulingProblem, old_goal=None) -> tuple[int, int]:
+    """(vertices reached, vertices whose state was reached before).
+
+    With *old_goal* (an adaptive problem's), also asserts that every vertex
+    carries that goal's penalty of its outcomes.
+    """
     seen = set()
     duplicates = 0
     stack = [problem.initial_node()]
@@ -57,6 +63,8 @@ def _enumerate(problem: SchedulingProblem) -> tuple[int, int]:
         if node.state in seen:
             duplicates += 1
         seen.add(node.state)
+        if old_goal is not None:
+            assert node.aux_penalty == old_goal.penalty(node.outcomes), node
         stack.extend(children(problem, node))
     return len(seen) + duplicates, duplicates
 
@@ -65,7 +73,8 @@ def _enumerate(problem: SchedulingProblem) -> tuple[int, int]:
 @pytest.mark.parametrize("catalog", CATALOGS)
 @pytest.mark.parametrize("kind", GOALS)
 def test_no_two_vertices_share_a_state(kind, catalog, adaptive):
+    old_goal = GOALS[kind] if adaptive else None
     for seed in SEEDS:
-        vertices, duplicates = _enumerate(_problem(kind, catalog, adaptive, seed))
+        vertices, duplicates = _enumerate(_problem(kind, catalog, adaptive, seed), old_goal)
         assert vertices > 1
         assert duplicates == 0, f"seed {seed}: {duplicates} of {vertices} vertices repeat a state"

@@ -95,47 +95,6 @@ def test_violation_with_equals_branch_and_add_exactly(goal, pairs, extra):
     assert predicted == branch.violation()
 
 
-@pytest.mark.parametrize(
-    "goal",
-    [goal for goal in _goals() if goal.kind in ("average", "percentile")],
-    ids=lambda g: g.kind,
-)
-@given(
-    pairs=latency_lists,
-    extra=st.floats(min_value=1.0, max_value=3600.0),
-    deadline=st.floats(min_value=0.0, max_value=3600.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_violation_for_deadline_with_equals_branch_and_add_exactly(
-    goal, pairs, extra, deadline
-):
-    """Property: violation_for_deadline_with() predicts what add() would produce.
-
-    Bit for bit against branch(); add(); violation_for_deadline(), and
-    without mutating the accumulator it was asked.
-    """
-    accumulator = goal.accumulator()
-    for template, latency in pairs:
-        accumulator.add(template, latency)
-    before = accumulator.violation_for_deadline(deadline)
-    predicted = accumulator.violation_for_deadline_with("T2", extra, deadline)
-    assert accumulator.violation_for_deadline(deadline) == before
-    branch = accumulator.branch()
-    branch.add("T2", extra)
-    assert predicted == branch.violation_for_deadline(deadline)
-
-
-@pytest.mark.parametrize(
-    "goal",
-    [goal for goal in _goals() if goal.kind in ("max", "per_query")],
-    ids=lambda g: g.kind,
-)
-def test_deadline_folding_accumulators_refuse_another_deadline(goal):
-    accumulator = goal.accumulator()
-    with pytest.raises(NotImplementedError):
-        accumulator.violation_for_deadline_with("T1", 10.0, 5.0)
-
-
 @pytest.mark.parametrize("goal", _goals(), ids=lambda g: g.kind)
 def test_copy_is_independent(goal):
     accumulator = goal.accumulator()
