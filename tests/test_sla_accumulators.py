@@ -96,6 +96,25 @@ def test_violation_with_equals_branch_and_add_exactly(goal, pairs, extra):
 
 
 @pytest.mark.parametrize("goal", _goals(), ids=lambda g: g.kind)
+@given(pairs=latency_lists, shrink=st.floats(min_value=0.05, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_stricter_goal_accumulates_at_least_the_old_penalty(goal, pairs, shrink):
+    """Property: a stricter goal's accumulator never prices a stream below the old one's.
+
+    Adaptive retraining carries the old goal's accumulator beside the new
+    goal's; ``h'`` relies on the new partial penalty never falling below
+    the old one (Lemma 5.1's premise, what ``at_least_as_strict_as`` promises).
+    """
+    stricter = goal.with_deadline(goal.deadline * shrink)
+    assert stricter.at_least_as_strict_as(goal)
+    old, new = goal.accumulator(), stricter.accumulator()
+    for template, latency in pairs:
+        old.add(template, latency)
+        new.add(template, latency)
+        assert stricter.penalty_rate * new.violation() >= goal.penalty_rate * old.violation()
+
+
+@pytest.mark.parametrize("goal", _goals(), ids=lambda g: g.kind)
 def test_copy_is_independent(goal):
     accumulator = goal.accumulator()
     accumulator.add("T1", 500.0)
