@@ -128,10 +128,11 @@ class CompiledTreeEvaluator:
     chases one Python object per level, reading four attributes per hop.  The
     compiled form stores the whole tree as parallel arrays indexed by a
     preorder node id — split feature column, threshold, left/right child ids,
-    and a leaf-label id — so a prediction is a tight loop over flat lists
-    (scalar path) or a vectorized level-synchronous descent over numpy arrays
-    (matrix path).  Predictions are bit-identical to the node walk: same
-    thresholds, same ``<=`` comparisons, same labels.
+    and a leaf-label id — so a prediction is a tight loop over flat lists.
+    Predictions are bit-identical to the node walk: same thresholds, same
+    ``<=`` comparisons, same labels.  The same arrays are kept as numpy
+    arrays too, which :func:`~repro.learning.shm.pack_evaluator` ships to
+    shard workers.
 
     ``feature_names`` optionally re-maps the tree's split columns onto an
     external feature order (e.g. a :class:`~repro.learning.features.FeatureExtractor`'s
@@ -198,7 +199,7 @@ class CompiledTreeEvaluator:
             sorted(label_ids, key=label_ids.__getitem__)
         )
         # Plain lists for the scalar hot loop (Python list indexing beats
-        # numpy item access), numpy arrays for the vectorized matrix descent.
+        # numpy item access), numpy arrays for shared-memory packing.
         self._feature_list = features
         self._threshold_list = thresholds
         self._left_list = lefts
@@ -293,34 +294,6 @@ class CompiledTreeEvaluator:
                 index = rights[index]
             column = features[index]
         return self.labels[self._leaf_list[index]]
-
-    def predict_matrix(self, matrix: np.ndarray) -> list[str]:
-        """Labels for a ``(n_rows, n_features)`` matrix, one descent per level.
-
-        All rows step down one tree level per iteration, so the loop runs
-        ``height`` times regardless of row count instead of ``height`` times
-        per row.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise TrainingError("predict_matrix expects a two-dimensional matrix")
-        n_rows = matrix.shape[0]
-        if n_rows == 0:
-            return []
-        positions = np.zeros(n_rows, dtype=np.int64)
-        row_indices = np.arange(n_rows)
-        while True:
-            columns = self.feature[positions]
-            active = columns >= 0
-            if not active.any():
-                break
-            rows = row_indices[active]
-            current = positions[rows]
-            go_left = (
-                matrix[rows, self.feature[current]] <= self.threshold[current]
-            )
-            positions[rows] = np.where(go_left, self.left[current], self.right[current])
-        return [self.labels[index] for index in self.leaf_label[positions]]
 
 
 class DecisionTreeClassifier:
@@ -607,10 +580,6 @@ class DecisionTreeClassifier:
             evaluator = CompiledTreeEvaluator(root, key)
             self._compiled_cache[key] = evaluator
         return evaluator
-
-    def predict_matrix(self, matrix: np.ndarray) -> list[str]:
-        """Labels for a matrix in the tree's fitted column order (vectorized)."""
-        return self.compiled().predict_matrix(matrix)
 
     def decision_path(self, features: Mapping[str, float]) -> list[TreeNode]:
         """The internal nodes and leaf visited while classifying *features*."""

@@ -15,8 +15,16 @@ workloads are huge) and cheap to compute:
 * ``have-X`` — whether at least one query of template ``X`` is still unassigned.
 
 The same definitions serve training (on A* vertices) and runtime (on the
-scheduler's current state), which guarantees that the model sees an identical
-representation in both phases — but not the same amount of work.  Training
+scheduler's current state), so the model sees an identical representation in
+both phases.  Two things make that hold.  The row has one fixed layout — all
+five families, ``wait-time`` first and then one block per template — so a
+model's columns never depend on how it was built (a feature ablation drops
+training-set columns, not families).  And ``cost-of-X`` is priced from the
+vertex alone, with one float form: a vertex carries the goal's violation
+accumulator and its partial ``penalty``, and the edge costs execution cost
+``+ (rate · violation-with-X − penalty)``, whether the vertex is an A* node,
+the training walk's or the runtime kernel's.  The two phases do not do the
+same amount of work, though.  Training
 needs every column of every vertex on a path: :meth:`FeatureExtractor.matrix`
 walks the path's action labels with one reusable vertex
 (:meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`)
@@ -42,6 +50,8 @@ from repro.workloads.templates import TemplateSet
 
 #: Finite stand-in for "placement impossible" so decision-tree thresholds stay finite.
 INFEASIBLE_COST = 1.0e12
+
+_INF = float("inf")
 
 
 def wait_time_feature() -> str:
@@ -69,7 +79,11 @@ def have_feature(template_name: str) -> str:
     return f"have[{template_name}]"
 
 
-#: The feature families the extractor can produce (used by the ablation bench).
+#: The five families, in the order of the one row layout: ``wait_time``, then
+#: per template (in name order) ``proportion_of``, ``supports``, ``cost_of``
+#: and ``have``.  Every model is trained and decides on all five; an ablation
+#: drops columns from a training set
+#: (:meth:`~repro.learning.dataset.TrainingSet.without_features`).
 FEATURE_FAMILIES: tuple[str, ...] = (
     "wait_time",
     "proportion_of",
@@ -82,109 +96,48 @@ FEATURE_FAMILIES: tuple[str, ...] = (
 class FeatureExtractor:
     """Extracts the Section 4.4 feature vector from a search node."""
 
-    def __init__(
-        self,
-        templates: TemplateSet,
-        vm_types: VMTypeCatalog,
-        families: tuple[str, ...] = FEATURE_FAMILIES,
-    ) -> None:
-        unknown = set(families) - set(FEATURE_FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown feature families: {sorted(unknown)}")
+    def __init__(self, templates: TemplateSet, vm_types: VMTypeCatalog) -> None:
         self._templates = templates
-        self._vm_types = vm_types
-        self._families = tuple(families)
-        self._feature_names = self._build_feature_names()
+        names = self._template_names = templates.names
+        self._feature_names: tuple[str, ...] = (wait_time_feature(),) + tuple(
+            feature(name)
+            for name in names
+            for feature in (proportion_feature, supports_feature, cost_feature, have_feature)
+        )
         # Supports-X only depends on the VM type, so resolve the whole row once
         # per type instead of one supports() call per template per extraction.
         self._supports_rows: dict[str, tuple[float, ...]] = {
             vm_type.name: tuple(
-                1.0 if vm_type.supports(name) else 0.0 for name in templates.names
+                1.0 if vm_type.supports(name) else 0.0 for name in names
             )
             for vm_type in vm_types
         }
-        self._build_columns()
+        # Column ``0`` is ``wait_time``; family ``k`` (its position in
+        # FEATURE_FAMILIES) of template ``j`` lives at column ``k + 4 * j``,
+        # so :meth:`extract_into` writes each family with one strided loop.
+        def columns(family: str) -> tuple[int, ...]:
+            rank = FEATURE_FAMILIES.index(family)
+            return tuple(rank + 4 * j for j in range(len(names)))
 
-    def _build_columns(self) -> None:
-        """Precompute the column layout :meth:`extract_into` and the decision walk share.
-
-        The canonical feature order is ``wait_time`` (when enabled) followed by
-        one fixed-size block per template, so every per-template family lands
-        on a regular stride: family ``k`` of template ``j`` lives at column
-        ``base + k + j * stride``.  :meth:`extract_into` exploits this with
-        strided slice assignments instead of per-feature dict stores.
-        """
-        per_template = tuple(
-            family
-            for family in ("proportion_of", "supports", "cost_of", "have")
-            if family in self._families
-        )
-        base = 1 if "wait_time" in self._families else 0
-        self._wait_column = 0 if base else -1
-        stride = len(per_template)
-        num_templates = len(self._templates.names)
-
-        def _columns(rank: int) -> tuple[int, ...]:
-            return tuple(base + rank + stride * j for j in range(num_templates))
-
-        starts = {family: rank for rank, family in enumerate(per_template)}
-        self._proportion_columns: tuple[int, ...] | None = (
-            _columns(starts["proportion_of"]) if "proportion_of" in starts else None
-        )
-        self._supports_columns: tuple[int, ...] | None = (
-            _columns(starts["supports"]) if "supports" in starts else None
-        )
-        self._cost_columns: tuple[int, ...] | None = (
-            _columns(starts["cost_of"]) if "cost_of" in starts else None
-        )
-        self._have_columns: tuple[int, ...] | None = (
-            _columns(starts["have"]) if "have" in starts else None
-        )
-        self._proportion_column_of: dict[str, int] = (
-            {
-                name: column
-                for name, column in zip(
-                    self._templates.names, self._proportion_columns or ()
-                )
-            }
-            if self._proportion_columns is not None
-            else {}
-        )
-        self._template_names: tuple[str, ...] = self._templates.names
+        self._proportion_columns = columns("proportion_of")
+        self._supports_columns = columns("supports")
+        self._cost_columns = columns("cost_of")
+        self._have_columns = columns("have")
+        self._proportion_column_of = dict(zip(names, self._proportion_columns))
         # Per-column lookup for a decision, which computes a column only when
         # a tree node tests it: the family's position in FEATURE_FAMILIES and
         # the template's name and position.
-        codes = [FEATURE_FAMILIES.index(family) for family in per_template]
+        per_template = range(1, len(FEATURE_FAMILIES))
         self._column_layout: tuple[list[int], list[str], list[int]] = (
-            [FEATURE_FAMILIES.index("wait_time")] * base + codes * num_templates,
-            [""] * base + [name for name in self._template_names for _ in codes],
-            [-1] * base + [j for j in range(num_templates) for _ in codes],
+            [0] + [rank for _ in names for rank in per_template],
+            [""] + [name for name in names for _ in per_template],
+            [-1] + [j for j in range(len(names)) for _ in per_template],
         )
-
-    def _build_feature_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        if "wait_time" in self._families:
-            names.append(wait_time_feature())
-        for template in self._templates.names:
-            if "proportion_of" in self._families:
-                names.append(proportion_feature(template))
-            if "supports" in self._families:
-                names.append(supports_feature(template))
-            if "cost_of" in self._families:
-                names.append(cost_feature(template))
-            if "have" in self._families:
-                names.append(have_feature(template))
-        return tuple(names)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
         """Names of the features produced, in a stable order."""
         return self._feature_names
-
-    @property
-    def families(self) -> tuple[str, ...]:
-        """The feature families this extractor is configured to produce."""
-        return self._families
 
     @property
     def templates(self) -> TemplateSet:
@@ -211,54 +164,44 @@ class FeatureExtractor:
 
         *out_row* is any preallocated mutable row of ``len(feature_names)``
         entries — a numpy float64 row (the :meth:`matrix` path) or a plain
-        list.  Every enabled column is overwritten, so the buffer needs no
+        list.  Every column is overwritten, so the buffer needs no
         zeroing between calls.  Returns *out_row*.
         """
         state = node.state
         last = state.last_vm()
-        last_queue: tuple[str, ...] = last[1] if last is not None else ()
         names = self._template_names
 
-        if self._wait_column >= 0:
-            out_row[self._wait_column] = node.last_vm_finish
+        out_row[0] = node.last_vm_finish
 
-        proportion_columns = self._proportion_columns
-        if proportion_columns is not None:
-            for column in proportion_columns:
+        for column in self._proportion_columns:
+            out_row[column] = 0.0
+        if last is not None and last[1]:
+            last_queue = last[1]
+            queue_length = len(last_queue)
+            column_of = self._proportion_column_of
+            # Inline histogram: the last VM's queue is short, so a dict
+            # loop beats a Counter construction per vertex.
+            counts: dict[str, int] = {}
+            counts_get = counts.get
+            for name in last_queue:
+                counts[name] = counts_get(name, 0) + 1
+            for name, count in counts.items():
+                out_row[column_of[name]] = count / queue_length
+
+        if last is not None:
+            for column, value in zip(self._supports_columns, self._supports_rows[last[0]]):
+                out_row[column] = value
+        else:
+            for column in self._supports_columns:
                 out_row[column] = 0.0
-            if last_queue:
-                queue_length = len(last_queue)
-                column_of = self._proportion_column_of
-                # Inline histogram: the last VM's queue is short, so a dict
-                # loop beats a Counter construction per vertex.
-                counts: dict[str, int] = {}
-                counts_get = counts.get
-                for name in last_queue:
-                    counts[name] = counts_get(name, 0) + 1
-                for name, count in counts.items():
-                    out_row[column_of[name]] = count / queue_length
 
-        supports_columns = self._supports_columns
-        if supports_columns is not None:
-            if last is not None:
-                for column, value in zip(supports_columns, self._supports_rows[last[0]]):
-                    out_row[column] = value
-            else:
-                for column in supports_columns:
-                    out_row[column] = 0.0
+        costs = problem.placement_cost_row(node, names)
+        for column, cost in zip(self._cost_columns, costs):
+            out_row[column] = INFEASIBLE_COST if cost == _INF else cost
 
-        cost_columns = self._cost_columns
-        if cost_columns is not None:
-            costs = problem.placement_cost_row(node, names)
-            inf = float("inf")
-            for column, cost in zip(cost_columns, costs):
-                out_row[column] = INFEASIBLE_COST if cost == inf else cost
-
-        have_columns = self._have_columns
-        if have_columns is not None:
-            present = state.remaining_name_set()
-            for column, name in zip(have_columns, names):
-                out_row[column] = 1.0 if name in present else 0.0
+        present = state.remaining_name_set()
+        for column, name in zip(self._have_columns, names):
+            out_row[column] = 1.0 if name in present else 0.0
         return out_row
 
     def matrix(

@@ -437,7 +437,7 @@ class DecisionModel:
 
         Everything the model needs at runtime is embedded — the fitted tree,
         the workload specification (templates and VM catalogue), the goal, the
-        latency estimates, and the feature configuration — so
+        latency estimates, and the feature families (always all five) — so
         :meth:`from_dict` restores a model whose schedules and costs are
         bit-identical to the original's.
         """
@@ -450,7 +450,7 @@ class DecisionModel:
             "latency_model": latency_model_to_dict(
                 self._latency_model, self._templates, self._vm_types
             ),
-            "feature_families": list(self._extractor.families),
+            "feature_families": list(FEATURE_FAMILIES),
             "tree": self._tree.to_dict(),
             "metadata": self._metadata.to_dict(),
             "penalty_guard": self._penalty_guard,
@@ -458,19 +458,27 @@ class DecisionModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DecisionModel":
-        """Rebuild a model from :meth:`to_dict` output."""
+        """Rebuild a model from :meth:`to_dict` output.
+
+        A model written while the extractor could drop families names fewer
+        than all five; its tree splits on another row layout, so it is
+        refused (:class:`ModelError`, which a registry quarantines as a miss).
+        """
         from repro.sla.factory import goal_from_dict
 
         if data.get("format") != "wisedb-decision-model":
             raise ModelError("not a serialized WiSeDB decision model")
+        if tuple(data["feature_families"]) != FEATURE_FAMILIES:
+            raise ModelError(
+                "model was built on the feature families "
+                f"{data['feature_families']!r}; every model now decides on the "
+                f"fixed row of {list(FEATURE_FAMILIES)!r}, so retrain it"
+            )
         templates = TemplateSet.from_dict(data["templates"])
         vm_types = VMTypeCatalog.from_dict(data["vm_types"])
-        extractor = FeatureExtractor(
-            templates, vm_types, tuple(data["feature_families"])
-        )
         return cls(
             tree=DecisionTreeClassifier.from_dict(data["tree"]),
-            extractor=extractor,
+            extractor=FeatureExtractor(templates, vm_types),
             templates=templates,
             vm_types=vm_types,
             goal=goal_from_dict(data["goal"]),
@@ -534,10 +542,6 @@ class DecisionModel:
     def predict_row(self, row: np.ndarray) -> str:
         """The raw label for one feature row in the extractor's column order."""
         return self._compiled_evaluator().predict_row(row)
-
-    def predict_matrix(self, matrix: np.ndarray) -> list[str]:
-        """Raw labels for a feature matrix in the extractor's column order."""
-        return self._compiled_evaluator().predict_matrix(matrix)
 
     # -- validated decisions --------------------------------------------------------
 

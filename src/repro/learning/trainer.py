@@ -62,7 +62,7 @@ from repro.config import TrainingConfig
 from repro.exceptions import SearchBudgetExceeded, TrainingError
 from repro.learning.dataset import TrainingSet
 from repro.learning.decision_tree import DecisionTreeClassifier
-from repro.learning.features import FEATURE_FAMILIES, FeatureExtractor
+from repro.learning.features import FeatureExtractor
 from repro.learning.model import DecisionModel, ModelMetadata
 from repro.learning.sampling import training_workloads
 from repro.parallel.backend import ExecutionBackend
@@ -345,14 +345,13 @@ class ModelGenerator:
         vm_types: VMTypeCatalog | None = None,
         latency_model: LatencyModel | None = None,
         config: TrainingConfig | None = None,
-        feature_families: tuple[str, ...] = FEATURE_FAMILIES,
         backend: ExecutionBackend | None = None,
     ) -> None:
         self._templates = templates
         self._vm_types = vm_types or single_vm_type_catalog()
         self._latency_model = latency_model or TemplateLatencyModel(templates)
         self._config = config or TrainingConfig.fast()
-        self._extractor = FeatureExtractor(templates, self._vm_types, feature_families)
+        self._extractor = FeatureExtractor(templates, self._vm_types)
         self._backend = backend
         self._owns_backend = False
 

@@ -11,9 +11,10 @@ Three details keep large batches fast and faithful:
 * a parse computes only the features its tree path tests
   (:meth:`~repro.learning.model.DecisionModel.decide`), each by the expression
   the training-time :class:`~repro.learning.features.FeatureExtractor` uses
-  for that column; the marginal-penalty part of ``cost-of-X`` comes from the
-  incremental accumulators of :mod:`repro.sla.accumulators` instead of a
-  rescan of all previously placed queries;
+  for that column; ``cost-of-X`` is priced from the vertex with the search
+  problem's arithmetic, its marginal penalty read from the goal accumulator
+  (:mod:`repro.sla.accumulators`) the vertex carries instead of a rescan of
+  all previously placed queries;
 * everything a parse can ask of the vertex is a running value updated per
   action — unassigned queries per template, the most recent VM's queue and
   its per-template counts — so nothing is rebuilt per decision and a parse
@@ -29,8 +30,9 @@ Batch and online scheduling decide through one kernel,
 queries as per-template FIFO pools (each query filed under the template the
 model treats it as) plus an optional rented VM to continue, and hands back the
 original query objects placed.  A kernel resets its running values (the
-remaining multiset, the reusable vertex and the runtime context, which it
-rebuilds only for another model) at the start of every pass, so an online
+remaining multiset and the reusable vertex, which gets a fresh goal
+accumulator) at the start of every pass and keeps its runtime context, which
+holds only a model's tables, until a pass brings another model, so an online
 session (:mod:`repro.runtime.online`), which pools its wait queue directly,
 keeps one for its whole life; :meth:`BatchScheduler.schedule_detailed` is
 the batch adapter over a one-shot kernel.
@@ -62,8 +64,13 @@ class RuntimeSchedulingContext:
 
     The decision model only needs one thing from the "problem" object it is
     handed: the Equation-2 cost of placing a given template on the most recent
-    VM.  This context answers that question using an incremental violation
-    accumulator, so each call is O(1)/O(log n) instead of O(#placed queries).
+    VM.  This context prices it from the vertex with the problem's
+    arithmetic (:meth:`SchedulingProblem.placement_cost_row
+    <repro.search.problem.SchedulingProblem.placement_cost_row>`): the
+    vertex's accumulator and partial ``penalty`` answer the penalty change,
+    so training and runtime see the same ``cost-of-X`` to the bit.  It holds
+    only the model's per-VM tables, so one context serves any number of
+    scheduling passes of one model.
     """
 
     def __init__(self, model: DecisionModel) -> None:
@@ -73,18 +80,6 @@ class RuntimeSchedulingContext:
         self._vm_type_name: str | None = None
         self._time_of: dict[str, float] = {}
         self._cost_of: dict[str, float] = {}
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every recorded placement: a fresh accumulator, no violation.
-
-        The VM tables are the model's and stay, so a context serves any number
-        of scheduling passes of one model.
-        """
-        self._accumulator = self._model.goal.accumulator()
-        self._violation_with = self._accumulator.violation_with
-        #: Violation of the placements recorded so far, refreshed per placement.
-        self._violation = self._accumulator.violation()
 
     def placement_cost_row(
         self, node: SearchNode, template_names: tuple[str, ...]
@@ -117,13 +112,10 @@ class RuntimeSchedulingContext:
         execution_time = self._time_of.get(template_name)
         if execution_time is None:
             return _INF
-        violation = self._violation_with(template_name, node.last_vm_finish + execution_time)
-        return self._cost_of[template_name] + self._rate * (violation - self._violation)
-
-    def record_placement(self, template_name: str, completion_time: float) -> None:
-        """Tell the context that a query of *template_name* will finish at *completion_time*."""
-        self._accumulator.add(template_name, completion_time)
-        self._violation = self._accumulator.violation()
+        violation = node.accumulator.violation_with(
+            template_name, node.last_vm_finish + execution_time
+        )
+        return self._cost_of[template_name] + (self._rate * violation - node.penalty)
 
 
 class PlacementKernel:
@@ -132,10 +124,10 @@ class PlacementKernel:
     Reused across scheduling passes: the per-template running values and the
     one reusable vertex the model reads are made here once, and the runtime
     context once per model — kept while passes bring the same model, replaced
-    when one brings another.  All of it is reset at the start of every
-    :meth:`place`, so a pass pays no set-up beyond its pools and a pass that
-    raised leaves nothing the next one reads.  Not thread-safe: one pass at a
-    time.
+    when one brings another.  The running values and the vertex (with a
+    fresh goal accumulator) are reset at the start of every :meth:`place`,
+    so a pass pays no set-up beyond its pools and a pass that raised leaves
+    nothing the next one reads.  Not thread-safe: one pass at a time.
     """
 
     def __init__(self) -> None:
@@ -150,10 +142,11 @@ class PlacementKernel:
         self._queue: list[str] = []
         self._queue_counts: dict[str, int] = {}
         # One reusable vertex: the model and the runtime context read the
-        # node's state and wait time but never retain them, so nothing is
-        # rebuilt per model parse — the state's fields and cached accessors
-        # are the running values above, updated in place per action.  Only the
-        # most recent VM is represented — the model never looks further back.
+        # node's state, wait time, accumulator and penalty but never retain
+        # them, so nothing is rebuilt per model parse — the state's fields and
+        # cached accessors are the running values above, updated in place per
+        # action.  Only the most recent VM is represented — the model never
+        # looks further back.
         state = SearchState.__new__(SearchState)
         self._state_dict = state.__dict__
         self._state_dict.update(
@@ -189,9 +182,7 @@ class PlacementKernel:
         got no query are left out.
         """
         context = self._context
-        if context is not None and context._model is model:
-            context.reset()
-        else:
+        if context is None or context._model is not model:
             context = self._context = RuntimeSchedulingContext(model)
         remaining = self._remaining
         remaining.clear()
@@ -203,6 +194,11 @@ class PlacementKernel:
         queue_counts.clear()
         state_dict = self._state_dict
         node = self._node
+        # The vertex carries its price inputs, as the training walk's does:
+        # a fresh accumulator per pass and the penalty of what it holds.
+        accumulator = node.accumulator = model.goal.accumulator()
+        node.penalty = 0.0
+        rate = model.goal.penalty_rate
 
         vms: list[tuple[VMType, list[Query]]] = []
         placed_on_existing: list[Query] = []
@@ -212,7 +208,6 @@ class PlacementKernel:
         decide = model.decide
         vm_types = model.vm_types
         vm_tables = model.vm_tables
-        record_placement = context.record_placement
         if last_vm_type is not None:
             state_dict["vms"] = ((last_vm_type.name, queue),)
             last_finish = existing_vm_busy_time
@@ -251,7 +246,8 @@ class PlacementKernel:
             else:
                 del remaining[template_name]
             last_finish += time_of[template_name]
-            record_placement(template_name, last_finish)
+            accumulator.add(template_name, last_finish)
+            node.penalty = rate * accumulator.violation()
             queue.append(template_name)
             queue_counts[template_name] = queue_counts.get(template_name, 0) + 1
 
@@ -295,11 +291,6 @@ class BatchScheduler:
         models were trained under different engines.
         """
         return self._model.search_strategy
-
-    @property
-    def training_optimality_ratio(self) -> float:
-        """Worst training cost-vs-optimal ratio of the model (1.0 = exact)."""
-        return self._model.training_optimality_ratio
 
     # -- public API --------------------------------------------------------------
 

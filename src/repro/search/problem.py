@@ -43,8 +43,7 @@ work is built around that:
   :class:`~repro.search.state.SearchState` — with
   :meth:`SchedulingProblem.child` only when it pops the child, which most
   children never are.  No node carries its outcome tuple; the rare reader (a
-  test, an edge cost for an unknown template) walks the parent chain
-  (:attr:`SearchNode.outcomes`).
+  test) walks the parent chain (:attr:`SearchNode.outcomes`).
 * **One row per remaining multiset.**  The problem numbers each remaining
   multiset by a mixed-radix integer over the workload's templates in name
   order; a placement subtracts the placed template's weight.  The first
@@ -150,11 +149,13 @@ class SearchNode:
     """A vertex plus the incremental bookkeeping the search needs.
 
     ``accumulator`` tracks the partial schedule's violation period
-    incrementally (see the module docstring); ``last_vm_index`` caches the
-    interned id of the most recent VM's type and ``row`` the remaining
-    multiset's row, so successor generation resolves neither.  They default
-    to their "absent" values so lightweight runtime contexts (e.g. the batch
-    scheduler) can build nodes without them.
+    incrementally (see the module docstring) and, with ``penalty``, is what
+    a ``cost-of-X`` price reads: every vertex that is priced carries one —
+    the search's nodes, the training walk's vertex and the runtime
+    kernel's.  ``last_vm_index`` caches the interned id of the most recent
+    VM's type and ``row`` the remaining multiset's row, so successor
+    generation resolves neither; they default to their "absent" values on
+    reusable vertices, which are never expanded.
     """
 
     state: SearchState
@@ -775,54 +776,27 @@ class SchedulingProblem:
     def placement_edge_cost(self, node: SearchNode, template_name: str) -> float:
         """Weight of the placement edge for *template_name* out of *node*.
 
-        Equation 2: execution time times the VM's rental rate, plus the change
-        in penalty caused by the placement.  Returns ``inf`` when the most
-        recent VM cannot process the template (or no VM exists yet).  The
-        penalty delta is answered by the node's incremental accumulator in
-        O(1)/O(log n) instead of re-evaluating the goal over every placement.
+        The one-template view of :meth:`placement_cost_row`.
         """
-        last = node.state.last_vm()
-        if last is None:
-            return _INF
-        vm_index = self._vm_id[last[0]]
-        template_index = self._tpl_id.get(template_name)
-        if template_index is None:
-            # Unknown template: preserve the historical behaviour (the latency
-            # model decides whether to raise or estimate).
-            vm_type = self._vm_types[last[0]]
-            if not vm_type.supports(template_name):
-                return _INF
-            execution_time = self._latency_model.latency(template_name, vm_type)
-            completion = node.last_vm_finish + execution_time
-            outcomes = node.outcomes + (LatencyOutcome(template_name, completion),)
-            penalty_delta = self._goal.penalty(outcomes) - node.penalty
-            return vm_type.running_cost * execution_time + penalty_delta
-        if not self._supports_table[vm_index][template_index]:
-            return _INF
-        execution_time = self._latency_table[vm_index][template_index]
-        completion = node.last_vm_finish + execution_time
-        accumulator = node.accumulator
-        if accumulator is not None:
-            penalty_delta = (
-                self._rate * accumulator.violation_with(template_name, completion)
-                - node.penalty
-            )
-        else:
-            outcomes = node.outcomes + (LatencyOutcome(template_name, completion),)
-            penalty_delta = self._goal.penalty(outcomes) - node.penalty
-        return self._run_cost_table[vm_index][template_index] + penalty_delta
+        return self.placement_cost_row(node, (template_name,))[0]
 
     def placement_cost_row(
         self, node: SearchNode, template_names: Sequence[str]
     ) -> list[float]:
-        """Equation-2 placement edge weights for many templates at once.
+        """Equation-2 placement edge weights out of *node*, one per template.
 
-        The row variant of :meth:`placement_edge_cost` used by the vectorized
-        feature path (:meth:`~repro.learning.features.FeatureExtractor.extract_into`):
-        the most-recent-VM lookup, table rows, and accumulator reference are
-        resolved once per vertex instead of once per template.  Entries are
-        bit-identical to per-template :meth:`placement_edge_cost` calls, with
-        ``inf`` marking infeasible placements.
+        Execution time times the VM's rental rate, plus the change in penalty
+        the placement causes: ``run_cost + (rate · violation_with − penalty)``,
+        read from the vertex alone — its accumulator's non-mutating
+        ``violation_with`` and its partial ``penalty`` — in O(1)/O(log n)
+        per template.  The runtime context prices a kernel vertex with the
+        same expression (:class:`~repro.runtime.batch.RuntimeSchedulingContext`),
+        so training and runtime rows agree to the bit.  ``inf`` marks a
+        placement that is impossible: no VM yet, a VM type that cannot run
+        the template, or a template outside this problem's specification.
+        The most-recent-VM lookup and table rows are resolved once per call,
+        which :meth:`~repro.learning.features.FeatureExtractor.extract_into`
+        makes once per vertex.
         """
         last = node.state.last_vm()
         if last is None:
@@ -833,29 +807,20 @@ class SchedulingProblem:
         run_cost_row = self._run_cost_table[vm_index]
         tpl_id = self._tpl_id
         finish = node.last_vm_finish
-        accumulator = node.accumulator
+        violation_with = node.accumulator.violation_with
         rate = self._rate
         node_penalty = node.penalty
         costs: list[float] = []
         for template_name in template_names:
             template_index = tpl_id.get(template_name)
-            if template_index is None:
-                # Unknown template: defer to the scalar path's fallback.
-                costs.append(self.placement_edge_cost(node, template_name))
-                continue
-            if not supports_row[template_index]:
+            if template_index is None or not supports_row[template_index]:
                 costs.append(_INF)
                 continue
             completion = finish + latency_row[template_index]
-            if accumulator is not None:
-                penalty_delta = (
-                    rate * accumulator.violation_with(template_name, completion)
-                    - node_penalty
-                )
-            else:
-                outcomes = node.outcomes + (LatencyOutcome(template_name, completion),)
-                penalty_delta = self._goal.penalty(outcomes) - node_penalty
-            costs.append(run_cost_row[template_index] + penalty_delta)
+            costs.append(
+                run_cost_row[template_index]
+                + (rate * violation_with(template_name, completion) - node_penalty)
+            )
         return costs
 
     # -- the A* f-value ----------------------------------------------------------------

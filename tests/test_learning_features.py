@@ -145,21 +145,6 @@ def test_unsupported_template_features(small_templates, max_goal):
     assert features[supports_feature("T1")] == 1.0
 
 
-def test_restricted_feature_families(small_templates):
-    extractor = FeatureExtractor(
-        small_templates, single_vm_type_catalog(), families=("wait_time", "have")
-    )
-    names = extractor.feature_names
-    assert wait_time_feature() in names
-    assert all(not name.startswith("cost_of") for name in names)
-    assert all(not name.startswith("proportion_of") for name in names)
-
-
-def test_unknown_family_rejected(small_templates):
-    with pytest.raises(ValueError):
-        FeatureExtractor(small_templates, single_vm_type_catalog(), families=("bogus",))
-
-
 def test_vector_ordering(extractor, problem):
     node = children(problem, problem.initial_node())[0]
     features = features_of(node, problem)

@@ -11,7 +11,7 @@ from repro.cloud.vm import single_vm_type_catalog
 from repro.config import TrainingConfig
 from repro.exceptions import ModelError, TrainingError
 from repro.learning.decision_tree import DecisionTreeClassifier
-from repro.learning.features import FeatureExtractor
+from repro.learning.features import FEATURE_FAMILIES, FeatureExtractor
 from repro.learning.model import DecisionModel
 from repro.learning.trainer import ModelGenerator, SampleSolver
 from repro.runtime.batch import BatchScheduler
@@ -143,6 +143,27 @@ def test_model_rejects_complete_states(trained_max, small_templates, vm_catalog)
     assert node.state.is_goal()
     with pytest.raises(ModelError):
         model.decide(node, problem)
+
+
+@pytest.mark.parametrize(
+    "families",
+    [
+        ["wait_time", "have"],
+        ["wait_time", "proportion_of", "supports", "have"],
+        ["proportion_of", "wait_time", "supports", "cost_of", "have"],
+    ],
+    ids=["two-families", "no-cost-of", "reordered"],
+)
+def test_a_serialized_model_on_other_feature_families_is_refused(trained_max, families):
+    """Every model decides on one row of all five families in a fixed order,
+    so a model written on any other list cannot be rebuilt."""
+    data = trained_max.model.to_dict()
+    assert data["feature_families"] == list(FEATURE_FAMILIES)
+    assert DecisionModel.from_dict(data).extractor.feature_names == (
+        trained_max.model.extractor.feature_names
+    )
+    with pytest.raises(ModelError, match="feature families"):
+        DecisionModel.from_dict({**data, "feature_families": families})
 
 
 def _one_leaf_model(label, templates, vm_types, goal):

@@ -6,8 +6,9 @@ method of a top-level class, in each non-``__init__`` module under
 an ``ast.Attribute`` attr, an import alias, or an identifier-shaped string
 constant in any non-``__init__`` file under ``src/``, ``examples/`` or
 ``benchmarks/``.  String constants count because ``benchmarks/perf/trace.py``
-resolves the functions it wraps by name.  Re-exports in ``__init__`` files
-and uses in ``tests/`` do not count.
+resolves the functions it wraps by name.  Re-exports in ``__init__`` files,
+uses in ``tests/`` and a mention inside a ``def`` of the same name (a method
+forwarding to its namesake) do not count.
 
 A public name nothing uses is deleted, or listed in :data:`ALLOWED_UNUSED`
 with a one-line reason.  The list cannot go stale: an entry whose name is
@@ -37,6 +38,9 @@ ALLOWED_UNUSED: dict[str, str] = {
     ),
     "repro.core.schedule.Schedule.validate_complete": (
         "the exactly-once oracle scheduler tests run on every schedule"
+    ),
+    "repro.learning.model.DecisionModel.training_optimality_ratio": (
+        "the provenance stamp a degraded model's registry row and metrics will carry"
     ),
     "repro.learning.decision_tree.DecisionTreeClassifier.predict": (
         "dict-row reference the compiled-tree equivalence tests check against"
@@ -93,23 +97,35 @@ def public_definitions(root: Path) -> dict[str, str]:
     return found
 
 
+def _mentions(node: ast.AST) -> list[str]:
+    """The identifiers one AST node mentions by itself."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".") + ([node.asname] if node.asname else [])
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value] if _IDENTIFIER.match(node.value) else []
+    return []
+
+
 def used_names(root: Path) -> set[str]:
-    """Every identifier the user directories mention."""
+    """Every identifier the user directories mention outside a def of that name.
+
+    A method that only forwards to a same-named method elsewhere
+    (``def run(self): return self._inner.run()``) is not a use of either.
+    """
     used: set[str] = set()
     for directory in USER_DIRS:
         for path in _modules(root / directory):
-            for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.update(node.name.split("."))
-                    if node.asname:
-                        used.add(node.asname)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    if _IDENTIFIER.match(node.value):
-                        used.add(node.value)
+            stack: list[tuple[ast.AST, frozenset[str]]] = [(_parse(path), frozenset())]
+            while stack:
+                node, enclosing = stack.pop()
+                if isinstance(node, _FUNCTIONS):
+                    enclosing = enclosing | {node.name}
+                used.update(name for name in _mentions(node) if name not in enclosing)
+                stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
     return used
 
 
@@ -249,6 +265,29 @@ def test_scanner_ignores_what_is_not_a_use(tmp_path, user, text):
     _write(tmp_path / "src/repro/lib.py", _TARGET)
     _write(tmp_path / user, text)
     assert scan(tmp_path)[1] == {"repro.lib.target"}
+
+
+def test_scanner_ignores_a_mention_inside_a_def_of_the_same_name(tmp_path):
+    """Delegation chains (each ``run`` forwards to the next ``run``) keep
+    nothing alive; a mention from any other def or from module level does."""
+    _write(
+        tmp_path / "src/repro/chain.py",
+        "def run(inner):\n    return inner.run()\n\n\n"
+        "class Outer:\n"
+        "    def run(self):\n        return self._inner.run()\n\n"
+        "    def size(self):\n"
+        "        def helper():\n            return self._inner.size()\n\n"
+        "        return helper()\n\n"
+        "    def kept(self):\n        return self._inner.kept()\n\n"
+        "    def start(self):\n        return self.kept()\n",
+    )
+    assert scan(tmp_path)[1] == {
+        "repro.chain.run",
+        "repro.chain.Outer",
+        "repro.chain.Outer.run",
+        "repro.chain.Outer.size",
+        "repro.chain.Outer.start",
+    }
 
 
 @pytest.mark.parametrize(

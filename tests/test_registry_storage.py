@@ -477,6 +477,24 @@ class TestManifestValidation:
         ]
         registry.close()
 
+    def test_a_stored_model_on_a_subset_of_feature_families_is_quarantined(
+        self, tmp_path
+    ):
+        (original,) = (SAVED_V1 / "models").glob("*.json")
+        artifact = json.loads(original.read_text(encoding="utf-8"))
+        artifact["training"]["model"]["feature_families"] = ["wait_time", "have"]
+        source = tmp_path / "models"
+        source.mkdir()
+        (source / original.name).write_text(json.dumps(artifact), encoding="utf-8")
+        registry = ModelRegistry()
+        assert registry.import_json_dir(source) == 1
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert registry.get(original.stem) is None  # a miss, not a raise
+        assert [fingerprint for fingerprint, _ in registry.quarantined()] == [
+            original.stem
+        ]
+        registry.close()
+
 
 # ---------------------------------------------------------------------------
 # Multi-process concurrent writers (the test the JSON layout could not pass)

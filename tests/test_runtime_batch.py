@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import units
+from repro.cloud.latency import TemplateLatencyModel
+from repro.cloud.vm import VMType, VMTypeCatalog, single_vm_type_catalog, t2_medium
 from repro.core.cost_model import CostModel
+from repro.learning.decision_tree import DecisionTreeClassifier
+from repro.learning.features import FeatureExtractor
+from repro.learning.model import DecisionModel
 from repro.runtime.batch import BatchScheduler, RuntimeSchedulingContext
+from repro.search.actions import PlaceQuery
 from repro.search.state import SearchState, freeze_counts
-from repro.search.problem import SearchNode
+from repro.search.problem import SchedulingProblem, SearchNode
+from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate
@@ -98,39 +110,129 @@ def test_detailed_result_with_existing_vm(trained_max, small_templates, vm_catal
     assert result.decisions >= len(workload)
 
 
-def test_runtime_context_matches_problem_edge_costs(trained_max, small_templates, vm_catalog):
-    """The runtime cost provider agrees with the search-graph edge weights."""
-    from repro.cloud.latency import TemplateLatencyModel
-    from repro.search.problem import SchedulingProblem
+#: ``2vm``'s small type cannot run T3, so a row holds infeasible prices too.
+_SMALL = VMType(
+    name="t2.small",
+    running_cost=t2_medium().running_cost / 2,
+    unsupported_templates=frozenset({"T3"}),
+)
+_CATALOGS = {
+    "1vm": single_vm_type_catalog(),
+    "2vm": VMTypeCatalog([t2_medium(), _SMALL]),
+}
 
-    model = trained_max.model
+
+def _model_for(templates, vm_types, goal, rows=((0.0, "provision:t2.medium"),)):
+    """A model of the specification whose tree splits ``wait_time`` only,
+    fitted on ``(wait_time, label)`` *rows* (a context reads only the goal
+    and the per-VM tables)."""
+    extractor = FeatureExtractor(templates, vm_types)
+    tree = DecisionTreeClassifier(min_samples_leaf=1).fit(
+        np.asarray([[wait] for wait, _ in rows]), [label for _, label in rows], ["wait_time"]
+    )
+    return DecisionModel(
+        tree=tree,
+        extractor=extractor,
+        templates=templates,
+        vm_types=vm_types,
+        goal=goal,
+        latency_model=TemplateLatencyModel(templates),
+    )
+
+
+@pytest.mark.parametrize("catalog", sorted(_CATALOGS))
+@pytest.mark.parametrize("rate", (1.0, 1.5, 0.3))
+@pytest.mark.parametrize("kind", GOAL_KINDS)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3).filter(
+        lambda values: sum(values) >= 2
+    ),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+def test_runtime_context_prices_a_kernel_vertex_like_the_problem(
+    small_templates, kind, rate, catalog, counts, seed
+):
+    """Training and runtime ``cost-of-X`` agree to the bit, at any penalty rate.
+
+    Along a random search path, each A* vertex is mirrored by a runtime
+    vertex built the way :class:`PlacementKernel` builds its own — only the
+    most recent VM, one goal accumulator for the whole pass and ``penalty``
+    set from it after every placement — and the runtime context must price
+    every template there exactly as the problem prices it at the A* vertex.
+    """
+    vm_types = _CATALOGS[catalog]
+    goal = default_goal(kind, small_templates, penalty_rate=rate)
     problem = SchedulingProblem(
-        template_counts={"T1": 2, "T2": 1, "T3": 1},
+        template_counts={
+            name: count for name, count in zip(small_templates.names, counts) if count
+        },
         templates=small_templates,
-        vm_types=vm_catalog,
-        goal=model.goal,
+        vm_types=vm_types,
+        goal=goal,
         latency_model=TemplateLatencyModel(small_templates),
     )
-    context = RuntimeSchedulingContext(model)
-    # Walk a few placements in lockstep and compare marginal costs.
+    context = RuntimeSchedulingContext(_model_for(small_templates, vm_types, goal))
+    accumulator = goal.accumulator()
+    penalty = 0.0
+    rng = random.Random(seed)
     node = problem.initial_node()
-    node = children(problem, node)[0]  # provision
-    for template in ("T1", "T2"):
-        search_cost = problem.placement_edge_cost(node, template)
-        runtime_node = _node_for(
-            vm_catalog.default,
-            [o.template_name for o in node.outcomes],
+    while True:
+        last = node.state.last_vm()
+        runtime = _node_for(
+            vm_types[last[0]] if last is not None else None,
+            last[1] if last is not None else (),
             node.last_vm_finish,
             dict(node.state.remaining),
         )
-        runtime_cost = context.placement_edge_cost(runtime_node, template)
-        assert runtime_cost == pytest.approx(search_cost)
-        node = next(
-            child
-            for child in children(problem, node)
-            if getattr(child.action, "template_name", None) == template
-        )
-        context.record_placement(template, node.last_vm_finish)
+        runtime.accumulator = accumulator
+        runtime.penalty = penalty
+        for name in small_templates.names:
+            assert context.placement_edge_cost(runtime, name) == problem.placement_edge_cost(
+                node, name
+            )
+        successors = children(problem, node)
+        if not successors:
+            break
+        node = rng.choice(successors)
+        if isinstance(node.action, PlaceQuery):
+            accumulator.add(node.action.template_name, node.last_vm_finish)
+            penalty = rate * accumulator.violation()
+
+
+def test_kernel_vertex_carries_the_penalty_of_its_placements(
+    small_templates, two_type_catalog, monkeypatch
+):
+    """Every decision of a pass sees ``penalty`` equal to the goal's penalty of
+    the placements made so far in that pass, for each goal kind at a rate
+    where the float forms of Equation 2 could differ."""
+    from repro.search.problem import LatencyOutcome
+
+    real = DecisionModel.decide
+    checked = []
+    state = {}
+
+    def decide(self, node, problem):
+        if isinstance(state["action"], PlaceQuery):
+            state["outcomes"].append(
+                LatencyOutcome(state["action"].template_name, node.last_vm_finish)
+            )
+        assert node.penalty == self.goal.penalty(state["outcomes"])
+        checked.append(node.penalty)
+        state["action"] = real(self, node, problem)
+        return state["action"]
+
+    monkeypatch.setattr(DecisionModel, "decide", decide)
+    workload = WorkloadGenerator(small_templates, seed=5).uniform(30)
+    # Queue queries until a VM holds ten minutes of work, then rent another.
+    rows = ((0.0, "assign:T2"), (units.minutes(10), "provision:t2.medium"))
+    for kind in GOAL_KINDS:
+        goal = default_goal(kind, small_templates, penalty_rate=0.3)
+        model = _model_for(small_templates, two_type_catalog, goal, rows)
+        for _ in range(2):  # a second pass starts from a fresh accumulator
+            state.update(action=None, outcomes=[])
+            BatchScheduler(model).schedule(workload)
+    assert any(penalty > 0.0 for penalty in checked)
 
 
 def test_runtime_context_infeasible_cases(trained_max):

@@ -8,9 +8,9 @@ here or in the tree's own API:
   random successor walks) against the name → value reference ``features_of``
   of ``tests/test_learning_features.py``;
 * tree evaluation — the :class:`TreeNode` walk (``predict_vector`` /
-  ``predict``) and the compiled flat-array evaluator (``predict_row`` /
-  ``predict_matrix``), including compilation onto an external feature order
-  with missing features constant-folded to 0.0;
+  ``predict``) and the compiled flat-array evaluator (``predict_row``),
+  including compilation onto an external feature order with missing features
+  constant-folded to 0.0;
 * online scheduling — the epoch-batched arrival loop against a session fed one
   query per epoch (the paper's per-arrival loop) on arrival streams with
   distinct timestamps, where the two groupings must coincide exactly;
@@ -207,7 +207,6 @@ def test_compiled_tree_matches_node_walk(data):
     walked = [tree.predict_vector(row) for row in matrix]
     compiled = tree.compiled()
     assert [compiled.predict_row(row) for row in matrix] == walked
-    assert tree.predict_matrix(matrix) == walked
 
     # Compilation onto a shuffled superset order, exercising the re-mapping.
     extended = feature_names + ["extra"]
@@ -219,7 +218,6 @@ def test_compiled_tree_matches_node_walk(data):
     for name, source in zip(feature_names, range(n_features)):
         wide[:, column_of[name]] = matrix[:, source]
     assert [remapped.predict_row(row) for row in wide] == walked
-    assert remapped.predict_matrix(wide) == walked
 
     # Missing features constant-fold exactly like predict()'s 0.0 default.
     dropped = data.draw(st.sampled_from(feature_names))
@@ -543,23 +541,17 @@ def _check_decisions(monkeypatch, seen: Counter) -> None:
     )
 
 
-def _model_on(model, tree=None, families=FEATURE_FAMILIES):
-    """*model*'s specification deciding by *tree* (default: its own) on an
-    extractor of *families*: splits on a missing family constant-fold."""
+def _one_leaf(model, label):
+    """*model*'s specification deciding *label* at every vertex."""
+    names = model.extractor.feature_names
     return DecisionModel(
-        tree=tree if tree is not None else model.tree,
-        extractor=FeatureExtractor(model.templates, model.vm_types, families),
+        tree=DecisionTreeClassifier.from_dict(_spine(names, [], [label])),
+        extractor=model.extractor,
         templates=model.templates,
         vm_types=model.vm_types,
         goal=model.goal,
         latency_model=model.latency_model,
     )
-
-
-def _one_leaf(model, label):
-    """*model*'s specification deciding *label* at every vertex."""
-    names = model.extractor.feature_names
-    return _model_on(model, DecisionTreeClassifier.from_dict(_spine(names, [], [label])))
 
 
 #: Labels a fitted tree rarely or never emits, each decided at every vertex.
@@ -591,14 +583,9 @@ def test_walk_equals_full_row_oracle_on_every_decision(
         BatchScheduler(model).run(batch)
         BatchScheduler(model.with_penalty_guard(False)).run(batch)
         OnlineScheduler(training, generator, wait_resolution=1e9).run(stream)
-        if catalog_name == "2vm":
-            # Full trees on extractors lacking one family (the ablation axis).
-            for family in FEATURE_FAMILIES:
-                families = tuple(name for name in FEATURE_FAMILIES if name != family)
-                BatchScheduler(_model_on(model, families=families)).run(batch)
-            if kind == "per_query":
-                for label in _ONE_LEAF_LABELS:
-                    BatchScheduler(_one_leaf(model, label)).run(batch)
+        if catalog_name == "2vm" and kind == "per_query":
+            for label in _ONE_LEAF_LABELS:
+                BatchScheduler(_one_leaf(model, label)).run(batch)
         # A* vertices, costed by the search problem itself.
         problem = SchedulingProblem(
             template_counts={"T1": 3, "T2": 2, "T3": 2},
