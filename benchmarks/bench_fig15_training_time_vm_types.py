@@ -12,6 +12,8 @@ the growth of training time with the catalogue size.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cloud.vm import synthetic_vm_type_catalog
 from repro.evaluation.harness import format_table, measure_training_time
 from repro.sla.factory import GOAL_KINDS
@@ -20,7 +22,9 @@ VM_TYPE_COUNTS = (1, 5, 10)
 
 
 def _run(scale):
-    config = scale.training.with_samples(max(12, scale.training.num_samples // 5))
+    config = replace(
+        scale.training.with_samples(max(12, scale.training.num_samples // 5)), seed=15
+    )
     rows = []
     for kind in GOAL_KINDS:
         row = {"goal": kind}
@@ -30,7 +34,6 @@ def _run(scale):
                 num_templates=10,
                 vm_types=synthetic_vm_type_catalog(count),
                 config=config,
-                seed=15,
             )
             row[f"{count} VM types (s)"] = round(elapsed, 2)
         rows.append(row)

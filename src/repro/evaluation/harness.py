@@ -229,11 +229,11 @@ def measure_training_time(
     num_templates: int,
     vm_types: VMTypeCatalog | None = None,
     config: TrainingConfig | None = None,
-    seed: int = 0,
     n_jobs: int | None = None,
 ) -> tuple[float, TrainingResult]:
     """Wall-clock training time for a given specification size.
 
+    *config* (default :meth:`TrainingConfig.fast`) carries the seed.
     ``n_jobs`` fans the per-sample solves across worker processes (Figures
     14-15 measure exactly this wall clock, pool start-up included; the
     schedule output is unchanged).
@@ -242,7 +242,7 @@ def measure_training_time(
 
     templates = tpch_templates(num_templates)
     vm_types = vm_types or single_vm_type_catalog()
-    config = config or TrainingConfig.fast(seed=seed)
+    config = config or TrainingConfig.fast()
     if n_jobs is not None:
         config = config.with_n_jobs(n_jobs)
     goal = default_goal(goal_kind, templates)

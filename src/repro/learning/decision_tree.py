@@ -15,18 +15,22 @@ The learner handles exactly what the WiSeDB feature set needs:
   trees stay shallow — the paper reports heights below 30, which is what makes
   model-guided scheduling O(h·n).
 
-Fitting has one path.  Every feature is sorted once per fit and the sorted row
-orders are kept as one ``(features, rows)`` array that each split only
-filters.  A node is scored in a single pass over all its features: one gather
-of the sorted values and labels, one ``diff`` for the boundaries between
-distinct values, one segmented ``bincount`` plus an integer ``cumsum`` for the
-class counts left of every candidate of every feature, and one entropy call
-per side — a few dozen numpy calls per node instead of a few dozen per (node,
-feature), which is what a retrain inside the online loop used to spend most of
-its time on.  The counts are integers and each gain, gain ratio and threshold
-is the same elementwise expression on them that a one-feature-at-a-time scorer
-evaluates, so the fitted trees are bit-identical to that formulation's; it
-lives on as the oracle in ``tests/test_learning_decision_tree.py``.
+Fitting has one path.  Every feature is sorted once per fit and the tree grows
+one depth at a time — SLIQ's breadth-first growth on presorted orders: the
+sorted orders of every node still open at a depth lie end to end in one flat
+array, one segment per (node, feature), which each split only filters.  One
+pass of numpy calls scores every open node of a depth: one gather of the
+sorted values and labels, one comparison for the boundaries between distinct
+values, one segmented ``bincount`` plus an integer ``cumsum`` for the class
+counts left of every candidate of every node, one entropy call per side, and
+one ``reduceat`` per criterion for each node's winner.  The numpy call count of
+a fit thus grows with the tree's depth, not with its node count; per-node
+call overhead is what a retrain inside the online loop used to spend most of
+its fit on.  The counts are integers and each gain, gain ratio and threshold
+is the same elementwise expression on them that a one-node,
+one-feature-at-a-time scorer evaluates, so the fitted trees are bit-identical
+to that formulation's; it lives on as the oracle in
+``tests/test_learning_decision_tree.py``.
 """
 
 from __future__ import annotations
@@ -89,36 +93,6 @@ def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     mask = counts > 0
     terms[mask] = probabilities[mask] * np.log2(probabilities[mask])
     return -terms.sum(axis=1)
-
-
-def _partition(
-    orders: np.ndarray,
-    features: np.ndarray,
-    varying: np.ndarray,
-    slot: int,
-    position: int,
-    in_left: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(left orders, right orders, features)`` of the children of one split.
-
-    ``orders[slot]`` is sorted by the split feature, so its first
-    ``position + 1`` rows are the left child; every other feature's order is
-    divided by one boolean gather, which keeps it sorted — no re-sorting.
-    Features that do not vary in this node cannot vary below it and are
-    dropped.  ``in_left`` is an all-false mask over the training rows, used
-    as scratch and handed back all-false.
-    """
-    left_rows = orders[slot, : position + 1]
-    if not varying.all():
-        orders, features = orders[varying], features[varying]
-    in_left[left_rows] = True
-    goes_left = in_left[orders]
-    in_left[left_rows] = False
-    return (
-        orders[goes_left].reshape(len(orders), -1),
-        orders[~goes_left].reshape(len(orders), -1),
-        features,
-    )
 
 
 class CompiledTreeEvaluator:
@@ -335,12 +309,13 @@ class DecisionTreeClassifier:
         Every feature column is sorted once (stable, so ties keep original
         row order) and a node only ever *filters* its parent's orders, which
         leaves each of them equal to a fresh stable ``argsort`` of the node's
-        rows.  Each node is then scored in one pass over all its features —
-        see :meth:`_score_node` — and the candidate it picks, and every float
-        stored in the tree, is the one the per-(node, feature) formulation
-        kept as the oracle in ``tests/test_learning_decision_tree.py``
-        produces.  Raises :class:`TrainingError` on mismatched shapes, an
-        empty training set, or a NaN / infinite feature value.
+        rows.  The tree then grows one depth at a time: every open node of a
+        depth is scored in one pass — see :meth:`_best_splits` — and the
+        candidate each node picks, and every float stored in the tree, is the
+        one the per-(node, feature) formulation kept as the oracle in
+        ``tests/test_learning_decision_tree.py`` produces.  Raises
+        :class:`TrainingError` on mismatched shapes, an empty training set,
+        or a NaN / infinite feature value.
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -353,9 +328,10 @@ class DecisionTreeClassifier:
             raise TrainingError("feature matrix and feature_names disagree on width")
         finite = np.isfinite(matrix)
         if not finite.all():
-            # inf - inf = nan would hide a boundary from the diff below and
-            # ``nan <= threshold`` is false for every threshold: neither can
-            # be split on, and the extractor never emits them.
+            # A NaN compares false with every value, which hides boundaries
+            # from the split search, and ``nan <= threshold`` is false for
+            # every threshold; infinities, whose midpoints are not finite,
+            # are refused with it.  The extractor never emits either.
             column = int(np.argmin(finite.all(axis=0)))
             raise TrainingError(
                 f"feature {feature_names[column]!r} (column {column}) holds a NaN "
@@ -372,14 +348,22 @@ class DecisionTreeClassifier:
         self._compiled_cache.clear()
         return self
 
-    def _node(self, counts: np.ndarray) -> TreeNode:
+    def _node(self, counts: list[int]) -> TreeNode:
         """A node (a leaf until it is split) over examples with these class counts."""
         return TreeNode(
-            samples=int(counts.sum()),
+            samples=sum(counts),
             class_counts={
-                self._classes[i]: int(count) for i, count in enumerate(counts) if count
+                label: count for label, count in zip(self._classes, counts) if count
             },
-            label=self._classes[int(np.argmax(counts))],
+            label=self._classes[counts.index(max(counts))],
+        )
+
+    def _opens(self, node: TreeNode, depth: int) -> bool:
+        """Whether a node at this depth is scored: the stop rules."""
+        return (
+            depth < self._max_depth
+            and node.samples >= self._min_samples_split
+            and len(node.class_counts) > 1
         )
 
     def _grow(
@@ -387,147 +371,235 @@ class DecisionTreeClassifier:
     ) -> TreeNode:
         """Induce the tree from the root's presorted orders; returns the root.
 
-        A work item is ``(node, class counts, orders, features, depth)``:
-        ``orders[s]`` lists the node's row ids sorted by feature
-        ``features[s]``.  Nodes wait on an explicit stack rather than in
-        recursive frames so that a split node's arrays are gone before its
-        children are scored — what waits is only the orders of pending
-        siblings, which partition the training rows between them.
+        The tree grows one depth at a time.  A depth's open nodes are
+        ``nodes``, with class ``counts`` and ``sizes`` (one row / entry per
+        node); their orders lie end to end in the flat array ``rows`` as
+        *segments* of their node's size: segment ``s`` lists node
+        ``seg_node[s]``'s row ids sorted by feature ``seg_feature[s]``, and a
+        node's segments are adjacent and in feature order.  Splitting a depth
+        cuts every split node's segments with one boolean gather, which keeps
+        each of them sorted — no re-sorting — and drops the segments that
+        :meth:`_best_splits` finds no descendant can split on.
         """
+        n_rows = encoded.size
         counts = np.bincount(encoded, minlength=len(self._classes))
-        root = self._node(counts)
-        in_left = np.zeros(encoded.size, dtype=bool)
-        pending = [(root, counts, orders, np.arange(orders.shape[0]), 0)]
-        while pending:
-            node, counts, orders, features, depth = pending.pop()
-            if (
-                depth >= self._max_depth
-                or node.samples < self._min_samples_split
-                or np.count_nonzero(counts) <= 1
-            ):
-                continue
-            best = self._score_node(flat_values, encoded, orders, features, counts)
-            if best is None:
-                continue
-            slot, position, threshold, left_counts, varying = best
-            right_counts = counts - left_counts
-            node.feature_index = int(features[slot])
-            node.feature_name = self._feature_names[node.feature_index]
-            node.threshold = threshold
-            node.left = self._node(left_counts)
-            node.right = self._node(right_counts)
-            left_orders, right_orders, features = _partition(
-                orders, features, varying, slot, position, in_left
+        root = self._node(counts.tolist())
+        if not self._opens(root, 0):
+            return root
+        nodes = [root]
+        counts = counts[None, :]
+        sizes = np.array([n_rows])
+        seg_node = np.zeros(orders.shape[0], dtype=np.intp)
+        seg_feature = np.arange(orders.shape[0])
+        rows = orders.ravel()
+        del orders
+        in_left = np.zeros(n_rows, dtype=bool)
+        depth = 0
+        while nodes:
+            seg_sizes = sizes[seg_node]
+            seg_starts = np.cumsum(seg_sizes) - seg_sizes
+            seg_of = np.repeat(np.arange(seg_node.size), seg_sizes)
+            values = flat_values[np.repeat(seg_feature * n_rows, seg_sizes) + rows]
+            best = self._best_splits(
+                values, encoded, rows, seg_of, seg_starts, seg_node, counts, sizes
             )
-            pending.append((node.right, right_counts, right_orders, features, depth + 1))
-            pending.append((node.left, left_counts, left_orders, features, depth + 1))
+            if best is None:
+                break
+            split, cuts, left_counts, keep = best
+            cut_segs = seg_of[cuts]
+
+            # The split nodes' children; the open ones form the next depth,
+            # every open left child first, then every open right child.
+            depth += 1
+            lefts, rights, moved = [], [], []  # (node, class counts) of open children
+            left_of, right_of = [-1] * len(nodes), [-1] * len(nodes)
+            for node_id, feature, start, cut, low, high, left, right in zip(
+                split.tolist(),
+                seg_feature[cut_segs].tolist(),
+                seg_starts[cut_segs].tolist(),
+                cuts.tolist(),
+                values[cuts].tolist(),
+                values[cuts + 1].tolist(),
+                left_counts.tolist(),
+                (counts[split] - left_counts).tolist(),
+            ):
+                threshold = (low + high) / 2.0
+                if not (low <= threshold < high):
+                    # The midpoint of adjacent distinct values can collapse
+                    # onto the right value (denormal underflow: mean(-5e-324,
+                    # 0.0) == -0.0, and 0.0 <= -0.0 is True) or escape the
+                    # interval entirely (overflow to ±inf).  A ``<= threshold``
+                    # test must keep the low value on the left and the high
+                    # value on the right, and the low value itself always
+                    # satisfies that.
+                    threshold = low
+                node = nodes[node_id]
+                node.feature_index = feature
+                node.feature_name = self._feature_names[feature]
+                node.threshold = threshold
+                node.left = self._node(left)
+                node.right = self._node(right)
+                if self._opens(node.left, depth):
+                    left_of[node_id] = len(lefts)
+                    lefts.append((node.left, left))
+                if self._opens(node.right, depth):
+                    right_of[node_id] = len(rights)
+                    rights.append((node.right, right))
+                # The winning segment's rows up to the cut go left.
+                moved.append(rows[start : cut + 1])
+
+            # One lookup of the rows that go left divides every other
+            # segment of a split node, keeping each sorted.
+            moved = np.concatenate(moved)
+            in_left[moved] = True
+            goes_left = in_left[rows]
+            in_left[moved] = False
+            left_child = np.array(left_of)
+            right_child = np.array([-1 if i < 0 else i + len(lefts) for i in right_of])
+            keep_left = keep & (left_child[seg_node] >= 0)
+            keep_right = keep & (right_child[seg_node] >= 0)
+            rows = np.concatenate(
+                (rows[goes_left & keep_left[seg_of]], rows[~goes_left & keep_right[seg_of]])
+            )
+            seg_node = np.concatenate(
+                (left_child[seg_node[keep_left]], right_child[seg_node[keep_right]])
+            )
+            seg_feature = np.concatenate((seg_feature[keep_left], seg_feature[keep_right]))
+            children = lefts + rights
+            nodes = [node for node, _ in children]
+            counts = np.array([class_counts for _, class_counts in children])
+            sizes = np.array([node.samples for node in nodes], dtype=np.intp)
         return root
 
-    def _score_node(
+    def _best_splits(
         self,
-        flat_values: np.ndarray,
+        values: np.ndarray,
         encoded: np.ndarray,
-        orders: np.ndarray,
-        features: np.ndarray,
+        rows: np.ndarray,
+        seg_of: np.ndarray,
+        seg_starts: np.ndarray,
+        seg_node: np.ndarray,
         counts: np.ndarray,
-    ) -> tuple[int, int, float, np.ndarray, np.ndarray] | None:
-        """The best split of one node, scored in one pass over all its features.
+        sizes: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The best split of every open node of one depth, in one pass.
 
-        Returns ``(slot, position, threshold, left class counts, varying)``:
-        the split is on feature ``features[slot]`` and sends the first
-        ``position + 1`` rows of ``orders[slot]`` left; ``varying[s]`` is
-        false for a feature that is constant in this node (hence in its whole
-        subtree).  ``None`` when no admissible candidate gains more than
-        ``min_gain``.
+        ``values`` holds the feature values along the depth's flat ``rows``
+        (see :meth:`_grow`), ``encoded`` every training row's class index and
+        ``seg_of`` each flat position's segment.  Returns ``(split, cuts,
+        left_counts, keep)``: node ``split[i]`` splits after flat position
+        ``cuts[i]`` of its winning segment, with ``left_counts[i]`` on the
+        left; ``keep[s]`` is false for a segment with no admissible boundary,
+        whose feature no descendant of its node can split on either.  Nodes
+        without an admissible candidate gaining more than ``min_gain`` are
+        absent; ``None`` when no node splits.
 
-        Candidates are the boundaries between distinct adjacent values of
-        each feature, listed in (feature, position) order; a feature with
+        Candidates are the boundaries between distinct adjacent values inside
+        a segment, listed in (node, feature, position) order; a segment with
         more than ``_MAX_THRESHOLDS`` of them keeps an even subsample.  The
         class counts on either side of a candidate are integers, and every
         float derived from them is the elementwise expression a scorer taking
-        one feature at a time evaluates on those integers, so scoring all
-        features at once changes no gain, ratio or threshold.  The winner is
-        the first candidate with the lexicographically largest (gain ratio,
+        one node and one feature at a time evaluates on those integers — each
+        node's parent entropy is its own :func:`_entropy` call, and
+        :func:`_entropy_rows` sums each row on its own — so scoring a whole
+        depth at once changes no gain, ratio or threshold.  A node's winner is
+        its first candidate with the lexicographically largest (gain ratio,
         gain) — the one a feature-by-feature loop that keeps strict
-        improvements arrives at.
+        improvements arrives at; candidates of different nodes are never
+        compared.
         """
-        n_slots, total = orders.shape
-        n_classes = counts.size
+        n_classes = counts.shape[1]
         min_leaf = self._min_samples_leaf
 
-        sorted_values = flat_values[(features * encoded.size)[:, None] + orders]
-        slot_of, position = np.nonzero(np.diff(sorted_values, axis=1) > 0)
-        per_slot = np.bincount(slot_of, minlength=n_slots)
-        if per_slot.max(initial=0) > _MAX_THRESHOLDS:
-            keep = np.ones(slot_of.size, dtype=bool)
-            starts = np.cumsum(per_slot) - per_slot
-            for crowded in np.nonzero(per_slot > _MAX_THRESHOLDS)[0]:
-                start, size = int(starts[crowded]), int(per_slot[crowded])
+        rising = values[1:] > values[:-1]
+        rising[seg_starts[1:] - 1] = False  # no boundary across two segments
+        cuts = np.flatnonzero(rising)
+        cut_segs = seg_of[cuts]
+        per_seg = np.bincount(cut_segs, minlength=seg_node.size)
+        if per_seg.max(initial=0) > _MAX_THRESHOLDS:
+            sampled = np.ones(cuts.size, dtype=bool)
+            firsts = np.cumsum(per_seg) - per_seg
+            for crowded in np.flatnonzero(per_seg > _MAX_THRESHOLDS):
+                start, size = int(firsts[crowded]), int(per_seg[crowded])
                 step = size / _MAX_THRESHOLDS
                 picks = (np.arange(_MAX_THRESHOLDS) * step).astype(int)
-                keep[start : start + size] = False
-                keep[start + picks] = True
-            slot_of, position = slot_of[keep], position[keep]
+                sampled[start : start + size] = False
+                sampled[start + picks] = True
+            cuts, cut_segs = cuts[sampled], cut_segs[sampled]
 
-        left_sizes = position + 1
-        admissible = (left_sizes >= min_leaf) & (total - left_sizes >= min_leaf)
-        if not admissible.any():
+        cut_nodes = seg_node[cut_segs]
+        totals = sizes[cut_nodes]
+        left_sizes = cuts + 1 - seg_starts[cut_segs]
+        admissible = np.flatnonzero((left_sizes >= min_leaf) & (totals - left_sizes >= min_leaf))
+        if admissible.size == 0:
             return None
-        slot_of = slot_of[admissible]
-        position = position[admissible]
+        cuts = cuts[admissible]
+        cut_segs = cut_segs[admissible]
+        # A feature whose every boundary in a node leaves fewer than
+        # ``min_samples_leaf`` rows on one side holds one value on all but
+        # those few rows, so it has no admissible boundary in any descendant
+        # either.  A subsampled segment is kept whatever its sample holds.
+        keep = per_seg > _MAX_THRESHOLDS
+        keep[cut_segs] = True
+        cut_nodes = cut_nodes[admissible]
+        totals = totals[admissible]
         left_sizes = left_sizes[admissible]
-        right_sizes = total - left_sizes
+        right_sizes = totals - left_sizes
 
         # Left-side class counts of every candidate via one segmented
-        # bincount over the features laid end to end: bucket k holds the
-        # rows after candidate k-1 up to and including candidate k, so the
-        # running sum at k counts everything up to it — ``slot_of[k]`` whole
-        # features, each adding up to the node's ``counts``, plus the left
-        # side of its own.  No (features, rows, classes) one-hot is built.
-        num_candidates = slot_of.size
-        marks = np.zeros(n_slots * total, dtype=np.intp)
-        marks[slot_of * total + left_sizes] = 1
+        # bincount over the whole depth: bucket k holds the positions after
+        # candidate k-1 up to and including candidate k, so the running sum
+        # at k counts everything up to it — every earlier segment whole, each
+        # adding up to its node's counts, plus the left side of its own.  No
+        # (positions, classes) one-hot is built.
+        num_candidates = cuts.size
+        edges = np.empty(num_candidates + 2, dtype=np.intp)
+        edges[0], edges[1:-1], edges[-1] = 0, cuts + 1, rows.size
+        buckets = np.repeat(
+            np.arange(0, (num_candidates + 1) * n_classes, n_classes), np.diff(edges)
+        )
+        buckets += encoded[rows]
         buckets = np.bincount(
-            np.cumsum(marks) * n_classes + encoded[orders].ravel(),
-            minlength=(num_candidates + 1) * n_classes,
+            buckets, minlength=(num_candidates + 1) * n_classes
         ).reshape(num_candidates + 1, n_classes)
-        left_counts = (
-            np.cumsum(buckets[:num_candidates], axis=0) - slot_of[:, None] * counts
-        )
-        right_counts = counts - left_counts
+        seg_counts = counts[seg_node]
+        earlier = np.cumsum(seg_counts, axis=0) - seg_counts
+        left_counts = np.cumsum(buckets[:num_candidates], axis=0) - earlier[cut_segs]
+        right_counts = counts[cut_nodes] - left_counts
 
-        gains = _entropy(counts.astype(float)) - (
-            left_sizes / total * _entropy_rows(left_counts, left_sizes.astype(float))
-            + right_sizes / total * _entropy_rows(right_counts, right_sizes.astype(float))
+        parent = np.array([_entropy(row) for row in counts.astype(float)])
+        gains = parent[cut_nodes] - (
+            left_sizes / totals * _entropy_rows(left_counts, left_sizes.astype(float))
+            + right_sizes / totals * _entropy_rows(right_counts, right_sizes.astype(float))
         )
-        useful = np.nonzero(gains > self._min_gain)[0]
+        useful = np.flatnonzero(gains > self._min_gain)
         if useful.size == 0:
             return None
         gains = gains[useful]
-        left_fraction = left_sizes[useful] / total
-        right_fraction = right_sizes[useful] / total
+        totals = totals[useful]
+        left_fraction = left_sizes[useful] / totals
+        right_fraction = right_sizes[useful] / totals
         # Both sides are non-empty, so the split information is positive.
         split_info = -(
             left_fraction * np.log2(left_fraction)
             + right_fraction * np.log2(right_fraction)
         )
         gain_ratios = gains / split_info
-        top = np.nonzero(gain_ratios == gain_ratios.max())[0]
-        pick = useful[top[int(np.argmax(gains[top]))]]
-        slot, boundary = int(slot_of[pick]), int(position[pick])
 
-        left_value = float(sorted_values[slot, boundary])
-        right_value = float(sorted_values[slot, boundary + 1])
-        threshold = (left_value + right_value) / 2.0
-        if not (left_value <= threshold < right_value):
-            # The midpoint of adjacent distinct values can collapse onto the
-            # right value (denormal underflow: mean(-5e-324, 0.0) == -0.0,
-            # and 0.0 <= -0.0 is True) or escape the interval entirely
-            # (overflow to ±inf).  A ``<= threshold`` test must keep the
-            # left value on the left and the right value on the right, and
-            # the left value itself always satisfies that.
-            threshold = left_value
-        return slot, boundary, threshold, left_counts[pick].copy(), per_slot > 0
+        # One group of candidates per node that still has one.
+        nodes = cut_nodes[useful]
+        new = np.empty(nodes.size, dtype=bool)
+        new[0] = True
+        np.not_equal(nodes[1:], nodes[:-1], out=new[1:])
+        firsts = np.flatnonzero(new)
+        group = np.cumsum(new) - 1
+        top = gain_ratios == np.maximum.reduceat(gain_ratios, firsts)[group]
+        best = top & (
+            gains == np.maximum.reduceat(np.where(top, gains, -np.inf), firsts)[group]
+        )
+        position = np.arange(nodes.size)
+        picks = useful[np.minimum.reduceat(np.where(best, position, nodes.size), firsts)]
+        return cut_nodes[picks], cuts[picks], left_counts[picks], keep
 
     # -- prediction ----------------------------------------------------------------
 

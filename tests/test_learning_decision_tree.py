@@ -438,6 +438,31 @@ def _split_features(node):
     )
 
 
+def _depth_events(root, max_depth, min_samples_leaf):
+    """Per depth of a fitted tree: its split nodes, and its open nodes left unsplit.
+
+    A node is open when the fit scores it: shallower than ``max_depth``, at least
+    ``min_samples_split`` (the constructor's ``max(4, 2 * min_samples_leaf)``)
+    rows and two classes.
+    """
+    split, unsplit = Counter(), Counter()
+
+    def walk(node, depth):
+        if "feature_index" in node:
+            split[depth] += 1
+            walk(node["left"], depth + 1)
+            walk(node["right"], depth + 1)
+        elif (
+            depth < max_depth
+            and node["samples"] >= max(4, 2 * min_samples_leaf)
+            and len(node["class_counts"]) > 1
+        ):
+            unsplit[depth] += 1
+
+    walk(root, 0)
+    return split, unsplit
+
+
 def test_node_pass_fit_is_bit_identical_to_the_oracle():
     """300 seeded matrices, 5-1,400 rows: the same tree, to the last bit."""
     seen = Counter()
@@ -451,9 +476,108 @@ def test_node_pass_fit_is_bit_identical_to_the_oracle():
         assert fitted["classes"] == sorted(set(labels))
         # Identical columns tie on every candidate; the lower index must win.
         assert twin not in _split_features(fitted["root"]), (seed, twin)
+        # A depth is scored in one pass: it must hold several nodes at once.
+        split, unsplit = _depth_events(fitted["root"], **params)
+        case_seen["a depth with two or more split nodes"] += max(split.values(), default=0) >= 2
+        case_seen["a depth where one open node splits and another does not"] += any(
+            split[depth] and unsplit[depth] for depth in split
+        )
         seen.update({reached: count > 0 for reached, count in case_seen.items()})
     # The sweep must reach the cases it was written for.
-    assert all(seen.values()) and len(seen) == 4, seen
+    assert all(seen.values()) and len(seen) == 6, seen
+
+
+def _stacked(*blocks):
+    """Row blocks under a leading group column (block k reads k) that the root splits on."""
+    return np.vstack(
+        [np.column_stack([np.full(len(block), float(k)), block]) for k, block in enumerate(blocks)]
+    )
+
+
+def _tie_on_different_features():
+    # Each depth-1 node has one perfect feature, f1 on the left and f2 on the
+    # right: the same (gain ratio, gain) = (1, 1) from different columns.
+    left = np.array([[0, 0], [0, 1], [0, 0], [0, 1], [1, 0], [1, 1], [1, 0], [1, 1]])
+    matrix = _stacked(left, left[:, ::-1])
+    return matrix, list("AAAABBBBCCCCDDDD"), {"min_samples_leaf": 1, "max_depth": 2}, (0, 1, 2)
+
+
+def _inadmissible_beside_a_split():
+    # The left node is open (6 rows, two classes) but its only boundary
+    # leaves one row on a side; the right node splits 3/3.
+    left = np.array([[0, 0]] * 5 + [[1, 1]])
+    right = np.array([[0, 0]] * 3 + [[1, 1]] * 3)
+    matrix = _stacked(left, right)
+    return matrix, list("AAAAABCCCDDD"), {"min_samples_leaf": 3, "max_depth": 3}, (0, None, 1)
+
+
+def _boundary_across_segments():
+    # Column f0 (299 boundaries, subsampled) ends below f1's first value; a
+    # boundary counted across the two would shift f0's subsample off the
+    # perfect cut at 150 rows.
+    rng = np.random.default_rng(3)
+    matrix = np.column_stack([np.sort(rng.uniform(0, 1, 300)), 2 + rng.integers(0, 2, 300)])
+    labels = ["A"] * 150 + ["B"] * 150
+    return matrix, labels, {"min_samples_leaf": 1, "max_depth": 1}, (0, None, None)
+
+
+def _subsampled_winner_beside_a_small_node():
+    # A 300-row node splits on f2 (299 boundaries, subsampled), its last
+    # column, which ends below the next node's first value (f0 = 1); the
+    # 8-row node beside it splits on f1.
+    rng = np.random.default_rng(5)
+    x = rng.permutation(300) / 300.0
+    big = np.column_stack([2 + rng.integers(0, 2, 300), x])
+    small = np.column_stack([[2, 2, 2, 2, 3, 3, 3, 3], rng.uniform(0, 1, 8)])
+    labels = ["A" if value < 0.5 else "B" for value in x] + list("CCCCDDDD")
+    return _stacked(big, small), labels, {"min_samples_leaf": 2, "max_depth": 2}, (0, 2, 1)
+
+
+def _admissible_boundary_only_outside_the_subsample():
+    # At the root f0 has 130 boundaries; the even subsample of 128 skips the
+    # 65th, the only one leaving 70 rows on both sides.  The root splits on
+    # f1, and below it f0 (65 boundaries, no subsample) splits on exactly
+    # that boundary, so f0 must outlive a node where no sampled boundary of
+    # it was admissible.
+    f0 = np.concatenate(
+        [np.arange(64.0), np.full(150, 100.0), np.full(155, 200.0), 300 + np.arange(65.0)]
+    )
+    f1 = (np.arange(f0.size) >= 64 + 150 + 150).astype(float)
+    labels = ["a"] * (64 + 150) + ["b"] * 155 + ["c"] * 65
+    return np.column_stack([f0, f1]), labels, {"min_samples_leaf": 70, "max_depth": 3}, (
+        1,
+        0,
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _tie_on_different_features,
+        _inadmissible_beside_a_split,
+        _boundary_across_segments,
+        _subsampled_winner_beside_a_small_node,
+        _admissible_boundary_only_outside_the_subsample,
+    ],
+    ids=lambda build: build.__name__.strip("_"),
+)
+def test_nodes_scored_in_one_depth_pass_do_not_interact(build):
+    """Cross-node and cross-segment cases the seeded sweep does not name.
+
+    Each builder also names the split features of the root and its two
+    children (``None`` for a leaf), so a case cannot drift into a tree
+    that no longer exercises what it was written for.
+    """
+    matrix, labels, params, shape = build()
+    names = [f"f{j}" for j in range(matrix.shape[1])]
+    root = DecisionTreeClassifier(**params).fit(matrix, labels, names).to_dict()["root"]
+    assert root == reference_root(matrix, labels, **params)
+    assert (
+        root.get("feature_index"),
+        root["left"].get("feature_index"),
+        root["right"].get("feature_index"),
+    ) == shape
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +599,10 @@ def benchmark_shaped_set():
     return matrix, labels, result.training_set.feature_names, result.model.tree
 
 
-def test_a_node_costs_two_entropy_calls_not_two_per_feature(
+def test_a_depth_costs_two_entropy_calls_not_two_per_node(
     benchmark_shaped_set, monkeypatch
 ):
+    """Every open node of a depth is scored in one pass: one call per side."""
     matrix, labels, names, trained = benchmark_shaped_set
     calls = []
     real = decision_tree._entropy_rows
@@ -490,7 +615,7 @@ def test_a_node_costs_two_entropy_calls_not_two_per_feature(
     tree = DecisionTreeClassifier(max_depth=30, min_samples_leaf=5).fit(matrix, labels, names)
     internal_nodes = tree.node_count() - tree.leaf_count()
     assert internal_nodes >= 40  # a ~100-node tree, not a stump
-    assert 0 < len(calls) <= 2 * internal_nodes
+    assert 0 < len(calls) <= 2 * tree.depth()
     assert tree.to_dict() == trained.to_dict()  # the trainer's own fit, again
     assert tree.to_dict()["root"] == reference_root(
         matrix, labels, max_depth=30, min_samples_leaf=5
@@ -498,11 +623,11 @@ def test_a_node_costs_two_entropy_calls_not_two_per_feature(
 
 
 def test_fit_memory_stays_a_small_multiple_of_the_matrix(benchmark_shaped_set):
-    """Node-local arrays are released before the children are grown.
+    """A depth's arrays are released before the next depth is grown.
 
     Holding every ancestor's gathers alive down the tree reads ~30x the
-    matrix here; one node's working set plus the pending siblings' orders
-    reads well under half the bound.
+    matrix here; one level's working set plus the next level's orders
+    reads under half the bound (6.7x).
     """
     base, base_labels, names, _ = benchmark_shaped_set
     repeats = -(-7000 // base.shape[0])
