@@ -14,12 +14,12 @@ least as strict (:meth:`PerformanceGoal.at_least_as_strict_as
 penalised at least as much) no schedule gets cheaper — Lemma 5.1's own
 premise.  So the path is walked under the new goal in O(m)
 (:meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`,
-through :meth:`FeatureExtractor.matrix
-<repro.learning.features.FeatureExtractor.matrix>`, which writes the rows of
-its vertices on the way); if it still costs exactly what the old optimum
-cost, every other schedule costs at least that much too, the path is still
-optimal, the rows the walk wrote are its training rows and nothing is
-searched.  This is the paper's own account of
+through :meth:`FeatureExtractor.vertex_values
+<repro.learning.features.FeatureExtractor.vertex_values>`, which records what
+its rows need of each vertex on the way); if it still costs exactly what the
+old optimum cost, every other schedule costs at least that much too, the path
+is still optimal, what the walk recorded gives its training rows and nothing
+is searched.  This is the paper's own account of
 Figure 16: retraining grows with the shift "because more samples change their
 optimal schedules".
 

@@ -5,8 +5,8 @@ workload's optimal path: the features of the edge's origin vertex, labelled
 with the action taken (place template X / provision a VM of type Y).
 
 A set is held the way the tree fit reads it: float64 row blocks in the
-canonical feature order — one per solved sample, as
-:meth:`FeatureExtractor.matrix <repro.learning.features.FeatureExtractor.matrix>`
+canonical feature order — one per training pass, as
+:meth:`FeatureExtractor.block <repro.learning.features.FeatureExtractor.block>`
 wrote it — plus one label per row.  Nothing else is kept per row, and
 :meth:`TrainingSet.to_matrix` is one stack of the blocks.  An artifact stores
 the set the same way: the feature names, the labels, and the whole matrix as

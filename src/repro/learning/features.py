@@ -23,28 +23,39 @@ training-set columns, not families).  And ``cost-of-X`` is priced from the
 vertex alone, with one float form: a vertex carries the goal's violation
 accumulator and its partial ``penalty``, and the edge costs execution cost
 ``+ (rate · violation-with-X − penalty)``, whether the vertex is an A* node,
-the training walk's or the runtime kernel's.  The two phases do not do the
-same amount of work, though.  Training
-needs every column of every vertex on a path: :meth:`FeatureExtractor.matrix`
-walks the path's action labels with one reusable vertex
-(:meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`)
-and writes each vertex's row in place, and it is the one caller of
-:meth:`FeatureExtractor.extract_into` left in the program.  A runtime decision
-reads only the columns on its tree path, so
-:meth:`~repro.learning.model.DecisionModel.decide` evaluates those — the same
-expressions, looked up through :attr:`FeatureExtractor.column_layout` — and
-``extract_into`` is the oracle its walk is tested against
-(``tests/test_vectorized_equivalence.py``).  The row itself is held against a
-straight-line name → value extraction that lives only under ``tests/``.
+the training walk's or the runtime kernel's.
+
+:meth:`FeatureExtractor.extract_into` is the one-vertex definition of the
+row.  The program reads it in two other forms, each held against it bit for
+bit:
+
+* **Training** needs every column of every vertex on many paths.  Only two
+  things there need the vertex itself: its wait time and its Equation-2
+  cost row.  :meth:`FeatureExtractor.vertex_values` records just those while
+  :meth:`SchedulingProblem.walk
+  <repro.search.problem.SchedulingProblem.walk>` steps one reusable vertex
+  along a path's labels.  The rest follows from the labels and the sample's
+  template counts, so :meth:`FeatureExtractor.block` writes a whole training
+  pass's rows in one numpy pass over every path laid end to end
+  (``tests/test_feature_block.py``).  :meth:`FeatureExtractor.matrix` is the
+  one-path view of the same two steps.
+* **A runtime decision** reads only the columns on its tree path, so
+  :meth:`~repro.learning.model.DecisionModel.decide` evaluates those — the
+  same expressions, looked up through :attr:`FeatureExtractor.column_layout`
+  (``tests/test_vectorized_equivalence.py``).
+
+The row itself is held against a straight-line name → value extraction that
+lives only under ``tests/``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.cloud.vm import VMTypeCatalog
+from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.problem import SchedulingProblem, SearchNode
 from repro.workloads.templates import TemplateSet
 
@@ -124,6 +135,20 @@ class FeatureExtractor:
         self._cost_columns = columns("cost_of")
         self._have_columns = columns("have")
         self._proportion_column_of = dict(zip(names, self._proportion_columns))
+        # What :meth:`block` reads per label: a placement's template index, or
+        # ``-1 - k`` for provisioning this catalogue's type ``k``, looked up
+        # by name; ``supports`` row ``k`` is that type's, and the extra last
+        # row (all zeros) stands for "no VM yet".
+        vm_names = vm_types.names
+        self._label_codes: dict[str, int] = {
+            PlaceQuery(name).label: index for index, name in enumerate(names)
+        }
+        self._label_codes.update(
+            (ProvisionVM(name).label, -1 - index) for index, name in enumerate(vm_names)
+        )
+        self._supports_block = np.array(
+            [self._supports_rows[name] for name in vm_names] + [[0.0] * len(names)]
+        )
         # Per-column lookup for a decision, which computes a column only when
         # a tree node tests it: the family's position in FEATURE_FAMILIES and
         # the template's name and position.
@@ -162,10 +187,12 @@ class FeatureExtractor:
     def extract_into(self, node: SearchNode, problem: SchedulingProblem, out_row):
         """Write the feature vector of *node* directly into *out_row*.
 
-        *out_row* is any preallocated mutable row of ``len(feature_names)``
-        entries — a numpy float64 row (the :meth:`matrix` path) or a plain
-        list.  Every column is overwritten, so the buffer needs no
-        zeroing between calls.  Returns *out_row*.
+        The one-vertex definition of the row, which :meth:`block` and
+        :meth:`~repro.learning.model.DecisionModel.decide` are tested
+        against.  *out_row* is any preallocated mutable row of
+        ``len(feature_names)`` entries — a numpy float64 row or a plain list.
+        Every column is overwritten, so the buffer needs no zeroing between
+        calls.  Returns *out_row*.
         """
         state = node.state
         last = state.last_vm()
@@ -204,22 +231,120 @@ class FeatureExtractor:
             out_row[column] = 1.0 if name in present else 0.0
         return out_row
 
+    def vertex_values(
+        self, problem: SchedulingProblem, labels: Sequence[str]
+    ) -> tuple[np.ndarray, float | None]:
+        """What the rows along the action *labels* need of each vertex, and the path's cost.
+
+        Row ``i`` is the wait time (``last_vm_finish``) of the vertex at which
+        ``labels[i]`` is taken, then its :meth:`SchedulingProblem.placement_cost_row
+        <repro.search.problem.SchedulingProblem.placement_cost_row>` over the
+        templates — ``inf`` kept — recorded while :meth:`SchedulingProblem.walk
+        <repro.search.problem.SchedulingProblem.walk>` steps its one reusable
+        vertex along the path.  Every other column of a feature row follows
+        from the labels and the template counts (:meth:`block`).  The cost is
+        the walk's: the complete schedule's, or ``None`` when *problem*
+        refuses the path (the values are then meaningless).
+        """
+        names = self._template_names
+        cost_row = problem.placement_cost_row
+        rows: list[list[float]] = []
+        append = rows.append
+
+        def visit(index: int, node: SearchNode) -> None:
+            row = cost_row(node, names)
+            row.insert(0, node.last_vm_finish)
+            append(row)
+
+        cost = problem.walk(labels, visit)
+        values = np.zeros((len(labels), 1 + len(names)))
+        if rows:
+            values[: len(rows)] = rows
+        return values, cost
+
+    def block(
+        self, paths: Sequence[tuple[Sequence[str], np.ndarray, Mapping[str, int]]]
+    ) -> np.ndarray:
+        """The feature rows of many paths, end to end, in one numpy pass.
+
+        Each path is ``(labels, values, template counts)``: its action labels,
+        its :meth:`vertex_values`, and its sample's queries per template.
+        Row ``i`` of a path equals :meth:`extract_into` of the vertex at which
+        ``labels[i]`` is taken, bit for bit.  The columns that do not need the
+        vertex are written one strided family at a time over all the rows:
+
+        * ``proportion_of``: the placements counted before the row, minus
+          those counted before the path's last provisioning, over their sum;
+          zero before the path's first VM (the count restarts with each path);
+        * ``supports``: the row of the last provisioned type, looked up by its
+          name in this extractor's catalogue; zero before the first VM;
+        * ``cost_of``: the recorded cost row, ``inf`` as
+          :data:`INFEASIBLE_COST`;
+        * ``have``: the path's template counts minus its placements so far.
+
+        Labels this extractor does not know count as neither placement nor
+        provisioning; a walk refuses them, so their rows are meaningless.
+        """
+        names = self._template_names
+        templates = len(names)
+        sizes = np.array([len(labels) for labels, _, _ in paths], dtype=np.intp)
+        total = int(sizes.sum())
+        out = np.empty((total, len(self._feature_names)))
+        if not total:
+            return out
+        code_of = self._label_codes
+        codes = np.array(
+            [code_of.get(label, templates) for labels, _, _ in paths for label in labels],
+            dtype=np.intp,
+        )
+        values = np.concatenate([path_values for _, path_values, _ in paths])
+        counts = np.array(
+            [[path_counts.get(name, 0) for name in names] for _, _, path_counts in paths],
+            dtype=np.int64,
+        )
+        rows = np.arange(total)
+        path_of = np.repeat(np.arange(len(paths)), sizes)
+        start = (np.cumsum(sizes) - sizes)[path_of]
+
+        # placed[i]: placements per template before row i, over all paths (a
+        # label this extractor does not know counts in the extra column).
+        placed = np.zeros((total + 1, templates + 1), dtype=np.int64)
+        placing = codes >= 0
+        placed[rows[placing] + 1, codes[placing]] = 1
+        np.cumsum(placed, axis=0, out=placed)
+        placed = placed[:, :templates]
+        before = placed[:total]
+        # The last provisioning before each row, if it is in the row's own path.
+        last = np.empty(total, dtype=np.intp)
+        last[0] = -1
+        np.maximum.accumulate(np.where(codes < 0, rows, -1)[:-1], out=last[1:])
+        has_vm = last >= start
+
+        queue = before - placed[np.where(has_vm, last, rows)]
+        length = queue.sum(axis=1, keepdims=True)
+        # Family k of template j is column k + 4 j (see __init__).
+        out[:, 0] = values[:, 0]
+        proportion = out[:, 1::4]
+        proportion[...] = 0.0
+        np.divide(queue, length, out=proportion, where=length > 0)
+        out[:, 2::4] = self._supports_block[
+            np.where(has_vm, -1 - codes[last], len(self._supports_block) - 1)
+        ]
+        costs = values[:, 1:]
+        out[:, 3::4] = np.where(costs == _INF, INFEASIBLE_COST, costs)
+        out[:, 4::4] = counts[path_of] - (before - placed[start]) > 0
+        return out
+
     def matrix(
         self, problem: SchedulingProblem, labels: Sequence[str]
     ) -> tuple[np.ndarray, float | None]:
         """The feature rows of the vertices along the action *labels*, and the path's cost.
 
-        Row ``i`` is :meth:`extract_into` of the vertex at which ``labels[i]``
-        is taken, written in place while :meth:`SchedulingProblem.walk
-        <repro.search.problem.SchedulingProblem.walk>` steps its one reusable
-        vertex along the path.  The cost is the walk's: the complete
-        schedule's, or ``None`` when *problem* refuses the path (the rows are
-        then meaningless).  How training labels a searched path and re-prices
-        a kept one alike.
+        The one-path view of training's two steps: :meth:`vertex_values`
+        walks the path, :meth:`block` writes its rows.  Row ``i`` is
+        :meth:`extract_into` of the vertex at which ``labels[i]`` is taken.
+        The cost is the walk's: the complete schedule's, or ``None`` when
+        *problem* refuses the path (the rows are then meaningless).
         """
-        out = np.empty((len(labels), len(self._feature_names)))
-        extract_into = self.extract_into
-        cost = problem.walk(
-            labels, lambda index, node: extract_into(node, problem, out[index])
-        )
-        return out, cost
+        values, cost = self.vertex_values(problem, labels)
+        return self.block([(labels, values, problem.template_counts)]), cost

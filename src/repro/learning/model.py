@@ -11,7 +11,7 @@ The runtime scheduler re-uses the exact search machinery
 :class:`~repro.search.problem.SearchNode`) that training used, and a feature
 the model tests at runtime is the expression that filled that column of its
 training set.  Training needs every column of every vertex
-(:meth:`FeatureExtractor.matrix <repro.learning.features.FeatureExtractor.matrix>`);
+(:meth:`FeatureExtractor.block <repro.learning.features.FeatureExtractor.block>`);
 one decision does not: :meth:`DecisionModel.decide` walks the tree and
 computes a feature only when a node on the path tests it — a lookup for
 ``wait-time`` / ``supports-X`` / ``have-X``, a count over a length for

@@ -10,13 +10,18 @@ goal, :class:`ModelGenerator` executes the paper's offline training loop:
    example (Section 4.4);
 4. fit a C4.5-style decision tree on the combined training set (Section 4.5).
 
-Step 3 is one walk per sample: :meth:`FeatureExtractor.matrix
-<repro.learning.features.FeatureExtractor.matrix>` steps a single reusable
-vertex along the path's action labels and writes one float row per decision,
-so a sample comes back from its solve as a float64 block whose labels are
-its path, and the :class:`~repro.learning.dataset.TrainingSet` keeps the
-blocks as they are — no per-row object exists anywhere between the search
-and the fit.
+Step 3 is split at the one place a row needs the vertex itself.  A sample's
+solve walks its path once (:meth:`FeatureExtractor.vertex_values
+<repro.learning.features.FeatureExtractor.vertex_values>`) and records per
+decision only the vertex's wait time and its Equation-2 cost row, so a sample
+comes back as one small float64 array whose labels are its path.  The pass
+then lays every sample's labels end to end and writes all their feature rows
+in one numpy pass (:meth:`FeatureExtractor.block
+<repro.learning.features.FeatureExtractor.block>`), and the
+:class:`~repro.learning.dataset.TrainingSet` keeps that one block — no
+per-row object exists anywhere between the search and the fit.  The tables
+every sample's problem reads (:class:`~repro.search.problem.ProblemTables`)
+are built once per pass, by the :class:`SampleSolver`.
 
 The returned :class:`TrainingResult` keeps the training set and the per-sample
 solutions so that the adaptive-modeling machinery (Section 5) can re-derive
@@ -67,7 +72,7 @@ from repro.learning.model import DecisionModel, ModelMetadata
 from repro.learning.sampling import training_workloads
 from repro.parallel.backend import ExecutionBackend
 from repro.search.astar import astar_search, optimality_ratio
-from repro.search.problem import SchedulingProblem
+from repro.search.problem import ProblemTables, SchedulingProblem
 from repro.search.strategy import SearchStrategy, strategy_from_spec
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
@@ -239,7 +244,9 @@ class SampleSolver:
     Instances are the worker callable an
     :class:`~repro.parallel.backend.ExecutionBackend` ships to its processes;
     the specification — VM catalogue, goal, latency model, feature extractor —
-    is pickled once per chunk of tasks rather than once per task.
+    is pickled once per chunk of tasks rather than once per task, and with it
+    the :class:`~repro.search.problem.ProblemTables` the solver builds once
+    over the extractor's templates, which every sample's problem shares.
     ``extra_bound`` optionally carries the adaptive-A* ``h'`` of Section 5
     (a picklable :class:`~repro.adaptive.retraining.AdaptiveBound`); the
     solver builds the problem with it, so search nodes carry a second
@@ -261,6 +268,7 @@ class SampleSolver:
         self.latency_model = latency_model
         self.extractor = extractor
         self.max_expansions = max_expansions
+        self.tables = ProblemTables(extractor.templates, vm_types, goal, latency_model)
         #: Strategy spec (a plain string so the solver pickles cheaply;
         #: resolved lazily per process).
         self.search_strategy = search_strategy
@@ -280,30 +288,27 @@ class SampleSolver:
         extra_bound: AdaptiveBound | None = None,
         keep: SampleSolution | None = None,
     ) -> tuple[np.ndarray, SampleSolution] | None:
-        """Feature rows and solution for one sample (None = budget exceeded).
+        """Per-vertex values and solution for one sample (None = budget exceeded).
 
-        Row ``i`` describes the vertex where ``solution.path[i]`` is taken
-        (:meth:`FeatureExtractor.matrix
-        <repro.learning.features.FeatureExtractor.matrix>`), so the path is
-        the rows' labels.  *keep*, when given, must be this workload's exact
-        optimum under a goal the solver's goal is at least as strict as (the
-        caller's guard).  Its path is walked under the solver's goal; if it
-        is complete and still costs ``keep.optimal_cost`` it is still
-        optimal — no schedule got cheaper — so its rows are kept and nothing
-        is searched (``expansions=0``).  Otherwise, or without a path, the
-        sample is searched and the path found is walked for its rows.
+        The values are :meth:`FeatureExtractor.vertex_values
+        <repro.learning.features.FeatureExtractor.vertex_values>` along
+        ``solution.path`` — one row per decision: the vertex's wait time and
+        Equation-2 cost row — from which the pass writes the sample's feature
+        rows, labelled by the path.  *keep*, when given, must be this
+        workload's exact optimum under a goal the solver's goal is at least as
+        strict as (the caller's guard).  Its path is walked under the solver's
+        goal; if it is complete and still costs ``keep.optimal_cost`` it is
+        still optimal — no schedule got cheaper — so its values are kept and
+        nothing is searched (``expansions=0``).  Otherwise, or without a path,
+        the sample is searched and the path found is walked for its values.
         """
-        problem = SchedulingProblem.for_workload(
-            workload,
-            self.vm_types,
-            self.goal,
-            self.latency_model,
-            adaptive_bound=extra_bound,
+        problem = SchedulingProblem.from_tables(
+            self.tables, workload.template_counts(), adaptive_bound=extra_bound
         )
         if keep is not None and keep.path:
-            rows, cost = self.extractor.matrix(problem, keep.path)
+            values, cost = self.extractor.vertex_values(problem, keep.path)
             if cost == keep.optimal_cost:
-                return rows, replace(keep, expansions=0)
+                return values, replace(keep, expansions=0)
         strategy = self._resolved_strategy()
         try:
             if strategy is None:
@@ -313,7 +318,7 @@ class SampleSolver:
         except SearchBudgetExceeded:
             return None
         path = tuple(action.label for _, action in result.decisions())
-        rows, _ = self.extractor.matrix(problem, path)
+        values, _ = self.extractor.vertex_values(problem, path)
         solution = SampleSolution(
             template_counts=dict(workload.template_counts()),
             optimal_cost=result.cost,
@@ -321,7 +326,7 @@ class SampleSolver:
             cost_lower_bound=result.cost_lower_bound,
             path=path,
         )
-        return rows, solution
+        return values, solution
 
     #: Worker-callable protocol of :meth:`ExecutionBackend.map_tasks`.
     __call__ = solve
@@ -452,9 +457,10 @@ class ModelGenerator:
         workload, h' or None, kept solution or None)`` for adaptive
         retraining (:class:`~repro.adaptive.retraining.AdaptiveModeler`).
         The solves fan out through the backend and merge in sample order, so
-        the output is identical for any ``n_jobs``.  Returns the result
-        (timed from *started*) and each task's solution in task order
-        (``None`` = out of budget).
+        the output is identical for any ``n_jobs``; the solved samples' rows
+        are then written as one block.  Returns the result (timed from
+        *started*) and each task's solution in task order (``None`` = out of
+        budget).
         """
         solver = SampleSolver(
             vm_types=self._vm_types,
@@ -466,16 +472,16 @@ class ModelGenerator:
         )
         search_start = time.perf_counter()
         payloads = self.backend.map_tasks(solver, tasks)
+        solutions = [None if payload is None else payload[1] for payload in payloads]
+        solved = [payload for payload in payloads if payload is not None]
         training_set = TrainingSet(self._extractor.feature_names)
-        solutions: list[SampleSolution | None] = []
-        for payload in payloads:
-            if payload is None:
-                solutions.append(None)
-                continue
-            rows, solution = payload
-            training_set.extend(rows, solution.path)
-            solutions.append(solution)
-        samples = [solution for solution in solutions if solution is not None]
+        training_set.extend(
+            self._extractor.block(
+                [(solution.path, values, solution.template_counts) for values, solution in solved]
+            ),
+            [label for _, solution in solved for label in solution.path],
+        )
+        samples = [solution for _, solution in solved]
         search_time = time.perf_counter() - search_start
         if not len(training_set):
             raise TrainingError(

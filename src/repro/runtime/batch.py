@@ -86,10 +86,11 @@ class RuntimeSchedulingContext:
     ) -> list[float]:
         """:meth:`placement_edge_cost` for every template, ``inf`` where infeasible.
 
-        What a full feature row asks for
+        What the one-vertex definition of a full feature row asks for
         (:meth:`~repro.learning.features.FeatureExtractor.extract_into`, the
         oracle the equivalence suite holds decisions against); no runtime
-        decision calls it.
+        decision calls it, and training prices its rows with the problem's
+        own :meth:`~repro.search.problem.SchedulingProblem.placement_cost_row`.
         """
         return [self.placement_edge_cost(node, name) for name in template_names]
 

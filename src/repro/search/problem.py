@@ -18,9 +18,10 @@ to reach it.
 
 A known path needs none of that machinery: :meth:`SchedulingProblem.walk`
 steps one reusable vertex along its action labels with :meth:`expand`'s
-arithmetic and returns its cost.  Training labels every path that way, a
-searched one and a kept one alike (:meth:`FeatureExtractor.matrix
-<repro.learning.features.FeatureExtractor.matrix>`).
+arithmetic and returns its cost.  Training walks every path that way, a
+searched one and a kept one alike, recording each vertex's wait time and
+Equation-2 cost row (:meth:`FeatureExtractor.vertex_values
+<repro.learning.features.FeatureExtractor.vertex_values>`).
 
 Hot-path architecture
 ---------------------
@@ -66,10 +67,13 @@ work is built around that:
   strategy orders its frontier by the same number, and
   :meth:`SchedulingProblem.priority` recomputes it from scratch to the bit.
 * **Interned ids and dense tables.**  Template names and VM type names are
-  interned to integer ids at problem construction, and per-``(vm, template)``
-  latency, execution-cost, and supports tables are precomputed, so ``expand``
-  and the dominance checks stop doing string-keyed dict walks and attribute
-  lookups per child.  Each node caches the integer id of its most recent VM.
+  interned to integer ids, and per-``(vm, template)`` latency,
+  execution-cost, and supports tables are precomputed, so ``expand`` and the
+  dominance checks stop doing string-keyed dict walks and attribute lookups
+  per child.  They depend on the specification and goal only
+  (:class:`ProblemTables`), so a training pass builds them once and shares
+  them with every sample's problem.  Each node caches the integer id of its
+  most recent VM.
 
 The accumulators agree with the batch :meth:`PerformanceGoal.penalty`
 definition bit-for-bit (property-tested across all four goal kinds), so
@@ -252,6 +256,92 @@ class SearchNode:
 PricedChild = tuple
 
 
+class ProblemTables:
+    """The tables every problem of one specification and goal reads.
+
+    Template and VM type names interned to integer ids; per-``(vm,
+    template)`` latency, execution-cost and supports tables; each template's
+    cheapest execution cost and time over the catalogue (absent when no type
+    runs it); the goal's rate and per-template deadlines; and one shared
+    action object per template and VM type.  None of it depends on a
+    workload's counts, so a training pass builds it once
+    (:class:`~repro.learning.trainer.SampleSolver`) and every sample's
+    problem reads it (:meth:`SchedulingProblem.from_tables`).
+    """
+
+    def __init__(
+        self,
+        templates: TemplateSet,
+        vm_types: VMTypeCatalog,
+        goal: PerformanceGoal,
+        latency_model: LatencyModel,
+    ) -> None:
+        self.templates = templates
+        self.vm_types = vm_types
+        self.goal = goal
+        self.latency_model = latency_model
+        self.tpl_names: tuple[str, ...] = templates.names
+        self.tpl_id: dict[str, int] = {name: index for index, name in enumerate(self.tpl_names)}
+        self.vm_names: tuple[str, ...] = vm_types.names
+        self.vm_id: dict[str, int] = {name: index for index, name in enumerate(self.vm_names)}
+        self.startup_costs: list[float] = []
+        self.supports_table: list[list[bool]] = []
+        self.latency_table: list[list[float]] = []
+        self.run_cost_table: list[list[float]] = []
+        for vm_type in vm_types:
+            self.startup_costs.append(vm_type.startup_cost)
+            supports_row: list[bool] = []
+            latency_row: list[float] = []
+            run_cost_row: list[float] = []
+            for name in self.tpl_names:
+                if vm_type.supports(name):
+                    latency = latency_model.latency(name, vm_type)
+                    supports_row.append(True)
+                    latency_row.append(latency)
+                    run_cost_row.append(vm_type.running_cost * latency)
+                else:
+                    supports_row.append(False)
+                    latency_row.append(_INF)
+                    run_cost_row.append(_INF)
+            self.supports_table.append(supports_row)
+            self.latency_table.append(latency_row)
+            self.run_cost_table.append(run_cost_row)
+        self.min_startup_cost = min(self.startup_costs)
+        #: Template -> cheapest execution cost / latency over the types that
+        #: run it; a template no type runs has no entry.
+        self.cheapest_execution: dict[str, float] = {}
+        self.cheapest_time: dict[str, float] = {}
+        for template_index, name in enumerate(self.tpl_names):
+            runs = [
+                vm_index
+                for vm_index in range(len(self.vm_names))
+                if self.supports_table[vm_index][template_index]
+            ]
+            if runs:
+                self.cheapest_execution[name] = min(
+                    [self.run_cost_table[vm_index][template_index] for vm_index in runs]
+                )
+                self.cheapest_time[name] = min(
+                    [self.latency_table[vm_index][template_index] for vm_index in runs]
+                )
+        self.rate = goal.penalty_rate
+        #: Per-template deadline (or None), resolved once instead of per vertex.
+        self.query_deadlines: list[float | None] = [
+            goal.query_deadline(name) for name in self.tpl_names
+        ]
+        # Actions are immutable value objects, so one shared instance per
+        # template / VM type avoids a frozen-dataclass __init__ per child.
+        self.place_actions: list[PlaceQuery] = [PlaceQuery(name) for name in self.tpl_names]
+        self.provision_actions: list[ProvisionVM] = [
+            ProvisionVM(name) for name in self.vm_names
+        ]
+        #: Action label -> VM type id / template id, for :meth:`SchedulingProblem.walk`.
+        self.provision_of = {
+            action.label: index for index, action in enumerate(self.provision_actions)
+        }
+        self.place_of = {action.label: index for index, action in enumerate(self.place_actions)}
+
+
 class SchedulingProblem:
     """Scheduling-graph construction, reduction, and cost bookkeeping."""
 
@@ -264,15 +354,26 @@ class SchedulingProblem:
         latency_model: LatencyModel,
         adaptive_bound: AdaptiveBound | None = None,
     ) -> None:
+        self._attach(
+            template_counts,
+            ProblemTables(templates, vm_types, goal, latency_model),
+            adaptive_bound,
+        )
+
+    def _attach(
+        self,
+        template_counts: Mapping[str, int] | Counter[str],
+        tables: ProblemTables,
+        adaptive_bound: AdaptiveBound | None,
+    ) -> None:
+        """Set the problem up for *template_counts* over the shared *tables*."""
         counts = {name: count for name, count in dict(template_counts).items() if count > 0}
         for name in counts:
-            if name not in templates:
+            if name not in tables.templates:
                 raise SpecificationError(f"workload references unknown template {name!r}")
         self._counts = counts
-        self._templates = templates
-        self._vm_types = vm_types
-        self._goal = goal
-        self._latency_model = latency_model
+        self._tables = tables
+        self._goal = goal = tables.goal
         #: Optional bound the f-value is raised to (adaptive A*'s ``h'``).
         #: Every node then carries its old goal's partial penalty
         #: incrementally, at this rate, so ``h'`` reads it in O(1).
@@ -280,8 +381,32 @@ class SchedulingProblem:
         self._aux_rate = (
             adaptive_bound.old_goal.penalty_rate if adaptive_bound is not None else 0.0
         )
-        self._build_tables()
-        self._cheapest_execution = self._compute_cheapest_execution()
+        # The shared tables, bound as attributes: expand and walk read them
+        # once per call.
+        self._tpl_names = tables.tpl_names
+        self._tpl_id = tables.tpl_id
+        self._vm_names = tables.vm_names
+        self._vm_id = tables.vm_id
+        self._startup_costs = tables.startup_costs
+        self._supports_table = tables.supports_table
+        self._latency_table = tables.latency_table
+        self._run_cost_table = tables.run_cost_table
+        self._rate = tables.rate
+        self._query_deadlines = tables.query_deadlines
+        self._place_actions = tables.place_actions
+        self._provision_actions = tables.provision_actions
+        self._provision_of = tables.provision_of
+        self._place_of = tables.place_of
+        self._min_startup_cost = tables.min_startup_cost
+        self._cheapest_execution: dict[str, float] = {}
+        self._cheapest_time: dict[str, float] = {}
+        for name in counts:
+            if name not in tables.cheapest_execution:
+                raise SpecificationError(
+                    f"no VM type in the catalogue supports template {name!r}"
+                )
+            self._cheapest_execution[name] = tables.cheapest_execution[name]
+            self._cheapest_time[name] = tables.cheapest_time[name]
         #: Mixed-radix code of the remaining multisets: the workload's
         #: templates in name order as ``(name, id, count + 1, weight, cheapest
         #: execution cost, cheapest time)``, the weight being the product of
@@ -315,61 +440,6 @@ class SchedulingProblem:
         self._provision_term = bound.provision_bound
         self._node_term = bound.node_bound
 
-    # -- precomputed tables --------------------------------------------------------
-
-    def _build_tables(self) -> None:
-        """Intern names to integer ids and precompute dense per-(vm, template) tables."""
-        self._tpl_names: tuple[str, ...] = self._templates.names
-        self._tpl_id: dict[str, int] = {
-            name: index for index, name in enumerate(self._tpl_names)
-        }
-        self._vm_names: tuple[str, ...] = self._vm_types.names
-        self._vm_id: dict[str, int] = {
-            name: index for index, name in enumerate(self._vm_names)
-        }
-        self._startup_costs: list[float] = []
-        self._supports_table: list[list[bool]] = []
-        self._latency_table: list[list[float]] = []
-        self._run_cost_table: list[list[float]] = []
-        for vm_type in self._vm_types:
-            self._startup_costs.append(vm_type.startup_cost)
-            supports_row: list[bool] = []
-            latency_row: list[float] = []
-            run_cost_row: list[float] = []
-            for name in self._tpl_names:
-                if vm_type.supports(name):
-                    latency = self._latency_model.latency(name, vm_type)
-                    supports_row.append(True)
-                    latency_row.append(latency)
-                    run_cost_row.append(vm_type.running_cost * latency)
-                else:
-                    supports_row.append(False)
-                    latency_row.append(_INF)
-                    run_cost_row.append(_INF)
-            self._supports_table.append(supports_row)
-            self._latency_table.append(latency_row)
-            self._run_cost_table.append(run_cost_row)
-        self._rate = self._goal.penalty_rate
-        #: Per-template deadline (or None), resolved once instead of per vertex.
-        self._query_deadlines: list[float | None] = [
-            self._goal.query_deadline(name) for name in self._tpl_names
-        ]
-        # Actions are immutable value objects, so one shared instance per
-        # template / VM type avoids a frozen-dataclass __init__ per child.
-        self._place_actions: list[PlaceQuery] = [
-            PlaceQuery(name) for name in self._tpl_names
-        ]
-        self._provision_actions: list[ProvisionVM] = [
-            ProvisionVM(name) for name in self._vm_names
-        ]
-        #: Action label -> VM type id / template id, for :meth:`walk`.
-        self._provision_of = {
-            action.label: index for index, action in enumerate(self._provision_actions)
-        }
-        self._place_of = {
-            action.label: index for index, action in enumerate(self._place_actions)
-        }
-
     # -- constructors -----------------------------------------------------------
 
     @classmethod
@@ -391,6 +461,23 @@ class SchedulingProblem:
             adaptive_bound=adaptive_bound,
         )
 
+    @classmethod
+    def from_tables(
+        cls,
+        tables: ProblemTables,
+        template_counts: Mapping[str, int] | Counter[str],
+        adaptive_bound: AdaptiveBound | None = None,
+    ) -> "SchedulingProblem":
+        """The problem of *template_counts* over tables built once for many problems.
+
+        Equal to the problem the constructor builds from the tables'
+        specification and goal; only the tables are shared, so the
+        unknown- and unsupported-template checks still run per problem.
+        """
+        problem = cls.__new__(cls)
+        problem._attach(template_counts, tables, adaptive_bound)
+        return problem
+
     @property
     def min_startup_cost(self) -> float:
         """Cheapest start-up fee in the VM catalogue (used by the bounds)."""
@@ -406,12 +493,12 @@ class SchedulingProblem:
     @property
     def templates(self) -> TemplateSet:
         """The template universe of the workload being scheduled."""
-        return self._templates
+        return self._tables.templates
 
     @property
     def vm_types(self) -> VMTypeCatalog:
         """The IaaS catalogue available to the scheduler."""
-        return self._vm_types
+        return self._tables.vm_types
 
     @property
     def goal(self) -> PerformanceGoal:
@@ -421,7 +508,7 @@ class SchedulingProblem:
     @property
     def latency_model(self) -> LatencyModel:
         """The latency estimates used to cost placements."""
-        return self._latency_model
+        return self._tables.latency_model
 
     @property
     def template_counts(self) -> dict[str, int]:
@@ -703,7 +790,11 @@ class SchedulingProblem:
         accumulator added to rather than branched (a walk never branches).
         So *visit* may read the vertex only while it runs, through what a
         feature row reads (the most recent VM, the remaining multiset and
-        name set, ``last_vm_finish``, ``accumulator``, ``penalty``).  The
+        name set, ``last_vm_finish``, ``accumulator``, ``penalty``).
+        Training's visit reads only ``last_vm_finish`` and
+        :meth:`placement_cost_row`; the rest of a row follows from the labels
+        (:meth:`FeatureExtractor.block
+        <repro.learning.features.FeatureExtractor.block>`).  The
         arithmetic is :meth:`expand`'s, so walking a path this problem's own
         search returned reproduces its cost to the bit, with no f-value,
         bound or memo work.
@@ -794,9 +885,12 @@ class SchedulingProblem:
         so training and runtime rows agree to the bit.  ``inf`` marks a
         placement that is impossible: no VM yet, a VM type that cannot run
         the template, or a template outside this problem's specification.
-        The most-recent-VM lookup and table rows are resolved once per call,
-        which :meth:`~repro.learning.features.FeatureExtractor.extract_into`
-        makes once per vertex.
+        The most-recent-VM lookup and table rows are resolved once per call:
+        training makes one per walked vertex
+        (:meth:`~repro.learning.features.FeatureExtractor.vertex_values`), the
+        one-vertex row definition
+        (:meth:`~repro.learning.features.FeatureExtractor.extract_into`) one
+        per row.
         """
         last = node.state.last_vm()
         if last is None:
@@ -824,27 +918,6 @@ class SchedulingProblem:
         return costs
 
     # -- the A* f-value ----------------------------------------------------------------
-
-    def _compute_cheapest_execution(self) -> dict[str, float]:
-        cheapest: dict[str, float] = {}
-        self._cheapest_time: dict[str, float] = {}
-        for name in self._counts:
-            template_index = self._tpl_id[name]
-            costs = []
-            times = []
-            for vm_index in range(len(self._vm_names)):
-                if not self._supports_table[vm_index][template_index]:
-                    continue
-                costs.append(self._run_cost_table[vm_index][template_index])
-                times.append(self._latency_table[vm_index][template_index])
-            if not costs:
-                raise SpecificationError(
-                    f"no VM type in the catalogue supports template {name!r}"
-                )
-            cheapest[name] = min(costs)
-            self._cheapest_time[name] = min(times)
-        self._min_startup_cost = min(self._startup_costs)
-        return cheapest
 
     def row(self, code: int) -> RemainingRow:
         """The row of the remaining multiset numbered *code*, built on first use.

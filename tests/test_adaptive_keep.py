@@ -37,7 +37,7 @@ from repro.learning import trainer
 from repro.learning.features import FeatureExtractor
 from repro.learning.sampling import training_workloads
 from repro.learning.trainer import ModelGenerator, SampleSolution, SampleSolver, TrainingResult
-from repro.search.problem import SchedulingProblem, SearchNode
+from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
 from repro.service import WiSeDBService
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.sla.max_latency import MaxLatencyGoal
@@ -475,7 +475,9 @@ def test_small_shifts_search_only_the_samples_whose_optimum_moved(max_tenant, mo
 
 
 def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monkeypatch):
-    """One vertex per labelled path (not one per step), and float rows, not dicts."""
+    """One vertex per labelled path (not one per step), and per sample one
+    float array of the per-vertex values, not rows or dicts: the wait time and
+    the Equation-2 cost row of each vertex."""
     generator, goal, base = max_tenant
     modeler = AdaptiveModeler(generator, base)
     payloads = []
@@ -496,11 +498,41 @@ def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monk
     result, report = modeler.retrain(goal)
     assert report.samples_kept == len(payloads) == 40
     assert counts["SearchNode"] == 40
-    for (rows, solution), sample in zip(payloads, result.samples):
-        assert type(rows) is np.ndarray and rows.dtype == np.float64
-        assert rows.shape == (len(solution.path), len(generator.extractor.feature_names))
+    templates = len(generator.templates)
+    for (values, solution), sample in zip(payloads, result.samples):
+        assert type(values) is np.ndarray and values.dtype == np.float64
+        assert values.shape == (len(solution.path), 1 + templates)
         assert solution is sample
     assert len(result.training_set) == sum(len(s.path) for s in base.samples)
+
+
+def test_a_training_pass_builds_one_block_and_one_set_of_tables(max_tenant, monkeypatch):
+    """Per ``_solve_and_fit``: one call of ``FeatureExtractor.block`` over every
+    solved sample, and one ``ProblemTables`` build shared by the 40 problems."""
+    generator, goal, base = max_tenant
+    modeler = AdaptiveModeler(generator, base)
+    calls: Counter[str] = Counter()
+    block = FeatureExtractor.block
+    tables_init = ProblemTables.__init__
+
+    def counting_block(self, paths):
+        calls["block"] += 1
+        calls["paths"] += len(paths)
+        return block(self, paths)
+
+    def counting_tables(self, *args):
+        calls["tables"] += 1
+        tables_init(self, *args)
+
+    monkeypatch.setattr(FeatureExtractor, "block", counting_block)
+    monkeypatch.setattr(ProblemTables, "__init__", counting_tables)
+    for shift in (0.0, 5.0, 30.0):
+        calls.clear()
+        result, report = modeler.retrain(goal.shifted(shift))
+        assert calls == {"block": 1, "paths": 40, "tables": 1}, (shift, calls)
+    calls.clear()
+    generator.generate(goal, workloads=base.workloads)
+    assert calls == {"block": 1, "paths": 40, "tables": 1}, calls
 
 
 def test_a_training_set_holds_little_beyond_its_float_rows(max_tenant):

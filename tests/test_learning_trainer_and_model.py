@@ -57,13 +57,17 @@ def test_solver_labels_every_decision_on_the_optimal_path(small_templates, max_g
     latency_model = TemplateLatencyModel(small_templates)
     extractor = FeatureExtractor(small_templates, vm_types)
     solver = SampleSolver(vm_types, max_goal, latency_model, extractor, max_expansions=None)
-    rows, solution = solver.solve(workload)
-    result = astar_search(
-        SchedulingProblem.for_workload(workload, vm_types, max_goal, latency_model)
-    )
+    values, solution = solver.solve(workload)
+    problem = SchedulingProblem.for_workload(workload, vm_types, max_goal, latency_model)
+    result = astar_search(problem)
     assert solution.path == tuple(action.label for _, action in result.decisions())
     assert (solution.optimal_cost, solution.expansions) == (result.cost, result.expansions)
-    assert rows.shape == (len(solution.path), len(extractor.feature_names))
+    # Per decision the vertex's wait time and cost row; the pass writes the rows.
+    assert values.shape == (len(solution.path), 1 + len(small_templates))
+    rows, cost = extractor.matrix(problem, solution.path)
+    assert cost == result.cost
+    block = extractor.block([(solution.path, values, solution.template_counts)])
+    assert block.tobytes() == rows.tobytes()
     assert solution.path[0].startswith("provision:")
 
 

@@ -28,6 +28,7 @@ from repro.adaptive.retraining import AdaptiveBound
 from repro.search.problem import SchedulingProblem
 from repro.search.strategy import strategy_from_spec
 
+from search_helpers import graph
 from test_search_oracle import CATALOGS, GOALS, LATENCY, UNMEETABLE_GOALS, _workload
 from test_search_tree import SEEDS, _problem
 
@@ -83,32 +84,29 @@ def _unmeetable_problem(kind: str, catalog: str, adaptive: bool, seed: int) -> S
     )
 
 
-def _audit(problem: SchedulingProblem) -> tuple[int, float, list[float]]:
+def _audit(enumerated) -> tuple[int, float, list[float]]:
     """(vertices whose f exceeds the best cost below them, the worst excess,
     ``f / best_below`` of every vertex with queries left)."""
-    expand, child = problem.expand, problem.child
-    nodes = [problem.initial_node()]
-    parents = [-1]
-    index = 0
-    while index < len(nodes):
-        for priced in expand(nodes[index]):
-            nodes.append(child(priced))
-            parents.append(index)
-        index += 1
+    parents, priorities, left, costs = (
+        enumerated.parents,
+        enumerated.priorities,
+        enumerated.left,
+        enumerated.costs,
+    )
     # Children follow their parent in breadth-first order, so a backward
     # sweep is a post-order pass: a vertex's best is final when it is reached.
-    best = [math.inf] * len(nodes)
+    best = [math.inf] * len(parents)
     violations, excess, ratios = 0, 0.0, []
-    for index in range(len(nodes) - 1, -1, -1):
-        node = nodes[index]
+    for index in range(len(parents) - 1, -1, -1):
+        priority = priorities[index]
         below = best[index]
-        if node.row.count:
-            ratios.append(node.priority / below)
-        elif node.infra_cost + node.penalty < below:
-            below = node.infra_cost + node.penalty
-        if node.priority > below + 1e-9:
+        if left[index]:
+            ratios.append(priority / below)
+        elif costs[index] < below:
+            below = costs[index]
+        if priority > below + 1e-9:
             violations += 1
-            excess = max(excess, node.priority - below)
+            excess = max(excess, priority - below)
         parent = parents[index]
         if parent >= 0 and below < best[parent]:
             best[parent] = below
@@ -132,7 +130,7 @@ def test_no_vertex_priority_exceeds_the_best_cost_below_it(kind, catalog, mode):
     build = _unmeetable_problem if kind in UNMEETABLE_GOALS else _problem
     violations, excess, ratios = 0, 0.0, []
     for seed in SEEDS:
-        found, worst, seed_ratios = _audit(build(kind, catalog, mode == "adaptive", seed))
+        found, worst, seed_ratios = _audit(graph(build, kind, catalog, mode == "adaptive", seed))
         violations += found
         excess = max(excess, worst)
         ratios.extend(seed_ratios)

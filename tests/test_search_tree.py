@@ -21,10 +21,10 @@ from __future__ import annotations
 import pytest
 
 from repro.adaptive.retraining import AdaptiveBound
-from repro.search.problem import SchedulingProblem
+from repro.search.problem import LatencyOutcome, SchedulingProblem
 from repro.search.strategy import strategy_from_spec
 
-from search_helpers import children
+from search_helpers import graph
 from test_search_oracle import CATALOGS, GOALS, LATENCY, TEMPLATES, _workload
 
 SEEDS = tuple(range(6))
@@ -49,32 +49,30 @@ def _problem(kind: str, catalog: str, adaptive: bool, seed: int) -> SchedulingPr
     )
 
 
-def _enumerate(problem: SchedulingProblem, old_goal=None) -> tuple[int, int]:
-    """(vertices reached, vertices whose state was reached before).
-
-    With *old_goal* (an adaptive problem's), also asserts that every vertex
-    carries that goal's penalty of its outcomes.
-    """
-    seen = set()
-    duplicates = 0
-    stack = [problem.initial_node()]
-    while stack:
-        node = stack.pop()
-        if node.state in seen:
-            duplicates += 1
-        seen.add(node.state)
-        if old_goal is not None:
-            assert node.aux_penalty == old_goal.penalty(node.outcomes), node
-        stack.extend(children(problem, node))
-    return len(seen) + duplicates, duplicates
+def _aux_mismatches(enumerated, old_goal) -> int:
+    """Vertices whose carried ``aux_penalty`` is not *old_goal*'s penalty of
+    their outcomes, rebuilt along the enumeration (parents come first)."""
+    outcomes = [()]
+    mismatches = int(enumerated.aux_penalties[0] != old_goal.penalty(()))
+    for index in range(1, len(enumerated.parents)):
+        done = outcomes[enumerated.parents[index]]
+        name = enumerated.placed[index]
+        if name is not None:
+            done += (LatencyOutcome(name, enumerated.finishes[index]),)
+        outcomes.append(done)
+        if enumerated.aux_penalties[index] != old_goal.penalty(done):
+            mismatches += 1
+    return mismatches
 
 
 @pytest.mark.parametrize("adaptive", (False, True), ids=("plain", "adaptive"))
 @pytest.mark.parametrize("catalog", CATALOGS)
 @pytest.mark.parametrize("kind", GOALS)
 def test_no_two_vertices_share_a_state(kind, catalog, adaptive):
-    old_goal = GOALS[kind] if adaptive else None
     for seed in SEEDS:
-        vertices, duplicates = _enumerate(_problem(kind, catalog, adaptive, seed), old_goal)
+        enumerated = graph(_problem, kind, catalog, adaptive, seed)
+        vertices, duplicates = len(enumerated.parents), enumerated.repeated_states
         assert vertices > 1
         assert duplicates == 0, f"seed {seed}: {duplicates} of {vertices} vertices repeat a state"
+        if adaptive:
+            assert _aux_mismatches(enumerated, GOALS[kind]) == 0, f"seed {seed}"
