@@ -13,7 +13,9 @@ registry-migration smoke step):
    (no model blob materialized) and the run-history log written by
    ``service.schedule_batch`` / ``service.run_online``;
 4. round-trip back out with ``registry.export_json`` — byte-identical to the
-   v1 files, so the layouts stay interchangeable.
+   v1 files, so the layouts stay interchangeable;
+5. bound the store with ``registry.gc``: a second goal adds an artifact, and
+   a ``keep_latest=1`` pass evicts the one used least recently.
 
 Run with ``python examples/registry_migration.py``.
 """
@@ -93,6 +95,22 @@ def main() -> None:
         print(f"export_json round trip byte-identical: {identical}")
         if not identical:
             raise SystemExit("export_json round trip diverged from the v1 layout")
+
+        # 5. Eviction by access recency: a stricter goal adds an artifact,
+        #    and a pass that keeps one servable artifact evicts the other.
+        service = WiSeDBService(registry=registry)
+        strict = goal.with_deadline(goal.deadline * 0.8)
+        service.register("acme-strict", templates, strict, config=config)
+        service.train("acme-strict")
+        service.close()
+        before = len(registry)
+        report = registry.gc(keep_latest=1)
+        print(
+            f"gc(keep_latest=1): examined {report.examined}, "
+            f"evicted {len(report.evicted)}, {before} -> {len(registry)} artifact(s)"
+        )
+        if not report.evicted or len(registry) != 1:
+            raise SystemExit("gc evicted nothing from a two-artifact registry")
 
 
 if __name__ == "__main__":

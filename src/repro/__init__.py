@@ -28,7 +28,7 @@ heuristic baselines — answers through one protocol:
 * :mod:`repro.parallel` — the execution backends (one warm process pool, or
   serial) the embarrassingly parallel training solves fan out through.
 * :mod:`repro.runtime` — batch and online schedulers, cost estimation.
-* :mod:`repro.baselines` — FFD, FFI, Pack9 and trivial reference schedulers.
+* :mod:`repro.baselines` — FFD, FFI and Pack9 reference schedulers.
 * :mod:`repro.evaluation` — the experiment harness behind ``benchmarks/``.
 
 Quickstart::

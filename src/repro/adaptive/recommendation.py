@@ -46,14 +46,6 @@ class Strategy:
     #: Tightening fraction relative to the application goal (0 = the original goal).
     shift_fraction: float
 
-    def describe(self) -> str:
-        """One-line summary of the strategy."""
-        return (
-            f"Strategy(shift={self.shift_fraction:+.2f}, {self.goal.describe()}, "
-            f"avg per-query cost {sum(self.profile.values()) / max(1, len(self.profile)):.2f}c)"
-        )
-
-
 class StrategyRecommender:
     """Generates and prunes alternative strategies around an application goal.
 

@@ -183,11 +183,6 @@ class AdaptiveModeler:
         """The generator whose specification and extractor every retrain uses."""
         return self._generator
 
-    @property
-    def base_result(self) -> TrainingResult:
-        """The original training run whose artefacts are being re-used."""
-        return self._base
-
     def remember(self, result: TrainingResult) -> None:
         """Record *result*'s exact sample solutions as solved for its goal.
 

@@ -6,13 +6,10 @@ from repro.baselines.first_fit import (
     FirstFitScheduler,
 )
 from repro.baselines.pack9 import Pack9Scheduler
-from repro.baselines.trivial import OneQueryPerVMScheduler, SingleVMScheduler
 
 __all__ = [
     "FirstFitDecreasingScheduler",
     "FirstFitIncreasingScheduler",
     "FirstFitScheduler",
-    "OneQueryPerVMScheduler",
     "Pack9Scheduler",
-    "SingleVMScheduler",
 ]

@@ -56,11 +56,6 @@ class FirstFitScheduler:
         self._latency_model = latency_model
         self._descending = descending
 
-    @property
-    def vm_type(self) -> VMType:
-        """The single VM type this heuristic provisions."""
-        return self._vm_type
-
     # -- ordering (overridden by Pack9) ----------------------------------------------
 
     def ordered_queries(self, workload: Workload) -> list[Query]:
@@ -72,7 +67,7 @@ class FirstFitScheduler:
     def schedule(self, workload: Workload) -> Schedule:
         """Produce a first-fit schedule for *workload*."""
         if workload.is_empty():
-            return Schedule.empty()
+            return Schedule(())
         vms: list[_OpenVM] = []
         accumulator = self._goal.accumulator()
         for query in self.ordered_queries(workload):

@@ -37,11 +37,6 @@ class TemplateLatencyModel:
     def __init__(self, templates: TemplateSet) -> None:
         self._templates = templates
 
-    @property
-    def templates(self) -> TemplateSet:
-        """The template set whose latencies this model knows."""
-        return self._templates
-
     def latency(self, template_name: str, vm_type: VMType) -> float:
         """Latency of *template_name* on *vm_type* in seconds."""
         if not vm_type.supports(template_name):
@@ -134,11 +129,6 @@ class QueryLatencyPredictor:
         self._rng = random.Random(seed)
         self._vm_type = vm_type
         self._cache: dict[int, float] = {}
-
-    @property
-    def error_std(self) -> float:
-        """Relative standard deviation of the per-query prediction error."""
-        return self._error_std
 
     def predicted_latency(self, query: Query) -> float:
         """Noisy latency prediction for *query* (cached per query id)."""

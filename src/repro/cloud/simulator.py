@@ -88,11 +88,6 @@ class ScheduleSimulator:
     def __init__(self, latency_model: LatencyModel) -> None:
         self._latency_model = latency_model
 
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The latency model used to derive execution times."""
-        return self._latency_model
-
     def run(self, schedule: Schedule) -> ExecutionTrace:
         """Simulate *schedule* fault-free from t = 0 and return its trace."""
         latency = self._latency_model.latency

@@ -79,18 +79,6 @@ class CostBreakdown:
         """
         return self.startup_cost + self.execution_cost + self.penalty_cost
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            startup_cost=self.startup_cost + other.startup_cost,
-            execution_cost=self.execution_cost + other.execution_cost,
-            penalty_cost=self.penalty_cost + other.penalty_cost,
-            wasted_startup_cost=self.wasted_startup_cost + other.wasted_startup_cost,
-            wasted_execution_cost=(
-                self.wasted_execution_cost + other.wasted_execution_cost
-            ),
-        )
-
-
 def breakdown_from_trace(
     schedule: Schedule,
     trace: ExecutionTrace,
@@ -135,11 +123,6 @@ class CostModel:
     def __init__(self, latency_model: LatencyModel) -> None:
         self._latency_model = latency_model
         self._simulator = ScheduleSimulator(latency_model)
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The latency model used for both rental billing and SLA evaluation."""
-        return self._latency_model
 
     def breakdown(self, schedule: Schedule, goal: PerformanceGoal) -> CostBreakdown:
         """Full cost breakdown of *schedule* under *goal*."""

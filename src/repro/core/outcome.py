@@ -82,8 +82,3 @@ class QueryOutcome(_OutcomeFields):
         quantity the paper's performance goals constrain.
         """
         return self.completion_time - self.arrival_time
-
-    @property
-    def wait_time(self) -> float:
-        """Time spent queued before execution started."""
-        return self.start_time - self.arrival_time

@@ -269,21 +269,6 @@ class FaultPlan:
     # -- accessors ---------------------------------------------------------------
 
     @property
-    def events(self) -> tuple[FaultEvent, ...]:
-        """The explicit events of the plan, in construction order."""
-        return self._events
-
-    @property
-    def rates(self) -> FaultRates | None:
-        """The rate generators of the plan (``None`` if purely explicit)."""
-        return self._rates
-
-    @property
-    def backoff(self) -> BackoffPolicy:
-        """The start-failure retry policy consumers apply."""
-        return self._backoff
-
-    @property
     def is_empty(self) -> bool:
         """True when the plan can never produce a fault."""
         if self._events:

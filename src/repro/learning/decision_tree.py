@@ -35,7 +35,6 @@ to that formulation's; it lives on as the oracle in
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -98,8 +97,8 @@ def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 class CompiledTreeEvaluator:
     """A fitted tree flattened into parallel arrays for fast prediction.
 
-    The node-object walk of :meth:`DecisionTreeClassifier.predict_vector`
-    chases one Python object per level, reading four attributes per hop.  The
+    A walk over the :class:`TreeNode` objects (the reference the tests hold
+    predictions against) chases one Python object per level, reading four attributes per hop.  The
     compiled form stores the whole tree as parallel arrays indexed by a
     preorder node id — split feature column, threshold, left/right child ids,
     and a leaf-label id — so a prediction is a tight loop over flat lists.
@@ -111,8 +110,8 @@ class CompiledTreeEvaluator:
     ``feature_names`` optionally re-maps the tree's split columns onto an
     external feature order (e.g. a :class:`~repro.learning.features.FeatureExtractor`'s
     canonical row layout).  A split on a feature absent from that order is
-    constant-folded the way :meth:`DecisionTreeClassifier.predict` treats
-    missing features — the value reads as ``0.0``, so the branch is decided at
+    constant-folded: a missing feature reads as ``0.0``, as in
+    :meth:`DecisionTreeClassifier.decision_path`, so the branch is decided at
     compile time.
     """
 
@@ -603,38 +602,10 @@ class DecisionTreeClassifier:
 
     # -- prediction ----------------------------------------------------------------
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        """Feature names, in the column order the tree was fitted on."""
-        return self._feature_names
-
-    @property
-    def classes(self) -> tuple[str, ...]:
-        """The distinct labels seen during fitting."""
-        return self._classes
-
     def _require_fitted(self) -> TreeNode:
         if self._root is None:
             raise TrainingError("the decision tree has not been fitted")
         return self._root
-
-    def predict_vector(self, vector: Sequence[float]) -> str:
-        """Predict the label for a feature vector in canonical column order."""
-        node = self._require_fitted()
-        while not node.is_leaf:
-            assert node.feature_index is not None and node.threshold is not None
-            if vector[node.feature_index] <= node.threshold:
-                assert node.left is not None
-                node = node.left
-            else:
-                assert node.right is not None
-                node = node.right
-        return node.label
-
-    def predict(self, features: Mapping[str, float]) -> str:
-        """Predict the label for a feature mapping (missing features read as 0)."""
-        vector = [features.get(name, 0.0) for name in self._feature_names]
-        return self.predict_vector(vector)
 
     def compiled(
         self, feature_names: Sequence[str] | None = None
@@ -699,26 +670,6 @@ class DecisionTreeClassifier:
             return _count(node.left) + _count(node.right)
 
         return _count(self._require_fitted())
-
-    def feature_importances(self) -> dict[str, float]:
-        """Fraction of training examples routed through splits on each feature."""
-        root = self._require_fitted()
-        importances: Counter[str] = Counter()
-
-        def _walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                return
-            assert node.feature_name is not None
-            importances[node.feature_name] += node.samples
-            assert node.left is not None and node.right is not None
-            _walk(node.left)
-            _walk(node.right)
-
-        _walk(root)
-        total = sum(importances.values())
-        if total == 0:
-            return {}
-        return {name: count / total for name, count in importances.items()}
 
     def to_text(self) -> str:
         """ASCII rendering of the tree (useful for debugging and the examples)."""

@@ -55,10 +55,8 @@ Inlining the checks into the source instead grows it about fivefold and its
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -351,11 +349,6 @@ class DecisionModel:
         return self._tree
 
     @property
-    def extractor(self) -> FeatureExtractor:
-        """The feature extractor used at training time (and reused at runtime)."""
-        return self._extractor
-
-    @property
     def templates(self) -> TemplateSet:
         """The workload specification the model was trained for."""
         return self._templates
@@ -379,11 +372,6 @@ class DecisionModel:
     def metadata(self) -> ModelMetadata:
         """Training provenance information."""
         return self._metadata
-
-    @property
-    def search_strategy(self) -> str:
-        """Spec of the search strategy the model was trained under."""
-        return self._metadata.search_strategy
 
     @property
     def training_optimality_ratio(self) -> float:
@@ -420,14 +408,6 @@ class DecisionModel:
             latency_model=self._latency_model,
             metadata=self._metadata,
             penalty_guard=enabled,
-        )
-
-    def describe(self) -> str:
-        """One-line description of the model."""
-        return (
-            f"DecisionModel({self._goal.describe()}, "
-            f"{len(self._templates)} templates, {len(self._vm_types)} VM types, "
-            f"tree depth {self._metadata.tree_depth})"
         )
 
     # -- persistence -------------------------------------------------------------
@@ -487,18 +467,6 @@ class DecisionModel:
             penalty_guard=data.get("penalty_guard", True),
         )
 
-    def save(self, path: str | Path) -> Path:
-        """Write the model to *path* as JSON (parent directories are created)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict()), encoding="utf-8")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DecisionModel":
-        """Read a model previously written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
     # -- raw prediction ----------------------------------------------------------
 
     def _compiled_evaluator(self):
@@ -538,10 +506,6 @@ class DecisionModel:
                 f"{len(self._extractor.feature_names)} features)"
             )
         self._adopt(evaluator)
-
-    def predict_row(self, row: np.ndarray) -> str:
-        """The raw label for one feature row in the extractor's column order."""
-        return self._compiled_evaluator().predict_row(row)
 
     # -- validated decisions --------------------------------------------------------
 

@@ -383,11 +383,6 @@ class ModelGenerator:
         return self._config
 
     @property
-    def extractor(self) -> FeatureExtractor:
-        """The feature extractor shared by training and runtime."""
-        return self._extractor
-
-    @property
     def backend(self) -> ExecutionBackend:
         """The execution backend sample solves fan out through.
 

@@ -276,23 +276,6 @@ class BatchScheduler:
     def __init__(self, model: DecisionModel) -> None:
         self._model = model
 
-    @property
-    def model(self) -> DecisionModel:
-        """The decision model driving this scheduler."""
-        return self._model
-
-    @property
-    def search_strategy(self) -> str:
-        """Spec of the search strategy the model was trained under.
-
-        Scheduling itself never searches — it parses the tree — but the
-        strategy (and, for relaxed strategies,
-        :attr:`~repro.learning.model.DecisionModel.training_optimality_ratio`)
-        is the provenance an operator needs when comparing tenants whose
-        models were trained under different engines.
-        """
-        return self._model.search_strategy
-
     # -- public API --------------------------------------------------------------
 
     def schedule(self, workload: Workload) -> Schedule:
@@ -364,4 +347,3 @@ class BatchScheduler:
                 perceived = model_templates.closest_by_latency(base_latency).name
             pools[perceived].append(query)
         return pools
-

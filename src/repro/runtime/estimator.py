@@ -95,11 +95,6 @@ class CostEstimator:
         else:
             self._fallback = 0.0
 
-    @property
-    def profile(self) -> dict[str, float]:
-        """Calibrated average cost per query of each template, in cents."""
-        return dict(self._profile)
-
     def per_query_cost(self, template_name: str) -> float:
         """Calibrated average cost of one query of *template_name*, in cents."""
         return self._profile.get(template_name, self._fallback)

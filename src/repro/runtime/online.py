@@ -326,11 +326,6 @@ class OnlineScheduler:
             tuple[Workload, OnlineSchedulingReport, list["_VMRecord"]] | None
         ) = None
 
-    @property
-    def optimizations(self) -> OnlineOptimizations:
-        """The optimization combination this scheduler runs with."""
-        return self._optimizations
-
     # -- main loop ------------------------------------------------------------------
 
     def run(self, workload: Workload) -> SchedulingOutcome:
@@ -645,11 +640,6 @@ class OnlineSession:
     def epochs(self) -> int:
         """Scheduling passes so far (arrival epochs plus rescheduling VM failures)."""
         return len(self._overheads)
-
-    @property
-    def num_vms(self) -> int:
-        """Number of VMs provisioned so far."""
-        return len(self._vms)
 
     @property
     def retrains(self) -> int:

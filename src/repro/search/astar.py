@@ -44,10 +44,9 @@ def optimality_ratio(cost: float, cost_lower_bound: float | None) -> float:
 
     ``None`` means the result is provably optimal (ratio 1.0); a zero (or
     negative) lower bound means the bound proves nothing, so a zero-cost
-    result is exact and any positive cost is unboundedly far (``inf``).  The
-    single definition behind :attr:`SearchResult.optimality_ratio` and
-    :attr:`~repro.learning.trainer.SampleSolution.optimality_ratio` — the
-    two must never drift.
+    result is exact and any positive cost is unboundedly far (``inf``).
+    :attr:`~repro.learning.trainer.SampleSolution.optimality_ratio` applies
+    it to a search result's cost and bound.
     """
     if cost_lower_bound is None:
         return 1.0
@@ -75,16 +74,6 @@ class SearchResult:
     def cost(self) -> float:
         """Total cost (Equation 1) of the schedule found."""
         return self.goal_node.partial_cost
-
-    @property
-    def optimality_ratio(self) -> float:
-        """``cost / optimal-lower-bound`` — 1.0 for exact results.
-
-        An upper bound on how far the returned schedule's cost can sit above
-        the true optimum; relaxed strategies surface it instead of silently
-        degrading (the training pipeline records the worst per-sample value).
-        """
-        return optimality_ratio(self.cost, self.cost_lower_bound)
 
     @property
     def goal_state(self) -> SearchState:

@@ -58,12 +58,6 @@ class OptimalScheduleResult:
         """Total cost (Equation 1) of the optimal schedule, in cents."""
         return self.cost.total
 
-    @property
-    def expansions(self) -> int:
-        """Number of vertices the A* search expanded."""
-        return self.search.expansions
-
-
 def find_optimal_schedule(
     workload: Workload,
     vm_types: VMTypeCatalog,

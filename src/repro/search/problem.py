@@ -148,7 +148,7 @@ class RemainingRow:
         self.remaining = remaining
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class SearchNode:
     """A vertex plus the incremental bookkeeping the search needs.
 
@@ -215,24 +215,6 @@ class SearchNode:
             if isinstance(node.action, PlaceQuery)
         ]
         return tuple(outcomes)
-
-    def __repr__(self) -> str:
-        """Compact, non-recursive rendering (the generated dataclass repr
-        would chase the whole ``parent`` chain — useless in a failed property
-        test).  Surfaces the incremental bookkeeping a debugging session needs:
-        the auxiliary penalty and the latency-key memo input alongside the
-        classic cost fields."""
-        key = self.latency_key
-        key_text = "None" if key is None else f"<{len(key)} latencies>"
-        aux = "absent" if self.aux_penalty < 0.0 else f"{self.aux_penalty:.6g}"
-        return (
-            f"SearchNode(depth={self.depth}, state=[{self.state.describe()}], "
-            f"action={self.action!r}, infra={self.infra_cost:.6g}, "
-            f"penalty={self.penalty:.6g}, priority={self.priority:.6g}, "
-            f"last_vm_finish={self.last_vm_finish:.6g}, "
-            f"future_term={self.future_term:.6g}, latency_key={key_text}, "
-            f"aux_penalty={aux})"
-        )
 
     def path(self) -> list["SearchNode"]:
         """Nodes from the start vertex to this node, inclusive."""
@@ -491,24 +473,9 @@ class SchedulingProblem:
     # -- accessors ---------------------------------------------------------------
 
     @property
-    def templates(self) -> TemplateSet:
-        """The template universe of the workload being scheduled."""
-        return self._tables.templates
-
-    @property
-    def vm_types(self) -> VMTypeCatalog:
-        """The IaaS catalogue available to the scheduler."""
-        return self._tables.vm_types
-
-    @property
     def goal(self) -> PerformanceGoal:
         """The performance goal the schedule must satisfy."""
         return self._goal
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The latency estimates used to cost placements."""
-        return self._tables.latency_model
 
     @property
     def template_counts(self) -> dict[str, int]:
@@ -555,9 +522,11 @@ class SchedulingProblem:
           leaves every other query's completion time untouched, so if the
           swapped order is strictly cheaper — or equally cheap but in canonical
           (shortest-first) order — the current order is dominated and pruned.
-        * **Order-free horizon** (all goals): while the VM's busy time stays
-          within :meth:`PerformanceGoal.ordering_horizon`, query order cannot
-          affect the penalty at all, so only the canonical order is explored.
+        * **Canonical order** (goals with no per-query deadline, i.e.
+          average and percentile latency): running the shorter of two
+          adjacent queries first leaves every other completion unchanged and
+          makes the pair's latencies no larger, which cannot raise a sum or a
+          percentile; so only shortest-first queues are explored.
         """
         successors: list[PricedChild] = []
         append = successors.append
@@ -625,16 +594,10 @@ class SchedulingProblem:
                             )
                         ):
                             continue
-                    else:
-                        horizon = self._goal.ordering_horizon(queue, template_name)
-                        if finish + execution_time <= horizon and (
-                            execution_time < previous_execution
-                            or (
-                                execution_time == previous_execution
-                                and template_name < previous
-                            )
-                        ):
-                            continue
+                    elif execution_time < previous_execution or (
+                        execution_time == previous_execution and template_name < previous
+                    ):
+                        continue
 
                 # -- the placement child, priced from the parent ------------------
                 completion = finish + execution_time
@@ -809,8 +772,9 @@ class SchedulingProblem:
         was canonical in a *looser* goal's reduced graph and keeps it only if
         it still costs the same; such a path can be pruned in the stricter
         goal's graph only by an *equal-cost* swap (a strictly cheaper swap
-        would contradict the cost equality, and the order-free horizon only
-        shrinks), so it is still a minimum-cost schedule.
+        would contradict the cost equality, and the canonical order does not
+        depend on the goal's strictness), so it is still a minimum-cost
+        schedule.
         """
         # Unassigned queries per template in name order, an entry dropped at
         # zero: the live views are the vertex's remaining multiset and names.

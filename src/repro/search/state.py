@@ -62,10 +62,6 @@ class SearchState:
         """Distinct template names with at least one unassigned query."""
         return tuple(name for name, _ in self.remaining)
 
-    def has_remaining(self, template_name: str) -> bool:
-        """True when at least one query of *template_name* is unassigned."""
-        return template_name in self.remaining_name_set()
-
     def remaining_name_set(self) -> frozenset[str]:
         """Distinct unassigned template names as a set (cached on first use).
 
@@ -95,45 +91,8 @@ class SearchState:
         """True when every query has been assigned (a complete schedule)."""
         return not self.remaining
 
-    def num_vms(self) -> int:
-        """Number of VMs provisioned so far."""
-        return len(self.vms)
-
     def last_vm(self) -> VMState | None:
         """The most recently provisioned VM, or ``None`` if there is none."""
         return self.vms[-1] if self.vms else None
 
-    def assigned_total(self) -> int:
-        """Number of queries assigned so far."""
-        return sum(len(queue) for _, queue in self.vms)
-
-    # -- transitions -----------------------------------------------------------
-
-    def with_new_vm(self, vm_type_name: str) -> "SearchState":
-        """Successor state after provisioning an empty VM of *vm_type_name*."""
-        return SearchState(vms=self.vms + ((vm_type_name, ()),), remaining=self.remaining)
-
-    def with_placement(self, template_name: str) -> "SearchState":
-        """Successor state after placing one *template_name* query on the last VM."""
-        if not self.vms:
-            raise ValueError("cannot place a query before provisioning a VM")
-        if not self.has_remaining(template_name):
-            raise ValueError(f"no unassigned query of template {template_name!r}")
-        # `remaining` is already in canonical sorted order, so decrementing one
-        # entry in place preserves canonical form without re-sorting.
-        remaining = tuple(
-            (name, count - 1) if name == template_name else (name, count)
-            for name, count in self.remaining
-            if name != template_name or count > 1
-        )
-        vm_type_name, queue = self.vms[-1]
-        updated_vm = (vm_type_name, queue + (template_name,))
-        return SearchState(vms=self.vms[:-1] + (updated_vm,), remaining=remaining)
-
     # -- cosmetics ---------------------------------------------------------------
-
-    def describe(self) -> str:
-        """Compact human-readable rendering (useful in debugging/tests)."""
-        vms = "; ".join(f"{vm_type}[{','.join(queue)}]" for vm_type, queue in self.vms)
-        remaining = ", ".join(f"{name}x{count}" for name, count in self.remaining)
-        return f"vms=({vms}) remaining=({remaining})"

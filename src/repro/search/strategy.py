@@ -32,8 +32,8 @@ Relaxed strategies never degrade silently: each
 :class:`~repro.search.astar.SearchResult` carries a *sound* lower bound on
 the true optimal cost (the minimum admissible f-value over every vertex the
 strategy pruned or left unexpanded — one of those vertices sits on an optimal
-path, and admissible f-values never overestimate), so
-:attr:`~repro.search.astar.SearchResult.optimality_ratio` bounds how far the
+path, and admissible f-values never overestimate), so ``cost`` over that
+bound (:func:`~repro.search.astar.optimality_ratio`) bounds how far the
 returned schedule can be from optimal.  The training pipeline records the
 worst per-sample ratio in the model metadata.
 """

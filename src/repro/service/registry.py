@@ -169,11 +169,6 @@ class ModelRegistry:
     # -- accessors ---------------------------------------------------------------
 
     @property
-    def directory(self) -> Path | None:
-        """Where artifacts are persisted (``None`` for an in-memory registry)."""
-        return self._directory
-
-    @property
     def database_path(self) -> Path | None:
         """The SQLite file backing this registry (``None`` if in-memory)."""
         return self._store.path
@@ -198,20 +193,6 @@ class ModelRegistry:
 
     def __len__(self) -> int:
         return len(self.fingerprints())
-
-    def __contains__(self, fingerprint: object) -> bool:
-        """Whether :meth:`get` would serve *fingerprint* (never a false claim).
-
-        This materializes the artifact on first ask (point query; the result
-        is cached), which is what keeps membership honest for blobs that were
-        corrupted after they were written.
-        """
-        if not isinstance(fingerprint, str):
-            return False
-        return self.get(fingerprint) is not None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.fingerprints())
 
     # -- storage -----------------------------------------------------------------
 

@@ -69,8 +69,6 @@ from repro.cloud.latency import (
 )
 from repro.cloud.vm import VMTypeCatalog, single_vm_type_catalog
 from repro.config import TrainingConfig
-from repro.core.cost_model import CostBreakdown, CostModel
-from repro.core.schedule import Schedule
 from repro.core.scheduler import SchedulingOutcome
 from repro.exceptions import (
     ConcurrencyError,
@@ -191,11 +189,6 @@ class Tenant:
         self._write_operation: str | None = None
 
     @property
-    def name(self) -> str:
-        """The tenant's registered name."""
-        return self.spec.name
-
-    @property
     def generator(self) -> ModelGenerator:
         """The tenant's model generator (built lazily from the spec)."""
         if self._generator is None:
@@ -213,15 +206,6 @@ class Tenant:
     def is_trained(self) -> bool:
         """Whether the tenant currently holds a trained model."""
         return self.training is not None
-
-    @property
-    def model(self) -> DecisionModel:
-        """The tenant's decision model (raises until trained)."""
-        if self.training is None:
-            raise TrainingError(
-                f"tenant {self.spec.name!r} has no trained model yet; call train()"
-            )
-        return self.training.model
 
     @contextmanager
     def exclusive(self, operation: str) -> Iterator[None]:
@@ -376,14 +360,8 @@ class WiSeDBService:
         """All registered tenant names, in registration order."""
         return tuple(self._tenants)
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._tenants
-
     def __len__(self) -> int:
         return len(self._tenants)
-
-    def __iter__(self) -> Iterator[Tenant]:
-        return iter(self._tenants.values())
 
     # -- tenant lifecycle -------------------------------------------------------------
 
@@ -427,11 +405,6 @@ class WiSeDBService:
         tenant = Tenant(spec, backend_factory=lambda: self.backend)
         self._tenants[name] = tenant
         return tenant
-
-    def remove(self, name: str) -> None:
-        """Deregister a tenant (its registry artifacts remain addressable)."""
-        self.tenant(name)
-        del self._tenants[name]
 
     # -- training ----------------------------------------------------------------------
 
@@ -738,14 +711,6 @@ class WiSeDBService:
             degraded=True,
             degraded_reason=f"{type(error).__name__}: {error}",
         )
-
-    def evaluate(
-        self, name: str, schedule: Schedule, goal: PerformanceGoal | None = None
-    ) -> CostBreakdown:
-        """Price *schedule* with Equation 1 under the tenant's (or a given) goal."""
-        tenant = self.tenant(name)
-        cost_model = CostModel(tenant.spec.resolved_latency_model())
-        return cost_model.breakdown(schedule, goal or tenant.spec.goal)
 
     # -- persistence --------------------------------------------------------------------
 

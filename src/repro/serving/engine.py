@@ -96,10 +96,6 @@ class ServingTicket:
     def __init__(self, future: asyncio.Future) -> None:
         self._future = future
 
-    def done(self) -> bool:
-        """Whether the decision has been made."""
-        return self._future.done()
-
     def add_done_callback(self, fn) -> None:
         """Schedule ``fn(future)`` on the loop once the decision resolves.
 

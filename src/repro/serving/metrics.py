@@ -101,20 +101,9 @@ class ServingMetrics:
         """Pipe round trips the batched protocol avoided (vs one per query)."""
         return max(0, self.batched_queries - self.batches_sent)
 
-    def tenant(self, name: str) -> TenantMetrics:
-        """The snapshot entry for *name* (raises ``KeyError`` if absent)."""
-        for entry in self.tenants:
-            if entry.tenant == name:
-                return entry
-        raise KeyError(name)
-
     @property
     def submitted(self) -> int:
         return sum(entry.submitted for entry in self.tenants)
-
-    @property
-    def admitted(self) -> int:
-        return sum(entry.admitted for entry in self.tenants)
 
     @property
     def shed(self) -> int:

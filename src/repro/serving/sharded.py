@@ -516,11 +516,6 @@ class ShardedServingEngine:
         await self.close()
 
     @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has completed admission shutdown."""
-        return self._closed
-
-    @property
     def effective_isolation(self) -> str | None:
         """``"process"`` or ``"inline"`` once started, ``None`` before."""
         if not self._started or not self._shards:
@@ -764,10 +759,6 @@ class ShardedServingEngine:
             batches_sent=sum(shard.batches_sent for shard in self._shards),
             batched_queries=sum(shard.batched_queries for shard in self._shards),
         )
-
-    async def health(self) -> str:
-        """Worst per-shard status (same precedence as the single engine)."""
-        return (await self.metrics()).status
 
     def outcome(self, tenant: str) -> SchedulingOutcome:
         """The tenant's priced outcome (after :meth:`close`); see

@@ -52,18 +52,6 @@ class AverageLatencyGoal(PerformanceGoal):
         """Incremental violation tracker over the running mean latency."""
         return AverageLatencyViolationAccumulator(self._deadline)
 
-    def ordering_horizon(
-        self, queue_template_names: Sequence[str], candidate_template_name: str
-    ) -> float:
-        """Shortest-query-first within a VM always minimises the average latency.
-
-        The sum of completion times on one VM is minimised by processing
-        queries in non-decreasing execution-time order, so an optimal schedule
-        always exists in which every VM's queue is sorted; the search only
-        needs to explore those canonical queues.
-        """
-        return float("inf")
-
     def future_cost_lower_bound(
         self,
         assigned_latencies: Sequence[float],

@@ -68,27 +68,16 @@ class PerformanceGoal(ABC):
 
     # -- search guidance hooks --------------------------------------------------
 
-    def ordering_horizon(
-        self, queue_template_names: Sequence[str], candidate_template_name: str
-    ) -> float:
-        """Busy-time horizon below which query order on a VM cannot matter.
-
-        While the most recent VM's busy time stays at or below this horizon,
-        permuting its queue cannot change the goal's violation period, so the
-        optimal-schedule search only explores one canonical ordering of such
-        queues (a graph reduction on top of the two in Section 4.3).  The
-        default of 0 disables the reduction for goals that do not declare one.
-        """
-        return 0.0
-
     def query_deadline(self, template_name: str) -> float | None:
         """Deadline (seconds) an individual query of *template_name* must meet.
 
         Deadline-style goals (max latency, per-query deadlines) return the
         bound used to compute that query's violation; goals whose penalty is
         not separable per query return ``None``.  The optimal-schedule search
-        uses this to apply an adjacent pairwise-interchange dominance rule on
-        VM queues.
+        uses the deadlines to apply an adjacent pairwise-interchange dominance
+        rule on VM queues; for a goal with none it explores only
+        shortest-first queues, so such a goal must never charge more for a
+        queue sorted by execution time.
         """
         return None
 

@@ -48,12 +48,6 @@ class MaxLatencyGoal(PerformanceGoal):
         """Incremental violation tracker sharing this goal's deadline."""
         return MaxLatencyViolationAccumulator(self._deadline)
 
-    def ordering_horizon(
-        self, queue_template_names: Sequence[str], candidate_template_name: str
-    ) -> float:
-        """While a VM's busy time stays within the deadline, order is irrelevant."""
-        return self._deadline
-
     def query_deadline(self, template_name: str) -> float:
         """Every query shares the same workload-wide deadline."""
         return self._deadline

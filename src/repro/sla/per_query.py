@@ -72,13 +72,6 @@ class PerQueryDeadlineGoal(PerformanceGoal):
         """Incremental violation tracker sharing this goal's per-template deadlines."""
         return PerQueryViolationAccumulator(dict(self._deadlines), self.deadline)
 
-    def ordering_horizon(
-        self, queue_template_names: Sequence[str], candidate_template_name: str
-    ) -> float:
-        """Order is irrelevant while the queue fits within its tightest deadline."""
-        names = list(queue_template_names) + [candidate_template_name]
-        return min(self._deadlines.get(name, self.deadline) for name in names)
-
     def query_deadline(self, template_name: str) -> float:
         """The template's own deadline (mean deadline for unknown templates)."""
         return self._deadlines.get(template_name, self.deadline)

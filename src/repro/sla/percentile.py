@@ -46,11 +46,6 @@ class PercentileGoal(PerformanceGoal):
         self._deadline = float(deadline)
 
     @property
-    def percent(self) -> float:
-        """The fraction (in percent) of queries that must meet the deadline."""
-        return self._percent
-
-    @property
     def deadline(self) -> float:
         """The latency bound that the percentile must meet, in seconds."""
         return self._deadline
@@ -78,20 +73,6 @@ class PercentileGoal(PerformanceGoal):
     def at_least_as_strict_as(self, other: PerformanceGoal) -> bool:
         """Same percentile as well: a lower one reads a smaller rank latency."""
         return super().at_least_as_strict_as(other) and self._percent == other._percent
-
-    def ordering_horizon(
-        self, queue_template_names: Sequence[str], candidate_template_name: str
-    ) -> float:
-        """Shortest-query-first within a VM always (weakly) dominates.
-
-        The percentile latency is monotone in every individual latency, and
-        swapping two adjacent queries so the shorter one runs first makes the
-        pair's latency multiset element-wise smaller while leaving every other
-        completion unchanged.  An optimal schedule therefore always exists with
-        each VM's queue sorted by execution time, so the search only explores
-        canonical queues.
-        """
-        return float("inf")
 
     def future_cost_lower_bound(
         self,

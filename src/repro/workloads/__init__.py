@@ -7,7 +7,6 @@ query templates, and concrete workloads are batches of template instances.
 
 from repro.workloads.arrivals import (
     arrival_stream_rng,
-    bursty_arrivals,
     poisson_arrivals,
 )
 from repro.workloads.generator import WorkloadGenerator
@@ -35,7 +34,6 @@ __all__ = [
     "Workload",
     "WorkloadGenerator",
     "arrival_stream_rng",
-    "bursty_arrivals",
     "chi_squared_confidence",
     "chi_squared_statistic",
     "poisson_arrivals",

@@ -3,12 +3,8 @@
 The serving harness (:mod:`repro.serving`) drives engines *open loop*: queries
 are submitted on a pre-drawn arrival schedule at a target offered rate,
 regardless of how fast the system answers — the standard methodology for
-measuring serving tail latency honestly.  This module draws those schedules.
-Two processes cover the classic shapes:
-
-* :func:`poisson_arrivals` — memoryless traffic at a constant rate;
-* :func:`bursty_arrivals` — a two-state Markov-modulated Poisson process
-  (quiet periods punctuated by bursts at a higher rate).
+measuring serving tail latency honestly.  This module draws those schedules:
+:func:`poisson_arrivals` is memoryless traffic at a constant rate.
 
 Every draw is deterministic per ``(seed, tenant)`` in the style of
 :mod:`repro.faults` stream derivation: each stream owns a private
@@ -92,45 +88,4 @@ def poisson_arrivals(
     for _ in range(num_queries):
         current += rng.expovariate(rate)
         arrival_times.append(current)
-    return _workload(templates, rng, arrival_times, quantum)
-
-
-def bursty_arrivals(
-    templates: TemplateSet,
-    num_queries: int,
-    base_rate: float,
-    burst_rate: float,
-    seed: int = 0,
-    tenant: str = "default",
-    enter_burst: float = 0.05,
-    exit_burst: float = 0.25,
-    quantum: float | None = None,
-) -> Workload:
-    """A two-state Markov-modulated Poisson stream (quiet / burst).
-
-    The process draws exponential gaps at ``base_rate`` while quiet and at
-    ``burst_rate`` while bursting; after every arrival it switches state with
-    probability ``enter_burst`` (quiet→burst) or ``exit_burst`` (burst→quiet).
-    With the defaults, bursts are rare but sticky enough to pile arrivals up —
-    the overload shape the backpressure tests lean on.
-    """
-    _validate(templates, num_queries)
-    if base_rate <= 0 or burst_rate <= 0:
-        raise SpecificationError("arrival rates must be positive")
-    if burst_rate < base_rate:
-        raise SpecificationError("burst_rate must be at least base_rate")
-    for name, probability in (("enter_burst", enter_burst), ("exit_burst", exit_burst)):
-        if not 0.0 <= probability <= 1.0:
-            raise SpecificationError(f"{name} must be a probability in [0, 1]")
-    rng = arrival_stream_rng("bursty", seed, tenant)
-    current = 0.0
-    bursting = False
-    arrival_times = []
-    for _ in range(num_queries):
-        current += rng.expovariate(burst_rate if bursting else base_rate)
-        arrival_times.append(current)
-        if bursting:
-            bursting = rng.random() >= exit_burst
-        else:
-            bursting = rng.random() < enter_burst
     return _workload(templates, rng, arrival_times, quantum)

@@ -32,11 +32,6 @@ class WorkloadGenerator:
         self._templates = templates
         self._rng = random.Random(seed)
 
-    @property
-    def templates(self) -> TemplateSet:
-        """The template universe this generator samples from."""
-        return self._templates
-
     # -- uniform direct sampling (Section 4.2) --------------------------------
 
     def uniform(self, num_queries: int) -> Workload:

@@ -127,10 +127,6 @@ class TemplateSet:
         """
         return self._names
 
-    def get(self, name: str) -> QueryTemplate:
-        """Return the template called *name* (:class:`UnknownTemplateError` if absent)."""
-        return self[name]
-
     def base_latencies(self) -> Mapping[str, float]:
         """Mapping of template name to base latency in seconds."""
         return {t.name: t.base_latency for t in self._templates}

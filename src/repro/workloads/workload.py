@@ -93,9 +93,6 @@ class Workload:
     def __iter__(self) -> Iterator[Query]:
         return iter(self._queries)
 
-    def __getitem__(self, index: int) -> Query:
-        return self._queries[index]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.template_counts().items()))
         return f"Workload({len(self)} queries: {counts})"
@@ -125,10 +122,6 @@ class Workload:
     def with_queries(self, queries: Iterable[Query]) -> "Workload":
         """A new workload over the same templates but different queries."""
         return Workload(self._templates, queries)
-
-    def extended(self, extra: Iterable[Query]) -> "Workload":
-        """A new workload with *extra* queries appended."""
-        return Workload(self._templates, list(self._queries) + list(extra))
 
     def sorted_by_latency(self, descending: bool = False) -> "Workload":
         """A new workload with queries ordered by base latency (used by baselines)."""

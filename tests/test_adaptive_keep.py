@@ -343,7 +343,7 @@ def test_matrix_rows_are_extract_into_over_the_search_vertices(kind):
     """Searched, ``h'``-searched and kept paths all label as their vertices read."""
     vm_types = CATALOGUES["2vm"]
     generator = ModelGenerator(TEMPLATES, vm_types=vm_types, config=_config(SEEDS[0]))
-    extractor, latency_model = generator.extractor, generator.latency_model
+    extractor, latency_model = generator._extractor, generator.latency_model
     goal = default_goal(kind, TEMPLATES)
     base = generator.generate(goal)
     # Tight enough that some samples are searched and some kept, per kind.

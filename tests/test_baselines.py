@@ -10,7 +10,6 @@ from repro.baselines.first_fit import (
     FirstFitIncreasingScheduler,
 )
 from repro.baselines.pack9 import Pack9Scheduler
-from repro.baselines.trivial import OneQueryPerVMScheduler, SingleVMScheduler
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import t2_medium
 from repro.core.cost_model import CostModel
@@ -18,6 +17,7 @@ from repro.sla.max_latency import MaxLatencyGoal
 from repro.sla.percentile import PercentileGoal
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.workload import Workload
+from oracles import OneQueryPerVMScheduler, SingleVMScheduler, validate_complete
 
 
 @pytest.fixture()
@@ -62,7 +62,7 @@ def test_first_fit_schedules_are_complete(small_templates, latency, max_goal):
     workload = WorkloadGenerator(small_templates, seed=2).uniform(25)
     for scheduler_cls in (FirstFitDecreasingScheduler, FirstFitIncreasingScheduler):
         schedule = scheduler_cls(t2_medium(), max_goal, latency).schedule(workload)
-        schedule.validate_complete(workload)
+        validate_complete(schedule, workload)
 
 
 def test_first_fit_empty_workload(small_templates, latency, max_goal):
@@ -85,22 +85,23 @@ def test_pack9_complete_and_respects_percentile(small_templates, latency):
     goal = PercentileGoal(percent=90.0, deadline=units.minutes(6))
     workload = WorkloadGenerator(small_templates, seed=3).uniform(30)
     schedule = Pack9Scheduler(t2_medium(), goal, latency).schedule(workload)
-    schedule.validate_complete(workload)
+    validate_complete(schedule, workload)
 
 
 def test_one_query_per_vm(small_templates):
     workload = WorkloadGenerator(small_templates, seed=4).uniform(7)
     schedule = OneQueryPerVMScheduler(t2_medium()).schedule(workload)
     assert schedule.num_vms() == 7
-    schedule.validate_complete(workload)
+    validate_complete(schedule, workload)
 
 
 def test_single_vm_scheduler(small_templates):
     workload = WorkloadGenerator(small_templates, seed=5).uniform(7)
     schedule = SingleVMScheduler(t2_medium()).schedule(workload)
     assert schedule.num_vms() == 1
-    schedule.validate_complete(workload)
-    names = [q.template_name for q in schedule[0].queries]
+    validate_complete(schedule, workload)
+    (vm,) = schedule
+    names = [q.template_name for q in vm.queries]
     latencies = [small_templates[name].base_latency for name in names]
     assert latencies == sorted(latencies)
 

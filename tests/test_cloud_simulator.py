@@ -58,7 +58,7 @@ def test_arrival_time_delays_start(simulator, small_templates):
     outcome = trace.outcomes[0]
     assert outcome.start_time == units.minutes(5)
     assert outcome.latency == units.minutes(1)
-    assert outcome.wait_time == 0.0
+    assert outcome.start_time == outcome.arrival_time
 
 
 def test_busy_time_accounting(simulator):
@@ -82,7 +82,7 @@ def test_outcomes_by_vm(simulator):
 
 
 def test_empty_schedule(simulator):
-    trace = simulator.run(Schedule.empty())
+    trace = simulator.run(Schedule(()))
     assert trace.outcomes == ()
     assert trace.rentals == ()
 

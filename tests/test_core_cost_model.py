@@ -8,7 +8,7 @@ from repro import units
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.simulator import ExecutionTrace, ScheduleSimulator
 from repro.cloud.vm import t2_medium
-from repro.core.cost_model import CostBreakdown, CostModel, breakdown_from_trace
+from repro.core.cost_model import CostModel, breakdown_from_trace
 from repro.core.schedule import Schedule, VMAssignment
 from repro.exceptions import ScheduleError
 from repro.sla.max_latency import MaxLatencyGoal
@@ -57,7 +57,7 @@ def test_total_cost_matches_breakdown(cost_model):
 
 def test_empty_schedule_costs_nothing(cost_model):
     goal = MaxLatencyGoal(deadline=units.minutes(5))
-    breakdown = cost_model.breakdown(Schedule.empty(), goal)
+    breakdown = cost_model.breakdown(Schedule(()), goal)
     assert breakdown.total == 0.0
 
 
@@ -72,15 +72,6 @@ def test_more_vms_cost_more_startup(cost_model):
     assert spread_cost.startup_cost - packed_cost.startup_cost == pytest.approx(
         2 * t2_medium().startup_cost
     )
-
-
-def test_cost_breakdown_addition():
-    a = CostBreakdown(1.0, 2.0, 3.0)
-    b = CostBreakdown(0.5, 0.5, 0.5)
-    total = a + b
-    assert total.startup_cost == 1.5
-    assert total.execution_cost == 2.5
-    assert total.penalty_cost == 3.5
 
 
 def test_trace_of_another_schedule_is_rejected_not_mispriced(small_templates):

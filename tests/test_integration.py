@@ -6,12 +6,21 @@ from __future__ import annotations
 import pytest
 
 from repro.config import TrainingConfig
+from repro.core.cost_model import CostModel
 from repro.runtime.estimator import CostEstimator, per_template_cost_profile
 from repro.runtime.online import OnlineOptimizations
 from repro.search.optimal import find_optimal_schedule
 from repro.service import WiSeDBService
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.generator import WorkloadGenerator
+from oracles import validate_complete
+
+
+def _price(service, name, schedule, goal=None):
+    """Equation 1 on *schedule* under the tenant's latency model and goal."""
+    spec = service.tenant(name).spec
+    return CostModel(spec.resolved_latency_model()).breakdown(schedule, goal or spec.goal)
+
 
 TENANT = "app"
 
@@ -33,8 +42,8 @@ def test_schedule_batch_and_evaluate(service, small_templates):
     workload = WorkloadGenerator(small_templates, seed=31).uniform(18)
     outcome = service.schedule_batch(TENANT, workload)
     assert not outcome.degraded
-    outcome.schedule.validate_complete(workload)
-    breakdown = service.evaluate(TENANT, outcome.schedule)
+    validate_complete(outcome.schedule, workload)
+    breakdown = _price(service, TENANT, outcome.schedule)
     assert breakdown == outcome.cost
     assert breakdown.total > 0.0
     assert breakdown.startup_cost > 0.0
@@ -98,8 +107,8 @@ def test_evaluate_with_explicit_goal(service, small_templates):
     loose = MaxLatencyGoal(deadline=10_000.0)
     strict = MaxLatencyGoal(deadline=60.0)
     assert (
-        service.evaluate(TENANT, schedule, strict).total
-        >= service.evaluate(TENANT, schedule, loose).total
+        _price(service, TENANT, schedule, strict).total
+        >= _price(service, TENANT, schedule, loose).total
     )
 
 
@@ -134,8 +143,8 @@ def test_every_goal_kind_schedules_close_to_optimal(goal_service, small_template
     workload = WorkloadGenerator(small_templates, seed=40).uniform(12)
     outcome = goal_service.schedule_batch(kind, workload)
     assert not outcome.degraded
-    outcome.schedule.validate_complete(workload)
-    assert goal_service.evaluate(kind, outcome.schedule) == outcome.cost
+    validate_complete(outcome.schedule, workload)
+    assert _price(goal_service, kind, outcome.schedule) == outcome.cost
     spec = goal_service.tenant(kind).spec
     optimal = find_optimal_schedule(
         workload,
@@ -157,7 +166,7 @@ def test_every_goal_kind_runs_online(goal_service, small_templates, kind):
     assert not outcome.degraded
     assert outcome.goal.kind == kind
     assert len(outcome.query_outcomes) == len(workload)
-    outcome.schedule.validate_complete(workload)
+    validate_complete(outcome.schedule, workload)
     assert outcome.total_cost > 0.0
 
 
@@ -173,6 +182,6 @@ def test_two_vm_type_catalogue(small_templates, two_type_catalog):
     workload = WorkloadGenerator(small_templates, seed=37).uniform(15)
     outcome = service.schedule_batch(TENANT, workload)
     assert not outcome.degraded
-    outcome.schedule.validate_complete(workload)
+    validate_complete(outcome.schedule, workload)
     used_types = {vm.vm_type.name for vm in outcome.schedule}
     assert used_types <= {"t2.medium", "t2.small"}

@@ -19,6 +19,7 @@ from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.trainer import ModelGenerator
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.templates import tpch_templates
+from oracles import predict, predict_vector
 
 
 def fit_tree(matrix, labels, names, **kwargs):
@@ -30,15 +31,15 @@ def test_single_class_yields_leaf():
     tree = fit_tree([[0.0], [1.0], [2.0]], ["a", "a", "a"], ["x"])
     assert tree.depth() == 0
     assert tree.leaf_count() == 1
-    assert tree.predict({"x": 5.0}) == "a"
+    assert predict(tree, {"x": 5.0}) == "a"
 
 
 def test_simple_threshold_split():
     matrix = [[0.0], [1.0], [10.0], [11.0]]
     labels = ["low", "low", "high", "high"]
     tree = fit_tree(matrix, labels, ["x"], min_samples_leaf=1, min_samples_split=2)
-    assert tree.predict({"x": 0.5}) == "low"
-    assert tree.predict({"x": 12.0}) == "high"
+    assert predict(tree, {"x": 0.5}) == "low"
+    assert predict(tree, {"x": 12.0}) == "high"
     assert tree.depth() == 1
 
 
@@ -47,9 +48,9 @@ def test_two_feature_conjunction():
     matrix = [[0, 0], [0, 1], [1, 0], [1, 1]] * 5
     labels = ["b" if x == 1 and y == 1 else "a" for x, y in [(r[0], r[1]) for r in matrix]]
     tree = fit_tree(matrix, labels, ["x", "y"], min_samples_leaf=1, min_samples_split=2)
-    assert tree.predict({"x": 0, "y": 1}) == "a"
-    assert tree.predict({"x": 1, "y": 0}) == "a"
-    assert tree.predict({"x": 1, "y": 1}) == "b"
+    assert predict(tree, {"x": 0, "y": 1}) == "a"
+    assert predict(tree, {"x": 1, "y": 0}) == "a"
+    assert predict(tree, {"x": 1, "y": 1}) == "b"
     assert tree.depth() == 2
 
 
@@ -58,7 +59,7 @@ def test_training_accuracy_on_separable_data():
     xs = rng.uniform(0, 1, size=(200, 3))
     labels = ["pos" if row[0] + row[1] > 1.0 else "neg" for row in xs]
     tree = fit_tree(xs, labels, ["a", "b", "c"], min_samples_leaf=1, min_samples_split=2)
-    correct = sum(tree.predict_vector(row) == label for row, label in zip(xs, labels))
+    correct = sum(predict_vector(tree, row) == label for row, label in zip(xs, labels))
     assert correct > 0.95 * len(labels)
 
 
@@ -88,12 +89,12 @@ def test_predict_vector_and_mapping_agree():
     labels = ["a", "b", "b", "a"]
     tree = fit_tree(matrix, labels, ["x", "y"], min_samples_leaf=1, min_samples_split=2)
     for row in matrix:
-        assert tree.predict_vector(row) == tree.predict({"x": row[0], "y": row[1]})
+        assert predict_vector(tree, row) == predict(tree, {"x": row[0], "y": row[1]})
 
 
 def test_missing_features_default_to_zero():
     tree = fit_tree([[0.0], [10.0]], ["a", "b"], ["x"], min_samples_leaf=1, min_samples_split=2)
-    assert tree.predict({}) == "a"
+    assert predict(tree, {}) == "a"
 
 
 def test_decision_path_ends_in_leaf():
@@ -105,21 +106,10 @@ def test_decision_path_ends_in_leaf():
     assert len(path) == tree.depth() + 1 or path[-1].is_leaf
 
 
-def test_feature_importances_identify_informative_feature():
-    rng = np.random.default_rng(2)
-    informative = rng.uniform(0, 1, size=300)
-    noise = rng.uniform(0, 1, size=300)
-    matrix = np.column_stack([informative, noise])
-    labels = ["pos" if value > 0.5 else "neg" for value in informative]
-    tree = fit_tree(matrix, labels, ["signal", "noise"])
-    importances = tree.feature_importances()
-    assert importances.get("signal", 0.0) > importances.get("noise", 0.0)
-
-
 def test_unfitted_tree_raises():
     tree = DecisionTreeClassifier()
     with pytest.raises(TrainingError):
-        tree.predict({"x": 1.0})
+        tree.compiled()
 
 
 def test_fit_validates_shapes():
@@ -170,7 +160,7 @@ def test_property_predictions_are_known_labels(data):
     labels = ["big" if a + b > 100 else "small" for a, b in data]
     tree = fit_tree([list(row) for row in data], labels, ["a", "b"], min_samples_leaf=1, min_samples_split=2)
     for a, b in data:
-        assert tree.predict({"a": a, "b": b}) in set(labels)
+        assert predict(tree, {"a": a, "b": b}) in set(labels)
 
 
 @given(
@@ -187,7 +177,7 @@ def test_property_perfectly_separable_single_feature(values):
     if len(set(labels)) < 2:
         return
     tree = fit_tree([[v] for v in values], labels, ["x"], min_samples_leaf=1, min_samples_split=2)
-    assert [tree.predict_vector([v]) for v in values] == labels
+    assert [predict_vector(tree, [v]) for v in values] == labels
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +201,8 @@ def test_denormal_midpoint_that_collapses_onto_the_right_value_keeps_the_split()
     tree = fit_tree(
         [[-5e-324], [0.0]], ["neg", "zero"], ["x"], min_samples_leaf=1, min_samples_split=2
     )
-    assert tree.predict({"x": -5e-324}) == "neg"
-    assert tree.predict({"x": 0.0}) == "zero"
+    assert predict(tree, {"x": -5e-324}) == "neg"
+    assert predict(tree, {"x": 0.0}) == "zero"
 
 
 def test_midpoint_that_overflows_keeps_the_split():
@@ -221,8 +211,8 @@ def test_midpoint_that_overflows_keeps_the_split():
         [[1e308], [1.7e308]], ["low", "high"], ["x"], min_samples_leaf=1, min_samples_split=2
     )
     assert math.isfinite(tree._root.threshold)
-    assert tree.predict({"x": 1e308}) == "low"
-    assert tree.predict({"x": 1.7e308}) == "high"
+    assert predict(tree, {"x": 1e308}) == "low"
+    assert predict(tree, {"x": 1.7e308}) == "high"
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,12 @@ def features_of(node, problem) -> dict[str, float]:
     queue = last[1] if last is not None else ()
     unassigned = {name for name, count in node.state.remaining if count}
     features = {"wait_time": node.last_vm_finish}
-    for name in problem.templates.names:
+    for name in problem._tables.templates.names:
         features[f"proportion_of[{name}]"] = (
             queue.count(name) / len(queue) if queue else 0.0
         )
         features[f"supports[{name}]"] = (
-            1.0 if last is not None and problem.vm_types[last[0]].supports(name) else 0.0
+            1.0 if last is not None and problem._tables.vm_types[last[0]].supports(name) else 0.0
         )
         cost = problem.placement_edge_cost(node, name)
         features[f"cost_of[{name}]"] = INFEASIBLE_COST if cost == float("inf") else cost

@@ -330,7 +330,7 @@ def test_pooled_sample_solves_match_serial(small_templates, max_goal):
         vm_types=generator.vm_types,
         goal=max_goal,
         latency_model=generator.latency_model,
-        extractor=generator.extractor,
+        extractor=generator._extractor,
         max_expansions=50_000,
     )
     workloads = [

@@ -107,7 +107,7 @@ def _cases(vm_types, count=60):
     rng = random.Random(1706)
     for _ in range(count):
         yield _random_schedule(rng, vm_types, arrivals=rng.random() < 0.5)
-    yield Schedule.empty()
+    yield Schedule(())
 
 
 def test_one_pass_pricing_is_bit_identical_to_the_reference(
@@ -224,7 +224,7 @@ def test_pricing_reads_each_outcome_a_constant_number_of_times(
 
 
 def test_grouping_is_derived_state_not_a_field(latency_model, vm_catalog):
-    schedule = Schedule.single_vm(vm_catalog.default, [Query(template_name="T2")])
+    schedule = Schedule([VMAssignment(vm_catalog.default, (Query(template_name="T2"),))])
     simulator = ScheduleSimulator(latency_model)
     priced, untouched = simulator.run(schedule), simulator.run(schedule)
     assert priced.outcomes_by_vm[0] == priced.outcomes

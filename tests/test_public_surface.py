@@ -30,38 +30,14 @@ USER_DIRS = ("src", "examples", "benchmarks")
 
 #: Qualified name -> why it stays although nothing outside the tests uses it.
 ALLOWED_UNUSED: dict[str, str] = {
-    "repro.baselines.trivial.OneQueryPerVMScheduler": (
-        "trivial upper bound the search-property and batch tests price against"
-    ),
-    "repro.baselines.trivial.SingleVMScheduler": (
-        "trivial upper bound the search-property tests price against"
-    ),
-    "repro.core.schedule.Schedule.validate_complete": (
-        "the exactly-once oracle scheduler tests run on every schedule"
-    ),
     "repro.learning.model.DecisionModel.training_optimality_ratio": (
         "the provenance stamp a degraded model's registry row and metrics will carry"
-    ),
-    "repro.learning.decision_tree.DecisionTreeClassifier.predict": (
-        "dict-row reference the compiled-tree equivalence tests check against"
     ),
     "repro.learning.decision_tree.DecisionTreeClassifier.decision_path": (
         "the node path a per-decision provenance record will carry"
     ),
-    "repro.learning.decision_tree.DecisionTreeClassifier.feature_importances": (
-        "the split-gain summary a per-decision provenance record will carry"
-    ),
     "repro.search.state.SearchState.last_queue_counts": (
         "called from the source a decision model generates, which is a string"
-    ),
-    "repro.search.state.SearchState.with_new_vm": (
-        "checked transition the state and A* tests replay an optimal path with"
-    ),
-    "repro.search.state.SearchState.with_placement": (
-        "checked transition the state and A* tests replay an optimal path with"
-    ),
-    "repro.workloads.arrivals.bursty_arrivals": (
-        "the bursty input shape of the serving-equivalence grid"
     ),
 }
 

@@ -113,7 +113,7 @@ class TestAtomicPut:
         monkeypatch.setattr(service.registry._store, "put_artifact", locked)
         with pytest.raises(StorageError, match="database is locked"):
             service.train("acme")
-        assert fingerprint not in service.registry
+        assert service.registry.get(fingerprint) is None
         assert service.registry.fingerprints() == ()
         # A WiSeDBError like any other: scheduling degrades instead of crashing.
         outcome = service.schedule_batch("acme", small_workload)
@@ -231,7 +231,7 @@ class TestQuarantine:
         fresh.train("acme")
         assert fresh.tenant("acme").provenance == "fresh"
         # The healthy rewrite is addressable again; the damage is preserved.
-        assert service.tenant("acme").spec.fingerprint() in fresh.registry
+        assert fresh.registry.get(service.tenant("acme").spec.fingerprint()) is not None
         assert list((directory / QUARANTINE_DIR).iterdir())
 
     def test_corrupted_database_blob_triggers_fresh_retrain(
@@ -252,7 +252,7 @@ class TestQuarantine:
             fresh.train("acme")
         assert fresh.tenant("acme").provenance == "fresh"
         # The re-put healed the quarantined row in place.
-        assert fingerprint in fresh.registry
+        assert fresh.registry.get(fingerprint) is not None
         assert fresh.registry.quarantined() == ()
 
 
@@ -312,7 +312,7 @@ class TestMembershipConsistency:
 
         fresh = ModelRegistry(directory)
         with pytest.warns(RuntimeWarning, match="quarantine"):
-            assert fingerprint not in fresh
+            assert fresh.get(fingerprint) is None
         assert fresh.fingerprints() == ()
         assert len(fresh) == 0
         assert fresh.quarantined() == (
@@ -331,7 +331,7 @@ class TestMembershipConsistency:
 
         with pytest.warns(RuntimeWarning, match="quarantine"):
             fresh = ModelRegistry(directory)
-        assert fingerprint not in fresh
+        assert fresh.get(fingerprint) is None
         assert fresh.fingerprints() == ()
         assert len(fresh) == 0
 
@@ -342,7 +342,7 @@ class TestMembershipConsistency:
         service = _train_once(directory, small_templates, goal, config)
         fingerprint = service.tenant("acme").spec.fingerprint()
         fresh = ModelRegistry(directory)
-        assert fingerprint in fresh
+        assert fresh.get(fingerprint) is not None
         assert fresh.fingerprints() == (fingerprint,)
         assert len(fresh) == 1
 

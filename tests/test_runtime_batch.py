@@ -27,6 +27,7 @@ from repro.workloads.templates import QueryTemplate
 from repro.workloads.workload import Workload
 
 from search_helpers import children
+from oracles import OneQueryPerVMScheduler, validate_complete
 
 
 def _node_for(vm_type, queue, finish, remaining):
@@ -48,7 +49,7 @@ def _node_for(vm_type, queue, finish, remaining):
 def test_schedule_is_complete_and_valid(trained_max, small_templates):
     workload = WorkloadGenerator(small_templates, seed=3).uniform(20)
     schedule = BatchScheduler(trained_max.model).schedule(workload)
-    schedule.validate_complete(workload)
+    validate_complete(schedule, workload)
 
 
 def test_empty_workload_gives_empty_schedule(trained_max, small_templates):
@@ -78,8 +79,6 @@ def test_schedule_cost_is_reasonable(trained_max, small_templates):
     cost_model = CostModel(model.latency_model)
     cost = cost_model.total_cost(schedule, model.goal)
     # Reference: every query on its own VM is penalty-free but pays maximal start-up fees.
-    from repro.baselines.trivial import OneQueryPerVMScheduler
-
     reference = OneQueryPerVMScheduler(model.vm_types.default).schedule(workload)
     reference_cost = cost_model.total_cost(reference, model.goal)
     assert cost <= reference_cost * 1.05
@@ -94,7 +93,7 @@ def test_unknown_template_mapped_to_closest(trained_max, small_templates):
         foreign_templates, ["T1", "T_new", "T3", "T_new"]
     )
     schedule = BatchScheduler(trained_max.model).schedule(workload)
-    schedule.validate_complete(workload)
+    validate_complete(schedule, workload)
     assert schedule.num_queries() == 4
 
 

@@ -404,9 +404,9 @@ class TestEpochDecision:
         session = scheduler.session()
         decision = session.submit([Query("T3", arrival_time=0.0)])
         assert decision.new_vms >= 1
-        assert session.num_vms >= decision.new_vms
+        assert len(session._vms) >= decision.new_vms
         placement = decision.placement_for(decision.arrivals[0])
-        assert 0 <= placement.vm_index < session.num_vms
+        assert 0 <= placement.vm_index < len(session._vms)
         assert placement.completion_time > placement.start_time >= 0.0
         assert placement.template_name == "T3"
 
@@ -518,4 +518,4 @@ class TestCounters:
         assert session.epochs == 6
         assert report.retrains == session.retrains
         assert report.cache_hits == session.cache_hits
-        assert report.num_vms == session.num_vms
+        assert report.num_vms == len(session._vms)

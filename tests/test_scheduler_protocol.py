@@ -11,7 +11,6 @@ from repro.baselines.first_fit import (
     FirstFitIncreasingScheduler,
 )
 from repro.baselines.pack9 import Pack9Scheduler
-from repro.baselines.trivial import OneQueryPerVMScheduler, SingleVMScheduler
 from repro.cloud.vm import t2_medium
 from repro.core.cost_model import CostModel
 from repro.core.scheduler import Scheduler, SchedulingOutcome
@@ -25,6 +24,7 @@ from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineScheduler
 from repro.service.registry import ModelRegistry
 from repro.workloads.generator import WorkloadGenerator
+from oracles import OneQueryPerVMScheduler, SingleVMScheduler, validate_complete
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def test_every_family_produces_complete_outcomes(
             + outcome.cost.penalty_cost
         )
         assert outcome.overhead.wall_time_seconds >= 0.0
-        outcome.schedule.validate_complete(small_workload)
+        validate_complete(outcome.schedule, small_workload)
     assert len(names) == 7  # every family keeps a distinct display name
 
 

@@ -18,6 +18,7 @@ from repro.search.problem import SchedulingProblem
 from repro.sla.average_latency import AverageLatencyGoal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.workload import Workload
+from oracles import validate_complete, with_new_vm, with_placement
 
 
 def brute_force_best_cost(workload, vm_type, goal, latency_model, max_vms=4):
@@ -65,7 +66,7 @@ def test_astar_schedule_is_complete(small_templates, max_goal):
     result = find_optimal_schedule(
         workload, single_vm_type_catalog(), max_goal, latency_model
     )
-    result.schedule.validate_complete(workload)
+    validate_complete(result.schedule, workload)
     assert result.schedule.num_queries() == len(workload)
 
 
@@ -151,9 +152,9 @@ def test_search_result_decisions_reconstruct_goal(small_templates, max_goal):
     state = result.problem.initial_node().state
     for _, action in decisions:
         if hasattr(action, "template_name"):
-            state = state.with_placement(action.template_name)
+            state = with_placement(state, action.template_name)
         else:
-            state = state.with_new_vm(action.vm_type_name)
+            state = with_new_vm(state, action.vm_type_name)
     assert state == result.search.goal_state
 
 
@@ -166,7 +167,7 @@ def test_schedule_from_state_materialises_queries(small_templates, max_goal):
     rebuilt = schedule_from_state(
         result.search.goal_state, workload, single_vm_type_catalog()
     )
-    rebuilt.validate_complete(workload)
+    validate_complete(rebuilt, workload)
 
 
 def test_empty_workload_search(small_templates, max_goal):

@@ -57,6 +57,7 @@ from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.sla.percentile import PercentileGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
+from oracles import validate_complete
 
 ORACLE = Path(__file__).parent / "data" / "search_oracle.json"
 
@@ -228,7 +229,7 @@ def test_search_keeps_its_guarantee_against_brute_force(case):
         )
     )
     schedule = schedule_from_state(result.goal_state, workload, vm_types)
-    schedule.validate_complete(workload)
+    validate_complete(schedule, workload)
     assert CostModel(LATENCY).total_cost(schedule, goal) == pytest.approx(
         result.cost, rel=1e-9, abs=1e-9
     )
@@ -254,7 +255,7 @@ def test_exact_astar_finds_the_optimum_when_a_deadline_is_below_a_latency(kind, 
         SchedulingProblem.for_workload(workload, vm_types, goal, LATENCY)
     )
     schedule = schedule_from_state(result.goal_state, workload, vm_types)
-    schedule.validate_complete(workload)
+    validate_complete(schedule, workload)
     assert CostModel(LATENCY).total_cost(schedule, goal) == pytest.approx(
         result.cost, rel=1e-9, abs=1e-9
     )

@@ -11,7 +11,6 @@ from repro.baselines.first_fit import (
     FirstFitDecreasingScheduler,
     FirstFitIncreasingScheduler,
 )
-from repro.baselines.trivial import OneQueryPerVMScheduler, SingleVMScheduler
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import single_vm_type_catalog, t2_medium
 from repro.core.cost_model import CostModel
@@ -22,6 +21,7 @@ from repro.sla.percentile import PercentileGoal
 from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
+from oracles import OneQueryPerVMScheduler, SingleVMScheduler, validate_complete
 
 TEMPLATES = TemplateSet(
     [
@@ -54,7 +54,7 @@ goal_strategy = st.sampled_from(
 def test_optimal_schedule_is_complete_and_costed_consistently(workload, goal):
     """The search returns a complete schedule whose reported cost matches Equation 1."""
     result = find_optimal_schedule(workload, CATALOG, goal, LATENCY)
-    result.schedule.validate_complete(workload)
+    validate_complete(result.schedule, workload)
     assert result.total_cost == pytest.approx(
         COST.total_cost(result.schedule, goal), rel=1e-9
     )
@@ -92,8 +92,8 @@ def test_tightening_the_goal_never_reduces_the_optimal_cost(workload):
 def test_adding_a_query_never_reduces_the_optimal_cost(workload, goal):
     """Property: supersets of work cost at least as much to execute optimally."""
     base_cost = find_optimal_schedule(workload, CATALOG, goal, LATENCY).total_cost
-    extended = workload.extended(
-        [Workload.from_template_names(TEMPLATES, ["T1"]).queries[0]]
+    extended = workload.with_queries(
+        [*workload.queries, Workload.from_template_names(TEMPLATES, ["T1"]).queries[0]]
     )
     extended_cost = find_optimal_schedule(extended, CATALOG, goal, LATENCY).total_cost
     assert extended_cost >= base_cost - 1e-9

@@ -107,7 +107,7 @@ def test_per_query_goal_roundtrip_bit_identical(small_templates, factors, latenc
 def test_percentile_field_roundtrip(percent):
     goal = PercentileGoal(percent=percent, deadline=units.minutes(6))
     restored = goal_from_dict(_json_roundtrip(goal.to_dict()))
-    assert restored.percent == goal.percent
+    assert restored.to_dict() == goal.to_dict()
     assert restored.deadline == goal.deadline
 
 
@@ -146,16 +146,8 @@ def test_model_roundtrip_tree_and_metadata(trained_max, restored_max):
     original = trained_max.model
     assert restored_max.tree.to_dict() == original.tree.to_dict()
     assert restored_max.metadata.to_dict() == original.metadata.to_dict()
-    assert restored_max.extractor.feature_names == original.extractor.feature_names
+    assert restored_max._extractor.feature_names == original._extractor.feature_names
     assert restored_max.goal.to_dict() == original.goal.to_dict()
-
-
-def test_model_save_load_file(tmp_path, trained_average, small_workload):
-    path = trained_average.model.save(tmp_path / "nested" / "model.json")
-    loaded = DecisionModel.load(path)
-    original = BatchScheduler(trained_average.model).schedule(small_workload)
-    restored = BatchScheduler(loaded).schedule(small_workload)
-    assert restored.signature() == original.signature()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from repro.adaptive.retraining import AdaptiveModeler
 from repro.config import TrainingConfig
-from repro.exceptions import SpecificationError, TrainingError
+from repro.exceptions import SpecificationError
 from repro.runtime.online import OnlineOptimizations
 from repro.service import ModelRegistry, TenantSpec, WiSeDBService
 from repro.sla.max_latency import MaxLatencyGoal
@@ -120,7 +120,7 @@ def test_adapt_registers_artifact_for_later_switch(trained_service, small_templa
     result, report = trained_service.adapt("acme", goal)
     assert report.samples_retrained > 0
     # The tenant itself did not move...
-    assert trained_service.tenant("acme").model.goal.deadline > goal.deadline
+    assert trained_service.tenant("acme").training.model.goal.deadline > goal.deadline
     # ...but switching to the adapted goal is now a registry hit.
     trained_service.register(
         "acme-adapted",
@@ -271,21 +271,6 @@ def test_unknown_tenant_rejected(trained_service):
         trained_service.train("nobody")
 
 
-def test_untrained_tenant_model_raises(small_templates, goals, config):
-    service = WiSeDBService()
-    tenant = service.register("fresh", small_templates, goals["max"], config=config)
-    with pytest.raises(TrainingError):
-        tenant.model
-
-
-def test_remove_keeps_registry_artifacts(small_templates, goals, config, trained_service):
-    fingerprint = trained_service.tenant("acme").spec.fingerprint()
-    trained_service.register("doomed", small_templates, goals["max"], config=config)
-    trained_service.remove("doomed")
-    assert "doomed" not in trained_service
-    assert fingerprint in trained_service.registry
-
-
 # ---------------------------------------------------------------------------
 # End-to-end: save, reload, bit-identical outcomes (the acceptance scenario)
 # ---------------------------------------------------------------------------
@@ -377,7 +362,7 @@ def test_disk_registry_survives_processes_logically(tmp_path, small_templates, g
     second.register("acme", small_templates, goals["max"], config=config)
     second.train("acme")
     assert second.tenant("acme").provenance == "registry"
-    assert fingerprint in second.registry
+    assert second.registry.get(fingerprint) is not None
     workload = _batch_workload(small_templates, seed=91)
     assert (
         second.schedule_batch("acme", workload).cost

@@ -39,6 +39,7 @@ from repro.serving.channel import _Channel, _pickle_error
 from repro.serving.sharded import _Shard
 from repro.serving.worker import _ShardConfig
 from repro.workloads.query import Query
+from oracles import tenant_entry
 
 
 def _two_tenants_on_distinct_shards(shards: int = 2) -> tuple[str, str]:
@@ -125,7 +126,7 @@ class TestControlFrameBypass:
                 )
                 assert admission.admitted
             snapshot = await asyncio.wait_for(shard.metrics(), timeout=10.0)
-            entry = snapshot.tenant(name)
+            entry = tenant_entry(snapshot, name)
             entry.check_identities()
             assert entry.submitted == 3
             assert entry.admitted == 3
@@ -134,8 +135,8 @@ class TestControlFrameBypass:
             gate.set()
             await asyncio.wait_for(shard.drain(), timeout=30.0)
             drained = await shard.metrics()
-            drained.tenant(name).check_identities()
-            assert drained.tenant(name).decided == 3
+            tenant_entry(drained, name).check_identities()
+            assert tenant_entry(drained, name).decided == 3
             assert shard.batches_sent >= 1
             assert shard.batched_queries == 3
             outcomes, states = await _shutdown(shard)
@@ -170,7 +171,7 @@ class TestFrameCoalescing:
             assert shard.batched_queries == 5
             await shard.drain()
             snapshot = await shard.metrics()
-            assert snapshot.tenant(name).decided == 5
+            assert tenant_entry(snapshot, name).decided == 5
             await _shutdown(shard)
 
         asyncio.run(main())
@@ -195,8 +196,8 @@ class TestFrameCoalescing:
             assert shard.batched_queries == 5
             await shard.drain()
             snapshot = await shard.metrics()
-            snapshot.tenant(name).check_identities()
-            assert snapshot.tenant(name).decided == 5
+            tenant_entry(snapshot, name).check_identities()
+            assert tenant_entry(snapshot, name).decided == 5
             await _shutdown(shard)
 
         asyncio.run(main())
@@ -267,7 +268,7 @@ class TestBatchCredits:
             assert second.admitted
             await shard.drain()
             snapshot = await shard.metrics()
-            entry = snapshot.tenant(name)
+            entry = tenant_entry(snapshot, name)
             entry.check_identities()
             assert entry.decided == 2 and entry.shed == 0
             await _shutdown(shard)
@@ -459,8 +460,8 @@ class TestInterleavedEquivalence:
         # placements, costs, decision counts) are bit-identical.
         assert batched_outcomes == plain_outcomes
         for name in tenants:
-            batched_entry = batched_final.tenant(name)
-            plain_entry = plain_final.tenant(name)
+            batched_entry = tenant_entry(batched_final, name)
+            plain_entry = tenant_entry(plain_final, name)
             assert batched_entry.submitted == plain_entry.submitted
             assert batched_entry.decided == plain_entry.decided
             assert batched_entry.shed == plain_entry.shed == 0

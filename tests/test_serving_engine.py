@@ -21,6 +21,7 @@ from repro.exceptions import (
 from repro.serving import Admission, ServingEngine
 from repro.service import WiSeDBService
 from repro.workloads.query import Query
+from oracles import tenant_entry
 
 
 @pytest.fixture()
@@ -136,7 +137,7 @@ class TestBackpressure:
                 assert len(shed) == 3  # queue of 2 filled without yielding
                 assert all("queue full" in r.shed_reason for r in shed)
                 await engine.drain()
-                snapshot = engine.metrics().tenant("acme")
+                snapshot = tenant_entry(engine.metrics(), "acme")
                 assert snapshot.shed == 3
                 assert snapshot.decided == 2
                 snapshot.check_identities()
@@ -151,7 +152,7 @@ class TestBackpressure:
                 for query in _queries(7, arrival_time=0.0):
                     await engine.submit("acme", query)
                 await engine.drain()
-                snapshot = engine.metrics().tenant("acme")
+                snapshot = tenant_entry(engine.metrics(), "acme")
                 assert snapshot.decided == 7
                 assert snapshot.shed == 0
                 # All seven shared one arrival time, so despite the queue
@@ -174,8 +175,9 @@ class TestBackpressure:
                 await engine.drain()
                 total = engine.metrics()
                 assert total.submitted == 18
-                assert total.submitted == total.admitted + total.shed
-                assert total.admitted == total.decided
+                admitted = sum(entry.admitted for entry in total.tenants)
+                assert total.submitted == admitted + total.shed
+                assert admitted == total.decided
                 for entry in total.tenants:
                     entry.check_identities()
 
@@ -218,7 +220,7 @@ class TestDegradedServing:
                 decision = await admission.ticket.decision()
                 await engine.submit("acme", Query("T1", arrival_time=1.0))
                 await engine.drain()
-                snapshot = engine.metrics().tenant("acme")
+                snapshot = tenant_entry(engine.metrics(), "acme")
                 return decision, snapshot, engine
 
         decision, snapshot, engine = asyncio.run(main())
@@ -250,7 +252,7 @@ class TestDegradedServing:
                 for query in learned + fallback:
                     await engine.submit("acme", query)
                 await engine.drain()
-                return engine.metrics().tenant("acme"), engine
+                return tenant_entry(engine.metrics(), "acme"), engine
 
         snapshot, engine = asyncio.run(main())
         assert snapshot.decided == 14
@@ -283,7 +285,7 @@ class TestDegradedServing:
                 await engine.submit("acme", Query("NOPE", arrival_time=0.0))
                 await engine.drain()
                 assert engine.health() == "failed"
-                snapshot = engine.metrics().tenant("acme")
+                snapshot = tenant_entry(engine.metrics(), "acme")
                 assert snapshot.failed == 1
                 assert snapshot.decided == 0
                 snapshot.check_identities()
@@ -363,6 +365,6 @@ class TestMultiplexingAndGuard:
             async with ServingEngine(service) as engine:
                 engine.warm("acme", "globex")
                 assert len(engine.metrics().tenants) == 2
-                assert engine.metrics().tenant("globex").submitted == 0
+                assert tenant_entry(engine.metrics(), "globex").submitted == 0
 
         asyncio.run(main())

@@ -24,9 +24,10 @@ from repro.core.scheduler import SchedulingOutcome
 from repro.service import WiSeDBService
 from repro.serving import ServingEngine, TenantStream, drive
 from repro.sla.factory import GOAL_KINDS, default_goal
-from repro.workloads import bursty_arrivals, poisson_arrivals
+from repro.workloads import poisson_arrivals
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import QueryTemplate, TemplateSet
+from oracles import bursty_arrivals, tenant_entry
 
 CATALOGS = {
     "1vm": single_vm_type_catalog,
@@ -135,7 +136,7 @@ def test_engine_is_bit_identical_to_direct_run(
     served = engine.outcome(kind)
     direct = service.online_scheduler(kind).run(workload)
     assert _canonical(served) == _canonical(direct)
-    snapshot = engine.metrics().tenant(kind)
+    snapshot = tenant_entry(engine.metrics(), kind)
     assert snapshot.decided == len(workload)
     assert snapshot.retrains == direct.overhead.retrains
     assert snapshot.cache_hits == direct.overhead.cache_hits

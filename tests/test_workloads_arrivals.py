@@ -16,7 +16,8 @@ import json
 import pytest
 
 from repro.exceptions import SpecificationError
-from repro.workloads import Workload, bursty_arrivals, poisson_arrivals
+from repro.workloads import Workload, poisson_arrivals
+from oracles import bursty_arrivals
 
 PROCESSES = {
     "poisson": lambda t, n, **kw: poisson_arrivals(t, n, rate=40.0, **kw),

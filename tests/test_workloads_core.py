@@ -57,16 +57,3 @@ def test_workload_sorted_by_latency(small_templates):
     assert [q.template_name for q in ascending] == ["T1", "T2", "T3"]
     descending = workload.sorted_by_latency(descending=True)
     assert [q.template_name for q in descending] == ["T3", "T2", "T1"]
-
-
-def test_workload_extended(small_templates):
-    workload = Workload.from_template_names(small_templates, ["T1"])
-    extended = workload.extended([Query(template_name="T2")])
-    assert len(extended) == 2
-    assert len(workload) == 1
-
-
-def test_workload_indexing(small_templates):
-    workload = Workload.from_template_names(small_templates, ["T1", "T2"])
-    assert workload[0].template_name == "T1"
-    assert workload[1].template_name == "T2"
