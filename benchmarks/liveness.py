@@ -30,7 +30,6 @@ interpreter and two at a time.
 from __future__ import annotations
 
 import ast
-import itertools
 import json
 import os
 import subprocess
@@ -58,41 +57,95 @@ BUCKETS = {
 #: ``module:qualname`` -> ``"<bucket>: <why>"`` for every function kept
 #: although no entry point reaches it.
 KEEP: dict[str, str] = {
-    "repro.learning.decision_tree:CompiledTreeEvaluator.predict_row": "trace: learning.decision_tree.predict; decisions run the generated walk instead",
-    "repro.learning.features:FeatureExtractor.extract_into": "trace: learning.features.extract; training writes rows with vertex_values and block",
-    "repro.learning.features:FeatureExtractor.matrix": "trace: learning.features.matrix; training writes rows with vertex_values and block",
-    "repro.runtime.batch:RuntimeSchedulingContext.placement_cost_row": "trace: runtime.batch.cost_row; the generated walk prices one template at a time",
-    "repro.search.problem:SchedulingProblem.template_counts": "trace: FeatureExtractor.matrix, a trace target, reads it",
-    "repro.service.registry:ModelRegistry.find_base": "trace: service.registry.find_base; adaptation walks base_results",
-    "repro.cloud.latency:TabularLatencyModel.__init__": "safety: restores a non-deterministic latency model from its table on load",
-    "repro.cloud.latency:TabularLatencyModel.latencies": "safety: restores a non-deterministic latency model from its table on load",
-    "repro.cloud.latency:TabularLatencyModel.latency": "safety: restores a non-deterministic latency model from its table on load",
-    "repro.core.outcome:QueryOutcome._make": "safety: routes _replace through __new__, which validates the times",
-    "repro.exceptions:UnknownTemplateError.__init__": "safety: raised on a template the catalogue lacks",
-    "repro.exceptions:UnknownVMTypeError.__init__": "safety: raised on a VM type the catalogue lacks",
-    "repro.exceptions:UnsupportedQueryError.__init__": "safety: raised when a VM type cannot run a template",
-    "repro.faults.plan:BackoffPolicy.delay_for_attempt": "safety: the retry delay of a VM start that failed",
+    "repro.learning.decision_tree:CompiledTreeEvaluator.predict_row": (
+        "trace: learning.decision_tree.predict; decisions run the generated walk instead"
+    ),
+    "repro.learning.features:FeatureExtractor.extract_into": (
+        "trace: learning.features.extract; training writes rows with vertex_values and block"
+    ),
+    "repro.learning.features:FeatureExtractor.matrix": (
+        "trace: learning.features.matrix; training writes rows with vertex_values and block"
+    ),
+    "repro.runtime.batch:RuntimeSchedulingContext.placement_cost_row": (
+        "trace: runtime.batch.cost_row; the generated walk prices one template at a time"
+    ),
+    "repro.search.problem:SchedulingProblem.template_counts": (
+        "trace: FeatureExtractor.matrix, a trace target, reads it"
+    ),
+    "repro.service.registry:ModelRegistry.find_base": (
+        "trace: service.registry.find_base; adaptation walks base_results"
+    ),
+    "repro.cloud.latency:TabularLatencyModel.__init__": (
+        "safety: restores a non-deterministic latency model from its table on load"
+    ),
+    "repro.cloud.latency:TabularLatencyModel.latencies": (
+        "safety: restores a non-deterministic latency model from its table on load"
+    ),
+    "repro.cloud.latency:TabularLatencyModel.latency": (
+        "safety: restores a non-deterministic latency model from its table on load"
+    ),
+    "repro.core.outcome:QueryOutcome._make": (
+        "safety: routes _replace through __new__, which validates the times"
+    ),
+    "repro.exceptions:UnknownTemplateError.__init__": (
+        "safety: raised on a template the catalogue lacks"
+    ),
+    "repro.exceptions:UnknownVMTypeError.__init__": (
+        "safety: raised on a VM type the catalogue lacks"
+    ),
+    "repro.exceptions:UnsupportedQueryError.__init__": (
+        "safety: raised when a VM type cannot run a template"
+    ),
+    "repro.faults.plan:BackoffPolicy.delay_for_attempt": (
+        "safety: the retry delay of a VM start that failed"
+    ),
     "repro.faults.plan:SlowStart.__post_init__": "safety: validates a fault event",
     "repro.faults.plan:SpotRevocation.__post_init__": "safety: validates a fault event",
     "repro.faults.plan:VMFailure.__post_init__": "safety: validates a fault event",
-    "repro.learning.model:DecisionModel._settlers.<locals>.fallback": "safety: a leaf label the vertex cannot take falls back here",
-    "repro.learning.model:DecisionModel._settlers.<locals>.fallback.<locals>.settle": "safety: a leaf label the vertex cannot take falls back here",
-    "repro.learning.shm:SharedArrayBundle.__enter__": "safety: releases the shared-memory segment on with-exit",
-    "repro.learning.shm:SharedArrayBundle.__exit__": "safety: releases the shared-memory segment on with-exit",
-    "repro.learning.shm:SharedArrayView.__enter__": "safety: releases the shared-memory mapping on with-exit",
-    "repro.learning.shm:SharedArrayView.__exit__": "safety: releases the shared-memory mapping on with-exit",
-    "repro.learning.shm:_untrack": "safety: platform code for the resource tracker of an attached segment",
+    "repro.learning.model:DecisionModel._settlers.<locals>.fallback": (
+        "safety: a leaf label the vertex cannot take falls back here"
+    ),
+    "repro.learning.model:DecisionModel._settlers.<locals>.fallback.<locals>.settle": (
+        "safety: a leaf label the vertex cannot take falls back here"
+    ),
+    "repro.learning.shm:SharedArrayBundle.__enter__": (
+        "safety: releases the shared-memory segment on with-exit"
+    ),
+    "repro.learning.shm:SharedArrayBundle.__exit__": (
+        "safety: releases the shared-memory segment on with-exit"
+    ),
+    "repro.learning.shm:SharedArrayView.__enter__": (
+        "safety: releases the shared-memory mapping on with-exit"
+    ),
+    "repro.learning.shm:SharedArrayView.__exit__": (
+        "safety: releases the shared-memory mapping on with-exit"
+    ),
+    "repro.learning.shm:_untrack": (
+        "safety: platform code for the resource tracker of an attached segment"
+    ),
     "repro.parallel.backend:ExecutionBackend.__enter__": "safety: closes the backend on with-exit",
     "repro.parallel.backend:ExecutionBackend.__exit__": "safety: closes the backend on with-exit",
-    "repro.service.registry:ModelRegistry._quarantine_file": "safety: moves an unloadable JSON artifact aside",
-    "repro.service.registry:ModelRegistry.quarantined": "safety: lists the rows the registry refused to serve",
-    "repro.service.service:WiSeDBService._degraded_outcome": "safety: the FFD fallback when a tenant's learned path fails",
+    "repro.service.registry:ModelRegistry._quarantine_file": (
+        "safety: moves an unloadable JSON artifact aside"
+    ),
+    "repro.service.registry:ModelRegistry.quarantined": (
+        "safety: lists the rows the registry refused to serve"
+    ),
+    "repro.service.service:WiSeDBService._degraded_outcome": (
+        "safety: the FFD fallback when a tenant's learned path fails"
+    ),
     "repro.service.storage:SQLiteStore.quarantine": "safety: marks an unloadable row",
-    "repro.service.storage:SQLiteStore.quarantined": "safety: lists the rows the registry refused to serve",
-    "repro.serving.channel:_Channel._stop_writing": "safety: stops a pipe writer whose peer went away",
+    "repro.service.storage:SQLiteStore.quarantined": (
+        "safety: lists the rows the registry refused to serve"
+    ),
+    "repro.serving.channel:_Channel._stop_writing": (
+        "safety: stops a pipe writer whose peer went away"
+    ),
     "repro.serving.channel:_pickle_error": "safety: ships a worker exception across the pipe",
     "repro.serving.channel:_unpickle_error": "safety: rebuilds a worker exception from the pipe",
-    "repro.serving.engine:ServingEngine._decide_degraded": "safety: the FFD fallback when a lane's learned path fails",
+    "repro.serving.engine:ServingEngine._decide_degraded": (
+        "safety: the FFD fallback when a lane's learned path fails"
+    ),
     "repro.serving.engine:ServingEngine._fail": "safety: fails a lane and its waiting tickets",
     "repro.serving.sharded:_Shard._abandon": "safety: tears down a shard whose worker died",
     "repro.serving.sharded:_Shard._abort": "safety: tears down a shard whose worker died",
@@ -108,11 +161,17 @@ KEEP: dict[str, str] = {
     "repro.search.strategy:SearchStrategy.from_parameter": "abstract: SearchStrategy protocol",
     "repro.search.strategy:SearchStrategy.search": "abstract: SearchStrategy protocol",
     "repro.search.strategy:SearchStrategy.spec": "abstract: SearchStrategy protocol",
-    "repro.sla.accumulators:PercentileViolationAccumulator.copy": "abstract: the percentile goal's ViolationAccumulator.copy",
+    "repro.sla.accumulators:PercentileViolationAccumulator.copy": (
+        "abstract: the percentile goal's ViolationAccumulator.copy"
+    ),
     "repro.sla.accumulators:ViolationAccumulator.add": "abstract: ViolationAccumulator protocol",
     "repro.sla.accumulators:ViolationAccumulator.copy": "abstract: ViolationAccumulator protocol",
-    "repro.sla.accumulators:ViolationAccumulator.violation": "abstract: ViolationAccumulator protocol",
-    "repro.sla.accumulators:ViolationAccumulator.violation_with": "abstract: ViolationAccumulator protocol",
+    "repro.sla.accumulators:ViolationAccumulator.violation": (
+        "abstract: ViolationAccumulator protocol"
+    ),
+    "repro.sla.accumulators:ViolationAccumulator.violation_with": (
+        "abstract: ViolationAccumulator protocol"
+    ),
     "repro.sla.base:PerformanceGoal.accumulator": "abstract: PerformanceGoal protocol",
     "repro.sla.base:PerformanceGoal.deadline": "abstract: PerformanceGoal protocol",
     "repro.sla.base:PerformanceGoal.future_cost_lower_bound": "abstract: PerformanceGoal protocol",
@@ -121,15 +180,29 @@ KEEP: dict[str, str] = {
     "repro.sla.base:PerformanceGoal.strictest_value": "abstract: PerformanceGoal protocol",
     "repro.sla.base:PerformanceGoal.violation_period": "abstract: PerformanceGoal protocol",
     "repro.sla.base:PerformanceGoal.with_deadline": "abstract: PerformanceGoal protocol",
-    "repro.learning.decision_tree:DecisionTreeClassifier.decision_path": "roadmap: items 6(i) and 20, the per-decision record",
-    "repro.learning.model:DecisionModel.training_optimality_ratio": "roadmap: item 16, the relaxed strategies' provenance",
-    "repro.parallel.backend:ProcessPoolBackend.__init__": "roadmap: item 16, training with n_jobs >= 2",
-    "repro.parallel.backend:ProcessPoolBackend.close": "roadmap: item 16, training with n_jobs >= 2",
-    "repro.parallel.backend:ProcessPoolBackend.map_tasks": "roadmap: item 16, training with n_jobs >= 2",
-    "repro.parallel.backend:ProcessPoolBackend.n_jobs": "roadmap: item 16, training with n_jobs >= 2",
+    "repro.learning.decision_tree:DecisionTreeClassifier.decision_path": (
+        "roadmap: items 6(i) and 20, the per-decision record"
+    ),
+    "repro.learning.model:DecisionModel.training_optimality_ratio": (
+        "roadmap: item 16, the relaxed strategies' provenance"
+    ),
+    "repro.parallel.backend:ProcessPoolBackend.__init__": (
+        "roadmap: item 16, training with n_jobs >= 2"
+    ),
+    "repro.parallel.backend:ProcessPoolBackend.close": (
+        "roadmap: item 16, training with n_jobs >= 2"
+    ),
+    "repro.parallel.backend:ProcessPoolBackend.map_tasks": (
+        "roadmap: item 16, training with n_jobs >= 2"
+    ),
+    "repro.parallel.backend:ProcessPoolBackend.n_jobs": (
+        "roadmap: item 16, training with n_jobs >= 2"
+    ),
     "repro.parallel.backend:_run_task": "roadmap: item 16, training with n_jobs >= 2",
     "repro.parallel.backend:available_cpus": "roadmap: item 16, training with n_jobs >= 2",
-    "repro.search.problem:SchedulingProblem.placement_edge_cost": "roadmap: item 20, the model deciding on search vertices",
+    "repro.search.problem:SchedulingProblem.placement_edge_cost": (
+        "roadmap: item 20, the model deciding on search vertices"
+    ),
     "repro.cloud.vm:VMType.__eq__": "dunder: equality",
     "repro.cloud.vm:VMType.__hash__": "dunder: hashing",
     "repro.cloud.vm:VMType.__str__": "dunder: printing",
@@ -150,8 +223,8 @@ KEEP: dict[str, str] = {
 }
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(SRC).with_suffix("").parts
+def _module_name(path: Path, src: Path = SRC) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -165,8 +238,7 @@ def functions(src: Path = SRC) -> dict[str, tuple[Path, int]]:
     """
     found: dict[str, tuple[Path, int]] = {}
     for path in sorted((src / "repro").rglob("*.py")):
-        module = ".".join(path.relative_to(src).with_suffix("").parts)
-        module = module.removesuffix(".__init__")
+        module = _module_name(path, src)
         stack: list[tuple[ast.AST, str]] = [
             (ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
         ]
@@ -301,12 +373,15 @@ def main() -> int:
     serial, figures = entry_points(benchmark)
     print("entry points:")
     with tempfile.TemporaryDirectory(prefix="liveness-") as scratch:
-        places = (Path(scratch) / str(number) for number in itertools.count())
-        results = [run(label, argv, next(places)) for label, argv in serial]
+        jobs = [
+            (label, argv, Path(scratch) / str(number))
+            for number, (label, argv) in enumerate(serial + figures)
+        ]
+        results = [run(*job) for job in jobs[: len(serial)]]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results += pool.map(lambda point: run(*point, next(places)), figures)
-    reached_by = {label: reached for (label, _), (reached, _) in zip(serial + figures, results)}
-    failed = [label for (label, _), (_, ok) in zip(serial + figures, results) if not ok]
+            results += pool.map(lambda job: run(*job), jobs[len(serial) :])
+    reached_by = {job[0]: reached for job, (reached, _) in zip(jobs, results)}
+    failed = [job[0] for job, (_, ok) in zip(jobs, results) if not ok]
     reached = set().union(*reached_by.values())
     unreached = set(defined) - reached
     body = sum(lines for _, lines in defined.values())

@@ -98,8 +98,8 @@ class CompiledTreeEvaluator:
     """A fitted tree flattened into parallel arrays for fast prediction.
 
     A walk over the :class:`TreeNode` objects (the reference the tests hold
-    predictions against) chases one Python object per level, reading four attributes per hop.  The
-    compiled form stores the whole tree as parallel arrays indexed by a
+    predictions against) chases one Python object per level, reading four
+    attributes per hop.  The compiled form stores the whole tree as parallel arrays indexed by a
     preorder node id — split feature column, threshold, left/right child ids,
     and a leaf-label id — so a prediction is a tight loop over flat lists.
     Predictions are bit-identical to the node walk: same thresholds, same

@@ -46,12 +46,6 @@ def validate_complete(schedule: Schedule, workload: Workload) -> None:
         raise ScheduleError(f"queries not part of the workload: {sorted(extra)}")
 
 
-def tenant_entry(snapshot: ServingMetrics, name: str) -> TenantMetrics:
-    """The serving-metrics snapshot entry for tenant *name*."""
-    (entry,) = [entry for entry in snapshot.tenants if entry.tenant == name]
-    return entry
-
-
 # -- the decision tree's node walk ---------------------------------------------
 
 
@@ -192,3 +186,12 @@ def bursty_arrivals(
         else:
             bursting = rng.random() < enter_burst
     return _workload(templates, rng, arrival_times, quantum)
+
+
+# -- lookups -------------------------------------------------------------------
+
+
+def tenant_entry(snapshot: ServingMetrics, name: str) -> TenantMetrics:
+    """The serving-metrics snapshot entry for tenant *name*."""
+    (entry,) = [entry for entry in snapshot.tenants if entry.tenant == name]
+    return entry
