@@ -210,10 +210,13 @@ KEEP: dict[str, str] = {
     "repro.cloud.vm:VMTypeCatalog.__repr__": "dunder: printing",
     "repro.core.schedule:Schedule.__eq__": "dunder: equality",
     "repro.core.schedule:Schedule.__hash__": "dunder: hashing",
+    "repro.core.schedule:Schedule.__repr__": "dunder: printing",
+    "repro.core.schedule:Schedule.num_queries": "dunder: Schedule.__repr__ prints it",
     "repro.core.schedule:VMAssignment.__str__": "dunder: printing",
     "repro.faults.plan:FaultPlan.__repr__": "dunder: printing",
     "repro.search.actions:PlaceQuery.__str__": "dunder: printing",
     "repro.search.actions:ProvisionVM.__str__": "dunder: printing",
+    "repro.sla.base:PerformanceGoal.__repr__": "dunder: printing",
     "repro.workloads.query:Query.__str__": "dunder: printing",
     "repro.workloads.templates:QueryTemplate.__str__": "dunder: printing",
     "repro.workloads.templates:TemplateSet.__eq__": "dunder: equality",

@@ -35,8 +35,8 @@ it), and :meth:`ModelRegistry.import_json_dir` reads such a directory —
 once for the registry's own directory, as it opens, so pointing a registry
 at a saved or exported directory just works, and on request for any other.
 
-Membership is **consistent with servability**: ``fingerprint in registry``,
-``registry.fingerprints()``, and ``len(registry)`` only count artifacts
+Membership is **consistent with servability**: ``registry.fingerprints()``
+and ``len(registry)`` only count artifacts
 :meth:`ModelRegistry.get` would actually return.  Corrupt artifacts are
 quarantined (a flagged database row; an unusable JSON file is moved into
 ``quarantine/`` at import) with a warning — never a raise — and drop out of
