@@ -6,12 +6,17 @@ fixed set of buckets.  The probe itself runs for minutes (CI's ``liveness``
 job); these checks read the list and the source only: every entry names a
 function that still exists, every reason is one line that starts with a
 bucket, and every ``trace`` entry is a target ``benchmarks/perf/trace.py``
-resolves or names the target that calls it.
+resolves or names the target that calls it.  The probe's parts are checked
+on small inputs: its entry points cover every referee workload, example and
+figure script, it parses a planted targets table, and its call hook records
+what a forked worker runs before ``os._exit``.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +87,58 @@ def test_function_names_follow_qualname(tmp_path):
     assert set(found) == {"repro:exported"} | {f"repro.planted:{name}" for name in qualnames}
     # The getter and setter share one name; their lines add up.
     assert found["repro.planted:Box.size"][1] == 4
+
+
+def test_entry_points_cover_every_workload_example_and_figure():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    serial, figures = liveness.entry_points(benchmark)
+    labels = [label for label, _ in serial]
+    for workload in benchmark["workloads"]:
+        assert f"referee {workload['name']}" in labels
+        assert f"referee {workload['name']} traced" in labels
+    for example in (ROOT / "examples").glob("*.py"):
+        assert f"example {example.stem}" in labels
+    assert "example serve_demo --shards 2" in labels
+    assert sorted(label for label, _ in figures) == sorted(
+        path.stem for path in ROOT.glob("benchmarks/bench_*.py")
+    )
+    for _, argv in figures:
+        # Each benchmarked call runs once, and a failed check prints no
+        # report that would reach a __repr__.
+        assert {"--benchmark-disable", "--assert=plain", "--tb=no"} <= set(argv)
+
+
+def test_trace_targets_reads_the_targets_table(tmp_path):
+    trace = tmp_path / "trace.py"
+    trace.write_text(
+        "TARGETS = (\n"
+        '    ("a.free", "repro.a", None, "free", None),\n'
+        '    ("b.method", "repro.b", "Owner", "method", lambda self: 1),\n'
+        ")\n"
+        'OTHER = (("c", "repro.c", None, "ignored", None),)\n'
+    )
+    assert liveness.trace_targets(trace) == {
+        "a.free": "repro.a:free",
+        "b.method": "repro.b:Owner.method",
+    }
+
+
+def test_run_collects_the_calls_of_a_forked_worker(tmp_path):
+    script = tmp_path / "entry.py"
+    script.write_text(
+        "import os\n"
+        "from repro import units\n"
+        "units.format_cents(1)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    units.seconds_to_minutes(1)\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+    )
+    reached, ok = liveness.run(
+        "planted", [sys.executable, str(script)], tmp_path / "scratch"
+    )
+    assert ok
+    # The parent dumps at exit; the child only at os._exit.
+    assert {"repro.units:format_cents", "repro.units:seconds_to_minutes"} <= reached
+    assert "repro.units:format_dollars" not in reached

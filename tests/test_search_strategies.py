@@ -370,6 +370,62 @@ def test_training_config_strategy_fields_round_trip_and_keep_fingerprints():
 
 
 # ---------------------------------------------------------------------------
+# Which queue orders the expansion keeps
+# ---------------------------------------------------------------------------
+
+
+def _reached_queues(goal, names):
+    """The last VM's queue at every vertex ``expand`` reaches (one VM type)."""
+    problem = SchedulingProblem.for_workload(
+        Workload.from_template_names(TEMPLATES, names), CATALOGS["1vm"], goal, LATENCY
+    )
+    nodes = [problem.initial_node()]
+    for node in nodes:
+        nodes.extend(children(problem, node))
+    return {node.state.vms[-1][1] for node in nodes if node.state.vms}
+
+
+@pytest.mark.parametrize(
+    "goal",
+    [
+        MaxLatencyGoal(deadline=units.minutes(3)),
+        AverageLatencyGoal(deadline=units.minutes(3)),
+        PercentileGoal(percent=75.0, deadline=units.minutes(4)),
+    ],
+    ids=["max", "average", "percentile"],
+)
+def test_one_deadline_for_every_query_keeps_only_shortest_first_queues(goal):
+    # T1, T2 and T3 run 1, 2 and 4 minutes: shortest-first is name order.
+    queues = _reached_queues(goal, ["T3", "T1", "T3", "T2"])
+    assert ("T1", "T2", "T3", "T3") in queues
+    assert all(queue == tuple(sorted(queue)) for queue in queues)
+
+
+def test_per_query_deadlines_keep_a_longer_query_with_an_earlier_deadline_first():
+    goal = PerQueryDeadlineGoal(
+        {"T1": units.minutes(60), "T2": units.minutes(60), "T3": units.minutes(4)}
+    )
+    queues = _reached_queues(goal, ["T1", "T3"])
+    # T3 first meets both deadlines; T1 first makes T3 a minute late.
+    assert ("T3", "T1") in queues
+    assert ("T1", "T3") not in queues
+
+
+def test_search_node_repr_does_not_walk_the_parent_chain():
+    problem = SchedulingProblem.for_workload(
+        Workload.from_template_names(TEMPLATES, ["T1", "T2", "T3", "T3"]),
+        CATALOGS["1vm"],
+        MaxLatencyGoal(deadline=units.minutes(6)),
+        LATENCY,
+    )
+    node = problem.initial_node()
+    while successors := children(problem, node):
+        node = successors[0]
+    assert node.row.count == 0 and node.parent.parent is not None
+    assert repr(node).count("SearchNode") == 1
+
+
+# ---------------------------------------------------------------------------
 # Composition with the adaptive-A* machinery (Section 5)
 # ---------------------------------------------------------------------------
 
