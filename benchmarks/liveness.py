@@ -210,13 +210,10 @@ KEEP: dict[str, str] = {
     "repro.cloud.vm:VMTypeCatalog.__repr__": "dunder: printing",
     "repro.core.schedule:Schedule.__eq__": "dunder: equality",
     "repro.core.schedule:Schedule.__hash__": "dunder: hashing",
-    "repro.core.schedule:Schedule.__repr__": "dunder: printing",
-    "repro.core.schedule:Schedule.num_queries": "dunder: Schedule.__repr__ prints it",
     "repro.core.schedule:VMAssignment.__str__": "dunder: printing",
     "repro.faults.plan:FaultPlan.__repr__": "dunder: printing",
     "repro.search.actions:PlaceQuery.__str__": "dunder: printing",
     "repro.search.actions:ProvisionVM.__str__": "dunder: printing",
-    "repro.sla.base:PerformanceGoal.__repr__": "dunder: printing",
     "repro.workloads.query:Query.__str__": "dunder: printing",
     "repro.workloads.templates:QueryTemplate.__str__": "dunder: printing",
     "repro.workloads.templates:TemplateSet.__eq__": "dunder: equality",
@@ -278,8 +275,14 @@ def trace_targets(trace: Path = TRACE) -> dict[str, str]:
     return targets
 
 
+#: The hook also gives SIGINT Python's default handler.  A process started
+#: with SIGINT ignored (a background job) keeps it ignored, and then
+#: ``asyncio.run`` installs no handler of its own; with one installed it
+#: reprs its main task, result included, when it restores the handler.  So
+#: whether a serving workload reaches the ``__repr__`` of the outcomes its
+#: main coroutine returns would depend on how the probe was launched.
 _HOOK = """\
-import atexit, os, sys, threading
+import atexit, os, signal, sys, threading
 
 _SEEN = set()
 
@@ -307,6 +310,7 @@ def _exit(code, _exit=os._exit):
 
 
 os._exit = _exit
+signal.signal(signal.SIGINT, signal.default_int_handler)
 atexit.register(_dump)
 threading.settrace(_hook)
 sys.settrace(_hook)

@@ -18,11 +18,11 @@ This example runs the serving layer end to end:
 Run with ``python examples/serve_demo.py``.  Pass ``--shards N`` to serve
 the same streams through the multi-process
 :class:`~repro.serving.ShardedServingEngine` instead: tenants are routed to
-N forked shard workers by a deterministic hash of the tenant id, models
-ship zero-copy through shared memory, and the priced outcomes are
-bit-identical to the single-process run (when fork or shared memory is
-unavailable the router runs the same shard workers on its own event loop
-and says why).
+N forked shard workers by a deterministic hash of the tenant id, each
+model ships once through its worker's pipe, and the priced outcomes are
+bit-identical to the single-process run (when a worker process cannot be
+started the router runs the same shard workers on its own event loop and
+says why).
 """
 
 from __future__ import annotations

@@ -103,9 +103,9 @@ class CompiledTreeEvaluator:
     preorder node id — split feature column, threshold, left/right child ids,
     and a leaf-label id — so a prediction is a tight loop over flat lists.
     Predictions are bit-identical to the node walk: same thresholds, same
-    ``<=`` comparisons, same labels.  The same arrays are kept as numpy
-    arrays too, which :func:`~repro.learning.shm.pack_evaluator` ships to
-    shard workers.
+    ``<=`` comparisons, same labels.  The lists are the only copy:
+    :func:`~repro.learning.shm.pack_evaluator` builds numpy arrays from them
+    when it packs a segment.
 
     ``feature_names`` optionally re-maps the tree's split columns onto an
     external feature order (e.g. a :class:`~repro.learning.features.FeatureExtractor`'s
@@ -123,11 +123,6 @@ class CompiledTreeEvaluator:
         "leaf_label",
         "labels",
         "feature_names",
-        "_feature_list",
-        "_threshold_list",
-        "_left_list",
-        "_right_list",
-        "_leaf_list",
     )
 
     def __init__(self, root: TreeNode, feature_names: Sequence[str]) -> None:
@@ -171,18 +166,12 @@ class CompiledTreeEvaluator:
         self.labels: tuple[str, ...] = tuple(
             sorted(label_ids, key=label_ids.__getitem__)
         )
-        # Plain lists for the scalar hot loop (Python list indexing beats
-        # numpy item access), numpy arrays for shared-memory packing.
-        self._feature_list = features
-        self._threshold_list = thresholds
-        self._left_list = lefts
-        self._right_list = rights
-        self._leaf_list = leaf_labels
-        self.feature = np.asarray(features, dtype=np.int64)
-        self.threshold = np.asarray(thresholds, dtype=float)
-        self.left = np.asarray(lefts, dtype=np.int64)
-        self.right = np.asarray(rights, dtype=np.int64)
-        self.leaf_label = np.asarray(leaf_labels, dtype=np.int64)
+        # Plain lists: Python list indexing beats numpy item access.
+        self.feature = features
+        self.threshold = thresholds
+        self.left = lefts
+        self.right = rights
+        self.leaf_label = leaf_labels
 
     @classmethod
     def from_arrays(
@@ -198,13 +187,11 @@ class CompiledTreeEvaluator:
         """Rebuild an evaluator around existing flat arrays, without a tree.
 
         Used by :mod:`repro.learning.shm` to attach an evaluator to
-        shared-memory views (and by tests/benches to clone one): the arrays
-        are adopted as-is — no copy — and the scalar hot path indexes them
-        directly in place of the list mirrors the compiling constructor
-        builds, so an attached evaluator adds O(1) heap per process
-        regardless of tree size.  Predictions are bit-identical to the
-        compiling constructor's: same thresholds, same ``<=`` comparisons,
-        same labels.
+        shared-memory views (and by tests to clone one): the arrays are
+        adopted as-is — no copy — and :meth:`predict_row` indexes them in
+        place of the lists the compiling constructor builds.  Predictions are
+        bit-identical to the compiling constructor's: same thresholds, same
+        ``<=`` comparisons, same labels.
         """
         feature = np.asarray(feature)
         threshold = np.asarray(threshold)
@@ -225,14 +212,6 @@ class CompiledTreeEvaluator:
         evaluator.leaf_label = leaf_label
         evaluator.labels = tuple(labels)
         evaluator.feature_names = tuple(feature_names)
-        # The scalar path reads these slots by index only, which numpy arrays
-        # support identically to lists — sharing the arrays keeps the attach
-        # zero-copy.
-        evaluator._feature_list = feature
-        evaluator._threshold_list = threshold
-        evaluator._left_list = left
-        evaluator._right_list = right
-        evaluator._leaf_list = leaf_label
         return evaluator
 
     def scalar_arrays(self):
@@ -244,20 +223,14 @@ class CompiledTreeEvaluator:
         Plain lists when compiled here, the adopted arrays after
         :meth:`from_arrays`.
         """
-        return (
-            self._feature_list,
-            self._threshold_list,
-            self._left_list,
-            self._right_list,
-            self._leaf_list,
-        )
+        return self.feature, self.threshold, self.left, self.right, self.leaf_label
 
     def predict_row(self, row) -> str:
         """Label for one feature row in this evaluator's column order."""
-        features = self._feature_list
-        thresholds = self._threshold_list
-        lefts = self._left_list
-        rights = self._right_list
+        features = self.feature
+        thresholds = self.threshold
+        lefts = self.left
+        rights = self.right
         index = 0
         column = features[0]
         while column >= 0:
@@ -266,7 +239,7 @@ class CompiledTreeEvaluator:
             else:
                 index = rights[index]
             column = features[index]
-        return self.labels[self._leaf_list[index]]
+        return self.labels[self.leaf_label[index]]
 
 
 class DecisionTreeClassifier:

@@ -20,9 +20,9 @@ costs O(tree height), as Section 6.2 prices it, instead of O(templates).  The
 full row stays as the oracle the walk is tested against.
 
 The walk is generated code, built the way :mod:`dataclasses` builds its
-methods.  When a model adopts an evaluator — the tree compiled in-process on
-its first decision, or an evaluator a shard worker attached from shared
-memory (:meth:`DecisionModel.use_evaluator`) — :func:`_walk_source` writes one
+methods.  When a model compiles its tree — on its first decision, or when a
+shard worker registers a shipped model
+(:meth:`DecisionModel.compiled_evaluator`) — :func:`_walk_source` writes one
 function, ``walk(node, problem) -> Action``: the tree as nested ``if``
 statements with thresholds as literals and each feature's expression inline,
 and ``compile()`` runs once.  No decision reads the evaluator's arrays.  The
@@ -40,17 +40,17 @@ no T3 instance remains).  The model applies the paper's common-sense fallbacks
 — treat an unavailable template as the remaining template with the closest
 latency, never stack two empty VMs — and records how often it had to do so.
 Validation is not generated code: each leaf of the walk calls its label's
-*settler*, an ordinary closure the model builds once per distinct label at
-adoption (:meth:`DecisionModel._settlers`).  A settler checks its label
-against sets and tables fixed then — a valid placement passes the penalty
-guard, an unavailable one takes the nearest-latency template first, a
+*settler*, an ordinary closure the model builds once per distinct label when
+it compiles its tree (:meth:`DecisionModel._settlers`).  A settler checks its
+label against sets and tables fixed then — a valid placement passes the
+penalty guard, an unavailable one takes the nearest-latency template first, a
 provisioning is taken where it is legal — and counts the decision, so the
 walk returns the validated action.  The cases no settler settles — a label
 naming no action of the specification, a placement with no VM, provisioning
 on top of an empty VM, a last VM that can run no remaining template, a
 complete schedule — share one general path, :meth:`DecisionModel._validate`.
 Inlining the checks into the source instead grows it about fivefold and its
-``compile()`` with it, which a model adopted mid-stream would pay.
+``compile()`` with it, which a model compiled mid-stream would pay.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
-
-import numpy as np
 
 from repro.cloud.latency import (
     LatencyModel,
@@ -189,10 +187,7 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
     levels continues in a helper function, which reads the costs computed
     above it back from ``costs``.
     """
-    features, thresholds, lefts, rights, leaves = (
-        array.tolist() if isinstance(array, np.ndarray) else array
-        for array in evaluator.scalar_arrays()
-    )
+    features, thresholds, lefts, rights, leaves = evaluator.scalar_arrays()
     families, names, positions = extractor.column_layout
     supports_rows = extractor.supports_rows
     namespace: dict = {"inf": _INF}
@@ -469,43 +464,19 @@ class DecisionModel:
 
     # -- raw prediction ----------------------------------------------------------
 
-    def _compiled_evaluator(self):
-        """The fitted tree compiled onto the extractor's feature-row layout."""
-        if self._evaluator is None:
-            self._adopt(self._tree.compiled(self._extractor.feature_names))
-        return self._evaluator
-
-    def _adopt(self, evaluator) -> None:
-        # Both are built before either is kept: a failed adoption changes nothing.
-        walker = _generate_walk(evaluator, self._extractor, self._settlers(evaluator.labels))
-        self._walker, self._evaluator = walker, evaluator
-
     def compiled_evaluator(self):
-        """The compiled flat-array evaluator :meth:`decide`'s walk is generated from.
+        """The fitted tree compiled onto the extractor's feature-row layout.
 
-        Public so the sharded serving layer can pack the evaluator's arrays
-        into shared memory (:mod:`repro.learning.shm`) and ship them to
-        worker processes zero-copy.
+        The first call also generates :meth:`decide`'s walk from it, so a
+        caller that wants that cost paid up front (a shard worker at
+        registration) calls this once.
         """
-        return self._compiled_evaluator()
-
-    def use_evaluator(self, evaluator) -> None:
-        """Adopt a pre-built evaluator for :meth:`decide` to walk.
-
-        Sharded serving workers attach the parent's compiled evaluator from
-        shared memory and install it here, so the worker generates its walk
-        from the shared arrays instead of a per-worker copy of the tree.  The
-        evaluator must have been compiled onto this model's extractor row
-        layout; a mismatched feature order would silently misread rows, so it
-        is refused up front.
-        """
-        if tuple(evaluator.feature_names) != tuple(self._extractor.feature_names):
-            raise ModelError(
-                "evaluator feature order does not match the model's extractor "
-                f"({len(evaluator.feature_names)} vs "
-                f"{len(self._extractor.feature_names)} features)"
-            )
-        self._adopt(evaluator)
+        if self._evaluator is None:
+            evaluator = self._tree.compiled(self._extractor.feature_names)
+            # Both are built before either is kept: a failed generation changes nothing.
+            walker = _generate_walk(evaluator, self._extractor, self._settlers(evaluator.labels))
+            self._walker, self._evaluator = walker, evaluator
+        return self._evaluator
 
     # -- validated decisions --------------------------------------------------------
 
@@ -513,7 +484,7 @@ class DecisionModel:
         """The model's (validated) action for the scheduling state *node*.
 
         One call of the function generated from the tree when the model
-        adopted its evaluator (:func:`_walk_source`): it computes a feature
+        compiled it (:func:`_walk_source`): it computes a feature
         only when a node on the path tests it, so a parse costs O(tree
         height) (Section 6.2), and its leaf's settler (:meth:`_settlers`)
         validates the label and counts the decision.
@@ -524,7 +495,7 @@ class DecisionModel:
         """
         walker = self._walker
         if walker is None:
-            self._compiled_evaluator()
+            self.compiled_evaluator()
             walker = self._walker
         return walker(node, problem)
 

@@ -1,14 +1,18 @@
 """Zero-copy shipping of flat numpy arrays through shared memory.
 
-The sharded serving engine (:mod:`repro.serving.sharded`) partitions tenants
-across worker processes.  Each worker generates the tenant's decision walk
-from the compiled tree (:class:`~repro.learning.model.DecisionModel`), and a
-:class:`~repro.learning.decision_tree.CompiledTreeEvaluator` is already five
-flat parallel arrays — exactly the representation POSIX shared memory wants.
-So instead of pickling trees into every worker (O(model size x shards) RSS),
-the parent packs the arrays into one ``multiprocessing.shared_memory``
-segment and workers map it read-only: each attachment costs a handful of view
-objects on the worker heap, not a copy of the payload.
+A :class:`~repro.learning.decision_tree.CompiledTreeEvaluator` is five flat
+parallel arrays, the representation POSIX shared memory wants: the owner
+packs them into one ``multiprocessing.shared_memory`` segment
+(:func:`pack_evaluator`) and readers map it read-only
+(:func:`attach_evaluator`), each attachment costing a handful of view objects
+on the reader's heap, not a copy of the payload.
+
+Sharded serving does not ship models this way.  A shard worker needs the
+whole training result anyway — wait-triggered retraining reads its samples —
+so the router sends that once through the worker's pipe and the worker
+compiles its own evaluator from the tree it received.  This module is the building block for sharing evaluators across
+processes without that copy (model paging), and the benchmark times its
+pack and attach.
 
 Segment layout::
 
@@ -66,8 +70,7 @@ def shared_memory_available() -> bool:
 
     Import success is not enough: containers without a usable ``/dev/shm``
     fail only at segment creation, so a tiny segment is created and
-    immediately destroyed.  Callers (the sharded engine, benches) use this to
-    fall back to in-process serving rather than crash mid-registration.
+    immediately destroyed.
     """
     try:
         shared_memory = _shared_memory_module()
@@ -311,8 +314,18 @@ def attach_arrays(name: str) -> SharedArrayView:
 
 
 def pack_evaluator(evaluator: "CompiledTreeEvaluator") -> SharedArrayBundle:
-    """Publish a compiled tree evaluator's flat arrays into shared memory."""
-    arrays = {name: getattr(evaluator, name) for name in EVALUATOR_ARRAYS}
+    """Publish a compiled tree evaluator's flat arrays into shared memory.
+
+    The evaluator keeps plain lists; the segment holds them as ``int64``
+    columns and a ``float64`` threshold column.
+    """
+    arrays = {
+        name: np.asarray(
+            getattr(evaluator, name),
+            dtype=np.float64 if name == "threshold" else np.int64,
+        )
+        for name in EVALUATOR_ARRAYS
+    }
     meta = {
         "kind": "compiled-tree-evaluator",
         "labels": list(evaluator.labels),

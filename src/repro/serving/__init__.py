@@ -21,9 +21,9 @@ exposes health and metrics.
 * :class:`ShardedServingEngine` — the router: tenants partitioned by
   :func:`shard_of` across shard workers (:mod:`repro.serving.worker`) that
   run in forked processes or on the router's loop, one frame protocol
-  (:mod:`repro.serving.channel`) for both, models shipped zero-copy through
-  :mod:`repro.learning.shm`, per-shard snapshots merged by
-  :func:`merge_metrics`, bit-identical outcomes for any shard count.
+  (:mod:`repro.serving.channel`) for both, each model shipped once through
+  the worker's pipe, per-shard snapshots merged by :func:`merge_metrics`,
+  bit-identical outcomes for any shard count.
 """
 
 from repro.serving.engine import (

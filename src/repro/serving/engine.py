@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from repro.baselines.first_fit import FirstFitDecreasingScheduler
 from repro.core.scheduler import SchedulingOutcome
 from repro.exceptions import SpecificationError, WiSeDBError
-from repro.runtime.online import OnlineOptimizations, OnlineSession
+from repro.runtime.online import OnlineSession
 from repro.service.service import Tenant, WiSeDBService
 from repro.serving.metrics import ServingMetrics, TenantMetrics, percentile
 from repro.workloads.query import Query
@@ -219,7 +219,6 @@ class ServingEngine:
         queue_limit: int = 1024,
         backpressure: str = "block",
         wait_resolution: float = 30.0,
-        optimizations: OnlineOptimizations | None = None,
         log_outcomes: bool = True,
         hold_epochs: bool = False,
     ) -> None:
@@ -234,7 +233,6 @@ class ServingEngine:
         self._queue_limit = queue_limit
         self._backpressure = backpressure
         self._wait_resolution = wait_resolution
-        self._optimizations = optimizations
         #: When False, close() still prices every lane but leaves run-history
         #: logging to the caller — the sharded front end sets this on its
         #: per-shard engines so history is written once, in a deterministic
@@ -273,7 +271,6 @@ class ServingEngine:
             try:
                 scheduler = self._service.online_scheduler(
                     name,
-                    optimizations=self._optimizations,
                     wait_resolution=self._wait_resolution,
                 )
                 session = scheduler.session()

@@ -11,11 +11,11 @@ task on the router's own event loop at the far end of an in-process
 socketpair.  Both speak the same frames (:mod:`repro.serving.channel`), so
 they train, ship, shed and close epochs identically.
 
-**Models ship zero-copy.**  The router trains each tenant once and ships the
-registry's pinned ``to_dict`` round trip; the compiled evaluator's five flat
-arrays go into one ``multiprocessing.shared_memory`` segment
-(:mod:`repro.learning.shm`) that every worker attaches read-only, so N
-shards cost one copy of the arrays plus O(1) heap per attachment.
+**Models ship once, through the pipe.**  The router trains each tenant once
+and sends the registry's pinned ``to_dict`` round trip, tree and samples
+included, in the ``register`` frame; the worker rebuilds the training result
+(wait-triggered retraining reads its samples) and compiles its own decision
+walk from the tree before it acknowledges.
 
 **Admission is pipelined and batched.**  The router never pays a pipe round
 trip per query: a shard's *outbox* accumulates submissions while the pipe is
@@ -36,11 +36,10 @@ and catalogue, over both transports.
 
 **Fallback discipline.**  Mirroring
 :class:`~repro.parallel.backend.ProcessPoolBackend`, the router prefers a
-``fork`` context, falls back to the platform default, and — when process
-spawn or shared memory is unavailable (``isolation="auto"``) — serves over
-the in-process transport instead, with the reason in
-:attr:`ShardedServingEngine.fallback_reason`.  ``shards=1`` in auto mode
-uses the in-process transport too.
+``fork`` context, falls back to the platform default, and — when a worker
+process cannot be started — serves over the in-process transport instead,
+with the reason in :attr:`ShardedServingEngine.fallback_reason`.
+``shards=1`` in auto mode uses the in-process transport too.
 
 **Observability and history.**  Control frames (``metrics``, ``register``,
 ``drain``, ``close``) bypass the outbox, so snapshots stay available
@@ -62,13 +61,10 @@ import warnings
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import replace
-from multiprocessing import resource_tracker
 
 from repro.core.scheduler import SchedulingOutcome
 from repro.exceptions import SpecificationError, WiSeDBError
-from repro.learning import shm
 from repro.parallel.backend import available_cpus
-from repro.runtime.online import OnlineOptimizations
 from repro.service.service import WiSeDBService
 from repro.serving.channel import _Channel, _pickle_error, _unpickle_error
 from repro.serving.engine import (
@@ -465,7 +461,6 @@ class ShardedServingEngine:
         queue_limit: int = 1024,
         backpressure: str = "block",
         wait_resolution: float = 30.0,
-        optimizations: OnlineOptimizations | None = None,
         isolation: str = "auto",
     ) -> None:
         if backpressure not in BACKPRESSURE_POLICIES:
@@ -489,7 +484,6 @@ class ShardedServingEngine:
         self._queue_limit = queue_limit
         self._backpressure = backpressure
         self._wait_resolution = wait_resolution
-        self._optimizations = optimizations
         self._isolation = isolation
         #: Why the router degraded from process isolation (``None`` if it
         #: did not).
@@ -505,7 +499,6 @@ class ShardedServingEngine:
         self._routes: dict[str, _Shard] = {}
         self._registrations: dict[str, asyncio.Task] = {}
         self._guards: dict[str, ExitStack] = {}
-        self._bundles: dict[int, shm.SharedArrayBundle] = {}
         self._outcomes: dict[str, SchedulingOutcome] = {}
         self._lane_states: dict[str, tuple[str, object]] = {}
 
@@ -533,7 +526,6 @@ class ShardedServingEngine:
                     queue_limit=self._queue_limit,
                     backpressure=self._backpressure,
                     wait_resolution=self._wait_resolution,
-                    optimizations=self._optimizations,
                     degraded_fallback=self._service.degraded_fallback,
                 )
                 shards.append(_Shard.start(index, config, context))
@@ -549,24 +541,13 @@ class ShardedServingEngine:
         self._started = True
         mode = self._isolation
         if mode == "auto":
-            if self._num_shards == 1:
-                mode = "inline"
-            elif not shm.shared_memory_available():
-                mode = "inline"
-                self.fallback_reason = "shared memory unavailable"
-            else:
-                mode = "process"
+            mode = "inline" if self._num_shards == 1 else "process"
         if mode == "process":
             try:
                 try:
                     context = multiprocessing.get_context("fork")
                 except ValueError:  # pragma: no cover - platform without fork
                     context = multiprocessing.get_context()
-                # Start the tracker before forking so the workers inherit it:
-                # a worker that starts its own keeps its attachments
-                # registered there and reports them at exit, after the router
-                # has already unlinked the segments.
-                resource_tracker.ensure_running()
                 self._shards = self._start_shards(context)
             except (OSError, ValueError) as error:
                 # Same discipline as ProcessPoolBackend: degrade loudly to
@@ -589,20 +570,8 @@ class ShardedServingEngine:
                 raise
             # Ship the error itself: the worker lane re-raises it at session
             # creation, producing the identical sticky degraded reason.
-            return {"spec": spec.to_dict(), "training": ("error", _pickle_error(error)), "evaluator": None}
-        segment = None
-        if shm.shared_memory_available():
-            evaluator = result.model.compiled_evaluator()
-            bundle = self._bundles.get(id(evaluator))
-            if bundle is None:
-                bundle = shm.pack_evaluator(evaluator)
-                self._bundles[id(evaluator)] = bundle
-            segment = bundle.name
-        return {
-            "spec": spec.to_dict(),
-            "training": ("result", result.to_dict()),
-            "evaluator": segment,
-        }
+            return {"spec": spec.to_dict(), "training": ("error", _pickle_error(error))}
+        return {"spec": spec.to_dict(), "training": ("result", result.to_dict())}
 
     async def _register(self, name: str) -> int:
         # The one shard_of call (one sha256) this tenant will ever pay;
@@ -693,10 +662,6 @@ class ShardedServingEngine:
             for guard in self._guards.values():
                 guard.close()
             self._guards.clear()
-            for bundle in self._bundles.values():
-                bundle.close()
-                bundle.unlink()
-            self._bundles.clear()
         self._outcomes = outcomes
         self._lane_states = states
         for name in sorted(outcomes):

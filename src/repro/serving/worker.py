@@ -10,10 +10,10 @@ and degraded fallback.
 **Models are shipped, never trained here.**  The router trains each tenant
 once and sends the registry's pinned ``to_dict`` round trip (which restores
 bit-identical schedulers), or the pickled training error, so a degraded
-lane's sticky reason matches the single-process engine's.  The inference hot
-path runs on the router's :class:`~repro.learning.decision_tree.CompiledTreeEvaluator`
-arrays, attached read-only from a ``multiprocessing.shared_memory`` segment
-(:mod:`repro.learning.shm`) when one was packed.
+lane's sticky reason matches the single-process engine's.  The pipe is the
+only way a model arrives: the worker keeps the whole training result, since
+wait-triggered retraining reads its samples, and compiles the tree and
+generates the decision walk at registration, so no decision pays for them.
 
 **Frames keep their order and their epochs.**  ``submit_batch``, ``drain``
 and ``close`` go through one pump task, so same-tenant arrivals keep their
@@ -40,9 +40,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.exceptions import TrainingError
-from repro.learning import shm
 from repro.learning.trainer import TrainingResult
-from repro.runtime.online import OnlineOptimizations
 from repro.service.service import Tenant, TenantSpec, WiSeDBService
 from repro.serving.channel import _Channel, _pickle_error, _unpickle_error
 from repro.serving.engine import ServingEngine
@@ -57,7 +55,6 @@ class _ShardConfig:
     queue_limit: int
     backpressure: str
     wait_resolution: float
-    optimizations: OnlineOptimizations | None
     degraded_fallback: bool
 
 
@@ -92,9 +89,7 @@ class _ShardService(WiSeDBService):
         return shipped
 
 
-def _register_shipment(
-    service: _ShardService, payload: dict, attachments: list
-) -> None:
+def _register_shipment(service: _ShardService, payload: dict) -> None:
     """Adopt one tenant from the router's registration payload."""
     spec = TenantSpec.from_dict(payload["spec"], n_jobs=1)
     kind, blob = payload["training"]
@@ -102,11 +97,7 @@ def _register_shipment(
         service.adopt(spec, _unpickle_error(blob))
         return
     result = TrainingResult.from_dict(blob, n_jobs=1)
-    segment = payload["evaluator"]
-    if segment is not None:
-        evaluator, view = shm.attach_evaluator(segment)
-        attachments.append(view)
-        result.model.use_evaluator(evaluator)
+    result.model.compiled_evaluator()
     service.adopt(spec, result)
 
 
@@ -220,11 +211,9 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
         # stall instead of corruption.
         backpressure="block",
         wait_resolution=config.wait_resolution,
-        optimizations=config.optimizations,
         log_outcomes=False,
         hold_epochs=True,
     )
-    attachments: list = []
     requests: asyncio.Queue = asyncio.Queue()
     #: Per-tenant queries received in batch frames but not yet admitted by
     #: the pump (maintained by the receive loop / pump pair; single thread).
@@ -315,7 +304,7 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                 break
             if command == "register":
                 try:
-                    _register_shipment(service, payload, attachments)
+                    _register_shipment(service, payload)
                 except BaseException as error:
                     reply(request_id, "error", _pickle_error(error))
                 else:
@@ -342,8 +331,6 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
             await pump_task
             if not engine.closed:
                 await engine.close()
-            for view in attachments:
-                view.close()
             service.close()
         finally:
             tickets.flush()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -142,3 +143,19 @@ def test_run_collects_the_calls_of_a_forked_worker(tmp_path):
     # The parent dumps at exit; the child only at os._exit.
     assert {"repro.units:format_cents", "repro.units:seconds_to_minutes"} <= reached
     assert "repro.units:format_dollars" not in reached
+
+
+def test_run_gives_sigint_the_default_handler(tmp_path):
+    """Reach must not depend on how the probe was launched: an entry point
+    started with SIGINT ignored runs with Python's default handler."""
+    script = tmp_path / "entry.py"
+    script.write_text(
+        "import signal, sys\n"
+        "sys.exit(signal.getsignal(signal.SIGINT) is not signal.default_int_handler)\n"
+    )
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        _, ok = liveness.run("planted", [sys.executable, str(script)], tmp_path / "scratch")
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert ok

@@ -69,7 +69,6 @@ def _config(**overrides) -> _ShardConfig:
         queue_limit=8,
         backpressure="block",
         wait_resolution=30.0,
-        optimizations=None,
         degraded_fallback=True,
     )
     base.update(overrides)
@@ -88,7 +87,6 @@ def _registration(name, pair_service) -> dict:
         "name": name,
         "spec": spec.to_dict(),
         "training": ("result", result.to_dict()),
-        "evaluator": None,
     }
 
 
@@ -291,8 +289,7 @@ class TestBatchCredits:
                         "error",
                         _pickle_error(TrainingError("model artifact corrupt")),
                     ),
-                    "evaluator": None,
-                }
+                            }
             )
             admission = await shard.submit(
                 name, Query("T1", arrival_time=0.0), True

@@ -1,8 +1,8 @@
 """The sharded serving engine is behavior-preserving for any shard count.
 
 The router partitions tenants across per-shard ``ServingEngine`` workers
-(forked processes, or the same worker loop on the router's event loop, with
-models shipped zero-copy through shared memory).  Whatever the shard count and
+(forked processes, or the same worker loop on the router's event loop, each
+model shipped once through the worker's pipe).  Whatever the shard count and
 isolation mode, every tenant's priced outcome must be **bit-identical** to
 the single-process engine — and therefore to ``OnlineScheduler.run`` — which
 is what these tests lock for ``shards ∈ {1, 2, 4}`` across all four goal
@@ -25,6 +25,7 @@ from repro.cloud.vm import single_vm_type_catalog, two_vm_type_catalog
 from repro.config import TrainingConfig
 from repro.core.scheduler import SchedulingOutcome
 from repro.exceptions import SpecificationError, TrainingError
+from repro.learning import model as model_module
 from repro.learning import shm
 from repro.service import WiSeDBService
 from repro.serving import (
@@ -37,7 +38,12 @@ from repro.serving import (
 )
 from repro.serving.channel import _Channel, _pickle_error
 from repro.serving.metrics import ServingMetrics, TenantMetrics
-from repro.serving.worker import _ShardConfig, _shard_worker_loop
+from repro.serving.worker import (
+    _register_shipment,
+    _ShardConfig,
+    _ShardService,
+    _shard_worker_loop,
+)
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads import poisson_arrivals
 from repro.workloads.query import Query
@@ -245,21 +251,22 @@ def test_auto_isolation_picks_inline_for_one_shard_and_process_beyond(
     single, _ = _serve_sharded(service, streams, shards=1)
     assert single.effective_isolation == "inline"
     assert single.fallback_reason is None
-    if shm.shared_memory_available():
-        multi, _ = _serve_sharded(service, streams, shards=2)
-        assert multi.effective_isolation == "process"
-        assert multi.fallback_reason is None
+    multi, _ = _serve_sharded(service, streams, shards=2)
+    assert multi.effective_isolation == "process"
+    assert multi.fallback_reason is None
 
 
-def test_inline_fallback_without_shared_memory_is_still_identical(
+def test_auto_isolation_forks_without_shared_memory(
     services, sharded_templates, monkeypatch
 ):
+    """Models reach a worker through its pipe alone, so a host without
+    shared memory still gets process shards and the same outcomes."""
     service = services["1vm"]
     streams = _streams(sharded_templates, "1vm")
     monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
     engine, _ = _serve_sharded(service, streams, shards=2)
-    assert engine.effective_isolation == "inline"
-    assert engine.fallback_reason == "shared memory unavailable"
+    assert engine.effective_isolation == "process"
+    assert engine.fallback_reason is None
     for stream in streams:
         direct = service.online_scheduler(stream.tenant).run(stream.workload)
         assert _canonical(engine.outcome(stream.tenant)) == _canonical(direct)
@@ -688,13 +695,9 @@ class TestWorkerProtocol:
                 queue_limit=8,
                 backpressure="block",
                 wait_resolution=30.0,
-                optimizations=None,
                 degraded_fallback=True,
             )
             worker = asyncio.ensure_future(_shard_worker_loop(child, config))
-            bundle = None
-            if shm.shared_memory_available():
-                bundle = shm.pack_evaluator(result.model.compiled_evaluator())
 
             async def recv():
                 return await asyncio.wait_for(
@@ -718,7 +721,6 @@ class TestWorkerProtocol:
                         "name": name,
                         "spec": spec.to_dict(),
                         "training": ("result", result.to_dict()),
-                        "evaluator": bundle.name if bundle else None,
                     },
                 )
                 assert kind == "ok"
@@ -757,9 +759,6 @@ class TestWorkerProtocol:
                 await loop.run_in_executor(None, parent.send, (0, "shutdown", None))
                 await asyncio.wait_for(worker, timeout=30.0)
             finally:
-                if bundle is not None:
-                    bundle.close()
-                    bundle.unlink()
                 parent.close()
                 child.close()
             return outcomes[name]
@@ -768,6 +767,36 @@ class TestWorkerProtocol:
         direct = pair_service.online_scheduler(name).run(
             Workload(small_templates, queries)
         )
+        assert _canonical(served) == _canonical(direct)
+
+    def test_a_shipped_model_generates_its_walk_at_registration(
+        self, pair_service, small_templates, monkeypatch
+    ):
+        """The worker compiles the shipped tree when it registers the tenant,
+        so no decision of the served stream pays for walk generation."""
+        generated = []
+        real = model_module._generate_walk
+        monkeypatch.setattr(
+            model_module,
+            "_generate_walk",
+            lambda evaluator, *rest: generated.append(evaluator) or real(evaluator, *rest),
+        )
+        name = "acme"
+        payload = {
+            "spec": pair_service.tenant(name).spec.to_dict(),
+            "training": ("result", pair_service.train(name).to_dict()),
+        }
+        stream = poisson_arrivals(small_templates, 12, rate=0.05, seed=3, tenant=name)
+        service = _ShardService(degraded_fallback=True)
+        try:
+            _register_shipment(service, payload)
+            assert len(generated) == 1
+            assert generated == [service.train(name).model.compiled_evaluator()]
+            served = service.online_scheduler(name, wait_resolution=1e9).run(stream)
+            assert len(generated) == 1 and served.overhead.decisions > 0
+        finally:
+            service.close()
+        direct = pair_service.online_scheduler(name, wait_resolution=1e9).run(stream)
         assert _canonical(served) == _canonical(direct)
 
 
@@ -850,7 +879,6 @@ class TestFramesPerEpoch:
                 queue_limit=8,
                 backpressure="block",
                 wait_resolution=30.0,
-                optimizations=None,
                 degraded_fallback=False,
             )
             worker = asyncio.ensure_future(_shard_worker_loop(child, config))
@@ -869,7 +897,6 @@ class TestFramesPerEpoch:
                             "name": "acme",
                             "spec": spec_dict,
                             "training": ("error", error),
-                            "evaluator": None,
                         },
                     )
                 )

@@ -1,16 +1,16 @@
 """Lifecycle and correctness of the shared-memory array shipping layer.
 
-``repro.learning.shm`` is what lets the sharded serving engine ship compiled
-tree evaluators to worker processes zero-copy.  These tests pin the segment
-format round trip, read-only enforcement, the asymmetric owner/reader
-lifecycle (close+unlink vs close), the ``WiSeDBError`` surface for
-attach-after-unlink, and — via subprocesses — that neither a clean run nor a
-crashing reader leaks segments or provokes ``resource_tracker`` noise.
+``repro.learning.shm`` packs compiled tree evaluators into segments that other
+processes attach zero-copy.  These tests pin the segment format round trip,
+read-only enforcement, the asymmetric owner/reader lifecycle (close+unlink vs
+close), the ``WiSeDBError`` surface for attach-after-unlink, and — via
+subprocesses — that neither a clean run nor a crashing reader leaks segments
+or provokes ``resource_tracker`` noise, and that sharded serving, which ships
+models through its pipes, never creates a segment at all.
 """
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -267,69 +267,45 @@ bundle.unlink()
         assert "resource_tracker" not in completed.stderr
         assert "leaked" not in completed.stderr
 
-    def test_sharded_engine_close_unlinks_every_segment(self):
-        """After a sharded serve-and-close cycle the process can prove all
-        its segments are gone: re-attachment by name raises."""
+    def test_a_process_shard_serve_cycle_needs_no_segment(self):
+        """Two process shards serve a stream while segment creation fails:
+        auto isolation still forks, and nothing asks for a segment."""
         completed = _run_snippet(
-            """
-import asyncio
-from repro import units
-from repro.cloud.vm import single_vm_type_catalog
-from repro.config import TrainingConfig
-from repro.exceptions import SharedMemoryError
-from repro.learning import shm
-from repro.service import WiSeDBService
-from repro.serving import ShardedServingEngine
-from repro.sla.max_latency import MaxLatencyGoal
-from repro.workloads import poisson_arrivals
-from repro.workloads.templates import QueryTemplate, TemplateSet
-
-templates = TemplateSet([QueryTemplate(name="G1", base_latency=units.minutes(1))])
-service = WiSeDBService()
-service.register(
-    "acme",
-    templates,
-    MaxLatencyGoal.from_factor(templates, factor=3.0),
-    vm_types=single_vm_type_catalog(),
-    config=TrainingConfig.tiny(seed=13),
-)
-service.train_all()
-workload = poisson_arrivals(templates, 4, rate=0.05, seed=5, tenant="acme")
-
-async def main():
-    engine = ShardedServingEngine(service, shards=2, isolation="process")
-    try:
-        for query in workload:
-            await engine.submit("acme", query)
-        await engine.drain()
-    finally:
-        await engine.close()
-    return engine
-
-engine = asyncio.run(main())
-assert engine.effective_isolation == "process", engine.fallback_reason
-segments = [bundle.name for bundle in engine._bundles.values()]
-# close() cleared and unlinked the bundles; prove none is attachable.
-assert engine._bundles == {}
-service.close()
-"""
+            _SERVE_WITHOUT_SEGMENTS.format(tenants=1, shards=2, isolation="auto")
         )
         assert completed.returncode == 0, completed.stderr
         assert "resource_tracker" not in completed.stderr
         assert "leaked" not in completed.stderr
 
     def test_first_engine_of_a_process_leaves_no_tracker_noise(self):
-        """Regression: a worker forked before the router had a resource
-        tracker kept its attachments registered in a tracker of its own, which
-        then complained at exit about segments the router had unlinked."""
-
-        def segments() -> set[str]:
-            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-
-        before = segments()
+        """The first engine a process opens forks its worker with no resource
+        tracker running; a full serve cycle over four tenants must still end
+        without tracker output, and without creating a segment."""
         completed = _run_snippet(
-            """
+            _SERVE_WITHOUT_SEGMENTS.format(tenants=4, shards=1, isolation="process")
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "resource_tracker" not in completed.stderr
+
+
+#: A subprocess in which creating a shared-memory segment fails and is
+#: counted, then a full sharded serve cycle runs and is checked against the
+#: direct online runs of the same streams.
+_SERVE_WITHOUT_SEGMENTS = """
 import asyncio
+from multiprocessing import shared_memory
+
+requested = []
+
+
+class _Refused:
+    def __init__(self, *args, **kwargs):
+        requested.append(kwargs)
+        raise OSError("segment creation is disabled in this run")
+
+
+shared_memory.SharedMemory = _Refused
+
 from repro import units
 from repro.config import TrainingConfig
 from repro.service import WiSeDBService
@@ -345,17 +321,21 @@ templates = TemplateSet(
     ]
 )
 service = WiSeDBService()
-tenants = [f"t{index}" for index in range(4)]
+tenants = [f"t{{index}}" for index in range({tenants})]
 for index, name in enumerate(tenants):
     goal = MaxLatencyGoal.from_factor(templates, factor=2.0 + index / 2)
     service.register(name, templates, goal, config=TrainingConfig.tiny(seed=13))
 service.train_all()
+streams = {{
+    name: poisson_arrivals(templates, 4, rate=0.05, seed=5, tenant=name)
+    for name in tenants
+}}
 
 async def main():
-    engine = ShardedServingEngine(service, shards=1, isolation="process")
+    engine = ShardedServingEngine(service, shards={shards}, isolation="{isolation}")
     try:
-        for name in tenants:
-            for query in poisson_arrivals(templates, 3, rate=0.05, seed=5, tenant=name):
+        for name, stream in streams.items():
+            for query in stream:
                 await engine.submit(name, query)
         await engine.drain()
     finally:
@@ -364,9 +344,10 @@ async def main():
 
 engine = asyncio.run(main())
 assert engine.effective_isolation == "process", engine.fallback_reason
+assert engine.fallback_reason is None, engine.fallback_reason
+assert requested == [], requested
+for name, stream in streams.items():
+    direct = service.online_scheduler(name).run(stream)
+    assert engine.outcome(name).cost == direct.cost, name
 service.close()
 """
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "resource_tracker" not in completed.stderr
-        assert segments() <= before

@@ -25,10 +25,9 @@ here or in the tree's own API:
   case; a whole batch run decided by the oracle schedules and prices
   identically;
 * the walk function a model generates — from a tree nested deeper than
-  CPython's tokenizer allows, from an artifact with ±inf / nan thresholds and
-  names that need escaping, and from a shared-memory evaluator — against the
-  same oracle, generated once per adopted evaluator with one settler per
-  distinct label.
+  CPython's tokenizer allows and from an artifact with ±inf / nan thresholds
+  and names that need escaping — against the same oracle, generated once per
+  compiled evaluator with one settler per distinct label.
 """
 
 from __future__ import annotations
@@ -600,25 +599,10 @@ def test_walk_equals_full_row_oracle_on_every_decision(
             for node in _random_walk(problem, rng, max_steps=12):
                 if node.state.remaining:
                     model.decide(node, problem)
-    # Aged templates (an augmented model trained mid-stream) and an evaluator
-    # over adopted arrays, as a shard worker attaches it from shared memory.
+    # Aged templates: an augmented model trained mid-stream.
     generator, training = walk_trainings[("average", "1vm")]
     outcome = OnlineScheduler(training, generator, wait_resolution=60.0).run(aged)
     assert outcome.overhead.retrains > 0
-    compiled = training.model.compiled_evaluator()
-    attached = training.model.with_penalty_guard(True)
-    attached.use_evaluator(
-        CompiledTreeEvaluator.from_arrays(
-            compiled.feature,
-            compiled.threshold,
-            compiled.left,
-            compiled.right,
-            compiled.leaf_label,
-            compiled.labels,
-            compiled.feature_names,
-        )
-    )
-    BatchScheduler(attached).run(batch)
 
     reached = FEATURE_FAMILIES + (
         "infeasible cost tested",
@@ -661,9 +645,8 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
     trained_max, small_templates, monkeypatch, tmp_path
 ):
     """Work guard: a model generates its walk function once per evaluator it
-    adopts — compiled in-process, attached as from shared memory, in a
-    ``with_penalty_guard`` copy, or reloaded from a registry — and never per
-    decision, reading the evaluator's arrays once for it and building one
+    compiles — in-process, in a ``with_penalty_guard`` copy, or reloaded from
+    a registry — and never per decision, reading the evaluator's arrays once for it and building one
     settler per distinct label (one label parse each) before generating."""
     from repro.learning import model as model_module
     from repro.service.registry import ModelRegistry
@@ -694,22 +677,9 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
     labels = len(set(compiled.labels))
     assert compiled_run.overhead.decisions > 1 and reads == generated == [compiled]
     assert len(parsed) == labels
-    attached = CompiledTreeEvaluator.from_arrays(
-        compiled.feature,
-        compiled.threshold,
-        compiled.left,
-        compiled.right,
-        compiled.leaf_label,
-        compiled.labels,
-        compiled.feature_names,
-    )
-    model.use_evaluator(attached)
-    attached_run = BatchScheduler(model).run(workload)
-    assert reads == generated == [compiled, attached] and len(parsed) == 2 * labels
-    assert _outcome_key(attached_run) == _outcome_key(compiled_run)
 
     copy_run = BatchScheduler(model.with_penalty_guard(True)).run(workload)
-    assert generated == [compiled, attached, compiled]  # the tree caches its evaluator
+    assert generated == [compiled, compiled]  # the tree caches its evaluator
     registry = ModelRegistry(directory=tmp_path)
     registry.put("model", "base", {}, trained_max)
     registry.close()
@@ -717,8 +687,8 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
     reloaded_model = reloaded.get("model").model
     reloaded_run = BatchScheduler(reloaded_model).run(workload)
     reloaded.close()
-    assert generated[3:] == [reloaded_model.compiled_evaluator()] and len(reads) == 4
-    assert len(parsed) == 4 * labels
+    assert generated[2:] == [reloaded_model.compiled_evaluator()] and len(reads) == 3
+    assert len(parsed) == 3 * labels
     assert _outcome_key(copy_run) == _outcome_key(reloaded_run) == _outcome_key(compiled_run)
 
 
@@ -752,7 +722,7 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
 
 
 # ---------------------------------------------------------------------------
-# The generated walk function: deep trees, odd artifacts, shared memory
+# The generated walk function: deep trees, odd artifacts
 # ---------------------------------------------------------------------------
 
 
@@ -919,28 +889,3 @@ def test_a_walk_generated_from_an_artifact_with_odd_thresholds_and_names(monkeyp
     _check_decisions(monkeypatch, seen)
     BatchScheduler(model).run(WorkloadGenerator(templates, seed=4).uniform(40))
     assert seen["cost_of"] and seen["have"]
-
-
-def test_a_walk_generated_from_a_shared_memory_evaluator(walk_trainings, small_templates, monkeypatch):
-    """A shard worker's model: rebuilt from its artifact, deciding through an
-    evaluator attached to a shared-memory segment (numpy arrays, not lists)."""
-    from repro.learning import shm
-    from repro.workloads.generator import WorkloadGenerator
-
-    if not shm.shared_memory_available():
-        pytest.skip("POSIX shared memory is unavailable on this platform")
-    trained = walk_trainings[("average", "2vm")][1].model
-    workload = WorkloadGenerator(small_templates, seed=21).uniform(40)
-    expected = _outcome_key(BatchScheduler(trained).run(workload))
-    with shm.pack_evaluator(trained.compiled_evaluator()) as bundle:
-        evaluator, view = shm.attach_evaluator(bundle.name)
-        try:
-            model = DecisionModel.from_dict(trained.to_dict())
-            model.use_evaluator(evaluator)
-            assert isinstance(model.compiled_evaluator().threshold, np.ndarray)
-            problem, nodes = _search_vertices(model, (3, 2, 2), seed=13)
-            _hold_walk_against_oracle(model, problem, nodes)
-            _check_decisions(monkeypatch, Counter())
-            assert _outcome_key(BatchScheduler(model).run(workload)) == expected
-        finally:
-            view.close()
