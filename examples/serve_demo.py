@@ -6,11 +6,11 @@ This example runs the serving layer end to end:
 1. register three tenants with different SLAs and train them (the shared
    registry path — second and third retrain adaptively where possible);
 2. open a :class:`~repro.serving.ServingEngine` over the service: per-tenant
-   admission queues, epoch batching, backpressure, degraded fallback;
+   lanes, epoch batching, backpressure, degraded fallback;
 3. drive it open loop with seeded Poisson arrival streams (one per tenant,
    deterministic per ``(seed, tenant)``) at a target offered rate;
-4. print the metrics snapshot — per-tenant decision p50/p99, queue depths,
-   admitted/shed/degraded counters, epochs, retrains — and the health status;
+4. print the metrics snapshot — per-tenant decision p50/p99, in-flight
+   queries, admitted/shed/degraded counters, epochs, retrains — and the health status;
 5. close the engine, price each tenant's served stream, and compare it with
    a direct ``OnlineScheduler.run`` of the same stream: the script exits
    non-zero unless every total cost is identical.

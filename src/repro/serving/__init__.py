@@ -6,14 +6,14 @@ many tenants on one event loop, funnels each tenant's arrivals through its
 online scheduler's epoch-batching path, applies explicit backpressure, and
 exposes health and metrics.
 
-* :class:`ServingEngine` — the front end: per-tenant lanes (bounded admission
-  queue + worker task + incremental
-  :class:`~repro.runtime.online.OnlineSession`), ``block``/``shed``
+* :class:`ServingEngine` — the front end: per-tenant lanes (a bounded pending
+  epoch + incremental :class:`~repro.runtime.online.OnlineSession`) whose
+  epochs the submitter decides on its own turn, ``block``/``shed``
   backpressure, sticky degraded fallback, single-writer tenant guards, and a
   bit-identical-to-``OnlineScheduler.run`` decision stream;
 * :class:`ServingMetrics` / :class:`TenantMetrics` — observability snapshots
-  (per-tenant decision p50/p99, queue depth, admitted/shed/degraded counters,
-  epochs, retrains) plus :meth:`ServingEngine.health`;
+  (per-tenant decision p50/p99, in-flight queries, admitted/shed/degraded
+  counters, epochs, retrains) plus :meth:`ServingEngine.health`;
 * :func:`drive` / :class:`TenantStream` / :class:`LoadReport` — the open-loop
   workload driver behind ``examples/serve_demo.py``, replaying seeded
   arrival processes (:mod:`repro.workloads.arrivals`) at a target offered

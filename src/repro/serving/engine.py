@@ -2,35 +2,40 @@
 
 :class:`ServingEngine` turns the call-into-it service into a long-lived
 endpoint: many tenants are multiplexed over one event loop, each behind a
-*lane* — a bounded admission queue, a worker task, and an incremental
+*lane* — a pending epoch, an incremental
 :class:`~repro.runtime.online.OnlineSession` holding that tenant's online
-scheduler state.  The design commitments:
+scheduler state, and its counters.  There is no queue and no worker task:
+the submitter decides the epochs on its own turn.  The design commitments:
 
-**Epoch batching is preserved.**  The worker coalesces same-timestamp
-arrivals back into one scheduling epoch (PR 3 semantics) before calling
-``session.submit``: a pending epoch is decided when a later-timestamped query
-arrives (the watermark), when the queue empties with no producer blocked on
-admission (the eager path that keeps interactive latency low), at drain, or
-at close.  A shard worker, whose queries arrive in pipe frames, turns the
-eager path off (``hold_epochs=True``) so a frame boundary never splits an
-epoch; its epochs then close only at the watermark, drain, or close.
-Because ``OnlineScheduler.run`` is itself implemented over the same session
-type, a lane's decisions and final costs are **bit-identical** to feeding the
+**Epoch batching is preserved.**  Same-timestamp arrivals are coalesced into
+one scheduling epoch (PR 3 semantics) before ``session.submit`` sees them.
+A pending epoch closes in exactly four places: in :meth:`ServingEngine.submit`
+when a query with a later timestamp arrives (the watermark); in the lane's
+idle flush, one ``loop.call_soon`` per lane and turn that runs once the
+submitter yields (the eager path that keeps interactive latency low); in
+:meth:`~ServingEngine.drain`; and in :meth:`~ServingEngine.close`.  A shard
+worker, whose queries arrive in pipe frames, turns the idle flush off
+(``hold_epochs=True``) so a frame boundary never splits an epoch.  Because
+``OnlineScheduler.run`` is itself implemented over the same session type, a
+lane's decisions and final costs are **bit-identical** to feeding the
 equivalent workload straight into the scheduler — the serving equivalence
 suite locks this for every goal kind and catalog.
 
-**Backpressure is explicit.**  When a lane's admission queue is full,
-``backpressure="block"`` suspends the submitter until the worker catches up
-(open-loop drivers then record the delay as decision latency), while
-``backpressure="shed"`` refuses the query immediately with a reason and
-counts it — nothing is dropped silently.
+**Backpressure is explicit.**  A lane admits at most ``queue_limit``
+queries into its pending epoch before ``backpressure="shed"`` refuses the
+next same-timestamp query with a reason and counts it — nothing is dropped
+silently.  ``backpressure="block"`` never refuses and never suspends: the
+submitter itself pays for every decision it triggers, so a producer that
+outruns the scheduler is slowed by the decisions, not by a queue.
 
 **Failures degrade, loudly.**  If a lane's learned path fails (model
 missing, training error, a placement the model cannot express), the lane
 flips sticky-degraded: every subsequent epoch is served by the model-free FFD
 heuristic and stamped with the triggering error, mirroring the service's
 ``degraded_fallback`` contract.  With the fallback disabled the lane fails
-closed instead and re-raises on the next submit.
+closed instead: the submit whose watermark decision failed raises, and so
+does every later one.  Any other exception a decision raises fails the lane
+the same way, also in the idle flush, where nothing would otherwise see it.
 
 **One writer per tenant.**  A lane holds its tenant's single-writer guard for
 its whole lifetime, so a concurrent ``service.run_online`` against an
@@ -55,14 +60,11 @@ from repro.serving.metrics import ServingMetrics, TenantMetrics, percentile
 from repro.workloads.query import Query
 from repro.workloads.workload import Workload
 
-#: Queue sentinel asking a lane worker to flush its pending epoch and exit.
-_CLOSE = object()
-
 #: Per-lane decision-latency window; halved when it overflows so snapshots
 #: reflect recent behavior without unbounded growth.
 _LATENCY_WINDOW = 200_000
 
-#: Backpressure policies: suspend the submitter vs. refuse with a reason.
+#: Backpressure policies: admit every query vs. refuse with a reason.
 BACKPRESSURE_POLICIES = ("block", "shed")
 
 
@@ -96,16 +98,6 @@ class ServingTicket:
     def __init__(self, future: asyncio.Future) -> None:
         self._future = future
 
-    def add_done_callback(self, fn) -> None:
-        """Schedule ``fn(future)`` on the loop once the decision resolves.
-
-        The callback receives the underlying future (result: the
-        :class:`ServingDecision`; or the lane's failure as its exception).
-        This is how the sharded worker streams ticket resolutions back over
-        the pipe without parking one task per in-flight query.
-        """
-        self._future.add_done_callback(fn)
-
     async def decision(self) -> ServingDecision:
         """Wait for (and return) the decision for this query."""
         return await self._future
@@ -125,17 +117,14 @@ _ADMITTED = Admission(True)
 
 
 class _TenantLane:
-    """One tenant's admission queue, worker, session, and counters."""
+    """One tenant's pending epoch, session, and counters."""
 
     __slots__ = (
         "name",
         "tenant",
         "session",
-        "queue",
         "pending",
-        "pending_time",
-        "blocked_putters",
-        "held",
+        "flush_due",
         "last_submitted_time",
         "submitted",
         "admitted",
@@ -147,7 +136,6 @@ class _TenantLane:
         "latencies",
         "degraded_reason",
         "failure",
-        "worker",
         "guard",
         "outcome",
     )
@@ -157,19 +145,16 @@ class _TenantLane:
         name: str,
         tenant: Tenant,
         session: OnlineSession | None,
-        queue_limit: int,
         guard: ExitStack,
     ) -> None:
         self.name = name
         self.tenant = tenant
         self.session = session
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_limit)
+        #: The open epoch: ``(query, submitted_at, future or None)`` items
+        #: that all arrived at ``last_submitted_time``.
         self.pending: list[tuple] = []
-        self.pending_time = -math.inf
-        self.blocked_putters = 0
-        #: Whether the idle flush is off for this lane (``hold_epochs``);
-        #: unlike a blocked producer, a hold is not overload.
-        self.held = False
+        #: Whether this turn's idle flush is already scheduled.
+        self.flush_due = False
         self.last_submitted_time = -math.inf
         self.submitted = 0
         self.admitted = 0
@@ -180,15 +165,10 @@ class _TenantLane:
         self.degraded_epochs = 0
         self.latencies: list[float] = []
         self.degraded_reason: str | None = None
-        self.failure: WiSeDBError | None = None
-        self.worker: asyncio.Task | None = None
+        self.failure: Exception | None = None
         self.guard = guard
         #: The priced outcome, computed once at close and reused afterwards.
         self.outcome: SchedulingOutcome | None = None
-
-    @property
-    def in_flight(self) -> int:
-        return self.queue.qsize() + len(self.pending)
 
     @property
     def epochs(self) -> int:
@@ -238,9 +218,9 @@ class ServingEngine:
         #: per-shard engines so history is written once, in a deterministic
         #: order, by the router.
         self._log_outcomes = log_outcomes
-        #: When True, an idle queue does not close the pending epoch: only a
-        #: later timestamp, :meth:`drain` or :meth:`close` does.  The shard
-        #: worker sets this, since its queries arrive frame by frame.
+        #: When True, no idle flush closes the pending epoch: only a later
+        #: timestamp, :meth:`drain` or :meth:`close` does.  The shard worker
+        #: sets this, since its queries arrive frame by frame.
         self._hold_epochs = hold_epochs
         self._lanes: dict[str, _TenantLane] = {}
         self._closed = False
@@ -282,12 +262,8 @@ class ServingEngine:
         except BaseException:
             guard.close()
             raise
-        lane = _TenantLane(name, tenant, session, self._queue_limit, guard)
+        lane = _TenantLane(name, tenant, session, guard)
         lane.degraded_reason = reason
-        lane.held = self._hold_epochs
-        lane.worker = asyncio.get_running_loop().create_task(
-            self._worker(lane), name=f"wisedb-serving-{name}"
-        )
         self._lanes[name] = lane
         return lane
 
@@ -301,107 +277,87 @@ class ServingEngine:
         Returns an :class:`Admission`: admitted (optionally with an awaitable
         :class:`ServingTicket` when ``ticket=True``), or shed with a reason
         under the ``shed`` backpressure policy.  Arrival times must be
-        non-decreasing per tenant; a failed lane re-raises its error.
+        non-decreasing per tenant.  A later timestamp decides the pending
+        epoch here, before the query joins a new one; a failed lane
+        re-raises its error, also when this very decision failed it (the
+        query is then not admitted).
         """
         if self._closed:
             raise SpecificationError("the serving engine is closed")
         lane = self._lane(tenant)
         if lane.failure is not None:
             raise lane.failure
-        if query.arrival_time < lane.last_submitted_time:
+        arrival_time = query.arrival_time
+        if arrival_time < lane.last_submitted_time:
             raise SpecificationError(
                 f"tenant {tenant!r}: arrival times must be non-decreasing "
-                f"(got {query.arrival_time} after {lane.last_submitted_time})"
+                f"(got {arrival_time} after {lane.last_submitted_time})"
             )
+        if lane.pending and arrival_time != lane.last_submitted_time:
+            self._decide(lane)  # the watermark
+            if lane.failure is not None:
+                raise lane.failure
+        elif len(lane.pending) >= self._queue_limit and self._backpressure == "shed":
+            lane.submitted += 1
+            lane.shed += 1
+            return Admission(
+                False,
+                shed_reason=(
+                    f"admission queue full "
+                    f"(limit={self._queue_limit}) for tenant {tenant!r}"
+                ),
+            )
+        if not (lane.flush_due or self._hold_epochs):
+            lane.flush_due = True
+            asyncio.get_running_loop().call_soon(self._idle_flush, lane)
         future = asyncio.get_running_loop().create_future() if ticket else None
-        item = (query, time.perf_counter(), future)
-        queue = lane.queue
-        if queue.full():
-            if self._backpressure == "shed":
-                lane.submitted += 1
-                lane.shed += 1
-                return Admission(
-                    False,
-                    shed_reason=(
-                        f"admission queue full "
-                        f"(limit={self._queue_limit}) for tenant {tenant!r}"
-                    ),
-                )
-            # Block: suspend this submitter until the worker catches up.  The
-            # worker will not close a same-timestamp epoch while we are
-            # suspended here (it checks ``blocked_putters``), so a burst that
-            # overflows the queue still lands in one epoch.
-            lane.blocked_putters += 1
-            try:
-                await queue.put(item)
-            finally:
-                lane.blocked_putters -= 1
-        else:
-            queue.put_nowait(item)
+        lane.pending.append((query, time.perf_counter(), future))
         lane.submitted += 1
         lane.admitted += 1
-        lane.last_submitted_time = query.arrival_time
+        lane.last_submitted_time = arrival_time
         if future is not None:
             return Admission(True, ticket=ServingTicket(future))
         return _ADMITTED
 
-    # -- the lane worker ----------------------------------------------------------------
+    # -- deciding epochs ----------------------------------------------------------------
 
-    async def _worker(self, lane: _TenantLane) -> None:
-        queue = lane.queue
-        while True:
-            item = await queue.get()
-            closing = item is _CLOSE
-            if not closing:
-                self._absorb(lane, item)
-            # Drain whatever else is already queued without yielding: a burst
-            # enqueued back-to-back is parsed as one batch of epochs.
-            while True:
-                try:
-                    extra = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is _CLOSE:
-                    closing = True
-                    continue
-                self._absorb(lane, extra)
-            if lane.pending and (
-                closing
-                or (queue.empty() and lane.blocked_putters == 0 and not lane.held)
-            ):
-                self._decide(lane)
-            if closing:
-                queue.task_done()
-                return
-
-    def _absorb(self, lane: _TenantLane, item: tuple) -> None:
-        """Fold one admitted item into the pending epoch (watermark flush)."""
-        query = item[0]
-        if lane.pending and query.arrival_time != lane.pending_time:
+    def _idle_flush(self, lane: _TenantLane) -> None:
+        """Close the pending epoch once the submitter has yielded."""
+        lane.flush_due = False
+        if lane.pending:
             self._decide(lane)
-        lane.pending.append(item)
-        lane.pending_time = query.arrival_time
+
+    def _decide_pending(self) -> None:
+        for lane in self._lanes.values():
+            if lane.pending:
+                self._decide(lane)
 
     def _decide(self, lane: _TenantLane) -> None:
-        """Decide the pending epoch through the learned (or degraded) path."""
+        """Decide the pending epoch through the learned (or degraded) path.
+
+        It never raises: an error the fallback does not absorb fails the
+        lane and every query of the epoch.
+        """
         group = lane.pending
         lane.pending = []
         queries = [item[0] for item in group]
-        if lane.degraded_reason is not None:
-            self._decide_degraded(lane, group, queries)
-            return
         try:
-            decision = lane.session.submit(queries)
-        except WiSeDBError as error:
-            if not self._service.degraded_fallback:
-                self._fail(lane, group, error)
-                return
-            lane.degraded_reason = f"{type(error).__name__}: {error}"
+            if lane.degraded_reason is None:
+                try:
+                    decision = lane.session.submit(queries)
+                except WiSeDBError as error:
+                    if not self._service.degraded_fallback:
+                        raise
+                    lane.degraded_reason = f"{type(error).__name__}: {error}"
+                else:
+                    self._resolve(lane, group, decision)
+                    return
             self._decide_degraded(lane, group, queries)
-            return
-        decided_at = time.perf_counter()
-        lane.decided += len(group)
-        self._record(lane, group, decided_at)
+        except Exception as error:
+            self._fail(lane, group, error)
+
+    def _resolve(self, lane: _TenantLane, group: list[tuple], decision) -> None:
+        self._record(lane, group, time.perf_counter())
         for query, _, future in group:
             if future is not None and not future.cancelled():
                 placement = decision.placement_for(query.query_id)
@@ -418,26 +374,18 @@ class ServingEngine:
                         completion_time=placement.completion_time,
                     )
                 )
-            lane.queue.task_done()
+        lane.decided += len(group)
 
     def _decide_degraded(
         self, lane: _TenantLane, group: list[tuple], queries: list[Query]
     ) -> None:
         spec = lane.tenant.spec
-        try:
-            FirstFitDecreasingScheduler(
-                vm_type=spec.vm_types.default,
-                goal=spec.goal,
-                latency_model=spec.resolved_latency_model(),
-            ).schedule(Workload(spec.templates, queries))
-        except WiSeDBError as error:
-            self._fail(lane, group, error)
-            return
-        decided_at = time.perf_counter()
-        lane.decided += len(group)
-        lane.degraded += len(group)
-        lane.degraded_epochs += 1
-        self._record(lane, group, decided_at)
+        FirstFitDecreasingScheduler(
+            vm_type=spec.vm_types.default,
+            goal=spec.goal,
+            latency_model=spec.resolved_latency_model(),
+        ).schedule(Workload(spec.templates, queries))
+        self._record(lane, group, time.perf_counter())
         epoch_time = queries[0].arrival_time
         for query, _, future in group:
             if future is not None and not future.cancelled():
@@ -452,18 +400,17 @@ class ServingEngine:
                         degraded_reason=lane.degraded_reason,
                     )
                 )
-            lane.queue.task_done()
+        lane.decided += len(group)
+        lane.degraded += len(group)
+        lane.degraded_epochs += 1
 
-    def _fail(
-        self, lane: _TenantLane, group: list[tuple], error: WiSeDBError
-    ) -> None:
+    def _fail(self, lane: _TenantLane, group: list[tuple], error: Exception) -> None:
         """Fail the lane closed: refuse this epoch, re-raise on later submits."""
         lane.failure = error
         lane.failed += len(group)
         for _, _, future in group:
-            if future is not None and not future.cancelled():
+            if future is not None and not future.done():
                 future.set_exception(error)
-            lane.queue.task_done()
 
     @staticmethod
     def _record(lane: _TenantLane, group: list[tuple], decided_at: float) -> None:
@@ -476,32 +423,19 @@ class ServingEngine:
     # -- lifecycle ----------------------------------------------------------------------
 
     async def drain(self) -> None:
-        """Wait until every admitted query has been decided (or failed).
+        """Decide every lane's pending epoch, held ones too, without yielding.
 
-        Held epochs close here: every lane's idle flush runs now (a parked
-        worker would not run it), and holds stay off until the drain ends.
+        When it returns, every admitted query has been decided (or failed),
+        and every ticket is resolved.
         """
-        lanes = list(self._lanes.values())
-        for lane in lanes:
-            lane.held = False
-            if lane.pending and lane.queue.empty() and lane.blocked_putters == 0:
-                self._decide(lane)
-        try:
-            await asyncio.gather(*(lane.queue.join() for lane in lanes))
-        finally:
-            for lane in lanes:
-                lane.held = self._hold_epochs
+        self._decide_pending()
 
     async def close(self) -> None:
-        """Flush pending epochs, stop the workers, release tenant guards."""
+        """Decide pending epochs, release tenant guards, price the lanes."""
         if self._closed:
             return
         self._closed = True
-        for lane in self._lanes.values():
-            await lane.queue.put(_CLOSE)
-        workers = [lane.worker for lane in self._lanes.values() if lane.worker]
-        if workers:
-            await asyncio.gather(*workers)
+        self._decide_pending()
         for lane in self._lanes.values():
             lane.guard.close()
         outcomes = self.collect_outcomes()
@@ -564,9 +498,7 @@ class ServingEngine:
             return "failed"
         if self._closed:
             return "closed"
-        if any(
-            lane.queue.full() or lane.blocked_putters for lane in lanes
-        ):
+        if any(len(lane.pending) >= self._queue_limit for lane in lanes):
             return "overloaded"
         if any(lane.degraded_reason is not None for lane in lanes):
             return "degraded"
@@ -586,8 +518,7 @@ class ServingEngine:
                     decided=lane.decided,
                     degraded=lane.degraded,
                     failed=lane.failed,
-                    queue_depth=lane.queue.qsize(),
-                    in_flight=lane.in_flight,
+                    in_flight=len(lane.pending),
                     epochs=lane.epochs,
                     retrains=session.retrains if session is not None else 0,
                     cache_hits=session.cache_hits if session is not None else 0,

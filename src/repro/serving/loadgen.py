@@ -13,9 +13,11 @@ instead of being absorbed by the driver.
 Epoch integrity: streams are replayed in global ``(arrival_time, tenant,
 query id)`` order and the driver only pauses between *strictly increasing*
 timestamps, never between two same-timestamp submissions of one tenant.
-Together with the engine's blocked-putter accounting this guarantees each
-same-timestamp group still lands in a single scheduling epoch — the property
-the equivalence suite leans on.
+The engine closes an epoch only at a later timestamp or once its submitter
+yields, so each same-timestamp group still lands in a single scheduling
+epoch — the property the equivalence suite leans on.  The decisions run on
+the driver's own turn: a submit that crosses a tenant's timestamp decides
+the epoch it closes, and a pause lets the idle flush decide the rest.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ async def drive(
 
     ``target_rate`` rescales the schedule to the given total offered
     arrivals/sec (``None`` replays as fast as possible — a firehose — while
-    still yielding to the workers every ``yield_every`` submissions at epoch
-    boundaries so decisions interleave with admission).
+    still yielding to the loop every ``yield_every`` submissions at epoch
+    boundaries, so other tasks on it, a sharded router's sender among them,
+    interleave with admission).
     """
     if target_rate is not None and target_rate <= 0:
         raise SpecificationError("target_rate must be positive")

@@ -8,7 +8,9 @@ The counter identities the accounting tests pin::
 
     submitted == admitted + shed
     admitted  == decided + failed + in_flight
-    in_flight == queue_depth + pending_epoch
+
+``in_flight`` is the lane's pending epoch: the engine has no queue, so an
+admitted query is either in the open epoch or already decided or failed.
 
 ``decided`` includes degraded decisions (they *are* answers, served by the
 FFD fallback and stamped with a reason); ``failed`` counts queries whose lane
@@ -42,7 +44,7 @@ class TenantMetrics:
     tenant: str
     #: Queries offered to :meth:`ServingEngine.submit` for this tenant.
     submitted: int
-    #: Queries accepted into the admission queue.
+    #: Queries accepted into the lane's pending epoch.
     admitted: int
     #: Queries refused by the ``shed`` backpressure policy (with reasons).
     shed: int
@@ -52,9 +54,7 @@ class TenantMetrics:
     degraded: int
     #: Queries the lane could not answer (degradation disabled).
     failed: int
-    #: Queries currently waiting in the admission queue.
-    queue_depth: int
-    #: Queries admitted but not yet decided (queue + pending epoch).
+    #: Queries admitted but not yet decided (the pending epoch).
     in_flight: int
     #: Scheduling events decided (same-timestamp arrivals share one epoch).
     epochs: int
@@ -149,7 +149,7 @@ class ServingMetrics:
                 f"  {entry.tenant}: decided={entry.decided}/{entry.submitted} "
                 f"epochs={entry.epochs} retrains={entry.retrains} "
                 f"shed={entry.shed} degraded={entry.degraded} "
-                f"queue={entry.queue_depth} p50={p50} p99={p99}"
+                f"in_flight={entry.in_flight} p50={p50} p99={p99}"
             )
             if entry.degraded_reason:
                 line += f" [{entry.degraded_reason}]"

@@ -20,13 +20,13 @@ walk from the tree before it acknowledges.
 **Admission is pipelined and batched.**  The router never pays a pipe round
 trip per query: a shard's *outbox* accumulates submissions while the pipe is
 busy and ships them as one ``submit_batch`` frame (same-tenant order
-preserved).  The worker answers with one ``batch_ack`` and ships ticket
-resolutions as its lanes decide them, everything one of its loop turns
-resolved in one ``tickets`` frame, so a closed-loop epoch comes back in three
-frames whatever its size.  Backpressure flows through *credits*:
-the router spends one per in-flight query against the worker's
-``queue_limit`` and gets them back with each ack, so ``shed`` refusals and
-``block`` suspensions behave like the single-process engine's full queue.
+preserved).  The worker answers with one ``batch_ack`` and ships the ticket
+resolutions its lanes made ahead of each frame it sends, in one ``tickets``
+frame, so a closed-loop epoch comes back in three frames whatever its size.
+Backpressure flows through *credits*: the router spends one per in-flight
+query against the worker's ``queue_limit`` and gets them back with each ack.
+``shed`` refuses at the router once a tenant's credits are spent; ``block``
+suspends the submitter there until an ack returns some.
 
 **Bit-identical for any shard count.**  Tenant lanes share no state, shipping
 restores bit-identical schedulers, and each outbox is FIFO, so partitioning
@@ -699,7 +699,6 @@ class ShardedServingEngine:
                         decided=0,
                         degraded=0,
                         failed=0,
-                        queue_depth=0,
                         in_flight=0,
                         epochs=0,
                         retrains=0,

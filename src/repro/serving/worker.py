@@ -17,15 +17,17 @@ generates the decision walk at registration, so no decision pays for them.
 
 **Frames keep their order and their epochs.**  ``submit_batch``, ``drain``
 and ``close`` go through one pump task, so same-tenant arrivals keep their
-order even while a full queue blocks admission.  The engine holds its epochs
-(``hold_epochs=True``): a frame boundary is not the end of a burst, so an
-epoch closes only at the timestamp watermark, a drain or the close, exactly
-as ``OnlineScheduler.run`` groups it.  A batch is answered with one
-``batch_ack`` frame that returns the router's credits.  Tickets go back as
-their decisions land, through future callbacks, in one ``tickets`` frame per
-loop turn (:class:`_TicketShipper`): a closed-loop epoch of any size costs
-the worker three frames — the ack, its tickets and the drain reply — and a
-lane that cannot open fails a batch's tickets in one frame too.
+order.  The engine holds its epochs (``hold_epochs=True``): a frame boundary
+is not the end of a burst, so an epoch closes only at the timestamp
+watermark, a drain or the close, exactly as ``OnlineScheduler.run`` groups
+it, and each of those decides on the pump's own turn.  A batch is answered
+with one ``batch_ack`` frame that returns the router's credits.  Ahead of
+every frame it sends, the worker ships each ticket resolved since the last
+such frame in one ``tickets`` frame (:class:`_TicketShipper`), so a
+closed-loop epoch of any size costs the worker three frames — the ack, its tickets and
+the drain reply — which leave in one write when the batch and the drain
+arrive together, and a lane that cannot open fails a batch's tickets in one
+frame too.
 ``register`` and ``metrics`` are answered straight from the receive loop, so
 snapshots stay available while the pump is busy, with
 received-but-unadmitted queries folded in by :func:`_pending_snapshot`.
@@ -34,7 +36,6 @@ received-but-unadmitted queries folded in by :func:`_pending_snapshot`.
 from __future__ import annotations
 
 import asyncio
-import functools
 import gc
 import math
 from dataclasses import dataclass, replace
@@ -102,44 +103,42 @@ def _register_shipment(service: _ShardService, payload: dict) -> None:
 
 
 class _TicketShipper:
-    """Ticket resolutions, shipped as one ``tickets`` frame per loop turn.
+    """Ticket resolutions, shipped ahead of every frame the worker sends.
 
-    The first resolution of a loop turn schedules :meth:`flush` for the end
-    of that turn; every other resolution the turn makes joins its frame, so
-    an epoch's tickets travel together whatever its size.  Every frame the
-    worker sends after a resolution flushes first, so no frame overtakes a
-    ticket resolved before it.
+    It keeps the ``(ticket_id, future)`` pair of every ticketed query the
+    engine admitted.  :meth:`flush` runs before each frame the worker sends
+    and ships every pair whose decision has landed since, with every ticket
+    that never got a lane, as one ``tickets`` frame: no frame overtakes a
+    ticket resolved before it, and an epoch's tickets travel together
+    whatever its size.
     """
 
     def __init__(self, channel: _Channel) -> None:
         self._channel = channel
-        self._loop = asyncio.get_running_loop()
-        self._entries: list[tuple[int, str, object]] = []
+        self._waiting: list[tuple[int, asyncio.Future]] = []
+        self._failed: list[tuple[int, str, object]] = []
 
-    def resolved(self, ticket_id: int, future) -> None:
-        """Ship one lane decision or its failure (a future callback)."""
-        if future.cancelled():
-            self._add((ticket_id, "error", "ticket cancelled"))
-            return
-        error = future.exception()
-        if error is not None:
-            self._add((ticket_id, "error", _pickle_error(error)))
-        else:
-            self._add((ticket_id, "ok", future.result()))
+    def track(self, ticket_id: int, future: asyncio.Future) -> None:
+        """Ship this lane decision (or its failure) once it lands."""
+        self._waiting.append((ticket_id, future))
 
     def failed(self, ticket_id: int, error: BaseException) -> None:
         """Fail a router-side ticket whose query never got a lane future."""
-        self._add((ticket_id, "error", _pickle_error(error)))
-
-    def _add(self, entry: tuple[int, str, object]) -> None:
-        if not self._entries:
-            self._loop.call_soon(self.flush)
-        self._entries.append(entry)
+        self._failed.append((ticket_id, "error", _pickle_error(error)))
 
     def flush(self) -> None:
         """Send what was resolved since the last flush as one frame."""
-        if self._entries:
-            entries, self._entries = self._entries, []
+        entries, self._failed = self._failed, []
+        waiting = []
+        for ticket_id, future in self._waiting:
+            if not future.done():
+                waiting.append((ticket_id, future))
+            elif future.exception() is not None:
+                entries.append((ticket_id, "error", _pickle_error(future.exception())))
+            else:
+                entries.append((ticket_id, "ok", future.result()))
+        self._waiting = waiting
+        if entries:
             self._channel.send(("tickets", entries))
 
 
@@ -180,7 +179,6 @@ def _pending_snapshot(
                 decided=0,
                 degraded=0,
                 failed=0,
-                queue_depth=0,
                 in_flight=count,
                 epochs=0,
                 retrains=0,
@@ -205,10 +203,8 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
         queue_limit=config.queue_limit,
         # Always block: the router's credit gate enforces the configured
         # policy (shed refusals happen router-side before a frame is built),
-        # and credits never exceed queue_limit, so this cannot actually
-        # suspend for long — but a silent worker-side shed would desync the
-        # router's accounting, and block turns that impossibility into a
-        # stall instead of corruption.
+        # and a worker-side shed would desync the router's accounting.
+        # Block admits every query the router spent a credit on.
         backpressure="block",
         wait_resolution=config.wait_resolution,
         log_outcomes=False,
@@ -255,10 +251,8 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                     continue
                 finally:
                     pending_admission[tenant] -= 1
-                if ticket_id is not None and admission.ticket is not None:
-                    admission.ticket.add_done_callback(
-                        functools.partial(tickets.resolved, ticket_id)
-                    )
+                if ticket_id is not None:
+                    tickets.track(ticket_id, admission.ticket._future)
         tickets.flush()
         channel.send(("batch_ack", (seq, acks, failures)))
 

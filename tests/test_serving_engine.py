@@ -8,6 +8,7 @@ directly into its tenant, so no test here pays for training.
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
@@ -18,8 +19,10 @@ from repro.exceptions import (
     TrainingError,
     UnknownTemplateError,
 )
+from repro.runtime.online import OnlineSession
 from repro.serving import Admission, ServingEngine
 from repro.service import WiSeDBService
+from repro.sla.factory import GOAL_KINDS
 from repro.workloads.query import Query
 from oracles import tenant_entry
 
@@ -368,3 +371,229 @@ class TestMultiplexingAndGuard:
                 assert tenant_entry(engine.metrics(), "globex").submitted == 0
 
         asyncio.run(main())
+
+
+class TestWorkPerOp:
+    """A warm lane's closed-loop ticketed op is decided on the submitter's
+    turn: it takes no loop turn and creates no task."""
+
+    @pytest.mark.parametrize("size", [1, 8])
+    def test_a_closed_loop_op_takes_no_turn_and_creates_no_task(
+        self, service, size
+    ):
+        async def main():
+            loop = asyncio.get_running_loop()
+            counts = {"turns": 0, "tasks": 0}
+            run_once, create_task = loop._run_once, loop.create_task
+
+            def counting_run_once():
+                counts["turns"] += 1
+                run_once()
+
+            def counting_create_task(*args, **kwargs):
+                counts["tasks"] += 1
+                return create_task(*args, **kwargs)
+
+            per_op = []
+            async with ServingEngine(service) as engine:
+                engine.warm("acme", "globex")
+                for epoch in range(3):
+                    queries = _queries(size, arrival_time=float(epoch))
+                    counts.update(turns=0, tasks=0)
+                    loop._run_once = counting_run_once
+                    loop.create_task = counting_create_task
+                    try:
+                        tickets = [
+                            (await engine.submit("acme", query, ticket=True)).ticket
+                            for query in queries
+                        ]
+                        await engine.drain()
+                        done = all(ticket._future.done() for ticket in tickets)
+                        decisions = [await ticket.decision() for ticket in tickets]
+                    finally:
+                        del loop._run_once, loop.create_task
+                    per_op.append((counts["turns"], counts["tasks"], done))
+                    assert [d.query_id for d in decisions] == [
+                        query.query_id for query in queries
+                    ]
+                snapshot = tenant_entry(engine.metrics(), "acme")
+            return per_op, snapshot
+
+        per_op, snapshot = asyncio.run(main())
+        assert per_op == [(0, 0, True)] * 3
+        assert snapshot.epochs == 3 and snapshot.decided == 3 * size
+
+
+def _epoch_script(seed: int, templates, tenants=("acme", "globex"), steps: int = 40):
+    """A seeded run of submits, yields and drains over *tenants*.
+
+    A tenant's clock stays put or moves forward on each of its submits, so
+    same-timestamp runs are cut by the watermark, by a yield (the idle
+    flush) and by a drain in every combination.
+    """
+    rng = random.Random(seed)
+    clocks = dict.fromkeys(tenants, 0.0)
+    ops = []
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.15:
+            ops.append(("yield",))
+        elif roll < 0.22:
+            ops.append(("drain",))
+        else:
+            tenant = rng.choice(tenants)
+            if rng.random() < 0.4:
+                clocks[tenant] += rng.choice((0.5, 30.0, 90.0))
+            ops.append(("submit", tenant, Query(rng.choice(templates), arrival_time=clocks[tenant])))
+    return ops
+
+
+def _implied_epochs(ops, hold_epochs: bool) -> dict[str, list[list[Query]]]:
+    """The epochs the four closing rules cut *ops* into, per tenant."""
+    pending: dict[str, list[Query]] = {}
+    epochs: dict[str, list[list[Query]]] = {}
+
+    def close(tenant):
+        if pending.get(tenant):
+            epochs.setdefault(tenant, []).append(pending.pop(tenant))
+
+    for op in ops:
+        if op[0] == "submit":
+            _, tenant, query = op
+            group = pending.get(tenant)
+            if group and group[-1].arrival_time != query.arrival_time:
+                close(tenant)
+            pending.setdefault(tenant, []).append(query)
+        elif op[0] == "drain" or not hold_epochs:
+            for tenant in list(pending):
+                close(tenant)
+    for tenant in list(pending):
+        close(tenant)
+    return epochs
+
+
+def _fingerprint(outcome) -> tuple:
+    cost = outcome.cost
+    return (
+        (cost.startup_cost, cost.execution_cost, cost.penalty_cost),
+        [(vm.vm_type.name, [query.query_id for query in vm.queries]) for vm in outcome.schedule],
+        [
+            (r.query_id, r.vm_index, r.arrival_time, r.start_time, r.completion_time)
+            for r in outcome.query_outcomes
+        ],
+        outcome.overhead.decisions,
+    )
+
+
+class TestEpochRule:
+    @pytest.mark.parametrize("hold_epochs", [False, True])
+    @pytest.mark.parametrize("seed", [5, 29])
+    @pytest.mark.parametrize("kind", GOAL_KINDS)
+    def test_outcomes_equal_the_scheduler_on_the_implied_epochs(
+        self, small_templates, all_goals, all_trained, tiny_config, kind, seed, hold_epochs
+    ):
+        service = WiSeDBService()
+        for name in ("acme", "globex"):
+            service.register(name, small_templates, all_goals[kind], config=tiny_config)
+            service.tenant(name).training = all_trained[kind]
+            service.tenant(name).provenance = "fresh"
+        ops = _epoch_script(seed, ("T1", "T2", "T3"))
+        no_retrain = 1.0e9
+
+        async def main():
+            engine = ServingEngine(
+                service, wait_resolution=no_retrain, hold_epochs=hold_epochs
+            )
+            async with engine:
+                for op in ops:
+                    if op[0] == "submit":
+                        assert (await engine.submit(op[1], op[2])).admitted
+                    elif op[0] == "yield":
+                        await asyncio.sleep(0)
+                    else:
+                        await engine.drain()
+                await engine.drain()
+                snapshot = engine.metrics()
+            return engine, snapshot
+
+        try:
+            engine, snapshot = asyncio.run(main())
+            for tenant, epochs in _implied_epochs(ops, hold_epochs).items():
+                session = service.online_scheduler(
+                    tenant, wait_resolution=no_retrain
+                ).session()
+                for epoch in epochs:
+                    session.submit(epoch)
+                assert _fingerprint(engine.outcome(tenant)) == _fingerprint(
+                    session.outcome()
+                ), tenant
+                entry = tenant_entry(snapshot, tenant)
+                entry.check_identities()
+                assert entry.epochs == len(epochs)
+                assert entry.decided == sum(len(epoch) for epoch in epochs)
+        finally:
+            service.close()
+
+
+class TestLaneFailure:
+    def test_a_failed_watermark_decision_raises_from_that_submit(
+        self, small_templates, max_goal, tiny_config, trained_max
+    ):
+        service = WiSeDBService(degraded_fallback=False)
+        service.register("acme", small_templates, max_goal, config=tiny_config)
+        service.tenant("acme").training = trained_max
+        service.tenant("acme").provenance = "fresh"
+
+        async def main():
+            async with ServingEngine(service) as engine:
+                unservable = await engine.submit(
+                    "acme", Query("NOPE", arrival_time=0.0), ticket=True
+                )
+                with pytest.raises(UnknownTemplateError):
+                    await engine.submit("acme", Query("T1", arrival_time=1.0))
+                with pytest.raises(UnknownTemplateError):
+                    await unservable.ticket.decision()
+                assert engine.health() == "failed"
+                return tenant_entry(engine.metrics(), "acme")
+
+        try:
+            entry = asyncio.run(main())
+        finally:
+            service.close()
+        # The t=1 query was refused, not admitted: only the epoch it closed
+        # counts, as failed.
+        assert (entry.submitted, entry.admitted, entry.failed) == (1, 1, 1)
+        assert entry.decided == entry.in_flight == 0
+        entry.check_identities()
+
+    def test_an_error_in_the_idle_flush_fails_the_lane_not_the_loop(
+        self, service, monkeypatch
+    ):
+        def broken_submit(self, arrivals):
+            raise RuntimeError("simulated: decision bug")
+
+        monkeypatch.setattr(OnlineSession, "submit", broken_submit)
+        handled = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: handled.append(context))
+            async with ServingEngine(service) as engine:
+                admissions = [
+                    await engine.submit("acme", query, ticket=True)
+                    for query in _queries(3, arrival_time=0.0)
+                ]
+                await asyncio.sleep(0)  # the idle flush runs here
+                assert all(a.ticket._future.done() for a in admissions)
+                for admission in admissions:
+                    with pytest.raises(RuntimeError, match="decision bug"):
+                        await admission.ticket.decision()
+                assert engine.health() == "failed"
+                with pytest.raises(RuntimeError, match="decision bug"):
+                    await engine.submit("acme", Query("T1", arrival_time=1.0))
+                return tenant_entry(engine.metrics(), "acme")
+
+        entry = asyncio.run(main())
+        assert handled == []
+        assert (entry.submitted, entry.failed, entry.decided) == (3, 3, 0)
+        entry.check_identities()

@@ -622,7 +622,6 @@ class TestMergeMetricsFunction:
             decided=1,
             degraded=0,
             failed=0,
-            queue_depth=1,
             in_flight=1,
             epochs=1,
             retrains=0,
@@ -807,7 +806,8 @@ class TestWorkerProtocol:
 
 class TestFramesPerEpoch:
     """A closed-loop epoch costs the worker three frames, whatever its size:
-    the batch ack, one ``tickets`` frame and the drain reply."""
+    the batch ack, one ``tickets`` frame and the drain reply, all in one
+    write."""
 
     @pytest.mark.parametrize("size", [1, 8, 32])
     def test_a_ticketed_epoch_comes_back_in_three_frames(
@@ -822,7 +822,16 @@ class TestFramesPerEpoch:
             received.append((channel, frame))
             return frame
 
+        writes = []
+        flush = _Channel._flush
+
+        def counting_flush(channel):
+            if channel._outgoing and not channel._discard:
+                writes.append(channel)
+            flush(channel)
+
         monkeypatch.setattr(_Channel, "recv", counting_recv)
+        monkeypatch.setattr(_Channel, "_flush", counting_flush)
 
         async def main():
             async with ShardedServingEngine(
@@ -833,6 +842,7 @@ class TestFramesPerEpoch:
                 per_epoch = []
                 for epoch in range(3):
                     received.clear()
+                    writes.clear()
                     queries = [
                         Query(("T1", "T2", "T3")[index % 3], arrival_time=float(epoch))
                         for index in range(size)
@@ -847,14 +857,20 @@ class TestFramesPerEpoch:
                         query.query_id for query in queries
                     ]
                     per_epoch.append(
-                        [frame for channel, frame in received if channel is router_end]
+                        (
+                            [frame for channel, frame in received if channel is router_end],
+                            [channel for channel in writes if channel is not router_end],
+                        )
                     )
                 return per_epoch
 
-        for frames in asyncio.run(main()):
+        for frames, worker_writes in asyncio.run(main()):
             assert sorted(kind for kind, _ in frames) == ["batch_ack", "reply", "tickets"]
             [entries] = [body for kind, body in frames if kind == "tickets"]
             assert len(entries) == size
+            # The pump admits the batch and drains on one turn, so the ack,
+            # the tickets and the reply leave the worker in one write.
+            assert len(worker_writes) == 1
 
     def test_a_failed_lane_fails_every_ticket_in_one_frame(self, small_templates):
         """A lane that cannot open fails the batch's tickets together, and the
