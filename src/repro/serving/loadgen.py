@@ -107,8 +107,8 @@ async def drive(
     ``target_rate`` rescales the schedule to the given total offered
     arrivals/sec (``None`` replays as fast as possible — a firehose — while
     still yielding to the loop every ``yield_every`` submissions at epoch
-    boundaries, so other tasks on it, a sharded router's sender among them,
-    interleave with admission).
+    boundaries, so other work on it, a sharded router's batch frames among
+    it, interleaves with admission).
     """
     if target_rate is not None and target_rate <= 0:
         raise SpecificationError("target_rate must be positive")

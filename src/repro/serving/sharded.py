@@ -18,11 +18,12 @@ included, in the ``register`` frame; the worker rebuilds the training result
 walk from the tree before it acknowledges.
 
 **Admission is pipelined and batched.**  The router never pays a pipe round
-trip per query: a shard's *outbox* accumulates submissions while the pipe is
-busy and ships them as one ``submit_batch`` frame (same-tenant order
-preserved).  The worker answers with one ``batch_ack`` and ships the ticket
-resolutions its lanes made ahead of each frame it sends, in one ``tickets``
-frame, so a closed-loop epoch comes back in three frames whatever its size.
+trip per query: a shard's *outbox* accumulates one loop turn's submissions
+and ships them as one ``submit_batch`` frame once the submitter yields
+(same-tenant order preserved).  The worker answers with one ``batch_ack``
+and ships the ticket resolutions its lanes made ahead of each frame it
+sends, in one ``tickets`` frame, so a closed-loop epoch comes back in three
+frames whatever its size.
 Backpressure flows through *credits*: the router spends one per in-flight
 query against the worker's ``queue_limit`` and gets them back with each ack.
 ``shed`` refuses at the router once a tenant's credits are spent; ``block``
@@ -41,9 +42,14 @@ process cannot be started — serves over the in-process transport instead,
 with the reason in :attr:`ShardedServingEngine.fallback_reason`.
 ``shards=1`` in auto mode uses the in-process transport too.
 
-**Observability and history.**  Control frames (``metrics``, ``register``,
-``drain``, ``close``) bypass the outbox, so snapshots stay available
-mid-burst.  ``metrics()`` merges per-shard snapshots with
+**Every frame leaves on the turn that sends it.**  There is no sender task:
+a control request (``register``, ``metrics``, ``drain``, ``close``) ships the
+outbox ahead of itself on the caller's turn, so a drain's batch and its
+request leave in one write and a snapshot counts every query submitted
+before it.  ``drain()`` and ``metrics()`` send every shard's request before
+awaiting any reply.
+
+**Observability and history.**  ``metrics()`` merges per-shard snapshots with
 :func:`~repro.serving.metrics.merge_metrics` and stamps the router's batch
 counters; after ``close()`` it answers from each worker's final snapshot.
 At ``close()`` every shard prices its lanes, and the router writes all
@@ -104,13 +110,15 @@ class _Shard:
     """Router-side handle on one worker: pipe, reader, outbox, and credits.
 
     The data path is pipelined: :meth:`submit` spends a credit, appends to
-    the outbox, and returns — no pipe round trip.  A sender task coalesces
-    everything that accumulated since it last ran into one framed
-    ``submit_batch`` under monotonically increasing sequence numbers; the
-    read loop matches the worker's ``batch_ack`` frames (returning credits,
-    surfacing pickled lane failures as sticky per-tenant errors) and each
-    ``tickets`` frame's resolutions against their futures.  Control requests —
-    ``register``, ``metrics``, ``drain``, ``close`` — bypass the outbox.
+    the outbox, and returns — no pipe round trip.  The first submit of a
+    turn schedules one :meth:`_ship`, which sends everything outboxed as one
+    ``submit_batch`` frame under monotonically increasing sequence numbers.
+    :meth:`request` ships the outbox too, then sends its control frame on
+    the same turn, so no request overtakes a query submitted before it.
+    The read loop matches the worker's ``batch_ack`` frames (returning
+    credits, surfacing pickled lane failures as sticky per-tenant errors),
+    each ``tickets`` frame's resolutions and each reply against their
+    futures.
 
     Both directions go through one :class:`_Channel` on the router's event
     loop, so no frame costs a thread hop.  *worker* is the far end's
@@ -139,22 +147,16 @@ class _Shard:
         #: tenant -> sticky lane failure reported by a batch ack.
         self._failures: dict[str, BaseException] = {}
         self._last_times: dict[str, float] = {}
-        self._outbox: deque = deque()
+        self._outbox: list[tuple[str, Query, int | None]] = []
+        self._ship_due = False
         #: tenant -> queries refused by the credit gate (the worker never
         #: saw them; the router folds these into merged snapshots).
         self.shed_counts: dict[str, int] = {}
         self.batches_sent = 0
         self.batched_queries = 0
-        loop = asyncio.get_running_loop()
-        self._outbox_event = asyncio.Event()
-        self._flushed = asyncio.Event()
-        self._flushed.set()
-        self._sender_stopping = False
-        self._reader = loop.create_task(
+        self._loop = asyncio.get_running_loop()
+        self._reader = self._loop.create_task(
             self._read_loop(), name=f"wisedb-shard-{index}-reader"
-        )
-        self._sender = loop.create_task(
-            self._send_loop(), name=f"wisedb-shard-{index}-sender"
         )
 
     @classmethod
@@ -195,7 +197,10 @@ class _Shard:
                 request_id, reply_kind, payload = body
                 future = self._pending.pop(request_id, None)
                 if future is not None and not future.done():
-                    future.set_result((reply_kind, payload))
+                    if reply_kind == "error":
+                        future.set_exception(_unpickle_error(payload))
+                    else:
+                        future.set_result(payload)
             elif kind == "batch_ack":
                 self._handle_ack(*body)
             elif kind == "tickets":
@@ -241,75 +246,59 @@ class _Shard:
                 if not waiter.done():
                     waiter.set_exception(error)
         self._credit_waiters.clear()
-        self._flushed.set()
-        self._outbox_event.set()
 
     def _abort(self) -> None:
         """Best-effort teardown for startup failures (no protocol)."""
         self._closing = True
-        self._sender_stopping = True
-        self._outbox_event.set()
         self._channel.close()
         self._connection.close()
         if self.kind == "process" and self._worker is not None:
             self._worker.terminate()  # an in-process worker exits on the EOF
 
-    # -- the sender: outbox -> coalesced submit_batch frames -----------------------
+    # -- sending: the outbox and control requests --------------------------------
 
-    async def _send_loop(self) -> None:
-        outbox = self._outbox
-        while True:
-            if not outbox:
-                self._flushed.set()
-                if self._sender_stopping:
-                    return
-                self._outbox_event.clear()
-                await self._outbox_event.wait()
-                continue
-            # Everything that queued since the sender last ran.
-            count = len(outbox)
-            groups: list[tuple[str, list]] = []
-            for _ in range(count):
-                tenant, query, ticket_id = outbox.popleft()
-                if groups and groups[-1][0] == tenant:
-                    groups[-1][1].append((query, ticket_id))
-                else:
-                    groups.append((tenant, [(query, ticket_id)]))
-            self.batches_sent += 1
-            self.batched_queries += count
-            self._channel.send((next(self._ids), "submit_batch", groups))
-            await self._channel.drain()
+    def _ship(self) -> None:
+        """Send everything outboxed as one ``submit_batch`` frame."""
+        self._ship_due = False
+        outbox, self._outbox = self._outbox, []
+        if not outbox:
+            return
+        groups: list[tuple[str, list]] = []
+        for tenant, query, ticket_id in outbox:
+            if groups and groups[-1][0] == tenant:
+                groups[-1][1].append((query, ticket_id))
+            else:
+                groups.append((tenant, [(query, ticket_id)]))
+        self.batches_sent += 1
+        self.batched_queries += len(outbox)
+        self._channel.send((next(self._ids), "submit_batch", groups))
 
-    async def flush(self) -> None:
-        """Wait until everything outboxed has been handed to the channel.
+    def request(self, command: str, payload=None) -> asyncio.Future:
+        """Send one control request after the outbox, on the caller's turn.
 
-        Outbox entries are already credit-approved, so this waits only on
-        pipe writes — never on the worker's pump — and therefore cannot
-        starve behind a wedged or slow worker (acks are not awaited).
+        Returns the future of the reply's body, which fails with the
+        worker's error instead if the request failed there.
         """
-        if self._dead is not None:
-            raise self._dead
-        await self._flushed.wait()
-        if self._dead is not None:
-            raise self._dead
-
-    # -- the control path (bypasses the outbox) ------------------------------------
-
-    async def request(self, command: str, payload=None):
         if self._dead is not None:
             raise self._dead
         if self._closing:
             raise WiSeDBError(f"serving shard {self.index} is closed")
+        self._ship()
         request_id = next(self._ids)
-        # No reply can arrive before this coroutine yields, so the future is
-        # registered only once the frame was accepted (it may not pickle).
+        # The future is registered only once the frame was accepted (it may
+        # not pickle); no reply can arrive before the caller yields.
         self._channel.send((request_id, command, payload))
-        future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         self._pending[request_id] = future
-        kind, body = await future
-        if kind == "error":
-            raise _unpickle_error(body)
-        return body
+        return future
+
+    def metrics(self) -> asyncio.Future:
+        """The future of the worker's snapshot; its final one after close."""
+        if not self._closing:
+            return self.request("metrics")
+        final = self._loop.create_future()
+        final.set_result(self._final)
+        return final
 
     async def register(self, payload: dict) -> None:
         await self.request("register", payload)
@@ -342,7 +331,7 @@ class _Shard:
                         f"(limit={self._config.queue_limit}) for tenant {tenant!r}"
                     ),
                 )
-            waiter = asyncio.get_running_loop().create_future()
+            waiter = self._loop.create_future()
             self._credit_waiters.setdefault(tenant, deque()).append(waiter)
             await waiter  # FIFO per tenant; raises if the shard dies
         else:
@@ -352,39 +341,19 @@ class _Shard:
         ticket_future = None
         if want_ticket:
             ticket_id = next(self._ids)
-            ticket_future = asyncio.get_running_loop().create_future()
+            ticket_future = self._loop.create_future()
             self._tickets[ticket_id] = ticket_future
         self._outbox.append((tenant, query, ticket_id))
-        self._flushed.clear()
-        self._outbox_event.set()
+        if not self._ship_due:
+            self._ship_due = True
+            self._loop.call_soon(self._ship)
         if ticket_future is not None:
             return Admission(True, ticket=ServingTicket(ticket_future))
         return _ADMITTED
 
-    async def drain(self) -> None:
-        await self.flush()
-        await self.request("drain")
-
-    async def metrics(self) -> ServingMetrics:
-        if self._closing:
-            return self._final
-        # Flush first so a quiesced engine's snapshot includes everything
-        # already submitted (entries are credit-approved, so this cannot
-        # block on a busy worker); the metrics frame itself bypasses the
-        # outbox and is answered from the worker's receive loop.
-        await self.flush()
-        return await self.request("metrics")
-
     async def close(self):
         outcomes: dict[str, SchedulingOutcome] = {}
         states: dict[str, tuple[str, object]] = {}
-        try:
-            await self.flush()
-        except WiSeDBError:
-            pass
-        self._sender_stopping = True
-        self._outbox_event.set()
-        await self._sender
         try:
             outcomes, states, self._final = await self.request("close")
         except WiSeDBError as error:
@@ -448,7 +417,7 @@ class ShardedServingEngine:
         outcome = engine.outcome("acme")   # after close: priced, unified
 
     Admission is pipelined and batched (see the module docstring): a frame
-    carries only what queued while the pipe was busy.
+    carries what one loop turn submitted to its shard.
 
     Outcomes are bit-identical to :class:`~repro.serving.engine.ServingEngine`
     (and therefore to ``OnlineScheduler.run``) for any shard count.
@@ -518,16 +487,15 @@ class ShardedServingEngine:
     # -- startup and fallback ------------------------------------------------------
 
     def _start_shards(self, context) -> list[_Shard]:
+        config = _ShardConfig(
+            queue_limit=self._queue_limit,
+            backpressure=self._backpressure,
+            wait_resolution=self._wait_resolution,
+            degraded_fallback=self._service.degraded_fallback,
+        )
         shards: list[_Shard] = []
         try:
             for index in range(self._num_shards):
-                config = _ShardConfig(
-                    index=index,
-                    queue_limit=self._queue_limit,
-                    backpressure=self._backpressure,
-                    wait_resolution=self._wait_resolution,
-                    degraded_fallback=self._service.degraded_fallback,
-                )
                 shards.append(_Shard.start(index, config, context))
         except BaseException:
             for shard in shards:
@@ -640,7 +608,8 @@ class ShardedServingEngine:
         """Wait until every admitted query on every shard has been decided."""
         if not self._started or self._closed:
             return
-        await asyncio.gather(*(shard.drain() for shard in self._shards))
+        for reply in [shard.request("drain") for shard in self._shards]:
+            await reply
 
     async def close(self) -> None:
         """Close every shard, merge outcomes, and log run history once.
@@ -679,9 +648,8 @@ class ShardedServingEngine:
         """
         if not self._started:
             return ServingMetrics(status="closed" if self._closed else "ok")
-        snapshots = await asyncio.gather(
-            *(shard.metrics() for shard in self._shards)
-        )
+        replies = [shard.metrics() for shard in self._shards]
+        snapshots = [await reply for reply in replies]
         merged = merge_metrics(snapshots, closed=self._closed)
         entries = {entry.tenant: entry for entry in merged.tenants}
         # Queries the router's credit gate refused never reached a worker,

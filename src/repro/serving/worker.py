@@ -15,44 +15,41 @@ only way a model arrives: the worker keeps the whole training result, since
 wait-triggered retraining reads its samples, and compiles the tree and
 generates the decision walk at registration, so no decision pays for them.
 
-**Frames keep their order and their epochs.**  ``submit_batch``, ``drain``
-and ``close`` go through one pump task, so same-tenant arrivals keep their
-order.  The engine holds its epochs (``hold_epochs=True``): a frame boundary
-is not the end of a burst, so an epoch closes only at the timestamp
+**Every frame is handled on the turn it is read.**  The receive loop
+handles ``submit_batch``, ``register``, ``metrics``, ``drain`` and ``close``
+inline, in arrival order, so same-tenant arrivals keep their order and the
+loop creates no task: the engine's ``submit``, ``drain`` and ``close`` never
+suspend.  The engine holds its epochs (``hold_epochs=True``): a frame
+boundary is not the end of a burst, so an epoch closes only at the timestamp
 watermark, a drain or the close, exactly as ``OnlineScheduler.run`` groups
-it, and each of those decides on the pump's own turn.  A batch is answered
-with one ``batch_ack`` frame that returns the router's credits.  Ahead of
-every frame it sends, the worker ships each ticket resolved since the last
-such frame in one ``tickets`` frame (:class:`_TicketShipper`), so a
-closed-loop epoch of any size costs the worker three frames — the ack, its tickets and
-the drain reply — which leave in one write when the batch and the drain
-arrive together, and a lane that cannot open fails a batch's tickets in one
-frame too.
-``register`` and ``metrics`` are answered straight from the receive loop, so
-snapshots stay available while the pump is busy, with
-received-but-unadmitted queries folded in by :func:`_pending_snapshot`.
+it.  A batch is answered with one ``batch_ack`` frame that returns the
+router's credits.  Ahead of every frame it sends, the worker ships each
+ticket resolved since the last such frame in one ``tickets`` frame
+(:class:`_TicketShipper`), so a closed-loop epoch of any size costs the
+worker three frames — the ack, its tickets and the drain reply — which leave
+in one write when the batch and the drain arrive together, and a lane that
+cannot open fails a batch's tickets in one frame too.  Every batch that
+arrived ahead of a ``metrics`` frame is admitted before the frame is
+answered, so the snapshot counts every query the router shipped before it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import TrainingError
 from repro.learning.trainer import TrainingResult
 from repro.service.service import Tenant, TenantSpec, WiSeDBService
 from repro.serving.channel import _Channel, _pickle_error, _unpickle_error
 from repro.serving.engine import ServingEngine
-from repro.serving.metrics import ServingMetrics, TenantMetrics
 
 
 @dataclass(frozen=True)
 class _ShardConfig:
     """Engine parameters a worker needs to mirror the router's settings."""
 
-    index: int
     queue_limit: int
     backpressure: str
     wait_resolution: float
@@ -142,60 +139,11 @@ class _TicketShipper:
             self._channel.send(("tickets", entries))
 
 
-def _pending_snapshot(
-    engine: ServingEngine, pending_admission: dict[str, int]
-) -> ServingMetrics:
-    """The engine's snapshot with received-but-unadmitted batches folded in.
-
-    ``metrics`` is answered from the receive loop so it can never starve
-    behind the pump, but that means a burst the pump has not yet admitted
-    would be invisible.  Queries counted here were already accepted by the
-    router (credits spent, frame received), so they are *submitted*,
-    *admitted*, and *in flight* — which keeps both counter identities true
-    at every stage of the pipeline.
-    """
-    snapshot = engine.metrics()
-    extra = {name: n for name, n in pending_admission.items() if n > 0}
-    if not extra:
-        return snapshot
-    entries = []
-    for entry in snapshot.tenants:
-        count = extra.pop(entry.tenant, 0)
-        if count:
-            entry = replace(
-                entry,
-                submitted=entry.submitted + count,
-                admitted=entry.admitted + count,
-                in_flight=entry.in_flight + count,
-            )
-        entries.append(entry)
-    for tenant, count in extra.items():
-        entries.append(
-            TenantMetrics(
-                tenant=tenant,
-                submitted=count,
-                admitted=count,
-                shed=0,
-                decided=0,
-                degraded=0,
-                failed=0,
-                in_flight=count,
-                epochs=0,
-                retrains=0,
-                cache_hits=0,
-                decision_p50=math.nan,
-                decision_p99=math.nan,
-            )
-        )
-    return ServingMetrics(status=snapshot.status, tenants=tuple(entries))
-
-
 async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
     """Serve one shard over *connection* until ``shutdown`` or EOF.
 
     The loop owns the connection and its service: both are closed on exit.
     """
-    loop = asyncio.get_running_loop()
     channel = _Channel(connection)
     service = _ShardService(degraded_fallback=config.degraded_fallback)
     engine = ServingEngine(
@@ -210,11 +158,6 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
         log_outcomes=False,
         hold_epochs=True,
     )
-    requests: asyncio.Queue = asyncio.Queue()
-    #: Per-tenant queries received in batch frames but not yet admitted by
-    #: the pump (maintained by the receive loop / pump pair; single thread).
-    pending_admission: dict[str, int] = {}
-
     tickets = _TicketShipper(channel)
 
     def reply(request_id: int, kind: str, body) -> None:
@@ -229,7 +172,6 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
             try:
                 engine.warm(tenant)
             except BaseException as error:
-                pending_admission[tenant] -= len(entries)
                 failures.append((tenant, _pickle_error(error)))
                 for _query, ticket_id in entries:
                     if ticket_id is not None:
@@ -249,22 +191,30 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                     if not isinstance(error, Exception):
                         raise
                     continue
-                finally:
-                    pending_admission[tenant] -= 1
                 if ticket_id is not None:
                     tickets.track(ticket_id, admission.ticket._future)
         tickets.flush()
         channel.send(("batch_ack", (seq, acks, failures)))
 
-    async def pump() -> None:
+    try:
         while True:
-            item = await requests.get()
-            if item is None:
-                return
-            request_id, command, payload = item
+            try:
+                request_id, command, payload = await channel.recv()
+            except EOFError:
+                break
+            if command == "shutdown":
+                # Explicit, because EOF cannot be relied on: processes forked
+                # later inherit duplicates of this pipe's far end, so the
+                # router closing its copy does not close the channel.
+                break
             try:
                 if command == "submit_batch":
                     await admit_batch(request_id, payload)
+                elif command == "register":
+                    _register_shipment(service, payload)
+                    reply(request_id, "ok", None)
+                elif command == "metrics":
+                    reply(request_id, "metrics", engine.metrics())
                 elif command == "drain":
                     await engine.drain()
                     reply(request_id, "ok", None)
@@ -283,46 +233,8 @@ async def _shard_worker_loop(connection, config: _ShardConfig) -> None:
                 reply(request_id, "error", _pickle_error(error))
                 if not isinstance(error, Exception):
                     raise
-
-    pump_task = loop.create_task(pump(), name=f"wisedb-shard-{config.index}-pump")
-    try:
-        while True:
-            try:
-                request_id, command, payload = await channel.recv()
-            except EOFError:
-                break
-            if command == "shutdown":
-                # Explicit, because EOF cannot be relied on: processes forked
-                # later inherit duplicates of this pipe's far end, so the
-                # router closing its copy does not close the channel.
-                break
-            if command == "register":
-                try:
-                    _register_shipment(service, payload)
-                except BaseException as error:
-                    reply(request_id, "error", _pickle_error(error))
-                else:
-                    reply(request_id, "ok", None)
-            elif command == "metrics":
-                reply(
-                    request_id,
-                    "metrics",
-                    _pending_snapshot(engine, pending_admission),
-                )
-            else:
-                if command == "submit_batch":
-                    # Count arrivals at receipt, before the pump runs, so a
-                    # metrics answer mid-burst reflects every query the
-                    # router has already spent a credit on.
-                    for tenant, entries in payload:
-                        pending_admission[tenant] = (
-                            pending_admission.get(tenant, 0) + len(entries)
-                        )
-                requests.put_nowait((request_id, command, payload))
     finally:
         try:
-            requests.put_nowait(None)
-            await pump_task
             if not engine.closed:
                 await engine.close()
             service.close()

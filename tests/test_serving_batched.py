@@ -1,18 +1,17 @@
 """The pipelined, batched shard-admission protocol.
 
 The sharded router no longer pays a pipe round trip per submission: queries
-are credit-checked, appended to a per-shard outbox, and coalesced into
-``submit_batch`` frames while the pipe is busy.  These tests pin the parts
-the equivalence grid cannot see:
+are credit-checked, appended to a per-shard outbox, and shipped as one
+``submit_batch`` frame per loop turn.  These tests pin the parts the
+equivalence grid cannot see:
 
-* control frames (``metrics``) bypass the data outbox, so snapshots stay
-  available while a worker is wedged mid-batch — driven with a gated
-  ``ServingEngine.submit`` so the pump is provably stuck;
-* submissions that queue while the sender waits ship as one frame, and a
-  flush closes that frame;
+* the submissions of one turn ship as one frame, a yield ends that frame,
+  and a control request ships the outbox ahead of itself on the caller's
+  turn;
 * batch-level credits enforce ``queue_limit`` with the ``shed`` policy
-  router-side, return with acks, and lane failures come back sticky (and
-  resolve in-flight tickets);
+  router-side and return with acks — driven against a far end the test
+  answers by hand, so an ack is provably withheld — and lane failures come
+  back sticky (and resolve in-flight tickets);
 * a seeded interleaving of submit groups, drains, and snapshots across two
   tenants on two shards stays bit-identical to the unbatched single-process
   engine: per-tenant FIFO outcomes, counter identities at every snapshot,
@@ -36,6 +35,7 @@ from repro.exceptions import SpecificationError, TrainingError, WiSeDBError
 from repro.service import WiSeDBService
 from repro.serving import ServingEngine, ShardedServingEngine, shard_of
 from repro.serving.channel import _Channel, _pickle_error
+from repro.serving.metrics import ServingMetrics
 from repro.serving.sharded import _Shard
 from repro.serving.worker import _ShardConfig
 from repro.workloads.query import Query
@@ -65,7 +65,6 @@ def pair_service(small_templates, max_goal, tiny_config, trained_max):
 
 def _config(**overrides) -> _ShardConfig:
     base = dict(
-        index=0,
         queue_limit=8,
         backpressure="block",
         wait_resolution=30.0,
@@ -80,6 +79,10 @@ async def _shutdown(shard):
     return await asyncio.wait_for(shard.close(), timeout=30.0)
 
 
+async def _drain(shard) -> None:
+    await asyncio.wait_for(shard.request("drain"), timeout=30.0)
+
+
 def _registration(name, pair_service) -> dict:
     spec = pair_service.tenant(name).spec
     result = pair_service.train(name)
@@ -91,60 +94,6 @@ def _registration(name, pair_service) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Control frames bypass the data outbox
-# ---------------------------------------------------------------------------
-
-
-class TestControlFrameBypass:
-    def test_metrics_answer_while_the_worker_is_wedged_mid_batch(
-        self, pair_service, monkeypatch
-    ):
-        """Regression: a gated worker (its engine's ``submit`` blocked) must
-        still answer ``metrics`` — from its receive loop, with the received-
-        but-unadmitted batch folded into the counters — and the router's
-        submits must have returned without waiting on the wedged pump."""
-        name = _two_tenants_on_distinct_shards()[0]
-        gate = asyncio.Event()
-        real_submit = ServingEngine.submit
-
-        async def gated_submit(self, tenant, query, ticket=False):
-            await gate.wait()
-            return await real_submit(self, tenant, query, ticket=ticket)
-
-        monkeypatch.setattr(ServingEngine, "submit", gated_submit)
-
-        async def main():
-            shard = _Shard.start(0, _config())
-            await shard.register(_registration(name, pair_service))
-            # Fire-and-forget: all three return while the pump cannot admit.
-            for _ in range(3):
-                admission = await asyncio.wait_for(
-                    shard.submit(name, Query("T1", arrival_time=0.0), False),
-                    timeout=10.0,
-                )
-                assert admission.admitted
-            snapshot = await asyncio.wait_for(shard.metrics(), timeout=10.0)
-            entry = tenant_entry(snapshot, name)
-            entry.check_identities()
-            assert entry.submitted == 3
-            assert entry.admitted == 3
-            assert entry.in_flight == 3
-            assert entry.decided == 0
-            gate.set()
-            await asyncio.wait_for(shard.drain(), timeout=30.0)
-            drained = await shard.metrics()
-            tenant_entry(drained, name).check_identities()
-            assert tenant_entry(drained, name).decided == 3
-            assert shard.batches_sent >= 1
-            assert shard.batched_queries == 3
-            outcomes, states = await _shutdown(shard)
-            assert states[name][0] == "ok"
-            assert len(outcomes[name].query_outcomes) == 3
-
-        asyncio.run(main())
-
-
-# ---------------------------------------------------------------------------
 # Frame coalescing
 # ---------------------------------------------------------------------------
 
@@ -153,8 +102,9 @@ class TestFrameCoalescing:
     def test_unbounded_batch_ships_the_whole_backlog_in_one_frame(
         self, pair_service
     ):
-        """Submits that never suspend all land in the outbox before the
-        sender runs, so the whole backlog ships as one frame."""
+        """Submits that never suspend all land in the outbox on one turn, and
+        the drain request ships that backlog as one frame ahead of itself,
+        before the caller yields."""
         name = _two_tenants_on_distinct_shards()[0]
 
         async def main():
@@ -164,17 +114,18 @@ class TestFrameCoalescing:
                 await shard.submit(
                     name, Query("T1", arrival_time=float(index)), False
                 )
-            await asyncio.wait_for(shard.flush(), timeout=10.0)
+            assert shard.batches_sent == 0
+            draining = shard.request("drain")
             assert shard.batches_sent == 1
             assert shard.batched_queries == 5
-            await shard.drain()
-            snapshot = await shard.metrics()
+            await asyncio.wait_for(draining, timeout=30.0)
+            snapshot = await asyncio.wait_for(shard.metrics(), timeout=10.0)
             assert tenant_entry(snapshot, name).decided == 5
             await _shutdown(shard)
 
         asyncio.run(main())
 
-    def test_a_flush_ends_the_frame_and_later_submits_start_a_new_one(
+    def test_a_yield_ends_the_frame_and_later_submits_start_a_new_one(
         self, pair_service
     ):
         name = _two_tenants_on_distinct_shards()[0]
@@ -189,11 +140,11 @@ class TestFrameCoalescing:
                         Query("T1", arrival_time=float(10 * burst + index)),
                         False,
                     )
-                await asyncio.wait_for(shard.flush(), timeout=10.0)
+                await asyncio.sleep(0)  # the turn's one _ship runs here
             assert shard.batches_sent == 2
             assert shard.batched_queries == 5
-            await shard.drain()
-            snapshot = await shard.metrics()
+            await _drain(shard)
+            snapshot = await asyncio.wait_for(shard.metrics(), timeout=10.0)
             tenant_entry(snapshot, name).check_identities()
             assert tenant_entry(snapshot, name).decided == 5
             await _shutdown(shard)
@@ -207,44 +158,84 @@ class TestFrameCoalescing:
 
 
 class TestBatchCredits:
-    def test_shed_policy_refuses_router_side_and_recovers_on_ack(
-        self, pair_service, monkeypatch
-    ):
-        name = _two_tenants_on_distinct_shards()[0]
-        gate = asyncio.Event()
-        real_submit = ServingEngine.submit
-
-        async def gated_submit(self, tenant, query, ticket=False):
-            await gate.wait()
-            return await real_submit(self, tenant, query, ticket=ticket)
-
-        monkeypatch.setattr(ServingEngine, "submit", gated_submit)
+    def test_shed_policy_refuses_router_side_and_recovers_on_ack(self):
+        """The far end is answered by hand and withholds its batch ack, so the
+        router's credits stay spent and the overflow is shed router-side
+        until the ack returns them."""
+        name = "acme"
 
         async def main():
-            shard = _Shard.start(0, _config(queue_limit=2, backpressure="shed"))
-            await shard.register(_registration(name, pair_service))
-            for _ in range(2):
-                admission = await shard.submit(
-                    name, Query("T1", arrival_time=0.0), False
+            parent, child = multiprocessing.Pipe()
+            shard = _Shard(0, _config(queue_limit=2, backpressure="shed"), parent)
+            far = _Channel(child)
+
+            async def recv(command):
+                request_id, got, payload = await asyncio.wait_for(
+                    far.recv(), timeout=10.0
+                )
+                assert got == command
+                return request_id, payload
+
+            def reply(request_id, kind="ok", body=None):
+                far.send(("reply", (request_id, kind, body)))
+
+            try:
+                registering = asyncio.ensure_future(shard.register({"name": name}))
+                reply((await recv("register"))[0])
+                await asyncio.wait_for(registering, timeout=10.0)
+                for _ in range(2):
+                    admission = await asyncio.wait_for(
+                        shard.submit(name, Query("T1", arrival_time=0.0), False),
+                        timeout=10.0,
+                    )
+                    assert admission.admitted
+                # Credits exhausted and no ack sent: shed, with the same
+                # reason string the single-process engine produces.
+                refused = await asyncio.wait_for(
+                    shard.submit(name, Query("T1", arrival_time=0.0), False),
+                    timeout=10.0,
+                )
+                assert not refused.admitted
+                assert "admission queue full (limit=2)" in refused.shed_reason
+                assert shard.shed_counts == {name: 1}
+                # Both queries reach the far end, in one frame or one per
+                # turn, and it withholds the acks.
+                acks, received = [], 0
+                while received < 2:
+                    seq, groups = await recv("submit_batch")
+                    counts = [(tenant, len(entries)) for tenant, entries in groups]
+                    acks.append((seq, counts))
+                    received += sum(count for _, count in counts)
+                refused = await asyncio.wait_for(
+                    shard.submit(name, Query("T1", arrival_time=0.0), False),
+                    timeout=10.0,
+                )
+                assert not refused.admitted
+                assert shard.shed_counts == {name: 2}
+                # The acks return the credits ahead of the drain reply.
+                for seq, counts in acks:
+                    far.send(("batch_ack", (seq, counts, [])))
+                draining = shard.request("drain")
+                reply((await recv("drain"))[0])
+                await asyncio.wait_for(draining, timeout=10.0)
+                admission = await asyncio.wait_for(
+                    shard.submit(name, Query("T1", arrival_time=1.0), False),
+                    timeout=10.0,
                 )
                 assert admission.admitted
-            # Credits exhausted and no acks can arrive: shed, with the same
-            # reason string the single-process engine produces.
-            refused = await shard.submit(
-                name, Query("T1", arrival_time=0.0), False
-            )
-            assert not refused.admitted
-            assert "admission queue full (limit=2)" in refused.shed_reason
-            assert shard.shed_counts == {name: 1}
-            gate.set()
-            await asyncio.wait_for(shard.drain(), timeout=30.0)
-            # The ack returned the credits: admission works again.
-            admission = await shard.submit(
-                name, Query("T1", arrival_time=1.0), False
-            )
-            assert admission.admitted
-            await shard.drain()
-            await _shutdown(shard)
+                assert shard.shed_counts == {name: 2}
+                closing = asyncio.ensure_future(shard.close())
+                _, groups = await recv("submit_batch")  # shipped ahead of close
+                assert [(tenant, len(entries)) for tenant, entries in groups] == [
+                    (name, 1)
+                ]
+                request_id, _ = await recv("close")
+                reply(request_id, "closed", ({}, {}, ServingMetrics(status="closed")))
+                await asyncio.wait_for(closing, timeout=10.0)
+            finally:
+                far.close()
+                parent.close()
+                child.close()
 
         asyncio.run(main())
 
@@ -264,7 +255,7 @@ class TestBatchCredits:
                 timeout=30.0,
             )
             assert second.admitted
-            await shard.drain()
+            await _drain(shard)
             snapshot = await shard.metrics()
             entry = tenant_entry(snapshot, name)
             entry.check_identities()
@@ -299,11 +290,9 @@ class TestBatchCredits:
                 await asyncio.wait_for(
                     admission.ticket.decision(), timeout=30.0
                 )
-            # The batch ack carried the failure: it is sticky router-side.
-            for _ in range(200):
-                if shard._failures:
-                    break
-                await asyncio.sleep(0.01)
+            # The batch ack carried the failure, and frames arrive in order:
+            # once a metrics reply is in, so is the ack, and it is sticky.
+            await asyncio.wait_for(shard.request("metrics"), timeout=30.0)
             with pytest.raises(TrainingError, match="artifact corrupt"):
                 await shard.submit(name, Query("T1", arrival_time=1.0), False)
             await _shutdown(shard)
@@ -322,7 +311,7 @@ class TestBatchCredits:
             await shard.submit(name, Query("T1", arrival_time=10.0), False)
             with pytest.raises(SpecificationError, match="non-decreasing"):
                 await shard.submit(name, Query("T1", arrival_time=5.0), False)
-            await shard.drain()
+            await _drain(shard)
             await _shutdown(shard)
 
         asyncio.run(main())
@@ -583,7 +572,7 @@ class TestChannel:
             shard = _Shard.start(0, _config())
             await shard.register(_registration(name, pair_service))
             admission = await shard.submit(name, Query("T1", arrival_time=0.0), True)
-            await shard.drain()
+            await _drain(shard)
             decision = await admission.ticket.decision()
             assert decision.tenant == name
             assert shard.batches_sent == 1 and shard.batched_queries == 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.exceptions import (
     UnknownTemplateError,
 )
 from repro.runtime.online import OnlineSession
-from repro.serving import Admission, ServingEngine
+from repro.serving import Admission, ServingEngine, ShardedServingEngine
 from repro.service import WiSeDBService
 from repro.sla.factory import GOAL_KINDS
 from repro.workloads.query import Query
@@ -373,6 +374,44 @@ class TestMultiplexingAndGuard:
         asyncio.run(main())
 
 
+@contextmanager
+def _counting(loop):
+    """Count the loop's turns (``_run_once``) and ``create_task`` calls;
+    counters nest, each seeing every turn and task inside it."""
+    counts = {"turns": 0, "tasks": 0}
+    run_once, create_task = loop._run_once, loop.create_task
+
+    def counting_run_once():
+        counts["turns"] += 1
+        run_once()
+
+    def counting_create_task(*args, **kwargs):
+        counts["tasks"] += 1
+        return create_task(*args, **kwargs)
+
+    loop._run_once = counting_run_once
+    loop.create_task = counting_create_task
+    try:
+        yield counts
+    finally:
+        loop._run_once, loop.create_task = run_once, create_task
+
+
+async def _closed_loop_op(engine, tenant: str, queries) -> tuple[int, int, bool]:
+    """Submit *queries* with tickets, drain, read the decisions; return the
+    loop turns and tasks that took, and whether drain resolved every ticket."""
+    with _counting(asyncio.get_running_loop()) as counts:
+        tickets = [
+            (await engine.submit(tenant, query, ticket=True)).ticket
+            for query in queries
+        ]
+        await engine.drain()
+        done = all(ticket._future.done() for ticket in tickets)
+        decisions = [await ticket.decision() for ticket in tickets]
+    assert [d.query_id for d in decisions] == [query.query_id for query in queries]
+    return counts["turns"], counts["tasks"], done
+
+
 class TestWorkPerOp:
     """A warm lane's closed-loop ticketed op is decided on the submitter's
     turn: it takes no loop turn and creates no task."""
@@ -382,45 +421,57 @@ class TestWorkPerOp:
         self, service, size
     ):
         async def main():
-            loop = asyncio.get_running_loop()
-            counts = {"turns": 0, "tasks": 0}
-            run_once, create_task = loop._run_once, loop.create_task
-
-            def counting_run_once():
-                counts["turns"] += 1
-                run_once()
-
-            def counting_create_task(*args, **kwargs):
-                counts["tasks"] += 1
-                return create_task(*args, **kwargs)
-
-            per_op = []
             async with ServingEngine(service) as engine:
                 engine.warm("acme", "globex")
-                for epoch in range(3):
-                    queries = _queries(size, arrival_time=float(epoch))
-                    counts.update(turns=0, tasks=0)
-                    loop._run_once = counting_run_once
-                    loop.create_task = counting_create_task
-                    try:
-                        tickets = [
-                            (await engine.submit("acme", query, ticket=True)).ticket
-                            for query in queries
-                        ]
-                        await engine.drain()
-                        done = all(ticket._future.done() for ticket in tickets)
-                        decisions = [await ticket.decision() for ticket in tickets]
-                    finally:
-                        del loop._run_once, loop.create_task
-                    per_op.append((counts["turns"], counts["tasks"], done))
-                    assert [d.query_id for d in decisions] == [
-                        query.query_id for query in queries
-                    ]
+                per_op = [
+                    await _closed_loop_op(
+                        engine, "acme", _queries(size, arrival_time=float(epoch))
+                    )
+                    for epoch in range(3)
+                ]
                 snapshot = tenant_entry(engine.metrics(), "acme")
             return per_op, snapshot
 
         per_op, snapshot = asyncio.run(main())
         assert per_op == [(0, 0, True)] * 3
+        assert snapshot.epochs == 3 and snapshot.decided == 3 * size
+
+
+class TestShardedWorkPerOp:
+    """The same op through a one-shard router creates no task: the router
+    sends the batch and the drain request on the submitter's turn, and the
+    worker handles each frame on the turn it reads it.  The turns left are
+    the pipe's: the router's write, its read and its reader's wake-up, plus
+    on an inline shard the worker's read, handling and write."""
+
+    @pytest.mark.parametrize("isolation,turns", [("process", 4), ("inline", 7)])
+    @pytest.mark.parametrize("size", [1, 8])
+    def test_a_sharded_closed_loop_op_creates_no_task(
+        self, service, isolation, turns, size
+    ):
+        async def main():
+            engine = ShardedServingEngine(service, shards=1, isolation=isolation)
+            try:
+                await engine.warm("acme")
+                if engine.effective_isolation != isolation:
+                    pytest.skip(f"process shards unavailable: {engine.fallback_reason}")
+                with _counting(asyncio.get_running_loop()) as session:
+                    per_op = [
+                        await _closed_loop_op(
+                            engine, "acme", _queries(size, arrival_time=float(epoch))
+                        )
+                        for epoch in range(3)
+                    ]
+                    snapshot = tenant_entry(await engine.metrics(), "acme")
+            finally:
+                await engine.close()
+            return per_op, snapshot, session["tasks"]
+
+        per_op, snapshot, session_tasks = asyncio.run(main())
+        assert per_op == [(turns, 0, True)] * 3
+        # An inline worker shares the router's loop: after start-up neither
+        # creates a task, whatever frames arrive.
+        assert session_tasks == 0
         assert snapshot.epochs == 3 and snapshot.decided == 3 * size
 
 

@@ -38,6 +38,7 @@ from repro.serving import (
 )
 from repro.serving.channel import _Channel, _pickle_error
 from repro.serving.metrics import ServingMetrics, TenantMetrics
+from repro.serving.sharded import _Shard
 from repro.serving.worker import (
     _register_shipment,
     _ShardConfig,
@@ -458,57 +459,125 @@ class TestMergedMetricsMidDrain:
         """Regression: merged snapshots must keep every per-tenant counter
         identity valid while one shard's credits are spent and a submitter
         is suspended on the router's credit gate — the other shard keeps
-        serving."""
+        serving.  The blocked shard's far end is answered by hand from a
+        worker-side engine and withholds its batch ack, so its one credit
+        returns only when the test sends the ack."""
         blocked_tenant, healthy_tenant = _two_tenants_on_distinct_shards()
-        gate = asyncio.Event()
-        real_submit = ServingEngine.submit
+        blocked_index = shard_of(blocked_tenant, 2)
+        parent, child = multiprocessing.Pipe()
+        real_start = _Shard.start
 
-        async def gated_submit(self, tenant, query, ticket=False):
-            if tenant == blocked_tenant:
-                await gate.wait()
-            return await real_submit(self, tenant, query, ticket=ticket)
+        def start(index, config, context=None):
+            if index == blocked_index:
+                return _Shard(index, config, parent)
+            return real_start(index, config, context)
 
-        # The blocked tenant's worker cannot admit, so no ack returns its
-        # one credit and the overflow submit waits at the router.
-        monkeypatch.setattr(ServingEngine, "submit", gated_submit)
+        monkeypatch.setattr(_Shard, "start", staticmethod(start))
 
         async def main():
+            far = _Channel(child)
+            far_service = _ShardService(degraded_fallback=True)
+            far_engine = ServingEngine(
+                far_service, queue_limit=1, log_outcomes=False, hold_epochs=True
+            )
+
+            async def recv(command):
+                request_id, got, payload = await asyncio.wait_for(
+                    far.recv(), timeout=10.0
+                )
+                assert got == command
+                return request_id, payload
+
+            async def answer(command):
+                """Read one control request and answer it as a worker would."""
+                request_id, payload = await recv(command)
+                body = None
+                if command == "register":
+                    _register_shipment(far_service, payload)
+                elif command == "metrics":
+                    body = far_engine.metrics()
+                elif command == "drain":
+                    await far_engine.drain()
+                elif command == "close":
+                    await far_engine.close()
+                    body = (
+                        far_engine.collect_outcomes(),
+                        far_engine.lane_states(),
+                        far_engine.metrics(),
+                    )
+                far.send(("reply", (request_id, "ok", body)))
+
+            async def admit():
+                """Admit the next batch; return its ack frame, unsent."""
+                seq, groups = await recv("submit_batch")
+                for tenant, entries in groups:
+                    for query, _ in entries:
+                        await far_engine.submit(tenant, query)
+                counts = [(tenant, len(entries)) for tenant, entries in groups]
+                return ("batch_ack", (seq, counts, []))
+
+            async def metrics():
+                snapshotting = asyncio.ensure_future(engine.metrics())
+                await answer("metrics")
+                snapshot = await asyncio.wait_for(snapshotting, timeout=10.0)
+                for entry in snapshot.tenants:
+                    entry.check_identities()
+                return snapshot
+
             engine = ShardedServingEngine(
                 pair_service, shards=2, queue_limit=1, isolation="inline"
             )
-            async with engine:
-                await engine.warm(blocked_tenant, healthy_tenant)
-                await engine.submit(blocked_tenant, Query("T1", arrival_time=0.0))
+            try:
+                warming = asyncio.ensure_future(
+                    engine.warm(blocked_tenant, healthy_tenant)
+                )
+                await answer("register")
+                await asyncio.wait_for(warming, timeout=30.0)
+                await asyncio.wait_for(
+                    engine.submit(blocked_tenant, Query("T1", arrival_time=0.0)),
+                    timeout=10.0,
+                )
                 overflow = asyncio.ensure_future(
                     engine.submit(blocked_tenant, Query("T1", arrival_time=0.0))
                 )
-                for _ in range(10):  # let the overflow submit suspend
-                    await asyncio.sleep(0)
+                ack = await admit()  # the overflow submit suspends meanwhile
                 assert not overflow.done()
 
-                await engine.submit(healthy_tenant, Query("T1", arrival_time=0.0))
-                snapshot = await engine.metrics()
-                for entry in snapshot.tenants:
-                    entry.check_identities()
+                await asyncio.wait_for(
+                    engine.submit(healthy_tenant, Query("T1", arrival_time=0.0)),
+                    timeout=10.0,
+                )
+                snapshot = await metrics()
                 mid = tenant_entry(snapshot, blocked_tenant)
                 assert mid.submitted == 1  # the suspended one is not counted yet
                 assert mid.decided == 0 and mid.in_flight == 1
+                assert tenant_entry(snapshot, healthy_tenant).submitted == 1
+                assert not overflow.done()
 
-                gate.set()
-                await overflow
-                await engine.drain()
-                final = await engine.metrics()
-                for entry in final.tenants:
-                    entry.check_identities()
+                far.send(ack)
+                await asyncio.wait_for(overflow, timeout=10.0)
+                draining = asyncio.ensure_future(engine.drain())
+                far.send(await admit())  # the overflow ships ahead of the drain
+                await answer("drain")
+                await asyncio.wait_for(draining, timeout=10.0)
+                final = await metrics()
                 assert tenant_entry(final, blocked_tenant).decided == 2
                 assert tenant_entry(final, healthy_tenant).decided == 1
+                closing = asyncio.ensure_future(engine.close())
+                await answer("close")
+                await asyncio.wait_for(closing, timeout=30.0)
+            finally:
+                far.close()
+                far_service.close()
+                parent.close()
+                child.close()
 
         asyncio.run(main())
 
     def test_snapshot_mid_epoch_over_process_shards(self, pair_service):
-        """Metrics are answered from the worker's receive loop even while
-        admitted queries sit in an undecided epoch (the pump's hold keeps
-        the epoch open between pipe round-trips)."""
+        """Metrics are answered while admitted queries sit in an undecided
+        epoch (the worker engine holds its epochs open between pipe
+        round-trips)."""
         tenant_a, tenant_b = _two_tenants_on_distinct_shards()
 
         async def main():
@@ -690,7 +759,6 @@ class TestWorkerProtocol:
             loop = asyncio.get_running_loop()
             parent, child = multiprocessing.Pipe()
             config = _ShardConfig(
-                index=0,
                 queue_limit=8,
                 backpressure="block",
                 wait_resolution=30.0,
@@ -868,7 +936,7 @@ class TestFramesPerEpoch:
             assert sorted(kind for kind, _ in frames) == ["batch_ack", "reply", "tickets"]
             [entries] = [body for kind, body in frames if kind == "tickets"]
             assert len(entries) == size
-            # The pump admits the batch and drains on one turn, so the ack,
+            # The worker admits the batch and drains on one turn, so the ack,
             # the tickets and the reply leave the worker in one write.
             assert len(worker_writes) == 1
 
@@ -891,7 +959,6 @@ class TestFramesPerEpoch:
         async def main():
             parent, child = multiprocessing.Pipe()
             config = _ShardConfig(
-                index=0,
                 queue_limit=8,
                 backpressure="block",
                 wait_resolution=30.0,
