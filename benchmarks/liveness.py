@@ -67,7 +67,8 @@ KEEP: dict[str, str] = {
         "trace: learning.features.matrix; training writes rows with vertex_values and block"
     ),
     "repro.runtime.batch:RuntimeSchedulingContext.placement_cost_row": (
-        "trace: runtime.batch.cost_row; the generated walk prices one template at a time"
+        "trace: runtime.batch.cost_row; a thin name over ProblemTables.placement_cost_row "
+        "that no run builds, as runtime decisions price one template at a time"
     ),
     "repro.search.problem:SchedulingProblem.template_counts": (
         "trace: FeatureExtractor.matrix, a trace target, reads it"
@@ -200,9 +201,6 @@ KEEP: dict[str, str] = {
     ),
     "repro.parallel.backend:_run_task": "roadmap: item 16, training with n_jobs >= 2",
     "repro.parallel.backend:available_cpus": "roadmap: item 16, training with n_jobs >= 2",
-    "repro.search.problem:SchedulingProblem.placement_edge_cost": (
-        "roadmap: item 20, the model deciding on search vertices"
-    ),
     "repro.cloud.vm:VMType.__eq__": "dunder: equality",
     "repro.cloud.vm:VMType.__hash__": "dunder: hashing",
     "repro.cloud.vm:VMType.__str__": "dunder: printing",

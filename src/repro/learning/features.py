@@ -20,10 +20,13 @@ both phases.  Two things make that hold.  The row has one fixed layout — all
 five families, ``wait-time`` first and then one block per template — so a
 model's columns never depend on how it was built (a feature ablation drops
 training-set columns, not families).  And ``cost-of-X`` is priced from the
-vertex alone, with one float form: a vertex carries the goal's violation
-accumulator and its partial ``penalty``, and the edge costs execution cost
-``+ (rate · violation-with-X − penalty)``, whether the vertex is an A* node,
-the training walk's or the runtime kernel's.
+vertex alone, by one body (:meth:`ProblemTables.placement_edge_cost
+<repro.search.problem.ProblemTables.placement_edge_cost>`): a vertex carries
+the goal's violation accumulator and its partial ``penalty``, and the edge
+costs execution cost ``+ (rate · violation-with-X − penalty)``, whether the
+vertex is an A* node or the one a
+:class:`~repro.search.problem.VertexStepper` steps for a training walk or a
+runtime decision.
 
 :meth:`FeatureExtractor.extract_into` is the one-vertex definition of the
 row.  The program reads it in two other forms, each held against it bit for
@@ -33,7 +36,7 @@ bit:
   things there need the vertex itself: its wait time and its Equation-2
   cost row.  :meth:`FeatureExtractor.vertex_values` records just those while
   :meth:`SchedulingProblem.walk
-  <repro.search.problem.SchedulingProblem.walk>` steps one reusable vertex
+  <repro.search.problem.SchedulingProblem.walk>` steps a stepper's vertex
   along a path's labels.  The rest follows from the labels and the sample's
   template counts, so :meth:`FeatureExtractor.block` writes a whole training
   pass's rows in one numpy pass over every path laid end to end
@@ -237,10 +240,10 @@ class FeatureExtractor:
         """What the rows along the action *labels* need of each vertex, and the path's cost.
 
         Row ``i`` is the wait time (``last_vm_finish``) of the vertex at which
-        ``labels[i]`` is taken, then its :meth:`SchedulingProblem.placement_cost_row
-        <repro.search.problem.SchedulingProblem.placement_cost_row>` over the
+        ``labels[i]`` is taken, then its :meth:`ProblemTables.placement_cost_row
+        <repro.search.problem.ProblemTables.placement_cost_row>` over the
         templates — ``inf`` kept — recorded while :meth:`SchedulingProblem.walk
-        <repro.search.problem.SchedulingProblem.walk>` steps its one reusable
+        <repro.search.problem.SchedulingProblem.walk>` steps its stepper's
         vertex along the path.  Every other column of a feature row follows
         from the labels and the template counts (:meth:`block`).  The cost is
         the walk's: the complete schedule's, or ``None`` when *problem*

@@ -6,11 +6,13 @@ goal and latency model).  Parsing the model repeatedly over a scheduling state
 yields a schedule: at each step the model chooses either to place a query of
 some template on the most recently provisioned VM, or to provision a new VM.
 
-The runtime scheduler re-uses the exact search machinery
-(:class:`~repro.search.problem.SchedulingProblem` /
-:class:`~repro.search.problem.SearchNode`) that training used, and a feature
-the model tests at runtime is the expression that filled that column of its
-training set.  Training needs every column of every vertex
+The runtime scheduler steps the vertex training walks its paths with (a
+:class:`~repro.search.problem.VertexStepper`'s
+:class:`~repro.search.problem.SearchNode`), prices ``cost-of-X`` with the one
+Equation-2 body training prices with, on the model's own
+:class:`~repro.search.problem.ProblemTables` (:attr:`DecisionModel.tables`),
+and a feature the model tests at runtime is the expression that filled that
+column of its training set.  Training needs every column of every vertex
 (:meth:`FeatureExtractor.block <repro.learning.features.FeatureExtractor.block>`);
 one decision does not: :meth:`DecisionModel.decide` walks the tree and
 computes a feature only when a node on the path tests it — a lookup for
@@ -69,7 +71,7 @@ from repro.exceptions import ModelError
 from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
 from repro.search.actions import Action, PlaceQuery, ProvisionVM, action_from_label
-from repro.search.problem import SchedulingProblem, SearchNode
+from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
 
@@ -176,8 +178,12 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
       when every outcome is the same;
     * ``wait-time``, ``proportion-of-X`` and ``cost-of-X`` are computed once
       per path into a local, ``cost-of-X`` through
-      ``problem.placement_edge_cost`` and memoized in ``costs`` for the
-      penalty guard, with ``inf`` reading as ``INFEASIBLE_COST``;
+      ``problem.placement_edge_cost`` — the one Equation-2 body,
+      :meth:`ProblemTables.placement_edge_cost
+      <repro.search.problem.ProblemTables.placement_edge_cost>`, on the
+      model's tables at runtime and on a search problem's in tests — and
+      memoized in ``costs`` for the penalty guard, with ``inf`` reading as
+      ``INFEASIBLE_COST``;
     * a split whose two children are leaves with one label is that leaf,
       unless it is the first on its path to derive a ``cost-of-X``.
 
@@ -333,8 +339,8 @@ class DecisionModel:
         #: template name -> cheapest supporting VM type (catalogue and latency
         #: model are immutable, so the answer never changes per model).
         self._preferred_vm_cache: dict[str, VMType] = {}
-        #: vm type name -> per-template runtime tables (see :meth:`vm_tables`).
-        self._vm_tables: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
+        #: The problem tables of the model's specification and goal (see :attr:`tables`).
+        self._tables: ProblemTables | None = None
 
     # -- accessors -------------------------------------------------------------
 
@@ -362,6 +368,21 @@ class DecisionModel:
     def latency_model(self) -> LatencyModel:
         """Latency estimates used when the model costs candidate placements."""
         return self._latency_model
+
+    @property
+    def tables(self) -> ProblemTables:
+        """The model's own :class:`~repro.search.problem.ProblemTables`, built on first use.
+
+        The runtime's problem: every ``cost-of-X`` a decision reads, the
+        penalty guard's execution costs and the kernel's steps come from it,
+        for every pass of every scheduler the model decides for.
+        """
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = ProblemTables(
+                self._templates, self._vm_types, self._goal, self._latency_model
+            )
+        return tables
 
     @property
     def metadata(self) -> ModelMetadata:
@@ -532,7 +553,11 @@ class DecisionModel:
         guard_on = self._penalty_guard
         names = self._templates.names
         unsupported = {vm.name: vm.unsupported_templates for vm in self._vm_types}
-        execution_cost = {vm.name: self.vm_tables(vm.name)[1] for vm in self._vm_types}
+        tables = self.tables
+        execution_cost = {
+            vm_name: {name: cost for name, (_, cost) in edges.items()}
+            for vm_name, edges in zip(tables.vm_names, tables.edge_tables)
+        }
         place = {name: PlaceQuery(name) for name in names}
         provisions = {vm.name: ProvisionVM(vm.name) for vm in self._vm_types}
         # The guard's swap for a template: a fresh VM of the cheapest type
@@ -668,30 +693,6 @@ class DecisionModel:
             # Nothing placeable on the current VM: provision one that can help.
             return ProvisionVM(self._preferred_vm_type(remaining[0]).name)
         return PlaceQuery(min(candidates, key=lambda name: problem.placement_edge_cost(node, name)))
-
-    def vm_tables(self, vm_type_name: str) -> tuple[dict[str, float], dict[str, float]]:
-        """Per-template runtime tables of one VM type, resolved once per model.
-
-        ``(execution time, execution cost)`` by template name, holding the
-        templates the type supports.  The catalogue and latency model never
-        change under a model, so the schedulers share these across scheduling
-        runs — the online scheduler in particular stops re-deriving them for
-        every arrival epoch's batch pass.
-        """
-        tables = self._vm_tables.get(vm_type_name)
-        if tables is None:
-            vm_type = self._vm_types[vm_type_name]
-            time_of = {
-                name: self._latency_model.latency(name, vm_type)
-                for name in self._templates.names
-                if vm_type.supports(name)
-            }
-            cost_of = {
-                name: vm_type.running_cost * execution_time
-                for name, execution_time in time_of.items()
-            }
-            tables = self._vm_tables[vm_type_name] = (time_of, cost_of)
-        return tables
 
     def _preferred_vm_type(self, template_name: str) -> VMType:
         """Cheapest VM type (by execution cost) able to process *template_name*.

@@ -37,8 +37,8 @@ template if the model has one, else its own), hands the pools and the last
 live VM to the decision kernel batch scheduling uses
 (:class:`~repro.runtime.batch.PlacementKernel`), and commits what comes back
 with one execution-time table per VM and a running finish time.  The session
-keeps one kernel, which rebuilds its runtime context only when a pass picks
-another model, so a pass pays no kernel set-up beyond resetting its running
+keeps one kernel, whose one vertex stepper each pass resets over its model's
+tables, so a pass pays no kernel set-up beyond resetting its running
 values.  The pull-back scan walks only the VMs committed to in the previous
 epoch (the only place unstarted records can live) and, since a VM's records
 start in order, reads each one's unstarted suffix from its end and later cuts

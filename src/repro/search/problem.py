@@ -17,11 +17,17 @@ the search is the minimum-cost complete schedule regardless of the path taken
 to reach it.
 
 A known path needs none of that machinery: :meth:`SchedulingProblem.walk`
-steps one reusable vertex along its action labels with :meth:`expand`'s
-arithmetic and returns its cost.  Training walks every path that way, a
-searched one and a kept one alike, recording each vertex's wait time and
-Equation-2 cost row (:meth:`FeatureExtractor.vertex_values
-<repro.learning.features.FeatureExtractor.vertex_values>`).
+steps one reusable vertex, a :class:`VertexStepper`'s, along its action
+labels with :meth:`expand`'s arithmetic and returns its cost.  Training walks
+every path that way, a searched one and a kept one alike, recording each
+vertex's wait time and Equation-2 cost row
+(:meth:`FeatureExtractor.vertex_values
+<repro.learning.features.FeatureExtractor.vertex_values>`), and the runtime
+kernel (:class:`~repro.runtime.batch.PlacementKernel`) steps the same
+stepper along a model's decisions.  Both price ``cost-of-X`` with the one
+Equation-2 body, :meth:`ProblemTables.placement_edge_cost`, which reads
+nothing but the vertex, so a search node, a training vertex and a runtime
+vertex in the same state get the same price to the bit.
 
 Hot-path architecture
 ---------------------
@@ -155,11 +161,13 @@ class SearchNode:
     ``accumulator`` tracks the partial schedule's violation period
     incrementally (see the module docstring) and, with ``penalty``, is what
     a ``cost-of-X`` price reads: every vertex that is priced carries one —
-    the search's nodes, the training walk's vertex and the runtime
-    kernel's.  ``last_vm_index`` caches the interned id of the most recent
-    VM's type and ``row`` the remaining multiset's row, so successor
-    generation resolves neither; they default to their "absent" values on
-    reusable vertices, which are never expanded.
+    the search's nodes and a :class:`VertexStepper`'s reusable vertex, which
+    training walks and runtime decisions step.  ``last_vm_index`` caches the
+    interned id of the most recent VM's type (-1 before the first VM; a
+    stepper keeps it current), which successor generation and the
+    Equation-2 price read instead of resolving the name, and ``row`` the
+    remaining multiset's row; ``row`` stays ``None`` on a stepper's vertex,
+    which is never expanded.
     """
 
     state: SearchState
@@ -193,8 +201,8 @@ class SearchNode:
     #: :class:`~repro.adaptive.retraining.AdaptiveBound` reads in O(1).
     aux_penalty: float = field(default=-1.0)
     #: The remaining multiset's row: set on every node a problem builds
-    #: (``None`` on the reusable vertices of :meth:`SchedulingProblem.walk`
-    #: and the batch scheduler, which are never expanded or priced).
+    #: (``None`` on a :class:`VertexStepper`'s vertex, which is never
+    #: expanded).
     row: RemainingRow | None = field(default=None)
 
     @property
@@ -248,7 +256,10 @@ class ProblemTables:
     action object per template and VM type.  None of it depends on a
     workload's counts, so a training pass builds it once
     (:class:`~repro.learning.trainer.SampleSolver`) and every sample's
-    problem reads it (:meth:`SchedulingProblem.from_tables`).
+    problem reads it (:meth:`SchedulingProblem.from_tables`), and a decision
+    model builds its own once (:attr:`DecisionModel.tables
+    <repro.learning.model.DecisionModel.tables>`).  The tables also hold the
+    one body of Equation 2 (:meth:`placement_edge_cost`), which both read.
     """
 
     def __init__(
@@ -270,17 +281,24 @@ class ProblemTables:
         self.supports_table: list[list[bool]] = []
         self.latency_table: list[list[float]] = []
         self.run_cost_table: list[list[float]] = []
+        #: Per VM type id, ``(execution time, execution cost)`` by the name of
+        #: each template the type runs, and last an empty table that id -1 (no
+        #: VM yet) reads: what :meth:`placement_edge_cost` looks up.
+        self.edge_tables: list[dict[str, tuple[float, float]]] = []
         for vm_type in vm_types:
             self.startup_costs.append(vm_type.startup_cost)
             supports_row: list[bool] = []
             latency_row: list[float] = []
             run_cost_row: list[float] = []
+            edges: dict[str, tuple[float, float]] = {}
             for name in self.tpl_names:
                 if vm_type.supports(name):
                     latency = latency_model.latency(name, vm_type)
+                    run_cost = vm_type.running_cost * latency
+                    edges[name] = (latency, run_cost)
                     supports_row.append(True)
                     latency_row.append(latency)
-                    run_cost_row.append(vm_type.running_cost * latency)
+                    run_cost_row.append(run_cost)
                 else:
                     supports_row.append(False)
                     latency_row.append(_INF)
@@ -288,6 +306,8 @@ class ProblemTables:
             self.supports_table.append(supports_row)
             self.latency_table.append(latency_row)
             self.run_cost_table.append(run_cost_row)
+            self.edge_tables.append(edges)
+        self.edge_tables.append({})
         self.min_startup_cost = min(self.startup_costs)
         #: Template -> cheapest execution cost / latency over the types that
         #: run it; a template no type runs has no entry.
@@ -322,6 +342,146 @@ class ProblemTables:
             action.label: index for index, action in enumerate(self.provision_actions)
         }
         self.place_of = {action.label: index for index, action in enumerate(self.place_actions)}
+
+    # -- edge costs (Equation 2), used by the cost-of-X feature ----------------------
+
+    def placement_edge_cost(self, node: SearchNode, template_name: str) -> float:
+        """Weight of the placement edge for *template_name* out of *node* (Equation 2).
+
+        The one body of the price: ``run_cost + (rate · violation_with −
+        penalty)``, read from the vertex alone — its ``last_vm_index``,
+        ``last_vm_finish``, accumulator and ``penalty`` — so an A* node and a
+        :class:`VertexStepper`'s vertex price alike.  ``inf`` marks an
+        impossible placement: no VM yet, a type that cannot run the template,
+        or a template outside the specification.  A runtime parse calls it
+        once per ``cost-of-X`` its tree path tests; :meth:`placement_cost_row`
+        loops over it.
+        """
+        edge = self.edge_tables[node.last_vm_index].get(template_name)
+        if edge is None:
+            return _INF
+        execution_time, execution_cost = edge
+        violation = node.accumulator.violation_with(
+            template_name, node.last_vm_finish + execution_time
+        )
+        return execution_cost + (self.rate * violation - node.penalty)
+
+    def placement_cost_row(
+        self, node: SearchNode, template_names: Sequence[str]
+    ) -> list[float]:
+        """:meth:`placement_edge_cost` of every template in *template_names*
+        (training prices each walked vertex's row with it)."""
+        edge = self.placement_edge_cost
+        return [edge(node, name) for name in template_names]
+
+
+class VertexStepper:
+    """One reusable vertex (:attr:`node`), stepped one action at a time.
+
+    Its state's fields are running values updated in place: the unassigned
+    queries per template (:attr:`remaining`, in name order, an entry dropped
+    at zero, whose live views are the remaining multiset and name set) and
+    the most recent VM's type, queue and queue counts (no earlier VM is
+    represented); the node holds ``last_vm_index``, ``last_vm_finish``, the
+    goal accumulator (added to, never branched), penalty and infrastructure
+    cost.  :meth:`provision` and :meth:`place` use
+    :meth:`SchedulingProblem.expand`'s arithmetic, the penalty being
+    ``rate · accumulator.violation()`` after every placement, and check
+    nothing.  Training steps one along a path's labels
+    (:meth:`SchedulingProblem.walk`), the runtime along a model's decisions
+    (:class:`~repro.runtime.batch.PlacementKernel`).  Read the vertex only
+    between steps.
+    """
+
+    def __init__(self, tables: ProblemTables) -> None:
+        #: What the stepper steps with; :meth:`reset` reads it, so a caller
+        #: may replace it between walks.
+        self.tables = tables
+        self._rate = tables.rate
+        self._tpl_names = tables.tpl_names
+        self.remaining: dict[str, int] = {}
+        self._queue: list[str] = []
+        self._queue_counts: dict[str, int] = {}
+        # The most recent VM's latency and execution-cost rows.
+        self._latency_row: list[float] = []
+        self._run_cost_row: list[float] = []
+        state = SearchState.__new__(SearchState)
+        self._state_dict = state.__dict__
+        self._state_dict.update(
+            vms=(),
+            remaining=self.remaining.items(),
+            _remaining_names=self.remaining.keys(),
+            _last_queue_counts=self._queue_counts,
+        )
+        #: The vertex, reset and stepped in place.
+        self.node = SearchNode(state, None, None, 0.0, 0.0, 0.0, 0)
+
+    def reset(
+        self, counts: Mapping[str, int], vm_type: str | None = None, busy: float = 0.0
+    ) -> SearchNode:
+        """Start a walk at *counts* (positive, by template name); the vertex.
+
+        With *vm_type* (a type name) the walk continues a rented VM of that
+        type, busy for *busy* more seconds and seen with an empty queue.  The
+        vertex gets a fresh goal accumulator and zero penalty and cost.
+        """
+        tables = self.tables
+        self._rate = tables.rate
+        self._tpl_names = tables.tpl_names
+        remaining = self.remaining
+        remaining.clear()
+        for name in sorted(counts):
+            remaining[name] = counts[name]
+        node = self.node
+        node.accumulator = tables.goal.accumulator()
+        node.penalty = 0.0
+        if vm_type is None:
+            self._queue.clear()
+            self._queue_counts.clear()
+            self._state_dict["vms"] = ()
+            node.last_vm_index = -1
+            node.last_vm_finish = 0.0
+        else:
+            self.provision(tables.vm_id[vm_type])
+            node.last_vm_finish = busy
+        # A rented VM's start-up fee was paid before this walk.
+        node.infra_cost = 0.0
+        return node
+
+    def provision(self, vm_index: int) -> None:
+        """Rent a VM of the type numbered *vm_index*: it becomes the most recent."""
+        tables = self.tables
+        queue = self._queue
+        queue.clear()
+        self._queue_counts.clear()
+        self._state_dict["vms"] = ((tables.vm_names[vm_index], queue),)
+        self._latency_row = tables.latency_table[vm_index]
+        self._run_cost_row = tables.run_cost_table[vm_index]
+        node = self.node
+        node.last_vm_index = vm_index
+        node.infra_cost += tables.startup_costs[vm_index]
+        node.last_vm_finish = 0.0
+
+    def place(self, template_index: int) -> None:
+        """Place a query of the template numbered *template_index* on the most recent VM."""
+        name = self._tpl_names[template_index]
+        remaining = self.remaining
+        left = remaining[name]
+        if left > 1:
+            remaining[name] = left - 1
+        else:
+            del remaining[name]
+        node = self.node
+        node.last_vm_finish = completion = (
+            node.last_vm_finish + self._latency_row[template_index]
+        )
+        accumulator = node.accumulator
+        accumulator.add(name, completion)
+        node.infra_cost += self._run_cost_row[template_index]
+        node.penalty = self._rate * accumulator.violation()
+        self._queue.append(name)
+        counts = self._queue_counts
+        counts[name] = counts.get(name, 0) + 1
 
 
 class SchedulingProblem:
@@ -368,7 +528,6 @@ class SchedulingProblem:
         self._tpl_names = tables.tpl_names
         self._tpl_id = tables.tpl_id
         self._vm_names = tables.vm_names
-        self._vm_id = tables.vm_id
         self._startup_costs = tables.startup_costs
         self._supports_table = tables.supports_table
         self._latency_table = tables.latency_table
@@ -380,6 +539,10 @@ class SchedulingProblem:
         self._provision_of = tables.provision_of
         self._place_of = tables.place_of
         self._min_startup_cost = tables.min_startup_cost
+        # Equation 2 has one body, the tables': the problem's two names for
+        # it are their bound methods.
+        self.placement_edge_cost = tables.placement_edge_cost
+        self.placement_cost_row = tables.placement_cost_row
         self._cheapest_execution: dict[str, float] = {}
         self._cheapest_time: dict[str, float] = {}
         for name in counts:
@@ -742,25 +905,17 @@ class SchedulingProblem:
     def walk(
         self, labels: Sequence[str], visit: Callable[[int, SearchNode], object]
     ) -> float | None:
-        """Step one reusable vertex along the action *labels*; the path's cost.
+        """Step a :class:`VertexStepper` along the action *labels*; the path's cost.
 
         ``visit(index, vertex)`` is called at the vertex where ``labels[index]``
-        is taken, before the step.  Nothing is rebuilt per step: like the
-        runtime kernel (:class:`~repro.runtime.batch.PlacementKernel`), its
-        state holds running values — the unassigned count per template and
-        the most recent VM's type and queue — and each step updates them, the
-        infrastructure cost and the wait time in place, with the goal's
-        accumulator added to rather than branched (a walk never branches).
-        So *visit* may read the vertex only while it runs, through what a
-        feature row reads (the most recent VM, the remaining multiset and
-        name set, ``last_vm_finish``, ``accumulator``, ``penalty``).
-        Training's visit reads only ``last_vm_finish`` and
-        :meth:`placement_cost_row`; the rest of a row follows from the labels
-        (:meth:`FeatureExtractor.block
-        <repro.learning.features.FeatureExtractor.block>`).  The
-        arithmetic is :meth:`expand`'s, so walking a path this problem's own
-        search returned reproduces its cost to the bit, with no f-value,
-        bound or memo work.
+        is taken, before the step, and may read the vertex only while it
+        runs.  Each label is translated, refused if the step is not possible,
+        and taken with the stepper, whose arithmetic is :meth:`expand`'s:
+        walking a path this problem's own search returned reproduces its cost
+        to the bit, with no f-value, bound or memo work.  Training's visit
+        reads ``last_vm_finish`` and the cost row; the rest of a row follows
+        from the labels (:meth:`FeatureExtractor.block
+        <repro.learning.features.FeatureExtractor.block>`).
 
         Returns infrastructure plus penalty of the complete schedule, or
         ``None`` when a step is not possible here — an unknown label, a
@@ -776,110 +931,32 @@ class SchedulingProblem:
         depend on the goal's strictness), so it is still a minimum-cost
         schedule.
         """
-        # Unassigned queries per template in name order, an entry dropped at
-        # zero: the live views are the vertex's remaining multiset and names.
-        remaining = {name: self._counts[name] for name in sorted(self._counts)}
-        queue: list[str] = []
-        state = SearchState.__new__(SearchState)
-        state_dict = state.__dict__
-        state_dict.update(
-            vms=(), remaining=remaining.items(), _remaining_names=remaining.keys()
-        )
-        accumulator = self._goal.accumulator()
-        node = SearchNode(state, None, None, 0.0, 0.0, 0.0, 0, accumulator=accumulator)
+        stepper = VertexStepper(self._tables)
+        node = stepper.reset(self._counts)
+        remaining = stepper.remaining
         provision_of = self._provision_of
         place_of = self._place_of
-        rate = self._rate
-        vm_index = -1
+        supports_table = self._supports_table
+        tpl_names = self._tpl_names
         for index, label in enumerate(labels):
             visit(index, node)
             provisioned = provision_of.get(label)
             if provisioned is not None:
-                vm_index = provisioned
-                queue = []
-                state_dict["vms"] = ((self._vm_names[vm_index], queue),)
-                node.infra_cost += self._startup_costs[vm_index]
-                node.last_vm_finish = 0.0
+                stepper.provision(provisioned)
                 continue
             template_index = place_of.get(label)
+            vm_index = node.last_vm_index
             if (
                 template_index is None
                 or vm_index < 0
-                or not self._supports_table[vm_index][template_index]
+                or not supports_table[vm_index][template_index]
+                or tpl_names[template_index] not in remaining
             ):
                 return None
-            name = self._tpl_names[template_index]
-            left = remaining.get(name)
-            if left is None:
-                return None
-            if left > 1:
-                remaining[name] = left - 1
-            else:
-                del remaining[name]
-            completion = node.last_vm_finish + self._latency_table[vm_index][template_index]
-            accumulator.add(name, completion)
-            node.infra_cost += self._run_cost_table[vm_index][template_index]
-            node.penalty = rate * accumulator.violation()
-            node.last_vm_finish = completion
-            queue.append(name)
+            stepper.place(template_index)
         if remaining:
             return None
         return node.infra_cost + node.penalty
-
-    # -- edge costs (Equation 2), used by the cost-of-X feature ----------------------
-
-    def placement_edge_cost(self, node: SearchNode, template_name: str) -> float:
-        """Weight of the placement edge for *template_name* out of *node*.
-
-        The one-template view of :meth:`placement_cost_row`.
-        """
-        return self.placement_cost_row(node, (template_name,))[0]
-
-    def placement_cost_row(
-        self, node: SearchNode, template_names: Sequence[str]
-    ) -> list[float]:
-        """Equation-2 placement edge weights out of *node*, one per template.
-
-        Execution time times the VM's rental rate, plus the change in penalty
-        the placement causes: ``run_cost + (rate · violation_with − penalty)``,
-        read from the vertex alone — its accumulator's non-mutating
-        ``violation_with`` and its partial ``penalty`` — in O(1)/O(log n)
-        per template.  The runtime context prices a kernel vertex with the
-        same expression (:class:`~repro.runtime.batch.RuntimeSchedulingContext`),
-        so training and runtime rows agree to the bit.  ``inf`` marks a
-        placement that is impossible: no VM yet, a VM type that cannot run
-        the template, or a template outside this problem's specification.
-        The most-recent-VM lookup and table rows are resolved once per call:
-        training makes one per walked vertex
-        (:meth:`~repro.learning.features.FeatureExtractor.vertex_values`), the
-        one-vertex row definition
-        (:meth:`~repro.learning.features.FeatureExtractor.extract_into`) one
-        per row.
-        """
-        last = node.state.last_vm()
-        if last is None:
-            return [_INF] * len(template_names)
-        vm_index = self._vm_id[last[0]]
-        supports_row = self._supports_table[vm_index]
-        latency_row = self._latency_table[vm_index]
-        run_cost_row = self._run_cost_table[vm_index]
-        tpl_id = self._tpl_id
-        finish = node.last_vm_finish
-        violation_with = node.accumulator.violation_with
-        rate = self._rate
-        node_penalty = node.penalty
-        costs: list[float] = []
-        for template_name in template_names:
-            template_index = tpl_id.get(template_name)
-            if template_index is None or not supports_row[template_index]:
-                costs.append(_INF)
-                continue
-            completion = finish + latency_row[template_index]
-            costs.append(
-                run_cost_row[template_index]
-                + (rate * violation_with(template_name, completion) - node_penalty)
-            )
-        return costs
 
     # -- the A* f-value ----------------------------------------------------------------
 

@@ -363,11 +363,13 @@ class _Shard:
             )
         self._closing = True
         self._channel.send((0, "shutdown", None))
+        # The frame is written out before the channel closes, whether or not
+        # the join yields first.  Nothing the worker sends after its close
+        # reply matters, so the reader stops here rather than waiting for an
+        # EOF that a process forked meanwhile (holding a copy of the far end)
+        # could delay.
+        await self._channel.aclose()
         await self._join()
-        # Nothing the worker sends after its close reply matters, so the
-        # reader stops here rather than waiting for an EOF that a process
-        # forked meanwhile (holding a copy of the far end) could delay.
-        self._channel.close()
         await self._reader
         leftover = WiSeDBError(
             f"serving shard {self.index} closed before the ticket resolved"

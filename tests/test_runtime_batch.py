@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,34 +17,16 @@ from repro.core.cost_model import CostModel
 from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FeatureExtractor
 from repro.learning.model import DecisionModel
-from repro.runtime.batch import BatchScheduler, RuntimeSchedulingContext
+from repro.runtime.batch import BatchScheduler
 from repro.search.actions import PlaceQuery
-from repro.search.state import SearchState, freeze_counts
-from repro.search.problem import SchedulingProblem, SearchNode
+from repro.search.problem import SchedulingProblem, VertexStepper
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate
 from repro.workloads.workload import Workload
 
 from search_helpers import children
 from oracles import OneQueryPerVMScheduler, validate_complete
-
-
-def _node_for(vm_type, queue, finish, remaining):
-    state = SearchState(
-        vms=((vm_type.name, tuple(queue)),) if vm_type is not None else (),
-        remaining=freeze_counts(remaining),
-    )
-    return SearchNode(
-        state=state,
-        parent=None,
-        action=None,
-        infra_cost=0.0,
-        penalty=0.0,
-        last_vm_finish=finish,
-        depth=0,
-    )
 
 
 def test_schedule_is_complete_and_valid(trained_max, small_templates):
@@ -123,8 +106,8 @@ _CATALOGS = {
 
 def _model_for(templates, vm_types, goal, rows=((0.0, "provision:t2.medium"),)):
     """A model of the specification whose tree splits ``wait_time`` only,
-    fitted on ``(wait_time, label)`` *rows* (a context reads only the goal
-    and the per-VM tables)."""
+    fitted on ``(wait_time, label)`` *rows* (its tables depend only on the
+    specification and goal)."""
     extractor = FeatureExtractor(templates, vm_types)
     tree = DecisionTreeClassifier(min_samples_leaf=1).fit(
         np.asarray([[wait] for wait, _ in rows]), [label for _, label in rows], ["wait_time"]
@@ -149,54 +132,83 @@ def _model_for(templates, vm_types, goal, rows=((0.0, "provision:t2.medium"),)):
     ),
     seed=st.integers(min_value=0, max_value=2**20),
 )
-def test_runtime_context_prices_a_kernel_vertex_like_the_problem(
+def test_a_stepper_vertex_is_the_search_vertex_and_prices_like_it(
     small_templates, kind, rate, catalog, counts, seed
 ):
-    """Training and runtime ``cost-of-X`` agree to the bit, at any penalty rate.
+    """One stepper, one price, any vertex.
 
-    Along a random search path, each A* vertex is mirrored by a runtime
-    vertex built the way :class:`PlacementKernel` builds its own — only the
-    most recent VM, one goal accumulator for the whole pass and ``penalty``
-    set from it after every placement — and the runtime context must price
-    every template there exactly as the problem prices it at the A* vertex.
+    Along a random search path, a :class:`VertexStepper` over the model's
+    tables takes the same actions as the path.  At every vertex its running
+    values equal the A* node's, and the one Equation-2 body gives both the
+    same row, to the bit and ``inf`` included (no VM yet, a type that cannot
+    run T3, a template outside the specification), at any penalty rate.
     """
     vm_types = _CATALOGS[catalog]
     goal = default_goal(kind, small_templates, penalty_rate=rate)
+    template_counts = {
+        name: count for name, count in zip(small_templates.names, counts) if count
+    }
     problem = SchedulingProblem(
-        template_counts={
-            name: count for name, count in zip(small_templates.names, counts) if count
-        },
+        template_counts=template_counts,
         templates=small_templates,
         vm_types=vm_types,
         goal=goal,
         latency_model=TemplateLatencyModel(small_templates),
     )
-    context = RuntimeSchedulingContext(_model_for(small_templates, vm_types, goal))
-    accumulator = goal.accumulator()
-    penalty = 0.0
+    tables = _model_for(small_templates, vm_types, goal).tables
+    stepper = VertexStepper(tables)
+    vertex = stepper.reset(template_counts)
+    names = small_templates.names + ("NOPE",)
     rng = random.Random(seed)
     node = problem.initial_node()
+    priced = Counter()
     while True:
-        last = node.state.last_vm()
-        runtime = _node_for(
-            vm_types[last[0]] if last is not None else None,
-            last[1] if last is not None else (),
-            node.last_vm_finish,
-            dict(node.state.remaining),
-        )
-        runtime.accumulator = accumulator
-        runtime.penalty = penalty
-        for name in small_templates.names:
-            assert context.placement_edge_cost(runtime, name) == problem.placement_edge_cost(
-                node, name
-            )
+        assert vertex.infra_cost == node.infra_cost
+        assert vertex.penalty == node.penalty
+        assert vertex.last_vm_finish == node.last_vm_finish
+        assert vertex.last_vm_index == node.last_vm_index
+        assert dict(vertex.state.remaining) == dict(node.state.remaining)
+        assert vertex.state.remaining_name_set() == node.state.remaining_name_set()
+        last, mirrored = node.state.last_vm(), vertex.state.last_vm()
+        if last is None:
+            assert mirrored is None
+        else:
+            assert (mirrored[0], tuple(mirrored[1])) == last
+            assert vertex.state.last_queue_counts() == Counter(last[1])
+        row = tables.placement_cost_row(vertex, names)
+        assert row == problem.placement_cost_row(node, names)
+        assert row == [problem.placement_edge_cost(node, name) for name in names]
+        priced.update("inf" if cost == float("inf") else "finite" for cost in row)
         successors = children(problem, node)
         if not successors:
             break
         node = rng.choice(successors)
         if isinstance(node.action, PlaceQuery):
-            accumulator.add(node.action.template_name, node.last_vm_finish)
-            penalty = rate * accumulator.violation()
+            stepper.place(tables.tpl_id[node.action.template_name])
+        else:
+            stepper.provision(tables.vm_id[node.action.vm_type_name])
+    assert priced["inf"] and priced["finite"]
+
+
+def test_a_stepper_continues_a_rented_vm(small_templates, two_type_catalog):
+    """``reset`` with a VM type starts on that VM, busy and seen empty, and a
+    later ``reset`` without one forgets it."""
+    goal = default_goal("max", small_templates)
+    tables = _model_for(small_templates, two_type_catalog, goal).tables
+    stepper = VertexStepper(tables)
+    vertex = stepper.reset({"T2": 1, "T1": 2}, "t2.small", 30.0)
+    assert list(stepper.remaining) == ["T1", "T2"]
+    assert vertex.state.last_vm() == ("t2.small", [])
+    assert vertex.last_vm_finish == 30.0 and vertex.infra_cost == 0.0
+    stepper.place(tables.tpl_id["T1"])
+    assert vertex.last_vm_finish == 30.0 + tables.latency_table[1][0]
+    assert vertex.infra_cost == tables.run_cost_table[1][0]
+    assert vertex.state.last_queue_counts() == {"T1": 1}
+    vertex = stepper.reset({"T1": 1})
+    assert vertex.state.last_vm() is None and vertex.last_vm_index == -1
+    assert vertex.last_vm_finish == 0.0 and vertex.penalty == 0.0
+    assert not vertex.state.last_queue_counts()
+    assert tables.placement_edge_cost(vertex, "T1") == float("inf")
 
 
 def test_kernel_vertex_carries_the_penalty_of_its_placements(
@@ -232,12 +244,6 @@ def test_kernel_vertex_carries_the_penalty_of_its_placements(
             state.update(action=None, outcomes=[])
             BatchScheduler(model).schedule(workload)
     assert any(penalty > 0.0 for penalty in checked)
-
-
-def test_runtime_context_infeasible_cases(trained_max):
-    context = RuntimeSchedulingContext(trained_max.model)
-    node = _node_for(None, [], 0.0, {"T1": 1})
-    assert context.placement_edge_cost(node, "T1") == float("inf")
 
 
 def test_scheduler_counts_decisions(trained_max, small_templates):

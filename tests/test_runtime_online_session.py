@@ -27,8 +27,10 @@ from repro.faults import (
     VMFailure,
 )
 from repro.learning.model import DecisionModel
-from repro.runtime.batch import BatchScheduler, PlacementKernel, RuntimeSchedulingContext
+from repro.learning.trainer import TrainingResult
+from repro.runtime.batch import BatchScheduler, PlacementKernel
 from repro.runtime.online import OnlineScheduler, OnlineSession
+from repro.search.problem import ProblemTables, VertexStepper
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.query import Query
 from repro.workloads.workload import Workload
@@ -307,25 +309,28 @@ class TestBoundedState:
         assert len(session.finalize().outcomes) == 2000
 
     def test_no_per_session_state_grows_while_models_alternate(self, scheduler):
-        """The session keeps one kernel, and the kernel one runtime context,
-        whatever model each pass picks.
+        """The session keeps one kernel, and the kernel one vertex stepper,
+        over whichever model's tables each pass picks.
 
         Everything the session holds is bounded by the wait queue, except its
         two records of the run: one entry per VM and one per pass.
         """
         session = scheduler.session()
         kernel = session._kernel
-        contexts = []
+        stepper = None
+        tables = []
         largest = {}
         for index, epoch in enumerate(_bursts(600, ("T3", "T1", "T2", "T3"))):
             session.submit(epoch)
             assert session._kernel is kernel
-            if kernel._context is not (contexts[-1] if contexts else None):
-                contexts.append(kernel._context)
+            stepper = stepper or kernel._stepper
+            assert kernel._stepper is stepper
+            if stepper.tables is not (tables[-1] if tables else None):
+                tables.append(stepper.tables)
             sizes = _container_sizes(session)
             sizes.update(
-                (f"_kernel.{name}", size)
-                for name, size in _container_sizes(kernel).items()
+                (f"_kernel._stepper.{name}", size)
+                for name, size in _container_sizes(kernel._stepper).items()
             )
             del sizes["_vms"], sizes["_overheads"]
             if index == 199:
@@ -334,8 +339,8 @@ class TestBoundedState:
             for name, size in sizes.items():
                 largest[name] = max(largest.get(name, 0), size)
         assert session.retrains > 1
-        assert len({id(context._model) for context in contexts}) > 2
-        assert len(contexts) > 100  # the pass's model changes nearly every epoch
+        assert len({id(table) for table in tables}) > 2
+        assert len(tables) > 100  # the pass's model changes nearly every epoch
         assert largest == warm
         assert _container_sizes(scheduler) == warm_scheduler
 
@@ -380,23 +385,27 @@ class TestWorkGuard:
     def test_a_no_retrain_session_builds_one_kernel(
         self, trained_max, model_generator, small_templates, monkeypatch
     ):
-        """A session builds one kernel, and the kernel one runtime context
-        for the model: passes reset them instead of rebuilding."""
+        """A session builds one kernel, the kernel one vertex stepper, and the
+        model one set of problem tables, which every decision prices with:
+        passes reset them instead of rebuilding."""
+        # A model that has not decided yet, so its tables are built here.
+        base = TrainingResult.from_dict(trained_max.to_dict())
         scheduler = OnlineScheduler(
-            base_training=trained_max, generator=model_generator, wait_resolution=1e9
+            base_training=base, generator=model_generator, wait_resolution=1e9
         )
         generator = WorkloadGenerator(small_templates, seed=46)
         workload = generator.with_fixed_arrivals(generator.uniform(30), 1.0)
         epochs = _epochs(scheduler, workload)
         counts = _counting_constructors(
-            monkeypatch, (PlacementKernel, RuntimeSchedulingContext)
+            monkeypatch, (PlacementKernel, VertexStepper, ProblemTables)
         )
         session = scheduler.session()
         for epoch in epochs:
             session.submit(epoch)
         assert session.epochs == 30
         assert session.retrains == 0
-        assert counts == {"PlacementKernel": 1, "RuntimeSchedulingContext": 1}
+        assert counts == {"PlacementKernel": 1, "VertexStepper": 1, "ProblemTables": 1}
+        assert session._kernel._stepper.tables is base.model.tables
 
 
 class TestEpochDecision:

@@ -239,6 +239,35 @@ class TestBatchCredits:
 
         asyncio.run(main())
 
+    def test_close_writes_shutdown_before_the_channel_closes(self):
+        """A handle with no runner of its own (``worker=None``) joins without
+        yielding, so only an explicit write puts ``shutdown`` on the pipe
+        before its channel closes: the far end, answered by hand, must read
+        the frame and only then the end of the pipe."""
+
+        async def main():
+            parent, child = multiprocessing.Pipe()
+            shard = _Shard(0, _config(), parent)
+            far = _Channel(child)
+            try:
+                closing = asyncio.ensure_future(shard.close())
+                request_id, command, _ = await asyncio.wait_for(far.recv(), timeout=10.0)
+                assert command == "close"
+                far.send(
+                    ("reply", (request_id, "closed", ({}, {}, ServingMetrics(status="closed"))))
+                )
+                assert await asyncio.wait_for(closing, timeout=10.0) == ({}, {})
+                frame = await asyncio.wait_for(far.recv(), timeout=10.0)
+                assert frame == (0, "shutdown", None)
+                with pytest.raises(EOFError):
+                    await asyncio.wait_for(far.recv(), timeout=10.0)
+            finally:
+                far.close()
+                parent.close()
+                child.close()
+
+        asyncio.run(main())
+
     def test_block_policy_suspends_until_the_ack_returns_credits(
         self, pair_service
     ):

@@ -55,10 +55,10 @@ from repro.learning.decision_tree import CompiledTreeEvaluator, DecisionTreeClas
 from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
 from repro.learning.model import DecisionModel
 from repro.learning.trainer import ModelGenerator
-from repro.runtime.batch import BatchScheduler, RuntimeSchedulingContext
+from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineOptimizations, OnlineScheduler
 from repro.search.actions import PlaceQuery, ProvisionVM
-from repro.search.problem import SchedulingProblem
+from repro.search.problem import ProblemTables, SchedulingProblem
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate, TemplateSet
@@ -310,19 +310,6 @@ def test_batched_online_equals_per_query_reference(
     assert _outcome_key(batched) == _outcome_key(reference)
     assert batched.overhead.decisions == reference.overhead.decisions
     assert batched.overhead.retrains == reference.overhead.retrains
-
-
-def test_context_row_tables_shared_across_schedulers(trained_max, small_templates):
-    """The per-VM tables live on the model, so fresh contexts reuse them."""
-    model = trained_max.model
-    first = RuntimeSchedulingContext(model)
-    tables = model.vm_tables(model.vm_types.default.name)
-    again = model.vm_tables(model.vm_types.default.name)
-    assert tables is again
-    del first
-    second = RuntimeSchedulingContext(model)
-    assert model.vm_tables(model.vm_types.default.name) is tables
-    del second
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +691,7 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
         raise AssertionError("a runtime decision filled a full feature or cost row")
 
     monkeypatch.setattr(FeatureExtractor, "extract_into", forbidden)
-    monkeypatch.setattr(RuntimeSchedulingContext, "placement_cost_row", forbidden)
+    monkeypatch.setattr(ProblemTables, "placement_cost_row", forbidden)
     seen, most = Counter(), Counter()
 
     def decide(self, node, problem):
