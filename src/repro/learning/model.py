@@ -336,9 +336,6 @@ class DecisionModel:
         #: (:func:`_generate_walk`) that :meth:`decide` calls.
         self._evaluator = None
         self._walker = None
-        #: template name -> cheapest supporting VM type (catalogue and latency
-        #: model are immutable, so the answer never changes per model).
-        self._preferred_vm_cache: dict[str, VMType] = {}
         #: The problem tables of the model's specification and goal (see :attr:`tables`).
         self._tables: ProblemTables | None = None
 
@@ -552,8 +549,11 @@ class DecisionModel:
         validate = self._validate
         guard_on = self._penalty_guard
         names = self._templates.names
-        unsupported = {vm.name: vm.unsupported_templates for vm in self._vm_types}
         tables = self.tables
+        unsupported = {
+            vm_name: {name for name, runs in zip(names, row) if not runs}
+            for vm_name, row in zip(tables.vm_names, tables.supports_table)
+        }
         execution_cost = {
             vm_name: {name: cost for name, (_, cost) in edges.items()}
             for vm_name, edges in zip(tables.vm_names, tables.edge_tables)
@@ -697,20 +697,18 @@ class DecisionModel:
     def _preferred_vm_type(self, template_name: str) -> VMType:
         """Cheapest VM type (by execution cost) able to process *template_name*.
 
-        Memoized: the catalogue and latency model never change under a model,
-        and the penalty guard asks this question once per guarded placement.
+        Read from the model's :attr:`tables`: the first type in catalogue
+        order with the lowest ``running_cost * latency``.
         """
-        cached = self._preferred_vm_cache.get(template_name)
-        if cached is not None:
-            return cached
-        supporting = self._vm_types.supporting(template_name)
-        if not supporting:
+        tables = self.tables
+        template_index = tables.tpl_id.get(template_name)
+        best, preferred = _INF, None
+        if template_index is not None:
+            for vm_index, row in enumerate(tables.run_cost_table):
+                if row[template_index] < best:
+                    best, preferred = row[template_index], vm_index
+        if preferred is None:
             raise ModelError(
                 f"no VM type in the catalogue supports template {template_name!r}"
             )
-        preferred = min(
-            supporting,
-            key=lambda vm: vm.running_cost * self._latency_model.latency(template_name, vm),
-        )
-        self._preferred_vm_cache[template_name] = preferred
-        return preferred
+        return self._vm_types[tables.vm_names[preferred]]

@@ -16,7 +16,12 @@ depends on the goal, and every goal kind gets it from a bound object:
   term is the goal's own admissible estimate of the *future*
   penalty-plus-provisioning cost
   (:meth:`~repro.sla.base.PerformanceGoal.future_cost_lower_bound`), memoised
-  per ``(remaining multiset, assigned-latency key)``.
+  per ``(remaining multiset, assigned-latency key)``.  The percentile goal's
+  estimate bounds the ``k``-th remaining completion on ``m`` machines by the
+  ``ceil(k / m)`` shortest latencies stacked on one machine, by the ``k``-th
+  shortest latency itself, and the last by the remaining work over ``m``
+  (McNaughton's makespan bound); all three read only the key and the
+  multiset, so the memo keys are unchanged.
 
 The goal alone picks the bound: there is no per-problem choice, so a trained
 model's trees depend on the goal and the search strategy only.

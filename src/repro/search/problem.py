@@ -571,6 +571,13 @@ class SchedulingProblem:
             )
             weight *= counts[name] + 1
         self._start_code = weight - 1  # every digit at its maximum
+        #: Whether some VM type cannot run one of the workload's templates:
+        #: only then can a provisioning child be a dead end (see :meth:`expand`).
+        self._partial_support = not all(
+            supports_row[self._tpl_id[name]]
+            for supports_row in self._supports_table
+            for name in counts
+        )
         #: code -> row, for every code visited so far.
         self._rows: dict[int, RemainingRow] = {}
         #: Children priced so far: numbers each in generation order.
@@ -806,7 +813,9 @@ class SchedulingProblem:
         # Start-up edges: only when the last VM is non-empty (or none exists),
         # and only if there is still work to assign.  Provisioning places no
         # query, so every such child shares the parent's row, penalty,
-        # old-goal penalty and bound term.
+        # old-goal penalty and bound term.  A type that runs none of the
+        # remaining templates would be a dead end (nothing can be placed on
+        # it, and nothing provisioned on top of an empty VM), so it gets none.
         count = row.count
         if count and not (vms and not vms[-1][1]):
             penalty = node.penalty
@@ -814,7 +823,12 @@ class SchedulingProblem:
             term, key = self._provision_term(node, row)
             execution = row.execution
             startup_costs = self._startup_costs
+            supports_table = self._supports_table if self._partial_support else None
             for vm_index in range(len(startup_costs)):
+                if supports_table is not None:
+                    runs = supports_table[vm_index]
+                    if not any([runs[template_index] for template_index, _, _ in row.present]):
+                        continue
                 infra = parent_infra + startup_costs[vm_index]
                 f = infra + execution + term
                 if adaptive_bound is not None:

@@ -82,14 +82,28 @@ class PercentileGoal(PerformanceGoal):
     ) -> float:
         """Provisioning/penalty trade-off bound for percentile goals.
 
-        With ``v`` usable machines, the ``i``-th smallest completion time of
-        the remaining queries is at least the sum of the ``ceil(i / v)``
-        shortest remaining execution times (some machine must run that many of
-        the ``i`` earliest-finishing queries back to back).  Merging those
-        per-rank lower bounds with the already-fixed latencies bounds the final
-        percentile latency from below, and minimising over the number of extra
-        VMs (each costing a start-up fee) yields an admissible estimate of the
-        cost still to be paid.
+        With ``m`` usable machines (the most recent VM plus the extra ones),
+        the ``k``-th smallest completion time of the remaining queries is at
+        least each of:
+
+        * the sum of the ``ceil(k / m)`` shortest remaining execution times
+          (some machine must run that many of the ``k`` earliest-finishing
+          queries back to back);
+        * the ``k``-th shortest remaining execution time (no query finishes
+          before its own cheapest latency, so the ``k``-th smallest completion
+          is at least the ``k``-th smallest latency);
+        * for the largest one, the remaining work divided by ``m`` (the last
+          machine to finish carries at least the average share: McNaughton,
+          *Management Science* 6(1), 1959).
+
+        The reduced graph places queries only on the most recent VM, so the
+        remaining work runs on at most ``m`` machines, each starting at
+        ``t >= 0``, and every bound holds whatever the schedule.  Each of the
+        three is non-decreasing in ``k``, so their maximum is as well, and
+        merging those per-rank lower bounds with the already-fixed latencies
+        in sorted order bounds the final percentile latency from below.
+        Minimising over the number of extra VMs (each costing a start-up fee)
+        yields an admissible estimate of the cost still to be paid.
         """
         remaining = sorted(remaining_latency_bounds)
         total = len(assigned_latencies) + len(remaining)
@@ -106,11 +120,15 @@ class PercentileGoal(PerformanceGoal):
         # The A* search evaluates this bound once per generated vertex, so the
         # rank statistic is selected with a lazy two-pointer walk instead of
         # materialising and sorting the merged latency list for every candidate
-        # VM count.  The per-rank completion bounds prefix[ceil(i / machines)]
-        # are non-decreasing in i, so the walk visits them in sorted order.
+        # VM count.  The per-rank completion bounds are non-decreasing in the
+        # rank, so the walk visits them in sorted order.
         assigned = sorted(assigned_latencies)
         num_assigned = len(assigned)
         num_remaining = len(remaining)
+        last = num_remaining - 1
+        # The accumulated total, not sum(): Python 3.12+ compensates sum()'s
+        # rounding, and the bound must not depend on the interpreter.
+        work = prefix[-1]
         deadline = self._deadline
         rate = self._penalty_rate
         infinity = float("inf")
@@ -127,27 +145,37 @@ class PercentileGoal(PerformanceGoal):
                 # they only grow with more VMs; the minimum cannot improve.
                 break
             machines = extra_vms + 1
+            share = work / machines
             value = 0.0
             if top_down:
                 i = num_assigned - 1
-                j = num_remaining - 1
+                j = last
+                # The largest remaining completion's bound, then each lower
+                # rank's as the walk passes it.
+                b = max(prefix[-(-num_remaining // machines)], remaining[last], share)
                 for _ in range(drop + 1):
                     a = assigned[i] if i >= 0 else -infinity
-                    b = prefix[-(-(j + 1) // machines)] if j >= 0 else -infinity
                     if a >= b:
                         value = a
                         i -= 1
                     else:
                         value = b
                         j -= 1
+                        if j >= 0:
+                            b = prefix[-(-(j + 1) // machines)]
+                            if remaining[j] > b:
+                                b = remaining[j]
+                        else:
+                            b = -infinity
             else:
                 i = 0
                 j = 0
                 block = 1
                 used = 0
+                # Rank 1: the shortest latency, which no other term exceeds.
+                b = prefix[1]
                 for _ in range(rank):
                     a = assigned[i] if i < num_assigned else infinity
-                    b = prefix[block] if j < num_remaining else infinity
                     if a <= b:
                         value = a
                         i += 1
@@ -158,6 +186,14 @@ class PercentileGoal(PerformanceGoal):
                         if used == machines:
                             used = 0
                             block += 1
+                        if j < num_remaining:
+                            b = prefix[block]
+                            if remaining[j] > b:
+                                b = remaining[j]
+                            if j == last and share > b:
+                                b = share
+                        else:
+                            b = infinity
             violation = max(0.0, value - deadline)
             cost = extra_vms * min_startup_cost + rate * violation
             best = min(best, cost)

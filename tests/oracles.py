@@ -8,6 +8,8 @@ points run.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from typing import Mapping, Sequence
 
@@ -20,6 +22,7 @@ from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.search.state import SearchState
 from repro.serving.metrics import ServingMetrics, TenantMetrics
 from repro.sla.base import PerformanceGoal
+from repro.sla.percentile import PercentileGoal
 from repro.workloads.arrivals import _validate, _workload, arrival_stream_rng
 from repro.workloads.templates import TemplateSet
 from repro.workloads.workload import Workload
@@ -86,6 +89,49 @@ def with_placement(state: SearchState, template_name: str) -> SearchState:
         vms=state.vms[:-1] + ((vm_type_name, queue + (template_name,)),),
         remaining=remaining,
     )
+
+
+# -- the percentile goal's cost-to-go -------------------------------------------
+
+
+def percentile_future_cost(
+    goal: PercentileGoal,
+    assigned: Sequence[float],
+    remaining: Sequence[float],
+    min_startup_cost: float,
+    completion_floors: bool = True,
+) -> float:
+    """``goal.future_cost_lower_bound``, straight line: merge and sort per VM count.
+
+    The ``k``-th smallest remaining completion on ``m`` machines is bounded by
+    the sum of the ``ceil(k / m)`` shortest latencies; with
+    *completion_floors* also by the ``k``-th shortest latency, and the largest
+    by the total work over ``m``.  ``completion_floors=False`` is the bound as
+    it was before those two floors, the one the tightened bound must never
+    fall below.
+    """
+    data = goal.to_dict()
+    remaining = sorted(remaining)
+    total = len(assigned) + len(remaining)
+    if total == 0:
+        return 0.0
+    rank = max(1, math.ceil(data["percent"] / 100.0 * total))
+    prefix = [0.0, *itertools.accumulate(remaining)]
+    best = math.inf
+    for extra_vms in range(len(remaining) + 1):
+        if extra_vms * min_startup_cost >= best:
+            break
+        machines = extra_vms + 1
+        per_rank = [prefix[math.ceil(k / machines)] for k in range(1, len(remaining) + 1)]
+        if completion_floors and remaining:
+            per_rank = [max(bound, latency) for bound, latency in zip(per_rank, remaining)]
+            per_rank[-1] = max(per_rank[-1], prefix[-1] / machines)
+        value = sorted([*assigned, *per_rank])[rank - 1]
+        violation = max(0.0, value - data["deadline"])
+        best = min(best, extra_vms * min_startup_cost + data["penalty_rate"] * violation)
+        if violation == 0.0:
+            break
+    return best
 
 
 # -- trivial reference schedulers ----------------------------------------------

@@ -27,8 +27,10 @@ the Equation-1 :class:`~repro.core.cost_model.CostModel`.  The schedule a
 strategy returns must price to the cost it reports, exact A* must find the
 cheapest schedule, weighted A* must stay within its weight of it, and no
 strategy may report a lower bound above it.  Exact A* must also find the
-cheapest schedule under two goals whose deadlines sit below a template's
-latency, which the frozen grid does not hold.
+cheapest schedule under four goals whose deadlines sit below a template's
+latency, which the frozen grid does not hold: two unmeetable ones, and two
+percentile goals on which the percentile cost-to-go's completion floors
+bind.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ UNMEETABLE_GOALS = {
     "per_query_T2_T3": PerQueryDeadlineGoal(
         {"T1": units.minutes(2), "T2": units.minutes(1.5), "T3": units.minutes(3)}
     ),
+}
+
+
+#: Percentile goals on which the cost-to-go's completion floors bind (no
+#: remaining query finishes before its own latency, the last not before the
+#: remaining work spread over the machines); their deadlines sit below T3's
+#: latency too.  Not in the frozen grid; checked against brute force only.
+TIGHT_PERCENTILE_GOALS = {
+    "percentile_50_2min": PercentileGoal(percent=50.0, deadline=units.minutes(2)),
+    "percentile_60_3min": PercentileGoal(percent=60.0, deadline=units.minutes(3)),
 }
 
 
@@ -246,11 +258,11 @@ def test_search_keeps_its_guarantee_against_brute_force(case):
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("catalog", CATALOGS)
-@pytest.mark.parametrize("kind", UNMEETABLE_GOALS)
+@pytest.mark.parametrize("kind", [*UNMEETABLE_GOALS, *TIGHT_PERCENTILE_GOALS])
 def test_exact_astar_finds_the_optimum_when_a_deadline_is_below_a_latency(kind, catalog, seed):
     workload = _workload(seed)
     vm_types = CATALOGS[catalog]
-    goal = UNMEETABLE_GOALS[kind]
+    goal = {**UNMEETABLE_GOALS, **TIGHT_PERCENTILE_GOALS}[kind]
     result = strategy_from_spec("astar").search(
         SchedulingProblem.for_workload(workload, vm_types, goal, LATENCY)
     )

@@ -9,7 +9,9 @@ from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import VMType, VMTypeCatalog, single_vm_type_catalog, t2_medium
 from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.problem import SchedulingProblem
+from repro.search.strategy import strategy_from_spec
 from repro.sla.average_latency import AverageLatencyGoal
+from repro.sla.factory import default_goal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.workload import Workload
 
@@ -102,6 +104,75 @@ def test_no_vm_type_supports_template_rejected(small_templates, max_goal):
             goal=max_goal,
             latency_model=TemplateLatencyModel(small_templates),
         )
+
+
+#: A catalogue whose cheaper type cannot run T3, on 2 T1, 2 T2 and 3 T3: per
+#: goal kind (``default_goal``), exact A*'s cost and path, and the vertices
+#: it generated while provisioning children of a type that runs none of the
+#: remaining templates were still generated (they are dead ends).
+DEAD_END_CASES = {
+    "max": (
+        1.54,
+        "provision:t2.small assign:T1 assign:T1 assign:T2 assign:T2 provision:t2.medium "
+        "assign:T3 assign:T3 provision:t2.medium assign:T3",
+        137,
+    ),
+    "per_query": (
+        1.46,
+        "provision:t2.small assign:T1 assign:T1 assign:T2 assign:T2 provision:t2.medium "
+        "assign:T3 assign:T3 assign:T3",
+        34,
+    ),
+    "average": (
+        1.46,
+        "provision:t2.small assign:T1 assign:T1 assign:T2 assign:T2 provision:t2.medium "
+        "assign:T3 assign:T3 assign:T3",
+        63,
+    ),
+    "percentile": (
+        1.6633333333333333,
+        "provision:t2.medium assign:T3 provision:t2.small assign:T1 assign:T2 assign:T2 "
+        "provision:t2.medium assign:T3 provision:t2.medium assign:T1 assign:T3",
+        251,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DEAD_END_CASES)
+def test_no_provisioning_child_is_a_dead_end(kind, small_templates):
+    small = VMType(
+        name="t2.small",
+        running_cost=t2_medium().running_cost / 2,
+        unsupported_templates=frozenset({"T3"}),
+    )
+    catalog = VMTypeCatalog([t2_medium(), small])
+    problem = SchedulingProblem(
+        template_counts={"T1": 2, "T2": 2, "T3": 3},
+        templates=small_templates,
+        vm_types=catalog,
+        goal=default_goal(kind, small_templates),
+        latency_model=TemplateLatencyModel(small_templates),
+    )
+    popped = []
+    expand = problem.expand
+
+    def probe(node):
+        popped.append(node)
+        return expand(node)
+
+    problem.expand = probe  # type: ignore[method-assign]
+    result = strategy_from_spec("astar").search(problem)
+    dead_ends = 0
+    for node in popped:
+        last = node.state.last_vm()
+        if last is not None and not last[1]:
+            runs = catalog[last[0]].supports
+            dead_ends += not any(runs(name) for name, _ in node.state.remaining)
+    assert dead_ends == 0
+    cost, labels, generated_with_dead_ends = DEAD_END_CASES[kind]
+    assert result.cost == cost
+    assert " ".join(node.action.label for node in result.path()[1:]) == labels
+    assert result.generated < generated_with_dead_ends
 
 
 def test_goal_node_has_no_expansion_requirement(max_problem):

@@ -53,9 +53,9 @@ FRESH_TRAINING = {
         "tree_sha256": "3bfc936c2f8e164ef0ea10f9e619aa94d9eb54fbb3f9b05371ea1924704b9e04",
     },
     "percentile": {
-        "expansions": 4_555,
-        "generated": 12_191,
-        "tree_sha256": "f347c48301b4b9c2eaca1ea6584f82cac90a07cc88595c43774b61015131a5cc",
+        "expansions": 1_431,
+        "generated": 3_885,
+        "tree_sha256": "71d60d32ae561983db25610992cda1d6fd7187326eb41152f621b1f50eefaec5",
     },
 }
 
