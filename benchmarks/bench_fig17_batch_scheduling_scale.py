@@ -40,6 +40,7 @@ from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FeatureExtractor, proportion_feature
 from repro.learning.model import DecisionModel
 from repro.runtime.batch import BatchScheduler
+from repro.search.problem import ProblemTables
 from repro.workloads.workload import Workload
 
 #: Small batch the large ones are compared with (per-query whole-call time).
@@ -109,15 +110,13 @@ def _always_assign_model(environment) -> DecisionModel:
             "root": {**leaf, "feature_index": 0, "threshold": 2.0, "left": leaf, "right": leaf},
         }
     )
-    return DecisionModel(
-        tree=tree,
-        extractor=FeatureExtractor(environment.templates, environment.vm_types),
-        templates=environment.templates,
-        vm_types=environment.vm_types,
-        goal=environment.goal,
-        latency_model=environment.latency_model,
-        penalty_guard=False,
+    tables = ProblemTables(
+        environment.templates,
+        environment.vm_types,
+        environment.goal,
+        environment.latency_model,
     )
+    return DecisionModel(tree=tree, extractor=FeatureExtractor(tables), penalty_guard=False)
 
 
 def _run_long_queue(environments):

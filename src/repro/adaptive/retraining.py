@@ -180,7 +180,7 @@ class AdaptiveModeler:
 
     @property
     def generator(self) -> ModelGenerator:
-        """The generator whose specification and extractor every retrain uses."""
+        """The generator whose specification every retrain compiles and uses."""
         return self._generator
 
     def remember(self, result: TrainingResult) -> None:

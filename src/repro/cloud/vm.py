@@ -183,10 +183,6 @@ class VMTypeCatalog:
         """The first (reference) VM type in the catalogue."""
         return self._vm_types[0]
 
-    def supporting(self, template_name: str) -> tuple[VMType, ...]:
-        """All VM types able to process *template_name*."""
-        return tuple(vm for vm in self._vm_types if vm.supports(template_name))
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:

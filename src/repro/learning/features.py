@@ -16,11 +16,14 @@ workloads are huge) and cheap to compute:
 
 The same definitions serve training (on A* vertices) and runtime (on the
 scheduler's current state), so the model sees an identical representation in
-both phases.  Two things make that hold.  The row has one fixed layout — all
-five families, ``wait-time`` first and then one block per template — so a
-model's columns never depend on how it was built (a feature ablation drops
-training-set columns, not families).  And ``cost-of-X`` is priced from the
-vertex alone, by one body (:meth:`ProblemTables.placement_edge_cost
+both phases.  Three things make that hold.  An extractor reads one compiled
+specification, the :class:`~repro.search.problem.ProblemTables` of a training
+pass — its template order, its ``supports`` table and its action labels — and
+the model fitted on its rows decides on those same tables.  The row has one
+fixed layout — all five families, ``wait-time`` first and then one block per
+template — so a model's columns never depend on how it was built (a feature
+ablation drops training-set columns, not families).  And ``cost-of-X`` is
+priced from the vertex alone, by one body (:meth:`ProblemTables.placement_edge_cost
 <repro.search.problem.ProblemTables.placement_edge_cost>`): a vertex carries
 the goal's violation accumulator and its partial ``penalty``, and the edge
 costs execution cost ``+ (rate · violation-with-X − penalty)``, whether the
@@ -57,10 +60,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.cloud.vm import VMTypeCatalog
-from repro.search.actions import PlaceQuery, ProvisionVM
-from repro.search.problem import SchedulingProblem, SearchNode
-from repro.workloads.templates import TemplateSet
+from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
 
 #: Finite stand-in for "placement impossible" so decision-tree thresholds stay finite.
 INFEASIBLE_COST = 1.0e12
@@ -108,24 +108,22 @@ FEATURE_FAMILIES: tuple[str, ...] = (
 
 
 class FeatureExtractor:
-    """Extracts the Section 4.4 feature vector from a search node."""
+    """Extracts the Section 4.4 feature vector from a search node.
 
-    def __init__(self, templates: TemplateSet, vm_types: VMTypeCatalog) -> None:
-        self._templates = templates
-        names = self._template_names = templates.names
+    Built on one :class:`~repro.search.problem.ProblemTables` (:attr:`tables`),
+    from which it reads the template order, ``supports-X`` and the action
+    labels; the goal in those tables matters only to the model that decides
+    on them.
+    """
+
+    def __init__(self, tables: ProblemTables) -> None:
+        self._tables = tables
+        names = self._template_names = tables.tpl_names
         self._feature_names: tuple[str, ...] = (wait_time_feature(),) + tuple(
             feature(name)
             for name in names
             for feature in (proportion_feature, supports_feature, cost_feature, have_feature)
         )
-        # Supports-X only depends on the VM type, so resolve the whole row once
-        # per type instead of one supports() call per template per extraction.
-        self._supports_rows: dict[str, tuple[float, ...]] = {
-            vm_type.name: tuple(
-                1.0 if vm_type.supports(name) else 0.0 for name in names
-            )
-            for vm_type in vm_types
-        }
         # Column ``0`` is ``wait_time``; family ``k`` (its position in
         # FEATURE_FAMILIES) of template ``j`` lives at column ``k + 4 * j``,
         # so :meth:`extract_into` writes each family with one strided loop.
@@ -139,18 +137,20 @@ class FeatureExtractor:
         self._have_columns = columns("have")
         self._proportion_column_of = dict(zip(names, self._proportion_columns))
         # What :meth:`block` reads per label: a placement's template index, or
-        # ``-1 - k`` for provisioning this catalogue's type ``k``, looked up
-        # by name; ``supports`` row ``k`` is that type's, and the extra last
+        # ``-1 - k`` for provisioning the tables' type ``k``, looked up by
+        # label; ``supports`` row ``k`` is that type's, and the extra last
         # row (all zeros) stands for "no VM yet".
-        vm_names = vm_types.names
-        self._label_codes: dict[str, int] = {
-            PlaceQuery(name).label: index for index, name in enumerate(names)
-        }
+        self._label_codes: dict[str, int] = dict(tables.place_of)
         self._label_codes.update(
-            (ProvisionVM(name).label, -1 - index) for index, name in enumerate(vm_names)
+            (label, -1 - index) for label, index in tables.provision_of.items()
         )
         self._supports_block = np.array(
-            [self._supports_rows[name] for name in vm_names] + [[0.0] * len(names)]
+            tables.supports_table + [[False] * len(names)], dtype=np.float64
+        )
+        # Supports-X depends only on the VM type: :meth:`extract_into` reads
+        # the whole row by the type's name.
+        self._supports_rows: dict[str, list[float]] = dict(
+            zip(tables.vm_names, self._supports_block.tolist())
         )
         # Per-column lookup for a decision, which computes a column only when
         # a tree node tests it: the family's position in FEATURE_FAMILIES and
@@ -168,9 +168,9 @@ class FeatureExtractor:
         return self._feature_names
 
     @property
-    def templates(self) -> TemplateSet:
-        """The template universe the per-template features are defined over."""
-        return self._templates
+    def tables(self) -> ProblemTables:
+        """The compiled specification the row is defined over (one goal's)."""
+        return self._tables
 
     @property
     def column_layout(self) -> tuple[list[int], list[str], list[int]]:
@@ -181,11 +181,6 @@ class FeatureExtractor:
         template: ``""`` and ``-1``).
         """
         return self._column_layout
-
-    @property
-    def supports_rows(self) -> dict[str, tuple[float, ...]]:
-        """VM type name -> the ``supports-X`` values of that type, by template index."""
-        return self._supports_rows
 
     def extract_into(self, node: SearchNode, problem: SchedulingProblem, out_row):
         """Write the feature vector of *node* directly into *out_row*.
@@ -280,7 +275,7 @@ class FeatureExtractor:
           those counted before the path's last provisioning, over their sum;
           zero before the path's first VM (the count restarts with each path);
         * ``supports``: the row of the last provisioned type, looked up by its
-          name in this extractor's catalogue; zero before the first VM;
+          label in this extractor's tables; zero before the first VM;
         * ``cost_of``: the recorded cost row, ``inf`` as
           :data:`INFEASIBLE_COST`;
         * ``have``: the path's template counts minus its placements so far.

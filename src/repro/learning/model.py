@@ -1,25 +1,29 @@
 """The workload-management decision model (Section 4.5).
 
 A :class:`DecisionModel` wraps a fitted decision tree together with the
-workload specification it was trained for (templates, VM types, performance
-goal and latency model).  Parsing the model repeatedly over a scheduling state
-yields a schedule: at each step the model chooses either to place a query of
-some template on the most recently provisioned VM, or to provision a new VM.
+feature extractor its rows were written by, and so with the one compiled
+specification that extractor reads: the
+:class:`~repro.search.problem.ProblemTables` of its training pass, which hold
+the templates, VM types, performance goal and latency model the model was
+trained for.  Nothing else about the specification is kept or derived here.
+Parsing the model repeatedly over a scheduling state yields a schedule: at
+each step the model chooses either to place a query of some template on the
+most recently provisioned VM, or to provision a new VM.
 
 The runtime scheduler steps the vertex training walks its paths with (a
 :class:`~repro.search.problem.VertexStepper`'s
 :class:`~repro.search.problem.SearchNode`), prices ``cost-of-X`` with the one
-Equation-2 body training prices with, on the model's own
-:class:`~repro.search.problem.ProblemTables` (:attr:`DecisionModel.tables`),
-and a feature the model tests at runtime is the expression that filled that
-column of its training set.  Training needs every column of every vertex
-(:meth:`FeatureExtractor.block <repro.learning.features.FeatureExtractor.block>`);
-one decision does not: :meth:`DecisionModel.decide` walks the tree and
-computes a feature only when a node on the path tests it — a lookup for
-``wait-time`` / ``supports-X`` / ``have-X``, a count over a length for
-``proportion-of-X``, one Equation-2 evaluation for ``cost-of-X`` — so a parse
-costs O(tree height), as Section 6.2 prices it, instead of O(templates).  The
-full row stays as the oracle the walk is tested against.
+Equation-2 body training prices with, on the very tables its training pass
+solved on (:attr:`DecisionModel.tables`), and a feature the model tests at
+runtime is the expression that filled that column of its training set.
+Training needs every column of every vertex (:meth:`FeatureExtractor.block
+<repro.learning.features.FeatureExtractor.block>`); one decision does not:
+:meth:`DecisionModel.decide` walks the tree and computes a feature only when
+a node on the path tests it — a lookup for ``wait-time`` / ``supports-X`` /
+``have-X``, a count over a length for ``proportion-of-X``, one Equation-2
+evaluation for ``cost-of-X`` — so a parse costs O(tree height), as Section
+6.2 prices it, instead of O(templates).  The full row stays as the oracle the
+walk is tested against.
 
 The walk is generated code, built the way :mod:`dataclasses` builds its
 methods.  When a model compiles its tree — on its first decision, or when a
@@ -66,7 +70,7 @@ from repro.cloud.latency import (
     latency_model_from_dict,
     latency_model_to_dict,
 )
-from repro.cloud.vm import VMType, VMTypeCatalog
+from repro.cloud.vm import VMTypeCatalog
 from repro.exceptions import ModelError
 from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
@@ -195,7 +199,7 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
     """
     features, thresholds, lefts, rights, leaves = evaluator.scalar_arrays()
     families, names, positions = extractor.column_layout
-    supports_rows = extractor.supports_rows
+    tables = extractor.tables
     namespace: dict = {"inf": _INF}
     lines: list[str] = []
 
@@ -228,8 +232,8 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
                     outcomes = {True: 1.0 <= threshold, False: 0.0 <= threshold}
                 elif family == _SUPPORTS:
                     outcomes = {None: 0.0 <= threshold}
-                    for vm_name, row in supports_rows.items():
-                        outcomes[vm_name] = row[positions[column]] <= threshold
+                    for vm_name, runs in zip(tables.vm_names, tables.supports_table):
+                        outcomes[vm_name] = float(runs[positions[column]]) <= threshold
                 else:
                     break
                 goes_left = set(outcomes.values())
@@ -316,28 +320,18 @@ class DecisionModel:
         self,
         tree: DecisionTreeClassifier,
         extractor: FeatureExtractor,
-        templates: TemplateSet,
-        vm_types: VMTypeCatalog,
-        goal: PerformanceGoal,
-        latency_model: LatencyModel,
         metadata: ModelMetadata | None = None,
         penalty_guard: bool = True,
     ) -> None:
         self._tree = tree
         self._extractor = extractor
-        self._templates = templates
-        self._vm_types = vm_types
-        self._goal = goal
-        self._latency_model = latency_model
-        self._metadata = metadata or ModelMetadata(goal_kind=goal.kind)
+        self._metadata = metadata or ModelMetadata(goal_kind=extractor.tables.goal.kind)
         self._penalty_guard = penalty_guard
         self.stats = DecisionStats()
         #: Lazily built compiled evaluator, and the function generated from it
         #: (:func:`_generate_walk`) that :meth:`decide` calls.
         self._evaluator = None
         self._walker = None
-        #: The problem tables of the model's specification and goal (see :attr:`tables`).
-        self._tables: ProblemTables | None = None
 
     # -- accessors -------------------------------------------------------------
 
@@ -349,37 +343,33 @@ class DecisionModel:
     @property
     def templates(self) -> TemplateSet:
         """The workload specification the model was trained for."""
-        return self._templates
+        return self._extractor.tables.templates
 
     @property
     def vm_types(self) -> VMTypeCatalog:
         """The VM catalogue the model can provision from."""
-        return self._vm_types
+        return self._extractor.tables.vm_types
 
     @property
     def goal(self) -> PerformanceGoal:
         """The performance goal the model was trained for."""
-        return self._goal
+        return self._extractor.tables.goal
 
     @property
     def latency_model(self) -> LatencyModel:
         """Latency estimates used when the model costs candidate placements."""
-        return self._latency_model
+        return self._extractor.tables.latency_model
 
     @property
     def tables(self) -> ProblemTables:
-        """The model's own :class:`~repro.search.problem.ProblemTables`, built on first use.
+        """The :class:`~repro.search.problem.ProblemTables` the model's rows were written on.
 
-        The runtime's problem: every ``cost-of-X`` a decision reads, the
-        penalty guard's execution costs and the kernel's steps come from it,
-        for every pass of every scheduler the model decides for.
+        Its extractor's, which is its training pass's: the runtime's problem.
+        Every ``cost-of-X`` a decision reads, the penalty guard's execution
+        costs and the kernel's steps come from it, for every pass of every
+        scheduler the model decides for.
         """
-        tables = self._tables
-        if tables is None:
-            tables = self._tables = ProblemTables(
-                self._templates, self._vm_types, self._goal, self._latency_model
-            )
-        return tables
+        return self._extractor.tables
 
     @property
     def metadata(self) -> ModelMetadata:
@@ -415,10 +405,6 @@ class DecisionModel:
         return DecisionModel(
             tree=self._tree,
             extractor=self._extractor,
-            templates=self._templates,
-            vm_types=self._vm_types,
-            goal=self._goal,
-            latency_model=self._latency_model,
             metadata=self._metadata,
             penalty_guard=enabled,
         )
@@ -437,11 +423,11 @@ class DecisionModel:
         return {
             "format": "wisedb-decision-model",
             "version": 1,
-            "templates": self._templates.to_dict(),
-            "vm_types": self._vm_types.to_dict(),
-            "goal": self._goal.to_dict(),
+            "templates": self.templates.to_dict(),
+            "vm_types": self.vm_types.to_dict(),
+            "goal": self.goal.to_dict(),
             "latency_model": latency_model_to_dict(
-                self._latency_model, self._templates, self._vm_types
+                self.latency_model, self.templates, self.vm_types
             ),
             "feature_families": list(FEATURE_FAMILIES),
             "tree": self._tree.to_dict(),
@@ -468,14 +454,15 @@ class DecisionModel:
                 f"fixed row of {list(FEATURE_FAMILIES)!r}, so retrain it"
             )
         templates = TemplateSet.from_dict(data["templates"])
-        vm_types = VMTypeCatalog.from_dict(data["vm_types"])
+        tables = ProblemTables(
+            templates,
+            VMTypeCatalog.from_dict(data["vm_types"]),
+            goal_from_dict(data["goal"]),
+            latency_model_from_dict(data["latency_model"], templates),
+        )
         return cls(
             tree=DecisionTreeClassifier.from_dict(data["tree"]),
-            extractor=FeatureExtractor(templates, vm_types),
-            templates=templates,
-            vm_types=vm_types,
-            goal=goal_from_dict(data["goal"]),
-            latency_model=latency_model_from_dict(data["latency_model"], templates),
+            extractor=FeatureExtractor(tables),
             metadata=ModelMetadata.from_dict(data["metadata"]),
             penalty_guard=data.get("penalty_guard", True),
         )
@@ -548,8 +535,8 @@ class DecisionModel:
         stats = self.stats
         validate = self._validate
         guard_on = self._penalty_guard
-        names = self._templates.names
         tables = self.tables
+        names = tables.tpl_names
         unsupported = {
             vm_name: {name for name, runs in zip(names, row) if not runs}
             for vm_name, row in zip(tables.vm_names, tables.supports_table)
@@ -558,16 +545,16 @@ class DecisionModel:
             vm_name: {name: cost for name, (_, cost) in edges.items()}
             for vm_name, edges in zip(tables.vm_names, tables.edge_tables)
         }
-        place = {name: PlaceQuery(name) for name in names}
-        provisions = {vm.name: ProvisionVM(vm.name) for vm in self._vm_types}
+        place = dict(zip(names, tables.place_actions))
+        provisions = dict(zip(tables.vm_names, tables.provision_actions))
         # The guard's swap for a template: a fresh VM of the cheapest type
         # that runs it.  A template no type runs is never placed.
         swap = {}
         for name in names:
-            if self._vm_types.supporting(name):
-                vm_type = self._preferred_vm_type(name)
-                swap[name] = (provisions[vm_type.name], vm_type.startup_cost)
-        base_latency = {name: self._templates[name].base_latency for name in names}
+            if name in tables.cheapest_execution:
+                vm_index = self._preferred_vm_index(name)
+                swap[name] = (tables.provision_actions[vm_index], tables.startup_costs[vm_index])
+        base_latency = {name: tables.templates[name].base_latency for name in names}
 
         def general(action, node, problem):
             validated = validate(action, node, problem)
@@ -650,7 +637,7 @@ class DecisionModel:
                 action = None  # a template outside the specification: no action
             if isinstance(action, PlaceQuery):
                 settlers[label] = placement(action.template_name)
-            elif isinstance(action, ProvisionVM) and action.vm_type_name in self._vm_types:
+            elif isinstance(action, ProvisionVM) and action.vm_type_name in tables.vm_types:
                 settlers[label] = provisioning(provisions[action.vm_type_name])
             else:
                 settlers[label] = fallback(action)
@@ -674,31 +661,33 @@ class DecisionModel:
         state = node.state
         if not state.remaining:
             raise ModelError("the model was asked to act on a complete schedule")
+        tables = self.tables
         last = state.last_vm()
         if isinstance(action, ProvisionVM) and (last is None or last[1]):
             # Valid spot for a new VM; fix up unknown VM types.
-            if action.vm_type_name in self._vm_types:
+            if action.vm_type_name in tables.vm_types:
                 return action
-            return ProvisionVM(self._vm_types.default.name)
+            return tables.provision_actions[0]
         if last is None:
             if isinstance(action, PlaceQuery):
-                return ProvisionVM(self._preferred_vm_type(action.template_name).name)
-            return ProvisionVM(self._vm_types.default.name)
+                return tables.provision_actions[self._preferred_vm_index(action.template_name)]
+            return tables.provision_actions[0]
         # The last VM takes a query: provisioning again on an empty VM would
-        # violate the graph reduction and could loop forever.
-        vm_type = self._vm_types[last[0]]
+        # violate the graph reduction and could loop forever.  A template
+        # outside the specification counts as run, as VMType.supports has it.
+        runs = tables.supports_table[tables.vm_id[last[0]]]
+        tpl_id = tables.tpl_id
         remaining = state.remaining_templates()
-        candidates = [name for name in remaining if vm_type.supports(name)]
+        candidates = [name for name in remaining if name not in tpl_id or runs[tpl_id[name]]]
         if not candidates:
             # Nothing placeable on the current VM: provision one that can help.
-            return ProvisionVM(self._preferred_vm_type(remaining[0]).name)
+            return tables.provision_actions[self._preferred_vm_index(remaining[0])]
         return PlaceQuery(min(candidates, key=lambda name: problem.placement_edge_cost(node, name)))
 
-    def _preferred_vm_type(self, template_name: str) -> VMType:
-        """Cheapest VM type (by execution cost) able to process *template_name*.
-
-        Read from the model's :attr:`tables`: the first type in catalogue
-        order with the lowest ``running_cost * latency``.
+    def _preferred_vm_index(self, template_name: str) -> int:
+        """Id in :attr:`tables` of the cheapest VM type (by execution cost) able
+        to process *template_name*: the first in catalogue order with the
+        lowest ``running_cost * latency``.
         """
         tables = self.tables
         template_index = tables.tpl_id.get(template_name)
@@ -711,4 +700,4 @@ class DecisionModel:
             raise ModelError(
                 f"no VM type in the catalogue supports template {template_name!r}"
             )
-        return self._vm_types[tables.vm_names[preferred]]
+        return preferred

@@ -19,9 +19,15 @@ then lays every sample's labels end to end and writes all their feature rows
 in one numpy pass (:meth:`FeatureExtractor.block
 <repro.learning.features.FeatureExtractor.block>`), and the
 :class:`~repro.learning.dataset.TrainingSet` keeps that one block — no
-per-row object exists anywhere between the search and the fit.  The tables
-every sample's problem reads (:class:`~repro.search.problem.ProblemTables`)
-are built once per pass, by the :class:`SampleSolver`.
+per-row object exists anywhere between the search and the fit.
+
+A pass compiles its specification and goal once: one
+:class:`~repro.search.problem.ProblemTables` and one
+:class:`~repro.learning.features.FeatureExtractor` over it.  The
+:class:`SampleSolver` builds every sample's problem on those tables, the
+extractor writes every row, and the fitted
+:class:`~repro.learning.model.DecisionModel` keeps the same extractor, so the
+model decides on the tables its training pass solved on.
 
 The returned :class:`TrainingResult` keeps the training set and the per-sample
 solutions so that the adaptive-modeling machinery (Section 5) can re-derive
@@ -71,9 +77,9 @@ from repro.learning.features import FeatureExtractor
 from repro.learning.model import DecisionModel, ModelMetadata
 from repro.learning.sampling import training_workloads
 from repro.parallel.backend import ExecutionBackend
-from repro.search.astar import astar_search, optimality_ratio
+from repro.search.astar import optimality_ratio
 from repro.search.problem import ProblemTables, SchedulingProblem
-from repro.search.strategy import SearchStrategy, strategy_from_spec
+from repro.search.strategy import AStarStrategy, SearchStrategy
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
 from repro.workloads.workload import Workload
@@ -243,44 +249,26 @@ class SampleSolver:
 
     Instances are the worker callable an
     :class:`~repro.parallel.backend.ExecutionBackend` ships to its processes;
-    the specification — VM catalogue, goal, latency model, feature extractor —
-    is pickled once per chunk of tasks rather than once per task, and with it
-    the :class:`~repro.search.problem.ProblemTables` the solver builds once
-    over the extractor's templates, which every sample's problem shares.
-    ``extra_bound`` optionally carries the adaptive-A* ``h'`` of Section 5
-    (a picklable :class:`~repro.adaptive.retraining.AdaptiveBound`); the
-    solver builds the problem with it, so search nodes carry a second
-    incremental accumulator for its ``old_goal`` and the bound reads the old
-    goal's penalty in O(1)-O(log n).
+    the pass's feature extractor — and with it the
+    :class:`~repro.search.problem.ProblemTables` every sample's problem shares
+    — and the resolved search strategy are pickled once per chunk of tasks
+    rather than once per task.  ``extra_bound`` optionally carries the
+    adaptive-A* ``h'`` of Section 5 (a picklable
+    :class:`~repro.adaptive.retraining.AdaptiveBound`); the solver builds the
+    problem with it, so search nodes carry a second incremental accumulator
+    for its ``old_goal`` and the bound reads the old goal's penalty in
+    O(1)-O(log n).
     """
 
     def __init__(
         self,
-        vm_types: VMTypeCatalog,
-        goal: PerformanceGoal,
-        latency_model: LatencyModel,
         extractor: FeatureExtractor,
         max_expansions: int | None,
-        search_strategy: str = "astar",
+        search_strategy: SearchStrategy = AStarStrategy(),
     ) -> None:
-        self.vm_types = vm_types
-        self.goal = goal
-        self.latency_model = latency_model
         self.extractor = extractor
         self.max_expansions = max_expansions
-        self.tables = ProblemTables(extractor.templates, vm_types, goal, latency_model)
-        #: Strategy spec (a plain string so the solver pickles cheaply;
-        #: resolved lazily per process).
         self.search_strategy = search_strategy
-        self._strategy: SearchStrategy | None = None
-
-    def _resolved_strategy(self) -> SearchStrategy | None:
-        """The strategy instance, or ``None`` for the zero-overhead default."""
-        if self.search_strategy == "astar":
-            return None
-        if self._strategy is None:
-            self._strategy = strategy_from_spec(self.search_strategy)
-        return self._strategy
 
     def solve(
         self,
@@ -303,18 +291,14 @@ class SampleSolver:
         the sample is searched and the path found is walked for its values.
         """
         problem = SchedulingProblem.from_tables(
-            self.tables, workload.template_counts(), adaptive_bound=extra_bound
+            self.extractor.tables, workload.template_counts(), adaptive_bound=extra_bound
         )
         if keep is not None and keep.path:
             values, cost = self.extractor.vertex_values(problem, keep.path)
             if cost == keep.optimal_cost:
                 return values, replace(keep, expansions=0)
-        strategy = self._resolved_strategy()
         try:
-            if strategy is None:
-                result = astar_search(problem, max_expansions=self.max_expansions)
-            else:
-                result = strategy.search(problem, max_expansions=self.max_expansions)
+            result = self.search_strategy.search(problem, max_expansions=self.max_expansions)
         except SearchBudgetExceeded:
             return None
         path = tuple(action.label for _, action in result.decisions())
@@ -356,7 +340,6 @@ class ModelGenerator:
         self._vm_types = vm_types or single_vm_type_catalog()
         self._latency_model = latency_model or TemplateLatencyModel(templates)
         self._config = config or TrainingConfig.fast()
-        self._extractor = FeatureExtractor(templates, self._vm_types)
         self._backend = backend
         self._owns_backend = False
 
@@ -457,21 +440,19 @@ class ModelGenerator:
         *started*) and each task's solution in task order (``None`` = out of
         budget).
         """
+        extractor = self._extractor_for(goal)
         solver = SampleSolver(
-            vm_types=self._vm_types,
-            goal=goal,
-            latency_model=self._latency_model,
-            extractor=self._extractor,
-            max_expansions=self._config.max_expansions,
-            search_strategy=self._config.search_strategy,
+            extractor,
+            self._config.max_expansions,
+            self._config.create_search_strategy(),
         )
         search_start = time.perf_counter()
         payloads = self.backend.map_tasks(solver, tasks)
         solutions = [None if payload is None else payload[1] for payload in payloads]
         solved = [payload for payload in payloads if payload is not None]
-        training_set = TrainingSet(self._extractor.feature_names)
+        training_set = TrainingSet(extractor.feature_names)
         training_set.extend(
-            self._extractor.block(
+            extractor.block(
                 [(solution.path, values, solution.template_counts) for values, solution in solved]
             ),
             [label for _, solution in solved for label in solution.path],
@@ -485,7 +466,7 @@ class ModelGenerator:
             )
 
         fit_start = time.perf_counter()
-        model = self.fit_from_training_set(goal, training_set)
+        model = self._fit(extractor, training_set)
         fit_time = time.perf_counter() - fit_start
         training_time = time.perf_counter() - started
         model.metadata.num_training_samples = len(samples)
@@ -510,28 +491,26 @@ class ModelGenerator:
         self, goal: PerformanceGoal, training_set: TrainingSet
     ) -> DecisionModel:
         """Fit a model directly from an existing training set (used by ablations)."""
-        tree = self._fit_tree(training_set)
+        return self._fit(self._extractor_for(goal), training_set)
+
+    def _extractor_for(self, goal: PerformanceGoal) -> FeatureExtractor:
+        """The extractor over this specification's tables for *goal*."""
+        return FeatureExtractor(
+            ProblemTables(self._templates, self._vm_types, goal, self._latency_model)
+        )
+
+    def _fit(self, extractor: FeatureExtractor, training_set: TrainingSet) -> DecisionModel:
+        """Fit a tree on *training_set* and wrap it with *extractor*."""
+        matrix, labels = training_set.to_matrix()
+        tree = DecisionTreeClassifier(
+            max_depth=self._config.max_depth,
+            min_samples_leaf=self._config.min_samples_leaf,
+        ).fit(matrix, labels, training_set.feature_names)
         metadata = ModelMetadata(
-            goal_kind=goal.kind,
+            goal_kind=extractor.tables.goal.kind,
             num_training_examples=len(training_set),
             tree_depth=tree.depth(),
             tree_leaves=tree.leaf_count(),
             search_strategy=self._config.search_strategy,
         )
-        return DecisionModel(
-            tree=tree,
-            extractor=self._extractor,
-            templates=self._templates,
-            vm_types=self._vm_types,
-            goal=goal,
-            latency_model=self._latency_model,
-            metadata=metadata,
-        )
-
-    def _fit_tree(self, training_set: TrainingSet) -> DecisionTreeClassifier:
-        matrix, labels = training_set.to_matrix()
-        tree = DecisionTreeClassifier(
-            max_depth=self._config.max_depth,
-            min_samples_leaf=self._config.min_samples_leaf,
-        )
-        return tree.fit(matrix, labels, training_set.feature_names)
+        return DecisionModel(tree, extractor, metadata)

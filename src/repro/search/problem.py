@@ -254,12 +254,15 @@ class ProblemTables:
     cheapest execution cost and time over the catalogue (absent when no type
     runs it); the goal's rate and per-template deadlines; and one shared
     action object per template and VM type.  None of it depends on a
-    workload's counts, so a training pass builds it once
-    (:class:`~repro.learning.trainer.SampleSolver`) and every sample's
-    problem reads it (:meth:`SchedulingProblem.from_tables`), and a decision
-    model builds its own once (:attr:`DecisionModel.tables
+    workload's counts.  It is the one compiled form of a specification and
+    goal: a training pass builds it once, every sample's problem reads it
+    (:meth:`SchedulingProblem.from_tables`), the pass's
+    :class:`~repro.learning.features.FeatureExtractor` reads its template
+    order, ``supports`` table and action labels, and the model fitted on
+    that extractor's rows decides on it (:attr:`DecisionModel.tables
     <repro.learning.model.DecisionModel.tables>`).  The tables also hold the
-    one body of Equation 2 (:meth:`placement_edge_cost`), which both read.
+    one body of Equation 2 (:meth:`placement_edge_cost`), which training and
+    runtime both read.
     """
 
     def __init__(

@@ -33,15 +33,18 @@ from repro.adaptive.retraining import AdaptiveModeler
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import VMType, VMTypeCatalog, single_vm_type_catalog, two_vm_type_catalog
 from repro.config import TrainingConfig
-from repro.learning import trainer
 from repro.learning.features import FeatureExtractor
 from repro.learning.sampling import training_workloads
 from repro.learning.trainer import ModelGenerator, SampleSolution, SampleSolver, TrainingResult
+from repro.runtime.batch import BatchScheduler
+from repro.search import strategy
+from repro.search.astar import astar_search
 from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
 from repro.service import WiSeDBService
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.sla.per_query import PerQueryDeadlineGoal
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import QueryTemplate, TemplateSet, tpch_templates
 from repro.workloads.workload import Workload
 
@@ -307,7 +310,7 @@ def test_the_walk_retraces_the_astar_solution_vertex_by_vertex(kind, catalogue):
     latency_model = TemplateLatencyModel(TEMPLATES)
     for workload in training_workloads(TEMPLATES, _config(SEEDS[1])):
         problem = SchedulingProblem.for_workload(workload, vm_types, goal, latency_model)
-        result = trainer.astar_search(problem)
+        result = astar_search(problem)
         seen = []
 
         def visit(index, vertex):
@@ -343,12 +346,13 @@ def test_matrix_rows_are_extract_into_over_the_search_vertices(kind):
     """Searched, ``h'``-searched and kept paths all label as their vertices read."""
     vm_types = CATALOGUES["2vm"]
     generator = ModelGenerator(TEMPLATES, vm_types=vm_types, config=_config(SEEDS[0]))
-    extractor, latency_model = generator._extractor, generator.latency_model
+    latency_model = generator.latency_model
     goal = default_goal(kind, TEMPLATES)
     base = generator.generate(goal)
     # Tight enough that some samples are searched and some kept, per kind.
     stricter = goal.tightened(0.5 if kind == "percentile" else 0.2, TEMPLATES)
     adapted, _ = AdaptiveModeler(generator, base).retrain(stricter)
+    extractor = adapted.model._extractor
     assert base.skipped_samples == adapted.skipped_samples == 0
     adapted_rows, _ = adapted.training_set.to_matrix()
     offset = 0
@@ -365,7 +369,7 @@ def test_matrix_rows_are_extract_into_over_the_search_vertices(kind):
             adaptive_bound=AdaptiveModeler._adaptive_bound(goal, old.optimal_cost),
         )
         for problem in (plain, bounded):
-            result = trainer.astar_search(problem)
+            result = astar_search(problem)
             rows, cost = extractor.matrix(problem, _labels(result))
             assert cost == result.cost
             assert rows.tobytes() == _rows_over(extractor, result.path()[:-1], problem).tobytes()
@@ -406,11 +410,11 @@ def test_the_walk_refuses_a_path_the_problem_cannot_take():
     assert cost("provision:t9.huge") is None  # unknown VM type
     assert cost("provision:picky", "assign:T9") is None  # unknown template
     assert cost("launch:picky") is None  # unknown label
-    extractor = FeatureExtractor(TEMPLATES, vm_types)
+    extractor = FeatureExtractor(ProblemTables(TEMPLATES, vm_types, goal, latency_model))
     assert extractor.matrix(problem, ("assign:T1",))[1] is None
 
     # A kept sample whose path is refused is searched again.
-    solver = SampleSolver(vm_types, goal, latency_model, extractor, max_expansions=None)
+    solver = SampleSolver(extractor, max_expansions=None)
     workload = Workload.from_counts(TEMPLATES, {"T1": 1, "T3": 1})
     rows, searched = solver.solve(workload)
     assert searched.expansions > 0
@@ -451,9 +455,9 @@ def test_small_shifts_search_only_the_samples_whose_optimum_moved(max_tenant, mo
     """``online_retrain``'s regime: 480 searches at the parent, 26 when written."""
     generator, goal, base = max_tenant
     searches = []
-    original = trainer.astar_search
+    original = strategy.astar_search
     monkeypatch.setattr(
-        trainer,
+        strategy,
         "astar_search",
         lambda *args, **kwargs: searches.append(1) or original(*args, **kwargs),
     )
@@ -508,10 +512,13 @@ def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monk
 
 def test_a_training_pass_builds_one_block_and_one_set_of_tables(max_tenant, monkeypatch):
     """Per ``_solve_and_fit``: one call of ``FeatureExtractor.block`` over every
-    solved sample, and one ``ProblemTables`` build shared by the 40 problems."""
+    solved sample, and one ``ProblemTables`` build shared by the 40 problems
+    and the fitted model, whose first schedule builds no other."""
     generator, goal, base = max_tenant
     modeler = AdaptiveModeler(generator, base)
+    workload = WorkloadGenerator(generator.templates, seed=3).uniform(60)
     calls: Counter[str] = Counter()
+    built: list[ProblemTables] = []
     block = FeatureExtractor.block
     tables_init = ProblemTables.__init__
 
@@ -522,17 +529,23 @@ def test_a_training_pass_builds_one_block_and_one_set_of_tables(max_tenant, monk
 
     def counting_tables(self, *args):
         calls["tables"] += 1
+        built.append(self)
         tables_init(self, *args)
+
+    def check(result, context):
+        assert calls == {"block": 1, "paths": 40, "tables": 1}, (context, calls)
+        assert result.model.tables is built[-1], context
+        BatchScheduler(result.model).schedule(workload)
+        assert calls["tables"] == 1, (context, calls)
 
     monkeypatch.setattr(FeatureExtractor, "block", counting_block)
     monkeypatch.setattr(ProblemTables, "__init__", counting_tables)
     for shift in (0.0, 5.0, 30.0):
         calls.clear()
         result, report = modeler.retrain(goal.shifted(shift))
-        assert calls == {"block": 1, "paths": 40, "tables": 1}, (shift, calls)
+        check(result, shift)
     calls.clear()
-    generator.generate(goal, workloads=base.workloads)
-    assert calls == {"block": 1, "paths": 40, "tables": 1}, calls
+    check(generator.generate(goal, workloads=base.workloads), "generate")
 
 
 def test_a_training_set_holds_little_beyond_its_float_rows(max_tenant):

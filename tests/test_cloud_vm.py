@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import config
+from repro.cloud.latency import TemplateLatencyModel
 from repro.exceptions import SpecificationError, UnknownVMTypeError
 from repro.cloud.vm import (
     VMType,
@@ -15,6 +16,7 @@ from repro.cloud.vm import (
     t2_small,
     two_vm_type_catalog,
 )
+from repro.search.problem import ProblemTables
 
 
 def test_t2_medium_matches_paper_prices():
@@ -81,11 +83,19 @@ def test_catalog_rejects_empty():
         VMTypeCatalog([])
 
 
-def test_catalog_supporting_filter():
-    limited = VMType(name="limited", unsupported_templates={"T1"})
+def test_tables_compile_which_types_run_a_template(small_templates, max_goal):
+    """The one compiled form of which type runs what: ``supports_table`` per
+    type in catalogue order, and a template's cheapest execution taken over
+    the types that run it."""
+    limited = VMType(name="limited", running_cost=0.0001, unsupported_templates={"T1"})
     catalog = VMTypeCatalog([t2_medium(), limited])
-    supporting = catalog.supporting("T1")
-    assert [vm.name for vm in supporting] == ["t2.medium"]
+    latency_model = TemplateLatencyModel(small_templates)
+    tables = ProblemTables(small_templates, catalog, max_goal, latency_model)
+    assert tables.supports_table == [[True, True, True], [False, True, True]]
+    medium = t2_medium()
+    assert tables.cheapest_execution["T1"] == medium.running_cost * latency_model.latency(
+        "T1", medium
+    )
 
 
 def test_synthetic_catalog_sizes():

@@ -12,7 +12,7 @@ Hypothesis draws the paths: any order of provisionings and placements a walk
 accepts, on workloads that lack some templates, with several VMs per path,
 empty VMs in the middle and at the end, over the four goal kinds (tightened,
 so placements pay penalties) and two catalogues, the second with a type that
-cannot run ``T3``.  The extractor's catalogue is listed either in the
+cannot run ``T3``.  The extractor's tables list the catalogue either in the
 problem's order or reversed, since ``supports`` must be looked up by the type's
 name.
 """
@@ -29,7 +29,7 @@ from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import VMType, VMTypeCatalog, single_vm_type_catalog
 from repro.learning.features import FeatureExtractor
 from repro.search.actions import PlaceQuery, ProvisionVM
-from repro.search.problem import SchedulingProblem
+from repro.search.problem import ProblemTables, SchedulingProblem
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 
@@ -53,6 +53,11 @@ LATENCY = TemplateLatencyModel(TEMPLATES)
 
 def _reversed(catalogue: VMTypeCatalog) -> VMTypeCatalog:
     return VMTypeCatalog(list(catalogue)[::-1])
+
+
+def _extractor(catalogue: VMTypeCatalog, goal) -> FeatureExtractor:
+    """An extractor whose tables list *catalogue* (perhaps not the problem's order)."""
+    return FeatureExtractor(ProblemTables(TEMPLATES, catalogue, goal, LATENCY))
 
 
 def _oracle(extractor, problem, labels) -> tuple[np.ndarray, float | None]:
@@ -116,10 +121,8 @@ def _refused(counts: dict[str, int], labels: tuple[str, ...], how: int) -> tuple
 @given(data=st.data())
 def test_one_block_over_many_paths_is_extract_into_stacked(kind, catalogue, order, data):
     vm_types = CATALOGUES[catalogue]
-    extractor = FeatureExtractor(
-        TEMPLATES, vm_types if order == "same" else _reversed(vm_types)
-    )
     goal = default_goal(kind, TEMPLATES).tightened(0.5, TEMPLATES)
+    extractor = _extractor(vm_types if order == "same" else _reversed(vm_types), goal)
     paths = data.draw(st.lists(_paths(vm_types), min_size=1, max_size=6))
     refused_at = data.draw(st.integers(0, len(paths)))
     how = data.draw(st.integers(0, 3))
@@ -160,10 +163,9 @@ def test_one_block_over_many_paths_is_extract_into_stacked(kind, catalogue, orde
 
 def test_an_empty_label_list_has_no_rows_and_no_cost():
     vm_types = CATALOGUES["2vm"]
-    extractor = FeatureExtractor(TEMPLATES, vm_types)
-    problem = SchedulingProblem(
-        {"T1": 1}, TEMPLATES, vm_types, default_goal("max", TEMPLATES), LATENCY
-    )
+    goal = default_goal("max", TEMPLATES)
+    extractor = _extractor(vm_types, goal)
+    problem = SchedulingProblem({"T1": 1}, TEMPLATES, vm_types, goal, LATENCY)
     rows, cost = extractor.matrix(problem, ())
     assert rows.shape == (0, len(extractor.feature_names)) and cost is None
     assert extractor.block([]).shape == (0, len(extractor.feature_names))
@@ -174,11 +176,10 @@ def test_supports_follows_the_type_name_not_the_catalogue_position():
     catalogue the other way round still writes picky's ``supports`` row."""
     vm_types = CATALOGUES["2vm"]
     labels = (ProvisionVM("picky").label, PlaceQuery("T1").label)
-    problem = SchedulingProblem(
-        {"T1": 1}, TEMPLATES, vm_types, default_goal("max", TEMPLATES), LATENCY
-    )
+    goal = default_goal("max", TEMPLATES)
+    problem = SchedulingProblem({"T1": 1}, TEMPLATES, vm_types, goal, LATENCY)
     for catalogue in (vm_types, _reversed(vm_types)):
-        extractor = FeatureExtractor(TEMPLATES, catalogue)
+        extractor = _extractor(catalogue, goal)
         rows, cost = extractor.matrix(problem, labels)
         assert cost is not None
         supports = rows[1, 2::4]

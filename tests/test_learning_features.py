@@ -22,7 +22,7 @@ from repro.learning.features import (
     supports_feature,
     wait_time_feature,
 )
-from repro.search.problem import SchedulingProblem
+from repro.search.problem import ProblemTables, SchedulingProblem
 
 from search_helpers import children
 
@@ -66,8 +66,15 @@ def problem(small_templates, max_goal):
 
 
 @pytest.fixture()
-def extractor(small_templates):
-    return FeatureExtractor(small_templates, single_vm_type_catalog())
+def extractor(small_templates, max_goal):
+    return FeatureExtractor(
+        ProblemTables(
+            small_templates,
+            single_vm_type_catalog(),
+            max_goal,
+            TemplateLatencyModel(small_templates),
+        )
+    )
 
 
 def test_feature_names_cover_all_templates(extractor, small_templates):
@@ -133,7 +140,9 @@ def test_unsupported_template_features(small_templates, max_goal):
         goal=max_goal,
         latency_model=TemplateLatencyModel(small_templates),
     )
-    extractor = FeatureExtractor(small_templates, catalog)
+    extractor = FeatureExtractor(
+        ProblemTables(small_templates, catalog, max_goal, TemplateLatencyModel(small_templates))
+    )
     on_limited = next(
         child
         for child in children(problem, problem.initial_node())

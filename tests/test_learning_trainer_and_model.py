@@ -18,7 +18,7 @@ from repro.runtime.batch import BatchScheduler
 from repro.runtime.online import OnlineScheduler
 from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.astar import astar_search
-from repro.search.problem import SchedulingProblem
+from repro.search.problem import ProblemTables, SchedulingProblem
 from repro.sla.factory import default_goal
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import tpch_templates
@@ -56,8 +56,10 @@ def test_solver_labels_every_decision_on_the_optimal_path(small_templates, max_g
     workload = Workload.from_counts(small_templates, {"T1": 2, "T2": 1})
     vm_types = single_vm_type_catalog()
     latency_model = TemplateLatencyModel(small_templates)
-    extractor = FeatureExtractor(small_templates, vm_types)
-    solver = SampleSolver(vm_types, max_goal, latency_model, extractor, max_expansions=None)
+    extractor = FeatureExtractor(
+        ProblemTables(small_templates, vm_types, max_goal, latency_model)
+    )
+    solver = SampleSolver(extractor, max_expansions=None)
     values, solution = solver.solve(workload)
     problem = SchedulingProblem.for_workload(workload, vm_types, max_goal, latency_model)
     result = astar_search(problem)
@@ -173,7 +175,9 @@ def test_a_serialized_model_on_other_feature_families_is_refused(trained_max, fa
 
 def _one_leaf_model(label, templates, vm_types, goal):
     """A model whose tree is one leaf labelled *label*: every decision is *label*."""
-    extractor = FeatureExtractor(templates, vm_types)
+    extractor = FeatureExtractor(
+        ProblemTables(templates, vm_types, goal, TemplateLatencyModel(templates))
+    )
     tree = DecisionTreeClassifier.from_dict(
         {
             "max_depth": 1,
@@ -185,9 +189,7 @@ def _one_leaf_model(label, templates, vm_types, goal):
             "root": {"samples": 1, "class_counts": {label: 1}, "label": label},
         }
     )
-    return DecisionModel(
-        tree, extractor, templates, vm_types, goal, TemplateLatencyModel(templates)
-    )
+    return DecisionModel(tree, extractor)
 
 
 @pytest.mark.parametrize(

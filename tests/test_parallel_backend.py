@@ -326,13 +326,7 @@ def test_injected_backend_is_not_closed_by_the_generator(small_templates, max_go
 
 def test_pooled_sample_solves_match_serial(small_templates, max_goal):
     generator = ModelGenerator(small_templates, config=TrainingConfig.tiny(seed=3))
-    solver = SampleSolver(
-        vm_types=generator.vm_types,
-        goal=max_goal,
-        latency_model=generator.latency_model,
-        extractor=generator._extractor,
-        max_expansions=50_000,
-    )
+    solver = SampleSolver(generator._extractor_for(max_goal), max_expansions=50_000)
     workloads = [
         WorkloadGenerator(small_templates, seed=5).uniform(4) for _ in range(3)
     ]

@@ -19,7 +19,7 @@ from repro.learning.features import FeatureExtractor
 from repro.learning.model import DecisionModel
 from repro.runtime.batch import BatchScheduler
 from repro.search.actions import PlaceQuery
-from repro.search.problem import SchedulingProblem, VertexStepper
+from repro.search.problem import ProblemTables, SchedulingProblem, VertexStepper
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import QueryTemplate
@@ -108,18 +108,11 @@ def _model_for(templates, vm_types, goal, rows=((0.0, "provision:t2.medium"),)):
     """A model of the specification whose tree splits ``wait_time`` only,
     fitted on ``(wait_time, label)`` *rows* (its tables depend only on the
     specification and goal)."""
-    extractor = FeatureExtractor(templates, vm_types)
+    tables = ProblemTables(templates, vm_types, goal, TemplateLatencyModel(templates))
     tree = DecisionTreeClassifier(min_samples_leaf=1).fit(
         np.asarray([[wait] for wait, _ in rows]), [label for _, label in rows], ["wait_time"]
     )
-    return DecisionModel(
-        tree=tree,
-        extractor=extractor,
-        templates=templates,
-        vm_types=vm_types,
-        goal=goal,
-        latency_model=TemplateLatencyModel(templates),
-    )
+    return DecisionModel(tree=tree, extractor=FeatureExtractor(tables))
 
 
 @pytest.mark.parametrize("catalog", sorted(_CATALOGS))

@@ -388,7 +388,11 @@ class TestWorkGuard:
         """A session builds one kernel, the kernel one vertex stepper, and the
         model one set of problem tables, which every decision prices with:
         passes reset them instead of rebuilding."""
-        # A model that has not decided yet, so its tables are built here.
+        counts = _counting_constructors(
+            monkeypatch, (PlacementKernel, VertexStepper, ProblemTables)
+        )
+        # A model loaded here: loading builds its one set of tables, as its
+        # training pass does, and no decision builds another.
         base = TrainingResult.from_dict(trained_max.to_dict())
         scheduler = OnlineScheduler(
             base_training=base, generator=model_generator, wait_resolution=1e9
@@ -396,9 +400,6 @@ class TestWorkGuard:
         generator = WorkloadGenerator(small_templates, seed=46)
         workload = generator.with_fixed_arrivals(generator.uniform(30), 1.0)
         epochs = _epochs(scheduler, workload)
-        counts = _counting_constructors(
-            monkeypatch, (PlacementKernel, VertexStepper, ProblemTables)
-        )
         session = scheduler.session()
         for epoch in epochs:
             session.submit(epoch)

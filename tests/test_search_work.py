@@ -22,8 +22,8 @@ import pytest
 from repro.cloud.latency import TemplateLatencyModel
 from repro.cloud.vm import single_vm_type_catalog
 from repro.config import TrainingConfig
-from repro.learning import trainer
 from repro.learning.trainer import ModelGenerator
+from repro.search import strategy
 from repro.search.optimal import find_optimal_schedule
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.generator import WorkloadGenerator
@@ -74,7 +74,7 @@ def _diff(observed: dict, expected: dict) -> str:
 @pytest.mark.parametrize("kind", GOAL_KINDS)
 def test_fresh_training_does_the_recorded_work(kind, monkeypatch):
     totals = {"expansions": 0, "generated": 0}
-    search = trainer.astar_search
+    search = strategy.astar_search
 
     def counting_search(problem, max_expansions=None):
         result = search(problem, max_expansions=max_expansions)
@@ -82,7 +82,7 @@ def test_fresh_training_does_the_recorded_work(kind, monkeypatch):
         totals["generated"] += result.generated
         return result
 
-    monkeypatch.setattr(trainer, "astar_search", counting_search)
+    monkeypatch.setattr(strategy, "astar_search", counting_search)
     generator = ModelGenerator(TEMPLATES, config=CONFIG)
     result = generator.generate(default_goal(kind, TEMPLATES))
     observed = {

@@ -123,7 +123,9 @@ def _random_walk(problem, rng: random_module.Random, max_steps: int):
 )
 def test_extract_row_and_matrix_match_dict(kind, counts, two_types, seed):
     templates, vm_types, problem = _build_problem(kind, counts, two_types)
-    extractor = FeatureExtractor(templates, vm_types)
+    extractor = FeatureExtractor(
+        ProblemTables(templates, vm_types, problem.goal, TemplateLatencyModel(templates))
+    )
     rng = random_module.Random(seed)
     nodes = _random_walk(problem, rng, max_steps=sum(counts) + 3)
 
@@ -155,7 +157,6 @@ def test_extract_row_and_matrix_match_dict(kind, counts, two_types, seed):
 def test_problem_cost_row_matches_scalar(kind, counts, seed):
     """The search problem's cost row equals per-template scalar edge costs."""
     templates, vm_types, problem = _build_problem(kind, counts, two_types=True)
-    extractor = FeatureExtractor(templates, vm_types)
     rng = random_module.Random(seed)
     for node in _random_walk(problem, rng, max_steps=sum(counts) + 3):
         row = problem.placement_cost_row(node, templates.names)
@@ -418,7 +419,8 @@ def _settle(model, label, node, problem, walked):
     calls = len(walked)
 
     def cheapest_vm_type(name):
-        return min(vm_types.supporting(name), key=lambda vm: vm.running_cost * latency(name, vm))
+        supporting = [vm for vm in vm_types if vm.supports(name)]
+        return min(supporting, key=lambda vm: vm.running_cost * latency(name, vm))
 
     def take_a_query():
         nonlocal calls
@@ -534,10 +536,6 @@ def _one_leaf(model, label):
     return DecisionModel(
         tree=DecisionTreeClassifier.from_dict(_spine(names, [], [label])),
         extractor=model._extractor,
-        templates=model.templates,
-        vm_types=model.vm_types,
-        goal=model.goal,
-        latency_model=model.latency_model,
     )
 
 
@@ -792,14 +790,7 @@ def test_a_walk_deeper_than_the_tokenizer_allows_continues_in_helpers(
         # rest send every vertex on down the spine.
         splits.append((column, values[-len(values) // 8] if index % 40 == 39 else values[-1] + 1.0))
     tree = DecisionTreeClassifier.from_dict(_spine(names, splits, base.tree._classes, side="left"))
-    model = DecisionModel(
-        tree=tree,
-        extractor=base._extractor,
-        templates=base.templates,
-        vm_types=base.vm_types,
-        goal=base.goal,
-        latency_model=base.latency_model,
-    )
+    model = DecisionModel(tree=tree, extractor=base._extractor)
     source, _ = _walk_source(model.compiled_evaluator(), model._extractor)
     assert tree.depth() == 260 and "def walk_" in source
     assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) < 4 * 100
