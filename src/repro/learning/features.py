@@ -56,6 +56,7 @@ lives only under ``tests/``.
 
 from __future__ import annotations
 
+import copy
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -161,6 +162,18 @@ class FeatureExtractor:
             [""] + [name for name in names for _ in per_template],
             [-1] + [j for j in range(len(names)) for _ in per_template],
         )
+
+    def with_tables(self, tables: ProblemTables) -> "FeatureExtractor":
+        """An extractor over *tables* that shares this one's goal-free layout.
+
+        Everything but the tables — feature names, columns, label codes and
+        the ``supports`` block — follows from the templates and VM types
+        alone, so *tables* must compile the same specification; only the
+        goal may differ.
+        """
+        extractor = copy.copy(self)
+        extractor._tables = tables
+        return extractor
 
     @property
     def feature_names(self) -> tuple[str, ...]:

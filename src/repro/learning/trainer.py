@@ -342,6 +342,8 @@ class ModelGenerator:
         self._config = config or TrainingConfig.fast()
         self._backend = backend
         self._owns_backend = False
+        #: The first pass's extractor: later passes share its goal-free layout.
+        self._extractor: FeatureExtractor | None = None
 
     # -- accessors -----------------------------------------------------------------
 
@@ -494,10 +496,17 @@ class ModelGenerator:
         return self._fit(self._extractor_for(goal), training_set)
 
     def _extractor_for(self, goal: PerformanceGoal) -> FeatureExtractor:
-        """The extractor over this specification's tables for *goal*."""
-        return FeatureExtractor(
-            ProblemTables(self._templates, self._vm_types, goal, self._latency_model)
-        )
+        """The extractor over this specification's tables for *goal*.
+
+        The feature names, column layout, label codes and ``supports`` block
+        do not depend on the goal: the first pass builds them, and every
+        later pass's extractor shares them and brings only its own tables.
+        """
+        tables = ProblemTables(self._templates, self._vm_types, goal, self._latency_model)
+        if self._extractor is None:
+            self._extractor = FeatureExtractor(tables)
+            return self._extractor
+        return self._extractor.with_tables(tables)
 
     def _fit(self, extractor: FeatureExtractor, training_set: TrainingSet) -> DecisionModel:
         """Fit a tree on *training_set* and wrap it with *extractor*."""

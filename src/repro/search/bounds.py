@@ -10,7 +10,8 @@ depends on the goal, and every goal kind gets it from a bound object:
 * **Monotonic goals** (max latency, per-query deadlines) always use
   :class:`ProvisioningBound`: the partial penalty (it can only grow) plus the
   cheapest provisioning-or-penalty cost of the work that overflows the VMs'
-  penalty-free capacity.
+  penalty-free capacity, where renting no further VM also pays the least
+  tardiness of the remaining queries run back to back on one machine.
 * **Non-monotonic goals** (average, percentile) always use
   :class:`MemoizedGoalBound`.  The partial penalty may still shrink, so the
   term is the goal's own admissible estimate of the *future*
@@ -48,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.search.problem import RemainingRow, SchedulingProblem, SearchNode
 
 _INF = float("inf")
+#: ``row.work`` and the prefix sums ``P_i`` add the same positive latencies
+#: in different orders, so they may differ by a few units in the last place;
+#: work this far below the earliest deadline keeps every ``P_i`` below it.
+_ROUNDING_MARGIN = 1.0 + 1e-9
 
 
 class FutureCostBound(ABC):
@@ -112,11 +117,27 @@ class ProvisioningBound(FutureCostBound):
 
         k * f_s  +  rate * max(U, W - slack - k * D)
 
+    With no further VM (``k = 0``) every remaining query runs back to back
+    on the most recent VM, which started at ``t >= 0``, so the ``i``-th
+    smallest completion is at least ``P_i``, the sum of the ``i`` shortest
+    cheapest latencies.  Matching sorted completions to sorted deadlines
+    gives the least total tardiness of any assignment (the overage is convex
+    in the completion), so the violation is at least
+
+        T1 = sum_i max(0, P_i - d_(i))
+
+    and the ``k = 0`` candidate charges ``rate * max(U, W - slack, T1)``.
     Minimising over ``k`` gives an admissible bound on the cost still to be
-    paid *beyond* the pure execution cost of Equation 3 (with no overflow it
-    is ``rate * U``).  Goals without a per-query deadline get no
-    provisioning term.  The term is a function of the vertex alone, so the
-    three hooks share one body and carry no key.
+    paid *beyond* the pure execution cost of Equation 3.  ``T1`` is
+    memoised per remaining multiset like ``U``, and computed only when the
+    ``k = 0`` candidate is strictly the cheapest without it (otherwise
+    raising that candidate cannot move the minimum) and the remaining work
+    reaches the earliest deadline (otherwise no ``P_i`` does, and ``T1`` is
+    0), so the term equals the eagerly computed one bit for bit, and max
+    latency searches, whose work rarely exceeds the deadline while ``k = 0``
+    is the cheapest, almost never pay for it.  Goals without a per-query
+    deadline get no provisioning term.  The term is a function of the vertex
+    alone, so the three hooks share one body and carry no key.
     """
 
     def attach(self, problem) -> None:
@@ -125,47 +146,89 @@ class ProvisioningBound(FutureCostBound):
         self._min_startup = problem.min_startup_cost
         self._rate = goal.penalty_rate
         if self._capacity is not None:
+            cheapest_time = problem.cheapest_time
+            deadlines = {name: goal.query_deadline(name) for name in cheapest_time}
             self._overage = {
-                name: max(0.0, time - goal.query_deadline(name))
-                for name, time in problem.cheapest_time.items()
+                name: max(0.0, time - deadlines[name])
+                for name, time in cheapest_time.items()
             }
+            #: The workload's templates, shortest cheapest latency first, and
+            #: their deadlines, earliest first.
+            self._by_time = sorted(cheapest_time.items(), key=lambda item: item[1])
+            self._by_deadline = sorted(deadlines.items(), key=lambda item: item[1])
+            self._earliest = min(deadlines.values(), default=_INF)
             #: remaining code -> unavoidable overage ``U`` of the multiset
             self._floors: dict[int, float] = {}
+            #: remaining code -> one-machine tardiness ``T1`` of the multiset
+            self._tardiness: dict[int, float] = {}
 
     def _floor(self, row) -> float:
         """``U``: the overage the remaining queries pay wherever they run."""
         floor = self._floors.get(row.code)
         if floor is None:
             overage = self._overage
-            floor = self._floors[row.code] = sum(
-                [count * overage[name] for name, count in row.remaining]
-            )
+            floor = 0.0
+            for name, count in row.remaining:
+                floor += count * overage[name]
+            self._floors[row.code] = floor
         return floor
+
+    def _one_machine_tardiness(self, row) -> float:
+        """``T1``: the least tardiness of the remaining queries on one machine."""
+        if row.work * _ROUNDING_MARGIN <= self._earliest:
+            # Every prefix P_i is at most the work, below every deadline.
+            return 0.0
+        tardiness = self._tardiness.get(row.code)
+        if tardiness is None:
+            counts = dict(row.remaining)
+            deadlines = []
+            for name, deadline in self._by_deadline:
+                count = counts.get(name)
+                if count:
+                    deadlines.extend([deadline] * count)
+            tardiness = 0.0
+            completion = 0.0
+            rank = 0
+            for name, time in self._by_time:
+                for _ in range(counts.get(name, 0)):
+                    completion += time
+                    late = completion - deadlines[rank]
+                    if late > 0.0:
+                        tardiness += late
+                    rank += 1
+            self._tardiness[row.code] = tardiness
+        return tardiness
 
     def _term(self, penalty: float, finish: float | None, row) -> float:
         """The term of a vertex whose most recent VM is busy until *finish*
         (``None``: no VM yet) with *row* left to place."""
-        provisioning = 0.0
         capacity = self._capacity
-        if capacity is not None:
-            floor = self._floor(row)
-            slack = capacity - finish if finish is not None else 0.0
-            overflow = row.work - (slack if slack > 0.0 else 0.0)
-            if overflow > 0:
-                best = _INF
-                min_startup = self._min_startup
-                rate = self._rate
-                for new_vms in range(int(overflow // capacity) + 2):
-                    unplaced = overflow - new_vms * capacity
-                    cost = new_vms * min_startup + rate * (
-                        unplaced if unplaced > floor else floor
-                    )
-                    if cost < best:
-                        best = cost
-                provisioning = best
-            elif floor > 0.0:
-                provisioning = self._rate * floor
-        return penalty + provisioning
+        if capacity is None:
+            return penalty
+        floor = self._floor(row)
+        slack = capacity - finish if finish is not None else 0.0
+        overflow = row.work - (slack if slack > 0.0 else 0.0)
+        rate = self._rate
+        min_startup = self._min_startup
+        # k = 0: no further VM; k >= 1: the cheapest with new VMs (with no
+        # overflow every k >= 1 pays U plus its fees, so k = 1 is the least).
+        stay = overflow if overflow > floor else floor
+        alone = rate * stay
+        rented = _INF
+        top = int(overflow // capacity) + 2 if overflow > 0.0 else 2
+        for new_vms in range(1, top):
+            unplaced = overflow - new_vms * capacity
+            cost = new_vms * min_startup + rate * (
+                unplaced if unplaced > floor else floor
+            )
+            if cost < rented:
+                rented = cost
+        if alone < rented:
+            tardiness = self._one_machine_tardiness(row)
+            if tardiness > stay:
+                alone = rate * tardiness
+            return penalty + (alone if alone < rented else rented)
+        return penalty + rented
 
     def placement_bound(self, parent, row, completion, penalty):
         return self._term(penalty, completion, row), None

@@ -983,27 +983,28 @@ class SchedulingProblem:
         Digit ``i`` of the code, in the mixed radix of ``count + 1`` per
         template (name order), is how many queries of template ``i`` are
         left.  The sums add one term per template in the canonical
-        ``remaining`` order, so every row holds a fresh, bit-reproducible
-        evaluation.
+        ``remaining`` order with ``+=``, never ``sum()`` (compensated since
+        Python 3.12), so every row holds a fresh evaluation that is
+        bit-reproducible on any interpreter.
         """
         row = self._rows.get(code)
         if row is not None:
             return row
         remaining = []
         present = []
-        executions = []
-        works = []
+        executions = 0.0
+        works = 0.0
         count = 0
         for name, template_index, radix, weight, execution, time in self._radix:
             left = code // weight % radix
             if left:
                 remaining.append((name, left))
                 present.append((template_index, weight, name))
-                executions.append(execution * left)
-                works.append(time * left)
+                executions += execution * left
+                works += time * left
                 count += left
         row = self._rows[code] = RemainingRow(
-            code, tuple(present), count, sum(executions), sum(works), tuple(remaining)
+            code, tuple(present), count, executions, works, tuple(remaining)
         )
         return row
 

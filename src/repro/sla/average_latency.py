@@ -16,7 +16,7 @@ from repro import config
 from repro.core.outcome import QueryOutcome
 from repro.exceptions import GoalError
 from repro.sla.accumulators import AverageLatencyViolationAccumulator
-from repro.sla.base import PerformanceGoal, latencies
+from repro.sla.base import PerformanceGoal, latencies, left_sum
 from repro.workloads.templates import TemplateSet
 
 
@@ -45,7 +45,7 @@ class AverageLatencyGoal(PerformanceGoal):
         values = latencies(outcomes)
         if not values:
             return 0.0
-        average = sum(values) / len(values)
+        average = left_sum(values) / len(values)
         return max(0.0, average - self._deadline)
 
     def accumulator(self) -> AverageLatencyViolationAccumulator:
@@ -72,7 +72,7 @@ class AverageLatencyGoal(PerformanceGoal):
         count = len(assigned_latencies) + len(remaining)
         if count == 0:
             return 0.0
-        assigned_total = sum(assigned_latencies)
+        assigned_total = left_sum(assigned_latencies)
         if not remaining:
             return self._penalty_rate * max(0.0, assigned_total / count - self._deadline)
 
@@ -82,10 +82,11 @@ class AverageLatencyGoal(PerformanceGoal):
             # new rentals give `extra_vms + 1` usable machines (their current
             # busy time is ignored, which keeps the bound admissible).
             machines = extra_vms + 1
-            completion_sum = sum(
-                latency * ((len(remaining) - index - 1) // machines + 1)
-                for index, latency in enumerate(remaining)
-            )
+            # left_sum's fold, inline: the search calls this bound per memo
+            # miss, and a generator would cost a third of its time.
+            completion_sum = 0.0
+            for index, latency in enumerate(remaining):
+                completion_sum += latency * ((len(remaining) - index - 1) // machines + 1)
             average = (assigned_total + completion_sum) / count
             violation = max(0.0, average - self._deadline)
             cost = extra_vms * min_startup_cost + self._penalty_rate * violation

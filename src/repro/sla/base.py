@@ -22,7 +22,7 @@ The goal classes implement three capabilities used elsewhere in the library:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro import config
 from repro.core.outcome import QueryOutcome
@@ -226,3 +226,16 @@ class PerformanceGoal(ABC):
 def latencies(outcomes: Sequence[QueryOutcome]) -> list[float]:
     """Observed latencies of *outcomes* (helper shared by the goal classes)."""
     return [outcome.latency for outcome in outcomes]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """*values* added left to right from ``0.0``.
+
+    Unlike ``sum()``, which Python 3.12+ compensates, this gives the same bits
+    on every interpreter, so goals and the bounds built from them do not
+    depend on it.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total

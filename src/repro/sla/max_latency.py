@@ -14,7 +14,7 @@ from repro import config
 from repro.core.outcome import QueryOutcome
 from repro.exceptions import GoalError
 from repro.sla.accumulators import MaxLatencyViolationAccumulator
-from repro.sla.base import PerformanceGoal
+from repro.sla.base import PerformanceGoal, left_sum
 from repro.workloads.templates import TemplateSet
 
 
@@ -40,7 +40,7 @@ class MaxLatencyGoal(PerformanceGoal):
 
     def violation_period(self, outcomes: Sequence[QueryOutcome]) -> float:
         """Sum of per-query overages beyond the deadline."""
-        return sum(
+        return left_sum(
             max(0.0, outcome.latency - self._deadline) for outcome in outcomes
         )
 

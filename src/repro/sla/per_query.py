@@ -13,7 +13,7 @@ from repro import config
 from repro.core.outcome import QueryOutcome
 from repro.exceptions import GoalError, UnknownTemplateError
 from repro.sla.accumulators import PerQueryViolationAccumulator
-from repro.sla.base import PerformanceGoal
+from repro.sla.base import PerformanceGoal, left_sum
 from repro.workloads.templates import TemplateSet
 
 
@@ -52,7 +52,7 @@ class PerQueryDeadlineGoal(PerformanceGoal):
     @property
     def deadline(self) -> float:
         """Mean of the per-template deadlines (the goal's 'primary deadline')."""
-        return sum(self._deadlines.values()) / len(self._deadlines)
+        return left_sum(self._deadlines.values()) / len(self._deadlines)
 
     # -- SLA semantics ---------------------------------------------------------
 
@@ -114,7 +114,7 @@ class PerQueryDeadlineGoal(PerformanceGoal):
         ]
         if not relevant:
             relevant = [t.base_latency for t in templates]
-        return sum(relevant) / len(relevant)
+        return left_sum(relevant) / len(relevant)
 
     def with_deadline(self, deadline: float) -> "PerQueryDeadlineGoal":
         """Scale every per-template deadline so their mean equals *deadline*."""

@@ -134,6 +134,54 @@ def percentile_future_cost(
     return best
 
 
+# -- the monotonic goals' cost-to-go ---------------------------------------------
+
+
+def provisioning_future_cost(
+    goal: PerformanceGoal,
+    cheapest_time: Mapping[str, float],
+    remaining: Sequence[tuple[str, int]],
+    min_startup_cost: float,
+    penalty: float,
+    finish: float | None,
+    one_machine: bool = True,
+) -> float:
+    """``ProvisioningBound``'s term, straight line: every VM count's candidate, eagerly.
+
+    *remaining* is a row's ``(template, count)`` tuple in name order and
+    *finish* the most recent VM's busy time (``None``: no VM yet).  ``k`` new
+    VMs cost ``k`` start-up fees plus the penalty of ``max(U, W - slack - k
+    D)``.  With *one_machine* the ``k = 0`` candidate also charges ``T1``:
+    the remaining queries back to back on one machine, the sorted prefix sums
+    of their cheapest latencies matched against their sorted deadlines.
+    ``one_machine=False`` is the bound as it was before ``T1``, the one the
+    bound must never fall below.
+    """
+    if goal.kind == "per_query":
+        capacity = max(goal.deadlines.values())
+    else:
+        capacity = goal.deadline
+    rate = goal.penalty_rate
+    work = floor = 0.0
+    for name, count in remaining:
+        work += cheapest_time[name] * count
+        floor += count * max(0.0, cheapest_time[name] - goal.query_deadline(name))
+    names = [name for name, count in remaining for _ in range(count)]
+    prefixes = itertools.accumulate(sorted(cheapest_time[name] for name in names))
+    deadlines = sorted(goal.query_deadline(name) for name in names)
+    tardiness = 0.0
+    for prefix, deadline in zip(prefixes, deadlines):
+        tardiness += max(0.0, prefix - deadline)
+    slack = capacity - finish if finish is not None else 0.0
+    overflow = work - max(slack, 0.0)
+    stay = [floor, overflow, tardiness] if one_machine else [floor, overflow]
+    candidates = [rate * max(stay)]
+    for new_vms in range(1, int(max(overflow, 0.0) // capacity) + 2):
+        unplaced = overflow - new_vms * capacity
+        candidates.append(new_vms * min_startup_cost + rate * max(floor, unplaced))
+    return penalty + min(candidates)
+
+
 # -- trivial reference schedulers ----------------------------------------------
 
 

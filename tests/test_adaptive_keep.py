@@ -548,6 +548,24 @@ def test_a_training_pass_builds_one_block_and_one_set_of_tables(max_tenant, monk
     check(generator.generate(goal, workloads=base.workloads), "generate")
 
 
+def test_the_passes_of_one_generator_share_the_goal_free_extractor_parts(max_tenant):
+    """Retrains and fresh passes bring their own tables and share the first
+    pass's feature names, column layout, label codes and ``supports`` block."""
+    generator, goal, base = max_tenant
+    modeler = AdaptiveModeler(generator, base)
+    models = [modeler.retrain(goal.shifted(shift))[0].model for shift in (5.0, 30.0)]
+    models.append(generator.generate(goal.shifted(60.0), workloads=base.workloads).model)
+    first = base.model._extractor
+    for model in models:
+        extractor = model._extractor
+        assert extractor is not first
+        assert extractor.tables is not first.tables
+        assert extractor.feature_names is first.feature_names
+        assert extractor.column_layout is first.column_layout
+        assert extractor._label_codes is first._label_codes
+        assert extractor._supports_block is first._supports_block
+
+
 def test_a_training_set_holds_little_beyond_its_float_rows(max_tenant):
     """Under tracemalloc: at most 1.25 x the float64 bytes (a dict per row held 2.8x)."""
     generator, goal, base = max_tenant

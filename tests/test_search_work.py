@@ -43,9 +43,9 @@ FRESH_TRAINING = {
         "tree_sha256": "302f60e54757b44623a9d27f0bdd768e3c202595026227c603e0c524f58b4653",
     },
     "per_query": {
-        "expansions": 3_643,
-        "generated": 7_849,
-        "tree_sha256": "eadac8fe665080e807fa2c52e9c55eec5ed00fb0a271a135bf9b41d13e59f225",
+        "expansions": 1_598,
+        "generated": 3_814,
+        "tree_sha256": "0cba6266e4e77618ef4a2edbadc522cb9fdd50ac3ff4b57cb45b7c8f5ec8fb4b",
     },
     "average": {
         "expansions": 1_703,
@@ -60,7 +60,7 @@ FRESH_TRAINING = {
 }
 
 #: The deep case: ``find_optimal_schedule`` of 18 uniform queries.
-DEEP_OPTIMUM = {"expansions": 32_888, "generated": 77_752, "cost": 7.333333333333334}
+DEEP_OPTIMUM = {"expansions": 19_494, "generated": 50_969, "cost": 7.333333333333334}
 
 
 def _diff(observed: dict, expected: dict) -> str:

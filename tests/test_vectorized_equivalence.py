@@ -829,7 +829,7 @@ def test_a_walk_generated_from_an_artifact_with_odd_thresholds_and_names(monkeyp
     generator = ModelGenerator(
         templates=templates,
         vm_types=VMTypeCatalog([t2_medium(), small]),
-        config=TrainingConfig(num_samples=16, queries_per_sample=6, seed=3, max_expansions=50_000),
+        config=TrainingConfig(num_samples=16, queries_per_sample=6, seed=4, max_expansions=50_000),
     )
     data = generator.generate(default_goal("per_query", templates)).model.to_dict()
     odd = (math.inf, -math.inf, math.nan, 5.0e12, None)
