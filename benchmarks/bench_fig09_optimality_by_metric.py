@@ -23,6 +23,7 @@ from __future__ import annotations
 from repro.evaluation.harness import (
     average_percent_above_optimal,
     compare_to_optimal,
+    figure_number,
     format_table,
     uniform_workloads,
 )
@@ -42,7 +43,7 @@ def _run(environments, scale):
         workloads = uniform_workloads(
             environment.templates, scale.workloads_per_point, size, seed=90 + len(kind)
         )
-        comparisons = compare_to_optimal(
+        comparisons, dropped = compare_to_optimal(
             environment, workloads, max_expansions=scale.optimal_budget
         )
         rows.append(
@@ -50,9 +51,10 @@ def _run(environments, scale):
                 "goal": kind,
                 "workload size": size,
                 "workloads": len(comparisons),
-                "WiSeDB (cents)": round(mean([c.model_cost for c in comparisons]), 2),
-                "Optimal (cents)": round(mean([c.reference_cost for c in comparisons]), 2),
-                "% above optimal": round(average_percent_above_optimal(comparisons), 2),
+                "dropped": dropped,
+                "WiSeDB (cents)": figure_number(mean([c.model_cost for c in comparisons])),
+                "Optimal (cents)": figure_number(mean([c.reference_cost for c in comparisons])),
+                "% above optimal": figure_number(average_percent_above_optimal(comparisons)),
             }
         )
     return rows
@@ -68,6 +70,7 @@ def test_fig09_optimality_by_metric(benchmark, environments, scale):
                 "goal",
                 "workload size",
                 "workloads",
+                "dropped",
                 "WiSeDB (cents)",
                 "Optimal (cents)",
                 "% above optimal",

@@ -13,9 +13,9 @@ curve: the gap to optimal should not blow up as workloads grow.
 from __future__ import annotations
 
 from repro.evaluation.harness import (
-    average_percent_above_optimal,
     compare_to_optimal,
     format_table,
+    optimality_cell,
     uniform_workloads,
 )
 from repro.sla.factory import GOAL_KINDS
@@ -36,12 +36,10 @@ def _run(environments, scale):
                 capped,
                 seed=100 + size,
             )
-            comparisons = compare_to_optimal(
+            comparisons, dropped = compare_to_optimal(
                 environment, workloads, max_expansions=scale.optimal_budget
             )
-            row[f"{size} queries (%)"] = round(
-                average_percent_above_optimal(comparisons), 2
-            )
+            row[f"{size} queries (%)"] = optimality_cell(comparisons, dropped)
         rows.append(row)
     return rows
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from repro.adaptive.retraining import AdaptiveModeler
 from repro.evaluation.harness import (
     ExperimentEnvironment,
-    average_percent_above_optimal,
     compare_to_optimal,
     format_table,
+    optimality_cell,
     uniform_workloads,
 )
 from repro.learning.trainer import ModelGenerator
@@ -56,12 +56,10 @@ def _run(environments, scale):
             workloads = uniform_workloads(
                 base.templates, max(2, scale.workloads_per_point - 1), size, seed=111
             )
-            comparisons = compare_to_optimal(
+            comparisons, dropped = compare_to_optimal(
                 environment, workloads, max_expansions=scale.optimal_budget
             )
-            row[f"strictness {factor:+.1f} (%)"] = round(
-                average_percent_above_optimal(comparisons), 2
-            )
+            row[f"strictness {factor:+.1f} (%)"] = optimality_cell(comparisons, dropped)
         rows.append(row)
     return rows
 

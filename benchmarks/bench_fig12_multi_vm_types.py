@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from repro.cloud.vm import two_vm_type_catalog
 from repro.evaluation.harness import (
-    average_percent_above_optimal,
     build_environment,
     compare_to_optimal,
+    figure_number,
     format_table,
+    optimality_cell,
     uniform_workloads,
 )
 from repro.evaluation.metrics import mean
@@ -44,22 +45,21 @@ def _run(environments, scale, templates):
         workloads = uniform_workloads(
             templates, max(2, scale.workloads_per_point - 1), size, seed=120
         )
-        single_cmp = compare_to_optimal(
+        single_cmp, single_dropped = compare_to_optimal(
             single_env, workloads, max_expansions=scale.optimal_budget
         )
-        double_cmp = compare_to_optimal(
+        double_cmp, double_dropped = compare_to_optimal(
             double_env, workloads, max_expansions=scale.optimal_budget
         )
         rows.append(
             {
                 "goal": kind,
-                "WiSeDB 1 type": round(mean([c.model_cost for c in single_cmp]), 2),
-                "Optimal 1 type": round(mean([c.reference_cost for c in single_cmp]), 2),
-                "WiSeDB 2 types": round(mean([c.model_cost for c in double_cmp]), 2),
-                "Optimal 2 types": round(mean([c.reference_cost for c in double_cmp]), 2),
-                "% above opt (2 types)": round(
-                    average_percent_above_optimal(double_cmp), 2
-                ),
+                "WiSeDB 1 type": figure_number(mean([c.model_cost for c in single_cmp])),
+                "Optimal 1 type": figure_number(mean([c.reference_cost for c in single_cmp])),
+                "dropped 1 type": single_dropped,
+                "WiSeDB 2 types": figure_number(mean([c.model_cost for c in double_cmp])),
+                "Optimal 2 types": figure_number(mean([c.reference_cost for c in double_cmp])),
+                "% above opt (2 types)": optimality_cell(double_cmp, double_dropped),
             }
         )
     return rows
@@ -77,6 +77,7 @@ def test_fig12_multiple_vm_types(benchmark, environments, scale, templates):
                 "goal",
                 "WiSeDB 1 type",
                 "Optimal 1 type",
+                "dropped 1 type",
                 "WiSeDB 2 types",
                 "Optimal 2 types",
                 "% above opt (2 types)",

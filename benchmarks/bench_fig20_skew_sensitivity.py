@@ -13,9 +13,9 @@ skew).
 from __future__ import annotations
 
 from repro.evaluation.harness import (
-    average_percent_above_optimal,
     compare_to_optimal,
     format_table,
+    optimality_cell,
     skewed_workloads,
 )
 from repro.evaluation.metrics import mean
@@ -48,12 +48,10 @@ def _run(environments, scale):
                     for workload in workloads
                 ]
             )
-            comparisons = compare_to_optimal(
+            comparisons, dropped = compare_to_optimal(
                 environment, workloads, max_expansions=scale.optimal_budget
             )
-            row[f"chi2={confidence:.2f} (%)"] = round(
-                average_percent_above_optimal(comparisons), 2
-            )
+            row[f"chi2={confidence:.2f} (%)"] = optimality_cell(comparisons, dropped)
         rows.append(row)
     return rows
 

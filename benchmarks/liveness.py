@@ -61,14 +61,17 @@ KEEP: dict[str, str] = {
         "trace: learning.decision_tree.predict; decisions run the generated walk instead"
     ),
     "repro.learning.features:FeatureExtractor.extract_into": (
-        "trace: learning.features.extract; training writes rows with vertex_values and block"
+        "trace: learning.features.extract; training records four floats per vertex with "
+        "vertex_values and writes every row, cost-of-X included, in block"
     ),
     "repro.learning.features:FeatureExtractor.matrix": (
-        "trace: learning.features.matrix; training writes rows with vertex_values and block"
+        "trace: learning.features.matrix; a training pass calls vertex_values per sample "
+        "and block once"
     ),
     "repro.runtime.batch:RuntimeSchedulingContext.placement_cost_row": (
-        "trace: runtime.batch.cost_row; a thin name over ProblemTables.placement_cost_row "
-        "that no run builds, as runtime decisions price one template at a time"
+        "trace: runtime.batch.cost_row; a full row of ProblemTables.placement_edge_cost "
+        "that no run builds: runtime decisions price one template at a time, training "
+        "prices a whole pass in FeatureExtractor.block"
     ),
     "repro.search.problem:SchedulingProblem.template_counts": (
         "trace: FeatureExtractor.matrix, a trace target, reads it"
@@ -167,10 +170,16 @@ KEEP: dict[str, str] = {
     ),
     "repro.sla.accumulators:ViolationAccumulator.add": "abstract: ViolationAccumulator protocol",
     "repro.sla.accumulators:ViolationAccumulator.copy": "abstract: ViolationAccumulator protocol",
+    "repro.sla.accumulators:ViolationAccumulator.edge_summary": (
+        "abstract: ViolationAccumulator protocol"
+    ),
     "repro.sla.accumulators:ViolationAccumulator.violation": (
         "abstract: ViolationAccumulator protocol"
     ),
     "repro.sla.accumulators:ViolationAccumulator.violation_with": (
+        "abstract: ViolationAccumulator protocol"
+    ),
+    "repro.sla.accumulators:ViolationAccumulator.violation_with_array": (
         "abstract: ViolationAccumulator protocol"
     ),
     "repro.sla.base:PerformanceGoal.accumulator": "abstract: PerformanceGoal protocol",

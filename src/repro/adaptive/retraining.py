@@ -12,14 +12,15 @@ path (:attr:`~repro.learning.trainer.SampleSolution.path`).  Under a goal at
 least as strict (:meth:`PerformanceGoal.at_least_as_strict_as
 <repro.sla.base.PerformanceGoal.at_least_as_strict_as>`: every outcome set is
 penalised at least as much) no schedule gets cheaper — Lemma 5.1's own
-premise.  So the path is walked under the new goal in O(m)
-(:meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`,
+premise.  So the path is walked under the new goal in O(m) on the pass's
+tables (:meth:`ProblemTables.walk <repro.search.problem.ProblemTables.walk>`,
 through :meth:`FeatureExtractor.vertex_values
-<repro.learning.features.FeatureExtractor.vertex_values>`, which records what
-its rows need of each vertex on the way); if it still costs exactly what the
-old optimum cost, every other schedule costs at least that much too, the path
-is still optimal, what the walk recorded gives its training rows and nothing
-is searched.  This is the paper's own account of
+<repro.learning.features.FeatureExtractor.vertex_values>`, which records the
+four floats its rows' ``cost-of-X`` columns need of each vertex on the way);
+if it still costs exactly what the old optimum cost, every other schedule
+costs at least that much too, the path is still optimal, what the walk
+recorded gives its training rows, and no search problem or bound is built,
+let alone searched.  This is the paper's own account of
 Figure 16: retraining grows with the shift "because more samples change their
 optimal schedules".
 

@@ -7,9 +7,11 @@ from repro.evaluation.harness import (
     build_environment,
     compare_to_heuristics,
     compare_to_optimal,
+    figure_number,
     format_table,
     heuristic_schedulers,
     measure_training_time,
+    optimality_cell,
     run_schedulers,
     skewed_workloads,
     uniform_workloads,
@@ -27,10 +29,12 @@ __all__ = [
     "build_environment",
     "compare_to_heuristics",
     "compare_to_optimal",
+    "figure_number",
     "format_table",
     "heuristic_schedulers",
     "mean",
     "measure_training_time",
+    "optimality_cell",
     "percent_above",
     "run_schedulers",
     "skewed_workloads",

@@ -15,6 +15,7 @@ only has to pick parameters and print the rows the paper reports.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -131,13 +132,17 @@ def compare_to_optimal(
     environment: ExperimentEnvironment,
     workloads: Sequence[Workload],
     max_expansions: int | None = 400_000,
-) -> list[CostComparison]:
-    """WiSeDB vs the optimal scheduler on each workload.
+) -> tuple[list[CostComparison], int]:
+    """WiSeDB vs the optimal scheduler on each workload, and how many were dropped.
 
-    Workloads whose optimal search exceeds *max_expansions* are skipped (the
-    comparison is only meaningful when the exact optimum is known).
+    A workload whose optimal search exceeds *max_expansions* is dropped (the
+    comparison is only meaningful when the exact optimum is known); the
+    count of dropped workloads comes back beside the comparisons, so a figure
+    can say how many of its workloads each number stands on
+    (:func:`optimality_cell`).
     """
     comparisons: list[CostComparison] = []
+    dropped = 0
     scheduler = BatchScheduler(environment.model)
     for index, workload in enumerate(workloads):
         try:
@@ -149,6 +154,7 @@ def compare_to_optimal(
                 max_expansions=max_expansions,
             )
         except SearchBudgetExceeded:
+            dropped += 1
             continue
         schedule = scheduler.schedule(workload)
         comparisons.append(
@@ -158,12 +164,30 @@ def compare_to_optimal(
                 reference_cost=optimal.total_cost,
             )
         )
-    return comparisons
+    return comparisons, dropped
 
 
 def average_percent_above_optimal(comparisons: Sequence[CostComparison]) -> float:
     """Mean percent-above-optimal across comparisons (NaN when empty)."""
     return mean([c.percent_above_reference for c in comparisons])
+
+
+def figure_number(value: float) -> float | str:
+    """*value* rounded to two places for a figure's table, or "no number" for NaN.
+
+    NaN is a mean over nothing (:func:`~repro.evaluation.metrics.mean`).
+    """
+    return "no number" if math.isnan(value) else round(value, 2)
+
+
+def optimality_cell(comparisons: Sequence[CostComparison], dropped: int) -> str:
+    """A figure cell: the mean percent above optimal, and the dropped workloads beside it.
+
+    *comparisons* and *dropped* are what :func:`compare_to_optimal` returned.
+    A cell whose every workload was dropped reads "no number", not ``nan``:
+    it measured nothing, so it cannot pass or fail a bound.
+    """
+    return f"{figure_number(average_percent_above_optimal(comparisons))} ({dropped} dropped)"
 
 
 def uniform_workloads(

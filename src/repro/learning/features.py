@@ -28,21 +28,24 @@ priced from the vertex alone, by one body (:meth:`ProblemTables.placement_edge_c
 the goal's violation accumulator and its partial ``penalty``, and the edge
 costs execution cost ``+ (rate · violation-with-X − penalty)``, whether the
 vertex is an A* node or the one a
-:class:`~repro.search.problem.VertexStepper` steps for a training walk or a
-runtime decision.
+:class:`~repro.search.problem.VertexStepper` steps for a runtime decision.
+Training computes the same expression for a whole pass at once (below).
 
 :meth:`FeatureExtractor.extract_into` is the one-vertex definition of the
 row.  The program reads it in two other forms, each held against it bit for
 bit:
 
-* **Training** needs every column of every vertex on many paths.  Only two
-  things there need the vertex itself: its wait time and its Equation-2
-  cost row.  :meth:`FeatureExtractor.vertex_values` records just those while
-  :meth:`SchedulingProblem.walk
-  <repro.search.problem.SchedulingProblem.walk>` steps a stepper's vertex
-  along a path's labels.  The rest follows from the labels and the sample's
-  template counts, so :meth:`FeatureExtractor.block` writes a whole training
-  pass's rows in one numpy pass over every path laid end to end
+* **Training** needs every column of every vertex on many paths.  Only four
+  floats there need the vertex itself, all of them for ``cost-of-X``: its
+  wait time, its penalty and the two floats of its goal accumulator's
+  :meth:`~repro.sla.accumulators.ViolationAccumulator.edge_summary`.
+  :meth:`FeatureExtractor.vertex_values` records just those while
+  :meth:`ProblemTables.walk <repro.search.problem.ProblemTables.walk>` steps
+  a stepper's vertex along a path's labels.  The rest follows from the
+  labels and the sample's template counts, so :meth:`FeatureExtractor.block`
+  writes a whole training pass's rows in one numpy pass over every path laid
+  end to end, pricing every row × template with the accumulator's array twin
+  of ``violation_with`` — no Equation-2 call per vertex
   (``tests/test_feature_block.py``).  :meth:`FeatureExtractor.matrix` is the
   one-path view of the same two steps.
 * **A runtime decision** reads only the columns on its tree path, so
@@ -62,6 +65,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
+
+#: Columns of :meth:`FeatureExtractor.vertex_values`: the vertex's wait time,
+#: its penalty, and its goal accumulator's two-float ``edge_summary``.
+VERTEX_VALUES = 4
 
 #: Finite stand-in for "placement impossible" so decision-tree thresholds stay finite.
 INFEASIBLE_COST = 1.0e12
@@ -148,6 +155,16 @@ class FeatureExtractor:
         self._supports_block = np.array(
             tables.supports_table + [[False] * len(names)], dtype=np.float64
         )
+        # Laid out as the supports block: the placement edge's execution time
+        # and cost, 0.0 where the type cannot run the template (:meth:`block`
+        # prices those INFEASIBLE_COST, and a 0.0 computes no inf - inf).
+        supported = self._supports_block > 0.0
+        self._latency_block = np.where(
+            supported, np.array(tables.latency_table + [[0.0] * len(names)]), 0.0
+        )
+        self._run_cost_block = np.where(
+            supported, np.array(tables.run_cost_table + [[0.0] * len(names)]), 0.0
+        )
         # Supports-X depends only on the VM type: :meth:`extract_into` reads
         # the whole row by the type's name.
         self._supports_rows: dict[str, list[float]] = dict(
@@ -167,9 +184,9 @@ class FeatureExtractor:
         """An extractor over *tables* that shares this one's goal-free layout.
 
         Everything but the tables — feature names, columns, label codes and
-        the ``supports`` block — follows from the templates and VM types
-        alone, so *tables* must compile the same specification; only the
-        goal may differ.
+        the ``supports``, execution-time and execution-cost blocks — follows
+        from the templates, VM types and latency model alone, so *tables*
+        must compile the same specification; only the goal may differ.
         """
         extractor = copy.copy(self)
         extractor._tables = tables
@@ -233,8 +250,9 @@ class FeatureExtractor:
             for column in self._supports_columns:
                 out_row[column] = 0.0
 
-        costs = problem.placement_cost_row(node, names)
-        for column, cost in zip(self._cost_columns, costs):
+        edge = problem.placement_edge_cost
+        for column, name in zip(self._cost_columns, names):
+            cost = edge(node, name)
             out_row[column] = INFEASIBLE_COST if cost == _INF else cost
 
         present = state.remaining_name_set()
@@ -243,32 +261,31 @@ class FeatureExtractor:
         return out_row
 
     def vertex_values(
-        self, problem: SchedulingProblem, labels: Sequence[str]
+        self, counts: Mapping[str, int], labels: Sequence[str]
     ) -> tuple[np.ndarray, float | None]:
         """What the rows along the action *labels* need of each vertex, and the path's cost.
 
-        Row ``i`` is the wait time (``last_vm_finish``) of the vertex at which
-        ``labels[i]`` is taken, then its :meth:`ProblemTables.placement_cost_row
-        <repro.search.problem.ProblemTables.placement_cost_row>` over the
-        templates — ``inf`` kept — recorded while :meth:`SchedulingProblem.walk
-        <repro.search.problem.SchedulingProblem.walk>` steps its stepper's
-        vertex along the path.  Every other column of a feature row follows
-        from the labels and the template counts (:meth:`block`).  The cost is
-        the walk's: the complete schedule's, or ``None`` when *problem*
-        refuses the path (the values are then meaningless).
+        The path starts at *counts* (queries per template name) and is walked
+        on this extractor's tables (:meth:`ProblemTables.walk
+        <repro.search.problem.ProblemTables.walk>`); no search problem is
+        built.  Row ``i`` holds, of the vertex at which ``labels[i]`` is
+        taken, the :data:`VERTEX_VALUES` floats that its ``cost-of-X``
+        columns read besides the template: the wait time
+        (``last_vm_finish``), the penalty, and the goal accumulator's
+        :meth:`~repro.sla.accumulators.ViolationAccumulator.edge_summary`.
+        Every other column of a feature row follows from the labels and the
+        template counts (:meth:`block`).  The cost is the walk's: the complete
+        schedule's, or ``None`` when the walk refuses the path (the values
+        are then meaningless).
         """
-        names = self._template_names
-        cost_row = problem.placement_cost_row
-        rows: list[list[float]] = []
+        rows: list[tuple[float, ...]] = []
         append = rows.append
 
         def visit(index: int, node: SearchNode) -> None:
-            row = cost_row(node, names)
-            row.insert(0, node.last_vm_finish)
-            append(row)
+            append((node.last_vm_finish, node.penalty) + node.accumulator.edge_summary())
 
-        cost = problem.walk(labels, visit)
-        values = np.zeros((len(labels), 1 + len(names)))
+        cost = self._tables.walk(counts, labels, visit)
+        values = np.zeros((len(labels), VERTEX_VALUES))
         if rows:
             values[: len(rows)] = rows
         return values, cost
@@ -289,8 +306,14 @@ class FeatureExtractor:
           zero before the path's first VM (the count restarts with each path);
         * ``supports``: the row of the last provisioned type, looked up by its
           label in this extractor's tables; zero before the first VM;
-        * ``cost_of``: the recorded cost row, ``inf`` as
-          :data:`INFEASIBLE_COST`;
+        * ``cost_of``: Equation 2 of every row × template in one array
+          expression, ``run_cost + (rate · V − penalty)`` with ``V`` the goal
+          accumulator's :meth:`violation_with_array
+          <repro.sla.accumulators.ViolationAccumulator.violation_with_array>`
+          at completion ``wait + execution time``; the type's execution time
+          and cost come from the same lookup as ``supports``, and
+          :data:`INFEASIBLE_COST` stands wherever the type cannot run the
+          template or there is no VM yet;
         * ``have``: the path's template counts minus its placements so far.
 
         Labels this extractor does not know count as neither placement nor
@@ -338,11 +361,15 @@ class FeatureExtractor:
         proportion = out[:, 1::4]
         proportion[...] = 0.0
         np.divide(queue, length, out=proportion, where=length > 0)
-        out[:, 2::4] = self._supports_block[
-            np.where(has_vm, -1 - codes[last], len(self._supports_block) - 1)
-        ]
-        costs = values[:, 1:]
-        out[:, 3::4] = np.where(costs == _INF, INFEASIBLE_COST, costs)
+        vm = np.where(has_vm, -1 - codes[last], len(self._supports_block) - 1)
+        supports = out[:, 2::4]
+        supports[...] = self._supports_block[vm]
+        tables = self._tables
+        violation = tables.goal.accumulator().violation_with_array(
+            values[:, 2:], names, values[:, :1] + self._latency_block[vm]
+        )
+        costs = self._run_cost_block[vm] + (tables.rate * violation - values[:, 1:2])
+        out[:, 3::4] = np.where((supports > 0.0) & (costs != _INF), costs, INFEASIBLE_COST)
         out[:, 4::4] = counts[path_of] - (before - placed[start]) > 0
         return out
 
@@ -352,10 +379,12 @@ class FeatureExtractor:
         """The feature rows of the vertices along the action *labels*, and the path's cost.
 
         The one-path view of training's two steps: :meth:`vertex_values`
-        walks the path, :meth:`block` writes its rows.  Row ``i`` is
+        walks the path from *problem*'s template counts on this extractor's
+        tables, :meth:`block` writes its rows.  Row ``i`` is
         :meth:`extract_into` of the vertex at which ``labels[i]`` is taken.
-        The cost is the walk's: the complete schedule's, or ``None`` when
-        *problem* refuses the path (the rows are then meaningless).
+        The cost is the walk's: the complete schedule's, or ``None`` when the
+        walk refuses the path (the rows are then meaningless).
         """
-        values, cost = self.vertex_values(problem, labels)
-        return self.block([(labels, values, problem.template_counts)]), cost
+        counts = problem.template_counts
+        values, cost = self.vertex_values(counts, labels)
+        return self.block([(labels, values, counts)]), cost

@@ -13,13 +13,15 @@ goal, :class:`ModelGenerator` executes the paper's offline training loop:
 Step 3 is split at the one place a row needs the vertex itself.  A sample's
 solve walks its path once (:meth:`FeatureExtractor.vertex_values
 <repro.learning.features.FeatureExtractor.vertex_values>`) and records per
-decision only the vertex's wait time and its Equation-2 cost row, so a sample
-comes back as one small float64 array whose labels are its path.  The pass
-then lays every sample's labels end to end and writes all their feature rows
-in one numpy pass (:meth:`FeatureExtractor.block
-<repro.learning.features.FeatureExtractor.block>`), and the
-:class:`~repro.learning.dataset.TrainingSet` keeps that one block — no
-per-row object exists anywhere between the search and the fit.
+decision only four floats of the vertex — its wait time, its penalty and
+its goal accumulator's two-float summary — so a sample comes back as one
+small float64 array whose labels are its path.  The pass then lays every
+sample's labels end to end and writes all their feature rows in one numpy
+pass (:meth:`FeatureExtractor.block
+<repro.learning.features.FeatureExtractor.block>`), Equation 2 of every row
+× template included, and the :class:`~repro.learning.dataset.TrainingSet`
+keeps that one block — no per-row object exists anywhere between the search
+and the fit.
 
 A pass compiles its specification and goal once: one
 :class:`~repro.search.problem.ProblemTables` and one
@@ -35,8 +37,9 @@ models for stricter goals without re-generating workloads or re-searching from
 scratch.  Each :class:`SampleSolution` records its optimal cost and
 :attr:`~SampleSolution.path`, the action labels of the schedule found; given
 one as ``keep``, :meth:`SampleSolver.solve` first walks that path under its
-own goal — the same walk that labels it — and searches only if the path is
-refused or its cost moved (:mod:`repro.adaptive.retraining` explains why
+own goal — the same walk that labels it, on the pass's tables, with no
+search problem built — and searches only if the path is refused or its cost
+moved (:mod:`repro.adaptive.retraining` explains why
 equal cost means still optimal, and guards when it may be asked).  Fresh
 training and adaptive retraining run one loop,
 ``ModelGenerator._solve_and_fit``; they differ only in the tasks they hand it.
@@ -98,7 +101,7 @@ class SampleSolution:
     per-sample suboptimality is never silent (``None`` means exact).
     ``path`` is the action labels of the schedule found, in order: the
     labels of the sample's training rows, and what
-    :meth:`SchedulingProblem.walk <repro.search.problem.SchedulingProblem.walk>`
+    :meth:`ProblemTables.walk <repro.search.problem.ProblemTables.walk>`
     re-prices under a stricter goal instead of searching again; ``()`` in
     artifacts written before paths were kept, which simply re-search.
     """
@@ -280,31 +283,34 @@ class SampleSolver:
 
         The values are :meth:`FeatureExtractor.vertex_values
         <repro.learning.features.FeatureExtractor.vertex_values>` along
-        ``solution.path`` — one row per decision: the vertex's wait time and
-        Equation-2 cost row — from which the pass writes the sample's feature
-        rows, labelled by the path.  *keep*, when given, must be this
-        workload's exact optimum under a goal the solver's goal is at least as
-        strict as (the caller's guard).  Its path is walked under the solver's
-        goal; if it is complete and still costs ``keep.optimal_cost`` it is
-        still optimal — no schedule got cheaper — so its values are kept and
-        nothing is searched (``expansions=0``).  Otherwise, or without a path,
-        the sample is searched and the path found is walked for its values.
+        ``solution.path`` — one row per decision: the vertex's wait time,
+        penalty and goal-accumulator summary — from which the pass writes the
+        sample's feature rows, labelled by the path.  *keep*, when given, must
+        be this workload's exact optimum under a goal the solver's goal is at
+        least as strict as (the caller's guard).  Its path is walked under the
+        solver's goal on the pass's tables; if it is complete and still costs
+        ``keep.optimal_cost`` it is still optimal — no schedule got cheaper —
+        so its values are kept and nothing is searched (``expansions=0``) or
+        built.  Otherwise, or without a path, the sample's problem (and its
+        bound) is built and searched, and the path found is walked for its
+        values.
         """
-        problem = SchedulingProblem.from_tables(
-            self.extractor.tables, workload.template_counts(), adaptive_bound=extra_bound
-        )
+        counts = workload.template_counts()
         if keep is not None and keep.path:
-            values, cost = self.extractor.vertex_values(problem, keep.path)
+            values, cost = self.extractor.vertex_values(counts, keep.path)
             if cost == keep.optimal_cost:
                 return values, replace(keep, expansions=0)
+        problem = SchedulingProblem.from_tables(
+            self.extractor.tables, counts, adaptive_bound=extra_bound
+        )
         try:
             result = self.search_strategy.search(problem, max_expansions=self.max_expansions)
         except SearchBudgetExceeded:
             return None
         path = tuple(action.label for _, action in result.decisions())
-        values, _ = self.extractor.vertex_values(problem, path)
+        values, _ = self.extractor.vertex_values(counts, path)
         solution = SampleSolution(
-            template_counts=dict(workload.template_counts()),
+            template_counts=dict(counts),
             optimal_cost=result.cost,
             expansions=result.expansions,
             cost_lower_bound=result.cost_lower_bound,

@@ -70,8 +70,9 @@ class RuntimeSchedulingContext(ProblemTables):
     def placement_cost_row(
         self, node: SearchNode, template_names: Sequence[str]
     ) -> list[float]:
-        """The one :meth:`~repro.search.problem.ProblemTables.placement_cost_row`."""
-        return super().placement_cost_row(node, template_names)
+        """:meth:`~repro.search.problem.ProblemTables.placement_edge_cost` of every template."""
+        edge = self.placement_edge_cost
+        return [edge(node, name) for name in template_names]
 
 
 class PlacementKernel:

@@ -16,18 +16,23 @@ Nodes fully determine their partial schedule, so the best goal vertex found by
 the search is the minimum-cost complete schedule regardless of the path taken
 to reach it.
 
-A known path needs none of that machinery: :meth:`SchedulingProblem.walk`
-steps one reusable vertex, a :class:`VertexStepper`'s, along its action
-labels with :meth:`expand`'s arithmetic and returns its cost.  Training walks
-every path that way, a searched one and a kept one alike, recording each
-vertex's wait time and Equation-2 cost row
+A known path needs none of that machinery, not even a problem:
+:meth:`ProblemTables.walk` steps one reusable vertex, a
+:class:`VertexStepper`'s, along its action labels with :meth:`expand`'s
+arithmetic and returns its cost.  Training walks every path that way, a
+searched one and a kept one alike, recording each vertex's wait time,
+penalty and two-float goal-accumulator summary
 (:meth:`FeatureExtractor.vertex_values
-<repro.learning.features.FeatureExtractor.vertex_values>`), and the runtime
-kernel (:class:`~repro.runtime.batch.PlacementKernel`) steps the same
-stepper along a model's decisions.  Both price ``cost-of-X`` with the one
+<repro.learning.features.FeatureExtractor.vertex_values>`), so a kept sample
+costs one plain walk and builds no problem; the runtime kernel
+(:class:`~repro.runtime.batch.PlacementKernel`) steps the same stepper along
+a model's decisions.  A runtime decision prices ``cost-of-X`` with the one
 Equation-2 body, :meth:`ProblemTables.placement_edge_cost`, which reads
-nothing but the vertex, so a search node, a training vertex and a runtime
-vertex in the same state get the same price to the bit.
+nothing but the vertex; training prices every row × template of a pass at
+once from what its walks recorded, with the accumulators' array twin of
+``violation_with``, bit for bit as that body would.  So a search node, a
+training vertex and a runtime vertex in the same state get the same price to
+the bit.
 
 Hot-path architecture
 ---------------------
@@ -78,8 +83,8 @@ work is built around that:
   dominance checks stop doing string-keyed dict walks and attribute lookups
   per child.  They depend on the specification and goal only
   (:class:`ProblemTables`), so a training pass builds them once and shares
-  them with every sample's problem.  Each node caches the integer id of its
-  most recent VM.
+  them with every sample's problem and every walk.  Each node caches the
+  integer id of its most recent VM.
 
 The accumulators agree with the batch :meth:`PerformanceGoal.penalty`
 definition bit-for-bit (property-tested across all four goal kinds), so
@@ -261,8 +266,9 @@ class ProblemTables:
     order, ``supports`` table and action labels, and the model fitted on
     that extractor's rows decides on it (:attr:`DecisionModel.tables
     <repro.learning.model.DecisionModel.tables>`).  The tables also hold the
-    one body of Equation 2 (:meth:`placement_edge_cost`), which training and
-    runtime both read.
+    one body of Equation 2 (:meth:`placement_edge_cost`), which the runtime
+    reads and training's array pricing is held against, and the walk of a
+    known path (:meth:`walk`), which needs no problem.
     """
 
     def __init__(
@@ -340,7 +346,7 @@ class ProblemTables:
         self.provision_actions: list[ProvisionVM] = [
             ProvisionVM(name) for name in self.vm_names
         ]
-        #: Action label -> VM type id / template id, for :meth:`SchedulingProblem.walk`.
+        #: Action label -> VM type id / template id, for :meth:`walk`.
         self.provision_of = {
             action.label: index for index, action in enumerate(self.provision_actions)
         }
@@ -357,8 +363,11 @@ class ProblemTables:
         :class:`VertexStepper`'s vertex price alike.  ``inf`` marks an
         impossible placement: no VM yet, a type that cannot run the template,
         or a template outside the specification.  A runtime parse calls it
-        once per ``cost-of-X`` its tree path tests; :meth:`placement_cost_row`
-        loops over it.
+        once per ``cost-of-X`` its tree path tests; training prices a whole
+        pass's rows with the array twin instead
+        (:meth:`FeatureExtractor.block
+        <repro.learning.features.FeatureExtractor.block>`), which is held
+        against it bit for bit.
         """
         edge = self.edge_tables[node.last_vm_index].get(template_name)
         if edge is None:
@@ -369,13 +378,69 @@ class ProblemTables:
         )
         return execution_cost + (self.rate * violation - node.penalty)
 
-    def placement_cost_row(
-        self, node: SearchNode, template_names: Sequence[str]
-    ) -> list[float]:
-        """:meth:`placement_edge_cost` of every template in *template_names*
-        (training prices each walked vertex's row with it)."""
-        edge = self.placement_edge_cost
-        return [edge(node, name) for name in template_names]
+    # -- a known path ------------------------------------------------------------------
+
+    def walk(
+        self,
+        counts: Mapping[str, int],
+        labels: Sequence[str],
+        visit: Callable[[int, SearchNode], object],
+    ) -> float | None:
+        """Step a :class:`VertexStepper` along the action *labels* from *counts*; the path's cost.
+
+        *counts* is the workload's queries per template name.
+        ``visit(index, vertex)`` is called at the vertex where ``labels[index]``
+        is taken, before the step, and may read the vertex only while it
+        runs.  Each label is translated, refused if the step is not possible,
+        and taken with the stepper, whose arithmetic is
+        :meth:`SchedulingProblem.expand`'s: walking a path a search over these
+        tables returned reproduces its cost to the bit, with no problem, no
+        f-value, bound or memo work.  Training's visit records the wait time,
+        penalty and accumulator summary a row's ``cost-of-X`` needs
+        (:meth:`FeatureExtractor.vertex_values
+        <repro.learning.features.FeatureExtractor.vertex_values>`); the rest
+        of a row follows from the labels.
+
+        Returns infrastructure plus penalty of the complete schedule, or
+        ``None`` when a step is not possible here — an unknown label, a
+        placement with no VM, on a type that does not support the template,
+        or with nothing of that template left — or the path leaves queries
+        unassigned.
+
+        No dominance rule is applied.  Adaptive retraining walks a path that
+        was canonical in a *looser* goal's reduced graph and keeps it only if
+        it still costs the same; such a path can be pruned in the stricter
+        goal's graph only by an *equal-cost* swap (a strictly cheaper swap
+        would contradict the cost equality, and the canonical order does not
+        depend on the goal's strictness), so it is still a minimum-cost
+        schedule.
+        """
+        stepper = VertexStepper(self)
+        node = stepper.reset({name: count for name, count in counts.items() if count > 0})
+        remaining = stepper.remaining
+        provision_of = self.provision_of
+        place_of = self.place_of
+        supports_table = self.supports_table
+        tpl_names = self.tpl_names
+        for index, label in enumerate(labels):
+            visit(index, node)
+            provisioned = provision_of.get(label)
+            if provisioned is not None:
+                stepper.provision(provisioned)
+                continue
+            template_index = place_of.get(label)
+            vm_index = node.last_vm_index
+            if (
+                template_index is None
+                or vm_index < 0
+                or not supports_table[vm_index][template_index]
+                or tpl_names[template_index] not in remaining
+            ):
+                return None
+            stepper.place(template_index)
+        if remaining:
+            return None
+        return node.infra_cost + node.penalty
 
 
 class VertexStepper:
@@ -391,7 +456,7 @@ class VertexStepper:
     :meth:`SchedulingProblem.expand`'s arithmetic, the penalty being
     ``rate · accumulator.violation()`` after every placement, and check
     nothing.  Training steps one along a path's labels
-    (:meth:`SchedulingProblem.walk`), the runtime along a model's decisions
+    (:meth:`ProblemTables.walk`), the runtime along a model's decisions
     (:class:`~repro.runtime.batch.PlacementKernel`).  Read the vertex only
     between steps.
     """
@@ -526,8 +591,8 @@ class SchedulingProblem:
         self._aux_rate = (
             adaptive_bound.old_goal.penalty_rate if adaptive_bound is not None else 0.0
         )
-        # The shared tables, bound as attributes: expand and walk read them
-        # once per call.
+        # The shared tables, bound as attributes: expand reads them once per
+        # call.
         self._tpl_names = tables.tpl_names
         self._tpl_id = tables.tpl_id
         self._vm_names = tables.vm_names
@@ -539,13 +604,10 @@ class SchedulingProblem:
         self._query_deadlines = tables.query_deadlines
         self._place_actions = tables.place_actions
         self._provision_actions = tables.provision_actions
-        self._provision_of = tables.provision_of
-        self._place_of = tables.place_of
         self._min_startup_cost = tables.min_startup_cost
-        # Equation 2 has one body, the tables': the problem's two names for
-        # it are their bound methods.
+        # Equation 2 has one body, the tables': the problem's name for it is
+        # their bound method.
         self.placement_edge_cost = tables.placement_edge_cost
-        self.placement_cost_row = tables.placement_cost_row
         self._cheapest_execution: dict[str, float] = {}
         self._cheapest_time: dict[str, float] = {}
         for name in counts:
@@ -918,62 +980,6 @@ class SchedulingProblem:
             aux_penalty,
             row,
         )
-
-    def walk(
-        self, labels: Sequence[str], visit: Callable[[int, SearchNode], object]
-    ) -> float | None:
-        """Step a :class:`VertexStepper` along the action *labels*; the path's cost.
-
-        ``visit(index, vertex)`` is called at the vertex where ``labels[index]``
-        is taken, before the step, and may read the vertex only while it
-        runs.  Each label is translated, refused if the step is not possible,
-        and taken with the stepper, whose arithmetic is :meth:`expand`'s:
-        walking a path this problem's own search returned reproduces its cost
-        to the bit, with no f-value, bound or memo work.  Training's visit
-        reads ``last_vm_finish`` and the cost row; the rest of a row follows
-        from the labels (:meth:`FeatureExtractor.block
-        <repro.learning.features.FeatureExtractor.block>`).
-
-        Returns infrastructure plus penalty of the complete schedule, or
-        ``None`` when a step is not possible here — an unknown label, a
-        placement with no VM, on a type that does not support the template,
-        or with nothing of that template left — or the path leaves queries
-        unassigned.
-
-        No dominance rule is applied.  Adaptive retraining walks a path that
-        was canonical in a *looser* goal's reduced graph and keeps it only if
-        it still costs the same; such a path can be pruned in the stricter
-        goal's graph only by an *equal-cost* swap (a strictly cheaper swap
-        would contradict the cost equality, and the canonical order does not
-        depend on the goal's strictness), so it is still a minimum-cost
-        schedule.
-        """
-        stepper = VertexStepper(self._tables)
-        node = stepper.reset(self._counts)
-        remaining = stepper.remaining
-        provision_of = self._provision_of
-        place_of = self._place_of
-        supports_table = self._supports_table
-        tpl_names = self._tpl_names
-        for index, label in enumerate(labels):
-            visit(index, node)
-            provisioned = provision_of.get(label)
-            if provisioned is not None:
-                stepper.provision(provisioned)
-                continue
-            template_index = place_of.get(label)
-            vm_index = node.last_vm_index
-            if (
-                template_index is None
-                or vm_index < 0
-                or not supports_table[vm_index][template_index]
-                or tpl_names[template_index] not in remaining
-            ):
-                return None
-            stepper.place(template_index)
-        if remaining:
-            return None
-        return node.infra_cost + node.penalty
 
     # -- the A* f-value ----------------------------------------------------------------
 

@@ -27,6 +27,16 @@ state is only cloned when a branch actually mutates — so carrying an
 accumulator per built vertex costs O(1) extra for every goal except the
 percentile goal (whose sorted-latency state is cloned lazily on the first
 ``add`` after a branch).
+
+*Training* prices ``cost-of-X`` for every vertex of a pass at once.  Besides
+the template and the completion time, :meth:`~ViolationAccumulator.violation_with`
+reads two floats of the state, its :meth:`~ViolationAccumulator.edge_summary`:
+a training walk records them per vertex, and
+:meth:`~ViolationAccumulator.violation_with_array`, the array twin of
+``violation_with``, prices every recorded vertex × template in one numpy
+expression, bit for bit as the scalar would.  ``max(0.0, x)`` is spelled
+``np.where(x > 0.0, x, 0.0)`` there: ``np.maximum`` may return ``-0.0``
+where Python returns ``0.0``.
 """
 
 from __future__ import annotations
@@ -34,6 +44,11 @@ from __future__ import annotations
 import bisect
 import math
 from abc import ABC, abstractmethod
+from typing import Sequence
+
+import numpy as np
+
+_INF = float("inf")
 
 
 class ViolationAccumulator(ABC):
@@ -52,6 +67,27 @@ class ViolationAccumulator(ABC):
     @abstractmethod
     def violation_with(self, template_name: str, latency: float) -> float:
         """Violation period if one more query were recorded (non-mutating)."""
+
+    @abstractmethod
+    def edge_summary(self) -> tuple[float, float]:
+        """The two floats :meth:`violation_with` reads of the state.
+
+        Whatever the template and latency asked about: what a training walk
+        records per vertex for :meth:`violation_with_array`.
+        """
+
+    @abstractmethod
+    def violation_with_array(
+        self, summaries: np.ndarray, template_names: Sequence[str], latencies: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`violation_with` of many states and templates at once (non-mutating).
+
+        *summaries* holds one :meth:`edge_summary` per row, *latencies* one
+        column per entry of *template_names*.  Element ``[i, j]`` equals, bit
+        for bit, ``violation_with(template_names[j], latencies[i, j])`` of the
+        state whose summary is row ``i``, of an accumulator of this one's
+        goal.  This accumulator's own state is not read.
+        """
 
     @abstractmethod
     def copy(self) -> "ViolationAccumulator":
@@ -91,6 +127,21 @@ class PerQueryViolationAccumulator(ViolationAccumulator):
         # The overage inlined: one call per cost-of-X a decision tests.
         overage = latency - self._deadlines.get(template_name, self._default_deadline)
         return self._violation + (overage if overage > 0.0 else 0.0)
+
+    def edge_summary(self) -> tuple[float, float]:
+        """The violation so far (and an unused ``0.0``)."""
+        return self._violation, 0.0
+
+    def violation_with_array(
+        self, summaries: np.ndarray, template_names: Sequence[str], latencies: np.ndarray
+    ) -> np.ndarray:
+        """Violation so far plus each column's overage⁺ past its template's deadline."""
+        deadlines = self._deadlines
+        default = self._default_deadline
+        overage = latencies - np.array(
+            [deadlines.get(name, default) for name in template_names], dtype=np.float64
+        )
+        return summaries[:, :1] + np.where(overage > 0.0, overage, 0.0)
 
     def copy(self) -> "PerQueryViolationAccumulator":
         # The deadline table is never mutated, so clones share it; the A*
@@ -135,6 +186,17 @@ class AverageLatencyViolationAccumulator(ViolationAccumulator):
         total = self._total + latency
         count = self._count + 1
         return max(0.0, total / count - self._deadline)
+
+    def edge_summary(self) -> tuple[float, float]:
+        """The total latency and the count so far."""
+        return self._total, float(self._count)
+
+    def violation_with_array(
+        self, summaries: np.ndarray, template_names: Sequence[str], latencies: np.ndarray
+    ) -> np.ndarray:
+        """``((total + t) / (count + 1) − deadline)⁺`` per element."""
+        excess = (summaries[:, :1] + latencies) / (summaries[:, 1:] + 1.0) - self._deadline
+        return np.where(excess > 0.0, excess, 0.0)
 
     def copy(self) -> "AverageLatencyViolationAccumulator":
         clone = object.__new__(AverageLatencyViolationAccumulator)
@@ -192,6 +254,32 @@ class PercentileViolationAccumulator(ViolationAccumulator):
         else:
             value = self._latencies[rank - 2]
         return max(0.0, value - self._deadline)
+
+    def edge_summary(self) -> tuple[float, float]:
+        """The sorted latencies at 0-based positions ``r − 2`` and ``r − 1``.
+
+        ``r`` is the percentile's rank in a list of one more latency, the
+        one :meth:`violation_with` asks about; a position outside the list
+        reads ``-inf`` (below) or ``inf`` (above).  The new latency's rank
+        value is then whichever of the three sits in the middle.
+        """
+        latencies = self._latencies
+        rank = max(1, math.ceil(self._percent / 100.0 * (len(latencies) + 1)))
+        return (
+            latencies[rank - 2] if rank >= 2 else -_INF,
+            latencies[rank - 1] if rank <= len(latencies) else _INF,
+        )
+
+    def violation_with_array(
+        self, summaries: np.ndarray, template_names: Sequence[str], latencies: np.ndarray
+    ) -> np.ndarray:
+        """``(clamp(t, below, at) − deadline)⁺`` per element, ties as ``bisect_right``."""
+        below = summaries[:, :1]
+        at = summaries[:, 1:]
+        # A stored latency equal to t sorts before it, as bisect_right puts it.
+        value = np.where(at <= latencies, at, np.where(below <= latencies, latencies, below))
+        excess = value - self._deadline
+        return np.where(excess > 0.0, excess, 0.0)
 
     def copy(self) -> "PercentileViolationAccumulator":
         clone = PercentileViolationAccumulator(self._percent, self._deadline)

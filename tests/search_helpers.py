@@ -9,6 +9,11 @@ from typing import NamedTuple
 from repro.search.actions import PlaceQuery
 
 
+def walk(problem, labels, visit):
+    """``ProblemTables.walk`` of *labels* from *problem*'s workload, on its tables."""
+    return problem._tables.walk(problem.template_counts, labels, visit)
+
+
 def children(problem, node):
     """The successor nodes of *node*, in ``expand`` order, each built.
 

@@ -39,6 +39,7 @@ from repro.learning.trainer import ModelGenerator, SampleSolution, SampleSolver,
 from repro.runtime.batch import BatchScheduler
 from repro.search import strategy
 from repro.search.astar import astar_search
+from repro.search.bounds import MemoizedGoalBound, ProvisioningBound
 from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
 from repro.service import WiSeDBService
 from repro.sla.factory import GOAL_KINDS, default_goal
@@ -48,7 +49,7 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import QueryTemplate, TemplateSet, tpch_templates
 from repro.workloads.workload import Workload
 
-from search_helpers import children
+from search_helpers import children, walk
 
 SAVED_V1 = Path(__file__).parent / "data" / "saved_service_v1"
 
@@ -326,7 +327,7 @@ def test_the_walk_retraces_the_astar_solution_vertex_by_vertex(kind, catalogue):
                 )
             )
 
-        cost = problem.walk(_labels(result), visit)
+        cost = walk(problem, _labels(result), visit)
         nodes = result.path()
         assert seen == [
             (
@@ -397,7 +398,7 @@ def test_the_walk_refuses_a_path_the_problem_cannot_take():
     problem = SchedulingProblem({"T1": 1, "T3": 1}, TEMPLATES, vm_types, goal, latency_model)
 
     def cost(*labels):
-        return problem.walk(labels, lambda index, vertex: None)
+        return walk(problem, labels, lambda index, vertex: None)
 
     complete = ("provision:picky", "assign:T1", "provision:t2.medium", "assign:T3")
     assert cost(*complete) == _expanded(problem, complete)[-1].partial_cost
@@ -480,8 +481,8 @@ def test_small_shifts_search_only_the_samples_whose_optimum_moved(max_tenant, mo
 
 def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monkeypatch):
     """One vertex per labelled path (not one per step), and per sample one
-    float array of the per-vertex values, not rows or dicts: the wait time and
-    the Equation-2 cost row of each vertex."""
+    float array of the per-vertex values, not rows or dicts: the wait time,
+    the penalty and the two-float accumulator summary of each vertex."""
     generator, goal, base = max_tenant
     modeler = AdaptiveModeler(generator, base)
     payloads = []
@@ -502,12 +503,70 @@ def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monk
     result, report = modeler.retrain(goal)
     assert report.samples_kept == len(payloads) == 40
     assert counts["SearchNode"] == 40
-    templates = len(generator.templates)
     for (values, solution), sample in zip(payloads, result.samples):
         assert type(values) is np.ndarray and values.dtype == np.float64
-        assert values.shape == (len(solution.path), 1 + templates)
+        assert values.shape == (len(solution.path), 4)
         assert solution is sample
     assert len(result.training_set) == sum(len(s.path) for s in base.samples)
+
+
+def test_a_retrain_that_keeps_every_sample_builds_no_problem_and_no_bound(
+    max_tenant, monkeypatch
+):
+    """A kept sample costs one plain walk of its path on the pass's tables:
+    no ``SchedulingProblem``, no cost-to-go bound, one walk per sample."""
+    generator, goal, base = max_tenant
+    modeler = AdaptiveModeler(generator, base)
+    counts: Counter[str] = Counter()
+    walked: list[tuple[str, ...]] = []
+    attach = SchedulingProblem._attach
+    table_walk = ProblemTables.walk
+
+    def counting_attach(self, *args):
+        counts["problems"] += 1
+        attach(self, *args)
+
+    def counting_walk(self, template_counts, labels, visit):
+        walked.append(tuple(labels))
+        return table_walk(self, template_counts, labels, visit)
+
+    monkeypatch.setattr(SchedulingProblem, "_attach", counting_attach)
+    monkeypatch.setattr(ProblemTables, "walk", counting_walk)
+    for bound in (ProvisioningBound, MemoizedGoalBound):
+        monkeypatch.setattr(
+            bound,
+            "attach",
+            lambda self, problem, _attach=bound.attach: counts.update(["bounds"])
+            or _attach(self, problem),
+        )
+    _, report = modeler.retrain(goal)
+    assert report.samples_kept == 40 and report.total_expansions == 0
+    assert counts == {}, counts
+    assert walked == [sample.path for sample in base.samples]
+
+    # The same guard counts what a searched sample builds.
+    _, report = modeler.retrain(goal.shifted(30.0))
+    searched = 40 - report.samples_kept
+    assert searched > 0
+    assert counts == {"problems": searched, "bounds": searched}, counts
+
+
+def test_a_training_pass_makes_no_equation_2_call(max_tenant, monkeypatch):
+    """Training prices every ``cost-of-X`` of a pass in the block: the
+    scalar ``placement_edge_cost`` runs for no vertex, searched or kept."""
+    generator, goal, base = max_tenant
+    modeler = AdaptiveModeler(generator, base)
+    calls = []
+    edge = ProblemTables.placement_edge_cost
+    monkeypatch.setattr(
+        ProblemTables,
+        "placement_edge_cost",
+        lambda self, node, name: calls.append(name) or edge(self, node, name),
+    )
+    fresh = generator.generate(goal, workloads=base.workloads)
+    _, report = modeler.retrain(goal.shifted(30.0))
+    assert 0 < report.samples_kept < 40
+    assert len(fresh.training_set) and calls == []
 
 
 def test_a_training_pass_builds_one_block_and_one_set_of_tables(max_tenant, monkeypatch):

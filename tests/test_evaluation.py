@@ -14,8 +14,10 @@ from repro.evaluation.harness import (
     build_environment,
     compare_to_heuristics,
     compare_to_optimal,
+    figure_number,
     format_table,
     measure_training_time,
+    optimality_cell,
     skewed_workloads,
     uniform_workloads,
 )
@@ -88,10 +90,26 @@ def test_uniform_and_skewed_workload_helpers(small_templates):
 
 def test_compare_to_optimal_produces_comparisons(tiny_environment, small_templates):
     workloads = uniform_workloads(small_templates, count=2, size=10, seed=3)
-    comparisons = compare_to_optimal(tiny_environment, workloads, max_expansions=100_000)
+    comparisons, dropped = compare_to_optimal(
+        tiny_environment, workloads, max_expansions=100_000
+    )
+    assert len(comparisons) + dropped == len(workloads)
     assert comparisons
     for comparison in comparisons:
         assert comparison.model_cost >= comparison.reference_cost - 1e-9
+
+
+def test_compare_to_optimal_counts_the_workloads_it_drops(tiny_environment, small_templates):
+    """A workload whose optimum runs out of budget is dropped and counted; a
+    cell over nothing but dropped workloads prints "no number", never nan."""
+    workloads = uniform_workloads(small_templates, count=3, size=10, seed=3)
+    comparisons, dropped = compare_to_optimal(tiny_environment, workloads, max_expansions=1)
+    assert (comparisons, dropped) == ([], 3)
+    assert optimality_cell(comparisons, dropped) == "no number (3 dropped)"
+    assert figure_number(average_percent_above_optimal(comparisons)) == "no number"
+    kept = [CostComparison("a", 11.0, 10.0), CostComparison("b", 10.0, 10.0)]
+    assert optimality_cell(kept, 1) == "5.0 (1 dropped)"
+    assert figure_number(1.0 / 3.0) == 0.33
 
 
 def test_compare_to_heuristics_includes_all_schedulers(tiny_environment, small_templates):

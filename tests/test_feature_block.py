@@ -1,12 +1,13 @@
 """One block over many paths is the per-vertex rows of each path, stacked.
 
 Training writes a whole pass's feature rows at once: each sample's solve
-records only its vertices' wait times and Equation-2 cost rows
-(``FeatureExtractor.vertex_values``), and ``FeatureExtractor.block`` derives
-every other column from the labels and the template counts, over all the
-paths laid end to end.  The oracle is the one-vertex definition,
-``extract_into``, at every vertex ``SchedulingProblem.walk`` steps through.
-Rows are compared as bytes.
+records only four floats per vertex — wait time, penalty and the goal
+accumulator's two-float summary (``FeatureExtractor.vertex_values``) — and
+``FeatureExtractor.block`` derives every other column from the labels and
+the template counts, over all the paths laid end to end, pricing
+``cost-of-X`` with the accumulator's array twin of ``violation_with``.  The
+oracle is the one-vertex definition, ``extract_into``, at every vertex
+``ProblemTables.walk`` steps through.  Rows are compared as bytes.
 
 Hypothesis draws the paths: any order of provisionings and placements a walk
 accepts, on workloads that lack some templates, with several VMs per path,
@@ -32,6 +33,8 @@ from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.problem import ProblemTables, SchedulingProblem
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.templates import QueryTemplate, TemplateSet
+
+from search_helpers import walk
 
 TEMPLATES = TemplateSet(
     [
@@ -63,8 +66,8 @@ def _extractor(catalogue: VMTypeCatalog, goal) -> FeatureExtractor:
 def _oracle(extractor, problem, labels) -> tuple[np.ndarray, float | None]:
     """``extract_into`` at every vertex of the walk along *labels*, and its cost."""
     rows = np.empty((len(labels), len(extractor.feature_names)))
-    cost = problem.walk(
-        labels, lambda index, vertex: extractor.extract_into(vertex, problem, rows[index])
+    cost = walk(
+        problem, labels, lambda index, vertex: extractor.extract_into(vertex, problem, rows[index])
     )
     return rows, cost
 
@@ -130,10 +133,10 @@ def test_one_block_over_many_paths_is_extract_into_stacked(kind, catalogue, orde
     blocks, oracles = [], []
     for counts, labels in paths:
         problem = SchedulingProblem(counts, TEMPLATES, vm_types, goal, LATENCY)
-        values, cost = extractor.vertex_values(problem, labels)
+        values, cost = extractor.vertex_values(counts, labels)
         rows, oracle_cost = _oracle(extractor, problem, labels)
         assert cost == oracle_cost and cost is not None
-        assert values.shape == (len(labels), 1 + len(TEMPLATES))
+        assert values.shape == (len(labels), 4)
         matrix, matrix_cost = extractor.matrix(problem, labels)
         assert matrix_cost == cost
         assert matrix.tobytes() == rows.tobytes()
@@ -145,7 +148,7 @@ def test_one_block_over_many_paths_is_extract_into_stacked(kind, catalogue, orde
     counts, labels = paths[min(refused_at, len(paths) - 1)]
     bad = _refused(counts, labels, how)
     problem = SchedulingProblem(counts, TEMPLATES, vm_types, goal, LATENCY)
-    bad_values, bad_cost = extractor.vertex_values(problem, bad)
+    bad_values, bad_cost = extractor.vertex_values(counts, bad)
     assert bad_cost is None
     assert extractor.matrix(problem, bad)[1] is None
     with_bad = blocks[:refused_at] + [(bad, bad_values, counts)] + blocks[refused_at:]

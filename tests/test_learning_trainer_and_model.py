@@ -65,8 +65,9 @@ def test_solver_labels_every_decision_on_the_optimal_path(small_templates, max_g
     result = astar_search(problem)
     assert solution.path == tuple(action.label for _, action in result.decisions())
     assert (solution.optimal_cost, solution.expansions) == (result.cost, result.expansions)
-    # Per decision the vertex's wait time and cost row; the pass writes the rows.
-    assert values.shape == (len(solution.path), 1 + len(small_templates))
+    # Per decision the vertex's wait time, penalty and two-float accumulator
+    # summary; the pass writes the rows.
+    assert values.shape == (len(solution.path), 4)
     rows, cost = extractor.matrix(problem, solution.path)
     assert cost == result.cost
     block = extractor.block([(solution.path, values, solution.template_counts)])

@@ -168,8 +168,7 @@ def test_a_stepper_vertex_is_the_search_vertex_and_prices_like_it(
         else:
             assert (mirrored[0], tuple(mirrored[1])) == last
             assert vertex.state.last_queue_counts() == Counter(last[1])
-        row = tables.placement_cost_row(vertex, names)
-        assert row == problem.placement_cost_row(node, names)
+        row = [tables.placement_edge_cost(vertex, name) for name in names]
         assert row == [problem.placement_edge_cost(node, name) for name in names]
         priced.update("inf" if cost == float("inf") else "finite" for cost in row)
         successors = children(problem, node)

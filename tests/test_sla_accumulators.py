@@ -1,15 +1,23 @@
-"""Incremental violation accumulators agree with the batch goal definitions."""
+"""Incremental violation accumulators agree with the batch goal definitions,
+and their array twin of ``violation_with`` agrees with the scalar bit for bit."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
 from repro.core.outcome import QueryOutcome
+from repro.sla.accumulators import (
+    AverageLatencyViolationAccumulator,
+    MaxLatencyViolationAccumulator,
+    PercentileViolationAccumulator,
+    PerQueryViolationAccumulator,
+)
 from repro.sla.average_latency import AverageLatencyGoal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.sla.per_query import PerQueryDeadlineGoal
@@ -155,3 +163,117 @@ def test_percentile_accumulator_hypothetical_does_not_mutate():
     before = accumulator.violation()
     accumulator.violation_with("T1", 500.0)
     assert accumulator.violation() == before
+
+
+# ---------------------------------------------------------------------------
+# The array twin of violation_with, as training's block prices cost-of-X
+# ---------------------------------------------------------------------------
+
+#: ``T4`` is in no per-query deadline table: it reads the default deadline.
+TWIN_TEMPLATES = ("T1", "T2", "T3", "T4")
+_INF = float("inf")
+#: Any float but NaN, with the values a sign or a rank slip shows on.
+_twin_floats = st.one_of(
+    st.floats(min_value=0.0, max_value=3600.0),
+    st.sampled_from([0.0, -0.0, 1.0, _INF, -_INF]),
+    st.floats(allow_nan=False),
+)
+_deadlines = st.one_of(
+    st.floats(min_value=1.0, max_value=3600.0), st.sampled_from([0.0, -0.0, _INF])
+)
+
+
+@st.composite
+def _twin_accumulator(draw, kind: str):
+    """A fresh accumulator of *kind*, built directly (any deadline, any percent)."""
+    if kind == "max":
+        return MaxLatencyViolationAccumulator(draw(_deadlines))
+    if kind == "per_query":
+        table = {name: draw(_deadlines) for name in TWIN_TEMPLATES[:3] if draw(st.booleans())}
+        return PerQueryViolationAccumulator(table, draw(_deadlines))
+    if kind == "average":
+        return AverageLatencyViolationAccumulator(draw(_deadlines))
+    percent = draw(
+        st.one_of(
+            st.just(100.0),
+            st.sampled_from([50.0, 75.0, 80.0, 95.0]),
+            st.floats(min_value=0.0, max_value=100.0, exclude_min=True),
+        )
+    )
+    return PercentileViolationAccumulator(percent, draw(_deadlines))
+
+
+def _deadline_of(accumulator, name: str) -> float:
+    if isinstance(accumulator, PerQueryViolationAccumulator):
+        return accumulator._deadlines.get(name, accumulator._default_deadline)
+    return accumulator._deadline
+
+
+@pytest.mark.parametrize("kind", ("max", "per_query", "average", "percentile"))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_violation_with_array_is_violation_with_bit_for_bit(kind, data):
+    """Property: for random states (the first one empty), every element of
+    ``violation_with_array`` over the states' ``edge_summary`` rows equals the
+    scalar ``violation_with`` of that state and template, compared as bytes
+    (so ``-0.0`` for ``0.0`` fails).  Completions are any non-NaN float, a
+    latency the row's state stores, or the column's deadline."""
+    fresh = data.draw(_twin_accumulator(kind))
+    states = [fresh.copy()]
+    for adds in data.draw(
+        st.lists(
+            st.lists(st.tuples(st.sampled_from(TWIN_TEMPLATES), _twin_floats), max_size=9),
+            max_size=5,
+        )
+    ):
+        state = fresh.copy()
+        for template, latency in adds:
+            state.add(template, latency)
+        states.append((state, [latency for _, latency in adds]))
+    states[0] = (states[0], [])
+
+    completions = np.empty((len(states), len(TWIN_TEMPLATES)))
+    for row, (_, stored) in enumerate(states):
+        for column, name in enumerate(TWIN_TEMPLATES):
+            choices = [_twin_floats, st.just(_deadline_of(fresh, name))]
+            if stored:
+                choices.append(st.sampled_from(stored))
+            completions[row, column] = data.draw(st.one_of(choices))
+
+    expected = np.array(
+        [
+            [
+                state.violation_with(name, float(completions[row, column]))
+                for column, name in enumerate(TWIN_TEMPLATES)
+            ]
+            for row, (state, _) in enumerate(states)
+        ],
+        dtype=np.float64,
+    )
+    summaries = np.array([state.edge_summary() for state, _ in states], dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # as the scalar meets them too
+        twin = fresh.violation_with_array(summaries, TWIN_TEMPLATES, completions)
+    assert twin.dtype == np.float64 and twin.shape == expected.shape
+    assert twin.tobytes() == expected.tobytes(), (summaries, completions, twin, expected)
+
+
+@pytest.mark.parametrize("goal", _goals(), ids=lambda g: g.kind)
+def test_violation_with_array_reads_zero_at_a_tie(goal):
+    """A completion equal to a stored latency or to the deadline prices
+    exactly what the scalar does, ``+0.0`` where nothing is late."""
+    deadline = goal.query_deadline("T2") or goal.deadline
+    fresh = goal.accumulator()
+    state = fresh.copy()
+    for latency in (deadline / 2.0, deadline, deadline / 3.0):
+        state.add("T2", latency)
+    summaries = np.array([fresh.edge_summary(), state.edge_summary()])
+    completions = np.array([[deadline, deadline / 2.0], [deadline, deadline / 3.0]])
+    twin = fresh.violation_with_array(summaries, ("T2", "T2"), completions)
+    expected = np.array(
+        [
+            [accumulator.violation_with("T2", t) for t in completions[row].tolist()]
+            for row, accumulator in enumerate((fresh, state))
+        ]
+    )
+    assert twin.tobytes() == expected.tobytes()
+    assert twin[0].tobytes() == np.zeros(2).tobytes()

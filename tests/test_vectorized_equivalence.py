@@ -55,7 +55,7 @@ from repro.learning.decision_tree import CompiledTreeEvaluator, DecisionTreeClas
 from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
 from repro.learning.model import DecisionModel
 from repro.learning.trainer import ModelGenerator
-from repro.runtime.batch import BatchScheduler
+from repro.runtime.batch import BatchScheduler, RuntimeSchedulingContext
 from repro.runtime.online import OnlineOptimizations, OnlineScheduler
 from repro.search.actions import PlaceQuery, ProvisionVM
 from repro.search.problem import ProblemTables, SchedulingProblem
@@ -154,16 +154,21 @@ def test_extract_row_and_matrix_match_dict(kind, counts, two_types, seed):
     counts=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=3),
     seed=st.integers(min_value=0, max_value=2**20),
 )
-def test_problem_cost_row_matches_scalar(kind, counts, seed):
-    """The search problem's cost row equals per-template scalar edge costs."""
+def test_block_cost_columns_match_scalar_edge_costs_at_search_nodes(kind, counts, seed):
+    """Training's array-priced ``cost-of-X`` columns equal the scalar Equation-2
+    body at the search nodes of the same path, template by template."""
     templates, vm_types, problem = _build_problem(kind, counts, two_types=True)
+    extractor = FeatureExtractor(
+        ProblemTables(templates, vm_types, problem.goal, TemplateLatencyModel(templates))
+    )
     rng = random_module.Random(seed)
-    for node in _random_walk(problem, rng, max_steps=sum(counts) + 3):
-        row = problem.placement_cost_row(node, templates.names)
-        scalar = [
-            problem.placement_edge_cost(node, name) for name in templates.names
+    nodes = _random_walk(problem, rng, max_steps=sum(counts) + 3)
+    rows, _ = extractor.matrix(problem, [node.action.label for node in nodes[1:]])
+    for node, row in zip(nodes, rows):
+        scalar = [problem.placement_edge_cost(node, name) for name in templates.names]
+        assert row[3::4].tolist() == [
+            INFEASIBLE_COST if cost == float("inf") else cost for cost in scalar
         ]
-        assert row == scalar
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +369,13 @@ class _CountingProblem:
 
 
 class _RowProblem:
-    """A full cost row from *problem*'s scalar edge costs, for the oracle's row."""
+    """*problem*'s scalar edge costs, for the oracle's full row."""
 
     def __init__(self, problem) -> None:
         self.problem = problem
 
-    def placement_cost_row(self, node, template_names):
-        return [self.problem.placement_edge_cost(node, name) for name in template_names]
+    def placement_edge_cost(self, node, template_name):
+        return self.problem.placement_edge_cost(node, template_name)
 
 
 def _full_row_label(model, node, problem):
@@ -689,7 +694,7 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
         raise AssertionError("a runtime decision filled a full feature or cost row")
 
     monkeypatch.setattr(FeatureExtractor, "extract_into", forbidden)
-    monkeypatch.setattr(ProblemTables, "placement_cost_row", forbidden)
+    monkeypatch.setattr(RuntimeSchedulingContext, "placement_cost_row", forbidden)
     seen, most = Counter(), Counter()
 
     def decide(self, node, problem):
