@@ -14,22 +14,26 @@ workloads are huge) and cheap to compute:
   this vertex (Equation 2), i.e. execution cost plus any penalty incurred;
 * ``have-X`` — whether at least one query of template ``X`` is still unassigned.
 
-The same definitions serve training (on A* vertices) and runtime (on the
-scheduler's current state), so the model sees an identical representation in
-both phases.  Three things make that hold.  An extractor reads one compiled
-specification, the :class:`~repro.search.problem.ProblemTables` of a training
-pass — its template order, its ``supports`` table and its action labels — and
-the model fitted on its rows decides on those same tables.  The row has one
+The same definitions serve training (on the vertices along each sample's
+optimal path) and runtime (on the scheduler's current vertex), so the model
+sees an identical representation in both phases.  Both kinds of vertex are a
+:class:`~repro.search.problem.VertexStepper`: a few running values (the
+remaining counts, the last VM's type id, busy time, queue and queue counts,
+the goal accumulator and the penalty), stepped along a path's labels or a
+model's decisions; no vertex holds its partial schedule.  Three things make
+that hold.  An extractor reads one compiled specification, the
+:class:`~repro.search.problem.ProblemTables` of a training pass — its
+template order, its ``supports`` table and its action labels — and the
+model fitted on its rows decides on those same tables.  The row has one
 fixed layout — all five families, ``wait-time`` first and then one block per
 template — so a model's columns never depend on how it was built (a feature
 ablation drops training-set columns, not families).  And ``cost-of-X`` is
 priced from the vertex alone, by one body (:meth:`ProblemTables.placement_edge_cost
 <repro.search.problem.ProblemTables.placement_edge_cost>`): a vertex carries
 the goal's violation accumulator and its partial ``penalty``, and the edge
-costs execution cost ``+ (rate · violation-with-X − penalty)``, whether the
-vertex is an A* node or the one a
-:class:`~repro.search.problem.VertexStepper` steps for a runtime decision.
-Training computes the same expression for a whole pass at once (below).
+costs execution cost ``+ (rate · violation-with-X − penalty)``, read off
+those running values.  Training computes the same expression for a whole
+pass at once (below).
 
 :meth:`FeatureExtractor.extract_into` is the one-vertex definition of the
 row.  The program reads it in two other forms, each held against it bit for
@@ -64,7 +68,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
+from repro.search.problem import ProblemTables, SchedulingProblem, VertexStepper
 
 #: Columns of :meth:`FeatureExtractor.vertex_values`: the vertex's wait time,
 #: its penalty, and its goal accumulator's two-float ``edge_summary``.
@@ -116,7 +120,7 @@ FEATURE_FAMILIES: tuple[str, ...] = (
 
 
 class FeatureExtractor:
-    """Extracts the Section 4.4 feature vector from a search node.
+    """Extracts the Section 4.4 feature vector of a vertex.
 
     Built on one :class:`~repro.search.problem.ProblemTables` (:attr:`tables`),
     from which it reads the template order, ``supports-X`` and the action
@@ -166,10 +170,8 @@ class FeatureExtractor:
             supported, np.array(tables.run_cost_table + [[0.0] * len(names)]), 0.0
         )
         # Supports-X depends only on the VM type: :meth:`extract_into` reads
-        # the whole row by the type's name.
-        self._supports_rows: dict[str, list[float]] = dict(
-            zip(tables.vm_names, self._supports_block.tolist())
-        )
+        # the whole row by the type's id, -1 (no VM) reading the zero row.
+        self._supports_rows: list[list[float]] = self._supports_block.tolist()
         # Per-column lookup for a decision, which computes a column only when
         # a tree node tests it: the family's position in FEATURE_FAMILIES and
         # the template's name and position.
@@ -212,50 +214,41 @@ class FeatureExtractor:
         """
         return self._column_layout
 
-    def extract_into(self, node: SearchNode, problem: SchedulingProblem, out_row):
-        """Write the feature vector of *node* directly into *out_row*.
+    def extract_into(self, node: VertexStepper, out_row):
+        """Write the feature vector of the vertex *node* directly into *out_row*.
 
         The one-vertex definition of the row, which :meth:`block` and
         :meth:`~repro.learning.model.DecisionModel.decide` are tested
-        against.  *out_row* is any preallocated mutable row of
-        ``len(feature_names)`` entries — a numpy float64 row or a plain list.
-        Every column is overwritten, so the buffer needs no zeroing between
-        calls.  Returns *out_row*.
+        against.  *node* is a :class:`~repro.search.problem.VertexStepper`
+        stepped on tables that number the VM types as this extractor's do;
+        ``cost-of-X`` is priced on this extractor's tables.
+        *out_row* is any preallocated mutable row of ``len(feature_names)``
+        entries — a numpy float64 row or a plain list.  Every column is
+        overwritten, so the buffer needs no zeroing between calls.  Returns
+        *out_row*.
         """
-        state = node.state
-        last = state.last_vm()
         names = self._template_names
 
         out_row[0] = node.last_vm_finish
 
         for column in self._proportion_columns:
             out_row[column] = 0.0
-        if last is not None and last[1]:
-            last_queue = last[1]
-            queue_length = len(last_queue)
+        queue_length = len(node.queue)
+        if queue_length:
             column_of = self._proportion_column_of
-            # Inline histogram: the last VM's queue is short, so a dict
-            # loop beats a Counter construction per vertex.
-            counts: dict[str, int] = {}
-            counts_get = counts.get
-            for name in last_queue:
-                counts[name] = counts_get(name, 0) + 1
-            for name, count in counts.items():
+            for name, count in node.queue_counts.items():
                 out_row[column_of[name]] = count / queue_length
 
-        if last is not None:
-            for column, value in zip(self._supports_columns, self._supports_rows[last[0]]):
-                out_row[column] = value
-        else:
-            for column in self._supports_columns:
-                out_row[column] = 0.0
+        supports = self._supports_rows[node.last_vm_index]
+        for column, value in zip(self._supports_columns, supports):
+            out_row[column] = value
 
-        edge = problem.placement_edge_cost
+        edge = self._tables.placement_edge_cost
         for column, name in zip(self._cost_columns, names):
             cost = edge(node, name)
             out_row[column] = INFEASIBLE_COST if cost == _INF else cost
 
-        present = state.remaining_name_set()
+        present = node.remaining
         for column, name in zip(self._have_columns, names):
             out_row[column] = 1.0 if name in present else 0.0
         return out_row
@@ -281,7 +274,7 @@ class FeatureExtractor:
         rows: list[tuple[float, ...]] = []
         append = rows.append
 
-        def visit(index: int, node: SearchNode) -> None:
+        def visit(index: int, node: VertexStepper) -> None:
             append((node.last_vm_finish, node.penalty) + node.accumulator.edge_summary())
 
         cost = self._tables.walk(counts, labels, visit)

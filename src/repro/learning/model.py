@@ -10,12 +10,14 @@ Parsing the model repeatedly over a scheduling state yields a schedule: at
 each step the model chooses either to place a query of some template on the
 most recently provisioned VM, or to provision a new VM.
 
-The runtime scheduler steps the vertex training walks its paths with (a
-:class:`~repro.search.problem.VertexStepper`'s
-:class:`~repro.search.problem.SearchNode`), prices ``cost-of-X`` with the one
-Equation-2 body training prices with, on the very tables its training pass
-solved on (:attr:`DecisionModel.tables`), and a feature the model tests at
-runtime is the expression that filled that column of its training set.
+The runtime scheduler steps the vertex training walks its paths with, a
+:class:`~repro.search.problem.VertexStepper`, and a decision reads its
+running values: remaining counts, the last VM's type id, busy time, queue
+and queue counts, goal accumulator and penalty.  It prices ``cost-of-X``
+with the one Equation-2 body training prices with, on the very tables its
+training pass solved on (:attr:`DecisionModel.tables`), and a feature the
+model tests at runtime is the expression that filled that column of its
+training set.
 Training needs every column of every vertex (:meth:`FeatureExtractor.block
 <repro.learning.features.FeatureExtractor.block>`); one decision does not:
 :meth:`DecisionModel.decide` walks the tree and computes a feature only when
@@ -29,7 +31,7 @@ The walk is generated code, built the way :mod:`dataclasses` builds its
 methods.  When a model compiles its tree — on its first decision, or when a
 shard worker registers a shipped model
 (:meth:`DecisionModel.compiled_evaluator`) — :func:`_walk_source` writes one
-function, ``walk(node, problem) -> Action``: the tree as nested ``if``
+function, ``walk(node) -> Action``: the tree as nested ``if``
 statements with thresholds as literals and each feature's expression inline,
 and ``compile()`` runs once.  No decision reads the evaluator's arrays.  The
 source is safe by construction: only ints and floats enter it as literals, a
@@ -75,7 +77,7 @@ from repro.exceptions import ModelError
 from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.learning.features import FEATURE_FAMILIES, INFEASIBLE_COST, FeatureExtractor
 from repro.search.actions import Action, PlaceQuery, ProvisionVM, action_from_label
-from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
+from repro.search.problem import ProblemTables, VertexStepper
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
 
@@ -154,39 +156,37 @@ _MAX_NESTING = 48
 #: The locals a generated walk binds on first use along a path: the
 #: expression each holds and the locals that expression reads.
 _LOCALS = {
-    "state": ("node.state", ()),
-    "last": ("state.last_vm()", ("state",)),
-    "present": ("state.remaining_name_set()", ("state",)),
-    "kind": ("last[0] if last is not None else None", ("last",)),
-    "queue": ("last[1] if last is not None else ()", ("last",)),
-    "counts": ("state.last_queue_counts() if queue else {}", ("state", "queue")),
+    "kind": ("node.last_vm_index", ()),
+    "present": ("node.remaining", ()),
+    "counts": ("node.queue_counts", ()),
     # ``count / inf`` is the 0.0 of an empty queue, as count is 0 there.
-    "size": ("len(queue) or inf", ("queue",)),
-    "edge": ("problem.placement_edge_cost", ()),
+    "size": ("len(node.queue) or inf", ()),
+    "edge": ("model_tables.placement_edge_cost", ()),
 }
 
 
 def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
-    """Source of ``walk(node, problem) -> Action`` for *evaluator*, and its globals.
+    """Source of ``walk(node) -> Action`` for *evaluator*, and its globals.
 
-    The tree becomes nested ``if`` statements, one per split whose outcome
-    the state decides.  Every branch ends in a ``return``: a leaf returns
-    ``s<k>(node, problem, costs)``, the settler of the evaluator's label
-    ``k`` (bound by :func:`_generate_walk`), so a split's right branch
-    follows its ``if`` without an ``else``.  Each split tests the expression
+    *node* is a :class:`~repro.search.problem.VertexStepper`, and the walk
+    reads its running values.  The tree becomes nested ``if`` statements,
+    one per split whose outcome the vertex decides.  Every branch ends in a
+    ``return``: a leaf returns ``s<k>(node, costs)``, the settler of the
+    evaluator's label ``k`` (bound by :func:`_generate_walk`), so a split's
+    right branch follows its ``if`` without an ``else``.  Each split tests the expression
     :meth:`FeatureExtractor.extract_into` writes into its column:
 
     * ``have-X`` (0.0 or 1.0) and ``supports-X`` (one value per VM type, 0.0
       with no VM) are folded: the threshold comparison runs here, in Python
-      floats, and the source keeps only a set-membership test — or nothing,
-      when every outcome is the same;
+      floats, and the source keeps only a set-membership test — of the
+      remaining multiset, or of the last VM's type id (-1: no VM) — or
+      nothing, when every outcome is the same;
     * ``wait-time``, ``proportion-of-X`` and ``cost-of-X`` are computed once
-      per path into a local, ``cost-of-X`` through
-      ``problem.placement_edge_cost`` — the one Equation-2 body,
+      per path into a local, ``cost-of-X`` through the one Equation-2 body,
       :meth:`ProblemTables.placement_edge_cost
-      <repro.search.problem.ProblemTables.placement_edge_cost>`, on the
-      model's tables at runtime and on a search problem's in tests — and
-      memoized in ``costs`` for the penalty guard, with ``inf`` reading as
+      <repro.search.problem.ProblemTables.placement_edge_cost>`, of the
+      extractor's tables (the global ``model_tables``), and memoized in
+      ``costs`` for the penalty guard, with ``inf`` reading as
       ``INFEASIBLE_COST``;
     * a split whose two children are leaves with one label is that leaf,
       unless it is the first on its path to derive a ``cost-of-X``.
@@ -200,7 +200,7 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
     features, thresholds, lefts, rights, leaves = evaluator.scalar_arrays()
     families, names, positions = extractor.column_layout
     tables = extractor.tables
-    namespace: dict = {"inf": _INF}
+    namespace: dict = {"inf": _INF, "model_tables": tables}
     lines: list[str] = []
 
     def bind(local: str, bound: set[str], pad: str) -> None:
@@ -215,9 +215,9 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
     while functions:
         function, root, computed = functions.pop()
         if function == "walk":
-            lines += ["def walk(node, problem):", "    costs = {}"]
+            lines += ["def walk(node):", "    costs = {}"]
         else:
-            lines.append(f"def {function}(node, problem, costs):")
+            lines.append(f"def {function}(node, costs):")
         stack = [(root, 1, set(), computed)]
         while stack:
             index, level, bound, computed = stack.pop()
@@ -231,9 +231,9 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
                 if family == _HAVE:
                     outcomes = {True: 1.0 <= threshold, False: 0.0 <= threshold}
                 elif family == _SUPPORTS:
-                    outcomes = {None: 0.0 <= threshold}
-                    for vm_name, runs in zip(tables.vm_names, tables.supports_table):
-                        outcomes[vm_name] = float(runs[positions[column]]) <= threshold
+                    outcomes = {-1: 0.0 <= threshold}
+                    for vm_index, runs in enumerate(tables.supports_table):
+                        outcomes[vm_index] = float(runs[positions[column]]) <= threshold
                 else:
                     break
                 goes_left = set(outcomes.values())
@@ -249,12 +249,12 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
             ):
                 index, column = lefts[index], -1
             if column < 0:
-                lines.append(f"{pad}return s{int(leaves[index])}(node, problem, costs)")
+                lines.append(f"{pad}return s{int(leaves[index])}(node, costs)")
                 continue
             if level > _MAX_NESTING:
                 helper = f"walk_{len(lines)}"
                 functions.append((helper, index, computed))
-                lines.append(f"{pad}return {helper}(node, problem, costs)")
+                lines.append(f"{pad}return {helper}(node, costs)")
                 continue
             name = repr(str(names[column]))
             if family == _HAVE:
@@ -262,8 +262,7 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
                 condition = f"{name} in present" if outcomes[True] else f"{name} not in present"
             elif family == _SUPPORTS:
                 bind("kind", bound, pad)
-                kinds = (repr(key if key is None else str(key)) for key in outcomes)
-                left = ", ".join(kind for kind, goes in zip(kinds, outcomes.values()) if goes)
+                left = ", ".join(str(kind) for kind, goes in outcomes.items() if goes)
                 condition = f"kind in {{{left}}}"
             else:
                 value = f"x{column}"
@@ -300,8 +299,8 @@ def _walk_source(evaluator, extractor: FeatureExtractor) -> tuple[str, dict]:
 
 def _generate_walk(
     evaluator, extractor: FeatureExtractor, settlers: Mapping[str, Callable]
-) -> Callable[[SearchNode, SchedulingProblem], Action]:
-    """``walk(node, problem) -> Action`` compiled from :func:`_walk_source`.
+) -> Callable[[VertexStepper], Action]:
+    """``walk(node) -> Action`` compiled from :func:`_walk_source`.
 
     *settlers* maps each of the evaluator's labels to the settler its leaves
     call (:meth:`DecisionModel._settlers`).
@@ -485,14 +484,15 @@ class DecisionModel:
 
     # -- validated decisions --------------------------------------------------------
 
-    def decide(self, node: SearchNode, problem: SchedulingProblem) -> Action:
-        """The model's (validated) action for the scheduling state *node*.
+    def decide(self, node: VertexStepper) -> Action:
+        """The model's (validated) action at the vertex *node*, a stepper's.
 
         One call of the function generated from the tree when the model
         compiled it (:func:`_walk_source`): it computes a feature
         only when a node on the path tests it, so a parse costs O(tree
         height) (Section 6.2), and its leaf's settler (:meth:`_settlers`)
-        validates the label and counts the decision.
+        validates the label and counts the decision.  Every price comes from
+        the model's own :attr:`tables`.
 
         A decision keeps its working values local to the call — tenants that
         share this model object may decide at the same time — and shares only
@@ -502,12 +502,12 @@ class DecisionModel:
         if walker is None:
             self.compiled_evaluator()
             walker = self._walker
-        return walker(node, problem)
+        return walker(node)
 
     # -- validation and fallbacks -----------------------------------------------------
 
     def _settlers(self, labels) -> dict[str, Callable]:
-        """One settler per distinct label: ``settle(node, problem, costs) -> Action``.
+        """One settler per distinct label: ``settle(node, costs) -> Action``.
 
         A leaf of the generated walk returns its label's settler's answer,
         *costs* being the Equation-2 edge costs the path computed, by
@@ -537,14 +537,13 @@ class DecisionModel:
         guard_on = self._penalty_guard
         tables = self.tables
         names = tables.tpl_names
-        unsupported = {
-            vm_name: {name for name, runs in zip(names, row) if not runs}
-            for vm_name, row in zip(tables.vm_names, tables.supports_table)
-        }
-        execution_cost = {
-            vm_name: {name: cost for name, (_, cost) in edges.items()}
-            for vm_name, edges in zip(tables.vm_names, tables.edge_tables)
-        }
+        # Per VM type id.
+        unsupported = [
+            {name for name, runs in zip(names, row) if not runs} for row in tables.supports_table
+        ]
+        execution_cost = [
+            {name: cost for name, (_, cost) in edges.items()} for edges in tables.edge_tables
+        ]
         place = dict(zip(names, tables.place_actions))
         provisions = dict(zip(tables.vm_names, tables.provision_actions))
         # The guard's swap for a template: a fresh VM of the cheapest type
@@ -556,8 +555,8 @@ class DecisionModel:
                 swap[name] = (tables.provision_actions[vm_index], tables.startup_costs[vm_index])
         base_latency = {name: tables.templates[name].base_latency for name in names}
 
-        def general(action, node, problem):
-            validated = validate(action, node, problem)
+        def general(action, node):
+            validated = validate(action, node)
             stats.decisions += 1
             if validated != action:
                 stats.fallbacks += 1
@@ -572,31 +571,28 @@ class DecisionModel:
             target = base_latency[template]
             distance = {name: abs(latency - target) for name, latency in base_latency.items()}
 
-            def settle(node, problem, costs):
-                state = node.state
-                last = state.last_vm()
-                if last is None:
-                    return general(action, node, problem)
-                kind, queue = last
-                banned = unsupported[kind]
-                if template in state.remaining_name_set() and template not in banned:
+            def settle(node, costs):
+                vm_index = node.last_vm_index
+                if vm_index < 0:
+                    return general(action, node)
+                banned = unsupported[vm_index]
+                remaining = node.remaining
+                if template in remaining and template not in banned:
                     name = template
                 else:
-                    candidates = [
-                        name for name in state.remaining_templates() if name not in banned
-                    ]
+                    candidates = [name for name in remaining if name not in banned]
                     if not candidates:
-                        return general(action, node, problem)
+                        return general(action, node)
                     name = min(candidates, key=distance.__getitem__)
                 stats.decisions += 1
-                if guard_on and queue:
+                if guard_on and node.queue:
                     # The placement's marginal penalty alone exceeds a fresh
                     # VM's fee, and provisioning is legal: renting is cheaper.
                     edge = costs.get(name)
                     if edge is None:
-                        edge = problem.placement_edge_cost(node, name)
+                        edge = tables.placement_edge_cost(node, name)
                     fresh, startup_cost = swap[name]
-                    if edge - execution_cost[kind][name] > startup_cost:
+                    if edge - execution_cost[vm_index][name] > startup_cost:
                         stats.guard_activations += 1
                         stats.fallbacks += 1
                         stats.provision_decisions += 1
@@ -609,21 +605,18 @@ class DecisionModel:
             return settle
 
         def provisioning(action):
-            def settle(node, problem, costs):
-                state = node.state
-                if state.remaining:
-                    last = state.last_vm()
-                    if last is None or last[1]:
-                        stats.decisions += 1
-                        stats.provision_decisions += 1
-                        return action
-                return general(action, node, problem)
+            def settle(node, costs):
+                if node.remaining and (node.last_vm_index < 0 or node.queue):
+                    stats.decisions += 1
+                    stats.provision_decisions += 1
+                    return action
+                return general(action, node)
 
             return settle
 
         def fallback(action):
-            def settle(node, problem, costs):
-                return general(action, node, problem)
+            def settle(node, costs):
+                return general(action, node)
 
             return settle
 
@@ -643,9 +636,7 @@ class DecisionModel:
                 settlers[label] = fallback(action)
         return settlers
 
-    def _validate(
-        self, action: Action | None, node: SearchNode, problem: SchedulingProblem
-    ) -> Action:
+    def _validate(self, action: Action | None, node: VertexStepper) -> Action:
         """The general path: what the model does when no settler rule applies.
 
         *action* is the leaf's action, ``None`` for a label that names no
@@ -658,31 +649,31 @@ class DecisionModel:
         cheapest Equation-2 edge — or, with no VM or nothing it can run, a
         fresh VM.
         """
-        state = node.state
-        if not state.remaining:
+        remaining = tuple(node.remaining)
+        if not remaining:
             raise ModelError("the model was asked to act on a complete schedule")
         tables = self.tables
-        last = state.last_vm()
-        if isinstance(action, ProvisionVM) and (last is None or last[1]):
+        vm_index = node.last_vm_index
+        if isinstance(action, ProvisionVM) and (vm_index < 0 or node.queue):
             # Valid spot for a new VM; fix up unknown VM types.
             if action.vm_type_name in tables.vm_types:
                 return action
             return tables.provision_actions[0]
-        if last is None:
+        if vm_index < 0:
             if isinstance(action, PlaceQuery):
                 return tables.provision_actions[self._preferred_vm_index(action.template_name)]
             return tables.provision_actions[0]
         # The last VM takes a query: provisioning again on an empty VM would
         # violate the graph reduction and could loop forever.  A template
         # outside the specification counts as run, as VMType.supports has it.
-        runs = tables.supports_table[tables.vm_id[last[0]]]
+        runs = tables.supports_table[vm_index]
         tpl_id = tables.tpl_id
-        remaining = state.remaining_templates()
         candidates = [name for name in remaining if name not in tpl_id or runs[tpl_id[name]]]
         if not candidates:
             # Nothing placeable on the current VM: provision one that can help.
             return tables.provision_actions[self._preferred_vm_index(remaining[0])]
-        return PlaceQuery(min(candidates, key=lambda name: problem.placement_edge_cost(node, name)))
+        edge = tables.placement_edge_cost
+        return PlaceQuery(min(candidates, key=lambda name: edge(node, name)))
 
     def _preferred_vm_index(self, template_name: str) -> int:
         """Id in :attr:`tables` of the cheapest VM type (by execution cost) able

@@ -17,12 +17,13 @@ Three details keep large batches fast and faithful:
   own tables), its marginal penalty read from the goal accumulator
   (:mod:`repro.sla.accumulators`) the vertex carries instead of a rescan of
   all previously placed queries;
-* the vertex is a :class:`~repro.search.problem.VertexStepper`'s, the one
-  training walks a path with: everything a parse can ask of it is a running
-  value updated per action — unassigned queries per template, the most
-  recent VM's queue and its per-template counts — so nothing is rebuilt per
-  decision and a parse costs O(h) whatever the batch size, the number of VMs
-  or the length of the queue
+* the vertex is a :class:`~repro.search.problem.VertexStepper`, the one
+  training walks a path with, and it holds no partial schedule: everything a
+  parse can ask of it is a running value updated per action — unassigned
+  queries per template, the most recent VM's type id, busy time, queue and
+  per-template queue counts, the goal accumulator and the penalty — so
+  nothing is rebuilt per decision and a parse costs O(h) whatever the batch
+  size, the number of VMs or the length of the queue
   (``benchmarks/bench_fig17_batch_scheduling_scale.py`` asserts both axes);
 * queries whose template is not part of the model's specification are treated
   as instances of the template with the closest expected latency, exactly as
@@ -33,8 +34,8 @@ Batch and online scheduling decide through one kernel,
 queries as per-template FIFO pools (each query filed under the template the
 model treats it as) plus an optional rented VM to continue, and hands back the
 original query objects placed.  A kernel keeps one stepper and resets it
-(the remaining multiset and the reusable vertex, which gets a fresh goal
-accumulator) at the start of every pass, over the pass's model's tables, so
+(its remaining multiset and running values, with a fresh goal accumulator)
+at the start of every pass, over the pass's model's tables, so
 an online session (:mod:`repro.runtime.online`), which pools its wait queue
 directly, keeps one kernel for its whole life;
 :meth:`BatchScheduler.schedule_detailed` is the batch adapter over a one-shot
@@ -54,7 +55,7 @@ from repro.core.scheduler import SchedulerOverhead, SchedulingOutcome, simulated
 from repro.exceptions import ScheduleError
 from repro.learning.model import DecisionModel
 from repro.search.actions import ProvisionVM
-from repro.search.problem import ProblemTables, SearchNode, VertexStepper
+from repro.search.problem import ProblemTables, VertexStepper
 from repro.workloads.query import Query
 from repro.workloads.workload import Workload
 
@@ -68,7 +69,7 @@ class RuntimeSchedulingContext(ProblemTables):
     """
 
     def placement_cost_row(
-        self, node: SearchNode, template_names: Sequence[str]
+        self, node: VertexStepper, template_names: Sequence[str]
     ) -> list[float]:
         """:meth:`~repro.search.problem.ProblemTables.placement_edge_cost` of every template."""
         edge = self.placement_edge_cost
@@ -79,12 +80,11 @@ class PlacementKernel:
     """The decision kernel: parse a model until it has placed every pool.
 
     Reused across scheduling passes: it keeps one :class:`VertexStepper` —
-    the running values and the one reusable vertex the model reads — and
-    hands it the pass's model's tables, so a pass that brings another model
-    builds nothing either.  The stepper is reset at the start of every
-    :meth:`place`, so a pass pays no set-up beyond its pools and a pass that
-    raised leaves nothing the next one reads.  Not thread-safe: one pass at
-    a time.
+    the running values the model reads — and hands it the pass's model's
+    tables, so a pass that brings another model builds nothing either.  The
+    stepper is reset at the start of every :meth:`place`, so a pass pays no
+    set-up beyond its pools and a pass that raised leaves nothing the next
+    one reads.  Not thread-safe: one pass at a time.
     """
 
     def __init__(self) -> None:
@@ -112,7 +112,7 @@ class PlacementKernel:
             stepper = self._stepper = VertexStepper(tables)
         else:
             stepper.tables = tables
-        node = stepper.reset(
+        stepper.reset(
             {name: len(pool) for name, pool in pools.items()},
             existing_vm_type.name if existing_vm_type is not None else None,
             existing_vm_busy_time,
@@ -136,7 +136,7 @@ class PlacementKernel:
                 raise ScheduleError(
                     "the decision model failed to converge on a complete schedule"
                 )
-            action = decide(node, tables)
+            action = decide(stepper)
             if isinstance(action, ProvisionVM):
                 name = action.vm_type_name
                 placed = []

@@ -1,12 +1,19 @@
 """Scheduling-graph construction and the pluggable search engine (Section 4.3).
 
-The package splits into the graph (``state``/``actions``/``problem``), the
-exact A* core (``astar``), and the pluggable layers extracted from it: search
+The package splits into the graph (``actions``/``problem``), the exact A*
+core (``astar``), and the pluggable layers extracted from it: search
 *strategies* (``strategy`` — exact A*, weighted A*, beam) and the A*
 *cost-to-go bounds* (``bounds`` — the provisioning bound of the monotonic
 goals and the memoized goal hook of the others).  A tenant selects its
 strategy through :class:`~repro.config.TrainingConfig`; the goal alone picks
 the bound.
+
+A vertex is its key, not a built partial schedule: a search node carries the
+remaining multiset's row, the most recent VM's type, busy time and last
+template, and the partial schedule's price so far
+(:class:`~repro.search.problem.SearchNode`).  The schedule of the goal
+vertex is read off its path once (:meth:`SearchResult.vms
+<repro.search.astar.SearchResult.vms>`, :func:`schedule_from_state`).
 """
 
 from repro.search.actions import Action, PlaceQuery, ProvisionVM, action_from_label
@@ -18,7 +25,6 @@ from repro.search.optimal import (
     schedule_from_state,
 )
 from repro.search.problem import LatencyOutcome, SchedulingProblem, SearchNode
-from repro.search.state import SearchState, freeze_counts
 from repro.search.strategy import (
     SEARCH_STRATEGIES,
     AStarStrategy,
@@ -43,13 +49,11 @@ __all__ = [
     "SchedulingProblem",
     "SearchNode",
     "SearchResult",
-    "SearchState",
     "SearchStrategy",
     "WeightedAStarStrategy",
     "action_from_label",
     "astar_search",
     "find_optimal_schedule",
-    "freeze_counts",
     "register_search_strategy",
     "schedule_from_state",
     "strategy_from_spec",

@@ -2,9 +2,11 @@
 
 The search explores :class:`~repro.search.problem.SearchNode` objects ordered
 by an admissible lower bound on the cost of the best complete schedule
-reachable through them.  Because a vertex fully determines its partial
-schedule (and therefore its cost), the first *goal* vertex popped from the
-frontier is a minimum-cost complete schedule.
+reachable through them.  A node holds its key and its cost so far, not its
+partial schedule; the path to it determines that schedule (and therefore
+its cost), so the first *goal* vertex popped from the frontier is a
+minimum-cost complete schedule, which :meth:`SearchResult.vms` reads off the
+goal's parent chain.
 
 The reduced graph is a tree (every vertex has one parent; see
 :mod:`repro.search.problem`), so no vertex is reached twice and the search
@@ -34,9 +36,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.exceptions import SearchBudgetExceeded, SearchError
-from repro.search.actions import Action
+from repro.search.actions import Action, ProvisionVM
 from repro.search.problem import SchedulingProblem, SearchNode
-from repro.search.state import SearchState
 
 
 def optimality_ratio(cost: float, cost_lower_bound: float | None) -> float:
@@ -75,14 +76,23 @@ class SearchResult:
         """Total cost (Equation 1) of the schedule found."""
         return self.goal_node.partial_cost
 
-    @property
-    def goal_state(self) -> SearchState:
-        """The goal vertex reached by the search."""
-        return self.goal_node.state
-
     def path(self) -> list[SearchNode]:
         """Nodes from the start vertex to the goal vertex, inclusive."""
         return self.goal_node.path()
+
+    def vms(self) -> list[tuple[str, tuple[str, ...]]]:
+        """The goal schedule: ``(VM type name, template queue)`` per VM, in provisioning order.
+
+        Read off the path once; no node holds more of it than its key.
+        """
+        vms: list[tuple[str, list[str]]] = []
+        for node in self.path()[1:]:
+            action = node.action
+            if isinstance(action, ProvisionVM):
+                vms.append((action.vm_type_name, []))
+            else:
+                vms[-1][1].append(action.template_name)
+        return [(vm_type_name, tuple(queue)) for vm_type_name, queue in vms]
 
     def decisions(self) -> Iterator[tuple[SearchNode, Action]]:
         """(vertex, optimal action taken at that vertex) pairs along the path.
@@ -118,7 +128,7 @@ def astar_search(
         If the expansion budget is exhausted before a goal vertex is reached.
     """
     start = problem.initial_node()
-    if start.state.is_goal():
+    if not start.row.count:
         return SearchResult(goal_node=start, expansions=0, generated=1)
 
     generated = 1

@@ -237,7 +237,7 @@ class ProvisioningBound(FutureCostBound):
         return self._term(parent.penalty, 0.0, row), None
 
     def node_bound(self, node, row) -> float:
-        finish = node.last_vm_finish if node.state.vms else None
+        finish = node.last_vm_finish if node.last_vm_index >= 0 else None
         return self._term(node.penalty, finish, row)
 
 

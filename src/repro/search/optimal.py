@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.cloud.latency import LatencyModel
 from repro.cloud.vm import VMTypeCatalog
@@ -19,29 +20,28 @@ from repro.core.cost_model import CostBreakdown, CostModel
 from repro.core.schedule import Schedule, VMAssignment
 from repro.search.astar import SearchResult, astar_search
 from repro.search.problem import SchedulingProblem
-from repro.search.state import SearchState
 from repro.sla.base import PerformanceGoal
 from repro.workloads.workload import Workload
 
 
 def schedule_from_state(
-    state: SearchState, workload: Workload, vm_types: VMTypeCatalog
+    vms: Iterable[tuple[str, Sequence[str]]], workload: Workload, vm_types: VMTypeCatalog
 ) -> Schedule:
-    """Materialise a goal vertex into a schedule over *workload*'s queries.
+    """Materialise a goal schedule's *vms* into a schedule over *workload*'s queries.
 
-    Queries of the same template are interchangeable (Section 4.3), so each
-    template slot in the goal vertex is filled with the next unused query
-    instance of that template, in workload order.
+    *vms* holds ``(VM type name, template queue)`` per VM, as
+    :meth:`SearchResult.vms <repro.search.astar.SearchResult.vms>` reads them
+    off a goal vertex's path.  Queries of the same template are
+    interchangeable (Section 4.3), so each template slot is filled with the
+    next unused query instance of that template, in workload order.
     """
     pools: dict[str, deque] = defaultdict(deque)
     for query in workload:
         pools[query.template_name].append(query)
-    vms = []
-    for vm_type_name, queue in state.vms:
-        vm_type = vm_types[vm_type_name]
-        queries = tuple(pools[name].popleft() for name in queue)
-        vms.append(VMAssignment(vm_type, queries))
-    return Schedule(vms).without_empty_vms()
+    return Schedule(
+        VMAssignment(vm_types[vm_type_name], tuple(pools[name].popleft() for name in queue))
+        for vm_type_name, queue in vms
+    ).without_empty_vms()
 
 
 @dataclass
@@ -72,7 +72,7 @@ def find_optimal_schedule(
     """
     problem = SchedulingProblem.for_workload(workload, vm_types, goal, latency_model)
     result = astar_search(problem, max_expansions=max_expansions)
-    schedule = schedule_from_state(result.goal_state, workload, vm_types)
+    schedule = schedule_from_state(result.vms(), workload, vm_types)
     cost = CostModel(latency_model).breakdown(schedule, goal)
     return OptimalScheduleResult(
         schedule=schedule, cost=cost, search=result, problem=problem

@@ -12,13 +12,19 @@
   (cheapest possible execution cost of the remaining queries), plus the
   goal's cost-to-go term from a :class:`~repro.search.bounds.FutureCostBound`.
 
-Nodes fully determine their partial schedule, so the best goal vertex found by
-the search is the minimum-cost complete schedule regardless of the path taken
-to reach it.
+A vertex (Section 4.3) is a partial schedule plus the queries still
+unassigned, but no node builds that schedule: a node carries only what the
+search reads of it, its key — the remaining multiset's row, the most recent
+VM's type id, busy time and last template (:class:`SearchNode`) — and the
+partial schedule's cost so far.  The path to a node determines its partial
+schedule, so the best goal vertex found is the minimum-cost complete
+schedule regardless of the path taken, and that schedule is read off the goal
+node's parent chain once (:meth:`SearchResult.vms
+<repro.search.astar.SearchResult.vms>`).
 
 A known path needs none of that machinery, not even a problem:
 :meth:`ProblemTables.walk` steps one reusable vertex, a
-:class:`VertexStepper`'s, along its action labels with :meth:`expand`'s
+:class:`VertexStepper`, along its action labels with :meth:`expand`'s
 arithmetic and returns its cost.  Training walks every path that way, a
 searched one and a kept one alike, recording each vertex's wait time,
 penalty and two-float goal-accumulator summary
@@ -51,11 +57,11 @@ work is built around that:
   branch + add + violation), a retraining search's old-goal penalty from
   the ``violation_with`` of the parent's second, old-goal accumulator in the
   same way.  A strategy builds the child's :class:`SearchNode` — its
-  accumulator branches, VM tuple and
-  :class:`~repro.search.state.SearchState` — with
-  :meth:`SchedulingProblem.child` only when it pops the child, which most
-  children never are.  No node carries its outcome tuple; the rare reader (a
-  test) walks the parent chain (:attr:`SearchNode.outcomes`).
+  accumulator branches and its key — with :meth:`SchedulingProblem.child`
+  only when it pops the child, which most children never are.  No node
+  carries its outcome tuple or its partial schedule; the rare reader (a
+  test, or the goal's schedule) walks the parent chain
+  (:attr:`SearchNode.outcomes`).
 * **One row per remaining multiset.**  The problem numbers each remaining
   multiset by a mixed-radix integer over the workload's templates in name
   order; a placement subtracts the placed template's weight.  The first
@@ -83,8 +89,8 @@ work is built around that:
   dominance checks stop doing string-keyed dict walks and attribute lookups
   per child.  They depend on the specification and goal only
   (:class:`ProblemTables`), so a training pass builds them once and shares
-  them with every sample's problem and every walk.  Each node caches the
-  integer id of its most recent VM.
+  them with every sample's problem and every walk.  Each node carries the
+  integer ids of its most recent VM's type and last template.
 
 The accumulators agree with the batch :meth:`PerformanceGoal.penalty`
 definition bit-for-bit (property-tested across all four goal kinds), so
@@ -102,7 +108,6 @@ from repro.cloud.vm import VMTypeCatalog
 from repro.exceptions import SpecificationError
 from repro.search.actions import Action, PlaceQuery, ProvisionVM
 from repro.search.bounds import MemoizedGoalBound, ProvisioningBound
-from repro.search.state import SearchState
 from repro.sla.accumulators import ViolationAccumulator
 from repro.sla.base import PerformanceGoal
 from repro.workloads.templates import TemplateSet
@@ -155,36 +160,36 @@ class RemainingRow:
         self.execution = execution
         #: Cheapest possible total work time of the multiset.
         self.work = work
-        #: The canonical ``SearchState.remaining`` tuple.
+        #: The multiset as ``(name, count)`` pairs in name order.
         self.remaining = remaining
 
 
 @dataclass(slots=True, repr=False)
 class SearchNode:
-    """A vertex plus the incremental bookkeeping the search needs.
+    """A vertex of the search, with the incremental bookkeeping the search needs.
 
-    ``accumulator`` tracks the partial schedule's violation period
-    incrementally (see the module docstring) and, with ``penalty``, is what
-    a ``cost-of-X`` price reads: every vertex that is priced carries one —
-    the search's nodes and a :class:`VertexStepper`'s reusable vertex, which
-    training walks and runtime decisions step.  ``last_vm_index`` caches the
-    interned id of the most recent VM's type (-1 before the first VM; a
-    stepper keeps it current), which successor generation and the
-    Equation-2 price read instead of resolving the name, and ``row`` the
-    remaining multiset's row; ``row`` stays ``None`` on a stepper's vertex,
-    which is never expanded.
+    A node does not hold its partial schedule.  What the vertex's future
+    depends on is its key: the remaining multiset (``row.code``), the most
+    recent VM's type id (``last_vm_index``, -1 before the first VM), that
+    VM's busy time (``last_vm_finish``) and the template of its last query
+    (``last_template``, -1 when it holds none or there is no VM), which the
+    queue-order rules read.  The rest is the partial schedule's price so far:
+    ``infra_cost``, ``penalty`` and the goal's violation accumulator, which
+    with the key is what a ``cost-of-X`` price reads
+    (:meth:`ProblemTables.placement_edge_cost`).  The schedule itself is read
+    off the parent chain when it is wanted (:attr:`outcomes`,
+    :meth:`~repro.search.astar.SearchResult.vms`).
     """
 
-    state: SearchState
     parent: "SearchNode | None"
     action: Action | None
     infra_cost: float
     penalty: float
     last_vm_finish: float
-    depth: int
     priority: float = field(default=0.0)
     accumulator: ViolationAccumulator | None = field(default=None)
     last_vm_index: int = field(default=-1)
+    last_template: int = field(default=-1)
     #: The bound's term of the f-value (-1.0 = not computed).  Provision
     #: edges keep (outcomes, remaining) unchanged, so the memoized bound
     #: reuses it for them without rebuilding the memo key.
@@ -205,9 +210,7 @@ class SearchNode:
     #: infrastructure (``-1.0`` = not a retraining search), which
     #: :class:`~repro.adaptive.retraining.AdaptiveBound` reads in O(1).
     aux_penalty: float = field(default=-1.0)
-    #: The remaining multiset's row: set on every node a problem builds
-    #: (``None`` on a :class:`VertexStepper`'s vertex, which is never
-    #: expanded).
+    #: The remaining multiset's row.
     row: RemainingRow | None = field(default=None)
 
     @property
@@ -354,29 +357,30 @@ class ProblemTables:
 
     # -- edge costs (Equation 2), used by the cost-of-X feature ----------------------
 
-    def placement_edge_cost(self, node: SearchNode, template_name: str) -> float:
-        """Weight of the placement edge for *template_name* out of *node* (Equation 2).
+    def placement_edge_cost(
+        self, vertex: "SearchNode | VertexStepper", template_name: str
+    ) -> float:
+        """Weight of the placement edge for *template_name* out of *vertex* (Equation 2).
 
         The one body of the price: ``run_cost + (rate · violation_with −
         penalty)``, read from the vertex alone — its ``last_vm_index``,
         ``last_vm_finish``, accumulator and ``penalty`` — so an A* node and a
-        :class:`VertexStepper`'s vertex price alike.  ``inf`` marks an
-        impossible placement: no VM yet, a type that cannot run the template,
-        or a template outside the specification.  A runtime parse calls it
-        once per ``cost-of-X`` its tree path tests; training prices a whole
-        pass's rows with the array twin instead
-        (:meth:`FeatureExtractor.block
+        :class:`VertexStepper` price alike.  ``inf`` marks an impossible
+        placement: no VM yet, a type that cannot run the template, or a
+        template outside the specification.  A runtime parse calls it once
+        per ``cost-of-X`` its tree path tests; training prices a whole pass's
+        rows with the array twin instead (:meth:`FeatureExtractor.block
         <repro.learning.features.FeatureExtractor.block>`), which is held
         against it bit for bit.
         """
-        edge = self.edge_tables[node.last_vm_index].get(template_name)
+        edge = self.edge_tables[vertex.last_vm_index].get(template_name)
         if edge is None:
             return _INF
         execution_time, execution_cost = edge
-        violation = node.accumulator.violation_with(
-            template_name, node.last_vm_finish + execution_time
+        violation = vertex.accumulator.violation_with(
+            template_name, vertex.last_vm_finish + execution_time
         )
-        return execution_cost + (self.rate * violation - node.penalty)
+        return execution_cost + (self.rate * violation - vertex.penalty)
 
     # -- a known path ------------------------------------------------------------------
 
@@ -384,13 +388,13 @@ class ProblemTables:
         self,
         counts: Mapping[str, int],
         labels: Sequence[str],
-        visit: Callable[[int, SearchNode], object],
+        visit: Callable[[int, "VertexStepper"], object],
     ) -> float | None:
         """Step a :class:`VertexStepper` along the action *labels* from *counts*; the path's cost.
 
         *counts* is the workload's queries per template name.
-        ``visit(index, vertex)`` is called at the vertex where ``labels[index]``
-        is taken, before the step, and may read the vertex only while it
+        ``visit(index, stepper)`` is called at the vertex where ``labels[index]``
+        is taken, before the step, and may read the stepper only while it
         runs.  Each label is translated, refused if the step is not possible,
         and taken with the stepper, whose arithmetic is
         :meth:`SchedulingProblem.expand`'s: walking a path a search over these
@@ -416,20 +420,20 @@ class ProblemTables:
         schedule.
         """
         stepper = VertexStepper(self)
-        node = stepper.reset({name: count for name, count in counts.items() if count > 0})
+        stepper.reset({name: count for name, count in counts.items() if count > 0})
         remaining = stepper.remaining
         provision_of = self.provision_of
         place_of = self.place_of
         supports_table = self.supports_table
         tpl_names = self.tpl_names
         for index, label in enumerate(labels):
-            visit(index, node)
+            visit(index, stepper)
             provisioned = provision_of.get(label)
             if provisioned is not None:
                 stepper.provision(provisioned)
                 continue
             template_index = place_of.get(label)
-            vm_index = node.last_vm_index
+            vm_index = stepper.last_vm_index
             if (
                 template_index is None
                 or vm_index < 0
@@ -440,25 +444,27 @@ class ProblemTables:
             stepper.place(template_index)
         if remaining:
             return None
-        return node.infra_cost + node.penalty
+        return stepper.infra_cost + stepper.penalty
 
 
 class VertexStepper:
-    """One reusable vertex (:attr:`node`), stepped one action at a time.
+    """One reusable vertex, stepped one action at a time.
 
-    Its state's fields are running values updated in place: the unassigned
-    queries per template (:attr:`remaining`, in name order, an entry dropped
-    at zero, whose live views are the remaining multiset and name set) and
-    the most recent VM's type, queue and queue counts (no earlier VM is
-    represented); the node holds ``last_vm_index``, ``last_vm_finish``, the
-    goal accumulator (added to, never branched), penalty and infrastructure
-    cost.  :meth:`provision` and :meth:`place` use
-    :meth:`SchedulingProblem.expand`'s arithmetic, the penalty being
-    ``rate · accumulator.violation()`` after every placement, and check
-    nothing.  Training steps one along a path's labels
+    Its fields are running values updated in place: the unassigned queries
+    per template (:attr:`remaining`, in name order, an entry dropped at
+    zero), the most recent VM's type id (:attr:`last_vm_index`, -1 before
+    the first VM), busy time, queue and per-template queue counts (no
+    earlier VM is represented), the goal accumulator (added to, never
+    branched), the penalty and the infrastructure cost.  The fields
+    :meth:`ProblemTables.placement_edge_cost` reads carry a
+    :class:`SearchNode`'s names, so the price of a stepper equals the price
+    of the search node in the same state.  :meth:`provision` and
+    :meth:`place` use :meth:`SchedulingProblem.expand`'s arithmetic, the
+    penalty being ``rate · accumulator.violation()`` after every placement,
+    and check nothing.  Training steps one along a path's labels
     (:meth:`ProblemTables.walk`), the runtime along a model's decisions
-    (:class:`~repro.runtime.batch.PlacementKernel`).  Read the vertex only
-    between steps.
+    (:class:`~repro.runtime.batch.PlacementKernel`), and the decision model
+    and the feature extractor read it between steps.
     """
 
     def __init__(self, tables: ProblemTables) -> None:
@@ -468,26 +474,21 @@ class VertexStepper:
         self._rate = tables.rate
         self._tpl_names = tables.tpl_names
         self.remaining: dict[str, int] = {}
-        self._queue: list[str] = []
-        self._queue_counts: dict[str, int] = {}
+        self.queue: list[str] = []
+        self.queue_counts: dict[str, int] = {}
+        self.last_vm_index = -1
+        self.last_vm_finish = 0.0
+        self.accumulator: ViolationAccumulator | None = None
+        self.penalty = 0.0
+        self.infra_cost = 0.0
         # The most recent VM's latency and execution-cost rows.
         self._latency_row: list[float] = []
         self._run_cost_row: list[float] = []
-        state = SearchState.__new__(SearchState)
-        self._state_dict = state.__dict__
-        self._state_dict.update(
-            vms=(),
-            remaining=self.remaining.items(),
-            _remaining_names=self.remaining.keys(),
-            _last_queue_counts=self._queue_counts,
-        )
-        #: The vertex, reset and stepped in place.
-        self.node = SearchNode(state, None, None, 0.0, 0.0, 0.0, 0)
 
     def reset(
         self, counts: Mapping[str, int], vm_type: str | None = None, busy: float = 0.0
-    ) -> SearchNode:
-        """Start a walk at *counts* (positive, by template name); the vertex.
+    ) -> None:
+        """Start a walk at *counts* (positive, by template name).
 
         With *vm_type* (a type name) the walk continues a rented VM of that
         type, busy for *busy* more seconds and seen with an empty queue.  The
@@ -500,35 +501,29 @@ class VertexStepper:
         remaining.clear()
         for name in sorted(counts):
             remaining[name] = counts[name]
-        node = self.node
-        node.accumulator = tables.goal.accumulator()
-        node.penalty = 0.0
+        self.accumulator = tables.goal.accumulator()
+        self.penalty = 0.0
         if vm_type is None:
-            self._queue.clear()
-            self._queue_counts.clear()
-            self._state_dict["vms"] = ()
-            node.last_vm_index = -1
-            node.last_vm_finish = 0.0
+            self.queue.clear()
+            self.queue_counts.clear()
+            self.last_vm_index = -1
+            self.last_vm_finish = 0.0
         else:
             self.provision(tables.vm_id[vm_type])
-            node.last_vm_finish = busy
+            self.last_vm_finish = busy
         # A rented VM's start-up fee was paid before this walk.
-        node.infra_cost = 0.0
-        return node
+        self.infra_cost = 0.0
 
     def provision(self, vm_index: int) -> None:
         """Rent a VM of the type numbered *vm_index*: it becomes the most recent."""
         tables = self.tables
-        queue = self._queue
-        queue.clear()
-        self._queue_counts.clear()
-        self._state_dict["vms"] = ((tables.vm_names[vm_index], queue),)
+        self.queue.clear()
+        self.queue_counts.clear()
         self._latency_row = tables.latency_table[vm_index]
         self._run_cost_row = tables.run_cost_table[vm_index]
-        node = self.node
-        node.last_vm_index = vm_index
-        node.infra_cost += tables.startup_costs[vm_index]
-        node.last_vm_finish = 0.0
+        self.last_vm_index = vm_index
+        self.infra_cost += tables.startup_costs[vm_index]
+        self.last_vm_finish = 0.0
 
     def place(self, template_index: int) -> None:
         """Place a query of the template numbered *template_index* on the most recent VM."""
@@ -539,16 +534,15 @@ class VertexStepper:
             remaining[name] = left - 1
         else:
             del remaining[name]
-        node = self.node
-        node.last_vm_finish = completion = (
-            node.last_vm_finish + self._latency_row[template_index]
+        self.last_vm_finish = completion = (
+            self.last_vm_finish + self._latency_row[template_index]
         )
-        accumulator = node.accumulator
+        accumulator = self.accumulator
         accumulator.add(name, completion)
-        node.infra_cost += self._run_cost_row[template_index]
-        node.penalty = self._rate * accumulator.violation()
-        self._queue.append(name)
-        counts = self._queue_counts
+        self.infra_cost += self._run_cost_row[template_index]
+        self.penalty = self._rate * accumulator.violation()
+        self.queue.append(name)
+        counts = self.queue_counts
         counts[name] = counts.get(name, 0) + 1
 
 
@@ -595,7 +589,6 @@ class SchedulingProblem:
         # call.
         self._tpl_names = tables.tpl_names
         self._tpl_id = tables.tpl_id
-        self._vm_names = tables.vm_names
         self._startup_costs = tables.startup_costs
         self._supports_table = tables.supports_table
         self._latency_table = tables.latency_table
@@ -722,13 +715,11 @@ class SchedulingProblem:
     def initial_node(self) -> SearchNode:
         """The start vertex: nothing provisioned, everything unassigned."""
         node = SearchNode(
-            state=SearchState.initial(self._counts),
             parent=None,
             action=None,
             infra_cost=0.0,
             penalty=0.0,
             last_vm_finish=0.0,
-            depth=0,
             accumulator=self._goal.accumulator(),
             row=self.row(self._start_code),
         )
@@ -765,7 +756,7 @@ class SchedulingProblem:
         """
         successors: list[PricedChild] = []
         append = successors.append
-        vms = node.state.vms
+        vm_index = node.last_vm_index
         row = node.row
         code = row.code
         rows = self._rows
@@ -777,10 +768,7 @@ class SchedulingProblem:
         serial = self._serial
 
         # Placement edges: only onto the most recently provisioned VM.
-        if vms:
-            queue = vms[-1][1]
-            vm_index = node.last_vm_index
-            tpl_id = self._tpl_id
+        if vm_index >= 0:
             supports_row = self._supports_table[vm_index]
             latency_row = self._latency_table[vm_index]
             run_cost_row = self._run_cost_table[vm_index]
@@ -788,9 +776,9 @@ class SchedulingProblem:
             placement_term = self._placement_term
             violation_with = node.accumulator.violation_with
             finish = node.last_vm_finish
-            if queue:
-                previous = queue[-1]
-                previous_index = tpl_id[previous]
+            previous_index = node.last_template
+            if previous_index >= 0:
+                previous = self._tpl_names[previous_index]
                 previous_execution = latency_row[previous_index]
                 previous_deadline = query_deadlines[previous_index]
             else:
@@ -882,7 +870,7 @@ class SchedulingProblem:
         # remaining templates would be a dead end (nothing can be placed on
         # it, and nothing provisioned on top of an empty VM), so it gets none.
         count = row.count
-        if count and not (vms and not vms[-1][1]):
+        if count and (vm_index < 0 or node.last_template >= 0):
             penalty = node.penalty
             aux_penalty = node.aux_penalty
             term, key = self._provision_term(node, row)
@@ -923,9 +911,10 @@ class SchedulingProblem:
     def child(self, priced: PricedChild) -> SearchNode:
         """Build the node of *priced*, a child :meth:`expand` returned.
 
-        A placement branches the parent's accumulators and records the
-        placement (the state the price was read from, so the node's penalty
-        is the priced one to the bit); a provisioning shares them.
+        A placement branches the parent's accumulators and adds the
+        placement to them (the price was read from the parent's, so the
+        node's penalty is the priced one to the bit); a provisioning shares
+        them.
         """
         (
             priority,
@@ -941,39 +930,31 @@ class SchedulingProblem:
             term,
             aux_penalty,
         ) = priced
-        vms = parent.state.vms
-        state = SearchState.__new__(SearchState)
-        state_dict = state.__dict__
         if action >= 0:
             name = self._tpl_names[action]
-            vm_type_name, queue = vms[-1]
-            state_dict["vms"] = vms[:-1] + ((vm_type_name, queue + (name,)),)
             accumulator = parent.accumulator.branch()
             accumulator.add(name, completion)
             aux_accumulator = parent.aux_accumulator
             if aux_accumulator is not None:
                 aux_accumulator = aux_accumulator.branch()
                 aux_accumulator.add(name, completion)
-            vm_index = parent.last_vm_index
+            vm_index, last_template = parent.last_vm_index, action
             action_taken: Action = self._place_actions[action]
         else:
-            vm_index = -1 - action
-            state_dict["vms"] = vms + ((self._vm_names[vm_index], ()),)
+            vm_index, last_template = -1 - action, -1
             accumulator = parent.accumulator
             aux_accumulator = parent.aux_accumulator
             action_taken = self._provision_actions[vm_index]
-        state_dict["remaining"] = row.remaining
         return SearchNode(
-            state,
             parent,
             action_taken,
             infra,
             penalty,
             completion,
-            parent.depth + 1,
             priority,
             accumulator,
             vm_index,
+            last_template,
             term,
             key,
             aux_accumulator,

@@ -135,7 +135,7 @@ class WeightedAStarStrategy(SearchStrategy):
         max_expansions: int | None = None,
     ) -> SearchResult:
         start = problem.initial_node()
-        if start.state.is_goal():
+        if not start.row.count:
             return SearchResult(
                 goal_node=start, expansions=0, generated=1, strategy=self.spec
             )
@@ -219,7 +219,7 @@ class BeamSearchStrategy(SearchStrategy):
         max_expansions: int | None = None,
     ) -> SearchResult:
         start = problem.initial_node()
-        if start.state.is_goal():
+        if not start.row.count:
             return SearchResult(
                 goal_node=start, expansions=0, generated=1, strategy=self.spec
             )

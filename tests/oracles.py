@@ -19,7 +19,7 @@ from repro.core.schedule import Schedule, VMAssignment
 from repro.core.scheduler import SchedulingOutcome, timed_simulated_run
 from repro.exceptions import ScheduleError, SpecificationError
 from repro.learning.decision_tree import DecisionTreeClassifier
-from repro.search.state import SearchState
+from repro.search.actions import PlaceQuery
 from repro.serving.metrics import ServingMetrics, TenantMetrics
 from repro.sla.base import PerformanceGoal
 from repro.sla.percentile import PercentileGoal
@@ -67,28 +67,59 @@ def predict(tree: DecisionTreeClassifier, features: Mapping[str, float]) -> str:
 
 # -- checked search-state transitions ------------------------------------------
 
+#: A vertex's state as the paper defines it (Section 4.3), in plain tuples:
+#: ``(vms, remaining)``, the VMs in provisioning order as ``(vm type name,
+#: template queue)`` and the unassigned queries as sorted ``(name, count)``
+#: pairs with positive counts.  The search never builds one; the tests
+#: rebuild it from a node's path (:func:`state_of`).
+State = tuple
 
-def with_new_vm(state: SearchState, vm_type_name: str) -> SearchState:
+
+def initial_state(counts: Mapping[str, int]) -> State:
+    """The start vertex's state: no VM, every query of *counts* unassigned."""
+    return (), tuple(sorted((name, count) for name, count in counts.items() if count > 0))
+
+
+def with_new_vm(state: State, vm_type_name: str) -> State:
     """Successor state after provisioning an empty VM of *vm_type_name*."""
-    return SearchState(vms=state.vms + ((vm_type_name, ()),), remaining=state.remaining)
+    vms, remaining = state
+    return vms + ((vm_type_name, ()),), remaining
 
 
-def with_placement(state: SearchState, template_name: str) -> SearchState:
+def with_placement(state: State, template_name: str) -> State:
     """Successor state after placing one *template_name* query on the last VM."""
-    if not state.vms:
+    vms, remaining = state
+    if not vms:
         raise ValueError("cannot place a query before provisioning a VM")
-    if template_name not in state.remaining_name_set():
+    if template_name not in dict(remaining):
         raise ValueError(f"no unassigned query of template {template_name!r}")
     remaining = tuple(
         (name, count - 1) if name == template_name else (name, count)
-        for name, count in state.remaining
+        for name, count in remaining
         if name != template_name or count > 1
     )
-    vm_type_name, queue = state.vms[-1]
-    return SearchState(
-        vms=state.vms[:-1] + ((vm_type_name, queue + (template_name,)),),
-        remaining=remaining,
-    )
+    vm_type_name, queue = vms[-1]
+    return vms[:-1] + ((vm_type_name, queue + (template_name,)),), remaining
+
+
+def next_state(state: State, action) -> State:
+    """Successor state after *action*, a placement or a provisioning."""
+    if isinstance(action, PlaceQuery):
+        return with_placement(state, action.template_name)
+    return with_new_vm(state, action.vm_type_name)
+
+
+def state_of(node, counts: Mapping[str, int]) -> State:
+    """The state of the search node *node* of a problem over *counts*.
+
+    Replays the actions on the node's path from :func:`initial_state`, each
+    through the checked transitions above; reads nothing else of the node
+    (not its row), so it does not depend on the search's own bookkeeping.
+    """
+    state = initial_state(counts)
+    for vertex in node.path()[1:]:
+        state = next_state(state, vertex.action)
+    return state
 
 
 # -- the percentile goal's cost-to-go -------------------------------------------

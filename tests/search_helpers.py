@@ -8,10 +8,39 @@ from typing import NamedTuple
 
 from repro.search.actions import PlaceQuery
 
+from oracles import initial_state, next_state
+
 
 def walk(problem, labels, visit):
     """``ProblemTables.walk`` of *labels* from *problem*'s workload, on its tables."""
     return problem._tables.walk(problem.template_counts, labels, visit)
+
+
+#: A label no tables know: walked last, it makes ``ProblemTables.walk`` visit
+#: a path's last vertex and then stop.
+_END = "end of path"
+
+
+def at_vertices(problem, nodes, visit):
+    """``visit(node, vertex)`` at every node of the search path *nodes*, root first.
+
+    *vertex* is the ``VertexStepper`` that ``ProblemTables.walk`` steps along
+    the path's labels, standing where *node* stands, the last node included;
+    *visit* may read it only while it runs.
+    """
+    labels = [node.action.label for node in nodes[1:]]
+    walk(problem, [*labels, _END], lambda index, vertex: visit(nodes[index], vertex))
+
+
+def at_node(problem, node, call):
+    """``call(vertex)`` at the stepper vertex standing where *node* stands."""
+    results = []
+    at_vertices(
+        problem,
+        node.path(),
+        lambda visited, vertex: visited is node and results.append(call(vertex)),
+    )
+    return results[0]
 
 
 def children(problem, node):
@@ -41,7 +70,8 @@ class Graph(NamedTuple):
     placed: list
     finishes: array
     aux_penalties: array
-    #: Vertices whose state an earlier vertex had (0 in a tree).
+    #: Vertices whose state (``oracles.state_of``: rebuilt from the actions
+    #: on the vertex's path) an earlier vertex had: 0 in a tree.
     repeated_states: int
 
 
@@ -58,10 +88,15 @@ def graph(build, *args) -> Graph:
     expand, child = problem.expand, problem.child
     nodes = [problem.initial_node()]
     parents = array("q", [-1])
+    # Each vertex's ``oracles.state_of``, built from its parent's: the same
+    # replay of the path's actions, one step per vertex.
+    states = [initial_state(problem.template_counts)]
     for index, node in enumerate(nodes):
         for priced in expand(node):
-            nodes.append(child(priced))
+            built = child(priced)
+            nodes.append(built)
             parents.append(index)
+            states.append(next_state(states[index], built.action))
     return Graph(
         parents,
         array("d", [node.priority for node in nodes]),
@@ -73,5 +108,5 @@ def graph(build, *args) -> Graph:
         ],
         array("d", [node.last_vm_finish for node in nodes]),
         array("d", [node.aux_penalty for node in nodes]),
-        len(nodes) - len({node.state for node in nodes}),
+        len(nodes) - len(set(states)),
     )

@@ -40,7 +40,7 @@ from repro.runtime.batch import BatchScheduler
 from repro.search import strategy
 from repro.search.astar import astar_search
 from repro.search.bounds import MemoizedGoalBound, ProvisioningBound
-from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode
+from repro.search.problem import ProblemTables, SchedulingProblem, SearchNode, VertexStepper
 from repro.service import WiSeDBService
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.sla.max_latency import MaxLatencyGoal
@@ -49,6 +49,7 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import QueryTemplate, TemplateSet, tpch_templates
 from repro.workloads.workload import Workload
 
+from oracles import state_of
 from search_helpers import children, walk
 
 SAVED_V1 = Path(__file__).parent / "data" / "saved_service_v1"
@@ -282,11 +283,12 @@ def _labels(result) -> tuple[str, ...]:
     return tuple(action.label for _, action in result.decisions())
 
 
-def _rows_over(extractor, nodes, problem) -> np.ndarray:
-    """``extract_into`` over *nodes*: the oracle of ``FeatureExtractor.matrix``."""
-    rows = np.empty((len(nodes), len(extractor.feature_names)))
-    for index, node in enumerate(nodes):
-        extractor.extract_into(node, problem, rows[index])
+def _rows_over(extractor, problem, path) -> np.ndarray:
+    """``extract_into`` at every vertex of the search *path* an action leaves,
+    on the stepper walked along it: the oracle of ``FeatureExtractor.matrix``."""
+    rows = np.empty((len(path) - 1, len(extractor.feature_names)))
+    labels = [node.action.label for node in path[1:]]
+    walk(problem, labels, lambda index, vertex: extractor.extract_into(vertex, rows[index]))
     return rows
 
 
@@ -315,12 +317,11 @@ def test_the_walk_retraces_the_astar_solution_vertex_by_vertex(kind, catalogue):
         seen = []
 
         def visit(index, vertex):
-            state = vertex.state
-            last = state.last_vm()
+            vm_index = vertex.last_vm_index
             seen.append(
                 (
-                    None if last is None else (last[0], tuple(last[1])),
-                    tuple(state.remaining),
+                    (vm_types.names[vm_index], tuple(vertex.queue)) if vm_index >= 0 else None,
+                    tuple(vertex.remaining.items()),
                     vertex.last_vm_finish,
                     vertex.infra_cost,
                     vertex.penalty,
@@ -328,17 +329,14 @@ def test_the_walk_retraces_the_astar_solution_vertex_by_vertex(kind, catalogue):
             )
 
         cost = walk(problem, _labels(result), visit)
-        nodes = result.path()
-        assert seen == [
-            (
-                node.state.last_vm(),
-                node.state.remaining,
-                node.last_vm_finish,
-                node.infra_cost,
-                node.penalty,
+        expected = []
+        for node in result.path()[:-1]:
+            vms, remaining = state_of(node, problem.template_counts)
+            last = vms[-1] if vms else None
+            expected.append(
+                (last, remaining, node.last_vm_finish, node.infra_cost, node.penalty)
             )
-            for node in nodes[:-1]
-        ]
+        assert seen == expected
         assert cost == result.cost  # bit for bit, not approximately
 
 
@@ -373,7 +371,7 @@ def test_matrix_rows_are_extract_into_over_the_search_vertices(kind):
             result = astar_search(problem)
             rows, cost = extractor.matrix(problem, _labels(result))
             assert cost == result.cost
-            assert rows.tobytes() == _rows_over(extractor, result.path()[:-1], problem).tobytes()
+            assert rows.tobytes() == _rows_over(extractor, problem, result.path()).tobytes()
         if new.expansions:
             # Searched under h': the bounded search above, row for row.
             assert new.path == _labels(result)
@@ -382,7 +380,7 @@ def test_matrix_rows_are_extract_into_over_the_search_vertices(kind):
             continue
         nodes = _expanded(plain, new.path)
         if nodes is not None:
-            assert block.tobytes() == _rows_over(extractor, nodes[:-1], plain).tobytes()
+            assert block.tobytes() == _rows_over(extractor, plain, nodes).tobytes()
             cases["kept"] += 1
     assert offset == len(adapted_rows)
     assert cases["kept"] and cases["searched"], cases
@@ -480,7 +478,7 @@ def test_small_shifts_search_only_the_samples_whose_optimum_moved(max_tenant, mo
 
 
 def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monkeypatch):
-    """One vertex per labelled path (not one per step), and per sample one
+    """One stepper per labelled path and no search node, and per sample one
     float array of the per-vertex values, not rows or dicts: the wait time,
     the penalty and the two-float accumulator summary of each vertex."""
     generator, goal, base = max_tenant
@@ -494,15 +492,20 @@ def test_a_retrain_that_keeps_every_sample_walks_each_path_once(max_tenant, monk
     )
     counts: Counter[str] = Counter()
     node_init = SearchNode.__init__
+    stepper_init = VertexStepper.__init__
 
-    def counting(self, *args, **kwargs):
-        counts["SearchNode"] += 1
-        node_init(self, *args, **kwargs)
+    def counting(name, init):
+        def count(self, *args, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SearchNode, "__init__", counting)
+        return count
+
+    monkeypatch.setattr(SearchNode, "__init__", counting("SearchNode", node_init))
+    monkeypatch.setattr(VertexStepper, "__init__", counting("VertexStepper", stepper_init))
     result, report = modeler.retrain(goal)
     assert report.samples_kept == len(payloads) == 40
-    assert counts["SearchNode"] == 40
+    assert counts == {"VertexStepper": 40}
     for (values, solution), sample in zip(payloads, result.samples):
         assert type(values) is np.ndarray and values.dtype == np.float64
         assert values.shape == (len(solution.path), 4)

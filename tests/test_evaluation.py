@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,9 @@ from repro.evaluation.harness import (
     uniform_workloads,
 )
 from repro.evaluation.metrics import mean, percent_above, spread
+from repro.search.optimal import find_optimal_schedule
+from repro.sla.factory import GOAL_KINDS, default_goal
+from oracles import validate_complete
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +101,23 @@ def test_compare_to_optimal_produces_comparisons(tiny_environment, small_templat
     assert comparisons
     for comparison in comparisons:
         assert comparison.model_cost >= comparison.reference_cost - 1e-9
+
+
+@pytest.mark.parametrize("kind", GOAL_KINDS)
+def test_the_optimum_is_priced_as_the_model_is_bit_for_bit(tiny_environment, small_templates, kind):
+    """``compare_to_optimal`` prices both sides through ``CostModel.breakdown``:
+    an optimum's ``total_cost`` is ``environment.cost_of`` of its schedule,
+    which ``find_optimal_schedule`` builds from the ``(vm type, templates)``
+    pairs read off the goal node's path, to the bit.  The search's running
+    total agrees with it only up to float order."""
+    environment = replace(tiny_environment, goal=default_goal(kind, small_templates))
+    for workload in uniform_workloads(small_templates, count=3, size=6, seed=8):
+        optimal = find_optimal_schedule(
+            workload, environment.vm_types, environment.goal, environment.latency_model
+        )
+        validate_complete(optimal.schedule, workload)
+        assert optimal.total_cost == environment.cost_of(optimal.schedule)
+        assert optimal.total_cost == pytest.approx(optimal.search.cost, rel=1e-12, abs=1e-12)
 
 
 def test_compare_to_optimal_counts_the_workloads_it_drops(tiny_environment, small_templates):

@@ -7,7 +7,8 @@ accumulator's two-float summary (``FeatureExtractor.vertex_values``) — and
 the template counts, over all the paths laid end to end, pricing
 ``cost-of-X`` with the accumulator's array twin of ``violation_with``.  The
 oracle is the one-vertex definition, ``extract_into``, at every vertex
-``ProblemTables.walk`` steps through.  Rows are compared as bytes.
+``ProblemTables.walk`` steps through on the extractor's tables.  Rows are
+compared as bytes.
 
 Hypothesis draws the paths: any order of provisionings and placements a walk
 accepts, on workloads that lack some templates, with several VMs per path,
@@ -34,7 +35,6 @@ from repro.search.problem import ProblemTables, SchedulingProblem
 from repro.sla.factory import GOAL_KINDS, default_goal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 
-from search_helpers import walk
 
 TEMPLATES = TemplateSet(
     [
@@ -64,10 +64,14 @@ def _extractor(catalogue: VMTypeCatalog, goal) -> FeatureExtractor:
 
 
 def _oracle(extractor, problem, labels) -> tuple[np.ndarray, float | None]:
-    """``extract_into`` at every vertex of the walk along *labels*, and its cost."""
+    """``extract_into`` at every vertex of the walk along *labels* from
+    *problem*'s workload, on the extractor's tables (a vertex's VM type id is
+    its tables'), and the walk's cost."""
     rows = np.empty((len(labels), len(extractor.feature_names)))
-    cost = walk(
-        problem, labels, lambda index, vertex: extractor.extract_into(vertex, problem, rows[index])
+    cost = extractor.tables.walk(
+        problem.template_counts,
+        labels,
+        lambda index, vertex: extractor.extract_into(vertex, rows[index]),
     )
     return rows, cost
 

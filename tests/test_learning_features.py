@@ -3,6 +3,9 @@
 :func:`features_of` is the name → value reference the extractor's rows are
 held to: each Section 4.4 family computed straight from its definition, in the
 canonical column order, sharing no code with :mod:`repro.learning.features`.
+It reads a search node and the state rebuilt from the node's path
+(``oracles.state_of``); the extractor reads the stepper vertex that
+``ProblemTables.walk`` steps to the same place.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ from repro.learning.features import (
 )
 from repro.search.problem import ProblemTables, SchedulingProblem
 
-from search_helpers import children
+from oracles import state_of
+from search_helpers import at_node, children
 
 
 def features_of(node, problem) -> dict[str, float]:
-    """All five feature families of *node*, by name, in the extractor's order."""
-    last = node.state.last_vm()
+    """All five feature families of the search node *node*, by name, in the extractor's order."""
+    vms, remaining = state_of(node, problem.template_counts)
+    last = vms[-1] if vms else None
     queue = last[1] if last is not None else ()
-    unassigned = {name for name, count in node.state.remaining if count}
+    unassigned = {name for name, count in remaining if count}
     features = {"wait_time": node.last_vm_finish}
     for name in problem._tables.templates.names:
         features[f"proportion_of[{name}]"] = (
@@ -47,8 +52,9 @@ def features_of(node, problem) -> dict[str, float]:
 
 
 def _row_features(extractor, node, problem) -> dict[str, float]:
-    """The extractor's row of *node* by name, held to :func:`features_of`."""
-    row = extractor.extract_into(node, problem, [0.0] * len(extractor.feature_names))
+    """The extractor's row at *node* by name, held to :func:`features_of`."""
+    width = len(extractor.feature_names)
+    row = at_node(problem, node, lambda vertex: extractor.extract_into(vertex, [0.0] * width))
     features = dict(zip(extractor.feature_names, row))
     assert features == features_of(node, problem)
     return features
@@ -157,7 +163,8 @@ def test_unsupported_template_features(small_templates, max_goal):
 def test_vector_ordering(extractor, problem):
     node = children(problem, problem.initial_node())[0]
     features = features_of(node, problem)
-    row = extractor.extract_into(node, problem, [0.0] * len(extractor.feature_names))
+    width = len(extractor.feature_names)
+    row = at_node(problem, node, lambda vertex: extractor.extract_into(vertex, [0.0] * width))
     assert tuple(features) == extractor.feature_names
     assert row == list(features.values())
 

@@ -24,8 +24,8 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.templates import tpch_templates
 from repro.workloads.workload import Workload
 
-from search_helpers import children
-from oracles import validate_complete
+from search_helpers import at_node, children
+from oracles import state_of, validate_complete
 
 
 def test_training_result_contents(trained_max, tiny_config):
@@ -115,7 +115,7 @@ def test_model_decides_valid_actions(trained_max, small_templates, vm_catalog):
     node = problem.initial_node()
     # First decision must be provisioning (no VM exists yet).
     before = model.stats.decisions
-    action = model.decide(node, problem)
+    action = at_node(problem, node, model.decide)
     assert isinstance(action, ProvisionVM)
     assert model.stats.decisions == before + 1
 
@@ -131,8 +131,8 @@ def test_model_never_stacks_empty_vms(trained_max, small_templates, vm_catalog):
     )
     node = problem.initial_node()
     provisioned = children(problem, node)[0]
-    assert provisioned.state.last_vm()[1] == ()
-    action = model.decide(provisioned, problem)
+    assert state_of(provisioned, problem.template_counts)[0][-1][1] == ()
+    action = at_node(problem, provisioned, model.decide)
     assert isinstance(action, PlaceQuery)
 
 
@@ -148,9 +148,9 @@ def test_model_rejects_complete_states(trained_max, small_templates, vm_catalog)
     node = problem.initial_node()
     node = children(problem, node)[0]
     node = children(problem, node)[0]
-    assert node.state.is_goal()
+    assert state_of(node, problem.template_counts)[1] == ()
     with pytest.raises(ModelError):
-        model.decide(node, problem)
+        at_node(problem, node, model.decide)
 
 
 @pytest.mark.parametrize(

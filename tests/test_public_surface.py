@@ -36,9 +36,6 @@ ALLOWED_UNUSED: dict[str, str] = {
     "repro.learning.decision_tree.DecisionTreeClassifier.decision_path": (
         "the node path a per-decision provenance record will carry"
     ),
-    "repro.search.state.SearchState.last_queue_counts": (
-        "called from the source a decision model generates, which is a string"
-    ),
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

@@ -26,7 +26,7 @@ from repro.workloads.templates import QueryTemplate
 from repro.workloads.workload import Workload
 
 from search_helpers import children
-from oracles import OneQueryPerVMScheduler, validate_complete
+from oracles import OneQueryPerVMScheduler, state_of, validate_complete
 
 
 def test_schedule_is_complete_and_valid(trained_max, small_templates):
@@ -132,9 +132,11 @@ def test_a_stepper_vertex_is_the_search_vertex_and_prices_like_it(
 
     Along a random search path, a :class:`VertexStepper` over the model's
     tables takes the same actions as the path.  At every vertex its running
-    values equal the A* node's, and the one Equation-2 body gives both the
-    same row, to the bit and ``inf`` included (no VM yet, a type that cannot
-    run T3, a template outside the specification), at any penalty rate.
+    values equal the A* node's, its remaining counts, last VM, queue and
+    queue counts equal the state rebuilt from the node's path
+    (``oracles.state_of``), and the one Equation-2 body gives both the same
+    row, to the bit and ``inf`` included (no VM yet, a type that cannot run
+    T3, a template outside the specification), at any penalty rate.
     """
     vm_types = _CATALOGS[catalog]
     goal = default_goal(kind, small_templates, penalty_rate=rate)
@@ -150,25 +152,25 @@ def test_a_stepper_vertex_is_the_search_vertex_and_prices_like_it(
     )
     tables = _model_for(small_templates, vm_types, goal).tables
     stepper = VertexStepper(tables)
-    vertex = stepper.reset(template_counts)
+    stepper.reset(template_counts)
     names = small_templates.names + ("NOPE",)
     rng = random.Random(seed)
     node = problem.initial_node()
     priced = Counter()
     while True:
-        assert vertex.infra_cost == node.infra_cost
-        assert vertex.penalty == node.penalty
-        assert vertex.last_vm_finish == node.last_vm_finish
-        assert vertex.last_vm_index == node.last_vm_index
-        assert dict(vertex.state.remaining) == dict(node.state.remaining)
-        assert vertex.state.remaining_name_set() == node.state.remaining_name_set()
-        last, mirrored = node.state.last_vm(), vertex.state.last_vm()
-        if last is None:
-            assert mirrored is None
+        assert stepper.infra_cost == node.infra_cost
+        assert stepper.penalty == node.penalty
+        assert stepper.last_vm_finish == node.last_vm_finish
+        assert stepper.last_vm_index == node.last_vm_index
+        vms, remaining = state_of(node, template_counts)
+        assert tuple(stepper.remaining.items()) == remaining
+        if not vms:
+            assert stepper.last_vm_index == -1 and not stepper.queue
         else:
-            assert (mirrored[0], tuple(mirrored[1])) == last
-            assert vertex.state.last_queue_counts() == Counter(last[1])
-        row = [tables.placement_edge_cost(vertex, name) for name in names]
+            assert (vm_types.names[stepper.last_vm_index], tuple(stepper.queue)) == vms[-1]
+        assert stepper.queue_counts == Counter(stepper.queue)
+        assert 0 not in stepper.queue_counts.values()
+        row = [tables.placement_edge_cost(stepper, name) for name in names]
         assert row == [problem.placement_edge_cost(node, name) for name in names]
         priced.update("inf" if cost == float("inf") else "finite" for cost in row)
         successors = children(problem, node)
@@ -188,19 +190,19 @@ def test_a_stepper_continues_a_rented_vm(small_templates, two_type_catalog):
     goal = default_goal("max", small_templates)
     tables = _model_for(small_templates, two_type_catalog, goal).tables
     stepper = VertexStepper(tables)
-    vertex = stepper.reset({"T2": 1, "T1": 2}, "t2.small", 30.0)
+    stepper.reset({"T2": 1, "T1": 2}, "t2.small", 30.0)
     assert list(stepper.remaining) == ["T1", "T2"]
-    assert vertex.state.last_vm() == ("t2.small", [])
-    assert vertex.last_vm_finish == 30.0 and vertex.infra_cost == 0.0
+    assert stepper.last_vm_index == tables.vm_id["t2.small"] and stepper.queue == []
+    assert stepper.last_vm_finish == 30.0 and stepper.infra_cost == 0.0
     stepper.place(tables.tpl_id["T1"])
-    assert vertex.last_vm_finish == 30.0 + tables.latency_table[1][0]
-    assert vertex.infra_cost == tables.run_cost_table[1][0]
-    assert vertex.state.last_queue_counts() == {"T1": 1}
-    vertex = stepper.reset({"T1": 1})
-    assert vertex.state.last_vm() is None and vertex.last_vm_index == -1
-    assert vertex.last_vm_finish == 0.0 and vertex.penalty == 0.0
-    assert not vertex.state.last_queue_counts()
-    assert tables.placement_edge_cost(vertex, "T1") == float("inf")
+    assert stepper.last_vm_finish == 30.0 + tables.latency_table[1][0]
+    assert stepper.infra_cost == tables.run_cost_table[1][0]
+    assert stepper.queue_counts == {"T1": 1}
+    stepper.reset({"T1": 1})
+    assert stepper.last_vm_index == -1 and stepper.queue == []
+    assert stepper.last_vm_finish == 0.0 and stepper.penalty == 0.0
+    assert not stepper.queue_counts
+    assert tables.placement_edge_cost(stepper, "T1") == float("inf")
 
 
 def test_kernel_vertex_carries_the_penalty_of_its_placements(
@@ -215,14 +217,14 @@ def test_kernel_vertex_carries_the_penalty_of_its_placements(
     checked = []
     state = {}
 
-    def decide(self, node, problem):
+    def decide(self, node):
         if isinstance(state["action"], PlaceQuery):
             state["outcomes"].append(
                 LatencyOutcome(state["action"].template_name, node.last_vm_finish)
             )
         assert node.penalty == self.goal.penalty(state["outcomes"])
         checked.append(node.penalty)
-        state["action"] = real(self, node, problem)
+        state["action"] = real(self, node)
         return state["action"]
 
     monkeypatch.setattr(DecisionModel, "decide", decide)

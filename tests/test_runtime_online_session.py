@@ -257,11 +257,11 @@ class TestFailedKernelPass:
         decide = DecisionModel.decide
         calls = []
 
-        def third_call_raises(self, node, problem):
+        def third_call_raises(self, node):
             calls.append(None)
             if len(calls) == 3:
                 raise ScheduleError("simulated: the kernel failed part-way")
-            return decide(self, node, problem)
+            return decide(self, node)
 
         with monkeypatch.context() as patch:
             patch.setattr(DecisionModel, "decide", third_call_raises)

@@ -18,7 +18,7 @@ from repro.search.problem import SchedulingProblem
 from repro.sla.average_latency import AverageLatencyGoal
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.workload import Workload
-from oracles import validate_complete, with_new_vm, with_placement
+from oracles import initial_state, next_state, validate_complete
 
 
 def brute_force_best_cost(workload, vm_type, goal, latency_model, max_vms=4):
@@ -149,13 +149,10 @@ def test_search_result_decisions_reconstruct_goal(small_templates, max_goal):
     placements = sum(1 for _, action in decisions if hasattr(action, "template_name"))
     assert placements == len(workload)
     # Replaying the decisions from the start vertex ends at the goal vertex.
-    state = result.problem.initial_node().state
+    state = initial_state(result.problem.template_counts)
     for _, action in decisions:
-        if hasattr(action, "template_name"):
-            state = with_placement(state, action.template_name)
-        else:
-            state = with_new_vm(state, action.vm_type_name)
-    assert state == result.search.goal_state
+        state = next_state(state, action)
+    assert state == (tuple(result.search.vms()), ())
 
 
 def test_schedule_from_state_materialises_queries(small_templates, max_goal):
@@ -164,9 +161,7 @@ def test_schedule_from_state_materialises_queries(small_templates, max_goal):
     result = find_optimal_schedule(
         workload, single_vm_type_catalog(), max_goal, latency_model
     )
-    rebuilt = schedule_from_state(
-        result.search.goal_state, workload, single_vm_type_catalog()
-    )
+    rebuilt = schedule_from_state(result.search.vms(), workload, single_vm_type_catalog())
     validate_complete(rebuilt, workload)
 
 

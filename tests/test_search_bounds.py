@@ -154,7 +154,8 @@ class _WithoutTardiness(FutureCostBound):
         return self._term(parent.penalty, 0.0, row), None
 
     def node_bound(self, node, row):
-        return self._term(node.penalty, node.last_vm_finish if node.state.vms else None, row)
+        finish = node.last_vm_finish if node.last_vm_index >= 0 else None
+        return self._term(node.penalty, finish, row)
 
 
 def _without_tardiness_problem(kind: str, catalog: str, seed: int) -> SchedulingProblem:
@@ -367,7 +368,7 @@ def test_the_monotonic_bound_equals_its_straight_line_oracle(
     row = problem.row(data.draw(st.integers(1, problem.initial_node().row.code)))
     finish = data.draw(st.none() | st.floats(0.0, 3 * max(deadlines.values())))
     if finish is None:
-        node = SimpleNamespace(state=SimpleNamespace(vms=()), penalty=penalty)
+        node = SimpleNamespace(last_vm_index=-1, penalty=penalty)
         term = bound.node_bound(node, row)
     else:
         term = bound.placement_bound(None, row, finish, penalty)[0]

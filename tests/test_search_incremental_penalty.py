@@ -34,6 +34,7 @@ from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.sla.percentile import PercentileGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 
+from oracles import state_of
 from search_helpers import children
 
 
@@ -130,13 +131,13 @@ def test_property_search_nodes_match_batch_penalty_and_priority(
         # The f-value expand() priced from the parent equals priority()'s.
         assert node.priority == problem.priority(node)
         # Equation-2 edge weights agree with the batch delta definition.
-        for template_name in node.state.remaining_templates():
+        vms, remaining = state_of(node, problem.template_counts)
+        for template_name, _ in remaining:
             cost = problem.placement_edge_cost(node, template_name)
             if cost == float("inf"):
                 continue
-            last = node.state.last_vm()
-            assert last is not None
-            vm_type = vm_types[last[0]]
+            assert vms
+            vm_type = vm_types[vms[-1][0]]
             execution = TemplateLatencyModel(TEMPLATES).latency(template_name, vm_type)
             from repro.search.problem import LatencyOutcome
 

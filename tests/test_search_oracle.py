@@ -249,7 +249,7 @@ def test_search_keeps_its_guarantee_against_brute_force(case):
             workload, vm_types, goal, LATENCY, adaptive_bound=adaptive_bound
         )
     )
-    schedule = schedule_from_state(result.goal_state, workload, vm_types)
+    schedule = schedule_from_state(result.vms(), workload, vm_types)
     validate_complete(schedule, workload)
     assert CostModel(LATENCY).total_cost(schedule, goal) == pytest.approx(
         result.cost, rel=1e-9, abs=1e-9
@@ -277,7 +277,7 @@ def test_exact_astar_finds_the_optimum_when_a_deadline_is_below_a_latency(kind, 
     result = strategy_from_spec("astar").search(
         SchedulingProblem.for_workload(workload, vm_types, goal, LATENCY)
     )
-    schedule = schedule_from_state(result.goal_state, workload, vm_types)
+    schedule = schedule_from_state(result.vms(), workload, vm_types)
     validate_complete(schedule, workload)
     assert CostModel(LATENCY).total_cost(schedule, goal) == pytest.approx(
         result.cost, rel=1e-9, abs=1e-9

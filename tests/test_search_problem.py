@@ -22,6 +22,7 @@ from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.templates import tpch_templates
 from repro.workloads.workload import Workload
 
+from oracles import state_of
 from search_helpers import children
 
 
@@ -71,7 +72,8 @@ def test_placement_decrements_and_tracks_outcomes(max_problem):
         if isinstance(child.action, PlaceQuery) and child.action.template_name == "T1"
     )
     assert placed.row.count == 2
-    assert placed.state.remaining == placed.row.remaining == (("T1", 1), ("T3", 1))
+    _, remaining = state_of(placed, max_problem.template_counts)
+    assert remaining == placed.row.remaining == (("T1", 1), ("T3", 1))
     assert placed.last_vm_finish == pytest.approx(units.minutes(1))
     assert len(placed.outcomes) == 1
     assert placed.infra_cost > provisioned.infra_cost
@@ -171,10 +173,10 @@ def test_no_provisioning_child_is_a_dead_end(kind, small_templates):
     result = strategy_from_spec("astar").search(problem)
     dead_ends = 0
     for node in popped:
-        last = node.state.last_vm()
-        if last is not None and not last[1]:
-            runs = catalog[last[0]].supports
-            dead_ends += not any(runs(name) for name, _ in node.state.remaining)
+        vms, remaining = state_of(node, problem.template_counts)
+        if vms and not vms[-1][1]:
+            runs = catalog[vms[-1][0]].supports
+            dead_ends += not any(runs(name) for name, _ in remaining)
     assert dead_ends == 0
     cost, labels, generated_with_dead_ends = DEAD_END_CASES[kind]
     assert result.cost == cost
@@ -183,12 +185,38 @@ def test_no_provisioning_child_is_a_dead_end(kind, small_templates):
 
 
 def test_goal_node_has_no_expansion_requirement(max_problem):
-    # Walk a full greedy path; the goal node should report is_goal.
+    # Walk a full greedy path; the goal node has nothing left.
     node = max_problem.initial_node()
-    while not node.state.is_goal():
+    while node.row.count:
         node = children(max_problem, node)[0]
-    assert node.state.is_goal()
+    assert state_of(node, max_problem.template_counts)[1] == ()
     assert node.partial_cost > 0.0
+
+
+@pytest.mark.parametrize("catalog", [single_vm_type_catalog(), two_vm_type_catalog(["T3"])])
+def test_every_node_carries_the_key_of_its_state(small_templates, max_goal, catalog):
+    """The key fields agree with the state rebuilt from the node's path."""
+    problem = SchedulingProblem(
+        template_counts={"T1": 2, "T2": 1, "T3": 1},
+        templates=small_templates,
+        vm_types=catalog,
+        goal=max_goal,
+        latency_model=TemplateLatencyModel(small_templates),
+    )
+    counts = problem.template_counts
+    nodes = [problem.initial_node()]
+    for node in nodes:
+        nodes.extend(children(problem, node))
+        vms, remaining = state_of(node, counts)
+        assert node.row.remaining == remaining
+        assert node.row.count == sum(count for _, count in remaining)
+        if not vms:
+            assert (node.last_vm_index, node.last_template) == (-1, -1)
+            continue
+        vm_type_name, queue = vms[-1]
+        assert catalog.names[node.last_vm_index] == vm_type_name
+        assert node.last_template == (small_templates.names.index(queue[-1]) if queue else -1)
+    assert len(nodes) > 20
 
 
 def test_placement_edge_cost_matches_equation_2(max_problem):
@@ -239,7 +267,7 @@ def test_priority_includes_penalty_for_monotonic(max_problem):
 
 def test_priority_for_goal_node_is_partial_cost(max_problem):
     node = max_problem.initial_node()
-    while not node.state.is_goal():
+    while node.row.count:
         node = children(max_problem, node)[0]
     assert max_problem.priority(node) == pytest.approx(node.partial_cost)
 

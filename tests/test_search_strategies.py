@@ -50,6 +50,7 @@ from repro.sla.percentile import PercentileGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
 
+from oracles import state_of
 from search_helpers import children
 
 TEMPLATES = TemplateSet(
@@ -85,44 +86,49 @@ catalog_strategy = st.sampled_from(sorted(CATALOGS))
 
 def _left(state) -> int:
     """Queries a state leaves unassigned."""
-    return sum(count for _, count in state.remaining)
+    return sum(count for _, count in state[1])
 
 
 def reference_astar(problem, max_expansions=None):
     """A deliberately plain A*: no incremental f-values, no strategy machinery.
 
-    Computes every child's priority via :meth:`SchedulingProblem.priority`
-    and uses the same frontier keys as the engine, so any divergence between
-    this and the default strategy is a behaviour change in the refactor.
+    Computes every child's priority via :meth:`SchedulingProblem.priority`,
+    keeps a closed set of the states it expanded (rebuilt from each node's
+    path by ``oracles.state_of``) and uses the same frontier keys as the
+    engine, so any divergence between this and the default strategy is a
+    behaviour change in the refactor.
     Returns ``(cost, expansions, generated, expanded f-value sequence)``.
     """
+    counts = problem.template_counts
     start = problem.initial_node()
-    if start.state.is_goal():
+    start_state = state_of(start, counts)
+    if not _left(start_state):
         return start.partial_cost, 0, 1, []
     counter = 0
     generated = 1
     expansions = 0
-    frontier = [((start.priority, _left(start.state), 0, start.depth), start)]
+    frontier = [((start.priority, _left(start_state), 0), start, start_state)]
     visited = set()
     f_trace = []
     while frontier:
-        key, node = heapq.heappop(frontier)
-        if node.state in visited:
+        key, node, state = heapq.heappop(frontier)
+        if state in visited:
             continue
-        visited.add(node.state)
-        if not node.state.remaining:
+        visited.add(state)
+        if not _left(state):
             return node.partial_cost, expansions, generated, f_trace
         f_trace.append(key[0])
         expansions += 1
         for child in children(problem, node):
-            if child.state in visited:
+            child_state = state_of(child, counts)
+            if child_state in visited:
                 continue
             counter += 1
             generated += 1
             priority = problem.priority(child)
             heapq.heappush(
                 frontier,
-                ((priority, _left(child.state), -counter, child.depth), child),
+                ((priority, _left(child_state), -counter), child, child_state),
             )
     raise AssertionError("no goal vertex reached")
 
@@ -130,16 +136,17 @@ def reference_astar(problem, max_expansions=None):
 def exhaustive_best_completion(problem, node, cache):
     """Minimum cost over *every* complete schedule reachable through *node*.
 
-    Memoised per state: a vertex of this graph fully determines its partial
-    schedule and cost, so the best-completion value is a state property.
-    Dead ends (a provisioned VM type that supports nothing remaining) value
-    as ``inf``, which makes any finite f-value trivially admissible there.
+    Memoised per state (``oracles.state_of``): a vertex of this graph fully
+    determines its partial schedule and cost, so the best-completion value
+    is a state property.  Dead ends (a provisioned VM type that supports
+    nothing remaining) value as ``inf``, which makes any finite f-value
+    trivially admissible there.
     """
-    state = node.state
+    state = state_of(node, problem.template_counts)
     cached = cache.get(state)
     if cached is not None:
         return cached
-    if not state.remaining:
+    if not _left(state):
         value = node.partial_cost
     else:
         value = float("inf")
@@ -382,7 +389,8 @@ def _reached_queues(goal, names):
     nodes = [problem.initial_node()]
     for node in nodes:
         nodes.extend(children(problem, node))
-    return {node.state.vms[-1][1] for node in nodes if node.state.vms}
+    counts = problem.template_counts
+    return {vms[-1][1] for vms, _ in (state_of(node, counts) for node in nodes) if vms}
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ any other by placing the last query of that VM's queue.  So no two paths
 reach one vertex, and a closed set would never fire; the search strategies
 keep none.  This test is the proof obligation for that: it enumerates every
 vertex ``expand`` reaches, with no search order at all, and asserts that no
-:class:`~repro.search.state.SearchState` turns up twice.
+state — the partial schedule plus the unassigned queries, rebuilt from each
+vertex's path by ``oracles.state_of`` — turns up twice.
 
 The grid is the frozen oracle's (``test_search_oracle.py``): its seeded
 workloads under the four goal kinds, both catalogues, with and without the

@@ -4,9 +4,10 @@ Each implementation is held bit-for-bit against a reference that lives only
 here or in the tree's own API:
 
 * feature extraction — the preallocated-row :meth:`FeatureExtractor.extract_into`
-  and the path walk :meth:`FeatureExtractor.matrix` (rows and cost along
-  random successor walks) against the name → value reference ``features_of``
-  of ``tests/test_learning_features.py``;
+  at the stepper vertices ``ProblemTables.walk`` steps along random successor
+  walks, and the path walk :meth:`FeatureExtractor.matrix` (rows and cost),
+  against the name → value reference ``features_of`` of
+  ``tests/test_learning_features.py`` at the search nodes of the same walks;
 * tree evaluation — the :class:`TreeNode` walk (``predict_vector`` /
   ``predict`` in ``tests/oracles.py``) and the compiled flat-array evaluator (``predict_row``),
   including compilation onto an external feature order with missing features
@@ -19,11 +20,11 @@ here or in the tree's own API:
   against the full-row label ``predict_row(extract_into(...))`` settled by a
   straight-line validator written here from the rules (graph reduction,
   nearest-latency and cheapest-edge fallbacks, penalty guard): the action,
-  the :class:`DecisionStats` delta and the Equation-2 calls, counted through a
-  proxy problem, on every decision of seeded batch and online runs and on A*
-  vertices, with ``seen`` counters that fail the sweep if it stops reaching a
-  case; a whole batch run decided by the oracle schedules and prices
-  identically;
+  the :class:`DecisionStats` delta and the Equation-2 calls, counted on the
+  model's tables, on every decision of seeded batch and online runs and at
+  the stepper vertices of random search paths, with ``seen`` counters that
+  fail the sweep if it stops reaching a case; a whole batch run decided by
+  the oracle schedules and prices identically;
 * the walk function a model generates — from a tree nested deeper than
   CPython's tokenizer allows and from an artifact with ±inf / nan thresholds
   and names that need escaping — against the same oracle, generated once per
@@ -64,7 +65,7 @@ from repro.workloads.query import Query
 from repro.workloads.templates import QueryTemplate, TemplateSet
 from repro.workloads.workload import Workload
 
-from search_helpers import children
+from search_helpers import at_vertices, children
 
 from test_learning_features import features_of
 from oracles import predict, predict_vector
@@ -132,14 +133,23 @@ def test_extract_row_and_matrix_match_dict(kind, counts, two_types, seed):
     # The matrix walks the same edges: a row per vertex an action leaves.
     matrix, cost = extractor.matrix(problem, [node.action.label for node in nodes[1:]])
     assert matrix.shape == (len(nodes) - 1, len(extractor.feature_names))
-    assert cost == (nodes[-1].partial_cost if nodes[-1].state.is_goal() else None)
-    for index, node in enumerate(nodes):
-        reference = features_of(node, problem)
+    assert cost == (None if nodes[-1].row.count else nodes[-1].partial_cost)
+    width = len(extractor.feature_names)
+    extracted = []
+    at_vertices(
+        problem,
+        nodes,
+        lambda node, vertex: extracted.append(
+            (
+                features_of(node, problem),
+                extractor.extract_into(vertex, np.zeros(width)),
+                extractor.extract_into(vertex, [0.0] * width),
+            )
+        ),
+    )
+    assert len(extracted) == len(nodes)
+    for index, (reference, row, list_row) in enumerate(extracted):
         assert tuple(reference) == extractor.feature_names  # same order, same names
-        row = extractor.extract_into(node, problem, np.zeros(len(extractor.feature_names)))
-        list_row = extractor.extract_into(
-            node, problem, [0.0] * len(extractor.feature_names)
-        )
         expected = list(reference.values())
         assert row.tolist() == expected
         assert list_row == expected
@@ -354,36 +364,27 @@ def walk_trainings(small_templates):
 _EXTRACT_INTO = FeatureExtractor.extract_into
 #: The real ``decide``, kept while a test wraps it.
 _DECIDE = DecisionModel.decide
+#: The one Equation-2 body, which the oracle prices with uncounted.
+_EDGE = ProblemTables.placement_edge_cost
 
 
-class _CountingProblem:
-    """*problem*'s Equation-2 edge costs, counted: all a decision may ask of it."""
+class _CountingEdges:
+    """*tables*' Equation-2 edge cost, counted: installed on the model's
+    tables for one decision, it is all a decision may price with."""
 
-    def __init__(self, problem) -> None:
-        self.problem = problem
+    def __init__(self, tables) -> None:
+        self.tables = tables
         self.calls = 0
 
-    def placement_edge_cost(self, node, template_name):
+    def __call__(self, node, template_name):
         self.calls += 1
-        return self.problem.placement_edge_cost(node, template_name)
+        return _EDGE(self.tables, node, template_name)
 
 
-class _RowProblem:
-    """*problem*'s scalar edge costs, for the oracle's full row."""
-
-    def __init__(self, problem) -> None:
-        self.problem = problem
-
-    def placement_edge_cost(self, node, template_name):
-        return self.problem.placement_edge_cost(node, template_name)
-
-
-def _full_row_label(model, node, problem):
+def _full_row_label(model, node):
     """``(row, label, columns the path tests)`` from ``predict_row(extract_into(...))``."""
     extractor = model._extractor
-    row = _EXTRACT_INTO(
-        extractor, node, _RowProblem(problem), [0.0] * len(extractor.feature_names)
-    )
+    row = _EXTRACT_INTO(extractor, node, [0.0] * len(extractor.feature_names))
     evaluator = model.compiled_evaluator()
     label = evaluator.predict_row(row)
     features, thresholds, lefts, rights, _ = evaluator.scalar_arrays()
@@ -394,8 +395,8 @@ def _full_row_label(model, node, problem):
     return row, label, path
 
 
-def _settle(model, label, node, problem, walked):
-    """What a decision must return at *node* for the tree's *label*, by the rules.
+def _settle(model, label, node, walked):
+    """What a decision must return at the vertex *node* for the tree's *label*, by the rules.
 
     Returns ``(action, DecisionStats delta, Equation-2 calls, cases reached)``.
     The rules, written out: a placement needs a VM (else the cheapest VM type
@@ -412,10 +413,10 @@ def _settle(model, label, node, problem, walked):
     *walked* names the templates whose ``cost-of`` column the path tested:
     each cost the guard needs beyond them is one more Equation-2 call.
     """
-    state = node.state
-    remaining = [name for name, _ in state.remaining]
-    last = state.vms[-1] if state.vms else None
+    remaining = list(node.remaining)
     templates, vm_types = model.templates, model.vm_types
+    vm_index = node.last_vm_index
+    last = (vm_types.names[vm_index], tuple(node.queue)) if vm_index >= 0 else None
     latency = model.latency_model.latency
     kind, _, payload = label.partition(":")
     labelled = {"assign": PlaceQuery, "provision": ProvisionVM}.get(kind) if payload else None
@@ -436,7 +437,7 @@ def _settle(model, label, node, problem, walked):
             return ProvisionVM(cheapest_vm_type(remaining[0]).name)
         cases.append("cheapest-edge fallback")
         calls += len(candidates)
-        return PlaceQuery(min(candidates, key=lambda name: problem.placement_edge_cost(node, name)))
+        return PlaceQuery(min(candidates, key=lambda name: _EDGE(model.tables, node, name)))
 
     def guard(name):
         nonlocal calls
@@ -445,7 +446,7 @@ def _settle(model, label, node, problem, walked):
         calls += name not in walked
         vm_type = vm_types[last[0]]
         fresh = cheapest_vm_type(name)
-        edge = problem.placement_edge_cost(node, name)
+        edge = _EDGE(model.tables, node, name)
         if edge - vm_type.running_cost * latency(name, vm_type) > fresh.startup_cost:
             walk = "walked" if name in walked else "derived"
             cases.append(f"guard fired on a {walk} cost")
@@ -495,22 +496,25 @@ def _settle(model, label, node, problem, walked):
     return action, delta, calls, cases
 
 
-def _hold_decision(model, node, problem, seen: Counter) -> tuple:
-    """One ``decide`` against the full-row label settled by the rules: the
+def _hold_decision(model, node, seen: Counter) -> tuple:
+    """One ``decide`` at the vertex *node* against the full-row label settled by the rules: the
     action, the :class:`DecisionStats` delta and the Equation-2 calls (the
     path's ``cost-of`` columns once each, one more for a guard cost the path
     did not test, one per candidate on a cheapest-edge fallback) must all
     agree.  Counts the cases reached in *seen*; returns ``(action, path
     length, Equation-2 calls)``."""
-    row, label, path = _full_row_label(model, node, problem)
+    row, label, path = _full_row_label(model, node)
     families, names, _ = model._extractor.column_layout
     walked = {
         names[column] for column in path if FEATURE_FAMILIES[families[column]] == "cost_of"
     }
-    expected, delta, calls, cases = _settle(model, label, node, problem, walked)
+    expected, delta, calls, cases = _settle(model, label, node, walked)
     before = dataclasses.asdict(model.stats)
-    counting = _CountingProblem(problem)
-    action = _DECIDE(model, node, counting)
+    counting = model.tables.placement_edge_cost = _CountingEdges(model.tables)
+    try:
+        action = _DECIDE(model, node)
+    finally:
+        del model.tables.placement_edge_cost
     after = dataclasses.asdict(model.stats)
     assert action == expected, (label, cases)
     assert {key: after[key] - before[key] for key in after} == delta, (label, cases)
@@ -521,7 +525,7 @@ def _hold_decision(model, node, problem, seen: Counter) -> tuple:
         seen[family] += 1
         if family == "cost_of" and row[column] == INFEASIBLE_COST:
             seen["infeasible cost tested"] += 1
-        if family == "supports" and row[column] == 0.0 and node.state.vms:
+        if family == "supports" and row[column] == 0.0 and node.last_vm_index >= 0:
             seen["unsupported template tested"] += 1
     return action, len(path), counting.calls
 
@@ -531,7 +535,7 @@ def _check_decisions(monkeypatch, seen: Counter) -> None:
     monkeypatch.setattr(
         DecisionModel,
         "decide",
-        lambda self, node, problem: _hold_decision(self, node, problem, seen)[0],
+        lambda self, node: _hold_decision(self, node, seen)[0],
     )
 
 
@@ -576,7 +580,7 @@ def test_walk_equals_full_row_oracle_on_every_decision(
         if catalog_name == "2vm" and kind == "per_query":
             for label in _ONE_LEAF_LABELS:
                 BatchScheduler(_one_leaf(model, label)).run(batch)
-        # A* vertices, costed by the search problem itself.
+        # The vertices of random search paths, stepped by ProblemTables.walk.
         problem = SchedulingProblem(
             template_counts={"T1": 3, "T2": 2, "T3": 2},
             templates=small_templates,
@@ -586,9 +590,11 @@ def test_walk_equals_full_row_oracle_on_every_decision(
         )
         rng = random_module.Random(17)
         for _ in range(4):
-            for node in _random_walk(problem, rng, max_steps=12):
-                if node.state.remaining:
-                    model.decide(node, problem)
+            at_vertices(
+                problem,
+                _random_walk(problem, rng, max_steps=12),
+                lambda node, vertex: vertex.remaining and model.decide(vertex),
+            )
     # Aged templates: an augmented model trained mid-stream.
     generator, training = walk_trainings[("average", "1vm")]
     outcome = OnlineScheduler(training, generator, wait_resolution=60.0).run(aged)
@@ -623,9 +629,9 @@ def test_batch_run_equals_full_row_decisions(trained_max, small_templates, monke
     scheduler = BatchScheduler(trained_max.model)
     walked = scheduler.run(workload)
 
-    def oracle(self, node, problem):
-        label = _full_row_label(self, node, problem)[1]
-        return _settle(self, label, node, problem, walked=set())[0]
+    def oracle(self, node):
+        label = _full_row_label(self, node)[1]
+        return _settle(self, label, node, walked=set())[0]
 
     monkeypatch.setattr(DecisionModel, "decide", oracle)
     assert _outcome_key(scheduler.run(workload)) == _outcome_key(walked)
@@ -683,8 +689,8 @@ def test_a_model_reads_its_walk_table_once_per_evaluator(
 
 
 def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_templates, monkeypatch):
-    """Work guard, counted at the one seam a decision reaches the problem
-    through: Equation 2 runs once per ``cost-of-X`` column on the path, once
+    """Work guard, counted at the one seam a decision prices through, its
+    model's tables: Equation 2 runs once per ``cost-of-X`` column on the path, once
     more when the penalty guard needs a cost the path did not test, and once
     per candidate on a cheapest-edge fallback — not once per template on every
     decision — and nothing under ``schedule_detailed`` fills a full row."""
@@ -697,8 +703,8 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
     monkeypatch.setattr(RuntimeSchedulingContext, "placement_cost_row", forbidden)
     seen, most = Counter(), Counter()
 
-    def decide(self, node, problem):
-        action, _, calls = _hold_decision(self, node, problem, seen)
+    def decide(self, node):
+        action, _, calls = _hold_decision(self, node, seen)
         most["evaluated"] = max(most["evaluated"], calls)
         most["decisions"] += 1
         return action
@@ -716,17 +722,24 @@ def test_a_decision_evaluates_only_what_its_path_tests(walk_trainings, small_tem
 # ---------------------------------------------------------------------------
 
 
-def _hold_walk_against_oracle(model, problem, nodes) -> int:
-    """Every decision on *nodes* agrees with the full-row oracle and the
-    rules (:func:`_hold_decision`); the longest path."""
+def _hold_walk_against_oracle(model, problem, paths) -> int:
+    """Every decision at the stepper vertices along the search *paths* agrees
+    with the full-row oracle and the rules (:func:`_hold_decision`); the
+    longest tree path."""
     seen: Counter = Counter()
-    return max(
-        _hold_decision(model, node, problem, seen)[1] for node in nodes if node.state.remaining
-    )
+    lengths = []
+    for nodes in paths:
+        at_vertices(
+            problem,
+            nodes,
+            lambda node, vertex: vertex.remaining
+            and lengths.append(_hold_decision(model, vertex, seen)[1]),
+        )
+    return max(lengths)
 
 
-def _search_vertices(model, counts, seed):
-    """A problem over *model*'s specification and the vertices of random walks in it."""
+def _search_paths(model, counts, seed):
+    """A problem over *model*'s specification and random search paths in it."""
     problem = SchedulingProblem(
         template_counts=dict(zip(model.templates.names, counts)),
         templates=model.templates,
@@ -735,8 +748,7 @@ def _search_vertices(model, counts, seed):
         latency_model=model.latency_model,
     )
     rng = random_module.Random(seed)
-    nodes = [node for _ in range(8) for node in _random_walk(problem, rng, max_steps=14)]
-    return problem, nodes
+    return problem, [_random_walk(problem, rng, max_steps=14) for _ in range(8)]
 
 
 def _spine(feature_names, splits, labels, bottom=None, side="right") -> dict:
@@ -785,8 +797,16 @@ def test_a_walk_deeper_than_the_tokenizer_allows_continues_in_helpers(
 
     base = walk_trainings[("per_query", "2vm")][1].model
     names = base._extractor.feature_names
-    problem, nodes = _search_vertices(base, (3, 2, 2), seed=5)
-    rows = [base._extractor.extract_into(node, problem, [0.0] * len(names)) for node in nodes]
+    problem, paths = _search_paths(base, (3, 2, 2), seed=5)
+    rows = []
+    for nodes in paths:
+        at_vertices(
+            problem,
+            nodes,
+            lambda node, vertex: rows.append(
+                base._extractor.extract_into(vertex, [0.0] * len(names))
+            ),
+        )
     splits = []
     for index in range(260):
         column = index % len(names)
@@ -799,7 +819,7 @@ def test_a_walk_deeper_than_the_tokenizer_allows_continues_in_helpers(
     source, _ = _walk_source(model.compiled_evaluator(), model._extractor)
     assert tree.depth() == 260 and "def walk_" in source
     assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) < 4 * 100
-    assert _hold_walk_against_oracle(model, problem, nodes) > 100
+    assert _hold_walk_against_oracle(model, problem, paths) > 100
     _check_decisions(monkeypatch, Counter())
     BatchScheduler(model).run(WorkloadGenerator(small_templates, seed=8).uniform(30))
 
@@ -866,8 +886,8 @@ def test_a_walk_generated_from_an_artifact_with_odd_thresholds_and_names(monkeyp
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant):
             assert node.value is None or type(node.value) in (int, float) or node.value in strings
-    problem, nodes = _search_vertices(model, (3, 2, 2), seed=9)
-    _hold_walk_against_oracle(model, problem, nodes)
+    problem, paths = _search_paths(model, (3, 2, 2), seed=9)
+    _hold_walk_against_oracle(model, problem, paths)
     seen: Counter = Counter()
     _check_decisions(monkeypatch, seen)
     BatchScheduler(model).run(WorkloadGenerator(templates, seed=4).uniform(40))
