@@ -53,10 +53,10 @@ Quickstart::
     service.save("./deployment")  # reload later: WiSeDBService.load(...)
 
 The optimal-schedule search itself runs on an incremental-penalty core: each
-A* vertex carries a copy-on-write violation accumulator, interned
-latency/cost tables, and an incrementally maintained assigned-latency memo
-key, so penalties, Equation-2 edge weights, and the non-monotonic future-cost
-bounds are O(1)-ish deltas rather than rescans of the partial schedule (see
+A* vertex carries a copy-on-write violation accumulator over interned
+latency/cost tables, whose state also keys the non-monotonic future-cost
+bounds' memo, so penalties, Equation-2 edge weights, and those bounds are
+O(1)-ish deltas rather than rescans of the partial schedule (see
 :mod:`repro.search.problem`).
 """
 

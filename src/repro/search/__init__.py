@@ -24,7 +24,7 @@ from repro.search.optimal import (
     find_optimal_schedule,
     schedule_from_state,
 )
-from repro.search.problem import LatencyOutcome, SchedulingProblem, SearchNode
+from repro.search.problem import SchedulingProblem, SearchNode
 from repro.search.strategy import (
     SEARCH_STRATEGIES,
     AStarStrategy,
@@ -40,7 +40,6 @@ __all__ = [
     "AStarStrategy",
     "BeamSearchStrategy",
     "FutureCostBound",
-    "LatencyOutcome",
     "MemoizedGoalBound",
     "OptimalScheduleResult",
     "PlaceQuery",

@@ -16,13 +16,14 @@ depends on the goal, and every goal kind gets it from a bound object:
   :class:`MemoizedGoalBound`.  The partial penalty may still shrink, so the
   term is the goal's own admissible estimate of the *future*
   penalty-plus-provisioning cost
-  (:meth:`~repro.sla.base.PerformanceGoal.future_cost_lower_bound`), memoised
-  per ``(remaining multiset, assigned-latency key)``.  The percentile goal's
-  estimate bounds the ``k``-th remaining completion on ``m`` machines by the
-  ``ceil(k / m)`` shortest latencies stacked on one machine, by the ``k``-th
-  shortest latency itself, and the last by the remaining work over ``m``
-  (McNaughton's makespan bound); all three read only the key and the
-  multiset, so the memo keys are unchanged.
+  (:meth:`~repro.sla.base.PerformanceGoal.future_cost_lower_bound`), read
+  off the goal accumulator's state (average's latency total and count,
+  percentile's sorted latencies) and memoised per ``(remaining multiset,
+  state)``.  The percentile goal's estimate bounds the ``k``-th remaining
+  completion on ``m`` machines by the ``ceil(k / m)`` shortest latencies
+  stacked on one machine, by the ``k``-th shortest latency itself, and the
+  last by the remaining work over ``m`` (McNaughton's makespan bound); all
+  three read only the state and the multiset.
 
 The goal alone picks the bound: there is no per-problem choice, so a trained
 model's trees depend on the goal and the search strategy only.
@@ -31,7 +32,7 @@ model's trees depend on the goal and the search strategy only.
 prices each child from its parent before the child exists: it calls
 :meth:`FutureCostBound.placement_bound` per placement child and
 :meth:`~FutureCostBound.provision_bound` once for all provisioning children,
-so a bound may carry its memo key or term along the edge, and
+so a provisioning edge may carry its parent's term, and
 :meth:`~FutureCostBound.node_bound` evaluates a built vertex from scratch
 (:meth:`~repro.search.problem.SchedulingProblem.priority`).  A retraining
 search's adaptive bound ``h'`` (Section 5) composes on top of the f-value, in
@@ -42,7 +43,6 @@ tables, so every problem builds its own instance.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -64,12 +64,10 @@ class FutureCostBound(ABC):
     problem's :class:`~repro.search.problem.RemainingRow` of the vertex's
     remaining multiset (its Equation-3 bound, cheapest remaining work and
     canonical tuple).  The per-edge hooks price a child that is not built
-    yet, from its *parent* and the edge alone, and return the term together
-    with the memo key the child will carry as its ``latency_key`` (``None``
-    for a bound that keeps none); the child's ``future_term`` is the term.
-    Every term must equal :meth:`node_bound` on the built child, bit for bit,
-    and be an admissible lower bound on the cost still to come beyond
-    Equation 3.
+    yet, from its *parent* and the edge alone, and return its term, which
+    the child keeps as its ``future_term``.  Every term must equal
+    :meth:`node_bound` on the built child, bit for bit, and be an admissible
+    lower bound on the cost still to come beyond Equation 3.
     """
 
     def attach(self, problem: "SchedulingProblem") -> None:
@@ -82,16 +80,14 @@ class FutureCostBound(ABC):
         row: "RemainingRow",
         completion: float,
         penalty: float,
-    ) -> tuple[float, "tuple[float, ...] | None"]:
-        """(term, key) of *parent*'s placement child that completes a query at
+    ) -> float:
+        """Term of *parent*'s placement child that completes a query at
         *completion*, leaves *row* and has partial penalty *penalty*."""
 
     @abstractmethod
-    def provision_bound(
-        self, parent: "SearchNode", row: "RemainingRow"
-    ) -> tuple[float, "tuple[float, ...] | None"]:
-        """(term, key) shared by every provisioning child of *parent*: busy
-        time resets to 0 and nothing is placed, whatever the VM type."""
+    def provision_bound(self, parent: "SearchNode", row: "RemainingRow") -> float:
+        """Term shared by every provisioning child of *parent*: busy time
+        resets to 0 and nothing is placed, whatever the VM type."""
 
     @abstractmethod
     def node_bound(self, node: "SearchNode", row: "RemainingRow") -> float:
@@ -137,7 +133,7 @@ class ProvisioningBound(FutureCostBound):
     latency searches, whose work rarely exceeds the deadline while ``k = 0``
     is the cheapest, almost never pay for it.  Goals without a per-query
     deadline get no provisioning term.  The term is a function of the vertex
-    alone, so the three hooks share one body and carry no key.
+    alone, so the three hooks share one body.
     """
 
     def attach(self, problem) -> None:
@@ -231,10 +227,10 @@ class ProvisioningBound(FutureCostBound):
         return penalty + rented
 
     def placement_bound(self, parent, row, completion, penalty):
-        return self._term(penalty, completion, row), None
+        return self._term(penalty, completion, row)
 
     def provision_bound(self, parent, row):
-        return self._term(parent.penalty, 0.0, row), None
+        return self._term(parent.penalty, 0.0, row)
 
     def node_bound(self, node, row) -> float:
         finish = node.last_vm_finish if node.last_vm_index >= 0 else None
@@ -258,74 +254,36 @@ def _penalty_free_capacity(goal) -> float | None:
 
 
 class MemoizedGoalBound(FutureCostBound):
-    """Non-monotonic goals: the goal's own hook, memoised per (remaining, key).
+    """Non-monotonic goals: the goal's own hook, memoised per (remaining, state).
 
-    The term depends only on (assigned latencies, remaining multiset);
-    provision edges and converging paths revisit the same inputs constantly.
-    The assigned latencies are the node's
-    :attr:`~repro.search.problem.SearchNode.latency_key`, extended by one
-    insertion per placement edge (see :meth:`_child_key`) and carried over
-    unchanged by a provision edge, whose term is the parent's.
+    The term depends only on the remaining multiset and the goal
+    accumulator's state (:mod:`repro.sla.accumulators`), and converging
+    paths revisit the same pair, so the memo is keyed on ``(row.code,
+    state)``.  A placement child's state is its parent accumulator's
+    ``state_with`` the completion; a provision edge leaves both unchanged,
+    so its term is the parent's.
     """
 
     def attach(self, problem) -> None:
-        goal = problem.goal
-        self._goal = goal
+        self._goal = problem.goal
         self._cheapest_time = problem.cheapest_time
         self._min_startup = problem.min_startup_cost
-        #: Whether the goal's bound may be memoised per assigned-latency
-        #: *multiset* (bit-identical under permutation) rather than per
-        #: exact sequence.
-        self._order_invariant = goal.future_bound_order_invariant
         #: remaining code -> per-query latency lower bounds
         self._latency_bounds_cache: dict[int, list[float]] = {}
-        #: (remaining code, assigned-latency key) -> future-cost lower bound
+        #: (remaining code, accumulator state) -> future-cost lower bound
         self._memo: dict[tuple, float] = {}
 
     def placement_bound(self, parent, row, completion, penalty):
-        key = self._child_key(parent, completion)
-        return self._future(key, row), key
+        return self._future(parent.accumulator.state_with(completion), row)
 
     def provision_bound(self, parent, row):
-        # (outcomes, remaining) are unchanged by a start-up edge.
-        key = self._key_of(parent)
         future = parent.future_term
         if future < 0.0:
-            future = self._future(key, row)
-        return future, key
+            future = self._future(parent.accumulator.state(), row)
+        return future
 
     def node_bound(self, node, row) -> float:
-        return self._future(self._key_of(node), row)
-
-    # -- the assigned-latency key ------------------------------------------------
-
-    def _key_of(self, node) -> tuple[float, ...]:
-        """The node's assigned-latency memo key, computed once and cached.
-
-        Goals whose bound is permutation-invariant key by the sorted latency
-        multiset, the rest by the exact sequence (float sums are
-        order-sensitive, and f-values must stay bit-identical).
-        """
-        key = node.latency_key
-        if key is None:
-            assigned = tuple(outcome.latency for outcome in node.outcomes)
-            key = node.latency_key = (
-                tuple(sorted(assigned)) if self._order_invariant else assigned
-            )
-        return key
-
-    def _child_key(self, parent, completion: float) -> tuple[float, ...]:
-        """The parent's key plus one completion: a bisect insertion keeps an
-        order-invariant key sorted, an append keeps the exact sequence."""
-        key = parent.latency_key
-        if key is None:
-            key = self._key_of(parent)
-        if self._order_invariant:
-            position = bisect_right(key, completion)
-            return key[:position] + (completion,) + key[position:]
-        return key + (completion,)
-
-    # -- the memoised goal hook ----------------------------------------------------
+        return self._future(node.accumulator.state(), row)
 
     def _latency_bounds(self, row) -> list[float]:
         """Per-query latency lower bounds of a remaining multiset (memoised).
@@ -341,19 +299,13 @@ class MemoizedGoalBound(FutureCostBound):
             self._latency_bounds_cache[row.code] = cached
         return cached
 
-    def _future(self, latency_key: tuple[float, ...], row) -> float:
-        """The goal hook at (assigned latencies, remaining multiset), memoised.
-
-        ``latency_key`` doubles as the assigned-latency argument of the goal
-        hook: for order-invariant goals it is the sorted multiset (the hook
-        only reads order statistics, so the value is unchanged), for the rest
-        it is the exact placement sequence.
-        """
-        key = (row.code, latency_key)
+    def _future(self, state, row) -> float:
+        """The goal hook at (accumulator state, remaining multiset), memoised."""
+        key = (row.code, state)
         future = self._memo.get(key)
         if future is None:
             future = self._goal.future_cost_lower_bound(
-                latency_key, self._latency_bounds(row), self._min_startup
+                state, self._latency_bounds(row), self._min_startup
             )
             self._memo[key] = future
         return future

@@ -56,12 +56,13 @@ work is built around that:
   parent accumulator's non-mutating ``violation_with`` (bit-identical to
   branch + add + violation), a retraining search's old-goal penalty from
   the ``violation_with`` of the parent's second, old-goal accumulator in the
-  same way.  A strategy builds the child's :class:`SearchNode` — its
-  accumulator branches and its key — with :meth:`SchedulingProblem.child`
-  only when it pops the child, which most children never are.  No node
-  carries its outcome tuple or its partial schedule; the rare reader (a
-  test, or the goal's schedule) walks the parent chain
-  (:attr:`SearchNode.outcomes`).
+  same way, and a non-monotonic goal's cost-to-go from the state the
+  parent accumulator's ``state_with`` gives.  A strategy builds the child's
+  :class:`SearchNode` — its accumulator branches and its key — with
+  :meth:`SchedulingProblem.child` only when it pops the child, which most
+  children never are.  No node carries its outcomes or its partial
+  schedule; the rare reader (a test, or the goal's schedule) walks the
+  parent chain.
 * **One row per remaining multiset.**  The problem numbers each remaining
   multiset by a mixed-radix integer over the workload's templates in name
   order; a placement subtracts the placed template's weight.  The first
@@ -76,8 +77,10 @@ work is built around that:
   f-value comes from the problem's bound —
   :class:`~repro.search.bounds.ProvisioningBound` for monotonic goals,
   :class:`~repro.search.bounds.MemoizedGoalBound` for the others — through
-  its placement, provisioning and from-scratch hooks.  A retraining search's
-  adaptive bound ``h'`` (Section 5, an
+  its placement, provisioning and from-scratch hooks, each of which returns
+  the term alone; the memoised bound reads the goal accumulator's state, so
+  a node holds its assigned latencies once, in its accumulator.  A
+  retraining search's adaptive bound ``h'`` (Section 5, an
   :class:`~repro.adaptive.retraining.AdaptiveBound`), passed to the
   constructor, composes on top: every node then carries the bound's old
   goal's accumulator and penalty, the f-value is ``max(f, h'(v))``, so every
@@ -101,7 +104,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.cloud.latency import LatencyModel
 from repro.cloud.vm import VMTypeCatalog
@@ -117,18 +120,6 @@ if TYPE_CHECKING:  # the adaptive layer imports the trainer, which imports this
     from repro.adaptive.retraining import AdaptiveBound
 
 _INF = float("inf")
-
-
-class LatencyOutcome(NamedTuple):
-    """Lightweight per-query outcome used while searching partial schedules.
-
-    Only the two attributes the SLA classes read (``template_name`` and
-    ``latency``) are carried; building full :class:`~repro.core.outcome.QueryOutcome`
-    objects for explored vertices would dominate the search time.
-    """
-
-    template_name: str
-    latency: float
 
 
 class RemainingRow:
@@ -176,9 +167,10 @@ class SearchNode:
     queue-order rules read.  The rest is the partial schedule's price so far:
     ``infra_cost``, ``penalty`` and the goal's violation accumulator, which
     with the key is what a ``cost-of-X`` price reads
-    (:meth:`ProblemTables.placement_edge_cost`).  The schedule itself is read
-    off the parent chain when it is wanted (:attr:`outcomes`,
-    :meth:`~repro.search.astar.SearchResult.vms`).
+    (:meth:`ProblemTables.placement_edge_cost`), and whose state a
+    non-monotonic goal's cost-to-go reads.  The schedule itself is read off
+    the parent chain when it is wanted
+    (:meth:`~repro.search.astar.SearchResult.vms`).
     """
 
     parent: "SearchNode | None"
@@ -191,15 +183,9 @@ class SearchNode:
     last_vm_index: int = field(default=-1)
     last_template: int = field(default=-1)
     #: The bound's term of the f-value (-1.0 = not computed).  Provision
-    #: edges keep (outcomes, remaining) unchanged, so the memoized bound
-    #: reuses it for them without rebuilding the memo key.
+    #: edges keep the accumulator and the remaining multiset unchanged, so
+    #: the memoized bound reuses it for them.
     future_term: float = field(default=-1.0)
-    #: Assigned-latency key of the memoized bound (``None`` = not
-    #: computed).  Maintained incrementally along placement edges — one
-    #: ``bisect`` insertion for order-invariant goals, one tuple append
-    #: otherwise — so the memo key is never rebuilt (or re-sorted) from the
-    #: outcomes per generated vertex.
-    latency_key: "tuple[float, ...] | None" = field(default=None)
     #: Second, *auxiliary-goal* accumulator carried by every node of a
     #: retraining search (adaptive A*, Section 5), whatever the goal kind:
     #: tracks the partial schedule's violation under the adaptive bound's
@@ -218,20 +204,6 @@ class SearchNode:
         """Cost of the node's partial schedule: infrastructure plus penalty."""
         return self.infra_cost + self.penalty
 
-    @property
-    def outcomes(self) -> tuple[LatencyOutcome, ...]:
-        """The partial schedule's query completions, in placement order.
-
-        Read off the parent chain (a placement's completion is its node's
-        ``last_vm_finish``), so it costs O(depth): nodes do not carry it.
-        """
-        outcomes = [
-            LatencyOutcome(node.action.template_name, node.last_vm_finish)
-            for node in self.path()
-            if isinstance(node.action, PlaceQuery)
-        ]
-        return tuple(outcomes)
-
     def path(self) -> list["SearchNode"]:
         """Nodes from the start vertex to this node, inclusive."""
         nodes: list[SearchNode] = []
@@ -245,7 +217,7 @@ class SearchNode:
 
 #: A child priced by :meth:`SchedulingProblem.expand` and not built yet:
 #: ``(f, count, -serial, parent, action, completion, infra_cost, penalty,
-#: row, latency_key, future_term, aux_penalty)``.  It is its own A* frontier
+#: row, future_term, aux_penalty)``.  It is its own A* frontier
 #: entry: ``f``, the queries left (``count``) and the negated generation
 #: serial lead, so entries order by f-value, then fewer queries left, then
 #: the most recently generated, and never compare past the unique serial.
@@ -831,10 +803,10 @@ class SchedulingProblem:
                     child_row = self.row(code - weight)
                 count = child_row.count
                 if count:
-                    term, key = placement_term(node, child_row, completion, penalty)
+                    term = placement_term(node, child_row, completion, penalty)
                     f = infra + child_row.execution + term
                 else:
-                    term, key = -1.0, None
+                    term = -1.0
                     f = infra + penalty
                 if adaptive_bound is not None:
                     aux_penalty = aux_rate * parent_aux.violation_with(
@@ -857,7 +829,6 @@ class SchedulingProblem:
                         infra,
                         penalty,
                         child_row,
-                        key,
                         term,
                         aux_penalty,
                     )
@@ -873,7 +844,7 @@ class SchedulingProblem:
         if count and (vm_index < 0 or node.last_template >= 0):
             penalty = node.penalty
             aux_penalty = node.aux_penalty
-            term, key = self._provision_term(node, row)
+            term = self._provision_term(node, row)
             execution = row.execution
             startup_costs = self._startup_costs
             supports_table = self._supports_table if self._partial_support else None
@@ -900,7 +871,6 @@ class SchedulingProblem:
                         infra,
                         penalty,
                         row,
-                        key,
                         term,
                         aux_penalty,
                     )
@@ -926,7 +896,6 @@ class SchedulingProblem:
             infra,
             penalty,
             row,
-            key,
             term,
             aux_penalty,
         ) = priced
@@ -956,7 +925,6 @@ class SchedulingProblem:
             vm_index,
             last_template,
             term,
-            key,
             aux_accumulator,
             aux_penalty,
             row,

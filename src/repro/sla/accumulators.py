@@ -37,6 +37,13 @@ a training walk records them per vertex, and
 expression, bit for bit as the scalar would.  ``max(0.0, x)`` is spelled
 ``np.where(x > 0.0, x, 0.0)`` there: ``np.maximum`` may return ``-0.0``
 where Python returns ``0.0``.
+
+The two non-monotonic accumulators also hold their goal's *state*: what the
+goal's A* cost-to-go reads of the placements so far
+(:meth:`~repro.sla.base.PerformanceGoal.future_cost_lower_bound`), and the
+memo key of that bound — average's latency total and count, percentile's
+sorted latencies as a tuple.  ``state()`` reads it, and ``state_with``, like
+``violation_with``, reads a child's that is priced but not built yet.
 """
 
 from __future__ import annotations
@@ -191,6 +198,14 @@ class AverageLatencyViolationAccumulator(ViolationAccumulator):
         """The total latency and the count so far."""
         return self._total, float(self._count)
 
+    def state(self) -> tuple[float, int]:
+        """The total latency, a left fold of ``+=``, and the count so far."""
+        return self._total, self._count
+
+    def state_with(self, latency: float) -> tuple[float, int]:
+        """:meth:`state` if one more query were recorded (non-mutating)."""
+        return self._total + latency, self._count + 1
+
     def violation_with_array(
         self, summaries: np.ndarray, template_names: Sequence[str], latencies: np.ndarray
     ) -> np.ndarray:
@@ -269,6 +284,16 @@ class PercentileViolationAccumulator(ViolationAccumulator):
             latencies[rank - 2] if rank >= 2 else -_INF,
             latencies[rank - 1] if rank <= len(latencies) else _INF,
         )
+
+    def state(self) -> tuple[float, ...]:
+        """The latencies so far, sorted."""
+        return tuple(self._latencies)
+
+    def state_with(self, latency: float) -> tuple[float, ...]:
+        """:meth:`state` if one more query were recorded (non-mutating)."""
+        latencies = self._latencies.copy()
+        bisect.insort(latencies, latency)
+        return tuple(latencies)
 
     def violation_with_array(
         self, summaries: np.ndarray, template_names: Sequence[str], latencies: np.ndarray

@@ -54,25 +54,26 @@ class AverageLatencyGoal(PerformanceGoal):
 
     def future_cost_lower_bound(
         self,
-        assigned_latencies: Sequence[float],
+        state: tuple[float, int],
         remaining_latency_bounds: Sequence[float],
         min_startup_cost: float,
     ) -> float:
         """Provisioning/penalty trade-off bound for the average-latency goal.
 
-        Running the remaining queries on ``v`` parallel fresh VMs, the minimum
-        achievable sum of their completion times is the classic
+        *state* is the accumulator's total latency and count so far.
+        Running the remaining queries on ``v`` parallel fresh VMs, the
+        minimum achievable sum of their completion times is the classic
         ``P || sum C_j`` bound: process in shortest-first order, so the i-th
         shortest of ``n`` queries has at least ``floor((n - i) / v) + 1``
         queries (including itself) finishing no earlier than it.  Minimising
         over the number of extra VMs (each costing a start-up fee) yields an
         admissible estimate of the future penalty-plus-provisioning cost.
         """
+        assigned_total, assigned_count = state
         remaining = sorted(remaining_latency_bounds)
-        count = len(assigned_latencies) + len(remaining)
+        count = assigned_count + len(remaining)
         if count == 0:
             return 0.0
-        assigned_total = left_sum(assigned_latencies)
         if not remaining:
             return self._penalty_rate * max(0.0, assigned_total / count - self._deadline)
 

@@ -81,17 +81,9 @@ class PerformanceGoal(ABC):
         """
         return None
 
-    #: Whether :meth:`future_cost_lower_bound` returns bit-identical results for
-    #: any permutation of ``assigned_latencies``.  Goals that only consume the
-    #: latencies through order statistics (sorting/rank selection) set this to
-    #: True, which lets the search memoise the bound by latency *multiset*;
-    #: goals that sum latencies directly must leave it False (float addition is
-    #: not associative, so permutations can differ in the last bits).
-    future_bound_order_invariant: bool = False
-
     def future_cost_lower_bound(
         self,
-        assigned_latencies: Sequence[float],
+        state,
         remaining_latency_bounds: Sequence[float],
         min_startup_cost: float,
     ) -> float:
@@ -99,8 +91,11 @@ class PerformanceGoal(ABC):
 
         Non-monotonic goals cannot carry their partial penalty in the search
         node's g-value, so this hook provides the admissible estimate used in
-        its place.  The default of 0 is always admissible; the non-monotonic
-        goals override it with a provisioning/penalty trade-off bound.
+        its place.  *state* is what the goal's accumulator holds of the
+        placements so far (its ``state()``, see
+        :mod:`repro.sla.accumulators`), and the search memoises the bound on
+        it.  The default of 0 is always admissible; the non-monotonic goals
+        override it with a provisioning/penalty trade-off bound.
         """
         return 0.0
 

@@ -26,11 +26,6 @@ class PercentileGoal(PerformanceGoal):
 
     kind = "percentile"
 
-    #: The bound below only reads latencies through sorting and rank selection,
-    #: so it is invariant (bit-for-bit) under permutations of the assigned
-    #: latencies; the search may memoise it per latency multiset.
-    future_bound_order_invariant = True
-
     def __init__(
         self,
         percent: float = config.DEFAULT_PERCENTILE,
@@ -76,15 +71,16 @@ class PercentileGoal(PerformanceGoal):
 
     def future_cost_lower_bound(
         self,
-        assigned_latencies: Sequence[float],
+        state: tuple[float, ...],
         remaining_latency_bounds: Sequence[float],
         min_startup_cost: float,
     ) -> float:
         """Provisioning/penalty trade-off bound for percentile goals.
 
-        With ``m`` usable machines (the most recent VM plus the extra ones),
-        the ``k``-th smallest completion time of the remaining queries is at
-        least each of:
+        *state* is the accumulator's latencies so far, sorted.  With ``m``
+        usable machines (the most recent VM plus the extra ones), the ``k``-th
+        smallest completion time of the remaining queries is at least each
+        of:
 
         * the sum of the ``ceil(k / m)`` shortest remaining execution times
           (some machine must run that many of the ``k`` earliest-finishing
@@ -105,14 +101,14 @@ class PercentileGoal(PerformanceGoal):
         Minimising over the number of extra VMs (each costing a start-up fee)
         yields an admissible estimate of the cost still to be paid.
         """
+        assigned = state
         remaining = sorted(remaining_latency_bounds)
-        total = len(assigned_latencies) + len(remaining)
+        total = len(assigned) + len(remaining)
         if total == 0:
             return 0.0
         rank = max(1, math.ceil(self._percent / 100.0 * total))
         if not remaining:
-            merged = sorted(assigned_latencies)
-            return self._penalty_rate * max(0.0, merged[rank - 1] - self._deadline)
+            return self._penalty_rate * max(0.0, assigned[rank - 1] - self._deadline)
 
         prefix = [0.0]
         prefix.extend(itertools.accumulate(remaining))
@@ -122,7 +118,6 @@ class PercentileGoal(PerformanceGoal):
         # materialising and sorting the merged latency list for every candidate
         # VM count.  The per-rank completion bounds are non-decreasing in the
         # rank, so the walk visits them in sorted order.
-        assigned = sorted(assigned_latencies)
         num_assigned = len(assigned)
         num_remaining = len(remaining)
         last = num_remaining - 1

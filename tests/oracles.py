@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.cloud.latency import LatencyModel
 from repro.cloud.vm import VMType
@@ -21,7 +21,8 @@ from repro.exceptions import ScheduleError, SpecificationError
 from repro.learning.decision_tree import DecisionTreeClassifier
 from repro.search.actions import PlaceQuery
 from repro.serving.metrics import ServingMetrics, TenantMetrics
-from repro.sla.base import PerformanceGoal
+from repro.sla.average_latency import AverageLatencyGoal
+from repro.sla.base import PerformanceGoal, left_sum
 from repro.sla.percentile import PercentileGoal
 from repro.workloads.arrivals import _validate, _workload, arrival_stream_rng
 from repro.workloads.templates import TemplateSet
@@ -122,7 +123,58 @@ def state_of(node, counts: Mapping[str, int]) -> State:
     return state
 
 
-# -- the percentile goal's cost-to-go -------------------------------------------
+class LatencyOutcome(NamedTuple):
+    """A query completion with just what the goals read of a ``QueryOutcome``."""
+
+    template_name: str
+    latency: float
+
+
+def outcomes(node) -> tuple[LatencyOutcome, ...]:
+    """The search node *node*'s query completions, in placement order.
+
+    Read off the parent chain: a placement's completion is its node's
+    ``last_vm_finish``.
+    """
+    return tuple(
+        LatencyOutcome(vertex.action.template_name, vertex.last_vm_finish)
+        for vertex in node.path()
+        if isinstance(vertex.action, PlaceQuery)
+    )
+
+
+# -- the non-monotonic goals' cost-to-go ----------------------------------------
+
+
+def average_future_cost(
+    goal: AverageLatencyGoal,
+    assigned: Sequence[float],
+    remaining: Sequence[float],
+    min_startup_cost: float,
+) -> float:
+    """``goal.future_cost_lower_bound``, straight line, over the placement sequence.
+
+    *assigned* is every latency so far in placement order, summed left to
+    right.  ``v`` machines give the remaining queries, shortest first, the
+    least total completion time: the ``i``-th shortest of ``n`` counts once
+    for each of the ``floor((n - i) / v) + 1`` queries finishing no earlier.
+    Every extra VM count is a candidate, at its start-up fees.
+    """
+    remaining = sorted(remaining)
+    count = len(assigned) + len(remaining)
+    if count == 0:
+        return 0.0
+    assigned_total = left_sum(assigned)
+    candidates = []
+    for extra_vms in range(len(remaining) + 1):
+        machines = extra_vms + 1
+        completion_sum = left_sum(
+            latency * ((len(remaining) - index - 1) // machines + 1)
+            for index, latency in enumerate(remaining)
+        )
+        violation = max(0.0, (assigned_total + completion_sum) / count - goal.deadline)
+        candidates.append(extra_vms * min_startup_cost + goal.penalty_rate * violation)
+    return min(candidates)
 
 
 def percentile_future_cost(

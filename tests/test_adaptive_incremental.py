@@ -38,6 +38,7 @@ from repro.sla.base import PerformanceGoal
 from repro.sla.percentile import PercentileGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 
+from oracles import outcomes
 from search_helpers import children
 
 TEMPLATES = TemplateSet(
@@ -103,7 +104,7 @@ def test_property_aux_penalty_matches_batch_old_goal_penalty(
         layer = []
         for parent in frontier:
             for child in children(problem, parent):
-                assert child.aux_penalty == old_goal.penalty(child.outcomes)
+                assert child.aux_penalty == old_goal.penalty(outcomes(child))
                 layer.append(child)
         frontier = layer[:8]
         if not frontier:
@@ -122,7 +123,7 @@ def test_adaptive_search_prices_its_path_with_the_old_goal_penalty(
     result = astar_search(_problem(counts, new_goal, bound))
     fresh = astar_search(_problem(counts, new_goal))
     for node in result.path():
-        old_penalty = old_goal.penalty(node.outcomes)
+        old_penalty = old_goal.penalty(outcomes(node))
         assert node.aux_penalty == old_penalty
         assert node.priority >= bound(node.infra_cost, node.penalty, old_penalty)
     # Whatever h' prunes, the search returns a real schedule: never below the

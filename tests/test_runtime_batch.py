@@ -26,7 +26,7 @@ from repro.workloads.templates import QueryTemplate
 from repro.workloads.workload import Workload
 
 from search_helpers import children
-from oracles import OneQueryPerVMScheduler, state_of, validate_complete
+from oracles import LatencyOutcome, OneQueryPerVMScheduler, state_of, validate_complete
 
 
 def test_schedule_is_complete_and_valid(trained_max, small_templates):
@@ -211,8 +211,6 @@ def test_kernel_vertex_carries_the_penalty_of_its_placements(
     """Every decision of a pass sees ``penalty`` equal to the goal's penalty of
     the placements made so far in that pass, for each goal kind at a rate
     where the float forms of Equation 2 could differ."""
-    from repro.search.problem import LatencyOutcome
-
     real = DecisionModel.decide
     checked = []
     state = {}

@@ -119,10 +119,10 @@ INADMISSIBLE_H_PRIME = {
 class _WithoutFloors(PercentileGoal):
     """A percentile goal whose cost-to-go lacks the completion floors."""
 
-    def future_cost_lower_bound(self, assigned_latencies, remaining_latency_bounds, min_startup_cost):
+    def future_cost_lower_bound(self, state, remaining_latency_bounds, min_startup_cost):
         return percentile_future_cost(
             self,
-            assigned_latencies,
+            state,
             remaining_latency_bounds,
             min_startup_cost,
             completion_floors=False,
@@ -148,10 +148,10 @@ class _WithoutTardiness(FutureCostBound):
         )
 
     def placement_bound(self, parent, row, completion, penalty):
-        return self._term(penalty, completion, row), None
+        return self._term(penalty, completion, row)
 
     def provision_bound(self, parent, row):
-        return self._term(parent.penalty, 0.0, row), None
+        return self._term(parent.penalty, 0.0, row)
 
     def node_bound(self, node, row):
         finish = node.last_vm_finish if node.last_vm_index >= 0 else None
@@ -291,7 +291,8 @@ def test_the_percentile_bound_never_falls_below_the_one_without_floors(
     """The two-pointer walks select the straight-line bound's rank, bit for
     bit, and the floors only ever raise it."""
     goal = PercentileGoal(percent, deadline, penalty_rate)
-    bound = goal.future_cost_lower_bound(assigned, remaining, min_startup_cost)
+    # The goal reads its accumulator's state: the latencies so far, sorted.
+    bound = goal.future_cost_lower_bound(tuple(sorted(assigned)), remaining, min_startup_cost)
     assert bound == percentile_future_cost(goal, assigned, remaining, min_startup_cost)
     assert bound >= percentile_future_cost(
         goal, assigned, remaining, min_startup_cost, completion_floors=False
@@ -371,7 +372,7 @@ def test_the_monotonic_bound_equals_its_straight_line_oracle(
         node = SimpleNamespace(last_vm_index=-1, penalty=penalty)
         term = bound.node_bound(node, row)
     else:
-        term = bound.placement_bound(None, row, finish, penalty)[0]
+        term = bound.placement_bound(None, row, finish, penalty)
     arguments = (
         goal, problem.cheapest_time, row.remaining, problem.min_startup_cost, penalty, finish
     )

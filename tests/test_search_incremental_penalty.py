@@ -34,7 +34,7 @@ from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.sla.percentile import PercentileGoal
 from repro.workloads.templates import QueryTemplate, TemplateSet
 
-from oracles import state_of
+from oracles import LatencyOutcome, outcomes, state_of
 from search_helpers import children
 
 
@@ -78,26 +78,24 @@ GOAL_KINDS = ("max", "per_query", "average", "percentile")
 @settings(max_examples=120, deadline=None)
 def test_property_accumulator_matches_batch_penalty(kind, deadline, latencies):
     """Accumulated violation equals the batch definition for any add sequence."""
-    from repro.search.problem import LatencyOutcome
-
     goal = goal_of(kind, deadline)
     accumulator = goal.accumulator()
-    outcomes = []
+    placed = []
     for template_name, latency in latencies:
         # The hypothetical (non-mutating) delta must agree with the batch
-        # penalty of outcomes + [candidate] before the candidate is recorded.
+        # penalty of placed + [candidate] before the candidate is recorded.
         hypothetical = goal.penalty_rate * accumulator.violation_with(
             template_name, latency
         )
         batch_hypothetical = goal.penalty(
-            outcomes + [LatencyOutcome(template_name, latency)]
+            placed + [LatencyOutcome(template_name, latency)]
         )
         assert hypothetical == batch_hypothetical
 
         accumulator = accumulator.branch()
         accumulator.add(template_name, latency)
-        outcomes.append(LatencyOutcome(template_name, latency))
-        assert goal.penalty_rate * accumulator.violation() == goal.penalty(outcomes)
+        placed.append(LatencyOutcome(template_name, latency))
+        assert goal.penalty_rate * accumulator.violation() == goal.penalty(placed)
 
 
 @given(
@@ -127,7 +125,7 @@ def test_property_search_nodes_match_batch_penalty_and_priority(
             break
         node = successors[choice % len(successors)]
         # Batch penalty over the node's full outcome history.
-        assert node.penalty == goal.penalty(node.outcomes)
+        assert node.penalty == goal.penalty(outcomes(node))
         # The f-value expand() priced from the parent equals priority()'s.
         assert node.priority == problem.priority(node)
         # Equation-2 edge weights agree with the batch delta definition.
@@ -139,10 +137,8 @@ def test_property_search_nodes_match_batch_penalty_and_priority(
             assert vms
             vm_type = vm_types[vms[-1][0]]
             execution = TemplateLatencyModel(TEMPLATES).latency(template_name, vm_type)
-            from repro.search.problem import LatencyOutcome
-
             batch = goal.penalty(
-                node.outcomes
+                outcomes(node)
                 + (LatencyOutcome(template_name, node.last_vm_finish + execution),)
             )
             assert cost == vm_type.running_cost * execution + (batch - node.penalty)

@@ -22,7 +22,7 @@ from repro.sla.max_latency import MaxLatencyGoal
 from repro.workloads.templates import tpch_templates
 from repro.workloads.workload import Workload
 
-from oracles import state_of
+from oracles import outcomes, state_of
 from search_helpers import children
 
 
@@ -75,7 +75,7 @@ def test_placement_decrements_and_tracks_outcomes(max_problem):
     _, remaining = state_of(placed, max_problem.template_counts)
     assert remaining == placed.row.remaining == (("T1", 1), ("T3", 1))
     assert placed.last_vm_finish == pytest.approx(units.minutes(1))
-    assert len(placed.outcomes) == 1
+    assert len(outcomes(placed)) == 1
     assert placed.infra_cost > provisioned.infra_cost
 
 

@@ -22,9 +22,10 @@ from __future__ import annotations
 import pytest
 
 from repro.adaptive.retraining import AdaptiveBound
-from repro.search.problem import LatencyOutcome, SchedulingProblem
+from repro.search.problem import SchedulingProblem
 from repro.search.strategy import strategy_from_spec
 
+from oracles import LatencyOutcome
 from search_helpers import graph
 from test_search_oracle import CATALOGS, GOALS, LATENCY, TEMPLATES, _workload
 

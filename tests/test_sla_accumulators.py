@@ -19,9 +19,12 @@ from repro.sla.accumulators import (
     PerQueryViolationAccumulator,
 )
 from repro.sla.average_latency import AverageLatencyGoal
+from repro.sla.base import left_sum
 from repro.sla.max_latency import MaxLatencyGoal
 from repro.sla.per_query import PerQueryDeadlineGoal
 from repro.sla.percentile import PercentileGoal
+
+from oracles import average_future_cost, percentile_future_cost
 
 
 def outcome(template: str, latency: float, query_id: int = 0) -> QueryOutcome:
@@ -101,6 +104,43 @@ def test_violation_with_equals_branch_and_add_exactly(goal, pairs, extra):
     branch = accumulator.branch()
     branch.add("T2", extra)
     assert predicted == branch.violation()
+
+
+@pytest.mark.parametrize("goal", _goals()[2:], ids=lambda g: g.kind)
+@given(
+    pairs=latency_lists,
+    remaining=st.lists(st.floats(min_value=1.0, max_value=3600.0), max_size=7),
+    min_startup_cost=st.floats(min_value=0.0, max_value=2.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_state_is_what_the_cost_to_go_reads(goal, pairs, remaining, min_startup_cost):
+    """Property: a non-monotonic accumulator's state is its goal's cost-to-go input.
+
+    The search prices a child's cost-to-go from its parent's ``state_with``
+    and memoises it on the state, so the state must be what ``branch(); add()``
+    leaves, bit for bit — average's total the placement sequence's left
+    fold, percentile's the sorted latencies — and the goal's bound over it
+    must equal the straight-line oracle over the placement sequence.
+    """
+    accumulator = goal.accumulator()
+    sequence = []
+    for template, latency in pairs:
+        before = accumulator.state()
+        predicted = accumulator.state_with(latency)
+        child = accumulator.branch()
+        child.add(template, latency)
+        assert child.state() == predicted
+        assert accumulator.state() == before
+        accumulator = child
+        sequence.append(latency)
+    state = accumulator.state()
+    bound = goal.future_cost_lower_bound(state, remaining, min_startup_cost)
+    if goal.kind == "average":
+        assert state == (left_sum(sequence), len(sequence))
+        assert bound == average_future_cost(goal, sequence, remaining, min_startup_cost)
+    else:
+        assert state == tuple(sorted(sequence))
+        assert bound == percentile_future_cost(goal, state, remaining, min_startup_cost)
 
 
 @pytest.mark.parametrize("goal", _goals(), ids=lambda g: g.kind)

@@ -279,9 +279,9 @@ def test_describe_mentions_kind(all_goals):
 
 def test_only_non_monotonic_goals_override_the_future_cost_bound(all_goals):
     # The monotonic goals carry their penalty in the search's g-value, so
-    # they keep the base default: an admissible float zero, however late the
-    # assigned queries already are.
-    assigned = [units.minutes(60), units.minutes(90)]
+    # they keep the base default: an admissible float zero, whatever state
+    # it is handed.  The others read their accumulator's state, and charge
+    # for assigned queries this late.
     remaining = [units.minutes(30)] * 3
     for kind, goal in all_goals.items():
         overrides = (
@@ -290,12 +290,11 @@ def test_only_non_monotonic_goals_override_the_future_cost_bound(all_goals):
         )
         assert overrides == (not goal.is_monotonic), kind
         if goal.is_monotonic:
-            bound = goal.future_cost_lower_bound(assigned, remaining, 1.0)
+            bound = goal.future_cost_lower_bound(None, remaining, 1.0)
             assert bound == 0.0 and type(bound) is float, kind
-
-
-def test_future_bound_order_invariant_is_declared_on_every_goal(all_goals):
-    # The search reads the flag as a plain attribute: only the percentile
-    # goal, which consumes latencies by rank, may memoise by multiset.
-    for kind, goal in all_goals.items():
-        assert goal.future_bound_order_invariant is (kind == "percentile"), kind
+        else:
+            accumulator = goal.accumulator()
+            for latency in (units.minutes(60), units.minutes(90)):
+                accumulator.add("T1", latency)
+            bound = goal.future_cost_lower_bound(accumulator.state(), remaining, 1.0)
+            assert bound > 0.0 and type(bound) is float, kind
