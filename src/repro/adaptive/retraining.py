@@ -83,6 +83,25 @@ so output is identical for any ``n_jobs``.  One warm process pool serves
 fresh training and every subsequent retraining — exactly the
 many-small-retrainings pattern of Figure 16.
 
+**Re-thresholding.**  A modeler also keeps its retrains' tree fits: a memo
+that :meth:`DecisionTreeClassifier.fit
+<repro.learning.decision_tree.DecisionTreeClassifier.fit>` looks each
+retrain's training set up in.  Neighbouring goals mostly keep the same paths,
+so their training sets hold the same labels, and every column the same
+stable order and ties, with other values; such a set re-uses the earlier
+fit's splits and re-reads only their thresholds, and the tree is bit for bit
+the one growing it would give (the fit's docstring has the argument).  The
+memo holds one entry per distinct training set fitted, so it grows where
+the solved goals do: its key holds one byte per training-matrix entry while
+no column holds more than 256 distinct values (an eighth of the float64
+matrix; 18 KB at 430 rows x 41 features), and its splits a few KB.  It is
+read and written only under the modeler's lock, in the process that fits,
+and it lives in memory only: a registry reopened in a new process seeds a
+new modeler, whose first retrain grows its tree.  Fresh training passes no
+memo, so it computes no signature and stores nothing.
+:attr:`AdaptiveRetrainingReport.tree_reused` says which retrains re-used a
+fit.
+
 The retraining :class:`~repro.search.problem.SchedulingProblem` is built with
 the :class:`AdaptiveBound` itself, and raises every f-value it computes to
 ``h'``, so each search strategy orders its frontier by ``max(h, h')``.  The
@@ -147,6 +166,8 @@ class AdaptiveRetrainingReport:
     total_expansions: int
     #: Of ``samples_retrained``, those whose stored path was still optimal.
     samples_kept: int = 0
+    #: Whether the tree re-used the splits of an earlier retrain's fit.
+    tree_reused: bool = False
 
 
 class AdaptiveModeler:
@@ -177,6 +198,8 @@ class AdaptiveModeler:
         #: workload, its solution — a cost and a label tuple, never a
         #: ``TrainingResult``.
         self._solved: dict[str, tuple[PerformanceGoal, list[SampleSolution | None]]] = {}
+        #: The tree fits' memo: one entry per distinct retrain training set.
+        self._fits: dict = {}
         self.remember(base_result)
 
     @property
@@ -229,8 +252,9 @@ class AdaptiveModeler:
             )
             for index, (workload, keep) in enumerate(zip(self._base.workloads, solved))
         ]
+        fitted = len(self._fits)
         result, solutions = self._generator._solve_and_fit(
-            new_goal, self._base.workloads, tasks, started
+            new_goal, self._base.workloads, tasks, started, self._fits
         )
         report = AdaptiveRetrainingReport(
             goal=new_goal,
@@ -240,6 +264,8 @@ class AdaptiveModeler:
             total_expansions=sum(sample.expansions for sample in result.samples),
             # Only a kept sample expands nothing: a search expands its start vertex.
             samples_kept=sum(1 for sample in result.samples if sample.expansions == 0),
+            # A fit that grows its tree records one entry; a re-threshold none.
+            tree_reused=len(self._fits) == fitted,
         )
         self._remember(new_goal, solutions)
         return result, report

@@ -31,6 +31,19 @@ is the same elementwise expression on them that a one-node,
 one-feature-at-a-time scorer evaluates, so the fitted trees are bit-identical
 to that formulation's; it lives on as the oracle in
 ``tests/test_learning_decision_tree.py``.
+
+A fit given a memo can skip the growth altogether.  Which split every node
+takes — feature, cut position, gain, ratio, admissibility, the subsample of
+a crowded segment — is decided by integer class counts along each column's
+stable order, and a comparison of values only asks whether two adjacent
+sorted values tie.  The only floats a fit reads off the values are its
+thresholds, each the midpoint of the two values at a split's cut.  So two
+training sets with the same labels, and in every column the same stable
+order and the same ties, grow the same splits: the second fit re-thresholds
+the first one's splits with the values at each cut's two rows, and the tree
+is the one growing it would give, bit for bit.  The caller owns the memo
+(one entry per distinct training set fitted); the row ids it records never
+reach the tree, its ``to_dict`` or a pickle.
 """
 
 from __future__ import annotations
@@ -92,6 +105,19 @@ def _entropy_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     mask = counts > 0
     terms[mask] = probabilities[mask] * np.log2(probabilities[mask])
     return -terms.sum(axis=1)
+
+
+def _midpoint(low: float, high: float) -> float:
+    """The threshold of a split between adjacent distinct values ``low < high``.
+
+    Their mean, unless it leaves ``[low, high)``: the midpoint can collapse
+    onto the high value (denormal underflow: mean(-5e-324, 0.0) == -0.0, and
+    0.0 <= -0.0 is True) or escape the interval entirely (overflow to ±inf).
+    A ``<= threshold`` test must keep the low value on the left and the high
+    value on the right, and the low value itself always satisfies that.
+    """
+    threshold = (low + high) / 2.0
+    return threshold if low <= threshold < high else low
 
 
 class CompiledTreeEvaluator:
@@ -275,6 +301,7 @@ class DecisionTreeClassifier:
         matrix: np.ndarray,
         labels: Sequence[str],
         feature_names: Sequence[str],
+        memo: dict | None = None,
     ) -> "DecisionTreeClassifier":
         """Fit the tree on a (n_examples, n_features) matrix and string labels.
 
@@ -288,6 +315,21 @@ class DecisionTreeClassifier:
         ``tests/test_learning_decision_tree.py`` produces.  Raises
         :class:`TrainingError` on mismatched shapes, an empty training set,
         or a NaN / infinite feature value.
+
+        *memo*, when given, is a dict this fit looks its training set up in
+        and records it into.  Every discrete choice of the growth — each
+        split's feature and cut position, every gain and ratio, the
+        ``_MAX_THRESHOLDS`` subsample, which segments stay, class counts and
+        leaf labels — reads only the encoded labels, each column's stable
+        order with its ties between adjacent sorted values, and the
+        parameters and names; the only floats read off the values are the
+        thresholds, each the :func:`_midpoint` of the two values at its
+        split's cut.  So a training set whose signature (:meth:`_signature`)
+        the memo holds has that earlier fit's splits: the tree is rebuilt
+        from them and each threshold read off this matrix at the cut's two
+        rows — no growth, and the tree a fresh fit would produce, bit for
+        bit.  A miss grows the tree and stores its splits under the
+        signature.  Without *memo* no signature is computed.
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -316,9 +358,115 @@ class DecisionTreeClassifier:
         encoded = np.asarray([class_index[label] for label in labels], dtype=int)
         columns = np.ascontiguousarray(matrix.T)
         orders = np.argsort(columns, axis=1, kind="stable")
-        self._root = self._grow(columns.ravel(), encoded, orders)
+        if memo is None:
+            self._root = self._grow(columns.ravel(), encoded, orders)[0]
+        else:
+            key = self._signature(columns, orders, encoded)
+            splits = memo.get(key)
+            if splits is None:
+                self._root, cut_rows = self._grow(columns.ravel(), encoded, orders)
+                memo[key] = self._splits(cut_rows, encoded.size)
+            else:
+                self._root = self._rethreshold(splits, matrix)
         self._compiled_cache.clear()
         return self
+
+    def _signature(
+        self, columns: np.ndarray, orders: np.ndarray, encoded: np.ndarray
+    ) -> tuple:
+        """Everything a fit's splits depend on, as an exact dictionary key.
+
+        Each column's dense ranks (the ``k``-th smallest distinct value
+        ranks ``k``), in the narrowest unsigned dtype, stand for its stable
+        order and its ties at once: either determines the other.  Then the
+        encoded labels, the names, the classes and the parameters.  The ranks
+        are laid out along the columns' sorted values — one run of a rank per
+        distinct value — and scattered back to their rows.
+        """
+        n_rows = encoded.size
+        positions = (orders + np.arange(0, orders.size, n_rows)[:, None]).ravel()
+        ordered = columns.ravel()[positions]
+        starts = np.empty(ordered.size, dtype=bool)  # a distinct value's first position
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        starts[::n_rows] = True
+        firsts = np.flatnonzero(starts)
+        runs = np.arange(firsts.size)
+        ranks = runs - np.maximum.accumulate(np.where(firsts % n_rows == 0, runs, 0))
+        ranks = ranks.astype(np.min_scalar_type(ranks.max(initial=0)))
+        dense = np.empty_like(ranks, shape=ordered.size)
+        dense[positions] = np.repeat(ranks, np.diff(firsts, append=ordered.size))
+        return (
+            n_rows,
+            self._feature_names,
+            self._classes,
+            self._max_depth,
+            self._min_samples_leaf,
+            self._min_samples_split,
+            self._min_gain,
+            encoded.astype(np.min_scalar_type(len(self._classes) - 1)).tobytes(),
+            dense.tobytes(),
+        )
+
+    def _splits(
+        self, cut_rows: dict[int, tuple[int, int]], n_rows: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fitted tree as a memo entry: what :meth:`_rethreshold` rebuilds it from.
+
+        In preorder, each node's split feature (``-1`` for a leaf) and class
+        counts, and each split's two cut rows — the rows whose values
+        bracket its threshold — from *cut_rows* (``id(node)`` to row ids, as
+        :meth:`_grow` recorded them).
+        """
+        features, counts, cuts = [], [], []
+        pending = [self._root]
+        while pending:
+            node = pending.pop()
+            counts.append([node.class_counts.get(label, 0) for label in self._classes])
+            if node.is_leaf:
+                features.append(-1)
+                continue
+            features.append(node.feature_index)
+            cuts.append(cut_rows[id(node)])
+            pending.append(node.right)
+            pending.append(node.left)
+        narrow = np.min_scalar_type(n_rows)
+        return (
+            np.array(features, dtype=np.int32),
+            np.array(counts, dtype=narrow),
+            np.array(cuts, dtype=narrow).reshape(-1, 2),
+        )
+
+    def _rethreshold(
+        self, splits: tuple[np.ndarray, np.ndarray, np.ndarray], matrix: np.ndarray
+    ) -> TreeNode:
+        """The tree of a memo hit: the cached splits, thresholds read off *matrix*.
+
+        Each split's low and high values are its two cut rows' values in
+        *matrix*: the rows hold the same sorted positions as in the cached
+        fit, so they are the values a fresh fit would read there, and
+        :func:`_midpoint` makes the same threshold of them.
+        """
+        features, counts, cuts = splits
+        split_features = features[features >= 0]
+        lows = iter(matrix[cuts[:, 0], split_features].tolist())
+        highs = iter(matrix[cuts[:, 1], split_features].tolist())
+        names = self._feature_names
+        nodes = [self._node(node_counts) for node_counts in counts.tolist()]
+        pending: list[TreeNode] = []  # split nodes still missing a right child
+        for node, feature in zip(nodes, features.tolist()):
+            if pending:
+                parent = pending[-1]
+                if parent.left is None:
+                    parent.left = node
+                else:
+                    parent.right = node
+                    pending.pop()
+            if feature >= 0:
+                node.feature_index = feature
+                node.feature_name = names[feature]
+                node.threshold = _midpoint(next(lows), next(highs))
+                pending.append(node)
+        return nodes[0]
 
     def _node(self, counts: list[int]) -> TreeNode:
         """A node (a leaf until it is split) over examples with these class counts."""
@@ -340,8 +488,11 @@ class DecisionTreeClassifier:
 
     def _grow(
         self, flat_values: np.ndarray, encoded: np.ndarray, orders: np.ndarray
-    ) -> TreeNode:
-        """Induce the tree from the root's presorted orders; returns the root.
+    ) -> tuple[TreeNode, dict[int, tuple[int, int]]]:
+        """Induce the tree from the root's presorted orders.
+
+        Returns the root and, by ``id`` of each split node, its two cut rows:
+        the rows holding the values its threshold lies between.
 
         The tree grows one depth at a time.  A depth's open nodes are
         ``nodes``, with class ``counts`` and ``sizes`` (one row / entry per
@@ -356,8 +507,9 @@ class DecisionTreeClassifier:
         n_rows = encoded.size
         counts = np.bincount(encoded, minlength=len(self._classes))
         root = self._node(counts.tolist())
+        cut_rows: dict[int, tuple[int, int]] = {}
         if not self._opens(root, 0):
-            return root
+            return root, cut_rows
         nodes = [root]
         counts = counts[None, :]
         sizes = np.array([n_rows])
@@ -385,30 +537,23 @@ class DecisionTreeClassifier:
             depth += 1
             lefts, rights, moved = [], [], []  # (node, class counts) of open children
             left_of, right_of = [-1] * len(nodes), [-1] * len(nodes)
-            for node_id, feature, start, cut, low, high, left, right in zip(
+            for node_id, feature, start, cut, low, high, low_row, high_row, left, right in zip(
                 split.tolist(),
                 seg_feature[cut_segs].tolist(),
                 seg_starts[cut_segs].tolist(),
                 cuts.tolist(),
                 values[cuts].tolist(),
                 values[cuts + 1].tolist(),
+                rows[cuts].tolist(),
+                rows[cuts + 1].tolist(),
                 left_counts.tolist(),
                 (counts[split] - left_counts).tolist(),
             ):
-                threshold = (low + high) / 2.0
-                if not (low <= threshold < high):
-                    # The midpoint of adjacent distinct values can collapse
-                    # onto the right value (denormal underflow: mean(-5e-324,
-                    # 0.0) == -0.0, and 0.0 <= -0.0 is True) or escape the
-                    # interval entirely (overflow to ±inf).  A ``<= threshold``
-                    # test must keep the low value on the left and the high
-                    # value on the right, and the low value itself always
-                    # satisfies that.
-                    threshold = low
                 node = nodes[node_id]
                 node.feature_index = feature
                 node.feature_name = self._feature_names[feature]
-                node.threshold = threshold
+                node.threshold = _midpoint(low, high)
+                cut_rows[id(node)] = (low_row, high_row)
                 node.left = self._node(left)
                 node.right = self._node(right)
                 if self._opens(node.left, depth):
@@ -441,7 +586,7 @@ class DecisionTreeClassifier:
             nodes = [node for node, _ in children]
             counts = np.array([class_counts for _, class_counts in children])
             sizes = np.array([node.samples for node in nodes], dtype=np.intp)
-        return root
+        return root, cut_rows
 
     def _best_splits(
         self,

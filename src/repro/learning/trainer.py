@@ -436,6 +436,7 @@ class ModelGenerator:
         workloads: list[Workload],
         tasks: list[tuple],
         started: float,
+        fits: dict | None = None,
     ) -> tuple[TrainingResult, list[SampleSolution | None]]:
         """The one training loop: solve *tasks*, fit a tree on their rows, package the run.
 
@@ -444,9 +445,12 @@ class ModelGenerator:
         retraining (:class:`~repro.adaptive.retraining.AdaptiveModeler`).
         The solves fan out through the backend and merge in sample order, so
         the output is identical for any ``n_jobs``; the solved samples' rows
-        are then written as one block.  Returns the result (timed from
-        *started*) and each task's solution in task order (``None`` = out of
-        budget).
+        are then written as one block, and the tree is fitted with *fits*
+        as its memo (:meth:`DecisionTreeClassifier.fit
+        <repro.learning.decision_tree.DecisionTreeClassifier.fit>`; adaptive
+        retraining passes its modeler's, fresh training none).  Returns the
+        result (timed from *started*) and each task's solution in task order
+        (``None`` = out of budget).
         """
         extractor = self._extractor_for(goal)
         solver = SampleSolver(
@@ -474,7 +478,7 @@ class ModelGenerator:
             )
 
         fit_start = time.perf_counter()
-        model = self._fit(extractor, training_set)
+        model = self._fit(extractor, training_set, fits)
         fit_time = time.perf_counter() - fit_start
         training_time = time.perf_counter() - started
         model.metadata.num_training_samples = len(samples)
@@ -514,13 +518,18 @@ class ModelGenerator:
             return self._extractor
         return self._extractor.with_tables(tables)
 
-    def _fit(self, extractor: FeatureExtractor, training_set: TrainingSet) -> DecisionModel:
-        """Fit a tree on *training_set* and wrap it with *extractor*."""
+    def _fit(
+        self,
+        extractor: FeatureExtractor,
+        training_set: TrainingSet,
+        fits: dict | None = None,
+    ) -> DecisionModel:
+        """Fit a tree on *training_set* (memo *fits*) and wrap it with *extractor*."""
         matrix, labels = training_set.to_matrix()
         tree = DecisionTreeClassifier(
             max_depth=self._config.max_depth,
             min_samples_leaf=self._config.min_samples_leaf,
-        ).fit(matrix, labels, training_set.feature_names)
+        ).fit(matrix, labels, training_set.feature_names, memo=fits)
         metadata = ModelMetadata(
             goal_kind=extractor.tables.goal.kind,
             num_training_examples=len(training_set),

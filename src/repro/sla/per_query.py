@@ -34,6 +34,8 @@ class PerQueryDeadlineGoal(PerformanceGoal):
             if deadline <= 0:
                 raise GoalError(f"deadline for template {name!r} must be positive")
         self._deadlines = dict(deadlines)
+        # The table never changes, so neither does its mean.
+        self._mean_deadline = left_sum(self._deadlines.values()) / len(self._deadlines)
 
     # -- deadline access -------------------------------------------------------
 
@@ -52,7 +54,7 @@ class PerQueryDeadlineGoal(PerformanceGoal):
     @property
     def deadline(self) -> float:
         """Mean of the per-template deadlines (the goal's 'primary deadline')."""
-        return left_sum(self._deadlines.values()) / len(self._deadlines)
+        return self._mean_deadline
 
     # -- SLA semantics ---------------------------------------------------------
 
@@ -64,17 +66,17 @@ class PerQueryDeadlineGoal(PerformanceGoal):
             if deadline is None:
                 # Unknown templates (e.g. "aged" online templates) inherit the
                 # closest known deadline policy upstream; be conservative here.
-                deadline = self.deadline
+                deadline = self._mean_deadline
             total += max(0.0, outcome.latency - deadline)
         return total
 
     def accumulator(self) -> PerQueryViolationAccumulator:
-        """Incremental violation tracker sharing this goal's per-template deadlines."""
-        return PerQueryViolationAccumulator(dict(self._deadlines), self.deadline)
+        """Incremental violation tracker over a copy of this goal's per-template deadlines."""
+        return PerQueryViolationAccumulator(self._deadlines, self._mean_deadline)
 
     def query_deadline(self, template_name: str) -> float:
         """The template's own deadline (mean deadline for unknown templates)."""
-        return self._deadlines.get(template_name, self.deadline)
+        return self._deadlines.get(template_name, self._mean_deadline)
 
     def at_least_as_strict_as(self, other: PerformanceGoal) -> bool:
         """Every template's own deadline must be no later, over the same templates.

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import TrainingConfig
@@ -213,6 +213,177 @@ def test_midpoint_that_overflows_keeps_the_split():
     assert math.isfinite(tree._root.threshold)
     assert predict(tree, {"x": 1e308}) == "low"
     assert predict(tree, {"x": 1.7e308}) == "high"
+
+
+# ---------------------------------------------------------------------------
+# Re-thresholding: a training set that orders like a fitted one reuses its splits
+# ---------------------------------------------------------------------------
+
+
+class _GrowCounter:
+    """Counts ``DecisionTreeClassifier._grow`` calls while active."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __enter__(self):
+        real = DecisionTreeClassifier._grow
+
+        def counted(tree, *args):
+            self.calls += 1
+            return real(tree, *args)
+
+        DecisionTreeClassifier._grow = counted
+        self._real = real
+        return self
+
+    def __exit__(self, *exc_info):
+        DecisionTreeClassifier._grow = self._real
+
+
+def _refit(matrix, labels, names, params, memo):
+    """``(memo fit, memo-less fit, grows)`` of one training set, as dicts."""
+    with _GrowCounter() as grows:
+        memoised = DecisionTreeClassifier(**params).fit(matrix, labels, names, memo=memo)
+    plain = DecisionTreeClassifier(**params).fit(matrix, labels, names)
+    return memoised.to_dict(), plain.to_dict(), grows.calls
+
+
+@st.composite
+def _tied_training_sets(draw):
+    """Few distinct values per column (so ties), two or three labels, loose limits."""
+    n_rows = draw(st.integers(4, 24))
+    n_columns = draw(st.integers(1, 3))
+    pools = [
+        sorted(set(draw(st.lists(st.integers(-50, 50), min_size=2, max_size=4))))
+        for _ in range(n_columns)
+    ]
+    matrix = np.array(
+        [[float(draw(st.sampled_from(pool))) for pool in pools] for _ in range(n_rows)]
+    )
+    labels = [draw(st.sampled_from("abc")) for _ in range(n_rows)]
+    params = {
+        "min_samples_leaf": draw(st.integers(1, 3)),
+        "max_depth": draw(st.integers(1, 6)),
+    }
+    return matrix, labels, [f"f{j}" for j in range(n_columns)], params
+
+
+def _increasing_remap(data, column):
+    """*column* through a strictly increasing map of its distinct values."""
+    distinct = np.unique(column)
+    start = data.draw(st.floats(-1e6, 1e6, allow_nan=False))
+    gaps = data.draw(
+        st.lists(
+            st.floats(1e-3, 1e6, allow_nan=False),
+            min_size=distinct.size,
+            max_size=distinct.size,
+        )
+    )
+    image = start + np.cumsum(gaps)
+    assert np.all(np.diff(image) > 0)
+    return image[np.searchsorted(distinct, column)]
+
+
+@given(case=_tied_training_sets(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_set_that_orders_alike_rethresholds_the_cached_splits(case, data):
+    """Same labels, orders and ties: no growth, and the memo-less fit's tree."""
+    matrix, labels, names, params = case
+    memo = {}
+    first, plain, grows = _refit(matrix, labels, names, params, memo)
+    assert first == plain and grows == 1 and len(memo) == 1
+    remapped = np.column_stack(
+        [_increasing_remap(data, matrix[:, j]) for j in range(matrix.shape[1])]
+    )
+    again, plain, grows = _refit(remapped, labels, names, params, memo)
+    assert grows == 0 and len(memo) == 1
+    assert again == plain  # thresholds too, bit for bit
+
+
+def _swap_two_values(data, matrix, labels):
+    j = data.draw(st.integers(0, matrix.shape[1] - 1))
+    column = matrix[:, j]
+    a = data.draw(st.integers(0, len(column) - 1))
+    others = np.flatnonzero(column != column[a])
+    if others.size == 0:
+        return None
+    b = int(others[data.draw(st.integers(0, others.size - 1))])
+    matrix[[a, b], j] = matrix[[b, a], j]
+    return matrix, labels
+
+
+def _merge_into_a_tie(data, matrix, labels):
+    j = data.draw(st.integers(0, matrix.shape[1] - 1))
+    column = matrix[:, j]
+    a = data.draw(st.integers(0, len(column) - 1))
+    others = np.flatnonzero(column != column[a])
+    if others.size == 0:
+        return None
+    matrix[int(others[data.draw(st.integers(0, others.size - 1))]), j] = column[a]
+    return matrix, labels
+
+
+def _split_a_tie(data, matrix, labels):
+    # Raising the last row of a tie group below the next value keeps every
+    # order and changes only the ties.
+    j = data.draw(st.integers(0, matrix.shape[1] - 1))
+    column = matrix[:, j]
+    tied = [value for value in np.unique(column) if np.count_nonzero(column == value) > 1]
+    if not tied:
+        return None
+    value = data.draw(st.sampled_from(tied))
+    above = column[column > value]
+    row = int(np.flatnonzero(column == value)[-1])
+    column[row] = (value + above.min()) / 2 if above.size else value + 1.0
+    return matrix, labels
+
+
+def _change_a_label(data, matrix, labels):
+    row = data.draw(st.integers(0, len(labels) - 1))
+    labels = list(labels)
+    labels[row] = data.draw(st.sampled_from([label for label in "abcd" if label != labels[row]]))
+    return matrix, labels
+
+
+@given(case=_tied_training_sets(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_set_that_orders_otherwise_grows_its_own_tree(case, data):
+    """A swap, a merged or split tie, or one label changed: the refit grows."""
+    matrix, labels, names, params = case
+    memo = {}
+    _refit(matrix, labels, names, params, memo)
+    mutate = data.draw(
+        st.sampled_from([_swap_two_values, _merge_into_a_tie, _split_a_tie, _change_a_label])
+    )
+    mutated = mutate(data, matrix.copy(), labels)
+    assume(mutated is not None)
+    again, plain, grows = _refit(*mutated, names, params, memo)
+    assert grows == 1 and len(memo) == 2
+    assert again == plain
+
+
+@pytest.mark.parametrize(
+    "first, hit, low",
+    [
+        # mean(-5e-324, 0.0) == -0.0 collapses onto the high value.
+        ([[1.0], [2.0]], [[-5e-324], [0.0]], -5e-324),
+        # 1e308 + 1.7e308 overflows to inf.
+        ([[1.0], [2.0]], [[1e308], [1.7e308]], 1e308),
+    ],
+    ids=["denormal-collapse", "overflow"],
+)
+def test_a_rethreshold_keeps_a_midpoint_that_leaves_its_interval_off_the_split(
+    first, hit, low
+):
+    params = {"min_samples_leaf": 1, "min_samples_split": 2}
+    memo = {}
+    _refit(np.array(first), ["low", "high"], ["x"], params, memo)
+    again, plain, grows = _refit(np.array(hit), ["low", "high"], ["x"], params, memo)
+    assert grows == 0
+    assert again == plain
+    assert again["root"]["threshold"] == low
+    assert math.copysign(1.0, again["root"]["threshold"]) == math.copysign(1.0, low)
 
 
 # ---------------------------------------------------------------------------
